@@ -171,7 +171,6 @@ func runCoordinate(ctx context.Context, args []string, stdout io.Writer, ready c
 	fs.Var(&specs, "shard", "one shard's replicas as comma-separated host:port (primary first); repeat per shard, in shard order")
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
-		framing  = fs.String("framing", "binary", "shard RPC framing: binary (compact, batched) or json (interoperable)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-RPC attempt timeout")
 		retries  = fs.Int("retries", 2, "extra read attempts across healthy replicas")
 		backoff  = fs.Duration("backoff", 25*time.Millisecond, "backoff before the first retry (doubles per attempt)")
@@ -189,20 +188,11 @@ func runCoordinate(ctx context.Context, args []string, stdout io.Writer, ready c
 	if len(specs) == 0 {
 		return errors.New("coordinate: at least one -shard is required")
 	}
-	var coOpts []repro.CoordinatorOption
-	switch *framing {
-	case "binary":
-	case "json":
-		coOpts = append(coOpts, repro.WithJSONFraming())
-	default:
-		return fmt.Errorf("coordinate: -framing must be binary or json, got %q", *framing)
-	}
-	coOpts = append(coOpts,
+	co, err := repro.NewCoordinator(ctx, specs,
 		repro.WithRequestTimeout(*timeout),
 		repro.WithRetries(*retries, *backoff),
 		repro.WithHealthInterval(*health),
 	)
-	co, err := repro.NewCoordinator(ctx, specs, coOpts...)
 	if err != nil {
 		return err
 	}
@@ -223,8 +213,8 @@ func runCoordinate(ctx context.Context, args []string, stdout io.Writer, ready c
 	for _, s := range specs {
 		replicas += len(s.Addrs)
 	}
-	fmt.Fprintf(stdout, "rknn coordinate: %d shards (%d replicas), %d points, dim=%d, %s back-end, t=%.2f, %s framing, listening on %s\n",
-		co.Shards(), replicas, co.Len(), co.Dim(), co.Backend(), co.Scale(), *framing, ln.Addr())
+	fmt.Fprintf(stdout, "rknn coordinate: %d shards (%d replicas), %d points, dim=%d, %s back-end, t=%.2f, listening on %s\n",
+		co.Shards(), replicas, co.Len(), co.Dim(), co.Backend(), co.Scale(), ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr()
 	}

@@ -82,21 +82,11 @@ type ShardSpec struct {
 type CoordinatorOption func(*coordConfig)
 
 type coordConfig struct {
-	json        bool
 	timeout     time.Duration
 	retries     int
 	backoff     time.Duration
 	healthEvery time.Duration
 	transport   http.RoundTripper
-}
-
-// WithJSONFraming makes the coordinator speak HTTP/JSON to the shard
-// daemons instead of the compact binary framing (internal/wire). JSON is
-// interoperable with any rknn server but pays one request per candidate
-// point and per verification probe; the binary protocol batches both, so
-// it is the default.
-func WithJSONFraming() CoordinatorOption {
-	return func(c *coordConfig) { c.json = true }
 }
 
 // WithRequestTimeout bounds each individual shard RPC attempt (default
@@ -157,7 +147,6 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 	}
 	cc := &clusterClient{
 		hc:      &http.Client{Transport: cfg.transport},
-		binary:  !cfg.json,
 		timeout: cfg.timeout,
 		retries: cfg.retries,
 		backoff: cfg.backoff,

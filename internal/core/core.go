@@ -17,8 +17,11 @@
 //     reject, Assertion 1), and a candidate whose 2·d(q,x) ball has been
 //     fully explored with fewer than k witnesses must be one (lazy accept,
 //     Assertion 2).
-//   - The refinement phase verifies each remaining candidate x with one
-//     forward kNN query, accepting x iff d_k(x) ≥ d(q,x).
+//   - The refinement phase verifies each remaining candidate x, accepting x
+//     iff d_k(x) ≥ d(q,x). The test never needs d_k(x) itself, only whether
+//     fewer than k points lie strictly closer to x than q does, so it is
+//     answered by one bounded count (index.Index.CountCloser) that stops at
+//     k — not by a forward kNN query.
 //
 // RDT+ (paper Section 4.3) additionally excludes a newly retrieved point
 // from the filter set when its first witness cycle already rejects it, which
@@ -103,8 +106,8 @@ type Stats struct {
 	// LazyRejects counts candidates whose witness count reached K,
 	// including RDT+ exclusions.
 	LazyRejects int
-	// Verified counts explicit forward-kNN verifications performed in
-	// the refinement phase.
+	// Verified counts explicit verifications (one bounded count each)
+	// performed in the refinement phase.
 	Verified int
 	// VerifiedHits counts verifications that confirmed a reverse
 	// neighbor.
@@ -414,7 +417,7 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	}
 
 	// Refinement phase (lines 25–32): settle every candidate that is
-	// neither lazily accepted nor lazily rejected with one forward kNN
+	// neither lazily accepted nor lazily rejected with one explicit
 	// verification.
 	var ids []int
 	for i := range filter {
@@ -466,13 +469,14 @@ func setStatsAttrs(sp *trace.Span, k int, st Stats) {
 	sp.SetBool("terminated_by_omega", st.TerminatedByOmega)
 }
 
-// verify runs the explicit refinement test d_k(x) ≥ d(q,x) (lines 26–29)
-// with one forward kNN query at x. A dataset holding fewer than k other
-// points trivially accepts.
+// verify runs the explicit refinement test d_k(x) ≥ d(q,x) (lines 26–29) as
+// a count: x is accepted iff fewer than k points other than x lie strictly
+// closer to x than q does. That is the same predicate — d_k(x) ≥ d(q,x)
+// fails exactly when the k-th nearest distance, hence k points, fall below
+// d(q,x); a point tied at d(q,x) is not counted, so boundary ties accept;
+// a dataset holding fewer than k other points trivially accepts — and the
+// index settles it without ranking a single neighbor.
 func (qr *Querier) verify(x *candidate) bool {
-	nn := qr.ix.KNN(x.point, qr.params.K, x.id)
-	if len(nn) < qr.params.K {
-		return true
-	}
-	return nn[len(nn)-1].Dist >= x.dq
+	k := qr.params.K
+	return qr.ix.CountCloser(x.point, x.dq, k, x.id, nil) < k
 }

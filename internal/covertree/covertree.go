@@ -358,6 +358,48 @@ func (t *Tree) CountRange(q []float64, r float64, skipID int) int {
 	return count
 }
 
+// CountCloser implements index.Index with a depth-first walk over the same
+// d − maxDist lower bounds KNN and Range prune by: a subtree is entered
+// unless its bound exceeds r, and the walk returns the moment limit points
+// are found. It keeps no frontier heap and allocates nothing.
+func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	if limit <= 0 || t.root == nil {
+		return 0
+	}
+	c := closerCount{t: t, q: q, r: r, limit: limit, skipID: skipID, dead: dead}
+	c.visit(t.root, t.metric.Distance(q, t.points[t.root.id]))
+	return c.n
+}
+
+// closerCount is the state of one CountCloser walk.
+type closerCount struct {
+	t      *Tree
+	q      []float64
+	r      float64
+	limit  int
+	skipID int
+	dead   map[int]bool
+	n      int
+}
+
+// visit counts n's own point (d is its distance from q) and descends into
+// the children that can still hold a point closer than r.
+func (c *closerCount) visit(n *node, d float64) {
+	if d < c.r && n.id != c.skipID && !c.t.deleted[n.id] && !c.dead[n.id] {
+		c.n++
+	}
+	for _, child := range n.children {
+		if c.n >= c.limit {
+			return
+		}
+		dc := c.t.metric.Distance(c.q, c.t.points[child.id])
+		if dc-child.maxDist > c.r {
+			continue
+		}
+		c.visit(child, dc)
+	}
+}
+
 func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id int, d float64)) {
 	if t.root == nil {
 		return

@@ -65,6 +65,21 @@ type Index interface {
 	// may answer this without materializing the result set; SFT's
 	// verification step depends on it being cheap.
 	CountRange(q []float64, r float64, skipID int) int
+
+	// CountCloser returns min(limit, |{x : d(q,x) < r}|) over the live
+	// points, excluding skipID and every ID in dead (nil excludes nothing).
+	// It is the refinement test of the RkNN algorithms — "do fewer than k
+	// points lie strictly closer to x than q does?" is
+	// CountCloser(x, d(q,x), k, x, nil) < k — so the comparison is strict
+	// (a point at exactly r is not counted), the search stops at limit, and
+	// nothing is allocated or ranked. Subtrees may be pruned only when
+	// their lower bound is > r, the rule KNN and Range prune by, so the
+	// answer agrees with KNN(q, limit, skipID) on every tie.
+	//
+	// The dead set exists because a count, unlike a neighbor list, cannot
+	// be filtered after the fact: a layered index (Overlay) passes the
+	// tombstones it holds over this index's IDs.
+	CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int
 }
 
 // Builder constructs an Index over a dataset. Back-ends register a Builder

@@ -550,3 +550,38 @@ func (o *Overlay) CountRange(q []float64, r float64, skipID int) int {
 	}
 	return n
 }
+
+// CountCloser implements Index. A count cannot be filtered after the fact,
+// so the base is handed the overlay's tombstones together with the caller's
+// own dead set and excludes them while it counts; the memtable rows are
+// scanned in place — no distances sorted, no lists merged — until limit is
+// reached.
+func (o *Overlay) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	if limit <= 0 {
+		return 0
+	}
+	baseDead := o.tomb
+	if len(dead) > 0 {
+		baseDead = make(map[int]bool, len(o.tomb)+len(dead))
+		for id := range o.tomb {
+			baseDead[id] = true
+		}
+		for id := range dead {
+			baseDead[id] = true
+		}
+	}
+	n := o.base.CountCloser(q, r, limit, o.baseSkip(skipID), baseDead)
+	for i, p := range o.rows {
+		if n >= limit {
+			break
+		}
+		id := o.baseSpan + i
+		if id == skipID || o.tomb[id] || dead[id] {
+			continue
+		}
+		if o.dist(q, p) < r {
+			n++
+		}
+	}
+	return n
+}

@@ -175,6 +175,16 @@ func (ix *testScan) CountRange(q []float64, r float64, skipID int) int {
 	return len(ix.Range(q, r, skipID))
 }
 
+func (ix *testScan) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	count := 0
+	for _, n := range ix.sorted(q, skipID) {
+		if n.Dist < r && !dead[n.ID] {
+			count++
+		}
+	}
+	return min(count, limit)
+}
+
 func sameNeighbors(a, b []Neighbor) bool {
 	if len(a) != len(b) {
 		return false
@@ -189,7 +199,7 @@ func sameNeighbors(a, b []Neighbor) bool {
 
 // TestOverlayMatchesOracle drives a long interleaved insert/delete stream
 // through an overlay (with periodic Fold/Rebase compactions) and an oracle,
-// verifying after every step that KNN, Range, CountRange, the cursor stream,
+// verifying after every step that KNN, Range, CountRange, CountCloser, the cursor stream,
 // and Liveness agree exactly.
 func TestOverlayMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -243,6 +253,17 @@ func TestOverlayMatchesOracle(t *testing.T) {
 			}
 			if got := ov.CountRange(q, r, skip); got != len(wr) {
 				t.Fatalf("step %d: CountRange = %d, want %d", step, got, len(wr))
+			}
+			closer := 0 // r is an existing distance, so strictness is exercised
+			for _, n := range want {
+				if n.Dist < r {
+					closer++
+				}
+			}
+			for _, limit := range []int{1, closer, closer + 3} {
+				if got := ov.CountCloser(q, r, limit, skip, nil); got != min(closer, limit) {
+					t.Fatalf("step %d: CountCloser(r=%v, limit=%d, skip=%d) = %d, want %d", step, r, limit, skip, got, min(closer, limit))
+				}
 			}
 			cur := ov.NewCursor(q, skip)
 			var streamed []Neighbor

@@ -1,7 +1,8 @@
 // Package indextest provides a conformance suite that every similarity-search
-// back-end in this module must pass: equivalence of cursor, kNN, range and
-// count-range results with the brute-force reference on randomized workloads.
-// Each index package runs the suite from its own tests.
+// back-end in this module must pass: equivalence of cursor, kNN, range,
+// count-range and bounded strict-count results with the brute-force
+// reference on randomized workloads, on the bare back-end and under an
+// index.Overlay. Each index package runs the suite from its own tests.
 package indextest
 
 import (
@@ -88,6 +89,7 @@ func Run(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (in
 				t.Fatalf("build: %v", err)
 			}
 			verifyIndex(t, ix, w.pts, vecmath.Euclidean{})
+			verifyOverlays(t, build, w.pts, vecmath.Euclidean{})
 		})
 	}
 	t.Run("manhattan-metric", func(t *testing.T) {
@@ -141,6 +143,7 @@ func verifyIndex(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.M
 			verifyRange(t, ix, pts, metric, q, r, skipID)
 		}
 	}
+	verifyCountCloser(t, ix, pts, nil, metric)
 }
 
 func verifyCursor(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.Metric, q []float64, skipID int) {
@@ -227,4 +230,111 @@ func verifyRange(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.M
 		}
 		prev = nb.Dist
 	}
+}
+
+// verifyCountCloser checks ix.CountCloser against a brute-force count over
+// pts (row i is ID i; gone holds the IDs ix has no live point for) on random
+// (q, r, limit, skip, dead) probes. Every probe point is tried with r = 0,
+// with r exactly equal to existing distances — where only a strict
+// comparison gives the right count, and where duplicate points tie — and
+// with radii between and beyond them; with limits below, at and above the
+// true count and the dataset size; with the member, a tombstoned ID and no
+// ID skipped; and with and without a caller-supplied dead set.
+func verifyCountCloser(t *testing.T, ix index.Index, pts [][]float64, gone map[int]bool, metric vecmath.Metric) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(43))
+	n := len(pts)
+	var goneIDs []int
+	for id := range gone {
+		goneIDs = append(goneIDs, id)
+	}
+	sort.Ints(goneIDs)
+	for qi := 0; qi < 12; qi++ {
+		var q []float64
+		member := -1
+		if qi%2 == 0 {
+			member = rng.Intn(n)
+			q = pts[member]
+		} else {
+			q = make([]float64, len(pts[0]))
+			for j := range q {
+				q[j] = rng.Float64()
+			}
+		}
+		dists := make([]float64, n)
+		for id, p := range pts {
+			dists[id] = metric.Distance(q, p)
+		}
+		sorted := append([]float64(nil), dists...)
+		sort.Float64s(sorted)
+		radii := []float64{0, sorted[0], sorted[n/2], sorted[n-1], sorted[rng.Intn(n)],
+			(sorted[0] + sorted[n-1]) / 2, 2*sorted[n-1] + 1, math.Inf(1)}
+		skips := []int{-1, member, rng.Intn(n)}
+		if len(goneIDs) > 0 {
+			skips = append(skips, goneIDs[rng.Intn(len(goneIDs))])
+		}
+		deads := []map[int]bool{nil, {rng.Intn(n): true, rng.Intn(n): true, rng.Intn(n): true}}
+		for _, r := range radii {
+			for _, skip := range skips {
+				for _, dead := range deads {
+					count := 0
+					for id, d := range dists {
+						if id != skip && !gone[id] && !dead[id] && d < r {
+							count++
+						}
+					}
+					for _, limit := range []int{0, 1, 3, count, count + 1, n, n + 5} {
+						want := min(count, limit)
+						if got := ix.CountCloser(q, r, limit, skip, dead); got != want {
+							t.Fatalf("CountCloser(r=%g, limit=%d, skip=%d, dead=%v) = %d, want %d (member %d)",
+								r, limit, skip, dead, got, want, member)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// verifyOverlays runs verifyCountCloser over index.Overlay wrappings of the
+// back-end: a clean overlay, one whose tail rows live in the memtable, and
+// that one again with tombstones in both the base and the memtable region.
+func verifyOverlays(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (index.Index, error), pts [][]float64, metric vecmath.Metric) {
+	t.Helper()
+	full, err := build(pts, metric)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	verifyCountCloser(t, index.NewOverlay(full), pts, nil, metric)
+	if len(pts) < 8 {
+		return
+	}
+	split := len(pts) - len(pts)/4
+	base, err := build(pts[:split], metric)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	ov := index.NewOverlay(base)
+	for i, p := range pts[split:] {
+		id, err := ov.Insert(p)
+		if err != nil {
+			t.Fatalf("overlay insert: %v", err)
+		}
+		if id != split+i {
+			t.Fatalf("overlay insert assigned id %d, want %d", id, split+i)
+		}
+	}
+	verifyCountCloser(t, ov, pts, nil, metric)
+	rng := rand.New(rand.NewSource(44))
+	gone := map[int]bool{}
+	for i := 0; i < 6; i++ {
+		gone[rng.Intn(split)] = true
+		gone[split+rng.Intn(len(pts)-split)] = true
+	}
+	for id := range gone {
+		if !ov.Delete(id) {
+			t.Fatalf("overlay delete %d failed", id)
+		}
+	}
+	verifyCountCloser(t, ov, pts, gone, metric)
 }

@@ -443,3 +443,27 @@ func (ix *Index) CountRange(q []float64, r float64, skipID int) int {
 	}
 	return count
 }
+
+// CountCloser implements index.Index over the candidate set KNN ranks
+// (approximate): counting the candidates strictly closer than r is the same
+// test as comparing the k-th candidate distance with r, so verification by
+// count settles every candidate exactly as verification by KNN did.
+func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	if limit <= 0 {
+		return 0
+	}
+	d := dedupPool.Get().(*dedup)
+	defer d.release()
+	count := 0
+	for _, id := range ix.candidates(d, q, skipID) {
+		if dead[id] {
+			continue
+		}
+		if ix.metric.Distance(q, ix.points[id]) < r {
+			if count++; count == limit {
+				break
+			}
+		}
+	}
+	return count
+}

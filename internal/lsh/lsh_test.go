@@ -362,3 +362,42 @@ func TestDuplicateHeavyData(t *testing.T) {
 		t.Errorf("KNN on duplicates = %v", got)
 	}
 }
+
+// TestCountCloserSettlesLikeKNN pins that the count form of the refinement
+// test decides over the same candidate set KNN ranks: for member probes at
+// radii taken from the candidates' own distances (ties included),
+// CountCloser(x, r, k, x) < k holds exactly when the KNN form
+// len(nn) < k || nn[k-1].Dist >= r does — so swapping the forms cannot move
+// an approximate answer.
+func TestCountCloserSettlesLikeKNN(t *testing.T) {
+	pts := indextest.ClusteredPoints(600, 5, 6, 31)
+	for i := 0; i < 40; i++ { // duplicates make distance ties
+		pts = append(pts, vecmath.Clone(pts[i%7]))
+	}
+	ix, err := New(pts, vecmath.Euclidean{}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < len(pts); id += 23 {
+		ix.Delete(id)
+	}
+	for x := 1; x < len(pts); x += 5 {
+		all := ix.KNN(pts[x], len(pts), x)
+		for _, k := range []int{1, 3, 10} {
+			nn := all
+			if k < len(nn) {
+				nn = nn[:k]
+			}
+			radii := []float64{0, 0.01, 10}
+			for _, nb := range nn {
+				radii = append(radii, nb.Dist)
+			}
+			for _, r := range radii {
+				want := len(nn) < k || nn[k-1].Dist >= r
+				if got := ix.CountCloser(pts[x], r, k, x, nil) < k; got != want {
+					t.Fatalf("x=%d k=%d r=%g: count form accepts=%v, kNN form accepts=%v", x, k, r, got, want)
+				}
+			}
+		}
+	}
+}

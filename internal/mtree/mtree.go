@@ -419,6 +419,37 @@ func (t *Tree) CountRange(q []float64, r float64, skipID int) int {
 	return count
 }
 
+// CountCloser implements index.Index: the pruned descent of Range with a
+// strict comparison and an exit at limit.
+func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	if limit <= 0 {
+		return 0
+	}
+	return t.countCloser(frontierEntry{n: t.root}, q, r, limit, skipID, dead)
+}
+
+// countCloser returns min(limit, matches under f); limit is positive.
+func (t *Tree) countCloser(f frontierEntry, q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	count := 0
+	for _, e := range f.n.entries {
+		if preFilter(f, e) > r {
+			continue
+		}
+		d := t.metric.Distance(q, t.points[e.id])
+		if e.child == nil {
+			if d < r && e.id != skipID && !dead[e.id] {
+				count++
+			}
+		} else if entryLowerBound(d, e.radius) <= r {
+			count += t.countCloser(frontierEntry{n: e.child, dqRouting: d, hasParent: true}, q, r, limit-count, skipID, dead)
+		}
+		if count >= limit {
+			break
+		}
+	}
+	return count
+}
+
 func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id int, d float64)) {
 	var visit func(f frontierEntry)
 	visit = func(f frontierEntry) {

@@ -120,6 +120,33 @@ func (t *Tree) CountRange(q []float64, r float64, skipID int) int {
 	return count
 }
 
+// CountCloser implements index.Index: the pruned descent of Range with a
+// strict comparison and an exit at limit.
+func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	if limit <= 0 {
+		return 0
+	}
+	return t.countCloser(t.root, q, r, limit, skipID, dead)
+}
+
+// countCloser returns min(limit, matches under n); limit is positive.
+func (t *Tree) countCloser(n *node, q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	count := 0
+	for _, e := range n.entries {
+		if n.leaf {
+			if e.id != skipID && !dead[e.id] && t.metric.Distance(q, t.points[e.id]) < r {
+				count++
+			}
+		} else if t.boxer.BoxDistance(q, e.lo, e.hi) <= r {
+			count += t.countCloser(e.child, q, r, limit-count, skipID, dead)
+		}
+		if count >= limit {
+			break
+		}
+	}
+	return count
+}
+
 func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id int, d float64)) {
 	var visit func(n *node)
 	visit = func(n *node) {

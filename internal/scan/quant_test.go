@@ -27,7 +27,7 @@ func buildPair(t *testing.T, pts [][]float64, m vecmath.Metric) (plain, filtered
 }
 
 // TestQuantFilterByteIdentical pins the central claim of the filter: for
-// every supported metric, KNN, Range and CountRange return bit-for-bit the
+// every supported metric, KNN, Range, CountRange and CountCloser return bit-for-bit the
 // same results with the filter on and off, across random queries, member
 // queries and tombstones — while the filter actually screens rows.
 func TestQuantFilterByteIdentical(t *testing.T) {
@@ -68,6 +68,14 @@ func TestQuantFilterByteIdentical(t *testing.T) {
 				}
 				if got, want := filtered.CountRange(q, r, skipID), plain.CountRange(q, r, skipID); got != want {
 					t.Fatalf("CountRange diverged: %d vs %d", got, want)
+				}
+				// CountCloser at a random radius and at the k-th neighbor
+				// distance itself, where only rows tied at the radius decide.
+				for _, cr := range []float64{r, plain.KNN(q, k, skipID)[k-1].Dist} {
+					limit := 1 + rng.Intn(40)
+					if got, want := filtered.CountCloser(q, cr, limit, skipID, nil), plain.CountCloser(q, cr, limit, skipID, nil); got != want {
+						t.Fatalf("CountCloser(r=%g, limit=%d) diverged: %d vs %d", cr, limit, got, want)
+					}
 				}
 			}
 			admitted, screened := filtered.QuantFilterStats()

@@ -559,3 +559,44 @@ func (ix *Index) CountRange(q []float64, r float64, skipID int) int {
 	}
 	return count
 }
+
+// CountCloser implements index.Index: the row loop of CountRange with a
+// strict comparison and an exit at limit. The quantized filter screens
+// against r exactly as Range does — a row is skipped only when its lower
+// bound clears r by quantSlack, so rows at or below r always reach the
+// exact kernel.
+func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	if limit <= 0 {
+		return 0
+	}
+	var qq *quantQuery
+	if ix.filter != nil {
+		var release func()
+		qq, release = ix.newQuantQuery(q)
+		defer release()
+	}
+	var admitted, screened int64
+	count := 0
+	for id, p := range ix.points {
+		if ix.skip(id, skipID) || (len(dead) != 0 && dead[id]) {
+			continue
+		}
+		if qq != nil {
+			if qq.screened(id, r) {
+				screened++
+				continue
+			}
+			admitted++
+		}
+		if ix.dist(q, p) < r {
+			if count++; count == limit {
+				break
+			}
+		}
+	}
+	if qq != nil {
+		qq.f.stats.admitted.Add(admitted)
+		qq.f.stats.screened.Add(screened)
+	}
+	return count
+}

@@ -12,35 +12,30 @@ import (
 )
 
 // BenchmarkNetworked measures scatter-gather batch throughput over a
-// 3-daemon loopback cluster, JSON framing against the compact binary
-// framing — the number the binary protocol exists for. JSON pays one HTTP
-// round trip per candidate point and per verification probe; the binary
-// protocol batches both into one frame per shard, so its queries/s should
-// sit well above JSON's (the acceptance floor for this repo is 1.3x).
-// Every run refreshes the "networked" section of BENCH_shard.json next to
-// the in-process "sharded" numbers from BenchmarkSharded.
+// 3-daemon loopback cluster speaking the binary shard protocol: one frame
+// per shard for the RkNN scatter, the candidate points and the
+// verification counts. Every run refreshes the "networked" section of
+// BENCH_shard.json next to the in-process "sharded" numbers from
+// BenchmarkSharded.
 func BenchmarkNetworked(b *testing.B) {
 	data := dataset.FCT(2000, 1)
 	qids := make([]int, 64)
 	for i := range qids {
 		qids[i] = (i * 7) % data.Len()
 	}
-	qps := map[string]float64{}
-	for _, framing := range []string{"json", "binary"} {
-		cl := startClusterBench(b, data.Points, 3, framing == "json")
-		b.Run("framing="+framing, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cl.co.BatchReverseKNNContext(context.Background(), qids, 10, 0); err != nil {
-					b.Fatal(err)
-				}
+	cl := startClusterBench(b, data.Points, 3)
+	var qps float64
+	b.Run("S=3", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := cl.co.BatchReverseKNNContext(context.Background(), qids, 10, 0); err != nil {
+				b.Fatal(err)
 			}
-			q := float64(len(qids)) * float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(q, "queries/s")
-			qps[framing] = q
-		})
-	}
-	if len(qps) == 2 {
-		payload := map[string]any{
+		}
+		qps = float64(len(qids)) * float64(b.N) / b.Elapsed().Seconds()
+		b.ReportMetric(qps, "queries/s")
+	})
+	if qps > 0 {
+		if err := benchjson.Merge("../../BENCH_shard.json", "networked", "sharded", map[string]any{
 			"benchmark":          "BenchmarkNetworked",
 			"dataset":            "fct-2000",
 			"shards":             3,
@@ -49,11 +44,7 @@ func BenchmarkNetworked(b *testing.B) {
 			"k":                  10,
 			"gomaxprocs":         runtime.GOMAXPROCS(0),
 			"queries_per_second": qps,
-		}
-		if qps["json"] > 0 {
-			payload["binary_vs_json"] = qps["binary"] / qps["json"]
-		}
-		if err := benchjson.Merge("../../BENCH_shard.json", "networked", "sharded", payload); err != nil {
+		}); err != nil {
 			b.Logf("could not write BENCH_shard.json: %v", err)
 		}
 	}
@@ -61,9 +52,8 @@ func BenchmarkNetworked(b *testing.B) {
 
 // startClusterBench is startCluster minus the tracing and slowlog layers
 // the tests hang diagnostics off — the daemons here run the production
-// fast path, so the framing comparison measures the protocols, not the
-// test harness.
-func startClusterBench(b *testing.B, pts [][]float64, S int, jsonFraming bool) *cluster {
+// fast path, so the benchmark measures the protocol, not the test harness.
+func startClusterBench(b *testing.B, pts [][]float64, S int) *cluster {
 	b.Helper()
 	parts := splitShards(b, pts, S)
 	specs := make([]repro.ShardSpec, S)
@@ -77,11 +67,7 @@ func startClusterBench(b *testing.B, pts [][]float64, S int, jsonFraming bool) *
 		b.Cleanup(ds.Close)
 		specs[s].Addrs = []string{ds.URL}
 	}
-	opts := []repro.CoordinatorOption{repro.WithHealthInterval(0)}
-	if jsonFraming {
-		opts = append(opts, repro.WithJSONFraming())
-	}
-	co, err := repro.NewCoordinator(context.Background(), specs, opts...)
+	co, err := repro.NewCoordinator(context.Background(), specs, repro.WithHealthInterval(0))
 	if err != nil {
 		b.Fatalf("NewCoordinator: %v", err)
 	}

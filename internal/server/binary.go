@@ -1,10 +1,9 @@
 // Shard-serving surface: the endpoints an `rknn shard-serve` daemon adds
-// so a remote coordinator can drive the scatter-gather verification
-// against it — the compact binary protocol of internal/wire on
-// POST /v1/binary, the cluster handshake on GET /v1/shard/info, a
-// remote-safe point fetch on GET /v1/points/{id}, and a "skip" parameter
-// on /v1/knn for member self-exclusion. All of it is ordinary public API
-// on any server whose engine exposes the ShardServing methods.
+// so a remote coordinator can drive the scatter-gather against it — the
+// compact binary protocol of internal/wire on POST /v1/binary (the one
+// shard protocol), the cluster handshake on GET /v1/shard/info, and a
+// remote-safe point fetch on GET /v1/points/{id}. All of it is ordinary
+// public API on any server whose engine exposes the ShardServing methods.
 
 package server
 
@@ -22,12 +21,13 @@ import (
 
 // ShardServing is the optional shard-daemon surface of an Engine
 // (*repro.Searcher and the durable wrapper implement it): batched
-// forward-kNN probes with explicit self-exclusion, batched member-point
-// resolution that never panics on hostile IDs, the assignment span behind
-// the coordinator's shard-map rebuild, and the metric identity behind its
-// configuration cross-check.
+// forward-kNN probes and verification counts with explicit self-exclusion,
+// batched member-point resolution that never panics on hostile IDs, the
+// assignment span behind the coordinator's shard-map rebuild, and the
+// metric identity behind its configuration cross-check.
 type ShardServing interface {
 	KNNSkipBatch(qs []repro.KNNQuery) ([][]repro.Neighbor, error)
+	CountCloserBatch(qs []repro.CountCloserQuery) ([]int, error)
 	MemberPoints(ids ...int) [][]float64
 	IDSpan() int
 	MetricIdentity() (uint8, float64, error)
@@ -120,6 +120,22 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 			wl[i] = wn
 		}
 		frame = wire.AppendKNNBatchResponse(nil, wl)
+	case wire.OpCountBatch:
+		sv, ok := srv.s.(ShardServing)
+		if !ok {
+			frame = wire.AppendError(nil, wire.ErrUnsupported, "engine has no shard-serving surface")
+			break
+		}
+		qs := make([]repro.CountCloserQuery, len(req.Counts))
+		for i, q := range req.Counts {
+			qs[i] = repro.CountCloserQuery(q)
+		}
+		counts, err := sv.CountCloserBatch(qs)
+		if err != nil {
+			frame = appendWireError(err)
+			break
+		}
+		frame = wire.AppendCountBatchResponse(nil, counts)
 	case wire.OpPoints:
 		sv, ok := srv.s.(ShardServing)
 		if !ok {
@@ -185,8 +201,7 @@ func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error
 }
 
 // handlePointGet resolves one member ID to its coordinates — the
-// remote-safe read behind the JSON framing's candidate fetch. Dead or
-// never-assigned IDs answer 404.
+// remote-safe single-point read. Dead or never-assigned IDs answer 404.
 func (srv *Server) handlePointGet(w http.ResponseWriter, r *http.Request) error {
 	sv, ok := srv.s.(ShardServing)
 	if !ok {

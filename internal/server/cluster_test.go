@@ -2,8 +2,8 @@
 // a Coordinator) against the in-process sharded engine. The bar is
 // byte-identity of HTTP response bodies — same answers, same stats, same
 // error strings — across {unsharded, in-process S=1, in-process S=3,
-// networked S=3} and across both shard-RPC framings (binary and JSON),
-// held through interleaved inserts and deletes routed through the
+// networked S=3} over the binary shard protocol, held through
+// interleaved inserts and deletes routed through the
 // coordinator. Plus the distributed-tracing join (coordinator trace IDs
 // resolve on the daemons), replica failover under a mid-stream kill, and
 // the binary endpoint's Content-Type gate.
@@ -60,7 +60,7 @@ type cluster struct {
 // shard, all replicas of a shard serving the same engine) and fronts them
 // with a Coordinator. Daemon tracing runs at sample 0 so retention of
 // coordinator traces proves upstream-sampling propagation, not local luck.
-func startCluster(t testing.TB, pts [][]float64, S, replicas int, jsonFraming bool, coOpts ...repro.CoordinatorOption) *cluster {
+func startCluster(t testing.TB, pts [][]float64, S, replicas int, coOpts ...repro.CoordinatorOption) *cluster {
 	t.Helper()
 	parts := splitShards(t, pts, S)
 	c := &cluster{daemons: make([][]*httptest.Server, S), engines: make([]*repro.Searcher, S)}
@@ -82,11 +82,7 @@ func startCluster(t testing.TB, pts [][]float64, S, replicas int, jsonFraming bo
 			specs[s].Addrs = append(specs[s].Addrs, ds.URL)
 		}
 	}
-	opts := []repro.CoordinatorOption{repro.WithHealthInterval(0)}
-	if jsonFraming {
-		opts = append(opts, repro.WithJSONFraming())
-	}
-	opts = append(opts, coOpts...)
+	opts := append([]repro.CoordinatorOption{repro.WithHealthInterval(0)}, coOpts...)
 	co, err := repro.NewCoordinator(context.Background(), specs, opts...)
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
@@ -151,108 +147,106 @@ func identical(t *testing.T, servers map[string]string, method, path, body strin
 	}
 }
 
-// TestClusterByteIdentity is the tentpole conformance test: for both shard
-// RPC framings, the networked cluster's /v1 responses are byte-identical
-// to the in-process sharded engine's at the same shard count — and all
-// shard counts agree on the answer bodies — before and after a write
-// sequence (inserts, a batch, deletes) applied identically through every
-// server's own HTTP API.
+// TestClusterByteIdentity is the tentpole conformance test: the networked
+// cluster's /v1 responses are byte-identical to the in-process sharded
+// engine's at the same shard count — and all shard counts agree on the
+// answer bodies — before and after a write sequence (inserts, a batch,
+// deletes) applied identically through every server's own HTTP API. The
+// subtest is named for the shard protocol it runs over, the only one.
 func TestClusterByteIdentity(t *testing.T) {
-	for _, framing := range []string{"binary", "json"} {
-		t.Run(framing, func(t *testing.T) {
-			pts := indextest.RandPoints(120, 3, 17)
+	t.Run("binary", func(t *testing.T) {
+		pts := indextest.RandPoints(120, 3, 17)
 
-			single, err := repro.New(pts, repro.WithScale(100))
-			if err != nil {
-				t.Fatal(err)
-			}
-			singleTS := httptest.NewServer(New(single).Handler())
-			t.Cleanup(singleTS.Close)
+		single, err := repro.New(pts, repro.WithScale(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		singleTS := httptest.NewServer(New(single).Handler())
+		t.Cleanup(singleTS.Close)
 
-			sharded1, err := repro.NewSharded(pts, 1, repro.WithScale(100))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded1TS := httptest.NewServer(New(sharded1).Handler())
-			t.Cleanup(sharded1TS.Close)
+		sharded1, err := repro.NewSharded(pts, 1, repro.WithScale(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded1TS := httptest.NewServer(New(sharded1).Handler())
+		t.Cleanup(sharded1TS.Close)
 
-			sharded3, err := repro.NewSharded(pts, 3, repro.WithScale(100))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded3TS := httptest.NewServer(New(sharded3).Handler())
-			t.Cleanup(sharded3TS.Close)
+		sharded3, err := repro.NewSharded(pts, 3, repro.WithScale(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded3TS := httptest.NewServer(New(sharded3).Handler())
+		t.Cleanup(sharded3TS.Close)
 
-			cl1 := startCluster(t, pts, 1, 1, framing == "json")
-			cl3 := startCluster(t, pts, 3, 1, framing == "json")
+		cl1 := startCluster(t, pts, 1, 1)
+		cl3 := startCluster(t, pts, 3, 1)
 
-			// Answer bodies must agree everywhere; stats bodies only within a
-			// shard count (work counters sum per shard, so S=1 and S=3
-			// legitimately report different scan depths for the same answer).
-			all := map[string]string{
-				"unsharded": singleTS.URL,
-				"sharded-1": sharded1TS.URL,
-				"sharded-3": sharded3TS.URL,
-				"cluster-1": cl1.ts.URL,
-				"cluster-3": cl3.ts.URL,
-			}
-			s1 := map[string]string{"unsharded": singleTS.URL, "sharded-1": sharded1TS.URL, "cluster-1": cl1.ts.URL}
-			s3 := map[string]string{"sharded-3": sharded3TS.URL, "cluster-3": cl3.ts.URL}
+		// Answer bodies must agree everywhere; stats bodies only within a
+		// shard count (work counters sum per shard, so S=1 and S=3
+		// legitimately report different scan depths for the same answer).
+		all := map[string]string{
+			"unsharded": singleTS.URL,
+			"sharded-1": sharded1TS.URL,
+			"sharded-3": sharded3TS.URL,
+			"cluster-1": cl1.ts.URL,
+			"cluster-3": cl3.ts.URL,
+		}
+		s1 := map[string]string{"unsharded": singleTS.URL, "sharded-1": sharded1TS.URL, "cluster-1": cl1.ts.URL}
+		s3 := map[string]string{"sharded-3": sharded3TS.URL, "cluster-3": cl3.ts.URL}
 
-			compare := func(t *testing.T) {
-				t.Helper()
-				for _, qid := range []int{0, 7, 42, 99, 119} {
-					identical(t, all, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5}`, qid))
-				}
-				identical(t, all, "POST", "/v1/rknn", `{"point":[0.4,0.5,0.6],"k":4}`)
-				identical(t, all, "POST", "/v1/knn", `{"point":[0.1,0.9,0.2],"k":6}`)
-				// Error surfaces must match byte for byte too.
-				identical(t, all, "POST", "/v1/rknn", `{"id":3}`)
-				identical(t, all, "POST", "/v1/rknn", `{"id":-5,"k":3}`)
-				identical(t, all, "POST", "/v1/rknn", `{"id":99999,"k":3}`)
-				identical(t, all, "POST", "/v1/knn", `{"point":[0.1],"k":3}`)
-				// Stats ride along within a shard count.
-				for _, qid := range []int{7, 42} {
-					identical(t, s1, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5,"stats":true}`, qid))
-					identical(t, s3, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5,"stats":true}`, qid))
-				}
-				identical(t, s3, "POST", "/v1/rknn", `{"point":[0.2,0.2,0.8],"k":5,"stats":true}`)
-			}
-			compare(t)
-			if t.Failed() {
-				t.Fatal("pre-mutation conformance failed; skipping mutations")
-			}
-
-			// The same write sequence through every server's public API: the
-			// write responses (assigned IDs) must agree, and so must every
-			// query afterwards — including querying a deleted member.
-			ins := indextest.RandPoints(5, 3, 101)
-			for _, p := range ins {
-				raw, _ := json.Marshal(map[string]any{"point": p})
-				identical(t, all, "POST", "/v1/points", string(raw))
-			}
-			batch := indextest.RandPoints(6, 3, 202)
-			rawBatch, _ := json.Marshal(map[string]any{"points": batch})
-			identical(t, all, "POST", "/v1/points/batch", string(rawBatch))
-			identical(t, all, "DELETE", "/v1/points/3", "")
-			identical(t, all, "DELETE", "/v1/points/124", "")
-			identical(t, all, "DELETE", "/v1/points/3", "")    // already gone: 404 everywhere
-			identical(t, all, "DELETE", "/v1/points/9999", "") // never assigned
-
-			compare(t)
-			identical(t, all, "POST", "/v1/rknn", `{"id":3,"k":5}`)   // deleted member
-			identical(t, all, "POST", "/v1/rknn", `{"id":124,"k":5}`) // deleted insert
-			for _, qid := range []int{120, 125, 130} {                // inserted members
+		compare := func(t *testing.T) {
+			t.Helper()
+			for _, qid := range []int{0, 7, 42, 99, 119} {
 				identical(t, all, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5}`, qid))
 			}
-
-			// The coordinator's view of the cluster size tracks the writes.
-			wantLen := 120 + 11 - 2
-			if got := cl3.co.Len(); got != wantLen {
-				t.Errorf("cluster Len = %d, want %d", got, wantLen)
+			identical(t, all, "POST", "/v1/rknn", `{"point":[0.4,0.5,0.6],"k":4}`)
+			identical(t, all, "POST", "/v1/knn", `{"point":[0.1,0.9,0.2],"k":6}`)
+			// Error surfaces must match byte for byte too.
+			identical(t, all, "POST", "/v1/rknn", `{"id":3}`)
+			identical(t, all, "POST", "/v1/rknn", `{"id":-5,"k":3}`)
+			identical(t, all, "POST", "/v1/rknn", `{"id":99999,"k":3}`)
+			identical(t, all, "POST", "/v1/knn", `{"point":[0.1],"k":3}`)
+			// Stats ride along within a shard count.
+			for _, qid := range []int{7, 42} {
+				identical(t, s1, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5,"stats":true}`, qid))
+				identical(t, s3, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5,"stats":true}`, qid))
 			}
-		})
-	}
+			identical(t, s3, "POST", "/v1/rknn", `{"point":[0.2,0.2,0.8],"k":5,"stats":true}`)
+		}
+		compare(t)
+		if t.Failed() {
+			t.Fatal("pre-mutation conformance failed; skipping mutations")
+		}
+
+		// The same write sequence through every server's public API: the
+		// write responses (assigned IDs) must agree, and so must every
+		// query afterwards — including querying a deleted member.
+		ins := indextest.RandPoints(5, 3, 101)
+		for _, p := range ins {
+			raw, _ := json.Marshal(map[string]any{"point": p})
+			identical(t, all, "POST", "/v1/points", string(raw))
+		}
+		batch := indextest.RandPoints(6, 3, 202)
+		rawBatch, _ := json.Marshal(map[string]any{"points": batch})
+		identical(t, all, "POST", "/v1/points/batch", string(rawBatch))
+		identical(t, all, "DELETE", "/v1/points/3", "")
+		identical(t, all, "DELETE", "/v1/points/124", "")
+		identical(t, all, "DELETE", "/v1/points/3", "")    // already gone: 404 everywhere
+		identical(t, all, "DELETE", "/v1/points/9999", "") // never assigned
+
+		compare(t)
+		identical(t, all, "POST", "/v1/rknn", `{"id":3,"k":5}`)   // deleted member
+		identical(t, all, "POST", "/v1/rknn", `{"id":124,"k":5}`) // deleted insert
+		for _, qid := range []int{120, 125, 130} {                // inserted members
+			identical(t, all, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5}`, qid))
+		}
+
+		// The coordinator's view of the cluster size tracks the writes.
+		wantLen := 120 + 11 - 2
+		if got := cl3.co.Len(); got != wantLen {
+			t.Errorf("cluster Len = %d, want %d", got, wantLen)
+		}
+	})
 }
 
 // TestClusterTracePropagation pins the distributed-tracing join: a
@@ -262,7 +256,7 @@ func TestClusterByteIdentity(t *testing.T) {
 // the propagated traceparent, and honored the propagated X-Request-ID).
 func TestClusterTracePropagation(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 23)
-	cl := startCluster(t, pts, 3, 1, false)
+	cl := startCluster(t, pts, 3, 1)
 
 	resp, err := http.Post(cl.ts.URL+"/v1/rknn?debug=1", "application/json",
 		strings.NewReader(`{"id":5,"k":8}`))
@@ -345,7 +339,7 @@ func TestClusterTracePropagation(t *testing.T) {
 // loop notices.
 func TestClusterReplicaFailover(t *testing.T) {
 	pts := indextest.RandPoints(140, 3, 31)
-	cl := startCluster(t, pts, 2, 2, false,
+	cl := startCluster(t, pts, 2, 2,
 		repro.WithHealthInterval(25*time.Millisecond),
 		repro.WithRetries(3, 2*time.Millisecond))
 
@@ -452,6 +446,134 @@ func TestBinaryEndpointContentType(t *testing.T) {
 	defer resp3.Body.Close()
 	if resp3.StatusCode != http.StatusUnsupportedMediaType {
 		t.Errorf("untyped frame: status %d, want 415", resp3.StatusCode)
+	}
+}
+
+// postFrame posts one wire frame to a server's /v1/binary endpoint and
+// returns the response body (a frame on 200).
+func postFrame(t *testing.T, base string, frame []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/binary", wire.ContentType, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestBinaryCountBatch drives the count op through a daemon's /v1/binary
+// endpoint: one small integer per probe, equal to the brute-force strict
+// count capped at the probe's limit (radius ties excluded, the skipped
+// member excluded), and a malformed probe answered by a wire error frame,
+// not by counts.
+func TestBinaryCountBatch(t *testing.T) {
+	s, _, ts := newTestServer(t)
+	ids := make([]int, s.Len())
+	for i := range ids {
+		ids[i] = i
+	}
+	pts := s.MemberPoints(ids...)
+	dist := func(a, b []float64) float64 { return repro.Euclidean.Distance(a, b) }
+	var probes []wire.CountQuery
+	var want []int
+	for _, x := range []int{0, 17, 99} {
+		tie := dist(pts[x], pts[(x+1)%len(pts)]) // an existing distance: strictness
+		for _, r := range []float64{0, tie, 0.3, 10} {
+			for _, limit := range []int{1, 4, 1000} {
+				for _, skip := range []int{-1, x} {
+					n := 0
+					for id, p := range pts {
+						if id != skip && dist(pts[x], p) < r {
+							n++
+						}
+					}
+					probes = append(probes, wire.CountQuery{Point: pts[x], Radius: r, Limit: limit, Skip: skip})
+					want = append(want, min(n, limit))
+				}
+			}
+		}
+	}
+	status, body := postFrame(t, ts.URL, wire.AppendCountBatchRequest(nil, probes))
+	if status != http.StatusOK {
+		t.Fatalf("count batch: status %d, body %q", status, body)
+	}
+	got, err := wire.DecodeCountBatchResponse(body)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("counts = %v, brute force %v", got, want)
+	}
+
+	for name, q := range map[string]wire.CountQuery{
+		"dimension mismatch": {Point: []float64{0.5}, Radius: 1, Limit: 3, Skip: -1},
+		"zero limit":         {Point: pts[0], Radius: 1, Limit: 0, Skip: -1},
+	} {
+		status, body := postFrame(t, ts.URL, wire.AppendCountBatchRequest(nil, []wire.CountQuery{q}))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, want an error frame on 200", name, status)
+		}
+		_, err := wire.DecodeCountBatchResponse(body)
+		if re, ok := err.(*wire.RemoteError); !ok || re.Code != wire.ErrBadRequest {
+			t.Errorf("%s: want RemoteError(bad request), got %#v", name, err)
+		}
+	}
+}
+
+// oldDaemonTransport answers count frames the way a daemon built before
+// the count op existed does — its decoder rejects the unknown op, so the
+// handler renders 400 {"error":"malformed frame: ..."} — and passes
+// everything else through.
+type oldDaemonTransport struct{ base http.RoundTripper }
+
+func (o oldDaemonTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil && strings.HasSuffix(req.URL.Path, "/v1/binary") {
+		frame, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(frame))
+		if len(frame) >= 2 && wire.Op(frame[1]) == wire.OpCountBatch {
+			msg := fmt.Sprintf(`{"error":"malformed frame: wire: unknown op %d"}`, wire.OpCountBatch)
+			return &http.Response{
+				StatusCode: http.StatusBadRequest,
+				Header:     http.Header{"Content-Type": []string{"application/json"}},
+				Body:       io.NopCloser(strings.NewReader(msg)),
+				Request:    req,
+			}, nil
+		}
+	}
+	return o.base.RoundTrip(req)
+}
+
+// TestCoordinatorAgainstOldDaemon pins the upgrade-order failure mode: a
+// coordinator that verifies by count in front of daemons that predate the
+// op gets one clean, diagnosable error per query — no panic, no retries
+// against the other replicas (a 4xx would fail identically everywhere),
+// no partial answer — while queries that need no cross-shard verification
+// keep working.
+func TestCoordinatorAgainstOldDaemon(t *testing.T) {
+	pts := indextest.RandPoints(150, 3, 53)
+	cl := startCluster(t, pts, 3, 1, repro.WithTransport(oldDaemonTransport{base: http.DefaultTransport}))
+	_, err := cl.co.ReverseKNN(5, 8)
+	if err == nil {
+		t.Fatal("query verified against daemons without the count op")
+	}
+	for _, want := range []string{"rknnd: ", "upgrade daemons before coordinators", "unknown op"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if _, err := cl.co.KNNContext(context.Background(), pts[5], 4); err != nil {
+		t.Errorf("forward kNN needs no count op, got %v", err)
+	}
+	status, body := rawCall(t, "POST", cl.ts.URL+"/v1/rknn", `{"id":5,"k":8}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "upgrade daemons before coordinators") {
+		t.Errorf("front door answered %d %q, want a 400 naming the upgrade order", status, body)
 	}
 }
 

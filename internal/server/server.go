@@ -598,11 +598,6 @@ func (srv *Server) handleRkNNBatch(w http.ResponseWriter, r *http.Request) error
 type knnRequest struct {
 	Point []float64 `json:"point"`
 	K     int       `json:"k"`
-	// Skip excludes one member ID from the result — the self-exclusion a
-	// member verification needs, made explicit because "fetch k+1 and
-	// drop the member" is not equivalent under duplicate-point distance
-	// ties. Requires an engine with the shard-serving surface.
-	Skip *int `json:"skip,omitempty"`
 }
 
 type knnResponse struct {
@@ -621,26 +616,7 @@ func (srv *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(w, r, &req); err != nil {
 		return err
 	}
-	var (
-		nn  []repro.Neighbor
-		err error
-	)
-	if req.Skip != nil && *req.Skip >= 0 {
-		sv, ok := srv.s.(ShardServing)
-		if !ok {
-			return &apiError{
-				status: http.StatusNotImplemented,
-				err:    errors.New(`engine has no shard-serving surface (drop "skip")`),
-			}
-		}
-		var lists [][]repro.Neighbor
-		lists, err = sv.KNNSkipBatch([]repro.KNNQuery{{Point: req.Point, K: req.K, Skip: *req.Skip}})
-		if err == nil {
-			nn = lists[0]
-		}
-	} else {
-		nn, err = srv.s.KNNContext(r.Context(), req.Point, req.K)
-	}
+	nn, err := srv.s.KNNContext(r.Context(), req.Point, req.K)
 	if err != nil {
 		return badRequest("%v", err)
 	}

@@ -282,6 +282,45 @@ func (t *Tree) CountRange(q []float64, r float64, skipID int) int {
 	return count
 }
 
+// CountCloser implements index.Index: a depth-first walk that enters a shell
+// unless its lower bound exceeds r (the rule Range prunes by) and returns
+// the moment limit points are found.
+func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	if limit <= 0 || t.root == nil {
+		return 0
+	}
+	return t.countCloser(t.root, q, r, limit, skipID, dead)
+}
+
+// countCloser returns min(limit, matches in n's subtree); limit is positive.
+func (t *Tree) countCloser(n *node, q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	count := 0
+	if n.isLeaf() {
+		for _, id := range n.ids {
+			if id == skipID || dead[id] {
+				continue
+			}
+			if t.metric.Distance(q, t.points[id]) < r {
+				if count++; count == limit {
+					break
+				}
+			}
+		}
+		return count
+	}
+	d := t.metric.Distance(q, t.points[n.vantage])
+	if d < r && n.vantage != skipID && !dead[n.vantage] {
+		count++
+	}
+	if count < limit && n.inner != nil && d-n.mu <= r {
+		count += t.countCloser(n.inner, q, r, limit-count, skipID, dead)
+	}
+	if count < limit && n.outer != nil && n.mu-d <= r {
+		count += t.countCloser(n.outer, q, r, limit-count, skipID, dead)
+	}
+	return count
+}
+
 func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id int, d float64)) {
 	var visit func(n *node)
 	visit = func(n *node) {

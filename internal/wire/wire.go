@@ -1,7 +1,6 @@
 // Package wire is the compact binary framing of the scatter-gather fan-out
-// protocol: the encoding a coordinator speaks to `rknn shard-serve` daemons
-// when the JSON API's encode/decode cost would dominate loopback fan-out
-// traffic. It is a single POST endpoint's request/response format
+// protocol: the one encoding a coordinator speaks to `rknn shard-serve`
+// daemons. It is a single POST endpoint's request/response format
 // (internal/server's /v1/binary), deliberately tiny: one version byte, one
 // op byte, then fixed-width little-endian fields — the same byte
 // conventions as internal/persist, so a hex dump of either reads alike.
@@ -14,6 +13,7 @@
 //	op 1 (rknn)      flags u8 (bit0 byID), k u32, id u64 | vec
 //	op 2 (knn batch) count u32, { k u32, skip i64, vec } × count
 //	op 3 (points)    count u32, id u64 × count
+//	op 4 (count)     count u32, { limit u32, skip i64, radius f64-bits, vec } × count
 //
 //	status 0 (ok)    op-specific payload (below)
 //	status ≠0        error: code is the status byte, msg u16-len + bytes
@@ -21,6 +21,7 @@
 //	rknn ok      n u32, id u64 × n, stats (7 × u64, omega f64-bits)
 //	knn ok       count u32, { n u32, (dist f64-bits, id u64) × n } × count
 //	points ok    count u32, { present u8, vec if present } × count
+//	count ok     count u32, n u32 × count
 //
 //	vec := enc u8 (0 float64, 1 float32), dim u32, coords
 //
@@ -30,9 +31,10 @@
 // an unconditional float32 wire format would break the metamorphic
 // byte-identity guarantee across transports; the flag byte keeps the
 // compact form for data that genuinely is float32 while never rounding
-// anything. Result rows carry float64 distances for the same reason: the
-// coordinator's k-way merge orders by (distance, ID) and must see exactly
-// the bits the shard computed.
+// anything. Result rows and count radii carry float64 distances for the same
+// reason: the coordinator's k-way merge orders by (distance, ID), and a
+// shard's strict count compares against d(q,x), so both sides must see
+// exactly the bits the other computed.
 //
 // Decoders are fuzzed (FuzzDecodeRequest/FuzzDecodeResponse): every count
 // is validated against the remaining frame length before allocation, and
@@ -61,11 +63,14 @@ type Op uint8
 // member ID or by point) with the shard's work counters; OpKNNBatch
 // answers many forward-kNN probes, each with an optional excluded member,
 // against one pinned snapshot; OpPoints resolves member IDs to
-// coordinates.
+// coordinates; OpCountBatch answers many bounded strict range counts — the
+// verification probes of a scattered RkNN query — with one small integer
+// each.
 const (
-	OpRkNN     Op = 1
-	OpKNNBatch Op = 2
-	OpPoints   Op = 3
+	OpRkNN       Op = 1
+	OpKNNBatch   Op = 2
+	OpPoints     Op = 3
+	OpCountBatch Op = 4
 )
 
 // ErrCode classifies an error response so the coordinator can map remote
@@ -122,6 +127,18 @@ type KNNQuery struct {
 	Skip  int
 }
 
+// CountQuery is one verification probe of a count batch: how many live
+// points lie strictly closer to Point than Radius, not counting local member
+// Skip (-1 for none), counted no further than Limit. The shard's share of
+// the refinement test d_k(x) ≥ d(q,x) is exactly this number for Point = x,
+// Radius = d(q,x), Limit = k.
+type CountQuery struct {
+	Point  []float64
+	Radius float64
+	Limit  int
+	Skip   int
+}
+
 // Request is a decoded request frame; exactly the field named by Op is
 // populated.
 type Request struct {
@@ -139,6 +156,9 @@ type Request struct {
 
 	// OpPoints
 	IDs []int
+
+	// OpCountBatch
+	Counts []CountQuery
 }
 
 // Vector encodings: the enc byte of a vec.
@@ -211,6 +231,19 @@ func AppendKNNBatchRequest(dst []byte, qs []KNNQuery) []byte {
 	return dst
 }
 
+// AppendCountBatchRequest encodes an OpCountBatch request.
+func AppendCountBatchRequest(dst []byte, qs []CountQuery) []byte {
+	dst = append(dst, Version, byte(OpCountBatch))
+	dst = appendU32(dst, uint32(len(qs)))
+	for _, q := range qs {
+		dst = appendU32(dst, uint32(q.Limit))
+		dst = appendU64(dst, uint64(int64(q.Skip)))
+		dst = appendU64(dst, math.Float64bits(q.Radius))
+		dst = AppendVec(dst, q.Point)
+	}
+	return dst
+}
+
 // AppendPointsRequest encodes an OpPoints request.
 func AppendPointsRequest(dst []byte, ids []int) []byte {
 	dst = append(dst, Version, byte(OpPoints))
@@ -277,6 +310,17 @@ func AppendPointsResponse(dst []byte, rows [][]float64) []byte {
 		}
 		dst = append(dst, 1)
 		dst = AppendVec(dst, p)
+	}
+	return dst
+}
+
+// AppendCountBatchResponse encodes a successful OpCountBatch response: one
+// count per probe, in request order.
+func AppendCountBatchResponse(dst []byte, counts []int) []byte {
+	dst = append(dst, Version, 0)
+	dst = appendU32(dst, uint32(len(counts)))
+	for _, n := range counts {
+		dst = appendU32(dst, uint32(n))
 	}
 	return dst
 }
@@ -400,6 +444,27 @@ func (r *reader) vec() []float64 {
 	return p
 }
 
+// skip reads an excluded-member field: a local member ID, or -1 for none.
+func (r *reader) skip() int {
+	v := int64(r.u64())
+	if v < -1 || v > math.MaxInt32 {
+		r.fail("wire: skip %d out of range", v)
+		return -1
+	}
+	return int(v)
+}
+
+// bounded reads a u32 that must fit a non-negative int on every platform
+// (a count-probe limit, a returned count).
+func (r *reader) bounded(what string) int {
+	v := r.u32()
+	if v > math.MaxInt32 {
+		r.fail("wire: %s %d out of range", what, v)
+		return 0
+	}
+	return int(v)
+}
+
 // header consumes and validates the two-byte frame header, returning the
 // second byte (op or status).
 func (r *reader) header() byte {
@@ -440,12 +505,8 @@ func DecodeRequest(b []byte) (*Request, error) {
 		qs := make([]KNNQuery, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			k := int(r.u32())
-			skip := int64(r.u64())
-			if skip < -1 || skip > math.MaxInt32 {
-				r.fail("wire: skip %d out of range", skip)
-				break
-			}
-			qs = append(qs, KNNQuery{K: k, Skip: int(skip), Point: r.vec()})
+			skip := r.skip()
+			qs = append(qs, KNNQuery{K: k, Skip: skip, Point: r.vec()})
 		}
 		req.KNN = qs
 	case OpPoints:
@@ -455,6 +516,19 @@ func DecodeRequest(b []byte) (*Request, error) {
 			ids = append(ids, r.id())
 		}
 		req.IDs = ids
+	case OpCountBatch:
+		n := r.count(4 + 8 + 8 + 1 + 4) // limit, skip, radius, minimal empty vec
+		qs := make([]CountQuery, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			limit := r.bounded("limit")
+			skip := r.skip()
+			radius := r.f64()
+			if r.err == nil && !(radius >= 0) { // also rejects NaN
+				r.fail("wire: radius %v out of range", radius)
+			}
+			qs = append(qs, CountQuery{Limit: limit, Skip: skip, Radius: radius, Point: r.vec()})
+		}
+		req.Counts = qs
 	default:
 		if r.err == nil {
 			r.fail("wire: unknown op %d", op)
@@ -538,6 +612,23 @@ func DecodeKNNBatchResponse(b []byte) ([][]Neighbor, error) {
 		return nil, err
 	}
 	return lists, nil
+}
+
+// DecodeCountBatchResponse decodes an OpCountBatch response.
+func DecodeCountBatchResponse(b []byte) ([]int, error) {
+	r, err := respPayload(b)
+	if err != nil {
+		return nil, err
+	}
+	n := r.count(4)
+	counts := make([]int, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		counts = append(counts, r.bounded("count"))
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return counts, nil
 }
 
 // DecodePointsResponse decodes an OpPoints response; absent rows are nil.

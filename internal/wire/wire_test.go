@@ -82,6 +82,97 @@ func TestKNNBatchRoundTrip(t *testing.T) {
 	}
 }
 
+func TestCountBatchRoundTrip(t *testing.T) {
+	qs := []CountQuery{
+		{Point: []float64{1, 2}, Radius: 0.75, Limit: 5, Skip: -1},
+		{Point: []float64{0.1, 0.2}, Radius: 0, Limit: 1, Skip: 17},
+		{Point: []float64{3, 4}, Radius: math.Inf(1), Limit: math.MaxInt32, Skip: math.MaxInt32},
+	}
+	req, err := DecodeRequest(AppendCountBatchRequest(nil, qs))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if req.Op != OpCountBatch || !reflect.DeepEqual(req.Counts, qs) {
+		t.Fatalf("round trip mismatch: %+v", req.Counts)
+	}
+	// The radius is a distance the coordinator computed and the shard
+	// compares strictly against: it must arrive bit for bit.
+	odd := math.Nextafter(0.1, 1)
+	req, err = DecodeRequest(AppendCountBatchRequest(nil, []CountQuery{{Point: []float64{0.1}, Radius: odd, Limit: 2, Skip: -1}}))
+	if err != nil || math.Float64bits(req.Counts[0].Radius) != math.Float64bits(odd) {
+		t.Fatalf("radius bits changed in transit: %v, %v", req, err)
+	}
+
+	counts := []int{0, 3, math.MaxInt32}
+	got, err := DecodeCountBatchResponse(AppendCountBatchResponse(nil, counts))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, counts) {
+		t.Fatalf("round trip mismatch: %v", got)
+	}
+	if got, err := DecodeCountBatchResponse(AppendCountBatchResponse(nil, nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty batch: %v, %v", got, err)
+	}
+}
+
+// TestCountBatchBounds pins the size limits of the count op: the probe
+// count and the vector dimension are checked against the bytes actually
+// present before anything is allocated, and limit, skip, radius and the
+// returned counts must lie in their domains.
+func TestCountBatchBounds(t *testing.T) {
+	one := func(limit uint32, skip int64, radius float64) []byte {
+		b := []byte{Version, byte(OpCountBatch)}
+		b = appendU32(b, 1)
+		b = appendU32(b, limit)
+		b = appendU64(b, uint64(skip))
+		b = appendU64(b, math.Float64bits(radius))
+		return AppendVec(b, []float64{1})
+	}
+	if _, err := DecodeRequest(one(3, -1, 0.5)); err != nil {
+		t.Fatalf("well-formed probe rejected: %v", err)
+	}
+	hugeDim := append([]byte{Version, byte(OpCountBatch)}, 1, 0, 0, 0)
+	hugeDim = appendU32(hugeDim, 1)
+	hugeDim = appendU64(hugeDim, uint64(0))
+	hugeDim = appendU64(hugeDim, math.Float64bits(1))
+	hugeDim = append(hugeDim, vecF64, 0xFF, 0xFF, 0xFF, 0xFF)
+	requests := map[string][]byte{
+		"huge probe count": {Version, byte(OpCountBatch), 0xFF, 0xFF, 0xFF, 0xFF},
+		"count over frame": append([]byte{Version, byte(OpCountBatch), 2, 0, 0, 0}, one(1, -1, 1)[6:]...),
+		"huge dim":         hugeDim,
+		"limit over int32": one(math.MaxInt32+1, -1, 0.5),
+		"skip below -1":    one(3, -2, 0.5),
+		"skip over int32":  one(3, math.MaxInt32+1, 0.5),
+		"negative radius":  one(3, -1, -0.5),
+		"NaN radius":       one(3, -1, math.NaN()),
+		"truncated probe":  one(3, -1, 0.5)[:20],
+		"trailing bytes":   append(one(3, -1, 0.5), 0),
+	}
+	for name, b := range requests {
+		if _, err := DecodeRequest(b); err == nil {
+			t.Errorf("request %s: expected decode error", name)
+		}
+	}
+	responses := map[string][]byte{
+		"huge count":       {Version, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		"count over int32": {Version, 0, 1, 0, 0, 0, 0, 0, 0, 0x80},
+		"truncated":        {Version, 0, 2, 0, 0, 0, 1, 0, 0, 0},
+		"trailing bytes":   append(AppendCountBatchResponse(nil, []int{1}), 0),
+	}
+	for name, b := range responses {
+		if _, err := DecodeCountBatchResponse(b); err == nil {
+			t.Errorf("response %s: expected decode error", name)
+		}
+	}
+	// An error frame — what a daemon sends for a bad probe — surfaces as
+	// RemoteError, not as counts.
+	_, err := DecodeCountBatchResponse(AppendError(nil, ErrBadRequest, "probe 0: query dimension 1, index dimension 2"))
+	if re, ok := err.(*RemoteError); !ok || re.Code != ErrBadRequest {
+		t.Fatalf("want RemoteError(bad request), got %#v", err)
+	}
+}
+
 func TestPointsRoundTrip(t *testing.T) {
 	req, err := DecodeRequest(AppendPointsRequest(nil, []int{0, 5, 2}))
 	if err != nil {

@@ -27,11 +27,12 @@ import (
 // within x's own shard (a subset of the dataset), strictly fewer than k
 // points lie closer to x than q does, so x is also a reverse neighbor of q
 // within its shard. The union of per-shard results is therefore a superset
-// of the global result, and one exact verification of each candidate
-// against the globally merged k-NN distance (d_k(x) >= d(q,x), the paper's
-// refinement test) filters it down to exactly the global answer. Forward
-// kNN merges even more directly: the global top-k is the top-k of the
-// per-shard top-k lists. See DESIGN.md, "Sharded scatter-gather".
+// of the global result, and one exact verification of each candidate —
+// the paper's refinement test d_k(x) >= d(q,x), evaluated as "the shards'
+// counts of points strictly closer to x than q sum to less than k" —
+// filters it down to exactly the global answer. Forward kNN merges
+// directly: the global top-k is the top-k of the per-shard top-k lists.
+// See DESIGN.md, "Sharded scatter-gather".
 
 // ShardInfo describes one shard of a ShardedSearcher for monitoring.
 type ShardInfo struct {
@@ -62,9 +63,9 @@ type shardSlot struct {
 // with the same copy-on-write discipline.
 //
 // Results are deterministic: merges order by (distance, ID) and candidate
-// verification recomputes the global k-NN test exactly, so the answer does
-// not depend on the shard count — the property the metamorphic conformance
-// suite pins (shard_conformance_test.go).
+// verification evaluates the global refinement test exactly, so the answer
+// does not depend on the shard count — the property the metamorphic
+// conformance suite pins (shard_conformance_test.go).
 type ShardedSearcher struct {
 	scale     float64
 	plus      bool

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -14,7 +15,7 @@ import (
 // This file makes "a shard" an interface instead of a struct: the
 // scatter-gather algorithm of shard.go talks to shardClient, and the two
 // implementations — localShard over a pinned in-process snapshot (below)
-// and remoteShard over HTTP (shard_remote.go) — answer the same four
+// and remoteShard over HTTP (shard_remote.go) — answer the same five
 // calls. The exact-merge argument in shard.go never mentions where a
 // shard's index lives, so the algorithm is written once here and a
 // Coordinator over networked daemons returns byte-identical answers to a
@@ -23,13 +24,14 @@ import (
 //
 // All IDs crossing the interface are shard-local; the scatterSet owns the
 // ShardMap and is the only layer that translates. Verification is batched
-// per shard (Points and KNNBatch take slices) so a remote shard costs a
-// constant number of round trips per query, not one per candidate.
+// per shard (Points and CountBatch take slices) so a remote shard costs a
+// constant number of round trips per query, not one per candidate — and
+// what comes back per candidate is one small integer, not a neighbor list:
+// no IDs cross the interface during verification, so there is nothing to
+// translate and nothing to merge.
 
-// knnProbe is one forward-kNN probe of the verification stage: the probe
-// point, the rank, and the local member ID to exclude (-1 for none). The
-// exclusion must travel with the probe — fetching k+1 and dropping the
-// member afterwards is not equivalent under duplicate-point distance ties.
+// knnProbe is one forward-kNN probe: the probe point, the rank, and the
+// local member ID to exclude (-1 for none).
 type knnProbe struct {
 	q    []float64
 	k    int
@@ -58,6 +60,10 @@ type shardClient interface {
 	// KNNBatch answers forward-kNN probes (local result IDs), all against
 	// one consistent view of the shard.
 	KNNBatch(ctx context.Context, probes []knnProbe) ([][]index.Neighbor, error)
+	// CountBatch answers verification probes (Skip is a local member ID),
+	// one count per probe in probe order, all against one consistent view
+	// of the shard.
+	CountBatch(ctx context.Context, probes []CountCloserQuery) ([]int, error)
 }
 
 // livePoint fetches local ID l from a pinned index view, or nil when the
@@ -123,6 +129,14 @@ func (l localShard) KNNBatch(_ context.Context, probes []knnProbe) ([][]index.Ne
 	out := make([][]index.Neighbor, len(probes))
 	for i, p := range probes {
 		out[i] = l.v.sn.ix.KNN(p.q, p.k, p.skip)
+	}
+	return out, nil
+}
+
+func (l localShard) CountBatch(_ context.Context, probes []CountCloserQuery) ([]int, error) {
+	out := make([]int, len(probes))
+	for i, p := range probes {
+		out[i] = l.v.sn.ix.CountCloser(p.Point, p.Radius, p.Limit, p.Skip, nil)
 	}
 	return out, nil
 }
@@ -265,7 +279,7 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 	// definitionally the global answer — the same algorithm an unsharded
 	// engine runs. Verification below is only the cross-shard merge step;
 	// skipping it here makes a single-shard set byte-identical to a
-	// Searcher (and avoids one kNN pass per candidate).
+	// Searcher (and avoids one count pass per candidate).
 	if len(results) == 1 {
 		return results[0].globals, stats, q, nil
 	}
@@ -291,17 +305,24 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 }
 
 // verify runs the refinement test d_k(x) >= d(q,x) for every candidate x
-// against the union of all shards: per-shard forward kNN at x, k-way
-// merged under the (distance, ID) order. The per-shard work is batched —
-// one Points fetch per home shard, one KNNBatch per shard over all
-// candidates — so a remote shard costs O(1) round trips per query. The
-// math per candidate is exactly the sequential formulation the merge
-// proof states.
+// against the union of all shards, as a count: x is a global reverse
+// neighbor iff fewer than k points of the whole dataset lie strictly closer
+// to x than q does, and over a disjoint partition that number is the sum of
+// the per-shard counts. Each shard counts no further than k — a shard
+// reporting k settles the candidate on its own, and below k the count is
+// exact — so the sum is < k exactly when the true total is. The per-shard
+// work is batched — one Points fetch per home shard, one CountBatch per
+// shard over all candidates — so a remote shard costs O(1) round trips per
+// query and answers with one integer per candidate.
+//
+// A candidate whose home shard no longer holds it (a nil Points row: it was
+// deleted between that shard's RkNN call and its Points call, the per-RPC
+// consistency window of remote shards) is dropped — a deleted point is
+// nobody's reverse neighbor.
 func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64, k int) ([]int, error) {
 	n := len(candidates)
-	ids := make([]int, 0, n)
 	if n == 0 {
-		return ids, nil
+		return []int{}, nil
 	}
 	clientByShard := make(map[int]int, len(sc.clients))
 	for i, c := range sc.clients {
@@ -309,6 +330,7 @@ func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64,
 	}
 	homeOf := make([]int, n) // client index of the candidate's home shard
 	localOf := make([]int, n)
+	groups := make(map[int][]int, len(sc.clients)) // client index -> candidate positions
 	for j, g := range candidates {
 		s, l, ok := sc.m.Locate(g)
 		if !ok {
@@ -319,15 +341,12 @@ func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64,
 			return nil, fmt.Errorf("rknnd: candidate id %d has no pinned shard", g)
 		}
 		homeOf[j], localOf[j] = ci, l
+		groups[ci] = append(groups[ci], j)
 	}
 
 	// Resolve every candidate's coordinates, one batched fetch per home
 	// shard.
 	px := make([][]float64, n)
-	groups := make(map[int][]int, len(sc.clients)) // client index -> candidate positions
-	for j := range candidates {
-		groups[homeOf[j]] = append(groups[homeOf[j]], j)
-	}
 	involved := make([]int, 0, len(groups))
 	for ci := range groups {
 		involved = append(involved, ci)
@@ -354,63 +373,52 @@ func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64,
 	if err != nil {
 		return nil, wrapShardErr(err)
 	}
+
+	// One probe per candidate still alive, shared by every shard up to the
+	// self-exclusion on the candidate's home shard.
+	alive := make([]int, 0, n) // candidate positions with a live point
+	probes := make([]CountCloserQuery, 0, n)
 	for j := range candidates {
 		if px[j] == nil {
-			return nil, fmt.Errorf("rknnd: candidate id %d has no pinned shard", candidates[j])
+			continue
 		}
+		alive = append(alive, j)
+		probes = append(probes, CountCloserQuery{Point: px[j], Radius: sc.metric.Distance(q, px[j]), Limit: k, Skip: -1})
 	}
-
-	// Per-shard forward-kNN probes over all candidates, self-exclusion on
-	// the candidate's home shard, results translated to global IDs.
-	lists := make([][][]index.Neighbor, len(sc.clients))
+	if len(probes) == 0 {
+		return []int{}, nil
+	}
+	counts := make([][]int, len(sc.clients))
 	err = core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
 		c := sc.clients[i]
-		probes := make([]knnProbe, n)
-		for j := range probes {
-			skip := -1
+		mine := slices.Clone(probes)
+		for t, j := range alive {
 			if homeOf[j] == i {
-				skip = localOf[j]
+				mine[t].Skip = localOf[j]
 			}
-			probes[j] = knnProbe{q: px[j], k: k, skip: skip}
 		}
-		res, err := c.KNNBatch(ctx, probes)
+		res, err := c.CountBatch(ctx, mine)
 		if err != nil {
 			return err
 		}
-		if len(res) != n {
-			return fmt.Errorf("shard %d returned %d knn lists for %d probes", c.Shard(), len(res), n)
+		if len(res) != len(mine) {
+			return fmt.Errorf("shard %d returned %d counts for %d probes", c.Shard(), len(res), len(mine))
 		}
-		tr := make([][]index.Neighbor, n)
-		for j, nn := range res {
-			tnn := make([]index.Neighbor, len(nn))
-			for t, nb := range nn {
-				g, ok := sc.m.Global(c.Shard(), nb.ID)
-				if !ok {
-					return fmt.Errorf("shard %d returned unmapped local id %d", c.Shard(), nb.ID)
-				}
-				tnn[t] = index.Neighbor{ID: g, Dist: nb.Dist}
-			}
-			tr[j] = tnn
-		}
-		lists[i] = tr
+		counts[i] = res
 		return nil
 	})
 	if err != nil {
 		return nil, wrapShardErr(err)
 	}
 
-	per := make([][]index.Neighbor, len(sc.clients))
-	for j, g := range candidates {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dqx := sc.metric.Distance(q, px[j])
+	ids := make([]int, 0, len(alive))
+	for t, j := range alive {
+		closer := 0
 		for i := range sc.clients {
-			per[i] = lists[i][j]
+			closer += counts[i][t]
 		}
-		merged := core.MergeKNN(per, k, nil)
-		if len(merged) < k || merged[len(merged)-1].Dist >= dqx {
-			ids = append(ids, g)
+		if closer < k {
+			ids = append(ids, candidates[j])
 		}
 	}
 	return ids, nil

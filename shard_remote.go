@@ -23,8 +23,9 @@ import (
 
 // This file is the remote implementation of shardClient: a shard served by
 // an `rknn shard-serve` daemon (or any rknn HTTP server holding one
-// partition), reached over HTTP with either JSON bodies or the compact
-// binary framing of internal/wire. The scatter-gather in shard_client.go
+// partition), reached over HTTP in the compact binary framing of
+// internal/wire — the one shard protocol; JSON carries only the handshake
+// and the writes, which are the public API. The scatter-gather in shard_client.go
 // is transport-blind; everything network-specific — replica selection,
 // health-based failover, retry with backoff, per-request timeouts, header
 // propagation, per-shard request telemetry — lives here.
@@ -96,10 +97,9 @@ func newRemoteTelemetry(reg *telemetry.Registry) *remoteTelemetry {
 // shares: a single http.Client over one pooled Transport (per-host
 // keep-alive connections are reused across queries — fanning out with a
 // fresh Transport per shard would re-handshake constantly and leak idle
-// sockets), the framing choice, and the retry policy.
+// sockets) and the retry policy.
 type clusterClient struct {
 	hc      *http.Client
-	binary  bool
 	timeout time.Duration
 	retries int
 	backoff time.Duration
@@ -272,9 +272,27 @@ func (r *remoteShard) binaryCall(ctx context.Context, frame []byte) ([]byte, err
 	return out, err
 }
 
-// wireStats converts the wire stats block back to engine counters.
-func wireStats(ws wire.Stats) core.Stats {
-	return core.Stats{
+// frameErr maps a response-frame decode failure: a wire error frame becomes
+// the in-process engine's error (see remoteError), anything else is a
+// protocol fault attributed to the shard.
+func (r *remoteShard) frameErr(err error) error {
+	var re *wire.RemoteError
+	if errors.As(err, &re) {
+		return remoteError(re.Msg)
+	}
+	return fmt.Errorf("shard %d: %w", r.shard, err)
+}
+
+func (r *remoteShard) reverseKNN(ctx context.Context, frame []byte) ([]int, core.Stats, error) {
+	resp, err := r.binaryCall(ctx, frame)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	ids, ws, err := wire.DecodeRkNNResponse(resp)
+	if err != nil {
+		return nil, core.Stats{}, r.frameErr(err)
+	}
+	return ids, core.Stats{
 		ScanDepth:     ws.ScanDepth,
 		FilterSize:    ws.FilterSize,
 		Excluded:      ws.Excluded,
@@ -283,202 +301,72 @@ func wireStats(ws wire.Stats) core.Stats {
 		Verified:      ws.Verified,
 		DistanceComps: ws.DistanceComps,
 		Omega:         ws.Omega,
-	}
-}
-
-// remoteStats mirrors the engine's Stats JSON shape (repro.Stats has no
-// JSON tags, so fields marshal under their Go names).
-type remoteStats struct {
-	ScanDepth     int
-	FilterSize    int
-	Excluded      int
-	LazyAccepts   int
-	LazyRejects   int
-	Verified      int
-	DistanceComps int64
-	Omega         float64
-}
-
-func (r *remoteShard) reverseKNN(ctx context.Context, byID bool, local int, q []float64, k int) ([]int, core.Stats, error) {
-	if r.cc.binary {
-		var frame []byte
-		if byID {
-			frame = wire.AppendRkNNIDRequest(nil, local, k)
-		} else {
-			frame = wire.AppendRkNNPointRequest(nil, q, k)
-		}
-		resp, err := r.binaryCall(ctx, frame)
-		if err != nil {
-			return nil, core.Stats{}, err
-		}
-		ids, ws, err := wire.DecodeRkNNResponse(resp)
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) {
-				return nil, core.Stats{}, remoteError(re.Msg)
-			}
-			return nil, core.Stats{}, fmt.Errorf("shard %d: %w", r.shard, err)
-		}
-		return ids, wireStats(ws), nil
-	}
-	reqBody := map[string]any{"k": k, "stats": true}
-	if byID {
-		reqBody["id"] = local
-	} else {
-		reqBody["point"] = q
-	}
-	raw, err := json.Marshal(reqBody)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	var out struct {
-		IDs   []int        `json:"ids"`
-		Stats *remoteStats `json:"stats"`
-	}
-	err = r.call(ctx, false, http.MethodPost, "/v1/rknn", "application/json", raw,
-		func(status int, ctype string, body []byte) error {
-			if status != http.StatusOK {
-				return jsonErr(status, ctype, body)
-			}
-			return json.Unmarshal(body, &out)
-		})
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	st := core.Stats{}
-	if out.Stats != nil {
-		st = core.Stats{
-			ScanDepth:     out.Stats.ScanDepth,
-			FilterSize:    out.Stats.FilterSize,
-			Excluded:      out.Stats.Excluded,
-			LazyAccepts:   out.Stats.LazyAccepts,
-			LazyRejects:   out.Stats.LazyRejects,
-			Verified:      out.Stats.Verified,
-			DistanceComps: out.Stats.DistanceComps,
-			Omega:         out.Stats.Omega,
-		}
-	}
-	return out.IDs, st, nil
+	}, nil
 }
 
 func (r *remoteShard) ReverseKNNByID(ctx context.Context, local, k int) ([]int, core.Stats, error) {
-	return r.reverseKNN(ctx, true, local, nil, k)
+	return r.reverseKNN(ctx, wire.AppendRkNNIDRequest(nil, local, k))
 }
 
 func (r *remoteShard) ReverseKNNByPoint(ctx context.Context, q []float64, k int) ([]int, core.Stats, error) {
-	return r.reverseKNN(ctx, false, -1, q, k)
+	return r.reverseKNN(ctx, wire.AppendRkNNPointRequest(nil, q, k))
 }
 
 func (r *remoteShard) Points(ctx context.Context, locals []int) ([][]float64, error) {
-	if r.cc.binary {
-		resp, err := r.binaryCall(ctx, wire.AppendPointsRequest(nil, locals))
-		if err != nil {
-			return nil, err
-		}
-		rows, err := wire.DecodePointsResponse(resp)
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) {
-				return nil, remoteError(re.Msg)
-			}
-			return nil, fmt.Errorf("shard %d: %w", r.shard, err)
-		}
-		return rows, nil
+	resp, err := r.binaryCall(ctx, wire.AppendPointsRequest(nil, locals))
+	if err != nil {
+		return nil, err
 	}
-	// JSON framing has no batch point fetch: one GET per ID, the cost the
-	// binary protocol exists to collapse.
-	rows := make([][]float64, len(locals))
-	for i, l := range locals {
-		var out struct {
-			Point []float64 `json:"point"`
-		}
-		absent := false
-		err := r.call(ctx, false, http.MethodGet, "/v1/points/"+strconv.Itoa(l), "", nil,
-			func(status int, ctype string, body []byte) error {
-				if status == http.StatusNotFound {
-					absent = true
-					return nil
-				}
-				if status != http.StatusOK {
-					return jsonErr(status, ctype, body)
-				}
-				return json.Unmarshal(body, &out)
-			})
-		if err != nil {
-			return nil, err
-		}
-		if !absent {
-			rows[i] = out.Point
-			if rows[i] == nil {
-				rows[i] = []float64{}
-			}
-		}
+	rows, err := wire.DecodePointsResponse(resp)
+	if err != nil {
+		return nil, r.frameErr(err)
 	}
 	return rows, nil
 }
 
 func (r *remoteShard) KNNBatch(ctx context.Context, probes []knnProbe) ([][]index.Neighbor, error) {
-	if r.cc.binary {
-		qs := make([]wire.KNNQuery, len(probes))
-		for i, p := range probes {
-			qs[i] = wire.KNNQuery{Point: p.q, K: p.k, Skip: p.skip}
-		}
-		resp, err := r.binaryCall(ctx, wire.AppendKNNBatchRequest(nil, qs))
-		if err != nil {
-			return nil, err
-		}
-		lists, err := wire.DecodeKNNBatchResponse(resp)
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) {
-				return nil, remoteError(re.Msg)
-			}
-			return nil, fmt.Errorf("shard %d: %w", r.shard, err)
-		}
-		out := make([][]index.Neighbor, len(lists))
-		for i, nn := range lists {
-			tr := make([]index.Neighbor, len(nn))
-			for j, nb := range nn {
-				tr[j] = index.Neighbor{ID: nb.ID, Dist: nb.Dist}
-			}
-			out[i] = tr
-		}
-		return out, nil
-	}
-	// JSON framing: one POST /v1/knn per probe (see Points).
-	out := make([][]index.Neighbor, len(probes))
+	qs := make([]wire.KNNQuery, len(probes))
 	for i, p := range probes {
-		reqBody := map[string]any{"point": p.q, "k": p.k}
-		if p.skip >= 0 {
-			reqBody["skip"] = p.skip
+		qs[i] = wire.KNNQuery{Point: p.q, K: p.k, Skip: p.skip}
+	}
+	resp, err := r.binaryCall(ctx, wire.AppendKNNBatchRequest(nil, qs))
+	if err != nil {
+		return nil, err
+	}
+	lists, err := wire.DecodeKNNBatchResponse(resp)
+	if err != nil {
+		return nil, r.frameErr(err)
+	}
+	out := make([][]index.Neighbor, len(lists))
+	for i, nn := range lists {
+		tr := make([]index.Neighbor, len(nn))
+		for j, nb := range nn {
+			tr[j] = index.Neighbor{ID: nb.ID, Dist: nb.Dist}
 		}
-		raw, err := json.Marshal(reqBody)
-		if err != nil {
-			return nil, err
-		}
-		var resp struct {
-			Neighbors []struct {
-				ID   int     `json:"id"`
-				Dist float64 `json:"dist"`
-			} `json:"neighbors"`
-		}
-		err = r.call(ctx, false, http.MethodPost, "/v1/knn", "application/json", raw,
-			func(status int, ctype string, body []byte) error {
-				if status != http.StatusOK {
-					return jsonErr(status, ctype, body)
-				}
-				return json.Unmarshal(body, &resp)
-			})
-		if err != nil {
-			return nil, err
-		}
-		nn := make([]index.Neighbor, len(resp.Neighbors))
-		for j, nb := range resp.Neighbors {
-			nn[j] = index.Neighbor{ID: nb.ID, Dist: nb.Dist}
-		}
-		out[i] = nn
+		out[i] = tr
 	}
 	return out, nil
+}
+
+func (r *remoteShard) CountBatch(ctx context.Context, probes []CountCloserQuery) ([]int, error) {
+	qs := make([]wire.CountQuery, len(probes))
+	for i, p := range probes {
+		qs[i] = wire.CountQuery(p)
+	}
+	resp, err := r.binaryCall(ctx, wire.AppendCountBatchRequest(nil, qs))
+	if err != nil {
+		// A daemon built before the count op existed rejects the frame as
+		// malformed; say what to do about it instead of relaying that.
+		if strings.Contains(err.Error(), fmt.Sprintf("unknown op %d", wire.OpCountBatch)) {
+			return nil, fmt.Errorf("shard %d daemon predates the count verification op (upgrade daemons before coordinators): %w", r.shard, err)
+		}
+		return nil, err
+	}
+	counts, err := wire.DecodeCountBatchResponse(resp)
+	if err != nil {
+		return nil, r.frameErr(err)
+	}
+	return counts, nil
 }
 
 // shardInfo is the daemon self-description behind GET /v1/shard/info.

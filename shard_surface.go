@@ -12,18 +12,17 @@ import (
 
 // This file is the shard-serving surface of the facade: the handful of
 // read-side methods a shard daemon exposes so a remote coordinator can run
-// the scatter-gather verification against it — batched member-point
-// lookups, batched forward-kNN probes with explicit self-exclusion, the ID
-// span behind the shard-map rebuild, and the metric identity behind the
-// coordinator's cross-shard configuration check. They are ordinary public
+// the scatter-gather against it — batched member-point lookups, batched
+// verification counts and forward-kNN probes with explicit self-exclusion,
+// the ID span behind the shard-map rebuild, and the metric identity behind
+// the coordinator's cross-shard configuration check. They are ordinary public
 // API: all answer from one pinned snapshot, with the same concurrency
 // contract as every other read.
 
 // KNNQuery is one probe of KNNSkipBatch: the query point, the rank, and an
-// optional member ID to exclude from the result (-1 for none) — the
-// self-exclusion a member RkNN verification needs, made explicit because
-// "fetch k+1 and drop the member" is not equivalent under duplicate-point
-// distance ties.
+// optional member ID to exclude from the result (-1 for none), made
+// explicit because "fetch k+1 and drop the member" is not equivalent under
+// duplicate-point distance ties.
 type KNNQuery struct {
 	Point []float64
 	K     int
@@ -32,9 +31,7 @@ type KNNQuery struct {
 
 // KNNSkipBatch answers many forward-kNN probes against one pinned
 // snapshot, each in ascending (distance, ID) order with the probe's Skip
-// member excluded. All probes see the same generation of the index, which
-// is what makes a remote verification pass sound: the kNN bound of every
-// candidate is computed over one consistent shard view.
+// member excluded.
 func (s *Searcher) KNNSkipBatch(qs []KNNQuery) ([][]Neighbor, error) {
 	sn := s.snap.Load()
 	m := sn.ix.Metric()
@@ -60,6 +57,46 @@ func (s *Searcher) KNNSkipBatch(qs []KNNQuery) ([][]Neighbor, error) {
 			res[j] = Neighbor{ID: nb.ID, Dist: nb.Dist}
 		}
 		out[i] = res
+	}
+	return out, nil
+}
+
+// CountCloserQuery is one probe of CountCloserBatch: count the live points
+// strictly closer to Point than Radius, excluding member Skip (-1 for
+// none), and stop counting at Limit.
+type CountCloserQuery struct {
+	Point  []float64
+	Radius float64
+	Limit  int
+	Skip   int
+}
+
+// CountCloserBatch answers many bounded strict range counts against one
+// pinned snapshot: out[i] = min(Limit, |{y ≠ Skip live : d(Point, y) <
+// Radius}|). It is this engine's share of a scattered RkNN verification —
+// a candidate x is a reverse neighbor of q iff such counts for (x, d(q,x),
+// k) sum to less than k across the shards — and all probes see the same
+// generation of the index, which is what makes the pass sound: every
+// candidate is settled over one consistent shard view.
+func (s *Searcher) CountCloserBatch(qs []CountCloserQuery) ([]int, error) {
+	ix := s.snap.Load().ix
+	m := ix.Metric()
+	dim := ix.Dim()
+	out := make([]int, len(qs))
+	for i, q := range qs {
+		if q.Limit <= 0 {
+			return nil, fmt.Errorf("rknnd: probe %d: limit must be positive, got %d", i, q.Limit)
+		}
+		if !(q.Radius >= 0) { // also rejects NaN
+			return nil, fmt.Errorf("rknnd: probe %d: radius must be non-negative, got %v", i, q.Radius)
+		}
+		if err := vecmath.ValidateFor(m, q.Point); err != nil {
+			return nil, fmt.Errorf("rknnd: probe %d: %w", i, err)
+		}
+		if len(q.Point) != dim {
+			return nil, fmt.Errorf("rknnd: probe %d: query dimension %d, index dimension %d", i, len(q.Point), dim)
+		}
+		out[i] = ix.CountCloser(q.Point, q.Radius, q.Limit, max(q.Skip, -1), nil)
 	}
 	return out, nil
 }

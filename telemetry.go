@@ -146,7 +146,7 @@ func newEngineTelemetry(reg *telemetry.Registry, backend string, approx bool) *e
 		"Candidates settled without a verification kNN query (Stats.LazyAccepts + Stats.LazyRejects).",
 		"backend").With(backend)
 	t.verified = reg.CounterVec("rknn_candidates_verified_total",
-		"Explicit refinement-phase kNN verifications (Stats.Verified).",
+		"Explicit refinement-phase verifications (Stats.Verified).",
 		"backend").With(backend)
 	t.distComps = reg.CounterVec("rknn_distance_comps_total",
 		"Distance computations performed by the witness machinery (Stats.DistanceComps).",
