@@ -8,6 +8,11 @@
 //	experiments -fig 8 -profile medium
 //	experiments -table 1        # intrinsic-dimensionality estimates
 //	experiments -all
+//	experiments query -method tpl -data sequoia -k 10 -query 42
+//
+// The query subcommand answers one reverse k-NN query with any implemented
+// method — RDT/RDT+ or a competitor (SFT, MRkNNCoP, RdNN-Tree, TPL); the
+// serving binary, cmd/rknn, links none of the competitors.
 //
 // The -profile flag scales dataset sizes and query counts: "smoke" finishes
 // in seconds, "small" (default) in minutes, "medium" is the closest to the
@@ -126,6 +131,12 @@ var profiles = map[string]profile{
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "query" {
+		if err := runOneShot(os.Args[2:], os.Stdout); err != nil {
+			fail(err)
+		}
+		return
+	}
 	fig := flag.Int("fig", 0, "figure to reproduce (3-9)")
 	table := flag.Int("table", 0, "table to reproduce (1)")
 	all := flag.Bool("all", false, "run every experiment")

@@ -17,8 +17,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/dataset"
-	"repro/internal/harness"
 	"repro/internal/lid"
 	"repro/internal/vecmath"
 )
@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	metric := vecmath.Euclidean{}
-	forward, err := harness.BuildBackend("covertree", pts, metric)
+	forward, err := backend.Build("covertree", pts, metric)
 	if err != nil {
 		return err
 	}
@@ -94,34 +94,9 @@ func report(w io.Writer, name string, value float64, elapsed time.Duration, err 
 }
 
 func loadPoints(csvPath, dataName string, n, dim int, seed int64) ([][]float64, string, error) {
-	if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		ds, err := dataset.ReadCSV(csvPath, f)
-		if err != nil {
-			return nil, "", err
-		}
-		return ds.Points, ds.Name, nil
-	}
-	var ds *dataset.Dataset
-	switch dataName {
-	case "sequoia":
-		ds = dataset.Sequoia(n, seed)
-	case "aloi":
-		ds = dataset.ALOI(n, seed)
-	case "fct":
-		ds = dataset.FCT(n, seed)
-	case "mnist":
-		ds = dataset.MNIST(n, seed)
-	case "imagenet":
-		ds = dataset.Imagenet(n, dim, seed)
-	case "uniform":
-		ds = dataset.Uniform("uniform", n, dim, seed)
-	default:
-		return nil, "", fmt.Errorf("unknown dataset %q", dataName)
+	ds, err := dataset.Load(csvPath, dataName, n, dim, seed)
+	if err != nil {
+		return nil, "", err
 	}
 	return ds.Points, ds.Name, nil
 }

@@ -1,16 +1,18 @@
 // Command rknn answers reverse k-nearest-neighbor queries from the command
-// line with any of the implemented methods, over a generated surrogate
+// line with the paper's RDT and RDT+ algorithms, over a generated surrogate
 // dataset or a CSV file — or, with the serve subcommand, runs as a
 // long-lived HTTP daemon answering them over the network. The save and
 // load subcommands separate build time from query time: save pays the
 // scale estimation and index build once and writes a snapshot file; load
-// restores it without re-estimating anything.
+// restores it without re-estimating anything. The binary links only what it
+// serves; the competing methods of the paper's evaluation (SFT, MRkNNCoP,
+// RdNN-Tree, TPL) answer the same one-shot query under `experiments query`.
 //
 // Examples:
 //
 //	rknn -data sequoia -n 5000 -k 10 -query 42
 //	rknn -data mnist -n 2000 -k 10 -method rdt -t 8 -query 7
-//	rknn -csv points.csv -k 5 -method sft -alpha 8 -query 0
+//	rknn -csv points.csv -k 5 -query 0
 //	rknn -data fct -n 3000 -k 10 -method rdt+ -auto mle -query 3
 //	rknn serve -addr :8080 -data fct -n 10000
 //	rknn serve -addr :8080 -data-dir /var/lib/rknn     (durable, crash-recovering)
@@ -31,17 +33,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/harness"
-	"repro/internal/index"
-	"repro/internal/lid"
-	"repro/internal/mrknncop"
-	"repro/internal/rdnntree"
-	"repro/internal/rtree"
-	"repro/internal/sft"
-	"repro/internal/tpl"
-	"repro/internal/vecmath"
 )
 
 func main() {
@@ -94,11 +86,10 @@ func main() {
 		dim      = flag.Int("dim", 128, "dimension for imagenet/uniform surrogates")
 		seed     = flag.Int64("seed", 1, "generation seed")
 		backend  = flag.String("backend", "covertree", "forward index: scan, covertree, kdtree, vptree, or lsh (approximate)")
-		method   = flag.String("method", "rdt+", "rdt, rdt+, sft, mrknncop, rdnn, tpl")
+		method   = flag.String("method", "rdt+", "rdt or rdt+")
 		k        = flag.Int("k", 10, "reverse neighbor rank")
-		tParam   = flag.Float64("t", 8, "scale parameter for rdt/rdt+")
+		tParam   = flag.Float64("t", 8, "scale parameter")
 		auto     = flag.String("auto", "", "choose t automatically: mle, gp or takens")
-		alpha    = flag.Float64("alpha", 8, "oversampling factor for sft")
 		queryID  = flag.Int("query", 0, "dataset member to query")
 		verbose  = flag.Bool("v", false, "print per-query statistics")
 	)
@@ -108,23 +99,27 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	metric := vecmath.Euclidean{}
-	forward, err := harness.BuildBackend(*backend, pts, metric)
+	plain := false
+	switch strings.ToLower(*method) {
+	case "rdt+":
+	case "rdt":
+		plain = true
+	default:
+		fail(fmt.Errorf("unknown method %q (want rdt or rdt+; sft, mrknncop, rdnn and tpl run under `experiments query`)", *method))
+	}
+	if *auto != "" {
+		*tParam = 0 // estimate instead
+	}
+	s, err := buildSearcher(pts, *backend, *tParam, strings.ToLower(*auto), plain, false, "")
 	if err != nil {
 		fail(err)
 	}
-
 	if *auto != "" {
-		t, err := estimateT(*auto, forward, pts, metric)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("auto t (%s) = %.2f\n", *auto, t)
-		*tParam = t
+		fmt.Printf("auto t (%s) = %.2f\n", *auto, s.Scale())
 	}
 
 	start := time.Now()
-	ids, stats, err := runQuery(strings.ToLower(*method), forward, pts, metric, *queryID, *k, *tParam, *alpha)
+	ids, st, err := s.ReverseKNNStats(*queryID, *k)
 	if err != nil {
 		fail(err)
 	}
@@ -133,144 +128,18 @@ func main() {
 	fmt.Printf("dataset %s (n=%d, dim=%d), %s back-end\n", name, len(pts), len(pts[0]), *backend)
 	fmt.Printf("R%dNN(%d) via %s: %d results in %s\n", *k, *queryID, *method, len(ids), elapsed.Round(time.Microsecond))
 	fmt.Println(ids)
-	if *verbose && stats != "" {
-		fmt.Println(stats)
+	if *verbose {
+		fmt.Printf("scan depth %d, filter %d, lazy accepts %d, lazy rejects %d, verified %d, ω=%.4g\n",
+			st.ScanDepth, st.FilterSize, st.LazyAccepts, st.LazyRejects, st.Verified, st.Omega)
 	}
 }
 
 func loadPoints(csvPath, dataName string, n, dim int, seed int64) ([][]float64, string, error) {
-	if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		ds, err := dataset.ReadCSV(csvPath, f)
-		if err != nil {
-			return nil, "", err
-		}
-		return ds.Points, ds.Name, nil
-	}
-	var ds *dataset.Dataset
-	switch dataName {
-	case "sequoia":
-		ds = dataset.Sequoia(n, seed)
-	case "aloi":
-		ds = dataset.ALOI(n, seed)
-	case "fct":
-		ds = dataset.FCT(n, seed)
-	case "mnist":
-		ds = dataset.MNIST(n, seed)
-	case "imagenet":
-		ds = dataset.Imagenet(n, dim, seed)
-	case "uniform":
-		ds = dataset.Uniform("uniform", n, dim, seed)
-	default:
-		return nil, "", fmt.Errorf("unknown dataset %q", dataName)
+	ds, err := dataset.Load(csvPath, dataName, n, dim, seed)
+	if err != nil {
+		return nil, "", err
 	}
 	return ds.Points, ds.Name, nil
-}
-
-// estimateT maps an estimator name to a value for the scale parameter t
-// (paper Section 6), clamped below at 1.
-func estimateT(estimator string, forward index.Index, pts [][]float64, metric vecmath.Metric) (float64, error) {
-	var (
-		t   float64
-		err error
-	)
-	switch strings.ToLower(estimator) {
-	case "mle":
-		t, err = lid.MLE(forward, lid.DefaultMLEOptions())
-	case "gp":
-		t, err = lid.GrassbergerProcaccia(pts, metric, lid.DefaultPairwiseOptions())
-	case "takens":
-		t, err = lid.Takens(pts, metric, lid.DefaultPairwiseOptions())
-	default:
-		return 0, fmt.Errorf("unknown estimator %q (want mle, gp or takens)", estimator)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t, nil
-}
-
-// runQuery dispatches to the requested method and returns the result IDs
-// plus an optional statistics line.
-func runQuery(method string, forward index.Index, pts [][]float64, metric vecmath.Metric, qid, k int, t, alpha float64) ([]int, string, error) {
-	switch method {
-	case "rdt", "rdt+":
-		qr, err := core.NewQuerier(forward, core.Params{K: k, T: t, Plus: method == "rdt+"})
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := qr.ByID(qid)
-		if err != nil {
-			return nil, "", err
-		}
-		st := res.Stats
-		return res.IDs, fmt.Sprintf(
-			"scan depth %d, filter %d, lazy accepts %d, lazy rejects %d, verified %d, ω=%.4g",
-			st.ScanDepth, st.FilterSize, st.LazyAccepts, st.LazyRejects, st.Verified, st.Omega), nil
-	case "sft":
-		qr, err := sft.NewQuerier(forward, sft.Params{K: k, Alpha: alpha})
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := qr.ByID(qid)
-		if err != nil {
-			return nil, "", err
-		}
-		st := res.Stats
-		return res.IDs, fmt.Sprintf("candidates %d, filter rejects %d, verified %d",
-			st.Candidates, st.FilterRejects, st.Verified), nil
-	case "mrknncop":
-		kmax := k
-		if kmax < 2 {
-			kmax = 2
-		}
-		ix, err := mrknncop.New(pts, metric, kmax, forward)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := ix.Query(qid, k)
-		if err != nil {
-			return nil, "", err
-		}
-		st := res.Stats
-		return res.IDs, fmt.Sprintf("definite %d, pruned %d, verified %d (precompute %s)",
-			st.Definite, st.Pruned, st.Verified, ix.PrecomputeTime.Round(time.Millisecond)), nil
-	case "rdnn":
-		tree, err := rdnntree.New(pts, metric, k, forward)
-		if err != nil {
-			return nil, "", err
-		}
-		ids, err := tree.Query(qid)
-		if err != nil {
-			return nil, "", err
-		}
-		return ids, fmt.Sprintf("precompute %s", tree.PrecomputeTime.Round(time.Millisecond)), nil
-	case "tpl":
-		rt, err := rtree.New(pts, metric, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		qr, err := tpl.New(rt, k)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := qr.ByID(qid)
-		if err != nil {
-			return nil, "", err
-		}
-		st := res.Stats
-		return res.IDs, fmt.Sprintf("nodes pruned %d, points pruned %d, candidates %d",
-			st.NodesPruned, st.PointsPruned, st.Candidates), nil
-	default:
-		return nil, "", fmt.Errorf("unknown method %q", method)
-	}
 }
 
 func fail(err error) {

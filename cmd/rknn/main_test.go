@@ -4,9 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/harness"
-	"repro/internal/vecmath"
 )
 
 func TestLoadPointsGenerators(t *testing.T) {
@@ -40,60 +37,5 @@ func TestLoadPointsCSV(t *testing.T) {
 	}
 	if _, _, err := loadPoints(filepath.Join(dir, "missing.csv"), "", 0, 0, 0); err == nil {
 		t.Error("accepted missing file")
-	}
-}
-
-func TestRunQueryAllMethods(t *testing.T) {
-	pts, _, err := loadPoints("", "sequoia", 200, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metric := vecmath.Euclidean{}
-	fwd, err := harness.BuildBackend("scan", pts, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, method := range []string{"rdt", "rdt+", "sft", "mrknncop", "rdnn", "tpl"} {
-		ids, stats, err := runQuery(method, fwd, pts, metric, 3, 5, 8, 8)
-		if err != nil {
-			t.Errorf("runQuery(%s): %v", method, err)
-			continue
-		}
-		if stats == "" {
-			t.Errorf("runQuery(%s): empty stats line", method)
-		}
-		for _, id := range ids {
-			if id == 3 {
-				t.Errorf("runQuery(%s) returned the query itself", method)
-			}
-		}
-	}
-	if _, _, err := runQuery("nosuch", fwd, pts, metric, 0, 5, 8, 8); err == nil {
-		t.Error("accepted unknown method")
-	}
-}
-
-func TestEstimateT(t *testing.T) {
-	pts, _, err := loadPoints("", "fct", 600, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metric := vecmath.Euclidean{}
-	fwd, err := harness.BuildBackend("covertree", pts, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, est := range []string{"mle", "gp", "takens"} {
-		got, err := estimateT(est, fwd, pts, metric)
-		if err != nil {
-			t.Errorf("estimateT(%s): %v", est, err)
-			continue
-		}
-		if got < 1 || got > 30 {
-			t.Errorf("estimateT(%s) = %g, outside sanity band", est, got)
-		}
-	}
-	if _, err := estimateT("nosuch", fwd, pts, metric); err == nil {
-		t.Error("accepted unknown estimator")
 	}
 }

@@ -128,13 +128,10 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 	}
 	// Report the engine's actual back-end: on the recovery path it comes
 	// from the store, not from the -backend flag.
-	backendName := *backend
-	if bk, ok := eng.(interface{ Backend() repro.Backend }); ok {
-		backendName = string(bk.Backend())
-	}
+	backendName := string(eng.Backend())
 	// An approximate engine (lsh) serves candidate-set answers; say so in
 	// the banner, matching the "approximate" marker on every response.
-	if ap, ok := eng.(server.Approximate); ok && ap.Approximate() {
+	if eng.Approximate() {
 		backendName += " (approximate)"
 	}
 	fmt.Fprintf(stdout, "rknn serve: n=%d, dim=%d, %s back-end, t=%.2f, listening on %s\n",

@@ -12,10 +12,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/vecmath"
 )
 
@@ -53,7 +51,7 @@ type Coordinator struct {
 	metric  Metric
 	dim     int
 	scale   float64
-	backend string
+	backend Backend
 	approx  bool
 
 	// mu serializes writes: assignment replay depends on the global ID
@@ -212,7 +210,7 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 	co.metric = metric
 	co.dim = ref.Dim
 	co.scale = ref.Scale
-	co.backend = ref.Backend
+	co.backend = Backend(ref.Backend)
 	co.approx = ref.Approximate
 
 	// The shard map is a pure function of (assignment count, shard count),
@@ -357,7 +355,7 @@ func (co *Coordinator) scatter() *scatterSet {
 		}
 		clients = append(clients, sh)
 	}
-	return &scatterSet{clients: clients, m: m, metric: co.metric, dim: co.dim}
+	return &scatterSet{clients: clients, m: m, metric: co.metric, dim: co.dim, backend: co.backend}
 }
 
 // Len returns the number of live points across the cluster, from the
@@ -377,7 +375,7 @@ func (co *Coordinator) Dim() int { return co.dim }
 func (co *Coordinator) Scale() float64 { return co.scale }
 
 // Backend returns the forward-index back-end the shard daemons run.
-func (co *Coordinator) Backend() Backend { return Backend(co.backend) }
+func (co *Coordinator) Backend() Backend { return co.backend }
 
 // Approximate reports whether the shard daemons answer approximately
 // (LSH back-end); see Searcher.Approximate.
@@ -428,65 +426,20 @@ func (co *Coordinator) ReverseKNNPointStatsContext(ctx context.Context, q []floa
 }
 
 // BatchReverseKNNContext answers many member queries on a worker pool
-// against one scatter set, mirroring ShardedSearcher's batch semantics
-// (including the error precedence).
+// against one scatter set, with ShardedSearcher's batch semantics (see
+// batchByID).
 func (co *Coordinator) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
 	sc := co.scatter()
-	out := make([][]int, len(qids))
-	errs := make([]error, len(qids))
-	err := core.ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) error {
-		ids, _, _, err := sc.reverseKNN(ctx, qids[i], nil, k)
-		if err != nil {
-			errs[i] = err
-			return err
-		}
-		out[i] = ids
-		return nil
+	return batchByID(ctx, qids, workers, func(ctx context.Context, qid int) ([]int, error) {
+		ids, _, _, err := sc.reverseKNN(ctx, qid, nil, k)
+		return ids, err
 	})
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		for i, e := range errs {
-			if e != nil && !errors.Is(e, context.Canceled) {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
-			}
-		}
-		for i, e := range errs {
-			if e != nil {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
-			}
-		}
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	return out, nil
 }
 
 // KNNContext returns the k global forward nearest neighbors of an
 // arbitrary point — the per-daemon top-k lists k-way merged.
 func (co *Coordinator) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	ksp := trace.FromContext(ctx).Child("core.knn")
-	if ksp != nil {
-		ksp.SetStr("backend", co.backend)
-		ksp.SetInt("k", int64(k))
-		ctx = trace.With(ctx, ksp)
-		defer ksp.End()
-	}
-	if err := vecmath.ValidateFor(co.metric, q); err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(q) != co.dim {
-		return nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), co.dim)
-	}
-	merged, err := co.scatter().knn(ctx, q, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(merged))
-	for i, nb := range merged {
-		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
-	}
-	return out, nil
+	return co.scatter().knn(ctx, q, k)
 }
 
 // InsertContext routes the point to its hash-assigned shard's primary and
@@ -531,10 +484,11 @@ func (co *Coordinator) InsertContext(ctx context.Context, p []float64) (int, err
 
 // InsertBatchContext ingests many points, each routed to its
 // hash-assigned shard, IDs returned in input order. Atomicity is
-// per-shard (the in-process sharded engine's batch has the same shape).
+// per-shard (the in-process sharded engine's batch has the same shape);
+// an empty batch is a no-op there and here.
 func (co *Coordinator) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
 	if len(points) == 0 {
-		return nil, errors.New("rknnd: empty batch")
+		return nil, nil
 	}
 	if err := vecmath.ValidateAllFor(co.metric, points); err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)

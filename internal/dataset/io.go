@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	"repro/internal/persist"
@@ -120,3 +121,33 @@ func (d *Dataset) WriteGob(w io.Writer) error { return d.WriteBinary(w) }
 //
 // Deprecated: use ReadBinary.
 func ReadGob(r io.Reader) (*Dataset, error) { return ReadBinary(r) }
+
+// Load returns the points the command-line tools run over: the CSV file at
+// csvPath when given, otherwise the named surrogate generated with n points
+// (dim applies to imagenet and uniform only) from seed.
+func Load(csvPath, name string, n, dim int, seed int64) (*Dataset, error) {
+	if csvPath != "" {
+		f, err := os.Open(csvPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return ReadCSV(csvPath, f)
+	}
+	switch name {
+	case "sequoia":
+		return Sequoia(n, seed), nil
+	case "aloi":
+		return ALOI(n, seed), nil
+	case "fct":
+		return FCT(n, seed), nil
+	case "mnist":
+		return MNIST(n, seed), nil
+	case "imagenet":
+		return Imagenet(n, dim, seed), nil
+	case "uniform":
+		return Uniform("uniform", n, dim, seed), nil
+	default:
+		return nil, fmt.Errorf("unknown dataset %q", name)
+	}
+}

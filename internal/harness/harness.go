@@ -20,37 +20,17 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/bruteforce"
-	"repro/internal/covertree"
 	"repro/internal/dataset"
 	"repro/internal/index"
-	"repro/internal/kdtree"
-	"repro/internal/lsh"
-	"repro/internal/scan"
 	"repro/internal/vecmath"
-	"repro/internal/vptree"
 )
 
-// BuildBackend constructs the forward-kNN back-end by name: "scan",
-// "covertree", "kdtree", "vptree", or the approximate "lsh". The paper uses
-// the cover tree for the small and medium datasets and sequential scan for
-// MNIST and Imagenet (Section 7.1); LSH realizes its claim (iii), RDT over
-// approximate neighbor rankings.
+// BuildBackend constructs the forward-kNN back-end by name; see
+// backend.Build, which this forwards to for the harness's own callers.
 func BuildBackend(name string, points [][]float64, metric vecmath.Metric) (index.Index, error) {
-	switch name {
-	case "scan":
-		return scan.New(points, metric)
-	case "covertree":
-		return covertree.New(points, metric)
-	case "kdtree":
-		return kdtree.New(points, metric)
-	case "vptree":
-		return vptree.New(points, metric)
-	case "lsh":
-		return lsh.New(points, metric, lsh.DefaultOptions())
-	default:
-		return nil, fmt.Errorf("harness: unknown back-end %q", name)
-	}
+	return backend.Build(name, points, metric)
 }
 
 // Workload is a dataset with the query sample and back-end choice used by an

@@ -103,11 +103,10 @@ func FuzzReplayWAL(f *testing.F) {
 		{Op: WALInsert, ID: 0, Point: []float64{1, 2}},
 		{Op: WALDelete, ID: 0},
 	} {
-		b, err := encodeWALRecord(r)
-		if err != nil {
+		var err error
+		if valid, err = appendWALFrame(valid, r); err != nil {
 			f.Fatal(err)
 		}
-		valid = append(valid, b...)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])

@@ -198,21 +198,10 @@ func Open(dir string, policy SyncPolicy, apply func(WALRecord) error) (*Store, *
 	return st, snap, rec, nil
 }
 
-// Append logs one mutation.
-func (st *Store) Append(r WALRecord) error { return st.wal.Append(r) }
-
-// AppendBatch logs many mutations with one write and at most one sync.
-func (st *Store) AppendBatch(records []WALRecord) error { return st.wal.AppendBatch(records) }
-
-// AppendCtx logs one mutation, spanned under ctx's trace when present.
-func (st *Store) AppendCtx(ctx context.Context, r WALRecord) error {
-	return st.wal.AppendCtx(ctx, r)
-}
-
-// AppendBatchCtx logs many mutations with one write and at most one sync,
-// spanned under ctx's trace when present.
-func (st *Store) AppendBatchCtx(ctx context.Context, records []WALRecord) error {
-	return st.wal.AppendBatchCtx(ctx, records)
+// Append logs the mutations with one write and at most one sync, spanned
+// under ctx's trace when present.
+func (st *Store) Append(ctx context.Context, records ...WALRecord) error {
+	return st.wal.Append(ctx, records...)
 }
 
 // Sync forces the log to stable storage regardless of policy.

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -38,7 +39,7 @@ func TestStoreCreateOpenCycle(t *testing.T) {
 	}
 	recs := testRecords()
 	for _, r := range recs {
-		if err := st.Append(r); err != nil {
+		if err := st.Append(context.Background(), r); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -63,7 +64,7 @@ func TestStoreCutRotatesGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Append(testRecords()[0])
+	st.Append(context.Background(), testRecords()[0])
 	next := testSnapshot()
 	next.Points = append(next.Points, []float64{9, 9, 9})
 	if err := st.Cut(next); err != nil {
@@ -79,7 +80,7 @@ func TestStoreCutRotatesGenerations(t *testing.T) {
 	if _, err := os.Stat(walPath(dir, 1)); !os.IsNotExist(err) {
 		t.Error("generation 1 wal still present after cut")
 	}
-	st.Append(testRecords()[1])
+	st.Append(context.Background(), testRecords()[1])
 	st.Close()
 
 	st2, snap, got, info := openCollect(t, dir)
@@ -187,7 +188,7 @@ func TestStoreTornWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Append(testRecords()[0])
+	st.Append(context.Background(), testRecords()[0])
 	st.Close()
 	f, err := os.OpenFile(walPath(dir, 1), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -203,7 +204,7 @@ func TestStoreTornWALRecovery(t *testing.T) {
 	if !reflect.DeepEqual(got, testRecords()[:1]) {
 		t.Errorf("recovered records %+v", got)
 	}
-	st2.Append(testRecords()[1])
+	st2.Append(context.Background(), testRecords()[1])
 	st2.Close()
 
 	st3, _, got3, info3 := openCollect(t, dir)

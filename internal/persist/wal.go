@@ -3,6 +3,7 @@ package persist
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -58,10 +59,12 @@ type WAL struct {
 // WALDelete u64 id. A record is written with a single Write call so a
 // crashed process can tear at most the final record, never interleave.
 
-// encodeWALRecord frames rec into a single buffer.
-func encodeWALRecord(rec WALRecord) ([]byte, error) {
-	var p []byte
-	p = appendU8(p, rec.Op)
+// appendWALFrame frames rec onto buf: the header is reserved first and
+// filled in once the payload behind it is complete.
+func appendWALFrame(buf []byte, rec WALRecord) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, make([]byte, 8)...)
+	buf = appendU8(buf, rec.Op)
 	switch rec.Op {
 	case WALInsert:
 		if rec.ID < 0 {
@@ -70,23 +73,23 @@ func encodeWALRecord(rec WALRecord) ([]byte, error) {
 		if len(rec.Point) == 0 || len(rec.Point) > maxDim {
 			return nil, fmt.Errorf("persist: insert dimension %d out of range [1, %d]", len(rec.Point), maxDim)
 		}
-		p = appendU64(p, uint64(rec.ID))
-		p = appendU32(p, uint32(len(rec.Point)))
+		buf = appendU64(buf, uint64(rec.ID))
+		buf = appendU32(buf, uint32(len(rec.Point)))
 		for _, x := range rec.Point {
-			p = appendF64(p, x)
+			buf = appendF64(buf, x)
 		}
 	case WALDelete:
 		if rec.ID < 0 {
 			return nil, fmt.Errorf("persist: negative delete id %d", rec.ID)
 		}
-		p = appendU64(p, uint64(rec.ID))
+		buf = appendU64(buf, uint64(rec.ID))
 	default:
 		return nil, fmt.Errorf("persist: unknown WAL op %d", rec.Op)
 	}
-	out := make([]byte, 0, 8+len(p))
-	out = appendU32(out, uint32(len(p)))
-	out = appendU32(out, crc32.Checksum(p, crcTable))
-	return append(out, p...), nil
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	return buf, nil
 }
 
 // decodeWALPayload parses a CRC-verified payload.
@@ -206,93 +209,31 @@ func OpenWAL(path string, size int64, policy SyncPolicy) (*WAL, error) {
 	return &WAL{f: f, policy: policy}, nil
 }
 
-// Append frames and writes one record with a single write syscall, then
-// syncs according to the policy. An acknowledged Append is at least in the
-// OS page cache; with the default policy it is on disk.
-func (w *WAL) Append(rec WALRecord) error {
-	buf, err := encodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("persist: wal append: %w", err)
-	}
-	w.since++
-	if w.policy.Every > 0 && w.since >= w.policy.Every {
-		return w.Sync()
-	}
-	return nil
-}
-
-// AppendBatch frames all records into one buffer and writes it with a
-// single write syscall, counting every record toward the sync policy but
-// syncing at most once — the amortization behind the bulk-ingest path. A
-// crash can tear only the final record of the batch; earlier members of the
-// write remain individually framed and replayable.
-func (w *WAL) AppendBatch(records []WALRecord) error {
+// Append frames all records into one buffer and writes it with a single
+// write syscall, counting every record toward the sync policy but syncing at
+// most once — one record and a bulk-ingest batch take the same path. An
+// acknowledged Append is at least in the OS page cache; with the default
+// policy it is on disk. A crash can tear only the final record of the
+// write; earlier ones remain individually framed and replayable. When ctx
+// carries a trace span the write lands under a "wal.append" span with a
+// "wal.fsync" child if the sync policy fires (span methods are no-ops on an
+// untraced context).
+func (w *WAL) Append(ctx context.Context, records ...WALRecord) error {
 	if len(records) == 0 {
 		return nil
 	}
-	var buf []byte
+	asp := trace.FromContext(ctx).Child("wal.append")
+	defer asp.End()
+	size := 0
 	for _, rec := range records {
-		frame, err := encodeWALRecord(rec)
-		if err != nil {
+		size += 8 + 1 + 8 + 4 + 8*len(rec.Point) // an upper bound: deletes carry no point
+	}
+	buf := make([]byte, 0, size)
+	for _, rec := range records {
+		var err error
+		if buf, err = appendWALFrame(buf, rec); err != nil {
 			return err
 		}
-		buf = append(buf, frame...)
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("persist: wal append: %w", err)
-	}
-	w.since += len(records)
-	if w.policy.Every > 0 && w.since >= w.policy.Every {
-		return w.Sync()
-	}
-	return nil
-}
-
-// AppendCtx is Append for traced writes: when ctx carries a span, the
-// record lands under a "wal.append" span (payload bytes attached) with a
-// "wal.fsync" child if the sync policy fires on this record. An untraced
-// context takes the plain path unchanged.
-func (w *WAL) AppendCtx(ctx context.Context, rec WALRecord) error {
-	sp := trace.FromContext(ctx)
-	if sp == nil {
-		return w.Append(rec)
-	}
-	asp := sp.Child("wal.append")
-	defer asp.End()
-	buf, err := encodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
-	asp.SetInt("bytes", int64(len(buf)))
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("persist: wal append: %w", err)
-	}
-	w.since++
-	return w.maybeSyncTraced(asp)
-}
-
-// AppendBatchCtx is AppendBatch for traced writes, spanned like AppendCtx
-// with the record count attached.
-func (w *WAL) AppendBatchCtx(ctx context.Context, records []WALRecord) error {
-	sp := trace.FromContext(ctx)
-	if sp == nil {
-		return w.AppendBatch(records)
-	}
-	if len(records) == 0 {
-		return nil
-	}
-	asp := sp.Child("wal.append")
-	defer asp.End()
-	var buf []byte
-	for _, rec := range records {
-		frame, err := encodeWALRecord(rec)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, frame...)
 	}
 	asp.SetInt("records", int64(len(records)))
 	asp.SetInt("bytes", int64(len(buf)))
@@ -300,11 +241,6 @@ func (w *WAL) AppendBatchCtx(ctx context.Context, records []WALRecord) error {
 		return fmt.Errorf("persist: wal append: %w", err)
 	}
 	w.since += len(records)
-	return w.maybeSyncTraced(asp)
-}
-
-// maybeSyncTraced applies the sync policy under a "wal.fsync" span.
-func (w *WAL) maybeSyncTraced(asp *trace.Span) error {
 	if w.policy.Every <= 0 || w.since < w.policy.Every {
 		return nil
 	}

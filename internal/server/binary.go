@@ -190,9 +190,7 @@ func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error
 		"scale":        srv.s.Scale(),
 		"metric_id":    mid,
 		"metric_param": mparam,
-	}
-	if bk, ok := srv.s.(interface{ Backend() repro.Backend }); ok {
-		info["backend"] = string(bk.Backend())
+		"backend":      string(srv.s.Backend()),
 	}
 	if srv.approx {
 		info["approximate"] = true

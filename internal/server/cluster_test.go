@@ -233,6 +233,15 @@ func TestClusterByteIdentity(t *testing.T) {
 		identical(t, all, "DELETE", "/v1/points/124", "")
 		identical(t, all, "DELETE", "/v1/points/3", "")    // already gone: 404 everywhere
 		identical(t, all, "DELETE", "/v1/points/9999", "") // never assigned
+		// The route refuses an empty batch before any engine sees it; at the
+		// library surface it is a no-op on every engine, the coordinator
+		// included.
+		identical(t, all, "POST", "/v1/points/batch", `{"points":[]}`)
+		for name, eng := range map[string]Engine{"unsharded": single, "sharded-3": sharded3, "cluster-1": cl1.co, "cluster-3": cl3.co} {
+			if ids, err := eng.InsertBatchContext(context.Background(), nil); ids != nil || err != nil {
+				t.Errorf("%s: empty InsertBatchContext = (%v, %v), want a no-op", name, ids, err)
+			}
+		}
 
 		compare(t)
 		identical(t, all, "POST", "/v1/rknn", `{"id":3,"k":5}`)   // deleted member

@@ -29,9 +29,6 @@
 // a client disconnect aborts the remaining queries of its batch. The admin
 // snapshot endpoint requires an engine with a durable store (a
 // repro.DurableSearcher); on a purely in-memory engine it answers 501.
-// Bulk insert requires an engine with a batch write path (BulkInserter);
-// engines without one likewise answer 501, steering clients to the
-// single-point endpoint.
 //
 // Tracing: with WithTracing, every data-plane request (the /v1 query and
 // write routes; observability routes are exempt) runs under a per-request
@@ -70,13 +67,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine is the query/update surface the server exposes. *repro.Searcher
-// implements it; *repro.DurableSearcher adds write-ahead logging underneath
-// the same methods (and unlocks the admin snapshot endpoint via Durable).
+// Engine is the query/update surface the server exposes, implemented by
+// all five engines of package repro: *repro.Searcher, the sharded and
+// networked forms, and the durable wrappers, which add write-ahead logging
+// underneath the same methods (and unlock the admin snapshot endpoint via
+// Durable).
 type Engine interface {
 	Len() int
 	Dim() int
 	Scale() float64
+	// Backend names the forward index the engine runs on — on a recovery
+	// path it comes from the store, not from a flag.
+	Backend() repro.Backend
+	// Approximate reports whether answers come from an approximate back-end
+	// (LSH). When true, query responses carry "approximate": true and
+	// /statsz marks the engine approximate, so clients can never mistake an
+	// approximate answer for an exact one.
+	Approximate() bool
 	ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error)
 	ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, repro.Stats, error)
 	ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error)
@@ -84,6 +91,9 @@ type Engine interface {
 	BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error)
 	KNNContext(ctx context.Context, q []float64, k int) ([]repro.Neighbor, error)
 	InsertContext(ctx context.Context, p []float64) (int, error)
+	// InsertBatchContext ingests many points under one lock acquisition and
+	// — on a durable engine — one WAL write and at most one sync.
+	InsertBatchContext(ctx context.Context, pts [][]float64) ([]int, error)
 	DeleteContext(ctx context.Context, id int) (bool, error)
 }
 
@@ -102,29 +112,12 @@ type Sharded interface {
 	ShardStats() []repro.ShardInfo
 }
 
-// BulkInserter is the optional bulk-ingest surface of an Engine
-// (*repro.Searcher, *repro.DurableSearcher and the sharded variants
-// implement it): many points enter under one lock acquisition and — on a
-// durable engine — one WAL write and at most one sync.
-type BulkInserter interface {
-	InsertBatchContext(ctx context.Context, pts [][]float64) ([]int, error)
-}
-
 // Incremental is the optional incremental-write-path surface of an Engine:
 // the delta-overlay memtable size and the number of compactions folded so
 // far, reported in /statsz alongside the engine shape.
 type Incremental interface {
 	MemtableLen() int
 	Compactions() int64
-}
-
-// Approximate is the optional approximation surface of an Engine
-// (*repro.Searcher and *repro.ShardedSearcher implement it). When it
-// reports true, query responses carry "approximate": true and /statsz
-// marks the engine approximate, so clients can never mistake an
-// approximate answer for an exact one.
-type Approximate interface {
-	Approximate() bool
 }
 
 // LiveWindows is the optional live-operations surface of an Engine
@@ -151,7 +144,7 @@ type Server struct {
 	slow  *telemetry.SlowLog
 	stats map[string]*endpointStats // fixed key set, populated at New
 	// approx is resolved once at New: whether the engine's answers are
-	// approximate (see the Approximate interface).
+	// approximate (Engine.Approximate).
 	approx bool
 	// ring/sample: per-request tracing (WithTracing). ring retains completed
 	// traces; sample is the head-sampling probability for ring admission.
@@ -287,9 +280,7 @@ func New(s Engine, opts ...Option) *Server {
 		slo:    o.slo,
 		shard:  o.shard,
 		shards: o.shards,
-	}
-	if a, ok := s.(Approximate); ok {
-		srv.approx = a.Approximate()
+		approx: s.Approximate(),
 	}
 	requests := o.reg.CounterVec("rknn_http_requests_total", "HTTP requests served, by route.", "route")
 	errs := o.reg.CounterVec("rknn_http_request_errors_total", "HTTP requests that failed, by route.", "route")
@@ -651,13 +642,6 @@ type insertBatchRequest struct {
 // path. The batch is atomic on a single engine (all points land or none);
 // IDs come back in request order.
 func (srv *Server) handleInsertBatch(w http.ResponseWriter, r *http.Request) error {
-	bi, ok := srv.s.(BulkInserter)
-	if !ok {
-		return &apiError{
-			status: http.StatusNotImplemented,
-			err:    errors.New("engine has no batch write path (use POST /v1/points)"),
-		}
-	}
 	var req insertBatchRequest
 	if err := decode(w, r, &req); err != nil {
 		return err
@@ -665,7 +649,7 @@ func (srv *Server) handleInsertBatch(w http.ResponseWriter, r *http.Request) err
 	if len(req.Points) == 0 {
 		return badRequest("points must be non-empty")
 	}
-	ids, err := bi.InsertBatchContext(r.Context(), req.Points)
+	ids, err := srv.s.InsertBatchContext(r.Context(), req.Points)
 	if err != nil {
 		return badRequest("%v", err)
 	}

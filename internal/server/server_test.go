@@ -297,13 +297,6 @@ func TestPointsBatchInsert(t *testing.T) {
 	if status := call(t, "POST", ts.URL+"/v1/rknn", map[string]any{"id": resp.IDs[2], "k": 3}, nil); status != http.StatusOK {
 		t.Errorf("rknn on batch-inserted id: status %d, want 200", status)
 	}
-
-	// An engine without a batch write path answers 501.
-	plain := httptest.NewServer(New(queryOnly{s}).Handler())
-	defer plain.Close()
-	if status := call(t, "POST", plain.URL+"/v1/points/batch", map[string]any{"points": batch}, nil); status != http.StatusNotImplemented {
-		t.Errorf("batch on query-only engine: status %d, want 501", status)
-	}
 }
 
 func TestHealthAndStats(t *testing.T) {

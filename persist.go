@@ -8,8 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/backend"
 	"repro/internal/covertree"
-	"repro/internal/harness"
 	"repro/internal/index"
 	"repro/internal/lsh"
 	"repro/internal/persist"
@@ -137,7 +137,7 @@ func restoreIndex(rec *persist.Snapshot) (index.Index, error) {
 		// saved one. Only a corrupted-yet-checksum-valid blob takes this
 		// path.
 	}
-	ix, err := harness.BuildBackend(rec.Backend, rec.Points, metric)
+	ix, err := backend.Build(rec.Backend, rec.Points, metric)
 	if err != nil {
 		if errors.Is(err, vecmath.ErrZeroVector) {
 			// Snapshots written before the angular metric rejected zero
@@ -179,7 +179,8 @@ func restoreIndex(rec *persist.Snapshot) (index.Index, error) {
 // searcherForSnapshot assembles a Searcher around a restored index using
 // the persisted engine configuration — deliberately never calling estimate.
 func searcherForSnapshot(rec *persist.Snapshot, ix index.Index) (*Searcher, error) {
-	s := &Searcher{
+	cfg := engineConfig{
+		scale:    rec.Scale,
 		plus:     rec.Plus,
 		adaptive: rec.Adaptive,
 		margin:   rec.Margin,
@@ -190,14 +191,11 @@ func searcherForSnapshot(rec *persist.Snapshot, ix index.Index) (*Searcher, erro
 		if rec.Margin < 0 {
 			return nil, fmt.Errorf("rknnd: load: negative adaptive margin %v", rec.Margin)
 		}
-	} else {
-		if !(rec.Scale > 0) {
-			return nil, fmt.Errorf("rknnd: load: scale parameter %v not positive", rec.Scale)
-		}
-		s.scale = rec.Scale
+		cfg.scale = 0
+	} else if !(rec.Scale > 0) {
+		return nil, fmt.Errorf("rknnd: load: scale parameter %v not positive", rec.Scale)
 	}
-	s.snap.Store(&snapshot{ix: wrapOverlay(ix)})
-	return s, nil
+	return newSearcher(cfg, wrapOverlay(ix)), nil
 }
 
 // StoreOption configures the on-disk store behind Open and NewDurable.
@@ -392,44 +390,35 @@ func (d *DurableSearcher) disable(cause error) error {
 }
 
 // Insert applies the update in memory and appends it to the write-ahead
-// log before acknowledging. A log failure returns an error and disables
-// the store (see disable); the in-memory insert remains visible until
-// restart.
+// log before acknowledging. A log failure returns an error beside the
+// assigned ID and disables the store (see disable); the in-memory insert
+// remains visible until restart.
 func (d *DurableSearcher) Insert(p []float64) (int, error) {
 	return d.InsertContext(context.Background(), p)
 }
 
-// InsertContext is Insert with a context. It shadows the embedded engine's
-// promoted method — without this override a context-taking caller would
-// reach the in-memory engine directly and silently bypass the write-ahead
-// log. A traced context records the WAL append and fsync as spans.
+// InsertContext is Insert with a context: the one-point form of
+// InsertBatchContext.
 func (d *DurableSearcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if err := d.usable(); err != nil {
-		return 0, err
-	}
-	id, err := d.Searcher.InsertContext(ctx, p)
-	if err != nil {
-		return 0, err
-	}
-	if err := d.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALInsert, ID: id, Point: p}); err != nil {
-		return 0, d.disable(err)
-	}
-	return id, nil
+	return firstID(d.InsertBatchContext(ctx, [][]float64{p}))
 }
 
 // InsertBatch applies a batch of points in one copy-on-write step and logs
 // the whole batch as one write-ahead append — one lock acquisition, one
 // frame write, at most one fsync for the entire batch. The batch is atomic
 // in memory and in the log: either every point is inserted and logged, or
-// none are. The error contract matches Insert.
+// none are. A failure that returns no IDs left nothing applied; a log
+// failure returns the assigned IDs beside the error, with the contract of
+// Insert.
 func (d *DurableSearcher) InsertBatch(points [][]float64) ([]int, error) {
 	return d.InsertBatchContext(context.Background(), points)
 }
 
-// InsertBatchContext is InsertBatch with a context, shadowing the promoted
-// method for the same WAL-bypass reason as InsertContext.
+// InsertBatchContext is InsertBatch with a context. It shadows the embedded
+// engine's promoted method — without this override a context-taking caller
+// would reach the in-memory engine directly and silently bypass the
+// write-ahead log. A traced context records the WAL append and fsync as
+// spans.
 func (d *DurableSearcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -444,8 +433,8 @@ func (d *DurableSearcher) InsertBatchContext(ctx context.Context, points [][]flo
 	for i, id := range ids {
 		records[i] = persist.WALRecord{Op: persist.WALInsert, ID: id, Point: points[i]}
 	}
-	if err := d.store.AppendBatchCtx(ctx, records); err != nil {
-		return nil, d.disable(err)
+	if err := d.store.Append(ctx, records...); err != nil {
+		return ids, d.disable(err)
 	}
 	return ids, nil
 }
@@ -457,7 +446,7 @@ func (d *DurableSearcher) Delete(id int) (bool, error) {
 }
 
 // DeleteContext is Delete with a context, shadowing the promoted method for
-// the same WAL-bypass reason as InsertContext.
+// the same WAL-bypass reason as InsertBatchContext.
 func (d *DurableSearcher) DeleteContext(ctx context.Context, id int) (bool, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -468,7 +457,7 @@ func (d *DurableSearcher) DeleteContext(ctx context.Context, id int) (bool, erro
 	if err != nil || !ok {
 		return ok, err
 	}
-	if err := d.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALDelete, ID: id}); err != nil {
+	if err := d.store.Append(ctx, persist.WALRecord{Op: persist.WALDelete, ID: id}); err != nil {
 		return false, d.disable(err)
 	}
 	return true, nil

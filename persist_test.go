@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -339,7 +340,7 @@ func TestOpenDetectsForkedWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(forged); err != nil {
+	if err := w.Append(context.Background(), forged); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/telemetry"
 	"repro/internal/vecmath"
@@ -378,5 +379,63 @@ func TestQuantFilterRequiresScan(t *testing.T) {
 	}
 	if _, err := New(pts, WithBackend(BackendScan), WithScale(10), WithMetric(vecmath.Minkowski{P: 3}), WithQuantizedFilter()); err == nil {
 		t.Fatal("New accepted WithQuantizedFilter with an unsupported metric")
+	}
+}
+
+// TestQuantFilterSurvivesShardedRestart pins that a sharded store reopens
+// with the filter it was built with: QuantFiltered reports it, the scrape
+// carries the candidate counters, and a shard first populated after the
+// restart trains its own codebook like one populated before it. The store
+// has more shards than points so that some are still empty at the restart.
+func TestQuantFilterSurvivesShardedRestart(t *testing.T) {
+	const S = 8
+	dir := t.TempDir()
+	pts := indextest.RandPoints(3, 4, 91)
+	ss, err := NewSharded(pts, S, WithBackend(BackendScan), WithScale(8), WithQuantizedFilter())
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	d, err := NewDurableSharded(dir, ss)
+	if err != nil {
+		t.Fatalf("NewDurableSharded: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	defer re.Close()
+	if !re.QuantFiltered() {
+		t.Fatal("QuantFiltered() = false after the restart of a filtered store")
+	}
+	reg := telemetry.NewRegistry()
+	re.EnableTelemetry(reg)
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	if !strings.Contains(b.String(), "rknn_candidates_quant_admitted_total") {
+		t.Error("scrape after the restart is missing the quantized-filter counters")
+	}
+
+	fresh := -1 // a shard first populated after the restart
+	for _, p := range indextest.RandPoints(2*S, 4, 92) {
+		s := index.ShardOf(re.IDSpan(), S)
+		wasEmpty := re.slots[s].eng.Load() == nil
+		if _, err := re.Insert(p); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		if wasEmpty {
+			fresh = s
+		}
+	}
+	if fresh < 0 {
+		t.Fatal("no insert landed on an empty shard; the test checked nothing")
+	}
+	if re.slots[fresh].eng.Load().quantCodebook() == nil {
+		t.Errorf("shard %d, populated after the restart, has no codebook", fresh)
 	}
 }

@@ -35,8 +35,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/index"
 	"repro/internal/lid"
 	"repro/internal/telemetry"
@@ -130,16 +130,92 @@ type Stats struct {
 type Option func(*config)
 
 type config struct {
-	metric    Metric
-	backend   Backend
-	scale     float64
-	auto      Estimator
-	plain     bool // disable the RDT+ candidate reduction
-	margin    float64
+	engineConfig
+	metric Metric
+	auto   Estimator
+	reg    *telemetry.Registry // nil: telemetry disabled
+}
+
+// engineConfig is the query-engine configuration every engine of this
+// package carries: a Searcher, a ShardedSearcher and each of its shard
+// engines hold the same value, a snapshot persists it and a restore reads
+// it back.
+type engineConfig struct {
+	scale     float64 // the scale parameter t; 0 when adaptive
+	plus      bool    // the RDT+ candidate reduction
 	adaptive  bool
-	compactAt int                 // delta-overlay compaction threshold; 0: default
-	quant     bool                // enable the 8-bit scalar-quantization pre-filter
-	reg       *telemetry.Registry // nil: telemetry disabled
+	margin    float64
+	backend   Backend // recorded so Save can round-trip the index
+	compactAt int     // delta-overlay compaction threshold; 0: default
+	quant     bool    // the 8-bit scalar-quantization pre-filter
+}
+
+// newConfig applies opts over the defaults.
+func newConfig(opts []Option) (config, error) {
+	cfg := config{
+		engineConfig: engineConfig{scale: math.NaN(), plus: true, backend: BackendCoverTree},
+		metric:       Euclidean,
+		auto:         EstimatorMLE,
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	if cfg.metric == nil {
+		return cfg, errors.New("rknnd: nil metric")
+	}
+	return cfg, nil
+}
+
+// resolveScale settles the scale parameter: 0 for an adaptive engine, the
+// pinned value, or the configured estimator's value over ix plus the
+// margin, clamped to at least 1. A nil ix — the sharded callers, which hold
+// no index over the full dataset — estimates through a throwaway scan index:
+// the estimators are exact-kNN-based, so this yields the same t as
+// estimating on any back-end over the same points.
+func (c *config) resolveScale(ix index.Index, points [][]float64) error {
+	if c.adaptive {
+		if c.margin < 0 {
+			return fmt.Errorf("rknnd: scale margin must be non-negative, got %v", c.margin)
+		}
+		c.scale = 0
+		return nil
+	}
+	if math.IsNaN(c.scale) {
+		if ix == nil {
+			var err error
+			if ix, err = backend.Build(string(BackendScan), points, c.metric); err != nil {
+				return fmt.Errorf("rknnd: %w", err)
+			}
+		}
+		t, err := estimate(c.auto, ix, points, c.metric)
+		if err != nil {
+			return fmt.Errorf("rknnd: estimating scale parameter: %w", err)
+		}
+		c.scale = max(t+c.margin, 1)
+	}
+	if !(c.scale > 0) {
+		return fmt.Errorf("rknnd: scale parameter must be positive, got %v", c.scale)
+	}
+	return nil
+}
+
+// buildIndex builds the configured back-end over points the way every
+// engine of this package holds one: the quantized pre-filter attached when
+// asked for, and — for dynamic back-ends — under a delta overlay, so that
+// queries merge a small memtable with the immutable base and Insert/Delete
+// cost O(delta) instead of an O(n) clone. Static back-ends stay bare (their
+// writes are rejected anyway).
+func (c engineConfig) buildIndex(points [][]float64, metric Metric) (index.Index, error) {
+	ix, err := backend.Build(string(c.backend), points, metric)
+	if err != nil {
+		return nil, fmt.Errorf("rknnd: %w", err)
+	}
+	if c.quant {
+		if err := enableQuantFilter(ix, nil); err != nil {
+			return nil, err
+		}
+	}
+	return wrapOverlay(ix), nil
 }
 
 // WithMetric selects the distance (default Euclidean).
@@ -166,7 +242,7 @@ func WithScaleMargin(m float64) Option { return func(c *config) { c.margin = m }
 // WithPlainRDT disables the RDT+ candidate-set reduction, trading speed on
 // large filter sets for the guarantee that results are never false
 // positives (RDT+ can mislabel through lazy acceptance; paper Section 4.3).
-func WithPlainRDT() Option { return func(c *config) { c.plain = true } }
+func WithPlainRDT() Option { return func(c *config) { c.plus = false } }
 
 // defaultCompactionThreshold is the delta size (memtable rows plus
 // tombstones) past which a write triggers a background compaction. Large
@@ -212,26 +288,15 @@ func WithAdaptiveScale() Option { return func(c *config) { c.adaptive = true } }
 // always observes a consistent dataset — the one current when it started —
 // never a half-applied update.
 type Searcher struct {
-	scale    float64
-	plus     bool
-	adaptive bool
-	margin   float64
-	backend  Backend // recorded so Save can round-trip the index
+	engineConfig
 
 	snap atomic.Pointer[snapshot]
 	mu   sync.Mutex // serializes Insert/Delete (writers clone, then swap)
 
-	// compactAt is the delta-overlay size past which a write schedules a
-	// background compaction (0 selects defaultCompactionThreshold);
-	// compacting admits one compactor at a time, and compactions counts the
-	// folds performed over the Searcher's lifetime.
-	compactAt   int
+	// compacting admits one background compactor at a time, and compactions
+	// counts the folds performed over the Searcher's lifetime.
 	compacting  atomic.Bool
 	compactions atomic.Int64
-
-	// quant records that the quantized pre-filter was requested, so Save
-	// marks the snapshot and shards propagate the option.
-	quant bool
 
 	// tel aggregates per-query work counters when telemetry is enabled
 	// (WithTelemetry / EnableTelemetry); nil when disabled. Published
@@ -284,63 +349,30 @@ func (sn *snapshot) querier(s *Searcher, k int) (*core.Querier, error) {
 // New indexes points and returns a Searcher. The points slice is retained
 // by reference and must not be mutated afterwards.
 func New(points [][]float64, opts ...Option) (*Searcher, error) {
-	cfg := config{
-		metric:  Euclidean,
-		backend: BackendCoverTree,
-		scale:   math.NaN(),
-		auto:    EstimatorMLE,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.metric == nil {
-		return nil, errors.New("rknnd: nil metric")
-	}
-	ix, err := harness.BuildBackend(string(cfg.backend), points, cfg.metric)
+	cfg, err := newConfig(opts)
 	if err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
+		return nil, err
 	}
-	if cfg.quant {
-		if err := enableQuantFilter(ix, nil); err != nil {
-			return nil, err
-		}
+	ix, err := cfg.buildIndex(points, cfg.metric)
+	if err != nil {
+		return nil, err
 	}
-	// Dynamic back-ends serve writes through a delta overlay: queries merge
-	// a small memtable with the immutable base, so Insert/Delete cost
-	// O(delta) instead of an O(n) backend clone. Static back-ends stay bare
-	// (their writes are rejected anyway).
-	ix = wrapOverlay(ix)
-	if cfg.adaptive {
-		if cfg.margin < 0 {
-			return nil, fmt.Errorf("rknnd: scale margin must be non-negative, got %v", cfg.margin)
-		}
-		s := &Searcher{adaptive: true, margin: cfg.margin, plus: !cfg.plain, backend: cfg.backend, compactAt: cfg.compactAt, quant: cfg.quant}
-		s.snap.Store(&snapshot{ix: ix})
-		if cfg.reg != nil {
-			s.EnableTelemetry(cfg.reg)
-		}
-		return s, nil
+	if err := cfg.resolveScale(ix, points); err != nil {
+		return nil, err
 	}
-	scale := cfg.scale
-	if math.IsNaN(scale) {
-		scale, err = estimate(cfg.auto, ix, points, cfg.metric)
-		if err != nil {
-			return nil, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
-		}
-		scale += cfg.margin
-		if scale < 1 {
-			scale = 1
-		}
-	}
-	if !(scale > 0) {
-		return nil, fmt.Errorf("rknnd: scale parameter must be positive, got %v", scale)
-	}
-	s := &Searcher{scale: scale, plus: !cfg.plain, backend: cfg.backend, compactAt: cfg.compactAt, quant: cfg.quant}
-	s.snap.Store(&snapshot{ix: ix})
+	s := newSearcher(cfg.engineConfig, ix)
 	if cfg.reg != nil {
 		s.EnableTelemetry(cfg.reg)
 	}
 	return s, nil
+}
+
+// newSearcher assembles a Searcher around an index — deliberately without
+// any scale estimation, so restores and shard engines never pay one.
+func newSearcher(cfg engineConfig, ix index.Index) *Searcher {
+	s := &Searcher{engineConfig: cfg}
+	s.snap.Store(&snapshot{ix: ix})
+	return s
 }
 
 // estimateCalls counts scale estimations; the persistence tests assert the
@@ -632,51 +664,20 @@ func (s *Searcher) Insert(p []float64) (int, error) {
 	return s.InsertContext(context.Background(), p)
 }
 
-// InsertContext is Insert with a context; a traced request records the
-// copy-on-write application as one "facade.apply" span.
+// InsertContext is Insert with a context: the one-point form of
+// InsertBatchContext.
 func (s *Searcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	asp.SetStr("op", opInsert)
-	id, err := s.applyInsert(p)
-	asp.End()
-	if err != nil {
-		return 0, err
-	}
-	if tel != nil {
-		tel.observeOp(opInsert, 1, begin)
-	}
-	s.maybeCompact()
-	return id, nil
+	return firstID(s.InsertBatchContext(ctx, [][]float64{p}))
 }
 
-func (s *Searcher) applyInsert(p []float64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.snap.Load().ix
-	cl, ok := cur.(index.Cloner)
-	if !ok {
-		return 0, errors.New("rknnd: back-end does not support insertion")
+// firstID unwraps the one-point form of a batch insert. The ID is passed on
+// beside an error too: that is how a durable engine reports a point applied
+// in memory but not logged.
+func firstID(ids []int, err error) (int, error) {
+	if len(ids) == 0 {
+		return 0, err
 	}
-	// Reject invalid points before paying for the clone, so a stream of
-	// bad requests cannot stall legitimate writers.
-	if err := vecmath.ValidateFor(cur.Metric(), p); err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(p) != cur.Dim() {
-		return 0, fmt.Errorf("rknnd: point dimension %d, index dimension %d", len(p), cur.Dim())
-	}
-	next := cl.Clone()
-	id, err := next.Insert(p)
-	if err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
-	}
-	s.snap.Store(&snapshot{ix: next})
-	return id, nil
+	return ids[0], err
 }
 
 // InsertBatch adds many points in one copy-on-write step: one lock
@@ -687,8 +688,8 @@ func (s *Searcher) InsertBatch(points [][]float64) ([]int, error) {
 	return s.InsertBatchContext(context.Background(), points)
 }
 
-// InsertBatchContext is InsertBatch with a context, traced like
-// InsertContext.
+// InsertBatchContext is InsertBatch with a context; a traced request
+// records the copy-on-write application as one "facade.apply" span.
 func (s *Searcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
 	if len(points) == 0 {
 		return nil, nil
@@ -708,9 +709,8 @@ func (s *Searcher) InsertBatchContext(ctx context.Context, points [][]float64) (
 	}
 	if tel != nil {
 		// Each member counts as an insert; the latency histogram observes
-		// once per batch call, mirroring query-batch accounting.
-		tel.countQueries(opInsert, len(ids))
-		tel.observeLatency(opInsert, begin)
+		// once per call, mirroring query-batch accounting.
+		tel.observeOp(opInsert, len(ids), begin)
 	}
 	s.maybeCompact()
 	return ids, nil
@@ -724,12 +724,14 @@ func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
 	if !ok {
 		return nil, errors.New("rknnd: back-end does not support insertion")
 	}
+	// Reject invalid points before paying for the clone, so a stream of bad
+	// requests cannot stall legitimate writers.
 	for i, p := range points {
 		if err := vecmath.ValidateFor(cur.Metric(), p); err != nil {
-			return nil, fmt.Errorf("rknnd: batch point %d: %w", i, err)
+			return nil, fmt.Errorf("rknnd: point %d: %w", i, err)
 		}
 		if len(p) != cur.Dim() {
-			return nil, fmt.Errorf("rknnd: batch point %d: dimension %d, index dimension %d", i, len(p), cur.Dim())
+			return nil, fmt.Errorf("rknnd: point %d: dimension %d, index dimension %d", i, len(p), cur.Dim())
 		}
 	}
 	next := cl.Clone()
@@ -737,7 +739,7 @@ func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
 	for i, p := range points {
 		id, err := next.Insert(p)
 		if err != nil {
-			return nil, fmt.Errorf("rknnd: batch point %d: %w", i, err)
+			return nil, fmt.Errorf("rknnd: point %d: %w", i, err)
 		}
 		ids[i] = id
 	}
@@ -752,7 +754,7 @@ func (s *Searcher) Delete(id int) (bool, error) {
 	return s.DeleteContext(context.Background(), id)
 }
 
-// DeleteContext is Delete with a context, traced like InsertContext.
+// DeleteContext is Delete with a context, traced like InsertBatchContext.
 func (s *Searcher) DeleteContext(ctx context.Context, id int) (bool, error) {
 	tel := s.tel.Load()
 	var begin time.Time

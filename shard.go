@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/index"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -44,13 +42,38 @@ type ShardInfo struct {
 	Queries int64 `json:"queries"`
 }
 
+// shardWriter is the write side of one shard: the shard's *Searcher itself
+// in memory, its *DurableSearcher on disk — which is all that distinguishes
+// a durable sharded engine's write path from an in-memory one. nil IDs from
+// InsertBatchContext mean nothing was applied; IDs beside an error mean the
+// points are applied in memory but not logged (see DurableSearcher.Insert).
+type shardWriter interface {
+	InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error)
+	DeleteContext(ctx context.Context, id int) (bool, error)
+}
+
 // shardSlot is the engine holder of one shard. The engine pointer is nil
 // until the first point lands on the shard (hash partitioning can leave
 // shards empty on small datasets) and is published atomically so queries
-// never lock.
+// never lock; w is the same shard's write side, set with it and guarded by
+// the ShardedSearcher's mu.
 type shardSlot struct {
 	eng     atomic.Pointer[Searcher]
 	queries atomic.Int64
+	w       shardWriter
+}
+
+// writable reports why the slot's store can take no write — closed, or
+// poisoned by an earlier log failure. An in-memory shard, and a shard not
+// yet populated (its store opens with its first points), are writable.
+func (sl *shardSlot) writable() error {
+	d, ok := sl.w.(*DurableSearcher)
+	if !ok {
+		return nil
+	}
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	return d.usable()
 }
 
 // ShardedSearcher answers reverse k-nearest neighbor queries over a
@@ -67,27 +90,27 @@ type shardSlot struct {
 // does not depend on the shard count — the property the metamorphic
 // conformance suite pins (shard_conformance_test.go).
 type ShardedSearcher struct {
-	scale     float64
-	plus      bool
-	adaptive  bool
-	margin    float64
-	backend   Backend
-	metric    Metric
-	dim       int
-	dynamic   bool
-	compactAt int // per-shard delta-overlay compaction threshold; 0: default
-	quant     bool
+	engineConfig // shared by every shard engine
+	metric       Metric
+	dim          int
+	dynamic      bool
 
 	slots []*shardSlot
 	smap  atomic.Pointer[index.ShardMap]
 	mu    sync.Mutex // serializes Insert/Delete across the map and all shards
 
-	// broken permanently poisons the write path after a half-applied batch
+	// broken permanently poisons the write path after a half-applied write
 	// left global IDs in the shard map that no engine ever received (see
-	// InsertBatch). Reads stay correct forever — such IDs answer as
+	// applyInsertBatch). Reads stay correct forever — such IDs answer as
 	// not-found — but further writes to any shard would corrupt the map's
 	// local-ID accounting, so they are all refused. Guarded by mu.
 	broken error
+
+	// openStore, set by the durable wrapper, opens the on-disk store of a
+	// shard engine built for a shard's first points and returns it as the
+	// slot's writer. nil: shards live in memory and write to their engine.
+	// Called under mu.
+	openStore func(shard int, eng *Searcher) (shardWriter, error)
 
 	// tel/shardTel aggregate engine-level and per-shard query metrics when
 	// telemetry is enabled (WithTelemetry / EnableTelemetry); nil when
@@ -101,22 +124,6 @@ type ShardedSearcher struct {
 	// inherit them in newShardEngine.
 	traceRing   atomic.Pointer[trace.Ring]
 	compactHist atomic.Pointer[telemetry.Histogram]
-
-	// Mutation hooks, called under mu. The durable wrapper overrides them
-	// to route every applied mutation through a shard's write-ahead log.
-	// insertShard reports applied=true when the in-memory insert took
-	// effect even if the call failed afterwards (a WAL append failure),
-	// in which case the global ID assignment must be kept.
-	insertShard func(ctx context.Context, shard int, eng *Searcher, p []float64) (local int, applied bool, err error)
-	createShard func(ctx context.Context, shard int, p []float64) (*Searcher, error)
-	deleteShard func(ctx context.Context, shard int, eng *Searcher, local int) (bool, error)
-	// Batch variants: one lock acquisition, one overlay clone, and (for the
-	// durable wrapper) one WAL append per shard group instead of per point.
-	// preflightInsert runs before any global ID is assigned so that
-	// unusable shard stores reject the whole batch cleanly.
-	insertShardBatch func(ctx context.Context, shard int, eng *Searcher, pts [][]float64) (locals []int, applied bool, err error)
-	createShardBatch func(ctx context.Context, shard int, pts [][]float64) (*Searcher, error)
-	preflightInsert  func(shards []int) error // nil: no preflight
 }
 
 // NewSharded partitions points across the given number of shards and
@@ -128,47 +135,15 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 	if shards <= 0 {
 		return nil, fmt.Errorf("rknnd: shard count must be positive, got %d", shards)
 	}
-	cfg := config{
-		metric:  Euclidean,
-		backend: BackendCoverTree,
-		scale:   math.NaN(),
-		auto:    EstimatorMLE,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.metric == nil {
-		return nil, errors.New("rknnd: nil metric")
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := vecmath.ValidateAllFor(cfg.metric, points); err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
 	}
-
-	scale := cfg.scale
-	if cfg.adaptive {
-		if cfg.margin < 0 {
-			return nil, fmt.Errorf("rknnd: scale margin must be non-negative, got %v", cfg.margin)
-		}
-		scale = 0
-	} else if math.IsNaN(scale) {
-		// Estimate over the full dataset through a throwaway scan index —
-		// the estimators are exact-kNN-based, so this yields the same t as
-		// estimating on any back-end over the same points.
-		full, err := harness.BuildBackend(string(BackendScan), points, cfg.metric)
-		if err != nil {
-			return nil, fmt.Errorf("rknnd: %w", err)
-		}
-		scale, err = estimate(cfg.auto, full, points, cfg.metric)
-		if err != nil {
-			return nil, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
-		}
-		scale += cfg.margin
-		if scale < 1 {
-			scale = 1
-		}
-	}
-	if !cfg.adaptive && !(scale > 0) {
-		return nil, fmt.Errorf("rknnd: scale parameter must be positive, got %v", scale)
+	if err := cfg.resolveScale(nil, points); err != nil {
+		return nil, err
 	}
 
 	m, err := index.NewShardMap(shards)
@@ -182,79 +157,55 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 	}
 
 	ss := &ShardedSearcher{
-		scale:     scale,
-		plus:      !cfg.plain,
-		adaptive:  cfg.adaptive,
-		margin:    cfg.margin,
-		backend:   cfg.backend,
-		metric:    cfg.metric,
-		dim:       len(points[0]),
-		compactAt: cfg.compactAt,
-		quant:     cfg.quant,
-		slots:     make([]*shardSlot, shards),
-	}
-	for i := range ss.slots {
-		ss.slots[i] = &shardSlot{}
+		engineConfig: cfg.engineConfig,
+		metric:       cfg.metric,
+		dim:          len(points[0]),
+		slots:        make([]*shardSlot, shards),
 	}
 	for s, part := range parts {
+		ss.slots[s] = &shardSlot{}
 		if len(part) == 0 {
 			continue
 		}
-		ix, err := harness.BuildBackend(string(cfg.backend), part, cfg.metric)
+		eng, err := ss.newShardEngine(part)
 		if err != nil {
-			return nil, fmt.Errorf("rknnd: shard %d: %w", s, err)
+			return nil, err
 		}
-		if cfg.quant {
-			if err := enableQuantFilter(ix, nil); err != nil {
-				return nil, err
-			}
-		}
-		if !ss.dynamic {
-			_, ss.dynamic = ix.(index.Cloner)
-		}
-		ss.slots[s].eng.Store(ss.newShardEngine(ix))
+		ss.slots[s].eng.Store(eng)
+		ss.slots[s].w = eng
 	}
+	ss.dynamic = ss.shardsDynamic()
 	ss.smap.Store(m)
-	ss.insertShard = ss.plainInsert
-	ss.createShard = ss.plainCreate
-	ss.deleteShard = ss.plainDelete
-	ss.insertShardBatch = ss.plainInsertBatch
-	ss.createShardBatch = ss.plainCreateBatch
 	if cfg.reg != nil {
 		ss.EnableTelemetry(cfg.reg)
 	}
 	return ss, nil
 }
 
-// newShardEngine wraps an index in a Searcher carrying the sharded
-// engine's configuration — deliberately without any scale estimation.
-func (ss *ShardedSearcher) newShardEngine(ix index.Index) *Searcher {
-	s := &Searcher{
-		scale:     ss.scale,
-		plus:      ss.plus,
-		adaptive:  ss.adaptive,
-		margin:    ss.margin,
-		backend:   ss.backend,
-		compactAt: ss.compactAt,
-		quant:     ss.quant,
+// newShardEngine builds a shard engine over points carrying the sharded
+// engine's configuration — deliberately without any scale estimation — and
+// its trace ring and compaction histogram.
+func (ss *ShardedSearcher) newShardEngine(points [][]float64) (*Searcher, error) {
+	ix, err := ss.buildIndex(points, ss.metric)
+	if err != nil {
+		return nil, err
 	}
-	if ss.quant {
-		// Shards created after construction (a previously empty shard
-		// receiving its first point) train their own codebook. NewSharded
-		// already validated back-end support, so a failure here is
-		// impossible; ignore it rather than poison the write path.
-		if qf, ok := ix.(index.QuantFiltered); ok && qf.QuantCodebook() == nil {
-			_ = qf.EnableQuantFilter(nil)
+	s := newSearcher(ss.engineConfig, ix)
+	s.traceRing.Store(ss.traceRing.Load())
+	s.compactHist.Store(ss.compactHist.Load())
+	return s, nil
+}
+
+// shardsDynamic reports whether the populated shards take writes (all
+// shards share one back-end, so the first decides).
+func (ss *ShardedSearcher) shardsDynamic() bool {
+	for _, slot := range ss.slots {
+		if eng := slot.eng.Load(); eng != nil {
+			_, ok := eng.snap.Load().ix.(index.Cloner)
+			return ok
 		}
 	}
-	s.snap.Store(&snapshot{ix: wrapOverlay(ix)})
-	if ring := ss.traceRing.Load(); ring != nil {
-		s.traceRing.Store(ring)
-	}
-	if h := ss.compactHist.Load(); h != nil {
-		s.compactHist.Store(h)
-	}
-	return s
+	return false
 }
 
 // Shards returns the shard count.
@@ -491,7 +442,7 @@ func (ss *ShardedSearcher) newScatterSet(views []shardView, m *index.ShardMap) *
 	for i := range views {
 		clients[i] = localShard{views[i]}
 	}
-	sc := &scatterSet{clients: clients, m: m, metric: ss.metric, dim: ss.dim}
+	sc := &scatterSet{clients: clients, m: m, metric: ss.metric, dim: ss.dim, backend: ss.backend}
 	if p := ss.shardTel.Load(); p != nil {
 		sts := *p
 		sc.onStats = func(i int, st core.Stats) { sts[views[i].shard].observe(st) }
@@ -556,32 +507,11 @@ func (ss *ShardedSearcher) KNNContext(ctx context.Context, q []float64, k int) (
 	if tel != nil {
 		begin = time.Now()
 	}
-	ksp := trace.FromContext(ctx).Child("core.knn")
-	if ksp != nil {
-		ksp.SetStr("backend", string(ss.backend))
-		ksp.SetInt("k", int64(k))
-		ctx = trace.With(ctx, ksp)
-		defer ksp.End()
-	}
-	if err := vecmath.ValidateFor(ss.metric, q); err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(q) != ss.dim {
-		return nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), ss.dim)
-	}
-	views, m := ss.pin()
-	merged, err := ss.newScatterSet(views, m).knn(ctx, q, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(merged))
-	for i, nb := range merged {
-		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
-	}
-	if tel != nil {
+	out, err := ss.newScatterSet(ss.pin()).knn(ctx, q, k)
+	if tel != nil && err == nil {
 		tel.observeOp(opKNN, 1, begin)
 	}
-	return out, nil
+	return out, err
 }
 
 // BatchReverseKNN answers many member queries concurrently on a worker
@@ -594,50 +524,25 @@ func (ss *ShardedSearcher) BatchReverseKNN(qids []int, k, workers int) ([][]int,
 
 // BatchReverseKNNContext is BatchReverseKNN with cancellation. The whole
 // batch runs against one pinned set of shard snapshots, so its results are
-// mutually consistent even while Insert/Delete run concurrently. The pool
-// scaffolding is core.ForEach — the same clamps and cancellation contract
-// as the single-engine batch.
+// mutually consistent even while Insert/Delete run concurrently; see
+// batchByID for the pool and the error precedence.
 func (ss *ShardedSearcher) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
 	tel := ss.tel.Load()
 	var begin time.Time
 	if tel != nil {
 		begin = time.Now()
 	}
-	views, m := ss.pin()
-	sc := ss.newScatterSet(views, m)
-	out := make([][]int, len(qids))
-	errs := make([]error, len(qids))
-	err := core.ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) error {
-		ids, _, err := ss.reverseKNN(ctx, sc, qids[i], nil, k, opBatch)
-		if err != nil {
-			errs[i] = err
-			return err
-		}
-		out[i] = ids
-		return nil
+	sc := ss.newScatterSet(ss.pin())
+	out, err := batchByID(ctx, qids, workers, func(ctx context.Context, qid int) ([]int, error) {
+		ids, _, err := ss.reverseKNN(ctx, sc, qid, nil, k, opBatch)
+		return ids, err
 	})
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		for i, e := range errs {
-			if e != nil && !errors.Is(e, context.Canceled) {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
-			}
-		}
-		for i, e := range errs {
-			if e != nil {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
-			}
-		}
-		return nil, fmt.Errorf("rknnd: %w", err) // invalid arguments (negative workers)
-	}
-	if tel != nil {
+	if tel != nil && err == nil {
 		// Members already counted themselves in reverseKNN; the batch call
 		// contributes the single latency observation.
 		tel.observeLatency(opBatch, begin)
 	}
-	return out, nil
+	return out, err
 }
 
 // Insert adds a point to its hash-assigned shard and returns its new
@@ -645,79 +550,16 @@ func (ss *ShardedSearcher) BatchReverseKNNContext(ctx context.Context, qids []in
 // BackendLSH). The shard map is published before the shard snapshot, so a
 // concurrent query either sees neither or can translate everything it sees
 // (an ID caught in that window answers as not-found until the insert
-// completes).
+// completes). On a durable engine a log failure returns the ID beside the
+// error: the point is applied in memory but not logged (see InsertBatch).
 func (ss *ShardedSearcher) Insert(p []float64) (int, error) {
 	return ss.InsertContext(context.Background(), p)
 }
 
-// InsertContext is Insert with a context; a traced context records a
-// "facade.apply" span covering the lock, shard-map clone, and shard
-// mutation (WAL spans nest beneath it on a durable engine).
+// InsertContext is Insert with a context: the one-point form of
+// InsertBatchContext.
 func (ss *ShardedSearcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	tel := ss.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	if asp != nil {
-		asp.SetStr("op", "insert")
-		ctx = trace.With(ctx, asp)
-		defer asp.End()
-	}
-	g, err := ss.applyInsert(ctx, p)
-	if tel != nil && err == nil {
-		tel.observeOp(opInsert, 1, begin)
-	}
-	return g, err
-}
-
-func (ss *ShardedSearcher) applyInsert(ctx context.Context, p []float64) (int, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if !ss.dynamic {
-		return 0, errors.New("rknnd: back-end does not support insertion")
-	}
-	if ss.broken != nil {
-		return 0, ss.broken
-	}
-	if err := vecmath.ValidateFor(ss.metric, p); err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(p) != ss.dim {
-		return 0, fmt.Errorf("rknnd: point dimension %d, index dimension %d", len(p), ss.dim)
-	}
-	m := ss.smap.Load()
-	m2 := m.Clone()
-	g, s, l := m2.Assign()
-	ss.smap.Store(m2)
-
-	eng := ss.slots[s].eng.Load()
-	if eng == nil {
-		neweng, err := ss.createShard(ctx, s, p)
-		if err != nil {
-			ss.smap.Store(m) // the assignment never took effect
-			return 0, err
-		}
-		ss.slots[s].eng.Store(neweng)
-		return g, nil
-	}
-	local, applied, err := ss.insertShard(ctx, s, eng, p)
-	if !applied {
-		ss.smap.Store(m)
-		return 0, err
-	}
-	if local != l {
-		// The shard engine and the map disagree on the local ID — a broken
-		// invariant that would silently corrupt every future translation.
-		panic(fmt.Sprintf("rknnd: shard %d assigned local id %d, shard map expected %d", s, local, l))
-	}
-	if err != nil {
-		// Applied in memory but not durably logged (WAL failure): the map
-		// entry must stay, matching the visible in-memory state.
-		return g, err
-	}
-	return g, nil
+	return firstID(ss.InsertBatchContext(ctx, [][]float64{p}))
 }
 
 // Delete removes the dataset member with the given global ID, reporting
@@ -728,7 +570,7 @@ func (ss *ShardedSearcher) Delete(global int) (bool, error) {
 	return ss.DeleteContext(context.Background(), global)
 }
 
-// DeleteContext is Delete with a context, traced like InsertContext.
+// DeleteContext is Delete with a context, traced like InsertBatchContext.
 func (ss *ShardedSearcher) DeleteContext(ctx context.Context, global int) (bool, error) {
 	tel := ss.tel.Load()
 	var begin time.Time
@@ -737,7 +579,7 @@ func (ss *ShardedSearcher) DeleteContext(ctx context.Context, global int) (bool,
 	}
 	asp := trace.FromContext(ctx).Child("facade.apply")
 	if asp != nil {
-		asp.SetStr("op", "delete")
+		asp.SetStr("op", opDelete)
 		ctx = trace.With(ctx, asp)
 		defer asp.End()
 	}
@@ -757,58 +599,29 @@ func (ss *ShardedSearcher) applyDelete(ctx context.Context, global int) (bool, e
 	if ss.broken != nil {
 		return false, ss.broken
 	}
-	m := ss.smap.Load()
-	s, l, ok := m.Locate(global)
-	if !ok {
+	s, l, ok := ss.smap.Load().Locate(global)
+	if !ok || ss.slots[s].w == nil {
 		return false, nil
 	}
-	eng := ss.slots[s].eng.Load()
-	if eng == nil {
-		return false, nil
-	}
-	return ss.deleteShard(ctx, s, eng, l)
-}
-
-// plainInsert routes an applied mutation to an in-memory shard engine.
-func (ss *ShardedSearcher) plainInsert(ctx context.Context, shard int, eng *Searcher, p []float64) (int, bool, error) {
-	id, err := eng.InsertContext(ctx, p)
-	if err != nil {
-		return 0, false, err
-	}
-	return id, true, nil
-}
-
-// plainCreate builds a fresh single-point shard engine for a shard that
-// was empty until now.
-func (ss *ShardedSearcher) plainCreate(_ context.Context, shard int, p []float64) (*Searcher, error) {
-	ix, err := harness.BuildBackend(string(ss.backend), [][]float64{vecmath.Clone(p)}, ss.metric)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
-	}
-	return ss.newShardEngine(ix), nil
-}
-
-// plainDelete routes a deletion to an in-memory shard engine.
-func (ss *ShardedSearcher) plainDelete(ctx context.Context, shard int, eng *Searcher, local int) (bool, error) {
-	return eng.DeleteContext(ctx, local)
+	return ss.slots[s].w.DeleteContext(ctx, l)
 }
 
 // InsertBatch adds many points in one write step: one shard-map clone, one
 // lock acquisition, and per involved shard one overlay clone (and, on a
 // durable engine, one WAL append with at most one fsync) for the whole
-// batch. IDs are returned in input order. The batch is atomic in the common
-// case; a failure applying one shard's group after the map is published (a
-// disk fault mid-batch) leaves the other groups visible, returns the IDs
-// with the error, and — when a group could not be applied in memory at all
-// — permanently poisons the write path rather than let the shard map's
-// local-ID accounting diverge from the engines (reads stay correct; the
-// orphaned IDs answer as not-found).
+// batch. IDs are returned in input order. A write that returns no IDs left
+// nothing applied. A failure after some shard's group became visible (a
+// disk fault mid-batch) leaves the applied groups visible and returns the
+// IDs with the error; see applyInsertBatch for when that also poisons the
+// write path.
 func (ss *ShardedSearcher) InsertBatch(points [][]float64) ([]int, error) {
 	return ss.InsertBatchContext(context.Background(), points)
 }
 
-// InsertBatchContext is InsertBatch with a context, traced like
-// InsertContext with the batch size attached.
+// InsertBatchContext is InsertBatch with a context; a traced context
+// records a "facade.apply" span covering the lock, shard-map clone, and
+// shard mutations (each shard's own apply span, and the WAL spans of a
+// durable engine, nest beneath it).
 func (ss *ShardedSearcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
 	if len(points) == 0 {
 		return nil, nil
@@ -820,19 +633,29 @@ func (ss *ShardedSearcher) InsertBatchContext(ctx context.Context, points [][]fl
 	}
 	asp := trace.FromContext(ctx).Child("facade.apply")
 	if asp != nil {
-		asp.SetStr("op", "insert_batch")
-		asp.SetInt("points", int64(len(points)))
+		asp.SetStr("op", opInsert)
+		asp.SetInt("members", int64(len(points)))
 		ctx = trace.With(ctx, asp)
 		defer asp.End()
 	}
 	ids, err := ss.applyInsertBatch(ctx, points)
 	if tel != nil && err == nil {
-		tel.countQueries(opInsert, len(ids))
-		tel.observeLatency(opInsert, begin)
+		tel.observeOp(opInsert, len(ids), begin)
 	}
 	return ids, err
 }
 
+// applyInsertBatch is the one insert path. The map is published with the
+// new IDs first, then each involved shard's group goes through its slot's
+// writer. A group can fail two ways. Applied in memory but not logged (a
+// durable writer's log failure): its IDs stand, matching the visible state,
+// and only that shard's store refuses from then on. Refused un-applied:
+// if no group of this call is visible yet, the previous map is restored and
+// the write never happened — always the case for a one-shard write, so a
+// single insert is all-or-nothing; otherwise the map already names IDs no
+// engine holds, and the engine poisons its write path (broken) rather than
+// let the map's local-ID accounting diverge from the engines (reads stay
+// correct; the orphaned IDs answer as not-found).
 func (ss *ShardedSearcher) applyInsertBatch(ctx context.Context, points [][]float64) ([]int, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -844,28 +667,28 @@ func (ss *ShardedSearcher) applyInsertBatch(ctx context.Context, points [][]floa
 	}
 	for i, p := range points {
 		if err := vecmath.ValidateFor(ss.metric, p); err != nil {
-			return nil, fmt.Errorf("rknnd: batch point %d: %w", i, err)
+			return nil, fmt.Errorf("rknnd: point %d: %w", i, err)
 		}
 		if len(p) != ss.dim {
-			return nil, fmt.Errorf("rknnd: batch point %d: dimension %d, index dimension %d", i, len(p), ss.dim)
+			return nil, fmt.Errorf("rknnd: point %d: dimension %d, index dimension %d", i, len(p), ss.dim)
 		}
 	}
-	// The shard of every batch member is a pure function of the current
-	// global count, so the involved shards are known — and preflighted —
-	// before any ID is assigned.
+	// The shard of every member is a pure function of the current global
+	// count, so the involved shards are known — and their stores checked —
+	// before any ID is assigned: a closed or poisoned store rejects the
+	// whole write cleanly instead of tearing it.
 	m := ss.smap.Load()
-	members := make(map[int][]int, len(ss.slots)) // shard -> batch indexes, in order
+	groups := make([][]int, len(ss.slots)) // shard -> positions in points, in order
 	for i := range points {
-		s := index.ShardOf(m.Len()+i, ss.Shards())
-		members[s] = append(members[s], i)
+		s := index.ShardOf(m.Len()+i, len(ss.slots))
+		groups[s] = append(groups[s], i)
 	}
-	if ss.preflightInsert != nil {
-		shards := make([]int, 0, len(members))
-		for s := range members {
-			shards = append(shards, s)
+	for s, idx := range groups {
+		if len(idx) == 0 {
+			continue
 		}
-		if err := ss.preflightInsert(shards); err != nil {
-			return nil, err
+		if err := ss.slots[s].writable(); err != nil {
+			return nil, fmt.Errorf("rknnd: shard %d: %w", s, err)
 		}
 	}
 
@@ -874,27 +697,16 @@ func (ss *ShardedSearcher) applyInsertBatch(ctx context.Context, points [][]floa
 	locals := make([]int, len(points))
 	for i := range points {
 		g, s, l := m2.Assign()
-		if s != index.ShardOf(g, ss.Shards()) {
-			panic(fmt.Sprintf("rknnd: shard map assigned id %d to shard %d, hash expected %d", g, s, index.ShardOf(g, ss.Shards())))
+		if s != index.ShardOf(g, len(ss.slots)) {
+			panic(fmt.Sprintf("rknnd: shard map assigned id %d to shard %d, hash expected %d", g, s, index.ShardOf(g, len(ss.slots))))
 		}
 		ids[i], locals[i] = g, l
 	}
 	ss.smap.Store(m2)
 
 	var firstErr error
-	fail := func(shard int, err error, applied bool) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("rknnd: batch shard %d: %w", shard, err)
-		}
-		if !applied {
-			// The map now names IDs no engine holds; a later insert to this
-			// shard would receive a local ID the map has already spent.
-			// Refuse all future writes instead of corrupting translations.
-			ss.broken = fmt.Errorf("rknnd: writes disabled: batch left shard %d inconsistent: %w", shard, err)
-		}
-	}
-	for shard := 0; shard < len(ss.slots); shard++ {
-		idx := members[shard]
+	visible := false // a group of this call has reached its shard engine
+	for shard, idx := range groups {
 		if len(idx) == 0 {
 			continue
 		}
@@ -902,56 +714,61 @@ func (ss *ShardedSearcher) applyInsertBatch(ctx context.Context, points [][]floa
 		for j, i := range idx {
 			pts[j] = points[i]
 		}
-		eng := ss.slots[shard].eng.Load()
-		if eng == nil {
-			neweng, err := ss.createShardBatch(ctx, shard, pts)
-			if err != nil {
-				fail(shard, err, false)
-				continue
+		got, err := ss.insertGroup(ctx, shard, pts)
+		if err != nil {
+			err = fmt.Errorf("rknnd: shard %d: %w", shard, err)
+			if firstErr == nil {
+				firstErr = err
 			}
-			ss.slots[shard].eng.Store(neweng)
+		}
+		if got == nil {
+			if !visible {
+				ss.smap.Store(m) // the assignment never took effect
+				return nil, err
+			}
+			ss.broken = fmt.Errorf("rknnd: writes disabled: a write left shard %d without ids the shard map assigned: %w", shard, err)
 			continue
 		}
-		got, applied, err := ss.insertShardBatch(ctx, shard, eng, pts)
-		if !applied {
-			fail(shard, err, false)
-			continue
-		}
+		visible = true
 		for j, i := range idx {
 			if got[j] != locals[i] {
+				// The shard engine and the map disagree on a local ID — a
+				// broken invariant that would silently corrupt every future
+				// translation.
 				panic(fmt.Sprintf("rknnd: shard %d assigned local id %d, shard map expected %d", shard, got[j], locals[i]))
 			}
 		}
-		if err != nil {
-			fail(shard, err, true) // applied but not durably logged
+	}
+	return ids, firstErr
+}
+
+// insertGroup applies one shard's group of an insert through the slot's
+// writer and returns the local IDs it assigned; nil IDs mean the group was
+// refused un-applied. The first group to land on an empty shard builds its
+// engine (over copies: the index retains its rows) and, on a durable
+// engine, opens the shard's store, whose initial snapshot carries the
+// points — no WAL record needed.
+func (ss *ShardedSearcher) insertGroup(ctx context.Context, shard int, pts [][]float64) ([]int, error) {
+	slot := ss.slots[shard]
+	if slot.w != nil {
+		return slot.w.InsertBatchContext(ctx, pts)
+	}
+	locals := make([]int, len(pts))
+	rows := make([][]float64, len(pts))
+	for i, p := range pts {
+		locals[i], rows[i] = i, vecmath.Clone(p)
+	}
+	eng, err := ss.newShardEngine(rows)
+	if err != nil {
+		return nil, err
+	}
+	var w shardWriter = eng
+	if ss.openStore != nil {
+		if w, err = ss.openStore(shard, eng); err != nil {
+			return nil, err
 		}
 	}
-	if firstErr != nil {
-		return ids, firstErr
-	}
-	return ids, nil
-}
-
-// plainInsertBatch routes a batch to an in-memory shard engine: one overlay
-// clone for the whole group.
-func (ss *ShardedSearcher) plainInsertBatch(ctx context.Context, shard int, eng *Searcher, pts [][]float64) ([]int, bool, error) {
-	ids, err := eng.InsertBatchContext(ctx, pts)
-	if err != nil {
-		return nil, false, err
-	}
-	return ids, true, nil
-}
-
-// plainCreateBatch builds a fresh shard engine for a shard that was empty
-// until now, holding the whole group.
-func (ss *ShardedSearcher) plainCreateBatch(_ context.Context, shard int, pts [][]float64) (*Searcher, error) {
-	cp := make([][]float64, len(pts))
-	for i, p := range pts {
-		cp[i] = vecmath.Clone(p)
-	}
-	ix, err := harness.BuildBackend(string(ss.backend), cp, ss.metric)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
-	}
-	return ss.newShardEngine(ix), nil
+	slot.w = w
+	slot.eng.Store(eng)
+	return locals, nil
 }

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -150,6 +151,7 @@ type scatterSet struct {
 	m       *index.ShardMap
 	metric  Metric
 	dim     int
+	backend Backend // labels the spans this layer opens
 	// onStats, when set, receives each scatter visit's work counters after
 	// a successful scatter (i indexes clients) — the per-shard telemetry
 	// hook.
@@ -425,11 +427,22 @@ func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64,
 }
 
 // knn is the scatter-gather forward-kNN query: per-shard top-k lists,
-// k-way merged to global top-k. The caller validates q and owns the
-// "core.knn" span (bound into ctx); each shard records a "shard.scatter"
-// child.
-func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]index.Neighbor, error) {
-	sp := trace.FromContext(ctx)
+// k-way merged to global top-k in ascending (distance, ID) order. A traced
+// context records one "core.knn" stage with a "shard.scatter" child per
+// shard.
+func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
+	sp := trace.FromContext(ctx).Child("core.knn")
+	if sp != nil {
+		sp.SetStr("backend", string(sc.backend))
+		sp.SetInt("k", int64(k))
+		defer sp.End()
+	}
+	if err := vecmath.ValidateFor(sc.metric, q); err != nil {
+		return nil, fmt.Errorf("rknnd: %w", err)
+	}
+	if len(q) != sc.dim {
+		return nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), sc.dim)
+	}
 	lists := make([][]index.Neighbor, len(sc.clients))
 	err := core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
 		c := sc.clients[i]
@@ -461,5 +474,41 @@ func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]index.Neig
 	if err != nil {
 		return nil, wrapShardErr(err)
 	}
-	return core.MergeKNN(lists, k, nil), nil
+	merged := core.MergeKNN(lists, k, nil)
+	out := make([]Neighbor, len(merged))
+	for i, nb := range merged {
+		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
+	}
+	return out, nil
+}
+
+// batchByID answers many member queries concurrently over one scatter set —
+// so the results are mutually consistent even while writes run — on
+// core.ForEach's worker pool (the same clamps and cancellation contract as
+// the single-engine batch). query answers one member; the engine that owns
+// the set wraps its telemetry around scatterSet.reverseKNN there. A failed
+// batch reports, in order of precedence: the context's own error, the first
+// member (in input order) that failed for a reason other than the pool
+// cancelling it, any failed member, the pool's argument error.
+func batchByID(ctx context.Context, qids []int, workers int, query func(ctx context.Context, qid int) ([]int, error)) ([][]int, error) {
+	out := make([][]int, len(qids))
+	errs := make([]error, len(qids))
+	err := core.ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) error {
+		out[i], errs[i] = query(ctx, qids[i])
+		return errs[i]
+	})
+	if err == nil {
+		return out, nil
+	}
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	for _, skipCancelled := range []bool{true, false} {
+		for i, e := range errs {
+			if e != nil && !(skipCancelled && errors.Is(e, context.Canceled)) {
+				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
+			}
+		}
+	}
+	return nil, fmt.Errorf("rknnd: %w", err) // invalid arguments (negative workers)
 }

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -107,9 +106,9 @@ func writeShardManifest(dir string, shards int) error {
 // their own on-disk store: every Insert and Delete is write-ahead logged in
 // the owning shard's log before being acknowledged, and Snapshot cuts a
 // new generation in every shard store. Queries are served exactly as by
-// the embedded ShardedSearcher. All mutations MUST go through the
-// DurableShardedSearcher (they do automatically — the embedded engine's
-// mutation hooks are rebound to the logs).
+// the embedded ShardedSearcher. All mutations go through the logs
+// automatically: every shard slot's writer is the shard's DurableSearcher,
+// so the embedded engine's one write path is the logged one.
 //
 // Relaxed sync caveat: with WithWALSync(0) or n > 1, an OS crash (not a
 // process crash — unsynced appends still reach the OS immediately) can
@@ -147,11 +146,10 @@ func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (*D
 		return nil, fmt.Errorf("rknnd: create sharded store in %s: %w", dir, err)
 	}
 	d := &DurableShardedSearcher{
-		ShardedSearcher: ss,
-		dir:             dir,
-		walOpts:         opts,
-		durables:        make([]*DurableSearcher, ss.Shards()),
-		recovery:        make([]RecoveryInfo, ss.Shards()),
+		dir:      dir,
+		walOpts:  opts,
+		durables: make([]*DurableSearcher, ss.Shards()),
+		recovery: make([]RecoveryInfo, ss.Shards()),
 	}
 	for i, slot := range ss.slots {
 		eng := slot.eng.Load()
@@ -170,7 +168,7 @@ func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (*D
 		d.closeStores()
 		return nil, fmt.Errorf("rknnd: commit sharded store manifest: %w", err)
 	}
-	d.bindHooks()
+	d.bind(ss)
 	return d, nil
 }
 
@@ -236,27 +234,25 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 	}
 
 	ss := &ShardedSearcher{
-		scale:    proto.scale,
-		plus:     proto.plus,
-		adaptive: proto.adaptive,
-		margin:   proto.margin,
-		backend:  proto.backend,
-		metric:   proto.snap.Load().ix.Metric(),
-		dim:      proto.Dim(),
-		slots:    make([]*shardSlot, shards),
+		engineConfig: proto.engineConfig,
+		metric:       proto.snap.Load().ix.Metric(),
+		dim:          proto.Dim(),
+		slots:        make([]*shardSlot, shards),
 	}
 	for i := range ss.slots {
 		ss.slots[i] = &shardSlot{}
 		if ds := d.durables[i]; ds != nil {
-			if !ss.dynamic {
-				_, ss.dynamic = ds.snap.Load().ix.(index.Cloner)
-			}
 			ss.slots[i].eng.Store(ds.Searcher)
+			// A store written before the filter was carried across restarts
+			// can hold a shard without a codebook (which is why
+			// sameEngineConfig does not compare it): the filter is on if any
+			// shard has it, and shards created from here on train their own.
+			ss.quant = ss.quant || ds.quant
 		}
 	}
+	ss.dynamic = ss.shardsDynamic()
 	ss.smap.Store(m)
-	d.ShardedSearcher = ss
-	d.bindHooks()
+	d.bind(ss)
 	return d, nil
 }
 
@@ -273,7 +269,9 @@ func engineIDSpan(s *Searcher) int {
 // sameEngineConfig verifies that two recovered shard engines carry the
 // same engine configuration; shards of one store must be interchangeable.
 func sameEngineConfig(a, b *Searcher) error {
-	if a.scale != b.scale || a.plus != b.plus || a.adaptive != b.adaptive || a.margin != b.margin || a.backend != b.backend {
+	ac, bc := a.engineConfig, b.engineConfig
+	ac.quant, bc.quant = false, false // see OpenSharded
+	if ac != bc {
 		return fmt.Errorf("shard engine configuration mismatch (scale %v/%v, backend %s/%s)", a.scale, b.scale, a.backend, b.backend)
 	}
 	if a.Dim() != b.Dim() {
@@ -290,15 +288,17 @@ func sameEngineConfig(a, b *Searcher) error {
 	return nil
 }
 
-// bindHooks reroutes the embedded engine's mutations through the per-shard
-// write-ahead logs.
-func (d *DurableShardedSearcher) bindHooks() {
-	d.ShardedSearcher.insertShard = d.durableInsert
-	d.ShardedSearcher.createShard = d.durableCreate
-	d.ShardedSearcher.deleteShard = d.durableDelete
-	d.ShardedSearcher.insertShardBatch = d.durableInsertBatch
-	d.ShardedSearcher.createShardBatch = d.durableCreateBatch
-	d.ShardedSearcher.preflightInsert = d.durablePreflight
+// bind makes ss the embedded engine and routes its writes through the shard
+// stores: every populated slot writes through its DurableSearcher, and a
+// shard populated later opens its store through openShardStore.
+func (d *DurableShardedSearcher) bind(ss *ShardedSearcher) {
+	d.ShardedSearcher = ss
+	for i, ds := range d.durables {
+		if ds != nil {
+			ss.slots[i].w = ds
+		}
+	}
+	ss.openStore = d.openShardStore
 }
 
 func (d *DurableShardedSearcher) closeStores() {
@@ -309,41 +309,19 @@ func (d *DurableShardedSearcher) closeStores() {
 	}
 }
 
-// durableInsert applies an insert on a populated shard and logs it before
-// acknowledging, with the same poisoning contract as DurableSearcher: a
-// log failure disables the shard's store but the global ID assignment
-// stands, matching the visible in-memory state.
-func (d *DurableShardedSearcher) durableInsert(ctx context.Context, shard int, eng *Searcher, p []float64) (int, bool, error) {
-	if d.closed {
-		return 0, false, errClosed
-	}
-	ds := d.durables[shard]
-	ds.wmu.Lock()
-	defer ds.wmu.Unlock()
-	if err := ds.usable(); err != nil {
-		return 0, false, err
-	}
-	id, err := ds.Searcher.InsertContext(ctx, p)
-	if err != nil {
-		return 0, false, err
-	}
-	if err := ds.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALInsert, ID: id, Point: p}); err != nil {
-		return id, true, ds.disable(err)
-	}
-	return id, true, nil
-}
-
-// durableCreate populates a previously empty shard: a fresh single-point
-// engine and a fresh shard store whose initial snapshot carries the point
-// (no WAL record needed).
-func (d *DurableShardedSearcher) durableCreate(ctx context.Context, shard int, p []float64) (*Searcher, error) {
+// openShardStore opens the store of a shard engine just built for a
+// previously empty shard; the initial snapshot carries the engine's points.
+// A process crash between the appends of different shards' groups can tear
+// a multi-shard batch across logs; recovery then refuses to open (the
+// ID-span cross-check) rather than renumber survivors.
+func (d *DurableShardedSearcher) openShardStore(shard int, eng *Searcher) (shardWriter, error) {
 	if d.closed {
 		return nil, errClosed
 	}
 	// The new store's snapshot is fully fsynced the moment it exists.
 	// Under a relaxed sync policy the sibling shards may still hold
 	// unsynced WAL tails for earlier acknowledged writes; an OS crash
-	// then would persist this (later) point while losing those (earlier)
+	// then would persist these (later) points while losing those (earlier)
 	// ones, skewing the per-shard ID spans the recovery cross-check
 	// relies on. Syncing every sibling log first keeps the durable state
 	// a prefix of the acknowledged writes. (Callers hold the engine's
@@ -353,125 +331,16 @@ func (d *DurableShardedSearcher) durableCreate(ctx context.Context, shard int, p
 			continue
 		}
 		if err := ds.store.Sync(); err != nil {
-			return nil, fmt.Errorf("rknnd: shard %d: syncing log before creating shard %d: %w", i, shard, err)
+			return nil, fmt.Errorf("syncing shard %d's log first: %w", i, err)
 		}
-	}
-	eng, err := d.ShardedSearcher.plainCreate(ctx, shard, p)
-	if err != nil {
-		return nil, err
 	}
 	ds, err := NewDurable(shardDirName(d.dir, shard), eng, d.walOpts...)
 	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
-	}
-	d.durables[shard] = ds
-	d.recovery[shard] = RecoveryInfo{Generation: 1}
-	return eng, nil
-}
-
-// durablePreflight verifies that every shard store a batch will touch can
-// still accept writes, before any global ID is assigned — so a poisoned or
-// closed store rejects the whole batch cleanly instead of tearing it.
-func (d *DurableShardedSearcher) durablePreflight(shards []int) error {
-	if d.closed {
-		return errClosed
-	}
-	for _, s := range shards {
-		ds := d.durables[s]
-		if ds == nil {
-			continue // shard store is created with the group
-		}
-		ds.wmu.Lock()
-		err := ds.usable()
-		ds.wmu.Unlock()
-		if err != nil {
-			return fmt.Errorf("rknnd: shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
-// durableInsertBatch applies one shard's group of a batch insert and logs
-// it as a single WAL append (at most one fsync), with the same poisoning
-// contract as durableInsert. A process crash between the appends of
-// different shards' groups can tear a multi-shard batch across logs;
-// recovery then refuses to open (the ID-span cross-check) rather than
-// renumber survivors.
-func (d *DurableShardedSearcher) durableInsertBatch(ctx context.Context, shard int, eng *Searcher, pts [][]float64) ([]int, bool, error) {
-	if d.closed {
-		return nil, false, errClosed
-	}
-	ds := d.durables[shard]
-	ds.wmu.Lock()
-	defer ds.wmu.Unlock()
-	if err := ds.usable(); err != nil {
-		return nil, false, err
-	}
-	ids, err := ds.Searcher.InsertBatchContext(ctx, pts)
-	if err != nil {
-		return nil, false, err
-	}
-	records := make([]persist.WALRecord, len(ids))
-	for i, id := range ids {
-		records[i] = persist.WALRecord{Op: persist.WALInsert, ID: id, Point: pts[i]}
-	}
-	if err := ds.store.AppendBatchCtx(ctx, records); err != nil {
-		return ids, true, ds.disable(err)
-	}
-	return ids, true, nil
-}
-
-// durableCreateBatch populates a previously empty shard with a whole batch
-// group: a fresh engine and a fresh shard store whose initial snapshot
-// carries the points (no WAL records needed). The sibling-sync discipline
-// of durableCreate applies unchanged.
-func (d *DurableShardedSearcher) durableCreateBatch(ctx context.Context, shard int, pts [][]float64) (*Searcher, error) {
-	if d.closed {
-		return nil, errClosed
-	}
-	for i, ds := range d.durables {
-		if ds == nil || ds.store == nil {
-			continue
-		}
-		if err := ds.store.Sync(); err != nil {
-			return nil, fmt.Errorf("rknnd: shard %d: syncing log before creating shard %d: %w", i, shard, err)
-		}
-	}
-	eng, err := d.ShardedSearcher.plainCreateBatch(ctx, shard, pts)
-	if err != nil {
 		return nil, err
 	}
-	ds, err := NewDurable(shardDirName(d.dir, shard), eng, d.walOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: shard %d: %w", shard, err)
-	}
 	d.durables[shard] = ds
 	d.recovery[shard] = RecoveryInfo{Generation: 1}
-	return eng, nil
-}
-
-// durableDelete applies and logs a point deletion on its shard.
-func (d *DurableShardedSearcher) durableDelete(ctx context.Context, shard int, eng *Searcher, local int) (bool, error) {
-	if d.closed {
-		return false, errClosed
-	}
-	ds := d.durables[shard]
-	if ds == nil {
-		return false, nil
-	}
-	ds.wmu.Lock()
-	defer ds.wmu.Unlock()
-	if err := ds.usable(); err != nil {
-		return false, err
-	}
-	ok, err := ds.Searcher.DeleteContext(ctx, local)
-	if err != nil || !ok {
-		return ok, err
-	}
-	if err := ds.store.AppendCtx(ctx, persist.WALRecord{Op: persist.WALDelete, ID: local}); err != nil {
-		return false, ds.disable(err)
-	}
-	return true, nil
+	return ds, nil
 }
 
 // Recovery returns what OpenSharded found on disk, indexed by shard

@@ -1,11 +1,8 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/harness"
 	"repro/internal/index"
 	"repro/internal/vecmath"
 )
@@ -167,41 +164,25 @@ func (ss *ShardedSearcher) MetricIdentity() (uint8, float64, error) {
 	return uint8(id), param, err
 }
 
-// EstimateScale estimates the scale parameter t over the full dataset
-// exactly the way NewSharded does before partitioning: the configured
-// estimator (WithAutoScale, default MLE) runs against an exact scan index
-// over all points, the margin (WithScaleMargin) is added, and the result
-// is clamped to at least 1. A shard daemon uses this so S independently
-// started processes, each holding one partition, agree on the t a single
+// EstimateScale returns the scale parameter t that NewSharded over the same
+// points and options settles on before partitioning: unless the options pin
+// it (WithScale) or make it adaptive (0), the configured estimator
+// (WithAutoScale, default MLE) runs against an exact scan index over all
+// points, the margin (WithScaleMargin) is added, and the result is clamped
+// to at least 1. A shard daemon uses this so S independently started
+// processes, each holding one partition, agree on the t a single
 // ShardedSearcher over the same dataset would use — a prerequisite for
 // byte-identical networked answers.
 func EstimateScale(points [][]float64, opts ...Option) (float64, error) {
-	cfg := config{
-		metric:  Euclidean,
-		backend: BackendCoverTree,
-		scale:   math.NaN(),
-		auto:    EstimatorMLE,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.metric == nil {
-		return 0, errors.New("rknnd: nil metric")
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return 0, err
 	}
 	if err := vecmath.ValidateAllFor(cfg.metric, points); err != nil {
 		return 0, fmt.Errorf("rknnd: %w", err)
 	}
-	full, err := harness.BuildBackend(string(BackendScan), points, cfg.metric)
-	if err != nil {
-		return 0, fmt.Errorf("rknnd: %w", err)
+	if err := cfg.resolveScale(nil, points); err != nil {
+		return 0, err
 	}
-	t, err := estimate(cfg.auto, full, points, cfg.metric)
-	if err != nil {
-		return 0, fmt.Errorf("rknnd: estimating scale parameter: %w", err)
-	}
-	t += cfg.margin
-	if t < 1 {
-		t = 1
-	}
-	return t, nil
+	return cfg.scale, nil
 }

@@ -2,6 +2,9 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -372,5 +375,134 @@ func TestShardedPointRaceReturnsNotFound(t *testing.T) {
 		if p := ss.Point(id); len(p) != 3 {
 			t.Errorf("Point(%d) = %v after writer finished", id, p)
 		}
+	}
+}
+
+// TestDurableLogFailureReportsAssignedIDs pins how a caller tells "applied
+// in memory, not logged" from "not applied" when the log fails: the failing
+// insert returns the IDs it assigned beside the error, a refused one none.
+// (fault_test.go covers the rest of the contract.)
+func TestDurableLogFailureReportsAssignedIDs(t *testing.T) {
+	extra := indextest.RandPoints(4, 3, 52)
+	for _, batch := range []bool{false, true} {
+		s, err := New(indextest.RandPoints(40, 3, 51), WithScale(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDurable(t.TempDir(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		breakStore(t, d.store)
+		if batch {
+			ids, err := d.InsertBatch(extra[:3])
+			if err == nil || !reflect.DeepEqual(ids, []int{40, 41, 42}) {
+				t.Errorf("unlogged batch = (%v, %v), want ids 40..42 beside the error", ids, err)
+			}
+		} else if id, err := d.Insert(extra[0]); err == nil || id != 40 {
+			t.Errorf("unlogged insert = (%d, %v), want id 40 beside the error", id, err)
+		}
+		if id, err := d.Insert(extra[3]); err == nil || id != 0 {
+			t.Errorf("refused insert = (%d, %v), want no id", id, err)
+		}
+		d.Close()
+	}
+}
+
+// TestShardedInsertRollsBackOrPoisons pins the rule for an insert group
+// refused un-applied after the shard map was published (here: the store of
+// a shard's first points cannot be opened). If no group of the call is
+// visible yet, the map is restored and the engine stays writable — for a
+// batch as for a single insert. If another group already landed, the engine
+// keeps what landed, returns the IDs with the error, and refuses every
+// later write.
+func TestShardedInsertRollsBackOrPoisons(t *testing.T) {
+	const S = 32
+	dir := t.TempDir()
+	ss, err := NewSharded(indextest.RandPoints(3, 3, 61), S, WithScale(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDurableSharded(dir, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	extra := indextest.RandPoints(200, 3, 62)
+	next := func(n int) [][]float64 { pts := extra[:n]; extra = extra[n:]; return pts }
+	// block makes opening shard s's store fail: its directory name is taken
+	// by a file.
+	block := func(s int) string {
+		path := shardDirName(dir, s)
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// shape reports the lowest and highest shard a batch of n would touch.
+	shape := func(n int) (lo, hi int) {
+		lo, hi = S, -1
+		for i := 0; i < n; i++ {
+			s := index.ShardOf(d.IDSpan()+i, S)
+			lo, hi = min(lo, s), max(hi, s)
+		}
+		return lo, hi
+	}
+	empty := func(s int) bool { return d.slots[s].eng.Load() == nil }
+
+	// Rollback: the first group of the batch is the one refused.
+	for lo, _ := shape(3); !empty(lo); lo, _ = shape(3) {
+		if _, err := d.Insert(next(1)[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo, _ := shape(3)
+	span, batch := d.IDSpan(), next(3)
+	path := block(lo)
+	ids, err := d.InsertBatch(batch)
+	if err == nil || ids != nil {
+		t.Fatalf("batch whose first group is refused = (%v, %v), want no ids and an error", ids, err)
+	}
+	if d.IDSpan() != span || d.Len() != span {
+		t.Fatalf("refused batch left span %d len %d, want %d %d (map rolled back)", d.IDSpan(), d.Len(), span, span)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	ids, err = d.InsertBatch(batch)
+	if err != nil || !reflect.DeepEqual(ids, []int{span, span + 1, span + 2}) {
+		t.Fatalf("the same batch after the fault cleared = (%v, %v), want ids from %d", ids, err, span)
+	}
+
+	// Poison: a group lands before the refused one.
+	for {
+		lo, hi := shape(3)
+		if lo != hi && empty(hi) {
+			break
+		}
+		if _, err := d.Insert(next(1)[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, hi := shape(3)
+	span = d.IDSpan()
+	block(hi)
+	ids, err = d.InsertBatch(next(3))
+	if err == nil || len(ids) != 3 {
+		t.Fatalf("batch torn after its first group = (%v, %v), want all ids and an error", ids, err)
+	}
+	for _, g := range ids {
+		if onRefused := index.ShardOf(g, S) == hi; (memberPoint(d, g) == nil) != onRefused {
+			t.Errorf("id %d readable = %v, on the refused shard = %v", g, memberPoint(d, g) != nil, onRefused)
+		}
+	}
+	if _, err := d.Insert(next(1)[0]); err == nil || !strings.Contains(err.Error(), "writes disabled") {
+		t.Errorf("insert after a torn batch: err = %v, want writes disabled", err)
+	}
+	if _, err := d.Delete(0); err == nil || !strings.Contains(err.Error(), "writes disabled") {
+		t.Errorf("delete after a torn batch: err = %v, want writes disabled", err)
+	}
+	if _, err := d.ReverseKNN(0, 2); err != nil {
+		t.Errorf("query after a torn batch: %v", err)
 	}
 }
