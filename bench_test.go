@@ -368,7 +368,7 @@ func BenchmarkSharded(b *testing.B) {
 		qids[i] = (i * 7) % data.Len()
 	}
 	qps := map[string]float64{}
-	for _, S := range []int{1, 4} {
+	for _, S := range []int{1, 2, 4} {
 		ss, err := NewSharded(data.Points, S, WithScale(6))
 		if err != nil {
 			b.Fatal(err)
@@ -384,7 +384,7 @@ func BenchmarkSharded(b *testing.B) {
 			qps[fmt.Sprintf("S=%d", S)] = q
 		})
 	}
-	if len(qps) == 2 {
+	if len(qps) == 3 {
 		// BENCH_shard.json is shared with the networked benchmark
 		// (internal/server); the in-process numbers live under "sharded", a
 		// pre-keyed flat file is adopted under the same key.

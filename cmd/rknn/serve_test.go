@@ -650,10 +650,16 @@ func TestServeTracingAndDebugListener(t *testing.T) {
 	if explained.Trace == nil || explained.Trace.Root.Name != "http./v1/rknn" {
 		t.Fatalf("?debug=1 response lacks an http root trace: %s", raw)
 	}
-	for _, span := range []string{"shard.scatter", "core.rknn", "core.verify", "shard.merge"} {
+	for _, span := range []string{"facade.pin", "core.rknn", "shard.scatter", "core.scan", "core.filter", "core.verify"} {
 		if !strings.Contains(string(raw), span) {
 			t.Errorf("?debug=1 trace missing %s span:\n%s", span, raw)
 		}
+	}
+	if got := strings.Count(string(raw), `"core.rknn"`); got != 1 {
+		t.Errorf("?debug=1 trace holds %d core.rknn spans, want the one run over the merged shard streams:\n%s", got, raw)
+	}
+	if strings.Contains(string(raw), "shard.merge") {
+		t.Errorf("?debug=1 trace still holds the retired shard.merge span:\n%s", raw)
 	}
 
 	var listing struct {

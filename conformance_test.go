@@ -29,9 +29,11 @@ func TestBackendConformance(t *testing.T) {
 	for _, b := range allBackends {
 		b := b
 		t.Run(string(b), func(t *testing.T) {
-			indextest.Run(t, func(pts [][]float64, m vecmath.Metric) (index.Index, error) {
+			build := func(pts [][]float64, m vecmath.Metric) (index.Index, error) {
 				return harness.BuildBackend(string(b), pts, m)
-			})
+			}
+			indextest.Run(t, build)
+			t.Run("tie-order", func(t *testing.T) { indextest.TieOrder(t, build) })
 		})
 	}
 }

@@ -17,13 +17,14 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Coordinator is the networked form of ShardedSearcher: the same
-// scatter-gather algorithm (shard_client.go) running over S `rknn
-// shard-serve` daemons instead of S in-process snapshots. Because the
-// exact-merge proof never mentions where a shard's index lives, a
-// Coordinator over daemons holding the hash partition of a dataset
-// returns byte-identical answers to a ShardedSearcher over the same
-// dataset — the cluster conformance suite in internal/server pins this.
+// Coordinator is the networked form of ShardedSearcher: the same federated
+// index (shard_client.go) over S `rknn shard-serve` daemons instead of S
+// in-process snapshots, with the same core.Querier run over it. Because
+// nothing in that code knows where a shard's index lives, a Coordinator
+// over daemons holding the hash partition of a dataset returns
+// byte-identical answers — and work counters — to a ShardedSearcher and to
+// a Searcher over the same dataset; the cluster conformance suite in
+// internal/server pins this.
 //
 // Each shard may be served by several replicas (ShardSpec.Addrs); the
 // first is the primary and takes the writes, the rest are read-only
@@ -46,13 +47,12 @@ import (
 // serves the same /v1 API (and the same response bytes) as a single
 // process serving the whole dataset.
 type Coordinator struct {
-	shards  []*remoteShard
-	cc      *clusterClient
-	metric  Metric
-	dim     int
-	scale   float64
-	backend Backend
-	approx  bool
+	engineConfig // of the daemons: the coordinator runs their algorithm itself
+	shards       []*remoteShard
+	cc           *clusterClient
+	metric       Metric
+	dim          int
+	approx       bool
 
 	// mu serializes writes: assignment replay depends on the global ID
 	// counter, so writes are ordered here exactly as the in-process engine
@@ -63,6 +63,7 @@ type Coordinator struct {
 	broken atomic.Bool
 
 	reg          *telemetry.Registry
+	shardTel     atomic.Pointer[[]*shardTelemetry] // per-shard stream/probe counters
 	healthEvery  time.Duration
 	stopHealth   chan struct{}
 	healthDone   chan struct{}
@@ -117,8 +118,8 @@ func WithTransport(rt http.RoundTripper) CoordinatorOption {
 
 // NewCoordinator connects to the shard daemons, cross-checks that they
 // form a coherent cluster (matching shard count and roles, dimension,
-// scale, back-end, and metric identity — the same invariants OpenSharded
-// enforces across on-disk shard stores), rebuilds the global shard map
+// scale, algorithm variant, back-end, and metric identity — the same
+// invariants OpenSharded enforces across on-disk shard stores), rebuilds the global shard map
 // from the daemons' ID spans, and starts the replica health loop.
 func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorOption) (*Coordinator, error) {
 	cfg := coordConfig{
@@ -191,6 +192,9 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 		if info.Scale != ref.Scale {
 			return nil, fmt.Errorf("rknnd: shard %d scale %v, shard 0 scale %v", i, info.Scale, ref.Scale)
 		}
+		if info.Plus != ref.Plus || info.Margin != ref.Margin {
+			return nil, fmt.Errorf("rknnd: shard %d runs plus=%v margin=%v, shard 0 plus=%v margin=%v", i, info.Plus, info.Margin, ref.Plus, ref.Margin)
+		}
 		if info.Backend != ref.Backend {
 			return nil, fmt.Errorf("rknnd: shard %d back-end %q, shard 0 back-end %q", i, info.Backend, ref.Backend)
 		}
@@ -209,8 +213,8 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 	}
 	co.metric = metric
 	co.dim = ref.Dim
-	co.scale = ref.Scale
-	co.backend = Backend(ref.Backend)
+	// A daemon reports scale 0 exactly when it adapts t per query.
+	co.engineConfig = engineConfig{scale: ref.Scale, adaptive: ref.Scale == 0, plus: ref.Plus, margin: ref.Margin, backend: Backend(ref.Backend)}
 	co.approx = ref.Approximate
 
 	// The shard map is a pure function of (assignment count, shard count),
@@ -319,11 +323,19 @@ func (co *Coordinator) probeReplica(ctx context.Context, sh *remoteShard, replic
 }
 
 // EnableTelemetry registers the coordinator's cluster instruments on reg:
-// per-remote-shard request/error/retry counters and latency histograms,
-// and a per-replica health gauge the health loop keeps current.
+// per-remote-shard request/error/retry counters and latency histograms, the
+// per-shard skew counters of the in-process sharded engine (rows pulled from
+// each shard's stream, count probes, live points), and a per-replica health
+// gauge the health loop keeps current.
 func (co *Coordinator) EnableTelemetry(reg *telemetry.Registry) {
 	co.reg = reg
 	co.cc.tel.Store(newRemoteTelemetry(reg))
+	sts := make([]*shardTelemetry, len(co.shards))
+	for i := range sts {
+		live := &co.live[i]
+		sts[i] = newShardTelemetry(reg, i, func() int { return int(live.Load()) })
+	}
+	co.shardTel.Store(&sts)
 	for i, sh := range co.shards {
 		for r := range sh.rs.addrs {
 			healthy := &sh.rs.healthy[r]
@@ -344,18 +356,20 @@ func (co *Coordinator) EnableTelemetry(reg *telemetry.Registry) {
 // scatter assembles the per-query scatter set: every shard the
 // coordinator believes holds live points, over the current shard map —
 // the networked analogue of ShardedSearcher.pin (empty shards are skipped
-// there too, which is what keeps the single-populated-shard fast path,
-// and therefore the response bytes, identical).
+// there too).
 func (co *Coordinator) scatter() *scatterSet {
-	m := co.smap.Load()
-	clients := make([]shardClient, 0, len(co.shards))
-	for i, sh := range co.shards {
-		if co.live[i].Load() == 0 {
-			continue
-		}
-		clients = append(clients, sh)
+	sc := &scatterSet{engineConfig: co.engineConfig, m: co.smap.Load(), metric: co.metric, dim: co.dim,
+		clients: make([]shardClient, 0, len(co.shards))}
+	if p := co.shardTel.Load(); p != nil {
+		sc.tel = *p
 	}
-	return &scatterSet{clients: clients, m: m, metric: co.metric, dim: co.dim, backend: co.backend}
+	for i, sh := range co.shards {
+		if live := int(co.live[i].Load()); live > 0 {
+			sc.clients = append(sc.clients, sh)
+			sc.n += live
+		}
+	}
+	return sc
 }
 
 // Len returns the number of live points across the cluster, from the
@@ -371,7 +385,8 @@ func (co *Coordinator) Len() int {
 // Dim returns the dimensionality of the indexed points.
 func (co *Coordinator) Dim() int { return co.dim }
 
-// Scale returns the scale parameter t in effect on every shard daemon.
+// Scale returns the scale parameter t the daemons were started with (0 when
+// they adapt it per query) — the t the coordinator's queries run under.
 func (co *Coordinator) Scale() float64 { return co.scale }
 
 // Backend returns the forward-index back-end the shard daemons run.
@@ -406,8 +421,8 @@ func (co *Coordinator) ReverseKNNContext(ctx context.Context, qid, k int) ([]int
 	return ids, err
 }
 
-// ReverseKNNStatsContext is ReverseKNNContext with the aggregated
-// per-query work counters (summed across shard daemons).
+// ReverseKNNStatsContext is ReverseKNNContext with the per-query work
+// counters of the one algorithm run over the daemons' merged streams.
 func (co *Coordinator) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
 	ids, st, _, err := co.scatter().reverseKNN(ctx, qid, nil, k)
 	return ids, st, err

@@ -333,7 +333,10 @@ func TestDurableShardedFaultStream(t *testing.T) {
 	for i := range initial {
 		initial[i] = point()
 	}
-	ss, err := NewSharded(initial, S, WithScale(100), WithCompactionThreshold(16))
+	// Plain RDT: the stream is checked against the exact oracle, and only
+	// plain RDT's lazy accepts are sound (a sharded engine runs the unsharded
+	// algorithm, RDT+'s rare false positives included).
+	ss, err := NewSharded(initial, S, WithScale(100), WithPlainRDT(), WithCompactionThreshold(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/index"
 )
 
 // AdaptiveParams configures the adaptive-scale variant of RDT+, which the
@@ -107,7 +105,7 @@ func (h *hillScale) observe(s int, dist float64) float64 {
 
 // NewAdaptiveQuerier returns a Querier whose dimensional test re-estimates
 // the scale parameter at every step of the expanding search.
-func NewAdaptiveQuerier(ix index.Index, params AdaptiveParams) (*Querier, error) {
+func NewAdaptiveQuerier(ix Source, params AdaptiveParams) (*Querier, error) {
 	if ix == nil {
 		return nil, errors.New("core: nil index")
 	}

@@ -151,10 +151,24 @@ type fixedScale struct{ t float64 }
 
 func (f fixedScale) observe(int, float64) float64 { return f.t }
 
+// Source is everything Algorithm 1 asks of its auxiliary structure:
+// incremental forward nearest-neighbor search (paper Section 4) plus the
+// bounded count of the refinement test. Every index.Index is one; so is a
+// k-way merge of shard cursors, which is how the sharded engines run this
+// very algorithm over a partitioned dataset.
+type Source interface {
+	Len() int
+	Dim() int
+	Point(id int) []float64
+	Metric() vecmath.Metric
+	NewCursor(q []float64, skipID int) index.Cursor
+	CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int
+}
+
 // Querier answers RkNN queries over a fixed index using RDT or RDT+. It is
 // safe for concurrent use as long as the underlying index is.
 type Querier struct {
-	ix       index.Index
+	ix       Source
 	metric   vecmath.Metric
 	dist     vecmath.DistanceFunc // resolved kernel; falls back to metric.Distance
 	params   Params
@@ -171,7 +185,7 @@ func resolveKernel(m vecmath.Metric) vecmath.DistanceFunc {
 }
 
 // NewQuerier validates the parameters and returns a Querier over ix.
-func NewQuerier(ix index.Index, params Params) (*Querier, error) {
+func NewQuerier(ix Source, params Params) (*Querier, error) {
 	if ix == nil {
 		return nil, errors.New("core: nil index")
 	}
@@ -418,8 +432,11 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 
 	// Refinement phase (lines 25–32): settle every candidate that is
 	// neither lazily accepted nor lazily rejected with one explicit
-	// verification.
+	// verification — one at a time against a single index, in one batch
+	// against an index that asks for it (index.BatchCounter).
 	var ids []int
+	batch, batched := qr.ix.(index.BatchCounter)
+	var unsettled []index.CountQuery
 	for i := range filter {
 		x := &filter[i]
 		switch {
@@ -427,11 +444,26 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 			ids = append(ids, x.id)
 		case x.w >= k:
 			stats.LazyRejects++
+		case batched:
+			unsettled = append(unsettled, index.CountQuery{Point: x.point, Radius: x.dq, Limit: k, Skip: x.id})
 		default:
 			stats.Verified++
 			if qr.verify(x) {
 				stats.VerifiedHits++
 				ids = append(ids, x.id)
+			}
+		}
+	}
+	if len(unsettled) > 0 {
+		stats.Verified = len(unsettled)
+		bctx := ctx
+		if traced {
+			bctx = trace.With(ctx, vsp) // the count round nests under core.verify
+		}
+		for i, closer := range batch.CountCloserBatch(bctx, unsettled) {
+			if closer < k {
+				stats.VerifiedHits++
+				ids = append(ids, unsettled[i].Skip)
 			}
 		}
 	}

@@ -10,19 +10,23 @@ import (
 	"repro/internal/index"
 )
 
-// This file is the scatter-gather substrate of the sharded engine: fanning
-// one query out to every shard with cancellation, and merging the per-shard
-// answers back into exactly the result a single index over the union of the
-// shards would have produced. The merge functions are deliberately pure —
-// no engine state — so they can be pinned by property-based tests against
-// reference implementations (scatter_test.go).
+// This file is the scatter-gather substrate of the sharded engine's batched
+// calls (forward kNN, refinement counts): fanning one call out to every shard
+// with cancellation, and merging per-shard kNN lists back into exactly the
+// list a single index over the union of the shards would have produced. The
+// merge is deliberately pure — no engine state — so it can be pinned by
+// property-based tests against a reference implementation (scatter_test.go).
+// Reverse queries do not pass through here: they run Algorithm 1 once over
+// the merged shard cursors (the facade's federated index).
 
-// Gather runs fn once per shard on its own goroutine and waits for all of
-// them. The first fn error cancels the context passed to the others and is
-// returned (sibling cancellations it caused are not reported in its place);
-// if ctx is cancelled from outside, Gather stops early and returns ctx's
-// error. Shards whose fn was never started or was cancelled must be treated
-// by the caller as having produced nothing.
+// Gather runs fn once per shard, concurrently, and waits for all of them:
+// every shard but the first on its own goroutine, the first on the caller's —
+// a fan-out over one shard is a plain call, and a wider one hands off one
+// goroutine fewer. The first fn error cancels the context passed to the
+// others and is returned (sibling cancellations it caused are not reported
+// in its place); if ctx is cancelled from outside, Gather stops early and
+// returns ctx's error. Shards whose fn was never started or was cancelled
+// must be treated by the caller as having produced nothing.
 func Gather(ctx context.Context, shards int, fn func(ctx context.Context, shard int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -33,20 +37,26 @@ func Gather(ctx context.Context, shards int, fn func(ctx context.Context, shard 
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, shards)
+	run := func(i int) {
+		if gctx.Err() != nil {
+			errs[i] = gctx.Err()
+			return
+		}
+		if err := fn(gctx, i); err != nil {
+			errs[i] = err
+			cancel()
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
+	for i := 1; i < shards; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if gctx.Err() != nil {
-				errs[i] = gctx.Err()
-				return
-			}
-			if err := fn(gctx, i); err != nil {
-				errs[i] = err
-				cancel()
-			}
+			run(i)
 		}(i)
+	}
+	if shards > 0 {
+		run(0)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -150,43 +160,4 @@ func MergeKNN(lists [][]index.Neighbor, k int, live func(id int) bool) []index.N
 		out = append(out, nb)
 	}
 	return out
-}
-
-// MergeIDs unions per-shard RkNN result lists (each sorted ascending, the
-// contract of core.Result.IDs) into one sorted, duplicate-free list,
-// dropping IDs for which live returns false (nil accepts everything). For
-// disjoint shards the union is exactly the global candidate set — see the
-// merge-correctness argument in DESIGN.md.
-func MergeIDs(lists [][]int, live func(id int) bool) []int {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	pos := make([]int, len(lists))
-	out := make([]int, 0, total)
-	for {
-		best, bestList := 0, -1
-		for li, l := range lists {
-			if pos[li] >= len(l) {
-				continue
-			}
-			if bestList < 0 || l[pos[li]] < best {
-				best, bestList = l[pos[li]], li
-			}
-		}
-		if bestList < 0 {
-			return out
-		}
-		pos[bestList]++
-		if len(out) > 0 && out[len(out)-1] == best {
-			continue // duplicate across lists
-		}
-		if live != nil && !live(best) {
-			continue
-		}
-		out = append(out, best)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -42,24 +41,6 @@ func refMergeKNN(lists [][]index.Neighbor, k int, live func(int) bool) []index.N
 			break
 		}
 	}
-	return out
-}
-
-// refMergeIDs is set union minus dead IDs, sorted.
-func refMergeIDs(lists [][]int, live func(int) bool) []int {
-	set := map[int]bool{}
-	for _, l := range lists {
-		for _, id := range l {
-			if live == nil || live(id) {
-				set[id] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Ints(out)
 	return out
 }
 
@@ -134,43 +115,6 @@ func TestMergeKNNProperty(t *testing.T) {
 			if i > 0 && neighborLess(nb, got[i-1]) {
 				t.Fatalf("trial %d: output out of (dist,id) order at %d: %v", trial, i, got)
 			}
-		}
-	}
-}
-
-// TestMergeIDsProperty quick-checks the sorted-union merge against the
-// reference: sorted, duplicate-free, dead IDs filtered.
-func TestMergeIDsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 500; trial++ {
-		shards := 1 + rng.Intn(8)
-		lists := make([][]int, shards)
-		for s := range lists {
-			n := rng.Intn(15)
-			set := map[int]bool{}
-			for i := 0; i < n; i++ {
-				set[rng.Intn(40)] = true // overlaps across lists are likely
-			}
-			for id := range set {
-				lists[s] = append(lists[s], id)
-			}
-			sort.Ints(lists[s])
-		}
-		var live func(int) bool
-		dead := map[int]bool{}
-		if rng.Intn(2) == 0 {
-			for id := 0; id < 40; id += 1 + rng.Intn(6) {
-				dead[id] = true
-			}
-			live = func(id int) bool { return !dead[id] }
-		}
-		got := MergeIDs(lists, live)
-		want := refMergeIDs(lists, live)
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: MergeIDs %v, reference %v (lists %v)", trial, got, want, lists)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/covertree"
@@ -21,11 +23,48 @@ func verifyByKNN(ix index.Index, x *candidate, k int) bool {
 	return len(nn) < k || nn[len(nn)-1].Dist >= x.dq
 }
 
+// batchCounting hands an index to core as one that wants its refinement
+// counts in a batch (index.BatchCounter), answering each from the index's own
+// CountCloser — the hand-off a federated index receives, with the single
+// index's answers.
+type batchCounting struct {
+	index.Index
+	batches, probes int
+}
+
+// IDSpan and Live keep the wrapped index's member validation (an overlay's
+// ID space outgrows Len) visible through the wrapper.
+func (b *batchCounting) IDSpan() int {
+	if lv, ok := b.Index.(index.Liveness); ok {
+		return lv.IDSpan()
+	}
+	return b.Len()
+}
+
+func (b *batchCounting) Live(id int) bool {
+	if lv, ok := b.Index.(index.Liveness); ok {
+		return lv.Live(id)
+	}
+	return true
+}
+
+func (b *batchCounting) CountCloserBatch(_ context.Context, qs []index.CountQuery) []int {
+	b.batches++
+	b.probes += len(qs)
+	out := make([]int, len(qs))
+	for i, q := range qs {
+		out[i] = b.Index.CountCloser(q.Point, q.Radius, q.Limit, q.Skip, nil)
+	}
+	return out
+}
+
 // checkVerifyForms decodes data into a small dataset on a coarse integer
 // grid — duplicates and exact distance ties everywhere — and requires the
 // count form and the kNN form of the refinement test to agree for every
 // (query, candidate) pair on every exact back-end, bare and under a dirty
-// overlay.
+// overlay; and the two ways core refines — candidate by candidate, or all
+// unsettled candidates handed to the index in one batch — to produce the
+// same result and the same Stats for every member query, RDT and RDT+.
 func checkVerifyForms(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) < 8 {
@@ -82,6 +121,44 @@ func checkVerifyForms(t *testing.T, data []byte) {
 		live := func(int) bool { return true }
 		if lv, ok := ix.(index.Liveness); ok {
 			live = lv.Live
+		}
+		for _, plus := range []bool{false, true} {
+			// t=1 leaves candidates unsettled, so there is a batch to hand off.
+			params := Params{K: k, T: 1, Plus: plus}
+			single, err := NewQuerier(ix, params)
+			if err != nil {
+				t.Fatalf("%s: NewQuerier: %v", name, err)
+			}
+			bc := &batchCounting{Index: ix}
+			batched, err := NewQuerier(bc, params)
+			if err != nil {
+				t.Fatalf("%s: NewQuerier: %v", name, err)
+			}
+			verified := 0
+			for a := range pts {
+				if !live(a) {
+					continue
+				}
+				want, err := single.ByID(a)
+				if err != nil {
+					t.Fatalf("%s: ByID(%d): %v", name, a, err)
+				}
+				before := bc.batches
+				got, err := batched.ByID(a)
+				if err != nil {
+					t.Fatalf("%s: batched ByID(%d): %v", name, a, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s k=%d plus=%v q=%d: batch refinement %+v, per-candidate %+v", name, k, plus, a, got, want)
+				}
+				if calls := bc.batches - before; calls > 1 || (calls == 1) != (want.Stats.Verified > 0) {
+					t.Fatalf("%s k=%d plus=%v q=%d: %d batch calls for %d unsettled candidates, want one call when there are any", name, k, plus, a, calls, want.Stats.Verified)
+				}
+				verified += want.Stats.Verified
+			}
+			if bc.probes != verified {
+				t.Fatalf("%s k=%d plus=%v: %d probes handed off, %d candidates verified", name, k, plus, bc.probes, verified)
+			}
 		}
 		for a := range pts {
 			for b := range pts {

@@ -240,7 +240,9 @@ func (e queueEntry) lowerBound() float64 {
 // cursor implements index.Cursor by interleaving two heaps: pending subtrees
 // keyed by their lower bound, and already-resolved points keyed by exact
 // distance. A point is emitted only once no pending subtree could contain
-// anything closer, which yields a globally non-decreasing stream.
+// anything as close, which yields the stream in ascending (distance, ID)
+// order — the order that lets streams over disjoint shards merge into exactly
+// the stream over their union.
 type cursor struct {
 	t      *Tree
 	q      []float64
@@ -256,7 +258,7 @@ func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
 		q:      q,
 		skipID: skipID,
 		nodes:  pqueue.NewMin[queueEntry](64),
-		ready:  pqueue.NewMin[int](64),
+		ready:  pqueue.NewNearest(64),
 	}
 	if t.root != nil {
 		d := t.metric.Distance(q, t.points[t.root.id])
@@ -277,7 +279,10 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 	for {
 		readyTop, hasReady := c.ready.Peek()
 		nodeTop, hasNode := c.nodes.Peek()
-		if hasReady && (!hasNode || readyTop.Priority <= nodeTop.Priority) {
+		// Strictly below every pending subtree's bound: a subtree that
+		// could still hold a point at this very distance is opened first,
+		// so ties leave the ready heap in ascending ID order.
+		if hasReady && (!hasNode || readyTop.Priority < nodeTop.Priority) {
 			it, _ := c.ready.Pop()
 			return index.Neighbor{ID: it.Value, Dist: it.Priority}, true
 		}

@@ -10,7 +10,11 @@
 // competing methods.
 package index
 
-import "repro/internal/vecmath"
+import (
+	"context"
+
+	"repro/internal/vecmath"
+)
 
 // Neighbor is one element of a query result: a dataset member identified by
 // its stable integer ID, together with its distance from the query.
@@ -80,6 +84,26 @@ type Index interface {
 	// be filtered after the fact: a layered index (Overlay) passes the
 	// tombstones it holds over this index's IDs.
 	CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int
+}
+
+// CountQuery is one CountCloser call as a value: count the live points
+// strictly closer to Point than Radius, not counting member Skip (-1 for
+// none), no further than Limit.
+type CountQuery struct {
+	Point  []float64
+	Radius float64
+	Limit  int
+	Skip   int
+}
+
+// BatchCounter is an optional capability of an index for which a count is
+// expensive to reach but cheap to batch — a federation of shards, some across
+// a network. The RkNN refinement hands such an index every candidate it could
+// not settle in one call (out[i] answers qs[i] as CountCloser would, with no
+// dead set), so verification costs one round trip per query, not one per
+// candidate. ctx carries the query's trace span and cancellation.
+type BatchCounter interface {
+	CountCloserBatch(ctx context.Context, qs []CountQuery) []int
 }
 
 // Builder constructs an Index over a dataset. Back-ends register a Builder

@@ -102,6 +102,70 @@ func Run(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (in
 	})
 }
 
+// TieOrder requires the cursors of the back-end built by build to stream in
+// ascending (distance, ID) order exactly — equal distances in ascending ID
+// order — on a coarse integer grid, where duplicates and exact distance ties
+// are everywhere, bare and under an overlay with memtable rows and
+// tombstones. It is the property that makes a k-way merge of shard cursors
+// the cursor of the whole dataset, and a stream resumable by its last
+// (distance, ID) key.
+func TieOrder(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (index.Index, error)) {
+	t.Helper()
+	metric := vecmath.Euclidean{}
+	rng := rand.New(rand.NewSource(45))
+	pts := make([][]float64, 160)
+	for i := range pts {
+		pts[i] = []float64{float64(rng.Intn(4)), float64(rng.Intn(4)), float64(rng.Intn(3))}
+	}
+	bare, err := build(pts, metric)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	split := len(pts) - len(pts)/4
+	base, err := build(pts[:split], metric)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	ov := index.NewOverlay(base)
+	for _, p := range pts[split:] {
+		if _, err := ov.Insert(p); err != nil {
+			t.Fatalf("overlay insert: %v", err)
+		}
+	}
+	gone := map[int]bool{3: true, split - 1: true, split + 2: true}
+	for id := range gone {
+		if !ov.Delete(id) {
+			t.Fatalf("overlay delete %d failed", id)
+		}
+	}
+	for name, c := range map[string]struct {
+		ix   index.Index
+		gone map[int]bool
+	}{"bare": {bare, nil}, "overlay": {ov, gone}} {
+		for _, skipID := range []int{-1, 0, 7, split + 5} {
+			q := []float64{1, 2, 1}
+			if skipID >= 0 {
+				q = pts[skipID]
+			}
+			var want []index.Neighbor
+			for _, nb := range refKNN(pts, metric, q, len(pts), skipID) {
+				if !c.gone[nb.ID] {
+					want = append(want, nb)
+				}
+			}
+			cur := c.ix.NewCursor(q, skipID)
+			for i, w := range want {
+				if got, ok := cur.Next(); !ok || got != w {
+					t.Fatalf("%s, skip %d: cursor position %d = %+v (ok=%v), want %+v", name, skipID, i, got, ok, w)
+				}
+			}
+			if extra, ok := cur.Next(); ok {
+				t.Fatalf("%s, skip %d: cursor yielded %+v past the dataset", name, skipID, extra)
+			}
+		}
+	}
+}
+
 func withDuplicates(pts [][]float64, copies, ofFirst int) [][]float64 {
 	out := append([][]float64{}, pts...)
 	for i := 0; i < copies; i++ {

@@ -160,7 +160,7 @@ type cursor struct {
 // NewCursor implements index.Index.
 func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
 	c := &cursor{t: t, q: q, skipID: skipID,
-		nodes: pqueue.NewMin[*node](64), ready: pqueue.NewMin[int](64)}
+		nodes: pqueue.NewMin[*node](64), ready: pqueue.NewNearest(64)}
 	if t.root != nil {
 		c.nodes.Push(t.boxer.BoxDistance(q, t.root.lo, t.root.hi), t.root)
 	}
@@ -171,7 +171,8 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 	for {
 		readyTop, hasReady := c.ready.Peek()
 		nodeTop, hasNode := c.nodes.Peek()
-		if hasReady && (!hasNode || readyTop.Priority <= nodeTop.Priority) {
+		// Strict, so ties leave in ascending ID order (see covertree).
+		if hasReady && (!hasNode || readyTop.Priority < nodeTop.Priority) {
 			it, _ := c.ready.Pop()
 			return index.Neighbor{ID: it.Value, Dist: it.Priority}, true
 		}

@@ -375,7 +375,7 @@ func (ix *Index) candidates(d *dedup, q []float64, skipID int) []int {
 func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
 	d := dedupPool.Get().(*dedup)
 	cands := ix.candidates(d, q, skipID)
-	ready := pqueue.NewMin[int](len(cands))
+	ready := pqueue.NewNearest(len(cands))
 	for _, id := range cands {
 		ready.Push(ix.metric.Distance(q, ix.points[id]), id)
 	}

@@ -18,11 +18,28 @@ type Item[T any] struct {
 // ready to use.
 type Min[T any] struct {
 	items []Item[T]
+	tie   func(a, b T) bool // orders equal priorities; nil leaves them unordered
 }
 
 // NewMin returns an empty min-heap with the given initial capacity.
 func NewMin[T any](capacity int) *Min[T] {
 	return &Min[T]{items: make([]Item[T], 0, capacity)}
+}
+
+// NewNearest returns an empty min-heap of point IDs keyed by distance that
+// pops equal distances in ascending ID order — the (distance, ID) order every
+// neighbor stream of this module is emitted in, so that streams over disjoint
+// parts of a dataset merge into exactly the stream over their union.
+func NewNearest(capacity int) *Min[int] {
+	h := NewMin[int](capacity)
+	h.tie = func(a, b int) bool { return a < b }
+	return h
+}
+
+// tied reports whether item i must sit above item j of equal priority. The
+// sift loops compare priorities inline and come here only on a tie.
+func (h *Min[T]) tied(i, j int) bool {
+	return h.tie != nil && h.tie(h.items[i].Value, h.items[j].Value)
 }
 
 // Len returns the number of queued items.
@@ -67,7 +84,7 @@ func (h *Min[T]) Reset() { h.items = h.items[:0] }
 func (h *Min[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].Priority <= h.items[i].Priority {
+		if p, c := h.items[parent].Priority, h.items[i].Priority; p < c || p == c && !h.tied(i, parent) {
 			return
 		}
 		h.items[parent], h.items[i] = h.items[i], h.items[parent]
@@ -80,11 +97,15 @@ func (h *Min[T]) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && h.items[l].Priority < h.items[smallest].Priority {
-			smallest = l
+		if l < n {
+			if c, s := h.items[l].Priority, h.items[smallest].Priority; c < s || c == s && h.tied(l, smallest) {
+				smallest = l
+			}
 		}
-		if r < n && h.items[r].Priority < h.items[smallest].Priority {
-			smallest = r
+		if r < n {
+			if c, s := h.items[r].Priority, h.items[smallest].Priority; c < s || c == s && h.tied(r, smallest) {
+				smallest = r
+			}
 		}
 		if smallest == i {
 			return

@@ -20,12 +20,15 @@ import (
 )
 
 // ShardServing is the optional shard-daemon surface of an Engine
-// (*repro.Searcher and the durable wrapper implement it): batched
-// forward-kNN probes and verification counts with explicit self-exclusion,
-// batched member-point resolution that never panics on hostile IDs, the
-// assignment span behind the coordinator's shard-map rebuild, and the
-// metric identity behind its configuration cross-check.
+// (*repro.Searcher and the durable wrapper implement it): the forward
+// neighbor stream a coordinator merges across shards, batched forward-kNN
+// probes and verification counts with explicit self-exclusion, batched
+// member-point resolution that never panics on hostile IDs, the assignment
+// span behind the coordinator's shard-map rebuild, and the metric identity
+// and algorithm variant behind its configuration cross-check.
 type ShardServing interface {
+	NeighborStream(q []float64, skip int, after repro.Neighbor, count int) (rows []repro.Neighbor, points [][]float64, done bool, err error)
+	Algorithm() (plus bool, margin float64)
 	KNNSkipBatch(qs []repro.KNNQuery) ([][]repro.Neighbor, error)
 	CountCloserBatch(qs []repro.CountCloserQuery) ([]int, error)
 	MemberPoints(ids ...int) [][]float64
@@ -70,6 +73,11 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 		return badRequest("malformed frame: %v", err)
 	}
 
+	// Every op but OpRkNN — which any Engine answers — needs the shard surface.
+	sv, _ := srv.s.(ShardServing)
+	if sv == nil && req.Op != wire.OpRkNN {
+		return writeFrame(w, wire.AppendError(nil, wire.ErrUnsupported, "engine has no shard-serving surface"))
+	}
 	var frame []byte
 	switch req.Op {
 	case wire.OpRkNN:
@@ -96,12 +104,14 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 			DistanceComps: st.DistanceComps,
 			Omega:         st.Omega,
 		})
-	case wire.OpKNNBatch:
-		sv, ok := srv.s.(ShardServing)
-		if !ok {
-			frame = wire.AppendError(nil, wire.ErrUnsupported, "engine has no shard-serving surface")
+	case wire.OpNeighbors:
+		rows, points, done, err := sv.NeighborStream(req.Point, req.Skip, req.After, req.Count)
+		if err != nil {
+			frame = appendWireError(err)
 			break
 		}
+		frame = wire.AppendNeighborsResponse(nil, rows, points, done)
+	case wire.OpKNNBatch:
 		qs := make([]repro.KNNQuery, len(req.KNN))
 		for i, q := range req.KNN {
 			qs[i] = repro.KNNQuery{Point: q.Point, K: q.K, Skip: q.Skip}
@@ -111,42 +121,28 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 			frame = appendWireError(err)
 			break
 		}
-		wl := make([][]wire.Neighbor, len(lists))
-		for i, nn := range lists {
-			wn := make([]wire.Neighbor, len(nn))
-			for j, nb := range nn {
-				wn[j] = wire.Neighbor{ID: nb.ID, Dist: nb.Dist}
-			}
-			wl[i] = wn
-		}
-		frame = wire.AppendKNNBatchResponse(nil, wl)
+		frame = wire.AppendKNNBatchResponse(nil, lists)
 	case wire.OpCountBatch:
-		sv, ok := srv.s.(ShardServing)
-		if !ok {
-			frame = wire.AppendError(nil, wire.ErrUnsupported, "engine has no shard-serving surface")
-			break
-		}
-		qs := make([]repro.CountCloserQuery, len(req.Counts))
-		for i, q := range req.Counts {
-			qs[i] = repro.CountCloserQuery(q)
-		}
-		counts, err := sv.CountCloserBatch(qs)
+		counts, err := sv.CountCloserBatch(req.Counts)
 		if err != nil {
 			frame = appendWireError(err)
 			break
 		}
 		frame = wire.AppendCountBatchResponse(nil, counts)
 	case wire.OpPoints:
-		sv, ok := srv.s.(ShardServing)
-		if !ok {
-			frame = wire.AppendError(nil, wire.ErrUnsupported, "engine has no shard-serving surface")
-			break
-		}
 		frame = wire.AppendPointsResponse(nil, sv.MemberPoints(req.IDs...))
 	default:
 		return badRequest("unknown op %d", req.Op)
 	}
+	return writeFrame(w, frame)
+}
+
+// writeFrame sends one response frame. The length is known, so it is
+// declared: the remote client reads the body into a buffer of exactly that
+// size.
+func writeFrame(w http.ResponseWriter, frame []byte) error {
 	w.Header().Set("Content-Type", wire.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(frame)
 	return nil
@@ -166,7 +162,8 @@ func appendWireError(err error) []byte {
 
 // handleShardInfo is the cluster handshake: the daemon's role (shard
 // number and count, from WithShardRole), the engine shape a coordinator
-// must cross-check (dimension, scale, back-end, metric identity), and the
+// must cross-check (dimension, scale, algorithm variant, back-end, metric
+// identity) — it runs the daemons' algorithm itself — and the
 // two counts the shard-map rebuild needs (live points and assignment
 // span).
 func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error {
@@ -181,6 +178,7 @@ func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return fmt.Errorf("metric identity: %w", err)
 	}
+	plus, margin := sv.Algorithm()
 	info := map[string]any{
 		"shard":        srv.shard,
 		"shards":       srv.shards,
@@ -188,6 +186,8 @@ func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error
 		"id_span":      sv.IDSpan(),
 		"dim":          srv.s.Dim(),
 		"scale":        srv.s.Scale(),
+		"plus":         plus,
+		"margin":       margin,
 		"metric_id":    mid,
 		"metric_param": mparam,
 		"backend":      string(srv.s.Backend()),

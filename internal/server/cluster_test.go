@@ -1,7 +1,7 @@
-// Cluster conformance: the networked scatter-gather (shard daemons behind
-// a Coordinator) against the in-process sharded engine. The bar is
-// byte-identity of HTTP response bodies — same answers, same stats, same
-// error strings — across {unsharded, in-process S=1, in-process S=3,
+// Cluster conformance: the networked engine (shard daemons behind a
+// Coordinator) against the in-process engines. The bar is byte-identity of
+// HTTP response bodies — same answers, same stats, same error strings —
+// across {unsharded, in-process S=1, in-process S=3, networked S=1,
 // networked S=3} over the binary shard protocol, held through
 // interleaved inserts and deletes routed through the
 // coordinator. Plus the distributed-tracing join (coordinator trace IDs
@@ -17,7 +17,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,11 +65,17 @@ type cluster struct {
 // coordinator traces proves upstream-sampling propagation, not local luck.
 func startCluster(t testing.TB, pts [][]float64, S, replicas int, coOpts ...repro.CoordinatorOption) *cluster {
 	t.Helper()
+	return startClusterWith(t, pts, S, replicas, []repro.Option{repro.WithScale(100)}, coOpts...)
+}
+
+// startClusterWith is startCluster with the daemons' engine options given.
+func startClusterWith(t testing.TB, pts [][]float64, S, replicas int, engOpts []repro.Option, coOpts ...repro.CoordinatorOption) *cluster {
+	t.Helper()
 	parts := splitShards(t, pts, S)
 	c := &cluster{daemons: make([][]*httptest.Server, S), engines: make([]*repro.Searcher, S)}
 	specs := make([]repro.ShardSpec, S)
 	for s := 0; s < S; s++ {
-		eng, err := repro.New(parts[s], repro.WithScale(100))
+		eng, err := repro.New(parts[s], engOpts...)
 		if err != nil {
 			t.Fatalf("shard %d engine: %v", s, err)
 		}
@@ -148,9 +157,9 @@ func identical(t *testing.T, servers map[string]string, method, path, body strin
 }
 
 // TestClusterByteIdentity is the tentpole conformance test: the networked
-// cluster's /v1 responses are byte-identical to the in-process sharded
-// engine's at the same shard count — and all shard counts agree on the
-// answer bodies — before and after a write sequence (inserts, a batch,
+// cluster's /v1 responses — answers, stats and errors — are byte-identical
+// to the in-process sharded engine's and the unsharded engine's, at every
+// shard count, before and after a write sequence (inserts, a batch,
 // deletes) applied identically through every server's own HTTP API. The
 // subtest is named for the shard protocol it runs over, the only one.
 func TestClusterByteIdentity(t *testing.T) {
@@ -181,9 +190,9 @@ func TestClusterByteIdentity(t *testing.T) {
 		cl1 := startCluster(t, pts, 1, 1)
 		cl3 := startCluster(t, pts, 3, 1)
 
-		// Answer bodies must agree everywhere; stats bodies only within a
-		// shard count (work counters sum per shard, so S=1 and S=3
-		// legitimately report different scan depths for the same answer).
+		// Answer bodies and stats bodies must agree everywhere: every
+		// topology runs the one algorithm over the one (merged) neighbor
+		// stream, so the work counters do not depend on the shard count.
 		all := map[string]string{
 			"unsharded": singleTS.URL,
 			"sharded-1": sharded1TS.URL,
@@ -191,8 +200,6 @@ func TestClusterByteIdentity(t *testing.T) {
 			"cluster-1": cl1.ts.URL,
 			"cluster-3": cl3.ts.URL,
 		}
-		s1 := map[string]string{"unsharded": singleTS.URL, "sharded-1": sharded1TS.URL, "cluster-1": cl1.ts.URL}
-		s3 := map[string]string{"sharded-3": sharded3TS.URL, "cluster-3": cl3.ts.URL}
 
 		compare := func(t *testing.T) {
 			t.Helper()
@@ -206,12 +213,11 @@ func TestClusterByteIdentity(t *testing.T) {
 			identical(t, all, "POST", "/v1/rknn", `{"id":-5,"k":3}`)
 			identical(t, all, "POST", "/v1/rknn", `{"id":99999,"k":3}`)
 			identical(t, all, "POST", "/v1/knn", `{"point":[0.1],"k":3}`)
-			// Stats ride along within a shard count.
 			for _, qid := range []int{7, 42} {
-				identical(t, s1, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5,"stats":true}`, qid))
-				identical(t, s3, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5,"stats":true}`, qid))
+				identical(t, all, "POST", "/v1/rknn", fmt.Sprintf(`{"id":%d,"k":5,"stats":true}`, qid))
 			}
-			identical(t, s3, "POST", "/v1/rknn", `{"point":[0.2,0.2,0.8],"k":5,"stats":true}`)
+			identical(t, all, "POST", "/v1/rknn", `{"point":[0.2,0.2,0.8],"k":5,"stats":true}`)
+			identical(t, all, "POST", "/v1/rknn", `{"point":[0.1],"k":3}`)
 		}
 		compare(t)
 		if t.Failed() {
@@ -259,16 +265,30 @@ func TestClusterByteIdentity(t *testing.T) {
 }
 
 // TestClusterTracePropagation pins the distributed-tracing join: a
-// ?debug=1 query on the coordinator returns a span tree whose shard.scatter
-// spans carry remote.call children, and the coordinator's trace ID resolves
+// ?debug=1 query on the coordinator returns a span tree with the one
+// core.rknn of the query, whose shard.scatter spans (one per shard stream)
+// carry a remote.call child per chunk and whose core.verify holds the count
+// round's remote.calls, and the coordinator's trace ID resolves
 // on every shard daemon's trace ring (the daemons joined the same trace via
 // the propagated traceparent, and honored the propagated X-Request-ID).
 func TestClusterTracePropagation(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 23)
 	cl := startCluster(t, pts, 3, 1)
 
+	// Trace a query that verifies something, so the count round is there.
+	qid := -1
+	for id := 0; id < len(pts) && qid < 0; id++ {
+		if _, st, err := cl.co.ReverseKNNStatsContext(context.Background(), id, 8); err != nil {
+			t.Fatal(err)
+		} else if st.Verified > 0 {
+			qid = id
+		}
+	}
+	if qid < 0 {
+		t.Fatal("no query of this dataset verifies a candidate")
+	}
 	resp, err := http.Post(cl.ts.URL+"/v1/rknn?debug=1", "application/json",
-		strings.NewReader(`{"id":5,"k":8}`))
+		strings.NewReader(fmt.Sprintf(`{"id":%d,"k":8}`, qid)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,17 +310,30 @@ func TestClusterTracePropagation(t *testing.T) {
 	if out.Trace == nil {
 		t.Fatal("?debug=1 response carries no trace")
 	}
-	scatters := findJSONSpans(out.Trace.Root, "shard.scatter")
+	cores := findJSONSpans(out.Trace.Root, "core.rknn")
+	if len(cores) != 1 {
+		t.Fatalf("core.rknn spans = %d, want 1", len(cores))
+	}
+	scatters := findJSONSpans(cores[0], "shard.scatter")
 	if len(scatters) != 3 {
-		t.Fatalf("shard.scatter spans = %d, want 3", len(scatters))
+		t.Fatalf("shard.scatter spans under core.rknn = %d, want 3", len(scatters))
 	}
 	for _, sp := range scatters {
 		if len(findJSONSpans(sp, "remote.call")) == 0 {
 			t.Errorf("shard.scatter span (shard %v) has no remote.call child", sp.Attrs["shard"])
 		}
 	}
-	if got := len(findJSONSpans(out.Trace.Root, "remote.call")); got < 3 {
-		t.Errorf("remote.call spans = %d, want >= 3", got)
+	verifies := findJSONSpans(cores[0], "core.verify")
+	if len(verifies) != 1 {
+		t.Fatalf("core.verify spans = %d, want 1", len(verifies))
+	}
+	// The unsettled candidates cost one count round however many they are:
+	// a remote.call per shard, all under core.verify.
+	if got := len(findJSONSpans(verifies[0], "remote.call")); got != 3 {
+		t.Errorf("remote.call spans under core.verify = %d, want one per shard", got)
+	}
+	if got := len(findJSONSpans(out.Trace.Root, "shard.merge")); got != 0 {
+		t.Errorf("shard.merge spans = %d, want none", got)
 	}
 
 	// The same trace ID must resolve on every daemon: the coordinator's
@@ -533,21 +566,36 @@ func TestBinaryCountBatch(t *testing.T) {
 	}
 }
 
-// oldDaemonTransport answers count frames the way a daemon built before
-// the count op existed does — its decoder rejects the unknown op, so the
-// handler renders 400 {"error":"malformed frame: ..."} — and passes
-// everything else through.
-type oldDaemonTransport struct{ base http.RoundTripper }
+// oldDaemonTransport answers frames of the ops in reject the way a daemon
+// built before they existed does — its decoder rejects the unknown op, so
+// the handler renders 400 {"error":"malformed frame: ..."} — and passes
+// everything else through, counting the rejections.
+type oldDaemonTransport struct {
+	base     http.RoundTripper
+	reject   []wire.Op
+	asFrame  bool // answer 200 with a wire error frame instead of the 400
+	rejected atomic.Int64
+}
 
-func (o oldDaemonTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (o *oldDaemonTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.Body != nil && strings.HasSuffix(req.URL.Path, "/v1/binary") {
 		frame, err := io.ReadAll(req.Body)
 		if err != nil {
 			return nil, err
 		}
 		req.Body = io.NopCloser(bytes.NewReader(frame))
-		if len(frame) >= 2 && wire.Op(frame[1]) == wire.OpCountBatch {
-			msg := fmt.Sprintf(`{"error":"malformed frame: wire: unknown op %d"}`, wire.OpCountBatch)
+		if len(frame) >= 2 && slices.Contains(o.reject, wire.Op(frame[1])) {
+			o.rejected.Add(1)
+			if o.asFrame {
+				body := wire.AppendError(nil, wire.ErrBadRequest, fmt.Sprintf("unknown op %d", frame[1]))
+				return &http.Response{
+					StatusCode: http.StatusOK,
+					Header:     http.Header{"Content-Type": []string{wire.ContentType}},
+					Body:       io.NopCloser(bytes.NewReader(body)),
+					Request:    req,
+				}, nil
+			}
+			msg := fmt.Sprintf(`{"error":"malformed frame: wire: unknown op %d"}`, frame[1])
 			return &http.Response{
 				StatusCode: http.StatusBadRequest,
 				Header:     http.Header{"Content-Type": []string{"application/json"}},
@@ -560,29 +608,304 @@ func (o oldDaemonTransport) RoundTrip(req *http.Request) (*http.Response, error)
 }
 
 // TestCoordinatorAgainstOldDaemon pins the upgrade-order failure mode: a
-// coordinator that verifies by count in front of daemons that predate the
-// op gets one clean, diagnosable error per query — no panic, no retries
-// against the other replicas (a 4xx would fail identically everywhere),
-// no partial answer — while queries that need no cross-shard verification
-// keep working.
+// coordinator in front of daemons that predate an op it needs — the neighbor
+// stream it merges, or the count it verifies by — gets one clean,
+// diagnosable error per query that names the shard and the op: no panic, no
+// retries against the other replicas or attempts (a 4xx would fail
+// identically everywhere), no partial answer — while forward kNN, which
+// needs neither op, keeps working.
 func TestCoordinatorAgainstOldDaemon(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 53)
-	cl := startCluster(t, pts, 3, 1, repro.WithTransport(oldDaemonTransport{base: http.DefaultTransport}))
-	_, err := cl.co.ReverseKNN(5, 8)
-	if err == nil {
-		t.Fatal("query verified against daemons without the count op")
+	for name, c := range map[string]struct {
+		reject  []wire.Op
+		asFrame bool
+		names   string
+	}{
+		"before the neighbor stream":   {[]wire.Op{wire.OpNeighbors}, false, "neighbor stream op"},
+		"unknown op as an error frame": {[]wire.Op{wire.OpNeighbors}, true, "neighbor stream op"},
+		"before the count op":          {[]wire.Op{wire.OpCountBatch}, false, "count verification op"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			old := &oldDaemonTransport{base: http.DefaultTransport, reject: c.reject, asFrame: c.asFrame}
+			cl := startCluster(t, pts, 3, 2, repro.WithTransport(old), repro.WithRetries(3, time.Millisecond))
+			var err error
+			for id := 0; id < len(pts) && err == nil; id++ {
+				_, err = cl.co.ReverseKNN(id, 8) // the first query to need the op fails
+			}
+			if err == nil {
+				t.Fatal("every query was answered by daemons without the op")
+			}
+			for _, want := range []string{"rknnd: ", "shard ", c.names, "upgrade daemons before coordinators", "unknown op"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			// One rejection per shard at most: the failed query asked each
+			// shard once, and retried none of them.
+			if got := old.rejected.Load(); got < 1 || got > 3 {
+				t.Errorf("%d frames were rejected for one failed query over 3 shards: a retry storm", got)
+			}
+			if _, err := cl.co.KNNContext(context.Background(), pts[5], 4); err != nil {
+				t.Errorf("forward kNN needs neither op, got %v", err)
+			}
+			if c.reject[0] == wire.OpNeighbors {
+				status, body := rawCall(t, "POST", cl.ts.URL+"/v1/rknn", `{"id":5,"k":8}`)
+				if status != http.StatusBadRequest || !strings.Contains(string(body), "upgrade daemons before coordinators") {
+					t.Errorf("front door answered %d %q, want a 400 naming the upgrade order", status, body)
+				}
+			}
+		})
 	}
-	for _, want := range []string{"rknnd: ", "upgrade daemons before coordinators", "unknown op"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+}
+
+// TestClusterStarvedScaleIdentity is the networked half of the statement the
+// old superset-and-reverify scatter could not make (the in-process half is
+// TestShardedStarvedScaleIdentity in the facade's tests): at a starved scale
+// parameter — answers inexact, every step of the scan showing — a
+// Coordinator over three daemons returns the unsharded Searcher's answer and
+// its Stats, field for field, on every exact back-end, for RDT and RDT+,
+// fixed and adaptive scale. The variant travels in the handshake: the
+// coordinator runs the daemons' algorithm itself.
+func TestClusterStarvedScaleIdentity(t *testing.T) {
+	pts := indextest.ClusteredPoints(300, 4, 5, 61)
+	external := indextest.RandPoints(3, 4, 62)
+	const k = 5
+	variants := map[string][]repro.Option{
+		"rdt+/t=1":      {repro.WithScale(1)},
+		"rdt/t=1":       {repro.WithScale(1), repro.WithPlainRDT()},
+		"rdt+/adaptive": {repro.WithAdaptiveScale(), repro.WithScaleMargin(0.5)},
+		"rdt/adaptive":  {repro.WithAdaptiveScale(), repro.WithPlainRDT()},
+	}
+	for _, b := range []repro.Backend{repro.BackendCoverTree, repro.BackendScan, repro.BackendKDTree, repro.BackendVPTree} {
+		for name, vopts := range variants {
+			t.Run(string(b)+"/"+name, func(t *testing.T) {
+				opts := append([]repro.Option{repro.WithBackend(b)}, vopts...)
+				single, err := repro.New(pts, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl := startClusterWith(t, pts, 3, 1, opts)
+				ctx := context.Background()
+				for qid := 0; qid < len(pts); qid += 11 {
+					want, wantSt, err := single.ReverseKNNStatsContext(ctx, qid, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotSt, err := cl.co.ReverseKNNStatsContext(ctx, qid, k)
+					if err != nil {
+						t.Fatalf("member %d: %v", qid, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) || gotSt != wantSt {
+						t.Errorf("member %d: cluster (%v, %+v), unsharded (%v, %+v)", qid, got, gotSt, want, wantSt)
+					}
+				}
+				for i, q := range external {
+					want, wantSt, err := single.ReverseKNNPointStatsContext(ctx, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotSt, err := cl.co.ReverseKNNPointStatsContext(ctx, q, k)
+					if err != nil {
+						t.Fatalf("point %d: %v", i, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) || gotSt != wantSt {
+						t.Errorf("point %d: cluster (%v, %+v), unsharded (%v, %+v)", i, got, gotSt, want, wantSt)
+					}
+				}
+			})
 		}
 	}
-	if _, err := cl.co.KNNContext(context.Background(), pts[5], 4); err != nil {
-		t.Errorf("forward kNN needs no count op, got %v", err)
+}
+
+// chunkShim is a coordinator transport that rewrites every neighbor-stream
+// request to ask for at most limit rows — forcing a query through many
+// chunks — and records, per daemon, every row the daemons sent. between, when
+// set, runs once, after the first chunk any daemon answers.
+type chunkShim struct {
+	base  http.RoundTripper
+	limit int
+
+	mu      sync.Mutex
+	rows    map[string][]wire.Neighbor // daemon host -> rows sent, in order
+	chunks  int
+	between func()
+}
+
+func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body == nil || !strings.HasSuffix(req.URL.Path, "/v1/binary") {
+		return c.base.RoundTrip(req)
 	}
-	status, body := rawCall(t, "POST", cl.ts.URL+"/v1/rknn", `{"id":5,"k":8}`)
-	if status != http.StatusBadRequest || !strings.Contains(string(body), "upgrade daemons before coordinators") {
-		t.Errorf("front door answered %d %q, want a 400 naming the upgrade order", status, body)
+	frame, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := wire.DecodeRequest(frame)
+	if err != nil || dec.Op != wire.OpNeighbors {
+		req.Body = io.NopCloser(bytes.NewReader(frame))
+		return c.base.RoundTrip(req)
+	}
+	frame = wire.AppendNeighborsRequest(nil, dec.Point, dec.Skip, dec.After, min(dec.Count, c.limit))
+	req.Body = io.NopCloser(bytes.NewReader(frame))
+	req.ContentLength = int64(len(frame))
+	resp, err := c.base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	rows, _, _, err := wire.DecodeNeighborsResponse(body)
+	if err != nil {
+		return resp, nil // an error frame: the coordinator's to judge
+	}
+	c.mu.Lock()
+	if c.rows == nil {
+		c.rows = map[string][]wire.Neighbor{}
+	}
+	c.rows[req.URL.Host] = append(c.rows[req.URL.Host], rows...)
+	c.chunks++
+	between := c.between
+	c.between = nil
+	c.mu.Unlock()
+	if between != nil {
+		between()
+	}
+	return resp, nil
+}
+
+// reset forgets the rows of the previous query.
+func (c *chunkShim) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.rows, c.chunks = nil, 0
+}
+
+// TestClusterChunkedStreams pins the chunked fetch of remote neighbor
+// streams: with every chunk forced down to 1, 2 or 3 rows a coordinator
+// answers exactly as the in-process sharded engine does (answer and Stats),
+// and never asks a daemon for a row twice — what each daemon sent, over all
+// the chunks of a query, is one strictly ascending (distance, ID) run, no
+// longer than the scan needed plus the look-ahead of the last chunk.
+func TestClusterChunkedStreams(t *testing.T) {
+	pts := indextest.RandPoints(180, 3, 71)
+	opts := []repro.Option{repro.WithScale(3)}
+	ss, err := repro.NewSharded(pts, 3, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for limit := 1; limit <= 3; limit++ {
+		shim := &chunkShim{base: http.DefaultTransport, limit: limit}
+		cl := startClusterWith(t, pts, 3, 1, opts, repro.WithTransport(shim))
+		for qid := 0; qid < len(pts); qid += 7 {
+			shim.reset()
+			want, wantSt, err := ss.ReverseKNNStatsContext(ctx, qid, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotSt, err := cl.co.ReverseKNNStatsContext(ctx, qid, 4)
+			if err != nil {
+				t.Fatalf("chunk %d, query %d: %v", limit, qid, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) || gotSt != wantSt {
+				t.Errorf("chunk %d, query %d: cluster (%v, %+v), in-process (%v, %+v)", limit, qid, got, gotSt, want, wantSt)
+			}
+			sent := 0
+			for host, rows := range shim.rows {
+				sent += len(rows)
+				for i := 1; i < len(rows); i++ {
+					if a, b := rows[i-1], rows[i]; b.Dist < a.Dist || b.Dist == a.Dist && b.ID <= a.ID {
+						t.Fatalf("chunk %d, query %d: daemon %s sent row %+v after %+v: a row was asked for twice or out of order", limit, qid, host, b, a)
+					}
+				}
+			}
+			// Each of the 3 streams is read at most one chunk past the last
+			// row the scan consumed.
+			if sent < wantSt.ScanDepth || sent > wantSt.ScanDepth+3*limit {
+				t.Errorf("chunk %d, query %d: daemons sent %d rows for a scan of depth %d", limit, qid, sent, wantSt.ScanDepth)
+			}
+			if shim.chunks < sent/limit {
+				t.Errorf("chunk %d, query %d: %d rows arrived in %d chunks: the shim did not force the chunk size", limit, qid, sent, shim.chunks)
+			}
+		}
+	}
+}
+
+// TestClusterWriteBetweenChunks lands writes on the daemons between two
+// chunks of one query's streams — an insert nearer the query than anything
+// the streams have yet to send, and a delete of the query's nearest
+// neighbor, already sent. Chunks resume by their last (distance, ID) key, so
+// the later chunks, answered from newer snapshots, can neither repeat nor
+// reorder a row: the query succeeds with no duplicate ID.
+func TestClusterWriteBetweenChunks(t *testing.T) {
+	pts := indextest.RandPoints(200, 3, 73)
+	shim := &chunkShim{base: http.DefaultTransport, limit: 2}
+	cl := startClusterWith(t, pts, 3, 1, []repro.Option{repro.WithScale(100), repro.WithPlainRDT()}, repro.WithTransport(shim))
+	ctx := context.Background()
+	q := []float64{0.5, 0.5, 0.5}
+	nn, err := cl.co.KNNContext(ctx, q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	shim.mu.Lock()
+	shim.between = func() {
+		_, err := cl.co.InsertContext(ctx, []float64{0.5, 0.5, 0.5001})
+		if err == nil {
+			_, err = cl.co.DeleteContext(ctx, nn[0].ID)
+		}
+		wrote <- err
+	}
+	shim.mu.Unlock()
+	shim.reset()
+	ids, err := cl.co.ReverseKNNPointContext(ctx, q, 6)
+	if err != nil {
+		t.Fatalf("query across a concurrent write: %v", err)
+	}
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatalf("the write between chunks failed: %v", err)
+		}
+	default:
+		t.Fatal("the query never reached a second chunk: no write happened between chunks")
+	}
+	seen := map[int]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("answer %v repeats id %d", ids, id)
+		}
+		seen[id] = true
+	}
+	for host, rows := range shim.rows {
+		for i := 1; i < len(rows); i++ {
+			if a, b := rows[i-1], rows[i]; b.Dist < a.Dist || b.Dist == a.Dist && b.ID <= a.ID {
+				t.Fatalf("daemon %s sent row %+v after %+v across the write", host, b, a)
+			}
+		}
+	}
+	// Quiet again, the cluster answers as an engine built from the result.
+	after, err := cl.co.ReverseKNNPointContext(ctx, q, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := append(append([][]float64(nil), pts...), []float64{0.5, 0.5, 0.5001})
+	ref, err := repro.New(final, repro.WithScale(100), repro.WithPlainRDT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ref.Delete(nn[0].ID); !ok || err != nil {
+		t.Fatalf("reference Delete(%d) = (%v, %v)", nn[0].ID, ok, err)
+	}
+	want, err := ref.ReverseKNNPointContext(ctx, q, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(want) {
+		t.Errorf("after the write the cluster answers %v, an engine holding the same points %v", after, want)
 	}
 }
 

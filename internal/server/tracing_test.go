@@ -40,10 +40,10 @@ func findJSONSpans(sp trace.SpanJSON, name string) []trace.SpanJSON {
 }
 
 // TestDebugExplainResponse pins the ?debug=1 contract on a sharded engine:
-// the normal answer plus an inline span tree whose root is the HTTP span
-// and whose scatter spans carry per-shard core stages, response headers
-// naming the request and trace, and retention in the ring regardless of
-// the sampling rate.
+// the normal answer plus an inline span tree whose root is the HTTP span and
+// which holds the one core.rknn of the query with a shard.scatter per shard
+// stream beneath it, response headers naming the request and trace, and
+// retention in the ring regardless of the sampling rate.
 func TestDebugExplainResponse(t *testing.T) {
 	ring, ts := newTracedShardedServer(t, 0) // sample 0: only debug/slow/upstream retain
 	resp, err := http.Post(ts.URL+"/v1/rknn?debug=1", "application/json",
@@ -75,11 +75,15 @@ func TestDebugExplainResponse(t *testing.T) {
 	if out.Trace.Root.Name != "http./v1/rknn" {
 		t.Errorf("root span %q, want http./v1/rknn", out.Trace.Root.Name)
 	}
-	if got := len(findJSONSpans(out.Trace.Root, "shard.scatter")); got != 2 {
-		t.Errorf("shard.scatter spans = %d, want 2", got)
+	cores := findJSONSpans(out.Trace.Root, "core.rknn")
+	if len(cores) != 1 {
+		t.Fatalf("core.rknn spans = %d, want 1 (the algorithm runs once over the merged shard streams)", len(cores))
 	}
-	if got := len(findJSONSpans(out.Trace.Root, "core.rknn")); got != 2 {
-		t.Errorf("core.rknn spans = %d, want 2", got)
+	if got := len(findJSONSpans(cores[0], "shard.scatter")); got != 2 {
+		t.Errorf("shard.scatter spans under core.rknn = %d, want 2", got)
+	}
+	if got := len(findJSONSpans(out.Trace.Root, "shard.merge")); got != 0 {
+		t.Errorf("shard.merge spans = %d, want none", got)
 	}
 
 	// Debug requests are always retained: the same trace is in the ring.
@@ -127,8 +131,13 @@ func TestTracesEndpoints(t *testing.T) {
 		t.Fatalf("GET trace by id: status %d", got)
 	}
 	cores := findJSONSpans(full.Root, "core.rknn")
-	if len(cores) != 2 {
-		t.Fatalf("core.rknn spans = %d, want 2", len(cores))
+	if len(cores) != 1 {
+		t.Fatalf("core.rknn spans = %d, want 1", len(cores))
+	}
+	for _, stage := range []string{"core.scan", "core.filter", "core.verify"} {
+		if got := len(findJSONSpans(cores[0], stage)); got != 1 {
+			t.Errorf("%s spans under core.rknn = %d, want 1", stage, got)
+		}
 	}
 	if _, ok := cores[0].Attrs["scan_depth"]; !ok {
 		t.Errorf("core.rknn span missing scan_depth attr: %+v", cores[0].Attrs)

@@ -157,7 +157,7 @@ func childBounds(inherited, d, mu float64) (inner, outer float64) {
 // other tree back-ends.
 func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
 	c := &cursor{t: t, q: q, skipID: skipID,
-		nodes: pqueue.NewMin[frontierEntry](64), ready: pqueue.NewMin[int](64)}
+		nodes: pqueue.NewMin[frontierEntry](64), ready: pqueue.NewNearest(64)}
 	if t.root != nil {
 		c.nodes.Push(0, frontierEntry{n: t.root})
 	}
@@ -176,7 +176,8 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 	for {
 		readyTop, hasReady := c.ready.Peek()
 		nodeTop, hasNode := c.nodes.Peek()
-		if hasReady && (!hasNode || readyTop.Priority <= nodeTop.Priority) {
+		// Strict, so ties leave in ascending ID order (see covertree).
+		if hasReady && (!hasNode || readyTop.Priority < nodeTop.Priority) {
 			it, _ := c.ready.Pop()
 			return index.Neighbor{ID: it.Value, Dist: it.Priority}, true
 		}

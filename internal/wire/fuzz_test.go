@@ -11,10 +11,14 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(AppendKNNBatchRequest(nil, []KNNQuery{{Point: []float64{0.5}, K: 3, Skip: -1}}))
 	f.Add(AppendPointsRequest(nil, []int{0, 1, 2}))
 	f.Add(AppendCountBatchRequest(nil, []CountQuery{{Point: []float64{0.5, 2}, Radius: 0.25, Limit: 3, Skip: 7}}))
+	f.Add(AppendNeighborsRequest(nil, []float64{0.5, 2}, 7, Neighbor{ID: 3, Dist: 0.25}, 72))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req, err := DecodeRequest(b)
 		if err == nil && req == nil {
 			t.Fatal("nil request without error")
+		}
+		if err == nil && req.Op == OpNeighbors && (req.Count < 1 || req.Count > MaxNeighborRows || req.Skip < -1 || req.After.ID < -1 || !(req.After.Dist >= 0)) {
+			t.Fatalf("neighbor request outside its domain decoded: %+v", req)
 		}
 	})
 }
@@ -24,11 +28,15 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(AppendKNNBatchResponse(nil, [][]Neighbor{{{ID: 1, Dist: 0.25}}}))
 	f.Add(AppendPointsResponse(nil, [][]float64{{1, 2}, nil}))
 	f.Add(AppendCountBatchResponse(nil, []int{0, 3, 1}))
+	f.Add(AppendNeighborsResponse(nil, []Neighbor{{ID: 1, Dist: 0.25}, {ID: 4, Dist: 0.5}}, [][]float64{{1, 2}, {0.1, 3}}, true))
 	f.Add(AppendError(nil, ErrDeleted, "gone"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		DecodeRkNNResponse(b)
 		DecodeKNNBatchResponse(b)
 		DecodePointsResponse(b)
 		DecodeCountBatchResponse(b)
+		if rows, pts, _, err := DecodeNeighborsResponse(b); err == nil && (len(rows) > MaxNeighborRows || len(pts) != len(rows)) {
+			t.Fatalf("neighbor chunk outside its bounds decoded: %d rows, %d points", len(rows), len(pts))
+		}
 	})
 }

@@ -14,6 +14,7 @@
 //	op 2 (knn batch) count u32, { k u32, skip i64, vec } × count
 //	op 3 (points)    count u32, id u64 × count
 //	op 4 (count)     count u32, { limit u32, skip i64, radius f64-bits, vec } × count
+//	op 5 (neighbors) count u32, skip i64, after-id i64, after-dist f64-bits, vec
 //
 //	status 0 (ok)    op-specific payload (below)
 //	status ≠0        error: code is the status byte, msg u16-len + bytes
@@ -22,6 +23,7 @@
 //	knn ok       count u32, { n u32, (dist f64-bits, id u64) × n } × count
 //	points ok    count u32, { present u8, vec if present } × count
 //	count ok     count u32, n u32 × count
+//	neighbors ok n u32, done u8, (dist f64-bits, id u64) × n, enc u8, dim u32, coords × n
 //
 //	vec := enc u8 (0 float64, 1 float32), dim u32, coords
 //
@@ -34,7 +36,9 @@
 // anything. Result rows and count radii carry float64 distances for the same
 // reason: the coordinator's k-way merge orders by (distance, ID), and a
 // shard's strict count compares against d(q,x), so both sides must see
-// exactly the bits the other computed.
+// exactly the bits the other computed. The rows of a neighbor-stream chunk
+// share one encoding byte and one dimension, so a chunk decodes into a single
+// backing array.
 //
 // Decoders are fuzzed (FuzzDecodeRequest/FuzzDecodeResponse): every count
 // is validated against the remaining frame length before allocation, and
@@ -45,6 +49,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+
+	"repro/internal/index"
 )
 
 // ContentType is the media type of both request and response frames.
@@ -65,13 +72,23 @@ type Op uint8
 // against one pinned snapshot; OpPoints resolves member IDs to
 // coordinates; OpCountBatch answers many bounded strict range counts — the
 // verification probes of a scattered RkNN query — with one small integer
-// each.
+// each; OpNeighbors returns one chunk of the shard's forward neighbor stream
+// from a point — (local ID, distance, coordinates) rows in ascending
+// (distance, ID) order, starting after a resume key — which is what a
+// coordinator merges across shards to run the RkNN algorithm itself.
 const (
 	OpRkNN       Op = 1
 	OpKNNBatch   Op = 2
 	OpPoints     Op = 3
 	OpCountBatch Op = 4
+	OpNeighbors  Op = 5
 )
+
+// MaxNeighborRows caps the rows of one neighbor-stream chunk, on both sides:
+// a request asking for more is malformed, and so is a response carrying
+// more. At d=784 in float64 a full chunk is 25 MB, inside the response bound
+// the remote client reads under.
+const MaxNeighborRows = 4096
 
 // ErrCode classifies an error response so the coordinator can map remote
 // failures onto the same sentinel errors the in-process engine returns.
@@ -109,11 +126,10 @@ type Stats struct {
 	Omega         float64
 }
 
-// Neighbor is one (distance, local ID) result row of a forward-kNN probe.
-type Neighbor struct {
-	ID   int
-	Dist float64
-}
+// Neighbor is one (distance, local ID) result row of a forward-kNN probe or
+// a neighbor stream — the index contract's own row type, so neither side of
+// the wire converts.
+type Neighbor = index.Neighbor
 
 // KNNQuery is one forward-kNN probe of a batch: the query point, the rank,
 // and an optional local member ID to exclude (-1 for none). The explicit
@@ -132,12 +148,7 @@ type KNNQuery struct {
 // Skip (-1 for none), counted no further than Limit. The shard's share of
 // the refinement test d_k(x) ≥ d(q,x) is exactly this number for Point = x,
 // Radius = d(q,x), Limit = k.
-type CountQuery struct {
-	Point  []float64
-	Radius float64
-	Limit  int
-	Skip   int
-}
+type CountQuery = index.CountQuery
 
 // Request is a decoded request frame; exactly the field named by Op is
 // populated.
@@ -159,6 +170,13 @@ type Request struct {
 
 	// OpCountBatch
 	Counts []CountQuery
+
+	// OpNeighbors: up to Count rows of the neighbor stream from Point with
+	// local member Skip excluded (-1 for none), starting after the row After
+	// in (distance, ID) order; After.ID -1 starts at the nearest.
+	Skip  int
+	Count int
+	After Neighbor
 }
 
 // Vector encodings: the enc byte of a vec.
@@ -182,11 +200,16 @@ func appendU64(dst []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
+// float32Lossless reports whether v survives a round trip through float32.
+func float32Lossless(v float64) bool {
+	return float64(float32(v)) == v || math.IsNaN(v)
+}
+
 // AppendVec encodes one vector with the dual float32/float64 encoding.
 func AppendVec(dst []byte, p []float64) []byte {
 	enc := byte(vecF32)
 	for _, v := range p {
-		if float64(float32(v)) != v && !(math.IsNaN(v) && math.IsNaN(float64(float32(v)))) {
+		if !float32Lossless(v) {
 			enc = vecF64
 			break
 		}
@@ -242,6 +265,16 @@ func AppendCountBatchRequest(dst []byte, qs []CountQuery) []byte {
 		dst = AppendVec(dst, q.Point)
 	}
 	return dst
+}
+
+// AppendNeighborsRequest encodes an OpNeighbors request (see Request).
+func AppendNeighborsRequest(dst []byte, q []float64, skip int, after Neighbor, count int) []byte {
+	dst = append(dst, Version, byte(OpNeighbors))
+	dst = appendU32(dst, uint32(count))
+	dst = appendU64(dst, uint64(int64(skip)))
+	dst = appendU64(dst, uint64(int64(after.ID)))
+	dst = appendU64(dst, math.Float64bits(after.Dist))
+	return AppendVec(dst, q)
 }
 
 // AppendPointsRequest encodes an OpPoints request.
@@ -321,6 +354,50 @@ func AppendCountBatchResponse(dst []byte, counts []int) []byte {
 	dst = appendU32(dst, uint32(len(counts)))
 	for _, n := range counts {
 		dst = appendU32(dst, uint32(n))
+	}
+	return dst
+}
+
+// AppendNeighborsResponse encodes a successful OpNeighbors response: the
+// chunk's rows with their coordinates (points[i] belongs to rows[i]; all of
+// one dimension), and whether the stream ends with this chunk.
+func AppendNeighborsResponse(dst []byte, rows []Neighbor, points [][]float64, done bool) []byte {
+	dim := 0
+	if len(points) > 0 {
+		dim = len(points[0])
+	}
+	enc := byte(vecF32)
+scan:
+	for _, p := range points {
+		for _, v := range p {
+			if !float32Lossless(v) {
+				enc = vecF64
+				break scan
+			}
+		}
+	}
+	dst = slices.Grow(dst, 2+4+1+16*len(rows)+1+4+len(rows)*dim*8)
+	dst = append(dst, Version, 0)
+	dst = appendU32(dst, uint32(len(rows)))
+	if done {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	for _, nb := range rows {
+		dst = appendU64(dst, math.Float64bits(nb.Dist))
+		dst = appendU64(dst, uint64(nb.ID))
+	}
+	dst = append(dst, enc)
+	dst = appendU32(dst, uint32(dim))
+	for _, p := range points {
+		for _, v := range p {
+			if enc == vecF32 {
+				dst = appendU32(dst, math.Float32bits(float32(v)))
+			} else {
+				dst = appendU64(dst, math.Float64bits(v))
+			}
+		}
 	}
 	return dst
 }
@@ -411,18 +488,22 @@ func (r *reader) count(minElemSize int) int {
 	return int(n)
 }
 
+// encoding reads a vector encoding byte and returns it with the byte size
+// of one coordinate under it.
+func (r *reader) encoding() (enc byte, size int) {
+	switch enc = r.u8(); enc {
+	case vecF64:
+		return enc, 8
+	case vecF32:
+		return enc, 4
+	}
+	r.fail("wire: unknown vector encoding %d", enc)
+	return enc, 8
+}
+
 // vec decodes one dual-encoded vector.
 func (r *reader) vec() []float64 {
-	enc := r.u8()
-	size := 8
-	switch enc {
-	case vecF64:
-	case vecF32:
-		size = 4
-	default:
-		r.fail("wire: unknown vector encoding %d", enc)
-		return nil
-	}
+	enc, size := r.encoding()
 	dim := r.u32()
 	if r.err != nil {
 		return nil
@@ -529,6 +610,18 @@ func DecodeRequest(b []byte) (*Request, error) {
 			qs = append(qs, CountQuery{Limit: limit, Skip: skip, Radius: radius, Point: r.vec()})
 		}
 		req.Counts = qs
+	case OpNeighbors:
+		req.Count = r.bounded("count")
+		if r.err == nil && (req.Count < 1 || req.Count > MaxNeighborRows) {
+			r.fail("wire: neighbor count %d out of range [1,%d]", req.Count, MaxNeighborRows)
+		}
+		req.Skip = r.skip()
+		req.After.ID = r.skip() // same domain: a local member ID, or -1 for "from the start"
+		req.After.Dist = r.f64()
+		if r.err == nil && !(req.After.Dist >= 0) { // also rejects NaN
+			r.fail("wire: resume distance %v out of range", req.After.Dist)
+		}
+		req.Point = r.vec()
 	default:
 		if r.err == nil {
 			r.fail("wire: unknown op %d", op)
@@ -629,6 +722,64 @@ func DecodeCountBatchResponse(b []byte) ([]int, error) {
 		return nil, err
 	}
 	return counts, nil
+}
+
+// DecodeNeighborsResponse decodes an OpNeighbors response: the chunk's rows,
+// their coordinates (slices of one backing array), and whether the stream
+// ended with it. Distances that are negative or NaN are rejected — the
+// coordinator's merge orders by them.
+func DecodeNeighborsResponse(b []byte) (rows []Neighbor, points [][]float64, done bool, err error) {
+	r, err := respPayload(b)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	n := r.count(16)
+	if n > MaxNeighborRows {
+		r.fail("wire: %d neighbor rows exceed the cap of %d", n, MaxNeighborRows)
+		n = 0
+	}
+	switch r.u8() {
+	case 0:
+	case 1:
+		done = true
+	default:
+		r.fail("wire: invalid done byte")
+	}
+	rows = make([]Neighbor, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		d := r.f64()
+		if r.err == nil && !(d >= 0) {
+			r.fail("wire: neighbor distance %v out of range", d)
+		}
+		rows = append(rows, Neighbor{Dist: d, ID: r.id()})
+	}
+	enc, size := r.encoding()
+	dim := int(r.u32())
+	// dim*size is checked against the frame before it is multiplied by n,
+	// so neither product can overflow.
+	if r.err == nil && (int64(dim)*int64(size) > int64(r.remaining()) || int64(n)*int64(dim)*int64(size) > int64(r.remaining())) {
+		r.fail("wire: %d rows of dimension %d exceed frame", n, dim)
+	}
+	if r.err == nil {
+		flat := make([]float64, n*dim)
+		raw := r.b[r.off : r.off+len(flat)*size]
+		r.off += len(raw)
+		for i := range flat {
+			if enc == vecF32 {
+				flat[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
+			} else {
+				flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			}
+		}
+		points = make([][]float64, n)
+		for i := range points {
+			points[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+		}
+	}
+	if err := r.done(); err != nil {
+		return nil, nil, false, err
+	}
+	return rows, points, done, nil
 }
 
 // DecodePointsResponse decodes an OpPoints response; absent rows are nil.

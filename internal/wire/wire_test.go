@@ -173,6 +173,121 @@ func TestCountBatchBounds(t *testing.T) {
 	}
 }
 
+func TestNeighborsRoundTrip(t *testing.T) {
+	q := []float64{0.1, 2, -3.5}
+	odd := math.Nextafter(0.3, 1)
+	for _, after := range []Neighbor{{ID: -1}, {ID: 17, Dist: odd}, {ID: math.MaxInt32, Dist: math.Inf(1)}} {
+		for _, skip := range []int{-1, 0, 42} {
+			for _, count := range []int{1, 72, MaxNeighborRows} {
+				req, err := DecodeRequest(AppendNeighborsRequest(nil, q, skip, after, count))
+				if err != nil {
+					t.Fatalf("decode(skip=%d after=%+v count=%d): %v", skip, after, count, err)
+				}
+				// The resume key is a distance the shard computed and
+				// compares against: it must arrive bit for bit.
+				if req.Op != OpNeighbors || req.Skip != skip || req.Count != count || req.After.ID != after.ID ||
+					math.Float64bits(req.After.Dist) != math.Float64bits(after.Dist) || !reflect.DeepEqual(req.Point, q) {
+					t.Fatalf("round trip mismatch: %+v", req)
+				}
+			}
+		}
+	}
+
+	rows := []Neighbor{{ID: 4, Dist: 0}, {ID: 9, Dist: odd}, {ID: 2, Dist: 7.5}}
+	for name, pts := range map[string][][]float64{
+		"float32-lossless": {{1, 2}, {0.5, -0.25}, {1024, 0}},
+		"float64":          {{1, 2}, {math.Pi, 0.1}, {1024, 0}},
+	} {
+		for _, done := range []bool{false, true} {
+			b := AppendNeighborsResponse(nil, rows, pts, done)
+			gotRows, gotPts, gotDone, err := DecodeNeighborsResponse(b)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", name, err)
+			}
+			if !reflect.DeepEqual(gotRows, rows) || !reflect.DeepEqual(gotPts, pts) || gotDone != done {
+				t.Fatalf("%s: round trip mismatch: %v %v %v", name, gotRows, gotPts, gotDone)
+			}
+		}
+	}
+	if b := AppendNeighborsResponse(nil, rows, [][]float64{{1, 2}, {0.5, -0.25}, {1024, 0}}, false); len(b) >= len(AppendNeighborsResponse(nil, rows, [][]float64{{1, 2}, {math.Pi, 0.1}, {1024, 0}}, false)) {
+		t.Error("float32-lossless chunk is not smaller than the float64 one")
+	}
+	gotRows, gotPts, done, err := DecodeNeighborsResponse(AppendNeighborsResponse(nil, nil, nil, true))
+	if err != nil || len(gotRows) != 0 || len(gotPts) != 0 || !done {
+		t.Fatalf("empty final chunk: %v %v %v %v", gotRows, gotPts, done, err)
+	}
+}
+
+// TestNeighborsBounds pins the limits of the neighbor-stream op against
+// hostile shapes: the row count is capped on both sides and checked against
+// the bytes present before anything is allocated, and count, skip and the
+// resume key must lie in their domains.
+func TestNeighborsBounds(t *testing.T) {
+	req := func(count uint32, skip, afterID int64, afterDist float64) []byte {
+		b := []byte{Version, byte(OpNeighbors)}
+		b = appendU32(b, count)
+		b = appendU64(b, uint64(skip))
+		b = appendU64(b, uint64(afterID))
+		b = appendU64(b, math.Float64bits(afterDist))
+		return AppendVec(b, []float64{1, 2})
+	}
+	if _, err := DecodeRequest(req(8, -1, -1, 0)); err != nil {
+		t.Fatalf("well-formed request rejected: %v", err)
+	}
+	requests := map[string][]byte{
+		"zero count":          req(0, -1, -1, 0),
+		"count over cap":      req(MaxNeighborRows+1, -1, -1, 0),
+		"count over int32":    req(math.MaxInt32+1, -1, -1, 0),
+		"skip below -1":       req(8, -2, -1, 0),
+		"skip over int32":     req(8, math.MaxInt32+1, -1, 0),
+		"resume id below -1":  req(8, -1, -2, 0),
+		"resume id too large": req(8, -1, math.MaxInt32+1, 0),
+		"negative resume":     req(8, -1, 3, -0.5),
+		"NaN resume":          req(8, -1, 3, math.NaN()),
+		"truncated":           req(8, -1, -1, 0)[:20],
+		"trailing bytes":      append(req(8, -1, -1, 0), 0),
+	}
+	for name, b := range requests {
+		if _, err := DecodeRequest(b); err == nil {
+			t.Errorf("request %s: expected decode error", name)
+		}
+	}
+
+	good := AppendNeighborsResponse(nil, []Neighbor{{ID: 1, Dist: 0.5}}, [][]float64{{1, 2}}, false)
+	patch := func(at int, v ...byte) []byte {
+		b := append([]byte(nil), good...)
+		copy(b[at:], v)
+		return b
+	}
+	over := []byte{Version, 0}
+	over = appendU32(over, MaxNeighborRows+1)
+	over = append(over, make([]byte, 1+16*(MaxNeighborRows+1)+5)...)
+	responses := map[string][]byte{
+		"huge row count":    {Version, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0},
+		"rows over cap":     over,
+		"bad done byte":     patch(6, 2),
+		"NaN distance":      patch(7, 0, 0, 0, 0, 0, 0, 0xF8, 0x7F),
+		"negative distance": patch(7, 0, 0, 0, 0, 0, 0, 0xE0, 0xBF),
+		"id over int32":     patch(15, 0, 0, 0, 0, 1),
+		"bad vec encoding":  patch(23, 9),
+		"dim over frame":    patch(24, 0xFF, 0xFF, 0xFF, 0xFF),
+		"dim times rows":    patch(24, 3),
+		"truncated":         good[:len(good)-1],
+		"trailing bytes":    append(append([]byte(nil), good...), 0),
+	}
+	for name, b := range responses {
+		if _, _, _, err := DecodeNeighborsResponse(b); err == nil {
+			t.Errorf("response %s: expected decode error", name)
+		}
+	}
+	// A daemon that does not know the op answers with an error frame; it
+	// surfaces as RemoteError, not as rows.
+	_, _, _, err := DecodeNeighborsResponse(AppendError(nil, ErrBadRequest, "unknown op 5"))
+	if re, ok := err.(*RemoteError); !ok || re.Code != ErrBadRequest {
+		t.Fatalf("want RemoteError(bad request), got %#v", err)
+	}
+}
+
 func TestPointsRoundTrip(t *testing.T) {
 	req, err := DecodeRequest(AppendPointsRequest(nil, []int{0, 5, 2}))
 	if err != nil {

@@ -328,22 +328,22 @@ func (sn *snapshot) querier(s *Searcher, k int) (*core.Querier, error) {
 	if qr, ok := sn.queriers.Load(k); ok {
 		return qr.(*core.Querier), nil
 	}
-	var qr *core.Querier
-	var err error
-	if s.adaptive {
-		qr, err = core.NewAdaptiveQuerier(sn.ix, core.AdaptiveParams{
-			K:          k,
-			Multiplier: 1 + s.margin,
-			Plus:       s.plus,
-		})
-	} else {
-		qr, err = core.NewQuerier(sn.ix, core.Params{K: k, T: s.scale, Plus: s.plus})
-	}
+	qr, err := s.newQuerier(sn.ix, k)
 	if err != nil {
 		return nil, err
 	}
 	actual, _ := sn.queriers.LoadOrStore(k, qr)
 	return actual.(*core.Querier), nil
+}
+
+// newQuerier builds the configured query engine for rank k — fixed-scale
+// Algorithm 1 or the adaptive variant, RDT or RDT+ — over src: a snapshot's
+// index, or a sharded engine's federation of shard streams.
+func (c engineConfig) newQuerier(src core.Source, k int) (*core.Querier, error) {
+	if c.adaptive {
+		return core.NewAdaptiveQuerier(src, core.AdaptiveParams{K: k, Multiplier: 1 + c.margin, Plus: c.plus})
+	}
+	return core.NewQuerier(src, core.Params{K: k, T: c.scale, Plus: c.plus})
 }
 
 // New indexes points and returns a Searcher. The points slice is retained
@@ -621,17 +621,10 @@ func (s *Searcher) KNNContext(ctx context.Context, q []float64, k int) ([]Neighb
 		defer ksp.End()
 	}
 	ix := s.snap.Load().ix
-	if err := vecmath.ValidateFor(ix.Metric(), q); err != nil {
+	if err := checkQuery(ix.Metric(), ix.Dim(), q); err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
 	}
-	if len(q) != ix.Dim() {
-		return nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), ix.Dim())
-	}
-	nn := ix.KNN(q, k, -1)
-	out := make([]Neighbor, len(nn))
-	for i, nb := range nn {
-		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
-	}
+	out := ix.KNN(q, k, -1)
 	if tel != nil {
 		at := tel.observeOp(opKNN, 1, begin)
 		// Forward queries carry no pruning stats, but they are traffic with
@@ -642,10 +635,7 @@ func (s *Searcher) KNNContext(ctx context.Context, q []float64, k int) ([]Neighb
 }
 
 // Neighbor is a dataset member paired with its distance from a query.
-type Neighbor struct {
-	ID   int
-	Dist float64
-}
+type Neighbor = index.Neighbor
 
 // Point returns the coordinates of a dataset member. The returned slice is
 // owned by the Searcher and must not be modified.

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -17,20 +16,16 @@ import (
 
 // This file is the sharded face of the engine: a ShardedSearcher
 // hash-partitions the dataset across S shards, each an independent
-// copy-on-write Searcher, and answers every query by scatter-gather —
-// fan the query out to all shards, merge the per-shard answers exactly.
+// copy-on-write Searcher, and answers every query over all of them at once.
 //
-// The merge is exact because reverse k-NN decomposes over any disjoint
-// partition of the dataset: if x is a global reverse neighbor of q then,
-// within x's own shard (a subset of the dataset), strictly fewer than k
-// points lie closer to x than q does, so x is also a reverse neighbor of q
-// within its shard. The union of per-shard results is therefore a superset
-// of the global result, and one exact verification of each candidate —
-// the paper's refinement test d_k(x) >= d(q,x), evaluated as "the shards'
-// counts of points strictly closer to x than q sum to less than k" —
-// filters it down to exactly the global answer. Forward kNN merges
-// directly: the global top-k is the top-k of the per-shard top-k lists.
-// See DESIGN.md, "Sharded scatter-gather".
+// A reverse query is the unsharded algorithm, run once: the k-way merge of
+// the shards' forward neighbor streams under the (distance, global ID)
+// order is the neighbor stream of the whole dataset, which is all the
+// paper's algorithm asks of its index, so one core.Querier runs over the
+// merge (shard_client.go) and returns what a Searcher over the same points
+// returns — answer and work counters, at every scale parameter. Forward kNN
+// merges directly: the global top-k is the top-k of the per-shard top-k
+// lists. See DESIGN.md, "Sharded scatter-gather".
 
 // ShardInfo describes one shard of a ShardedSearcher for monitoring.
 type ShardInfo struct {
@@ -63,6 +58,14 @@ type shardSlot struct {
 	w       shardWriter
 }
 
+// points returns the live points the shard holds (0 before its first).
+func (sl *shardSlot) points() int {
+	if eng := sl.eng.Load(); eng != nil {
+		return eng.Len()
+	}
+	return 0
+}
+
 // writable reports why the slot's store can take no write — closed, or
 // poisoned by an earlier log failure. An in-memory shard, and a shard not
 // yet populated (its store opens with its first points), are writable.
@@ -85,10 +88,10 @@ func (sl *shardSlot) writable() error {
 // to (shard, local) placements by an immutable index.ShardMap published
 // with the same copy-on-write discipline.
 //
-// Results are deterministic: merges order by (distance, ID) and candidate
-// verification evaluates the global refinement test exactly, so the answer
-// does not depend on the shard count — the property the metamorphic
-// conformance suite pins (shard_conformance_test.go).
+// Results are deterministic and do not depend on the shard count: every
+// shard streams in (distance, ID) order, so the merged stream — and with it
+// every step of the algorithm — is the unsharded engine's. The metamorphic
+// conformance suite pins it (shard_conformance_test.go).
 type ShardedSearcher struct {
 	engineConfig // shared by every shard engine
 	metric       Metric
@@ -219,9 +222,8 @@ func (ss *ShardedSearcher) Scale() float64 { return ss.scale }
 func (ss *ShardedSearcher) Backend() Backend { return ss.backend }
 
 // Approximate reports whether the shards run in the approximate regime
-// (BackendLSH); see Searcher.Approximate. The scatter-gather merge is exact
-// relative to the per-shard candidate sets, so the approximation is exactly
-// the shards' own.
+// (BackendLSH); see Searcher.Approximate. The merge loses nothing the shards
+// stream, so the approximation is exactly the shards' own.
 func (ss *ShardedSearcher) Approximate() bool { return ss.backend == BackendLSH }
 
 // Dim returns the dimensionality of the indexed points.
@@ -231,9 +233,7 @@ func (ss *ShardedSearcher) Dim() int { return ss.dim }
 func (ss *ShardedSearcher) Len() int {
 	n := 0
 	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			n += eng.Len()
-		}
+		n += slot.points()
 	}
 	return n
 }
@@ -243,10 +243,7 @@ func (ss *ShardedSearcher) Len() int {
 func (ss *ShardedSearcher) ShardStats() []ShardInfo {
 	out := make([]ShardInfo, len(ss.slots))
 	for i, slot := range ss.slots {
-		out[i] = ShardInfo{Shard: i, Queries: slot.queries.Load()}
-		if eng := slot.eng.Load(); eng != nil {
-			out[i].Points = eng.Len()
-		}
+		out[i] = ShardInfo{Shard: i, Points: slot.points(), Queries: slot.queries.Load()}
 	}
 	return out
 }
@@ -322,15 +319,13 @@ func (ss *ShardedSearcher) QuantFilterStats() (admitted, screened int64) {
 	return admitted, screened
 }
 
-// shardView is one shard pinned for the duration of a query: the engine
-// and the immutable snapshot the query will read. Pinning all views up
-// front gives a cross-shard read set that updates cannot perturb
-// mid-query.
+// shardView is one shard pinned for the duration of a query: the immutable
+// index generation the query will read. Pinning all views up front gives a
+// cross-shard read set that updates cannot perturb mid-query.
 type shardView struct {
 	shard int
 	slot  *shardSlot
-	eng   *Searcher
-	sn    *snapshot
+	ix    index.Index
 }
 
 // views pins the current snapshot of every non-empty shard. The shard map
@@ -344,11 +339,9 @@ func (ss *ShardedSearcher) views() []shardView {
 		if eng == nil {
 			continue
 		}
-		sn := eng.snap.Load()
-		if sn.ix.Len() == 0 {
-			continue
+		if ix := eng.snap.Load().ix; ix.Len() > 0 {
+			vs = append(vs, shardView{shard: i, slot: slot, ix: ix})
 		}
-		vs = append(vs, shardView{shard: i, slot: slot, eng: eng, sn: sn})
 	}
 	return vs
 }
@@ -369,18 +362,18 @@ func (ss *ShardedSearcher) ReverseKNN(qid, k int) ([]int, error) {
 }
 
 // ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
-// span, the scatter records one "shard.scatter" child per shard (each
-// containing that shard's core stage spans) and the cross-shard
-// re-verification a "shard.merge" span; an untraced context costs one nil
-// check per layer.
+// span, the query records one "core.rknn" with its scan, filter and verify
+// stages, and beneath it one "shard.scatter" per shard covering that shard's
+// neighbor stream; an untraced context costs one nil check per layer.
 func (ss *ShardedSearcher) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
 	views, m := ss.pinCtx(ctx)
 	ids, _, err := ss.reverseKNN(ctx, ss.newScatterSet(views, m), qid, nil, k, opRkNN)
 	return ids, err
 }
 
-// ReverseKNNStats is ReverseKNN with aggregated per-query work counters
-// (summed across shards; Omega is the tightest shard bound).
+// ReverseKNNStats is ReverseKNN with the per-query work counters — those of
+// the one algorithm run over the merged shard streams, equal to a Searcher's
+// over the same points.
 func (ss *ShardedSearcher) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
 	return ss.ReverseKNNStatsContext(context.Background(), qid, k)
 }
@@ -433,26 +426,24 @@ func (ss *ShardedSearcher) pinCtx(ctx context.Context) ([]shardView, *index.Shar
 	return views, m
 }
 
-// newScatterSet wraps a pinned read set in the transport-independent
-// scatter-gather layer: one localShard client per pinned view, plus the
-// per-shard telemetry hook when enabled. The same scatterSet algorithm
-// runs over remote clients in the Coordinator (shard_client.go).
+// newScatterSet wraps a pinned read set in the transport-independent query
+// layer: one localShard client per pinned view, plus the per-shard
+// instruments when telemetry is enabled. The same scatterSet code runs over
+// remote clients in the Coordinator (shard_client.go).
 func (ss *ShardedSearcher) newScatterSet(views []shardView, m *index.ShardMap) *scatterSet {
-	clients := make([]shardClient, len(views))
+	sc := &scatterSet{engineConfig: ss.engineConfig, clients: make([]shardClient, len(views)), m: m, metric: ss.metric, dim: ss.dim}
 	for i := range views {
-		clients[i] = localShard{views[i]}
+		sc.clients[i] = localShard{&views[i]}
+		sc.n += views[i].ix.Len()
 	}
-	sc := &scatterSet{clients: clients, m: m, metric: ss.metric, dim: ss.dim, backend: ss.backend}
 	if p := ss.shardTel.Load(); p != nil {
-		sts := *p
-		sc.onStats = func(i int, st core.Stats) { sts[views[i].shard].observe(st) }
+		sc.tel = *p
 	}
 	return sc
 }
 
-// reverseKNN is the scatter-gather RkNN query over a pinned read set —
-// the generic algorithm of scatterSet.reverseKNN plus this engine's
-// telemetry. qid >= 0 anchors the query at a member (q is then looked
+// reverseKNN is the RkNN query over a pinned read set — scatterSet.reverseKNN
+// plus this engine's telemetry. qid >= 0 anchors the query at a member (q is then looked
 // up); qid < 0 queries the arbitrary point q. op labels the query in the
 // engine telemetry (batch members record per query here, unlike the
 // unsharded batch, whose pool hides per-member timing; they also leave
@@ -484,12 +475,6 @@ func (ss *ShardedSearcher) reverseKNN(ctx context.Context, sc *scatterSet, qid i
 		}
 	}
 	return ids, st, nil
-}
-
-// wrapShardErr prefixes shard-level errors with the facade's rknnd tag
-// unless they already carry it.
-func wrapShardErr(err error) error {
-	return fmt.Errorf("rknnd: %w", err)
 }
 
 // KNN returns the k global forward nearest neighbors of an arbitrary point

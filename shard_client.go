@@ -10,34 +10,27 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/trace"
-	"repro/internal/vecmath"
 )
 
-// This file makes "a shard" an interface instead of a struct: the
-// scatter-gather algorithm of shard.go talks to shardClient, and the two
-// implementations — localShard over a pinned in-process snapshot (below)
-// and remoteShard over HTTP (shard_remote.go) — answer the same five
-// calls. The exact-merge argument in shard.go never mentions where a
-// shard's index lives, so the algorithm is written once here and a
-// Coordinator over networked daemons returns byte-identical answers to a
-// ShardedSearcher over goroutines (cluster conformance suite,
-// internal/server/cluster_test.go).
+// This file makes "a shard" an interface instead of a struct and the set of
+// shards an index: shardClient has two implementations — localShard over a
+// pinned in-process snapshot (below) and remoteShard over HTTP
+// (shard_remote.go) — and fedIndex federates any set of them into the one
+// structure the paper's algorithm asks for (Section 4: incremental forward
+// nearest-neighbor search). A k-way merge of the shards' neighbor streams
+// under the (distance, global ID) order IS the neighbor stream of the whole
+// dataset, so a sharded RkNN query is core.Querier — the algorithm a Searcher
+// runs — over that merge: one expanding search, one filter set, one
+// refinement, with the rank cap and the ω test in global rank as the paper
+// states them. Nothing here knows where a shard lives, so a Coordinator over
+// networked daemons executes the same steps as a ShardedSearcher over
+// goroutines, and both as an unsharded Searcher: same answer, same Stats, at
+// every scale parameter.
 //
-// All IDs crossing the interface are shard-local; the scatterSet owns the
-// ShardMap and is the only layer that translates. Verification is batched
-// per shard (Points and CountBatch take slices) so a remote shard costs a
-// constant number of round trips per query, not one per candidate — and
-// what comes back per candidate is one small integer, not a neighbor list:
-// no IDs cross the interface during verification, so there is nothing to
-// translate and nothing to merge.
-
-// knnProbe is one forward-kNN probe: the probe point, the rank, and the
-// local member ID to exclude (-1 for none).
-type knnProbe struct {
-	q    []float64
-	k    int
-	skip int
-}
+// All IDs crossing shardClient are shard-local; fedIndex owns the ShardMap
+// and is the only layer that translates. Local IDs grow in global insertion
+// order within a shard, so a shard's (distance, local ID) order is the
+// (distance, global ID) order restricted to it.
 
 // shardClient is one shard of a scatter set. Implementations answer
 // against a single consistent view of their shard: localShard pins one
@@ -50,21 +43,32 @@ type shardClient interface {
 	Shard() int
 	// CountQuery records one scatter visit in the shard's traffic counter.
 	CountQuery()
-	// ReverseKNNByID answers a member RkNN query anchored at a local ID,
-	// returning local result IDs and the shard's work counters.
-	ReverseKNNByID(ctx context.Context, local, k int) ([]int, core.Stats, error)
-	// ReverseKNNByPoint answers the query for an external point.
-	ReverseKNNByPoint(ctx context.Context, q []float64, k int) ([]int, core.Stats, error)
+	// Neighbors opens the shard's forward neighbor stream from q, local
+	// member skip excluded (-1 for none). expect is how many rows the caller
+	// expects to pull — a remote shard sizes its first fetch by it; ctx
+	// bounds every fetch the stream makes.
+	Neighbors(ctx context.Context, q []float64, skip, expect int) shardStream
 	// Points resolves local member IDs to coordinates; a nil row marks an
 	// ID with no live point (deleted, or an insert still in flight).
 	Points(ctx context.Context, locals []int) ([][]float64, error)
-	// KNNBatch answers forward-kNN probes (local result IDs), all against
-	// one consistent view of the shard.
-	KNNBatch(ctx context.Context, probes []knnProbe) ([][]index.Neighbor, error)
+	// KNN returns the shard's k nearest members to q (local IDs) in
+	// ascending (distance, ID) order.
+	KNN(ctx context.Context, q []float64, k int) ([]index.Neighbor, error)
 	// CountBatch answers verification probes (Skip is a local member ID),
 	// one count per probe in probe order, all against one consistent view
 	// of the shard.
 	CountBatch(ctx context.Context, probes []CountCloserQuery) ([]int, error)
+}
+
+// shardStream is one shard's forward neighbor stream from a fixed point, in
+// ascending (distance, local ID) order. Single-use, one goroutine.
+type shardStream interface {
+	// Next returns the shard's next-nearest member. ok is false once the
+	// shard is exhausted — or the stream failed, which Err tells apart.
+	Next() (nb index.Neighbor, ok bool)
+	// Point returns the coordinates of a member Next has returned.
+	Point(local int) []float64
+	Err() error
 }
 
 // livePoint fetches local ID l from a pinned index view, or nil when the
@@ -85,345 +89,377 @@ func livePoint(ix index.Index, l int) []float64 {
 }
 
 // localShard adapts one pinned shard view to shardClient — the in-process
-// implementation, and the zero-overhead baseline: every method body is
-// what shard.go inlined before the interface existed.
+// implementation: every method body is a direct call on the pinned index.
+// (A one-pointer struct: boxing it in the interface allocates nothing.)
 type localShard struct {
-	v shardView
+	v *shardView
 }
 
 func (l localShard) Shard() int  { return l.v.shard }
 func (l localShard) CountQuery() { l.v.slot.queries.Add(1) }
 
-func (l localShard) ReverseKNNByID(ctx context.Context, local, k int) ([]int, core.Stats, error) {
-	qr, err := l.v.sn.querier(l.v.eng, k)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	res, err := qr.ByIDCtx(ctx, local)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return res.IDs, res.Stats, nil
+func (l localShard) Neighbors(_ context.Context, q []float64, skip, _ int) shardStream {
+	return &localStream{ix: l.v.ix, c: l.v.ix.NewCursor(q, skip)}
 }
 
-func (l localShard) ReverseKNNByPoint(ctx context.Context, q []float64, k int) ([]int, core.Stats, error) {
-	qr, err := l.v.sn.querier(l.v.eng, k)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	res, err := qr.ByPointCtx(ctx, q)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return res.IDs, res.Stats, nil
+// localStream is the pinned snapshot's own cursor.
+type localStream struct {
+	ix index.Index
+	c  index.Cursor
 }
+
+func (s *localStream) Next() (index.Neighbor, bool) { return s.c.Next() }
+func (s *localStream) Point(local int) []float64    { return s.ix.Point(local) }
+func (s *localStream) Err() error                   { return nil }
 
 func (l localShard) Points(_ context.Context, locals []int) ([][]float64, error) {
 	rows := make([][]float64, len(locals))
 	for i, lid := range locals {
-		rows[i] = livePoint(l.v.sn.ix, lid)
+		rows[i] = livePoint(l.v.ix, lid)
 	}
 	return rows, nil
 }
 
-func (l localShard) KNNBatch(_ context.Context, probes []knnProbe) ([][]index.Neighbor, error) {
-	out := make([][]index.Neighbor, len(probes))
-	for i, p := range probes {
-		out[i] = l.v.sn.ix.KNN(p.q, p.k, p.skip)
-	}
-	return out, nil
+func (l localShard) KNN(_ context.Context, q []float64, k int) ([]index.Neighbor, error) {
+	return l.v.ix.KNN(q, k, -1), nil
 }
 
 func (l localShard) CountBatch(_ context.Context, probes []CountCloserQuery) ([]int, error) {
 	out := make([]int, len(probes))
 	for i, p := range probes {
-		out[i] = l.v.sn.ix.CountCloser(p.Point, p.Radius, p.Limit, p.Skip, nil)
+		out[i] = l.v.ix.CountCloser(p.Point, p.Radius, p.Limit, p.Skip, nil)
 	}
 	return out, nil
 }
 
 // scatterSet is a pinned set of shard clients plus the shard map that
-// translates their local IDs — everything the transport-independent
-// scatter-gather needs. ShardedSearcher builds one per pin over
-// localShards; Coordinator builds one per query over remoteShards.
+// translates their local IDs and the engine configuration their queries run
+// under — everything a transport-independent query needs. ShardedSearcher
+// builds one per pin over localShards; Coordinator builds one per query over
+// remoteShards.
 type scatterSet struct {
-	clients []shardClient
+	engineConfig
+	clients []shardClient // ascending shard number
 	m       *index.ShardMap
 	metric  Metric
 	dim     int
-	backend Backend // labels the spans this layer opens
-	// onStats, when set, receives each scatter visit's work counters after
-	// a successful scatter (i indexes clients) — the per-shard telemetry
-	// hook.
-	onStats func(i int, st core.Stats)
+	n       int // live points across the clients
+	// tel, when set, holds the per-shard instruments indexed by shard number.
+	tel []*shardTelemetry
 }
 
-// reverseKNN is the scatter-gather RkNN query. A nil q anchors the query
-// at member qid (resolved from its home shard — qid may be any integer;
-// out-of-range values fail like the unsharded engine's); a non-nil q
-// queries that arbitrary point (qid is then ignored, pass -1). Returns the
-// merged global IDs, the aggregated work counters, and the resolved query
-// point (for workload telemetry).
+// client returns the position in sc.clients of the given shard, or -1 when
+// the shard is not part of the set (it pinned empty).
+func (sc *scatterSet) client(shard int) int {
+	return slices.IndexFunc(sc.clients, func(c shardClient) bool { return c.Shard() == shard })
+}
+
+// reverseKNN answers one RkNN query by running the engine's core.Querier
+// over the federated index of the set. A nil q anchors the query at member
+// qid (qid may be any integer; out-of-range values fail like the unsharded
+// engine's); a non-nil q queries that arbitrary point (qid is then ignored,
+// pass -1). Returns the global IDs, the query's work counters — those of the
+// one algorithm run, identical to an unsharded engine's on the same data —
+// and the resolved query point (for workload telemetry).
 func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k int) ([]int, Stats, []float64, error) {
-	if k <= 0 {
-		return nil, Stats{}, nil, fmt.Errorf("rknnd: core: K must be positive, got %d", k)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	homeLocal, home := -1, -1
+	// Remote streams fetch ahead on their own goroutines; cancelling on
+	// return stops whatever the query no longer needs.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	f := &fedIndex{sc: sc, ctx: ctx, k: k, qid: -1, home: -1}
+	qr, err := sc.newQuerier(f, k)
+	if err != nil {
+		return nil, Stats{}, nil, fmt.Errorf("rknnd: %w", err)
+	}
+	var res *core.Result
 	if q == nil {
-		s, l, ok := sc.m.Locate(qid)
-		if !ok {
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: core: query id %d out of range [0,%d)", qid, sc.m.Len())
-		}
-		homeLocal = l
-		for i, c := range sc.clients {
-			if c.Shard() == s {
-				home = i
-				break
-			}
-		}
-		if home < 0 {
-			// The member's shard pinned empty (or unpublished): every copy
-			// of the point this read set can see is gone.
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: core: query id %d: %w", qid, ErrDeleted)
-		}
-		rows, err := sc.clients[home].Points(ctx, []int{l})
-		if err != nil {
-			return nil, Stats{}, nil, wrapShardErr(err)
-		}
-		if len(rows) != 1 || rows[0] == nil {
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: core: query id %d: %w", qid, ErrDeleted)
-		}
-		q = rows[0]
+		res, err = qr.ByIDCtx(ctx, qid)
+		q = f.q
 	} else {
-		if err := vecmath.ValidateFor(sc.metric, q); err != nil {
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: %w", err)
-		}
-		if len(q) != sc.dim {
-			return nil, Stats{}, nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), sc.dim)
-		}
+		res, err = qr.ByPointCtx(ctx, q)
 	}
-
-	// Scatter: per-shard RkNN. The member's home shard runs a member query
-	// (self-exclusion applies there); every other shard sees q as an
-	// external point.
-	type shardResult struct {
-		globals []int // translated, ascending
-		stats   core.Stats
+	f.observe()
+	if f.err != nil { // a shard failed mid-query: whatever core computed is void
+		err = f.err
 	}
-	results := make([]shardResult, len(sc.clients))
-	qsp := trace.FromContext(ctx)
-	err := core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
-		c := sc.clients[i]
-		c.CountQuery()
-		// One scatter span per shard; the shard's stage spans (core stages
-		// in-process, remote.call hops over the network) nest beneath it.
-		// Child/With are nil-safe, so the untraced path pays a single
-		// pointer comparison here.
-		ssp := qsp.Child("shard.scatter")
-		if ssp != nil {
-			ssp.SetInt("shard", int64(c.Shard()))
-			ctx = trace.With(ctx, ssp)
-			defer ssp.End()
-		}
-		var (
-			locals []int
-			st     core.Stats
-			err    error
-		)
-		if i == home {
-			locals, st, err = c.ReverseKNNByID(ctx, homeLocal, k)
-		} else {
-			locals, st, err = c.ReverseKNNByPoint(ctx, q, k)
-		}
-		if err != nil {
-			return err
-		}
-		globals := make([]int, len(locals))
-		for j, l := range locals {
-			g, ok := sc.m.Global(c.Shard(), l)
-			if !ok {
-				return fmt.Errorf("shard %d returned unmapped local id %d", c.Shard(), l)
-			}
-			globals[j] = g
-		}
-		if ssp != nil {
-			ssp.SetInt("results", int64(len(locals)))
-		}
-		results[i] = shardResult{globals: globals, stats: st}
-		return nil
-	})
 	if err != nil {
-		return nil, Stats{}, nil, wrapShardErr(err)
+		return nil, Stats{}, nil, fmt.Errorf("rknnd: %w", err)
 	}
-	if sc.onStats != nil {
-		for i, r := range results {
-			sc.onStats(i, r.stats)
-		}
-	}
-
-	stats := Stats{Omega: math.Inf(1)}
-	lists := make([][]int, len(results))
-	for i, r := range results {
-		lists[i] = r.globals
-		stats.ScanDepth += r.stats.ScanDepth
-		stats.FilterSize += r.stats.FilterSize
-		stats.Excluded += r.stats.Excluded
-		stats.LazyAccepts += r.stats.LazyAccepts
-		stats.LazyRejects += r.stats.LazyRejects
-		stats.Verified += r.stats.Verified
-		stats.DistanceComps += r.stats.DistanceComps
-		if r.stats.Omega < stats.Omega {
-			stats.Omega = r.stats.Omega
-		}
-	}
-
-	// One populated shard holds the entire dataset, so its answer is
-	// definitionally the global answer — the same algorithm an unsharded
-	// engine runs. Verification below is only the cross-shard merge step;
-	// skipping it here makes a single-shard set byte-identical to a
-	// Searcher (and avoids one count pass per candidate).
-	if len(results) == 1 {
-		return results[0].globals, stats, q, nil
-	}
-	msp := qsp.Child("shard.merge")
-	candidates := core.MergeIDs(lists, nil)
-	mctx := ctx
-	if msp != nil {
-		mctx = trace.With(ctx, msp)
-	}
-	ids, err := sc.verify(mctx, candidates, q, k)
-	if err != nil {
-		msp.End()
-		return nil, Stats{}, nil, err
-	}
-	stats.Verified += len(candidates)
-	stats.DistanceComps += int64(len(candidates))
-	if msp != nil {
-		msp.SetInt("candidates", int64(len(candidates)))
-		msp.SetInt("results", int64(len(ids)))
-		msp.End()
-	}
-	return ids, stats, q, nil
+	return res.IDs, fromCore(res.Stats), q, nil
 }
 
-// verify runs the refinement test d_k(x) >= d(q,x) for every candidate x
-// against the union of all shards, as a count: x is a global reverse
-// neighbor iff fewer than k points of the whole dataset lie strictly closer
-// to x than q does, and over a disjoint partition that number is the sum of
-// the per-shard counts. Each shard counts no further than k — a shard
-// reporting k settles the candidate on its own, and below k the count is
-// exact — so the sum is < k exactly when the true total is. The per-shard
-// work is batched — one Points fetch per home shard, one CountBatch per
-// shard over all candidates — so a remote shard costs O(1) round trips per
-// query and answers with one integer per candidate.
-//
-// A candidate whose home shard no longer holds it (a nil Points row: it was
-// deleted between that shard's RkNN call and its Points call, the per-RPC
-// consistency window of remote shards) is dropped — a deleted point is
-// nobody's reverse neighbor.
-func (sc *scatterSet) verify(ctx context.Context, candidates []int, q []float64, k int) ([]int, error) {
-	n := len(candidates)
-	if n == 0 {
-		return []int{}, nil
-	}
-	clientByShard := make(map[int]int, len(sc.clients))
-	for i, c := range sc.clients {
-		clientByShard[c.Shard()] = i
-	}
-	homeOf := make([]int, n) // client index of the candidate's home shard
-	localOf := make([]int, n)
-	groups := make(map[int][]int, len(sc.clients)) // client index -> candidate positions
-	for j, g := range candidates {
-		s, l, ok := sc.m.Locate(g)
-		if !ok {
-			return nil, fmt.Errorf("rknnd: candidate id %d not in shard map", g)
-		}
-		ci, ok := clientByShard[s]
-		if !ok {
-			return nil, fmt.Errorf("rknnd: candidate id %d has no pinned shard", g)
-		}
-		homeOf[j], localOf[j] = ci, l
-		groups[ci] = append(groups[ci], j)
-	}
+// fedIndex is the federated index of one query over a scatter set: the
+// core.Source whose cursor is the k-way merge of the shards' neighbor
+// streams, whose points resolve through the shard map, and whose refinement
+// count is the sum of the shards' bounded counts. IDs on this side are
+// global. It lives for one query, on one goroutine, because the streams it
+// opens do; a shard failure is latched in err (the index contract has no
+// error returns) and voids the query.
+type fedIndex struct {
+	sc  *scatterSet
+	ctx context.Context
+	k   int
+	// The member the query is anchored at, once Live has resolved it: its
+	// global ID, client position, local ID and coordinates. qid and home are
+	// -1 for a point query.
+	qid, home, homeLocal int
+	q                    []float64
 
-	// Resolve every candidate's coordinates, one batched fetch per home
-	// shard.
-	px := make([][]float64, n)
-	involved := make([]int, 0, len(groups))
-	for ci := range groups {
-		involved = append(involved, ci)
+	heads []fedHead     // one per client, same order; set by NewCursor
+	spans []*trace.Span // the streams' shard.scatter spans, traced queries only
+	err   error
+}
+
+// fedHead is one shard's stream and what the merge knows of its next row.
+type fedHead struct {
+	stream shardStream
+	nb     index.Neighbor // the next row under its global ID, when state is headReady
+	state  headState
+	pulled int // rows the merge has read from the stream
+}
+
+// headState says what the merge knows about a stream's next row.
+type headState uint8
+
+const (
+	headWanted headState = iota // the head was consumed (or never read): pull before comparing
+	headReady                   // nb holds the stream's next row
+	headDry                     // the stream is exhausted
+)
+
+func (f *fedIndex) Len() int       { return f.sc.n }
+func (f *fedIndex) Dim() int       { return f.sc.dim }
+func (f *fedIndex) Metric() Metric { return f.sc.metric }
+
+// IDSpan and Live are index.Liveness, which core validates a member query
+// by — so an unassigned or deleted member fails with core's own errors. Live
+// also resolves the member from its home shard: core asks about exactly one
+// ID, the query's, just before it reads its point and opens the cursor that
+// must exclude it.
+func (f *fedIndex) IDSpan() int { return f.sc.m.Len() }
+
+func (f *fedIndex) Live(id int) bool {
+	sc := f.sc
+	s, l, ok := sc.m.Locate(id)
+	if !ok {
+		return false
 	}
-	err := core.Gather(ctx, len(involved), func(ctx context.Context, gi int) error {
-		ci := involved[gi]
-		pos := groups[ci]
-		locals := make([]int, len(pos))
-		for t, j := range pos {
-			locals[t] = localOf[j]
-		}
-		rows, err := sc.clients[ci].Points(ctx, locals)
-		if err != nil {
-			return err
-		}
-		if len(rows) != len(pos) {
-			return fmt.Errorf("shard %d returned %d points for %d ids", sc.clients[ci].Shard(), len(rows), len(pos))
-		}
-		for t, j := range pos {
-			px[j] = rows[t]
-		}
-		return nil
-	})
+	home := sc.client(s)
+	if home < 0 {
+		// The member's shard pinned empty (or unpublished): every copy of
+		// the point this read set can see is gone.
+		return false
+	}
+	rows, err := sc.clients[home].Points(f.ctx, []int{l})
 	if err != nil {
-		return nil, wrapShardErr(err)
+		f.fail(err)
+		return false
 	}
+	if len(rows) != 1 || rows[0] == nil {
+		return false
+	}
+	f.qid, f.home, f.homeLocal, f.q = id, home, l, rows[0]
+	return true
+}
 
-	// One probe per candidate still alive, shared by every shard up to the
-	// self-exclusion on the candidate's home shard.
-	alive := make([]int, 0, n) // candidate positions with a live point
-	probes := make([]CountCloserQuery, 0, n)
-	for j := range candidates {
-		if px[j] == nil {
+func (f *fedIndex) fail(err error) {
+	if f.err == nil {
+		f.err = err
+	}
+}
+
+// Point returns the coordinates of the query member or of a member the
+// cursor has returned, from the stream of its home shard.
+func (f *fedIndex) Point(id int) []float64 {
+	if id == f.qid {
+		return f.q
+	}
+	s, l, _ := f.sc.m.Locate(id)
+	return f.heads[f.sc.client(s)].stream.Point(l)
+}
+
+// expectRows is how many rows one of S shards is expected to contribute to a
+// scan of the merged stream: its share of the rank cap min(n, ⌊2^t·k⌋) plus
+// three standard deviations of that share under hash partitioning, so that
+// one fetch of a remote shard nearly always covers the whole scan (the cap
+// is n when t adapts per query).
+func expectRows(n, S, k int, t float64) int {
+	depth := float64(n)
+	if t > 0 {
+		depth = min(depth, math.Floor(math.Pow(2, t)*float64(k)))
+	}
+	share := depth / float64(S)
+	return int(math.Ceil(share + 3*math.Sqrt(share*(1-1/float64(S)))))
+}
+
+// NewCursor opens every shard's stream and merges them. skipID is the query
+// member or -1; it is excluded on its home shard, where alone it lives.
+func (f *fedIndex) NewCursor(q []float64, skipID int) index.Cursor {
+	return f.NewCursorCtx(f.ctx, q, skipID)
+}
+
+// NewCursorCtx is NewCursor for a traced query (ctx carries core's span):
+// each stream gets a "shard.scatter" span that stays open while the stream
+// is read, with a remote shard's remote.call per chunk beneath it.
+func (f *fedIndex) NewCursorCtx(ctx context.Context, q []float64, skipID int) index.Cursor {
+	sc := f.sc
+	sp := trace.FromContext(ctx)
+	expect := expectRows(sc.n, len(sc.clients), f.k, sc.scale)
+	f.heads = make([]fedHead, len(sc.clients))
+	for i, cl := range sc.clients {
+		cl.CountQuery()
+		sctx := ctx
+		if sp != nil {
+			ssp := sp.Child("shard.scatter")
+			ssp.SetInt("shard", int64(cl.Shard()))
+			f.spans = append(f.spans, ssp)
+			sctx = trace.With(ctx, ssp)
+		}
+		skip := -1
+		if i == f.home && skipID >= 0 {
+			skip = f.homeLocal
+		}
+		f.heads[i].stream = cl.Neighbors(sctx, q, skip, expect)
+	}
+	return (*fedCursor)(f)
+}
+
+// fedCursor is the k-way merge of a fedIndex's shard streams under the
+// (distance, global ID) order — the one cursor of its one query, hence the
+// same object under another method set. A consumed head is refilled only
+// when the next row is asked for, so a scan that stops never pulls — over a
+// network, never fetches — a row it does not look at. The minimum is found
+// by a linear pass: shard counts are small, and the pass is a handful of
+// comparisons beside the distance computation every returned row costs.
+type fedCursor fedIndex
+
+func (c *fedCursor) Next() (index.Neighbor, bool) {
+	best := -1
+	for i := range c.heads {
+		h := &c.heads[i]
+		if h.state == headWanted {
+			c.pull(i)
+		}
+		if h.state != headReady {
 			continue
 		}
-		alive = append(alive, j)
-		probes = append(probes, CountCloserQuery{Point: px[j], Radius: sc.metric.Distance(q, px[j]), Limit: k, Skip: -1})
+		if best < 0 || neighborBefore(h.nb, c.heads[best].nb) {
+			best = i
+		}
 	}
-	if len(probes) == 0 {
-		return []int{}, nil
+	if best < 0 || c.err != nil {
+		return index.Neighbor{}, false
 	}
+	c.heads[best].state = headWanted
+	return c.heads[best].nb, true
+}
+
+// neighborBefore is the (distance, ID) order every stream and merge of the
+// module uses.
+func neighborBefore(a, b index.Neighbor) bool {
+	return a.Dist < b.Dist || a.Dist == b.Dist && a.ID < b.ID
+}
+
+// pull reads stream i's next row into its head, translated to its global ID.
+// A row the query's shard map does not know was inserted after the query
+// loaded the map — a remote shard answers each chunk from its current
+// snapshot — and is passed over: the query answers over the IDs it pinned.
+func (c *fedCursor) pull(i int) {
+	h := &c.heads[i]
+	for {
+		nb, ok := h.stream.Next()
+		if !ok {
+			h.state = headDry
+			if err := h.stream.Err(); err != nil {
+				(*fedIndex)(c).fail(err)
+			}
+			return
+		}
+		h.pulled++
+		if g, ok := c.sc.m.Global(c.sc.clients[i].Shard(), nb.ID); ok {
+			h.nb, h.state = index.Neighbor{ID: g, Dist: nb.Dist}, headReady
+			return
+		}
+	}
+}
+
+// FinishTrace closes the streams' spans once core's scan is over.
+func (c *fedCursor) FinishTrace() {
+	for i, sp := range c.spans {
+		sp.SetInt("pulled", int64(c.heads[i].pulled))
+		sp.End()
+	}
+}
+
+// CountCloser is the one-candidate form of CountCloserBatch. The federation
+// holds no tombstones of its own, so dead must be nil.
+func (f *fedIndex) CountCloser(q []float64, r float64, limit, skipID int, _ map[int]bool) int {
+	return f.CountCloserBatch(f.ctx, []index.CountQuery{{Point: q, Radius: r, Limit: limit, Skip: skipID}})[0]
+}
+
+// CountCloserBatch implements index.BatchCounter: the number of points of
+// the whole dataset strictly closer to each probe point than its radius is
+// the sum of the shards' counts, because the shards partition the dataset.
+// Every shard counts no further than the probe's limit — a shard that
+// reaches it settles the probe alone, and below it the count is exact — so
+// the sum is below the limit exactly when the true total is. Skip (a global
+// member ID) is excluded on the member's home shard. One CountBatch per
+// shard carries all probes, so a remote shard costs one round trip.
+func (f *fedIndex) CountCloserBatch(ctx context.Context, qs []index.CountQuery) []int {
+	sc := f.sc
+	out := make([]int, len(qs))
 	counts := make([][]int, len(sc.clients))
-	err = core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
-		c := sc.clients[i]
-		mine := slices.Clone(probes)
-		for t, j := range alive {
-			if homeOf[j] == i {
-				mine[t].Skip = localOf[j]
+	err := core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
+		mine := slices.Clone(qs)
+		for j := range mine {
+			s, l, ok := sc.m.Locate(mine[j].Skip)
+			mine[j].Skip = -1
+			if ok && s == sc.clients[i].Shard() {
+				mine[j].Skip = l
 			}
 		}
-		res, err := c.CountBatch(ctx, mine)
+		res, err := sc.clients[i].CountBatch(ctx, mine)
 		if err != nil {
 			return err
 		}
 		if len(res) != len(mine) {
-			return fmt.Errorf("shard %d returned %d counts for %d probes", c.Shard(), len(res), len(mine))
+			return fmt.Errorf("shard %d returned %d counts for %d probes", sc.clients[i].Shard(), len(res), len(mine))
 		}
 		counts[i] = res
 		return nil
 	})
 	if err != nil {
-		return nil, wrapShardErr(err)
+		f.fail(err)
+		for j, q := range qs {
+			out[j] = q.Limit // settles nothing; the latched error voids the query
+		}
+		return out
 	}
+	for i, c := range sc.clients {
+		if sc.tel != nil {
+			sc.tel[c.Shard()].probes.Add(int64(len(qs)))
+		}
+		for j, n := range counts[i] {
+			out[j] = min(out[j]+n, qs[j].Limit)
+		}
+	}
+	return out
+}
 
-	ids := make([]int, 0, len(alive))
-	for t, j := range alive {
-		closer := 0
-		for i := range sc.clients {
-			closer += counts[i][t]
-		}
-		if closer < k {
-			ids = append(ids, candidates[j])
-		}
+// observe feeds the query's per-shard work into the shard instruments: one
+// scatter visit and the rows pulled from each shard's stream.
+func (f *fedIndex) observe() {
+	if f.sc.tel == nil {
+		return
 	}
-	return ids, nil
+	for i, h := range f.heads {
+		t := f.sc.tel[f.sc.clients[i].Shard()]
+		t.scatter.Inc()
+		t.pulled.Add(int64(h.pulled))
+	}
 }
 
 // knn is the scatter-gather forward-kNN query: per-shard top-k lists,
@@ -437,11 +473,8 @@ func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]Neighbor, 
 		sp.SetInt("k", int64(k))
 		defer sp.End()
 	}
-	if err := vecmath.ValidateFor(sc.metric, q); err != nil {
+	if err := checkQuery(sc.metric, sc.dim, q); err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	if len(q) != sc.dim {
-		return nil, fmt.Errorf("rknnd: query dimension %d, index dimension %d", len(q), sc.dim)
 	}
 	lists := make([][]index.Neighbor, len(sc.clients))
 	err := core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
@@ -453,33 +486,24 @@ func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]Neighbor, 
 			ctx = trace.With(ctx, ssp)
 			defer ssp.End()
 		}
-		res, err := c.KNNBatch(ctx, []knnProbe{{q: q, k: k, skip: -1}})
+		nn, err := c.KNN(ctx, q, k)
 		if err != nil {
 			return err
 		}
-		if len(res) != 1 {
-			return fmt.Errorf("shard %d returned %d knn lists for 1 probe", c.Shard(), len(res))
-		}
-		tr := make([]index.Neighbor, len(res[0]))
-		for j, nb := range res[0] {
-			g, ok := sc.m.Global(c.Shard(), nb.ID)
+		for j := range nn { // the list is the call's own: translate in place
+			g, ok := sc.m.Global(c.Shard(), nn[j].ID)
 			if !ok {
-				return fmt.Errorf("shard %d returned unmapped local id %d", c.Shard(), nb.ID)
+				return fmt.Errorf("shard %d returned unmapped local id %d", c.Shard(), nn[j].ID)
 			}
-			tr[j] = index.Neighbor{ID: g, Dist: nb.Dist}
+			nn[j].ID = g
 		}
-		lists[i] = tr
+		lists[i] = nn
 		return nil
 	})
 	if err != nil {
-		return nil, wrapShardErr(err)
+		return nil, fmt.Errorf("rknnd: %w", err)
 	}
-	merged := core.MergeKNN(lists, k, nil)
-	out := make([]Neighbor, len(merged))
-	for i, nb := range merged {
-		out[i] = Neighbor{ID: nb.ID, Dist: nb.Dist}
-	}
-	return out, nil
+	return core.MergeKNN(lists, k, nil), nil
 }
 
 // batchByID answers many member queries concurrently over one scatter set —

@@ -2,100 +2,217 @@ package repro
 
 import (
 	"context"
-	"slices"
-	"strings"
+	"fmt"
+	"math/rand"
 	"testing"
 
-	"repro/internal/indextest"
+	"repro/internal/index"
 )
 
-// vanishingShard is a shardClient whose Points call reports some members
-// gone (nil rows) although every other call still sees them — what a
-// remote daemon answers when a candidate is deleted between its RkNN call
-// and its Points call, the per-RPC consistency window.
-type vanishingShard struct {
+// gridPoints draws n points on a coarse integer grid: exact duplicates and
+// exact distance ties everywhere, within a shard and across shards.
+func gridPoints(n, dim, side int, rng *rand.Rand) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		p := make([]float64, dim)
+		for j := range p {
+			p[j] = float64(rng.Intn(side))
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// TestMergedStreamIsTheUnionStream pins the property the sharded engines
+// stand on: the merged cursor of a scatter set yields exactly — row for row,
+// ID for ID, tie for tie — what one index over the union of the shards
+// yields, and resolves the same coordinates, for any shard count. The data
+// is a coarse grid (duplicates, cross-shard ties); the engines are read
+// through a dirty overlay (memtable rows and tombstones on the dynamic
+// back-ends; the static one is read bare); the query is an external point or
+// a member, whose self-exclusion must land on its home shard only.
+func TestMergedStreamIsTheUnionStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	initial := gridPoints(180, 3, 4, rng)
+	extra := gridPoints(40, 3, 4, rng)
+	victims := []int{2, 17, 18, 60, 179, 185, 201, 219}
+	for _, b := range []Backend{BackendScan, BackendCoverTree, BackendKDTree} {
+		for _, S := range []int{1, 2, 3, 5} {
+			t.Run(fmt.Sprintf("%s/S=%d", b, S), func(t *testing.T) {
+				// No compaction: the writes stay in the overlay's delta.
+				opts := []Option{WithBackend(b), WithScale(4), WithCompactionThreshold(1 << 20)}
+				single, err := New(initial, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ss, err := NewSharded(initial, S, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dead := map[int]bool{}
+				if b != BackendKDTree {
+					for _, p := range extra {
+						if _, err := single.Insert(p); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := ss.Insert(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, id := range victims {
+						if ok, err := single.Delete(id); !ok || err != nil {
+							t.Fatalf("Delete(%d) = (%v, %v)", id, ok, err)
+						}
+						if ok, err := ss.Delete(id); !ok || err != nil {
+							t.Fatalf("sharded Delete(%d) = (%v, %v)", id, ok, err)
+						}
+						dead[id] = true
+					}
+					if single.MemtableLen() == 0 || ss.MemtableLen() == 0 {
+						t.Fatal("the overlays are clean; the test would not read through a delta")
+					}
+				}
+				union := single.snap.Load().ix
+				sc := ss.newScatterSet(ss.pin())
+				if sc.n != union.Len() {
+					t.Fatalf("scatter set holds %d live points, the union %d", sc.n, union.Len())
+				}
+
+				queries := []int{-1, -1, 0, 5, 61, 178}
+				if b != BackendKDTree {
+					queries = append(queries, 180, 200, 218) // memtable members
+				}
+				for i, qid := range queries {
+					f := &fedIndex{sc: sc, ctx: context.Background(), k: 5, qid: -1, home: -1}
+					q := []float64{float64(i % 4), 1.5, 2}
+					if qid >= 0 {
+						if !f.Live(qid) {
+							t.Fatalf("member %d does not resolve: %v", qid, f.err)
+						}
+						q = f.q
+						if want := union.Point(qid); !equalPoints(q, want) {
+							t.Fatalf("member %d resolves to %v, the union holds %v", qid, q, want)
+						}
+					}
+					merged, want := f.NewCursor(q, qid), union.NewCursor(q, qid)
+					for pos := 0; ; pos++ {
+						w, wok := want.Next()
+						g, gok := merged.Next()
+						if f.err != nil {
+							t.Fatalf("query %d: merged stream failed: %v", qid, f.err)
+						}
+						if g != w || gok != wok {
+							t.Fatalf("query %d, position %d: merged stream yields %+v (ok=%v), the union's cursor %+v (ok=%v)", qid, pos, g, gok, w, wok)
+						}
+						if !wok {
+							break
+						}
+						if g.ID == qid || dead[g.ID] {
+							t.Fatalf("query %d: stream yielded excluded id %d", qid, g.ID)
+						}
+						if !equalPoints(f.Point(g.ID), union.Point(g.ID)) {
+							t.Fatalf("query %d: id %d resolves to %v, the union holds %v", qid, g.ID, f.Point(g.ID), union.Point(g.ID))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+func equalPoints(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// failingShard is a shardClient whose stream breaks after a few rows and
+// whose counts fail — a shard lost mid-query.
+type failingShard struct {
 	shardClient
-	gone map[int]bool // local IDs
+	after     int
+	failCount bool
 }
 
-func (v vanishingShard) Points(ctx context.Context, locals []int) ([][]float64, error) {
-	rows, err := v.shardClient.Points(ctx, locals)
-	for i, l := range locals {
-		if v.gone[l] {
-			rows[i] = nil
-		}
+type failingStream struct {
+	shardStream
+	left int
+	err  error
+}
+
+func (s *failingStream) Next() (index.Neighbor, bool) {
+	if s.left == 0 {
+		s.err = fmt.Errorf("connection reset")
+		return index.Neighbor{}, false
 	}
-	return rows, err
+	s.left--
+	return s.shardStream.Next()
+}
+func (s *failingStream) Err() error { return s.err }
+
+func (f failingShard) Neighbors(ctx context.Context, q []float64, skip, expect int) shardStream {
+	st := f.shardClient.Neighbors(ctx, q, skip, expect)
+	if f.after < 0 {
+		return st
+	}
+	return &failingStream{shardStream: st, left: f.after}
 }
 
-// TestScatterVerifyDropsVanishedCandidate pins the consistency-window fix:
-// a candidate whose home shard no longer resolves it is dropped from the
-// answer — a deleted point is nobody's reverse neighbor — instead of
-// failing the whole query with "no pinned shard". That error stays for a
-// candidate whose shard really is absent from the scatter set.
-func TestScatterVerifyDropsVanishedCandidate(t *testing.T) {
-	pts := indextest.RandPoints(300, 3, 71)
-	ss, err := NewSharded(pts, 3, WithScale(100), WithPlainRDT())
+func (f failingShard) CountBatch(ctx context.Context, probes []CountCloserQuery) ([]int, error) {
+	if f.failCount {
+		return nil, fmt.Errorf("connection reset")
+	}
+	return f.shardClient.CountBatch(ctx, probes)
+}
+
+// TestShardFailureVoidsTheQuery pins the error contract of the federated
+// index, whose methods have no error returns: a stream that breaks mid-scan
+// or a count round that fails is never mistaken for an exhausted shard or a
+// settled candidate — the query fails with the shard's error, whatever the
+// algorithm computed from the part it saw.
+func TestShardFailureVoidsTheQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pts := make([][]float64, 300)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	ss, err := NewSharded(pts, 3, WithScale(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	views, m := ss.pin()
-	sc := ss.newScatterSet(views, m)
-	ctx := context.Background()
-	q := []float64{0.5, 0.5, 0.5}
-	const k = 6
-	base, _, _, err := sc.reverseKNN(ctx, -1, q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) < 2 {
-		t.Fatalf("need a result with several members, got %v", base)
-	}
-
-	victim := base[len(base)/2]
-	shard, local, ok := m.Locate(victim)
-	if !ok {
-		t.Fatalf("result id %d not in shard map", victim)
-	}
-	racing := &scatterSet{clients: slices.Clone(sc.clients), m: m, metric: sc.metric, dim: sc.dim}
-	for i, c := range racing.clients {
-		if c.Shard() == shard {
-			racing.clients[i] = vanishingShard{shardClient: c, gone: map[int]bool{local: true}}
+	healthy := ss.newScatterSet(ss.pin())
+	// A query that verifies something, so the count round runs.
+	qid := -1
+	for id := range pts {
+		if _, st, _, err := healthy.reverseKNN(context.Background(), id, nil, 6); err != nil {
+			t.Fatal(err)
+		} else if st.Verified > 0 {
+			qid = id
+			break
 		}
 	}
-	got, _, _, err := racing.reverseKNN(ctx, -1, q, k)
-	if err != nil {
-		t.Fatalf("query failed on a vanished candidate: %v", err)
+	if qid < 0 {
+		t.Fatal("no query verifies a candidate")
 	}
-	want := slices.DeleteFunc(slices.Clone(base), func(id int) bool { return id == victim })
-	if !slices.Equal(got, want) {
-		t.Fatalf("answer with candidate %d vanished = %v, want %v", victim, got, want)
-	}
-
-	// Every candidate vanishing is an empty answer, not an error.
-	all := &scatterSet{clients: make([]shardClient, len(sc.clients)), m: m, metric: sc.metric, dim: sc.dim}
-	for i, c := range sc.clients {
-		gone := map[int]bool{}
-		for _, g := range base {
-			if s, l, _ := m.Locate(g); s == c.Shard() {
-				gone[l] = true
-			}
+	for name, broken := range map[string]failingShard{
+		"stream breaks": {after: 4},
+		"count fails":   {after: -1, failCount: true},
+	} {
+		sc := *healthy
+		sc.clients = append([]shardClient(nil), healthy.clients...)
+		broken.shardClient = sc.clients[1]
+		sc.clients[1] = broken
+		ids, _, _, err := sc.reverseKNN(context.Background(), qid, nil, 6)
+		if err == nil || ids != nil {
+			t.Errorf("%s: query answered (%v, %v), want the shard's error", name, ids, err)
+		} else if got := err.Error(); got != "rknnd: connection reset" {
+			t.Errorf("%s: error %q, want the shard's, tagged once", name, got)
 		}
-		all.clients[i] = vanishingShard{shardClient: c, gone: gone}
-	}
-	if got, _, _, err := all.reverseKNN(ctx, -1, q, k); err != nil || len(got) != 0 {
-		t.Fatalf("all candidates vanished: got %v, %v; want an empty answer", got, err)
-	}
-
-	// A candidate whose shard is not in the scatter set is still an error.
-	var others []shardClient
-	for _, c := range sc.clients {
-		if c.Shard() != shard {
-			others = append(others, c)
-		}
-	}
-	partial := &scatterSet{clients: others, m: m, metric: sc.metric, dim: sc.dim}
-	if _, err := partial.verify(ctx, []int{victim}, q, k); err == nil || !strings.Contains(err.Error(), "has no pinned shard") {
-		t.Fatalf("unmapped shard: err = %v, want a no-pinned-shard error", err)
 	}
 }

@@ -1,10 +1,13 @@
 // Metamorphic conformance for the sharded engine: over randomized
 // datasets, metrics, and ranks, the answer to any RkNN/kNN query must be
 // byte-identical across shard counts S ∈ {1, 2, 3, 7} and equal to the
-// brute-force oracle — the exact-merge property the scatter-gather layer
-// is built on. The suite holds this bar through interleaved Insert/Delete
-// mutations and through a durable save/load round-trip of every shard
-// (including a simulated crash leaving a torn WAL tail on one shard).
+// brute-force oracle where the scale parameter makes the algorithm exact.
+// The suite holds this bar through interleaved Insert/Delete mutations and
+// through a durable save/load round-trip of every shard (including a
+// simulated crash leaving a torn WAL tail on one shard). Where the scale
+// parameter is starved and no answer is exact, the bar is the stronger one
+// the merged-stream design makes possible: answer AND work counters equal
+// the unsharded engine's (TestShardedStarvedScaleIdentity).
 package repro
 
 import (
@@ -140,6 +143,105 @@ func TestShardedMetamorphicConformance(t *testing.T) {
 						} else if !sameNeighborLists(nn, baseKNN[k]) {
 							t.Errorf("S=%d: KNN(k=%d) diverged across shard counts", S, k)
 						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// identityVariants are the algorithm variants the topology-identity test
+// covers. The fixed scale t=1 is starved — the scan stops at rank ⌊2k⌋, far
+// short of an exact answer; the adaptive scale picks its own t per query.
+var identityVariants = []struct {
+	name    string
+	starved bool
+	opts    []Option
+}{
+	{"rdt+/t=1", true, []Option{WithScale(1)}},
+	{"rdt/t=1", true, []Option{WithScale(1), WithPlainRDT()}},
+	{"rdt+/adaptive", false, []Option{WithAdaptiveScale()}},
+	{"rdt/adaptive", false, []Option{WithAdaptiveScale(), WithPlainRDT()}},
+}
+
+// TestShardedStarvedScaleIdentity is the statement the old
+// superset-and-reverify scatter could not make: at a deliberately starved
+// scale parameter — recall below 1, the regime where the answer depends on
+// every step of the scan — a ShardedSearcher over S ∈ {2, 3, 5} shards
+// returns the unsharded Searcher's answer and its work counters (scan depth,
+// filter size, verifications, witness distance computations, ω — every
+// field), for every exact back-end, RDT and RDT+, fixed and adaptive scale,
+// member and point queries. It can, because it runs the same algorithm over
+// the same neighbor stream.
+func TestShardedStarvedScaleIdentity(t *testing.T) {
+	pts := indextest.ClusteredPoints(400, 5, 6, 31)
+	truth, err := bruteforce.New(pts, Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 6
+	external := indextest.RandPoints(4, 5, 32)
+	for _, b := range allBackends {
+		for _, v := range identityVariants {
+			t.Run(string(b)+"/"+v.name, func(t *testing.T) {
+				opts := append([]Option{WithBackend(b)}, v.opts...)
+				single, err := New(pts, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				type answer struct {
+					ids []int
+					st  Stats
+				}
+				var want []answer
+				missed := 0
+				for qid := 0; qid < len(pts); qid += 9 {
+					ids, st, err := single.ReverseKNNStats(qid, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exact, err := truth.RkNNByID(qid, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameIDs(ids, exact) {
+						missed++
+					}
+					want = append(want, answer{ids, st})
+				}
+				for _, q := range external {
+					ids, st, err := single.ReverseKNNPointStats(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, answer{ids, st})
+				}
+				if v.starved && missed == 0 {
+					t.Fatal("every unsharded answer is exact: the scale parameter is not starved, and the test proves nothing the oracle suites do not")
+				}
+				for _, S := range []int{2, 3, 5} {
+					ss, err := NewSharded(pts, S, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					i := 0
+					check := func(what string, ids []int, st Stats, err error) {
+						t.Helper()
+						if err != nil {
+							t.Fatalf("S=%d %s: %v", S, what, err)
+						}
+						if !sameIDs(ids, want[i].ids) || st != want[i].st {
+							t.Errorf("S=%d %s = (%v, %+v), unsharded (%v, %+v)", S, what, ids, st, want[i].ids, want[i].st)
+						}
+						i++
+					}
+					for qid := 0; qid < len(pts); qid += 9 {
+						ids, st, err := ss.ReverseKNNStats(qid, k)
+						check(fmt.Sprintf("member %d", qid), ids, st, err)
+					}
+					for j, q := range external {
+						ids, st, err := ss.ReverseKNNPointStats(q, k)
+						check(fmt.Sprintf("point %d", j), ids, st, err)
 					}
 				}
 			})

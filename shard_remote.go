@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -25,10 +24,11 @@ import (
 // an `rknn shard-serve` daemon (or any rknn HTTP server holding one
 // partition), reached over HTTP in the compact binary framing of
 // internal/wire — the one shard protocol; JSON carries only the handshake
-// and the writes, which are the public API. The scatter-gather in shard_client.go
-// is transport-blind; everything network-specific — replica selection,
-// health-based failover, retry with backoff, per-request timeouts, header
-// propagation, per-shard request telemetry — lives here.
+// and the writes, which are the public API. The federated index in
+// shard_client.go is transport-blind; everything network-specific — chunked
+// stream fetches, replica selection, health-based failover, retry with
+// backoff, per-request timeouts, header propagation, per-shard request
+// telemetry — lives here.
 
 // maxRemoteResponse bounds how many bytes one shard response may occupy in
 // memory, against a confused or hostile daemon streaming forever.
@@ -118,16 +118,12 @@ func (r *remoteShard) Shard() int  { return r.shard }
 func (r *remoteShard) CountQuery() { r.queries.Add(1) }
 
 // remoteError maps a daemon's error message back onto the facade's error
-// vocabulary, so coordinator answers carry the exact strings and sentinel
-// identities of the in-process engine: the daemon's "rknnd: " prefix is
-// stripped (the scatter layer re-adds exactly one), and deleted-member
-// messages unwrap to ErrDeleted for errors.Is.
+// vocabulary, so coordinator answers carry the exact strings of the
+// in-process engine: the daemon's "rknnd: " prefix is stripped (the layer
+// above re-adds exactly one). Member queries are validated at the
+// coordinator, so no daemon call answers with a sentinel to restore.
 func remoteError(msg string) error {
-	msg = strings.TrimPrefix(msg, "rknnd: ")
-	if pre, ok := strings.CutSuffix(msg, core.ErrDeletedID.Error()); ok {
-		return fmt.Errorf("%s%w", pre, core.ErrDeletedID)
-	}
-	return errors.New(msg)
+	return errors.New(strings.TrimPrefix(msg, "rknnd: "))
 }
 
 // call performs one logical RPC against the shard. Writes go to the
@@ -228,7 +224,14 @@ func (r *remoteShard) attempt(ctx context.Context, method, url, contentType stri
 		return 0, "", nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxRemoteResponse))
+	if n := resp.ContentLength; n > 0 && n <= maxRemoteResponse {
+		// Frames declare their length: read into a buffer of exactly that
+		// size instead of growing one (a stream chunk is tens of kilobytes).
+		respBody = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, respBody)
+	} else {
+		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxRemoteResponse))
+	}
 	if err != nil {
 		return 0, "", nil, err
 	}
@@ -283,34 +286,118 @@ func (r *remoteShard) frameErr(err error) error {
 	return fmt.Errorf("shard %d: %w", r.shard, err)
 }
 
-func (r *remoteShard) reverseKNN(ctx context.Context, frame []byte) ([]int, core.Stats, error) {
-	resp, err := r.binaryCall(ctx, frame)
-	if err != nil {
-		return nil, core.Stats{}, err
+// unknownOpErr rewrites the failure a daemon built before op existed answers
+// with — its decoder rejects the frame ("unknown op N", as a 400 or as an
+// error frame) — into what to do about it, naming the shard. Any other error
+// passes through. The failure is a well-formed application answer, so call
+// returns it without retrying another replica: every copy would say the same.
+func (r *remoteShard) unknownOpErr(err error, op wire.Op, what string) error {
+	if err != nil && strings.Contains(err.Error(), fmt.Sprintf("unknown op %d", op)) {
+		return fmt.Errorf("shard %d daemon predates the %s op (upgrade daemons before coordinators): %w", r.shard, what, err)
 	}
-	ids, ws, err := wire.DecodeRkNNResponse(resp)
-	if err != nil {
-		return nil, core.Stats{}, r.frameErr(err)
-	}
-	return ids, core.Stats{
-		ScanDepth:     ws.ScanDepth,
-		FilterSize:    ws.FilterSize,
-		Excluded:      ws.Excluded,
-		LazyAccepts:   ws.LazyAccepts,
-		LazyRejects:   ws.LazyRejects,
-		Verified:      ws.Verified,
-		DistanceComps: ws.DistanceComps,
-		Omega:         ws.Omega,
-	}, nil
+	return err
 }
 
-func (r *remoteShard) ReverseKNNByID(ctx context.Context, local, k int) ([]int, core.Stats, error) {
-	return r.reverseKNN(ctx, wire.AppendRkNNIDRequest(nil, local, k))
+// maxFirstChunk bounds the first fetch of a neighbor stream. The expected
+// share of the rank cap sizes it (expectRows), but at a generous scale
+// parameter the cap is the dataset while ω usually stops the scan early —
+// rows carry coordinates, so fetching a shard's worth up front would be
+// megabytes nobody reads. Past the first chunk, fetches double.
+const maxFirstChunk = 256
+
+func (r *remoteShard) Neighbors(ctx context.Context, q []float64, skip, expect int) shardStream {
+	s := &remoteStream{r: r, ctx: ctx, q: q, skip: skip, ask: min(max(expect, 1), maxFirstChunk), first: make(chan error, 1)}
+	// The first chunk is fetched here, off the caller's goroutine, so that
+	// opening the S streams of a query costs one round trip, not S. The
+	// channel has room for the one send, so the fetch never outlives ctx
+	// waiting for a reader.
+	go func() { s.first <- s.fetch() }()
+	return s
 }
 
-func (r *remoteShard) ReverseKNNByPoint(ctx context.Context, q []float64, k int) ([]int, core.Stats, error) {
-	return r.reverseKNN(ctx, wire.AppendRkNNPointRequest(nil, q, k))
+// remoteStream reads a daemon's neighbor stream chunk by chunk. Fetched rows
+// are kept for the life of the query: the filter set of the algorithm that
+// reads the stream references their coordinates.
+type remoteStream struct {
+	r    *remoteShard
+	ctx  context.Context
+	q    []float64
+	skip int
+
+	rows  []index.Neighbor // every row fetched so far, in stream order
+	pts   [][]float64      // pts[i] belongs to rows[i]
+	pos   int              // rows[:pos] have been returned by Next
+	ask   int              // size of the next fetch
+	done  bool             // the shard holds no row past rows
+	first chan error       // result of the fetch Neighbors started; nil once received
+	err   error
 }
+
+// fetch appends the next chunk: up to s.ask rows after the last one held,
+// resumed by its (distance, ID) key so that a write landing on the daemon
+// between two chunks can neither repeat nor reorder a row.
+func (s *remoteStream) fetch() error {
+	after := wire.Neighbor{ID: -1}
+	if len(s.rows) > 0 {
+		after = s.rows[len(s.rows)-1]
+	}
+	resp, err := s.r.binaryCall(s.ctx, wire.AppendNeighborsRequest(nil, s.q, s.skip, after, s.ask))
+	if err != nil {
+		return s.r.unknownOpErr(err, wire.OpNeighbors, "neighbor stream")
+	}
+	rows, pts, done, err := wire.DecodeNeighborsResponse(resp)
+	if err != nil {
+		return s.r.unknownOpErr(s.r.frameErr(err), wire.OpNeighbors, "neighbor stream")
+	}
+	// A stream that repeats or reorders rows would corrupt the merge silently;
+	// a daemon that sends one is refused loudly.
+	for _, nb := range rows {
+		if after.ID >= 0 && !neighborBefore(after, nb) {
+			return fmt.Errorf("shard %d sent neighbor (%v, %d) after (%v, %d): stream out of order", s.r.shard, nb.Dist, nb.ID, after.Dist, after.ID)
+		}
+		after = nb
+	}
+	if len(rows) == 0 && !done {
+		return fmt.Errorf("shard %d sent an empty neighbor chunk that is not the last", s.r.shard)
+	}
+	s.rows, s.pts, s.done = append(s.rows, rows...), append(s.pts, pts...), done
+	s.ask = min(2*s.ask, wire.MaxNeighborRows)
+	return nil
+}
+
+func (s *remoteStream) Next() (index.Neighbor, bool) {
+	if s.first != nil {
+		select {
+		case s.err = <-s.first:
+		case <-s.ctx.Done():
+			s.err = s.ctx.Err()
+		}
+		s.first = nil
+	}
+	// Checked first: after a cancelled wait the first fetch may still be
+	// appending to rows.
+	for s.err == nil && s.pos == len(s.rows) && !s.done {
+		s.err = s.fetch()
+	}
+	if s.err != nil || s.pos == len(s.rows) {
+		return index.Neighbor{}, false
+	}
+	s.pos++
+	return s.rows[s.pos-1], true
+}
+
+// Point finds a returned row by its local ID, latest first: the caller asks
+// for the row it was just handed.
+func (s *remoteStream) Point(local int) []float64 {
+	for i := s.pos - 1; i >= 0; i-- {
+		if s.rows[i].ID == local {
+			return s.pts[i]
+		}
+	}
+	return nil
+}
+
+func (s *remoteStream) Err() error { return s.err }
 
 func (r *remoteShard) Points(ctx context.Context, locals []int) ([][]float64, error) {
 	resp, err := r.binaryCall(ctx, wire.AppendPointsRequest(nil, locals))
@@ -324,12 +411,8 @@ func (r *remoteShard) Points(ctx context.Context, locals []int) ([][]float64, er
 	return rows, nil
 }
 
-func (r *remoteShard) KNNBatch(ctx context.Context, probes []knnProbe) ([][]index.Neighbor, error) {
-	qs := make([]wire.KNNQuery, len(probes))
-	for i, p := range probes {
-		qs[i] = wire.KNNQuery{Point: p.q, K: p.k, Skip: p.skip}
-	}
-	resp, err := r.binaryCall(ctx, wire.AppendKNNBatchRequest(nil, qs))
+func (r *remoteShard) KNN(ctx context.Context, q []float64, k int) ([]index.Neighbor, error) {
+	resp, err := r.binaryCall(ctx, wire.AppendKNNBatchRequest(nil, []wire.KNNQuery{{Point: q, K: k, Skip: -1}}))
 	if err != nil {
 		return nil, err
 	}
@@ -337,30 +420,16 @@ func (r *remoteShard) KNNBatch(ctx context.Context, probes []knnProbe) ([][]inde
 	if err != nil {
 		return nil, r.frameErr(err)
 	}
-	out := make([][]index.Neighbor, len(lists))
-	for i, nn := range lists {
-		tr := make([]index.Neighbor, len(nn))
-		for j, nb := range nn {
-			tr[j] = index.Neighbor{ID: nb.ID, Dist: nb.Dist}
-		}
-		out[i] = tr
+	if len(lists) != 1 {
+		return nil, fmt.Errorf("shard %d returned %d knn lists for 1 probe", r.shard, len(lists))
 	}
-	return out, nil
+	return lists[0], nil
 }
 
 func (r *remoteShard) CountBatch(ctx context.Context, probes []CountCloserQuery) ([]int, error) {
-	qs := make([]wire.CountQuery, len(probes))
-	for i, p := range probes {
-		qs[i] = wire.CountQuery(p)
-	}
-	resp, err := r.binaryCall(ctx, wire.AppendCountBatchRequest(nil, qs))
+	resp, err := r.binaryCall(ctx, wire.AppendCountBatchRequest(nil, probes))
 	if err != nil {
-		// A daemon built before the count op existed rejects the frame as
-		// malformed; say what to do about it instead of relaying that.
-		if strings.Contains(err.Error(), fmt.Sprintf("unknown op %d", wire.OpCountBatch)) {
-			return nil, fmt.Errorf("shard %d daemon predates the count verification op (upgrade daemons before coordinators): %w", r.shard, err)
-		}
-		return nil, err
+		return nil, r.unknownOpErr(err, wire.OpCountBatch, "count verification")
 	}
 	counts, err := wire.DecodeCountBatchResponse(resp)
 	if err != nil {
@@ -377,6 +446,8 @@ type shardInfo struct {
 	IDSpan      int     `json:"id_span"`
 	Dim         int     `json:"dim"`
 	Scale       float64 `json:"scale"`
+	Plus        bool    `json:"plus"`
+	Margin      float64 `json:"margin"`
 	Backend     string  `json:"backend,omitempty"`
 	MetricID    uint8   `json:"metric_id"`
 	MetricParam float64 `json:"metric_param"`

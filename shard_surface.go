@@ -9,12 +9,67 @@ import (
 
 // This file is the shard-serving surface of the facade: the handful of
 // read-side methods a shard daemon exposes so a remote coordinator can run
-// the scatter-gather against it — batched member-point lookups, batched
-// verification counts and forward-kNN probes with explicit self-exclusion,
-// the ID span behind the shard-map rebuild, and the metric identity behind
+// its queries against it — the forward neighbor stream it merges across
+// shards, batched member-point lookups, batched verification counts and
+// forward-kNN probes with explicit self-exclusion, the ID span behind the
+// shard-map rebuild, and the metric identity and algorithm variant behind
 // the coordinator's cross-shard configuration check. They are ordinary public
 // API: all answer from one pinned snapshot, with the same concurrency
 // contract as every other read.
+
+// NeighborStream returns one chunk of the forward neighbor stream from q: up
+// to count members in ascending (distance, ID) order with their coordinates
+// (points[i] belongs to rows[i]; owned by the engine, not to be modified),
+// member skip excluded (-1 for none), starting after the row `after` in that
+// order (after.ID < 0 starts at the nearest). done reports that the stream
+// ends with this chunk. Resuming by key rather than by offset means each
+// chunk may be answered from a newer snapshot than the last without ever
+// repeating or reordering a row: a write between two chunks can only add or
+// remove rows ahead of the key.
+func (s *Searcher) NeighborStream(q []float64, skip int, after Neighbor, count int) (rows []Neighbor, points [][]float64, done bool, err error) {
+	ix := s.snap.Load().ix
+	if count <= 0 {
+		return nil, nil, false, fmt.Errorf("rknnd: neighbor count must be positive, got %d", count)
+	}
+	if err := checkQuery(ix.Metric(), ix.Dim(), q); err != nil {
+		return nil, nil, false, fmt.Errorf("rknnd: %w", err)
+	}
+	cur := ix.NewCursor(q, max(skip, -1))
+	rows = make([]Neighbor, 0, count)
+	points = make([][]float64, 0, count)
+	for {
+		nb, ok := cur.Next()
+		if !ok {
+			return rows, points, true, nil
+		}
+		if after.ID >= 0 && !neighborBefore(after, nb) {
+			continue
+		}
+		if len(rows) == count {
+			return rows, points, false, nil
+		}
+		rows = append(rows, nb)
+		points = append(points, ix.Point(nb.ID))
+	}
+}
+
+// Algorithm reports which of the paper's algorithms the engine runs — RDT+
+// (plus) or plain RDT — and the margin an adaptive engine (Scale() == 0)
+// widens its online estimate by. A coordinator runs the query itself over
+// its shards' neighbor streams, so it must learn both from the daemons.
+func (s *Searcher) Algorithm() (plus bool, margin float64) { return s.plus, s.margin }
+
+// checkQuery validates a query point against an index's metric and
+// dimension.
+func checkQuery(m Metric, dim int, q []float64) error {
+	if err := vecmath.ValidateFor(m, q); err != nil {
+		return err
+	}
+	if len(q) != dim {
+		return fmt.Errorf("query dimension %d, index dimension %d", len(q), dim)
+	}
+	return nil
+}
 
 // KNNQuery is one probe of KNNSkipBatch: the query point, the rank, and an
 // optional member ID to exclude from the result (-1 for none), made
@@ -38,22 +93,10 @@ func (s *Searcher) KNNSkipBatch(qs []KNNQuery) ([][]Neighbor, error) {
 		if q.K <= 0 {
 			return nil, fmt.Errorf("rknnd: core: K must be positive, got %d", q.K)
 		}
-		if err := vecmath.ValidateFor(m, q.Point); err != nil {
+		if err := checkQuery(m, dim, q.Point); err != nil {
 			return nil, fmt.Errorf("rknnd: probe %d: %w", i, err)
 		}
-		if len(q.Point) != dim {
-			return nil, fmt.Errorf("rknnd: probe %d: query dimension %d, index dimension %d", i, len(q.Point), dim)
-		}
-		skip := q.Skip
-		if skip < 0 {
-			skip = -1
-		}
-		nn := sn.ix.KNN(q.Point, q.K, skip)
-		res := make([]Neighbor, len(nn))
-		for j, nb := range nn {
-			res[j] = Neighbor{ID: nb.ID, Dist: nb.Dist}
-		}
-		out[i] = res
+		out[i] = sn.ix.KNN(q.Point, q.K, max(q.Skip, -1))
 	}
 	return out, nil
 }
@@ -61,12 +104,7 @@ func (s *Searcher) KNNSkipBatch(qs []KNNQuery) ([][]Neighbor, error) {
 // CountCloserQuery is one probe of CountCloserBatch: count the live points
 // strictly closer to Point than Radius, excluding member Skip (-1 for
 // none), and stop counting at Limit.
-type CountCloserQuery struct {
-	Point  []float64
-	Radius float64
-	Limit  int
-	Skip   int
-}
+type CountCloserQuery = index.CountQuery
 
 // CountCloserBatch answers many bounded strict range counts against one
 // pinned snapshot: out[i] = min(Limit, |{y ≠ Skip live : d(Point, y) <
@@ -87,11 +125,8 @@ func (s *Searcher) CountCloserBatch(qs []CountCloserQuery) ([]int, error) {
 		if !(q.Radius >= 0) { // also rejects NaN
 			return nil, fmt.Errorf("rknnd: probe %d: radius must be non-negative, got %v", i, q.Radius)
 		}
-		if err := vecmath.ValidateFor(m, q.Point); err != nil {
+		if err := checkQuery(m, dim, q.Point); err != nil {
 			return nil, fmt.Errorf("rknnd: probe %d: %w", i, err)
-		}
-		if len(q.Point) != dim {
-			return nil, fmt.Errorf("rknnd: probe %d: query dimension %d, index dimension %d", i, len(q.Point), dim)
 		}
 		out[i] = ix.CountCloser(q.Point, q.Radius, q.Limit, max(q.Skip, -1), nil)
 	}
@@ -148,7 +183,7 @@ func (ss *ShardedSearcher) MemberPoints(ids ...int) [][]float64 {
 			continue
 		}
 		if v, ok := byShard[s]; ok {
-			rows[i] = livePoint(v.sn.ix, l)
+			rows[i] = livePoint(v.ix, l)
 		}
 	}
 	return rows

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/indextest"
 )
 
@@ -147,9 +148,16 @@ func TestShardedQueryValidation(t *testing.T) {
 	}
 }
 
+// TestShardedStatsAggregation pins what a sharded query's Stats are: not a
+// sum over shards but the counters of the one algorithm run over the merged
+// shard streams — field for field the unsharded engine's.
 func TestShardedStatsAggregation(t *testing.T) {
 	pts := indextest.RandPoints(120, 3, 8)
 	ss, err := NewSharded(pts, 3, WithScale(100), WithPlainRDT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := New(pts, WithScale(100), WithPlainRDT())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +165,50 @@ func TestShardedStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantIDs, want, err := single.ReverseKNNStats(11, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.ScanDepth == 0 || st.DistanceComps == 0 {
-		t.Errorf("aggregated stats look empty: %+v (ids %v)", st, ids)
+		t.Errorf("stats look empty: %+v (ids %v)", st, ids)
 	}
-	if st.Verified < len(ids) {
-		t.Errorf("Verified %d < accepted %d: every candidate is globally re-verified", st.Verified, len(ids))
+	if !sameIDs(ids, wantIDs) || st != want {
+		t.Errorf("sharded (%v, %+v), unsharded (%v, %+v)", ids, st, wantIDs, want)
 	}
+}
+
+// TestShardedScanDepthMatchesUnsharded is the CI gate against a silent return
+// to S× work: on a fixed seed of the benchmark's data family, at its starved
+// scale, a ShardedSearcher over three shards scans exactly as deep as the
+// unsharded engine, query by query. Scan depth is a count that repeats
+// exactly on every machine; a sharded engine that ran the algorithm once per
+// shard again would report about three times this.
+func TestShardedScanDepthMatchesUnsharded(t *testing.T) {
+	pts := dataset.FCT(3000, 1).Points
+	single, err := New(pts, WithScale(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewSharded(pts, 3, WithScale(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for qid := 0; qid < len(pts); qid += 47 {
+		_, want, err := single.ReverseKNNStats(qid, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := ss.ReverseKNNStats(qid, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ScanDepth != want.ScanDepth {
+			t.Errorf("query %d: sharded scan depth %d, unsharded %d", qid, got.ScanDepth, want.ScanDepth)
+		}
+		total += got.ScanDepth
+	}
+	t.Logf("scan depth over %d queries: %d, S=3 and unsharded alike", (len(pts)+46)/47, total)
 }
 
 func TestShardedStoreRefusalAndMissing(t *testing.T) {

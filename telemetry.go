@@ -28,9 +28,18 @@ import (
 //	rknn_candidates_excluded_total        Excluded (RDT+ exclusions)
 //	rknn_candidates_lazy_accepted_total   LazyAccepts (Assertion 2)
 //	rknn_candidates_lazy_settled_total    LazyAccepts + LazyRejects
-//	rknn_candidates_verified_total        Verified (refinement kNN queries)
+//	rknn_candidates_verified_total        Verified (refinement counts)
 //	rknn_distance_comps_total             DistanceComps
 //	rknn_approx_candidates_total          ScanDepth (approximate back-ends only)
+//
+// The mapping is the same for a sharded engine, and so are the values: a
+// sharded query is one run of the algorithm over the merged shard streams,
+// whose Stats are the unsharded query's. What is per shard is only what is
+// drawn from a shard (counter += per query, by shard):
+//
+//	rknn_shard_scatter_queries_total      1 per shard whose stream the query opened
+//	rknn_shard_neighbors_pulled_total     rows pulled from the shard's stream
+//	rknn_shard_count_probes_total         Verified (each probe asks every shard)
 //
 // Approximate back-ends (Searcher.Approximate) additionally register
 // rknn_approx_candidates_total — the hash-collision candidates the
@@ -164,11 +173,7 @@ func newEngineTelemetry(reg *telemetry.Registry, backend string, approx bool) *e
 			if g == 0 {
 				return 0
 			}
-			r := 1 - float64(verified.Value())/g
-			if r < 0 {
-				return 0 // sharded merge re-verification can exceed the scatter candidates
-			}
-			return r
+			return 1 - float64(verified.Value())/g
 		},
 		telemetry.Label{Name: "backend", Value: backend})
 	return t
@@ -244,50 +249,33 @@ func (t *engineTelemetry) observeWorkload(op string, k int, q []float64, st Stat
 	t.workload.Observe(sig, d.Seconds(), st.ScanDepth, st.FilterSize+st.Excluded, st.LazyAccepts+st.LazyRejects, at)
 }
 
-// shardTelemetry aggregates the scatter-side work of one shard — the
-// paper's pruning counters per partition, so uneven shards show up as
-// uneven series.
+// shardTelemetry counts what sharded queries draw from one shard, so uneven
+// shards show up as uneven series: a shard whose neighbors sit closer to the
+// traffic has more rows pulled from its stream. The pruning counters
+// themselves are engine-level only — a sharded query is one algorithm run
+// over the merged streams, and no shard runs a filter set of its own.
 type shardTelemetry struct {
-	scatter     *telemetry.Counter
-	generated   *telemetry.Counter
-	excluded    *telemetry.Counter
-	lazySettled *telemetry.Counter
-	verified    *telemetry.Counter
+	scatter *telemetry.Counter
+	pulled  *telemetry.Counter
+	probes  *telemetry.Counter
 }
 
-func newShardTelemetry(reg *telemetry.Registry, shard int, slot *shardSlot) *shardTelemetry {
+// newShardTelemetry registers the instruments of one shard; points reports
+// the shard's live size at scrape time.
+func newShardTelemetry(reg *telemetry.Registry, shard int, points func() int) *shardTelemetry {
 	label := strconv.Itoa(shard)
-	st := &shardTelemetry{
-		scatter: reg.CounterVec("rknn_shard_scatter_queries_total",
-			"Scatter-gather visits answered by this shard.", "shard").With(label),
-		generated: reg.CounterVec("rknn_shard_candidates_generated_total",
-			"Candidates generated by this shard's expanding searches.", "shard").With(label),
-		excluded: reg.CounterVec("rknn_shard_candidates_excluded_total",
-			"RDT+ exclusions on this shard.", "shard").With(label),
-		lazySettled: reg.CounterVec("rknn_shard_candidates_lazy_settled_total",
-			"Candidates this shard settled without verification.", "shard").With(label),
-		verified: reg.CounterVec("rknn_shard_candidates_verified_total",
-			"Refinement verifications run inside this shard.", "shard").With(label),
-	}
 	reg.GaugeFunc("rknn_shard_points",
 		"Live points currently held by this shard.",
-		func() float64 {
-			if eng := slot.eng.Load(); eng != nil {
-				return float64(eng.Len())
-			}
-			return 0
-		},
+		func() float64 { return float64(points()) },
 		telemetry.Label{Name: "shard", Value: label})
-	return st
-}
-
-// observe feeds one scatter visit's core stats into the shard aggregates.
-func (st *shardTelemetry) observe(cs core.Stats) {
-	st.scatter.Inc()
-	st.generated.Add(int64(cs.FilterSize + cs.Excluded))
-	st.excluded.Add(int64(cs.Excluded))
-	st.lazySettled.Add(int64(cs.LazyAccepts + cs.LazyRejects))
-	st.verified.Add(int64(cs.Verified))
+	return &shardTelemetry{
+		scatter: reg.CounterVec("rknn_shard_scatter_queries_total",
+			"Reverse queries that opened this shard's neighbor stream.", "shard").With(label),
+		pulled: reg.CounterVec("rknn_shard_neighbors_pulled_total",
+			"Rows drawn from this shard's forward neighbor stream by the merged expanding search.", "shard").With(label),
+		probes: reg.CounterVec("rknn_shard_count_probes_total",
+			"Refinement count probes (one per unsettled candidate per query) this shard answered.", "shard").With(label),
+	}
 }
 
 // Grid geometry for the workload signatures: cellsPerDim quantizes each
@@ -434,7 +422,7 @@ type EngineWindow struct {
 	Settled   int64 `json:"candidates_lazy_settled"`
 	Verified  int64 `json:"candidates_verified"`
 	// PruningRatio is 1 - Verified/Generated over the window (0 with no
-	// candidates), clamped at 0 like the lifetime gauge.
+	// candidates).
 	PruningRatio float64 `json:"pruning_ratio"`
 	// Recall is the windowed mean of the sampled recall estimates on an
 	// approximate engine; -1 when absent (exact engine, or no estimate
@@ -481,9 +469,7 @@ func (t *engineTelemetry) engineWindowStats(now time.Time) map[string]EngineWind
 			Recall:    -1,
 		}
 		if w.Generated > 0 {
-			if r := 1 - float64(w.Verified)/float64(w.Generated); r > 0 {
-				w.PruningRatio = r
-			}
+			w.PruningRatio = 1 - float64(w.Verified)/float64(w.Generated)
 		}
 		if t.recallWin != nil {
 			if st := t.recallWin.StatsAt(d, now); st.Count > 0 {
@@ -586,15 +572,15 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 }
 
 // EnableTelemetry binds the ShardedSearcher to reg: engine-level metrics
-// plus per-shard scatter counters and live shard size gauges. Like the
+// plus per-shard stream and probe counters and live shard size gauges. Like the
 // Searcher form, it is safe to call while queries are in flight. An
 // approximate sharded engine records rknn_approx_candidates_total; the
 // recall gauge is a single-engine surface (its oracle reads one snapshot,
 // not a scatter set).
 func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
 	sts := make([]*shardTelemetry, len(ss.slots))
-	for i := range sts {
-		sts[i] = newShardTelemetry(reg, i, ss.slots[i])
+	for i, slot := range ss.slots {
+		sts[i] = newShardTelemetry(reg, i, slot.points)
 	}
 	ss.shardTel.Store(&sts)
 	t := newEngineTelemetry(reg, string(ss.backend), ss.Approximate())

@@ -149,14 +149,24 @@ func itoa(v int64) string {
 	return b.String()
 }
 
-// TestShardedTelemetry checks the scatter-side accounting: per-shard
-// candidate counters sum to the engine-level generated counter (candidates
-// are only ever created inside shards), every populated shard records its
-// scatter visits, and the shard point gauges sum to the live size.
+// TestShardedTelemetry checks the sharded engine's accounting. Engine level:
+// the aggregate pruning counters are the sum of the per-query Stats, and —
+// since a sharded query is the unsharded algorithm run once over the merged
+// shard streams — equal to what an unsharded engine records for the same
+// queries. Shard level: the rows pulled from the shards' streams cover the
+// scan depth (each shard is read at most one row past its last consumed
+// one), every count probe reaches every populated shard, every populated
+// shard records its visits, and the point gauges sum to the live size. The
+// retired per-shard candidate families are gone.
 func TestShardedTelemetry(t *testing.T) {
 	pts := indextest.RandPoints(240, 3, 17)
 	reg := telemetry.NewRegistry()
 	ss, err := NewSharded(pts, 3, WithScale(8), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	singleReg := telemetry.NewRegistry()
+	single, err := New(pts, WithScale(8), WithTelemetry(singleReg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +178,12 @@ func TestShardedTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, _, err := single.ReverseKNNStats(qid, 4); err != nil {
+			t.Fatal(err)
+		}
+		agg.ScanDepth += st.ScanDepth
 		agg.FilterSize += st.FilterSize
 		agg.Excluded += st.Excluded
-		agg.LazyAccepts += st.LazyAccepts
-		agg.LazyRejects += st.LazyRejects
 		agg.Verified += st.Verified
 	}
 
@@ -179,44 +191,51 @@ func TestShardedTelemetry(t *testing.T) {
 	if got := counterValue(t, reg, "rknn_queries_total", backend, telemetry.Label{Name: "op", Value: "rknn"}); got != queries {
 		t.Errorf("rknn_queries_total = %v, want %d", got, queries)
 	}
-	if got := counterValue(t, reg, "rknn_candidates_verified_total", backend); got != float64(agg.Verified) {
-		t.Errorf("verified = %v, want %d (incl. merge re-verification)", got, agg.Verified)
-	}
-
-	var shardGenerated, shardScatter, shardPoints float64
-	for _, f := range reg.Gather() {
-		switch f.Name {
-		case "rknn_shard_candidates_generated_total":
-			for _, s := range f.Samples {
-				shardGenerated += s.Value
-			}
-		case "rknn_shard_scatter_queries_total":
-			for _, s := range f.Samples {
-				shardScatter += s.Value
-			}
-		case "rknn_shard_points":
-			for _, s := range f.Samples {
-				shardPoints += s.Value
-			}
+	for name, want := range map[string]int{
+		"rknn_scan_depth_total":           agg.ScanDepth,
+		"rknn_candidates_generated_total": agg.FilterSize + agg.Excluded,
+		"rknn_candidates_verified_total":  agg.Verified,
+	} {
+		if got := counterValue(t, reg, name, backend); got != float64(want) {
+			t.Errorf("%s = %v, want %d (summed Stats)", name, got, want)
+		}
+		if got := counterValue(t, singleReg, name, backend); got != float64(want) {
+			t.Errorf("unsharded %s = %v, sharded engine recorded %d", name, got, want)
 		}
 	}
-	if engineGenerated := counterValue(t, reg, "rknn_candidates_generated_total", backend); shardGenerated != engineGenerated {
-		t.Errorf("per-shard generated sum %v != engine generated %v", shardGenerated, engineGenerated)
-	}
-	if shardGenerated != float64(agg.FilterSize+agg.Excluded) {
-		t.Errorf("per-shard generated sum %v != summed stats %d", shardGenerated, agg.FilterSize+agg.Excluded)
-	}
+
 	populated := 0
 	for _, si := range ss.ShardStats() {
 		if si.Points > 0 {
 			populated++
 		}
 	}
-	if shardScatter != float64(queries*populated) {
-		t.Errorf("scatter visits %v, want %d queries x %d populated shards", shardScatter, queries, populated)
+	sum := func(name string) (total float64) {
+		for _, f := range reg.Gather() {
+			if f.Name == name {
+				for _, s := range f.Samples {
+					total += s.Value
+				}
+			}
+		}
+		return total
 	}
-	if shardPoints != float64(ss.Len()) {
-		t.Errorf("shard point gauges sum to %v, want %d", shardPoints, ss.Len())
+	if pulled := sum("rknn_shard_neighbors_pulled_total"); pulled < float64(agg.ScanDepth) || pulled > float64(agg.ScanDepth+queries*populated) {
+		t.Errorf("rows pulled from shards %v, want within [%d, %d] (scan depth plus one look-ahead per shard)", pulled, agg.ScanDepth, agg.ScanDepth+queries*populated)
+	}
+	if probes := sum("rknn_shard_count_probes_total"); probes != float64(agg.Verified*populated) {
+		t.Errorf("count probes %v, want %d verifications x %d populated shards", probes, agg.Verified, populated)
+	}
+	if visits := sum("rknn_shard_scatter_queries_total"); visits != float64(queries*populated) {
+		t.Errorf("scatter visits %v, want %d queries x %d populated shards", visits, queries, populated)
+	}
+	if points := sum("rknn_shard_points"); points != float64(ss.Len()) {
+		t.Errorf("shard point gauges sum to %v, want %d", points, ss.Len())
+	}
+	for _, retired := range []string{"generated", "excluded", "lazy_settled", "verified"} {
+		if hasFamily(reg, "rknn_shard_candidates_"+retired+"_total") {
+			t.Errorf("retired family rknn_shard_candidates_%s_total is still registered", retired)
+		}
 	}
 }
 

@@ -35,10 +35,11 @@ func findSpans(sp trace.SpanJSON, name string) []trace.SpanJSON {
 	return out
 }
 
-// TestTraceSpanTreeSharded pins the span taxonomy of a traced scatter-gather
-// query: facade.pin, one shard.scatter per shard each holding the core
-// stage spans (scan, filter, verify) with the paper's work counters as
-// attributes, and a shard.merge for the cross-shard re-verification.
+// TestTraceSpanTreeSharded pins the span taxonomy of a traced sharded query:
+// facade.pin, then ONE core.rknn — the algorithm runs once, over the merged
+// shard streams — carrying the paper's work counters and its scan, filter
+// and verify stages, with one shard.scatter per shard beneath it covering
+// that shard's stream. There is no shard.merge: nothing is re-verified.
 func TestTraceSpanTreeSharded(t *testing.T) {
 	ss, err := NewSharded(tracePoints(400, 6, 1), 3, WithScale(20))
 	if err != nil {
@@ -50,7 +51,7 @@ func TestTraceSpanTreeSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ss.ReverseKNN(7, 5)
+	want, st, err := ss.ReverseKNNStats(7, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,37 +64,50 @@ func TestTraceSpanTreeSharded(t *testing.T) {
 	if got := len(findSpans(root, "facade.pin")); got != 1 {
 		t.Errorf("facade.pin spans = %d, want 1", got)
 	}
-	scatters := findSpans(root, "shard.scatter")
+	cores := findSpans(root, "core.rknn")
+	if len(cores) != 1 {
+		t.Fatalf("core.rknn spans = %d, want 1", len(cores))
+	}
+	core := cores[0]
+	for _, stage := range []string{"core.scan", "core.filter", "core.verify"} {
+		if got := len(findSpans(core, stage)); got != 1 {
+			t.Errorf("%s spans = %d, want 1", stage, got)
+		}
+	}
+	for _, attr := range []string{"scan_depth", "filter_size", "distance_comps", "k"} {
+		if _, ok := core.Attrs[attr]; !ok {
+			t.Errorf("core.rknn missing %s attr: %+v", attr, core.Attrs)
+		}
+	}
+	if got := core.Attrs["scan_depth"]; got != int64(st.ScanDepth) {
+		t.Errorf("core.rknn scan_depth = %v, query Stats say %d", got, st.ScanDepth)
+	}
+	scatters := findSpans(core, "shard.scatter")
 	if len(scatters) != 3 {
-		t.Fatalf("shard.scatter spans = %d, want 3", len(scatters))
+		t.Fatalf("shard.scatter spans under core.rknn = %d, want 3", len(scatters))
 	}
 	seen := map[int]bool{}
+	pulled := int64(0)
 	for _, sc := range scatters {
 		shard, ok := sc.Attrs["shard"].(int64)
 		if !ok {
 			t.Fatalf("shard.scatter missing shard attr: %+v", sc.Attrs)
 		}
 		seen[int(shard)] = true
-		core := findSpans(sc, "core.rknn")
-		if len(core) != 1 {
-			t.Fatalf("shard %d: core.rknn spans = %d, want 1", shard, len(core))
+		n, ok := sc.Attrs["pulled"].(int64)
+		if !ok {
+			t.Fatalf("shard %d: shard.scatter missing pulled attr: %+v", shard, sc.Attrs)
 		}
-		for _, stage := range []string{"core.scan", "core.filter", "core.verify"} {
-			if got := len(findSpans(core[0], stage)); got != 1 {
-				t.Errorf("shard %d: %s spans = %d, want 1", shard, stage, got)
-			}
-		}
-		for _, attr := range []string{"scan_depth", "filter_size", "distance_comps", "k"} {
-			if _, ok := core[0].Attrs[attr]; !ok {
-				t.Errorf("shard %d: core.rknn missing %s attr: %+v", shard, attr, core[0].Attrs)
-			}
-		}
+		pulled += n
 	}
 	if len(seen) != 3 {
 		t.Errorf("scatter spans cover shards %v, want all of 0..2", seen)
 	}
-	if got := len(findSpans(root, "shard.merge")); got != 1 {
-		t.Errorf("shard.merge spans = %d, want 1", got)
+	if pulled < int64(st.ScanDepth) || pulled > int64(st.ScanDepth)+3 {
+		t.Errorf("shards streamed %d rows for a scan of depth %d", pulled, st.ScanDepth)
+	}
+	if got := len(findSpans(root, "shard.merge")); got != 0 {
+		t.Errorf("shard.merge spans = %d, want none", got)
 	}
 }
 
