@@ -353,60 +353,11 @@ func BenchmarkAblationMaxGED(b *testing.B) {
 	}
 }
 
-// BenchmarkSharded measures scatter-gather batch throughput across shard
-// counts on the FCT surrogate. CI runs it as a 1-iteration smoke
-// (-benchtime 1x); every run additionally refreshes BENCH_shard.json with
-// the measured queries/s for S ∈ {1, 4}, so the sharding perf trajectory
-// is recorded run over run. On a single-core runner the shard fan-out
-// cannot beat S=1 — the number to watch there is the overhead; on
-// multi-core hardware the per-shard snapshots share no mutable query
-// state, so the scatter scales with cores.
-func BenchmarkSharded(b *testing.B) {
-	data := dataset.FCT(2000, 1)
-	qids := make([]int, 256)
-	for i := range qids {
-		qids[i] = (i * 7) % data.Len()
-	}
-	qps := map[string]float64{}
-	for _, S := range []int{1, 2, 4} {
-		ss, err := NewSharded(data.Points, S, WithScale(6))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("S=%d", S), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ss.BatchReverseKNN(qids, 10, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			q := float64(len(qids)) * float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(q, "queries/s")
-			qps[fmt.Sprintf("S=%d", S)] = q
-		})
-	}
-	if len(qps) == 3 {
-		// BENCH_shard.json is shared with the networked benchmark
-		// (internal/server); the in-process numbers live under "sharded", a
-		// pre-keyed flat file is adopted under the same key.
-		if err := benchjson.Merge("BENCH_shard.json", "sharded", "sharded", map[string]any{
-			"benchmark":          "BenchmarkSharded",
-			"dataset":            "fct-2000",
-			"batch":              len(qids),
-			"k":                  10,
-			"gomaxprocs":         runtime.GOMAXPROCS(0),
-			"queries_per_second": qps,
-		}); err != nil {
-			b.Logf("could not write BENCH_shard.json: %v", err)
-		}
-	}
-}
-
 // BenchmarkCoreEngine measures the single-engine facade on the FCT
 // surrogate — RkNN, forward kNN, and batch throughput, plus the mean
 // pruning ratio from the per-query stats — and refreshes BENCH_core.json
 // with the measured queries/s, the perf baseline future PRs report
-// against (the single-engine sibling of BENCH_shard.json). CI runs it as
-// a 1-iteration smoke (-benchtime 1x).
+// against. CI runs it as a 1-iteration smoke (-benchtime 1x).
 func BenchmarkCoreEngine(b *testing.B) {
 	data := dataset.FCT(2000, 1)
 	s, err := New(data.Points, WithScale(6))
@@ -596,7 +547,7 @@ func BenchmarkWritePath(b *testing.B) {
 // queries over the LSH back-end at L ∈ {4, 8, 12} tables on the FCT
 // surrogate, reporting queries/s and measured reverse-neighbor recall
 // against the exact oracle per table count, and refreshing
-// BENCH_approx.json beside BENCH_core.json / BENCH_shard.json. CI runs it
+// BENCH_approx.json beside BENCH_core.json. CI runs it
 // as a 1-iteration smoke (-benchtime 1x). -benchmem shows the pooled
 // candidate sets at work: the per-query allocation count stays flat in L
 // (the dedup set is recycled) instead of growing with every table probed.

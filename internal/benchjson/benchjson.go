@@ -1,5 +1,5 @@
 // Package benchjson maintains the repo's benchmark artifact files
-// (BENCH_core.json, BENCH_shard.json): small JSON documents with one
+// (BENCH_core.json, BENCH_approx.json): small JSON documents with one
 // top-level key per benchmark family, refreshed in place by whichever
 // benchmark ran last without clobbering its siblings' measurements.
 package benchjson

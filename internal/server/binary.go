@@ -3,7 +3,7 @@
 // compact binary protocol of internal/wire on POST /v1/binary (the one
 // shard protocol), the cluster handshake on GET /v1/shard/info, and a
 // remote-safe point fetch on GET /v1/points/{id}. All of it is ordinary
-// public API on any server whose engine exposes the ShardServing methods.
+// public API on any server whose engine exposes the methods it calls.
 
 package server
 
@@ -199,13 +199,15 @@ func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error
 }
 
 // handlePointGet resolves one member ID to its coordinates — the
-// remote-safe single-point read. Dead or never-assigned IDs answer 404.
+// remote-safe single-point read. Dead or never-assigned IDs answer 404. It
+// needs only MemberPoints, which every in-process engine has; a coordinator
+// answers 501 until a point read that can return an RPC error exists.
 func (srv *Server) handlePointGet(w http.ResponseWriter, r *http.Request) error {
-	sv, ok := srv.s.(ShardServing)
+	sv, ok := srv.s.(interface{ MemberPoints(ids ...int) [][]float64 })
 	if !ok {
 		return &apiError{
 			status: http.StatusNotImplemented,
-			err:    errors.New("engine has no shard-serving surface"),
+			err:    errors.New("engine has no point read"),
 		}
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))

@@ -5,8 +5,9 @@
 // networked S=3} over the binary shard protocol, held through
 // interleaved inserts and deletes routed through the
 // coordinator. Plus the distributed-tracing join (coordinator trace IDs
-// resolve on the daemons), replica failover under a mid-stream kill, and
-// the binary endpoint's Content-Type gate.
+// resolve on the daemons), replica failover under a mid-stream kill, the
+// binary endpoint's Content-Type gate, and the coordinator's write faults:
+// lost responses, clean refusals and a lying daemon, through WithTransport.
 package server
 
 import (
@@ -54,6 +55,7 @@ func splitShards(t testing.TB, pts [][]float64, shards int) [][][]float64 {
 // coordinator's own HTTP server.
 type cluster struct {
 	co      *repro.Coordinator
+	reg     *telemetry.Registry  // the coordinator's and its server's
 	ts      *httptest.Server     // coordinator HTTP server
 	daemons [][]*httptest.Server // [shard][replica]
 	engines []*repro.Searcher    // per-shard engine (shared by its replicas)
@@ -99,10 +101,10 @@ func startClusterWith(t testing.TB, pts [][]float64, S, replicas int, engOpts []
 	t.Cleanup(func() { co.Close() })
 	c.co = co
 
-	reg := telemetry.NewRegistry()
-	co.EnableTelemetry(reg)
+	c.reg = telemetry.NewRegistry()
+	co.EnableTelemetry(c.reg)
 	coRing := trace.NewRing(64)
-	c.ts = httptest.NewServer(New(co, WithRegistry(reg), WithTracing(coRing, 1)).Handler())
+	c.ts = httptest.NewServer(New(co, WithRegistry(c.reg), WithTracing(coRing, 1)).Handler())
 	t.Cleanup(c.ts.Close)
 	return c
 }
@@ -156,50 +158,52 @@ func identical(t *testing.T, servers map[string]string, method, path, body strin
 	}
 }
 
+// topologies serves one dataset every way the module can — unsharded,
+// in-process S∈{1,3}, networked S∈{1,3} — under the same engine options, and
+// returns the servers' base URLs by topology name, plus the in-process
+// subset and the engines behind them.
+func topologies(t *testing.T, pts [][]float64, opts ...repro.Option) (all, inproc map[string]string, engines map[string]Engine) {
+	t.Helper()
+	single, err := repro.New(pts, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines = map[string]Engine{"unsharded": single}
+	for _, S := range []int{1, 3} {
+		ss, err := repro.NewSharded(pts, S, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[fmt.Sprintf("sharded-%d", S)] = ss
+	}
+	all, inproc = map[string]string{}, map[string]string{}
+	for name, eng := range engines {
+		ts := httptest.NewServer(New(eng).Handler())
+		t.Cleanup(ts.Close)
+		all[name], inproc[name] = ts.URL, ts.URL
+	}
+	for _, S := range []int{1, 3} {
+		cl := startClusterWith(t, pts, S, 1, opts)
+		name := fmt.Sprintf("cluster-%d", S)
+		all[name], engines[name] = cl.ts.URL, cl.co
+	}
+	return all, inproc, engines
+}
+
 // TestClusterByteIdentity is the tentpole conformance test: the networked
-// cluster's /v1 responses — answers, stats and errors — are byte-identical
-// to the in-process sharded engine's and the unsharded engine's, at every
-// shard count, before and after a write sequence (inserts, a batch,
-// deletes) applied identically through every server's own HTTP API. The
-// subtest is named for the shard protocol it runs over, the only one.
+// cluster's /v1 responses — answers, stats and errors, of queries and of
+// writes — are byte-identical to the in-process sharded engine's and the
+// unsharded engine's, at every shard count, before and after a write
+// sequence (inserts, a batch, deletes) applied identically through every
+// server's own HTTP API. The subtest is named for the shard protocol it runs
+// over, the only one.
 func TestClusterByteIdentity(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		pts := indextest.RandPoints(120, 3, 17)
-
-		single, err := repro.New(pts, repro.WithScale(100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		singleTS := httptest.NewServer(New(single).Handler())
-		t.Cleanup(singleTS.Close)
-
-		sharded1, err := repro.NewSharded(pts, 1, repro.WithScale(100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded1TS := httptest.NewServer(New(sharded1).Handler())
-		t.Cleanup(sharded1TS.Close)
-
-		sharded3, err := repro.NewSharded(pts, 3, repro.WithScale(100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded3TS := httptest.NewServer(New(sharded3).Handler())
-		t.Cleanup(sharded3TS.Close)
-
-		cl1 := startCluster(t, pts, 1, 1)
-		cl3 := startCluster(t, pts, 3, 1)
-
 		// Answer bodies and stats bodies must agree everywhere: every
 		// topology runs the one algorithm over the one (merged) neighbor
 		// stream, so the work counters do not depend on the shard count.
-		all := map[string]string{
-			"unsharded": singleTS.URL,
-			"sharded-1": sharded1TS.URL,
-			"sharded-3": sharded3TS.URL,
-			"cluster-1": cl1.ts.URL,
-			"cluster-3": cl3.ts.URL,
-		}
+		all, inproc, engines := topologies(t, pts, repro.WithScale(100))
 
 		compare := func(t *testing.T) {
 			t.Helper()
@@ -218,6 +222,18 @@ func TestClusterByteIdentity(t *testing.T) {
 			}
 			identical(t, all, "POST", "/v1/rknn", `{"point":[0.2,0.2,0.8],"k":5,"stats":true}`)
 			identical(t, all, "POST", "/v1/rknn", `{"point":[0.1],"k":3}`)
+			// Malformed writes — too short, too long, empty — are refused in
+			// the same words, alone and as the second member of a batch, and
+			// change nothing.
+			for _, bad := range []string{`[0.1,0.2]`, `[0.1,0.2,0.3,0.4]`, `[]`} {
+				identical(t, all, "POST", "/v1/points", `{"point":`+bad+`}`)
+				identical(t, all, "POST", "/v1/points/batch", `{"points":[[0.5,0.5,0.5],`+bad+`]}`)
+			}
+			// The single-point read, where one exists: a live member, a
+			// (later) deleted one, one never assigned.
+			for _, id := range []string{"7", "3", "9999", "x"} {
+				identical(t, inproc, "GET", "/v1/points/"+id, "")
+			}
 		}
 		compare(t)
 		if t.Failed() {
@@ -243,7 +259,7 @@ func TestClusterByteIdentity(t *testing.T) {
 		// library surface it is a no-op on every engine, the coordinator
 		// included.
 		identical(t, all, "POST", "/v1/points/batch", `{"points":[]}`)
-		for name, eng := range map[string]Engine{"unsharded": single, "sharded-3": sharded3, "cluster-1": cl1.co, "cluster-3": cl3.co} {
+		for name, eng := range engines {
 			if ids, err := eng.InsertBatchContext(context.Background(), nil); ids != nil || err != nil {
 				t.Errorf("%s: empty InsertBatchContext = (%v, %v), want a no-op", name, ids, err)
 			}
@@ -258,14 +274,22 @@ func TestClusterByteIdentity(t *testing.T) {
 
 		// The coordinator's view of the cluster size tracks the writes.
 		wantLen := 120 + 11 - 2
-		if got := cl3.co.Len(); got != wantLen {
+		if got := engines["cluster-3"].Len(); got != wantLen {
 			t.Errorf("cluster Len = %d, want %d", got, wantLen)
 		}
+
+		// A static back-end refuses both kinds of write, everywhere alike —
+		// a coordinator without asking its daemons.
+		static, _, _ := topologies(t, pts, repro.WithScale(100), repro.WithBackend(repro.BackendKDTree))
+		identical(t, static, "POST", "/v1/points", `{"point":[0.5,0.5,0.5]}`)
+		identical(t, static, "POST", "/v1/points/batch", `{"points":[[0.5,0.5,0.5],[0.1,0.2]]}`)
+		identical(t, static, "DELETE", "/v1/points/3", "")
 	})
 }
 
 // TestClusterTracePropagation pins the distributed-tracing join: a
-// ?debug=1 query on the coordinator returns a span tree with the one
+// ?debug=1 query on the coordinator returns a span tree with the facade.pin
+// every sharded engine records and the one
 // core.rknn of the query, whose shard.scatter spans (one per shard stream)
 // carry a remote.call child per chunk and whose core.verify holds the count
 // round's remote.calls, and the coordinator's trace ID resolves
@@ -309,6 +333,9 @@ func TestClusterTracePropagation(t *testing.T) {
 	}
 	if out.Trace == nil {
 		t.Fatal("?debug=1 response carries no trace")
+	}
+	if pins := findJSONSpans(out.Trace.Root, "facade.pin"); len(pins) != 1 || pins[0].Attrs["shards_pinned"] != float64(3) {
+		t.Errorf("facade.pin spans = %+v, want one that pinned 3 shards", pins)
 	}
 	cores := findJSONSpans(out.Trace.Root, "core.rknn")
 	if len(cores) != 1 {
@@ -944,5 +971,245 @@ func TestCoordinatorHandshake(t *testing.T) {
 	defer co.Close()
 	if co.Len() != 100 || co.Shards() != 2 {
 		t.Errorf("Len=%d Shards=%d, want 100/2", co.Len(), co.Shards())
+	}
+}
+
+// writeFault is a coordinator transport that tampers with one write RPC —
+// the (skip+1)th POST or DELETE under /v1/points it sees — and passes
+// everything else through. mode says how: "drop" forwards the write and
+// loses the response (the daemon applied it; the coordinator cannot know);
+// "refuse" answers a well-formed 400 without forwarding it; "shift" forwards
+// it and adds one to every local ID the daemon acknowledged.
+type writeFault struct {
+	base http.RoundTripper
+	mode string
+
+	mu    sync.Mutex
+	skip  int
+	fired bool
+}
+
+func (f *writeFault) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !strings.HasPrefix(req.URL.Path, "/v1/points") || req.Method == http.MethodGet {
+		return f.base.RoundTrip(req)
+	}
+	f.mu.Lock()
+	hit := !f.fired && f.skip == 0
+	if hit {
+		f.fired = true
+	} else if !f.fired {
+		f.skip--
+	}
+	f.mu.Unlock()
+	if !hit {
+		return f.base.RoundTrip(req)
+	}
+	if f.mode == "refuse" {
+		return &http.Response{
+			StatusCode: http.StatusBadRequest,
+			Header:     http.Header{"Content-Type": []string{"application/json"}},
+			Body:       io.NopCloser(strings.NewReader(`{"error":"rknnd: the shim refuses this write"}`)),
+			Request:    req,
+		}, nil
+	}
+	resp, err := f.base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if f.mode == "drop" {
+		return nil, fmt.Errorf("the shim lost the response (status %d)", resp.StatusCode)
+	}
+	var ack struct {
+		IDs []int `json:"ids"`
+	}
+	if err := json.Unmarshal(body, &ack); err != nil {
+		return nil, err
+	}
+	for i := range ack.IDs {
+		ack.IDs[i]++
+	}
+	body, _ = json.Marshal(ack)
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	resp.ContentLength = int64(len(body))
+	resp.Header.Del("Content-Length")
+	return resp, nil
+}
+
+// TestCoordinatorWriteFaults fails a coordinator write on purpose, four
+// ways, and holds the merged write path to the shardWriter contract. A write
+// whose response is lost after the daemon applied it — a single insert, or
+// the second shard group of a batch whose first landed — returns an error
+// saying the outcome is unknown and what to do about it, and that same call
+// poisons the write path: the next insert, batch and delete are refused with
+// the cause, while queries keep answering. A clean refusal of the first
+// group — single insert or batch — returns the daemon's error, leaves IDSpan
+// and Len where they were and the write path healthy: the same write then
+// succeeds. A daemon that acknowledges other local IDs than the shard map
+// predicted is an error and a poisoned write path, not a panic.
+func TestCoordinatorWriteFaults(t *testing.T) {
+	pts := indextest.RandPoints(120, 3, 83)
+	extra := indextest.RandPoints(8, 3, 84)
+	ctx := context.Background()
+	// write performs the faulted call: one insert, or a batch spanning all
+	// three shards.
+	write := func(co *repro.Coordinator, batch bool) ([]int, error) {
+		if batch {
+			return co.InsertBatchContext(ctx, extra[:4])
+		}
+		id, err := co.InsertContext(ctx, extra[0])
+		return []int{id}, err
+	}
+	daemonPoints := func(cl *cluster) (n int) {
+		for _, eng := range cl.engines {
+			n += eng.Len()
+		}
+		return n
+	}
+	poisoned := func(t *testing.T, cl *cluster, cause string) {
+		t.Helper()
+		_, errIns := cl.co.InsertContext(ctx, extra[5])
+		_, errBatch := cl.co.InsertBatchContext(ctx, extra[5:8])
+		_, errDel := cl.co.DeleteContext(ctx, 7)
+		for what, err := range map[string]error{"insert": errIns, "batch": errBatch, "delete": errDel} {
+			if err == nil || !strings.Contains(err.Error(), "writes disabled") || !strings.Contains(err.Error(), cause) {
+				t.Errorf("%s after the fault: err = %v, want writes disabled, naming the cause (%s)", what, err, cause)
+			}
+		}
+		for qid := 0; qid < len(pts); qid += 9 {
+			if _, err := cl.co.ReverseKNNContext(ctx, qid, 5); err != nil {
+				t.Errorf("query %d after the fault: %v", qid, err)
+			}
+		}
+		if _, err := cl.co.KNNContext(ctx, extra[6], 4); err != nil {
+			t.Errorf("kNN after the fault: %v", err)
+		}
+	}
+
+	for name, c := range map[string]struct {
+		batch bool
+		skip  int
+	}{
+		"lost response/single insert":      {false, 0},
+		"lost response/second batch group": {true, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cl := startCluster(t, pts, 3, 1, repro.WithTransport(&writeFault{base: http.DefaultTransport, mode: "drop", skip: c.skip}))
+			_, err := write(cl.co, c.batch)
+			if err == nil {
+				t.Fatal("the write whose response was lost reported success")
+			}
+			for _, want := range []string{"outcome unknown", "restart the coordinator", "id spans"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not say %q", err, want)
+				}
+			}
+			// The daemons hold every group that was sent, the lost one included.
+			if got, want := daemonPoints(cl), len(pts)+c.skip+1; got < want {
+				t.Fatalf("daemons hold %d points, want at least %d: the shim did not forward the write", got, want)
+			}
+			poisoned(t, cl, "outcome unknown")
+		})
+	}
+
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("clean refusal/batch=%v", batch), func(t *testing.T) {
+			cl := startCluster(t, pts, 3, 1, repro.WithTransport(&writeFault{base: http.DefaultTransport, mode: "refuse"}))
+			ids, err := write(cl.co, batch)
+			if err == nil || !strings.Contains(err.Error(), "the shim refuses this write") || strings.Contains(err.Error(), "outcome unknown") {
+				t.Fatalf("refused write = (%v, %v), want the daemon's refusal", ids, err)
+			}
+			if batch && ids != nil {
+				t.Errorf("refused batch returned ids %v", ids)
+			}
+			if cl.co.IDSpan() != len(pts) || cl.co.Len() != len(pts) || daemonPoints(cl) != len(pts) {
+				t.Fatalf("after the refusal: span %d len %d, daemons %d; want %d everywhere (map rolled back)",
+					cl.co.IDSpan(), cl.co.Len(), daemonPoints(cl), len(pts))
+			}
+			ids, err = write(cl.co, batch)
+			if err != nil || ids[0] != len(pts) {
+				t.Fatalf("the same write once the daemon accepts it = (%v, %v), want ids from %d", ids, err, len(pts))
+			}
+			if ok, err := cl.co.DeleteContext(ctx, ids[0]); !ok || err != nil {
+				t.Errorf("delete after the refusal = (%v, %v): the write path is not healthy", ok, err)
+			}
+		})
+	}
+
+	t.Run("daemon acknowledges another local id", func(t *testing.T) {
+		cl := startCluster(t, pts, 3, 1, repro.WithTransport(&writeFault{base: http.DefaultTransport, mode: "shift"}))
+		_, err := write(cl.co, false)
+		if err == nil || !strings.Contains(err.Error(), "local ids") || !strings.Contains(err.Error(), "shard map expected") {
+			t.Fatalf("mismatched acknowledgement: err = %v, want the mismatch named", err)
+		}
+		poisoned(t, cl, "shard map expected")
+	})
+}
+
+// TestCoordinatorTelemetryMatchesUnsharded is TestShardedTelemetry's equality
+// (the facade's tests pin it for the in-process engine; a root-package test
+// cannot import the server) for a three-daemon coordinator: the engine-level
+// families fall out of the shared query surface, so for the same queries a
+// coordinator's rknn_queries_total by op and its candidate counters equal an
+// unsharded engine's, and its /metrics exposes them.
+func TestCoordinatorTelemetryMatchesUnsharded(t *testing.T) {
+	pts := indextest.RandPoints(240, 3, 17)
+	opts := []repro.Option{repro.WithScale(3)} // starved: some candidates need verifying
+	cl := startClusterWith(t, pts, 3, 1, opts)
+	singleReg := telemetry.NewRegistry()
+	single, err := repro.New(pts, append(opts, repro.WithTelemetry(singleReg))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	qids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	for _, eng := range []Engine{cl.co, single} {
+		for _, qid := range qids {
+			if _, _, err := eng.ReverseKNNStatsContext(ctx, qid, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.ReverseKNNPointContext(ctx, []float64{0.3, 0.6, 0.2}, 4); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.BatchReverseKNNContext(ctx, qids[:5], 4, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.KNNContext(ctx, []float64{0.3, 0.6, 0.2}, 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.InsertContext(ctx, []float64{0.4, 0.4, 0.4}); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := eng.DeleteContext(ctx, 17); !ok || err != nil {
+			t.Fatalf("Delete(17) = (%v, %v)", ok, err)
+		}
+	}
+	backend := telemetry.Label{Name: "backend", Value: "covertree"}
+	for op, want := range map[string]float64{"rknn": 12, "rknn_point": 1, "batch": 5, "knn": 1, "insert": 1, "delete": 1} {
+		labels := []telemetry.Label{backend, {Name: "op", Value: op}}
+		if got := sampleValue(t, cl.reg, "rknn_queries_total", labels...); got != want || got != sampleValue(t, singleReg, "rknn_queries_total", labels...) {
+			t.Errorf("coordinator rknn_queries_total{op=%q} = %v, want %v as on the unsharded engine", op, got, want)
+		}
+	}
+	for _, name := range []string{
+		"rknn_scan_depth_total", "rknn_candidates_generated_total", "rknn_candidates_excluded_total",
+		"rknn_candidates_lazy_accepted_total", "rknn_candidates_lazy_settled_total",
+		"rknn_candidates_verified_total", "rknn_distance_comps_total",
+	} {
+		got, want := sampleValue(t, cl.reg, name, backend), sampleValue(t, singleReg, name, backend)
+		if got != want || want == 0 {
+			t.Errorf("coordinator %s = %v, unsharded engine recorded %v (want equal and non-zero)", name, got, want)
+		}
+	}
+	_, body := rawCall(t, http.MethodGet, cl.ts.URL+"/metrics", "")
+	for _, want := range []string{"\nrknn_queries_total{", "\nrknn_candidates_lazy_settled_total{", "\nrknn_shard_points{"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("coordinator /metrics has no %s series", strings.TrimSpace(want))
+		}
 	}
 }

@@ -41,8 +41,8 @@ func findJSONSpans(sp trace.SpanJSON, name string) []trace.SpanJSON {
 
 // TestDebugExplainResponse pins the ?debug=1 contract on a sharded engine:
 // the normal answer plus an inline span tree whose root is the HTTP span and
-// which holds the one core.rknn of the query with a shard.scatter per shard
-// stream beneath it, response headers naming the request and trace, and
+// which holds the facade.pin of the read set and the one core.rknn of the
+// query with a shard.scatter per shard stream beneath it, response headers naming the request and trace, and
 // retention in the ring regardless of the sampling rate.
 func TestDebugExplainResponse(t *testing.T) {
 	ring, ts := newTracedShardedServer(t, 0) // sample 0: only debug/slow/upstream retain
@@ -74,6 +74,9 @@ func TestDebugExplainResponse(t *testing.T) {
 	}
 	if out.Trace.Root.Name != "http./v1/rknn" {
 		t.Errorf("root span %q, want http./v1/rknn", out.Trace.Root.Name)
+	}
+	if pins := findJSONSpans(out.Trace.Root, "facade.pin"); len(pins) != 1 || pins[0].Attrs["shards_pinned"] != float64(2) {
+		t.Errorf("facade.pin spans = %+v, want one that pinned 2 shards", pins)
 	}
 	cores := findJSONSpans(out.Trace.Root, "core.rknn")
 	if len(cores) != 1 {

@@ -98,6 +98,12 @@ const (
 	BackendLSH Backend = "lsh"
 )
 
+// dynamic reports whether the back-end takes Insert and Delete: its index
+// implements index.Cloner, so a write is a copy-on-write step.
+func (b Backend) dynamic() bool {
+	return b == BackendCoverTree || b == BackendScan || b == BackendLSH
+}
+
 // Estimator selects how the scale parameter t is derived from the data
 // (paper Section 6).
 type Estimator string

@@ -14,20 +14,27 @@ import (
 	"repro/internal/vecmath"
 )
 
-// This file is the sharded face of the engine: a ShardedSearcher
-// hash-partitions the dataset across S shards, each an independent
-// copy-on-write Searcher, and answers every query over all of them at once.
+// This file is the sharded engine, written once. The paper asks of its
+// auxiliary structure only incremental forward-NN search, and says updates
+// cost nothing "other than those due to changes made to the auxiliary
+// forward kNN index" (Section 4) — so a sharded engine is a set of neighbor
+// streams plus a set of writers, and where a shard lives is a transport
+// detail. shardedCore owns everything that does not depend on it: the shard
+// map, the write lock and poison state, the telemetry, scatter-set assembly,
+// the whole query surface and the one write path, over shards it knows only
+// through the shard interface. A ShardedSearcher (below) is the core over
+// in-process shards, each a copy-on-write Searcher; a Coordinator
+// (coordinator.go) is the core over shard daemons.
 //
 // A reverse query is the unsharded algorithm, run once: the k-way merge of
 // the shards' forward neighbor streams under the (distance, global ID)
-// order is the neighbor stream of the whole dataset, which is all the
-// paper's algorithm asks of its index, so one core.Querier runs over the
-// merge (shard_client.go) and returns what a Searcher over the same points
-// returns — answer and work counters, at every scale parameter. Forward kNN
-// merges directly: the global top-k is the top-k of the per-shard top-k
-// lists. See DESIGN.md, "Sharded scatter-gather".
+// order is the neighbor stream of the whole dataset, so one core.Querier
+// runs over the merge (shard_client.go) and returns what a Searcher over the
+// same points returns — answer and work counters, at every scale parameter.
+// Forward kNN merges directly: the global top-k is the top-k of the
+// per-shard top-k lists. See DESIGN.md, "Sharded scatter-gather".
 
-// ShardInfo describes one shard of a ShardedSearcher for monitoring.
+// ShardInfo describes one shard of a sharded engine for monitoring.
 type ShardInfo struct {
 	// Shard is the shard number in [0, Shards()).
 	Shard int `json:"shard"`
@@ -37,33 +44,599 @@ type ShardInfo struct {
 	Queries int64 `json:"queries"`
 }
 
-// shardWriter is the write side of one shard: the shard's *Searcher itself
-// in memory, its *DurableSearcher on disk — which is all that distinguishes
-// a durable sharded engine's write path from an in-memory one. nil IDs from
-// InsertBatchContext mean nothing was applied; IDs beside an error mean the
-// points are applied in memory but not logged (see DurableSearcher.Insert).
+// shardWriter is the write side of one shard, in the shard's local IDs. An
+// insert ends one of three ways, and the write path acts on which:
+//
+//   - IDs: the points are applied. An error beside them means applied in
+//     memory but not logged (see DurableSearcher.Insert).
+//   - No IDs and an ordinary error: refused un-applied — a local engine's
+//     validation error, a daemon's well-formed 4xx, a request that never left.
+//   - No IDs and an error that wraps errOutcomeUnknown: the shard may or may
+//     not hold the points (a transport failure, timeout or 5xx once the
+//     request may have left).
 type shardWriter interface {
 	InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error)
 	DeleteContext(ctx context.Context, id int) (bool, error)
 }
 
-// shardSlot is the engine holder of one shard. The engine pointer is nil
-// until the first point lands on the shard (hash partitioning can leave
-// shards empty on small datasets) and is published atomically so queries
-// never lock; w is the same shard's write side, set with it and guarded by
-// the ShardedSearcher's mu.
-type shardSlot struct {
-	eng     atomic.Pointer[Searcher]
-	queries atomic.Int64
-	w       shardWriter
+// errOutcomeUnknown marks a shard write that may or may not have been
+// applied; see shardWriter.
+var errOutcomeUnknown = errors.New("write outcome unknown")
+
+// shard is one shard of a sharded engine: a read side that pins, a write
+// side, and nothing that says where the shard lives. *shardSlot implements
+// it over an in-process Searcher, *remoteShard (shard_remote.go) over a
+// daemon.
+type shard interface {
+	// pin returns the shard's current read set — what one query, or one
+	// batch, reads it through — and the number of live points in it.
+	pin() (shardClient, int)
+	shardWriter
+	// writable reports why the shard can take no write right now, nil when it
+	// can; an insert checks every involved shard before assigning any ID.
+	writable() error
 }
 
-// points returns the live points the shard holds (0 before its first).
-func (sl *shardSlot) points() int {
-	if eng := sl.eng.Load(); eng != nil {
-		return eng.Len()
+// shardedCore is the engine a ShardedSearcher and a Coordinator share.
+//
+// Global IDs are stable and dense in insertion order, exactly like Searcher
+// IDs, and are mapped to (shard, local) placements by an immutable
+// index.ShardMap published copy-on-write. Writers publish the map before the
+// shard write and readers pin the shards before the map, so the map a query
+// holds covers every local ID its read set can surface.
+//
+// Results are deterministic and do not depend on the shard count or the
+// transport: every shard streams in (distance, ID) order, so the merged
+// stream — and with it every step of the algorithm — is the unsharded
+// engine's. The metamorphic conformance suites pin it
+// (shard_conformance_test.go, internal/server/cluster_test.go).
+type shardedCore struct {
+	engineConfig // of every shard: the core runs their algorithm itself
+	metric       Metric
+	dim          int
+
+	shards []shard
+	visits []atomic.Int64 // scatter visits per shard (ShardInfo.Queries)
+	smap   atomic.Pointer[index.ShardMap]
+	mu     sync.Mutex // serializes Insert/Delete across the map and all shards
+
+	// broken permanently poisons the write path once the shard map may name
+	// IDs a shard does not hold (see applyInsertBatch). Reads keep answering —
+	// an ID no shard holds answers as not-found — but further writes would
+	// let the map's local-ID accounting diverge from the shards', so they are
+	// all refused until a restart re-reads the shards' ID spans. Guarded by mu.
+	broken error
+
+	// tel/shardTel aggregate engine-level and per-shard query metrics when
+	// telemetry is enabled; nil when disabled. Published atomically, like
+	// every read-path structure here.
+	tel      atomic.Pointer[engineTelemetry]
+	shardTel atomic.Pointer[[]*shardTelemetry]
+}
+
+// init binds the core to its shards; the caller publishes the shard map.
+func (e *shardedCore) init(cfg engineConfig, metric Metric, dim int, shards []shard) {
+	e.engineConfig, e.metric, e.dim = cfg, metric, dim
+	e.shards, e.visits = shards, make([]atomic.Int64, len(shards))
+}
+
+// Shards returns the shard count.
+func (e *shardedCore) Shards() int { return len(e.shards) }
+
+// Scale returns the scale parameter t in effect on every shard (0 when
+// adaptive).
+func (e *shardedCore) Scale() float64 { return e.scale }
+
+// Backend returns the forward-index back-end of the shards.
+func (e *shardedCore) Backend() Backend { return e.backend }
+
+// Approximate reports whether the shards run in the approximate regime
+// (BackendLSH); see Searcher.Approximate. The merge loses nothing the shards
+// stream, so the approximation is exactly the shards' own.
+func (e *shardedCore) Approximate() bool { return e.backend == BackendLSH }
+
+// Dim returns the dimensionality of the indexed points.
+func (e *shardedCore) Dim() int { return e.dim }
+
+// Len returns the number of live points across all shards.
+func (e *shardedCore) Len() int {
+	n := 0
+	for _, sh := range e.shards {
+		_, live := sh.pin()
+		n += live
 	}
-	return 0
+	return n
+}
+
+// IDSpan returns the number of global IDs ever assigned, which the shard
+// map tracks exactly (deletes never shrink it); see Searcher.IDSpan.
+func (e *shardedCore) IDSpan() int { return e.smap.Load().Len() }
+
+// ShardStats reports per-shard size and traffic counters, the monitoring
+// surface behind the server's /statsz shards section.
+func (e *shardedCore) ShardStats() []ShardInfo {
+	out := make([]ShardInfo, len(e.shards))
+	for i, sh := range e.shards {
+		_, live := sh.pin()
+		out[i] = ShardInfo{Shard: i, Points: live, Queries: e.visits[i].Load()}
+	}
+	return out
+}
+
+// pin captures a consistent read set as a scatter set: the read set of every
+// non-empty shard first, then the map. Writers publish in the opposite order
+// (map, then shard), so the map here covers every ID the read sets can
+// surface.
+func (e *shardedCore) pin() *scatterSet {
+	sc := &scatterSet{engineConfig: e.engineConfig, clients: make([]pinnedShard, 0, len(e.shards)), metric: e.metric, dim: e.dim}
+	for i, sh := range e.shards {
+		if c, live := sh.pin(); live > 0 {
+			sc.clients = append(sc.clients, pinnedShard{shardClient: c, shard: i, visits: &e.visits[i]})
+			sc.n += live
+		}
+	}
+	sc.m = e.smap.Load()
+	if p := e.shardTel.Load(); p != nil {
+		sc.tel = *p
+	}
+	return sc
+}
+
+// pinCtx is pin under a "facade.pin" span when ctx is traced.
+func (e *shardedCore) pinCtx(ctx context.Context) *scatterSet {
+	psp := trace.FromContext(ctx).Child("facade.pin")
+	sc := e.pin()
+	if psp != nil {
+		psp.SetStr("backend", string(e.backend))
+		psp.SetInt("shards_pinned", int64(len(sc.clients)))
+		if e.scale > 0 {
+			psp.SetFloat("scale", e.scale)
+		}
+		psp.End()
+	}
+	return sc
+}
+
+// ReverseKNN returns the global IDs of the dataset members that have
+// member qid among their k nearest neighbors, sorted ascending. The member
+// itself is excluded.
+func (e *shardedCore) ReverseKNN(qid, k int) ([]int, error) {
+	return e.ReverseKNNContext(context.Background(), qid, k)
+}
+
+// ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
+// span, the query records one "core.rknn" with its scan, filter and verify
+// stages, and beneath it one "shard.scatter" per shard covering that shard's
+// neighbor stream (a remote shard's spans and headers propagate to its daemon
+// on every hop); an untraced context costs one nil check per layer.
+func (e *shardedCore) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
+	ids, _, err := e.reverseKNN(ctx, e.pinCtx(ctx), qid, nil, k, opRkNN)
+	return ids, err
+}
+
+// ReverseKNNStats is ReverseKNN with the per-query work counters — those of
+// the one algorithm run over the merged shard streams, equal to a Searcher's
+// over the same points.
+func (e *shardedCore) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
+	return e.ReverseKNNStatsContext(context.Background(), qid, k)
+}
+
+// ReverseKNNStatsContext is ReverseKNNStats with a context, traced like
+// ReverseKNNContext.
+func (e *shardedCore) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
+	return e.reverseKNN(ctx, e.pinCtx(ctx), qid, nil, k, opRkNN)
+}
+
+// ReverseKNNPoint answers the query for an arbitrary point, which need not
+// be a dataset member.
+func (e *shardedCore) ReverseKNNPoint(q []float64, k int) ([]int, error) {
+	return e.ReverseKNNPointContext(context.Background(), q, k)
+}
+
+// ReverseKNNPointContext is ReverseKNNPoint with a context, traced like
+// ReverseKNNContext.
+func (e *shardedCore) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
+	ids, _, err := e.reverseKNN(ctx, e.pinCtx(ctx), -1, q, k, opRkNNPoint)
+	return ids, err
+}
+
+// ReverseKNNPointStats is ReverseKNNPoint with the aggregated counters.
+func (e *shardedCore) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
+	return e.ReverseKNNPointStatsContext(context.Background(), q, k)
+}
+
+// ReverseKNNPointStatsContext is ReverseKNNPointStats with a context,
+// traced like ReverseKNNContext.
+func (e *shardedCore) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
+	return e.reverseKNN(ctx, e.pinCtx(ctx), -1, q, k, opRkNNPoint)
+}
+
+// reverseKNN is the RkNN query over a pinned read set — scatterSet.reverseKNN
+// plus this engine's telemetry. qid >= 0 anchors the query at a member (q is then looked
+// up); qid < 0 queries the arbitrary point q. op labels the query in the
+// engine telemetry (batch members record per query here, unlike the
+// unsharded batch, whose pool hides per-member timing; they also leave
+// the latency histogram and the workload sketch to the batch call itself,
+// matching the unsharded engine's semantics).
+func (e *shardedCore) reverseKNN(ctx context.Context, sc *scatterSet, qid int, q []float64, k int, op string) ([]int, Stats, error) {
+	tel := e.tel.Load()
+	var begin time.Time
+	if tel != nil {
+		begin = time.Now()
+	}
+	ids, st, resolvedQ, err := sc.reverseKNN(ctx, qid, q, k)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if tel != nil {
+		tel.countQueries(op, 1)
+		d := time.Since(begin)
+		at := begin.Add(d)
+		if op != opBatch {
+			tel.ops[op].window.Observe(d.Seconds(), at)
+		}
+		tel.observeStats(st, at)
+		// Batch members skip the sketch like the unsharded engine: the
+		// pool hides per-member timing, and one batch would flood the
+		// top-K with its members' cells.
+		if op != opBatch {
+			tel.observeWorkload(op, k, resolvedQ, st, d, at)
+		}
+	}
+	return ids, st, nil
+}
+
+// KNN returns the k global forward nearest neighbors of an arbitrary point
+// in ascending (distance, ID) order — the per-shard top-k lists k-way
+// merged.
+func (e *shardedCore) KNN(q []float64, k int) ([]Neighbor, error) {
+	return e.KNNContext(context.Background(), q, k)
+}
+
+// KNNContext is KNN with a context; a traced context records one
+// "core.knn" root stage with per-shard "shard.scatter" children.
+func (e *shardedCore) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
+	tel := e.tel.Load()
+	var begin time.Time
+	if tel != nil {
+		begin = time.Now()
+	}
+	out, err := e.pin().knn(ctx, q, k)
+	if tel != nil && err == nil {
+		tel.observeOp(opKNN, 1, begin)
+	}
+	return out, err
+}
+
+// BatchReverseKNN answers many member queries concurrently on a worker
+// pool (0 workers selects all cores; the pool is capped at the batch
+// length and at GOMAXPROCS) and returns the per-query ID lists in input
+// order. The first per-query error aborts the batch.
+func (e *shardedCore) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
+	return e.BatchReverseKNNContext(context.Background(), qids, k, workers)
+}
+
+// BatchReverseKNNContext is BatchReverseKNN with cancellation. The whole
+// batch runs against one pinned read set, so its results are mutually
+// consistent even while Insert/Delete run concurrently (over in-process
+// shards; a daemon answers each call from its current snapshot — DESIGN.md,
+// "Distributed serving"); see batchByID for the pool and the error
+// precedence.
+func (e *shardedCore) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
+	tel := e.tel.Load()
+	var begin time.Time
+	if tel != nil {
+		begin = time.Now()
+	}
+	sc := e.pin()
+	out, err := batchByID(ctx, qids, workers, func(ctx context.Context, qid int) ([]int, error) {
+		ids, _, err := e.reverseKNN(ctx, sc, qid, nil, k, opBatch)
+		return ids, err
+	})
+	if tel != nil && err == nil {
+		// Members already counted themselves in reverseKNN; the batch call
+		// contributes the single latency observation.
+		tel.observeLatency(opBatch, begin)
+	}
+	return out, err
+}
+
+// Insert adds a point to its hash-assigned shard and returns its new
+// global ID. Requires a dynamic back-end (BackendCoverTree, BackendScan,
+// BackendLSH). The shard map is published before the shard applies the
+// point, so a concurrent query either sees neither or can translate
+// everything it sees (an ID caught in that window answers as not-found until
+// the insert completes). An ID beside an error is the one the map assigned;
+// see InsertBatch for what the error then means.
+func (e *shardedCore) Insert(p []float64) (int, error) {
+	return e.InsertContext(context.Background(), p)
+}
+
+// InsertContext is Insert with a context: the one-point form of
+// InsertBatchContext.
+func (e *shardedCore) InsertContext(ctx context.Context, p []float64) (int, error) {
+	return firstID(e.InsertBatchContext(ctx, [][]float64{p}))
+}
+
+// Delete removes the dataset member with the given global ID, reporting
+// whether it was present. Requires a dynamic back-end. The shard map keeps
+// the ID forever (tombstones live in the shard index), so global IDs are
+// never reused.
+func (e *shardedCore) Delete(global int) (bool, error) {
+	return e.DeleteContext(context.Background(), global)
+}
+
+// DeleteContext is Delete with a context, traced like InsertBatchContext.
+func (e *shardedCore) DeleteContext(ctx context.Context, global int) (bool, error) {
+	tel := e.tel.Load()
+	var begin time.Time
+	if tel != nil {
+		begin = time.Now()
+	}
+	asp := trace.FromContext(ctx).Child("facade.apply")
+	if asp != nil {
+		asp.SetStr("op", opDelete)
+		ctx = trace.With(ctx, asp)
+		defer asp.End()
+	}
+	applied, err := e.applyDelete(ctx, global)
+	if tel != nil && applied && err == nil {
+		tel.observeOp(opDelete, 1, begin)
+	}
+	return applied, err
+}
+
+func (e *shardedCore) applyDelete(ctx context.Context, global int) (bool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.backend.dynamic() {
+		return false, errors.New("rknnd: back-end does not support deletion")
+	}
+	if e.broken != nil {
+		return false, e.broken
+	}
+	s, l, ok := e.smap.Load().Locate(global)
+	if !ok {
+		return false, nil
+	}
+	applied, err := e.shards[s].DeleteContext(ctx, l)
+	if err != nil {
+		err = fmt.Errorf("rknnd: shard %d: %w", s, err)
+	}
+	return applied, err
+}
+
+// InsertBatch adds many points in one write step: one shard-map clone, one
+// lock acquisition, and per involved shard one write (in process: one
+// overlay clone and, on a durable engine, one WAL append with at most one
+// fsync; over the network: one request) for the whole batch. IDs are
+// returned in input order. A write that returns no IDs left nothing applied.
+// IDs beside an error are the ones the map assigned: every group is applied
+// unless the error says otherwise (a durable shard's "applied but not
+// logged"), and when a group was refused after another landed, or its outcome
+// is unknown, the write path is poisoned too; see applyInsertBatch.
+func (e *shardedCore) InsertBatch(points [][]float64) ([]int, error) {
+	return e.InsertBatchContext(context.Background(), points)
+}
+
+// InsertBatchContext is InsertBatch with a context; a traced context
+// records a "facade.apply" span covering the lock, shard-map clone, and
+// shard mutations (each shard's own apply span, and the WAL spans of a
+// durable engine or the remote.call of a daemon, nest beneath it).
+func (e *shardedCore) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
+	if len(points) == 0 {
+		return nil, nil
+	}
+	tel := e.tel.Load()
+	var begin time.Time
+	if tel != nil {
+		begin = time.Now()
+	}
+	asp := trace.FromContext(ctx).Child("facade.apply")
+	if asp != nil {
+		asp.SetStr("op", opInsert)
+		asp.SetInt("members", int64(len(points)))
+		ctx = trace.With(ctx, asp)
+		defer asp.End()
+	}
+	ids, err := e.applyInsertBatch(ctx, points)
+	if tel != nil && err == nil {
+		tel.observeOp(opInsert, len(ids), begin)
+	}
+	return ids, err
+}
+
+// applyInsertBatch is the one insert path. The map is published with the
+// new IDs first, then each involved shard's group goes through the shard's
+// writer, whose three outcomes (see shardWriter) decide what happens next.
+// Applied — possibly in memory but not logged: the IDs stand, matching the
+// visible state, and only that shard's store refuses from then on. Refused
+// un-applied: if no group of this call is visible yet, the previous map is
+// restored and the write never happened — always the case for a one-shard
+// write, so a cleanly refused single insert is all-or-nothing; otherwise the
+// map already names IDs no shard holds. Outcome unknown — which includes a
+// shard acknowledging local IDs other than the ones the map predicted: the
+// map may name IDs the shard does not hold, or the shard rows the map does
+// not name. In both of the last cases the engine poisons its write path
+// (broken) rather than let the map's local-ID accounting diverge from the
+// shards'; the map stays published, so reads keep translating whatever did
+// land (an ID no shard holds answers as not-found).
+func (e *shardedCore) applyInsertBatch(ctx context.Context, points [][]float64) ([]int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.backend.dynamic() {
+		return nil, errors.New("rknnd: back-end does not support insertion")
+	}
+	if e.broken != nil {
+		return nil, e.broken
+	}
+	for i, p := range points {
+		if err := vecmath.ValidateFor(e.metric, p); err != nil {
+			return nil, fmt.Errorf("rknnd: point %d: %w", i, err)
+		}
+		if len(p) != e.dim {
+			return nil, fmt.Errorf("rknnd: point %d: dimension %d, index dimension %d", i, len(p), e.dim)
+		}
+	}
+	// The shard of every member is a pure function of the current global
+	// count, so the involved shards are known — and asked whether they can
+	// take a write — before any ID is assigned: a closed or poisoned store
+	// rejects the whole write cleanly instead of tearing it.
+	m := e.smap.Load()
+	groups := make([][]int, len(e.shards)) // shard -> positions in points, in order
+	for i := range points {
+		s := index.ShardOf(m.Len()+i, len(e.shards))
+		groups[s] = append(groups[s], i)
+	}
+	for s, idx := range groups {
+		if len(idx) == 0 {
+			continue
+		}
+		if err := e.shards[s].writable(); err != nil {
+			return nil, fmt.Errorf("rknnd: shard %d: %w", s, err)
+		}
+	}
+
+	m2 := m.Clone()
+	ids := make([]int, len(points))
+	locals := make([]int, len(points))
+	for i := range points {
+		g, s, l := m2.Assign()
+		if s != index.ShardOf(g, len(e.shards)) {
+			panic(fmt.Sprintf("rknnd: shard map assigned id %d to shard %d, hash expected %d", g, s, index.ShardOf(g, len(e.shards))))
+		}
+		ids[i], locals[i] = g, l
+	}
+	e.smap.Store(m2)
+
+	var firstErr error
+	visible := false // a group of this call has reached its shard
+	for s, idx := range groups {
+		if len(idx) == 0 {
+			continue
+		}
+		pts := make([][]float64, len(idx))
+		for j, i := range idx {
+			pts[j] = points[i]
+		}
+		got, err := e.shards[s].InsertBatchContext(ctx, pts)
+		if got != nil && !assignedAs(got, locals, idx) {
+			// The shard and the map disagree on a local ID: every future
+			// translation on this shard would be silently wrong.
+			got, err = nil, fmt.Errorf("%w: the shard applied it under local ids %v, the shard map expected %d onwards", errOutcomeUnknown, got, locals[idx[0]])
+		}
+		if err != nil {
+			err = fmt.Errorf("rknnd: shard %d: %w", s, err)
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
+		if got != nil {
+			visible = true
+			continue
+		}
+		if !visible && !errors.Is(err, errOutcomeUnknown) {
+			e.smap.Store(m) // the assignment never took effect
+			return nil, err
+		}
+		e.broken = fmt.Errorf("rknnd: writes disabled: the shard map may name ids a shard does not hold: %w", err)
+	}
+	return ids, firstErr
+}
+
+// assignedAs reports whether a shard assigned the group at positions idx
+// exactly the local IDs the map predicted for it.
+func assignedAs(got, locals, idx []int) bool {
+	if len(got) != len(idx) {
+		return false
+	}
+	for j, i := range idx {
+		if got[j] != locals[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// enableTelemetry registers the engine-level metric families and the
+// per-shard stream, probe and size instruments on reg. grid calibrates the
+// workload sketch's region cells; nil leaves it with op/k signatures.
+func (e *shardedCore) enableTelemetry(reg *telemetry.Registry, grid *queryGrid) {
+	sts := make([]*shardTelemetry, len(e.shards))
+	for i, sh := range e.shards {
+		sts[i] = newShardTelemetry(reg, i, func() int { _, live := sh.pin(); return live })
+	}
+	e.shardTel.Store(&sts)
+	t := newEngineTelemetry(reg, string(e.backend), e.Approximate())
+	t.grid = grid
+	t.workload = telemetry.NewWorkload(0)
+	e.tel.Store(t)
+}
+
+// QueryWindowStats is the sharded form of Searcher.QueryWindowStats.
+func (e *shardedCore) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
+	return e.tel.Load().queryWindowStats(time.Now())
+}
+
+// EngineWindowStats is the sharded form of Searcher.EngineWindowStats.
+func (e *shardedCore) EngineWindowStats() map[string]EngineWindow {
+	return e.tel.Load().engineWindowStats(time.Now())
+}
+
+// WorkloadTopK is the sharded form of Searcher.WorkloadTopK.
+func (e *shardedCore) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
+	if t := e.tel.Load(); t != nil {
+		return t.workload.TopK(k, window)
+	}
+	return nil
+}
+
+// ShardedSearcher answers reverse k-nearest neighbor queries over a
+// dataset hash-partitioned across S in-process shards: the sharded engine
+// (shardedCore, whose methods it promotes) over shards that are each an
+// independent copy-on-write Searcher. The concurrency contract matches
+// Searcher: unrestricted concurrent queries racing Insert/Delete, with every
+// per-shard read served from one frozen snapshot.
+type ShardedSearcher struct {
+	shardedCore
+	slots []*shardSlot // the core's shards, concretely typed
+
+	// openStore, set by the durable wrapper, opens the on-disk store of a
+	// shard engine built for a shard's first points and returns it as the
+	// slot's writer. nil: shards live in memory and write to their engine.
+	// Called under mu.
+	openStore func(shard int, eng *Searcher) (shardWriter, error)
+
+	// traceRing/compactHist mirror the Searcher fields. They are kept here
+	// as the source of truth so shard engines created after EnableTracing /
+	// EnableTelemetry (a previously empty shard receiving its first point)
+	// inherit them in newShardEngine.
+	traceRing   atomic.Pointer[trace.Ring]
+	compactHist atomic.Pointer[telemetry.Histogram]
+}
+
+// shardSlot is the in-process shard: the engine holder of one shard of a
+// ShardedSearcher. The engine pointer is nil until the first point lands on
+// the shard (hash partitioning can leave shards empty on small datasets) and
+// is published atomically so queries never lock; w is the same shard's write
+// side — the *Searcher itself in memory, its *DurableSearcher on disk, which
+// is all that distinguishes a durable sharded engine's write path — set with
+// the engine and guarded by the ShardedSearcher's mu.
+type shardSlot struct {
+	ss    *ShardedSearcher
+	shard int
+	eng   atomic.Pointer[Searcher]
+	w     shardWriter
+}
+
+// pin pins the engine's current snapshot, which is its own shardClient.
+func (sl *shardSlot) pin() (shardClient, int) {
+	eng := sl.eng.Load()
+	if eng == nil {
+		return nil, 0
+	}
+	sn := eng.snap.Load()
+	return sn, sn.ix.Len()
 }
 
 // writable reports why the slot's store can take no write — closed, or
@@ -79,54 +652,55 @@ func (sl *shardSlot) writable() error {
 	return d.usable()
 }
 
-// ShardedSearcher answers reverse k-nearest neighbor queries over a
-// dataset hash-partitioned across S shards. Each shard is an independent
-// copy-on-write Searcher, so the concurrency contract matches Searcher:
-// unrestricted concurrent queries racing Insert/Delete, with every
-// per-shard read served from one frozen snapshot. Global IDs are stable
-// and dense in insertion order, exactly like Searcher IDs, and are mapped
-// to (shard, local) placements by an immutable index.ShardMap published
-// with the same copy-on-write discipline.
-//
-// Results are deterministic and do not depend on the shard count: every
-// shard streams in (distance, ID) order, so the merged stream — and with it
-// every step of the algorithm — is the unsharded engine's. The metamorphic
-// conformance suite pins it (shard_conformance_test.go).
-type ShardedSearcher struct {
-	engineConfig // shared by every shard engine
-	metric       Metric
-	dim          int
-	dynamic      bool
+// InsertBatchContext applies one group of an insert through the slot's
+// writer. The first group to land on an empty shard builds its engine (over
+// copies: the index retains its rows) and, on a durable engine, opens the
+// shard's store, whose initial snapshot carries the points — no WAL record
+// needed.
+func (sl *shardSlot) InsertBatchContext(ctx context.Context, pts [][]float64) ([]int, error) {
+	if sl.w != nil {
+		return sl.w.InsertBatchContext(ctx, pts)
+	}
+	locals := make([]int, len(pts))
+	rows := make([][]float64, len(pts))
+	for i, p := range pts {
+		locals[i], rows[i] = i, vecmath.Clone(p)
+	}
+	eng, err := sl.ss.newShardEngine(rows)
+	if err != nil {
+		return nil, err
+	}
+	var w shardWriter = eng
+	if sl.ss.openStore != nil {
+		if w, err = sl.ss.openStore(sl.shard, eng); err != nil {
+			return nil, err
+		}
+	}
+	sl.w = w
+	sl.eng.Store(eng)
+	return locals, nil
+}
 
-	slots []*shardSlot
-	smap  atomic.Pointer[index.ShardMap]
-	mu    sync.Mutex // serializes Insert/Delete across the map and all shards
+// DeleteContext deletes a local ID; a shard that never held a point holds
+// none to delete.
+func (sl *shardSlot) DeleteContext(ctx context.Context, local int) (bool, error) {
+	if sl.w == nil {
+		return false, nil
+	}
+	return sl.w.DeleteContext(ctx, local)
+}
 
-	// broken permanently poisons the write path after a half-applied write
-	// left global IDs in the shard map that no engine ever received (see
-	// applyInsertBatch). Reads stay correct forever — such IDs answer as
-	// not-found — but further writes to any shard would corrupt the map's
-	// local-ID accounting, so they are all refused. Guarded by mu.
-	broken error
-
-	// openStore, set by the durable wrapper, opens the on-disk store of a
-	// shard engine built for a shard's first points and returns it as the
-	// slot's writer. nil: shards live in memory and write to their engine.
-	// Called under mu.
-	openStore func(shard int, eng *Searcher) (shardWriter, error)
-
-	// tel/shardTel aggregate engine-level and per-shard query metrics when
-	// telemetry is enabled (WithTelemetry / EnableTelemetry); nil when
-	// disabled. Published atomically, like every read-path structure here.
-	tel      atomic.Pointer[engineTelemetry]
-	shardTel atomic.Pointer[[]*shardTelemetry]
-
-	// traceRing/compactHist mirror the Searcher fields. They are kept here
-	// as the source of truth so shard engines created after EnableTracing /
-	// EnableTelemetry (a previously empty shard receiving its first point)
-	// inherit them in newShardEngine.
-	traceRing   atomic.Pointer[trace.Ring]
-	compactHist atomic.Pointer[telemetry.Histogram]
+// newShardedSearcher returns a ShardedSearcher of empty slots; the caller
+// fills them and publishes the shard map.
+func newShardedSearcher(cfg engineConfig, metric Metric, dim, shards int) *ShardedSearcher {
+	ss := &ShardedSearcher{slots: make([]*shardSlot, shards)}
+	of := make([]shard, shards)
+	for i := range ss.slots {
+		ss.slots[i] = &shardSlot{ss: ss, shard: i}
+		of[i] = ss.slots[i]
+	}
+	ss.init(cfg, metric, dim, of)
+	return ss
 }
 
 // NewSharded partitions points across the given number of shards and
@@ -159,14 +733,8 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		parts[s] = append(parts[s], points[g])
 	}
 
-	ss := &ShardedSearcher{
-		engineConfig: cfg.engineConfig,
-		metric:       cfg.metric,
-		dim:          len(points[0]),
-		slots:        make([]*shardSlot, shards),
-	}
+	ss := newShardedSearcher(cfg.engineConfig, cfg.metric, len(points[0]), shards)
 	for s, part := range parts {
-		ss.slots[s] = &shardSlot{}
 		if len(part) == 0 {
 			continue
 		}
@@ -177,7 +745,6 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		ss.slots[s].eng.Store(eng)
 		ss.slots[s].w = eng
 	}
-	ss.dynamic = ss.shardsDynamic()
 	ss.smap.Store(m)
 	if cfg.reg != nil {
 		ss.EnableTelemetry(cfg.reg)
@@ -197,55 +764,6 @@ func (ss *ShardedSearcher) newShardEngine(points [][]float64) (*Searcher, error)
 	s.traceRing.Store(ss.traceRing.Load())
 	s.compactHist.Store(ss.compactHist.Load())
 	return s, nil
-}
-
-// shardsDynamic reports whether the populated shards take writes (all
-// shards share one back-end, so the first decides).
-func (ss *ShardedSearcher) shardsDynamic() bool {
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			_, ok := eng.snap.Load().ix.(index.Cloner)
-			return ok
-		}
-	}
-	return false
-}
-
-// Shards returns the shard count.
-func (ss *ShardedSearcher) Shards() int { return len(ss.slots) }
-
-// Scale returns the scale parameter t in effect on every shard (0 when
-// adaptive).
-func (ss *ShardedSearcher) Scale() float64 { return ss.scale }
-
-// Backend returns the forward-index back-end of the shards.
-func (ss *ShardedSearcher) Backend() Backend { return ss.backend }
-
-// Approximate reports whether the shards run in the approximate regime
-// (BackendLSH); see Searcher.Approximate. The merge loses nothing the shards
-// stream, so the approximation is exactly the shards' own.
-func (ss *ShardedSearcher) Approximate() bool { return ss.backend == BackendLSH }
-
-// Dim returns the dimensionality of the indexed points.
-func (ss *ShardedSearcher) Dim() int { return ss.dim }
-
-// Len returns the number of live points across all shards.
-func (ss *ShardedSearcher) Len() int {
-	n := 0
-	for _, slot := range ss.slots {
-		n += slot.points()
-	}
-	return n
-}
-
-// ShardStats reports per-shard size and traffic counters, the monitoring
-// surface behind the server's /statsz shards section.
-func (ss *ShardedSearcher) ShardStats() []ShardInfo {
-	out := make([]ShardInfo, len(ss.slots))
-	for i, slot := range ss.slots {
-		out[i] = ShardInfo{Shard: i, Points: slot.points(), Queries: slot.queries.Load()}
-	}
-	return out
 }
 
 // Point returns the coordinates of a dataset member by global ID. The
@@ -275,6 +793,26 @@ func (ss *ShardedSearcher) Point(global int) []float64 {
 		return nil
 	}
 	return ix.Point(l)
+}
+
+// MemberPoints is the sharded form of Searcher.MemberPoints: IDs are
+// global, rows come from one pinned cross-shard read set (snapshots first,
+// then the map, like every query).
+func (ss *ShardedSearcher) MemberPoints(ids ...int) [][]float64 {
+	pinned := make([]index.Index, len(ss.slots))
+	for i, sl := range ss.slots {
+		if eng := sl.eng.Load(); eng != nil {
+			pinned[i] = eng.snap.Load().ix
+		}
+	}
+	m := ss.smap.Load()
+	rows := make([][]float64, len(ids))
+	for i, g := range ids {
+		if s, l, ok := m.Locate(g); ok && pinned[s] != nil {
+			rows[i] = livePoint(pinned[s], l)
+		}
+	}
+	return rows
 }
 
 // MemtableLen returns the delta-overlay memtable rows awaiting compaction,
@@ -317,443 +855,4 @@ func (ss *ShardedSearcher) QuantFilterStats() (admitted, screened int64) {
 		}
 	}
 	return admitted, screened
-}
-
-// shardView is one shard pinned for the duration of a query: the immutable
-// index generation the query will read. Pinning all views up front gives a
-// cross-shard read set that updates cannot perturb mid-query.
-type shardView struct {
-	shard int
-	slot  *shardSlot
-	ix    index.Index
-}
-
-// views pins the current snapshot of every non-empty shard. The shard map
-// must be loaded AFTER this (writers publish map entries before engine
-// snapshots), so every local ID any pinned snapshot can return is
-// translatable; see pin.
-func (ss *ShardedSearcher) views() []shardView {
-	vs := make([]shardView, 0, len(ss.slots))
-	for i, slot := range ss.slots {
-		eng := slot.eng.Load()
-		if eng == nil {
-			continue
-		}
-		if ix := eng.snap.Load().ix; ix.Len() > 0 {
-			vs = append(vs, shardView{shard: i, slot: slot, ix: ix})
-		}
-	}
-	return vs
-}
-
-// pin captures a consistent read set: shard snapshots first, then the
-// map. Writers publish in the opposite order (map, then snapshot), so the
-// map here covers every ID the snapshots can surface.
-func (ss *ShardedSearcher) pin() ([]shardView, *index.ShardMap) {
-	vs := ss.views()
-	return vs, ss.smap.Load()
-}
-
-// ReverseKNN returns the global IDs of the dataset members that have
-// member qid among their k nearest neighbors, sorted ascending. The member
-// itself is excluded.
-func (ss *ShardedSearcher) ReverseKNN(qid, k int) ([]int, error) {
-	return ss.ReverseKNNContext(context.Background(), qid, k)
-}
-
-// ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
-// span, the query records one "core.rknn" with its scan, filter and verify
-// stages, and beneath it one "shard.scatter" per shard covering that shard's
-// neighbor stream; an untraced context costs one nil check per layer.
-func (ss *ShardedSearcher) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
-	views, m := ss.pinCtx(ctx)
-	ids, _, err := ss.reverseKNN(ctx, ss.newScatterSet(views, m), qid, nil, k, opRkNN)
-	return ids, err
-}
-
-// ReverseKNNStats is ReverseKNN with the per-query work counters — those of
-// the one algorithm run over the merged shard streams, equal to a Searcher's
-// over the same points.
-func (ss *ShardedSearcher) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
-	return ss.ReverseKNNStatsContext(context.Background(), qid, k)
-}
-
-// ReverseKNNStatsContext is ReverseKNNStats with a context, traced like
-// ReverseKNNContext.
-func (ss *ShardedSearcher) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
-	views, m := ss.pinCtx(ctx)
-	return ss.reverseKNN(ctx, ss.newScatterSet(views, m), qid, nil, k, opRkNN)
-}
-
-// ReverseKNNPoint answers the query for an arbitrary point, which need not
-// be a dataset member.
-func (ss *ShardedSearcher) ReverseKNNPoint(q []float64, k int) ([]int, error) {
-	return ss.ReverseKNNPointContext(context.Background(), q, k)
-}
-
-// ReverseKNNPointContext is ReverseKNNPoint with a context, traced like
-// ReverseKNNContext.
-func (ss *ShardedSearcher) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
-	views, m := ss.pinCtx(ctx)
-	ids, _, err := ss.reverseKNN(ctx, ss.newScatterSet(views, m), -1, q, k, opRkNNPoint)
-	return ids, err
-}
-
-// ReverseKNNPointStats is ReverseKNNPoint with the aggregated counters.
-func (ss *ShardedSearcher) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
-	return ss.ReverseKNNPointStatsContext(context.Background(), q, k)
-}
-
-// ReverseKNNPointStatsContext is ReverseKNNPointStats with a context,
-// traced like ReverseKNNContext.
-func (ss *ShardedSearcher) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
-	views, m := ss.pinCtx(ctx)
-	return ss.reverseKNN(ctx, ss.newScatterSet(views, m), -1, q, k, opRkNNPoint)
-}
-
-// pinCtx is pin under a "facade.pin" span when ctx is traced.
-func (ss *ShardedSearcher) pinCtx(ctx context.Context) ([]shardView, *index.ShardMap) {
-	psp := trace.FromContext(ctx).Child("facade.pin")
-	views, m := ss.pin()
-	if psp != nil {
-		psp.SetStr("backend", string(ss.backend))
-		psp.SetInt("shards_pinned", int64(len(views)))
-		if ss.scale > 0 {
-			psp.SetFloat("scale", ss.scale)
-		}
-		psp.End()
-	}
-	return views, m
-}
-
-// newScatterSet wraps a pinned read set in the transport-independent query
-// layer: one localShard client per pinned view, plus the per-shard
-// instruments when telemetry is enabled. The same scatterSet code runs over
-// remote clients in the Coordinator (shard_client.go).
-func (ss *ShardedSearcher) newScatterSet(views []shardView, m *index.ShardMap) *scatterSet {
-	sc := &scatterSet{engineConfig: ss.engineConfig, clients: make([]shardClient, len(views)), m: m, metric: ss.metric, dim: ss.dim}
-	for i := range views {
-		sc.clients[i] = localShard{&views[i]}
-		sc.n += views[i].ix.Len()
-	}
-	if p := ss.shardTel.Load(); p != nil {
-		sc.tel = *p
-	}
-	return sc
-}
-
-// reverseKNN is the RkNN query over a pinned read set — scatterSet.reverseKNN
-// plus this engine's telemetry. qid >= 0 anchors the query at a member (q is then looked
-// up); qid < 0 queries the arbitrary point q. op labels the query in the
-// engine telemetry (batch members record per query here, unlike the
-// unsharded batch, whose pool hides per-member timing; they also leave
-// the latency histogram and the workload sketch to the batch call itself,
-// matching the unsharded engine's semantics).
-func (ss *ShardedSearcher) reverseKNN(ctx context.Context, sc *scatterSet, qid int, q []float64, k int, op string) ([]int, Stats, error) {
-	tel := ss.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	ids, st, resolvedQ, err := sc.reverseKNN(ctx, qid, q, k)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if tel != nil {
-		tel.countQueries(op, 1)
-		d := time.Since(begin)
-		at := begin.Add(d)
-		if op != opBatch {
-			tel.ops[op].window.Observe(d.Seconds(), at)
-		}
-		tel.observeStats(st, at)
-		// Batch members skip the sketch like the unsharded engine: the
-		// pool hides per-member timing, and one batch would flood the
-		// top-K with its members' cells.
-		if op != opBatch {
-			tel.observeWorkload(op, k, resolvedQ, st, d, at)
-		}
-	}
-	return ids, st, nil
-}
-
-// KNN returns the k global forward nearest neighbors of an arbitrary point
-// in ascending (distance, ID) order — the per-shard top-k lists k-way
-// merged.
-func (ss *ShardedSearcher) KNN(q []float64, k int) ([]Neighbor, error) {
-	return ss.KNNContext(context.Background(), q, k)
-}
-
-// KNNContext is KNN with a context; a traced context records one
-// "core.knn" root stage with per-shard "shard.scatter" children.
-func (ss *ShardedSearcher) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	tel := ss.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	out, err := ss.newScatterSet(ss.pin()).knn(ctx, q, k)
-	if tel != nil && err == nil {
-		tel.observeOp(opKNN, 1, begin)
-	}
-	return out, err
-}
-
-// BatchReverseKNN answers many member queries concurrently on a worker
-// pool (0 workers selects all cores; the pool is capped at the batch
-// length and at GOMAXPROCS) and returns the per-query ID lists in input
-// order. The first per-query error aborts the batch.
-func (ss *ShardedSearcher) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
-	return ss.BatchReverseKNNContext(context.Background(), qids, k, workers)
-}
-
-// BatchReverseKNNContext is BatchReverseKNN with cancellation. The whole
-// batch runs against one pinned set of shard snapshots, so its results are
-// mutually consistent even while Insert/Delete run concurrently; see
-// batchByID for the pool and the error precedence.
-func (ss *ShardedSearcher) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	tel := ss.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	sc := ss.newScatterSet(ss.pin())
-	out, err := batchByID(ctx, qids, workers, func(ctx context.Context, qid int) ([]int, error) {
-		ids, _, err := ss.reverseKNN(ctx, sc, qid, nil, k, opBatch)
-		return ids, err
-	})
-	if tel != nil && err == nil {
-		// Members already counted themselves in reverseKNN; the batch call
-		// contributes the single latency observation.
-		tel.observeLatency(opBatch, begin)
-	}
-	return out, err
-}
-
-// Insert adds a point to its hash-assigned shard and returns its new
-// global ID. Requires a dynamic back-end (BackendCoverTree, BackendScan,
-// BackendLSH). The shard map is published before the shard snapshot, so a
-// concurrent query either sees neither or can translate everything it sees
-// (an ID caught in that window answers as not-found until the insert
-// completes). On a durable engine a log failure returns the ID beside the
-// error: the point is applied in memory but not logged (see InsertBatch).
-func (ss *ShardedSearcher) Insert(p []float64) (int, error) {
-	return ss.InsertContext(context.Background(), p)
-}
-
-// InsertContext is Insert with a context: the one-point form of
-// InsertBatchContext.
-func (ss *ShardedSearcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	return firstID(ss.InsertBatchContext(ctx, [][]float64{p}))
-}
-
-// Delete removes the dataset member with the given global ID, reporting
-// whether it was present. Requires a dynamic back-end. The shard map keeps
-// the ID forever (tombstones live in the shard index), so global IDs are
-// never reused.
-func (ss *ShardedSearcher) Delete(global int) (bool, error) {
-	return ss.DeleteContext(context.Background(), global)
-}
-
-// DeleteContext is Delete with a context, traced like InsertBatchContext.
-func (ss *ShardedSearcher) DeleteContext(ctx context.Context, global int) (bool, error) {
-	tel := ss.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	if asp != nil {
-		asp.SetStr("op", opDelete)
-		ctx = trace.With(ctx, asp)
-		defer asp.End()
-	}
-	applied, err := ss.applyDelete(ctx, global)
-	if tel != nil && applied && err == nil {
-		tel.observeOp(opDelete, 1, begin)
-	}
-	return applied, err
-}
-
-func (ss *ShardedSearcher) applyDelete(ctx context.Context, global int) (bool, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if !ss.dynamic {
-		return false, errors.New("rknnd: back-end does not support deletion")
-	}
-	if ss.broken != nil {
-		return false, ss.broken
-	}
-	s, l, ok := ss.smap.Load().Locate(global)
-	if !ok || ss.slots[s].w == nil {
-		return false, nil
-	}
-	return ss.slots[s].w.DeleteContext(ctx, l)
-}
-
-// InsertBatch adds many points in one write step: one shard-map clone, one
-// lock acquisition, and per involved shard one overlay clone (and, on a
-// durable engine, one WAL append with at most one fsync) for the whole
-// batch. IDs are returned in input order. A write that returns no IDs left
-// nothing applied. A failure after some shard's group became visible (a
-// disk fault mid-batch) leaves the applied groups visible and returns the
-// IDs with the error; see applyInsertBatch for when that also poisons the
-// write path.
-func (ss *ShardedSearcher) InsertBatch(points [][]float64) ([]int, error) {
-	return ss.InsertBatchContext(context.Background(), points)
-}
-
-// InsertBatchContext is InsertBatch with a context; a traced context
-// records a "facade.apply" span covering the lock, shard-map clone, and
-// shard mutations (each shard's own apply span, and the WAL spans of a
-// durable engine, nest beneath it).
-func (ss *ShardedSearcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
-	if len(points) == 0 {
-		return nil, nil
-	}
-	tel := ss.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	if asp != nil {
-		asp.SetStr("op", opInsert)
-		asp.SetInt("members", int64(len(points)))
-		ctx = trace.With(ctx, asp)
-		defer asp.End()
-	}
-	ids, err := ss.applyInsertBatch(ctx, points)
-	if tel != nil && err == nil {
-		tel.observeOp(opInsert, len(ids), begin)
-	}
-	return ids, err
-}
-
-// applyInsertBatch is the one insert path. The map is published with the
-// new IDs first, then each involved shard's group goes through its slot's
-// writer. A group can fail two ways. Applied in memory but not logged (a
-// durable writer's log failure): its IDs stand, matching the visible state,
-// and only that shard's store refuses from then on. Refused un-applied:
-// if no group of this call is visible yet, the previous map is restored and
-// the write never happened — always the case for a one-shard write, so a
-// single insert is all-or-nothing; otherwise the map already names IDs no
-// engine holds, and the engine poisons its write path (broken) rather than
-// let the map's local-ID accounting diverge from the engines (reads stay
-// correct; the orphaned IDs answer as not-found).
-func (ss *ShardedSearcher) applyInsertBatch(ctx context.Context, points [][]float64) ([]int, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if !ss.dynamic {
-		return nil, errors.New("rknnd: back-end does not support insertion")
-	}
-	if ss.broken != nil {
-		return nil, ss.broken
-	}
-	for i, p := range points {
-		if err := vecmath.ValidateFor(ss.metric, p); err != nil {
-			return nil, fmt.Errorf("rknnd: point %d: %w", i, err)
-		}
-		if len(p) != ss.dim {
-			return nil, fmt.Errorf("rknnd: point %d: dimension %d, index dimension %d", i, len(p), ss.dim)
-		}
-	}
-	// The shard of every member is a pure function of the current global
-	// count, so the involved shards are known — and their stores checked —
-	// before any ID is assigned: a closed or poisoned store rejects the
-	// whole write cleanly instead of tearing it.
-	m := ss.smap.Load()
-	groups := make([][]int, len(ss.slots)) // shard -> positions in points, in order
-	for i := range points {
-		s := index.ShardOf(m.Len()+i, len(ss.slots))
-		groups[s] = append(groups[s], i)
-	}
-	for s, idx := range groups {
-		if len(idx) == 0 {
-			continue
-		}
-		if err := ss.slots[s].writable(); err != nil {
-			return nil, fmt.Errorf("rknnd: shard %d: %w", s, err)
-		}
-	}
-
-	m2 := m.Clone()
-	ids := make([]int, len(points))
-	locals := make([]int, len(points))
-	for i := range points {
-		g, s, l := m2.Assign()
-		if s != index.ShardOf(g, len(ss.slots)) {
-			panic(fmt.Sprintf("rknnd: shard map assigned id %d to shard %d, hash expected %d", g, s, index.ShardOf(g, len(ss.slots))))
-		}
-		ids[i], locals[i] = g, l
-	}
-	ss.smap.Store(m2)
-
-	var firstErr error
-	visible := false // a group of this call has reached its shard engine
-	for shard, idx := range groups {
-		if len(idx) == 0 {
-			continue
-		}
-		pts := make([][]float64, len(idx))
-		for j, i := range idx {
-			pts[j] = points[i]
-		}
-		got, err := ss.insertGroup(ctx, shard, pts)
-		if err != nil {
-			err = fmt.Errorf("rknnd: shard %d: %w", shard, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		if got == nil {
-			if !visible {
-				ss.smap.Store(m) // the assignment never took effect
-				return nil, err
-			}
-			ss.broken = fmt.Errorf("rknnd: writes disabled: a write left shard %d without ids the shard map assigned: %w", shard, err)
-			continue
-		}
-		visible = true
-		for j, i := range idx {
-			if got[j] != locals[i] {
-				// The shard engine and the map disagree on a local ID — a
-				// broken invariant that would silently corrupt every future
-				// translation.
-				panic(fmt.Sprintf("rknnd: shard %d assigned local id %d, shard map expected %d", shard, got[j], locals[i]))
-			}
-		}
-	}
-	return ids, firstErr
-}
-
-// insertGroup applies one shard's group of an insert through the slot's
-// writer and returns the local IDs it assigned; nil IDs mean the group was
-// refused un-applied. The first group to land on an empty shard builds its
-// engine (over copies: the index retains its rows) and, on a durable
-// engine, opens the shard's store, whose initial snapshot carries the
-// points — no WAL record needed.
-func (ss *ShardedSearcher) insertGroup(ctx context.Context, shard int, pts [][]float64) ([]int, error) {
-	slot := ss.slots[shard]
-	if slot.w != nil {
-		return slot.w.InsertBatchContext(ctx, pts)
-	}
-	locals := make([]int, len(pts))
-	rows := make([][]float64, len(pts))
-	for i, p := range pts {
-		locals[i], rows[i] = i, vecmath.Clone(p)
-	}
-	eng, err := ss.newShardEngine(rows)
-	if err != nil {
-		return nil, err
-	}
-	var w shardWriter = eng
-	if ss.openStore != nil {
-		if w, err = ss.openStore(shard, eng); err != nil {
-			return nil, err
-		}
-	}
-	slot.w = w
-	slot.eng.Store(eng)
-	return locals, nil
 }

@@ -6,16 +6,17 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/trace"
 )
 
-// This file makes "a shard" an interface instead of a struct and the set of
-// shards an index: shardClient has two implementations — localShard over a
-// pinned in-process snapshot (below) and remoteShard over HTTP
-// (shard_remote.go) — and fedIndex federates any set of them into the one
+// This file makes the read side of "a shard" an interface and the set of
+// shards an index: shardClient has two implementations — a Searcher's pinned
+// snapshot, in process (below), and remoteShard over HTTP (shard_remote.go) —
+// and fedIndex federates any set of them into the one
 // structure the paper's algorithm asks for (Section 4: incremental forward
 // nearest-neighbor search). A k-way merge of the shards' neighbor streams
 // under the (distance, global ID) order IS the neighbor stream of the whole
@@ -32,17 +33,12 @@ import (
 // order within a shard, so a shard's (distance, local ID) order is the
 // (distance, global ID) order restricted to it.
 
-// shardClient is one shard of a scatter set. Implementations answer
-// against a single consistent view of their shard: localShard pins one
-// snapshot for the lifetime of the scatter set; a remote daemon answers
+// shardClient is the pinned read set of one shard (shard.pin). Implementations
+// answer against a single consistent view of their shard: an in-process
+// snapshot is one for the lifetime of the scatter set; a remote daemon answers
 // each call from one snapshot (per-call consistency — see DESIGN.md,
 // "Distributed serving", for what that weakens under concurrent writes).
 type shardClient interface {
-	// Shard is this client's shard number in the coordinate system of the
-	// scatter set's ShardMap.
-	Shard() int
-	// CountQuery records one scatter visit in the shard's traffic counter.
-	CountQuery()
 	// Neighbors opens the shard's forward neighbor stream from q, local
 	// member skip excluded (-1 for none). expect is how many rows the caller
 	// expects to pull — a remote shard sizes its first fetch by it; ctx
@@ -88,18 +84,12 @@ func livePoint(ix index.Index, l int) []float64 {
 	return ix.Point(l)
 }
 
-// localShard adapts one pinned shard view to shardClient — the in-process
-// implementation: every method body is a direct call on the pinned index.
-// (A one-pointer struct: boxing it in the interface allocates nothing.)
-type localShard struct {
-	v *shardView
-}
+// A Searcher's snapshot is the in-process shardClient: every method body is a
+// direct call on the pinned index. (Boxing the pointer in the interface
+// allocates nothing.)
 
-func (l localShard) Shard() int  { return l.v.shard }
-func (l localShard) CountQuery() { l.v.slot.queries.Add(1) }
-
-func (l localShard) Neighbors(_ context.Context, q []float64, skip, _ int) shardStream {
-	return &localStream{ix: l.v.ix, c: l.v.ix.NewCursor(q, skip)}
+func (sn *snapshot) Neighbors(_ context.Context, q []float64, skip, _ int) shardStream {
+	return &localStream{ix: sn.ix, c: sn.ix.NewCursor(q, skip)}
 }
 
 // localStream is the pinned snapshot's own cursor.
@@ -112,34 +102,42 @@ func (s *localStream) Next() (index.Neighbor, bool) { return s.c.Next() }
 func (s *localStream) Point(local int) []float64    { return s.ix.Point(local) }
 func (s *localStream) Err() error                   { return nil }
 
-func (l localShard) Points(_ context.Context, locals []int) ([][]float64, error) {
+func (sn *snapshot) Points(_ context.Context, locals []int) ([][]float64, error) {
 	rows := make([][]float64, len(locals))
 	for i, lid := range locals {
-		rows[i] = livePoint(l.v.ix, lid)
+		rows[i] = livePoint(sn.ix, lid)
 	}
 	return rows, nil
 }
 
-func (l localShard) KNN(_ context.Context, q []float64, k int) ([]index.Neighbor, error) {
-	return l.v.ix.KNN(q, k, -1), nil
+func (sn *snapshot) KNN(_ context.Context, q []float64, k int) ([]index.Neighbor, error) {
+	return sn.ix.KNN(q, k, -1), nil
 }
 
-func (l localShard) CountBatch(_ context.Context, probes []CountCloserQuery) ([]int, error) {
+func (sn *snapshot) CountBatch(_ context.Context, probes []CountCloserQuery) ([]int, error) {
 	out := make([]int, len(probes))
 	for i, p := range probes {
-		out[i] = l.v.ix.CountCloser(p.Point, p.Radius, p.Limit, p.Skip, nil)
+		out[i] = sn.ix.CountCloser(p.Point, p.Radius, p.Limit, p.Skip, nil)
 	}
 	return out, nil
 }
 
+// pinnedShard is one member of a scatter set: a shard's pinned read set, the
+// shard's number in the coordinate system of the set's ShardMap, and the
+// shard's scatter-visit counter.
+type pinnedShard struct {
+	shardClient
+	shard  int
+	visits *atomic.Int64
+}
+
 // scatterSet is a pinned set of shard clients plus the shard map that
 // translates their local IDs and the engine configuration their queries run
-// under — everything a transport-independent query needs. ShardedSearcher
-// builds one per pin over localShards; Coordinator builds one per query over
-// remoteShards.
+// under — everything a transport-independent query needs. shardedCore.pin
+// builds one per query, or per batch.
 type scatterSet struct {
 	engineConfig
-	clients []shardClient // ascending shard number
+	clients []pinnedShard // the non-empty shards, ascending shard number
 	m       *index.ShardMap
 	metric  Metric
 	dim     int
@@ -151,7 +149,7 @@ type scatterSet struct {
 // client returns the position in sc.clients of the given shard, or -1 when
 // the shard is not part of the set (it pinned empty).
 func (sc *scatterSet) client(shard int) int {
-	return slices.IndexFunc(sc.clients, func(c shardClient) bool { return c.Shard() == shard })
+	return slices.IndexFunc(sc.clients, func(c pinnedShard) bool { return c.shard == shard })
 }
 
 // reverseKNN answers one RkNN query by running the engine's core.Querier
@@ -310,11 +308,11 @@ func (f *fedIndex) NewCursorCtx(ctx context.Context, q []float64, skipID int) in
 	expect := expectRows(sc.n, len(sc.clients), f.k, sc.scale)
 	f.heads = make([]fedHead, len(sc.clients))
 	for i, cl := range sc.clients {
-		cl.CountQuery()
+		cl.visits.Add(1)
 		sctx := ctx
 		if sp != nil {
 			ssp := sp.Child("shard.scatter")
-			ssp.SetInt("shard", int64(cl.Shard()))
+			ssp.SetInt("shard", int64(cl.shard))
 			f.spans = append(f.spans, ssp)
 			sctx = trace.With(ctx, ssp)
 		}
@@ -379,7 +377,7 @@ func (c *fedCursor) pull(i int) {
 			return
 		}
 		h.pulled++
-		if g, ok := c.sc.m.Global(c.sc.clients[i].Shard(), nb.ID); ok {
+		if g, ok := c.sc.m.Global(c.sc.clients[i].shard, nb.ID); ok {
 			h.nb, h.state = index.Neighbor{ID: g, Dist: nb.Dist}, headReady
 			return
 		}
@@ -417,7 +415,7 @@ func (f *fedIndex) CountCloserBatch(ctx context.Context, qs []index.CountQuery) 
 		for j := range mine {
 			s, l, ok := sc.m.Locate(mine[j].Skip)
 			mine[j].Skip = -1
-			if ok && s == sc.clients[i].Shard() {
+			if ok && s == sc.clients[i].shard {
 				mine[j].Skip = l
 			}
 		}
@@ -426,7 +424,7 @@ func (f *fedIndex) CountCloserBatch(ctx context.Context, qs []index.CountQuery) 
 			return err
 		}
 		if len(res) != len(mine) {
-			return fmt.Errorf("shard %d returned %d counts for %d probes", sc.clients[i].Shard(), len(res), len(mine))
+			return fmt.Errorf("shard %d returned %d counts for %d probes", sc.clients[i].shard, len(res), len(mine))
 		}
 		counts[i] = res
 		return nil
@@ -440,7 +438,7 @@ func (f *fedIndex) CountCloserBatch(ctx context.Context, qs []index.CountQuery) 
 	}
 	for i, c := range sc.clients {
 		if sc.tel != nil {
-			sc.tel[c.Shard()].probes.Add(int64(len(qs)))
+			sc.tel[c.shard].probes.Add(int64(len(qs)))
 		}
 		for j, n := range counts[i] {
 			out[j] = min(out[j]+n, qs[j].Limit)
@@ -456,7 +454,7 @@ func (f *fedIndex) observe() {
 		return
 	}
 	for i, h := range f.heads {
-		t := f.sc.tel[f.sc.clients[i].Shard()]
+		t := f.sc.tel[f.sc.clients[i].shard]
 		t.scatter.Inc()
 		t.pulled.Add(int64(h.pulled))
 	}
@@ -479,10 +477,10 @@ func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]Neighbor, 
 	lists := make([][]index.Neighbor, len(sc.clients))
 	err := core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
 		c := sc.clients[i]
-		c.CountQuery()
+		c.visits.Add(1)
 		ssp := sp.Child("shard.scatter")
 		if ssp != nil {
-			ssp.SetInt("shard", int64(c.Shard()))
+			ssp.SetInt("shard", int64(c.shard))
 			ctx = trace.With(ctx, ssp)
 			defer ssp.End()
 		}
@@ -491,9 +489,9 @@ func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]Neighbor, 
 			return err
 		}
 		for j := range nn { // the list is the call's own: translate in place
-			g, ok := sc.m.Global(c.Shard(), nn[j].ID)
+			g, ok := sc.m.Global(c.shard, nn[j].ID)
 			if !ok {
-				return fmt.Errorf("shard %d returned unmapped local id %d", c.Shard(), nn[j].ID)
+				return fmt.Errorf("shard %d returned unmapped local id %d", c.shard, nn[j].ID)
 			}
 			nn[j].ID = g
 		}

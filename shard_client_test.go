@@ -73,7 +73,7 @@ func TestMergedStreamIsTheUnionStream(t *testing.T) {
 					}
 				}
 				union := single.snap.Load().ix
-				sc := ss.newScatterSet(ss.pin())
+				sc := ss.pin()
 				if sc.n != union.Len() {
 					t.Fatalf("scatter set holds %d live points, the union %d", sc.n, union.Len())
 				}
@@ -186,7 +186,7 @@ func TestShardFailureVoidsTheQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy := ss.newScatterSet(ss.pin())
+	healthy := ss.pin()
 	// A query that verifies something, so the count round runs.
 	qid := -1
 	for id := range pts {
@@ -205,9 +205,9 @@ func TestShardFailureVoidsTheQuery(t *testing.T) {
 		"count fails":   {after: -1, failCount: true},
 	} {
 		sc := *healthy
-		sc.clients = append([]shardClient(nil), healthy.clients...)
-		broken.shardClient = sc.clients[1]
-		sc.clients[1] = broken
+		sc.clients = append([]pinnedShard(nil), healthy.clients...)
+		broken.shardClient = sc.clients[1].shardClient
+		sc.clients[1].shardClient = broken
 		ids, _, _, err := sc.reverseKNN(context.Background(), qid, nil, 6)
 		if err == nil || ids != nil {
 			t.Errorf("%s: query answered (%v, %v), want the shard's error", name, ids, err)

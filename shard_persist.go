@@ -207,7 +207,7 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		}
 		d.durables[i] = ds
 		d.recovery[i] = ds.Recovery()
-		spans[i] = engineIDSpan(ds.Searcher)
+		spans[i] = ds.IDSpan()
 		total += spans[i]
 		if proto == nil {
 			proto = ds.Searcher
@@ -233,14 +233,8 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		}
 	}
 
-	ss := &ShardedSearcher{
-		engineConfig: proto.engineConfig,
-		metric:       proto.snap.Load().ix.Metric(),
-		dim:          proto.Dim(),
-		slots:        make([]*shardSlot, shards),
-	}
+	ss := newShardedSearcher(proto.engineConfig, proto.snap.Load().ix.Metric(), proto.Dim(), shards)
 	for i := range ss.slots {
-		ss.slots[i] = &shardSlot{}
 		if ds := d.durables[i]; ds != nil {
 			ss.slots[i].eng.Store(ds.Searcher)
 			// A store written before the filter was carried across restarts
@@ -250,20 +244,9 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 			ss.quant = ss.quant || ds.quant
 		}
 	}
-	ss.dynamic = ss.shardsDynamic()
 	ss.smap.Store(m)
 	d.bind(ss)
 	return d, nil
-}
-
-// engineIDSpan returns the number of IDs a shard engine has ever assigned
-// (live plus tombstoned).
-func engineIDSpan(s *Searcher) int {
-	ix := s.snap.Load().ix
-	if lv, ok := ix.(index.Liveness); ok {
-		return lv.IDSpan()
-	}
-	return ix.Len()
 }
 
 // sameEngineConfig verifies that two recovered shard engines carry the

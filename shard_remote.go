@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -20,15 +21,18 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the remote implementation of shardClient: a shard served by
-// an `rknn shard-serve` daemon (or any rknn HTTP server holding one
-// partition), reached over HTTP in the compact binary framing of
-// internal/wire — the one shard protocol; JSON carries only the handshake
-// and the writes, which are the public API. The federated index in
-// shard_client.go is transport-blind; everything network-specific — chunked
-// stream fetches, replica selection, health-based failover, retry with
-// backoff, per-request timeouts, header propagation, per-shard request
-// telemetry — lives here.
+// This file is the remote shard: a shard served by an `rknn shard-serve`
+// daemon (or any rknn HTTP server holding one partition). Its read side is
+// reached over HTTP in the compact binary framing of internal/wire — the one
+// shard protocol; its write side is the daemon's public JSON API on the
+// primary, POST /v1/points/batch and DELETE /v1/points/{id}, classified into
+// the three outcomes of the shardWriter contract; JSON also carries the
+// handshake. The sharded engine (shard.go) and the federated index
+// (shard_client.go) are transport-blind; everything network-specific —
+// chunked stream fetches, replica selection, health-based failover, retry
+// with backoff, per-request timeouts, header propagation, per-shard request
+// telemetry, telling a refused write from one whose outcome is unknown —
+// lives here.
 
 // maxRemoteResponse bounds how many bytes one shard response may occupy in
 // memory, against a confused or hostile daemon streaming forever.
@@ -106,16 +110,23 @@ type clusterClient struct {
 	tel     atomic.Pointer[remoteTelemetry]
 }
 
-// remoteShard serves shardClient calls from a daemon across the network.
+// remoteShard is one shard of a Coordinator: it serves shardClient calls from
+// the shard's replicas and writes to its primary. live is the primary's live
+// point count as the coordinator knows it — read at the handshake, moved by
+// every write that landed, refreshed by the health loop.
 type remoteShard struct {
-	shard   int
-	rs      *replicaSet
-	cc      *clusterClient
-	queries atomic.Int64
+	shard int
+	rs    *replicaSet
+	cc    *clusterClient
+	live  atomic.Int64
 }
 
-func (r *remoteShard) Shard() int  { return r.shard }
-func (r *remoteShard) CountQuery() { r.queries.Add(1) }
+// pin: a daemon pins nothing across calls (it answers each from its current
+// snapshot), so the shard is its own read set.
+func (r *remoteShard) pin() (shardClient, int) { return r, int(r.live.Load()) }
+
+// writable: only the daemon can say, and it says so by refusing the write.
+func (r *remoteShard) writable() error { return nil }
 
 // remoteError maps a daemon's error message back onto the facade's error
 // vocabulary, so coordinator answers carry the exact strings of the
@@ -126,22 +137,16 @@ func remoteError(msg string) error {
 	return errors.New(strings.TrimPrefix(msg, "rknnd: "))
 }
 
-// call performs one logical RPC against the shard. Writes go to the
-// primary only and are never retried: a timed-out write may have been
-// applied, and replaying it would assign a second ID. Reads get
-// cc.retries additional attempts with exponential backoff, each against
-// the next healthy replica; an attempt that fails at the transport layer
-// or with a 5xx marks its replica down (the health loop revives it).
+// call performs one logical read RPC against the shard: cc.retries
+// additional attempts with exponential backoff, each against the next
+// healthy replica; an attempt that fails at the transport layer or with a
+// 5xx marks its replica down (the health loop revives it).
 // Application-level failures (a well-formed 4xx or a binary error frame)
 // are returned to the decoder — they would fail identically everywhere.
-func (r *remoteShard) call(ctx context.Context, write bool, method, path, contentType string, body []byte, decode func(status int, ctype string, body []byte) error) error {
-	attempts := 1
-	if !write {
-		attempts += r.cc.retries
-	}
+func (r *remoteShard) call(ctx context.Context, method, path, contentType string, body []byte, decode func(status int, ctype string, body []byte) error) error {
 	var lastErr error
 	backoff := r.cc.backoff
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt <= r.cc.retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -156,10 +161,7 @@ func (r *remoteShard) call(ctx context.Context, write bool, method, path, conten
 			}
 			backoff *= 2
 		}
-		replica := 0
-		if !write {
-			replica = r.rs.pick()
-		}
+		replica := r.rs.pick()
 		status, ctype, respBody, err := r.attempt(ctx, method, r.rs.addrs[replica]+path, contentType, body)
 		if err != nil {
 			r.rs.markDown(replica)
@@ -174,6 +176,92 @@ func (r *remoteShard) call(ctx context.Context, write bool, method, path, conten
 		return decode(status, ctype, respBody)
 	}
 	return lastErr
+}
+
+// write performs one write RPC: a single attempt against the primary, never
+// retried — a timed-out write may have been applied, and replaying it would
+// assign a second ID. It returns the response body on the status ok, and
+// otherwise classifies the failure for the shardWriter contract. Refused
+// un-applied, an ordinary error: the request never left (the context was
+// already done, the primary could not be dialed) or the daemon answered a
+// well-formed 4xx, returned with its status. Anything else — a transport
+// failure or timeout once the request may have left, a 5xx, a status no
+// daemon sends — leaves the outcome unknown.
+func (r *remoteShard) write(ctx context.Context, method, path string, body []byte, ok int) (status int, resp []byte, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, nil, err
+	}
+	primary := r.rs.addrs[0]
+	status, ctype, resp, err := r.attempt(ctx, method, primary+path, "application/json", body)
+	switch {
+	case err != nil: // names the URL itself
+		r.rs.markDown(0)
+		var op *net.OpError
+		if errors.As(err, &op) && op.Op == "dial" {
+			return 0, nil, err
+		}
+		return 0, nil, outcomeUnknown(err)
+	case status == ok:
+		return status, resp, nil
+	case status/100 == 4:
+		return status, nil, jsonErr(status, ctype, resp)
+	case status >= 500:
+		r.rs.markDown(0)
+	}
+	return status, nil, outcomeUnknown(fmt.Errorf("%s: %s", primary, httpErrMsg(status, ctype, resp)))
+}
+
+// outcomeUnknown marks a write the daemon may or may not have applied, and
+// says what to do about it: only a new handshake can tell.
+func outcomeUnknown(cause error) error {
+	return fmt.Errorf("%w, the daemon may have applied it (restart the coordinator to re-read the daemons' id spans): %w", errOutcomeUnknown, cause)
+}
+
+// landed records a write the primary applied: the live count moves, and the
+// shard's read-only replicas are stale until the health loop sees them agree
+// with the primary's live count again. Reads fail over to the primary
+// meanwhile, so acknowledged writes are always visible to later reads.
+func (r *remoteShard) landed(delta int) {
+	r.live.Add(int64(delta))
+	for i := 1; i < len(r.rs.addrs); i++ {
+		r.rs.markDown(i)
+	}
+}
+
+// InsertBatchContext is POST /v1/points/batch on the primary. A daemon that
+// acknowledges the write but not one ID per point applied something the
+// coordinator cannot name.
+func (r *remoteShard) InsertBatchContext(ctx context.Context, pts [][]float64) ([]int, error) {
+	raw, err := json.Marshal(map[string]any{"points": pts})
+	if err != nil {
+		return nil, err
+	}
+	_, resp, err := r.write(ctx, http.MethodPost, "/v1/points/batch", raw, http.StatusCreated)
+	if err != nil {
+		return nil, err
+	}
+	var out struct {
+		IDs []int `json:"ids"`
+	}
+	if err := json.Unmarshal(resp, &out); err != nil || len(out.IDs) != len(pts) {
+		return nil, outcomeUnknown(fmt.Errorf("daemon acknowledged %d of %d points (%v)", len(out.IDs), len(pts), err))
+	}
+	r.landed(len(pts))
+	return out.IDs, nil
+}
+
+// DeleteContext is DELETE /v1/points/{local} on the primary; the daemon's 404
+// is the engine's "not present".
+func (r *remoteShard) DeleteContext(ctx context.Context, local int) (bool, error) {
+	status, _, err := r.write(ctx, http.MethodDelete, "/v1/points/"+strconv.Itoa(local), nil, http.StatusOK)
+	if status == http.StatusNotFound {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	r.landed(-1)
+	return true, nil
 }
 
 // attempt is one HTTP exchange under the per-request timeout, traced as a
@@ -264,7 +352,7 @@ func jsonErr(status int, ctype string, body []byte) error {
 // response frame; wire error frames surface through the frame decoders.
 func (r *remoteShard) binaryCall(ctx context.Context, frame []byte) ([]byte, error) {
 	var out []byte
-	err := r.call(ctx, false, http.MethodPost, "/v1/binary", wire.ContentType, frame,
+	err := r.call(ctx, http.MethodPost, "/v1/binary", wire.ContentType, frame,
 		func(status int, ctype string, body []byte) error {
 			if !strings.HasPrefix(ctype, wire.ContentType) {
 				return jsonErr(status, ctype, body)
@@ -457,7 +545,7 @@ type shardInfo struct {
 // fetchInfo retrieves the daemon's shard self-description.
 func (r *remoteShard) fetchInfo(ctx context.Context) (shardInfo, error) {
 	var info shardInfo
-	err := r.call(ctx, false, http.MethodGet, "/v1/shard/info", "", nil,
+	err := r.call(ctx, http.MethodGet, "/v1/shard/info", "", nil,
 		func(status int, ctype string, body []byte) error {
 			if status != http.StatusOK {
 				return jsonErr(status, ctype, body)

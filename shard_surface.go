@@ -168,37 +168,6 @@ func (s *Searcher) MetricIdentity() (uint8, float64, error) {
 	return uint8(id), param, err
 }
 
-// MemberPoints is the sharded form of Searcher.MemberPoints: IDs are
-// global, rows come from one pinned cross-shard read set.
-func (ss *ShardedSearcher) MemberPoints(ids ...int) [][]float64 {
-	views, m := ss.pin()
-	byShard := make(map[int]*shardView, len(views))
-	for i := range views {
-		byShard[views[i].shard] = &views[i]
-	}
-	rows := make([][]float64, len(ids))
-	for i, g := range ids {
-		s, l, ok := m.Locate(g)
-		if !ok {
-			continue
-		}
-		if v, ok := byShard[s]; ok {
-			rows[i] = livePoint(v.ix, l)
-		}
-	}
-	return rows
-}
-
-// IDSpan is the sharded form of Searcher.IDSpan: the global assignment
-// count, which the shard map tracks exactly (deletes never shrink it).
-func (ss *ShardedSearcher) IDSpan() int { return ss.smap.Load().Len() }
-
-// MetricIdentity is the sharded form of Searcher.MetricIdentity.
-func (ss *ShardedSearcher) MetricIdentity() (uint8, float64, error) {
-	id, param, err := vecmath.IdentifyMetric(ss.metric)
-	return uint8(id), param, err
-}
-
 // EstimateScale returns the scale parameter t that NewSharded over the same
 // points and options settles on before partitioning: unless the options pin
 // it (WithScale) or make it adaptive (0), the configured estimator

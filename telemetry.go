@@ -504,24 +504,6 @@ func (s *Searcher) WorkloadTopK(k int, window time.Duration) []telemetry.Workloa
 	return nil
 }
 
-// QueryWindowStats is the sharded form of Searcher.QueryWindowStats.
-func (ss *ShardedSearcher) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
-	return ss.tel.Load().queryWindowStats(time.Now())
-}
-
-// EngineWindowStats is the sharded form of Searcher.EngineWindowStats.
-func (ss *ShardedSearcher) EngineWindowStats() map[string]EngineWindow {
-	return ss.tel.Load().engineWindowStats(time.Now())
-}
-
-// WorkloadTopK is the sharded form of Searcher.WorkloadTopK.
-func (ss *ShardedSearcher) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
-	if t := ss.tel.Load(); t != nil {
-		return t.workload.TopK(k, window)
-	}
-	return nil
-}
-
 // WithTelemetry registers the engine's query metrics in reg and streams
 // every answered query's work counters into it — the per-query Stats the
 // engine already computes, aggregated as live Prometheus series. The same
@@ -572,30 +554,25 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 }
 
 // EnableTelemetry binds the ShardedSearcher to reg: engine-level metrics
-// plus per-shard stream and probe counters and live shard size gauges. Like the
+// plus per-shard stream and probe counters and live shard size gauges (the
+// sharded engine's own half, shardedCore.enableTelemetry), and the write-path
+// and filter surfaces of its in-process shard engines. Like the
 // Searcher form, it is safe to call while queries are in flight. An
 // approximate sharded engine records rknn_approx_candidates_total; the
 // recall gauge is a single-engine surface (its oracle reads one snapshot,
 // not a scatter set).
 func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
-	sts := make([]*shardTelemetry, len(ss.slots))
-	for i, slot := range ss.slots {
-		sts[i] = newShardTelemetry(reg, i, slot.points)
-	}
-	ss.shardTel.Store(&sts)
-	t := newEngineTelemetry(reg, string(ss.backend), ss.Approximate())
 	// Calibrate the workload grid from the first populated shard: shards
 	// partition by hash, so any one shard's sample spans the dataset.
+	var grid *queryGrid
 	for _, slot := range ss.slots {
 		if eng := slot.eng.Load(); eng != nil {
-			if g := newQueryGrid(eng.snap.Load().ix); g != nil {
-				t.grid = g
+			if grid = newQueryGrid(eng.snap.Load().ix); grid != nil {
 				break
 			}
 		}
 	}
-	t.workload = telemetry.NewWorkload(0)
-	ss.tel.Store(t)
+	ss.enableTelemetry(reg, grid)
 	registerWriteGauges(reg, string(ss.backend), ss.MemtableLen, ss.Compactions)
 	if ss.quant {
 		registerQuantCounters(reg, string(ss.backend), ss.QuantFilterStats)

@@ -506,3 +506,20 @@ func TestShardedInsertRollsBackOrPoisons(t *testing.T) {
 		t.Errorf("query after a torn batch: %v", err)
 	}
 }
+
+// TestBackendDynamicMatchesTheIndex pins the one thing Backend.dynamic is
+// trusted for: a sharded engine — a Coordinator above all, which holds no
+// index to probe — refuses writes by back-end name, so the name must say
+// exactly what the index each back-end builds can do.
+func TestBackendDynamicMatchesTheIndex(t *testing.T) {
+	pts := indextest.RandPoints(30, 3, 5)
+	for _, b := range []Backend{BackendCoverTree, BackendScan, BackendKDTree, BackendVPTree, BackendLSH} {
+		s, err := New(pts, WithBackend(b), WithScale(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, cloner := s.snap.Load().ix.(index.Cloner); cloner != b.dynamic() {
+			t.Errorf("%s: dynamic() = %v, its index takes writes = %v", b, b.dynamic(), cloner)
+		}
+	}
+}
