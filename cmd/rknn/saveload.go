@@ -55,11 +55,10 @@ func runSave(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		d, err := repro.NewDurableSharded(*out, ss)
-		if err != nil {
+		if _, err := repro.NewDurableSharded(*out, ss); err != nil {
 			return err
 		}
-		if err := d.Close(); err != nil {
+		if err := ss.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "rknn save: %s (n=%d, dim=%d), %s back-end, t=%.2f, built in %s\n",

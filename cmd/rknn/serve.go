@@ -71,11 +71,11 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 		return err
 	}
 
-	eng, closeEngine, err := buildEngine(stdout, *dataDir, *walSync, *shards, *csvPath, *dataName, *n, *dim, *seed, *backend, *tParam, *auto, *plain, *quant, *metric)
+	eng, err := buildEngine(stdout, *dataDir, *walSync, *shards, *csvPath, *dataName, *n, *dim, *seed, *backend, *tParam, *auto, *plain, *quant, *metric)
 	if err != nil {
 		return err
 	}
-	defer closeEngine()
+	defer eng.Close()
 
 	// One registry spans the engine and the HTTP layer, so /metrics serves
 	// the pruning counters and the request histograms side by side. The
@@ -270,41 +270,48 @@ func logMetricsSummary(stdout io.Writer, reg *telemetry.Registry) {
 	}
 }
 
-// buildEngine assembles the serving engine: recover a durable store when
-// -data-dir points at one (sharded or single, whichever the directory
-// holds), bootstrap a new durable store when -data-dir is set but empty,
-// or build a purely in-memory engine otherwise — sharded scatter-gather
-// when -shards > 1. The returned closer flushes and closes the write-ahead
-// logs.
-func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath, dataName string, n, dim int, seed int64, backend string, t float64, auto string, plain, quant bool, metric string) (server.Engine, func(), error) {
+// engine is what buildEngine returns: every engine it builds is also its own
+// closer (Close is a no-op on one with no store attached).
+type engine interface {
+	server.Engine
+	Close() error
+}
+
+// buildEngine assembles the serving engine: recover the store -data-dir
+// points at (sharded or single, whichever the directory holds), or build the
+// engine the flags describe — sharded scatter-gather when -shards > 1 — and,
+// when -data-dir is set, attach a new store to it there. Closing the engine
+// flushes and closes the write-ahead logs.
+func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath, dataName string, n, dim int, seed int64, backend string, t float64, auto string, plain, quant bool, metric string) (engine, error) {
 	if shards < 1 {
-		return nil, nil, fmt.Errorf("serve: -shards must be at least 1, got %d", shards)
+		return nil, fmt.Errorf("serve: -shards must be at least 1, got %d", shards)
 	}
+	walOpt := repro.WithWALSync(walSync)
 	if dataDir != "" && repro.ShardedStoreExists(dataDir) {
-		ds, err := repro.OpenSharded(dataDir, repro.WithWALSync(walSync))
+		ss, err := repro.OpenSharded(dataDir, walOpt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		replayed, torn := 0, false
-		for _, rec := range ds.Recovery() {
+		for _, rec := range ss.Recovery() {
 			replayed += rec.WALRecords
 			torn = torn || rec.WALTorn
 		}
 		fmt.Fprintf(stdout, "rknn serve: recovered sharded store %s (%d shards, generation %d, %d wal records replayed",
-			dataDir, ds.Shards(), ds.Generation(), replayed)
+			dataDir, ss.Shards(), ss.Generation(), replayed)
 		if torn {
 			fmt.Fprint(stdout, ", torn tail discarded")
 		}
 		fmt.Fprintln(stdout, ")")
 		fmt.Fprintln(stdout, "rknn serve: engine configuration comes from the store; dataset, -shards, -backend, -metric, -t, -auto and -plain flags are ignored")
-		return ds, func() { ds.Close() }, nil
+		return ss, nil
 	}
 	if dataDir != "" && repro.StoreExists(dataDir) {
-		ds, err := repro.Open(dataDir, repro.WithWALSync(walSync))
+		s, err := repro.Open(dataDir, walOpt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rec := ds.Recovery()
+		rec := s.Recovery()
 		fmt.Fprintf(stdout, "rknn serve: recovered %s (generation %d, %d wal records replayed", dataDir, rec.Generation, rec.WALRecords)
 		if rec.WALTorn {
 			fmt.Fprint(stdout, ", torn tail discarded")
@@ -314,43 +321,40 @@ func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath,
 		for _, skipped := range rec.SkippedSnapshots {
 			fmt.Fprintf(stdout, "rknn serve: warning: skipped unreadable snapshot %s\n", skipped)
 		}
-		return ds, func() { ds.Close() }, nil
+		return s, nil
 	}
 
 	pts, name, err := loadPoints(csvPath, dataName, n, dim, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	var eng engine
+	var attach func() error
+	shape, store := name, "durable store"
 	if shards > 1 {
 		ss, err := buildShardedSearcher(pts, shards, backend, t, auto, plain, quant, metric)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if dataDir == "" {
-			fmt.Fprintf(stdout, "rknn serve: %s sharded %d ways in memory only (no -data-dir)\n", name, shards)
-			return ss, func() {}, nil
-		}
-		ds, err := repro.NewDurableSharded(dataDir, ss, repro.WithWALSync(walSync))
+		eng, shape, store = ss, fmt.Sprintf("%s sharded %d ways", name, shards), fmt.Sprintf("sharded store (%d shards)", shards)
+		attach = func() error { _, err := repro.NewDurableSharded(dataDir, ss, walOpt); return err }
+	} else {
+		s, err := buildSearcher(pts, backend, t, auto, plain, quant, metric)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		fmt.Fprintf(stdout, "rknn serve: %s bootstrapped sharded store (%d shards) in %s\n", name, shards, dataDir)
-		return ds, func() { ds.Close() }, nil
-	}
-	s, err := buildSearcher(pts, backend, t, auto, plain, quant, metric)
-	if err != nil {
-		return nil, nil, err
+		eng = s
+		attach = func() error { _, err := repro.NewDurable(dataDir, s, walOpt); return err }
 	}
 	if dataDir == "" {
-		fmt.Fprintf(stdout, "rknn serve: %s in memory only (no -data-dir)\n", name)
-		return s, func() {}, nil
+		fmt.Fprintf(stdout, "rknn serve: %s in memory only (no -data-dir)\n", shape)
+		return eng, nil
 	}
-	ds, err := repro.NewDurable(dataDir, s, repro.WithWALSync(walSync))
-	if err != nil {
-		return nil, nil, err
+	if err := attach(); err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(stdout, "rknn serve: %s bootstrapped durable store in %s\n", name, dataDir)
-	return ds, func() { ds.Close() }, nil
+	fmt.Fprintf(stdout, "rknn serve: %s bootstrapped %s in %s\n", name, store, dataDir)
+	return eng, nil
 }
 
 // searcherOptions maps the serve/save flags onto the public facade options.

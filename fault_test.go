@@ -77,7 +77,7 @@ func TestDurableLogFailureContract(t *testing.T) {
 			const ackSpan = 64
 			ackDeleted := map[int]bool{5: true}
 
-			breakStore(t, d.store)
+			breakStore(t, d.durable.Load().store)
 			extra := indextest.RandPoints(6, 3, 73)
 			span, deleted := ackSpan, map[int]bool{5: true}
 			var cause error
@@ -185,7 +185,7 @@ func TestDurableShardedLogFailureContract(t *testing.T) {
 			switch first {
 			case "insert":
 				bad = index.ShardOf(span, S)
-				breakStore(t, d.durables[bad].store)
+				breakStore(t, d.slots[bad].eng.Load().durable.Load().store)
 				p := insert()
 				var g int
 				g, cause = d.Insert(p)
@@ -195,7 +195,7 @@ func TestDurableShardedLogFailureContract(t *testing.T) {
 				span++
 			case "batch":
 				bad = index.ShardOf(span+1, S)
-				breakStore(t, d.durables[bad].store)
+				breakStore(t, d.slots[bad].eng.Load().durable.Load().store)
 				batch := [][]float64{insert(), insert(), insert(), insert()}
 				var ids []int
 				ids, cause = d.InsertBatch(batch)
@@ -210,7 +210,7 @@ func TestDurableShardedLogFailureContract(t *testing.T) {
 				span += len(batch)
 			case "delete":
 				bad = index.ShardOf(7, S)
-				breakStore(t, d.durables[bad].store)
+				breakStore(t, d.slots[bad].eng.Load().durable.Load().store)
 				var ok bool
 				ok, cause = d.Delete(7)
 				if ok || memberPoint(d, 7) != nil {
@@ -358,7 +358,7 @@ func TestDurableShardedFaultStream(t *testing.T) {
 
 	for op := 0; op < ops; op++ {
 		if op == breakAt {
-			breakStore(t, d.durables[bad].store)
+			breakStore(t, d.slots[bad].eng.Load().durable.Load().store)
 			broken = true
 		}
 		switch r := rng.Float64(); {

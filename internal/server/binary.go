@@ -20,7 +20,7 @@ import (
 )
 
 // ShardServing is the optional shard-daemon surface of an Engine
-// (*repro.Searcher and the durable wrapper implement it): the forward
+// (*repro.Searcher implements it, with or without a store): the forward
 // neighbor stream a coordinator merges across shards, batched forward-kNN
 // probes and verification counts with explicit self-exclusion, batched
 // member-point resolution that never panics on hostile IDs, the assignment

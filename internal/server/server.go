@@ -27,8 +27,9 @@
 // are {"error":"..."} with a 4xx/5xx status. Request bodies are bounded
 // (oversized bodies get a 413). Batch queries honor request cancellation:
 // a client disconnect aborts the remaining queries of its batch. The admin
-// snapshot endpoint requires an engine with a durable store (a
-// repro.DurableSearcher); on a purely in-memory engine it answers 501.
+// snapshot endpoint requires an engine with a durable store attached
+// (repro.NewDurable, repro.Open and their sharded forms); on a purely
+// in-memory engine it answers 501.
 //
 // Tracing: with WithTracing, every data-plane request (the /v1 query and
 // write routes; observability routes are exempt) runs under a per-request
@@ -68,10 +69,10 @@ import (
 )
 
 // Engine is the query/update surface the server exposes, implemented by
-// all five engines of package repro: *repro.Searcher, the sharded and
-// networked forms, and the durable wrappers, which add write-ahead logging
-// underneath the same methods (and unlock the admin snapshot endpoint via
-// Durable).
+// all three engines of package repro: *repro.Searcher, *repro.ShardedSearcher
+// and the networked *repro.Coordinator. The first two may hold a durable
+// store, which adds write-ahead logging underneath the same methods (and
+// unlocks the admin snapshot endpoint via Durable).
 type Engine interface {
 	Len() int
 	Dim() int
@@ -92,7 +93,7 @@ type Engine interface {
 	KNNContext(ctx context.Context, q []float64, k int) ([]repro.Neighbor, error)
 	InsertContext(ctx context.Context, p []float64) (int, error)
 	// InsertBatchContext ingests many points under one lock acquisition and
-	// — on a durable engine — one WAL write and at most one sync.
+	// — on an engine with a store — one WAL write and at most one sync.
 	InsertBatchContext(ctx context.Context, pts [][]float64) ([]int, error)
 	DeleteContext(ctx context.Context, id int) (bool, error)
 }
@@ -102,6 +103,14 @@ type Engine interface {
 type Durable interface {
 	Snapshot() error
 	Generation() uint64
+}
+
+// durableOf returns e's durability surface when e holds a store. The repro
+// engines that can hold one carry the methods with or without it, and a
+// store's generation starts at 1, so generation 0 is an in-memory engine.
+func durableOf(e Engine) (Durable, bool) {
+	d, ok := e.(Durable)
+	return d, ok && d.Generation() > 0
 }
 
 // Sharded is the optional sharding surface of an Engine
@@ -307,7 +316,7 @@ func (srv *Server) registerEngineGauges() {
 	s := srv.s
 	srv.reg.GaugeFunc("rknn_points", "Live points in the engine.", func() float64 { return float64(s.Len()) })
 	srv.reg.GaugeFunc("rknn_scale", "Scale parameter t in effect (0 when adaptive).", s.Scale)
-	if d, ok := s.(Durable); ok {
+	if d, ok := durableOf(s); ok {
 		srv.reg.GaugeFunc("rknn_store_generation", "Current durable snapshot generation.",
 			func() float64 { return float64(d.Generation()) })
 	}
@@ -672,9 +681,9 @@ func (srv *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleSnapshot cuts a durable snapshot generation on engines that have a
-// store attached (see repro.DurableSearcher.Snapshot).
+// store attached (see repro.Searcher.Snapshot).
 func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
-	d, ok := srv.s.(Durable)
+	d, ok := durableOf(srv.s)
 	if !ok {
 		return &apiError{
 			status: http.StatusNotImplemented,
@@ -758,7 +767,7 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		"scale":       srv.s.Scale(),
 		"approximate": srv.approx,
 	}
-	if d, ok := srv.s.(Durable); ok {
+	if d, ok := durableOf(srv.s); ok {
 		engine["generation"] = d.Generation()
 	}
 	if inc, ok := srv.s.(Incremental); ok {

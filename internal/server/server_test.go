@@ -423,6 +423,29 @@ func TestSnapshotEndpointWithoutStore(t *testing.T) {
 	if errResp["error"] == "" {
 		t.Error("501 response carries no error message")
 	}
+	// The engine types carry the store methods with or without a store; an
+	// in-memory engine must still show no durability surface anywhere.
+	var stats struct {
+		Engine map[string]any `json:"engine"`
+	}
+	if status := call(t, "GET", ts.URL+"/statsz", nil, &stats); status != http.StatusOK {
+		t.Fatalf("statsz status %d", status)
+	}
+	if gen, ok := stats.Engine["generation"]; ok {
+		t.Errorf("statsz of an in-memory engine reports generation %v", gen)
+	}
+	if _, body := rawCall(t, http.MethodGet, ts.URL+"/metrics", ""); strings.Contains(string(body), "rknn_store_generation") {
+		t.Error("/metrics of an in-memory engine exposes rknn_store_generation")
+	}
+	ss, err := repro.NewSharded(indextest.RandPoints(60, 3, 7), 3, repro.WithScale(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := httptest.NewServer(New(ss).Handler())
+	t.Cleanup(sharded.Close)
+	if status := call(t, "POST", sharded.URL+"/v1/admin/snapshot", nil, &errResp); status != http.StatusNotImplemented {
+		t.Errorf("snapshot on in-memory sharded engine: status %d, want 501", status)
+	}
 }
 
 // TestSnapshotEndpointDurable: with a durable engine the route cuts a new
@@ -465,6 +488,9 @@ func TestSnapshotEndpointDurable(t *testing.T) {
 	}
 	if gen, ok := stats.Engine["generation"].(float64); !ok || gen != 2 {
 		t.Errorf("statsz engine generation = %v", stats.Engine["generation"])
+	}
+	if _, body := rawCall(t, http.MethodGet, ts.URL+"/metrics", ""); !strings.Contains(string(body), "rknn_store_generation 2") {
+		t.Error("/metrics of a durable engine does not expose rknn_store_generation 2")
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 
 // This file is the public face of the durability layer (internal/persist):
 // snapshotting a Searcher to a stream, restoring one without re-estimating
-// the scale parameter, and the DurableSearcher — a Searcher bound to an
-// on-disk store whose Insert/Delete are write-ahead logged and which
-// recovers its exact state (snapshot + log replay) after a crash or
-// restart. See DESIGN.md, "Durable persistence".
+// the scale parameter, and the store a Searcher can hold — attached, its
+// Insert/Delete are write-ahead logged and the engine recovers its exact
+// state (snapshot + log replay) after a crash or restart. See DESIGN.md,
+// "Durable persistence".
 
 // ErrNoStore reports that Open found no readable snapshot in the directory.
 var ErrNoStore = persist.ErrNoStore
@@ -199,11 +199,7 @@ func searcherForSnapshot(rec *persist.Snapshot, ix index.Index) (*Searcher, erro
 }
 
 // StoreOption configures the on-disk store behind Open and NewDurable.
-type StoreOption func(*storeConfig)
-
-type storeConfig struct {
-	sync persist.SyncPolicy
-}
+type StoreOption func(*persist.SyncPolicy)
 
 // WithWALSync sets how often the write-ahead log fsyncs: every n-th
 // acknowledged write. n = 1 (the default) makes every acknowledged write
@@ -211,22 +207,33 @@ type storeConfig struct {
 // immediately, surviving a process crash); n > 1 bounds the loss window to
 // n−1 writes.
 func WithWALSync(n int) StoreOption {
-	return func(c *storeConfig) { c.sync = persist.SyncPolicy{Every: n} }
+	return func(p *persist.SyncPolicy) { p.Every = n }
 }
 
-// DurableSearcher is a Searcher whose state lives in an on-disk store:
-// every Insert and Delete is appended to a write-ahead log before being
-// acknowledged, and Snapshot cuts a new full snapshot generation and
-// truncates the log. Queries are served exactly as by the embedded
-// Searcher — lock-free, against immutable snapshots. All mutations MUST go
-// through the DurableSearcher: updating the embedded Searcher directly
-// would bypass the log and silently fork the on-disk state.
-type DurableSearcher struct {
-	*Searcher
+// syncPolicy applies opts over the default (fsync every write).
+func syncPolicy(opts []StoreOption) persist.SyncPolicy {
+	p := persist.DefaultSync()
+	for _, opt := range opts {
+		opt(&p)
+	}
+	return p
+}
 
-	wmu      sync.Mutex // orders WAL appends with their in-memory application
-	store    *persist.Store
-	broken   error // set on a log failure: the store can no longer be trusted
+// DurableSearcher is the name a Searcher with a store attached used to have.
+//
+// Deprecated: durability is state of the engine; use Searcher.
+type DurableSearcher = Searcher
+
+// engineStore is the on-disk store a Searcher holds once NewDurable or Open
+// attached one: from then on the engine's one write path appends every
+// applied Insert and Delete to the write-ahead log before acknowledging it,
+// and Snapshot cuts a new full snapshot generation and truncates the log.
+// Queries never touch it. A nil *engineStore is an in-memory engine; begin
+// and end are inert on it.
+type engineStore struct {
+	mu       sync.Mutex     // orders WAL appends with their in-memory application; taken outside Searcher.mu
+	store    *persist.Store // nil once closed
+	broken   error          // set on a log failure: the store can no longer be trusted
 	gen      atomic.Uint64
 	recovery RecoveryInfo
 }
@@ -251,19 +258,15 @@ type RecoveryInfo struct {
 // could try to recover.
 func StoreExists(dir string) bool { return persist.Exists(dir) }
 
-// Open recovers a DurableSearcher from the store in dir: it loads the
-// newest intact snapshot, replays the write-ahead log over it (verifying
-// that every replayed insert lands on the ID it was originally assigned),
-// discards a torn final log record, and resumes logging. The scale
-// parameter is restored, never re-estimated. Returns ErrNoStore (wrapped)
-// when dir holds no readable snapshot.
-func Open(dir string, opts ...StoreOption) (*DurableSearcher, error) {
-	cfg := storeConfig{sync: persist.DefaultSync()}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// Open recovers a Searcher from the store in dir and leaves the store
+// attached: it loads the newest intact snapshot, replays the write-ahead log
+// over it (verifying that every replayed insert lands on the ID it was
+// originally assigned), discards a torn final log record, and resumes
+// logging. The scale parameter is restored, never re-estimated. Returns
+// ErrNoStore (wrapped) when dir holds no readable snapshot.
+func Open(dir string, opts ...StoreOption) (*Searcher, error) {
 	var records []persist.WALRecord
-	st, rec, info, err := persist.Open(dir, cfg.sync, func(r persist.WALRecord) error {
+	st, rec, info, err := persist.Open(dir, syncPolicy(opts), func(r persist.WALRecord) error {
 		records = append(records, r)
 		return nil
 	})
@@ -288,21 +291,16 @@ func Open(dir string, opts ...StoreOption) (*DurableSearcher, error) {
 		st.Close()
 		return nil, err
 	}
-	d := &DurableSearcher{
-		Searcher: s,
-		store:    st,
-		recovery: RecoveryInfo{
-			Generation:       info.Gen,
-			WALRecords:       info.WALRecords,
-			WALTorn:          info.WALTorn,
-			SkippedSnapshots: info.SkippedSnapshots,
-		},
-	}
-	d.gen.Store(info.Gen)
+	s.attach(st, RecoveryInfo{
+		Generation:       info.Gen,
+		WALRecords:       info.WALRecords,
+		WALTorn:          info.WALTorn,
+		SkippedSnapshots: info.SkippedSnapshots,
+	})
 	// A large replayed log may exceed the compaction threshold; fold it in
 	// the background rather than on the first unlucky write.
 	s.maybeCompact()
-	return d, nil
+	return s, nil
 }
 
 // replayRecords applies logged mutations to a freshly-restored index. The
@@ -337,163 +335,149 @@ func replayRecords(ix index.Index, records []persist.WALRecord) error {
 	return nil
 }
 
-// NewDurable binds an existing Searcher to a fresh store in dir, writing
-// the initial snapshot (generation 1) and an empty log. It refuses to
-// overwrite an existing store. The Searcher must not receive further
-// updates except through the returned DurableSearcher.
-func NewDurable(dir string, s *Searcher, opts ...StoreOption) (*DurableSearcher, error) {
-	cfg := storeConfig{sync: persist.DefaultSync()}
-	for _, opt := range opts {
-		opt(&cfg)
+// NewDurable attaches a fresh store in dir to s — the initial snapshot
+// (generation 1) and an empty log — and returns s: every later Insert and
+// Delete on s, through any handle, is write-ahead logged. It refuses to
+// overwrite an existing store, and refuses an engine that already holds a
+// store (open, poisoned or closed) or is a shard of a ShardedSearcher (its
+// store is NewDurableSharded's to attach); a refusal leaves s and dir
+// untouched. No write may run on s concurrently with the call itself: one
+// landing between the snapshot and the attachment would be in neither.
+func NewDurable(dir string, s *Searcher, opts ...StoreOption) (*Searcher, error) {
+	if s.sharded {
+		return nil, errors.New("rknnd: the engine is a shard of a ShardedSearcher; attach a store to that with NewDurableSharded")
+	}
+	if err := s.createStore(dir, opts); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// createStore is NewDurable for any engine, a shard engine included.
+func (s *Searcher) createStore(dir string, opts []StoreOption) error {
+	if s.durable.Load() != nil {
+		return errors.New("rknnd: the engine already holds a durable store")
 	}
 	rec, err := s.snapshotRecord()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	st, err := persist.Create(dir, rec, cfg.sync)
+	st, err := persist.Create(dir, rec, syncPolicy(opts))
 	if err != nil {
-		return nil, fmt.Errorf("rknnd: create store in %s: %w", dir, err)
+		return fmt.Errorf("rknnd: create store in %s: %w", dir, err)
 	}
-	d := &DurableSearcher{Searcher: s, store: st, recovery: RecoveryInfo{Generation: 1}}
-	d.gen.Store(1)
-	return d, nil
+	s.attach(st, RecoveryInfo{Generation: 1})
+	return nil
 }
 
-// Recovery returns what Open found on disk (zero-valued for a store made
-// by NewDurable).
-func (d *DurableSearcher) Recovery() RecoveryInfo { return d.recovery }
-
-// Generation returns the current snapshot generation of the store. It is
-// lock-free, so monitoring endpoints never wait behind a snapshot cut.
-func (d *DurableSearcher) Generation() uint64 { return d.gen.Load() }
-
-var errClosed = errors.New("rknnd: durable searcher is closed")
-
-// usable reports whether the store can still accept mutations; callers
-// hold wmu.
-func (d *DurableSearcher) usable() error {
-	if d.store == nil {
-		return errClosed
-	}
-	return d.broken
+// attach makes st the engine's store, at the generation rec names.
+func (s *Searcher) attach(st *persist.Store, rec RecoveryInfo) {
+	h := &engineStore{store: st, recovery: rec}
+	h.gen.Store(rec.Generation)
+	s.durable.Store(h)
 }
 
-// disable poisons the store after a log failure: the write that just
-// failed was applied in memory but not durably recorded, so any further
-// logged write would fork the on-disk state (a lost insert would even make
-// the log unreplayable, since insert IDs are verified on recovery). All
-// subsequent mutations fail with the original cause; queries keep working.
-// Callers hold wmu.
-func (d *DurableSearcher) disable(cause error) error {
-	d.broken = fmt.Errorf("rknnd: durable store disabled after write-ahead log failure: %w", cause)
-	return d.broken
+var (
+	errClosed  = errors.New("rknnd: durable searcher is closed")
+	errNoStore = errors.New("rknnd: no durable store attached")
+)
+
+// begin opens one logged write: it takes the log mutex and refuses when the
+// store is closed or poisoned. A nil error must be paired with end.
+func (h *engineStore) begin() error {
+	if h == nil {
+		return nil
+	}
+	h.mu.Lock()
+	err := h.broken
+	if h.store == nil {
+		err = errClosed
+	}
+	if err != nil {
+		h.mu.Unlock()
+	}
+	return err
 }
 
-// Insert applies the update in memory and appends it to the write-ahead
-// log before acknowledging. A log failure returns an error beside the
-// assigned ID and disables the store (see disable); the in-memory insert
-// remains visible until restart.
-func (d *DurableSearcher) Insert(p []float64) (int, error) {
-	return d.InsertContext(context.Background(), p)
+func (h *engineStore) end() {
+	if h != nil {
+		h.mu.Unlock()
+	}
 }
 
-// InsertContext is Insert with a context: the one-point form of
-// InsertBatchContext.
-func (d *DurableSearcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	return firstID(d.InsertBatchContext(ctx, [][]float64{p}))
+// append logs the records of one applied write as one frame — one write and
+// at most one fsync — between begin and end. A failure poisons the store: the
+// write was applied in memory but not durably recorded, so any further logged
+// write would fork the on-disk state (a lost insert would even make the log
+// unreplayable, since insert IDs are verified on recovery). All subsequent
+// mutations fail with the original cause; queries keep working.
+func (h *engineStore) append(ctx context.Context, records ...persist.WALRecord) error {
+	if err := h.store.Append(ctx, records...); err != nil {
+		h.broken = fmt.Errorf("rknnd: durable store disabled after write-ahead log failure: %w", err)
+		return h.broken
+	}
+	return nil
 }
 
-// InsertBatch applies a batch of points in one copy-on-write step and logs
-// the whole batch as one write-ahead append — one lock acquisition, one
-// frame write, at most one fsync for the entire batch. The batch is atomic
-// in memory and in the log: either every point is inserted and logged, or
-// none are. A failure that returns no IDs left nothing applied; a log
-// failure returns the assigned IDs beside the error, with the contract of
-// Insert.
-func (d *DurableSearcher) InsertBatch(points [][]float64) ([]int, error) {
-	return d.InsertBatchContext(context.Background(), points)
+// Recovery returns what Open found on disk ({Generation: 1} for a store made
+// by NewDurable, zero-valued with no store attached).
+func (s *Searcher) Recovery() RecoveryInfo {
+	if h := s.durable.Load(); h != nil {
+		return h.recovery
+	}
+	return RecoveryInfo{}
 }
 
-// InsertBatchContext is InsertBatch with a context. It shadows the embedded
-// engine's promoted method — without this override a context-taking caller
-// would reach the in-memory engine directly and silently bypass the
-// write-ahead log. A traced context records the WAL append and fsync as
-// spans.
-func (d *DurableSearcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if err := d.usable(); err != nil {
-		return nil, err
+// Generation returns the current snapshot generation of the attached store,
+// which starts at 1; 0 means no store is attached. It is lock-free, so
+// monitoring endpoints never wait behind a snapshot cut.
+func (s *Searcher) Generation() uint64 {
+	if h := s.durable.Load(); h != nil {
+		return h.gen.Load()
 	}
-	ids, err := d.Searcher.InsertBatchContext(ctx, points)
-	if err != nil || len(ids) == 0 {
-		return ids, err
-	}
-	records := make([]persist.WALRecord, len(ids))
-	for i, id := range ids {
-		records[i] = persist.WALRecord{Op: persist.WALInsert, ID: id, Point: points[i]}
-	}
-	if err := d.store.Append(ctx, records...); err != nil {
-		return ids, d.disable(err)
-	}
-	return ids, nil
-}
-
-// Delete applies and logs a point deletion, with the same error contract
-// as Insert. Deletes that change nothing are not logged.
-func (d *DurableSearcher) Delete(id int) (bool, error) {
-	return d.DeleteContext(context.Background(), id)
-}
-
-// DeleteContext is Delete with a context, shadowing the promoted method for
-// the same WAL-bypass reason as InsertBatchContext.
-func (d *DurableSearcher) DeleteContext(ctx context.Context, id int) (bool, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if err := d.usable(); err != nil {
-		return false, err
-	}
-	ok, err := d.Searcher.DeleteContext(ctx, id)
-	if err != nil || !ok {
-		return ok, err
-	}
-	if err := d.store.Append(ctx, persist.WALRecord{Op: persist.WALDelete, ID: id}); err != nil {
-		return false, d.disable(err)
-	}
-	return true, nil
+	return 0
 }
 
 // Snapshot cuts a new snapshot generation reflecting all acknowledged
 // writes — written to a temporary file and renamed into place, so a crash
 // mid-cut preserves the previous generation — then truncates the log.
-// Queries and the embedded engine are never blocked; concurrent Insert and
-// Delete calls simply wait for the cut like any other logged write.
-func (d *DurableSearcher) Snapshot() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if err := d.usable(); err != nil {
+// Queries are never blocked; concurrent Insert and Delete calls simply wait
+// for the cut like any other logged write. It fails on an engine with no
+// store attached.
+func (s *Searcher) Snapshot() error {
+	h := s.durable.Load()
+	if h == nil {
+		return errNoStore
+	}
+	if err := h.begin(); err != nil {
 		return err
 	}
-	rec, err := d.snapshotRecord()
+	defer h.end()
+	rec, err := s.snapshotRecord()
 	if err != nil {
 		return err
 	}
-	if err := d.store.Cut(rec); err != nil {
+	if err := h.store.Cut(rec); err != nil {
 		return fmt.Errorf("rknnd: snapshot: %w", err)
 	}
-	d.gen.Store(d.store.Gen())
+	h.gen.Store(h.store.Gen())
 	return nil
 }
 
-// Close syncs and closes the log. Further mutations fail; queries keep
-// working against the in-memory state.
-func (d *DurableSearcher) Close() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.store == nil {
+// Close syncs and closes the attached store's log. Further mutations fail;
+// queries keep working against the in-memory state. A no-op with no store
+// attached, and on a store already closed.
+func (s *Searcher) Close() error {
+	h := s.durable.Load()
+	if h == nil {
 		return nil
 	}
-	err := d.store.Close()
-	d.store = nil
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.store == nil {
+		return nil
+	}
+	err := h.store.Close()
+	h.store = nil
 	return err
 }

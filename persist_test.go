@@ -203,8 +203,12 @@ func TestDurableSearcherLifecycle(t *testing.T) {
 	if !StoreExists(dir) {
 		t.Fatal("store not created")
 	}
-	if _, err := NewDurable(dir, s); err == nil {
-		t.Fatal("NewDurable overwrote an existing store")
+	fresh, err := New(testPoints(10, 2, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDurable(dir, fresh); err == nil || fresh.Generation() != 0 {
+		t.Fatalf("NewDurable overwrote an existing store (err %v, generation %d)", err, fresh.Generation())
 	}
 
 	// Phase 1: logged writes.
@@ -234,7 +238,7 @@ func TestDurableSearcherLifecycle(t *testing.T) {
 	if ok, err := d.Delete(77); err != nil || !ok {
 		t.Fatalf("Delete(77) = %v, %v", ok, err)
 	}
-	want := queryAllLive(t, d.Searcher, 6)
+	want := queryAllLive(t, d, 6)
 	wantScale := d.Scale()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -260,7 +264,7 @@ func TestDurableSearcherLifecycle(t *testing.T) {
 	if re.Scale() != wantScale {
 		t.Errorf("recovered scale %g, want %g", re.Scale(), wantScale)
 	}
-	if got := queryAllLive(t, re.Searcher, 6); !reflect.DeepEqual(got, want) {
+	if got := queryAllLive(t, re, 6); !reflect.DeepEqual(got, want) {
 		t.Error("recovered answers differ from pre-restart state")
 	}
 	// The recovered engine keeps accepting durable writes.
@@ -285,7 +289,7 @@ func TestOpenDiscardsTornWALTail(t *testing.T) {
 	if _, err := d.Insert([]float64{0.2, 0.8}); err != nil {
 		t.Fatal(err)
 	}
-	want := queryAllLive(t, d.Searcher, 4)
+	want := queryAllLive(t, d, 4)
 	// Hard stop: no Close. Tear the log by appending a partial record.
 	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(logs) != 1 {
@@ -306,7 +310,7 @@ func TestOpenDiscardsTornWALTail(t *testing.T) {
 	if rec := re.Recovery(); !rec.WALTorn || rec.WALRecords != 1 {
 		t.Errorf("recovery info %+v, want torn with 1 record", rec)
 	}
-	if got := queryAllLive(t, re.Searcher, 4); !reflect.DeepEqual(got, want) {
+	if got := queryAllLive(t, re, 4); !reflect.DeepEqual(got, want) {
 		t.Error("recovered answers differ after torn-tail recovery")
 	}
 }
@@ -423,7 +427,7 @@ func TestLSHDurableCrashRecovery(t *testing.T) {
 	if ok, err := d.Delete(125); !ok || err != nil {
 		t.Fatalf("Delete(125) = (%v, %v)", ok, err)
 	}
-	want := queryAllLive(t, d.Searcher, 5)
+	want := queryAllLive(t, d, 5)
 
 	// Crash: no Close, torn garbage on the log tail.
 	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
@@ -455,7 +459,7 @@ func TestLSHDurableCrashRecovery(t *testing.T) {
 	if calls := lsh.HashCalls() - hashBefore; calls != 0 {
 		t.Errorf("recovery performed %d hash computations, want 0 (replay lands in the memtable)", calls)
 	}
-	if got := queryAllLive(t, re.Searcher, 5); !reflect.DeepEqual(got, want) {
+	if got := queryAllLive(t, re, 5); !reflect.DeepEqual(got, want) {
 		t.Error("recovered LSH answers differ from pre-crash state")
 	}
 	// The recovered engine keeps the dynamic contract.
@@ -527,5 +531,264 @@ func TestLoadLegacyAngularZeroVector(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "re-save") {
 		t.Fatalf("load error %q does not explain the migration", err)
+	}
+}
+
+// storeEngine is the surface TestNewDurableLogsEveryHandle reads an engine
+// with a store attached through, common to both topologies; storeWriter is
+// the write half, all it asks of the handle the caller built.
+type storeEngine interface {
+	storeWriter
+	Point(id int) []float64
+	MemberPoints(ids ...int) [][]float64
+	ReverseKNN(qid, k int) ([]int, error)
+	Len() int
+	Close() error
+}
+
+type storeWriter interface {
+	Insert(p []float64) (int, error)
+	Delete(id int) (bool, error)
+}
+
+// TestNewDurableLogsEveryHandle closes the hazard the wrapper types left
+// open: after NewDurable(dir, s) / NewDurableSharded(dir, ss) a write through
+// the handle the caller built — not only through the returned one — is
+// write-ahead logged. Writes interleave through both, and the reopened store
+// must hold every acknowledged write and answer like the brute-force oracle.
+// (When NewDurable returned a wrapper, the unsharded row failed at Open with
+// "replayed insert got id 60, logged id 61": the first insert bypassed the
+// log.)
+func TestNewDurableLogsEveryHandle(t *testing.T) {
+	const n = 60
+	// Plain RDT at a scale above the data's: exact, so the oracle is the bar.
+	opts := []Option{WithBackend(BackendScan), WithScale(200), WithPlainRDT()}
+	for _, tc := range []struct {
+		name   string
+		attach func(dir string) (built storeWriter, returned storeEngine, err error)
+		reopen func(dir string) (storeEngine, error)
+	}{
+		{"unsharded", func(dir string) (storeWriter, storeEngine, error) {
+			s, err := New(testPoints(n, 3, 61), opts...)
+			if err != nil {
+				return nil, nil, err
+			}
+			d, err := NewDurable(dir, s)
+			return s, d, err
+		}, func(dir string) (storeEngine, error) { return Open(dir) }},
+		{"sharded", func(dir string) (storeWriter, storeEngine, error) {
+			ss, err := NewSharded(testPoints(n, 3, 61), 3, opts...)
+			if err != nil {
+				return nil, nil, err
+			}
+			d, err := NewDurableSharded(dir, ss)
+			return ss, d, err
+		}, func(dir string) (storeEngine, error) { return OpenSharded(dir) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			built, returned, err := tc.attach(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles := []storeWriter{built, returned}
+			fresh := testPoints(12, 3, 62)
+			live := make(map[int][]float64)
+			deleted := make(map[int]bool)
+			for i, p := range fresh {
+				id, err := handles[i%2].Insert(p)
+				if err != nil || id != n+i {
+					t.Fatalf("insert %d = %d, %v", i, id, err)
+				}
+				live[id] = p
+				// Delete an original and, later, an inserted point, through
+				// the handle the insert did not use.
+				victim := 5 * i
+				if i >= 8 {
+					victim = n + i - 8
+				}
+				if ok, err := handles[(i+1)%2].Delete(victim); err != nil || !ok {
+					t.Fatalf("delete %d = %v, %v", victim, ok, err)
+				}
+				deleted[victim] = true
+				delete(live, victim)
+			}
+			wantLen := returned.Len()
+			if err := returned.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, err := tc.reopen(dir)
+			if err != nil {
+				t.Fatalf("reopening after writes through both handles: %v", err)
+			}
+			defer re.Close()
+			if re.Len() != wantLen {
+				t.Fatalf("reopened store holds %d points, the engine held %d", re.Len(), wantLen)
+			}
+			for id, p := range live {
+				if got := memberPoint(re, id); !reflect.DeepEqual(got, p) {
+					t.Errorf("acknowledged insert %d reads %v after reopen, want %v", id, got, p)
+				}
+			}
+			for id := range deleted {
+				if got := memberPoint(re, id); got != nil {
+					t.Errorf("acknowledged delete of %d reads %v after reopen", id, got)
+				}
+			}
+			verifyAgainstOracle(t, re, n+len(fresh), deleted)
+		})
+	}
+}
+
+// TestNewDurableRefusesSecondAttachment: an engine holds at most one store.
+// Two stores on one engine would each log half the history and neither would
+// reopen, so a second NewDurable — whatever state the first store is in — and
+// a NewDurable on a shard engine, whose store belongs to the sharded store,
+// are refused with the engine and the target directory left untouched.
+func TestNewDurableRefusesSecondAttachment(t *testing.T) {
+	type attached interface {
+		Generation() uint64
+		Len() int
+		Close() error
+	}
+	opts := []Option{WithBackend(BackendScan), WithScale(200)}
+	single := func(t *testing.T) *Searcher {
+		s, err := New(testPoints(40, 3, 63), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewDurable(t.TempDir(), s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sharded := func(t *testing.T) *ShardedSearcher {
+		ss, err := NewSharded(testPoints(40, 3, 63), 3, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+	for _, tc := range []struct {
+		name string
+		// prepare returns the engine the second attachment is tried on (held
+		// for the untouched check) and the attempt itself.
+		prepare func(t *testing.T) (attached, func(dir string) error)
+	}{
+		{"open store", func(t *testing.T) (attached, func(string) error) {
+			s := single(t)
+			return s, func(dir string) error { _, err := NewDurable(dir, s); return err }
+		}},
+		{"poisoned store", func(t *testing.T) (attached, func(string) error) {
+			s := single(t)
+			breakStore(t, s.durable.Load().store)
+			if _, err := s.Insert([]float64{1, 2, 3}); err == nil {
+				t.Fatal("insert over a broken log succeeded")
+			}
+			return s, func(dir string) error { _, err := NewDurable(dir, s); return err }
+		}},
+		{"closed store", func(t *testing.T) (attached, func(string) error) {
+			s := single(t)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return s, func(dir string) error { _, err := NewDurable(dir, s); return err }
+		}},
+		{"shard engine", func(t *testing.T) (attached, func(string) error) {
+			ss := sharded(t)
+			return ss, func(dir string) error { _, err := NewDurable(dir, ss.slots[0].eng.Load()); return err }
+		}},
+		{"sharded store", func(t *testing.T) (attached, func(string) error) {
+			ss := sharded(t)
+			if _, err := NewDurableSharded(t.TempDir(), ss); err != nil {
+				t.Fatal(err)
+			}
+			return ss, func(dir string) error { _, err := NewDurableSharded(dir, ss); return err }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, attach := tc.prepare(t)
+			defer eng.Close()
+			gen, n := eng.Generation(), eng.Len()
+			dir := filepath.Join(t.TempDir(), "second")
+			if err := attach(dir); err == nil {
+				t.Fatal("a second store was attached")
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("the refusal touched the target directory (stat: %v)", err)
+			}
+			if eng.Generation() != gen || eng.Len() != n {
+				t.Errorf("the refusal changed the engine: generation %d len %d, was %d %d", eng.Generation(), eng.Len(), gen, n)
+			}
+		})
+	}
+	// The engine whose second attachment was refused keeps logging to its
+	// first store, which reopens with everything.
+	dir := t.TempDir()
+	s, err := New(testPoints(40, 3, 63), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDurable(dir, s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDurable(t.TempDir(), s); err == nil {
+		t.Fatal("a second store was attached")
+	}
+	p := []float64{0.4, 0.5, 0.6}
+	id, err := s.Insert(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopening the first store: %v", err)
+	}
+	defer re.Close()
+	if got := memberPoint(re, id); !reflect.DeepEqual(got, p) {
+		t.Errorf("insert %d reads %v from the reopened first store, want %v", id, got, p)
+	}
+}
+
+// TestNewDurableShardedFailureDetaches: an attachment that fails midway —
+// here shard 1's directory cannot be created — must not leave shard 0 logging
+// to a store no manifest commits. The engine comes back in memory, writable,
+// and attachable to a clean directory.
+func TestNewDurableShardedFailureDetaches(t *testing.T) {
+	ss, err := NewSharded(testPoints(40, 3, 64), 3, WithBackend(BackendScan), WithScale(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(shardDirName(dir, 1), []byte("in the way"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDurableSharded(dir, ss); err == nil {
+		t.Fatal("NewDurableSharded succeeded over a blocked shard directory")
+	}
+	if ShardedStoreExists(dir) || ss.Generation() != 0 {
+		t.Fatalf("the failed attachment left a store behind (manifest %v, generation %d)", ShardedStoreExists(dir), ss.Generation())
+	}
+	if _, err := ss.Insert([]float64{1, 2, 3}); err != nil {
+		t.Fatalf("insert after the failed attachment: %v", err)
+	}
+	dir = t.TempDir()
+	if _, err := NewDurableSharded(dir, ss); err != nil {
+		t.Fatalf("attaching to a clean directory afterwards: %v", err)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 41 {
+		t.Errorf("reopened store holds %d points, want 41", re.Len())
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/lid"
+	"repro/internal/persist"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vecmath"
@@ -304,10 +305,9 @@ type Searcher struct {
 	compacting  atomic.Bool
 	compactions atomic.Int64
 
-	// tel aggregates per-query work counters when telemetry is enabled
-	// (WithTelemetry / EnableTelemetry); nil when disabled. Published
-	// atomically so it can be attached while queries are in flight.
-	tel atomic.Pointer[engineTelemetry]
+	// telemetryBinding aggregates per-query work counters when telemetry is
+	// enabled (WithTelemetry / EnableTelemetry).
+	telemetryBinding
 
 	// traceRing, when set (EnableTracing), receives background compaction
 	// traces — compactions have no request context, so each fold records
@@ -316,6 +316,13 @@ type Searcher struct {
 	// same per-backend histogram, so the series sums across shards.
 	traceRing   atomic.Pointer[trace.Ring]
 	compactHist atomic.Pointer[telemetry.Histogram]
+
+	// durable is the on-disk store the write path logs to once NewDurable or
+	// Open attached one (persist.go); nil on an in-memory engine. sharded
+	// marks a shard engine of a ShardedSearcher, whose store only the sharded
+	// store may attach.
+	durable atomic.Pointer[engineStore]
+	sharded bool
 }
 
 // snapshot is one immutable generation of the index, together with its
@@ -475,27 +482,18 @@ func (s *Searcher) ReverseKNNPointStatsContext(ctx context.Context, q []float64,
 	})
 }
 
-// querier returns the per-rank query engine of the current snapshot:
-// fixed-scale Algorithm 1 or the adaptive variant, memoized per rank.
-func (s *Searcher) querier(k int) (*core.Querier, error) {
-	return s.snap.Load().querier(s, k)
-}
-
 // query runs one reverse-kNN operation with tracing and telemetry. q and
 // qid identify the query point for the workload sketch: point queries pass
 // q directly, member queries pass qid (resolved only when the sketch is
-// live, after the query has succeeded).
+// live, from the snapshot the query ran on).
 func (s *Searcher) query(ctx context.Context, k int, op string, q []float64, qid int, run func(context.Context, *core.Querier) (*core.Result, error)) ([]int, Stats, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := s.telBegin()
 	// facade.pin covers the snapshot pin and per-rank engine lookup (a
 	// memoized construction on a cold rank). All span calls are nil-safe
 	// no-ops on the untraced path.
 	psp := trace.FromContext(ctx).Child("facade.pin")
-	qr, err := s.querier(k)
+	sn := s.snap.Load()
+	qr, err := sn.querier(s, k)
 	if psp != nil {
 		psp.SetStr("backend", string(s.backend))
 		psp.SetStr("op", op)
@@ -513,29 +511,12 @@ func (s *Searcher) query(ctx context.Context, k int, op string, q []float64, qid
 	}
 	st := fromCore(res.Stats)
 	if tel != nil {
-		at := tel.observeOp(op, 1, begin)
-		tel.observeStats(st, at)
-		if tel.workload != nil {
-			if q == nil && qid >= 0 {
-				q = s.pointSafe(qid)
-			}
-			tel.observeWorkload(op, k, q, st, at.Sub(begin), at)
+		if q == nil && tel.workload != nil {
+			q = livePoint(sn.ix, qid)
 		}
+		tel.observeQuery(op, k, q, st, begin)
 	}
 	return res.IDs, st, nil
-}
-
-// pointSafe resolves a member's coordinates for the workload sketch,
-// tolerating IDs a concurrent delete has invalidated since the query
-// pinned its snapshot (an overlay Point on a dead row may panic; the
-// sketch then records the query without a region cell).
-func (s *Searcher) pointSafe(id int) (p []float64) {
-	defer func() {
-		if recover() != nil {
-			p = nil
-		}
-	}()
-	return s.snap.Load().ix.Point(id)
 }
 
 // BatchReverseKNN answers many member queries concurrently on a worker pool
@@ -551,13 +532,9 @@ func (s *Searcher) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) 
 // snapshot current at the call, so results are mutually consistent even
 // while Insert/Delete run concurrently.
 func (s *Searcher) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := s.telBegin()
 	psp := trace.FromContext(ctx).Child("facade.pin")
-	qr, err := s.querier(k)
+	qr, err := s.snap.Load().querier(s, k)
 	if psp != nil {
 		psp.SetStr("backend", string(s.backend))
 		psp.SetStr("op", opBatch)
@@ -615,11 +592,7 @@ func (s *Searcher) KNN(q []float64, k int) ([]Neighbor, error) {
 // KNNContext is KNN with a context; a traced request records the forward
 // search as one "core.knn" span.
 func (s *Searcher) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := s.telBegin()
 	ksp := trace.FromContext(ctx).Child("core.knn")
 	if ksp != nil {
 		ksp.SetStr("backend", string(s.backend))
@@ -667,8 +640,8 @@ func (s *Searcher) InsertContext(ctx context.Context, p []float64) (int, error) 
 }
 
 // firstID unwraps the one-point form of a batch insert. The ID is passed on
-// beside an error too: that is how a durable engine reports a point applied
-// in memory but not logged.
+// beside an error too: that is how an engine with a store reports a point
+// applied in memory but not logged.
 func firstID(ids []int, err error) (int, error) {
 	if len(ids) == 0 {
 		return 0, err
@@ -678,23 +651,30 @@ func firstID(ids []int, err error) (int, error) {
 
 // InsertBatch adds many points in one copy-on-write step: one lock
 // acquisition, one overlay clone, one snapshot publication for the whole
-// batch. The batch is atomic — either every point is inserted (IDs returned
-// in input order) or none are visible. An empty batch is a no-op.
+// batch — and, with a store attached (NewDurable, Open), one write-ahead
+// append with at most one fsync. The batch is atomic, in memory and in the
+// log: either every point is inserted (IDs returned in input order) or none
+// are visible. A failure that returns no IDs left nothing applied; a log
+// failure returns the assigned IDs beside the error — the points stay
+// visible until restart — and disables the store (engineStore.append). An
+// empty batch is a no-op.
 func (s *Searcher) InsertBatch(points [][]float64) ([]int, error) {
 	return s.InsertBatchContext(context.Background(), points)
 }
 
 // InsertBatchContext is InsertBatch with a context; a traced request
-// records the copy-on-write application as one "facade.apply" span.
+// records the copy-on-write application as one "facade.apply" span, and the
+// WAL append and fsync as spans after it.
 func (s *Searcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
+	h := s.durable.Load()
+	if err := h.begin(); err != nil {
+		return nil, err
+	}
+	defer h.end()
 	if len(points) == 0 {
 		return nil, nil
 	}
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := s.telBegin()
 	asp := trace.FromContext(ctx).Child("facade.apply")
 	asp.SetStr("op", opInsert)
 	asp.SetInt("members", int64(len(points)))
@@ -709,6 +689,15 @@ func (s *Searcher) InsertBatchContext(ctx context.Context, points [][]float64) (
 		tel.observeOp(opInsert, len(ids), begin)
 	}
 	s.maybeCompact()
+	if h != nil {
+		records := make([]persist.WALRecord, len(ids))
+		for i, id := range ids {
+			records[i] = persist.WALRecord{Op: persist.WALInsert, ID: id, Point: points[i]}
+		}
+		if err := h.append(ctx, records...); err != nil {
+			return ids, err
+		}
+	}
 	return ids, nil
 }
 
@@ -745,18 +734,21 @@ func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
 
 // Delete removes a dataset member when the back-end supports dynamic
 // updates, with the same copy-on-write discipline as Insert (an O(delta)
-// overlay clone plus a tombstone). It reports whether the ID was present.
+// overlay clone plus a tombstone) and the same logging and error contract.
+// It reports whether the ID was present; deletes that change nothing are not
+// logged.
 func (s *Searcher) Delete(id int) (bool, error) {
 	return s.DeleteContext(context.Background(), id)
 }
 
 // DeleteContext is Delete with a context, traced like InsertBatchContext.
 func (s *Searcher) DeleteContext(ctx context.Context, id int) (bool, error) {
-	tel := s.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
+	h := s.durable.Load()
+	if err := h.begin(); err != nil {
+		return false, err
 	}
+	defer h.end()
+	tel, begin := s.telBegin()
 	asp := trace.FromContext(ctx).Child("facade.apply")
 	asp.SetStr("op", opDelete)
 	applied, err := s.applyDelete(id)
@@ -768,6 +760,11 @@ func (s *Searcher) DeleteContext(ctx context.Context, id int) (bool, error) {
 		tel.observeOp(opDelete, 1, begin)
 	}
 	s.maybeCompact()
+	if h != nil && applied {
+		if err := h.append(ctx, persist.WALRecord{Op: persist.WALDelete, ID: id}); err != nil {
+			return false, err
+		}
+	}
 	return applied, nil
 }
 

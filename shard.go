@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/index"
 	"repro/internal/telemetry"
@@ -48,7 +48,7 @@ type ShardInfo struct {
 // insert ends one of three ways, and the write path acts on which:
 //
 //   - IDs: the points are applied. An error beside them means applied in
-//     memory but not logged (see DurableSearcher.Insert).
+//     memory but not logged (see Searcher.InsertBatch).
 //   - No IDs and an ordinary error: refused un-applied — a local engine's
 //     validation error, a daemon's well-formed 4xx, a request that never left.
 //   - No IDs and an error that wraps errOutcomeUnknown: the shard may or may
@@ -107,10 +107,10 @@ type shardedCore struct {
 	// all refused until a restart re-reads the shards' ID spans. Guarded by mu.
 	broken error
 
-	// tel/shardTel aggregate engine-level and per-shard query metrics when
-	// telemetry is enabled; nil when disabled. Published atomically, like
-	// every read-path structure here.
-	tel      atomic.Pointer[engineTelemetry]
+	// telemetryBinding/shardTel aggregate engine-level and per-shard query
+	// metrics when telemetry is enabled; nil when disabled. Published
+	// atomically, like every read-path structure here.
+	telemetryBinding
 	shardTel atomic.Pointer[[]*shardTelemetry]
 }
 
@@ -259,29 +259,13 @@ func (e *shardedCore) ReverseKNNPointStatsContext(ctx context.Context, q []float
 // the latency histogram and the workload sketch to the batch call itself,
 // matching the unsharded engine's semantics).
 func (e *shardedCore) reverseKNN(ctx context.Context, sc *scatterSet, qid int, q []float64, k int, op string) ([]int, Stats, error) {
-	tel := e.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := e.telBegin()
 	ids, st, resolvedQ, err := sc.reverseKNN(ctx, qid, q, k)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	if tel != nil {
-		tel.countQueries(op, 1)
-		d := time.Since(begin)
-		at := begin.Add(d)
-		if op != opBatch {
-			tel.ops[op].window.Observe(d.Seconds(), at)
-		}
-		tel.observeStats(st, at)
-		// Batch members skip the sketch like the unsharded engine: the
-		// pool hides per-member timing, and one batch would flood the
-		// top-K with its members' cells.
-		if op != opBatch {
-			tel.observeWorkload(op, k, resolvedQ, st, d, at)
-		}
+		tel.observeQuery(op, k, resolvedQ, st, begin)
 	}
 	return ids, st, nil
 }
@@ -296,11 +280,7 @@ func (e *shardedCore) KNN(q []float64, k int) ([]Neighbor, error) {
 // KNNContext is KNN with a context; a traced context records one
 // "core.knn" root stage with per-shard "shard.scatter" children.
 func (e *shardedCore) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	tel := e.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := e.telBegin()
 	out, err := e.pin().knn(ctx, q, k)
 	if tel != nil && err == nil {
 		tel.observeOp(opKNN, 1, begin)
@@ -323,11 +303,7 @@ func (e *shardedCore) BatchReverseKNN(qids []int, k, workers int) ([][]int, erro
 // "Distributed serving"); see batchByID for the pool and the error
 // precedence.
 func (e *shardedCore) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	tel := e.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := e.telBegin()
 	sc := e.pin()
 	out, err := batchByID(ctx, qids, workers, func(ctx context.Context, qid int) ([]int, error) {
 		ids, _, err := e.reverseKNN(ctx, sc, qid, nil, k, opBatch)
@@ -368,11 +344,7 @@ func (e *shardedCore) Delete(global int) (bool, error) {
 
 // DeleteContext is Delete with a context, traced like InsertBatchContext.
 func (e *shardedCore) DeleteContext(ctx context.Context, global int) (bool, error) {
-	tel := e.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := e.telBegin()
 	asp := trace.FromContext(ctx).Child("facade.apply")
 	if asp != nil {
 		asp.SetStr("op", opDelete)
@@ -427,11 +399,7 @@ func (e *shardedCore) InsertBatchContext(ctx context.Context, points [][]float64
 	if len(points) == 0 {
 		return nil, nil
 	}
-	tel := e.tel.Load()
-	var begin time.Time
-	if tel != nil {
-		begin = time.Now()
-	}
+	tel, begin := e.telBegin()
 	asp := trace.FromContext(ctx).Child("facade.apply")
 	if asp != nil {
 		asp.SetStr("op", opInsert)
@@ -573,24 +541,6 @@ func (e *shardedCore) enableTelemetry(reg *telemetry.Registry, grid *queryGrid) 
 	e.tel.Store(t)
 }
 
-// QueryWindowStats is the sharded form of Searcher.QueryWindowStats.
-func (e *shardedCore) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
-	return e.tel.Load().queryWindowStats(time.Now())
-}
-
-// EngineWindowStats is the sharded form of Searcher.EngineWindowStats.
-func (e *shardedCore) EngineWindowStats() map[string]EngineWindow {
-	return e.tel.Load().engineWindowStats(time.Now())
-}
-
-// WorkloadTopK is the sharded form of Searcher.WorkloadTopK.
-func (e *shardedCore) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
-	if t := e.tel.Load(); t != nil {
-		return t.workload.TopK(k, window)
-	}
-	return nil
-}
-
 // ShardedSearcher answers reverse k-nearest neighbor queries over a
 // dataset hash-partitioned across S in-process shards: the sharded engine
 // (shardedCore, whose methods it promotes) over shards that are each an
@@ -601,11 +551,13 @@ type ShardedSearcher struct {
 	shardedCore
 	slots []*shardSlot // the core's shards, concretely typed
 
-	// openStore, set by the durable wrapper, opens the on-disk store of a
-	// shard engine built for a shard's first points and returns it as the
-	// slot's writer. nil: shards live in memory and write to their engine.
-	// Called under mu.
-	openStore func(shard int, eng *Searcher) (shardWriter, error)
+	// dir is the sharded store attached by NewDurableSharded or OpenSharded
+	// (shard_persist.go) — every populated shard's engine then holds its own
+	// store under it, and a shard populated later creates one with walOpts —
+	// or "" on an in-memory engine. closed says Close ran. Guarded by mu.
+	dir     string
+	walOpts []StoreOption
+	closed  bool
 
 	// traceRing/compactHist mirror the Searcher fields. They are kept here
 	// as the source of truth so shard engines created after EnableTracing /
@@ -618,15 +570,12 @@ type ShardedSearcher struct {
 // shardSlot is the in-process shard: the engine holder of one shard of a
 // ShardedSearcher. The engine pointer is nil until the first point lands on
 // the shard (hash partitioning can leave shards empty on small datasets) and
-// is published atomically so queries never lock; w is the same shard's write
-// side — the *Searcher itself in memory, its *DurableSearcher on disk, which
-// is all that distinguishes a durable sharded engine's write path — set with
-// the engine and guarded by the ShardedSearcher's mu.
+// is published atomically so queries never lock. The engine is the shard's
+// write side too: whether its writes are logged is whether it holds a store.
 type shardSlot struct {
 	ss    *ShardedSearcher
 	shard int
 	eng   atomic.Pointer[Searcher]
-	w     shardWriter
 }
 
 // pin pins the engine's current snapshot, which is its own shardClient.
@@ -641,25 +590,25 @@ func (sl *shardSlot) pin() (shardClient, int) {
 
 // writable reports why the slot's store can take no write — closed, or
 // poisoned by an earlier log failure. An in-memory shard, and a shard not
-// yet populated (its store opens with its first points), are writable.
+// yet populated (its store is created with its first points), are writable.
 func (sl *shardSlot) writable() error {
-	d, ok := sl.w.(*DurableSearcher)
-	if !ok {
-		return nil
+	if eng := sl.eng.Load(); eng != nil {
+		h := eng.durable.Load()
+		if err := h.begin(); err != nil {
+			return err
+		}
+		h.end()
 	}
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	return d.usable()
+	return nil
 }
 
-// InsertBatchContext applies one group of an insert through the slot's
-// writer. The first group to land on an empty shard builds its engine (over
-// copies: the index retains its rows) and, on a durable engine, opens the
-// shard's store, whose initial snapshot carries the points — no WAL record
-// needed.
+// InsertBatchContext applies one group of an insert to the slot's engine.
+// The first group to land on an empty shard builds the engine (over copies:
+// the index retains its rows) and, under a sharded store, creates the shard's
+// store, whose initial snapshot carries the points — no WAL record needed.
 func (sl *shardSlot) InsertBatchContext(ctx context.Context, pts [][]float64) ([]int, error) {
-	if sl.w != nil {
-		return sl.w.InsertBatchContext(ctx, pts)
+	if eng := sl.eng.Load(); eng != nil {
+		return eng.InsertBatchContext(ctx, pts)
 	}
 	locals := make([]int, len(pts))
 	rows := make([][]float64, len(pts))
@@ -670,13 +619,11 @@ func (sl *shardSlot) InsertBatchContext(ctx context.Context, pts [][]float64) ([
 	if err != nil {
 		return nil, err
 	}
-	var w shardWriter = eng
-	if sl.ss.openStore != nil {
-		if w, err = sl.ss.openStore(sl.shard, eng); err != nil {
+	if sl.ss.dir != "" {
+		if err := sl.ss.createShardStore(sl.shard, eng); err != nil {
 			return nil, err
 		}
 	}
-	sl.w = w
 	sl.eng.Store(eng)
 	return locals, nil
 }
@@ -684,10 +631,10 @@ func (sl *shardSlot) InsertBatchContext(ctx context.Context, pts [][]float64) ([
 // DeleteContext deletes a local ID; a shard that never held a point holds
 // none to delete.
 func (sl *shardSlot) DeleteContext(ctx context.Context, local int) (bool, error) {
-	if sl.w == nil {
-		return false, nil
+	if eng := sl.eng.Load(); eng != nil {
+		return eng.DeleteContext(ctx, local)
 	}
-	return sl.w.DeleteContext(ctx, local)
+	return false, nil
 }
 
 // newShardedSearcher returns a ShardedSearcher of empty slots; the caller
@@ -743,13 +690,23 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 			return nil, err
 		}
 		ss.slots[s].eng.Store(eng)
-		ss.slots[s].w = eng
 	}
 	ss.smap.Store(m)
 	if cfg.reg != nil {
 		ss.EnableTelemetry(cfg.reg)
 	}
 	return ss, nil
+}
+
+// engines iterates the engines of the populated shards, by shard number.
+func (ss *ShardedSearcher) engines() iter.Seq2[int, *Searcher] {
+	return func(yield func(int, *Searcher) bool) {
+		for i, slot := range ss.slots {
+			if eng := slot.eng.Load(); eng != nil && !yield(i, eng) {
+				return
+			}
+		}
+	}
 }
 
 // newShardEngine builds a shard engine over points carrying the sharded
@@ -761,6 +718,7 @@ func (ss *ShardedSearcher) newShardEngine(points [][]float64) (*Searcher, error)
 		return nil, err
 	}
 	s := newSearcher(ss.engineConfig, ix)
+	s.sharded = true
 	s.traceRing.Store(ss.traceRing.Load())
 	s.compactHist.Store(ss.compactHist.Load())
 	return s, nil
@@ -800,10 +758,8 @@ func (ss *ShardedSearcher) Point(global int) []float64 {
 // then the map, like every query).
 func (ss *ShardedSearcher) MemberPoints(ids ...int) [][]float64 {
 	pinned := make([]index.Index, len(ss.slots))
-	for i, sl := range ss.slots {
-		if eng := sl.eng.Load(); eng != nil {
-			pinned[i] = eng.snap.Load().ix
-		}
+	for i, eng := range ss.engines() {
+		pinned[i] = eng.snap.Load().ix
 	}
 	m := ss.smap.Load()
 	rows := make([][]float64, len(ids))
@@ -819,10 +775,8 @@ func (ss *ShardedSearcher) MemberPoints(ids ...int) [][]float64 {
 // summed across shards.
 func (ss *ShardedSearcher) MemtableLen() int {
 	n := 0
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			n += eng.MemtableLen()
-		}
+	for _, eng := range ss.engines() {
+		n += eng.MemtableLen()
 	}
 	return n
 }
@@ -831,10 +785,8 @@ func (ss *ShardedSearcher) MemtableLen() int {
 // across shards.
 func (ss *ShardedSearcher) Compactions() int64 {
 	var n int64
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			n += eng.Compactions()
-		}
+	for _, eng := range ss.engines() {
+		n += eng.Compactions()
 	}
 	return n
 }
@@ -847,12 +799,10 @@ func (ss *ShardedSearcher) QuantFiltered() bool { return ss.quant }
 // totals summed across shards: candidate rows admitted to exact
 // verification and rows screened out by the quantized lower bounds.
 func (ss *ShardedSearcher) QuantFilterStats() (admitted, screened int64) {
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			a, s := eng.QuantFilterStats()
-			admitted += a
-			screened += s
-		}
+	for _, eng := range ss.engines() {
+		a, s := eng.QuantFilterStats()
+		admitted += a
+		screened += s
 	}
 	return admitted, screened
 }

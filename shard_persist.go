@@ -102,13 +102,17 @@ func writeShardManifest(dir string, shards int) error {
 	return d.Sync()
 }
 
-// DurableShardedSearcher is a ShardedSearcher whose shards each live in
-// their own on-disk store: every Insert and Delete is write-ahead logged in
-// the owning shard's log before being acknowledged, and Snapshot cuts a
-// new generation in every shard store. Queries are served exactly as by
-// the embedded ShardedSearcher. All mutations go through the logs
-// automatically: every shard slot's writer is the shard's DurableSearcher,
-// so the embedded engine's one write path is the logged one.
+// DurableShardedSearcher is the name a ShardedSearcher with a sharded store
+// attached used to have.
+//
+// Deprecated: durability is state of the engine; use ShardedSearcher.
+type DurableShardedSearcher = ShardedSearcher
+
+// A ShardedSearcher with a sharded store attached keeps each shard in its
+// own on-disk store: every Insert and Delete is write-ahead logged in the
+// owning shard's log before being acknowledged — each populated slot's
+// engine holds its shard's store, so the engine's one write path is the
+// logged one — and Snapshot cuts a new generation in every shard store.
 //
 // Relaxed sync caveat: with WithWALSync(0) or n > 1, an OS crash (not a
 // process crash — unsynced appends still reach the OS immediately) can
@@ -118,23 +122,22 @@ func writeShardManifest(dir string, shards int) error {
 // window for a manual restore-from-backup path. The default every-write
 // sync can only lose the single torn final record — always the globally
 // last write — which recovery discards consistently.
-type DurableShardedSearcher struct {
-	*ShardedSearcher
 
-	dir      string
-	walOpts  []StoreOption
-	durables []*DurableSearcher // indexed by shard; nil until first point
-	recovery []RecoveryInfo     // indexed by shard; zero-valued when absent
-	closed   bool               // guarded by the embedded engine's mu
-}
-
-// NewDurableSharded binds an existing ShardedSearcher to a fresh sharded
-// store in dir: one per-shard store with an initial snapshot for every
-// populated shard, then the manifest as the commit record. It refuses to
-// overwrite an existing store of either kind.
-func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (*DurableShardedSearcher, error) {
+// NewDurableSharded attaches a fresh sharded store in dir to ss — one
+// per-shard store with an initial snapshot for every populated shard, then
+// the manifest as the commit record — and returns ss: every later Insert and
+// Delete on ss, through any handle, is write-ahead logged. It refuses to
+// overwrite an existing store of either kind, and refuses an engine that
+// already holds a sharded store. It holds the engine's update lock, so a
+// write racing the call waits for it and is then logged.
+func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (_ *ShardedSearcher, err error) {
 	if ss == nil {
 		return nil, errors.New("rknnd: nil sharded searcher")
+	}
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.dir != "" {
+		return nil, errors.New("rknnd: the engine already holds a durable store")
 	}
 	if ShardedStoreExists(dir) {
 		return nil, fmt.Errorf("rknnd: %s already holds a sharded store", dir)
@@ -145,40 +148,36 @@ func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (*D
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rknnd: create sharded store in %s: %w", dir, err)
 	}
-	d := &DurableShardedSearcher{
-		dir:      dir,
-		walOpts:  opts,
-		durables: make([]*DurableSearcher, ss.Shards()),
-		recovery: make([]RecoveryInfo, ss.Shards()),
-	}
-	for i, slot := range ss.slots {
-		eng := slot.eng.Load()
-		if eng == nil {
-			continue
+	defer func() {
+		if err == nil {
+			return
 		}
-		ds, err := NewDurable(shardDirName(dir, i), eng, opts...)
-		if err != nil {
-			d.closeStores()
+		// No manifest, so dir is not a sharded store: give the shard engines
+		// back as they were, in memory and writable.
+		for _, eng := range ss.engines() {
+			eng.Close()
+			eng.durable.Store(nil)
+		}
+	}()
+	for i, eng := range ss.engines() {
+		if err := eng.createStore(shardDirName(dir, i), opts); err != nil {
 			return nil, fmt.Errorf("rknnd: shard %d: %w", i, err)
 		}
-		d.durables[i] = ds
-		d.recovery[i] = RecoveryInfo{Generation: 1}
 	}
 	if err := writeShardManifest(dir, ss.Shards()); err != nil {
-		d.closeStores()
 		return nil, fmt.Errorf("rknnd: commit sharded store manifest: %w", err)
 	}
-	d.bind(ss)
-	return d, nil
+	ss.dir, ss.walOpts = dir, opts
+	return ss, nil
 }
 
-// OpenSharded recovers a DurableShardedSearcher from the sharded store in
-// dir: every shard store is recovered independently (newest intact
-// snapshot, WAL replay with ID verification, torn final record
-// discarded), the global ID mapping is rebuilt from the per-shard ID
+// OpenSharded recovers a ShardedSearcher from the sharded store in dir and
+// leaves the store attached: every shard store is recovered independently
+// (newest intact snapshot, WAL replay with ID verification, torn final
+// record discarded), the global ID mapping is rebuilt from the per-shard ID
 // spans, and the engine configuration is cross-checked across shards.
 // Nothing is re-estimated.
-func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, error) {
+func OpenSharded(dir string, opts ...StoreOption) (*ShardedSearcher, error) {
 	shards, err := readShardManifest(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -186,11 +185,14 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		}
 		return nil, err
 	}
-	d := &DurableShardedSearcher{
-		dir:      dir,
-		walOpts:  opts,
-		durables: make([]*DurableSearcher, shards),
-		recovery: make([]RecoveryInfo, shards),
+	engines := make([]*Searcher, shards)
+	fail := func(err error) (*ShardedSearcher, error) {
+		for _, eng := range engines {
+			if eng != nil {
+				eng.Close()
+			}
+		}
+		return nil, err
 	}
 	spans := make([]int, shards)
 	total := 0
@@ -200,53 +202,48 @@ func OpenSharded(dir string, opts ...StoreOption) (*DurableShardedSearcher, erro
 		if !persist.Exists(sd) {
 			continue
 		}
-		ds, err := Open(sd, opts...)
+		eng, err := Open(sd, opts...)
 		if err != nil {
-			d.closeStores()
-			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err)
+			return fail(fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err))
 		}
-		d.durables[i] = ds
-		d.recovery[i] = ds.Recovery()
-		spans[i] = ds.IDSpan()
+		eng.sharded = true
+		engines[i] = eng
+		spans[i] = eng.IDSpan()
 		total += spans[i]
 		if proto == nil {
-			proto = ds.Searcher
-		} else if err := sameEngineConfig(proto, ds.Searcher); err != nil {
-			d.closeStores()
-			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err)
+			proto = eng
+		} else if err := sameEngineConfig(proto, eng); err != nil {
+			return fail(fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err))
 		}
 	}
 	if proto == nil {
-		d.closeStores()
-		return nil, fmt.Errorf("rknnd: open sharded %s: no shard holds a readable snapshot: %w", dir, ErrNoStore)
+		return fail(fmt.Errorf("rknnd: open sharded %s: no shard holds a readable snapshot: %w", dir, ErrNoStore))
 	}
 	m, err := index.RebuildShardMap(shards, total)
 	if err != nil {
-		d.closeStores()
-		return nil, fmt.Errorf("rknnd: open sharded %s: %w", dir, err)
+		return fail(fmt.Errorf("rknnd: open sharded %s: %w", dir, err))
 	}
 	for i := 0; i < shards; i++ {
 		if m.ShardLen(i) != spans[i] {
-			d.closeStores()
-			return nil, fmt.Errorf("rknnd: open sharded %s: shard %d holds %d ids, the global mapping over %d ids expects %d — the store is inconsistent (a shard store was lost or truncated, or an OS crash under a relaxed -wal-sync policy lost log tails unevenly across shards; restore the affected shard from backup)",
-				dir, i, spans[i], total, m.ShardLen(i))
+			return fail(fmt.Errorf("rknnd: open sharded %s: shard %d holds %d ids, the global mapping over %d ids expects %d — the store is inconsistent (a shard store was lost or truncated, or an OS crash under a relaxed -wal-sync policy lost log tails unevenly across shards; restore the affected shard from backup)",
+				dir, i, spans[i], total, m.ShardLen(i)))
 		}
 	}
 
 	ss := newShardedSearcher(proto.engineConfig, proto.snap.Load().ix.Metric(), proto.Dim(), shards)
-	for i := range ss.slots {
-		if ds := d.durables[i]; ds != nil {
-			ss.slots[i].eng.Store(ds.Searcher)
+	for i, eng := range engines {
+		if eng != nil {
+			ss.slots[i].eng.Store(eng)
 			// A store written before the filter was carried across restarts
 			// can hold a shard without a codebook (which is why
 			// sameEngineConfig does not compare it): the filter is on if any
 			// shard has it, and shards created from here on train their own.
-			ss.quant = ss.quant || ds.quant
+			ss.quant = ss.quant || eng.quant
 		}
 	}
 	ss.smap.Store(m)
-	d.bind(ss)
-	return d, nil
+	ss.dir, ss.walOpts = dir, opts
+	return ss, nil
 }
 
 // sameEngineConfig verifies that two recovered shard engines carry the
@@ -271,35 +268,14 @@ func sameEngineConfig(a, b *Searcher) error {
 	return nil
 }
 
-// bind makes ss the embedded engine and routes its writes through the shard
-// stores: every populated slot writes through its DurableSearcher, and a
-// shard populated later opens its store through openShardStore.
-func (d *DurableShardedSearcher) bind(ss *ShardedSearcher) {
-	d.ShardedSearcher = ss
-	for i, ds := range d.durables {
-		if ds != nil {
-			ss.slots[i].w = ds
-		}
-	}
-	ss.openStore = d.openShardStore
-}
-
-func (d *DurableShardedSearcher) closeStores() {
-	for _, ds := range d.durables {
-		if ds != nil {
-			ds.Close()
-		}
-	}
-}
-
-// openShardStore opens the store of a shard engine just built for a
+// createShardStore creates the store of a shard engine just built for a
 // previously empty shard; the initial snapshot carries the engine's points.
 // A process crash between the appends of different shards' groups can tear
 // a multi-shard batch across logs; recovery then refuses to open (the
-// ID-span cross-check) rather than renumber survivors.
-func (d *DurableShardedSearcher) openShardStore(shard int, eng *Searcher) (shardWriter, error) {
-	if d.closed {
-		return nil, errClosed
+// ID-span cross-check) rather than renumber survivors. Callers hold mu.
+func (ss *ShardedSearcher) createShardStore(shard int, eng *Searcher) error {
+	if ss.closed {
+		return errClosed
 	}
 	// The new store's snapshot is fully fsynced the moment it exists.
 	// Under a relaxed sync policy the sibling shards may still hold
@@ -309,41 +285,34 @@ func (d *DurableShardedSearcher) openShardStore(shard int, eng *Searcher) (shard
 	// relies on. Syncing every sibling log first keeps the durable state
 	// a prefix of the acknowledged writes. (Callers hold the engine's
 	// update lock, so no append races these syncs.)
-	for i, ds := range d.durables {
-		if ds == nil || ds.store == nil {
-			continue
-		}
-		if err := ds.store.Sync(); err != nil {
-			return nil, fmt.Errorf("syncing shard %d's log first: %w", i, err)
+	for i, sibling := range ss.engines() {
+		if h := sibling.durable.Load(); h != nil && h.store != nil {
+			if err := h.store.Sync(); err != nil {
+				return fmt.Errorf("syncing shard %d's log first: %w", i, err)
+			}
 		}
 	}
-	ds, err := NewDurable(shardDirName(d.dir, shard), eng, d.walOpts...)
-	if err != nil {
-		return nil, err
-	}
-	d.durables[shard] = ds
-	d.recovery[shard] = RecoveryInfo{Generation: 1}
-	return ds, nil
+	return eng.createStore(shardDirName(ss.dir, shard), ss.walOpts)
 }
 
 // Recovery returns what OpenSharded found on disk, indexed by shard
 // (zero-valued entries for shards with no store).
-func (d *DurableShardedSearcher) Recovery() []RecoveryInfo {
-	out := make([]RecoveryInfo, len(d.recovery))
-	copy(out, d.recovery)
+func (ss *ShardedSearcher) Recovery() []RecoveryInfo {
+	out := make([]RecoveryInfo, len(ss.slots))
+	for i, eng := range ss.engines() {
+		out[i] = eng.Recovery()
+	}
 	return out
 }
 
 // Generation returns the lowest snapshot generation across the populated
-// shard stores — "every shard is durable at least to generation g". The
-// per-shard detail is available from Generations.
-func (d *DurableShardedSearcher) Generation() uint64 {
+// shard stores — "every shard is durable at least to generation g" — and 0
+// with no sharded store attached. The per-shard detail is available from
+// Generations.
+func (ss *ShardedSearcher) Generation() uint64 {
 	var min uint64
-	for _, ds := range d.durables {
-		if ds == nil {
-			continue
-		}
-		if g := ds.Generation(); min == 0 || g < min {
+	for _, g := range ss.Generations() {
+		if g != 0 && (min == 0 || g < min) {
 			min = g
 		}
 	}
@@ -352,30 +321,29 @@ func (d *DurableShardedSearcher) Generation() uint64 {
 
 // Generations returns the per-shard store generations (0 for shards with
 // no store).
-func (d *DurableShardedSearcher) Generations() []uint64 {
-	out := make([]uint64, len(d.durables))
-	for i, ds := range d.durables {
-		if ds != nil {
-			out[i] = ds.Generation()
-		}
+func (ss *ShardedSearcher) Generations() []uint64 {
+	out := make([]uint64, len(ss.slots))
+	for i, eng := range ss.engines() {
+		out[i] = eng.Generation()
 	}
 	return out
 }
 
 // Snapshot cuts a new snapshot generation in every populated shard store.
 // It holds the engine's update lock, so the set of cuts reflects one
-// consistent prefix of the acknowledged writes.
-func (d *DurableShardedSearcher) Snapshot() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+// consistent prefix of the acknowledged writes. It fails on an engine with no
+// sharded store attached.
+func (ss *ShardedSearcher) Snapshot() error {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.dir == "" {
+		return errNoStore
+	}
+	if ss.closed {
 		return errClosed
 	}
-	for i, ds := range d.durables {
-		if ds == nil {
-			continue
-		}
-		if err := ds.Snapshot(); err != nil {
+	for i, eng := range ss.engines() {
+		if err := eng.Snapshot(); err != nil {
 			return fmt.Errorf("rknnd: shard %d: %w", i, err)
 		}
 	}
@@ -383,20 +351,18 @@ func (d *DurableShardedSearcher) Snapshot() error {
 }
 
 // Close syncs and closes every shard log. Further mutations fail; queries
-// keep working against the in-memory state.
-func (d *DurableShardedSearcher) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+// keep working against the in-memory state. A no-op with no sharded store
+// attached, and on a store already closed.
+func (ss *ShardedSearcher) Close() error {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.dir == "" || ss.closed {
 		return nil
 	}
-	d.closed = true
+	ss.closed = true
 	var first error
-	for _, ds := range d.durables {
-		if ds == nil {
-			continue
-		}
-		if err := ds.Close(); err != nil && first == nil {
+	for _, eng := range ss.engines() {
+		if err := eng.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

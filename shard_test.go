@@ -235,7 +235,14 @@ func TestShardedStoreRefusalAndMissing(t *testing.T) {
 	if g := d.Generation(); g != 1 {
 		t.Errorf("fresh store generation %d, want 1", g)
 	}
-	if _, err := NewDurableSharded(dir, ss); err == nil {
+	// The overwrite checks take an engine with no store of its own, so that
+	// what refuses is the directory's content (an engine that already holds a
+	// store is refused whatever the directory: persist_test.go).
+	fresh, err := NewSharded(pts, 2, WithScale(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDurableSharded(dir, fresh); err == nil {
 		t.Error("NewDurableSharded overwrote an existing sharded store")
 	}
 	// A single-engine store may not be shadowed either.
@@ -249,8 +256,11 @@ func TestShardedStoreRefusalAndMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Close()
-	if _, err := NewDurableSharded(single, ss); err == nil {
+	if _, err := NewDurableSharded(single, fresh); err == nil {
 		t.Error("NewDurableSharded overwrote a single-engine store")
+	}
+	if fresh.Generation() != 0 {
+		t.Error("a refused NewDurableSharded left a store attached")
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -316,7 +326,7 @@ func TestShardedDurableGenerations(t *testing.T) {
 		t.Errorf("Generation after one cut = %d, want 2", g)
 	}
 	for i, g := range d.Generations() {
-		if d.durables[i] != nil && g != 2 {
+		if d.slots[i].eng.Load() != nil && g != 2 {
 			t.Errorf("shard %d generation %d, want 2", i, g)
 		}
 	}

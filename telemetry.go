@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -82,8 +83,9 @@ type opInstruments struct {
 }
 
 // engineTelemetry aggregates per-query work counters for one engine
-// (labeled by back-end). Nil receivers are inert, so the query path can
-// call through unconditionally after one atomic load.
+// (labeled by back-end). An operation checks once that telemetry is on
+// (telBegin) and then observes; only the window digests are read through a
+// possibly nil receiver.
 type engineTelemetry struct {
 	ops          map[string]opInstruments
 	scanDepth    *telemetry.Counter
@@ -194,18 +196,12 @@ func (t *engineTelemetry) observeOp(op string, n int, begin time.Time) time.Time
 // observed once per batch call so the histogram's semantics match the
 // unsharded engine.
 func (t *engineTelemetry) countQueries(op string, n int) {
-	if t == nil {
-		return
-	}
 	t.ops[op].queries.Add(int64(n))
 }
 
 // observeLatency records one latency observation for op, measured from
 // begin, and returns the completion time (see observeOp).
 func (t *engineTelemetry) observeLatency(op string, begin time.Time) time.Time {
-	if t == nil {
-		return time.Time{}
-	}
 	d := time.Since(begin)
 	at := begin.Add(d)
 	// Windowed.Observe feeds the cumulative histogram and the window slice
@@ -214,12 +210,27 @@ func (t *engineTelemetry) observeLatency(op string, begin time.Time) time.Time {
 	return at
 }
 
+// observeQuery records one answered reverse query, on every engine: its
+// count and work counters and — unless it is a batch member, whose batch call
+// observes the one latency and whose members would flood the sketch's top-K
+// with their cells — its latency and workload signature, all stamped with
+// the one completion time measured from begin.
+func (t *engineTelemetry) observeQuery(op string, k int, q []float64, st Stats, begin time.Time) {
+	t.countQueries(op, 1)
+	d := time.Since(begin)
+	at := begin.Add(d)
+	if op != opBatch {
+		t.ops[op].window.Observe(d.Seconds(), at)
+	}
+	t.observeStats(st, at)
+	if op != opBatch {
+		t.observeWorkload(op, k, q, st, d, at)
+	}
+}
+
 // observeStats feeds one query's work counters into the aggregates, banking
 // the windowed shadows at the query's completion time.
 func (t *engineTelemetry) observeStats(st Stats, at time.Time) {
-	if t == nil {
-		return
-	}
 	t.scanDepth.Add(int64(st.ScanDepth))
 	t.generated.Add(int64(st.FilterSize + st.Excluded))
 	t.excluded.Add(int64(st.Excluded))
@@ -242,7 +253,7 @@ func (t *engineTelemetry) observeStats(st Stats, at time.Time) {
 // query still counts under its op/k signature so hot traffic without a
 // resolvable region remains visible.
 func (t *engineTelemetry) observeWorkload(op string, k int, q []float64, st Stats, d time.Duration, at time.Time) {
-	if t == nil || t.workload == nil {
+	if t.workload == nil {
 		return
 	}
 	sig := t.grid.signature(op, k, q)
@@ -301,9 +312,8 @@ type queryGrid struct {
 }
 
 // newQueryGrid calibrates a grid from up to gridSamplePoints points of ix.
-// Point IDs are probed defensively (a concurrent delete can leave holes in
-// an overlay's ID space); a panicked probe just ends the sample early.
-// Returns nil when no points could be sampled.
+// IDs a delete has left dead are skipped (livePoint). Returns nil when no
+// points could be sampled.
 func newQueryGrid(ix index.Index) *queryGrid {
 	if ix == nil {
 		return nil
@@ -319,29 +329,26 @@ func newQueryGrid(ix index.Index) *queryGrid {
 	if step < 1 {
 		step = 1
 	}
-	func() {
-		defer func() { _ = recover() }()
-		for id := 0; id < n; id += step {
-			p := ix.Point(id)
-			if len(p) != d {
-				continue
-			}
-			if sampled == 0 {
-				copy(g.min, p)
-				copy(max, p)
-			} else {
-				for j, v := range p {
-					if v < g.min[j] {
-						g.min[j] = v
-					}
-					if v > max[j] {
-						max[j] = v
-					}
+	for id := 0; id < n; id += step {
+		p := livePoint(ix, id)
+		if len(p) != d {
+			continue
+		}
+		if sampled == 0 {
+			copy(g.min, p)
+			copy(max, p)
+		} else {
+			for j, v := range p {
+				if v < g.min[j] {
+					g.min[j] = v
+				}
+				if v > max[j] {
+					max[j] = v
 				}
 			}
-			sampled++
 		}
-	}()
+		sampled++
+	}
 	if sampled == 0 {
 		return nil
 	}
@@ -481,24 +488,40 @@ func (t *engineTelemetry) engineWindowStats(now time.Time) map[string]EngineWind
 	return out
 }
 
+// telemetryBinding is an engine's optional binding to its telemetry, which a
+// Searcher and the sharded engines embed: nil until EnableTelemetry, then
+// published atomically so it can be attached while queries are in flight.
+type telemetryBinding struct {
+	tel atomic.Pointer[engineTelemetry]
+}
+
+// telBegin starts one observed operation: the engine's telemetry and, only
+// when it is on, a clock reading to measure the operation from.
+func (b *telemetryBinding) telBegin() (*engineTelemetry, time.Time) {
+	if t := b.tel.Load(); t != nil {
+		return t, time.Now()
+	}
+	return nil, time.Time{}
+}
+
 // QueryWindowStats reports the per-operation windowed latency digests
 // (op -> "1m"/"5m" -> stats) when telemetry is enabled; nil otherwise.
 // The server surfaces these in /statsz next to the lifetime quantiles.
-func (s *Searcher) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
-	return s.tel.Load().queryWindowStats(time.Now())
+func (b *telemetryBinding) QueryWindowStats() map[string]map[string]telemetry.WindowStats {
+	return b.tel.Load().queryWindowStats(time.Now())
 }
 
 // EngineWindowStats reports the windowed pruning/recall digests
 // ("1m"/"5m" -> window) when telemetry is enabled; nil otherwise.
-func (s *Searcher) EngineWindowStats() map[string]EngineWindow {
-	return s.tel.Load().engineWindowStats(time.Now())
+func (b *telemetryBinding) EngineWindowStats() map[string]EngineWindow {
+	return b.tel.Load().engineWindowStats(time.Now())
 }
 
 // WorkloadTopK reports the hottest query-region signatures tracked by the
 // analytics sketch, each with its latency digest over the given window.
 // Nil without telemetry.
-func (s *Searcher) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
-	if t := s.tel.Load(); t != nil {
+func (b *telemetryBinding) WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat {
+	if t := b.tel.Load(); t != nil {
 		return t.workload.TopK(k, window)
 	}
 	return nil
@@ -565,11 +588,9 @@ func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
 	// Calibrate the workload grid from the first populated shard: shards
 	// partition by hash, so any one shard's sample spans the dataset.
 	var grid *queryGrid
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			if grid = newQueryGrid(eng.snap.Load().ix); grid != nil {
-				break
-			}
+	for _, eng := range ss.engines() {
+		if grid = newQueryGrid(eng.snap.Load().ix); grid != nil {
+			break
 		}
 	}
 	ss.enableTelemetry(reg, grid)
@@ -582,10 +603,8 @@ func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
 	// across shards.
 	h := compactionHistogram(reg, string(ss.backend))
 	ss.compactHist.Store(h)
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			eng.compactHist.Store(h)
-		}
+	for _, eng := range ss.engines() {
+		eng.compactHist.Store(h)
 	}
 }
 

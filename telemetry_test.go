@@ -1,11 +1,15 @@
 package repro
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/indextest"
 	"repro/internal/telemetry"
 )
@@ -412,5 +416,47 @@ func TestShardedApproxTelemetry(t *testing.T) {
 	backend := telemetry.Label{Name: "backend", Value: "lsh"}
 	if got := counterValue(t, reg, "rknn_approx_candidates_total", backend); got != float64(wantApprox) {
 		t.Errorf("sharded rknn_approx_candidates_total = %v, want %d", got, wantApprox)
+	}
+}
+
+// TestWorkloadSketchReadsThePinnedSnapshot pins where a member query's point
+// comes from for the workload sketch: the snapshot the query pinned, not
+// whatever is current once it has answered. Each member is deleted after its
+// query pinned — from inside the query's run step — and the query must still
+// be recorded, without a panic, under its "rknn k=…" signature with the
+// region cell of the point it ran from.
+func TestWorkloadSketchReadsThePinnedSnapshot(t *testing.T) {
+	const k = 4
+	for _, backend := range []Backend{BackendCoverTree, BackendScan} {
+		pts := indextest.RandPoints(200, 3, 71)
+		s, err := New(pts, WithBackend(backend), WithScale(8), WithTelemetry(telemetry.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string]uint64)
+		for qid := 3; qid < 200; qid += 37 {
+			sig := s.tel.Load().grid.signature(opRkNN, k, pts[qid])
+			if !strings.HasPrefix(sig, "rknn k=4 @") {
+				t.Fatalf("signature %q carries no region cell", sig)
+			}
+			want[sig]++
+			_, _, err := s.query(context.Background(), k, opRkNN, nil, qid, func(ctx context.Context, qr *core.Querier) (*core.Result, error) {
+				res, err := qr.ByIDCtx(ctx, qid)
+				if ok, derr := s.Delete(qid); !ok || derr != nil {
+					t.Errorf("%s: Delete(%d) = %v, %v", backend, qid, ok, derr)
+				}
+				return res, err
+			})
+			if err != nil {
+				t.Fatalf("%s: member query %d: %v", backend, qid, err)
+			}
+		}
+		got := make(map[string]uint64)
+		for _, st := range s.WorkloadTopK(100, time.Minute) {
+			got[st.Signature] = st.Count
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sketch holds %v, want %v", backend, got, want)
+		}
 	}
 }

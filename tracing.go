@@ -16,9 +16,7 @@ func (s *Searcher) EnableTracing(ring *trace.Ring) {
 // it. Safe to call at most once, before serving.
 func (ss *ShardedSearcher) EnableTracing(ring *trace.Ring) {
 	ss.traceRing.Store(ring)
-	for _, slot := range ss.slots {
-		if eng := slot.eng.Load(); eng != nil {
-			eng.traceRing.Store(ring)
-		}
+	for _, eng := range ss.engines() {
+		eng.traceRing.Store(ring)
 	}
 }

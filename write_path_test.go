@@ -393,7 +393,7 @@ func TestDurableLogFailureReportsAssignedIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		breakStore(t, d.store)
+		breakStore(t, d.durable.Load().store)
 		if batch {
 			ids, err := d.InsertBatch(extra[:3])
 			if err == nil || !reflect.DeepEqual(ids, []int{40, 41, 42}) {
