@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/vecmath"
 )
 
 // AdaptiveParams configures the adaptive-scale variant of RDT+, which the
@@ -119,7 +121,7 @@ func NewAdaptiveQuerier(ix Source, params AdaptiveParams) (*Querier, error) {
 	return &Querier{
 		ix:     ix,
 		metric: ix.Metric(),
-		dist:   resolveKernel(ix.Metric()),
+		batch:  vecmath.BatchFor(ix.Metric()),
 		// The embedded fixed parameters carry K and Plus; T records
 		// the ceiling for introspection.
 		params:   Params{K: params.K, T: params.MaxT, Plus: params.Plus},

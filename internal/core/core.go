@@ -112,8 +112,11 @@ type Stats struct {
 	// VerifiedHits counts verifications that confirmed a reverse
 	// neighbor.
 	VerifiedHits int
-	// DistanceComps counts distance computations performed by the
-	// witness machinery itself (index-internal work is not included).
+	// DistanceComps counts the distances computed by the witness
+	// machinery itself (index-internal work is not included). A witness
+	// counter is only ever read through w ≥ K, so a cycle computes d(v,x)
+	// only while it can still move one across K: it is at most the
+	// number of candidate pairs, not equal to it.
 	DistanceComps int64
 	// Omega is the final value of the termination bound ω
 	// (math.Inf(1) if it was never tightened).
@@ -170,18 +173,9 @@ type Source interface {
 type Querier struct {
 	ix       Source
 	metric   vecmath.Metric
-	dist     vecmath.DistanceFunc // resolved kernel; falls back to metric.Distance
+	batch    vecmath.BatchDistanceFunc // the witness cycle's one-vs-many kernel
 	params   Params
 	newScale func() scaleStrategy // fresh per-query state
-}
-
-// resolveKernel picks the direct distance kernel for m so the witness cycle
-// — the quadratic heart of Algorithm 1 — skips the per-pair interface call.
-func resolveKernel(m vecmath.Metric) vecmath.DistanceFunc {
-	if k := vecmath.KernelFor(m); k != nil {
-		return k
-	}
-	return m.Distance
 }
 
 // NewQuerier validates the parameters and returns a Querier over ix.
@@ -198,7 +192,7 @@ func NewQuerier(ix Source, params Params) (*Querier, error) {
 	return &Querier{
 		ix:       ix,
 		metric:   ix.Metric(),
-		dist:     resolveKernel(ix.Metric()),
+		batch:    vecmath.BatchFor(ix.Metric()),
 		params:   params,
 		newScale: func() scaleStrategy { return fixedScale{t: params.T} },
 	}, nil
@@ -265,11 +259,111 @@ type candidate struct {
 	accepted bool    // lazily accepted by Assertion 2
 }
 
-// filterPool recycles filter-set backing arrays across queries. The filter
-// set is the dominant transient allocation of Algorithm 1, and a serving
-// process answers queries in a steady stream; pooling keeps the per-query
-// garbage near zero under concurrent load.
-var filterPool = sync.Pool{New: func() any { return new([]candidate) }}
+// settled reports whether x's outcome no longer depends on its witness
+// counter: it is lazily accepted, or lazily rejected with k witnesses. The
+// counter is read nowhere but through this test.
+func (x *candidate) settled(k int) bool { return x.accepted || x.w >= k }
+
+// scratch is the transient state of one query: the filter set F, and F's
+// points split by whether the member is still unsettled, laid out as the
+// row lists the one-vs-many kernel takes.
+type scratch struct {
+	filter      []candidate
+	open        []int       // filter indexes of the unsettled members, ascending
+	openRows    [][]float64 // their points, in step with open
+	settledRows [][]float64 // points of the settled members
+	dists       []float64   // kernel output
+}
+
+// release drops every point reference so the pool pins no dataset, and keeps
+// the backing arrays.
+func (sc *scratch) release() {
+	clear(sc.filter)
+	clear(sc.openRows)
+	clear(sc.settledRows)
+	sc.filter, sc.open = sc.filter[:0], sc.open[:0]
+	sc.openRows, sc.settledRows = sc.openRows[:0], sc.settledRows[:0]
+	scratchPool.Put(sc)
+}
+
+// scratchPool recycles the per-query scratch across queries. The filter set
+// is the dominant transient allocation of Algorithm 1, and a serving process
+// answers queries in a steady stream; pooling keeps the per-query garbage
+// near zero under concurrent load.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// witnessCycle runs lines 8–19 of Algorithm 1 for the newly retrieved v: it
+// updates v's witness counter and those of the filter members against each
+// other and applies the lazy-accept test to the members.
+//
+// It computes d(v,x) only where the distance can still change an outcome.
+// Every unsettled member x needs it — for its own counter and for the
+// lazy-accept test, which is evaluated on exactly the members the plain
+// pairwise loop evaluates it on. A settled member x can only contribute to
+// v's counter, so it is measured only while v.w < k. The counters are read
+// only through w ≥ k, so the accepted and rejected sets and every Stats field
+// but DistanceComps are those of the pairwise loop; v.w and a settled
+// member's w may stop short of their pairwise values, on the far side of k.
+func (qr *Querier) witnessCycle(sc *scratch, v *candidate, stats *Stats) {
+	k := qr.params.K
+	before := sc.settledRows // settled before this cycle; those it settles are measured as open
+	if need := max(len(sc.open), min(k, len(before))); cap(sc.dists) < need {
+		sc.dists = make([]float64, 2*need)
+	}
+	dists := sc.dists[:len(sc.open)]
+	qr.batch(v.point, sc.openRows, dists)
+	stats.DistanceComps += int64(len(dists))
+
+	keep := 0
+	for j, i := range sc.open {
+		x := &sc.filter[i]
+		dvx := dists[j]
+		if dvx < x.dq { // v witnesses x
+			x.w++
+		}
+		if dvx < v.dq { // x witnesses v
+			v.w++
+		}
+		if x.w < k && v.dq >= 2*x.dq {
+			x.accepted = true
+			stats.LazyAccepts++
+		}
+		if x.settled(k) {
+			sc.settledRows = append(sc.settledRows, x.point)
+		} else {
+			sc.open[keep], sc.openRows[keep] = i, x.point
+			keep++
+		}
+	}
+	clear(sc.openRows[keep:])
+	sc.open, sc.openRows = sc.open[:keep], sc.openRows[:keep]
+
+	// k − v.w rows are the fewest that can settle v, so no distance is
+	// computed past the one that does.
+	for len(before) > 0 && v.w < k {
+		rows := before[:min(k-v.w, len(before))]
+		before = before[len(rows):]
+		dists = sc.dists[:len(rows)]
+		qr.batch(v.point, rows, dists)
+		stats.DistanceComps += int64(len(rows))
+		for _, dvx := range dists {
+			if dvx < v.dq {
+				v.w++
+			}
+		}
+	}
+}
+
+// admit appends v to the filter set, on the side its counter puts it.
+func (sc *scratch) admit(v candidate, k int) {
+	if v.settled(k) {
+		sc.settledRows = append(sc.settledRows, v.point)
+	} else {
+		sc.open = append(sc.open, len(sc.filter))
+		sc.openRows = append(sc.openRows, v.point)
+	}
+	sc.filter = append(sc.filter, v)
+}
 
 // ctxCursorIndex is an optional index capability: a cursor constructor
 // receiving the query context, so layered indexes (the overlay) can hang
@@ -306,13 +400,8 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 
 	stats := Stats{Omega: math.Inf(1)}
 	omega := math.Inf(1)
-	fp := filterPool.Get().(*[]candidate)
-	filter := (*fp)[:0]
-	defer func() {
-		clear(filter) // drop point references so the pool pins no dataset
-		*fp = filter[:0]
-		filterPool.Put(fp)
-	}()
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 
 	var cursor index.Cursor
 	var scanStart time.Time
@@ -341,24 +430,7 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 			cycleStart = time.Now()
 		}
 
-		// Witness cycle (lines 8–19): compare v against every retained
-		// candidate, updating both witness counters, and apply the
-		// lazy-accept test to filter members.
-		for i := range filter {
-			x := &filter[i]
-			dvx := qr.dist(v.point, x.point)
-			stats.DistanceComps++
-			if dvx < x.dq { // v witnesses x
-				x.w++
-			}
-			if dvx < v.dq { // x witnesses v
-				v.w++
-			}
-			if !x.accepted && x.w < k && v.dq >= 2*x.dq {
-				x.accepted = true
-				stats.LazyAccepts++
-			}
-		}
+		qr.witnessCycle(sc, &v, &stats)
 
 		// Line 20 with the RDT+ exclusion rule (Section 4.3): a point
 		// already holding k witnesses after its first cycle is a
@@ -368,7 +440,7 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 		if qr.params.Plus && s > k && v.w >= k {
 			stats.Excluded++
 		} else {
-			filter = append(filter, v)
+			sc.admit(v, k)
 		}
 		if traced {
 			filterDur += time.Since(cycleStart)
@@ -404,6 +476,7 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 		}
 	}
 
+	filter := sc.filter
 	stats.ScanDepth = s
 	stats.FilterSize = len(filter)
 	stats.Omega = omega

@@ -409,20 +409,23 @@ func TestDuplicatePoints(t *testing.T) {
 }
 
 // TestKLargerThanDataset checks the degenerate regime where every point is a
-// reverse neighbor of every query.
+// reverse neighbor of every query — also at a rank so large that any scratch
+// sized by K instead of by the filter set could not be allocated.
 func TestKLargerThanDataset(t *testing.T) {
 	pts := randPoints(10, 2, 9)
 	ix := newScan(t, pts)
-	qr, err := NewQuerier(ix, Params{K: 50, T: 4})
-	if err != nil {
-		t.Fatalf("NewQuerier: %v", err)
-	}
-	res, err := qr.ByID(0)
-	if err != nil {
-		t.Fatalf("ByID: %v", err)
-	}
-	if len(res.IDs) != 9 {
-		t.Fatalf("got %d reverse neighbors, want all 9", len(res.IDs))
+	for _, k := range []int{50, math.MaxInt32} {
+		qr, err := NewQuerier(ix, Params{K: k, T: 4})
+		if err != nil {
+			t.Fatalf("NewQuerier: %v", err)
+		}
+		res, err := qr.ByID(0)
+		if err != nil {
+			t.Fatalf("ByID: %v", err)
+		}
+		if len(res.IDs) != 9 {
+			t.Fatalf("k=%d: got %d reverse neighbors, want all 9", k, len(res.IDs))
+		}
 	}
 }
 

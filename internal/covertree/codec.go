@@ -94,6 +94,7 @@ func Restore(points [][]float64, metric vecmath.Metric, deleted []int, structure
 		deleted: make(map[int]bool, len(deleted)),
 		alive:   len(points),
 	}
+	t.resolveKernels()
 	for _, id := range deleted {
 		if id < 0 || id >= len(points) || t.deleted[id] {
 			return nil, fmt.Errorf("covertree: invalid tombstone id %d", id)

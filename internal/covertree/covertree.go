@@ -48,6 +48,8 @@ func (n *node) covdist() float64 { return math.Exp2(float64(n.level)) }
 type Tree struct {
 	points  [][]float64
 	metric  vecmath.Metric
+	dist    vecmath.DistanceFunc      // resolved kernel; falls back to metric.Distance
+	batch   vecmath.BatchDistanceFunc // resolved one-vs-many kernel
 	dim     int
 	root    *node
 	deleted map[int]bool
@@ -75,11 +77,22 @@ func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
 		dim:     len(points[0]),
 		deleted: make(map[int]bool),
 	}
+	t.resolveKernels()
 	for id := range points {
 		t.insertID(id)
 	}
 	t.alive = len(points)
 	return t, nil
+}
+
+// resolveKernels binds the metric's direct kernels once, so no query or
+// insertion pays an interface call per node.
+func (t *Tree) resolveKernels() {
+	t.dist = vecmath.KernelFor(t.metric)
+	if t.dist == nil {
+		t.dist = t.metric.Distance
+	}
+	t.batch = vecmath.BatchFor(t.metric)
 }
 
 // Builder constructs cover trees; it implements index.Builder.
@@ -135,6 +148,8 @@ func (t *Tree) Clone() index.Dynamic {
 	return &Tree{
 		points:  points,
 		metric:  t.metric,
+		dist:    t.dist,
+		batch:   t.batch,
 		dim:     t.dim,
 		root:    cloneNode(t.root),
 		deleted: deleted,
@@ -181,7 +196,7 @@ func (t *Tree) insertID(id int) {
 		t.root = &node{id: id, level: 0}
 		return
 	}
-	d := t.metric.Distance(p, t.points[t.root.id])
+	d := t.dist(p, t.points[t.root.id])
 	if d > t.root.covdist() {
 		// Lazy root raise: lift the root's level until its cover
 		// radius reaches the new point. Children remain covered (the
@@ -190,7 +205,7 @@ func (t *Tree) insertID(id int) {
 	}
 	cur := t.root
 	for {
-		dCur := t.metric.Distance(p, t.points[cur.id])
+		dCur := t.dist(p, t.points[cur.id])
 		if dCur > cur.maxDist {
 			cur.maxDist = dCur
 		}
@@ -198,7 +213,7 @@ func (t *Tree) insertID(id int) {
 		var best *node
 		bestDist := math.Inf(1)
 		for _, c := range cur.children {
-			dc := t.metric.Distance(p, t.points[c.id])
+			dc := t.dist(p, t.points[c.id])
 			if dc <= c.covdist() && dc < bestDist {
 				best, bestDist = c, dc
 			}
@@ -249,7 +264,16 @@ type cursor struct {
 	skipID int
 	nodes  *pqueue.Min[queueEntry]
 	ready  *pqueue.Min[int]
+
+	// One-vs-many kernel scratch for expanding a node's children,
+	// expandChunk at a time. It lives in the cursor so that expansion
+	// allocates nothing.
+	rows  [expandChunk][]float64
+	dists [expandChunk]float64
 }
+
+// expandChunk is how many children the cursor measures in one kernel call.
+const expandChunk = 16
 
 // NewCursor implements index.Index.
 func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
@@ -261,7 +285,7 @@ func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
 		ready:  pqueue.NewNearest(64),
 	}
 	if t.root != nil {
-		d := t.metric.Distance(q, t.points[t.root.id])
+		d := t.dist(q, t.points[t.root.id])
 		c.nodes.Push(entryPriority(t.root, d), queueEntry{n: t.root, dist: d})
 	}
 	return c
@@ -294,9 +318,16 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 		if e.n.id != c.skipID && !c.t.deleted[e.n.id] {
 			c.ready.Push(e.dist, e.n.id)
 		}
-		for _, child := range e.n.children {
-			d := c.t.metric.Distance(c.q, c.t.points[child.id])
-			c.nodes.Push(entryPriority(child, d), queueEntry{n: child, dist: d})
+		for children := e.n.children; len(children) > 0; {
+			chunk := children[:min(expandChunk, len(children))]
+			children = children[len(chunk):]
+			for i, child := range chunk {
+				c.rows[i] = c.t.points[child.id]
+			}
+			c.t.batch(c.q, c.rows[:len(chunk)], c.dists[:])
+			for i, child := range chunk {
+				c.nodes.Push(entryPriority(child, c.dists[i]), queueEntry{n: child, dist: c.dists[i]})
+			}
 		}
 	}
 }
@@ -308,7 +339,7 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	}
 	top := pqueue.NewTopK[int](k)
 	nodes := pqueue.NewMin[queueEntry](64)
-	d := t.metric.Distance(q, t.points[t.root.id])
+	d := t.dist(q, t.points[t.root.id])
 	nodes.Push(entryPriority(t.root, d), queueEntry{n: t.root, dist: d})
 	for {
 		it, ok := nodes.Pop()
@@ -324,7 +355,7 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 		}
 		bound, full := top.Bound()
 		for _, child := range e.n.children {
-			dc := t.metric.Distance(q, t.points[child.id])
+			dc := t.dist(q, t.points[child.id])
 			lb := entryPriority(child, dc)
 			if full && lb > bound {
 				continue
@@ -372,7 +403,7 @@ func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[i
 		return 0
 	}
 	c := closerCount{t: t, q: q, r: r, limit: limit, skipID: skipID, dead: dead}
-	c.visit(t.root, t.metric.Distance(q, t.points[t.root.id]))
+	c.visit(t.root, t.dist(q, t.points[t.root.id]))
 	return c.n
 }
 
@@ -397,7 +428,7 @@ func (c *closerCount) visit(n *node, d float64) {
 		if c.n >= c.limit {
 			return
 		}
-		dc := c.t.metric.Distance(c.q, c.t.points[child.id])
+		dc := c.t.dist(c.q, c.t.points[child.id])
 		if dc-child.maxDist > c.r {
 			continue
 		}
@@ -418,10 +449,10 @@ func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id i
 			emit(n.id, d)
 		}
 		for _, c := range n.children {
-			visit(c, t.metric.Distance(q, t.points[c.id]))
+			visit(c, t.dist(q, t.points[c.id]))
 		}
 	}
-	visit(t.root, t.metric.Distance(q, t.points[t.root.id]))
+	visit(t.root, t.dist(q, t.points[t.root.id]))
 }
 
 // CheckInvariants walks the tree verifying the covering and bounding

@@ -207,3 +207,53 @@ func TestLevelFor(t *testing.T) {
 		t.Errorf("levelFor(0) should give an underflowing level, got %d", got)
 	}
 }
+
+// TestCursorExpandsWideNodes streams a tree whose root has more children
+// than one kernel call measures — the origin and 2·expandChunk+3 mutually
+// distant unit vectors — from a tree that is built, cloned and restored, under
+// a metric with a batch kernel and one without: every path must resolve its
+// kernels, and the chunked expansion must lose no child.
+func TestCursorExpandsWideNodes(t *testing.T) {
+	dim := 2*expandChunk + 3
+	pts := [][]float64{make([]float64, dim)}
+	for i := 0; i < dim; i++ {
+		p := make([]float64, dim)
+		p[i] = 1 - float64(i)/float64(4*dim)
+		pts = append(pts, p)
+	}
+	for _, metric := range []vecmath.Metric{vecmath.Euclidean{}, vecmath.Minkowski{P: 3}} {
+		built, err := New(pts, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(built.root.children); n <= expandChunk {
+			t.Fatalf("root has %d children, want more than expandChunk=%d", n, expandChunk)
+		}
+		restored, err := Restore(pts, metric, nil, built.EncodeStructure())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, tree := range map[string]index.Index{"built": built, "clone": built.Clone(), "restored": restored} {
+			q := pts[3]
+			cur := tree.NewCursor(q, 3)
+			prev := index.Neighbor{ID: -1, Dist: -1}
+			count := 0
+			for nb, ok := cur.Next(); ok; nb, ok = cur.Next() {
+				if want := metric.Distance(q, pts[nb.ID]); nb.Dist != want {
+					t.Fatalf("%s %s: id %d at %v, Distance says %v", metric.Name(), name, nb.ID, nb.Dist, want)
+				}
+				if nb.Dist < prev.Dist || nb.Dist == prev.Dist && nb.ID < prev.ID {
+					t.Fatalf("%s %s: %+v after %+v", metric.Name(), name, nb, prev)
+				}
+				prev = nb
+				count++
+			}
+			if count != len(pts)-1 {
+				t.Fatalf("%s %s: cursor yielded %d of %d points", metric.Name(), name, count, len(pts)-1)
+			}
+			if got := len(tree.KNN(q, 5, 3)); got != 5 {
+				t.Fatalf("%s %s: KNN returned %d of 5", metric.Name(), name, got)
+			}
+		}
+	}
+}

@@ -36,6 +36,19 @@ func NewNearest(capacity int) *Min[int] {
 	return h
 }
 
+// NearestFrom returns the heap NewNearest would hold after a Push of every
+// item, built in place over items in O(len(items)): for a caller that has
+// all its (distance, ID) pairs in hand before it needs the nearest one, and
+// may need only a few. The heap owns items from here on.
+func NearestFrom(items []Item[int]) *Min[int] {
+	h := NewNearest(0)
+	h.items = items
+	for i := len(items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
 // tied reports whether item i must sit above item j of equal priority. The
 // sift loops compare priorities inline and come here only on a tie.
 func (h *Min[T]) tied(i, j int) bool {

@@ -89,6 +89,37 @@ func TestMinHeapSortsRandomInput(t *testing.T) {
 	}
 }
 
+// TestNearestFromMatchesPushes property-checks that a heap built in place
+// pops exactly the sequence a NewNearest heap fed the same items by Push
+// does, on priorities coarse enough that ties — popped in ascending ID
+// order — are common.
+func TestNearestFromMatchesPushes(t *testing.T) {
+	property := func(seed int64, nRaw uint8) bool {
+		n := int(nRaw % 120) // 0 included: an empty heap pops nothing
+		rng := rand.New(rand.NewSource(seed))
+		pushed := NewNearest(0)
+		items := make([]Item[int], n)
+		for id := range items {
+			items[id] = Item[int]{Priority: float64(rng.Intn(6)), Value: id}
+			pushed.Push(items[id].Priority, id)
+		}
+		built := NearestFrom(items)
+		for {
+			want, wok := pushed.Pop()
+			got, gok := built.Pop()
+			if got != want || gok != wok {
+				return false
+			}
+			if !wok {
+				return true
+			}
+		}
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTopKKeepsSmallest(t *testing.T) {
 	top := NewTopK[int](3)
 	for i, p := range []float64{9, 1, 8, 2, 7, 3} {

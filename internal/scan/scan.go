@@ -10,7 +10,7 @@
 // Two optimizations keep the flat scan at hardware speed without changing a
 // single result bit (DESIGN.md "Distance kernels and quantized filtering"):
 // rows are copied into one contiguous row-major arena and distances go
-// through vecmath's unrolled kernels instead of the Metric interface; and an
+// through vecmath's direct kernels instead of the Metric interface; and an
 // optional 8-bit scalar-quantization pre-filter (EnableQuantFilter) screens
 // rows against the current search bound with code-level and float32-level
 // lower bounds, so only rows that could possibly enter the result pay the
@@ -116,8 +116,8 @@ type Index struct {
 	points [][]float64 // row views into arena (plus per-insert tails)
 	arena  []float64   // contiguous row-major storage
 	metric vecmath.Metric
-	dist   vecmath.DistanceFunc // resolved kernel; falls back to metric.Distance
-	batch  vecmath.BatchDistanceFunc
+	dist   vecmath.DistanceFunc      // resolved kernel; falls back to metric.Distance
+	batch  vecmath.BatchDistanceFunc // resolved one-vs-many kernel
 	dim    int
 	filter *quantFilter // nil until EnableQuantFilter
 
@@ -163,7 +163,7 @@ func (ix *Index) resolveKernels() {
 	if ix.dist == nil {
 		ix.dist = ix.metric.Distance
 	}
-	ix.batch = vecmath.BatchKernelFor(ix.metric)
+	ix.batch = vecmath.BatchFor(ix.metric)
 }
 
 // EnableQuantFilter implements index.QuantFiltered: it attaches the 8-bit
@@ -311,47 +311,43 @@ func (ix *Index) skip(id, skipID int) bool {
 	return ix.deleted[id]
 }
 
-// NewCursor implements index.Index. The cursor materializes and sorts all
-// distances up front: O(n log n) per query, which is the intended cost model
-// for this back-end. The distance pass runs through the one-vs-many batch
-// kernel when the metric has one.
+// cursorChunk is how many rows NewCursor hands the batch kernel at a time.
+const cursorChunk = 128
+
+// NewCursor implements index.Index. Every row's distance is computed up
+// front, cursorChunk rows to a call of the one-vs-many kernel, and rows the
+// query excludes are dropped afterwards, so member queries and indexes
+// holding tombstones run the same kernel as everything else. The order is
+// resolved lazily: one O(n) heapify here, one O(log n) pop per Next, since
+// RDT reads at most 2^t·k neighbors of the n — in the strict (distance, ID)
+// order of pqueue.NewNearest.
 func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
-	order := make([]index.Neighbor, 0, len(ix.points))
-	if ix.batch != nil && len(ix.deleted) == 0 && skipID < 0 {
-		dists := make([]float64, len(ix.points))
-		ix.batch(q, ix.points, dists)
-		for id, d := range dists {
-			order = append(order, index.Neighbor{ID: id, Dist: d})
+	items := make([]pqueue.Item[int], len(ix.points))
+	var dists [cursorChunk]float64
+	for lo := 0; lo < len(ix.points); lo += cursorChunk {
+		rows := ix.points[lo:min(lo+cursorChunk, len(ix.points))]
+		ix.batch(q, rows, dists[:])
+		for j := range rows {
+			items[lo+j] = pqueue.Item[int]{Priority: dists[j], Value: lo + j}
 		}
-	} else {
-		for id, p := range ix.points {
-			if ix.skip(id, skipID) {
-				continue
+	}
+	if skipID >= 0 || len(ix.deleted) > 0 {
+		live := items[:0]
+		for _, it := range items {
+			if !ix.skip(it.Value, skipID) {
+				live = append(live, it)
 			}
-			order = append(order, index.Neighbor{ID: id, Dist: ix.dist(q, p)})
 		}
+		items = live
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Dist != order[j].Dist {
-			return order[i].Dist < order[j].Dist
-		}
-		return order[i].ID < order[j].ID
-	})
-	return &sliceCursor{order: order}
+	return cursor{pqueue.NearestFrom(items)}
 }
 
-type sliceCursor struct {
-	order []index.Neighbor
-	next  int
-}
+type cursor struct{ ready *pqueue.Min[int] }
 
-func (c *sliceCursor) Next() (index.Neighbor, bool) {
-	if c.next >= len(c.order) {
-		return index.Neighbor{}, false
-	}
-	n := c.order[c.next]
-	c.next++
-	return n, true
+func (c cursor) Next() (index.Neighbor, bool) {
+	it, ok := c.ready.Pop()
+	return index.Neighbor{ID: it.Value, Dist: it.Priority}, ok
 }
 
 // KNN implements index.Index with a bounded max-heap, avoiding the full sort

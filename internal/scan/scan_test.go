@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/index"
 	"repro/internal/vecmath"
 )
 
@@ -94,6 +95,57 @@ func TestCursorOrderingAndSkip(t *testing.T) {
 	}
 	if count != 49 {
 		t.Errorf("cursor yielded %d items, want 49", count)
+	}
+}
+
+// TestCursorStrictOrderAcrossChunks checks the cursor against a full sort in
+// strict (distance, ID) order on a tie-heavy grid, at sizes on either side of
+// the kernel chunk, for external and member queries, with and without
+// tombstones: every query takes the one chunked batch path, and excluded rows
+// are dropped after it.
+func TestCursorStrictOrderAcrossChunks(t *testing.T) {
+	for _, metric := range []vecmath.Metric{vecmath.Euclidean{}, vecmath.Minkowski{P: 3}} {
+		for _, n := range []int{1, 2, cursorChunk - 1, cursorChunk, cursorChunk + 1, 2*cursorChunk + 37} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = []float64{float64(rng.Intn(4)), float64(rng.Intn(3)), float64(rng.Intn(3))}
+			}
+			ix, err := New(pts, metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tombstones := range []int{0, n / 5} {
+				for id := 0; id < tombstones; id++ {
+					ix.Delete(id * 3 % n)
+				}
+				for _, skipID := range []int{-1, n - 1} {
+					var want []index.Neighbor
+					for id, p := range pts {
+						if id != skipID && ix.Live(id) {
+							want = append(want, index.Neighbor{ID: id, Dist: metric.Distance(pts[n-1], p)})
+						}
+					}
+					sort.Slice(want, func(i, j int) bool {
+						if want[i].Dist != want[j].Dist {
+							return want[i].Dist < want[j].Dist
+						}
+						return want[i].ID < want[j].ID
+					})
+					cur := ix.NewCursor(pts[n-1], skipID)
+					for i, w := range want {
+						if got, ok := cur.Next(); !ok || got != w {
+							t.Fatalf("%s n=%d tombstones=%d skip=%d: position %d = %+v (ok=%v), want %+v",
+								metric.Name(), n, tombstones, skipID, i, got, ok, w)
+						}
+					}
+					if extra, ok := cur.Next(); ok {
+						t.Fatalf("%s n=%d tombstones=%d skip=%d: cursor yielded %+v past the live rows",
+							metric.Name(), n, tombstones, skipID, extra)
+					}
+				}
+			}
+		}
 	}
 }
 

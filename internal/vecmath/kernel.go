@@ -2,25 +2,28 @@ package vecmath
 
 import "math"
 
-// This file holds the hand-unrolled distance kernels and the type-switch
-// dispatch that lets hot loops (scan, bruteforce, the overlay memtable, the
-// core witness cycle) call them directly instead of going through the Metric
-// interface once per row.
+// This file holds the direct distance kernels and the type-switch dispatch
+// that lets hot loops (scan, covertree, bruteforce, the overlay memtable, the
+// core witness cycle) call them instead of going through the Metric interface
+// once per row.
 //
 // Bit-identity contract: every kernel must return exactly the bits the naive
-// scalar loop returns. The 4-way unrolled bodies therefore keep a single
-// accumulator and add the four per-lane terms in lane order with separate
-// statements — the speedup comes from hoisted bounds checks and the absence
-// of an interface call per row, not from reassociating the sum (which would
-// change float64 rounding and could flip distance ties deep inside the
-// conformance suite). The property tests in kernel_test.go pin each kernel
-// to its scalar reference across lengths 0..67.
+// scalar loop returns, so each distance keeps a single accumulator and adds
+// its terms in element order — reassociating the sum would change float64
+// rounding and could flip distance ties deep inside the conformance suite.
+// One accumulator is one floating-point add dependency chain, which is what
+// bounds a single distance at about two cycles an element. The one-vs-many
+// kernels therefore go wide across rows, not within one: two rows a pass,
+// each with its own accumulator, give the CPU two independent chains and
+// load each query element once, and every result still has the scalar bits.
+// The property tests in kernel_test.go pin each kernel to its scalar
+// reference across lengths 0..67 and row counts 0..9.
 
 // DistanceFunc is a one-vs-one distance kernel with Metric.Distance's
 // contract (panics on length mismatch).
 type DistanceFunc func(a, b []float64) float64
 
-// BatchDistanceFunc is a one-vs-many row-scan kernel: out[i] = d(q, rows[i]).
+// BatchDistanceFunc is a one-vs-many row kernel: out[i] = d(q, rows[i]).
 // It panics if len(out) < len(rows) or any row length mismatches q.
 type BatchDistanceFunc func(q []float64, rows [][]float64, out []float64)
 
@@ -41,9 +44,11 @@ func KernelFor(m Metric) DistanceFunc {
 	return nil
 }
 
-// BatchKernelFor returns the one-vs-many row-scan kernel for m, or nil when
-// m has none. out[i] == m.Distance(q, rows[i]) holds bit-for-bit.
-func BatchKernelFor(m Metric) BatchDistanceFunc {
+// BatchFor returns the one-vs-many kernel for m — the one entry point for
+// every loop that measures many rows against one point. It is never nil: the
+// four kernel metrics get their two-row kernel, any other metric a loop over
+// m.Distance. out[i] == m.Distance(q, rows[i]) holds bit-for-bit.
+func BatchFor(m Metric) BatchDistanceFunc {
 	switch m.(type) {
 	case Euclidean:
 		return euclideanBatch
@@ -54,93 +59,132 @@ func BatchKernelFor(m Metric) BatchDistanceFunc {
 	case Chebyshev:
 		return linfBatch
 	}
-	return nil
+	return func(q []float64, rows [][]float64, out []float64) {
+		out = out[:len(rows)]
+		for i, r := range rows {
+			out[i] = m.Distance(q, r)
+		}
+	}
 }
 
 func euclideanKernel(a, b []float64) float64 { return math.Sqrt(SquaredDistance(a, b)) }
 
+// twoRows walks rows in pairs through the two-row kernel two, leaving an odd
+// last row to the one-row kernel one.
+func twoRows(q []float64, rows [][]float64, out []float64, one DistanceFunc, two func(q, a, b []float64) (float64, float64)) {
+	out = out[:len(rows)]
+	i := 0
+	for ; i+2 <= len(rows); i += 2 {
+		out[i], out[i+1] = two(q, rows[i], rows[i+1])
+	}
+	if i < len(rows) {
+		out[i] = one(q, rows[i])
+	}
+}
+
 func euclideanBatch(q []float64, rows [][]float64, out []float64) {
-	_ = out[:len(rows)]
-	for i, r := range rows {
-		out[i] = math.Sqrt(SquaredDistance(q, r))
+	twoRows(q, rows, out, SquaredDistance, squaredDistance2)
+	for i, s := range out[:len(rows)] {
+		out[i] = math.Sqrt(s)
 	}
 }
 
 func squaredBatch(q []float64, rows [][]float64, out []float64) {
-	_ = out[:len(rows)]
-	for i, r := range rows {
-		out[i] = SquaredDistance(q, r)
-	}
+	twoRows(q, rows, out, SquaredDistance, squaredDistance2)
 }
 
 func l1Batch(q []float64, rows [][]float64, out []float64) {
-	_ = out[:len(rows)]
-	for i, r := range rows {
-		out[i] = L1Distance(q, r)
-	}
+	twoRows(q, rows, out, L1Distance, l1Distance2)
 }
 
 func linfBatch(q []float64, rows [][]float64, out []float64) {
-	_ = out[:len(rows)]
-	for i, r := range rows {
-		out[i] = LinfDistance(q, r)
+	twoRows(q, rows, out, LinfDistance, linfDistance2)
+}
+
+// pair reslices a and b to q's length so the two-row loops run free of bounds
+// checks, panicking if either row's length differs.
+func pair(q, a, b []float64) ([]float64, []float64) {
+	if len(a) != len(q) || len(b) != len(q) {
+		panic("vecmath: dimension mismatch")
 	}
+	return a[:len(q)], b[:len(q)]
+}
+
+// SquaredDistance returns the squared L2 distance between a and b, panicking
+// on a length mismatch. It is the hot inner loop of the whole module: the
+// plain scalar loop with the bounds checks hoisted.
+func SquaredDistance(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("vecmath: dimension mismatch")
+	}
+	b = b[:len(a)]
+	var s float64
+	for i, x := range a {
+		d := x - b[i]
+		s += d * d
+	}
+	return s
+}
+
+func squaredDistance2(q, a, b []float64) (sa, sb float64) {
+	a, b = pair(q, a, b)
+	for i, x := range q {
+		da := x - a[i]
+		db := x - b[i]
+		sa += da * da
+		sb += db * db
+	}
+	return sa, sb
 }
 
 // L1Distance returns the Manhattan distance between a and b, panicking on a
-// length mismatch. Bit-identical to the scalar loop (single accumulator,
-// lane-order adds).
+// length mismatch.
 func L1Distance(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("vecmath: dimension mismatch")
 	}
 	b = b[:len(a)]
 	var s float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := math.Abs(a[i] - b[i])
-		d1 := math.Abs(a[i+1] - b[i+1])
-		d2 := math.Abs(a[i+2] - b[i+2])
-		d3 := math.Abs(a[i+3] - b[i+3])
-		s += d0
-		s += d1
-		s += d2
-		s += d3
-	}
-	for ; i < len(a); i++ {
-		s += math.Abs(a[i] - b[i])
+	for i, x := range a {
+		s += math.Abs(x - b[i])
 	}
 	return s
 }
 
+func l1Distance2(q, a, b []float64) (sa, sb float64) {
+	a, b = pair(q, a, b)
+	for i, x := range q {
+		sa += math.Abs(x - a[i])
+		sb += math.Abs(x - b[i])
+	}
+	return sa, sb
+}
+
 // LinfDistance returns the Chebyshev distance between a and b, panicking on
-// a length mismatch. The max-combine is order-insensitive for non-NaN
-// inputs, so unrolling cannot change the result.
+// a length mismatch.
 func LinfDistance(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("vecmath: dimension mismatch")
 	}
 	b = b[:len(a)]
 	var s float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		if d := math.Abs(a[i] - b[i]); d > s {
-			s = d
-		}
-		if d := math.Abs(a[i+1] - b[i+1]); d > s {
-			s = d
-		}
-		if d := math.Abs(a[i+2] - b[i+2]); d > s {
-			s = d
-		}
-		if d := math.Abs(a[i+3] - b[i+3]); d > s {
-			s = d
-		}
-	}
-	for ; i < len(a); i++ {
-		if d := math.Abs(a[i] - b[i]); d > s {
+	for i, x := range a {
+		if d := math.Abs(x - b[i]); d > s {
 			s = d
 		}
 	}
 	return s
+}
+
+func linfDistance2(q, a, b []float64) (sa, sb float64) {
+	a, b = pair(q, a, b)
+	for i, x := range q {
+		if d := math.Abs(x - a[i]); d > sa {
+			sa = d
+		}
+		if d := math.Abs(x - b[i]); d > sb {
+			sb = d
+		}
+	}
+	return sa, sb
 }

@@ -1,14 +1,15 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// Scalar references: the pre-kernel loops, verbatim. The unrolled kernels
-// must reproduce them bit for bit — not approximately — because distance
+// Scalar references: the pre-kernel loops, verbatim. The kernels must
+// reproduce them bit for bit — not approximately — because distance
 // bits decide ties throughout the conformance suite.
 
 func refSquared(a, b []float64) float64 {
@@ -38,9 +39,11 @@ func refLinf(a, b []float64) float64 {
 	return s
 }
 
-// TestKernelsBitIdenticalToScalar pins every unrolled kernel to its scalar
-// reference across vector lengths 0..67, covering each unroll tail residue
-// several times over.
+// TestKernelsBitIdenticalToScalar pins every kernel to its scalar reference
+// across vector lengths 0..67: the one-vs-one kernels directly, and the
+// one-vs-many kernels — the two-row ones and BatchFor's fallback over a
+// metric without a kernel — over row counts 0..9, so that both the paired
+// pass and the odd last row are checked against Metric.Distance bit for bit.
 func TestKernelsBitIdenticalToScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for dim := 0; dim <= 67; dim++ {
@@ -57,44 +60,113 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 			}
 		}
 	}
+
+	mk, _ := NewMinkowski(3)
+	for _, m := range []Metric{Euclidean{}, SquaredEuclidean{}, Manhattan{}, Chebyshev{}, mk} {
+		batch := BatchFor(m)
+		for dim := 0; dim <= 67; dim++ {
+			q := randVec(rng, dim)
+			for nrows := 0; nrows <= 9; nrows++ {
+				rows := make([][]float64, nrows)
+				for i := range rows {
+					rows[i] = randVec(rng, dim)
+				}
+				out := make([]float64, nrows)
+				batch(q, rows, out)
+				for i, r := range rows {
+					if want := m.Distance(q, r); math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("%s dim %d, row %d of %d: batch = %v, Distance = %v", m.Name(), dim, i, nrows, out[i], want)
+					}
+				}
+			}
+		}
+	}
 }
 
-// TestKernelForMatchesMetric pins the dispatched one-vs-one and one-vs-many
-// kernels to Metric.Distance bit for bit, and checks that metrics without a
-// kernel dispatch to nil.
+// TestBatchPanicsOnLengthMismatch checks that a row of the wrong length
+// panics in either slot of a pair and as the odd last row, and that a short
+// out slice panics before anything is written past it.
+func TestBatchPanicsOnLengthMismatch(t *testing.T) {
+	mk, _ := NewMinkowski(3)
+	for _, m := range []Metric{Euclidean{}, SquaredEuclidean{}, Manhattan{}, Chebyshev{}, mk} {
+		batch := BatchFor(m)
+		q := make([]float64, 5)
+		for bad := 0; bad < 3; bad++ {
+			for _, badLen := range []int{4, 6} {
+				rows := [][]float64{make([]float64, 5), make([]float64, 5), make([]float64, 5)}
+				rows[bad] = make([]float64, badLen)
+				mustPanic(t, fmt.Sprintf("%s: row %d of length %d", m.Name(), bad, badLen), func() {
+					batch(q, rows, make([]float64, len(rows)))
+				})
+			}
+		}
+		mustPanic(t, m.Name()+": short out", func() {
+			batch(q, [][]float64{q, q, q}, make([]float64, 2))
+		})
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", what)
+		}
+	}()
+	f()
+}
+
+// TestKernelForMatchesMetric pins the dispatched one-vs-one kernels to
+// Metric.Distance bit for bit, and checks that metrics without a kernel
+// dispatch to nil.
 func TestKernelForMatchesMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	metrics := []Metric{Euclidean{}, SquaredEuclidean{}, Manhattan{}, Chebyshev{}}
 	for _, m := range metrics {
 		kern := KernelFor(m)
-		batch := BatchKernelFor(m)
-		if kern == nil || batch == nil {
-			t.Fatalf("%s: expected kernels, got nil", m.Name())
+		if kern == nil {
+			t.Fatalf("%s: expected a kernel, got nil", m.Name())
 		}
 		for dim := 1; dim <= 19; dim++ {
-			q := randVec(rng, dim)
-			rows := make([][]float64, 9)
-			for i := range rows {
-				rows[i] = randVec(rng, dim)
-			}
-			out := make([]float64, len(rows))
-			batch(q, rows, out)
-			for i, r := range rows {
-				want := m.Distance(q, r)
-				if math.Float64bits(kern(q, r)) != math.Float64bits(want) {
-					t.Fatalf("%s dim %d: kernel disagrees with Distance", m.Name(), dim)
-				}
-				if math.Float64bits(out[i]) != math.Float64bits(want) {
-					t.Fatalf("%s dim %d: batch kernel disagrees with Distance", m.Name(), dim)
-				}
+			q, r := randVec(rng, dim), randVec(rng, dim)
+			if math.Float64bits(kern(q, r)) != math.Float64bits(m.Distance(q, r)) {
+				t.Fatalf("%s dim %d: kernel disagrees with Distance", m.Name(), dim)
 			}
 		}
 	}
 	mk, _ := NewMinkowski(3)
 	for _, m := range []Metric{mk, Angular{}} {
-		if KernelFor(m) != nil || BatchKernelFor(m) != nil {
+		if KernelFor(m) != nil {
 			t.Fatalf("%s: unexpected kernel", m.Name())
 		}
+	}
+}
+
+// BenchmarkBatchL2 times one Euclidean distance through the one-vs-one
+// kernel and through the two-row batch kernel, at the benchmark workloads'
+// two dimensionalities.
+func BenchmarkBatchL2(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, dim := range []int{53, 784} {
+		rows := make([][]float64, 64)
+		for i := range rows {
+			rows[i] = randVec(rng, dim)
+		}
+		q := randVec(rng, dim)
+		out := make([]float64, len(rows))
+		one, batch := KernelFor(Euclidean{}), BatchFor(Euclidean{})
+		b.Run(fmt.Sprintf("d%d/one", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i += len(rows) {
+				for j, r := range rows {
+					out[j] = one(q, r)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("d%d/batch", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i += len(rows) {
+				batch(q, rows, out)
+			}
+		})
 	}
 }
 

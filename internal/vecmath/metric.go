@@ -232,32 +232,3 @@ func (Angular) ValidatePoint(v []float64) error {
 	}
 	return ErrZeroVector
 }
-
-// SquaredDistance returns the squared L2 distance between a and b, panicking
-// on a length mismatch. It is the hot inner loop of the whole module: 4-way
-// unrolled with the bounds checks hoisted, but accumulating in lane order
-// into a single sum so the result stays bit-identical to the naive scalar
-// loop (see kernel.go for the bit-identity contract).
-func SquaredDistance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("vecmath: dimension mismatch")
-	}
-	b = b[:len(a)]
-	var s float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s += d0 * d0
-		s += d1 * d1
-		s += d2 * d2
-		s += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}

@@ -219,7 +219,7 @@ func LUTLowerBoundSum(tab []float64, codes []uint8, stop float64) float64 {
 // lookups per iteration through two independent partial sums, with the
 // early-exit check once per block. Reassociating the additions keeps the
 // gather loads pipelined instead of serialized behind one accumulator,
-// which is what lets a full-row screen undercut the exact unrolled
+// which is what lets a full-row screen undercut the exact float64
 // kernel. The result may differ from the sequential reference by a few
 // ULP (≈ len(codes)·2⁻⁵²·sum relative error) in either direction, so it
 // must only be compared against thresholds that carry a slack several

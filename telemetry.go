@@ -160,7 +160,7 @@ func newEngineTelemetry(reg *telemetry.Registry, backend string, approx bool) *e
 		"Explicit refinement-phase verifications (Stats.Verified).",
 		"backend").With(backend)
 	t.distComps = reg.CounterVec("rknn_distance_comps_total",
-		"Distance computations performed by the witness machinery (Stats.DistanceComps).",
+		"Distances computed by the witness machinery (Stats.DistanceComps); at most the candidate pairs, since a pair whose counters are both settled is skipped.",
 		"backend").With(backend)
 	if approx {
 		t.approxCandidates = reg.CounterVec("rknn_approx_candidates_total",
