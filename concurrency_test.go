@@ -9,11 +9,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bruteforce"
 	"repro/internal/dataset"
 	"repro/internal/indextest"
 )
@@ -93,6 +95,140 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 			if s.Len() != 300+40-20 {
 				t.Errorf("Len after updates = %d, want %d", s.Len(), 300+40-20)
 			}
+		})
+	}
+}
+
+// TestConcurrentEnginesAnswerTheOracle is the cursor lifecycle seen from the
+// facade: readers alternate between two engines of different size, dimension
+// and metric — so a cursor the back-end recycles on Close is reopened on the
+// other engine's index as often as on its own — while a writer inserts into
+// and deletes from both and compaction swaps their base indexes. The engines
+// run plain RDT at a scale that exhausts the dataset, so every answer is
+// exact over the snapshot it ran on: it must equal the brute-force oracle at
+// one of the generations the engine went through while the query ran.
+func TestConcurrentEnginesAnswerTheOracle(t *testing.T) {
+	const k, writes = 4, 18
+	queryIDs := []int{0, 11, 37, 58, 83, 101} // never deleted
+	for _, b := range []Backend{BackendCoverTree, BackendScan} {
+		b := b
+		t.Run(string(b), func(t *testing.T) {
+			type engine struct {
+				s             *Searcher
+				want          [writes + 1][][]int // want[g][i]: the oracle's RkNN(queryIDs[i]) after g writes
+				started, done atomic.Int64        // writes begun, writes finished
+				apply         [writes]func() error
+			}
+			var engines [2]*engine
+			for e, shape := range []struct {
+				n, dim int
+				metric Metric
+			}{{240, 8, Euclidean}, {120, 53, Manhattan}} {
+				pts := indextest.RandPoints(shape.n, shape.dim, int64(61+e))
+				extra := indextest.RandPoints(writes, shape.dim, int64(63+e))
+				s, err := New(pts, WithBackend(b), WithMetric(shape.metric), WithScale(200), WithPlainRDT(), WithCompactionThreshold(5))
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				eng := &engine{s: s}
+				live := map[int][]float64{}
+				for id, p := range pts {
+					live[id] = p
+				}
+				span := len(pts)
+				for g := 0; ; g++ {
+					// The oracle numbers the live points densely; map back.
+					var oraclePts [][]float64
+					var engineID []int
+					oracleID := map[int]int{}
+					for id := 0; id < span; id++ {
+						if p, ok := live[id]; ok {
+							oracleID[id] = len(oraclePts)
+							oraclePts, engineID = append(oraclePts, p), append(engineID, id)
+						}
+					}
+					truth, err := bruteforce.New(oraclePts, shape.metric)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, qid := range queryIDs {
+						ids, err := truth.RkNNByID(oracleID[qid], k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range ids {
+							ids[i] = engineID[ids[i]]
+						}
+						eng.want[g] = append(eng.want[g], ids)
+					}
+					if g == writes {
+						break
+					}
+					if g%3 == 2 { // delete a point no reader asks about
+						victim := 5 + g
+						delete(live, victim)
+						eng.apply[g] = func() error { _, err := s.Delete(victim); return err }
+					} else {
+						p := extra[g]
+						live[span] = p
+						span++
+						eng.apply[g] = func() error { _, err := s.Insert(p); return err }
+					}
+				}
+				engines[e] = eng
+			}
+
+			var queries atomic.Int64
+			var writerDone atomic.Bool
+			var wg sync.WaitGroup
+			for r := 0; r < 6; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; !writerDone.Load() || i < 24; i++ {
+						eng := engines[(r+i)%2]
+						qi := (r*7 + i) % len(queryIDs)
+						lo := eng.done.Load()
+						got, err := eng.s.ReverseKNN(queryIDs[qi], k)
+						hi := eng.started.Load()
+						queries.Add(1)
+						if err != nil {
+							t.Errorf("reader %d: ReverseKNN(%d): %v", r, queryIDs[qi], err)
+							return
+						}
+						matched := false
+						for g := lo; g <= hi && !matched; g++ {
+							matched = sameIDs(got, eng.want[g][qi])
+						}
+						if !matched {
+							t.Errorf("reader %d: engine %d ReverseKNN(%d, %d) = %v matches the oracle at no generation in [%d, %d] (oracle there: %v … %v)",
+								r, (r+i)%2, queryIDs[qi], k, got, lo, hi, eng.want[lo][qi], eng.want[hi][qi])
+							return
+						}
+					}
+				}(r)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer writerDone.Store(true)
+				for g := 0; g < writes; g++ {
+					for _, eng := range engines {
+						// Let the readers in between two writes, on the
+						// event rather than on a clock.
+						for seen := queries.Load(); queries.Load() < seen+4 && !t.Failed(); {
+							runtime.Gosched()
+						}
+						eng.started.Add(1)
+						if err := eng.apply[g](); err != nil {
+							t.Errorf("writer: write %d: %v", g, err)
+							return
+						}
+						eng.done.Add(1)
+					}
+				}
+			}()
+			wg.Wait()
 		})
 	}
 }

@@ -373,11 +373,6 @@ type ctxCursorIndex interface {
 	NewCursorCtx(ctx context.Context, q []float64, skipID int) index.Cursor
 }
 
-// traceFinisher is an optional cursor capability: called once after the
-// expanding scan completes so the cursor can emit spans from durations it
-// accumulated while being driven.
-type traceFinisher interface{ FinishTrace() }
-
 // run executes Algorithm 1. skipID excludes a member query from its own
 // forward search; -1 disables the exclusion.
 //
@@ -485,7 +480,6 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	// spans are retro-dated from accumulated durations: filter time is
 	// the summed witness cycles, scan time is the rest of the loop
 	// (cursor driving and termination tests).
-	var vsp *trace.Span
 	if traced {
 		loopDur := time.Since(scanStart)
 		ssp := qsp.ChildAt("core.scan", scanStart)
@@ -497,11 +491,11 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 		fsp.SetInt("excluded", int64(stats.Excluded))
 		fsp.SetInt("distance_comps", stats.DistanceComps)
 		fsp.EndWithDuration(filterDur)
-		if fin, ok := cursor.(traceFinisher); ok {
-			fin.FinishTrace()
-		}
-		vsp = qsp.Child("core.verify")
 	}
+	// The scan is over: the cursor's memory goes to the next query, and a
+	// traced cursor emits the spans it accumulated while being driven.
+	cursor.Close()
+	vsp := qsp.Child("core.verify") // nil, as qsp is, on an untraced query
 
 	// Refinement phase (lines 25–32): settle every candidate that is
 	// neither lazily accepted nor lazily rejected with one explicit

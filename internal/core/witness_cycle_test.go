@@ -276,13 +276,15 @@ func TestWitnessCycleOnTies(t *testing.T) {
 }
 
 // TestRunAllocationsAndPoolHygiene pins a member query's allocations on a
-// scan index and on a cover tree to what they were before the witness cycle
-// went through the batch kernel (its scratch rides in the pooled backing, the
-// cover-tree cursor's in the cursor), and checks that a scratch goes back to
-// the pool holding no point: a pooled scratch must pin no dataset rows.
+// scan index and on a cover tree — what is left once the query closes its
+// cursor and the back-end recycles it: the result, its ID list, the scale
+// strategy — and checks what the pools are left holding: a scratch goes back
+// holding no point, and a closed cursor, which is the very object its pool now
+// holds, references no index, query or row anywhere in its memory. A pooled
+// object must pin no dataset.
 func TestRunAllocationsAndPoolHygiene(t *testing.T) {
 	pts := randPoints(2000, 8, 3)
-	for bname, want := range map[string]float64{"scan": 12, "covertree": 20} {
+	for _, bname := range []string{"scan", "covertree"} {
 		ix, err := witnessBackends[bname](pts, vecmath.Euclidean{})
 		if err != nil {
 			t.Fatal(err)
@@ -296,9 +298,21 @@ func TestRunAllocationsAndPoolHygiene(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		query() // grow the pooled scratch
-		if got := testing.AllocsPerRun(100, query); got > want && !raceEnabled {
-			t.Errorf("%s: %v allocations a query, want at most %v", bname, got, want)
+		query() // grow the pooled scratch and cursor
+		if got := testing.AllocsPerRun(100, query); got > 7 && !raceEnabled {
+			t.Errorf("%s: %v allocations a query, want at most 7", bname, got)
+		}
+
+		cur := ix.NewCursor(pts[7], 7)
+		for i := 0; i < 200; i++ {
+			cur.Next()
+		}
+		if bname == "covertree" && pinnedBy(reflect.ValueOf(cur).Elem()) == "" {
+			t.Fatal("the walk finds nothing in a cover-tree cursor open mid-stream: it cannot vouch for a closed one")
+		}
+		cur.Close()
+		if what := pinnedBy(reflect.ValueOf(cur).Elem()); what != "" {
+			t.Errorf("%s: closed cursor still holds %s", bname, what)
 		}
 	}
 
@@ -331,4 +345,46 @@ func TestRunAllocationsAndPoolHygiene(t *testing.T) {
 		return
 	}
 	t.Fatal("no used scratch ever came back from the pool")
+}
+
+// pinnedBy walks everything v reaches — every slice over its full capacity —
+// and names the first thing found that a pooled cursor may not hold: any
+// reference other than to its own heaps (package pqueue) and their ordering
+// functions, or a []float64, which is a query or a dataset row. It returns ""
+// when v holds plain numbers only. v may be unexported state of another
+// package: the walk only looks.
+func pinnedBy(v reflect.Value) string {
+	switch v.Kind() {
+	case reflect.Ptr:
+		if v.IsNil() {
+			return ""
+		}
+		if v.Type().Elem().PkgPath() != "repro/internal/pqueue" {
+			return "a " + v.Type().String()
+		}
+		return pinnedBy(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if what := pinnedBy(v.Field(i)); what != "" {
+				return what
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if v.Kind() == reflect.Slice {
+			if v.Type().Elem().Kind() == reflect.Float64 && !v.IsNil() {
+				return "a []float64"
+			}
+			v = v.Slice(0, v.Cap())
+		}
+		for i := 0; i < v.Len(); i++ {
+			if what := pinnedBy(v.Index(i)); what != "" {
+				return what
+			}
+		}
+	case reflect.Map, reflect.Interface, reflect.Chan, reflect.UnsafePointer:
+		if !v.IsNil() {
+			return "a " + v.Type().String()
+		}
+	}
+	return ""
 }

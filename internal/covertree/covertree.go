@@ -28,6 +28,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/index"
 	"repro/internal/pqueue"
@@ -235,6 +236,55 @@ func levelFor(d float64) int {
 	return l
 }
 
+// skip reports whether a point is excluded from the current query. The len
+// guard matters: without tombstones — the common case — no node pays a map
+// lookup (see scan.skip).
+func (t *Tree) skip(id, skipID int) bool {
+	if id == skipID {
+		return true
+	}
+	if len(t.deleted) == 0 {
+		return false
+	}
+	return t.deleted[id]
+}
+
+// expandChunk is how many children one kernel call measures.
+const expandChunk = 16
+
+// chunkScratch is the one-vs-many kernel's argument space for one chunk of
+// children. It lives in pooled query state, never in a local: the kernel is
+// called through a func value, so an array handed to it from the stack would
+// be moved to the heap on every call.
+type chunkScratch struct {
+	rows  [expandChunk][]float64
+	dists [expandChunk]float64
+}
+
+// measure is the one child-expansion step every query form shares: it
+// computes the distances from q to the first expandChunk (or fewer) of
+// children in one call of the tree's one-vs-many kernel. dists[i] belongs to
+// children[i] and is valid until s is used again; a caller walks a node's
+// children by measuring, then dropping, len(dists) of them at a time
+// (nextChunk). The row references are dropped before it returns, so no
+// scratch ever pins a dataset row.
+func (t *Tree) measure(q []float64, children []*node, s *chunkScratch) (dists []float64) {
+	n := min(expandChunk, len(children))
+	rows := s.rows[:n]
+	for i, child := range children[:n] {
+		rows[i] = t.points[child.id]
+	}
+	dists = s.dists[:n]
+	t.batch(q, rows, dists)
+	clear(rows)
+	return dists
+}
+
+// nextChunk returns the children left once measure has taken its chunk.
+func nextChunk(children []*node) []*node {
+	return children[min(expandChunk, len(children)):]
+}
+
 // queueEntry is a tree node queued for expansion, with its exact distance to
 // the query (used both to emit the node's own point and to bound children).
 type queueEntry struct {
@@ -243,9 +293,9 @@ type queueEntry struct {
 }
 
 // lowerBound returns the least possible distance from the query to any point
-// in the entry's subtree.
-func (e queueEntry) lowerBound() float64 {
-	lb := e.dist - e.n.maxDist
+// in the subtree of n, which lies at dist from the query.
+func lowerBound(n *node, dist float64) float64 {
+	lb := dist - n.maxDist
 	if lb < 0 {
 		return 0
 	}
@@ -258,45 +308,51 @@ func (e queueEntry) lowerBound() float64 {
 // anything as close, which yields the stream in ascending (distance, ID)
 // order — the order that lets streams over disjoint shards merge into exactly
 // the stream over their union.
+//
+// The same object is the frontier of a KNN search. Either way it comes from
+// cursorPool and goes back on Close with both heaps' grown backing arrays, so
+// a query that closes its cursor leaves no garbage behind.
 type cursor struct {
-	t      *Tree
+	t      *Tree // nil once closed
 	q      []float64
 	skipID int
 	nodes  *pqueue.Min[queueEntry]
 	ready  *pqueue.Min[int]
-
-	// One-vs-many kernel scratch for expanding a node's children,
-	// expandChunk at a time. It lives in the cursor so that expansion
-	// allocates nothing.
-	rows  [expandChunk][]float64
-	dists [expandChunk]float64
+	chunk  chunkScratch
 }
 
-// expandChunk is how many children the cursor measures in one kernel call.
-const expandChunk = 16
+var cursorPool = sync.Pool{New: func() any {
+	return &cursor{nodes: pqueue.NewMin[queueEntry](64), ready: pqueue.NewNearest(64)}
+}}
 
 // NewCursor implements index.Index.
 func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
-	c := &cursor{
-		t:      t,
-		q:      q,
-		skipID: skipID,
-		nodes:  pqueue.NewMin[queueEntry](64),
-		ready:  pqueue.NewNearest(64),
-	}
+	return t.openCursor(q, skipID)
+}
+
+// openCursor takes a cursor from the pool and queues the root.
+func (t *Tree) openCursor(q []float64, skipID int) *cursor {
+	c := cursorPool.Get().(*cursor)
+	c.t, c.q, c.skipID = t, q, skipID
 	if t.root != nil {
 		d := t.dist(q, t.points[t.root.id])
-		c.nodes.Push(entryPriority(t.root, d), queueEntry{n: t.root, dist: d})
+		c.nodes.Push(lowerBound(t.root, d), queueEntry{n: t.root, dist: d})
 	}
 	return c
 }
 
-func entryPriority(n *node, dist float64) float64 {
-	lb := dist - n.maxDist
-	if lb < 0 {
-		return 0
+// Close implements index.Cursor: the cursor empties itself — the heaps keep
+// their capacity and nothing else, the tree and the query are let go — and
+// returns to the pool. Until it is reopened its Next reports exhausted; a
+// second Close finds it closed.
+func (c *cursor) Close() {
+	if c.t == nil {
+		return
 	}
-	return lb
+	c.t, c.q = nil, nil
+	c.nodes.Reset()
+	c.ready.Reset()
+	cursorPool.Put(c)
 }
 
 func (c *cursor) Next() (index.Neighbor, bool) {
@@ -315,34 +371,36 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 		}
 		it, _ := c.nodes.Pop()
 		e := it.Value
-		if e.n.id != c.skipID && !c.t.deleted[e.n.id] {
+		if !c.t.skip(e.n.id, c.skipID) {
 			c.ready.Push(e.dist, e.n.id)
 		}
-		for children := e.n.children; len(children) > 0; {
-			chunk := children[:min(expandChunk, len(children))]
-			children = children[len(chunk):]
-			for i, child := range chunk {
-				c.rows[i] = c.t.points[child.id]
-			}
-			c.t.batch(c.q, c.rows[:len(chunk)], c.dists[:])
-			for i, child := range chunk {
-				c.nodes.Push(entryPriority(child, c.dists[i]), queueEntry{n: child, dist: c.dists[i]})
+		for rest := e.n.children; len(rest) > 0; rest = nextChunk(rest) {
+			for i, d := range c.t.measure(c.q, rest, &c.chunk) {
+				switch child := rest[i]; {
+				case len(child.children) > 0:
+					c.nodes.Push(lowerBound(child, d), queueEntry{n: child, dist: d})
+				case !c.t.skip(child.id, c.skipID):
+					// A childless node is its own subtree, and its bound is
+					// its distance: it is resolved already, and waits on the
+					// ready heap under the same strict test.
+					c.ready.Push(d, child.id)
+				}
 			}
 		}
 	}
 }
 
-// KNN implements index.Index with best-first search and bound pruning.
+// KNN implements index.Index with best-first search and bound pruning, on a
+// pooled cursor's frontier heap and kernel scratch.
 func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if k <= 0 || t.root == nil {
 		return nil
 	}
 	top := pqueue.NewTopK[int](k)
-	nodes := pqueue.NewMin[queueEntry](64)
-	d := t.dist(q, t.points[t.root.id])
-	nodes.Push(entryPriority(t.root, d), queueEntry{n: t.root, dist: d})
+	c := t.openCursor(q, skipID)
+	defer c.Close()
 	for {
-		it, ok := nodes.Pop()
+		it, ok := c.nodes.Pop()
 		if !ok {
 			break
 		}
@@ -350,17 +408,18 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 			break // nothing left can improve the result
 		}
 		e := it.Value
-		if e.n.id != skipID && !t.deleted[e.n.id] {
+		if !t.skip(e.n.id, skipID) {
 			top.Offer(e.dist, e.n.id)
 		}
 		bound, full := top.Bound()
-		for _, child := range e.n.children {
-			dc := t.dist(q, t.points[child.id])
-			lb := entryPriority(child, dc)
-			if full && lb > bound {
-				continue
+		for rest := e.n.children; len(rest) > 0; rest = nextChunk(rest) {
+			for i, d := range t.measure(q, rest, &c.chunk) {
+				lb := lowerBound(rest[i], d)
+				if full && lb > bound {
+					continue
+				}
+				c.nodes.Push(lb, queueEntry{n: rest[i], dist: d})
 			}
-			nodes.Push(lb, queueEntry{n: child, dist: dc})
 		}
 	}
 	items := top.Sorted()
@@ -394,6 +453,22 @@ func (t *Tree) CountRange(q []float64, r float64, skipID int) int {
 	return count
 }
 
+// descent is the pooled scratch of one depth-first walk: a chunk of kernel
+// argument space per level of the recursion, because a level's distances must
+// outlive the descent into its children. It holds numbers only between
+// kernel calls (measure), so the pool pins nothing.
+type descent struct{ levels []*chunkScratch }
+
+var descentPool = sync.Pool{New: func() any { return new(descent) }}
+
+// level returns the scratch of the given recursion depth.
+func (d *descent) level(depth int) *chunkScratch {
+	if depth == len(d.levels) {
+		d.levels = append(d.levels, new(chunkScratch))
+	}
+	return d.levels[depth]
+}
+
 // CountCloser implements index.Index with a depth-first walk over the same
 // d − maxDist lower bounds KNN and Range prune by: a subtree is entered
 // unless its bound exceeds r, and the walk returns the moment limit points
@@ -402,57 +477,68 @@ func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[i
 	if limit <= 0 || t.root == nil {
 		return 0
 	}
-	c := closerCount{t: t, q: q, r: r, limit: limit, skipID: skipID, dead: dead}
-	c.visit(t.root, t.dist(q, t.points[t.root.id]))
+	c := closerCount{t: t, q: q, r: r, limit: limit, skipID: skipID, dead: dead, scratch: descentPool.Get().(*descent)}
+	c.visit(t.root, t.dist(q, t.points[t.root.id]), 0)
+	descentPool.Put(c.scratch)
 	return c.n
 }
 
 // closerCount is the state of one CountCloser walk.
 type closerCount struct {
-	t      *Tree
-	q      []float64
-	r      float64
-	limit  int
-	skipID int
-	dead   map[int]bool
-	n      int
+	t       *Tree
+	q       []float64
+	r       float64
+	limit   int
+	skipID  int
+	dead    map[int]bool
+	n       int
+	scratch *descent
 }
 
-// visit counts n's own point (d is its distance from q) and descends into
-// the children that can still hold a point closer than r.
-func (c *closerCount) visit(n *node, d float64) {
-	if d < c.r && n.id != c.skipID && !c.t.deleted[n.id] && !c.dead[n.id] {
+// visit counts n's own point (d is its distance from q; depth its level in
+// the walk) and descends into the children that can still hold a point
+// closer than r, measuring them a chunk at a time.
+func (c *closerCount) visit(n *node, d float64, depth int) {
+	if d < c.r && !c.t.skip(n.id, c.skipID) && !(len(c.dead) != 0 && c.dead[n.id]) {
 		c.n++
 	}
-	for _, child := range n.children {
-		if c.n >= c.limit {
-			return
+	for rest := n.children; len(rest) > 0 && c.n < c.limit; rest = nextChunk(rest) {
+		for i, dc := range c.t.measure(c.q, rest, c.scratch.level(depth)) {
+			if c.n >= c.limit {
+				return
+			}
+			if dc-rest[i].maxDist > c.r {
+				continue
+			}
+			c.visit(rest[i], dc, depth+1)
 		}
-		dc := c.t.dist(c.q, c.t.points[child.id])
-		if dc-child.maxDist > c.r {
-			continue
-		}
-		c.visit(child, dc)
 	}
 }
 
+// forEachInRange calls emit for every live point within r of q, in the order
+// of a depth-first walk that skips the subtrees whose bound exceeds r.
 func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id int, d float64)) {
 	if t.root == nil {
 		return
 	}
-	var visit func(n *node, d float64)
-	visit = func(n *node, d float64) {
-		if d-n.maxDist > r {
-			return
-		}
-		if d <= r && n.id != skipID && !t.deleted[n.id] {
+	ds := descentPool.Get().(*descent)
+	var visit func(n *node, d float64, depth int)
+	visit = func(n *node, d float64, depth int) {
+		if d <= r && !t.skip(n.id, skipID) {
 			emit(n.id, d)
 		}
-		for _, c := range n.children {
-			visit(c, t.dist(q, t.points[c.id]))
+		for rest := n.children; len(rest) > 0; rest = nextChunk(rest) {
+			for i, dc := range t.measure(q, rest, ds.level(depth)) {
+				if dc-rest[i].maxDist <= r {
+					visit(rest[i], dc, depth+1)
+				}
+			}
 		}
 	}
-	visit(t.root, t.dist(q, t.points[t.root.id]))
+	if d := t.dist(q, t.points[t.root.id]); d-t.root.maxDist <= r {
+		visit(t.root, d, 0)
+	}
+	descentPool.Put(ds)
 }
 
 // CheckInvariants walks the tree verifying the covering and bounding

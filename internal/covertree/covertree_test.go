@@ -2,6 +2,9 @@ package covertree
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -212,7 +215,11 @@ func TestLevelFor(t *testing.T) {
 // than one kernel call measures — the origin and 2·expandChunk+3 mutually
 // distant unit vectors — from a tree that is built, cloned and restored, under
 // a metric with a batch kernel and one without: every path must resolve its
-// kernels, and the chunked expansion must lose no child.
+// kernels, and the chunked expansion must lose no child. Every query form
+// goes through that expansion, so the same trees answer CountCloser — against
+// the scalar depth-first walk it replaced and against brute force, with limits
+// that are reached in the middle of a chunk — KNN and Range, before and after
+// two of the root's children are tombstoned.
 func TestCursorExpandsWideNodes(t *testing.T) {
 	dim := 2*expandChunk + 3
 	pts := [][]float64{make([]float64, dim)}
@@ -233,27 +240,286 @@ func TestCursorExpandsWideNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, tree := range map[string]index.Index{"built": built, "clone": built.Clone(), "restored": restored} {
-			q := pts[3]
-			cur := tree.NewCursor(q, 3)
-			prev := index.Neighbor{ID: -1, Dist: -1}
-			count := 0
-			for nb, ok := cur.Next(); ok; nb, ok = cur.Next() {
-				if want := metric.Distance(q, pts[nb.ID]); nb.Dist != want {
-					t.Fatalf("%s %s: id %d at %v, Distance says %v", metric.Name(), name, nb.ID, nb.Dist, want)
+		for name, tree := range map[string]*Tree{"built": built, "clone": built.Clone().(*Tree), "restored": restored} {
+			label := metric.Name() + " " + name
+			checkWideTree(t, label, tree, pts, metric)
+			for _, id := range []int{2, expandChunk + 4} {
+				if !tree.Delete(id) {
+					t.Fatalf("%s: Delete(%d) failed", label, id)
 				}
-				if nb.Dist < prev.Dist || nb.Dist == prev.Dist && nb.ID < prev.ID {
-					t.Fatalf("%s %s: %+v after %+v", metric.Name(), name, nb, prev)
-				}
-				prev = nb
-				count++
 			}
-			if count != len(pts)-1 {
-				t.Fatalf("%s %s: cursor yielded %d of %d points", metric.Name(), name, count, len(pts)-1)
-			}
-			if got := len(tree.KNN(q, 5, 3)); got != 5 {
-				t.Fatalf("%s %s: KNN returned %d of 5", metric.Name(), name, got)
+			checkWideTree(t, label+" with tombstones", tree, pts, metric)
+		}
+	}
+}
+
+// checkWideTree compares every query form of tree with brute force over its
+// live points, from the member pts[3] and from a point outside the dataset.
+func checkWideTree(t *testing.T, label string, tree *Tree, pts [][]float64, metric vecmath.Metric) {
+	t.Helper()
+	outside := make([]float64, len(pts[0]))
+	for j := range outside {
+		outside[j] = 0.1 + 0.01*float64(j%7)
+	}
+	for _, query := range []struct {
+		q      []float64
+		skipID int
+	}{{pts[3], 3}, {outside, -1}} {
+		q, skipID := query.q, query.skipID
+		want := liveSorted(tree, pts, metric, q, skipID)
+		cur := tree.NewCursor(q, skipID)
+		for i, w := range want {
+			if got, ok := cur.Next(); !ok || got != w {
+				t.Fatalf("%s, skip %d: cursor position %d = %+v (ok=%v), want %+v", label, skipID, i, got, ok, w)
 			}
 		}
+		if extra, ok := cur.Next(); ok {
+			t.Fatalf("%s, skip %d: cursor yielded %+v past the dataset", label, skipID, extra)
+		}
+		cur.Close()
+		if got := tree.KNN(q, 5, skipID); !reflect.DeepEqual(got, want[:5]) {
+			t.Fatalf("%s, skip %d: KNN = %v, want %v", label, skipID, got, want[:5])
+		}
+		mid := want[len(want)/2].Dist
+		inRange := want[:sort.Search(len(want), func(i int) bool { return want[i].Dist > mid })]
+		if got := tree.Range(q, mid, skipID); !reflect.DeepEqual(got, inRange) {
+			t.Fatalf("%s, skip %d: Range(%v) = %v, want %v", label, skipID, mid, got, inRange)
+		}
+		if got := tree.CountRange(q, mid, skipID); got != len(inRange) {
+			t.Fatalf("%s, skip %d: CountRange(%v) = %d, want %d", label, skipID, mid, got, len(inRange))
+		}
+
+		// Radii at, between and beyond the distances present (a radius equal
+		// to a distance is where the strict comparison shows); limits below
+		// one chunk, inside the second and third, and beyond the dataset.
+		radii := []float64{0, want[0].Dist, mid, (mid + want[len(want)-1].Dist) / 2, want[len(want)-1].Dist, math.Inf(1)}
+		for _, dead := range []map[int]bool{nil, {7: true, expandChunk + 9: true, want[0].ID: true}} {
+			for _, r := range radii {
+				count := 0
+				for _, w := range want {
+					if w.Dist < r && !dead[w.ID] {
+						count++
+					}
+				}
+				for _, limit := range []int{0, 1, expandChunk - 1, expandChunk + 4, 2*expandChunk + 1, len(pts) + 3} {
+					got := tree.CountCloser(q, r, limit, skipID, dead)
+					if ref := scalarCountCloser(tree, q, r, limit, skipID, dead); got != ref || got != min(count, limit) {
+						t.Fatalf("%s: CountCloser(r=%v, limit=%d, skip=%d, dead=%v) = %d, scalar walk %d, brute force %d",
+							label, r, limit, skipID, dead, got, ref, min(count, limit))
+					}
+				}
+			}
+		}
+	}
+}
+
+// liveSorted is the brute-force neighbor stream from q: tree's live points
+// but skipID in strict (distance, ID) order.
+func liveSorted(tree *Tree, pts [][]float64, metric vecmath.Metric, q []float64, skipID int) []index.Neighbor {
+	var out []index.Neighbor
+	for id, p := range pts {
+		if id != skipID && tree.Live(id) {
+			out = append(out, index.Neighbor{ID: id, Dist: metric.Distance(q, p)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// scalarCountCloser is CountCloser as it was before the chunked expansion: a
+// depth-first walk measuring one child at a time through the metric itself.
+func scalarCountCloser(t *Tree, q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+	n := 0
+	var visit func(nd *node, d float64)
+	visit = func(nd *node, d float64) {
+		if d < r && nd.id != skipID && !t.deleted[nd.id] && !dead[nd.id] {
+			n++
+		}
+		for _, child := range nd.children {
+			if n >= limit {
+				return
+			}
+			dc := t.metric.Distance(q, t.points[child.id])
+			if dc-child.maxDist > r {
+				continue
+			}
+			visit(child, dc)
+		}
+	}
+	if limit > 0 {
+		visit(t.root, t.metric.Distance(q, t.points[t.root.id]))
+	}
+	return n
+}
+
+// TestCountCloserMatchesScalarWalk runs the chunked CountCloser against the
+// scalar walk and brute force on clustered data deep enough to recurse
+// through many levels, built, cloned and grown by insertion, with tombstones.
+func TestCountCloserMatchesScalarWalk(t *testing.T) {
+	pts := indextest.ClusteredPoints(600, 6, 5, 17)
+	metric := vecmath.Euclidean{}
+	built, err := New(pts[:500], metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := built.Clone().(*Tree)
+	for _, p := range pts[500:] {
+		if _, err := tree.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 0; id < len(pts); id += 9 {
+		tree.Delete(id)
+	}
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 300; trial++ {
+		skipID := rng.Intn(len(pts))
+		q := pts[skipID]
+		r := metric.Distance(q, pts[rng.Intn(len(pts))]) // an exact distance: ties at r must not count
+		limit := 1 + rng.Intn(40)
+		var dead map[int]bool
+		if trial%3 == 0 {
+			dead = map[int]bool{rng.Intn(len(pts)): true, rng.Intn(len(pts)): true}
+		}
+		count := 0
+		for id, p := range pts {
+			if id != skipID && tree.Live(id) && !dead[id] && metric.Distance(q, p) < r {
+				count++
+			}
+		}
+		got := tree.CountCloser(q, r, limit, skipID, dead)
+		if ref := scalarCountCloser(tree, q, r, limit, skipID, dead); got != ref || got != min(count, limit) {
+			t.Fatalf("CountCloser(q=%d, r=%v, limit=%d, dead=%v) = %d, scalar walk %d, brute force %d",
+				skipID, r, limit, dead, got, ref, min(count, limit))
+		}
+	}
+	// The walk's per-level scratch is pooled: whatever comes back out of the
+	// pool (a fresh one, if the pool dropped the used ones) holds no row.
+	for _, level := range descentPool.Get().(*descent).levels {
+		for _, row := range level.rows {
+			if row != nil {
+				t.Fatal("pooled descent scratch still references a dataset row")
+			}
+		}
+	}
+}
+
+// TestCursorStrictOrderOnTies is the scan back-end's
+// TestCursorStrictOrderAcrossChunks for the cover tree: on a coarse integer
+// grid under metrics that keep distances and subtree bounds on a few exact
+// values, a childless node — which skips the frontier and waits on the ready
+// heap — is forever tied with the bound of a subtree still pending, and with
+// points inside it that carry smaller IDs. The stream must be the full sort
+// in strict (distance, ID) order all the same, for external and member
+// queries, with and without tombstones.
+func TestCursorStrictOrderOnTies(t *testing.T) {
+	for _, metric := range []vecmath.Metric{vecmath.Manhattan{}, vecmath.Chebyshev{}, vecmath.Euclidean{}} {
+		for _, n := range []int{1, 2, expandChunk + 1, 90, 400} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = []float64{float64(rng.Intn(4)), float64(rng.Intn(3)), float64(rng.Intn(3))}
+			}
+			tree, err := New(pts, metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tombstones := range []int{0, n / 5} {
+				for id := 0; id < tombstones; id++ {
+					tree.Delete(id * 3 % n)
+				}
+				for _, skipID := range []int{-1, n - 1} {
+					cur := tree.NewCursor(pts[n-1], skipID)
+					for i, w := range liveSorted(tree, pts, metric, pts[n-1], skipID) {
+						if got, ok := cur.Next(); !ok || got != w {
+							t.Fatalf("%s n=%d tombstones=%d skip=%d: position %d = %+v (ok=%v), want %+v",
+								metric.Name(), n, tombstones, skipID, i, got, ok, w)
+						}
+					}
+					if extra, ok := cur.Next(); ok {
+						t.Fatalf("%s n=%d: cursor yielded %+v past the dataset", metric.Name(), n, extra)
+					}
+					cur.Close()
+				}
+			}
+		}
+	}
+}
+
+// TestCursorCloseRecycles pins the pooled cursor's lifecycle: a closed cursor
+// holds no tree, no query, no row and nothing on either heap (emptied by
+// pqueue's Reset, which leaves the backing arrays free of references); its
+// Next reports exhausted and a second Close leaves it alone; and the next
+// cursor opened — on a tree of another dimension — streams correctly out of
+// the recycled memory, while a cursor that is never closed stays valid
+// beside it.
+func TestCursorCloseRecycles(t *testing.T) {
+	low := indextest.RandPoints(400, 8, 31)
+	high := indextest.RandPoints(150, 53, 32)
+	lowTree, err := New(low, vecmath.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	highTree, err := New(high, vecmath.Manhattan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unclosed := lowTree.NewCursor(low[1], 1)
+	unclosed.Next()
+
+	c := lowTree.NewCursor(low[0], 0).(*cursor)
+	for i := 0; i < 100; i++ {
+		if _, ok := c.Next(); !ok {
+			t.Fatal("cursor ended early")
+		}
+	}
+	if c.nodes.Len() == 0 || c.ready.Len() == 0 {
+		t.Fatalf("test wants a cursor closed mid-stream, heaps hold %d and %d", c.nodes.Len(), c.ready.Len())
+	}
+	c.Close()
+	if c.t != nil || c.q != nil || c.nodes.Len() != 0 || c.ready.Len() != 0 {
+		t.Fatalf("closed cursor keeps tree=%v query=%v, %d pending subtrees, %d ready points", c.t != nil, c.q != nil, c.nodes.Len(), c.ready.Len())
+	}
+	for _, row := range c.chunk.rows {
+		if row != nil {
+			t.Fatal("closed cursor keeps a dataset row in its kernel scratch")
+		}
+	}
+	if nb, ok := c.Next(); ok {
+		t.Fatalf("Next after Close returned %+v", nb)
+	}
+	c.Close() // a no-op: c must not enter the pool a second time
+
+	var open []index.Cursor
+	for i := 0; i < 4; i++ { // one of these is c's memory, were c pooled twice two would be
+		q := high[10+i]
+		cur := highTree.NewCursor(q, 10+i)
+		open = append(open, cur)
+		prev := index.Neighbor{ID: -1, Dist: -1}
+		for j := 0; j < 60; j++ {
+			nb, ok := cur.Next()
+			if !ok {
+				t.Fatalf("cursor %d ended after %d rows", i, j)
+			}
+			if want := (vecmath.Manhattan{}).Distance(q, high[nb.ID]); nb.Dist != want || nb.Dist < prev.Dist {
+				t.Fatalf("cursor %d row %d: %+v after %+v, true distance %v", i, j, nb, prev, want)
+			}
+			prev = nb
+		}
+	}
+	for i, cur := range open { // all still open, all still their own
+		nb, ok := cur.Next()
+		if want := (vecmath.Manhattan{}).Distance(high[10+i], high[nb.ID]); !ok || nb.Dist != want {
+			t.Fatalf("cursor %d after the others were opened: %+v (ok=%v), true distance %v", i, nb, ok, want)
+		}
+		cur.Close()
+	}
+	if nb, ok := unclosed.Next(); !ok || nb.Dist != (vecmath.Euclidean{}).Distance(low[1], low[nb.ID]) {
+		t.Fatalf("unclosed cursor disturbed: %+v (ok=%v)", nb, ok)
 	}
 }

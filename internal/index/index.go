@@ -24,11 +24,21 @@ type Neighbor struct {
 }
 
 // Cursor streams the members of a dataset in non-decreasing distance from a
-// fixed query point. A Cursor is single-use and not safe for concurrent use.
+// fixed query point. A Cursor is single-use and not safe for concurrent use:
+// NewCursor, then Next as often as wanted, then Close, all on one goroutine.
 type Cursor interface {
 	// Next returns the next-nearest unvisited neighbor. ok is false once
 	// the dataset is exhausted.
 	Next() (n Neighbor, ok bool)
+
+	// Close ends the scan. Whoever opened the cursor calls it once, when it
+	// will read no further — exhausted or not — and does not touch the
+	// cursor again: a back-end may hand its memory to the next cursor it
+	// opens. (Until it does, a repeated Close is a no-op, and Next never
+	// serves another query's neighbors.) A cursor that is never closed is
+	// legal: it is collected like any other garbage, and the next query
+	// merely allocates afresh.
+	Close()
 }
 
 // Index is a read-only similarity-search structure over a finite point set.

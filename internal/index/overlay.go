@@ -336,7 +336,7 @@ func (o *Overlay) NewCursor(q []float64, skipID int) Cursor {
 // the returned cursor splits the merge cost into "overlay.base" (time
 // spent driving the base index's expanding search, items pulled and
 // served) and "overlay.memtable" (rows scanned/sorted, items served)
-// child spans, emitted when the scan loop calls FinishTrace. An untraced
+// child spans, emitted when the scan loop closes the cursor. An untraced
 // ctx falls back to the plain cursor.
 func (o *Overlay) NewCursorCtx(ctx context.Context, q []float64, skipID int) Cursor {
 	sp := trace.FromContext(ctx)
@@ -346,7 +346,7 @@ func (o *Overlay) NewCursorCtx(ctx context.Context, q []float64, skipID int) Cur
 	memStart := time.Now()
 	mem := o.memNeighbors(q, skipID)
 	memDur := time.Since(memStart)
-	tb := &timedCursor{c: o.base.NewCursor(q, o.baseSkip(skipID))}
+	tb := &timedCursor{Cursor: o.base.NewCursor(q, o.baseSkip(skipID))}
 	return &tracedOverlayCursor{
 		overlayCursor: overlayCursor{base: tb, tomb: o.tomb, mem: mem},
 		sp:            sp,
@@ -361,14 +361,14 @@ func (o *Overlay) NewCursorCtx(ctx context.Context, q []float64, skipID int) Cur
 // timedCursor wraps a base cursor, accumulating the wall time and item
 // count of its Next calls.
 type timedCursor struct {
-	c   Cursor
+	Cursor
 	dur time.Duration
 	n   int
 }
 
 func (t *timedCursor) Next() (Neighbor, bool) {
 	t0 := time.Now()
-	n, ok := t.c.Next()
+	n, ok := t.Cursor.Next()
 	t.dur += time.Since(t0)
 	if ok {
 		t.n++
@@ -402,10 +402,14 @@ func (c *tracedOverlayCursor) Next() (Neighbor, bool) {
 	return n, ok
 }
 
-// FinishTrace emits the accumulated base/memtable split as retro-dated
-// spans under the query's trace. Called once by the scan loop after the
-// expanding search terminates.
-func (c *tracedOverlayCursor) FinishTrace() {
+// Close closes the cursor beneath and emits the accumulated base/memtable
+// split as retro-dated spans under the query's trace. Called by the scan loop
+// after the expanding search terminates.
+func (c *tracedOverlayCursor) Close() {
+	if c.sp == nil {
+		return // closed already: the spans are out
+	}
+	c.overlayCursor.Close()
 	bsp := c.sp.ChildAt("overlay.base", c.start)
 	bsp.SetInt("pulled", int64(c.tb.n))
 	bsp.SetInt("served", int64(c.servedBase))
@@ -415,6 +419,7 @@ func (c *tracedOverlayCursor) FinishTrace() {
 	msp.SetInt("rows", int64(c.memRows))
 	msp.SetInt("served", int64(c.servedMem))
 	msp.EndWithDuration(c.memDur)
+	c.sp = nil
 }
 
 type overlayCursor struct {
@@ -460,6 +465,10 @@ func (c *overlayCursor) Next() (Neighbor, bool) {
 	}
 	return Neighbor{}, false
 }
+
+// Close implements Cursor by closing the base cursor; the memtable half is
+// the cursor's own garbage.
+func (c *overlayCursor) Close() { c.base.Close() }
 
 // mergeTake merges the tombstone-filtered base list with the sorted
 // memtable list under the (distance, ID) order (base first on ties), keeping

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/vecmath"
 )
 
@@ -71,6 +73,7 @@ type testScan struct {
 	metric  vecmath.Metric
 	deleted map[int]bool
 	alive   int
+	closes  int // Close calls its cursors have received
 }
 
 var _ Cloner = (*testScan)(nil)
@@ -136,13 +139,16 @@ func (ix *testScan) sorted(q []float64, skipID int) []Neighbor {
 }
 
 func (ix *testScan) NewCursor(q []float64, skipID int) Cursor {
-	return &testCursor{order: ix.sorted(q, skipID)}
+	return &testCursor{ix: ix, order: ix.sorted(q, skipID)}
 }
 
 type testCursor struct {
+	ix    *testScan
 	order []Neighbor
 	next  int
 }
+
+func (c *testCursor) Close() { c.ix.closes++ }
 
 func (c *testCursor) Next() (Neighbor, bool) {
 	if c.next >= len(c.order) {
@@ -411,5 +417,49 @@ func TestOverlayStaticBaseFoldFails(t *testing.T) {
 	}
 	if _, err := ov.Fold(); err == nil {
 		t.Fatal("Fold over a non-Cloner base succeeded, want error")
+	}
+}
+
+// TestOverlayCursorCloseReachesBase checks the cursor lifecycle through the
+// overlay: closing an overlay cursor closes the base cursor it reads — that
+// is where a pooling back-end gets its memory back — and a traced cursor
+// emits its overlay.base and overlay.memtable spans on Close, once however
+// often it is closed.
+func TestOverlayCursorCloseReachesBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := make([][]float64, 20)
+	for i := range pts {
+		pts[i] = randRow(rng, 3)
+	}
+	base := newTestScan(pts)
+	ov := NewOverlay(base)
+	if _, err := ov.Insert(randRow(rng, 3)); err != nil {
+		t.Fatal(err)
+	}
+
+	cur := ov.NewCursor(pts[0], 0)
+	cur.Next()
+	cur.Close()
+	if base.closes != 1 {
+		t.Fatalf("base cursor closed %d times after the overlay cursor's Close, want 1", base.closes)
+	}
+
+	tr := trace.New("test", true)
+	cur = ov.NewCursorCtx(trace.With(context.Background(), tr.Root()), pts[0], 0)
+	for i := 0; i < 5; i++ {
+		cur.Next()
+	}
+	cur.Close()
+	cur.Close()
+	if base.closes != 2 {
+		t.Fatalf("base cursor closed %d times after the traced cursor's Close, want 2", base.closes)
+	}
+	tr.Root().End()
+	names := map[string]int{}
+	for _, sp := range tr.Export().Root.Children {
+		names[sp.Name]++
+	}
+	if names["overlay.base"] != 1 || names["overlay.memtable"] != 1 {
+		t.Fatalf("spans after two Closes: %v, want one overlay.base and one overlay.memtable", names)
 	}
 }

@@ -8,7 +8,9 @@ package indextest
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/index"
@@ -100,6 +102,116 @@ func Run(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (in
 		}
 		verifyIndex(t, ix, pts, vecmath.Manhattan{})
 	})
+	t.Run("cursor-recycling", func(t *testing.T) { verifyCursorRecycling(t, build) })
+}
+
+// recycleStream is one (index, query) pair of verifyCursorRecycling with the
+// stream brute force says its cursor must produce.
+type recycleStream struct {
+	ix     index.Index
+	q      []float64
+	skipID int
+	want   []index.Neighbor
+}
+
+// verifyCursorRecycling is the cursor lifecycle check: NewCursor, some Nexts,
+// Close, over and over on two indexes that differ in size, dimension and
+// metric, with several cursors open at once and opened, advanced and closed
+// in interleaved order — first on one goroutine, then on eight at once, with
+// a garbage collection between rounds so that pooled cursors are both reused
+// and dropped. A back-end may recycle a closed cursor's memory into the next
+// one it opens, on whichever index that is; every stream must still be the
+// brute-force (distance, ID) order, to the row it was closed at. The points
+// are random reals, so that order has no ties and is the same for every
+// back-end.
+func verifyCursorRecycling(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (index.Index, error)) {
+	t.Helper()
+	var streams []recycleStream
+	for i, shape := range []struct {
+		pts    [][]float64
+		metric vecmath.Metric
+	}{
+		{RandPoints(300, 8, 21), vecmath.Euclidean{}},
+		{RandPoints(120, 53, 22), vecmath.Manhattan{}},
+	} {
+		ix, err := build(shape.pts, shape.metric)
+		if err != nil { // a back-end without L1 still gets two sizes and dimensions
+			shape.metric = vecmath.Euclidean{}
+			if ix, err = build(shape.pts, shape.metric); err != nil {
+				t.Fatalf("build: %v", err)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(23 + i)))
+		for j := 0; j < 4; j++ {
+			st := recycleStream{ix: ix, skipID: -1, q: RandPoints(1, len(shape.pts[0]), int64(30+j))[0]}
+			if j%2 == 0 {
+				st.skipID = rng.Intn(len(shape.pts))
+				st.q = shape.pts[st.skipID]
+			}
+			st.want = refKNN(shape.pts, shape.metric, st.q, len(shape.pts), st.skipID)
+			streams = append(streams, st)
+		}
+	}
+
+	// churn opens, advances and closes cursors over the streams in an order
+	// drawn from seed, at most four open at a time. A cursor closed twice
+	// must shrug the second Close off — which only a caller alone with the
+	// back-end may try: otherwise the cursor may be another query's already.
+	churn := func(seed int64, alone bool) {
+		type open struct {
+			recycleStream
+			cur       index.Cursor
+			pos, stop int // rows read; the row to close at (len(want)+1: read the end too)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var opened []*open
+		for step := 0; step < 150 || len(opened) > 0; step++ {
+			if step < 150 && len(opened) < 4 && (len(opened) == 0 || rng.Intn(3) == 0) {
+				st := streams[rng.Intn(len(streams))]
+				opened = append(opened, &open{recycleStream: st, cur: st.ix.NewCursor(st.q, st.skipID), stop: rng.Intn(len(st.want) + 2)})
+				continue
+			}
+			i := rng.Intn(len(opened))
+			o := opened[i]
+			for n := 1 + rng.Intn(40); n > 0 && o.pos < o.stop; n-- {
+				got, ok := o.cur.Next()
+				if o.pos == len(o.want) {
+					if ok {
+						t.Errorf("seed %d: cursor yielded %+v past the dataset", seed, got)
+					}
+				} else if !ok || got != o.want[o.pos] {
+					t.Errorf("seed %d: dim %d, skip %d: position %d = %+v (ok=%v), want %+v",
+						seed, o.ix.Dim(), o.skipID, o.pos, got, ok, o.want[o.pos])
+					o.stop = o.pos // a stream that went wrong once is reported once
+				}
+				o.pos++
+			}
+			if o.pos >= o.stop {
+				o.cur.Close()
+				if alone && rng.Intn(4) == 0 {
+					o.cur.Close()
+				}
+				opened = append(opened[:i], opened[i+1:]...)
+			}
+		}
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		churn(seed, true)
+		runtime.GC()
+	}
+	for round := 0; round < 3 && !t.Failed(); round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				churn(seed, false)
+			}(int64(100 + 8*round + g))
+		}
+		wg.Wait()
+		runtime.GC()
+	}
 }
 
 // TieOrder requires the cursors of the back-end built by build to stream in

@@ -167,6 +167,9 @@ func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
 	return c
 }
 
+// Close implements index.Cursor; the cursor owns nothing that outlives it.
+func (c *cursor) Close() {}
+
 func (c *cursor) Next() (index.Neighbor, bool) {
 	for {
 		readyTop, hasReady := c.ready.Peek()

@@ -385,6 +385,9 @@ func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
 
 type cursor struct{ ready *pqueue.Min[int] }
 
+// Close implements index.Cursor; the cursor owns nothing that outlives it.
+func (c *cursor) Close() {}
+
 func (c *cursor) Next() (index.Neighbor, bool) {
 	it, ok := c.ready.Pop()
 	if !ok {

@@ -325,6 +325,9 @@ type cursor struct {
 	ready  *pqueue.Min[int]
 }
 
+// Close implements index.Cursor; the cursor owns nothing that outlives it.
+func (c *cursor) Close() {}
+
 func (c *cursor) Next() (index.Neighbor, bool) {
 	for {
 		readyTop, hasReady := c.ready.Peek()

@@ -36,17 +36,15 @@ func NewNearest(capacity int) *Min[int] {
 	return h
 }
 
-// NearestFrom returns the heap NewNearest would hold after a Push of every
-// item, built in place over items in O(len(items)): for a caller that has
-// all its (distance, ID) pairs in hand before it needs the nearest one, and
+// Heapify replaces the heap's contents with items, ordered in place in
+// O(len(items)) — the heap a Push of every item would have built: for a
+// caller that has all its pairs in hand before it needs the least one, and
 // may need only a few. The heap owns items from here on.
-func NearestFrom(items []Item[int]) *Min[int] {
-	h := NewNearest(0)
+func (h *Min[T]) Heapify(items []Item[T]) {
 	h.items = items
 	for i := len(items)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	return h
 }
 
 // tied reports whether item i must sit above item j of equal priority. The
@@ -91,8 +89,13 @@ func (h *Min[T]) Pop() (Item[T], bool) {
 	return top, true
 }
 
-// Reset empties the heap, retaining capacity.
-func (h *Min[T]) Reset() { h.items = h.items[:0] }
+// Reset empties the heap, retaining capacity but no payload: Pop zeroes the
+// slot it vacates, so clearing the queued items leaves the whole backing
+// array free of references — a recycled heap pins nothing it once queued.
+func (h *Min[T]) Reset() {
+	clear(h.items)
+	h.items = h.items[:0]
+}
 
 func (h *Min[T]) up(i int) {
 	for i > 0 {

@@ -49,6 +49,32 @@ func TestMinHeapReset(t *testing.T) {
 	}
 }
 
+// TestMinHeapResetReleasesPayloads checks that a heap emptied by any mix of
+// Pop and Reset references none of its payloads anywhere in its backing
+// array: a recycled heap of pointers must pin nothing it once queued.
+func TestMinHeapResetReleasesPayloads(t *testing.T) {
+	h := NewMin[*int](0)
+	for i := 0; i < 100; i++ {
+		h.Push(float64(i%7), new(int))
+	}
+	for i := 0; i < 30; i++ {
+		h.Pop()
+	}
+	h.Reset()
+	if h.Len() != 0 {
+		t.Fatalf("len after Reset = %d", h.Len())
+	}
+	for i, it := range h.items[:cap(h.items)] {
+		if it.Value != nil {
+			t.Fatalf("slot %d of %d still holds a payload after Reset", i, cap(h.items))
+		}
+	}
+	h.Push(1, new(int)) // and the heap is still usable
+	if it, ok := h.Pop(); !ok || it.Priority != 1 {
+		t.Fatalf("Pop after Reset = %+v, %v", it, ok)
+	}
+}
+
 // TestMinHeapSortsRandomInput property-checks that repeated Pop yields a
 // non-decreasing priority sequence containing exactly the pushed items.
 func TestMinHeapSortsRandomInput(t *testing.T) {
@@ -89,10 +115,11 @@ func TestMinHeapSortsRandomInput(t *testing.T) {
 	}
 }
 
-// TestNearestFromMatchesPushes property-checks that a heap built in place
-// pops exactly the sequence a NewNearest heap fed the same items by Push
-// does, on priorities coarse enough that ties — popped in ascending ID
-// order — are common.
+// TestNearestFromMatchesPushes property-checks that a nearest heap built in
+// place from its items (Heapify) pops exactly the sequence a NewNearest heap
+// fed the same items by Push does, on priorities coarse enough that ties —
+// popped in ascending ID order — are common; and that the heap can be built
+// again over new items once it has been read, as a recycled cursor does.
 func TestNearestFromMatchesPushes(t *testing.T) {
 	property := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw % 120) // 0 included: an empty heap pops nothing
@@ -103,7 +130,10 @@ func TestNearestFromMatchesPushes(t *testing.T) {
 			items[id] = Item[int]{Priority: float64(rng.Intn(6)), Value: id}
 			pushed.Push(items[id].Priority, id)
 		}
-		built := NearestFrom(items)
+		built := NewNearest(0)
+		built.Heapify([]Item[int]{{Priority: 9, Value: 9}, {Priority: 3, Value: 3}})
+		built.Pop()
+		built.Heapify(items)
 		for {
 			want, wok := pushed.Pop()
 			got, gok := built.Pop()

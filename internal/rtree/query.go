@@ -30,6 +30,9 @@ type cursor struct {
 	pq     *pqueue.Min[frontierItem]
 }
 
+// Close implements index.Cursor; the cursor owns nothing that outlives it.
+func (c *cursor) Close() {}
+
 func (c *cursor) Next() (index.Neighbor, bool) {
 	for {
 		it, ok := c.pq.Pop()

@@ -320,15 +320,19 @@ const cursorChunk = 128
 // holding tombstones run the same kernel as everything else. The order is
 // resolved lazily: one O(n) heapify here, one O(log n) pop per Next, since
 // RDT reads at most 2^t·k neighbors of the n — in the strict (distance, ID)
-// order of pqueue.NewNearest.
+// order of pqueue.NewNearest. The n-entry item array is the cursor's, and
+// Close hands the cursor with it to the next query.
 func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
-	items := make([]pqueue.Item[int], len(ix.points))
-	var dists [cursorChunk]float64
+	c := cursorPool.Get().(*cursor)
+	if cap(c.items) < len(ix.points) {
+		c.items = make([]pqueue.Item[int], len(ix.points))
+	}
+	items := c.items[:len(ix.points)]
 	for lo := 0; lo < len(ix.points); lo += cursorChunk {
 		rows := ix.points[lo:min(lo+cursorChunk, len(ix.points))]
-		ix.batch(q, rows, dists[:])
+		ix.batch(q, rows, c.dists[:])
 		for j := range rows {
-			items[lo+j] = pqueue.Item[int]{Priority: dists[j], Value: lo + j}
+			items[lo+j] = pqueue.Item[int]{Priority: c.dists[j], Value: lo + j}
 		}
 	}
 	if skipID >= 0 || len(ix.deleted) > 0 {
@@ -340,14 +344,37 @@ func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
 		}
 		items = live
 	}
-	return cursor{pqueue.NearestFrom(items)}
+	c.ready.Heapify(items)
+	c.open = true
+	return c
 }
 
-type cursor struct{ ready *pqueue.Min[int] }
+// cursor is a heap of (distance, ID) pairs over an item array that outlives
+// the query: the pairs are plain numbers, so a pooled cursor references no
+// index, query or row.
+type cursor struct {
+	ready *pqueue.Min[int]
+	items []pqueue.Item[int]   // the array ready orders a prefix of, at full length
+	dists [cursorChunk]float64 // kernel output (a local would escape through the kernel's func value)
+	open  bool
+}
 
-func (c cursor) Next() (index.Neighbor, bool) {
+var cursorPool = sync.Pool{New: func() any { return &cursor{ready: pqueue.NewNearest(0)} }}
+
+func (c *cursor) Next() (index.Neighbor, bool) {
 	it, ok := c.ready.Pop()
 	return index.Neighbor{ID: it.Value, Dist: it.Priority}, ok
+}
+
+// Close implements index.Cursor: the stream ends here and the cursor goes
+// back to the pool, once.
+func (c *cursor) Close() {
+	if !c.open {
+		return
+	}
+	c.open = false
+	c.ready.Heapify(nil)
+	cursorPool.Put(c)
 }
 
 // KNN implements index.Index with a bounded max-heap, avoiding the full sort

@@ -143,9 +143,74 @@ func TestCursorStrictOrderAcrossChunks(t *testing.T) {
 						t.Fatalf("%s n=%d tombstones=%d skip=%d: cursor yielded %+v past the live rows",
 							metric.Name(), n, tombstones, skipID, extra)
 					}
+					cur.Close() // the next index, of another size, heapifies this cursor's item array
 				}
 			}
 		}
+	}
+}
+
+// TestCursorCloseRecycles pins the pooled cursor's lifecycle: closed
+// mid-stream it reports exhausted and shrugs a second Close off; the next
+// cursors opened — on a smaller index and on a larger one than the recycled
+// item array was sized for — stream correctly, each on its own memory; and a
+// cursor that is never closed stays valid beside them.
+func TestCursorCloseRecycles(t *testing.T) {
+	metric := vecmath.Euclidean{}
+	sizes := []int{300, 40, 900}
+	var ixs []*Index
+	var pts [][][]float64
+	for i, n := range sizes {
+		p := randPoints(n, 3+2*i, int64(50+i))
+		ix, err := New(p, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs, pts = append(ixs, ix), append(pts, p)
+	}
+	unclosed := ixs[0].NewCursor(pts[0][1], 1)
+	unclosed.Next()
+
+	c := ixs[0].NewCursor(pts[0][0], 0)
+	for i := 0; i < 10; i++ {
+		c.Next()
+	}
+	c.Close()
+	if nb, ok := c.Next(); ok {
+		t.Fatalf("Next after Close returned %+v", nb)
+	}
+	c.Close() // a no-op: the cursor must not enter the pool a second time
+
+	var open []index.Cursor
+	for i, ix := range []*Index{ixs[1], ixs[2], ixs[1], ixs[2]} { // were c pooled twice, two of these would share it
+		p := pts[1+i%2]
+		cur := ix.NewCursor(p[5], 5)
+		open = append(open, cur)
+		prev := index.Neighbor{ID: -1, Dist: -1}
+		for j := 0; j < 30; j++ {
+			nb, ok := cur.Next()
+			if !ok || nb.Dist != metric.Distance(p[5], p[nb.ID]) || nb.Dist < prev.Dist || nb.ID == 5 {
+				t.Fatalf("cursor %d row %d: %+v (ok=%v) after %+v", i, j, nb, ok, prev)
+			}
+			prev = nb
+		}
+	}
+	for i, cur := range open { // all still open, all still their own
+		p := pts[1+i%2]
+		rest := 0
+		for nb, ok := cur.Next(); ok; nb, ok = cur.Next() {
+			if nb.Dist != metric.Distance(p[5], p[nb.ID]) {
+				t.Fatalf("cursor %d after the others were opened: %+v", i, nb)
+			}
+			rest++
+		}
+		if rest != len(p)-1-30 {
+			t.Fatalf("cursor %d yielded %d more rows, want %d", i, rest, len(p)-1-30)
+		}
+		cur.Close()
+	}
+	if nb, ok := unclosed.Next(); !ok || nb.Dist != metric.Distance(pts[0][1], pts[0][nb.ID]) {
+		t.Fatalf("unclosed cursor disturbed: %+v (ok=%v)", nb, ok)
 	}
 }
 

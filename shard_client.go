@@ -56,12 +56,11 @@ type shardClient interface {
 	CountBatch(ctx context.Context, probes []CountCloserQuery) ([]int, error)
 }
 
-// shardStream is one shard's forward neighbor stream from a fixed point, in
-// ascending (distance, local ID) order. Single-use, one goroutine.
+// shardStream is one shard's forward neighbor stream from a fixed point: a
+// cursor in ascending (distance, local ID) order whose Next also reports
+// exhausted when the stream failed, which Err tells apart.
 type shardStream interface {
-	// Next returns the shard's next-nearest member. ok is false once the
-	// shard is exhausted — or the stream failed, which Err tells apart.
-	Next() (nb index.Neighbor, ok bool)
+	index.Cursor
 	// Point returns the coordinates of a member Next has returned.
 	Point(local int) []float64
 	Err() error
@@ -84,30 +83,34 @@ func livePoint(ix index.Index, l int) []float64 {
 	return ix.Point(l)
 }
 
+// livePoints is livePoint over a list of IDs, all against the one view.
+func livePoints(ix index.Index, ids []int) [][]float64 {
+	rows := make([][]float64, len(ids))
+	for i, id := range ids {
+		rows[i] = livePoint(ix, id)
+	}
+	return rows
+}
+
 // A Searcher's snapshot is the in-process shardClient: every method body is a
 // direct call on the pinned index. (Boxing the pointer in the interface
 // allocates nothing.)
 
 func (sn *snapshot) Neighbors(_ context.Context, q []float64, skip, _ int) shardStream {
-	return &localStream{ix: sn.ix, c: sn.ix.NewCursor(q, skip)}
+	return localStream{sn.ix.NewCursor(q, skip), sn.ix}
 }
 
-// localStream is the pinned snapshot's own cursor.
+// localStream is the pinned snapshot's own cursor, beside the index whose
+// Point resolves the rows it returns. It cannot fail.
 type localStream struct {
-	ix index.Index
-	c  index.Cursor
+	index.Cursor
+	index.Index
 }
 
-func (s *localStream) Next() (index.Neighbor, bool) { return s.c.Next() }
-func (s *localStream) Point(local int) []float64    { return s.ix.Point(local) }
-func (s *localStream) Err() error                   { return nil }
+func (localStream) Err() error { return nil }
 
 func (sn *snapshot) Points(_ context.Context, locals []int) ([][]float64, error) {
-	rows := make([][]float64, len(locals))
-	for i, lid := range locals {
-		rows[i] = livePoint(sn.ix, lid)
-	}
-	return rows, nil
+	return livePoints(sn.ix, locals), nil
 }
 
 func (sn *snapshot) KNN(_ context.Context, q []float64, k int) ([]index.Neighbor, error) {
@@ -206,14 +209,14 @@ type fedIndex struct {
 	qid, home, homeLocal int
 	q                    []float64
 
-	heads []fedHead     // one per client, same order; set by NewCursor
-	spans []*trace.Span // the streams' shard.scatter spans, traced queries only
+	heads []fedHead // one per client, same order; set by NewCursor
 	err   error
 }
 
 // fedHead is one shard's stream and what the merge knows of its next row.
 type fedHead struct {
 	stream shardStream
+	span   *trace.Span    // the stream's shard.scatter span while it is open, traced queries only
 	nb     index.Neighbor // the next row under its global ID, when state is headReady
 	state  headState
 	pulled int // rows the merge has read from the stream
@@ -311,10 +314,9 @@ func (f *fedIndex) NewCursorCtx(ctx context.Context, q []float64, skipID int) in
 		cl.visits.Add(1)
 		sctx := ctx
 		if sp != nil {
-			ssp := sp.Child("shard.scatter")
-			ssp.SetInt("shard", int64(cl.shard))
-			f.spans = append(f.spans, ssp)
-			sctx = trace.With(ctx, ssp)
+			f.heads[i].span = sp.Child("shard.scatter")
+			f.heads[i].span.SetInt("shard", int64(cl.shard))
+			sctx = trace.With(ctx, f.heads[i].span)
 		}
 		skip := -1
 		if i == f.home && skipID >= 0 {
@@ -384,11 +386,14 @@ func (c *fedCursor) pull(i int) {
 	}
 }
 
-// FinishTrace closes the streams' spans once core's scan is over.
-func (c *fedCursor) FinishTrace() {
-	for i, sp := range c.spans {
-		sp.SetInt("pulled", int64(c.heads[i].pulled))
-		sp.End()
+// Close closes the streams, and their spans, once core's scan is over.
+func (c *fedCursor) Close() {
+	for i := range c.heads {
+		h := &c.heads[i]
+		h.stream.Close()
+		h.span.SetInt("pulled", int64(h.pulled))
+		h.span.End()
+		h.span = nil
 	}
 }
 

@@ -487,6 +487,10 @@ func (s *remoteStream) Point(local int) []float64 {
 
 func (s *remoteStream) Err() error { return s.err }
 
+// Close implements shardStream. The fetched rows stay: the query's filter set
+// references them, and the query's context stops a fetch still in flight.
+func (s *remoteStream) Close() {}
+
 func (r *remoteShard) Points(ctx context.Context, locals []int) ([][]float64, error) {
 	resp, err := r.binaryCall(ctx, wire.AppendPointsRequest(nil, locals))
 	if err != nil {

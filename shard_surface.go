@@ -35,6 +35,7 @@ func (s *Searcher) NeighborStream(q []float64, skip int, after Neighbor, count i
 		return nil, nil, false, fmt.Errorf("rknnd: %w", err)
 	}
 	cur := ix.NewCursor(q, max(skip, -1))
+	defer cur.Close()
 	rows = make([]Neighbor, 0, count)
 	points = make([][]float64, 0, count)
 	for {
@@ -139,12 +140,7 @@ func (s *Searcher) CountCloserBatch(qs []CountCloserQuery) ([]int, error) {
 // it is the remote-safe form a daemon can expose to untrusted IDs. The
 // returned rows are owned by the engine and must not be modified.
 func (s *Searcher) MemberPoints(ids ...int) [][]float64 {
-	ix := s.snap.Load().ix
-	rows := make([][]float64, len(ids))
-	for i, id := range ids {
-		rows[i] = livePoint(ix, id)
-	}
-	return rows
+	return livePoints(s.snap.Load().ix, ids)
 }
 
 // IDSpan returns the number of member IDs ever assigned, including
