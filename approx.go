@@ -87,13 +87,8 @@ func (s *Searcher) recallOverSnapshot(sn *snapshot, samples, k int) (float64, er
 // strided over the ID span so repeated estimates probe the same queries
 // until the dataset changes. Probing past a tombstone run never revisits an
 // already-sampled ID, so no query is double-weighted.
-func sampleLiveIDs(ix index.Index, samples int) []int {
-	span := ix.Len()
-	live := func(int) bool { return true }
-	if lv, ok := ix.(index.Liveness); ok {
-		span = lv.IDSpan()
-		live = lv.Live
-	}
+func sampleLiveIDs(ix *index.Overlay, samples int) []int {
+	span, live := ix.IDSpan(), ix.Live
 	if span == 0 {
 		return nil
 	}
@@ -126,15 +121,10 @@ func sampleLiveIDs(ix index.Index, samples int) []int {
 // overwhelming majority — cost only ~k distance computations each. This
 // deliberately reads points straight off the snapshot, independent of the
 // back-end's own (possibly approximate) query machinery.
-func exactMemberRkNN(ix index.Index, qid, k int) []int {
+func exactMemberRkNN(ix *index.Overlay, qid, k int) []int {
 	metric := ix.Metric()
 	q := ix.Point(qid)
-	span := ix.Len()
-	live := func(int) bool { return true }
-	if lv, ok := ix.(index.Liveness); ok {
-		span = lv.IDSpan()
-		live = lv.Live
-	}
+	span, live := ix.IDSpan(), ix.Live
 	var out []int
 	for x := 0; x < span; x++ {
 		if x == qid || !live(x) {

@@ -2,7 +2,8 @@
 // section at a reduced scale, plus the ablation benches DESIGN.md calls out.
 // Every benchmark prints the measured rows via b.Log at -v, so
 // `go test -bench . -benchmem` both times the experiments and exposes their
-// outputs. EXPERIMENTS.md records a full paper-vs-measured comparison.
+// outputs. `experiments -h` lists what can be regenerated; DESIGN.md,
+// "Evaluation", says what is measured where.
 package repro
 
 import (
@@ -168,7 +169,7 @@ func BenchmarkFig9_Amortization(b *testing.B) {
 func BenchmarkAblationBackends(b *testing.B) {
 	data := dataset.FCT(2000, 1)
 	queries := []int{5, 17, 99, 256, 788, 1301, 1777}
-	for _, backend := range []string{"scan", "covertree", "kdtree", "vptree"} {
+	for _, backend := range []string{"scan", "covertree"} {
 		backend := backend
 		b.Run(backend, func(b *testing.B) {
 			ix, err := harness.BuildBackend(backend, data.Points, vecmath.Euclidean{})

@@ -18,7 +18,8 @@
 // in seconds, "small" (default) in minutes, "medium" is the closest to the
 // paper's scales that remains laptop-friendly. Absolute timings will differ
 // from the paper (different hardware and substrate); the curve shapes are
-// the reproduction target — see EXPERIMENTS.md.
+// the reproduction target — see `experiments -h` and DESIGN.md,
+// "Evaluation".
 package main
 
 import (

@@ -36,7 +36,7 @@ func runOneShot(args []string, stdout io.Writer) error {
 		n        = fs.Int("n", 5000, "generated dataset size")
 		dim      = fs.Int("dim", 128, "dimension for imagenet/uniform surrogates")
 		seed     = fs.Int64("seed", 1, "generation seed")
-		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, kdtree, vptree, or lsh (approximate)")
+		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
 		method   = fs.String("method", "rdt+", "rdt, rdt+, sft, mrknncop, rdnn, tpl")
 		k        = fs.Int("k", 10, "reverse neighbor rank")
 		tParam   = fs.Float64("t", 8, "scale parameter for rdt/rdt+")

@@ -47,7 +47,7 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 		n        = fs.Int("n", 5000, "generated dataset size")
 		dim      = fs.Int("dim", 128, "dimension for imagenet/uniform surrogates")
 		seed     = fs.Int64("seed", 1, "generation seed")
-		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, kdtree, vptree, or lsh (approximate)")
+		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
 		tParam   = fs.Float64("t", 0, "pin the scale parameter (0 estimates it over the full dataset)")
 		auto     = fs.String("auto", "mle", "scale estimator when -t is 0: mle, gp or takens")
 		plain    = fs.Bool("plain", false, "use plain RDT instead of RDT+")
@@ -69,11 +69,11 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 		return fmt.Errorf("shard-serve: -shard must be in [0,%d), got %d", *shards, *shard)
 	}
 
-	pts, name, err := loadPoints(*csvPath, *dataName, *n, *dim, *seed)
+	opts, err := searcherOptions(*backend, *tParam, *auto, *plain, *quant, *metric)
 	if err != nil {
 		return err
 	}
-	opts, err := searcherOptions(*backend, *tParam, *auto, *plain, *quant, *metric)
+	pts, name, err := loadPoints(*csvPath, *dataName, *n, *dim, *seed)
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,7 @@ func runSave(args []string, stdout io.Writer) error {
 		n        = fs.Int("n", 5000, "generated dataset size")
 		dim      = fs.Int("dim", 128, "dimension for imagenet/uniform surrogates")
 		seed     = fs.Int64("seed", 1, "generation seed")
-		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, kdtree, vptree, or lsh (approximate)")
+		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
 		tParam   = fs.Float64("t", 0, "pin the scale parameter (0 estimates it)")
 		auto     = fs.String("auto", "mle", "scale estimator when -t is 0: mle, gp or takens")
 		plain    = fs.Bool("plain", false, "use plain RDT instead of RDT+")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	repro "repro"
+	"repro/internal/backend"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -41,7 +42,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 		n        = fs.Int("n", 5000, "generated dataset size")
 		dim      = fs.Int("dim", 128, "dimension for imagenet/uniform surrogates")
 		seed     = fs.Int64("seed", 1, "generation seed")
-		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, kdtree, vptree, or lsh (approximate)")
+		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
 		tParam   = fs.Float64("t", 0, "pin the scale parameter (0 estimates it)")
 		auto     = fs.String("auto", "mle", "scale estimator when -t is 0: mle, gp or takens")
 		plain    = fs.Bool("plain", false, "use plain RDT instead of RDT+")
@@ -324,6 +325,12 @@ func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath,
 		return s, nil
 	}
 
+	// The flags are checked before the dataset is read: a mistyped -backend
+	// or -metric should not cost a load first.
+	opts, err := searcherOptions(backend, t, auto, plain, quant, metric)
+	if err != nil {
+		return nil, err
+	}
 	pts, name, err := loadPoints(csvPath, dataName, n, dim, seed)
 	if err != nil {
 		return nil, err
@@ -332,14 +339,14 @@ func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath,
 	var attach func() error
 	shape, store := name, "durable store"
 	if shards > 1 {
-		ss, err := buildShardedSearcher(pts, shards, backend, t, auto, plain, quant, metric)
+		ss, err := repro.NewSharded(pts, shards, opts...)
 		if err != nil {
 			return nil, err
 		}
 		eng, shape, store = ss, fmt.Sprintf("%s sharded %d ways", name, shards), fmt.Sprintf("sharded store (%d shards)", shards)
 		attach = func() error { _, err := repro.NewDurableSharded(dataDir, ss, walOpt); return err }
 	} else {
-		s, err := buildSearcher(pts, backend, t, auto, plain, quant, metric)
+		s, err := repro.New(pts, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -357,9 +364,13 @@ func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath,
 	return eng, nil
 }
 
-// searcherOptions maps the serve/save flags onto the public facade options.
-func searcherOptions(backend string, t float64, auto string, plain, quant bool, metric string) ([]repro.Option, error) {
-	opts := []repro.Option{repro.WithBackend(repro.Backend(backend))}
+// searcherOptions maps the serve/save flags onto the public facade options,
+// refusing a back-end or metric name the facade would refuse.
+func searcherOptions(backendName string, t float64, auto string, plain, quant bool, metric string) ([]repro.Option, error) {
+	if err := backend.Check(backendName); err != nil {
+		return nil, err
+	}
+	opts := []repro.Option{repro.WithBackend(repro.Backend(backendName))}
 	if metric != "" {
 		m, err := repro.ParseMetric(metric)
 		if err != nil {

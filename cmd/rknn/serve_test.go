@@ -86,6 +86,12 @@ func TestServeFlagErrors(t *testing.T) {
 	if err := runServe(context.Background(), []string{"-bogusflag"}, &out, nil); err == nil {
 		t.Error("accepted unknown flag")
 	}
+	// A retired back-end is refused by name before the dataset is read: the
+	// error is about the back-end, not about the CSV file that is not there.
+	err := runServe(context.Background(), []string{"-backend", "vptree", "-csv", "/nonexistent.csv"}, &out, nil)
+	if err == nil || !strings.Contains(err.Error(), `"vptree" was retired`) || !strings.Contains(err.Error(), "covertree, scan or lsh") {
+		t.Errorf("runServe(-backend vptree) = %v, want the retirement and the back-ends that remain", err)
+	}
 }
 
 func TestBuildSearcherOptions(t *testing.T) {

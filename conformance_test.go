@@ -21,7 +21,7 @@ import (
 	"repro/internal/vecmath"
 )
 
-var allBackends = []Backend{BackendCoverTree, BackendScan, BackendKDTree, BackendVPTree}
+var allBackends = []Backend{BackendCoverTree, BackendScan}
 
 // TestBackendConformance runs the internal/indextest suite over each
 // back-end exactly as the facade builds them.

@@ -34,7 +34,7 @@ func main() {
 	clients := dataset.GaussianMixture("customers", nClients, 2, 12, 0.04, 22)
 
 	// Index the services: every client's k nearest stores come from here.
-	s, err := repro.New(services.Points, repro.WithScale(6), repro.WithBackend(repro.BackendKDTree))
+	s, err := repro.New(services.Points, repro.WithScale(6))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func TestDurableLogFailureContract(t *testing.T) {
 }
 
 // TestDurableShardedLogFailureContract breaks one shard's log under a
-// DurableShardedSearcher. The first write reaching that shard fails but
+// durable ShardedSearcher. The first write reaching that shard fails but
 // stays applied (inserts keep their global IDs); afterwards writes whose
 // shards are healthy keep landing, a write whose only shard is the poisoned
 // one is refused with the shard map rolled back, a batch touching it is
@@ -312,7 +312,7 @@ func TestDurableShardedLogFailureContract(t *testing.T) {
 }
 
 // TestDurableShardedFaultStream drives a random insert/delete stream
-// (single and batch) through a DurableShardedSearcher, breaks one shard's
+// (single and batch) through a durable ShardedSearcher, breaks one shard's
 // log part-way, and checks every step against a model of the fault contract
 // and every intermediate state against the brute-force oracle — the shape
 // of rindex's test_reverse (SNIPPETS.md snippet 2) with a fault in the
@@ -454,7 +454,7 @@ func TestDurableShardedFaultStream(t *testing.T) {
 // checkStreamOracle compares the engine with a brute-force oracle over the
 // model's live points: every live point reads back, every dead ID reads
 // nil, and three random member queries plus the newest member agree.
-func checkStreamOracle(t *testing.T, d *DurableShardedSearcher, live map[int][]float64, span, k int, rng *rand.Rand) {
+func checkStreamOracle(t *testing.T, d *ShardedSearcher, live map[int][]float64, span, k int, rng *rand.Rand) {
 	t.Helper()
 	var pts [][]float64
 	var toGlobal []int

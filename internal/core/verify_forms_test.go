@@ -8,10 +8,8 @@ import (
 
 	"repro/internal/covertree"
 	"repro/internal/index"
-	"repro/internal/kdtree"
 	"repro/internal/scan"
 	"repro/internal/vecmath"
-	"repro/internal/vptree"
 )
 
 // verifyByKNN is the refinement test in its forward-kNN form — d_k(x) ≥ dq
@@ -89,8 +87,6 @@ func checkVerifyForms(t *testing.T, data []byte) {
 	builds := map[string]func([][]float64) (index.Index, error){
 		"scan":      func(p [][]float64) (index.Index, error) { return scan.New(p, metric) },
 		"covertree": func(p [][]float64) (index.Index, error) { return covertree.New(p, metric) },
-		"kdtree":    func(p [][]float64) (index.Index, error) { return kdtree.New(p, metric) },
-		"vptree":    func(p [][]float64) (index.Index, error) { return vptree.New(p, metric) },
 		"overlay": func(p [][]float64) (index.Index, error) {
 			// Half the rows in the base, half in the memtable, one
 			// tombstone in each region.

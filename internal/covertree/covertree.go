@@ -96,17 +96,6 @@ func (t *Tree) resolveKernels() {
 	t.batch = vecmath.BatchFor(t.metric)
 }
 
-// Builder constructs cover trees; it implements index.Builder.
-type Builder struct{}
-
-// Build implements index.Builder.
-func (Builder) Build(points [][]float64, metric vecmath.Metric) (index.Index, error) {
-	return New(points, metric)
-}
-
-// Name implements index.Builder.
-func (Builder) Name() string { return "covertree" }
-
 // Len implements index.Index; deleted points are excluded.
 func (t *Tree) Len() int { return t.alive }
 

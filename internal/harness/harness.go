@@ -7,8 +7,8 @@
 //
 // Every experiment returns structured rows and can render itself as an
 // aligned text table, so `cmd/experiments` and the benchmark suite share one
-// implementation. EXPERIMENTS.md records how the measured shapes compare to
-// the paper's.
+// implementation. `experiments -h` lists them; DESIGN.md, "Evaluation", says
+// what is measured where.
 package harness
 
 import (

@@ -33,7 +33,7 @@ func smallWorkload(t *testing.T) Workload {
 
 func TestBuildBackend(t *testing.T) {
 	pts := dataset.Uniform("u", 50, 3, 1).Points
-	for _, name := range []string{"scan", "covertree", "kdtree", "vptree", "lsh"} {
+	for _, name := range []string{"scan", "covertree", "lsh"} {
 		ix, err := BuildBackend(name, pts, vecmath.Euclidean{})
 		if err != nil {
 			t.Errorf("BuildBackend(%q): %v", name, err)

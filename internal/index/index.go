@@ -116,17 +116,6 @@ type BatchCounter interface {
 	CountCloserBatch(ctx context.Context, qs []CountQuery) []int
 }
 
-// Builder constructs an Index over a dataset. Back-ends register a Builder
-// so that experiments can be parameterized by back-end name.
-type Builder interface {
-	// Build indexes the given points under the metric. The points slice
-	// is retained by reference; callers must not mutate it afterwards.
-	Build(points [][]float64, metric vecmath.Metric) (Index, error)
-
-	// Name identifies the back-end ("scan", "covertree", ...).
-	Name() string
-}
-
 // Dynamic is implemented by indexes that support online updates, the
 // property the paper highlights for dynamic scenarios (Section 4: "no
 // additional costs ... other than those due to changes made to the auxiliary

@@ -42,7 +42,7 @@ type Overlay struct {
 }
 
 var (
-	_ Cloner   = (*Overlay)(nil)
+	_ Dynamic  = (*Overlay)(nil)
 	_ Liveness = (*Overlay)(nil)
 )
 
@@ -195,12 +195,12 @@ func (o *Overlay) Delete(id int) bool {
 	return true
 }
 
-// Clone implements Cloner in O(delta), not O(n): the memtable slice and the
+// Clone copies the overlay in O(delta), not O(n): the memtable slice and the
 // tombstone set are copied, the base is shared. Mutating the clone is never
 // observable through the original, so the facade's clone-then-swap writers
 // keep their existing discipline at a per-write cost proportional to the
 // delta size.
-func (o *Overlay) Clone() Dynamic {
+func (o *Overlay) Clone() *Overlay {
 	rows := make([][]float64, len(o.rows), len(o.rows)+1)
 	copy(rows, o.rows)
 	tomb := make(map[int]bool, len(o.tomb))

@@ -334,7 +334,7 @@ func TestOverlayCloneIsolation(t *testing.T) {
 	}
 
 	before := BaseClones()
-	cl := ov.Clone().(*Overlay)
+	cl := ov.Clone()
 	if BaseClones() != before {
 		t.Fatalf("Clone performed %d base clones, want 0", BaseClones()-before)
 	}
@@ -375,7 +375,7 @@ func TestOverlayRebaseCarriesPostFreezeDelta(t *testing.T) {
 	}
 
 	// Writers keep going on a clone while the frozen overlay folds.
-	cur := frozen.Clone().(*Overlay)
+	cur := frozen.Clone()
 	lateID, err := cur.Insert(randRow(rng, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -220,18 +220,6 @@ func (t *table) appendKey(buf []byte, p []float64, width float64) []byte {
 	return buf
 }
 
-// Builder constructs LSH indexes with default options; it implements
-// index.Builder.
-type Builder struct{}
-
-// Build implements index.Builder.
-func (Builder) Build(points [][]float64, metric vecmath.Metric) (index.Index, error) {
-	return New(points, metric, DefaultOptions())
-}
-
-// Name implements index.Builder.
-func (Builder) Name() string { return "lsh" }
-
 // Len implements index.Index. Deleted points are excluded.
 func (ix *Index) Len() int { return ix.alive }
 

@@ -82,18 +82,6 @@ func New(points [][]float64, metric vecmath.Metric, values [][]float64) (*Tree, 
 	return t, nil
 }
 
-// Builder constructs M-trees without augmented values; it implements
-// index.Builder.
-type Builder struct{}
-
-// Build implements index.Builder.
-func (Builder) Build(points [][]float64, metric vecmath.Metric) (index.Index, error) {
-	return New(points, metric, nil)
-}
-
-// Name implements index.Builder.
-func (Builder) Name() string { return "mtree" }
-
 // Len implements index.Index.
 func (t *Tree) Len() int { return len(t.points) }
 

@@ -212,17 +212,6 @@ func (ix *Index) QuantFilterStats() (admitted, screened int64) {
 	return ix.filter.stats.Counts()
 }
 
-// Builder constructs scan indexes; it implements index.Builder.
-type Builder struct{}
-
-// Build implements index.Builder.
-func (Builder) Build(points [][]float64, metric vecmath.Metric) (index.Index, error) {
-	return New(points, metric)
-}
-
-// Name implements index.Builder.
-func (Builder) Name() string { return "scan" }
-
 // Len implements index.Index. Deleted points are excluded.
 func (ix *Index) Len() int { return ix.alive }
 

@@ -26,10 +26,12 @@ import (
 	"time"
 
 	repro "repro"
+	"repro/internal/bruteforce"
 	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/vecmath"
 	"repro/internal/wire"
 )
 
@@ -278,12 +280,57 @@ func TestClusterByteIdentity(t *testing.T) {
 			t.Errorf("cluster Len = %d, want %d", got, wantLen)
 		}
 
-		// A static back-end refuses both kinds of write, everywhere alike —
-		// a coordinator without asking its daemons.
-		static, _, _ := topologies(t, pts, repro.WithScale(100), repro.WithBackend(repro.BackendKDTree))
-		identical(t, static, "POST", "/v1/points", `{"point":[0.5,0.5,0.5]}`)
-		identical(t, static, "POST", "/v1/points/batch", `{"points":[[0.5,0.5,0.5],[0.1,0.2]]}`)
-		identical(t, static, "DELETE", "/v1/points/3", "")
+		// Every back-end takes both kinds of write, everywhere alike, and
+		// the exact ones answer the oracle over what the writes left. (Plain
+		// RDT at a scale past the rank cap is exhaustive, hence exact.)
+		added := indextest.RandPoints(3, 3, 303)
+		rawOne, _ := json.Marshal(map[string]any{"point": added[0]})
+		rawTwo, _ := json.Marshal(map[string]any{"points": added[1:]})
+		var survivors [][]float64 // the oracle's rows; IDs 3 and 121 are deleted
+		var toEngine []int
+		for id, p := range slices.Concat(pts, added) {
+			if id != 3 && id != 121 {
+				survivors, toEngine = append(survivors, p), append(toEngine, id)
+			}
+		}
+		truth, err := bruteforce.New(survivors, vecmath.Euclidean{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []repro.Backend{repro.BackendCoverTree, repro.BackendScan, repro.BackendLSH} {
+			servers, _, engs := topologies(t, pts, repro.WithBackend(b), repro.WithScale(200), repro.WithPlainRDT())
+			identical(t, servers, "POST", "/v1/points", string(rawOne))
+			identical(t, servers, "POST", "/v1/points/batch", string(rawTwo))
+			identical(t, servers, "DELETE", "/v1/points/3", "")
+			identical(t, servers, "DELETE", "/v1/points/121", "")
+			for name, eng := range engs {
+				if got := eng.Len(); got != len(survivors) {
+					t.Errorf("%s on %s: Len = %d after the writes, want %d", name, b, got, len(survivors))
+				}
+				if b == repro.BackendLSH {
+					continue
+				}
+				for oid, qid := range toEngine {
+					if oid%13 != 0 && qid < 120 {
+						continue
+					}
+					got, err := eng.ReverseKNNContext(context.Background(), qid, 5)
+					if err != nil {
+						t.Fatalf("%s on %s: ReverseKNN(%d): %v", name, b, qid, err)
+					}
+					want, err := truth.RkNNByID(oid, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, o := range want {
+						want[i] = toEngine[o]
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s on %s: ReverseKNN(%d, 5) = %v, oracle %v", name, b, qid, got, want)
+					}
+				}
+			}
+		}
 	})
 }
 
@@ -703,7 +750,7 @@ func TestClusterStarvedScaleIdentity(t *testing.T) {
 		"rdt+/adaptive": {repro.WithAdaptiveScale(), repro.WithScaleMargin(0.5)},
 		"rdt/adaptive":  {repro.WithAdaptiveScale(), repro.WithPlainRDT()},
 	}
-	for _, b := range []repro.Backend{repro.BackendCoverTree, repro.BackendScan, repro.BackendKDTree, repro.BackendVPTree} {
+	for _, b := range []repro.Backend{repro.BackendCoverTree, repro.BackendScan} {
 		for name, vopts := range variants {
 			t.Run(string(b)+"/"+name, func(t *testing.T) {
 				opts := append([]repro.Option{repro.WithBackend(b)}, vopts...)

@@ -76,15 +76,13 @@ func (s *Searcher) snapshotRecord() (*persist.Snapshot, error) {
 	// zero hash computations and reproduces byte-identical candidate sets.
 	// A clean overlay exposes its base for the blob; a dirty one stays
 	// generic.
-	native := ix
-	if ov, ok := ix.(*index.Overlay); ok && !ov.Dirty() {
-		native = ov.Base()
-	}
-	switch nx := native.(type) {
-	case *covertree.Tree:
-		rec.Native = nx.EncodeStructure()
-	case *lsh.Index:
-		rec.Native = nx.EncodeStructure()
+	if !ix.Dirty() {
+		switch nx := ix.Base().(type) {
+		case *covertree.Tree:
+			rec.Native = nx.EncodeStructure()
+		case *lsh.Index:
+			rec.Native = nx.EncodeStructure()
+		}
 	}
 	// The quantized-filter codebook ships with the snapshot so a restore
 	// screens with the original training bounds instead of retraining on
@@ -112,24 +110,32 @@ func Load(r io.Reader) (*Searcher, error) {
 	return searcherForSnapshot(rec, ix)
 }
 
-// restoreIndex rebuilds the forward index described by a snapshot record:
-// via the cover tree's native structure when present and intact, otherwise
-// by a fresh build over the stored rows followed by re-applying tombstones.
-func restoreIndex(rec *persist.Snapshot) (index.Index, error) {
+// restoreIndex rebuilds the forward index described by a snapshot record,
+// under a clean overlay: via the back-end's native structure when present
+// and intact, otherwise by a fresh build over the stored rows followed by
+// re-applying tombstones.
+func restoreIndex(rec *persist.Snapshot) (*index.Overlay, error) {
 	metric, err := vecmath.MetricFromID(rec.MetricID, rec.MetricParam)
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: load: %w", err)
 	}
+	if rec.Backend == "kdtree" || rec.Backend == "vptree" {
+		// Written by a back-end since retired. Those engines never took a
+		// write, so the record is rows and engine configuration; every exact
+		// back-end gives the same answers over them, and the engine goes on
+		// (and saves) as a cover tree.
+		rec.Backend = string(BackendCoverTree)
+	}
 	if rec.Backend == string(BackendCoverTree) && len(rec.Native) > 0 {
 		if t, err := covertree.Restore(rec.Points, metric, rec.Deleted, rec.Native); err == nil {
-			return t, nil
+			return index.NewOverlay(t), nil
 		}
 		// A malformed native blob is recoverable: the rows and tombstones
 		// are intact, so fall through to the generic rebuild.
 	}
 	if rec.Backend == string(BackendLSH) && len(rec.Native) > 0 {
 		if ix, err := lsh.Restore(rec.Points, metric, rec.Deleted, rec.Native); err == nil {
-			return ix, nil
+			return index.NewOverlay(ix), nil
 		}
 		// Same recoverability as the cover tree — but the rebuild below
 		// re-hashes with default options, so a restored-from-rows LSH index
@@ -162,23 +168,17 @@ func restoreIndex(rec *persist.Snapshot) (index.Index, error) {
 			return nil, err
 		}
 	}
-	if len(rec.Deleted) > 0 {
-		dyn, ok := ix.(index.Dynamic)
-		if !ok {
-			return nil, fmt.Errorf("rknnd: load: back-end %q cannot restore tombstones", rec.Backend)
-		}
-		for _, id := range rec.Deleted {
-			if !dyn.Delete(id) {
-				return nil, fmt.Errorf("rknnd: load: tombstone %d not deletable after rebuild", id)
-			}
+	for _, id := range rec.Deleted {
+		if !ix.Delete(id) {
+			return nil, fmt.Errorf("rknnd: load: tombstone %d not deletable after rebuild", id)
 		}
 	}
-	return ix, nil
+	return index.NewOverlay(ix), nil
 }
 
 // searcherForSnapshot assembles a Searcher around a restored index using
 // the persisted engine configuration — deliberately never calling estimate.
-func searcherForSnapshot(rec *persist.Snapshot, ix index.Index) (*Searcher, error) {
+func searcherForSnapshot(rec *persist.Snapshot, ix *index.Overlay) (*Searcher, error) {
 	cfg := engineConfig{
 		scale:    rec.Scale,
 		plus:     rec.Plus,
@@ -195,7 +195,7 @@ func searcherForSnapshot(rec *persist.Snapshot, ix index.Index) (*Searcher, erro
 	} else if !(rec.Scale > 0) {
 		return nil, fmt.Errorf("rknnd: load: scale parameter %v not positive", rec.Scale)
 	}
-	return newSearcher(cfg, wrapOverlay(ix)), nil
+	return newSearcher(cfg, ix), nil
 }
 
 // StoreOption configures the on-disk store behind Open and NewDurable.
@@ -281,7 +281,6 @@ func Open(dir string, opts ...StoreOption) (*Searcher, error) {
 	// Replay lands in the overlay's memtable: O(records) appends with zero
 	// distance or hash computations, while insert-ID verification still
 	// holds (row positions reproduce the logged IDs exactly).
-	ix = wrapOverlay(ix)
 	if err := replayRecords(ix, records); err != nil {
 		st.Close()
 		return nil, fmt.Errorf("rknnd: open %s: %w", dir, err)
@@ -306,18 +305,11 @@ func Open(dir string, opts ...StoreOption) (*Searcher, error) {
 // replayRecords applies logged mutations to a freshly-restored index. The
 // index is not yet shared, so mutations go straight to it — no
 // copy-on-write clones, making replay O(records), not O(records·n).
-func replayRecords(ix index.Index, records []persist.WALRecord) error {
-	if len(records) == 0 {
-		return nil
-	}
-	dyn, ok := ix.(index.Dynamic)
-	if !ok {
-		return fmt.Errorf("back-end does not support the logged updates")
-	}
+func replayRecords(ix *index.Overlay, records []persist.WALRecord) error {
 	for i, r := range records {
 		switch r.Op {
 		case persist.WALInsert:
-			id, err := dyn.Insert(r.Point)
+			id, err := ix.Insert(r.Point)
 			if err != nil {
 				return fmt.Errorf("wal record %d: %w", i, err)
 			}
@@ -325,7 +317,7 @@ func replayRecords(ix index.Index, records []persist.WALRecord) error {
 				return fmt.Errorf("wal record %d: replayed insert got id %d, logged id %d", i, id, r.ID)
 			}
 		case persist.WALDelete:
-			if !dyn.Delete(r.ID) {
+			if !ix.Delete(r.ID) {
 				return fmt.Errorf("wal record %d: logged delete of %d not applicable", i, r.ID)
 			}
 		default:

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bruteforce"
 	"repro/internal/lsh"
 	"repro/internal/persist"
 	"repro/internal/vecmath"
@@ -33,10 +34,7 @@ func testPoints(n, dim int, seed int64) [][]float64 {
 func queryAllLive(t *testing.T, s *Searcher, k int) map[int][]int {
 	t.Helper()
 	out := make(map[int][]int)
-	span := s.snap.Load().ix.Len()
-	if lv, ok := s.snap.Load().ix.(interface{ IDSpan() int }); ok {
-		span = lv.IDSpan()
-	}
+	span := s.snap.Load().ix.IDSpan()
 	for id := 0; id < span; id++ {
 		ids, err := s.ReverseKNN(id, k)
 		if err != nil {
@@ -790,5 +788,96 @@ func TestNewDurableShardedFailureDetaches(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 41 {
 		t.Errorf("reopened store holds %d points, want 41", re.Len())
+	}
+}
+
+// TestRetiredBackendSnapshotOpensOnTheCoverTree pins the compatibility
+// promise for the back-ends that left the facade: a snapshot, or a store,
+// written by a k-d tree or VP-tree engine is rows plus engine configuration
+// (those engines took no write), so it opens on the cover tree, answers what
+// the brute-force oracle answers, takes writes, and saves as what it now is.
+// New refuses the same names before it looks at a point.
+func TestRetiredBackendSnapshotOpensOnTheCoverTree(t *testing.T) {
+	pts := testPoints(90, 3, 31)
+	truth, err := bruteforce.New(pts, vecmath.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"kdtree", "vptree"} {
+		rec := &persist.Snapshot{
+			MetricID: vecmath.MetricIDEuclidean,
+			Backend:  name,
+			Scale:    200, // past the rank cap: plain RDT is exhaustive
+			Dim:      3,
+			Points:   pts,
+		}
+		var buf bytes.Buffer
+		if err := persist.WriteSnapshot(&buf, rec); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("Load of a %s snapshot: %v", name, err)
+		}
+		dir := filepath.Join(t.TempDir(), name)
+		st, err := persist.Create(dir, rec, persist.DefaultSync())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open of a %s store: %v", name, err)
+		}
+		defer opened.Close()
+
+		for how, s := range map[string]*Searcher{"Load": loaded, "Open": opened} {
+			if s.Backend() != BackendCoverTree {
+				t.Errorf("%s of a %s snapshot: Backend() = %q, want %q", how, name, s.Backend(), BackendCoverTree)
+			}
+			for qid := 0; qid < len(pts); qid += 7 {
+				got, err := s.ReverseKNN(qid, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := truth.RkNNByID(qid, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameIDs(got, want) {
+					t.Errorf("%s of a %s snapshot: ReverseKNN(%d, 4) = %v, oracle %v", how, name, qid, got, want)
+				}
+			}
+			if id, err := s.Insert([]float64{0.5, 0.5, 0.5}); err != nil || id != len(pts) {
+				t.Errorf("%s of a %s snapshot: Insert = (%d, %v), want id %d", how, name, id, err, len(pts))
+			}
+			var out bytes.Buffer
+			if err := s.Save(&out); err != nil {
+				t.Fatalf("%s of a %s snapshot: Save: %v", how, name, err)
+			}
+			saved, err := persist.ReadSnapshot(&out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saved.Backend != string(BackendCoverTree) || len(saved.Points) != len(pts)+1 {
+				t.Errorf("%s of a %s snapshot saved back-end %q over %d points, want %q over %d",
+					how, name, saved.Backend, len(saved.Points), BackendCoverTree, len(pts)+1)
+			}
+		}
+
+		_, err = New(nil, WithBackend(Backend(name)))
+		if err == nil {
+			t.Fatalf("New accepted the retired back-end %q", name)
+		}
+		for _, word := range []string{name, "retired", "covertree", "scan", "lsh"} {
+			if !strings.Contains(err.Error(), word) {
+				t.Errorf("New(WithBackend(%q)): error %q does not mention %q", name, err, word)
+			}
+		}
+	}
+	if _, err := NewSharded(pts, 2, WithBackend("nosuch")); err == nil || !strings.Contains(err.Error(), "covertree, scan or lsh") {
+		t.Errorf("NewSharded(WithBackend(nosuch)): err = %v, want one naming the back-ends that exist", err)
 	}
 }

@@ -20,8 +20,8 @@
 // WithAutoScale.
 //
 // The subpackages under internal/ contain the full research apparatus — the
-// competing methods (SFT, MRkNNCoP, RdNN-Tree, TPL), four interchangeable
-// forward-kNN back-ends, intrinsic-dimensionality estimators, and the
+// competing methods (SFT, MRkNNCoP, RdNN-Tree, TPL), the forward-kNN
+// back-ends, intrinsic-dimensionality estimators, and the
 // harness reproducing the paper's experiments; see DESIGN.md.
 package repro
 
@@ -83,13 +83,10 @@ type Backend string
 
 // Available back-ends. The paper uses CoverTree for low- and
 // medium-dimensional data and Scan for its highest-dimensional sets
-// (Section 7.1); KDTree and VPTree are additional choices benchmarked in
-// the ablations.
+// (Section 7.1). Every back-end takes Insert and Delete.
 const (
 	BackendCoverTree Backend = "covertree"
 	BackendScan      Backend = "scan"
-	BackendKDTree    Backend = "kdtree"
-	BackendVPTree    Backend = "vptree"
 	// BackendLSH is the approximate back-end (Euclidean locality-sensitive
 	// hashing): the expanding search streams only hash-collision candidates,
 	// so results trade recall for throughput — the paper's claim (iii)
@@ -98,12 +95,6 @@ const (
 	// quantifies the trade live; see DESIGN.md, "Approximate serving tier".
 	BackendLSH Backend = "lsh"
 )
-
-// dynamic reports whether the back-end takes Insert and Delete: its index
-// implements index.Cloner, so a write is a copy-on-write step.
-func (b Backend) dynamic() bool {
-	return b == BackendCoverTree || b == BackendScan || b == BackendLSH
-}
 
 // Estimator selects how the scale parameter t is derived from the data
 // (paper Section 6).
@@ -170,6 +161,9 @@ func newConfig(opts []Option) (config, error) {
 	if cfg.metric == nil {
 		return cfg, errors.New("rknnd: nil metric")
 	}
+	if err := backend.Check(string(cfg.backend)); err != nil {
+		return cfg, fmt.Errorf("rknnd: %w", err)
+	}
 	return cfg, nil
 }
 
@@ -208,11 +202,10 @@ func (c *config) resolveScale(ix index.Index, points [][]float64) error {
 
 // buildIndex builds the configured back-end over points the way every
 // engine of this package holds one: the quantized pre-filter attached when
-// asked for, and — for dynamic back-ends — under a delta overlay, so that
-// queries merge a small memtable with the immutable base and Insert/Delete
-// cost O(delta) instead of an O(n) clone. Static back-ends stay bare (their
-// writes are rejected anyway).
-func (c engineConfig) buildIndex(points [][]float64, metric Metric) (index.Index, error) {
+// asked for, and under a delta overlay, so that queries merge a small
+// memtable with the immutable base and Insert/Delete cost O(delta) instead
+// of an O(n) clone.
+func (c engineConfig) buildIndex(points [][]float64, metric Metric) (*index.Overlay, error) {
 	ix, err := backend.Build(string(c.backend), points, metric)
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
@@ -222,7 +215,7 @@ func (c engineConfig) buildIndex(points [][]float64, metric Metric) (index.Index
 			return nil, err
 		}
 	}
-	return wrapOverlay(ix), nil
+	return index.NewOverlay(ix), nil
 }
 
 // WithMetric selects the distance (default Euclidean).
@@ -331,7 +324,7 @@ type Searcher struct {
 // query against this generation — queries on a warm rank allocate no
 // engine state at all.
 type snapshot struct {
-	ix       index.Index
+	ix       *index.Overlay
 	queriers sync.Map // k int -> *core.Querier
 }
 
@@ -382,7 +375,7 @@ func New(points [][]float64, opts ...Option) (*Searcher, error) {
 
 // newSearcher assembles a Searcher around an index — deliberately without
 // any scale estimation, so restores and shard engines never pay one.
-func newSearcher(cfg engineConfig, ix index.Index) *Searcher {
+func newSearcher(cfg engineConfig, ix *index.Overlay) *Searcher {
 	s := &Searcher{engineConfig: cfg}
 	s.snap.Store(&snapshot{ix: ix})
 	return s
@@ -620,15 +613,14 @@ type Neighbor = index.Neighbor
 // owned by the Searcher and must not be modified.
 func (s *Searcher) Point(id int) []float64 { return s.snap.Load().ix.Point(id) }
 
-// Insert adds a point when the back-end supports dynamic updates
-// (BackendCoverTree, BackendScan, and BackendLSH do) and returns its new ID.
-// The paper highlights this property for data warehouse and stream scenarios
-// (Section 4); here a write clones only the delta overlay over the immutable
-// base index — O(delta), not O(n) — so that in-flight queries keep reading
-// their frozen snapshot, then publishes the updated clone with one atomic
-// swap. The O(n) cost is paid by a background compaction once the delta
-// exceeds the threshold (WithCompactionThreshold). Updates are serialized;
-// queries are never blocked.
+// Insert adds a point and returns its new ID. The paper highlights this
+// property for data warehouse and stream scenarios (Section 4); here a
+// write clones only the delta overlay over the immutable base index —
+// O(delta), not O(n) — so that in-flight queries keep reading their frozen
+// snapshot, then publishes the updated clone with one atomic swap. The O(n)
+// cost is paid by a background compaction once the delta exceeds the
+// threshold (WithCompactionThreshold). Updates are serialized; queries are
+// never blocked.
 func (s *Searcher) Insert(p []float64) (int, error) {
 	return s.InsertContext(context.Background(), p)
 }
@@ -705,10 +697,6 @@ func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load().ix
-	cl, ok := cur.(index.Cloner)
-	if !ok {
-		return nil, errors.New("rknnd: back-end does not support insertion")
-	}
 	// Reject invalid points before paying for the clone, so a stream of bad
 	// requests cannot stall legitimate writers.
 	for i, p := range points {
@@ -719,7 +707,7 @@ func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
 			return nil, fmt.Errorf("rknnd: point %d: dimension %d, index dimension %d", i, len(p), cur.Dim())
 		}
 	}
-	next := cl.Clone()
+	next := cur.Clone()
 	ids := make([]int, len(points))
 	for i, p := range points {
 		id, err := next.Insert(p)
@@ -732,9 +720,9 @@ func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
 	return ids, nil
 }
 
-// Delete removes a dataset member when the back-end supports dynamic
-// updates, with the same copy-on-write discipline as Insert (an O(delta)
-// overlay clone plus a tombstone) and the same logging and error contract.
+// Delete removes a dataset member with the same copy-on-write discipline as
+// Insert (an O(delta) overlay clone plus a tombstone) and the same logging
+// and error contract.
 // It reports whether the ID was present; deletes that change nothing are not
 // logged.
 func (s *Searcher) Delete(id int) (bool, error) {
@@ -772,34 +760,17 @@ func (s *Searcher) applyDelete(id int) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load().ix
-	cl, ok := cur.(index.Cloner)
-	if !ok {
-		return false, errors.New("rknnd: back-end does not support deletion")
-	}
 	// Settle absent and already-deleted IDs against the current snapshot
 	// before paying for the clone.
-	if lv, ok := cur.(index.Liveness); ok && !lv.Live(id) {
+	if !cur.Live(id) {
 		return false, nil
 	}
-	next := cl.Clone()
+	next := cur.Clone()
 	if !next.Delete(id) {
 		return false, nil // unchanged: keep the current snapshot warm
 	}
 	s.snap.Store(&snapshot{ix: next})
 	return true, nil
-}
-
-// wrapOverlay puts a delta overlay over a dynamic (clonable) index so the
-// write path clones O(delta) instead of O(n). Static indexes and indexes
-// already wrapped pass through unchanged.
-func wrapOverlay(ix index.Index) index.Index {
-	if _, ok := ix.(*index.Overlay); ok {
-		return ix
-	}
-	if _, ok := ix.(index.Cloner); ok {
-		return index.NewOverlay(ix)
-	}
-	return ix
 }
 
 // enableQuantFilter attaches the quantized pre-filter to a bare (unwrapped)
@@ -825,19 +796,13 @@ func (s *Searcher) QuantFiltered() bool { return s.quant }
 // totals: candidate rows admitted to exact verification and rows screened
 // out by the quantized lower bounds. Both are 0 when the filter is off.
 func (s *Searcher) QuantFilterStats() (admitted, screened int64) {
-	if qf, ok := s.snap.Load().ix.(index.QuantFiltered); ok {
-		return qf.QuantFilterStats()
-	}
-	return 0, 0
+	return s.snap.Load().ix.QuantFilterStats()
 }
 
 // quantCodebook returns the active codebook (nil when the filter is off),
 // for Save.
 func (s *Searcher) quantCodebook() *vecmath.Codebook {
-	if qf, ok := s.snap.Load().ix.(index.QuantFiltered); ok {
-		return qf.QuantCodebook()
-	}
-	return nil
+	return s.snap.Load().ix.QuantCodebook()
 }
 
 // compactThreshold returns the effective delta-overlay compaction
@@ -850,13 +815,8 @@ func (s *Searcher) compactThreshold() int {
 }
 
 // MemtableLen returns the number of delta-overlay memtable rows awaiting
-// compaction — 0 for static back-ends and right after a compaction.
-func (s *Searcher) MemtableLen() int {
-	if ov, ok := s.snap.Load().ix.(*index.Overlay); ok {
-		return ov.MemtableLen()
-	}
-	return 0
-}
+// compaction — 0 right after a compaction.
+func (s *Searcher) MemtableLen() int { return s.snap.Load().ix.MemtableLen() }
 
 // Compactions returns how many delta-overlay compactions (O(n) folds of the
 // memtable and tombstones into a fresh base index) the Searcher has
@@ -867,8 +827,8 @@ func (s *Searcher) Compactions() int64 { return s.compactions.Load() }
 // overlay has grown past the threshold. At most one compaction runs at a
 // time; writers are never blocked by it.
 func (s *Searcher) maybeCompact() {
-	ov, ok := s.snap.Load().ix.(*index.Overlay)
-	if !ok || ov.Pending() < s.compactThreshold() {
+	ov := s.snap.Load().ix
+	if ov.Pending() < s.compactThreshold() {
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -904,7 +864,7 @@ func (s *Searcher) compact(frozen *index.Overlay) {
 	folded, err := frozen.Fold()
 	fsp.End()
 	if err != nil {
-		// Base cannot fold (no Cloner): leave the delta in place.
+		// The base refused a row or a tombstone: leave the delta in place.
 		if tr != nil {
 			tr.Root().SetStr("error", err.Error())
 			tr.Root().End()
@@ -913,10 +873,8 @@ func (s *Searcher) compact(frozen *index.Overlay) {
 		return
 	}
 	s.mu.Lock()
-	if cur, ok := s.snap.Load().ix.(*index.Overlay); ok {
-		s.snap.Store(&snapshot{ix: cur.Rebase(frozen, folded)})
-		s.compactions.Add(1)
-	}
+	s.snap.Store(&snapshot{ix: s.snap.Load().ix.Rebase(frozen, folded)})
+	s.compactions.Add(1)
 	s.mu.Unlock()
 	d := time.Since(start)
 	if h := s.compactHist.Load(); h != nil {
@@ -935,8 +893,8 @@ func (s *Searcher) compact(frozen *index.Overlay) {
 // forever; snapshotRecord tolerates a residually-dirty overlay.
 func (s *Searcher) compactNow() {
 	for attempts := 0; attempts < 64; attempts++ {
-		ov, ok := s.snap.Load().ix.(*index.Overlay)
-		if !ok || !ov.Dirty() {
+		ov := s.snap.Load().ix
+		if !ov.Dirty() {
 			return
 		}
 		if s.compacting.CompareAndSwap(false, true) {

@@ -318,11 +318,10 @@ func (e *shardedCore) BatchReverseKNNContext(ctx context.Context, qids []int, k,
 }
 
 // Insert adds a point to its hash-assigned shard and returns its new
-// global ID. Requires a dynamic back-end (BackendCoverTree, BackendScan,
-// BackendLSH). The shard map is published before the shard applies the
-// point, so a concurrent query either sees neither or can translate
-// everything it sees (an ID caught in that window answers as not-found until
-// the insert completes). An ID beside an error is the one the map assigned;
+// global ID. The shard map is published before the shard applies the point,
+// so a concurrent query either sees neither or can translate everything it
+// sees (an ID caught in that window answers as not-found until the insert
+// completes). An ID beside an error is the one the map assigned;
 // see InsertBatch for what the error then means.
 func (e *shardedCore) Insert(p []float64) (int, error) {
 	return e.InsertContext(context.Background(), p)
@@ -335,9 +334,8 @@ func (e *shardedCore) InsertContext(ctx context.Context, p []float64) (int, erro
 }
 
 // Delete removes the dataset member with the given global ID, reporting
-// whether it was present. Requires a dynamic back-end. The shard map keeps
-// the ID forever (tombstones live in the shard index), so global IDs are
-// never reused.
+// whether it was present. The shard map keeps the ID forever (tombstones
+// live in the shard index), so global IDs are never reused.
 func (e *shardedCore) Delete(global int) (bool, error) {
 	return e.DeleteContext(context.Background(), global)
 }
@@ -361,9 +359,6 @@ func (e *shardedCore) DeleteContext(ctx context.Context, global int) (bool, erro
 func (e *shardedCore) applyDelete(ctx context.Context, global int) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.backend.dynamic() {
-		return false, errors.New("rknnd: back-end does not support deletion")
-	}
 	if e.broken != nil {
 		return false, e.broken
 	}
@@ -432,9 +427,6 @@ func (e *shardedCore) InsertBatchContext(ctx context.Context, points [][]float64
 func (e *shardedCore) applyInsertBatch(ctx context.Context, points [][]float64) ([]int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.backend.dynamic() {
-		return nil, errors.New("rknnd: back-end does not support insertion")
-	}
 	if e.broken != nil {
 		return nil, e.broken
 	}
@@ -743,12 +735,8 @@ func (ss *ShardedSearcher) Point(global int) []float64 {
 		return nil // map-published, engine not yet: the in-flight window
 	}
 	ix := eng.snap.Load().ix
-	if lv, ok := ix.(index.Liveness); ok {
-		if l >= lv.IDSpan() {
-			return nil // same window: the engine snapshot trails the map
-		}
-	} else if l >= ix.Len() {
-		return nil
+	if l >= ix.IDSpan() {
+		return nil // same window: the engine snapshot trails the map
 	}
 	return ix.Point(l)
 }
@@ -757,7 +745,7 @@ func (ss *ShardedSearcher) Point(global int) []float64 {
 // global, rows come from one pinned cross-shard read set (snapshots first,
 // then the map, like every query).
 func (ss *ShardedSearcher) MemberPoints(ids ...int) [][]float64 {
-	pinned := make([]index.Index, len(ss.slots))
+	pinned := make([]*index.Overlay, len(ss.slots))
 	for i, eng := range ss.engines() {
 		pinned[i] = eng.snap.Load().ix
 	}

@@ -69,22 +69,15 @@ type shardStream interface {
 // livePoint fetches local ID l from a pinned index view, or nil when the
 // view holds no live point under l: a tombstone, or an ID the shard map
 // published ahead of the engine snapshot (the in-flight insert window).
-func livePoint(ix index.Index, l int) []float64 {
-	if l < 0 {
-		return nil
-	}
-	if lv, ok := ix.(index.Liveness); ok {
-		if l >= lv.IDSpan() || !lv.Live(l) {
-			return nil
-		}
-	} else if l >= ix.Len() {
+func livePoint(ix *index.Overlay, l int) []float64 {
+	if !ix.Live(l) {
 		return nil
 	}
 	return ix.Point(l)
 }
 
 // livePoints is livePoint over a list of IDs, all against the one view.
-func livePoints(ix index.Index, ids []int) [][]float64 {
+func livePoints(ix *index.Overlay, ids []int) [][]float64 {
 	rows := make([][]float64, len(ids))
 	for i, id := range ids {
 		rows[i] = livePoint(ix, id)

@@ -28,15 +28,15 @@ func gridPoints(n, dim, side int, rng *rand.Rand) [][]float64 {
 // ID for ID, tie for tie — what one index over the union of the shards
 // yields, and resolves the same coordinates, for any shard count. The data
 // is a coarse grid (duplicates, cross-shard ties); the engines are read
-// through a dirty overlay (memtable rows and tombstones on the dynamic
-// back-ends; the static one is read bare); the query is an external point or
-// a member, whose self-exclusion must land on its home shard only.
+// through a dirty overlay (memtable rows and tombstones); the query is an
+// external point or a member, whose self-exclusion must land on its home
+// shard only.
 func TestMergedStreamIsTheUnionStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	initial := gridPoints(180, 3, 4, rng)
 	extra := gridPoints(40, 3, 4, rng)
 	victims := []int{2, 17, 18, 60, 179, 185, 201, 219}
-	for _, b := range []Backend{BackendScan, BackendCoverTree, BackendKDTree} {
+	for _, b := range []Backend{BackendScan, BackendCoverTree} {
 		for _, S := range []int{1, 2, 3, 5} {
 			t.Run(fmt.Sprintf("%s/S=%d", b, S), func(t *testing.T) {
 				// No compaction: the writes stay in the overlay's delta.
@@ -50,27 +50,25 @@ func TestMergedStreamIsTheUnionStream(t *testing.T) {
 					t.Fatal(err)
 				}
 				dead := map[int]bool{}
-				if b != BackendKDTree {
-					for _, p := range extra {
-						if _, err := single.Insert(p); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := ss.Insert(p); err != nil {
-							t.Fatal(err)
-						}
+				for _, p := range extra {
+					if _, err := single.Insert(p); err != nil {
+						t.Fatal(err)
 					}
-					for _, id := range victims {
-						if ok, err := single.Delete(id); !ok || err != nil {
-							t.Fatalf("Delete(%d) = (%v, %v)", id, ok, err)
-						}
-						if ok, err := ss.Delete(id); !ok || err != nil {
-							t.Fatalf("sharded Delete(%d) = (%v, %v)", id, ok, err)
-						}
-						dead[id] = true
+					if _, err := ss.Insert(p); err != nil {
+						t.Fatal(err)
 					}
-					if single.MemtableLen() == 0 || ss.MemtableLen() == 0 {
-						t.Fatal("the overlays are clean; the test would not read through a delta")
+				}
+				for _, id := range victims {
+					if ok, err := single.Delete(id); !ok || err != nil {
+						t.Fatalf("Delete(%d) = (%v, %v)", id, ok, err)
 					}
+					if ok, err := ss.Delete(id); !ok || err != nil {
+						t.Fatalf("sharded Delete(%d) = (%v, %v)", id, ok, err)
+					}
+					dead[id] = true
+				}
+				if single.MemtableLen() == 0 || ss.MemtableLen() == 0 {
+					t.Fatal("the overlays are clean; the test would not read through a delta")
 				}
 				union := single.snap.Load().ix
 				sc := ss.pin()
@@ -78,10 +76,7 @@ func TestMergedStreamIsTheUnionStream(t *testing.T) {
 					t.Fatalf("scatter set holds %d live points, the union %d", sc.n, union.Len())
 				}
 
-				queries := []int{-1, -1, 0, 5, 61, 178}
-				if b != BackendKDTree {
-					queries = append(queries, 180, 200, 218) // memtable members
-				}
+				queries := []int{-1, -1, 0, 5, 61, 178, 180, 200, 218} // the last three are memtable members
 				for i, qid := range queries {
 					f := &fedIndex{sc: sc, ctx: context.Background(), k: 5, qid: -1, home: -1}
 					q := []float64{float64(i % 4), 1.5, 2}

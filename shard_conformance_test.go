@@ -66,7 +66,7 @@ func TestShardedMetamorphicConformance(t *testing.T) {
 		metric   Metric
 		backends []Backend
 	}{
-		{"uniform-4d/euclidean", indextest.RandPoints(240, 4, 11), Euclidean, []Backend{BackendCoverTree, BackendScan, BackendKDTree}},
+		{"uniform-4d/euclidean", indextest.RandPoints(240, 4, 11), Euclidean, []Backend{BackendCoverTree, BackendScan}},
 		{"clustered-6d/manhattan", indextest.ClusteredPoints(200, 6, 5, 12), Manhattan, []Backend{BackendCoverTree, BackendScan}},
 		{"uniform-3d/chebyshev", indextest.RandPoints(160, 3, 13), Chebyshev, []Backend{BackendScan}},
 	}

@@ -102,12 +102,6 @@ func writeShardManifest(dir string, shards int) error {
 	return d.Sync()
 }
 
-// DurableShardedSearcher is the name a ShardedSearcher with a sharded store
-// attached used to have.
-//
-// Deprecated: durability is state of the engine; use ShardedSearcher.
-type DurableShardedSearcher = ShardedSearcher
-
 // A ShardedSearcher with a sharded store attached keeps each shard in its
 // own on-disk store: every Insert and Delete is write-ahead logged in the
 // owning shard's log before being acknowledged — each populated slot's

@@ -147,13 +147,7 @@ func (s *Searcher) MemberPoints(ids ...int) [][]float64 {
 // tombstones — the quantity a coordinator needs to rebuild the global
 // shard map, since hash placement is a pure function of assignment order,
 // not of liveness.
-func (s *Searcher) IDSpan() int {
-	ix := s.snap.Load().ix
-	if lv, ok := ix.(index.Liveness); ok {
-		return lv.IDSpan()
-	}
-	return ix.Len()
-}
+func (s *Searcher) IDSpan() int { return s.snap.Load().ix.IDSpan() }
 
 // MetricIdentity returns the registry identity (ID, parameter) of the
 // engine's distance metric — the comparable form behind the coordinator's

@@ -87,24 +87,6 @@ func TestShardedMoreShardsThanPoints(t *testing.T) {
 	}
 }
 
-func TestShardedStaticBackendRejectsMutation(t *testing.T) {
-	pts := indextest.RandPoints(30, 3, 5)
-	ss, err := NewSharded(pts, 2, WithBackend(BackendKDTree), WithScale(50))
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	if _, err := ss.Insert([]float64{0.1, 0.2, 0.3}); err == nil {
-		t.Error("kdtree shard accepted Insert")
-	}
-	if _, err := ss.Delete(3); err == nil {
-		t.Error("kdtree shard accepted Delete")
-	}
-	// Queries still work read-only.
-	if _, err := ss.ReverseKNN(0, 3); err != nil {
-		t.Errorf("read-only query failed: %v", err)
-	}
-}
-
 func TestShardedQueryValidation(t *testing.T) {
 	pts := indextest.RandPoints(40, 3, 6)
 	ss, err := NewSharded(pts, 3, WithScale(50))

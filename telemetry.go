@@ -314,10 +314,7 @@ type queryGrid struct {
 // newQueryGrid calibrates a grid from up to gridSamplePoints points of ix.
 // IDs a delete has left dead are skipped (livePoint). Returns nil when no
 // points could be sampled.
-func newQueryGrid(ix index.Index) *queryGrid {
-	if ix == nil {
-		return nil
-	}
+func newQueryGrid(ix *index.Overlay) *queryGrid {
 	n, d := ix.Len(), ix.Dim()
 	if n == 0 || d == 0 {
 		return nil

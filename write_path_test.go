@@ -507,19 +507,46 @@ func TestShardedInsertRollsBackOrPoisons(t *testing.T) {
 	}
 }
 
-// TestBackendDynamicMatchesTheIndex pins the one thing Backend.dynamic is
-// trusted for: a sharded engine — a Coordinator above all, which holds no
-// index to probe — refuses writes by back-end name, so the name must say
-// exactly what the index each back-end builds can do.
+// TestBackendDynamicMatchesTheIndex pins that every Backend constant names
+// a dynamic index: an engine on it takes Insert, InsertBatch and Delete,
+// unsharded and sharded, and on the exact back-ends still answers the oracle
+// over what the writes left. (internal/server's TestClusterByteIdentity
+// holds the networked topologies to the same.)
 func TestBackendDynamicMatchesTheIndex(t *testing.T) {
-	pts := indextest.RandPoints(30, 3, 5)
-	for _, b := range []Backend{BackendCoverTree, BackendScan, BackendKDTree, BackendVPTree, BackendLSH} {
-		s, err := New(pts, WithBackend(b), WithScale(4))
+	pts := indextest.RandPoints(60, 3, 5)
+	extra := indextest.RandPoints(4, 3, 6)
+	for _, b := range []Backend{BackendCoverTree, BackendScan, BackendLSH} {
+		// Plain RDT at a scale past the rank cap is exhaustive, hence exact.
+		opts := []Option{WithBackend(b), WithScale(200), WithPlainRDT()}
+		single, err := New(pts, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, cloner := s.snap.Load().ix.(index.Cloner); cloner != b.dynamic() {
-			t.Errorf("%s: dynamic() = %v, its index takes writes = %v", b, b.dynamic(), cloner)
+		sharded, err := NewSharded(pts, 3, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, eng := range map[string]interface {
+			mutableEngine
+			InsertBatch(points [][]float64) ([]int, error)
+		}{"Searcher": single, "ShardedSearcher S=3": sharded} {
+			if id, err := eng.Insert(extra[0]); err != nil || id != 60 {
+				t.Fatalf("%s on %s: Insert = (%d, %v), want id 60", name, b, id, err)
+			}
+			if ids, err := eng.InsertBatch(extra[1:]); err != nil || !reflect.DeepEqual(ids, []int{61, 62, 63}) {
+				t.Fatalf("%s on %s: InsertBatch = (%v, %v), want ids 61-63", name, b, ids, err)
+			}
+			for _, victim := range []int{7, 62} {
+				if ok, err := eng.Delete(victim); !ok || err != nil {
+					t.Fatalf("%s on %s: Delete(%d) = (%v, %v)", name, b, victim, ok, err)
+				}
+			}
+			if eng.Len() != 62 {
+				t.Errorf("%s on %s: Len = %d after the writes, want 62", name, b, eng.Len())
+			}
+			if b != BackendLSH {
+				verifyAgainstOracle(t, eng, 64, map[int]bool{7: true, 62: true})
+			}
 		}
 	}
 }
