@@ -10,10 +10,10 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	repro "repro"
 	"repro/internal/wire"
@@ -27,7 +27,7 @@ import (
 // span behind the coordinator's shard-map rebuild, and the metric identity
 // and algorithm variant behind its configuration cross-check.
 type ShardServing interface {
-	NeighborStream(q []float64, skip int, after repro.Neighbor, count int) (rows []repro.Neighbor, points [][]float64, done bool, err error)
+	NeighborStream(rows []repro.Neighbor, points [][]float64, q []float64, skip int, after repro.Neighbor, count int) ([]repro.Neighbor, [][]float64, bool, error)
 	Algorithm() (plus bool, margin float64)
 	KNNSkipBatch(qs []repro.KNNQuery) ([][]repro.Neighbor, error)
 	CountCloserBatch(qs []repro.CountCloserQuery) ([]int, error)
@@ -57,8 +57,12 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 			err:    fmt.Errorf("binary endpoint wants Content-Type %s, got %q", wire.ContentType, ct),
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBinaryBody))
-	if err != nil {
+	// One pooled buffer serves the exchange: the request frame is read into
+	// it, DecodeRequest copies out everything it keeps, and the response is
+	// encoded over the same bytes. It goes back when Write has returned.
+	buf := wire.GetFrame()
+	defer buf.Release()
+	if err := buf.ReadBody(http.MaxBytesReader(w, r.Body, maxBinaryBody), r.ContentLength); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return &apiError{
@@ -68,17 +72,17 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 		}
 		return badRequest("reading request frame: %v", err)
 	}
-	req, err := wire.DecodeRequest(body)
+	req, err := wire.DecodeRequest(buf.B)
 	if err != nil {
 		return badRequest("malformed frame: %v", err)
 	}
+	buf.B = buf.B[:0]
 
 	// Every op but OpRkNN — which any Engine answers — needs the shard surface.
 	sv, _ := srv.s.(ShardServing)
 	if sv == nil && req.Op != wire.OpRkNN {
-		return writeFrame(w, wire.AppendError(nil, wire.ErrUnsupported, "engine has no shard-serving surface"))
+		return writeFrame(w, wire.AppendError(buf.B, wire.ErrUnsupported, "engine has no shard-serving surface"))
 	}
-	var frame []byte
 	switch req.Op {
 	case wire.OpRkNN:
 		var (
@@ -91,10 +95,9 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 			ids, st, err = srv.s.ReverseKNNPointStatsContext(r.Context(), req.Point, req.K)
 		}
 		if err != nil {
-			frame = appendWireError(err)
 			break
 		}
-		frame = wire.AppendRkNNResponse(nil, ids, wire.Stats{
+		buf.B = wire.AppendRkNNResponse(buf.B, ids, wire.Stats{
 			ScanDepth:     st.ScanDepth,
 			FilterSize:    st.FilterSize,
 			Excluded:      st.Excluded,
@@ -105,41 +108,52 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 			Omega:         st.Omega,
 		})
 	case wire.OpNeighbors:
-		rows, points, done, err := sv.NeighborStream(req.Point, req.Skip, req.After, req.Count)
-		if err != nil {
-			frame = appendWireError(err)
-			break
+		st := stagingPool.Get().(*neighborStaging)
+		var done bool
+		st.rows, st.points, done, err = sv.NeighborStream(st.rows[:0], st.points[:0], req.Point, req.Skip, req.After, req.Count)
+		if err == nil {
+			buf.B = wire.AppendNeighborsResponse(buf.B, st.rows, st.points, done)
 		}
-		frame = wire.AppendNeighborsResponse(nil, rows, points, done)
+		clear(st.points) // a pooled staging pins no snapshot's rows
+		stagingPool.Put(st)
 	case wire.OpKNNBatch:
 		qs := make([]repro.KNNQuery, len(req.KNN))
 		for i, q := range req.KNN {
 			qs[i] = repro.KNNQuery{Point: q.Point, K: q.K, Skip: q.Skip}
 		}
-		lists, err := sv.KNNSkipBatch(qs)
-		if err != nil {
-			frame = appendWireError(err)
-			break
+		var lists [][]repro.Neighbor
+		if lists, err = sv.KNNSkipBatch(qs); err == nil {
+			buf.B = wire.AppendKNNBatchResponse(buf.B, lists)
 		}
-		frame = wire.AppendKNNBatchResponse(nil, lists)
 	case wire.OpCountBatch:
-		counts, err := sv.CountCloserBatch(req.Counts)
-		if err != nil {
-			frame = appendWireError(err)
-			break
+		var counts []int
+		if counts, err = sv.CountCloserBatch(req.Counts); err == nil {
+			buf.B = wire.AppendCountBatchResponse(buf.B, counts)
 		}
-		frame = wire.AppendCountBatchResponse(nil, counts)
 	case wire.OpPoints:
-		frame = wire.AppendPointsResponse(nil, sv.MemberPoints(req.IDs...))
+		buf.B = wire.AppendPointsResponse(buf.B, sv.MemberPoints(req.IDs...))
 	default:
 		return badRequest("unknown op %d", req.Op)
 	}
-	return writeFrame(w, frame)
+	if err != nil {
+		buf.B = appendWireError(buf.B, err)
+	}
+	return writeFrame(w, buf.B)
 }
 
+// neighborStaging is what an OpNeighbors answer passes through between the
+// engine's cursor and the encoder — the chunk's rows and references to their
+// coordinates — recycled across requests.
+type neighborStaging struct {
+	rows   []repro.Neighbor
+	points [][]float64
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(neighborStaging) }}
+
 // writeFrame sends one response frame. The length is known, so it is
-// declared: the remote client reads the body into a buffer of exactly that
-// size.
+// declared: the remote client sizes the buffer it reads the body into by it.
+// The frame is the caller's again when this returns (Write retains nothing).
 func writeFrame(w http.ResponseWriter, frame []byte) error {
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
@@ -152,12 +166,12 @@ func writeFrame(w http.ResponseWriter, frame []byte) error {
 // the message (the coordinator reconstructs the exact in-process error
 // string from it) and classifying deleted-member queries for errors.Is on
 // the far side.
-func appendWireError(err error) []byte {
+func appendWireError(dst []byte, err error) []byte {
 	code := wire.ErrBadRequest
 	if errors.Is(err, repro.ErrDeleted) {
 		code = wire.ErrDeleted
 	}
-	return wire.AppendError(nil, code, err.Error())
+	return wire.AppendError(dst, code, err.Error())
 }
 
 // handleShardInfo is the cluster handshake: the daemon's role (shard

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -75,6 +76,14 @@ func startCluster(t testing.TB, pts [][]float64, S, replicas int, coOpts ...repr
 // startClusterWith is startCluster with the daemons' engine options given.
 func startClusterWith(t testing.TB, pts [][]float64, S, replicas int, engOpts []repro.Option, coOpts ...repro.CoordinatorOption) *cluster {
 	t.Helper()
+	return startClusterWrapped(t, pts, S, replicas, engOpts, func(_ int, h http.Handler) http.Handler { return h }, coOpts...)
+}
+
+// startClusterWrapped is startClusterWith with every daemon's handler passed
+// through wrap (given the daemon's shard number) before it is served: the
+// seam for a daemon that misbehaves.
+func startClusterWrapped(t testing.TB, pts [][]float64, S, replicas int, engOpts []repro.Option, wrap func(shard int, h http.Handler) http.Handler, coOpts ...repro.CoordinatorOption) *cluster {
+	t.Helper()
 	parts := splitShards(t, pts, S)
 	c := &cluster{daemons: make([][]*httptest.Server, S), engines: make([]*repro.Searcher, S)}
 	specs := make([]repro.ShardSpec, S)
@@ -86,10 +95,10 @@ func startClusterWith(t testing.TB, pts [][]float64, S, replicas int, engOpts []
 		c.engines[s] = eng
 		for r := 0; r < replicas; r++ {
 			ring := trace.NewRing(64)
-			ds := httptest.NewServer(New(eng,
+			ds := httptest.NewServer(wrap(s, New(eng,
 				WithShardRole(s, S),
 				WithTracing(ring, 0),
-				WithSlowLog(0, 64)).Handler())
+				WithSlowLog(0, 64)).Handler()))
 			t.Cleanup(ds.Close)
 			c.daemons[s] = append(c.daemons[s], ds)
 			specs[s].Addrs = append(specs[s].Addrs, ds.URL)
@@ -803,6 +812,12 @@ type chunkShim struct {
 	rows    map[string][]wire.Neighbor // daemon host -> rows sent, in order
 	chunks  int
 	between func()
+	// sent is every row's coordinates as its daemon sent them, by host and
+	// local ID, over the shim's lifetime; probed counts the verification
+	// probes checked against it and garbled lists those that differed.
+	sent    map[string]map[int][]float64
+	probed  int
+	garbled []string
 }
 
 func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -815,6 +830,9 @@ func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	dec, err := wire.DecodeRequest(frame)
 	if err != nil || dec.Op != wire.OpNeighbors {
+		if err == nil && dec.Op == wire.OpCountBatch {
+			c.checkProbes(req.URL.Host, dec.Counts)
+		}
 		req.Body = io.NopCloser(bytes.NewReader(frame))
 		return c.base.RoundTrip(req)
 	}
@@ -831,7 +849,7 @@ func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(body))
-	rows, _, _, err := wire.DecodeNeighborsResponse(body)
+	rows, pts, _, err := wire.DecodeNeighborsResponse(body)
 	if err != nil {
 		return resp, nil // an error frame: the coordinator's to judge
 	}
@@ -840,6 +858,15 @@ func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
 		c.rows = map[string][]wire.Neighbor{}
 	}
 	c.rows[req.URL.Host] = append(c.rows[req.URL.Host], rows...)
+	if c.sent == nil {
+		c.sent = map[string]map[int][]float64{}
+	}
+	if c.sent[req.URL.Host] == nil {
+		c.sent[req.URL.Host] = map[int][]float64{}
+	}
+	for i, nb := range rows {
+		c.sent[req.URL.Host][nb.ID] = pts[i]
+	}
 	c.chunks++
 	between := c.between
 	c.between = nil
@@ -848,6 +875,30 @@ func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
 		between()
 	}
 	return resp, nil
+}
+
+// checkProbes holds the verification probes a coordinator sends a daemon to
+// the coordinates that daemon streamed. A probe that excludes a local member
+// is about that member — a candidate whose home is this daemon — and carries
+// the candidate's coordinates as the coordinator holds them once the scan is
+// over, after every later chunk has grown and moved the stream's arena.
+func (c *chunkShim) checkProbes(host string, probes []wire.CountQuery) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range probes {
+		if p.Skip < 0 {
+			continue
+		}
+		c.probed++
+		sent, ok := c.sent[host][p.Skip]
+		same := ok && len(sent) == len(p.Point)
+		for i := 0; same && i < len(sent); i++ {
+			same = math.Float64bits(sent[i]) == math.Float64bits(p.Point[i])
+		}
+		if !same {
+			c.garbled = append(c.garbled, fmt.Sprintf("%s member %d: sent %v, probed with %v", host, p.Skip, sent, p.Point))
+		}
+	}
 }
 
 // reset forgets the rows of the previous query.
@@ -904,6 +955,17 @@ func TestClusterChunkedStreams(t *testing.T) {
 			if shim.chunks < sent/limit {
 				t.Errorf("chunk %d, query %d: %d rows arrived in %d chunks: the shim did not force the chunk size", limit, qid, sent, shim.chunks)
 			}
+		}
+		// Every chunk after a stream's first outgrew the stream's arena and
+		// moved it, under the filter set's references to the rows already
+		// scanned. The candidates' coordinates the coordinator then verified
+		// with — first-chunk rows among them — are, bit for bit, the ones
+		// their daemons sent.
+		if shim.probed == 0 {
+			t.Errorf("chunk %d: no verification probe carried a candidate's coordinates: nothing was checked", limit)
+		}
+		for _, g := range shim.garbled {
+			t.Errorf("chunk %d: coordinates changed between the stream and the probe: %s", limit, g)
 		}
 	}
 }

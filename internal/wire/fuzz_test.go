@@ -30,6 +30,10 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(AppendCountBatchResponse(nil, []int{0, 3, 1}))
 	f.Add(AppendNeighborsResponse(nil, []Neighbor{{ID: 1, Dist: 0.25}, {ID: 4, Dist: 0.5}}, [][]float64{{1, 2}, {0.1, 3}}, true))
 	f.Add(AppendError(nil, ErrDeleted, "gone"))
+	// The two shapes checkAppend is about: a float32 chunk that lands on used
+	// storage of another dimension, and a chunk rejected two thirds through.
+	f.Add(AppendNeighborsResponse(nil, []Neighbor{{ID: 0, Dist: 0}, {ID: 2, Dist: 1.5}, {ID: 9, Dist: 1.5}}, [][]float64{{1}, {0.5}, {-2}}, false))
+	f.Add(rejectedHalfWay())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		DecodeRkNNResponse(b)
 		DecodeKNNBatchResponse(b)
@@ -38,5 +42,6 @@ func FuzzDecodeResponse(f *testing.F) {
 		if rows, pts, _, err := DecodeNeighborsResponse(b); err == nil && (len(rows) > MaxNeighborRows || len(pts) != len(rows)) {
 			t.Fatalf("neighbor chunk outside its bounds decoded: %d rows, %d points", len(rows), len(pts))
 		}
+		checkAppend(t, b)
 	})
 }

@@ -205,27 +205,52 @@ func float32Lossless(v float64) bool {
 	return float64(float32(v)) == v || math.IsNaN(v)
 }
 
-// AppendVec encodes one vector with the dual float32/float64 encoding.
-func AppendVec(dst []byte, p []float64) []byte {
-	enc := byte(vecF32)
-	for _, v := range p {
-		if !float32Lossless(v) {
-			enc = vecF64
-			break
+// vecEncoding picks the encoding of the coordinates of ps — float32 only when
+// every one of them survives it — and returns it with the byte size of one
+// coordinate under it.
+func vecEncoding(ps ...[]float64) (enc byte, size int) {
+	for _, p := range ps {
+		for _, v := range p {
+			if !float32Lossless(v) {
+				return vecF64, 8
+			}
 		}
 	}
-	dst = append(dst, enc)
-	dst = appendU32(dst, uint32(len(p)))
+	return vecF32, 4
+}
+
+// vecSize is the encoded length of p.
+func vecSize(p []float64) int {
+	_, size := vecEncoding(p)
+	return 1 + 4 + len(p)*size
+}
+
+// appendCoords encodes coordinates under enc: room for all of them is made
+// once and the values are stored in place, not appended one capacity check
+// at a time.
+func appendCoords(dst []byte, enc byte, p []float64) []byte {
+	n := len(dst)
 	if enc == vecF32 {
-		for _, v := range p {
-			dst = appendU32(dst, math.Float32bits(float32(v)))
+		dst = slices.Grow(dst, 4*len(p))[:n+4*len(p)]
+		for i, v := range p {
+			binary.LittleEndian.PutUint32(dst[n+4*i:], math.Float32bits(float32(v)))
 		}
 		return dst
 	}
-	for _, v := range p {
-		dst = appendU64(dst, math.Float64bits(v))
+	dst = slices.Grow(dst, 8*len(p))[:n+8*len(p)]
+	for i, v := range p {
+		binary.LittleEndian.PutUint64(dst[n+8*i:], math.Float64bits(v))
 	}
 	return dst
+}
+
+// AppendVec encodes one vector with the dual float32/float64 encoding.
+func AppendVec(dst []byte, p []float64) []byte {
+	enc, size := vecEncoding(p)
+	dst = slices.Grow(dst, 1+4+len(p)*size)
+	dst = append(dst, enc)
+	dst = appendU32(dst, uint32(len(p)))
+	return appendCoords(dst, enc, p)
 }
 
 // AppendRkNNIDRequest encodes an OpRkNN request anchored at local member id.
@@ -256,6 +281,11 @@ func AppendKNNBatchRequest(dst []byte, qs []KNNQuery) []byte {
 
 // AppendCountBatchRequest encodes an OpCountBatch request.
 func AppendCountBatchRequest(dst []byte, qs []CountQuery) []byte {
+	size := 2 + 4
+	for _, q := range qs {
+		size += 4 + 8 + 8 + vecSize(q.Point)
+	}
+	dst = slices.Grow(dst, size)
 	dst = append(dst, Version, byte(OpCountBatch))
 	dst = appendU32(dst, uint32(len(qs)))
 	for _, q := range qs {
@@ -269,6 +299,7 @@ func AppendCountBatchRequest(dst []byte, qs []CountQuery) []byte {
 
 // AppendNeighborsRequest encodes an OpNeighbors request (see Request).
 func AppendNeighborsRequest(dst []byte, q []float64, skip int, after Neighbor, count int) []byte {
+	dst = slices.Grow(dst, 2+4+8+8+8+vecSize(q))
 	dst = append(dst, Version, byte(OpNeighbors))
 	dst = appendU32(dst, uint32(count))
 	dst = appendU64(dst, uint64(int64(skip)))
@@ -366,17 +397,8 @@ func AppendNeighborsResponse(dst []byte, rows []Neighbor, points [][]float64, do
 	if len(points) > 0 {
 		dim = len(points[0])
 	}
-	enc := byte(vecF32)
-scan:
-	for _, p := range points {
-		for _, v := range p {
-			if !float32Lossless(v) {
-				enc = vecF64
-				break scan
-			}
-		}
-	}
-	dst = slices.Grow(dst, 2+4+1+16*len(rows)+1+4+len(rows)*dim*8)
+	enc, size := vecEncoding(points...)
+	dst = slices.Grow(dst, 2+4+1+16*len(rows)+1+4+len(rows)*dim*size)
 	dst = append(dst, Version, 0)
 	dst = appendU32(dst, uint32(len(rows)))
 	if done {
@@ -391,13 +413,7 @@ scan:
 	dst = append(dst, enc)
 	dst = appendU32(dst, uint32(dim))
 	for _, p := range points {
-		for _, v := range p {
-			if enc == vecF32 {
-				dst = appendU32(dst, math.Float32bits(float32(v)))
-			} else {
-				dst = appendU64(dst, math.Float64bits(v))
-			}
-		}
+		dst = appendCoords(dst, enc, p)
 	}
 	return dst
 }
@@ -724,62 +740,12 @@ func DecodeCountBatchResponse(b []byte) ([]int, error) {
 	return counts, nil
 }
 
-// DecodeNeighborsResponse decodes an OpNeighbors response: the chunk's rows,
-// their coordinates (slices of one backing array), and whether the stream
-// ended with it. Distances that are negative or NaN are rejected — the
-// coordinator's merge orders by them.
+// DecodeNeighborsResponse decodes an OpNeighbors response into storage of its
+// own: Stream.Append over an empty stream.
 func DecodeNeighborsResponse(b []byte) (rows []Neighbor, points [][]float64, done bool, err error) {
-	r, err := respPayload(b)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	n := r.count(16)
-	if n > MaxNeighborRows {
-		r.fail("wire: %d neighbor rows exceed the cap of %d", n, MaxNeighborRows)
-		n = 0
-	}
-	switch r.u8() {
-	case 0:
-	case 1:
-		done = true
-	default:
-		r.fail("wire: invalid done byte")
-	}
-	rows = make([]Neighbor, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		d := r.f64()
-		if r.err == nil && !(d >= 0) {
-			r.fail("wire: neighbor distance %v out of range", d)
-		}
-		rows = append(rows, Neighbor{Dist: d, ID: r.id()})
-	}
-	enc, size := r.encoding()
-	dim := int(r.u32())
-	// dim*size is checked against the frame before it is multiplied by n,
-	// so neither product can overflow.
-	if r.err == nil && (int64(dim)*int64(size) > int64(r.remaining()) || int64(n)*int64(dim)*int64(size) > int64(r.remaining())) {
-		r.fail("wire: %d rows of dimension %d exceed frame", n, dim)
-	}
-	if r.err == nil {
-		flat := make([]float64, n*dim)
-		raw := r.b[r.off : r.off+len(flat)*size]
-		r.off += len(raw)
-		for i := range flat {
-			if enc == vecF32 {
-				flat[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
-			} else {
-				flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-			}
-		}
-		points = make([][]float64, n)
-		for i := range points {
-			points[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-		}
-	}
-	if err := r.done(); err != nil {
-		return nil, nil, false, err
-	}
-	return rows, points, done, nil
+	var s Stream
+	done, err = s.Append(b)
+	return s.Rows, s.Points, done, err
 }
 
 // DecodePointsResponse decodes an OpPoints response; absent rows are nil.

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -293,9 +292,10 @@ type Searcher struct {
 	snap atomic.Pointer[snapshot]
 	mu   sync.Mutex // serializes Insert/Delete (writers clone, then swap)
 
-	// compacting admits one background compactor at a time, and compactions
-	// counts the folds performed over the Searcher's lifetime.
-	compacting  atomic.Bool
+	// compacting admits one compactor at a time — a write that finds it held
+	// walks away, compactNow waits on it — and compactions counts the folds
+	// performed over the Searcher's lifetime.
+	compacting  sync.Mutex
 	compactions atomic.Int64
 
 	// telemetryBinding aggregates per-query work counters when telemetry is
@@ -827,28 +827,32 @@ func (s *Searcher) Compactions() int64 { return s.compactions.Load() }
 // overlay has grown past the threshold. At most one compaction runs at a
 // time; writers are never blocked by it.
 func (s *Searcher) maybeCompact() {
-	ov := s.snap.Load().ix
-	if ov.Pending() < s.compactThreshold() {
-		return
+	if s.snap.Load().ix.Pending() < s.compactThreshold() || !s.compacting.TryLock() {
+		return // nothing to fold yet, or a compaction is already folding
 	}
-	if !s.compacting.CompareAndSwap(false, true) {
-		return // a compaction is already folding
-	}
-	go s.compact(ov)
+	go s.compact(s.compactThreshold())
 }
 
-// compact folds the frozen overlay's delta into a fresh base clone — the
-// one O(n) step of the write path, performed off the write lock — then
-// rebases the current overlay (which may have accumulated further writes
-// meanwhile) onto the folded index and publishes it. Callers must have won
-// the compacting flag and must not hold s.mu.
+// compact freezes the published overlay and folds its delta into a fresh
+// base clone — the one O(n) step of the write path, performed off the write
+// lock — then rebases the current overlay (which may have accumulated further
+// writes meanwhile) onto the folded index and publishes it. Callers must hold
+// s.compacting, which compact releases, and must not hold s.mu. The overlay
+// is loaded here, under the lock: one a caller loaded before winning it may
+// have been folded and rebased away by the compaction that held the lock
+// meanwhile, and rebasing from a freeze that is no ancestor of the published
+// overlay panics. A delta that has shrunk below atLeast is left alone.
 //
 // A compaction has no request context, so when tracing is enabled
 // (EnableTracing) each fold records itself as its own root trace
 // ("compact") in the ring; the fold duration also feeds
 // rknn_compaction_duration_seconds when telemetry is enabled.
-func (s *Searcher) compact(frozen *index.Overlay) {
-	defer s.compacting.Store(false)
+func (s *Searcher) compact(atLeast int) {
+	defer s.compacting.Unlock()
+	frozen := s.snap.Load().ix
+	if frozen.Pending() < atLeast {
+		return
+	}
 	ring := s.traceRing.Load()
 	var tr *trace.Trace
 	var fsp *trace.Span
@@ -892,15 +896,8 @@ func (s *Searcher) compact(frozen *index.Overlay) {
 // a continuous stream of concurrent writers cannot stall a snapshot
 // forever; snapshotRecord tolerates a residually-dirty overlay.
 func (s *Searcher) compactNow() {
-	for attempts := 0; attempts < 64; attempts++ {
-		ov := s.snap.Load().ix
-		if !ov.Dirty() {
-			return
-		}
-		if s.compacting.CompareAndSwap(false, true) {
-			s.compact(ov)
-			continue // re-check: writes may have landed since the freeze
-		}
-		runtime.Gosched() // a background fold is in flight; wait it out
+	for attempts := 0; attempts < 64 && s.snap.Load().ix.Dirty(); attempts++ {
+		s.compacting.Lock() // waits on a fold in flight
+		s.compact(1)
 	}
 }

@@ -61,9 +61,13 @@ type shardClient interface {
 // exhausted when the stream failed, which Err tells apart.
 type shardStream interface {
 	index.Cursor
-	// Point returns the coordinates of a member Next has returned.
+	// Point returns the coordinates of a member Next has returned, valid
+	// until release.
 	Point(local int) []float64
 	Err() error
+	// release ends the stream's life, after Close and after the last read of
+	// a coordinate it returned: whatever storage it holds may be recycled.
+	release()
 }
 
 // livePoint fetches local ID l from a pinned index view, or nil when the
@@ -101,6 +105,9 @@ type localStream struct {
 }
 
 func (localStream) Err() error { return nil }
+
+// release: the rows are the pinned snapshot's own.
+func (localStream) release() {}
 
 func (sn *snapshot) Points(_ context.Context, locals []int) ([][]float64, error) {
 	return livePoints(sn.ix, locals), nil
@@ -176,6 +183,12 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 		res, err = qr.ByPointCtx(ctx, q)
 	}
 	f.observe()
+	// core has returned: nothing reads a streamed coordinate any more. Not
+	// sooner — refinement reads candidates' coordinates after the cursor is
+	// closed, and a caller's cancel can fire while it does.
+	for i := range f.heads {
+		f.heads[i].stream.release()
+	}
 	if f.err != nil { // a shard failed mid-query: whatever core computed is void
 		err = f.err
 	}

@@ -2,11 +2,16 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/wire"
 )
 
 // gridPoints draws n points on a coarse integer grid: exact duplicates and
@@ -209,5 +214,89 @@ func TestShardFailureVoidsTheQuery(t *testing.T) {
 		} else if got := err.Error(); got != "rknnd: connection reset" {
 			t.Errorf("%s: error %q, want the shard's, tagged once", name, got)
 		}
+	}
+}
+
+// lateTransport holds every request until its context is done, then sends it
+// on under a context that is not: the daemon's answer arrives after the
+// caller has given up on it.
+type lateTransport struct{ entered chan struct{} }
+
+func (l lateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	close(l.entered)
+	<-req.Context().Done()
+	return http.DefaultTransport.RoundTrip(req.Clone(context.Background()))
+}
+
+// TestAbandonedStreamIsNeverRecycled pins the one case in which a remote
+// stream's storage must not go back to its pool: Next gave up at ctx.Done
+// while the goroutine fetching the first chunk was still at work. Here that
+// goroutine's chunk does arrive, after the query has released the stream, and
+// is appended — into storage that is still the stream's own, which the pool
+// never saw. (A build that recycles it fails the race detector here, and in
+// internal/server's TestClusterCancelWhileDaemonBlocks.)
+func TestAbandonedStreamIsNeverRecycled(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	eng, err := New(gridPoints(60, 3, 50, rng), WithScale(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		frame, _ := io.ReadAll(r.Body)
+		req, err := wire.DecodeRequest(frame)
+		if err != nil || req.Op != wire.OpNeighbors {
+			http.Error(w, "the test daemon streams neighbors only", http.StatusBadRequest)
+			return
+		}
+		rows, pts, done, err := eng.NeighborStream(nil, nil, req.Point, req.Skip, req.After, req.Count)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentType)
+		_, _ = w.Write(wire.AppendNeighborsResponse(nil, rows, pts, done))
+	}))
+	defer daemon.Close()
+	over := func(rt http.RoundTripper) *remoteShard {
+		return &remoteShard{rs: newReplicaSet([]string{daemon.URL}), cc: &clusterClient{hc: &http.Client{Transport: rt}}}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	late := lateTransport{make(chan struct{})}
+	s := over(late).Neighbors(ctx, []float64{25, 25, 25}, -1, 8).(*remoteStream)
+	first := s.first
+	<-late.entered
+	cancel()
+	if _, ok := s.Next(); ok || !errors.Is(s.Err(), context.Canceled) {
+		t.Fatalf("Next on a cancelled stream: ok=%v, err=%v", ok, s.Err())
+	}
+	s.Close()
+	s.release()
+	if got := wire.GetStream(); got == s.buf {
+		t.Fatal("the pool handed out the storage of a stream whose fetch was still in flight")
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("the abandoned fetch: %v", err)
+	}
+	want, err := eng.KNN([]float64{25, 25, 25}, 8)
+	if err != nil || len(s.buf.Rows) != 8 {
+		t.Fatalf("the abandoned fetch appended %d rows, want 8", len(s.buf.Rows))
+	}
+	for i, nb := range s.buf.Rows {
+		if nb != want[i] || !equalPoints(s.buf.Points[i], eng.Point(nb.ID)) {
+			t.Errorf("row %d: (%+v, %v), the engine holds (%+v, %v)", i, nb, s.buf.Points[i], want[i], eng.Point(nb.ID))
+		}
+	}
+
+	// The other side of the rule: a stream whose first fetch was received
+	// goes back when it is released, rows forgotten.
+	s = over(http.DefaultTransport).Neighbors(context.Background(), []float64{25, 25, 25}, -1, 8).(*remoteStream)
+	if _, ok := s.Next(); !ok {
+		t.Fatalf("Next: %v", s.Err())
+	}
+	s.Close()
+	s.release()
+	if len(s.buf.Rows) != 0 {
+		t.Errorf("a released stream still holds %d rows", len(s.buf.Rows))
 	}
 }

@@ -142,7 +142,9 @@ func remoteError(msg string) error {
 // healthy replica; an attempt that fails at the transport layer or with a
 // 5xx marks its replica down (the health loop revives it).
 // Application-level failures (a well-formed 4xx or a binary error frame)
-// are returned to the decoder — they would fail identically everywhere.
+// are returned to the decoder — they would fail identically everywhere. The
+// body handed to decode lives in a pooled frame that is released when decode
+// returns: decode copies out what it keeps.
 func (r *remoteShard) call(ctx context.Context, method, path, contentType string, body []byte, decode func(status int, ctype string, body []byte) error) error {
 	var lastErr error
 	backoff := r.cc.backoff
@@ -162,7 +164,7 @@ func (r *remoteShard) call(ctx context.Context, method, path, contentType string
 			backoff *= 2
 		}
 		replica := r.rs.pick()
-		status, ctype, respBody, err := r.attempt(ctx, method, r.rs.addrs[replica]+path, contentType, body)
+		status, ctype, resp, err := r.attempt(ctx, method, r.rs.addrs[replica]+path, contentType, body)
 		if err != nil {
 			r.rs.markDown(replica)
 			lastErr = fmt.Errorf("shard %d (%s): %w", r.shard, r.rs.addrs[replica], err)
@@ -170,10 +172,13 @@ func (r *remoteShard) call(ctx context.Context, method, path, contentType string
 		}
 		if status >= 500 {
 			r.rs.markDown(replica)
-			lastErr = fmt.Errorf("shard %d (%s): %s", r.shard, r.rs.addrs[replica], httpErrMsg(status, ctype, respBody))
+			lastErr = fmt.Errorf("shard %d (%s): %s", r.shard, r.rs.addrs[replica], httpErrMsg(status, ctype, resp.B))
+			resp.Release()
 			continue
 		}
-		return decode(status, ctype, respBody)
+		err = decode(status, ctype, resp.B)
+		resp.Release()
+		return err
 	}
 	return lastErr
 }
@@ -192,7 +197,8 @@ func (r *remoteShard) write(ctx context.Context, method, path string, body []byt
 		return 0, nil, err
 	}
 	primary := r.rs.addrs[0]
-	status, ctype, resp, err := r.attempt(ctx, method, primary+path, "application/json", body)
+	status, ctype, frame, err := r.attempt(ctx, method, primary+path, "application/json", body)
+	defer frame.Release() // what is returned is copied out of it first
 	switch {
 	case err != nil: // names the URL itself
 		r.rs.markDown(0)
@@ -202,13 +208,13 @@ func (r *remoteShard) write(ctx context.Context, method, path string, body []byt
 		}
 		return 0, nil, outcomeUnknown(err)
 	case status == ok:
-		return status, resp, nil
+		return status, bytes.Clone(frame.B), nil
 	case status/100 == 4:
-		return status, nil, jsonErr(status, ctype, resp)
+		return status, nil, jsonErr(status, ctype, frame.B)
 	case status >= 500:
 		r.rs.markDown(0)
 	}
-	return status, nil, outcomeUnknown(fmt.Errorf("%s: %s", primary, httpErrMsg(status, ctype, resp)))
+	return status, nil, outcomeUnknown(fmt.Errorf("%s: %s", primary, httpErrMsg(status, ctype, frame.B)))
 }
 
 // outcomeUnknown marks a write the daemon may or may not have applied, and
@@ -266,8 +272,9 @@ func (r *remoteShard) DeleteContext(ctx context.Context, local int) (bool, error
 
 // attempt is one HTTP exchange under the per-request timeout, traced as a
 // "remote.call" span and stamped with the query's traceparent and
-// X-Request-ID so the daemon joins the same distributed trace.
-func (r *remoteShard) attempt(ctx context.Context, method, url, contentType string, body []byte) (status int, ctype string, respBody []byte, err error) {
+// X-Request-ID so the daemon joins the same distributed trace. The response
+// body comes back in a pooled frame the caller releases (nil on error).
+func (r *remoteShard) attempt(ctx context.Context, method, url, contentType string, body []byte) (status int, ctype string, frame *wire.Frame, err error) {
 	if r.cc.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.cc.timeout)
@@ -312,21 +319,18 @@ func (r *remoteShard) attempt(ctx context.Context, method, url, contentType stri
 		return 0, "", nil, err
 	}
 	defer resp.Body.Close()
-	if n := resp.ContentLength; n > 0 && n <= maxRemoteResponse {
-		// Frames declare their length: read into a buffer of exactly that
-		// size instead of growing one (a stream chunk is tens of kilobytes).
-		respBody = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, respBody)
-	} else {
-		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxRemoteResponse))
-	}
-	if err != nil {
+	// Frames declare their length, so the pooled buffer is sized once (a
+	// stream chunk is tens of kilobytes) — but never past wire.MaxPooled on
+	// the daemon's word alone.
+	frame = wire.GetFrame()
+	if err = frame.ReadBody(io.LimitReader(resp.Body, maxRemoteResponse), resp.ContentLength); err != nil {
+		frame.Release()
 		return 0, "", nil, err
 	}
 	if sp != nil {
 		sp.SetInt("status", int64(resp.StatusCode))
 	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), respBody, nil
+	return resp.StatusCode, resp.Header.Get("Content-Type"), frame, nil
 }
 
 // httpErrMsg extracts the daemon's error message from a failure response:
@@ -348,16 +352,18 @@ func jsonErr(status int, ctype string, body []byte) error {
 	return remoteError(httpErrMsg(status, ctype, body))
 }
 
-// binaryCall posts one wire frame to /v1/binary and hands back the
-// response frame; wire error frames surface through the frame decoders.
-func (r *remoteShard) binaryCall(ctx context.Context, frame []byte) ([]byte, error) {
-	var out []byte
-	err := r.call(ctx, http.MethodPost, "/v1/binary", wire.ContentType, frame,
-		func(status int, ctype string, body []byte) error {
+// binaryCall posts one wire frame to /v1/binary and decodes the response
+// frame while the call still owns the body it arrived in; a wire error frame
+// or a malformed one surfaces through decode and is mapped by frameErr.
+func binaryCall[T any](ctx context.Context, r *remoteShard, frame []byte, decode func([]byte) (T, error)) (out T, err error) {
+	err = r.call(ctx, http.MethodPost, "/v1/binary", wire.ContentType, frame,
+		func(status int, ctype string, body []byte) (err error) {
 			if !strings.HasPrefix(ctype, wire.ContentType) {
 				return jsonErr(status, ctype, body)
 			}
-			out = body
+			if out, err = decode(body); err != nil {
+				return r.frameErr(err)
+			}
 			return nil
 		})
 	return out, err
@@ -394,7 +400,7 @@ func (r *remoteShard) unknownOpErr(err error, op wire.Op, what string) error {
 const maxFirstChunk = 256
 
 func (r *remoteShard) Neighbors(ctx context.Context, q []float64, skip, expect int) shardStream {
-	s := &remoteStream{r: r, ctx: ctx, q: q, skip: skip, ask: min(max(expect, 1), maxFirstChunk), first: make(chan error, 1)}
+	s := &remoteStream{r: r, ctx: ctx, q: q, skip: skip, buf: wire.GetStream(), ask: min(max(expect, 1), maxFirstChunk), first: make(chan error, 1)}
 	// The first chunk is fetched here, off the caller's goroutine, so that
 	// opening the S streams of a query costs one round trip, not S. The
 	// channel has room for the one send, so the fetch never outlives ctx
@@ -403,21 +409,21 @@ func (r *remoteShard) Neighbors(ctx context.Context, q []float64, skip, expect i
 	return s
 }
 
-// remoteStream reads a daemon's neighbor stream chunk by chunk. Fetched rows
-// are kept for the life of the query: the filter set of the algorithm that
-// reads the stream references their coordinates.
+// remoteStream reads a daemon's neighbor stream chunk by chunk into pooled
+// storage. Fetched rows are kept for the life of the query — the filter set
+// of the algorithm that reads the stream references their coordinates — and
+// go back to the pool when the query releases the stream.
 type remoteStream struct {
 	r    *remoteShard
 	ctx  context.Context
 	q    []float64
 	skip int
 
-	rows  []index.Neighbor // every row fetched so far, in stream order
-	pts   [][]float64      // pts[i] belongs to rows[i]
-	pos   int              // rows[:pos] have been returned by Next
-	ask   int              // size of the next fetch
-	done  bool             // the shard holds no row past rows
-	first chan error       // result of the fetch Neighbors started; nil once received
+	buf   *wire.Stream // every row fetched so far, in stream order, with its coordinates
+	pos   int          // buf.Rows[:pos] have been returned by Next
+	ask   int          // size of the next fetch
+	done  bool         // the shard holds no row past buf.Rows
+	first chan error   // result of the fetch Neighbors started; nil once received
 	err   error
 }
 
@@ -425,61 +431,58 @@ type remoteStream struct {
 // resumed by its (distance, ID) key so that a write landing on the daemon
 // between two chunks can neither repeat nor reorder a row.
 func (s *remoteStream) fetch() error {
-	after := wire.Neighbor{ID: -1}
-	if len(s.rows) > 0 {
-		after = s.rows[len(s.rows)-1]
+	held, after := len(s.buf.Rows), wire.Neighbor{ID: -1}
+	if held > 0 {
+		after = s.buf.Rows[held-1]
 	}
-	resp, err := s.r.binaryCall(s.ctx, wire.AppendNeighborsRequest(nil, s.q, s.skip, after, s.ask))
+	done, err := binaryCall(s.ctx, s.r, wire.AppendNeighborsRequest(nil, s.q, s.skip, after, s.ask), s.buf.Append)
 	if err != nil {
 		return s.r.unknownOpErr(err, wire.OpNeighbors, "neighbor stream")
 	}
-	rows, pts, done, err := wire.DecodeNeighborsResponse(resp)
-	if err != nil {
-		return s.r.unknownOpErr(s.r.frameErr(err), wire.OpNeighbors, "neighbor stream")
-	}
 	// A stream that repeats or reorders rows would corrupt the merge silently;
 	// a daemon that sends one is refused loudly.
-	for _, nb := range rows {
+	for _, nb := range s.buf.Rows[held:] {
 		if after.ID >= 0 && !neighborBefore(after, nb) {
 			return fmt.Errorf("shard %d sent neighbor (%v, %d) after (%v, %d): stream out of order", s.r.shard, nb.Dist, nb.ID, after.Dist, after.ID)
 		}
 		after = nb
 	}
-	if len(rows) == 0 && !done {
+	if len(s.buf.Rows) == held && !done {
 		return fmt.Errorf("shard %d sent an empty neighbor chunk that is not the last", s.r.shard)
 	}
-	s.rows, s.pts, s.done = append(s.rows, rows...), append(s.pts, pts...), done
-	s.ask = min(2*s.ask, wire.MaxNeighborRows)
+	s.done, s.ask = done, min(2*s.ask, wire.MaxNeighborRows)
 	return nil
 }
 
 func (s *remoteStream) Next() (index.Neighbor, bool) {
-	if s.first != nil {
+	if s.first != nil && s.err == nil {
 		select {
 		case s.err = <-s.first:
+			s.first = nil
 		case <-s.ctx.Done():
+			// first stays set: the fetch may still be appending, so the
+			// storage is no longer this goroutine's to read — or to release.
 			s.err = s.ctx.Err()
 		}
-		s.first = nil
 	}
-	// Checked first: after a cancelled wait the first fetch may still be
-	// appending to rows.
-	for s.err == nil && s.pos == len(s.rows) && !s.done {
+	// err is checked first, here and below: after a wait given up at
+	// ctx.Done the first fetch may still be appending to buf.
+	for s.err == nil && s.pos == len(s.buf.Rows) && !s.done {
 		s.err = s.fetch()
 	}
-	if s.err != nil || s.pos == len(s.rows) {
+	if s.err != nil || s.pos == len(s.buf.Rows) {
 		return index.Neighbor{}, false
 	}
 	s.pos++
-	return s.rows[s.pos-1], true
+	return s.buf.Rows[s.pos-1], true
 }
 
 // Point finds a returned row by its local ID, latest first: the caller asks
 // for the row it was just handed.
 func (s *remoteStream) Point(local int) []float64 {
 	for i := s.pos - 1; i >= 0; i-- {
-		if s.rows[i].ID == local {
-			return s.pts[i]
+		if s.buf.Rows[i].ID == local {
+			return s.buf.Points[i]
 		}
 	}
 	return nil
@@ -491,26 +494,23 @@ func (s *remoteStream) Err() error { return s.err }
 // references them, and the query's context stops a fetch still in flight.
 func (s *remoteStream) Close() {}
 
+// release returns the storage to its pool — unless the first fetch was never
+// received (Next gave up at ctx.Done, or was never called): its goroutine may
+// still be appending, so that storage is left to the garbage collector.
+func (s *remoteStream) release() {
+	if s.first == nil {
+		s.buf.Release()
+	}
+}
+
 func (r *remoteShard) Points(ctx context.Context, locals []int) ([][]float64, error) {
-	resp, err := r.binaryCall(ctx, wire.AppendPointsRequest(nil, locals))
-	if err != nil {
-		return nil, err
-	}
-	rows, err := wire.DecodePointsResponse(resp)
-	if err != nil {
-		return nil, r.frameErr(err)
-	}
-	return rows, nil
+	return binaryCall(ctx, r, wire.AppendPointsRequest(nil, locals), wire.DecodePointsResponse)
 }
 
 func (r *remoteShard) KNN(ctx context.Context, q []float64, k int) ([]index.Neighbor, error) {
-	resp, err := r.binaryCall(ctx, wire.AppendKNNBatchRequest(nil, []wire.KNNQuery{{Point: q, K: k, Skip: -1}}))
+	lists, err := binaryCall(ctx, r, wire.AppendKNNBatchRequest(nil, []wire.KNNQuery{{Point: q, K: k, Skip: -1}}), wire.DecodeKNNBatchResponse)
 	if err != nil {
 		return nil, err
-	}
-	lists, err := wire.DecodeKNNBatchResponse(resp)
-	if err != nil {
-		return nil, r.frameErr(err)
 	}
 	if len(lists) != 1 {
 		return nil, fmt.Errorf("shard %d returned %d knn lists for 1 probe", r.shard, len(lists))
@@ -519,15 +519,8 @@ func (r *remoteShard) KNN(ctx context.Context, q []float64, k int) ([]index.Neig
 }
 
 func (r *remoteShard) CountBatch(ctx context.Context, probes []CountCloserQuery) ([]int, error) {
-	resp, err := r.binaryCall(ctx, wire.AppendCountBatchRequest(nil, probes))
-	if err != nil {
-		return nil, r.unknownOpErr(err, wire.OpCountBatch, "count verification")
-	}
-	counts, err := wire.DecodeCountBatchResponse(resp)
-	if err != nil {
-		return nil, r.frameErr(err)
-	}
-	return counts, nil
+	counts, err := binaryCall(ctx, r, wire.AppendCountBatchRequest(nil, probes), wire.DecodeCountBatchResponse)
+	return counts, r.unknownOpErr(err, wire.OpCountBatch, "count verification")
 }
 
 // shardInfo is the daemon self-description behind GET /v1/shard/info.

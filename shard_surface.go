@@ -17,27 +17,27 @@ import (
 // API: all answer from one pinned snapshot, with the same concurrency
 // contract as every other read.
 
-// NeighborStream returns one chunk of the forward neighbor stream from q: up
-// to count members in ascending (distance, ID) order with their coordinates
-// (points[i] belongs to rows[i]; owned by the engine, not to be modified),
-// member skip excluded (-1 for none), starting after the row `after` in that
-// order (after.ID < 0 starts at the nearest). done reports that the stream
-// ends with this chunk. Resuming by key rather than by offset means each
-// chunk may be answered from a newer snapshot than the last without ever
-// repeating or reordering a row: a write between two chunks can only add or
-// remove rows ahead of the key.
-func (s *Searcher) NeighborStream(q []float64, skip int, after Neighbor, count int) (rows []Neighbor, points [][]float64, done bool, err error) {
+// NeighborStream appends one chunk of the forward neighbor stream from q to
+// rows and points (a daemon passes recycled staging; nil works): up to count
+// members in ascending (distance, ID) order with their coordinates (points[i]
+// belongs to rows[i]; owned by the engine, not to be modified), member skip
+// excluded (-1 for none), starting after the row `after` in that order
+// (after.ID < 0 starts at the nearest). done reports that the stream ends
+// with this chunk. Resuming by key rather than by offset means each chunk may
+// be answered from a newer snapshot than the last without ever repeating or
+// reordering a row: a write between two chunks can only add or remove rows
+// ahead of the key.
+func (s *Searcher) NeighborStream(rows []Neighbor, points [][]float64, q []float64, skip int, after Neighbor, count int) (_ []Neighbor, _ [][]float64, done bool, err error) {
 	ix := s.snap.Load().ix
 	if count <= 0 {
-		return nil, nil, false, fmt.Errorf("rknnd: neighbor count must be positive, got %d", count)
+		return rows, points, false, fmt.Errorf("rknnd: neighbor count must be positive, got %d", count)
 	}
 	if err := checkQuery(ix.Metric(), ix.Dim(), q); err != nil {
-		return nil, nil, false, fmt.Errorf("rknnd: %w", err)
+		return rows, points, false, fmt.Errorf("rknnd: %w", err)
 	}
 	cur := ix.NewCursor(q, max(skip, -1))
 	defer cur.Close()
-	rows = make([]Neighbor, 0, count)
-	points = make([][]float64, 0, count)
+	held := len(rows)
 	for {
 		nb, ok := cur.Next()
 		if !ok {
@@ -46,7 +46,7 @@ func (s *Searcher) NeighborStream(q []float64, skip int, after Neighbor, count i
 		if after.ID >= 0 && !neighborBefore(after, nb) {
 			continue
 		}
-		if len(rows) == count {
+		if len(rows)-held == count {
 			return rows, points, false, nil
 		}
 		rows = append(rows, nb)

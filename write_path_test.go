@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +152,58 @@ func TestCompactionFoldsMemtable(t *testing.T) {
 	verifyAgainstOracle(t, s, 128, map[int]bool{
 		0: true, 1: true, 2: true, 3: true, 4: true, 5: true, 6: true, 7: true,
 	})
+}
+
+// TestCompactNowWaitsOnTheFoldInFlight pins ROADMAP 8f. A compaction used to
+// choose the overlay it froze before it owned the right to fold: a fold that
+// published its rebase in between left it freezing an overlay that was no
+// ancestor of the published one (Rebase panicked on a negative length, about
+// once in 5 000 runs), and compactNow, finding the flag taken, spun 64 times
+// and gave up ("never folded", about once in 1 000). The test is the fold in
+// flight: it holds the compactor's lock while writes pile up a delta and
+// compactNow arrives, then publishes its rebase and lets go — compactNow
+// must still be there, and must freeze what was published, not what it saw.
+func TestCompactNowWaitsOnTheFoldInFlight(t *testing.T) {
+	pts := indextest.RandPoints(120, 3, 47)
+	s, err := New(pts, WithScale(100), WithCompactionThreshold(4))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s.compacting.Lock()
+	for _, p := range indextest.RandPoints(10, 3, 48) {
+		if _, err := s.Insert(p); err != nil { // past the threshold, but the lock is taken: the write walks away
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	if ok, err := s.Delete(5); !ok || err != nil {
+		t.Fatalf("Delete(5) = (%v, %v)", ok, err)
+	}
+	if s.Compactions() != 0 || s.MemtableLen() != 10 {
+		t.Fatalf("a write folded while a fold was in flight: %d compactions, %d memtable rows", s.Compactions(), s.MemtableLen())
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.compactNow() // sees a dirty overlay, then parks on the lock
+	}()
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched() // far past the 64 spins compactNow used to give up after
+	}
+	select {
+	case <-done:
+		t.Fatal("compactNow returned while a fold was in flight: it gave up instead of waiting")
+	default:
+	}
+	s.compact(1) // the fold in flight publishes its rebase and releases the lock
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("compactNow still waiting after the fold in flight finished")
+	}
+	if s.Compactions() != 1 || s.snap.Load().ix.Dirty() {
+		t.Fatalf("after the wait: %d compactions, dirty=%v; want the one fold and a clean overlay", s.Compactions(), s.snap.Load().ix.Dirty())
+	}
+	verifyAgainstOracle(t, s, 130, map[int]bool{5: true})
 }
 
 // TestWriteTelemetry pins the write-path observability bugfix: inserts and
