@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/index"
 	"repro/internal/vecmath"
 )
 
@@ -28,7 +29,7 @@ func (t *Tree) EncodeStructure() []byte {
 	if t.root == nil {
 		return nil
 	}
-	buf := make([]byte, 0, nodeRecordSize*len(t.points))
+	buf := make([]byte, 0, nodeRecordSize*len(t.points.Rows))
 	stack := []*node{t.root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -87,7 +88,7 @@ func Restore(points [][]float64, metric vecmath.Metric, deleted []int, structure
 		return nil, err
 	}
 	t := &Tree{
-		points:  points,
+		points:  index.TableOf(points),
 		metric:  metric,
 		dim:     len(points[0]),
 		root:    root,

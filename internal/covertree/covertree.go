@@ -26,9 +26,12 @@ package covertree
 
 import (
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/index"
 	"repro/internal/pqueue"
@@ -46,8 +49,14 @@ func (n *node) covdist() float64 { return math.Exp2(float64(n.level)) }
 
 // Tree is a cover tree. It implements index.Index and index.Dynamic.
 // Readers may run concurrently; mutation requires external synchronization.
+//
+// Ownership: a node, and the tombstone map, is written only by the tree
+// that allocated it since that tree's last Clone. Clone copies nothing; it
+// marks both sides as sharing what they hold, and from then on an insertion
+// into either copies the path it is about to change (insertID) and a
+// deletion copies the map first. A tree nobody has cloned builds in place.
 type Tree struct {
-	points  [][]float64
+	points  index.Table[[]float64] // ID → row; clones share it by the claimed-length rule
 	metric  vecmath.Metric
 	dist    vecmath.DistanceFunc      // resolved kernel; falls back to metric.Distance
 	batch   vecmath.BatchDistanceFunc // resolved one-vs-many kernel
@@ -55,6 +64,14 @@ type Tree struct {
 	root    *node
 	deleted map[int]bool
 	alive   int
+
+	// Both are atomic because Clone sets them on a tree that concurrent
+	// readers, and a second Clone, may hold. sharedNodes never clears: no
+	// node says which tree allocated it, so a tree that once shared its
+	// nodes copies the path of every later insertion. sharedDeleted clears
+	// when this tree has copied the map for itself.
+	sharedNodes   atomic.Bool
+	sharedDeleted atomic.Bool
 }
 
 var _ index.Cloner = (*Tree)(nil)
@@ -73,7 +90,7 @@ func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{
-		points:  points,
+		points:  index.TableOf(points),
 		metric:  metric,
 		dim:     len(points[0]),
 		deleted: make(map[int]bool),
@@ -103,7 +120,7 @@ func (t *Tree) Len() int { return t.alive }
 func (t *Tree) Dim() int { return t.dim }
 
 // Point implements index.Index.
-func (t *Tree) Point(id int) []float64 { return t.points[id] }
+func (t *Tree) Point(id int) []float64 { return t.points.Rows[id] }
 
 // Metric implements index.Index.
 func (t *Tree) Metric() vecmath.Metric { return t.metric }
@@ -114,59 +131,50 @@ func (t *Tree) Insert(p []float64) (int, error) {
 		return 0, err
 	}
 	if len(p) != t.dim {
-		return 0, vecmath.CheckDims(p, t.points[0])
+		return 0, vecmath.CheckDims(p, t.points.Rows[0])
 	}
-	t.points = append(t.points, p)
-	id := len(t.points) - 1
+	t.points.Append(p)
+	id := len(t.points.Rows) - 1
 	t.insertID(id)
 	t.alive++
 	return id, nil
 }
 
-// Clone implements index.Cloner with a deep copy of the node structure:
-// insertion mutates maxDist, children, and possibly the root level anywhere
-// along its descent path, so nodes cannot be shared between a frozen
-// snapshot and its mutable successor. Point coordinate slices are immutable
-// and stay shared; the walk is O(n).
+// Clone implements index.Cloner in O(1): the clone shares the nodes, the
+// ID→row table and the tombstone map with t, and both are marked as sharing
+// them (see Tree), so either may be extended afterwards and neither is ever
+// observable through the other. Point coordinate slices are immutable and
+// shared as they always were. Clone reads t like any query and may run
+// beside queries and other Clones, not beside a mutation of t.
 func (t *Tree) Clone() index.Dynamic {
-	points := make([][]float64, len(t.points), len(t.points)+1)
-	copy(points, t.points)
-	deleted := make(map[int]bool, len(t.deleted))
-	for id := range t.deleted {
-		deleted[id] = true
-	}
-	return &Tree{
-		points:  points,
+	t.sharedNodes.Store(true)
+	t.sharedDeleted.Store(true)
+	c := &Tree{
+		points:  t.points,
 		metric:  t.metric,
 		dist:    t.dist,
 		batch:   t.batch,
 		dim:     t.dim,
-		root:    cloneNode(t.root),
-		deleted: deleted,
+		root:    t.root,
+		deleted: t.deleted,
 		alive:   t.alive,
 	}
-}
-
-func cloneNode(n *node) *node {
-	if n == nil {
-		return nil
-	}
-	c := &node{id: n.id, level: n.level, maxDist: n.maxDist}
-	if len(n.children) > 0 {
-		c.children = make([]*node, len(n.children))
-		for i, child := range n.children {
-			c.children[i] = cloneNode(child)
-		}
-	}
+	c.sharedNodes.Store(true)
+	c.sharedDeleted.Store(true)
 	return c
 }
 
 // Delete implements index.Dynamic with a tombstone: the point keeps serving
 // as a routing object (the covering invariant must not be disturbed) but is
-// filtered from all query results.
+// filtered from all query results. A tree that shares its tombstone map
+// copies it before the first deletion.
 func (t *Tree) Delete(id int) bool {
-	if id < 0 || id >= len(t.points) || t.deleted[id] {
+	if id < 0 || id >= len(t.points.Rows) || t.deleted[id] {
 		return false
+	}
+	if t.sharedDeleted.Load() {
+		t.deleted = maps.Clone(t.deleted)
+		t.sharedDeleted.Store(false)
 	}
 	t.deleted[id] = true
 	t.alive--
@@ -174,45 +182,64 @@ func (t *Tree) Delete(id int) bool {
 }
 
 // IDSpan implements index.Liveness.
-func (t *Tree) IDSpan() int { return len(t.points) }
+func (t *Tree) IDSpan() int { return len(t.points.Rows) }
 
 // Live implements index.Liveness.
-func (t *Tree) Live(id int) bool { return id >= 0 && id < len(t.points) && !t.deleted[id] }
+func (t *Tree) Live(id int) bool { return id >= 0 && id < len(t.points.Rows) && !t.deleted[id] }
 
-// insertID threads the point with the given id into the tree.
+// insertID threads the point with the given id into the tree. On a tree
+// that shares its nodes it writes to copies only: the root, then each child
+// it descends into, is copied before it is touched — the node, and its
+// children slice at the moment an entry is replaced or appended — so the
+// raised root level, the widened maxDist bounds and the new leaf exist in
+// this tree alone. The tree that results is node for node the one an
+// in-place insertion builds.
 func (t *Tree) insertID(id int) {
-	p := t.points[id]
+	p := t.points.Rows[id]
 	if t.root == nil {
 		t.root = &node{id: id, level: 0}
 		return
 	}
-	d := t.dist(p, t.points[t.root.id])
+	cow := t.sharedNodes.Load()
+	if cow {
+		root := *t.root
+		t.root = &root
+	}
+	d := t.dist(p, t.points.Rows[t.root.id])
 	if d > t.root.covdist() {
 		// Lazy root raise: lift the root's level until its cover
 		// radius reaches the new point. Children remain covered (the
 		// radius only grew) and keep strictly smaller levels.
 		t.root.level = levelFor(d)
 	}
-	cur := t.root
+	cur := t.root // this tree's own node; under cow its children slice is still the shared one
 	for {
-		dCur := t.dist(p, t.points[cur.id])
+		dCur := t.dist(p, t.points.Rows[cur.id])
 		if dCur > cur.maxDist {
 			cur.maxDist = dCur
 		}
 		// Descend into the nearest child whose cover radius reaches p.
-		var best *node
+		best := -1
 		bestDist := math.Inf(1)
-		for _, c := range cur.children {
-			dc := t.dist(p, t.points[c.id])
+		for i, c := range cur.children {
+			dc := t.dist(p, t.points.Rows[c.id])
 			if dc <= c.covdist() && dc < bestDist {
-				best, bestDist = c, dc
+				best, bestDist = i, dc
 			}
 		}
-		if best == nil {
+		if best < 0 {
+			if cow { // a copy with room for exactly the leaf
+				cur.children = append(make([]*node, 0, len(cur.children)+1), cur.children...)
+			}
 			cur.children = append(cur.children, &node{id: id, level: cur.level - 1})
 			return
 		}
-		cur = best
+		if cow {
+			child := *cur.children[best]
+			cur.children = slices.Clone(cur.children)
+			cur.children[best] = &child
+		}
+		cur = cur.children[best]
 	}
 }
 
@@ -261,7 +288,7 @@ func (t *Tree) measure(q []float64, children []*node, s *chunkScratch) (dists []
 	n := min(expandChunk, len(children))
 	rows := s.rows[:n]
 	for i, child := range children[:n] {
-		rows[i] = t.points[child.id]
+		rows[i] = t.points.Rows[child.id]
 	}
 	dists = s.dists[:n]
 	t.batch(q, rows, dists)
@@ -324,7 +351,7 @@ func (t *Tree) openCursor(q []float64, skipID int) *cursor {
 	c := cursorPool.Get().(*cursor)
 	c.t, c.q, c.skipID = t, q, skipID
 	if t.root != nil {
-		d := t.dist(q, t.points[t.root.id])
+		d := t.dist(q, t.points.Rows[t.root.id])
 		c.nodes.Push(lowerBound(t.root, d), queueEntry{n: t.root, dist: d})
 	}
 	return c
@@ -467,7 +494,7 @@ func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[i
 		return 0
 	}
 	c := closerCount{t: t, q: q, r: r, limit: limit, skipID: skipID, dead: dead, scratch: descentPool.Get().(*descent)}
-	c.visit(t.root, t.dist(q, t.points[t.root.id]), 0)
+	c.visit(t.root, t.dist(q, t.points.Rows[t.root.id]), 0)
 	descentPool.Put(c.scratch)
 	return c.n
 }
@@ -524,7 +551,7 @@ func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id i
 			}
 		}
 	}
-	if d := t.dist(q, t.points[t.root.id]); d-t.root.maxDist <= r {
+	if d := t.dist(q, t.points.Rows[t.root.id]); d-t.root.maxDist <= r {
 		visit(t.root, d, 0)
 	}
 	descentPool.Put(ds)
@@ -535,12 +562,12 @@ func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id i
 // healthy tree.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
-		if len(t.points) > 0 {
+		if len(t.points.Rows) > 0 {
 			return errors.New("covertree: non-empty tree with nil root")
 		}
 		return nil
 	}
-	seen := make(map[int]bool, len(t.points))
+	seen := make(map[int]bool, len(t.points.Rows))
 	// check returns the IDs of all points in n's subtree, verifying the
 	// covering and level invariants on the way down and the exact maxDist
 	// bound against every descendant on the way up.
@@ -555,7 +582,7 @@ func (t *Tree) CheckInvariants() error {
 			if c.level >= n.level {
 				return nil, errors.New("covertree: child level not below parent level")
 			}
-			d := t.metric.Distance(t.points[n.id], t.points[c.id])
+			d := t.metric.Distance(t.points.Rows[n.id], t.points.Rows[c.id])
 			if d > n.covdist()*(1+1e-9) {
 				return nil, errors.New("covertree: covering invariant violated")
 			}
@@ -566,7 +593,7 @@ func (t *Tree) CheckInvariants() error {
 			ids = append(ids, sub...)
 		}
 		for _, id := range ids {
-			if d := t.metric.Distance(t.points[n.id], t.points[id]); d > n.maxDist+1e-9 {
+			if d := t.metric.Distance(t.points.Rows[n.id], t.points.Rows[id]); d > n.maxDist+1e-9 {
 				return nil, errors.New("covertree: maxDist bound violated")
 			}
 		}
@@ -575,7 +602,7 @@ func (t *Tree) CheckInvariants() error {
 	if _, err := check(t.root); err != nil {
 		return err
 	}
-	if len(seen) != len(t.points) {
+	if len(seen) != len(t.points.Rows) {
 		return errors.New("covertree: tree does not contain every point")
 	}
 	return nil

@@ -344,7 +344,7 @@ func scalarCountCloser(t *Tree, q []float64, r float64, limit, skipID int, dead 
 			if n >= limit {
 				return
 			}
-			dc := t.metric.Distance(q, t.points[child.id])
+			dc := t.metric.Distance(q, t.points.Rows[child.id])
 			if dc-child.maxDist > r {
 				continue
 			}
@@ -352,7 +352,7 @@ func scalarCountCloser(t *Tree, q []float64, r float64, limit, skipID int, dead 
 		}
 	}
 	if limit > 0 {
-		visit(t.root, t.metric.Distance(q, t.points[t.root.id]))
+		visit(t.root, t.metric.Distance(q, t.points.Rows[t.root.id]))
 	}
 	return n
 }

@@ -145,15 +145,19 @@ type Liveness interface {
 	Live(id int) bool
 }
 
-// Cloner is implemented by dynamic indexes that can copy themselves in O(n).
-// The copy shares no mutable state with the original: mutating the clone
-// must never be observable through the original, so a frozen original can
-// keep serving concurrent readers while the clone absorbs updates. This is
-// the primitive behind the facade's copy-on-write snapshots (DESIGN.md).
+// Cloner is implemented by dynamic indexes that can hand out an independent
+// copy of themselves. Independent both ways: no mutation of the clone is
+// ever observable through the original, and none of the original through the
+// clone, so a frozen original keeps serving concurrent readers while the
+// clone absorbs updates. The two may share immutable structure — the cover
+// tree's Clone is O(1) and its insertions copy the path they change; scan
+// and LSH copy their rows, O(n) — and Clone itself may run beside readers
+// and other Clones of the same index. This is the primitive behind the
+// facade's copy-on-write snapshots (DESIGN.md).
 type Cloner interface {
 	Dynamic
 
-	// Clone returns an independent deep copy of the index.
+	// Clone returns an independent copy of the index.
 	Clone() Dynamic
 }
 

@@ -1,10 +1,14 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,10 +19,12 @@ import (
 // Overlay is an LSM-style delta layer over an immutable base index: recent
 // inserts live in an append-only memtable, deletions in a tombstone set, and
 // every query merges the two with the base on the fly under the (distance,
-// ID) total order. It exists so the facade's copy-on-write writers no longer
-// pay O(n) per mutation — Clone copies only the delta (the memtable slice
-// header and the tombstone set), sharing the base, and the O(n) cost moves
-// into Fold, paid once per compaction instead of once per write.
+// ID) total order. It exists so the facade's copy-on-write writers never
+// touch the base: Clone copies nothing (the memtable is shared by the
+// claimed-length rule, the tombstone set until a clone deletes), and
+// threading the delta into the base moves into Fold, paid once per
+// compaction instead of once per write — by a base whose own Clone shares
+// structure (the cover tree), in proportion to the delta, not to n.
 //
 // ID discipline: the base owns IDs [0, baseSpan); memtable row i is ID
 // baseSpan+i. IDs are never reused and rows are never removed (a deleted
@@ -30,15 +36,16 @@ import (
 // publish atomically — keeps published overlays immutable and therefore
 // safe for any number of readers.
 type Overlay struct {
-	base     Index // immutable while this overlay is reachable by readers
-	baseSpan int   // IDs below this resolve in base
-	rows     [][]float64
-	tomb     map[int]bool // deleted IDs, both base- and memtable-region
-	baseTomb int          // tombstones below baseSpan (the base.KNN over-fetch)
-	alive    int
-	dim      int
-	metric   vecmath.Metric
-	dist     vecmath.DistanceFunc // resolved kernel; falls back to metric.Distance
+	base       Index // immutable while this overlay is reachable by readers
+	baseSpan   int   // IDs below this resolve in base
+	rows       Table[[]float64]
+	tomb       map[int]bool // deleted IDs, both base- and memtable-region
+	sharedTomb atomic.Bool  // tomb is shared with a clone (or the original): Delete copies it first
+	baseTomb   int          // tombstones below baseSpan (the base.KNN over-fetch)
+	alive      int
+	dim        int
+	metric     vecmath.Metric
+	dist       vecmath.DistanceFunc // resolved kernel; falls back to metric.Distance
 }
 
 var (
@@ -56,12 +63,13 @@ func resolveKernel(m vecmath.Metric) vecmath.DistanceFunc {
 }
 
 // baseClones counts base-index clones performed by Fold across the process
-// — the O(n) events. The write-path tests pin that N inserts below the
-// compaction threshold perform zero of them.
+// — one per compaction, whatever the base charges for it. The write-path
+// tests pin that N inserts below the compaction threshold perform zero of
+// them.
 var baseClones atomic.Int64
 
-// BaseClones returns the process-lifetime count of O(n) base-index clones
-// (one per Fold).
+// BaseClones returns the process-lifetime count of base-index clones (one
+// per Fold).
 func BaseClones() int64 { return baseClones.Load() }
 
 // NewOverlay wraps base in an empty delta overlay. The base is retained by
@@ -117,14 +125,14 @@ func (o *Overlay) Base() Index { return o.base }
 
 // MemtableLen returns the number of memtable rows (including tombstoned
 // ones — they still occupy IDs and are re-inserted by Fold).
-func (o *Overlay) MemtableLen() int { return len(o.rows) }
+func (o *Overlay) MemtableLen() int { return len(o.rows.Rows) }
 
 // Pending returns the total delta size — memtable rows plus tombstones —
 // the quantity the facade's compaction threshold watches.
-func (o *Overlay) Pending() int { return len(o.rows) + len(o.tomb) }
+func (o *Overlay) Pending() int { return len(o.rows.Rows) + len(o.tomb) }
 
 // Dirty reports whether the overlay carries any delta at all.
-func (o *Overlay) Dirty() bool { return len(o.rows) > 0 || len(o.tomb) > 0 }
+func (o *Overlay) Dirty() bool { return len(o.rows.Rows) > 0 || len(o.tomb) > 0 }
 
 // Len implements Index; deleted points are excluded.
 func (o *Overlay) Len() int { return o.alive }
@@ -136,7 +144,7 @@ func (o *Overlay) Dim() int { return o.dim }
 func (o *Overlay) Metric() vecmath.Metric { return o.metric }
 
 // IDSpan implements Liveness.
-func (o *Overlay) IDSpan() int { return o.baseSpan + len(o.rows) }
+func (o *Overlay) IDSpan() int { return o.baseSpan + len(o.rows.Rows) }
 
 // Live implements Liveness.
 func (o *Overlay) Live(id int) bool {
@@ -164,7 +172,7 @@ func (o *Overlay) Point(id int) []float64 {
 	if id < o.baseSpan {
 		return o.base.Point(id)
 	}
-	return o.rows[id-o.baseSpan]
+	return o.rows.Rows[id-o.baseSpan]
 }
 
 // Insert implements Dynamic: an O(1) memtable append.
@@ -175,17 +183,22 @@ func (o *Overlay) Insert(p []float64) (int, error) {
 	if len(p) != o.dim {
 		return 0, fmt.Errorf("index: point dimension %d, index dimension %d", len(p), o.dim)
 	}
-	o.rows = append(o.rows, p)
+	o.rows.Append(p)
 	o.alive++
-	return o.baseSpan + len(o.rows) - 1, nil
+	return o.baseSpan + len(o.rows.Rows) - 1, nil
 }
 
 // Delete implements Dynamic: an O(1) tombstone. Memtable rows stay in place
 // (their IDs are never reused); base points are hidden from every query
-// without touching the shared base.
+// without touching the shared base. An overlay that shares its tombstone set
+// copies it before the first deletion.
 func (o *Overlay) Delete(id int) bool {
 	if !o.Live(id) {
 		return false
+	}
+	if o.sharedTomb.Load() {
+		o.tomb = maps.Clone(o.tomb)
+		o.sharedTomb.Store(false)
 	}
 	o.tomb[id] = true
 	if id < o.baseSpan {
@@ -195,37 +208,38 @@ func (o *Overlay) Delete(id int) bool {
 	return true
 }
 
-// Clone copies the overlay in O(delta), not O(n): the memtable slice and the
-// tombstone set are copied, the base is shared. Mutating the clone is never
-// observable through the original, so the facade's clone-then-swap writers
-// keep their existing discipline at a per-write cost proportional to the
-// delta size.
+// Clone copies the overlay in O(1): the base is shared, the memtable is
+// shared by the claimed-length rule (Table) and the tombstone set until one
+// side deletes. Mutating either side afterwards is never observable through
+// the other, so the facade's clone-then-swap writers keep their discipline
+// — and since they are serialized and each clones the latest published
+// overlay, every insert appends in place. Clone may run beside readers and
+// other Clones of o, not beside a mutation of it.
 func (o *Overlay) Clone() *Overlay {
-	rows := make([][]float64, len(o.rows), len(o.rows)+1)
-	copy(rows, o.rows)
-	tomb := make(map[int]bool, len(o.tomb))
-	for id := range o.tomb {
-		tomb[id] = true
-	}
-	return &Overlay{
+	o.sharedTomb.Store(true)
+	c := &Overlay{
 		base:     o.base,
 		baseSpan: o.baseSpan,
-		rows:     rows,
-		tomb:     tomb,
+		rows:     o.rows,
+		tomb:     o.tomb,
 		baseTomb: o.baseTomb,
 		alive:    o.alive,
 		dim:      o.dim,
 		metric:   o.metric,
 		dist:     o.dist,
 	}
+	c.sharedTomb.Store(true)
+	return c
 }
 
-// Fold pays the O(n) cost the per-write path no longer does: it clones the
-// base, re-inserts the memtable rows (verifying each lands on the ID the
-// overlay assigned), applies the tombstones in ascending ID order, and
-// returns the folded index — a fresh base for a rebased overlay. The
-// receiver is not modified, so a frozen overlay can be folded off-lock
-// while writers keep appending to its clones.
+// Fold threads the delta into the base, the work the per-write path leaves
+// undone: it clones the base (whatever that costs the back-end — nothing for
+// a cover tree, whose insertions then copy the paths they change), re-inserts
+// the memtable rows (verifying each lands on the ID the overlay assigned),
+// applies the tombstones in ascending ID order, and returns the folded index
+// — a fresh base for a rebased overlay. Neither the receiver nor its base is
+// modified, so a frozen overlay can be folded off-lock while readers query
+// it and writers keep appending to its clones.
 func (o *Overlay) Fold() (Dynamic, error) {
 	cl, ok := o.base.(Cloner)
 	if !ok {
@@ -233,7 +247,7 @@ func (o *Overlay) Fold() (Dynamic, error) {
 	}
 	baseClones.Add(1)
 	next := cl.Clone()
-	for i, p := range o.rows {
+	for i, p := range o.rows.Rows {
 		id, err := next.Insert(p)
 		if err != nil {
 			return nil, fmt.Errorf("index: folding memtable row %d: %w", i, err)
@@ -261,9 +275,8 @@ func (o *Overlay) Fold() (Dynamic, error) {
 // cloned from the same lineage as the receiver, so frozen.rows is a prefix
 // of o.rows and frozen.tomb a subset of o.tomb.
 func (o *Overlay) Rebase(frozen *Overlay, folded Dynamic) *Overlay {
-	span := frozen.baseSpan + len(frozen.rows)
-	rows := make([][]float64, len(o.rows)-len(frozen.rows), len(o.rows)-len(frozen.rows)+1)
-	copy(rows, o.rows[len(frozen.rows):])
+	span := frozen.baseSpan + len(frozen.rows.Rows)
+	rows := slices.Clone(o.rows.Rows[len(frozen.rows.Rows):]) // its own array: a Table's claim covers a whole one
 	tomb := make(map[int]bool)
 	baseTomb := 0
 	for id := range o.tomb {
@@ -278,7 +291,7 @@ func (o *Overlay) Rebase(frozen *Overlay, folded Dynamic) *Overlay {
 	return &Overlay{
 		base:     folded,
 		baseSpan: span,
-		rows:     rows,
+		rows:     TableOf(rows),
 		tomb:     tomb,
 		baseTomb: baseTomb,
 		alive:    o.alive,
@@ -297,27 +310,41 @@ func (o *Overlay) baseSkip(skipID int) int {
 	return -1
 }
 
-// memNeighbors returns the live memtable rows as (distance, ID) pairs in
-// ascending (distance, ID) order — the memtable half of every merge.
-func (o *Overlay) memNeighbors(q []float64, skipID int) []Neighbor {
-	if len(o.rows) == 0 {
-		return nil
-	}
-	out := make([]Neighbor, 0, len(o.rows))
-	for i, p := range o.rows {
+// byDistThenID is the (distance, ID) total order every merge runs under.
+func byDistThenID(a, b Neighbor) int {
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+}
+
+// memNeighbors fills buf[:0] with the live memtable rows as (distance, ID)
+// pairs in ascending (distance, ID) order — the memtable half of every
+// merge. A clean overlay gets buf back empty.
+func (o *Overlay) memNeighbors(buf []Neighbor, q []float64, skipID int) []Neighbor {
+	buf = buf[:0]
+	for i, p := range o.rows.Rows {
 		id := o.baseSpan + i
 		if id == skipID || o.tomb[id] {
 			continue
 		}
-		out = append(out, Neighbor{ID: id, Dist: o.dist(q, p)})
+		buf = append(buf, Neighbor{ID: id, Dist: o.dist(q, p)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	slices.SortFunc(buf, byDistThenID)
+	return buf
+}
+
+// overlayCursorPool recycles merge cursors together with their memtable
+// buffers: a cursor goes back at Close (every opener closes, see Cursor), so
+// a dirty read sorts its memtable into memory the last one left behind. A
+// buffer holds distances and IDs only, so the pool pins no row.
+var overlayCursorPool = sync.Pool{New: func() any { return new(overlayCursor) }}
+
+// openCursor takes a cursor from the pool, sorts the memtable into its
+// buffer and points it at base. KNN and Range, which merge lists, open one
+// over no base at all to borrow the same scratch.
+func (o *Overlay) openCursor(base Cursor, q []float64, skipID int) *overlayCursor {
+	c := overlayCursorPool.Get().(*overlayCursor)
+	c.open, c.base, c.tomb, c.baseEnd = true, base, o.tomb, base == nil
+	c.mem = o.memNeighbors(c.mem, q, skipID)
+	return c
 }
 
 // NewCursor implements Index: the base cursor filtered through the
@@ -325,11 +352,7 @@ func (o *Overlay) memNeighbors(q []float64, skipID int) []Neighbor {
 // ties, which is exactly ascending-ID order: every base ID is below every
 // memtable ID.
 func (o *Overlay) NewCursor(q []float64, skipID int) Cursor {
-	return &overlayCursor{
-		base: o.base.NewCursor(q, o.baseSkip(skipID)),
-		tomb: o.tomb,
-		mem:  o.memNeighbors(q, skipID),
-	}
+	return o.openCursor(o.base.NewCursor(q, o.baseSkip(skipID)), q, skipID)
 }
 
 // NewCursorCtx is NewCursor for traced queries: when ctx carries a span,
@@ -343,17 +366,17 @@ func (o *Overlay) NewCursorCtx(ctx context.Context, q []float64, skipID int) Cur
 	if sp == nil {
 		return o.NewCursor(q, skipID)
 	}
-	memStart := time.Now()
-	mem := o.memNeighbors(q, skipID)
-	memDur := time.Since(memStart)
 	tb := &timedCursor{Cursor: o.base.NewCursor(q, o.baseSkip(skipID))}
+	memStart := time.Now()
+	c := o.openCursor(tb, q, skipID)
+	memDur := time.Since(memStart)
 	return &tracedOverlayCursor{
-		overlayCursor: overlayCursor{base: tb, tomb: o.tomb, mem: mem},
+		overlayCursor: c,
 		sp:            sp,
 		tb:            tb,
 		start:         memStart,
 		memDur:        memDur,
-		memRows:       len(o.rows),
+		memRows:       len(o.rows.Rows),
 		tombs:         len(o.tomb),
 	}
 }
@@ -379,7 +402,7 @@ func (t *timedCursor) Next() (Neighbor, bool) {
 // tracedOverlayCursor is an overlayCursor that attributes every served
 // neighbor to its source and reports both halves as spans.
 type tracedOverlayCursor struct {
-	overlayCursor
+	*overlayCursor
 	sp             *trace.Span
 	tb             *timedCursor
 	start          time.Time
@@ -390,6 +413,9 @@ type tracedOverlayCursor struct {
 }
 
 func (c *tracedOverlayCursor) Next() (Neighbor, bool) {
+	if c.sp == nil {
+		return Neighbor{}, false // closed: the merge cursor beneath is the pool's
+	}
 	before := c.memAt
 	n, ok := c.overlayCursor.Next()
 	if ok {
@@ -423,6 +449,7 @@ func (c *tracedOverlayCursor) Close() {
 }
 
 type overlayCursor struct {
+	open    bool // false once closed: the pool, or the next query, owns it
 	base    Cursor
 	tomb    map[int]bool
 	mem     []Neighbor
@@ -466,9 +493,19 @@ func (c *overlayCursor) Next() (Neighbor, bool) {
 	return Neighbor{}, false
 }
 
-// Close implements Cursor by closing the base cursor; the memtable half is
-// the cursor's own garbage.
-func (c *overlayCursor) Close() { c.base.Close() }
+// Close implements Cursor: it closes the base cursor and returns this one,
+// emptied but for its buffer's capacity, to the pool. Until it is reopened
+// its Next reports exhausted; a second Close finds it closed.
+func (c *overlayCursor) Close() {
+	if !c.open {
+		return
+	}
+	if c.base != nil {
+		c.base.Close()
+	}
+	*c = overlayCursor{mem: c.mem[:0], baseEnd: true}
+	overlayCursorPool.Put(c)
+}
 
 // mergeTake merges the tombstone-filtered base list with the sorted
 // memtable list under the (distance, ID) order (base first on ties), keeping
@@ -513,7 +550,9 @@ func (o *Overlay) KNN(q []float64, k int, skipID int) []Neighbor {
 			break
 		}
 	}
-	return mergeTake(base, o.memNeighbors(q, skipID), k)
+	c := o.openCursor(nil, q, skipID)
+	defer c.Close()
+	return mergeTake(base, c.mem, k)
 }
 
 // Range implements Index.
@@ -525,14 +564,13 @@ func (o *Overlay) Range(q []float64, r float64, skipID int) []Neighbor {
 			base = append(base, n)
 		}
 	}
-	var mem []Neighbor
-	for _, n := range o.memNeighbors(q, skipID) {
-		if n.Dist > r {
-			break
-		}
-		mem = append(mem, n)
+	c := o.openCursor(nil, q, skipID)
+	defer c.Close()
+	within := 0
+	for within < len(c.mem) && c.mem[within].Dist <= r {
+		within++
 	}
-	return mergeTake(base, mem, -1)
+	return mergeTake(base, c.mem[:within], -1)
 }
 
 // CountRange implements Index without materializing the base result: the
@@ -548,7 +586,7 @@ func (o *Overlay) CountRange(q []float64, r float64, skipID int) int {
 			n--
 		}
 	}
-	for i, p := range o.rows {
+	for i, p := range o.rows.Rows {
 		id := o.baseSpan + i
 		if id == skipID || o.tomb[id] {
 			continue
@@ -580,7 +618,7 @@ func (o *Overlay) CountCloser(q []float64, r float64, limit, skipID int, dead ma
 		}
 	}
 	n := o.base.CountCloser(q, r, limit, o.baseSkip(skipID), baseDead)
-	for i, p := range o.rows {
+	for i, p := range o.rows.Rows {
 		if n >= limit {
 			break
 		}

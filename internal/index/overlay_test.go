@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -352,6 +353,54 @@ func TestOverlayCloneIsolation(t *testing.T) {
 	}
 	if cl.Len() != 7 || cl.IDSpan() != 8 || cl.Live(2) {
 		t.Fatalf("clone state wrong: Len %d IDSpan %d Live(2) %v", cl.Len(), cl.IDSpan(), cl.Live(2))
+	}
+}
+
+// TestOverlaySiblingClonesStayApart is the failed-write-then-retry shape: a
+// writer clones the published overlay, extends the clone, drops it, and the
+// next writer clones the same overlay again. Both clones share the
+// original's memtable array and tombstone set; neither may see the other's
+// row or deletion, and the original — extended last, after both — neither's.
+func TestOverlaySiblingClonesStayApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	base := make([][]float64, 6)
+	for i := range base {
+		base[i] = randRow(rng, 2)
+	}
+	ov := NewOverlay(newTestScan(base))
+	shared := randRow(rng, 2)
+	if _, err := ov.Insert(shared); err != nil {
+		t.Fatal(err)
+	}
+	ov.Delete(0)
+
+	first, second := ov.Clone(), ov.Clone()
+	rows := map[*Overlay][]float64{first: randRow(rng, 2), second: randRow(rng, 2), ov: randRow(rng, 2)}
+	dels := map[*Overlay]int{first: 1, second: 2, ov: 3}
+	for _, o := range []*Overlay{first, second, ov} {
+		id, err := o.Insert(rows[o])
+		if err != nil || id != 7 {
+			t.Fatalf("Insert = %d, %v; want id 7", id, err)
+		}
+		if !o.Delete(dels[o]) {
+			t.Fatalf("Delete(%d) failed", dels[o])
+		}
+	}
+	for _, o := range []*Overlay{first, second, ov} {
+		if !reflect.DeepEqual(o.Point(6), shared) || !reflect.DeepEqual(o.Point(7), rows[o]) {
+			t.Errorf("an overlay's memtable rows are %v, %v; want %v and its own %v", o.Point(6), o.Point(7), shared, rows[o])
+		}
+		for id := 0; id < 8; id++ {
+			if want := id != 0 && id != dels[o]; o.Live(id) != want {
+				t.Errorf("Live(%d) = %v on the overlay that deleted 0 and %d", id, !want, dels[o])
+			}
+		}
+		if o.Len() != 6 || o.IDSpan() != 8 || o.MemtableLen() != 2 {
+			t.Errorf("Len %d, IDSpan %d, MemtableLen %d; want 6, 8, 2", o.Len(), o.IDSpan(), o.MemtableLen())
+		}
+		if nn := o.KNN(rows[o], 1, -1); len(nn) != 1 || nn[0].ID != 7 || nn[0].Dist != 0 {
+			t.Errorf("KNN of an overlay's own row = %v, want id 7 at distance 0", nn)
+		}
 	}
 }
 

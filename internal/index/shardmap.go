@@ -1,6 +1,9 @@
 package index
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ShardMap is the stable bidirectional mapping between the global ID space
 // of a sharded engine and the (shard, local ID) spaces of its per-shard
@@ -15,12 +18,14 @@ import "fmt"
 // and translate freely, while writers Clone, Assign, and publish the clone
 // (the same copy-on-write discipline as the index snapshots, DESIGN.md).
 // Deletes never touch the map — tombstones live in the shard indexes — so a
-// once-published (global, shard, local) triple is valid forever.
+// once-published (global, shard, local) triple is valid forever. The map is
+// append-only, so a clone shares its arrays by the claimed-length rule
+// (Table): a write costs the triple it assigns, not a copy of the map.
 type ShardMap struct {
 	shards  int
-	shardOf []int32   // global -> shard
-	localOf []int32   // global -> local
-	globals [][]int32 // shard -> local -> global
+	shardOf Table[int32]   // global -> shard
+	localOf Table[int32]   // global -> local
+	globals []Table[int32] // shard -> local -> global
 }
 
 // ShardOf returns the shard a global ID is partitioned to, a fixed
@@ -40,7 +45,7 @@ func NewShardMap(shards int) (*ShardMap, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("index: shard count must be positive, got %d", shards)
 	}
-	return &ShardMap{shards: shards, globals: make([][]int32, shards)}, nil
+	return &ShardMap{shards: shards, globals: make([]Table[int32], shards)}, nil
 }
 
 // RebuildShardMap reconstructs the mapping for n global IDs, exactly as n
@@ -63,58 +68,56 @@ func (m *ShardMap) Shards() int { return m.shards }
 
 // Len returns the number of global IDs ever assigned (the global ID span;
 // tombstoned IDs are still counted, exactly like Liveness.IDSpan).
-func (m *ShardMap) Len() int { return len(m.shardOf) }
+func (m *ShardMap) Len() int { return len(m.shardOf.Rows) }
 
 // ShardLen returns the number of global IDs ever assigned to one shard —
 // the shard index's expected ID span.
-func (m *ShardMap) ShardLen(shard int) int { return len(m.globals[shard]) }
+func (m *ShardMap) ShardLen(shard int) int { return len(m.globals[shard].Rows) }
 
 // Assign allocates the next global ID, places it on its shard, and returns
 // the full (global, shard, local) triple. Not safe for concurrent use;
 // writers must hold their update lock and publish a Clone.
 func (m *ShardMap) Assign() (global, shard, local int) {
-	global = len(m.shardOf)
+	global = len(m.shardOf.Rows)
 	shard = ShardOf(global, m.shards)
-	local = len(m.globals[shard])
-	m.shardOf = append(m.shardOf, int32(shard))
-	m.localOf = append(m.localOf, int32(local))
-	m.globals[shard] = append(m.globals[shard], int32(global))
+	local = len(m.globals[shard].Rows)
+	m.shardOf.Append(int32(shard))
+	m.localOf.Append(int32(local))
+	m.globals[shard].Append(int32(global))
 	return global, shard, local
 }
 
 // Locate translates a global ID to its (shard, local) placement. ok is
 // false for IDs never assigned.
 func (m *ShardMap) Locate(global int) (shard, local int, ok bool) {
-	if global < 0 || global >= len(m.shardOf) {
+	if global < 0 || global >= len(m.shardOf.Rows) {
 		return 0, 0, false
 	}
-	return int(m.shardOf[global]), int(m.localOf[global]), true
+	return int(m.shardOf.Rows[global]), int(m.localOf.Rows[global]), true
 }
 
 // Global translates a (shard, local) placement back to its global ID. ok is
 // false for locals never assigned.
 func (m *ShardMap) Global(shard, local int) (global int, ok bool) {
-	if shard < 0 || shard >= m.shards || local < 0 || local >= len(m.globals[shard]) {
+	if shard < 0 || shard >= m.shards || local < 0 || local >= len(m.globals[shard].Rows) {
 		return 0, false
 	}
-	return int(m.globals[shard][local]), true
+	return int(m.globals[shard].Rows[local]), true
 }
 
 // Globals returns the ascending global IDs living on one shard, indexed by
 // local ID. The returned slice is owned by the map and must not be
 // modified.
-func (m *ShardMap) Globals(shard int) []int32 { return m.globals[shard] }
+func (m *ShardMap) Globals(shard int) []int32 { return m.globals[shard].Rows }
 
-// Clone returns an independent copy for a writer to extend and publish.
+// Clone returns an independent copy for a writer to extend and publish. It
+// copies S table headers; the arrays are shared, and the clone's Assign
+// never writes a slot the original (or a reader still holding it) can see.
 func (m *ShardMap) Clone() *ShardMap {
-	cl := &ShardMap{
+	return &ShardMap{
 		shards:  m.shards,
-		shardOf: append([]int32(nil), m.shardOf...),
-		localOf: append([]int32(nil), m.localOf...),
-		globals: make([][]int32, m.shards),
+		shardOf: m.shardOf,
+		localOf: m.localOf,
+		globals: slices.Clone(m.globals),
 	}
-	for s, g := range m.globals {
-		cl.globals[s] = append([]int32(nil), g...)
-	}
-	return cl
 }

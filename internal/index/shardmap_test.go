@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -117,6 +118,53 @@ func TestShardMapCloneIndependence(t *testing.T) {
 			t.Fatalf("clone diverged on shared prefix at global %d", g)
 		}
 	}
+}
+
+// TestShardMapSiblingClones is the rolled-back write: the engine publishes a
+// clone, a shard refuses, the previous map is restored and cloned again. The
+// second clone finds its slots claimed and must not overwrite what a reader
+// of the first still translates.
+func TestShardMapSiblingClones(t *testing.T) {
+	m, err := RebuildShardMap(3, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := m.Clone(), m.Clone()
+	for i := 0; i < 40; i++ {
+		first.Assign()
+	}
+	for i := 0; i < 90; i++ {
+		second.Assign()
+	}
+	m.Assign()
+	for name, c := range map[string]struct {
+		m *ShardMap
+		n int
+	}{"original": {m, 201}, "first": {first, 240}, "second": {second, 290}} {
+		want, err := RebuildShardMap(3, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(flatten(c.m), flatten(want)) {
+			t.Errorf("%s clone does not translate as a map rebuilt for %d ids does", name, c.n)
+		}
+	}
+}
+
+// flatten is every translation a map offers, in order.
+func flatten(m *ShardMap) [][3]int {
+	out := make([][3]int, 0, 2*m.Len())
+	for g := 0; g < m.Len(); g++ {
+		s, l, _ := m.Locate(g)
+		out = append(out, [3]int{g, s, l})
+	}
+	for s := 0; s < m.Shards(); s++ {
+		for l, g := range m.Globals(s) {
+			back, _ := m.Global(s, l)
+			out = append(out, [3]int{int(g), s, back})
+		}
+	}
+	return out
 }
 
 func TestShardMapRejectsBadShardCount(t *testing.T) {

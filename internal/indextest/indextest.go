@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -92,6 +93,7 @@ func Run(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (in
 			}
 			verifyIndex(t, ix, w.pts, vecmath.Euclidean{})
 			verifyOverlays(t, build, w.pts, vecmath.Euclidean{})
+			verifyCloner(t, build, w.pts, vecmath.Euclidean{})
 		})
 	}
 	t.Run("manhattan-metric", func(t *testing.T) {
@@ -467,6 +469,62 @@ func verifyCountCloser(t *testing.T, ix index.Index, pts [][]float64, gone map[i
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// verifyCloner is the index.Cloner contract, for back-ends that are one: a
+// clone and its original are independent in both directions. A clone may
+// share any structure with the original, so both are extended after the
+// Clone — different rows under the same IDs, different deletions — and a
+// second clone is taken and left alone. Then the two that grew must hold
+// their own rows and count as brute force over them does, and the third
+// must answer every query form as the original did before any of it.
+func verifyCloner(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (index.Index, error), pts [][]float64, metric vecmath.Metric) {
+	t.Helper()
+	if len(pts) < 16 {
+		return
+	}
+	third := len(pts) / 3
+	ix, err := build(pts[:third], metric)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	orig, ok := ix.(index.Cloner)
+	if !ok {
+		return
+	}
+	clone, untouched := orig.Clone(), orig.Clone()
+	grow := func(name string, d index.Dynamic, rows [][]float64, gone map[int]bool) [][]float64 {
+		for i, p := range rows {
+			if id, err := d.Insert(p); err != nil || id != third+i {
+				t.Fatalf("%s: Insert = %d, %v; want id %d", name, id, err, third+i)
+			}
+		}
+		for id := range gone {
+			if !d.Delete(id) {
+				t.Fatalf("%s: Delete(%d) failed", name, id)
+			}
+		}
+		return append(append([][]float64(nil), pts[:third]...), rows...)
+	}
+	cloneGone := map[int]bool{1: true, third + 2: true}
+	origGone := map[int]bool{2: true, third: true}
+	// The clone first, then the original: a write through the original after
+	// Clone must be as invisible to the clone as the clone's are to it.
+	cloneRows := grow("clone", clone, pts[third:2*third], cloneGone)
+	origRows := grow("original", orig, pts[2*third:], origGone)
+	verifyCountCloser(t, clone, cloneRows, cloneGone, metric)
+	verifyCountCloser(t, orig, origRows, origGone, metric)
+	verifyIndex(t, untouched, pts[:third], metric)
+	for name, c := range map[string]struct {
+		d    index.Dynamic
+		rows [][]float64
+	}{"clone": {clone, cloneRows}, "original": {orig, origRows}} {
+		for id, p := range c.rows {
+			if got := c.d.Point(id); !slices.Equal(got, p) {
+				t.Fatalf("%s: Point(%d) = %v, want its own row %v", name, id, got, p)
 			}
 		}
 	}

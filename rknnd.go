@@ -202,8 +202,7 @@ func (c *config) resolveScale(ix index.Index, points [][]float64) error {
 // buildIndex builds the configured back-end over points the way every
 // engine of this package holds one: the quantized pre-filter attached when
 // asked for, and under a delta overlay, so that queries merge a small
-// memtable with the immutable base and Insert/Delete cost O(delta) instead
-// of an O(n) clone.
+// memtable with the immutable base and Insert/Delete never touch the base.
 func (c engineConfig) buildIndex(points [][]float64, metric Metric) (*index.Overlay, error) {
 	ix, err := backend.Build(string(c.backend), points, metric)
 	if err != nil {
@@ -245,14 +244,16 @@ func WithPlainRDT() Option { return func(c *config) { c.plus = false } }
 
 // defaultCompactionThreshold is the delta size (memtable rows plus
 // tombstones) past which a write triggers a background compaction. Large
-// enough that the amortized per-write share of the O(n) fold is small, small
-// enough that the per-query merge overhead stays bounded.
+// enough that the amortized per-write share of a fold is small — on scan and
+// LSH, whose fold copies the rows, O(n) — small enough that the per-query
+// merge overhead stays bounded.
 const defaultCompactionThreshold = 256
 
 // WithCompactionThreshold sets how large the delta overlay (recent inserts
 // plus tombstones) may grow before a write triggers a background compaction
 // folding it into a fresh base index. Smaller values bound per-query merge
-// overhead tighter; larger values amortize the O(n) fold over more writes.
+// overhead tighter; larger values amortize the fold (O(n) on scan and LSH,
+// O(delta · depth) on the cover tree) over more writes.
 // Values below 1 select the default (256).
 func WithCompactionThreshold(n int) Option {
 	return func(c *config) {
@@ -615,12 +616,13 @@ func (s *Searcher) Point(id int) []float64 { return s.snap.Load().ix.Point(id) }
 
 // Insert adds a point and returns its new ID. The paper highlights this
 // property for data warehouse and stream scenarios (Section 4); here a
-// write clones only the delta overlay over the immutable base index —
-// O(delta), not O(n) — so that in-flight queries keep reading their frozen
-// snapshot, then publishes the updated clone with one atomic swap. The O(n)
-// cost is paid by a background compaction once the delta exceeds the
-// threshold (WithCompactionThreshold). Updates are serialized; queries are
-// never blocked.
+// write clones only the delta overlay over the immutable base index — O(1),
+// the clone shares base, memtable and tombstones — so that in-flight queries
+// keep reading their frozen snapshot, then publishes the updated clone with
+// one atomic swap. Threading the rows into the base is left to a background
+// compaction once the delta exceeds the threshold
+// (WithCompactionThreshold). Updates are serialized; queries are never
+// blocked.
 func (s *Searcher) Insert(p []float64) (int, error) {
 	return s.InsertContext(context.Background(), p)
 }
@@ -721,8 +723,8 @@ func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
 }
 
 // Delete removes a dataset member with the same copy-on-write discipline as
-// Insert (an O(delta) overlay clone plus a tombstone) and the same logging
-// and error contract.
+// Insert (an overlay clone, a copy of its tombstone set, one tombstone more)
+// and the same logging and error contract.
 // It reports whether the ID was present; deletes that change nothing are not
 // logged.
 func (s *Searcher) Delete(id int) (bool, error) {
@@ -818,7 +820,7 @@ func (s *Searcher) compactThreshold() int {
 // compaction — 0 right after a compaction.
 func (s *Searcher) MemtableLen() int { return s.snap.Load().ix.MemtableLen() }
 
-// Compactions returns how many delta-overlay compactions (O(n) folds of the
+// Compactions returns how many delta-overlay compactions (folds of the
 // memtable and tombstones into a fresh base index) the Searcher has
 // performed.
 func (s *Searcher) Compactions() int64 { return s.compactions.Load() }
@@ -833,9 +835,13 @@ func (s *Searcher) maybeCompact() {
 	go s.compact(s.compactThreshold())
 }
 
-// compact freezes the published overlay and folds its delta into a fresh
-// base clone — the one O(n) step of the write path, performed off the write
-// lock — then rebases the current overlay (which may have accumulated further
+// compact freezes the published overlay and folds its delta into a clone of
+// its base — the one step of the write path that grows with the delta (on
+// scan and LSH, whose clone copies the rows, with n), performed off the write
+// lock. The fold never writes to the published base, which readers keep
+// querying meanwhile: a cover-tree clone shares its nodes, and the ownership
+// rule (DESIGN.md, "Incremental write path") is what makes that safe. It then
+// rebases the current overlay (which may have accumulated further
 // writes meanwhile) onto the folded index and publishes it. Callers must hold
 // s.compacting, which compact releases, and must not hold s.mu. The overlay
 // is loaded here, under the lock: one a caller loaded before winning it may

@@ -606,10 +606,10 @@ func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
 }
 
 // compactionHistogram resolves the per-backend compaction-duration
-// histogram — the cost of each O(n) delta fold, previously only counted.
+// histogram — the cost of each delta fold, previously only counted.
 func compactionHistogram(reg *telemetry.Registry, backend string) *telemetry.Histogram {
 	return reg.HistogramVec("rknn_compaction_duration_seconds",
-		"Duration of delta-overlay compaction folds (the O(n) step of the write path), per backend, summed across shards.",
+		"Duration of delta-overlay compaction folds (the step of the write path that threads the delta into the base), per backend, summed across shards.",
 		telemetry.DefaultLatencyBuckets, "backend").With(backend)
 }
 
