@@ -2,49 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 )
-
-// BatchResult pairs one query of a batch with its result or error.
-type BatchResult struct {
-	QueryID int
-	Result  *Result
-	Err     error
-}
-
-// BatchByID answers many member queries concurrently on a worker pool,
-// returning results in input order. It is BatchByIDContext without
-// cancellation.
-func (qr *Querier) BatchByID(qids []int, workers int) ([]BatchResult, error) {
-	return qr.BatchByIDContext(context.Background(), qids, workers)
-}
-
-// BatchByIDContext answers many member queries concurrently on a worker pool
-// of the given size (0 selects one worker per core), returning results in
-// input order. Individual query failures are reported per entry; the batch
-// itself fails only on invalid arguments or when ctx is cancelled, in which
-// case it stops dispatching, waits for in-flight queries to drain, and
-// returns ctx's error.
-//
-// The paper's conclusion names parallelizable RkNN processing as an open
-// problem for extreme scales; within one machine the problem is
-// embarrassingly parallel because the Querier and every index back-end in
-// this module are safe for concurrent readers.
-func (qr *Querier) BatchByIDContext(ctx context.Context, qids []int, workers int) ([]BatchResult, error) {
-	out := make([]BatchResult, len(qids))
-	err := ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) error {
-		res, err := qr.ByIDCtx(ctx, qids[i])
-		out[i] = BatchResult{QueryID: qids[i], Result: res, Err: err}
-		return nil // per-entry errors are data, not pool failures
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // ForEach runs fn(i) for every i in [0, n) on a worker pool of the given
 // size (0 selects one worker per core) and waits for completion. The pool
@@ -52,10 +13,15 @@ func (qr *Querier) BatchByIDContext(ctx context.Context, qids []int, workers int
 // forever, and more workers than cores only add scheduler pressure — the
 // cap matters most under sharded fan-out, where every worker scatters to S
 // shard goroutines and an uncapped request would multiply goroutines
-// quadratically. The first fn error stops dispatching and is returned
-// (preferred over the context.Canceled noise it induces); an outside
-// cancellation drains in-flight calls and returns ctx's error.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+// quadratically. Tasks report their outcomes themselves; only ctx stops the
+// pool, which then stops dispatching, drains in-flight calls and returns
+// ctx's error. The other error is an invalid worker count.
+//
+// The paper's conclusion names parallelizable RkNN processing as an open
+// problem for extreme scales; within one machine the problem is
+// embarrassingly parallel because the Querier and every index back-end in
+// this module are safe for concurrent readers.
+func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -65,67 +31,39 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
+	workers = min(workers, n, runtime.GOMAXPROCS(0))
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if n == 0 {
-		return nil
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
-	// The feeder owns the dispatch channel: it stops feeding the moment
-	// the pool context is cancelled, so workers drain at most one
-	// in-flight task each before the pool winds down.
+	// The feeder owns the dispatch channel: it stops feeding the moment ctx
+	// is cancelled, so workers drain at most one in-flight task each before
+	// the pool winds down.
 	next := make(chan int)
 	go func() {
 		defer close(next)
 		for i := 0; i < n; i++ {
 			select {
 			case next <- i:
-			case <-pctx.Done():
+			case <-ctx.Done():
 				return
 			}
 		}
 	}()
 
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range next {
-				if pctx.Err() != nil {
+				if ctx.Err() != nil {
 					return
 				}
-				if err := fn(pctx, i); err != nil {
-					errs[w] = err
-					cancel()
-					return
-				}
+				fn(ctx, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ctx.Err()
 }

@@ -1,12 +1,25 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// batchByID is the facade's batch shape over ForEach: one member query per
+// task, its result or error recorded in the task's slot.
+func batchByID(ctx context.Context, qr *Querier, qids []int, workers int) ([]*Result, []error, error) {
+	res := make([]*Result, len(qids))
+	errs := make([]error, len(qids))
+	err := ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) {
+		res[i], errs[i] = qr.ByIDCtx(ctx, qids[i])
+	})
+	return res, errs, err
+}
 
 func TestBatchMatchesSequential(t *testing.T) {
 	pts := randPoints(300, 4, 17)
@@ -19,45 +32,43 @@ func TestBatchMatchesSequential(t *testing.T) {
 	for i := range qids {
 		qids[i] = i * 7 % 300
 	}
-	batch, err := qr.BatchByID(qids, 4)
+	batch, errs, err := batchByID(context.Background(), qr, qids, 4)
 	if err != nil {
-		t.Fatalf("BatchByID: %v", err)
+		t.Fatalf("ForEach: %v", err)
 	}
-	if len(batch) != len(qids) {
-		t.Fatalf("batch returned %d results", len(batch))
-	}
-	for i, br := range batch {
-		if br.Err != nil {
-			t.Fatalf("entry %d: %v", i, br.Err)
-		}
-		if br.QueryID != qids[i] {
-			t.Fatalf("entry %d out of order: qid %d, want %d", i, br.QueryID, qids[i])
+	for i, res := range batch {
+		if errs[i] != nil {
+			t.Fatalf("entry %d: %v", i, errs[i])
 		}
 		seq, err := qr.ByID(qids[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(br.Result.IDs, seq.IDs) {
-			t.Fatalf("qid %d: batch %v, sequential %v", qids[i], br.Result.IDs, seq.IDs)
+		if !reflect.DeepEqual(res.IDs, seq.IDs) {
+			t.Fatalf("qid %d: batch %v, sequential %v", qids[i], res.IDs, seq.IDs)
 		}
 	}
 }
 
+// TestBatchPerEntryErrors: a task's failure is its own — every task runs and
+// the pool itself reports none.
 func TestBatchPerEntryErrors(t *testing.T) {
 	ix := newScan(t, randPoints(50, 2, 3))
 	qr, err := NewQuerier(ix, Params{K: 3, T: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := qr.BatchByID([]int{0, -1, 5, 999}, 2)
-	if err != nil {
-		t.Fatalf("BatchByID: %v", err)
-	}
-	if batch[0].Err != nil || batch[2].Err != nil {
-		t.Error("valid queries reported errors")
-	}
-	if batch[1].Err == nil || batch[3].Err == nil {
-		t.Error("invalid queries did not report errors")
+	for _, workers := range []int{1, 2} {
+		batch, errs, err := batchByID(context.Background(), qr, []int{0, -1, 5, 999}, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: ForEach: %v", workers, err)
+		}
+		if errs[0] != nil || errs[2] != nil || batch[0] == nil || batch[2] == nil {
+			t.Errorf("workers=%d: valid queries reported errors", workers)
+		}
+		if errs[1] == nil || errs[3] == nil {
+			t.Errorf("workers=%d: invalid queries did not report errors", workers)
+		}
 	}
 }
 
@@ -67,17 +78,34 @@ func TestBatchEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := qr.BatchByID([]int{1}, -1); err == nil {
+	ctx := context.Background()
+	if _, _, err := batchByID(ctx, qr, []int{1}, -1); err == nil {
 		t.Error("accepted negative workers")
 	}
-	empty, err := qr.BatchByID(nil, 0)
-	if err != nil || len(empty) != 0 {
+	if empty, _, err := batchByID(ctx, qr, nil, 0); err != nil || len(empty) != 0 {
 		t.Errorf("empty batch = (%v, %v)", empty, err)
 	}
 	// workers defaulting to GOMAXPROCS and clamping to batch size.
-	one, err := qr.BatchByID([]int{7}, 0)
-	if err != nil || len(one) != 1 || one[0].Err != nil {
-		t.Errorf("single-query batch failed: %v", err)
+	if one, errs, err := batchByID(ctx, qr, []int{7}, 0); err != nil || one[0] == nil || errs[0] != nil {
+		t.Errorf("single-query batch failed: %v, %v", err, errs[0])
+	}
+	// Only the context stops the pool: cancelled up front, nothing runs.
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	ran := atomic.Int64{}
+	if err := ForEach(cctx, 100, 2, func(context.Context, int) { ran.Add(1) }); !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+		t.Errorf("pre-cancelled pool: err %v after %d tasks, want context.Canceled after none", err, ran.Load())
+	}
+	// Cancelled mid-flight, the pool stops dispatching and drains.
+	cctx, cancel = context.WithCancel(ctx)
+	ran.Store(0)
+	err = ForEach(cctx, 1000, 2, func(context.Context, int) {
+		if ran.Add(1) == 10 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) || ran.Load() > 12 {
+		t.Errorf("mid-flight cancel: err %v after %d tasks, want context.Canceled after at most 12", err, ran.Load())
 	}
 }
 
@@ -117,8 +145,8 @@ func TestBatchWorkerCapBoundsGoroutines(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
-	if _, err := qr.BatchByID(qids, 512); err != nil {
-		t.Fatalf("BatchByID: %v", err)
+	if _, _, err := batchByID(context.Background(), qr, qids, 512); err != nil {
+		t.Fatalf("ForEach: %v", err)
 	}
 	close(stop)
 	<-sampled

@@ -279,6 +279,27 @@ func TestAnalyticsEndpoint(t *testing.T) {
 		t.Fatalf("window=2h status %d, want 400", status)
 	}
 
+	// Forward kNN is traffic with a region on every engine: a sharded engine
+	// serving only /v1/knn fills its sketch too.
+	reg := telemetry.NewRegistry()
+	ss, err := repro.NewSharded(indextest.RandPoints(120, 2, 9), 3, repro.WithScale(50), repro.WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sts := httptest.NewServer(New(ss, WithRegistry(reg)).Handler())
+	t.Cleanup(sts.Close)
+	for i := 0; i < 6; i++ {
+		call(t, "POST", sts.URL+"/v1/knn", map[string]any{"point": []float64{0.2, 0.1 * float64(i)}, "k": 3}, nil)
+	}
+	if status := call(t, "GET", sts.URL+"/v1/admin/analytics", nil, &ana); status != http.StatusOK || len(ana.Top) == 0 {
+		t.Fatalf("sharded analytics after kNN traffic = %d %+v, want a non-empty top", status, ana)
+	}
+	for _, e := range ana.Top {
+		if !strings.HasPrefix(e.Signature, "knn k=3 @") {
+			t.Errorf("sharded sketch signature %q, want a knn k=3 region", e.Signature)
+		}
+	}
+
 	// An engine without telemetry has no sketch: 501, not an empty list.
 	plain, err := repro.New(indextest.RandPoints(50, 2, 3), repro.WithScale(50))
 	if err != nil {

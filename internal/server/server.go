@@ -85,6 +85,9 @@ type Engine interface {
 	// /statsz marks the engine approximate, so clients can never mistake an
 	// approximate answer for an exact one.
 	Approximate() bool
+	// The handlers call the Stats forms only — every engine computes the
+	// counters either way. The plain forms stay for code that holds an
+	// Engine and wants just the IDs.
 	ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error)
 	ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, repro.Stats, error)
 	ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error)
@@ -528,21 +531,18 @@ func (srv *Server) handleRkNN(w http.ResponseWriter, r *http.Request) error {
 	if (req.ID == nil) == (req.Point == nil) {
 		return badRequest("exactly one of id and point must be given")
 	}
+	// Every engine computes the work counters anyway; stats are emitted only
+	// when they were asked for.
 	var (
 		ids []int
 		st  repro.Stats
 		err error
 	)
 	ctx := r.Context()
-	switch {
-	case req.ID != nil && req.WithStats:
+	if req.ID != nil {
 		ids, st, err = srv.s.ReverseKNNStatsContext(ctx, *req.ID, req.K)
-	case req.ID != nil:
-		ids, err = srv.s.ReverseKNNContext(ctx, *req.ID, req.K)
-	case req.WithStats:
+	} else {
 		ids, st, err = srv.s.ReverseKNNPointStatsContext(ctx, req.Point, req.K)
-	default:
-		ids, err = srv.s.ReverseKNNPointContext(ctx, req.Point, req.K)
 	}
 	if err != nil {
 		return badRequest("%v", err)

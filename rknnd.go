@@ -287,8 +287,12 @@ func WithAdaptiveScale() Option { return func(c *config) { c.adaptive = true } }
 // atomic pointer swap (copy-on-write; see DESIGN.md). A query therefore
 // always observes a consistent dataset — the one current when it started —
 // never a half-applied update.
+//
+// Its query and write methods are the surface every engine shares
+// (surface.go); what is the Searcher's own is the read set — its current
+// snapshot — and the copy-on-write write path.
 type Searcher struct {
-	engineConfig
+	surface
 
 	snap atomic.Pointer[snapshot]
 	mu   sync.Mutex // serializes Insert/Delete (writers clone, then swap)
@@ -298,10 +302,6 @@ type Searcher struct {
 	// performed over the Searcher's lifetime.
 	compacting  sync.Mutex
 	compactions atomic.Int64
-
-	// telemetryBinding aggregates per-query work counters when telemetry is
-	// enabled (WithTelemetry / EnableTelemetry).
-	telemetryBinding
 
 	// traceRing, when set (EnableTracing), receives background compaction
 	// traces — compactions have no request context, so each fold records
@@ -326,16 +326,17 @@ type Searcher struct {
 // engine state at all.
 type snapshot struct {
 	ix       *index.Overlay
-	queriers sync.Map // k int -> *core.Querier
+	cfg      *engineConfig // the Searcher's
+	queriers sync.Map      // k int -> *core.Querier
 }
 
 // querier returns the snapshot's memoized query engine for rank k,
 // constructing it on first use.
-func (sn *snapshot) querier(s *Searcher, k int) (*core.Querier, error) {
+func (sn *snapshot) querier(k int) (*core.Querier, error) {
 	if qr, ok := sn.queriers.Load(k); ok {
 		return qr.(*core.Querier), nil
 	}
-	qr, err := s.newQuerier(sn.ix, k)
+	qr, err := sn.cfg.newQuerier(sn.ix, k)
 	if err != nil {
 		return nil, err
 	}
@@ -377,9 +378,16 @@ func New(points [][]float64, opts ...Option) (*Searcher, error) {
 // newSearcher assembles a Searcher around an index — deliberately without
 // any scale estimation, so restores and shard engines never pay one.
 func newSearcher(cfg engineConfig, ix *index.Overlay) *Searcher {
-	s := &Searcher{engineConfig: cfg}
-	s.snap.Store(&snapshot{ix: ix})
+	s := &Searcher{}
+	s.engineConfig, s.eng = cfg, s
+	s.publish(ix)
 	return s
+}
+
+// publish makes ix the snapshot every later query pins. Callers hold s.mu,
+// or own s exclusively.
+func (s *Searcher) publish(ix *index.Overlay) {
+	s.snap.Store(&snapshot{ix: ix, cfg: &s.engineConfig})
 }
 
 // estimateCalls counts scale estimations; the persistence tests assert the
@@ -400,211 +408,42 @@ func estimate(e Estimator, ix index.Index, points [][]float64, metric Metric) (f
 	}
 }
 
-// Scale returns the scale parameter t in effect, or 0 when the Searcher
-// adapts t online per query (WithAdaptiveScale).
-func (s *Searcher) Scale() float64 { return s.scale }
-
-// Backend returns the forward-index back-end the Searcher was built (or
-// restored) with.
-func (s *Searcher) Backend() Backend { return s.backend }
-
-// Approximate reports whether queries run in the approximate regime: the
-// back-end streams candidate rankings that may miss true neighbors
-// (BackendLSH), so results are not guaranteed exact at any scale parameter.
-// Exact back-ends return false.
-func (s *Searcher) Approximate() bool { return s.backend == BackendLSH }
-
 // Len returns the number of indexed points.
 func (s *Searcher) Len() int { return s.snap.Load().ix.Len() }
 
 // Dim returns the dimensionality of the indexed points.
 func (s *Searcher) Dim() int { return s.snap.Load().ix.Dim() }
 
-// ReverseKNN returns the IDs of the dataset members that have member qid
-// among their k nearest neighbors, sorted ascending. The member itself is
-// excluded.
-func (s *Searcher) ReverseKNN(qid, k int) ([]int, error) {
-	ids, _, err := s.ReverseKNNStatsContext(context.Background(), qid, k)
-	return ids, err
-}
+// pin: a Searcher's read set is its current snapshot.
+func (s *Searcher) pin(*trace.Span) readSet { return s.snap.Load() }
 
-// ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
-// span (internal/trace), the query's facade, core and index stages hang
-// their spans off it; an untraced context costs one nil check per layer.
-func (s *Searcher) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
-	ids, _, err := s.ReverseKNNStatsContext(ctx, qid, k)
-	return ids, err
-}
-
-// ReverseKNNPoint answers the query for an arbitrary point, which need not
-// be a dataset member.
-func (s *Searcher) ReverseKNNPoint(q []float64, k int) ([]int, error) {
-	ids, _, err := s.ReverseKNNPointStatsContext(context.Background(), q, k)
-	return ids, err
-}
-
-// ReverseKNNPointContext is ReverseKNNPoint with a context, traced like
-// ReverseKNNContext.
-func (s *Searcher) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
-	ids, _, err := s.ReverseKNNPointStatsContext(ctx, q, k)
-	return ids, err
-}
-
-// ReverseKNNStats is ReverseKNN with the per-query work counters.
-func (s *Searcher) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
-	return s.ReverseKNNStatsContext(context.Background(), qid, k)
-}
-
-// ReverseKNNStatsContext is ReverseKNNStats with a context, traced like
-// ReverseKNNContext.
-func (s *Searcher) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
-	return s.query(ctx, k, opRkNN, nil, qid, func(ctx context.Context, qr *core.Querier) (*core.Result, error) {
-		return qr.ByIDCtx(ctx, qid)
-	})
-}
-
-// ReverseKNNPointStats is ReverseKNNPoint with the per-query work counters.
-func (s *Searcher) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
-	return s.ReverseKNNPointStatsContext(context.Background(), q, k)
-}
-
-// ReverseKNNPointStatsContext is ReverseKNNPointStats with a context,
-// traced like ReverseKNNContext.
-func (s *Searcher) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
-	return s.query(ctx, k, opRkNNPoint, q, -1, func(ctx context.Context, qr *core.Querier) (*core.Result, error) {
-		return qr.ByPointCtx(ctx, q)
-	})
-}
-
-// query runs one reverse-kNN operation with tracing and telemetry. q and
-// qid identify the query point for the workload sketch: point queries pass
-// q directly, member queries pass qid (resolved only when the sketch is
-// live, from the snapshot the query ran on).
-func (s *Searcher) query(ctx context.Context, k int, op string, q []float64, qid int, run func(context.Context, *core.Querier) (*core.Result, error)) ([]int, Stats, error) {
-	tel, begin := s.telBegin()
-	// facade.pin covers the snapshot pin and per-rank engine lookup (a
-	// memoized construction on a cold rank). All span calls are nil-safe
-	// no-ops on the untraced path.
-	psp := trace.FromContext(ctx).Child("facade.pin")
-	sn := s.snap.Load()
-	qr, err := sn.querier(s, k)
-	if psp != nil {
-		psp.SetStr("backend", string(s.backend))
-		psp.SetStr("op", op)
-		if s.scale > 0 {
-			psp.SetFloat("scale", s.scale)
+// reverseKNN runs the snapshot's memoized query engine for rank k.
+func (sn *snapshot) reverseKNN(ctx context.Context, qid int, q []float64, k int) ([]int, Stats, []float64, error) {
+	qr, err := sn.querier(k)
+	if err != nil {
+		return nil, Stats{}, nil, err
+	}
+	var res *core.Result
+	if q == nil {
+		if res, err = qr.ByIDCtx(ctx, qid); err == nil {
+			q = sn.ix.Point(qid) // live in this snapshot: core just ran from it
 		}
-		psp.End()
+	} else {
+		res, err = qr.ByPointCtx(ctx, q)
 	}
 	if err != nil {
-		return nil, Stats{}, fmt.Errorf("rknnd: %w", err)
+		return nil, Stats{}, nil, err
 	}
-	res, err := run(ctx, qr)
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("rknnd: %w", err)
-	}
-	st := fromCore(res.Stats)
-	if tel != nil {
-		if q == nil && tel.workload != nil {
-			q = livePoint(sn.ix, qid)
-		}
-		tel.observeQuery(op, k, q, st, begin)
-	}
-	return res.IDs, st, nil
+	return res.IDs, fromCore(res.Stats), q, nil
 }
 
-// BatchReverseKNN answers many member queries concurrently on a worker pool
-// (0 workers selects all cores) and returns the per-query ID lists in input
-// order. The first per-query error aborts the batch.
-func (s *Searcher) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
-	return s.BatchReverseKNNContext(context.Background(), qids, k, workers)
-}
-
-// BatchReverseKNNContext is BatchReverseKNN with cancellation: when ctx is
-// cancelled mid-batch the pool stops dispatching, drains its in-flight
-// queries, and returns ctx's error. The whole batch runs against the single
-// snapshot current at the call, so results are mutually consistent even
-// while Insert/Delete run concurrently.
-func (s *Searcher) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	tel, begin := s.telBegin()
-	psp := trace.FromContext(ctx).Child("facade.pin")
-	qr, err := s.snap.Load().querier(s, k)
-	if psp != nil {
-		psp.SetStr("backend", string(s.backend))
-		psp.SetStr("op", opBatch)
-		psp.SetInt("members", int64(len(qids)))
-		psp.End()
+// knn is the snapshot's forward kNN. (KNN, without validation, is the same
+// search as a shard's shardClient.)
+func (sn *snapshot) knn(_ context.Context, q []float64, k int) ([]Neighbor, error) {
+	if err := checkQuery(sn.ix.Metric(), sn.ix.Dim(), q); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	batch, err := qr.BatchByIDContext(ctx, qids, workers)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	out := make([][]int, len(batch))
-	var firstErr error
-	succeeded := 0
-	for i, br := range batch {
-		if br.Err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("rknnd: query %d: %w", br.QueryID, br.Err)
-			}
-			continue
-		}
-		out[i] = br.Result.IDs
-		succeeded++
-	}
-	if tel != nil {
-		// One latency observation per batch call; member queries count
-		// individually in rknn_queries_total and the candidate aggregates.
-		// Successful members are recorded even when a failed member aborts
-		// the batch — their work happened, and dropping them would make the
-		// engine totals disagree with the server's per-route accounting.
-		tel.countQueries(opBatch, succeeded)
-		at := tel.observeLatency(opBatch, begin)
-		for _, br := range batch {
-			if br.Err == nil {
-				tel.observeStats(fromCore(br.Result.Stats), at)
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// KNN returns the k forward nearest neighbors of an arbitrary point as
-// (id, distance) pairs in ascending distance order — the ordinary
-// similarity query, exposed because reverse-neighbor applications almost
-// always need it too.
-func (s *Searcher) KNN(q []float64, k int) ([]Neighbor, error) {
-	return s.KNNContext(context.Background(), q, k)
-}
-
-// KNNContext is KNN with a context; a traced request records the forward
-// search as one "core.knn" span.
-func (s *Searcher) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	tel, begin := s.telBegin()
-	ksp := trace.FromContext(ctx).Child("core.knn")
-	if ksp != nil {
-		ksp.SetStr("backend", string(s.backend))
-		ksp.SetInt("k", int64(k))
-		defer ksp.End()
-	}
-	ix := s.snap.Load().ix
-	if err := checkQuery(ix.Metric(), ix.Dim(), q); err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	out := ix.KNN(q, k, -1)
-	if tel != nil {
-		at := tel.observeOp(opKNN, 1, begin)
-		// Forward queries carry no pruning stats, but they are traffic with
-		// a region: the sketch sees them with zeroed accumulators.
-		tel.observeWorkload(opKNN, k, q, Stats{}, at.Sub(begin), at)
-	}
-	return out, nil
+	return sn.ix.KNN(q, k, -1), nil
 }
 
 // Neighbor is a dataset member paired with its distance from a query.
@@ -614,52 +453,13 @@ type Neighbor = index.Neighbor
 // owned by the Searcher and must not be modified.
 func (s *Searcher) Point(id int) []float64 { return s.snap.Load().ix.Point(id) }
 
-// Insert adds a point and returns its new ID. The paper highlights this
-// property for data warehouse and stream scenarios (Section 4); here a
-// write clones only the delta overlay over the immutable base index — O(1),
-// the clone shares base, memtable and tombstones — so that in-flight queries
-// keep reading their frozen snapshot, then publishes the updated clone with
-// one atomic swap. Threading the rows into the base is left to a background
-// compaction once the delta exceeds the threshold
-// (WithCompactionThreshold). Updates are serialized; queries are never
-// blocked.
-func (s *Searcher) Insert(p []float64) (int, error) {
-	return s.InsertContext(context.Background(), p)
-}
-
-// InsertContext is Insert with a context: the one-point form of
-// InsertBatchContext.
-func (s *Searcher) InsertContext(ctx context.Context, p []float64) (int, error) {
-	return firstID(s.InsertBatchContext(ctx, [][]float64{p}))
-}
-
-// firstID unwraps the one-point form of a batch insert. The ID is passed on
-// beside an error too: that is how an engine with a store reports a point
-// applied in memory but not logged.
-func firstID(ids []int, err error) (int, error) {
-	if len(ids) == 0 {
-		return 0, err
-	}
-	return ids[0], err
-}
-
-// InsertBatch adds many points in one copy-on-write step: one lock
-// acquisition, one overlay clone, one snapshot publication for the whole
-// batch — and, with a store attached (NewDurable, Open), one write-ahead
-// append with at most one fsync. The batch is atomic, in memory and in the
-// log: either every point is inserted (IDs returned in input order) or none
-// are visible. A failure that returns no IDs left nothing applied; a log
-// failure returns the assigned IDs beside the error — the points stay
-// visible until restart — and disables the store (engineStore.append). An
-// empty batch is a no-op.
-func (s *Searcher) InsertBatch(points [][]float64) ([]int, error) {
-	return s.InsertBatchContext(context.Background(), points)
-}
-
-// InsertBatchContext is InsertBatch with a context; a traced request
-// records the copy-on-write application as one "facade.apply" span, and the
-// WAL append and fsync as spans after it.
-func (s *Searcher) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
+// applyInsertBatch applies the batch copy-on-write (insertPoints) and then,
+// when a store is attached, appends it to the log as one frame — one write,
+// at most one fsync — still under the store's log lock, so the log holds the
+// writes in the order they were applied. A closed or poisoned store refuses
+// the write before anything is applied, an empty batch included. Queries are
+// never blocked.
+func (s *Searcher) applyInsertBatch(ctx context.Context, points [][]float64) ([]int, error) {
 	h := s.durable.Load()
 	if err := h.begin(); err != nil {
 		return nil, err
@@ -668,39 +468,33 @@ func (s *Searcher) InsertBatchContext(ctx context.Context, points [][]float64) (
 	if len(points) == 0 {
 		return nil, nil
 	}
-	tel, begin := s.telBegin()
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	asp.SetStr("op", opInsert)
-	asp.SetInt("members", int64(len(points)))
-	ids, err := s.applyInsertBatch(points)
-	asp.End()
+	ids, err := s.insertPoints(points)
 	if err != nil {
 		return nil, err
 	}
-	if tel != nil {
-		// Each member counts as an insert; the latency histogram observes
-		// once per call, mirroring query-batch accounting.
-		tel.observeOp(opInsert, len(ids), begin)
-	}
 	s.maybeCompact()
-	if h != nil {
-		records := make([]persist.WALRecord, len(ids))
-		for i, id := range ids {
-			records[i] = persist.WALRecord{Op: persist.WALInsert, ID: id, Point: points[i]}
-		}
-		if err := h.append(ctx, records...); err != nil {
-			return ids, err
-		}
+	if h == nil {
+		return ids, nil
 	}
-	return ids, nil
+	var one [1]persist.WALRecord // a single insert logs without allocating
+	records := one[:]
+	if len(ids) > 1 {
+		records = make([]persist.WALRecord, len(ids))
+	}
+	for i, id := range ids {
+		records[i] = persist.WALRecord{Op: persist.WALInsert, ID: id, Point: points[i]}
+	}
+	return ids, h.append(ctx, records...)
 }
 
-func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
+// insertPoints inserts the points into one overlay clone — O(1), the clone
+// shares base, memtable and tombstones — and publishes it. An invalid member
+// rejects the whole batch before the clone is paid for, so a stream of bad
+// requests cannot stall legitimate writers.
+func (s *Searcher) insertPoints(points [][]float64) ([]int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load().ix
-	// Reject invalid points before paying for the clone, so a stream of bad
-	// requests cannot stall legitimate writers.
 	for i, p := range points {
 		if err := vecmath.ValidateFor(cur.Metric(), p); err != nil {
 			return nil, fmt.Errorf("rknnd: point %d: %w", i, err)
@@ -718,61 +512,47 @@ func (s *Searcher) applyInsertBatch(points [][]float64) ([]int, error) {
 		}
 		ids[i] = id
 	}
-	s.snap.Store(&snapshot{ix: next})
+	s.publish(next)
 	return ids, nil
 }
 
-// Delete removes a dataset member with the same copy-on-write discipline as
-// Insert (an overlay clone, a copy of its tombstone set, one tombstone more)
-// and the same logging and error contract.
-// It reports whether the ID was present; deletes that change nothing are not
-// logged.
-func (s *Searcher) Delete(id int) (bool, error) {
-	return s.DeleteContext(context.Background(), id)
-}
-
-// DeleteContext is Delete with a context, traced like InsertBatchContext.
-func (s *Searcher) DeleteContext(ctx context.Context, id int) (bool, error) {
+// applyDelete tombstones the member copy-on-write (deletePoint) and logs the
+// delete like applyInsertBatch logs an insert; a delete that changes nothing
+// is not logged.
+func (s *Searcher) applyDelete(ctx context.Context, id int) (bool, error) {
 	h := s.durable.Load()
 	if err := h.begin(); err != nil {
 		return false, err
 	}
 	defer h.end()
-	tel, begin := s.telBegin()
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	asp.SetStr("op", opDelete)
-	applied, err := s.applyDelete(id)
-	asp.End()
-	if err != nil {
-		return false, err
-	}
-	if tel != nil && applied {
-		tel.observeOp(opDelete, 1, begin)
+	if !s.deletePoint(id) {
+		return false, nil
 	}
 	s.maybeCompact()
-	if h != nil && applied {
+	if h != nil {
 		if err := h.append(ctx, persist.WALRecord{Op: persist.WALDelete, ID: id}); err != nil {
 			return false, err
 		}
 	}
-	return applied, nil
+	return true, nil
 }
 
-func (s *Searcher) applyDelete(id int) (bool, error) {
+// deletePoint tombstones the member on an overlay clone (which copies the
+// tombstone set) and publishes it. Absent and already-deleted IDs are settled
+// against the current snapshot before paying for the clone, and keep it warm.
+func (s *Searcher) deletePoint(id int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load().ix
-	// Settle absent and already-deleted IDs against the current snapshot
-	// before paying for the clone.
 	if !cur.Live(id) {
-		return false, nil
+		return false
 	}
 	next := cur.Clone()
 	if !next.Delete(id) {
-		return false, nil // unchanged: keep the current snapshot warm
+		return false
 	}
-	s.snap.Store(&snapshot{ix: next})
-	return true, nil
+	s.publish(next)
+	return true
 }
 
 // enableQuantFilter attaches the quantized pre-filter to a bare (unwrapped)
@@ -883,7 +663,7 @@ func (s *Searcher) compact(atLeast int) {
 		return
 	}
 	s.mu.Lock()
-	s.snap.Store(&snapshot{ix: s.snap.Load().ix.Rebase(frozen, folded)})
+	s.publish(s.snap.Load().ix.Rebase(frozen, folded))
 	s.compactions.Add(1)
 	s.mu.Unlock()
 	d := time.Since(start)

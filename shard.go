@@ -19,12 +19,13 @@ import (
 // cost nothing "other than those due to changes made to the auxiliary
 // forward kNN index" (Section 4) — so a sharded engine is a set of neighbor
 // streams plus a set of writers, and where a shard lives is a transport
-// detail. shardedCore owns everything that does not depend on it: the shard
-// map, the write lock and poison state, the telemetry, scatter-set assembly,
-// the whole query surface and the one write path, over shards it knows only
-// through the shard interface. A ShardedSearcher (below) is the core over
-// in-process shards, each a copy-on-write Searcher; a Coordinator
-// (coordinator.go) is the core over shard daemons.
+// detail. shardedCore owns everything that does not depend on it — the shard
+// map, the write lock and poison state, the per-shard telemetry, scatter-set
+// assembly and the one write path — over shards it knows only through the
+// shard interface, and embeds the query and write surface every engine
+// shares (surface.go). A ShardedSearcher (below) is the core over in-process
+// shards, each a copy-on-write Searcher; a Coordinator (coordinator.go) is
+// the core over shard daemons.
 //
 // A reverse query is the unsharded algorithm, run once: the k-way merge of
 // the shards' forward neighbor streams under the (distance, global ID)
@@ -48,7 +49,7 @@ type ShardInfo struct {
 // insert ends one of three ways, and the write path acts on which:
 //
 //   - IDs: the points are applied. An error beside them means applied in
-//     memory but not logged (see Searcher.InsertBatch).
+//     memory but not logged (see InsertBatch).
 //   - No IDs and an ordinary error: refused un-applied — a local engine's
 //     validation error, a daemon's well-formed 4xx, a request that never left.
 //   - No IDs and an error that wraps errOutcomeUnknown: the shard may or may
@@ -91,9 +92,9 @@ type shard interface {
 // engine's. The metamorphic conformance suites pin it
 // (shard_conformance_test.go, internal/server/cluster_test.go).
 type shardedCore struct {
-	engineConfig // of every shard: the core runs their algorithm itself
-	metric       Metric
-	dim          int
+	surface // its engineConfig is every shard's: the core runs their algorithm itself
+	metric  Metric
+	dim     int
 
 	shards []shard
 	visits []atomic.Int64 // scatter visits per shard (ShardInfo.Queries)
@@ -107,33 +108,20 @@ type shardedCore struct {
 	// all refused until a restart re-reads the shards' ID spans. Guarded by mu.
 	broken error
 
-	// telemetryBinding/shardTel aggregate engine-level and per-shard query
-	// metrics when telemetry is enabled; nil when disabled. Published
-	// atomically, like every read-path structure here.
-	telemetryBinding
+	// shardTel holds the per-shard query instruments when telemetry is
+	// enabled; nil when disabled. Published atomically, like every read-path
+	// structure here.
 	shardTel atomic.Pointer[[]*shardTelemetry]
 }
 
 // init binds the core to its shards; the caller publishes the shard map.
 func (e *shardedCore) init(cfg engineConfig, metric Metric, dim int, shards []shard) {
-	e.engineConfig, e.metric, e.dim = cfg, metric, dim
+	e.engineConfig, e.eng, e.metric, e.dim = cfg, e, metric, dim
 	e.shards, e.visits = shards, make([]atomic.Int64, len(shards))
 }
 
 // Shards returns the shard count.
 func (e *shardedCore) Shards() int { return len(e.shards) }
-
-// Scale returns the scale parameter t in effect on every shard (0 when
-// adaptive).
-func (e *shardedCore) Scale() float64 { return e.scale }
-
-// Backend returns the forward-index back-end of the shards.
-func (e *shardedCore) Backend() Backend { return e.backend }
-
-// Approximate reports whether the shards run in the approximate regime
-// (BackendLSH); see Searcher.Approximate. The merge loses nothing the shards
-// stream, so the approximation is exactly the shards' own.
-func (e *shardedCore) Approximate() bool { return e.backend == BackendLSH }
 
 // Dim returns the dimensionality of the indexed points.
 func (e *shardedCore) Dim() int { return e.dim }
@@ -167,7 +155,7 @@ func (e *shardedCore) ShardStats() []ShardInfo {
 // non-empty shard first, then the map. Writers publish in the opposite order
 // (map, then shard), so the map here covers every ID the read sets can
 // surface.
-func (e *shardedCore) pin() *scatterSet {
+func (e *shardedCore) pin(sp *trace.Span) readSet {
 	sc := &scatterSet{engineConfig: e.engineConfig, clients: make([]pinnedShard, 0, len(e.shards)), metric: e.metric, dim: e.dim}
 	for i, sh := range e.shards {
 		if c, live := sh.pin(); live > 0 {
@@ -179,183 +167,13 @@ func (e *shardedCore) pin() *scatterSet {
 	if p := e.shardTel.Load(); p != nil {
 		sc.tel = *p
 	}
+	sp.SetInt("shards_pinned", int64(len(sc.clients)))
 	return sc
 }
 
-// pinCtx is pin under a "facade.pin" span when ctx is traced.
-func (e *shardedCore) pinCtx(ctx context.Context) *scatterSet {
-	psp := trace.FromContext(ctx).Child("facade.pin")
-	sc := e.pin()
-	if psp != nil {
-		psp.SetStr("backend", string(e.backend))
-		psp.SetInt("shards_pinned", int64(len(sc.clients)))
-		if e.scale > 0 {
-			psp.SetFloat("scale", e.scale)
-		}
-		psp.End()
-	}
-	return sc
-}
-
-// ReverseKNN returns the global IDs of the dataset members that have
-// member qid among their k nearest neighbors, sorted ascending. The member
-// itself is excluded.
-func (e *shardedCore) ReverseKNN(qid, k int) ([]int, error) {
-	return e.ReverseKNNContext(context.Background(), qid, k)
-}
-
-// ReverseKNNContext is ReverseKNN with a context. When ctx carries a trace
-// span, the query records one "core.rknn" with its scan, filter and verify
-// stages, and beneath it one "shard.scatter" per shard covering that shard's
-// neighbor stream (a remote shard's spans and headers propagate to its daemon
-// on every hop); an untraced context costs one nil check per layer.
-func (e *shardedCore) ReverseKNNContext(ctx context.Context, qid, k int) ([]int, error) {
-	ids, _, err := e.reverseKNN(ctx, e.pinCtx(ctx), qid, nil, k, opRkNN)
-	return ids, err
-}
-
-// ReverseKNNStats is ReverseKNN with the per-query work counters — those of
-// the one algorithm run over the merged shard streams, equal to a Searcher's
-// over the same points.
-func (e *shardedCore) ReverseKNNStats(qid, k int) ([]int, Stats, error) {
-	return e.ReverseKNNStatsContext(context.Background(), qid, k)
-}
-
-// ReverseKNNStatsContext is ReverseKNNStats with a context, traced like
-// ReverseKNNContext.
-func (e *shardedCore) ReverseKNNStatsContext(ctx context.Context, qid, k int) ([]int, Stats, error) {
-	return e.reverseKNN(ctx, e.pinCtx(ctx), qid, nil, k, opRkNN)
-}
-
-// ReverseKNNPoint answers the query for an arbitrary point, which need not
-// be a dataset member.
-func (e *shardedCore) ReverseKNNPoint(q []float64, k int) ([]int, error) {
-	return e.ReverseKNNPointContext(context.Background(), q, k)
-}
-
-// ReverseKNNPointContext is ReverseKNNPoint with a context, traced like
-// ReverseKNNContext.
-func (e *shardedCore) ReverseKNNPointContext(ctx context.Context, q []float64, k int) ([]int, error) {
-	ids, _, err := e.reverseKNN(ctx, e.pinCtx(ctx), -1, q, k, opRkNNPoint)
-	return ids, err
-}
-
-// ReverseKNNPointStats is ReverseKNNPoint with the aggregated counters.
-func (e *shardedCore) ReverseKNNPointStats(q []float64, k int) ([]int, Stats, error) {
-	return e.ReverseKNNPointStatsContext(context.Background(), q, k)
-}
-
-// ReverseKNNPointStatsContext is ReverseKNNPointStats with a context,
-// traced like ReverseKNNContext.
-func (e *shardedCore) ReverseKNNPointStatsContext(ctx context.Context, q []float64, k int) ([]int, Stats, error) {
-	return e.reverseKNN(ctx, e.pinCtx(ctx), -1, q, k, opRkNNPoint)
-}
-
-// reverseKNN is the RkNN query over a pinned read set — scatterSet.reverseKNN
-// plus this engine's telemetry. qid >= 0 anchors the query at a member (q is then looked
-// up); qid < 0 queries the arbitrary point q. op labels the query in the
-// engine telemetry (batch members record per query here, unlike the
-// unsharded batch, whose pool hides per-member timing; they also leave
-// the latency histogram and the workload sketch to the batch call itself,
-// matching the unsharded engine's semantics).
-func (e *shardedCore) reverseKNN(ctx context.Context, sc *scatterSet, qid int, q []float64, k int, op string) ([]int, Stats, error) {
-	tel, begin := e.telBegin()
-	ids, st, resolvedQ, err := sc.reverseKNN(ctx, qid, q, k)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if tel != nil {
-		tel.observeQuery(op, k, resolvedQ, st, begin)
-	}
-	return ids, st, nil
-}
-
-// KNN returns the k global forward nearest neighbors of an arbitrary point
-// in ascending (distance, ID) order — the per-shard top-k lists k-way
-// merged.
-func (e *shardedCore) KNN(q []float64, k int) ([]Neighbor, error) {
-	return e.KNNContext(context.Background(), q, k)
-}
-
-// KNNContext is KNN with a context; a traced context records one
-// "core.knn" root stage with per-shard "shard.scatter" children.
-func (e *shardedCore) KNNContext(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	tel, begin := e.telBegin()
-	out, err := e.pin().knn(ctx, q, k)
-	if tel != nil && err == nil {
-		tel.observeOp(opKNN, 1, begin)
-	}
-	return out, err
-}
-
-// BatchReverseKNN answers many member queries concurrently on a worker
-// pool (0 workers selects all cores; the pool is capped at the batch
-// length and at GOMAXPROCS) and returns the per-query ID lists in input
-// order. The first per-query error aborts the batch.
-func (e *shardedCore) BatchReverseKNN(qids []int, k, workers int) ([][]int, error) {
-	return e.BatchReverseKNNContext(context.Background(), qids, k, workers)
-}
-
-// BatchReverseKNNContext is BatchReverseKNN with cancellation. The whole
-// batch runs against one pinned read set, so its results are mutually
-// consistent even while Insert/Delete run concurrently (over in-process
-// shards; a daemon answers each call from its current snapshot — DESIGN.md,
-// "Distributed serving"); see batchByID for the pool and the error
-// precedence.
-func (e *shardedCore) BatchReverseKNNContext(ctx context.Context, qids []int, k, workers int) ([][]int, error) {
-	tel, begin := e.telBegin()
-	sc := e.pin()
-	out, err := batchByID(ctx, qids, workers, func(ctx context.Context, qid int) ([]int, error) {
-		ids, _, err := e.reverseKNN(ctx, sc, qid, nil, k, opBatch)
-		return ids, err
-	})
-	if tel != nil && err == nil {
-		// Members already counted themselves in reverseKNN; the batch call
-		// contributes the single latency observation.
-		tel.observeLatency(opBatch, begin)
-	}
-	return out, err
-}
-
-// Insert adds a point to its hash-assigned shard and returns its new
-// global ID. The shard map is published before the shard applies the point,
-// so a concurrent query either sees neither or can translate everything it
-// sees (an ID caught in that window answers as not-found until the insert
-// completes). An ID beside an error is the one the map assigned;
-// see InsertBatch for what the error then means.
-func (e *shardedCore) Insert(p []float64) (int, error) {
-	return e.InsertContext(context.Background(), p)
-}
-
-// InsertContext is Insert with a context: the one-point form of
-// InsertBatchContext.
-func (e *shardedCore) InsertContext(ctx context.Context, p []float64) (int, error) {
-	return firstID(e.InsertBatchContext(ctx, [][]float64{p}))
-}
-
-// Delete removes the dataset member with the given global ID, reporting
-// whether it was present. The shard map keeps the ID forever (tombstones
-// live in the shard index), so global IDs are never reused.
-func (e *shardedCore) Delete(global int) (bool, error) {
-	return e.DeleteContext(context.Background(), global)
-}
-
-// DeleteContext is Delete with a context, traced like InsertBatchContext.
-func (e *shardedCore) DeleteContext(ctx context.Context, global int) (bool, error) {
-	tel, begin := e.telBegin()
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	if asp != nil {
-		asp.SetStr("op", opDelete)
-		ctx = trace.With(ctx, asp)
-		defer asp.End()
-	}
-	applied, err := e.applyDelete(ctx, global)
-	if tel != nil && applied && err == nil {
-		tel.observeOp(opDelete, 1, begin)
-	}
-	return applied, err
-}
-
+// applyDelete deletes a member on its shard. The shard map keeps the ID
+// forever (tombstones live in the shard index), so global IDs are never
+// reused.
 func (e *shardedCore) applyDelete(ctx context.Context, global int) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -371,42 +189,6 @@ func (e *shardedCore) applyDelete(ctx context.Context, global int) (bool, error)
 		err = fmt.Errorf("rknnd: shard %d: %w", s, err)
 	}
 	return applied, err
-}
-
-// InsertBatch adds many points in one write step: one shard-map clone, one
-// lock acquisition, and per involved shard one write (in process: one
-// overlay clone and, on a durable engine, one WAL append with at most one
-// fsync; over the network: one request) for the whole batch. IDs are
-// returned in input order. A write that returns no IDs left nothing applied.
-// IDs beside an error are the ones the map assigned: every group is applied
-// unless the error says otherwise (a durable shard's "applied but not
-// logged"), and when a group was refused after another landed, or its outcome
-// is unknown, the write path is poisoned too; see applyInsertBatch.
-func (e *shardedCore) InsertBatch(points [][]float64) ([]int, error) {
-	return e.InsertBatchContext(context.Background(), points)
-}
-
-// InsertBatchContext is InsertBatch with a context; a traced context
-// records a "facade.apply" span covering the lock, shard-map clone, and
-// shard mutations (each shard's own apply span, and the WAL spans of a
-// durable engine or the remote.call of a daemon, nest beneath it).
-func (e *shardedCore) InsertBatchContext(ctx context.Context, points [][]float64) ([]int, error) {
-	if len(points) == 0 {
-		return nil, nil
-	}
-	tel, begin := e.telBegin()
-	asp := trace.FromContext(ctx).Child("facade.apply")
-	if asp != nil {
-		asp.SetStr("op", opInsert)
-		asp.SetInt("members", int64(len(points)))
-		ctx = trace.With(ctx, asp)
-		defer asp.End()
-	}
-	ids, err := e.applyInsertBatch(ctx, points)
-	if tel != nil && err == nil {
-		tel.observeOp(opInsert, len(ids), begin)
-	}
-	return ids, err
 }
 
 // applyInsertBatch is the one insert path. The map is published with the
@@ -441,7 +223,8 @@ func (e *shardedCore) applyInsertBatch(ctx context.Context, points [][]float64) 
 	// The shard of every member is a pure function of the current global
 	// count, so the involved shards are known — and asked whether they can
 	// take a write — before any ID is assigned: a closed or poisoned store
-	// rejects the whole write cleanly instead of tearing it.
+	// rejects the whole write cleanly instead of tearing it. An empty batch
+	// involves every shard in the question and writes nothing.
 	m := e.smap.Load()
 	groups := make([][]int, len(e.shards)) // shard -> positions in points, in order
 	for i := range points {
@@ -449,12 +232,15 @@ func (e *shardedCore) applyInsertBatch(ctx context.Context, points [][]float64) 
 		groups[s] = append(groups[s], i)
 	}
 	for s, idx := range groups {
-		if len(idx) == 0 {
+		if len(idx) == 0 && len(points) > 0 {
 			continue
 		}
 		if err := e.shards[s].writable(); err != nil {
 			return nil, fmt.Errorf("rknnd: shard %d: %w", s, err)
 		}
+	}
+	if len(points) == 0 {
+		return nil, nil
 	}
 
 	m2 := m.Clone()

@@ -3,6 +3,7 @@
 package repro
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -62,6 +63,47 @@ func TestShardedInsertDoesNotCopyTheShardMap(t *testing.T) {
 	for s := 0; s < S; s++ {
 		if pinned.ShardLen(s) != want.ShardLen(s) || len(pinned.Globals(s)) != want.ShardLen(s) {
 			t.Errorf("pinned map sees %d ids on shard %d, want %d", pinned.ShardLen(s), s, want.ShardLen(s))
+		}
+	}
+}
+
+// TestWarmRankQueryAllocations pins what one query on a warm rank allocates,
+// telemetry off: 6 objects for a Searcher member or point query, 19 for a
+// member query over three in-process shards. The shared surface in front of
+// both adds no closure, interface boxing or read-set allocation to either.
+func TestWarmRankQueryAllocations(t *testing.T) {
+	pts := indextest.RandPoints(2000, 4, 81)
+	s, err := New(pts, WithScale(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewSharded(pts, 3, WithScale(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := []float64{0.4, 0.5, 0.6, 0.3}
+	qid := 0
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func() error
+	}{
+		{"Searcher.ReverseKNNContext", 6, func() error { qid++; _, err := s.ReverseKNNContext(ctx, qid%len(pts), 8); return err }},
+		{"Searcher.ReverseKNNPointContext", 6, func() error { _, err := s.ReverseKNNPointContext(ctx, q, 8); return err }},
+		{"ShardedSearcher.ReverseKNNContext", 19, func() error { qid++; _, err := ss.ReverseKNNContext(ctx, qid%len(pts), 8); return err }},
+	} {
+		if err := c.run(); err != nil { // warms the rank
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.2f allocations a query", c.name, got)
+		if got > c.max {
+			t.Errorf("%s allocates %.2f objects a query on a warm rank, want at most %v", c.name, got, c.max)
 		}
 	}
 }

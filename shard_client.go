@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -155,13 +154,10 @@ func (sc *scatterSet) client(shard int) int {
 	return slices.IndexFunc(sc.clients, func(c pinnedShard) bool { return c.shard == shard })
 }
 
-// reverseKNN answers one RkNN query by running the engine's core.Querier
-// over the federated index of the set. A nil q anchors the query at member
-// qid (qid may be any integer; out-of-range values fail like the unsharded
-// engine's); a non-nil q queries that arbitrary point (qid is then ignored,
-// pass -1). Returns the global IDs, the query's work counters — those of the
-// one algorithm run, identical to an unsharded engine's on the same data —
-// and the resolved query point (for workload telemetry).
+// reverseKNN implements readSet: the engine's core.Querier over the
+// federated index of the set. A member qid may be any integer (out-of-range
+// values fail like the unsharded engine's). The work counters are those of
+// the one algorithm run, identical to an unsharded engine's on the same data.
 func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k int) ([]int, Stats, []float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -173,7 +169,7 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 	f := &fedIndex{sc: sc, ctx: ctx, k: k, qid: -1, home: -1}
 	qr, err := sc.newQuerier(f, k)
 	if err != nil {
-		return nil, Stats{}, nil, fmt.Errorf("rknnd: %w", err)
+		return nil, Stats{}, nil, err
 	}
 	var res *core.Result
 	if q == nil {
@@ -193,7 +189,7 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 		err = f.err
 	}
 	if err != nil {
-		return nil, Stats{}, nil, fmt.Errorf("rknnd: %w", err)
+		return nil, Stats{}, nil, err
 	}
 	return res.IDs, fromCore(res.Stats), q, nil
 }
@@ -471,19 +467,14 @@ func (f *fedIndex) observe() {
 	}
 }
 
-// knn is the scatter-gather forward-kNN query: per-shard top-k lists,
-// k-way merged to global top-k in ascending (distance, ID) order. A traced
-// context records one "core.knn" stage with a "shard.scatter" child per
-// shard.
+// knn implements readSet: the scatter-gather forward-kNN query, per-shard
+// top-k lists k-way merged to global top-k in ascending (distance, ID)
+// order, with a "shard.scatter" span per shard under a traced ctx's
+// core.knn.
 func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	sp := trace.FromContext(ctx).Child("core.knn")
-	if sp != nil {
-		sp.SetStr("backend", string(sc.backend))
-		sp.SetInt("k", int64(k))
-		defer sp.End()
-	}
+	sp := trace.FromContext(ctx)
 	if err := checkQuery(sc.metric, sc.dim, q); err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
+		return nil, err
 	}
 	lists := make([][]index.Neighbor, len(sc.clients))
 	err := core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
@@ -510,38 +501,7 @@ func (sc *scatterSet) knn(ctx context.Context, q []float64, k int) ([]Neighbor, 
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
+		return nil, err
 	}
 	return core.MergeKNN(lists, k, nil), nil
-}
-
-// batchByID answers many member queries concurrently over one scatter set —
-// so the results are mutually consistent even while writes run — on
-// core.ForEach's worker pool (the same clamps and cancellation contract as
-// the single-engine batch). query answers one member; the engine that owns
-// the set wraps its telemetry around scatterSet.reverseKNN there. A failed
-// batch reports, in order of precedence: the context's own error, the first
-// member (in input order) that failed for a reason other than the pool
-// cancelling it, any failed member, the pool's argument error.
-func batchByID(ctx context.Context, qids []int, workers int, query func(ctx context.Context, qid int) ([]int, error)) ([][]int, error) {
-	out := make([][]int, len(qids))
-	errs := make([]error, len(qids))
-	err := core.ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) error {
-		out[i], errs[i] = query(ctx, qids[i])
-		return errs[i]
-	})
-	if err == nil {
-		return out, nil
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	for _, skipCancelled := range []bool{true, false} {
-		for i, e := range errs {
-			if e != nil && !(skipCancelled && errors.Is(e, context.Canceled)) {
-				return nil, fmt.Errorf("rknnd: query %d: %w", qids[i], e)
-			}
-		}
-	}
-	return nil, fmt.Errorf("rknnd: %w", err) // invalid arguments (negative workers)
 }

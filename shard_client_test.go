@@ -76,7 +76,7 @@ func TestMergedStreamIsTheUnionStream(t *testing.T) {
 					t.Fatal("the overlays are clean; the test would not read through a delta")
 				}
 				union := single.snap.Load().ix
-				sc := ss.pin()
+				sc := ss.pin(nil).(*scatterSet)
 				if sc.n != union.Len() {
 					t.Fatalf("scatter set holds %d live points, the union %d", sc.n, union.Len())
 				}
@@ -186,7 +186,7 @@ func TestShardFailureVoidsTheQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy := ss.pin()
+	healthy := ss.pin(nil).(*scatterSet)
 	// A query that verifies something, so the count round runs.
 	qid := -1
 	for id := range pts {
@@ -211,8 +211,8 @@ func TestShardFailureVoidsTheQuery(t *testing.T) {
 		ids, _, _, err := sc.reverseKNN(context.Background(), qid, nil, 6)
 		if err == nil || ids != nil {
 			t.Errorf("%s: query answered (%v, %v), want the shard's error", name, ids, err)
-		} else if got := err.Error(); got != "rknnd: connection reset" {
-			t.Errorf("%s: error %q, want the shard's, tagged once", name, got)
+		} else if got := err.Error(); got != "connection reset" {
+			t.Errorf("%s: error %q, want the shard's, untagged (the surface tags it once)", name, got)
 		}
 	}
 }

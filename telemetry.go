@@ -485,9 +485,10 @@ func (t *engineTelemetry) engineWindowStats(now time.Time) map[string]EngineWind
 	return out
 }
 
-// telemetryBinding is an engine's optional binding to its telemetry, which a
-// Searcher and the sharded engines embed: nil until EnableTelemetry, then
-// published atomically so it can be attached while queries are in flight.
+// telemetryBinding is an engine's optional binding to its telemetry, which
+// the surface every engine shares embeds (surface.go): nil until
+// EnableTelemetry, then published atomically so it can be attached while
+// queries are in flight.
 type telemetryBinding struct {
 	tel atomic.Pointer[engineTelemetry]
 }

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/indextest"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // counterValue extracts one sample from a gathered registry by family name
@@ -421,10 +421,10 @@ func TestShardedApproxTelemetry(t *testing.T) {
 
 // TestWorkloadSketchReadsThePinnedSnapshot pins where a member query's point
 // comes from for the workload sketch: the snapshot the query pinned, not
-// whatever is current once it has answered. Each member is deleted after its
-// query pinned — from inside the query's run step — and the query must still
-// be recorded, without a panic, under its "rknn k=…" signature with the
-// region cell of the point it ran from.
+// whatever is current once it has answered. Each member is deleted right
+// after its query pinned — by an engine that deletes from inside pin — and
+// the query must still be recorded, without a panic, under its "rknn k=…"
+// signature with the region cell of the point it ran from.
 func TestWorkloadSketchReadsThePinnedSnapshot(t *testing.T) {
 	const k = 4
 	for _, backend := range []Backend{BackendCoverTree, BackendScan} {
@@ -433,6 +433,8 @@ func TestWorkloadSketchReadsThePinnedSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		del := &deleteAfterPin{Searcher: s, t: t}
+		s.eng = del
 		want := make(map[string]uint64)
 		for qid := 3; qid < 200; qid += 37 {
 			sig := s.tel.Load().grid.signature(opRkNN, k, pts[qid])
@@ -440,15 +442,12 @@ func TestWorkloadSketchReadsThePinnedSnapshot(t *testing.T) {
 				t.Fatalf("signature %q carries no region cell", sig)
 			}
 			want[sig]++
-			_, _, err := s.query(context.Background(), k, opRkNN, nil, qid, func(ctx context.Context, qr *core.Querier) (*core.Result, error) {
-				res, err := qr.ByIDCtx(ctx, qid)
-				if ok, derr := s.Delete(qid); !ok || derr != nil {
-					t.Errorf("%s: Delete(%d) = %v, %v", backend, qid, ok, derr)
-				}
-				return res, err
-			})
-			if err != nil {
+			del.id = qid
+			if _, err := s.ReverseKNN(qid, k); err != nil {
 				t.Fatalf("%s: member query %d: %v", backend, qid, err)
+			}
+			if s.snap.Load().ix.Live(qid) {
+				t.Fatalf("%s: member %d was not deleted behind its query", backend, qid)
 			}
 		}
 		got := make(map[string]uint64)
@@ -459,4 +458,20 @@ func TestWorkloadSketchReadsThePinnedSnapshot(t *testing.T) {
 			t.Errorf("%s: sketch holds %v, want %v", backend, got, want)
 		}
 	}
+}
+
+// deleteAfterPin is a Searcher whose pin deletes member id once the read set
+// is pinned.
+type deleteAfterPin struct {
+	*Searcher
+	t  *testing.T
+	id int
+}
+
+func (d *deleteAfterPin) pin(sp *trace.Span) readSet {
+	rs := d.Searcher.pin(sp)
+	if ok, err := d.Searcher.applyDelete(context.Background(), d.id); !ok || err != nil {
+		d.t.Errorf("Delete(%d) = %v, %v", d.id, ok, err)
+	}
+	return rs
 }
