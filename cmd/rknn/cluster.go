@@ -40,8 +40,8 @@ import (
 func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready chan<- net.Addr) error {
 	fs := flag.NewFlagSet("shard-serve", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	sf := servingFlags(fs, ":8081")
 	var (
-		addr     = fs.String("addr", ":8081", "listen address")
 		dataName = fs.String("data", "sequoia", "surrogate dataset: sequoia, aloi, fct, mnist, imagenet, uniform")
 		csvPath  = fs.String("csv", "", "load points from a CSV file instead of generating")
 		n        = fs.Int("n", 5000, "generated dataset size")
@@ -55,9 +55,6 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 		metric   = fs.String("metric", "", "distance metric: euclidean (default), manhattan, chebyshev, angular, minkowski(p)")
 		shard    = fs.Int("shard", 0, "which hash partition this daemon serves, in [0, shards)")
 		shards   = fs.Int("shards", 1, "total shard count of the cluster")
-		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-		traceSmp = fs.Float64("trace-sample", 1, "head-sampling probability for retaining request traces (negative disables tracing)")
-		traceCap = fs.Int("trace-ring-size", 256, "trace ring capacity (traces)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -114,30 +111,9 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 	if err != nil {
 		return err
 	}
-
-	reg := telemetry.NewRegistry()
-	eng.EnableTelemetry(reg)
-	var ring *trace.Ring
-	if *traceSmp >= 0 {
-		ring = trace.NewRing(*traceCap)
-		eng.EnableTracing(ring)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "rknn shard-serve: %s shard %d/%d, %d of %d points, %s back-end, t=%.2f, listening on %s\n",
-		name, *shard, *shards, eng.Len(), len(pts), *backend, eng.Scale(), ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-
-	serverOpts := []server.Option{server.WithRegistry(reg), server.WithShardRole(*shard, *shards)}
-	if ring != nil {
-		serverOpts = append(serverOpts, server.WithTracing(ring, *traceSmp))
-	}
-	return serveUntilDone(ctx, ln, server.New(eng, serverOpts...).Handler(), *drain, stdout, "rknn shard-serve")
+	return sf.serve(ctx, stdout, ready, "rknn shard-serve", eng,
+		fmt.Sprintf("%s shard %d/%d, %d of %d points, %s back-end, t=%.2f", name, *shard, *shards, eng.Len(), len(pts), eng.Backend(), eng.Scale()),
+		server.WithShardRole(*shard, *shards))
 }
 
 // shardSpecFlags collects repeated -shard flags, each naming one shard's
@@ -169,15 +145,12 @@ func runCoordinate(ctx context.Context, args []string, stdout io.Writer, ready c
 	fs.SetOutput(stdout)
 	var specs shardSpecFlags
 	fs.Var(&specs, "shard", "one shard's replicas as comma-separated host:port (primary first); repeat per shard, in shard order")
+	sf := servingFlags(fs, ":8080")
 	var (
-		addr     = fs.String("addr", ":8080", "listen address")
-		timeout  = fs.Duration("timeout", 5*time.Second, "per-RPC attempt timeout")
-		retries  = fs.Int("retries", 2, "extra read attempts across healthy replicas")
-		backoff  = fs.Duration("backoff", 25*time.Millisecond, "backoff before the first retry (doubles per attempt)")
-		health   = fs.Duration("health-interval", time.Second, "replica /healthz probe period (0 disables the loop)")
-		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-		traceSmp = fs.Float64("trace-sample", 1, "head-sampling probability for retaining request traces (negative disables tracing)")
-		traceCap = fs.Int("trace-ring-size", 256, "trace ring capacity (traces)")
+		timeout = fs.Duration("timeout", 5*time.Second, "per-RPC attempt timeout")
+		retries = fs.Int("retries", 2, "extra read attempts across healthy replicas")
+		backoff = fs.Duration("backoff", 25*time.Millisecond, "backoff before the first retry (doubles per attempt)")
+		health  = fs.Duration("health-interval", time.Second, "replica /healthz probe period (0 disables the loop)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -198,46 +171,73 @@ func runCoordinate(ctx context.Context, args []string, stdout io.Writer, ready c
 	}
 	defer co.Close()
 
-	reg := telemetry.NewRegistry()
-	co.EnableTelemetry(reg)
-	var ring *trace.Ring
-	if *traceSmp >= 0 {
-		ring = trace.NewRing(*traceCap)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
 	replicas := 0
 	for _, s := range specs {
 		replicas += len(s.Addrs)
 	}
-	fmt.Fprintf(stdout, "rknn coordinate: %d shards (%d replicas), %d points, dim=%d, %s back-end, t=%.2f, listening on %s\n",
-		co.Shards(), replicas, co.Len(), co.Dim(), co.Backend(), co.Scale(), ln.Addr())
+	return sf.serve(ctx, stdout, ready, "rknn coordinate", co,
+		fmt.Sprintf("%d shards (%d replicas), %d points, dim=%d, %s back-end, t=%.2f", co.Shards(), replicas, co.Len(), co.Dim(), co.Backend(), co.Scale()))
+}
+
+// serving holds the flags every serving role shares: where to listen, how
+// long to drain, and request tracing.
+type serving struct {
+	addr     *string
+	drain    *time.Duration
+	traceSmp *float64
+	traceCap *int
+}
+
+// servingFlags registers the shared serving flags on fs.
+func servingFlags(fs *flag.FlagSet, addr string) serving {
+	return serving{
+		addr:     fs.String("addr", addr, "listen address"),
+		drain:    fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout"),
+		traceSmp: fs.Float64("trace-sample", 1, "head-sampling probability for retaining request traces in /v1/admin/traces (slow and ?debug=1 requests are always retained; negative disables tracing)"),
+		traceCap: fs.Int("trace-ring-size", 256, "trace ring capacity (traces)"),
+	}
+}
+
+// serve is the one serving path of every role. It binds eng to the HTTP
+// server's registry — so /metrics serves the engine's pruning counters
+// beside the request histograms — and, unless -trace-sample is negative, to
+// the server's trace ring, which keeps request traces and the engine's
+// background compaction traces side by side; -trace-sample only sets head
+// sampling for ring admission, and slow or ?debug=1 requests are retained
+// regardless. serve then listens, prints "<tag>: <banner>, listening on
+// <addr>", sends the address on ready (tests bind :0 and read the port from
+// here), and serves until ctx is cancelled. It drains in-flight requests
+// gracefully and prints the run's metrics digest on the way out.
+func (f serving) serve(ctx context.Context, stdout io.Writer, ready chan<- net.Addr, tag string, eng server.Engine, banner string, opts ...server.Option) error {
+	reg := telemetry.NewRegistry()
+	eng.EnableTelemetry(reg)
+	opts = append(opts, server.WithRegistry(reg))
+	if *f.traceSmp >= 0 {
+		ring := trace.NewRing(*f.traceCap)
+		eng.EnableTracing(ring)
+		opts = append(opts, server.WithTracing(ring, *f.traceSmp))
+	}
+	srv := server.New(eng, opts...)
+	ln, err := net.Listen("tcp", *f.addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s: %s, listening on %s\n", tag, banner, ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr()
 	}
-
-	serverOpts := []server.Option{server.WithRegistry(reg)}
-	if ring != nil {
-		serverOpts = append(serverOpts, server.WithTracing(ring, *traceSmp))
-	}
-	return serveUntilDone(ctx, ln, server.New(co, serverOpts...).Handler(), *drain, stdout, "rknn coordinate")
-}
-
-// serveUntilDone runs an HTTP server on ln until ctx cancels, then drains
-// gracefully — the shared tail of every serving role.
-func serveUntilDone(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration, stdout io.Writer, tag string) error {
 	httpSrv := &http.Server{
-		Handler:           h,
+		Handler: srv.Handler(),
+		// Bound header reads and idle keep-alives so slow or silent
+		// connections cannot pin goroutines forever; no blanket read/write
+		// timeout because large batch queries are legitimate long requests.
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
 	done := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), *f.drain)
 		defer cancel()
 		done <- httpSrv.Shutdown(shutdownCtx)
 	}()
@@ -247,6 +247,7 @@ func serveUntilDone(ctx context.Context, ln net.Listener, h http.Handler, drain 
 	if err := <-done; err != nil {
 		return err
 	}
+	logMetricsSummary(stdout, tag, srv.Registry())
 	fmt.Fprintf(stdout, "%s: shut down cleanly\n", tag)
 	return nil
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/server"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // runServe implements the `rknn serve` subcommand: build a Searcher over a
@@ -35,8 +34,8 @@ import (
 func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<- net.Addr) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	sf := servingFlags(fs, ":8080")
 	var (
-		addr     = fs.String("addr", ":8080", "listen address")
 		dataName = fs.String("data", "sequoia", "surrogate dataset: sequoia, aloi, fct, mnist, imagenet, uniform")
 		csvPath  = fs.String("csv", "", "load points from a CSV file instead of generating")
 		n        = fs.Int("n", 5000, "generated dataset size")
@@ -48,14 +47,11 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 		plain    = fs.Bool("plain", false, "use plain RDT instead of RDT+")
 		quant    = fs.Bool("quant-filter", false, "screen candidates through a quantized pre-filter before exact distances (scan back-end only; results are unchanged)")
 		metric   = fs.String("metric", "", "distance metric: euclidean (default), manhattan, chebyshev, angular, minkowski(p)")
-		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		dataDir  = fs.String("data-dir", "", "durable store directory: recover state from it, or create it and log all writes")
 		walSync  = fs.Int("wal-sync", 1, "fsync the write-ahead log every N writes (0 = never)")
 		shards   = fs.Int("shards", 1, "hash-partition the dataset across N shards served by scatter-gather")
 		slowThr  = fs.Duration("slowlog-threshold", server.DefaultSlowLogThreshold, "record requests at or above this latency in /v1/admin/slowlog (0 records all)")
 		slowSize = fs.Int("slowlog-size", server.DefaultSlowLogSize, "slow-query log capacity (entries)")
-		traceSmp = fs.Float64("trace-sample", 1, "head-sampling probability for retaining request traces in /v1/admin/traces (slow and ?debug=1 requests are always retained; negative disables tracing)")
-		traceCap = fs.Int("trace-ring-size", 256, "trace ring capacity (traces)")
 		dbgAddr  = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this private address (never on the serving mux)")
 		sloLat   = fs.String("slo-latency", "", `latency SLO for data-plane requests, e.g. "p99<25ms" (tracked at /v1/admin/slo; fast burn degrades /healthz?slo=1)`)
 		sloAvail = fs.String("slo-availability", "", `availability SLO for data-plane requests as a success percentage, e.g. "99.9"`)
@@ -77,29 +73,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 		return err
 	}
 	defer eng.Close()
-
-	// One registry spans the engine and the HTTP layer, so /metrics serves
-	// the pruning counters and the request histograms side by side. The
-	// engine is attached after construction because the recovery paths
-	// (Open, OpenSharded) never pass through the facade options.
-	reg := telemetry.NewRegistry()
-	if te, ok := eng.(interface {
-		EnableTelemetry(*telemetry.Registry)
-	}); ok {
-		te.EnableTelemetry(reg)
-	}
-
-	// Tracing: one ring shared by the HTTP layer (request traces) and the
-	// engine (background compaction traces). -trace-sample only controls
-	// head sampling for ring admission; span recording itself is per
-	// request, and slow or ?debug=1 requests are retained regardless.
-	var ring *trace.Ring
-	if *traceSmp >= 0 {
-		ring = trace.NewRing(*traceCap)
-		if tr, ok := eng.(interface{ EnableTracing(*trace.Ring) }); ok {
-			tr.EnableTracing(ring)
-		}
-	}
 
 	// The debug listener is deliberately a second, private server: pprof
 	// exposes heap contents and expvar the process environment, neither of
@@ -123,59 +96,23 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 		go debugSrv.Serve(dln)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	// Report the engine's actual back-end: on the recovery path it comes
-	// from the store, not from the -backend flag.
-	backendName := string(eng.Backend())
-	// An approximate engine (lsh) serves candidate-set answers; say so in
-	// the banner, matching the "approximate" marker on every response.
-	if eng.Approximate() {
-		backendName += " (approximate)"
-	}
-	fmt.Fprintf(stdout, "rknn serve: n=%d, dim=%d, %s back-end, t=%.2f, listening on %s\n",
-		eng.Len(), eng.Dim(), backendName, eng.Scale(), ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-
-	serverOpts := []server.Option{server.WithRegistry(reg), server.WithSlowLog(*slowThr, *slowSize)}
-	if ring != nil {
-		serverOpts = append(serverOpts, server.WithTracing(ring, *traceSmp))
-	}
+	opts := []server.Option{server.WithSlowLog(*slowThr, *slowSize)}
 	if slo != nil {
-		serverOpts = append(serverOpts, server.WithSLO(slo))
+		opts = append(opts, server.WithSLO(slo))
 		short, long := slo.Windows()
 		fmt.Fprintf(stdout, "rknn serve: SLO tracking on (%d objectives, fast burn %.1f over %s/%s windows)\n",
 			len(slo.StatusAt(time.Now())), slo.FastBurn(), short, long)
 	}
-	httpSrv := &http.Server{
-		Handler: server.New(eng, serverOpts...).Handler(),
-		// Bound header reads and idle keep-alives so slow or silent
-		// connections cannot pin goroutines forever; no blanket
-		// read/write timeout because large batch queries are legitimate
-		// long requests.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
+	// Report the engine's actual back-end: on the recovery path it comes
+	// from the store, not from the -backend flag. An approximate engine (lsh)
+	// serves candidate-set answers; say so in the banner, matching the
+	// "approximate" marker on every response.
+	backendName := string(eng.Backend())
+	if eng.Approximate() {
+		backendName += " (approximate)"
 	}
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		done <- httpSrv.Shutdown(shutdownCtx)
-	}()
-	if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if err := <-done; err != nil {
-		return err
-	}
-	logMetricsSummary(stdout, reg)
-	fmt.Fprintln(stdout, "rknn serve: shut down cleanly")
-	return nil
+	return sf.serve(ctx, stdout, ready, "rknn serve", eng,
+		fmt.Sprintf("n=%d, dim=%d, %s back-end, t=%.2f", eng.Len(), eng.Dim(), backendName, eng.Scale()), opts...)
 }
 
 // buildSLO maps the -slo-latency / -slo-availability flag specs onto a
@@ -218,7 +155,7 @@ func buildSLO(latSpec, availSpec string) (*telemetry.SLO, error) {
 // traffic with histogram-derived p50/p99, and the engine's lifetime
 // pruning effectiveness — the paper's candidate-reduction story as the
 // daemon's parting line.
-func logMetricsSummary(stdout io.Writer, reg *telemetry.Registry) {
+func logMetricsSummary(stdout io.Writer, tag string, reg *telemetry.Registry) {
 	byName := make(map[string]telemetry.FamilySnapshot)
 	for _, f := range reg.Gather() {
 		byName[f.Name] = f
@@ -245,7 +182,7 @@ func logMetricsSummary(stdout io.Writer, reg *telemetry.Registry) {
 			continue
 		}
 		route := label(s, "route")
-		line := fmt.Sprintf("rknn serve: %-20s %6.0f requests", route, s.Value)
+		line := fmt.Sprintf("%s: %-20s %6.0f requests", tag, route, s.Value)
 		if es, ok := sampleFor(byName["rknn_http_request_errors_total"], "route", route); ok && es.Value > 0 {
 			line += fmt.Sprintf(", %.0f errors", es.Value)
 		}
@@ -266,8 +203,8 @@ func logMetricsSummary(stdout io.Writer, reg *telemetry.Registry) {
 	}
 	if generated := sum("rknn_candidates_generated_total"); generated > 0 {
 		settled := sum("rknn_candidates_lazy_settled_total")
-		fmt.Fprintf(stdout, "rknn serve: pruning: %.0f candidates generated, %.0f settled lazily (%.1f%%), %.0f verified\n",
-			generated, settled, 100*settled/generated, sum("rknn_candidates_verified_total"))
+		fmt.Fprintf(stdout, "%s: pruning: %.0f candidates generated, %.0f settled lazily (%.1f%%), %.0f verified\n",
+			tag, generated, settled, 100*settled/generated, sum("rknn_candidates_verified_total"))
 	}
 }
 

@@ -317,6 +317,9 @@ func (co *Coordinator) probeReplica(ctx context.Context, sh *remoteShard, replic
 // per-remote-shard request/error/retry counters and latency histograms, and a
 // per-replica health gauge the health loop keeps current.
 func (co *Coordinator) EnableTelemetry(reg *telemetry.Registry) {
+	if co.boundTo(reg) {
+		return
+	}
 	co.enableTelemetry(reg, nil)
 	co.cc.tel.Store(newRemoteTelemetry(reg))
 	for i, sh := range co.remotes {

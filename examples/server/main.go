@@ -71,8 +71,7 @@ import (
 
 func main() {
 	ds := dataset.Sequoia(3000, 1)
-	reg := telemetry.NewRegistry()
-	s, err := repro.New(ds.Points, repro.WithTelemetry(reg))
+	s, err := repro.New(ds.Points)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,8 +91,10 @@ func main() {
 
 	// In production this handler sits behind `rknn serve -addr :8080`;
 	// here an httptest server stands in so the example is self-contained.
-	// The server shares the engine's registry, so /metrics below carries
-	// both layers.
+	// The engine and the server share one registry, so /metrics below
+	// carries both layers.
+	reg := telemetry.NewRegistry()
+	d.EnableTelemetry(reg)
 	ts := httptest.NewServer(server.New(d, server.WithRegistry(reg)).Handler())
 	defer ts.Close()
 	fmt.Printf("serving %d points at %s (store: %s)\n", d.Len(), ts.URL, dir)
@@ -254,12 +255,12 @@ func main() {
 	// rknn_recall_estimate gauge samples member queries against an exact
 	// brute-force oracle at scrape time, so one /metrics scrape reads the
 	// recall the approximation is actually delivering.
-	reg3 := telemetry.NewRegistry()
-	approx, err := repro.New(ds.Points, repro.WithBackend(repro.BackendLSH),
-		repro.WithScale(8), repro.WithTelemetry(reg3))
+	approx, err := repro.New(ds.Points, repro.WithBackend(repro.BackendLSH), repro.WithScale(8))
 	if err != nil {
 		log.Fatal(err)
 	}
+	reg3 := telemetry.NewRegistry()
+	approx.EnableTelemetry(reg3)
 	ts3 := httptest.NewServer(server.New(approx, server.WithRegistry(reg3)).Handler())
 	defer ts3.Close()
 	var approxAns struct {
@@ -301,11 +302,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg4 := telemetry.NewRegistry()
-	live, err := repro.New(ds.Points, repro.WithScale(re.Scale()), repro.WithTelemetry(reg4))
+	live, err := repro.New(ds.Points, repro.WithScale(re.Scale()))
 	if err != nil {
 		log.Fatal(err)
 	}
+	reg4 := telemetry.NewRegistry()
+	live.EnableTelemetry(reg4)
 	ts4 := httptest.NewServer(server.New(live, server.WithRegistry(reg4), server.WithSLO(slo)).Handler())
 	defer ts4.Close()
 

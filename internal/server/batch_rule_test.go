@@ -45,7 +45,7 @@ func TestBatchRuleAgreesAcrossTopologies(t *testing.T) {
 	}
 	for i := range tops {
 		tops[i].reg = telemetry.NewRegistry()
-		tops[i].eng.(interface{ EnableTelemetry(*telemetry.Registry) }).EnableTelemetry(tops[i].reg)
+		tops[i].eng.EnableTelemetry(tops[i].reg)
 	}
 	cl := startClusterWith(t, pts, 3, 1, opts)
 	tops = append(tops, topology{name: "coordinator", eng: cl.co, reg: cl.reg})

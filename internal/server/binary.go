@@ -19,8 +19,8 @@ import (
 	"repro/internal/wire"
 )
 
-// ShardServing is the optional shard-daemon surface of an Engine
-// (*repro.Searcher implements it, with or without a store): the forward
+// ShardServing is the shard-daemon surface of an Engine (*repro.Searcher
+// implements it, with or without a store; New resolves it once): the forward
 // neighbor stream a coordinator merges across shards, batched forward-kNN
 // probes and verification counts with explicit self-exclusion, batched
 // member-point resolution that never panics on hostile IDs, the assignment
@@ -79,7 +79,7 @@ func (srv *Server) handleBinary(w http.ResponseWriter, r *http.Request) error {
 	buf.B = buf.B[:0]
 
 	// Every op but OpRkNN — which any Engine answers — needs the shard surface.
-	sv, _ := srv.s.(ShardServing)
+	sv := srv.shardSv
 	if sv == nil && req.Op != wire.OpRkNN {
 		return writeFrame(w, wire.AppendError(buf.B, wire.ErrUnsupported, "engine has no shard-serving surface"))
 	}
@@ -181,8 +181,8 @@ func appendWireError(dst []byte, err error) []byte {
 // two counts the shard-map rebuild needs (live points and assignment
 // span).
 func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error {
-	sv, ok := srv.s.(ShardServing)
-	if !ok {
+	sv := srv.shardSv
+	if sv == nil {
 		return &apiError{
 			status: http.StatusNotImplemented,
 			err:    errors.New("engine has no shard-serving surface"),
@@ -214,11 +214,12 @@ func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error
 
 // handlePointGet resolves one member ID to its coordinates — the
 // remote-safe single-point read. Dead or never-assigned IDs answer 404. It
-// needs only MemberPoints, which every in-process engine has; a coordinator
-// answers 501 until a point read that can return an RPC error exists.
+// needs only MemberPoints, which every in-process engine has (Local); a
+// coordinator answers 501 until a point read that can return an RPC error
+// exists.
 func (srv *Server) handlePointGet(w http.ResponseWriter, r *http.Request) error {
-	sv, ok := srv.s.(interface{ MemberPoints(ids ...int) [][]float64 })
-	if !ok {
+	sv := srv.local
+	if sv == nil {
 		return &apiError{
 			status: http.StatusNotImplemented,
 			err:    errors.New("engine has no point read"),

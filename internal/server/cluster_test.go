@@ -1270,10 +1270,11 @@ func TestCoordinatorTelemetryMatchesUnsharded(t *testing.T) {
 	opts := []repro.Option{repro.WithScale(3)} // starved: some candidates need verifying
 	cl := startClusterWith(t, pts, 3, 1, opts)
 	singleReg := telemetry.NewRegistry()
-	single, err := repro.New(pts, append(opts, repro.WithTelemetry(singleReg))...)
+	single, err := repro.New(pts, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	single.EnableTelemetry(singleReg)
 	ctx := context.Background()
 	qids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	for _, eng := range []Engine{cl.co, single} {

@@ -23,10 +23,11 @@ func newLiveServer(t *testing.T, extra ...Option) (*telemetry.Registry, *httptes
 	t.Helper()
 	pts := indextest.RandPoints(200, 3, 7)
 	reg := telemetry.NewRegistry()
-	s, err := repro.New(pts, repro.WithScale(100), repro.WithTelemetry(reg))
+	s, err := repro.New(pts, repro.WithScale(100))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableTelemetry(reg)
 	ts := httptest.NewServer(New(s, append([]Option{WithRegistry(reg)}, extra...)...).Handler())
 	t.Cleanup(ts.Close)
 	return reg, ts
@@ -282,10 +283,11 @@ func TestAnalyticsEndpoint(t *testing.T) {
 	// Forward kNN is traffic with a region on every engine: a sharded engine
 	// serving only /v1/knn fills its sketch too.
 	reg := telemetry.NewRegistry()
-	ss, err := repro.NewSharded(indextest.RandPoints(120, 2, 9), 3, repro.WithScale(50), repro.WithTelemetry(reg))
+	ss, err := repro.NewSharded(indextest.RandPoints(120, 2, 9), 3, repro.WithScale(50))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss.EnableTelemetry(reg)
 	sts := httptest.NewServer(New(ss, WithRegistry(reg)).Handler())
 	t.Cleanup(sts.Close)
 	for i := 0; i < 6; i++ {
@@ -301,14 +303,70 @@ func TestAnalyticsEndpoint(t *testing.T) {
 	}
 
 	// An engine without telemetry has no sketch: 501, not an empty list.
+	// Serving it binds nothing — whether an engine reports is its caller's
+	// decision.
 	plain, err := repro.New(indextest.RandPoints(50, 2, 3), repro.WithScale(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := httptest.NewServer(New(queryOnly{plain}).Handler())
+	pts := httptest.NewServer(New(plain).Handler())
 	t.Cleanup(pts.Close)
+	call(t, "POST", pts.URL+"/v1/rknn", map[string]any{"id": 3, "k": 5}, nil)
 	if status := call(t, "GET", pts.URL+"/v1/admin/analytics", nil, nil); status != http.StatusNotImplemented {
 		t.Fatalf("analytics without telemetry = %d, want 501", status)
+	}
+	if _, body := rawCall(t, http.MethodGet, pts.URL+"/metrics", ""); strings.Contains(string(body), "rknn_queries_total") {
+		t.Error("serving an unbound engine registered its query counters")
+	}
+}
+
+// TestServersShareTheCallersBinding pins who an engine served by two
+// servers reports to: the registry its caller bound it to, never the
+// server's. The server on that registry exposes the engine's series in
+// /metrics, the other only its own HTTP series; both read the one
+// engine-level sketch in /v1/admin/analytics. Binding the engine to the
+// registry it already holds again keeps its windows and sketch.
+func TestServersShareTheCallersBinding(t *testing.T) {
+	s, err := repro.New(indextest.RandPoints(80, 2, 5), repro.WithScale(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s.EnableTelemetry(reg)
+	bound := httptest.NewServer(New(s, WithRegistry(reg)).Handler())
+	t.Cleanup(bound.Close)
+	other := httptest.NewServer(New(s).Handler())
+	t.Cleanup(other.Close)
+	for i := 0; i < 3; i++ {
+		call(t, "POST", bound.URL+"/v1/rknn", map[string]any{"id": i, "k": 5}, nil)
+		call(t, "POST", other.URL+"/v1/rknn", map[string]any{"id": i, "k": 5}, nil)
+	}
+	s.EnableTelemetry(reg) // a no-op: the engine already reports to reg
+
+	const engineSeries = `rknn_queries_total{backend="covertree",op="rknn"} 6`
+	if _, body := rawCall(t, http.MethodGet, bound.URL+"/metrics", ""); !strings.Contains(string(body), engineSeries) {
+		t.Errorf("/metrics on the engine's registry lacks %q", engineSeries)
+	}
+	if _, body := rawCall(t, http.MethodGet, other.URL+"/metrics", ""); strings.Contains(string(body), "rknn_queries_total") ||
+		!strings.Contains(string(body), `rknn_http_requests_total{route="/v1/rknn"} 3`) {
+		t.Errorf("/metrics on a second registry: want its own 3 requests and no engine series, got\n%s", body)
+	}
+	for _, base := range []string{bound.URL, other.URL} {
+		var ana struct {
+			Top []struct {
+				Count uint64 `json:"count"`
+			} `json:"top"`
+		}
+		if status := call(t, "GET", base+"/v1/admin/analytics", nil, &ana); status != http.StatusOK {
+			t.Fatalf("%s analytics status %d", base, status)
+		}
+		var total uint64
+		for _, e := range ana.Top {
+			total += e.Count
+		}
+		if total != 6 {
+			t.Errorf("%s analytics count mass = %d, want all 6 queries of the engine", base, total)
+		}
 	}
 }
 

@@ -43,9 +43,9 @@
 //
 // Observability: every route records request/error counters and a
 // log-bucket latency histogram in an internal/telemetry Registry — its own
-// by default, or one shared with the engine via WithRegistry, in which
-// case /metrics also exposes the engine's pruning counters
-// (rknn_candidates_*_total; see the repro facade). /statsz derives its
+// by default, or the one WithRegistry names; when the engine is bound to
+// that registry too (EnableTelemetry), /metrics also exposes its pruning
+// counters (rknn_candidates_*_total; see the repro facade). /statsz derives its
 // latency quantiles from the same histograms that /metrics exposes, and a
 // bounded ring buffer retains the slowest recent requests for
 // /v1/admin/slowlog.
@@ -68,11 +68,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine is the query/update surface the server exposes, implemented by
-// all three engines of package repro: *repro.Searcher, *repro.ShardedSearcher
-// and the networked *repro.Coordinator. The first two may hold a durable
-// store, which adds write-ahead logging underneath the same methods (and
-// unlocks the admin snapshot endpoint via Durable).
+// Engine is what the server serves and reads from every engine of package
+// repro — *repro.Searcher, *repro.ShardedSearcher and the networked
+// *repro.Coordinator all implement it: the engine's shape, its query and
+// write surface, and its telemetry and tracing binding with the live views
+// that binding feeds. What only some engines have, New resolves once; no
+// handler probes the engine.
 type Engine interface {
 	Len() int
 	Dim() int
@@ -99,52 +100,39 @@ type Engine interface {
 	// — on an engine with a store — one WAL write and at most one sync.
 	InsertBatchContext(ctx context.Context, pts [][]float64) ([]int, error)
 	DeleteContext(ctx context.Context, id int) (bool, error)
+	// EnableTelemetry and EnableTracing bind the engine to a registry and a
+	// trace ring; binding is the caller's decision, and New makes none. What
+	// the telemetry binding feeds comes back as the per-operation latency
+	// windows and windowed pruning digests of /statsz and the hot-region
+	// sketch of /v1/admin/analytics — nil on an unbound engine, which
+	// answers analytics 501.
+	EnableTelemetry(reg *telemetry.Registry)
+	EnableTracing(ring *trace.Ring)
+	QueryWindowStats() map[string]map[string]telemetry.WindowStats
+	EngineWindowStats() map[string]repro.EngineWindow
+	WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat
 }
 
-// Durable is the optional durability surface of an Engine: cutting an
-// on-disk snapshot and reporting the store generation.
-type Durable interface {
+// Local is the surface of an engine that holds its rows in this process
+// (*repro.Searcher and *repro.ShardedSearcher, with or without a store):
+// cutting a durable snapshot and the store generation — 0 until a store is
+// attached, since a store's generations start at 1 — the delta-overlay
+// memtable size and compaction count /statsz reports, and member point
+// reads.
+type Local interface {
 	Snapshot() error
 	Generation() uint64
+	MemtableLen() int
+	Compactions() int64
+	MemberPoints(ids ...int) [][]float64
 }
 
-// durableOf returns e's durability surface when e holds a store. The repro
-// engines that can hold one carry the methods with or without it, and a
-// store's generation starts at 1, so generation 0 is an in-memory engine.
-func durableOf(e Engine) (Durable, bool) {
-	d, ok := e.(Durable)
-	return d, ok && d.Generation() > 0
-}
-
-// Sharded is the optional sharding surface of an Engine
-// (*repro.ShardedSearcher implements it): /statsz reports the shard count
-// and the per-shard point and traffic counters when present.
+// Sharded is the surface of a sharded engine (*repro.ShardedSearcher and
+// *repro.Coordinator): /statsz reports the shard count and the per-shard
+// point and traffic counters.
 type Sharded interface {
 	Shards() int
 	ShardStats() []repro.ShardInfo
-}
-
-// Incremental is the optional incremental-write-path surface of an Engine:
-// the delta-overlay memtable size and the number of compactions folded so
-// far, reported in /statsz alongside the engine shape.
-type Incremental interface {
-	MemtableLen() int
-	Compactions() int64
-}
-
-// LiveWindows is the optional live-operations surface of an Engine
-// (*repro.Searcher and *repro.ShardedSearcher implement it when telemetry
-// is enabled): per-operation windowed latency digests and windowed pruning
-// aggregates, reported in /statsz next to the lifetime numbers.
-type LiveWindows interface {
-	QueryWindowStats() map[string]map[string]telemetry.WindowStats
-	EngineWindowStats() map[string]repro.EngineWindow
-}
-
-// WorkloadAnalytics is the optional hot-region surface of an Engine: the
-// Space-Saving sketch over query signatures behind /v1/admin/analytics.
-type WorkloadAnalytics interface {
-	WorkloadTopK(k int, window time.Duration) []telemetry.WorkloadStat
 }
 
 // Server wraps an Engine with HTTP handlers and request-level telemetry.
@@ -169,6 +157,11 @@ type Server struct {
 	// shard/shards is the daemon's cluster role (WithShardRole), reported
 	// by GET /v1/shard/info. Default 0-of-1: a standalone server.
 	shard, shards int
+	// The surfaces only some engines have, resolved once at New: nil where
+	// the engine has none.
+	local   Local
+	sharded Sharded
+	shardSv ShardServing
 }
 
 // endpointStats holds one route's telemetry instruments, resolved once at
@@ -225,10 +218,9 @@ type options struct {
 	shard, shards int
 }
 
-// WithRegistry shares a telemetry Registry with the server instead of
-// letting it create a private one. Pass the registry the engine was built
-// with (repro.WithTelemetry) so /metrics exposes engine and HTTP series
-// together.
+// WithRegistry has the server record into reg instead of a private
+// registry of its own. Pass the registry the engine is bound to
+// (EnableTelemetry) so /metrics exposes engine and HTTP series together.
 func WithRegistry(reg *telemetry.Registry) Option {
 	return func(o *options) { o.reg = reg }
 }
@@ -267,7 +259,8 @@ func WithShardRole(shard, shards int) Option {
 	return func(o *options) { o.shard = shard; o.shards = shards }
 }
 
-// New returns a Server over s.
+// New returns a Server over s. It leaves the engine's telemetry and tracing
+// binding to the caller.
 func New(s Engine, opts ...Option) *Server {
 	o := options{slowThreshold: DefaultSlowLogThreshold, slowSize: DefaultSlowLogSize, shards: 1}
 	for _, opt := range opts {
@@ -294,6 +287,9 @@ func New(s Engine, opts ...Option) *Server {
 		shards: o.shards,
 		approx: s.Approximate(),
 	}
+	srv.local, _ = s.(Local)
+	srv.sharded, _ = s.(Sharded)
+	srv.shardSv, _ = s.(ShardServing)
 	requests := o.reg.CounterVec("rknn_http_requests_total", "HTTP requests served, by route.", "route")
 	errs := o.reg.CounterVec("rknn_http_request_errors_total", "HTTP requests that failed, by route.", "route")
 	latency := o.reg.HistogramVec("rknn_http_request_duration_seconds",
@@ -313,17 +309,25 @@ func New(s Engine, opts ...Option) *Server {
 	return srv
 }
 
+// store returns the engine's durability surface when a store is attached.
+func (srv *Server) store() Local {
+	if srv.local != nil && srv.local.Generation() > 0 {
+		return srv.local
+	}
+	return nil
+}
+
 // registerEngineGauges exposes the engine's live shape as scrape-time
 // gauges, including the optional durability and sharding surfaces.
 func (srv *Server) registerEngineGauges() {
 	s := srv.s
 	srv.reg.GaugeFunc("rknn_points", "Live points in the engine.", func() float64 { return float64(s.Len()) })
 	srv.reg.GaugeFunc("rknn_scale", "Scale parameter t in effect (0 when adaptive).", s.Scale)
-	if d, ok := durableOf(s); ok {
+	if d := srv.store(); d != nil {
 		srv.reg.GaugeFunc("rknn_store_generation", "Current durable snapshot generation.",
 			func() float64 { return float64(d.Generation()) })
 	}
-	if sh, ok := s.(Sharded); ok {
+	if sh := srv.sharded; sh != nil {
 		srv.reg.GaugeFunc("rknn_shards", "Shard count of the scatter-gather engine.",
 			func() float64 { return float64(sh.Shards()) })
 	}
@@ -683,8 +687,8 @@ func (srv *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 // handleSnapshot cuts a durable snapshot generation on engines that have a
 // store attached (see repro.Searcher.Snapshot).
 func (srv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
-	d, ok := durableOf(srv.s)
-	if !ok {
+	d := srv.store()
+	if d == nil {
 		return &apiError{
 			status: http.StatusNotImplemented,
 			err:    errors.New("no durable store attached (start the server with -data-dir)"),
@@ -767,32 +771,30 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		"scale":       srv.s.Scale(),
 		"approximate": srv.approx,
 	}
-	if d, ok := durableOf(srv.s); ok {
+	if d := srv.store(); d != nil {
 		engine["generation"] = d.Generation()
 	}
-	if inc, ok := srv.s.(Incremental); ok {
-		engine["memtable_points"] = inc.MemtableLen()
-		engine["compactions"] = inc.Compactions()
+	if l := srv.local; l != nil {
+		engine["memtable_points"] = l.MemtableLen()
+		engine["compactions"] = l.Compactions()
 	}
-	if sh, ok := srv.s.(Sharded); ok {
+	if sh := srv.sharded; sh != nil {
 		engine["shard_count"] = sh.Shards()
 		engine["shards"] = sh.ShardStats()
 	}
-	if lw, ok := srv.s.(LiveWindows); ok {
-		if ops := lw.QueryWindowStats(); len(ops) > 0 {
-			byOp := make(map[string]any, len(ops))
-			for op, wins := range ops {
-				byWin := make(map[string]any, len(wins))
-				for key, ws := range wins {
-					byWin[key] = windowJSON(ws)
-				}
-				byOp[op] = byWin
+	if ops := srv.s.QueryWindowStats(); len(ops) > 0 {
+		byOp := make(map[string]any, len(ops))
+		for op, wins := range ops {
+			byWin := make(map[string]any, len(wins))
+			for key, ws := range wins {
+				byWin[key] = windowJSON(ws)
 			}
-			engine["ops"] = byOp
+			byOp[op] = byWin
 		}
-		if wins := lw.EngineWindowStats(); len(wins) > 0 {
-			engine["windows"] = wins
-		}
+		engine["ops"] = byOp
+	}
+	if wins := srv.s.EngineWindowStats(); len(wins) > 0 {
+		engine["windows"] = wins
 	}
 	return writeJSON(w, http.StatusOK, map[string]any{
 		"endpoints": endpoints,
@@ -925,13 +927,6 @@ type analyticsEntry struct {
 // operator-facing readout of workload locality. ?n bounds the list
 // (default 10), ?window selects the latency window ("1m" default, "5m").
 func (srv *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) error {
-	wa, ok := srv.s.(WorkloadAnalytics)
-	if !ok {
-		return &apiError{
-			status: http.StatusNotImplemented,
-			err:    errors.New("engine has no workload analytics (enable telemetry)"),
-		}
-	}
 	n := 10
 	if v := r.URL.Query().Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
@@ -948,7 +943,13 @@ func (srv *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) error
 	if !ok {
 		return badRequest("unknown window %q (want 1m or 5m)", winKey)
 	}
-	top := wa.WorkloadTopK(n, window)
+	top := srv.s.WorkloadTopK(n, window)
+	if top == nil {
+		return &apiError{
+			status: http.StatusNotImplemented,
+			err:    errors.New("engine has no workload analytics (enable telemetry)"),
+		}
+	}
 	entries := make([]analyticsEntry, len(top))
 	for i, ws := range top {
 		entries[i] = analyticsEntry{WorkloadStat: ws, Window: windowJSON(ws.Window)}

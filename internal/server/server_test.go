@@ -260,10 +260,6 @@ func TestPointsInsertDelete(t *testing.T) {
 	}
 }
 
-// queryOnly hides every optional surface of an Engine, leaving just the
-// required interface — the shape of a hypothetical third-party engine.
-type queryOnly struct{ Engine }
-
 func TestPointsBatchInsert(t *testing.T) {
 	s, _, ts := newTestServer(t)
 	before := s.Len()
@@ -585,10 +581,11 @@ func TestShardedEngineEndToEnd(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 21)
 	reg := telemetry.NewRegistry()
-	s, err := repro.New(pts, repro.WithScale(100), repro.WithTelemetry(reg))
+	s, err := repro.New(pts, repro.WithScale(100))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableTelemetry(reg)
 	ts := httptest.NewServer(New(s, WithRegistry(reg)).Handler())
 	t.Cleanup(ts.Close)
 
@@ -685,10 +682,11 @@ func sampleValue(t *testing.T, reg *telemetry.Registry, name string, labels ...t
 func TestBatchTelemetryRecordsSuccessesOnMemberFailure(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 29)
 	reg := telemetry.NewRegistry()
-	s, err := repro.New(pts, repro.WithScale(100), repro.WithTelemetry(reg))
+	s, err := repro.New(pts, repro.WithScale(100))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableTelemetry(reg)
 	ts := httptest.NewServer(New(s, WithRegistry(reg)).Handler())
 	t.Cleanup(ts.Close)
 
@@ -961,5 +959,35 @@ func TestStatszQuantilesMatchMetricsInDegenerateRegimes(t *testing.T) {
 	}
 	if h := promHistogram(t, exposition, "rknn_http_request_duration_seconds", "/v1/knn"); h.Count != 0 {
 		t.Errorf("empty regime: metrics histogram count %d, want 0", h.Count)
+	}
+}
+
+// TestNewResolvesEngineSurfaces pins what New reads from each engine kind,
+// once: a Searcher holds rows and serves a shard, a ShardedSearcher holds
+// rows across shards, a Coordinator only fans out.
+func TestNewResolvesEngineSurfaces(t *testing.T) {
+	pts := indextest.RandPoints(90, 3, 4)
+	s, err := repro.New(pts, repro.WithScale(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := repro.NewSharded(pts, 3, repro.WithScale(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := startCluster(t, pts, 3, 1).co
+	for _, c := range []struct {
+		name                  string
+		eng                   Engine
+		local, sharded, shard bool
+	}{
+		{"Searcher", s, true, false, true},
+		{"ShardedSearcher", ss, true, true, false},
+		{"Coordinator", co, false, true, false},
+	} {
+		srv := New(c.eng)
+		if got := [3]bool{srv.local != nil, srv.sharded != nil, srv.shardSv != nil}; got != [3]bool{c.local, c.sharded, c.shard} {
+			t.Errorf("%s resolves (local, sharded, shard-serving) = %v, want %v", c.name, got, [3]bool{c.local, c.sharded, c.shard})
+		}
 	}
 }

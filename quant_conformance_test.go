@@ -332,10 +332,11 @@ func TestQuantFilterTelemetry(t *testing.T) {
 	pts := indextest.RandPoints(200, 4, 81)
 	reg := telemetry.NewRegistry()
 	s, err := New(pts, WithBackend(BackendScan), WithScale(8),
-		WithQuantizedFilter(), WithTelemetry(reg))
+		WithQuantizedFilter())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	s.EnableTelemetry(reg)
 	if _, err := s.ReverseKNN(0, 5); err != nil {
 		t.Fatal(err)
 	}

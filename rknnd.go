@@ -39,7 +39,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/lid"
 	"repro/internal/persist"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vecmath"
 )
@@ -130,7 +129,6 @@ type config struct {
 	engineConfig
 	metric Metric
 	auto   Estimator
-	reg    *telemetry.Registry // nil: telemetry disabled
 }
 
 // engineConfig is the query-engine configuration every engine of this
@@ -303,14 +301,6 @@ type Searcher struct {
 	compacting  sync.Mutex
 	compactions atomic.Int64
 
-	// traceRing, when set (EnableTracing), receives background compaction
-	// traces — compactions have no request context, so each fold records
-	// itself as its own root trace. compactHist, when set (EnableTelemetry),
-	// observes fold durations; on a sharded engine every shard stores the
-	// same per-backend histogram, so the series sums across shards.
-	traceRing   atomic.Pointer[trace.Ring]
-	compactHist atomic.Pointer[telemetry.Histogram]
-
 	// durable is the on-disk store the write path logs to once NewDurable or
 	// Open attached one (persist.go); nil on an in-memory engine. sharded
 	// marks a shard engine of a ShardedSearcher, whose store only the sharded
@@ -368,18 +358,14 @@ func New(points [][]float64, opts ...Option) (*Searcher, error) {
 	if err := cfg.resolveScale(ix, points); err != nil {
 		return nil, err
 	}
-	s := newSearcher(cfg.engineConfig, ix)
-	if cfg.reg != nil {
-		s.EnableTelemetry(cfg.reg)
-	}
-	return s, nil
+	return newSearcher(cfg.engineConfig, ix), nil
 }
 
 // newSearcher assembles a Searcher around an index — deliberately without
 // any scale estimation, so restores and shard engines never pay one.
 func newSearcher(cfg engineConfig, ix *index.Overlay) *Searcher {
 	s := &Searcher{}
-	s.engineConfig, s.eng = cfg, s
+	s.engineConfig, s.eng, s.bg = cfg, s, new(background)
 	s.publish(ix)
 	return s
 }
@@ -639,7 +625,7 @@ func (s *Searcher) compact(atLeast int) {
 	if frozen.Pending() < atLeast {
 		return
 	}
-	ring := s.traceRing.Load()
+	ring := s.bg.ring.Load()
 	var tr *trace.Trace
 	var fsp *trace.Span
 	start := time.Now()
@@ -667,7 +653,7 @@ func (s *Searcher) compact(atLeast int) {
 	s.compactions.Add(1)
 	s.mu.Unlock()
 	d := time.Since(start)
-	if h := s.compactHist.Load(); h != nil {
+	if h := s.bg.compactHist.Load(); h != nil {
 		h.Observe(d.Seconds())
 	}
 	if tr != nil {

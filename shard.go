@@ -116,7 +116,7 @@ type shardedCore struct {
 
 // init binds the core to its shards; the caller publishes the shard map.
 func (e *shardedCore) init(cfg engineConfig, metric Metric, dim int, shards []shard) {
-	e.engineConfig, e.eng, e.metric, e.dim = cfg, e, metric, dim
+	e.engineConfig, e.eng, e.bg, e.metric, e.dim = cfg, e, new(background), metric, dim
 	e.shards, e.visits = shards, make([]atomic.Int64, len(shards))
 }
 
@@ -336,13 +336,6 @@ type ShardedSearcher struct {
 	dir     string
 	walOpts []StoreOption
 	closed  bool
-
-	// traceRing/compactHist mirror the Searcher fields. They are kept here
-	// as the source of truth so shard engines created after EnableTracing /
-	// EnableTelemetry (a previously empty shard receiving its first point)
-	// inherit them in newShardEngine.
-	traceRing   atomic.Pointer[trace.Ring]
-	compactHist atomic.Pointer[telemetry.Histogram]
 }
 
 // shardSlot is the in-process shard: the engine holder of one shard of a
@@ -470,9 +463,6 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		ss.slots[s].eng.Store(eng)
 	}
 	ss.smap.Store(m)
-	if cfg.reg != nil {
-		ss.EnableTelemetry(cfg.reg)
-	}
 	return ss, nil
 }
 
@@ -489,16 +479,14 @@ func (ss *ShardedSearcher) engines() iter.Seq2[int, *Searcher] {
 
 // newShardEngine builds a shard engine over points carrying the sharded
 // engine's configuration — deliberately without any scale estimation — and
-// its trace ring and compaction histogram.
+// reporting its folds where the sharded engine does.
 func (ss *ShardedSearcher) newShardEngine(points [][]float64) (*Searcher, error) {
 	ix, err := ss.buildIndex(points, ss.metric)
 	if err != nil {
 		return nil, err
 	}
 	s := newSearcher(ss.engineConfig, ix)
-	s.sharded = true
-	s.traceRing.Store(ss.traceRing.Load())
-	s.compactHist.Store(ss.compactHist.Load())
+	s.sharded, s.bg = true, ss.bg
 	return s, nil
 }
 

@@ -227,6 +227,11 @@ func OpenSharded(dir string, opts ...StoreOption) (*ShardedSearcher, error) {
 	ss := newShardedSearcher(proto.engineConfig, proto.snap.Load().ix.Metric(), proto.Dim(), shards)
 	for i, eng := range engines {
 		if eng != nil {
+			// The shard reports its folds where the sharded engine does; a
+			// fold its recovery started may still be running.
+			eng.compacting.Lock()
+			eng.bg = ss.bg
+			eng.compacting.Unlock()
 			ss.slots[i].eng.Store(eng)
 			// A store written before the filter was carried across restarts
 			// can hold a shard without a codebook (which is why

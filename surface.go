@@ -3,8 +3,10 @@ package repro
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -52,7 +54,27 @@ type surface struct {
 	engineConfig
 	telemetryBinding
 	eng engine
+	bg  *background
 }
+
+// background is where an engine's work without a request — compaction
+// folds — reports: a trace ring (EnableTracing) and the fold-duration
+// histogram (EnableTelemetry). The shard engines of a ShardedSearcher share
+// the sharded engine's, so one binding reaches every shard, present or
+// populated later.
+type background struct {
+	ring        atomic.Pointer[trace.Ring]
+	compactHist atomic.Pointer[telemetry.Histogram]
+}
+
+// EnableTracing points the engine at a trace ring: background work that has
+// no request context records its own root traces there ("compact", one per
+// fold, on every shard of a sharded engine). Request traces are the
+// caller's — the HTTP server creates and retains them; pass its ring here so
+// both kinds land side by side — and the engine only adds spans to whatever
+// trace the context carries, ring or no ring. A Coordinator folds nothing, so on it the ring
+// only waits. Safe to call while queries are in flight.
+func (e *surface) EnableTracing(ring *trace.Ring) { e.bg.ring.Store(ring) }
 
 // Scale returns the scale parameter t in effect, or 0 when t adapts online
 // per query (WithAdaptiveScale).

@@ -8,7 +8,9 @@ import (
 
 // TestEngineSurfacesAgree pins that the three engine types answer through
 // one surface: the same query and write methods, under the same names, with
-// the same signatures — written once (surface.go), so they cannot drift.
+// the same signatures — written once (surface.go), so they cannot drift —
+// and the same telemetry and tracing binding, which a serving role attaches
+// to whichever engine it serves without asking what kind it is.
 func TestEngineSurfacesAgree(t *testing.T) {
 	want := []string{
 		"BatchReverseKNN", "BatchReverseKNNContext",
@@ -19,6 +21,8 @@ func TestEngineSurfacesAgree(t *testing.T) {
 		"ReverseKNNPoint", "ReverseKNNPointContext",
 		"ReverseKNNPointStats", "ReverseKNNPointStatsContext",
 		"ReverseKNNStats", "ReverseKNNStatsContext",
+		"EnableTelemetry", "EnableTracing",
+		"EngineWindowStats", "QueryWindowStats", "WorkloadTopK",
 	}
 	// A method's signature without its receiver: what a caller sees.
 	sig := func(typ reflect.Type, name string) string {

@@ -13,9 +13,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the engine's observability face: an optional binding of a
-// Searcher or ShardedSearcher to an internal/telemetry Registry, feeding
-// every query's core.Stats into aggregate counters. The paper's central
+// This file is the engine's observability face: an optional binding of an
+// engine to an internal/telemetry Registry (EnableTelemetry), feeding every
+// query's core.Stats into aggregate counters. The paper's central
 // claim — dimensional testing settles most candidates without verification
 // — becomes a live time series here: rknn_candidates_*_total track the
 // filter/refinement machinery exactly as Stats reports it per query, and
@@ -87,6 +87,7 @@ type opInstruments struct {
 // (telBegin) and then observes; only the window digests are read through a
 // possibly nil receiver.
 type engineTelemetry struct {
+	reg          *telemetry.Registry // the registry the engine is bound to
 	ops          map[string]opInstruments
 	scanDepth    *telemetry.Counter
 	generated    *telemetry.Counter
@@ -127,6 +128,7 @@ func newEngineTelemetry(reg *telemetry.Registry, backend string, approx bool) *e
 		"Engine-side operation latency, by operation. Batch calls observe once per batch.",
 		telemetry.DefaultLatencyBuckets, "backend", "op")
 	t := &engineTelemetry{
+		reg:        reg,
 		ops:        make(map[string]opInstruments, len(queryOps)),
 		scanWin:    telemetry.NewDefaultWindowedCounter(),
 		genWin:     telemetry.NewDefaultWindowedCounter(),
@@ -502,6 +504,13 @@ func (b *telemetryBinding) telBegin() (*engineTelemetry, time.Time) {
 	return nil, time.Time{}
 }
 
+// boundTo reports whether the engine already reports to reg: binding it
+// there again is a no-op, so its windows and sketch keep their data.
+func (b *telemetryBinding) boundTo(reg *telemetry.Registry) bool {
+	t := b.tel.Load()
+	return t != nil && t.reg == reg
+}
+
 // QueryWindowStats reports the per-operation windowed latency digests
 // (op -> "1m"/"5m" -> stats) when telemetry is enabled; nil otherwise.
 // The server surfaces these in /statsz next to the lifetime quantiles.
@@ -525,24 +534,22 @@ func (b *telemetryBinding) WorkloadTopK(k int, window time.Duration) []telemetry
 	return nil
 }
 
-// WithTelemetry registers the engine's query metrics in reg and streams
-// every answered query's work counters into it — the per-query Stats the
-// engine already computes, aggregated as live Prometheus series. The same
-// Registry can back several engines (series are labeled by back-end) and
-// the HTTP server (internal/server shares it via server.WithRegistry).
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(c *config) { c.reg = reg }
-}
-
-// EnableTelemetry binds the Searcher to reg after construction — the hook
-// for engines that do not pass through New, such as recovery paths (Load,
-// Open). Safe to call while queries are in flight; queries started before
-// the call are not recorded. Approximate back-ends additionally register
-// the scrape-time rknn_recall_estimate gauge (sampled oracle cross-check,
-// cached per snapshot and recomputed at most once per
-// recallRecomputeInterval under continuous writes; -1 when an estimate
-// fails).
+// EnableTelemetry registers the Searcher's metrics in reg and streams every
+// answered query's work counters into it — the per-query Stats the engine
+// already computes, aggregated as live Prometheus series. One Registry can
+// back several engines, whose series are labeled by back-end, and the HTTP
+// server (pass it to server.WithRegistry). Safe to call while queries are
+// in flight; queries started before the call are not recorded. Binding to
+// the registry the engine already reports to is a no-op; binding to another
+// one moves the engine there with fresh windows and sketch. Approximate
+// back-ends additionally register the scrape-time rknn_recall_estimate
+// gauge (sampled oracle cross-check, cached per snapshot and recomputed at
+// most once per recallRecomputeInterval under continuous writes; -1 when an
+// estimate fails).
 func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
+	if s.boundTo(reg) {
+		return
+	}
 	t := newEngineTelemetry(reg, string(s.backend), s.Approximate())
 	t.grid = newQueryGrid(s.snap.Load().ix)
 	t.workload = telemetry.NewWorkload(0)
@@ -554,7 +561,7 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 	if s.quant {
 		registerQuantCounters(reg, string(s.backend), s.QuantFilterStats)
 	}
-	s.compactHist.Store(compactionHistogram(reg, string(s.backend)))
+	s.bg.compactHist.Store(compactionHistogram(reg, string(s.backend)))
 	if s.Approximate() {
 		cache := &recallCache{}
 		reg.GaugeFunc("rknn_recall_estimate",
@@ -583,6 +590,9 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 // recall gauge is a single-engine surface (its oracle reads one snapshot,
 // not a scatter set).
 func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
+	if ss.boundTo(reg) {
+		return
+	}
 	// Calibrate the workload grid from the first populated shard: shards
 	// partition by hash, so any one shard's sample spans the dataset.
 	var grid *queryGrid
@@ -596,14 +606,10 @@ func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
 	if ss.quant {
 		registerQuantCounters(reg, string(ss.backend), ss.QuantFilterStats)
 	}
-	// Every shard engine (current and future — see newShardEngine) shares
-	// one per-backend histogram, so the compaction-duration series sums
-	// across shards.
-	h := compactionHistogram(reg, string(ss.backend))
-	ss.compactHist.Store(h)
-	for _, eng := range ss.engines() {
-		eng.compactHist.Store(h)
-	}
+	// Every shard engine, current and future, reports its folds through the
+	// sharded engine's background binding, so the compaction-duration series
+	// sums across shards.
+	ss.bg.compactHist.Store(compactionHistogram(reg, string(ss.backend)))
 }
 
 // compactionHistogram resolves the per-backend compaction-duration

@@ -51,10 +51,11 @@ func counterValue(t *testing.T, reg *telemetry.Registry, name string, labels ...
 func TestTelemetryCountersMatchQueryStats(t *testing.T) {
 	pts := indextest.RandPoints(300, 4, 11)
 	reg := telemetry.NewRegistry()
-	s, err := New(pts, WithScale(8), WithTelemetry(reg))
+	s, err := New(pts, WithScale(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableTelemetry(reg)
 
 	var want Stats
 	accumulate := func(st Stats) {
@@ -165,15 +166,17 @@ func itoa(v int64) string {
 func TestShardedTelemetry(t *testing.T) {
 	pts := indextest.RandPoints(240, 3, 17)
 	reg := telemetry.NewRegistry()
-	ss, err := NewSharded(pts, 3, WithScale(8), WithTelemetry(reg))
+	ss, err := NewSharded(pts, 3, WithScale(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss.EnableTelemetry(reg)
 	singleReg := telemetry.NewRegistry()
-	single, err := New(pts, WithScale(8), WithTelemetry(singleReg))
+	single, err := New(pts, WithScale(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	single.EnableTelemetry(singleReg)
 
 	var agg Stats
 	const queries = 12
@@ -323,10 +326,11 @@ func hasFamily(reg *telemetry.Registry, name string) bool {
 func TestApproxTelemetry(t *testing.T) {
 	pts := indextest.ClusteredPoints(1500, 6, 8, 9)
 	reg := telemetry.NewRegistry()
-	s, err := New(pts, WithBackend(BackendLSH), WithScale(8), WithTelemetry(reg))
+	s, err := New(pts, WithBackend(BackendLSH), WithScale(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableTelemetry(reg)
 
 	var wantApprox int64
 	for qid := 0; qid < 40; qid++ {
@@ -374,10 +378,11 @@ func TestApproxTelemetry(t *testing.T) {
 func TestExactEnginesCarryNoApproxSeries(t *testing.T) {
 	pts := indextest.RandPoints(200, 3, 5)
 	reg := telemetry.NewRegistry()
-	s, err := New(pts, WithScale(8), WithTelemetry(reg))
+	s, err := New(pts, WithScale(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableTelemetry(reg)
 	if _, err := s.ReverseKNN(0, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -398,10 +403,11 @@ func TestExactEnginesCarryNoApproxSeries(t *testing.T) {
 func TestShardedApproxTelemetry(t *testing.T) {
 	pts := indextest.ClusteredPoints(500, 4, 4, 31)
 	reg := telemetry.NewRegistry()
-	ss, err := NewSharded(pts, 3, WithBackend(BackendLSH), WithScale(8), WithTelemetry(reg))
+	ss, err := NewSharded(pts, 3, WithBackend(BackendLSH), WithScale(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss.EnableTelemetry(reg)
 	if !ss.Approximate() {
 		t.Fatal("sharded LSH engine does not report Approximate")
 	}
@@ -429,10 +435,11 @@ func TestWorkloadSketchReadsThePinnedSnapshot(t *testing.T) {
 	const k = 4
 	for _, backend := range []Backend{BackendCoverTree, BackendScan} {
 		pts := indextest.RandPoints(200, 3, 71)
-		s, err := New(pts, WithBackend(backend), WithScale(8), WithTelemetry(telemetry.NewRegistry()))
+		s, err := New(pts, WithBackend(backend), WithScale(8))
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.EnableTelemetry(telemetry.NewRegistry())
 		del := &deleteAfterPin{Searcher: s, t: t}
 		s.eng = del
 		want := make(map[string]uint64)

@@ -269,10 +269,11 @@ func waitForCompactions(t *testing.T, c interface{ Compactions() int64 }, n int6
 func TestCompactionHistogramAndTrace(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s, err := New(tracePoints(100, 3, 6), WithScale(40),
-		WithCompactionThreshold(8), WithTelemetry(reg))
+		WithCompactionThreshold(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableTelemetry(reg)
 	ring := trace.NewRing(8)
 	s.EnableTracing(ring)
 	for _, p := range tracePoints(12, 3, 7) {
@@ -329,4 +330,61 @@ func TestShardedCompactionHistogramShared(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestShardedTracingReachesEveryShard pins that one EnableTracing call on a
+// sharded engine reaches the folds of every shard: one populated later, and
+// every shard of an engine recovered from its store, included.
+func TestShardedTracingReachesEveryShard(t *testing.T) {
+	// Two points land on shards 0 and 1; shard 2 is populated by the inserts.
+	ss, err := NewSharded(tracePoints(2, 3, 8), 3, WithScale(40), WithCompactionThreshold(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := NewDurableSharded(dir, ss); err != nil {
+		t.Fatal(err)
+	}
+	foldsTraced := func(ss *ShardedSearcher, pts [][]float64) {
+		t.Helper()
+		ring := trace.NewRing(256)
+		ss.EnableTracing(ring)
+		for _, p := range pts {
+			if _, err := ss.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			traced := 0
+			for _, tr := range ring.Snapshot() {
+				if tr.Summarize().Root == "compact" {
+					traced++
+				}
+			}
+			every := true
+			for _, eng := range ss.engines() {
+				every = every && eng.Compactions() > 0
+			}
+			if every && int64(traced) == ss.Compactions() {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d compact traces for %d compactions (every shard folded: %v)", traced, ss.Compactions(), every)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	foldsTraced(ss, tracePoints(40, 3, 9))
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A store does not keep the compaction threshold: the recovered shards
+	// fold at the default 256 pending rows.
+	re, err := OpenSharded(dir, WithWALSync(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	foldsTraced(re, tracePoints(3*(defaultCompactionThreshold+20), 3, 10))
 }

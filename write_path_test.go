@@ -214,10 +214,11 @@ func TestCompactNowWaitsOnTheFoldInFlight(t *testing.T) {
 func TestWriteTelemetry(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 45)
 	reg := telemetry.NewRegistry()
-	s, err := New(pts, WithScale(100), WithTelemetry(reg))
+	s, err := New(pts, WithScale(100))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	s.EnableTelemetry(reg)
 	for _, p := range indextest.RandPoints(5, 3, 46) {
 		if _, err := s.Insert(p); err != nil {
 			t.Fatal(err)
