@@ -88,7 +88,7 @@ func Restore(points [][]float64, metric vecmath.Metric, deleted []int, structure
 		return nil, err
 	}
 	t := &Tree{
-		points:  index.TableOf(points),
+		points:  index.RowsOf(points),
 		metric:  metric,
 		dim:     len(points[0]),
 		root:    root,

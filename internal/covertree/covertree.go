@@ -77,8 +77,8 @@ type Tree struct {
 var _ index.Cloner = (*Tree)(nil)
 
 // New builds a cover tree over points by repeated insertion. The points
-// slice is retained by reference. The metric must satisfy the triangle
-// inequality.
+// slice is retained by reference (index.RowsOf) and never written. The
+// metric must satisfy the triangle inequality.
 func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
 	if metric == nil {
 		return nil, errors.New("covertree: nil metric")
@@ -90,7 +90,7 @@ func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{
-		points:  index.TableOf(points),
+		points:  index.RowsOf(points),
 		metric:  metric,
 		dim:     len(points[0]),
 		deleted: make(map[int]bool),

@@ -38,6 +38,15 @@ func TableOf[T any](rows []T) Table[T] {
 	return t
 }
 
+// RowsOf is how every back-end holds the rows it is built over: the caller's
+// slice itself, no copy, clipped to its length. Rows are shared, never
+// written, so a back-end, its clones and the caller may all read them; the
+// clip keeps the first Append — the back-end's own or a clone's — from
+// writing a row into the caller's array past its length.
+func RowsOf(points [][]float64) Table[[]float64] {
+	return TableOf(points[:len(points):len(points)])
+}
+
 // tableMinSlack is the least slack a copy leaves, so a table that starts
 // empty (a memtable after a rebase) is not copied on every append.
 const tableMinSlack = 32

@@ -105,6 +105,7 @@ func Run(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (in
 		verifyIndex(t, ix, pts, vecmath.Manhattan{})
 	})
 	t.Run("cursor-recycling", func(t *testing.T) { verifyCursorRecycling(t, build) })
+	t.Run("clone-rows", func(t *testing.T) { CloneRows(t, build) })
 }
 
 // recycleStream is one (index, query) pair of verifyCursorRecycling with the
@@ -526,6 +527,58 @@ func verifyCloner(t *testing.T, build func(points [][]float64, metric vecmath.Me
 			if got := c.d.Point(id); !slices.Equal(got, p) {
 				t.Fatalf("%s: Point(%d) = %v, want its own row %v", name, id, got, p)
 			}
+		}
+	}
+}
+
+// CloneRows is the row half of the index.Cloner contract, which holds for
+// approximate back-ends too: a back-end built over a sub-slice of the
+// caller's array never writes past its length, and clones of one base that
+// each insert — twice, so the second clone's first append meets a slot the
+// first has claimed — hold their own rows under the same IDs, while the base
+// holds none of them. Each inserted row is its own nearest neighbor in the
+// clone that holds it, which an LSH back-end answers exactly too (a point
+// always collides with itself). Run calls it; a back-end outside Run calls
+// it directly.
+func CloneRows(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (index.Index, error)) {
+	t.Helper()
+	const n, extra = 40, 3
+	all := RandPoints(n+3*extra, 3, 91)
+	tail := slices.Clone(all[n:])
+	ix, err := build(all[:n], vecmath.Euclidean{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	base, ok := ix.(index.Cloner)
+	if !ok {
+		return
+	}
+	own := map[string][][]float64{"first": tail[:extra], "second": tail[extra : 2*extra], "base": tail[2*extra : 3*extra]}
+	clones := map[string]index.Dynamic{"first": base.Clone(), "second": base.Clone(), "base": base}
+	for i := range extra {
+		for _, name := range []string{"first", "second", "base"} {
+			p := slices.Clone(own[name][i])
+			if id, err := clones[name].Insert(p); err != nil || id != n+i {
+				t.Fatalf("%s: Insert = %d, %v; want id %d", name, id, err, n+i)
+			}
+		}
+	}
+	for name, d := range clones {
+		if d.Len() != n+extra {
+			t.Errorf("%s: Len = %d, want %d", name, d.Len(), n+extra)
+		}
+		for i, p := range own[name] {
+			if got := d.Point(n + i); !slices.Equal(got, p) {
+				t.Errorf("%s: Point(%d) = %v, want its own row %v", name, n+i, got, p)
+			}
+			if nb := d.KNN(p, 1, -1); len(nb) != 1 || nb[0].ID != n+i || nb[0].Dist != 0 {
+				t.Errorf("%s: nearest neighbor of its row %d = %v", name, n+i, nb)
+			}
+		}
+	}
+	for i, p := range all[n:] {
+		if !slices.Equal(p, tail[i]) || &p[0] != &tail[i][0] {
+			t.Errorf("the caller's row %d past the indexed slice was overwritten", n+i)
 		}
 	}
 }

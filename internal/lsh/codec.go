@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/index"
 	"repro/internal/vecmath"
 )
 
@@ -53,7 +54,7 @@ func (ix *Index) EncodeStructure() []byte {
 	for ti := range ix.tables {
 		size += ix.hashes*ix.dim*8 + ix.hashes*8 + 4
 		size += len(ix.tables[ti].buckets) * (keyLen + 4)
-		size += len(ix.points) * 4
+		size += len(ix.points.Rows) * 4
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, codecVersion)
@@ -61,7 +62,7 @@ func (ix *Index) EncodeStructure() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.tables)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.hashes))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.dim))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ix.points)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ix.points.Rows)))
 	for ti := range ix.tables {
 		t := &ix.tables[ti]
 		for _, a := range t.projs {
@@ -200,7 +201,7 @@ func decodeStructure(points [][]float64, blob []byte) (*Index, error) {
 	}
 
 	ix := &Index{
-		points:  points,
+		points:  index.RowsOf(points),
 		dim:     int(dim),
 		width:   width,
 		hashes:  int(hashes),

@@ -84,7 +84,7 @@ type table struct {
 // candidate-set semantics (query results cover only hash collisions) and
 // index.Cloner for online updates under copy-on-write snapshots.
 type Index struct {
-	points  [][]float64
+	points  index.Table[[]float64] // ID → row; clones share it by the claimed-length rule
 	metric  vecmath.Metric
 	dim     int
 	width   float64
@@ -125,7 +125,7 @@ func New(points [][]float64, metric vecmath.Metric, opts Options) (*Index, error
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	ix := &Index{
-		points:  points,
+		points:  index.RowsOf(points),
 		metric:  metric,
 		dim:     len(points[0]),
 		hashes:  opts.Hashes,
@@ -227,7 +227,7 @@ func (ix *Index) Len() int { return ix.alive }
 func (ix *Index) Dim() int { return ix.dim }
 
 // Point implements index.Index.
-func (ix *Index) Point(id int) []float64 { return ix.points[id] }
+func (ix *Index) Point(id int) []float64 { return ix.points.Rows[id] }
 
 // Metric implements index.Index.
 func (ix *Index) Metric() vecmath.Metric { return ix.metric }
@@ -246,10 +246,10 @@ func (ix *Index) Insert(p []float64) (int, error) {
 		return 0, err
 	}
 	if len(p) != ix.dim {
-		return 0, vecmath.CheckDims(p, ix.points[0])
+		return 0, vecmath.CheckDims(p, ix.points.Rows[0])
 	}
-	id := len(ix.points)
-	ix.points = append(ix.points, p)
+	ix.points.Append(p)
+	id := len(ix.points.Rows) - 1
 	hashCalls.Add(int64(len(ix.tables)))
 	var keyBuf []byte
 	for ti := range ix.tables {
@@ -269,7 +269,7 @@ func (ix *Index) Insert(p []float64) (int, error) {
 // buckets and the candidate machinery filters it, so deletion never
 // rewrites table state shared with clones.
 func (ix *Index) Delete(id int) bool {
-	if id < 0 || id >= len(ix.points) || ix.deleted[id] {
+	if id < 0 || id >= len(ix.points.Rows) || ix.deleted[id] {
 		return false
 	}
 	ix.deleted[id] = true
@@ -277,14 +277,13 @@ func (ix *Index) Delete(id int) bool {
 	return true
 }
 
-// Clone implements index.Cloner. Point coordinate slices, projection
-// vectors, and bucket ID slices are shared (all immutable by convention:
-// inserts replace bucket slices, never extend them in place); the points
-// slice, the bucket map headers, and the tombstone set are copied, so
-// Insert and Delete on the clone are invisible to the original.
+// Clone implements index.Cloner. Point rows, projection vectors, and bucket
+// ID slices are shared (all immutable by convention: inserts replace bucket
+// slices, never extend them in place), the ID→row table by the
+// claimed-length rule (index.Table); the bucket map headers and the
+// tombstone set are copied, so Insert and Delete on the clone are invisible
+// to the original.
 func (ix *Index) Clone() index.Dynamic {
-	points := make([][]float64, len(ix.points), len(ix.points)+1)
-	copy(points, ix.points)
 	deleted := make(map[int]bool, len(ix.deleted))
 	for id := range ix.deleted {
 		deleted[id] = true
@@ -298,7 +297,7 @@ func (ix *Index) Clone() index.Dynamic {
 		tables[i] = table{projs: t.projs, offsets: t.offsets, buckets: buckets}
 	}
 	return &Index{
-		points:  points,
+		points:  ix.points,
 		metric:  ix.metric,
 		dim:     ix.dim,
 		width:   ix.width,
@@ -310,10 +309,10 @@ func (ix *Index) Clone() index.Dynamic {
 }
 
 // IDSpan implements index.Liveness.
-func (ix *Index) IDSpan() int { return len(ix.points) }
+func (ix *Index) IDSpan() int { return len(ix.points.Rows) }
 
 // Live implements index.Liveness.
-func (ix *Index) Live(id int) bool { return id >= 0 && id < len(ix.points) && !ix.deleted[id] }
+func (ix *Index) Live(id int) bool { return id >= 0 && id < len(ix.points.Rows) && !ix.deleted[id] }
 
 // dedup is the pooled per-query candidate-collection state: the seen set,
 // the collected ID list, and the key scratch buffer. Candidate gathering is
@@ -365,7 +364,7 @@ func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
 	cands := ix.candidates(d, q, skipID)
 	ready := pqueue.NewNearest(len(cands))
 	for _, id := range cands {
-		ready.Push(ix.metric.Distance(q, ix.points[id]), id)
+		ready.Push(ix.metric.Distance(q, ix.points.Rows[id]), id)
 	}
 	d.release()
 	return &cursor{ready: ready}
@@ -393,7 +392,7 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	defer d.release()
 	top := pqueue.NewTopK[int](k)
 	for _, id := range ix.candidates(d, q, skipID) {
-		top.Offer(ix.metric.Distance(q, ix.points[id]), id)
+		top.Offer(ix.metric.Distance(q, ix.points.Rows[id]), id)
 	}
 	items := top.Sorted()
 	out := make([]index.Neighbor, len(items))
@@ -409,7 +408,7 @@ func (ix *Index) Range(q []float64, r float64, skipID int) []index.Neighbor {
 	defer d.release()
 	var out []index.Neighbor
 	for _, id := range ix.candidates(d, q, skipID) {
-		if dist := ix.metric.Distance(q, ix.points[id]); dist <= r {
+		if dist := ix.metric.Distance(q, ix.points.Rows[id]); dist <= r {
 			out = append(out, index.Neighbor{ID: id, Dist: dist})
 		}
 	}
@@ -428,7 +427,7 @@ func (ix *Index) CountRange(q []float64, r float64, skipID int) int {
 	defer d.release()
 	count := 0
 	for _, id := range ix.candidates(d, q, skipID) {
-		if ix.metric.Distance(q, ix.points[id]) <= r {
+		if ix.metric.Distance(q, ix.points.Rows[id]) <= r {
 			count++
 		}
 	}
@@ -450,7 +449,7 @@ func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map
 		if dead[id] {
 			continue
 		}
-		if ix.metric.Distance(q, ix.points[id]) < r {
+		if ix.metric.Distance(q, ix.points.Rows[id]) < r {
 			if count++; count == limit {
 				break
 			}

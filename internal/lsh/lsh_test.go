@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bruteforce"
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/scan"
 	"repro/internal/vecmath"
@@ -312,6 +313,14 @@ func TestCloneIsolation(t *testing.T) {
 	if clone.Delete(id); clone.Live(id) {
 		t.Error("clone delete did not apply")
 	}
+}
+
+// TestCloneRows runs the shared clone-rows case, which an approximate
+// back-end passes as an exact one does.
+func TestCloneRows(t *testing.T) {
+	indextest.CloneRows(t, func(pts [][]float64, m vecmath.Metric) (index.Index, error) {
+		return New(pts, m, DefaultOptions())
+	})
 }
 
 // TestConcurrentQueriesSharePool races parallel queries over the pooled

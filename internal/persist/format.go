@@ -194,24 +194,37 @@ func writePointsSection(w io.Writer, points [][]float64, dim int) error {
 	return err
 }
 
+// pointBlockFloats is how many coordinates readPointsSection decodes into
+// one contiguous block (512 KB): rows are laid out back to back in blocks of
+// this size, at least one row a block.
+const pointBlockFloats = 1 << 16
+
 // readPointsSection reads count rows of dim float64s and verifies the
-// trailing CRC. Rows are allocated as they are read, so a bogus count on a
-// short stream fails without a large allocation; each row's backing array
-// is separate so callers may retain rows independently.
+// trailing CRC. Rows are decoded into contiguous blocks, each clipped to
+// dim so no row's capacity reaches into the next, and each block is
+// allocated only when the stream reaches it: a bogus count on a short
+// stream fails having allocated one block, and the bytes to decode it
+// from, past what the stream delivered.
 func readPointsSection(r io.Reader, count uint64, dim int) ([][]float64, error) {
 	crc := crc32.New(crcTable)
-	rowBytes := make([]byte, dim*8)
+	blockRows := uint64(max(1, pointBlockFloats/dim))
+	raw := make([]byte, min(count, blockRows)*uint64(dim)*8)
 	points := make([][]float64, 0, min(count, 1<<16))
-	for i := uint64(0); i < count; i++ {
-		if err := readFull(r, rowBytes); err != nil {
+	for read := uint64(0); read < count; {
+		rows := int(min(count-read, blockRows))
+		block := make([]float64, rows*dim)
+		b := raw[:len(block)*8]
+		if err := readFull(r, b); err != nil {
 			return nil, err
 		}
-		crc.Write(rowBytes)
-		p := make([]float64, dim)
-		for j := range p {
-			p[j] = getF64(rowBytes[j*8:])
+		crc.Write(b)
+		for j := range block {
+			block[j] = getF64(b[j*8:])
 		}
-		points = append(points, p)
+		for i := range rows {
+			points = append(points, block[i*dim:(i+1)*dim:(i+1)*dim])
+		}
+		read += uint64(rows)
 	}
 	var scratch [4]byte
 	sum, err := readU32(r, scratch[:])

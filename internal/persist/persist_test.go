@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/vecmath"
 )
@@ -127,5 +129,57 @@ func TestDatasetRoundTrip(t *testing.T) {
 		if _, _, err := ReadDataset(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Fatalf("dataset truncation at %d decoded", cut)
 		}
+	}
+}
+
+// TestPointsSectionDecodesIntoBlocks pins the layout readPointsSection
+// restores: every row clipped to dim and rows back to back within a block
+// of pointBlockFloats coordinates — at a dimension that fills blocks
+// exactly, one that leaves a gap, and one whose single row outgrows a
+// block. A count the stream cannot back fails having allocated a bounded
+// amount, not the count's worth.
+func TestPointsSectionDecodesIntoBlocks(t *testing.T) {
+	for _, c := range []struct{ dim, count int }{{4, 2*pointBlockFloats/4 + 3}, {784, 200}, {pointBlockFloats + 1, 3}} {
+		points := make([][]float64, c.count)
+		for i := range points {
+			points[i] = make([]float64, c.dim)
+			for j := range points[i] {
+				points[i][j] = float64(i) + float64(j)/float64(c.dim)
+			}
+		}
+		var buf bytes.Buffer
+		if err := writePointsSection(&buf, points, c.dim); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readPointsSection(&buf, uint64(c.count), c.dim)
+		if err != nil {
+			t.Fatalf("dim %d: %v", c.dim, err)
+		}
+		if !reflect.DeepEqual(got, points) {
+			t.Fatalf("dim %d: rows do not round-trip", c.dim)
+		}
+		blockRows := max(1, pointBlockFloats/c.dim)
+		for i, p := range got {
+			if cap(p) != c.dim {
+				t.Fatalf("dim %d: row %d has capacity %d", c.dim, i, cap(p))
+			}
+			if i+1 < len(got) && (i+1)%blockRows != 0 && uintptr(unsafe.Pointer(&got[i+1][0])) != uintptr(unsafe.Pointer(&p[0]))+uintptr(8*c.dim) {
+				t.Fatalf("dim %d: row %d is not followed in memory by row %d, in the same block", c.dim, i, i+1)
+			}
+		}
+	}
+
+	var short bytes.Buffer
+	if err := writePointsSection(&short, [][]float64{{1, 2, 3}}, 3); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := readPointsSection(&short, 1<<40, 3); err == nil {
+		t.Fatal("a count of 2^40 rows decoded from a one-row stream")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("a bogus count allocated %d bytes before failing, want at most 4 MB", got)
 	}
 }

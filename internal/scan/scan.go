@@ -7,9 +7,11 @@
 // reference implementation against which every other back-end in this module
 // is tested.
 //
-// Two optimizations keep the flat scan at hardware speed without changing a
-// single result bit (DESIGN.md "Distance kernels and quantized filtering"):
-// rows are copied into one contiguous row-major arena and distances go
+// The index holds the caller's rows, as every back-end does (index.RowsOf):
+// no copy, so a dataset laid out contiguously (dataset.Compact, a restored
+// snapshot) is scanned in the order it sits in memory. Two optimizations keep
+// the flat scan at hardware speed without changing a single result bit
+// (DESIGN.md "Distance kernels and quantized filtering"): distances go
 // through vecmath's direct kernels instead of the Metric interface; and an
 // optional 8-bit scalar-quantization pre-filter (EnableQuantFilter) screens
 // rows against the current search bound with code-level and float32-level
@@ -113,8 +115,7 @@ func (f *quantFilter) appendRow(p []float64) {
 // index.Index and index.Dynamic. The zero value is not usable; construct
 // with New.
 type Index struct {
-	points [][]float64 // row views into arena (plus per-insert tails)
-	arena  []float64   // contiguous row-major storage
+	points index.Table[[]float64] // ID → row; clones share it by the claimed-length rule
 	metric vecmath.Metric
 	dist   vecmath.DistanceFunc      // resolved kernel; falls back to metric.Distance
 	batch  vecmath.BatchDistanceFunc // resolved one-vs-many kernel
@@ -130,8 +131,8 @@ var (
 	_ index.QuantFiltered = (*Index)(nil)
 )
 
-// New builds a scan index over points. The rows are copied into a
-// contiguous arena (the input is not retained).
+// New builds a scan index over points in O(1) beyond validation: the points
+// slice is retained by reference (index.RowsOf) and never written.
 func New(points [][]float64, metric vecmath.Metric) (*Index, error) {
 	if metric == nil {
 		return nil, errors.New("scan: nil metric")
@@ -139,18 +140,10 @@ func New(points [][]float64, metric vecmath.Metric) (*Index, error) {
 	if err := vecmath.ValidateAllFor(metric, points); err != nil {
 		return nil, err
 	}
-	dim := len(points[0])
-	arena := make([]float64, 0, len(points)*dim)
-	rows := make([][]float64, len(points))
-	for i, p := range points {
-		arena = append(arena, p...)
-		rows[i] = arena[i*dim : (i+1)*dim : (i+1)*dim]
-	}
 	ix := &Index{
-		points:  rows,
-		arena:   arena,
+		points:  index.RowsOf(points),
 		metric:  metric,
-		dim:     dim,
+		dim:     len(points[0]),
 		deleted: make(map[int]bool),
 		alive:   len(points),
 	}
@@ -177,19 +170,19 @@ func (ix *Index) EnableQuantFilter(cb *vecmath.Codebook) error {
 		return errors.New("scan: quantized filter does not support metric " + ix.metric.Name())
 	}
 	if cb == nil {
-		cb = vecmath.TrainCodebook(ix.points)
+		cb = vecmath.TrainCodebook(ix.points.Rows)
 	}
 	if cb.Dim() != ix.dim {
-		return vecmath.CheckDims(make([]float64, cb.Dim()), ix.points[0])
+		return vecmath.CheckDims(make([]float64, cb.Dim()), ix.points.Rows[0])
 	}
 	f := &quantFilter{
 		cb:    cb,
 		kind:  kind,
-		codes: make([]uint8, 0, len(ix.points)*ix.dim),
+		codes: make([]uint8, 0, len(ix.points.Rows)*ix.dim),
 		blk:   vecmath.NewEmptyBlock(ix.dim),
 		stats: &FilterStats{},
 	}
-	for _, p := range ix.points {
+	for _, p := range ix.points.Rows {
 		f.appendRow(p)
 	}
 	ix.filter = f
@@ -219,44 +212,39 @@ func (ix *Index) Len() int { return ix.alive }
 func (ix *Index) Dim() int { return ix.dim }
 
 // Point implements index.Index.
-func (ix *Index) Point(id int) []float64 { return ix.points[id] }
+func (ix *Index) Point(id int) []float64 { return ix.points.Rows[id] }
 
 // Metric implements index.Index.
 func (ix *Index) Metric() vecmath.Metric { return ix.metric }
 
-// Insert implements index.Dynamic. The row is appended to the arena, so
-// storage stays contiguous across compaction folds.
+// Insert implements index.Dynamic: the row it is given is appended to the
+// ID→row table, retained by reference like New's.
 func (ix *Index) Insert(p []float64) (int, error) {
 	if err := vecmath.ValidateFor(ix.metric, p); err != nil {
 		return 0, err
 	}
 	if len(p) != ix.dim {
-		return 0, vecmath.CheckDims(p, ix.points[0])
+		return 0, vecmath.CheckDims(p, ix.points.Rows[0])
 	}
-	ix.arena = append(ix.arena, p...)
-	row := ix.arena[len(ix.arena)-ix.dim : len(ix.arena) : len(ix.arena)]
-	ix.points = append(ix.points, row)
+	ix.points.Append(p)
 	ix.alive++
 	if ix.filter != nil {
-		ix.filter.appendRow(row)
+		ix.filter.appendRow(p)
 	}
-	return len(ix.points) - 1, nil
+	return len(ix.points.Rows) - 1, nil
 }
 
-// Clone implements index.Cloner. The arena is shared (rows are immutable)
-// but resliced to zero spare capacity, so the clone's first Insert
-// reallocates instead of writing into storage visible to the original; the
-// points slice, tombstone set and filter codes are copied.
+// Clone implements index.Cloner. The ID→row table is shared by the
+// claimed-length rule (index.Table), so either side may insert afterwards
+// and neither sees the other's rows; the tombstone set and the quantized
+// filter's codes and float32 block are copied.
 func (ix *Index) Clone() index.Dynamic {
-	points := make([][]float64, len(ix.points), len(ix.points)+1)
-	copy(points, ix.points)
 	deleted := make(map[int]bool, len(ix.deleted))
 	for id := range ix.deleted {
 		deleted[id] = true
 	}
 	cl := &Index{
-		points:  points,
-		arena:   ix.arena[:len(ix.arena):len(ix.arena)],
+		points:  ix.points,
 		metric:  ix.metric,
 		dist:    ix.dist,
 		batch:   ix.batch,
@@ -272,7 +260,7 @@ func (ix *Index) Clone() index.Dynamic {
 
 // Delete implements index.Dynamic using a tombstone.
 func (ix *Index) Delete(id int) bool {
-	if id < 0 || id >= len(ix.points) || ix.deleted[id] {
+	if id < 0 || id >= len(ix.points.Rows) || ix.deleted[id] {
 		return false
 	}
 	ix.deleted[id] = true
@@ -281,10 +269,10 @@ func (ix *Index) Delete(id int) bool {
 }
 
 // IDSpan implements index.Liveness.
-func (ix *Index) IDSpan() int { return len(ix.points) }
+func (ix *Index) IDSpan() int { return len(ix.points.Rows) }
 
 // Live implements index.Liveness.
-func (ix *Index) Live(id int) bool { return id >= 0 && id < len(ix.points) && !ix.deleted[id] }
+func (ix *Index) Live(id int) bool { return id >= 0 && id < len(ix.points.Rows) && !ix.deleted[id] }
 
 // skip reports whether a row is excluded from the current query. The
 // len guard matters: a map lookup per row costs more than a screened
@@ -313,12 +301,13 @@ const cursorChunk = 128
 // Close hands the cursor with it to the next query.
 func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
 	c := cursorPool.Get().(*cursor)
-	if cap(c.items) < len(ix.points) {
-		c.items = make([]pqueue.Item[int], len(ix.points))
+	all := ix.points.Rows
+	if cap(c.items) < len(all) {
+		c.items = make([]pqueue.Item[int], len(all))
 	}
-	items := c.items[:len(ix.points)]
-	for lo := 0; lo < len(ix.points); lo += cursorChunk {
-		rows := ix.points[lo:min(lo+cursorChunk, len(ix.points))]
+	items := c.items[:len(all)]
+	for lo := 0; lo < len(all); lo += cursorChunk {
+		rows := all[lo:min(lo+cursorChunk, len(all))]
 		ix.batch(q, rows, c.dists[:])
 		for j := range rows {
 			items[lo+j] = pqueue.Item[int]{Priority: c.dists[j], Value: lo + j}
@@ -380,7 +369,7 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if ix.filter != nil {
 		ix.knnFiltered(q, top, skipID)
 	} else {
-		for id, p := range ix.points {
+		for id, p := range ix.points.Rows {
 			if ix.skip(id, skipID) {
 				continue
 			}
@@ -476,7 +465,7 @@ func (ix *Index) knnFiltered(q []float64, top *pqueue.TopK[int], skipID int) {
 	qq, release := ix.newQuantQuery(q)
 	defer release()
 	var admitted, screened int64
-	for id, p := range ix.points {
+	for id, p := range ix.points.Rows {
 		if ix.skip(id, skipID) {
 			continue
 		}
@@ -512,7 +501,7 @@ func (ix *Index) Range(q []float64, r float64, skipID int) []index.Neighbor {
 		defer release()
 	}
 	var admitted, screened int64
-	for id, p := range ix.points {
+	for id, p := range ix.points.Rows {
 		if ix.skip(id, skipID) {
 			continue
 		}
@@ -550,7 +539,7 @@ func (ix *Index) CountRange(q []float64, r float64, skipID int) int {
 	}
 	var admitted, screened int64
 	count := 0
-	for id, p := range ix.points {
+	for id, p := range ix.points.Rows {
 		if ix.skip(id, skipID) {
 			continue
 		}
@@ -589,7 +578,7 @@ func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map
 	}
 	var admitted, screened int64
 	count := 0
-	for id, p := range ix.points {
+	for id, p := range ix.points.Rows {
 		if ix.skip(id, skipID) || (len(dead) != 0 && dead[id]) {
 			continue
 		}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"unsafe"
 
 	"repro/internal/index"
 	"repro/internal/vecmath"
@@ -55,12 +54,9 @@ func TestAccessors(t *testing.T) {
 	if !reflect.DeepEqual(ix.Point(3), pts[3]) {
 		t.Error("Point should return the row's coordinates")
 	}
-	// Rows are copied into one contiguous arena, not retained by reference.
-	if &ix.Point(3)[0] == &pts[3][0] {
-		t.Error("Point should be arena-backed, not the caller's slice")
-	}
-	if p2, p3 := ix.Point(2), ix.Point(3); uintptr(unsafe.Pointer(&p3[0]))-uintptr(unsafe.Pointer(&p2[0])) != uintptr(ix.Dim())*8 {
-		t.Error("adjacent rows should be contiguous in the arena")
+	// Rows are retained by reference, as the facade documents, not copied.
+	if &ix.Point(3)[0] != &pts[3][0] {
+		t.Error("Point should return the caller's row, not a copy")
 	}
 }
 

@@ -345,7 +345,8 @@ func (c engineConfig) newQuerier(src core.Source, k int) (*core.Querier, error) 
 }
 
 // New indexes points and returns a Searcher. The points slice is retained
-// by reference and must not be mutated afterwards.
+// by reference and must not be mutated afterwards; the engine never writes
+// into it, nor into its capacity past its length.
 func New(points [][]float64, opts ...Option) (*Searcher, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {

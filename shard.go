@@ -425,7 +425,9 @@ func newShardedSearcher(cfg engineConfig, metric Metric, dim, shards int) *Shard
 // returns a ShardedSearcher. The options are those of New; when the scale
 // parameter is estimated, it is estimated once over the full dataset (not
 // per shard), so a ShardedSearcher and a Searcher over the same points use
-// the same t. The points slice is retained by reference.
+// the same t. The points slice is retained by reference and must not be
+// mutated afterwards; the engine never writes into it, nor into its
+// capacity past its length.
 func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearcher, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("rknnd: shard count must be positive, got %d", shards)

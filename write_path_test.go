@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -600,6 +601,38 @@ func TestBackendDynamicMatchesTheIndex(t *testing.T) {
 			}
 			if b != BackendLSH {
 				verifyAgainstOracle(t, eng, 64, map[int]bool{7: true, 62: true})
+			}
+		}
+	}
+}
+
+// TestEngineNeverWritesTheCallersSlice pins that an engine holds the rows it
+// is built over without writing into the caller's array, capacity past the
+// slice's length included: the benchmark, for one, builds over all[:n] and
+// keeps the rows it later queries and inserts further along all. A fold
+// appends the inserted rows to the base back-end's ID→row table, which must
+// not be the caller's array.
+func TestEngineNeverWritesTheCallersSlice(t *testing.T) {
+	const n, extra = 30, 5
+	for _, b := range []Backend{BackendCoverTree, BackendScan, BackendLSH} {
+		all := indextest.RandPoints(n+10, 3, 61)
+		tail := slices.Clone(all[n:])
+		s, err := New(all[:n], WithBackend(b), WithScale(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range indextest.RandPoints(extra, 3, 62) {
+			if _, err := s.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.compactNow()
+		if s.Compactions() == 0 || s.MemtableLen() != 0 {
+			t.Fatalf("%s: compactNow left %d memtable rows after %d compactions", b, s.MemtableLen(), s.Compactions())
+		}
+		for i, p := range all[n:] {
+			if &p[0] != &tail[i][0] {
+				t.Errorf("%s: the caller's all[%d], past the slice the engine was built over, now holds %v", b, n+i, p)
 			}
 		}
 	}
