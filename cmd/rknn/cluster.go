@@ -41,20 +41,12 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 	fs := flag.NewFlagSet("shard-serve", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	sf := servingFlags(fs, ":8081")
+	ef := registerEngineFlags(fs)
+	fs.Lookup("t").Usage = "pin the scale parameter (0 estimates it over the full dataset)"
+	fs.BoolVar(&ef.quant, "quant-filter", false, "screen candidates through a quantized pre-filter (scan back-end only)")
 	var (
-		dataName = fs.String("data", "sequoia", "surrogate dataset: sequoia, aloi, fct, mnist, imagenet, uniform")
-		csvPath  = fs.String("csv", "", "load points from a CSV file instead of generating")
-		n        = fs.Int("n", 5000, "generated dataset size")
-		dim      = fs.Int("dim", 128, "dimension for imagenet/uniform surrogates")
-		seed     = fs.Int64("seed", 1, "generation seed")
-		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
-		tParam   = fs.Float64("t", 0, "pin the scale parameter (0 estimates it over the full dataset)")
-		auto     = fs.String("auto", "mle", "scale estimator when -t is 0: mle, gp or takens")
-		plain    = fs.Bool("plain", false, "use plain RDT instead of RDT+")
-		quant    = fs.Bool("quant-filter", false, "screen candidates through a quantized pre-filter (scan back-end only)")
-		metric   = fs.String("metric", "", "distance metric: euclidean (default), manhattan, chebyshev, angular, minkowski(p)")
-		shard    = fs.Int("shard", 0, "which hash partition this daemon serves, in [0, shards)")
-		shards   = fs.Int("shards", 1, "total shard count of the cluster")
+		shard  = fs.Int("shard", 0, "which hash partition this daemon serves, in [0, shards)")
+		shards = fs.Int("shards", 1, "total shard count of the cluster")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -66,11 +58,11 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 		return fmt.Errorf("shard-serve: -shard must be in [0,%d), got %d", *shards, *shard)
 	}
 
-	opts, err := searcherOptions(*backend, *tParam, *auto, *plain, *quant, *metric)
+	opts, err := ef.options()
 	if err != nil {
 		return err
 	}
-	pts, name, err := loadPoints(*csvPath, *dataName, *n, *dim, *seed)
+	pts, name, err := ef.points()
 	if err != nil {
 		return err
 	}
@@ -78,7 +70,7 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 	// WHOLE dataset would use — estimated before partitioning — or the
 	// shards would answer under different filter bounds than the
 	// in-process engine and byte-identity would break.
-	t := *tParam
+	t := ef.t
 	if t <= 0 {
 		t, err = repro.EstimateScale(pts, opts...)
 		if err != nil {

@@ -22,19 +22,10 @@ func runSave(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("save", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		out      = fs.String("out", "", "snapshot file to write, or store directory with -shards > 1 (required)")
-		shards   = fs.Int("shards", 1, "hash-partition the dataset across N shards and write a sharded store directory")
-		dataName = fs.String("data", "sequoia", "surrogate dataset: sequoia, aloi, fct, mnist, imagenet, uniform")
-		csvPath  = fs.String("csv", "", "load points from a CSV file instead of generating")
-		n        = fs.Int("n", 5000, "generated dataset size")
-		dim      = fs.Int("dim", 128, "dimension for imagenet/uniform surrogates")
-		seed     = fs.Int64("seed", 1, "generation seed")
-		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
-		tParam   = fs.Float64("t", 0, "pin the scale parameter (0 estimates it)")
-		auto     = fs.String("auto", "mle", "scale estimator when -t is 0: mle, gp or takens")
-		plain    = fs.Bool("plain", false, "use plain RDT instead of RDT+")
-		metric   = fs.String("metric", "", "distance metric: euclidean (default), manhattan, chebyshev, angular, minkowski(p)")
+		out    = fs.String("out", "", "snapshot file to write, or store directory with -shards > 1 (required)")
+		shards = fs.Int("shards", 1, "hash-partition the dataset across N shards and write a sharded store directory")
 	)
+	ef := registerEngineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -45,13 +36,17 @@ func runSave(args []string, stdout io.Writer) error {
 		return errors.New("save: -out is required")
 	}
 
-	pts, name, err := loadPoints(*csvPath, *dataName, *n, *dim, *seed)
+	pts, name, err := ef.points()
+	if err != nil {
+		return err
+	}
+	opts, err := ef.options()
 	if err != nil {
 		return err
 	}
 	if *shards > 1 {
 		start := time.Now()
-		ss, err := buildShardedSearcher(pts, *shards, *backend, *tParam, *auto, *plain, false, *metric)
+		ss, err := repro.NewSharded(pts, *shards, opts...)
 		if err != nil {
 			return err
 		}
@@ -62,12 +57,12 @@ func runSave(args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "rknn save: %s (n=%d, dim=%d), %s back-end, t=%.2f, built in %s\n",
-			name, ss.Len(), ss.Dim(), *backend, ss.Scale(), time.Since(start).Round(time.Millisecond))
+			name, ss.Len(), ss.Dim(), ef.backend, ss.Scale(), time.Since(start).Round(time.Millisecond))
 		fmt.Fprintf(stdout, "rknn save: wrote sharded store (%d shards) to %s\n", *shards, *out)
 		return nil
 	}
 	start := time.Now()
-	s, err := buildSearcher(pts, *backend, *tParam, *auto, *plain, false, *metric)
+	s, err := repro.New(pts, opts...)
 	if err != nil {
 		return err
 	}
@@ -94,7 +89,7 @@ func runSave(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "rknn save: %s (n=%d, dim=%d), %s back-end, t=%.2f, built in %s\n",
-		name, s.Len(), s.Dim(), *backend, s.Scale(), built.Round(time.Millisecond))
+		name, s.Len(), s.Dim(), ef.backend, s.Scale(), built.Round(time.Millisecond))
 	fmt.Fprintf(stdout, "rknn save: wrote %d bytes to %s\n", info.Size(), *out)
 	return nil
 }

@@ -35,18 +35,9 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	sf := servingFlags(fs, ":8080")
+	ef := registerEngineFlags(fs)
+	fs.BoolVar(&ef.quant, "quant-filter", false, "screen candidates through a quantized pre-filter before exact distances (scan back-end only; results are unchanged)")
 	var (
-		dataName = fs.String("data", "sequoia", "surrogate dataset: sequoia, aloi, fct, mnist, imagenet, uniform")
-		csvPath  = fs.String("csv", "", "load points from a CSV file instead of generating")
-		n        = fs.Int("n", 5000, "generated dataset size")
-		dim      = fs.Int("dim", 128, "dimension for imagenet/uniform surrogates")
-		seed     = fs.Int64("seed", 1, "generation seed")
-		backend  = fs.String("backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
-		tParam   = fs.Float64("t", 0, "pin the scale parameter (0 estimates it)")
-		auto     = fs.String("auto", "mle", "scale estimator when -t is 0: mle, gp or takens")
-		plain    = fs.Bool("plain", false, "use plain RDT instead of RDT+")
-		quant    = fs.Bool("quant-filter", false, "screen candidates through a quantized pre-filter before exact distances (scan back-end only; results are unchanged)")
-		metric   = fs.String("metric", "", "distance metric: euclidean (default), manhattan, chebyshev, angular, minkowski(p)")
 		dataDir  = fs.String("data-dir", "", "durable store directory: recover state from it, or create it and log all writes")
 		walSync  = fs.Int("wal-sync", 1, "fsync the write-ahead log every N writes (0 = never)")
 		shards   = fs.Int("shards", 1, "hash-partition the dataset across N shards served by scatter-gather")
@@ -68,7 +59,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 		return err
 	}
 
-	eng, err := buildEngine(stdout, *dataDir, *walSync, *shards, *csvPath, *dataName, *n, *dim, *seed, *backend, *tParam, *auto, *plain, *quant, *metric)
+	eng, err := buildEngine(stdout, ef, *dataDir, *walSync, *shards)
 	if err != nil {
 		return err
 	}
@@ -217,10 +208,10 @@ type engine interface {
 
 // buildEngine assembles the serving engine: recover the store -data-dir
 // points at (sharded or single, whichever the directory holds), or build the
-// engine the flags describe — sharded scatter-gather when -shards > 1 — and,
-// when -data-dir is set, attach a new store to it there. Closing the engine
-// flushes and closes the write-ahead logs.
-func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath, dataName string, n, dim int, seed int64, backend string, t float64, auto string, plain, quant bool, metric string) (engine, error) {
+// engine the flags ef describe — sharded scatter-gather when -shards > 1 —
+// and, when -data-dir is set, attach a new store to it there. Closing the
+// engine flushes and closes the write-ahead logs.
+func buildEngine(stdout io.Writer, ef *engineFlags, dataDir string, walSync, shards int) (engine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("serve: -shards must be at least 1, got %d", shards)
 	}
@@ -264,11 +255,11 @@ func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath,
 
 	// The flags are checked before the dataset is read: a mistyped -backend
 	// or -metric should not cost a load first.
-	opts, err := searcherOptions(backend, t, auto, plain, quant, metric)
+	opts, err := ef.options()
 	if err != nil {
 		return nil, err
 	}
-	pts, name, err := loadPoints(csvPath, dataName, n, dim, seed)
+	pts, name, err := ef.points()
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +292,45 @@ func buildEngine(stdout io.Writer, dataDir string, walSync, shards int, csvPath,
 	return eng, nil
 }
 
-// searcherOptions maps the serve/save flags onto the public facade options,
+// engineFlags are the dataset and engine flags serve, shard-serve and save
+// share. quant is -quant-filter, which only serve and shard-serve register.
+type engineFlags struct {
+	data, csv    string
+	n, dim       int
+	seed         int64
+	backend      string
+	t            float64
+	auto, metric string
+	plain, quant bool
+}
+
+// registerEngineFlags registers the ten shared engine flags on fs.
+func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
+	ef := &engineFlags{}
+	fs.StringVar(&ef.data, "data", "sequoia", "surrogate dataset: sequoia, aloi, fct, mnist, imagenet, uniform")
+	fs.StringVar(&ef.csv, "csv", "", "load points from a CSV file instead of generating")
+	fs.IntVar(&ef.n, "n", 5000, "generated dataset size")
+	fs.IntVar(&ef.dim, "dim", 128, "dimension for imagenet/uniform surrogates")
+	fs.Int64Var(&ef.seed, "seed", 1, "generation seed")
+	fs.StringVar(&ef.backend, "backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
+	fs.Float64Var(&ef.t, "t", 0, "pin the scale parameter (0 estimates it)")
+	fs.StringVar(&ef.auto, "auto", "mle", "scale estimator when -t is 0: mle, gp or takens")
+	fs.BoolVar(&ef.plain, "plain", false, "use plain RDT instead of RDT+")
+	fs.StringVar(&ef.metric, "metric", "", "distance metric: euclidean (default), manhattan, chebyshev, angular, minkowski(p)")
+	return ef
+}
+
+// options maps the flags onto the public facade options.
+func (ef *engineFlags) options() ([]repro.Option, error) {
+	return searcherOptions(ef.backend, ef.t, ef.auto, ef.plain, ef.quant, ef.metric)
+}
+
+// points loads the dataset the flags name.
+func (ef *engineFlags) points() ([][]float64, string, error) {
+	return loadPoints(ef.csv, ef.data, ef.n, ef.dim, ef.seed)
+}
+
+// searcherOptions maps the engine flags onto the public facade options,
 // refusing a back-end or metric name the facade would refuse.
 func searcherOptions(backendName string, t float64, auto string, plain, quant bool, metric string) ([]repro.Option, error) {
 	if err := backend.Check(backendName); err != nil {
@@ -336,13 +365,4 @@ func buildSearcher(pts [][]float64, backend string, t float64, auto string, plai
 		return nil, err
 	}
 	return repro.New(pts, opts...)
-}
-
-// buildShardedSearcher builds the scatter-gather form of the flag set.
-func buildShardedSearcher(pts [][]float64, shards int, backend string, t float64, auto string, plain, quant bool, metric string) (*repro.ShardedSearcher, error) {
-	opts, err := searcherOptions(backend, t, auto, plain, quant, metric)
-	if err != nil {
-		return nil, err
-	}
-	return repro.NewSharded(pts, shards, opts...)
 }

@@ -254,7 +254,9 @@ func main() {
 	// marked approximate, and the engine cross-checks itself: the
 	// rknn_recall_estimate gauge samples member queries against an exact
 	// brute-force oracle at scrape time, so one /metrics scrape reads the
-	// recall the approximation is actually delivering.
+	// recall the approximation is actually delivering, beside the LSH scan
+	// depth (rknn_scan_depth_total{backend="lsh"}: the candidates its
+	// ranking streamed).
 	approx, err := repro.New(ds.Points, repro.WithBackend(repro.BackendLSH), repro.WithScale(8))
 	if err != nil {
 		log.Fatal(err)
@@ -281,7 +283,7 @@ func main() {
 	sc = bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
-		if strings.HasPrefix(line, "rknn_recall_estimate") || strings.HasPrefix(line, "rknn_approx_candidates_total") {
+		if strings.HasPrefix(line, "rknn_recall_estimate") || strings.HasPrefix(line, `rknn_scan_depth_total{backend="lsh"}`) {
 			fmt.Println("  " + line)
 		}
 	}

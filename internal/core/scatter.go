@@ -121,10 +121,12 @@ func MergeKNN(lists [][]index.Neighbor, k int, live func(id int) bool) []index.N
 		return nil
 	}
 	h := &mergeHeap{lists: make([][]index.Neighbor, 0, len(lists)), pos: make([]int, 0, len(lists))}
+	total := 0
 	for _, l := range lists {
 		if len(l) == 0 {
 			continue
 		}
+		total += len(l)
 		// Normalize tie runs to (dist, id) order so the heap's head
 		// comparison sees each list in the global total order.
 		if !sort.SliceIsSorted(l, func(i, j int) bool { return neighborLess(l[i], l[j]) }) {
@@ -136,6 +138,9 @@ func MergeKNN(lists [][]index.Neighbor, k int, live func(id int) bool) []index.N
 		h.pos = append(h.pos, 0)
 	}
 	heap.Init(h)
+	// No answer is longer than the lists together: size by that, not by a
+	// caller's k.
+	k = min(k, total)
 	out := make([]index.Neighbor, 0, k)
 	var seen map[int]bool
 	for h.Len() > 0 && len(out) < k {

@@ -412,7 +412,9 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if k <= 0 || t.root == nil {
 		return nil
 	}
-	top := pqueue.NewTopK[int](k)
+	// Sized by the live count, not k: a k far above n must not allocate k
+	// slots it can never fill.
+	top := pqueue.NewTopK[int](max(1, min(k, t.alive)))
 	c := t.openCursor(q, skipID)
 	defer c.Close()
 	for {

@@ -534,11 +534,14 @@ func mergeTake(base, mem []Neighbor, k int) []Neighbor {
 
 // KNN implements Index. The base is over-fetched by the base-region
 // tombstone count so that filtering can never starve the merge of live base
-// candidates.
+// candidates. k is first clamped to the live count: no answer is longer,
+// and a caller's huge k must neither size a buffer nor overflow the
+// over-fetch sum.
 func (o *Overlay) KNN(q []float64, k int, skipID int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
+	k = min(k, o.alive)
 	bn := o.base.KNN(q, k+o.baseTomb, o.baseSkip(skipID))
 	base := bn[:0:0]
 	for _, n := range bn {

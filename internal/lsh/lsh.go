@@ -390,7 +390,7 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	}
 	d := dedupPool.Get().(*dedup)
 	defer d.release()
-	top := pqueue.NewTopK[int](k)
+	top := pqueue.NewTopK[int](max(1, min(k, ix.alive))) // never k slots for k > n
 	for _, id := range ix.candidates(d, q, skipID) {
 		top.Offer(ix.metric.Distance(q, ix.points.Rows[id]), id)
 	}

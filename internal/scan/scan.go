@@ -365,7 +365,7 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	top := pqueue.NewTopK[int](k)
+	top := pqueue.NewTopK[int](max(1, min(k, ix.alive))) // never k slots for k > n
 	if ix.filter != nil {
 		ix.knnFiltered(q, top, skipID)
 	} else {

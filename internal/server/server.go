@@ -183,13 +183,6 @@ var routes = []string{
 	"/healthz", "/statsz", "/metrics",
 }
 
-// statszWindows are the trailing windows /statsz and /v1/admin/analytics
-// report, mirroring the engine's statsWindows keys.
-var statszWindows = map[string]time.Duration{
-	"1m": time.Minute,
-	"5m": 5 * time.Minute,
-}
-
 // tracedRoutes is the data plane: requests here run under a span tree when
 // tracing is enabled. Observability routes are exempt — tracing a /metrics
 // scrape would fill the ring with scrapes and bury the queries it exists
@@ -745,9 +738,9 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			ep["mean_us"] = snap.Sum / float64(snap.Count) * 1e6
 			// The windowed views next to the lifetime quantiles: what the
 			// route looked like over the last minute and five.
-			wins := make(map[string]any, len(statszWindows))
+			wins := make(map[string]any, len(telemetry.StatsWindows))
 			active := false
-			for key, d := range statszWindows {
+			for key, d := range telemetry.StatsWindows {
 				ws := st.win.StatsAt(d, now)
 				wins[key] = windowJSON(ws)
 				active = active || ws.Count > 0
@@ -939,7 +932,7 @@ func (srv *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) error
 	if winKey == "" {
 		winKey = "1m"
 	}
-	window, ok := statszWindows[winKey]
+	window, ok := telemetry.StatsWindows[winKey]
 	if !ok {
 		return badRequest("unknown window %q (want 1m or 5m)", winKey)
 	}

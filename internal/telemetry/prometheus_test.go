@@ -148,7 +148,7 @@ func scrape(t testing.TB, r *Registry) string {
 func TestWritePrometheusCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("rknn_queries_total", "Queries served.", "op").With("rknn").Add(3)
-	r.Gauge("rknn_points", "Live points.").Set(1500)
+	r.GaugeFunc("rknn_points", "Live points.", func() float64 { return 1500 })
 	text := scrape(t, r)
 	samples := parsePrometheus(t, text)
 	if got := samples[`rknn_queries_total{op="rknn"}`]; got != 3 {
@@ -235,8 +235,7 @@ func FuzzPrometheusText(f *testing.F) {
 		}
 		r := NewRegistry()
 		r.CounterVec("fuzz_total", labelValue, labelName).With(labelValue).Add(add)
-		g := r.GaugeVec("fuzz_gauge", "g", labelName).With(labelValue)
-		g.Set(obs)
+		r.GaugeFunc("fuzz_gauge", "g", func() float64 { return obs }, Label{Name: labelName, Value: labelValue})
 		r.HistogramVec("fuzz_seconds", "h", DefaultLatencyBuckets, labelName).With(labelValue).Observe(obs)
 		text := scrape(t, r)
 		samples := parsePrometheus(t, text)
@@ -437,7 +436,7 @@ func parseOpenMetrics(t testing.TB, text string) (map[string]float64, map[string
 func TestWriteOpenMetricsCounterNamingAndEOF(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("rknn_queries_total", "Queries served.", "op").With("rknn").Add(3)
-	r.Gauge("rknn_points", "Live points.").Set(42)
+	r.GaugeFunc("rknn_points", "Live points.", func() float64 { return 42 })
 	text := scrapeOpenMetrics(t, r)
 	samples, _ := parseOpenMetrics(t, text)
 	if got := samples[`rknn_queries_total{op="rknn"}`]; got != 3 {
@@ -460,7 +459,7 @@ func TestWriteOpenMetricsMatchesPrometheusValues(t *testing.T) {
 	// sees no discontinuity.
 	r := NewRegistry()
 	r.CounterVec("rknn_queries_total", "q", "op").With("rknn").Add(7)
-	r.Gauge("rknn_points", "p").Set(1500)
+	r.GaugeFunc("rknn_points", "p", func() float64 { return 1500 })
 	h := r.HistogramVec("lat_seconds", "l", []float64{0.1, 1}, "route").With("/x")
 	h.Observe(0.05)
 	h.Observe(0.5)

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -10,13 +9,15 @@ import (
 // tracked against the windowed data, with Google-SRE multi-window
 // burn-rate alerting semantics. Each objective classifies every data-plane
 // request as good or bad (a latency objective counts requests over its
-// bound; an availability objective counts errors) and maintains:
+// bound; an availability objective counts errors) and observes it as 0
+// (good) or 1 (bad) into one Windowed over a bucketless histogram, whose
+// Count is the requests and Sum the bad events. From that one instrument:
 //
-//   - lifetime totals, from which the remaining error budget is computed
-//     (rknn_slo_error_budget_remaining_ratio): 1 means the budget is
-//     untouched, 0 means exactly spent, negative means overspent;
-//   - windowed totals over the shared 30×10s ring, from which burn rates
-//     are computed (rknn_slo_burn_rate{window}): the ratio of the observed
+//   - the lifetime totals of its cumulative histogram give the remaining
+//     error budget (rknn_slo_error_budget_remaining_ratio): 1 means the
+//     budget is untouched, 0 means exactly spent, negative means overspent;
+//   - the window totals of its 30×10s ring give the burn rates
+//     (rknn_slo_burn_rate{window}): the ratio of the observed
 //     bad fraction to the budget fraction, so burn 1.0 spends the budget
 //     exactly at the sustainable rate and burn 14.4 exhausts a 30-day
 //     budget in ~50 hours — the classic fast-burn page threshold.
@@ -97,20 +98,18 @@ type SLOConfig struct {
 	Long       time.Duration
 }
 
-// sloObjective is one objective's live state.
+// sloObjective is one objective's live state: every request observed as 0
+// (good) or 1 (bad).
 type sloObjective struct {
 	SLOObjective
-	budget    float64
-	total     *WindowedCounter
-	bad       *WindowedCounter
-	lifeTotal atomic.Int64
-	lifeBad   atomic.Int64
+	budget float64
+	events *Windowed
 }
 
 // SLO tracks a set of objectives against the live request stream. Observe
 // is called once per data-plane request with the latency and error outcome
-// the instrumentation already holds; every read derives from the shared
-// window ring. A nil *SLO is inert.
+// the instrumentation already holds; every read derives from the
+// objectives' windows. A nil *SLO is inert.
 type SLO struct {
 	fastBurn   float64
 	short      time.Duration
@@ -149,8 +148,7 @@ func NewSLO(cfg SLOConfig) (*SLO, error) {
 		s.objectives = append(s.objectives, &sloObjective{
 			SLOObjective: o,
 			budget:       o.budgetFraction(),
-			total:        NewDefaultWindowedCounter(),
-			bad:          NewDefaultWindowedCounter(),
+			events:       NewDefaultWindowed(NewHistogram(nil)),
 		})
 	}
 	return s, nil
@@ -164,39 +162,44 @@ func (s *SLO) Observe(latencySeconds float64, failed bool, at time.Time) {
 		return
 	}
 	for _, o := range s.objectives {
-		o.lifeTotal.Add(1)
-		o.total.Inc(at)
 		bad := failed
 		if o.Bound > 0 {
 			bad = latencySeconds > o.Bound
 		}
+		v := 0.0
 		if bad {
-			o.lifeBad.Add(1)
-			o.bad.Inc(at)
+			v = 1
 		}
+		o.events.Observe(v, at)
 	}
 }
 
 // burnAt returns the burn rate of one objective over the window ending at
 // now: (bad/total)/budget, 0 when the window saw no traffic.
 func (o *sloObjective) burnAt(window time.Duration, now time.Time) float64 {
-	total := o.total.SumWindowAt(window, now)
-	if total == 0 {
+	w := o.events.SnapshotWindowAt(window, now)
+	if w.Count == 0 {
 		return 0
 	}
-	return (float64(o.bad.SumWindowAt(window, now)) / float64(total)) / o.budget
+	return (w.Sum / float64(w.Count)) / o.budget
 }
 
-// budgetRemainingAt returns the lifetime error-budget remaining ratio: the
+// lifetime returns the requests and bad events observed since the start,
+// older-than-the-ring ones included.
+func (o *sloObjective) lifetime() (requests, bad int64) {
+	h := o.events.Histogram()
+	return int64(h.Count()), int64(h.Sum())
+}
+
+// budgetRemaining returns the lifetime error-budget remaining ratio: the
 // fraction of the allowed bad events not yet consumed. 1 with no traffic,
 // negative once overspent.
 func (o *sloObjective) budgetRemaining() float64 {
-	total := o.lifeTotal.Load()
+	total, bad := o.lifetime()
 	if total == 0 {
 		return 1
 	}
-	allowed := float64(total) * o.budget
-	return 1 - float64(o.lifeBad.Load())/allowed
+	return 1 - float64(bad)/(float64(total)*o.budget)
 }
 
 // DegradedAt reports whether any objective trips the multi-window
@@ -261,12 +264,13 @@ func (s *SLO) StatusAt(now time.Time) []SLOStatus {
 	for _, o := range s.objectives {
 		burnShort := o.burnAt(s.short, now)
 		burnLong := o.burnAt(s.long, now)
+		requests, bad := o.lifetime()
 		out = append(out, SLOStatus{
 			Name:            o.Name,
 			Objective:       o.describe(),
 			BudgetFraction:  o.budget,
-			Requests:        o.lifeTotal.Load(),
-			BadEvents:       o.lifeBad.Load(),
+			Requests:        requests,
+			BadEvents:       bad,
 			BudgetRemaining: o.budgetRemaining(),
 			BurnRates: map[string]float64{
 				durKey(s.short): burnShort,

@@ -126,6 +126,31 @@ func TestSLOMultiWindowDegradation(t *testing.T) {
 	}
 }
 
+// TestSLOCountsObservationsOlderThanTheRing pins that the lifetime totals
+// are the cumulative histogram's, not the ring's: a request whose
+// completion time the ring has already wrapped past is dropped from every
+// window, yet still counts in Requests, BadEvents and the budget.
+func TestSLOCountsObservationsOlderThanTheRing(t *testing.T) {
+	s := mustSLO(t, SLOConfig{Objectives: []SLOObjective{AvailabilityObjective(0.9)}})
+	now := winBase.Add(time.Hour)
+	for i := 0; i < 9; i++ {
+		s.Observe(0.001, false, now)
+	}
+	// One ring span earlier lands on the slice now holds: too old for it.
+	s.Observe(0.001, true, now.Add(-DefaultWindowSlice*DefaultWindowSlices))
+	st := s.StatusAt(now)[0]
+	if st.Requests != 10 || st.BadEvents != 1 {
+		t.Fatalf("requests=%d bad=%d, want 10/1 (the old observation included)", st.Requests, st.BadEvents)
+	}
+	// 1 bad in 10 at a 10% budget: exactly spent.
+	if math.Abs(st.BudgetRemaining) > 1e-9 {
+		t.Fatalf("budget remaining = %g, want 0", st.BudgetRemaining)
+	}
+	if st.BurnRates["1m"] != 0 || st.BurnRates["5m"] != 0 {
+		t.Fatalf("burn rates %v, want 0: no window saw the old failure", st.BurnRates)
+	}
+}
+
 func TestSLONilIsInert(t *testing.T) {
 	var s *SLO
 	s.Observe(1, true, winBase) // must not panic

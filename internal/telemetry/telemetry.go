@@ -1,6 +1,7 @@
 // Package telemetry is a zero-dependency metrics subsystem for the serving
-// stack: lock-free sharded counters, float gauges (stored or computed at
-// scrape time), fixed log-spaced-bucket histograms with quantile estimation,
+// stack: lock-free sharded counters, gauges computed at scrape time, fixed
+// log-spaced-bucket histograms with quantile estimation, their sliding-window
+// views and the SLO engine built on them (windowed.go, slo.go),
 // a hand-rolled Prometheus text-format encoder (prometheus.go), and a
 // bounded ring-buffer slow-query log (slowlog.go).
 //
@@ -12,7 +13,7 @@
 // different shape — panics: it is a programming error that would corrupt
 // the exposition.
 //
-// The hot path (Counter.Add, Gauge.Set, Histogram.Observe) takes no locks;
+// The hot path (Counter.Add, Histogram.Observe) takes no locks;
 // only registration and scraping (Gather, WritePrometheus) synchronize.
 package telemetry
 
@@ -51,13 +52,11 @@ type Label struct {
 	Value string
 }
 
-// series is one labeled member of a family. Exactly one of the metric
-// fields is set, according to the family kind (gauge series hold either a
-// stored Gauge or a scrape-time callback).
+// series is one labeled member of a family: a counter, a histogram, or a
+// scrape-time callback (every gauge, and the counters of CounterFunc).
 type series struct {
 	labels  []Label
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 }
@@ -154,8 +153,6 @@ func (f *family) get(values []string) *series {
 	switch f.kind {
 	case KindCounter:
 		s.counter = newCounter()
-	case KindGauge:
-		s.gauge = &Gauge{}
 	case KindHistogram:
 		s.hist = newHistogram(f.buckets)
 	}
@@ -177,45 +174,13 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).counter }
 
-// Counter registers (or finds) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.CounterVec(name, help).With()
-}
-
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or finds) a gauge family with the given label names.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.family(name, help, KindGauge, labelNames, nil)}
-}
-
-// With returns the gauge for the given label values, creating it on first
-// use.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.get(values).gauge }
-
-// Gauge registers (or finds) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeVec(name, help).With()
-}
-
 // GaugeFunc registers a gauge series whose value is computed by fn at every
-// scrape — the natural shape for values the process already tracks
-// elsewhere (live point counts, store generations, derived ratios).
-// Re-registering the same name and labels replaces the callback (last
-// registration wins).
+// scrape — the one gauge kind: every gauge reads a value the process
+// already tracks elsewhere (live point counts, store generations, derived
+// ratios). Re-registering the same name and labels replaces the callback
+// (last registration wins).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	names := make([]string, len(labels))
-	values := make([]string, len(labels))
-	for i, l := range labels {
-		names[i] = l.Name
-		values[i] = l.Value
-	}
-	f := r.family(name, help, KindGauge, names, nil)
-	s := f.get(values)
-	f.mu.Lock()
-	s.fn = fn
-	f.mu.Unlock()
+	r.funcSeries(name, help, KindGauge, fn, labels)
 }
 
 // CounterFunc registers a counter series whose value is computed by fn at
@@ -224,13 +189,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 // to honor counter semantics. Re-registering the same name and labels
 // replaces the callback (last registration wins).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.funcSeries(name, help, KindCounter, fn, labels)
+}
+
+func (r *Registry) funcSeries(name, help string, kind Kind, fn func() float64, labels []Label) {
 	names := make([]string, len(labels))
 	values := make([]string, len(labels))
 	for i, l := range labels {
 		names[i] = l.Name
 		values[i] = l.Value
 	}
-	f := r.family(name, help, KindCounter, names, nil)
+	f := r.family(name, help, kind, names, nil)
 	s := f.get(values)
 	f.mu.Lock()
 	s.fn = fn
@@ -252,11 +221,6 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 // With returns the histogram for the given label values, creating it on
 // first use.
 func (v *HistogramVec) With(values ...string) *Histogram { return v.f.get(values).hist }
-
-// Histogram registers (or finds) an unlabeled histogram.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.HistogramVec(name, help, buckets).With()
-}
 
 // Sample is one series captured at scrape time.
 type Sample struct {
@@ -297,20 +261,12 @@ func (f *family) snapshot() FamilySnapshot {
 	for _, key := range f.order {
 		s := f.series[key]
 		smp := Sample{Labels: s.labels}
-		switch f.kind {
-		case KindCounter:
-			if s.fn != nil {
-				smp.Value = s.fn()
-			} else {
-				smp.Value = float64(s.counter.Value())
-			}
-		case KindGauge:
-			if s.fn != nil {
-				smp.Value = s.fn()
-			} else {
-				smp.Value = s.gauge.Value()
-			}
-		case KindHistogram:
+		switch {
+		case s.fn != nil:
+			smp.Value = s.fn()
+		case s.counter != nil:
+			smp.Value = float64(s.counter.Value())
+		case s.hist != nil:
 			smp.Hist = s.hist.Snapshot()
 		}
 		fs.Samples = append(fs.Samples, smp)

@@ -11,13 +11,13 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "help")
+	c := r.CounterVec("c_total", "help").With()
 	c.Inc()
 	c.Add(41)
 	if got := c.Value(); got != 42 {
 		t.Fatalf("Value() = %d, want 42", got)
 	}
-	if again := r.Counter("c_total", "help"); again != c {
+	if again := r.CounterVec("c_total", "help").With(); again != c {
 		t.Fatal("re-registration did not return the same counter")
 	}
 	defer func() {
@@ -30,7 +30,7 @@ func TestCounterBasics(t *testing.T) {
 
 func TestCounterNoLostIncrementsUnderConcurrency(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "")
+	c := r.CounterVec("c_total", "").With()
 	const goroutines, per = 16, 10000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -63,9 +63,9 @@ func TestCounterVecSeries(t *testing.T) {
 
 func TestConflictingRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "")
+	r.CounterVec("m", "").With()
 	for name, reg := range map[string]func(){
-		"kind":   func() { r.Gauge("m", "") },
+		"kind":   func() { r.GaugeFunc("m", "", func() float64 { return 0 }) },
 		"labels": func() { r.CounterVec("m", "", "x") },
 	} {
 		func() {
@@ -76,16 +76,6 @@ func TestConflictingRegistrationPanics(t *testing.T) {
 			}()
 			reg()
 		}()
-	}
-}
-
-func TestGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("g", "")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("Value() = %v, want 1.5", got)
 	}
 }
 
@@ -109,7 +99,7 @@ func TestGaugeFunc(t *testing.T) {
 
 func TestHistogramCountsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", "", []float64{1, 2, 4, 8})
+	h := r.HistogramVec("lat", "", []float64{1, 2, 4, 8}).With()
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 3, 3, 100} {
 		h.Observe(v)
 	}
@@ -251,9 +241,9 @@ func TestSlowLogConcurrent(t *testing.T) {
 
 func TestGatherOrdering(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "")
-	r.Gauge("b", "")
-	r.Histogram("c_seconds", "", []float64{1})
+	r.CounterVec("a_total", "").With()
+	r.GaugeFunc("b", "", func() float64 { return 0 })
+	r.HistogramVec("c_seconds", "", []float64{1}).With()
 	fams := r.Gather()
 	var names []string
 	for _, f := range fams {

@@ -12,10 +12,12 @@ import (
 // instruments: sliding-window views over a ring of fixed-width time slices.
 // A Windowed wraps a Histogram (every observation still lands in the
 // cumulative buckets /metrics exposes) and additionally banks it into the
-// slice covering the observation's timestamp, so QuantileWindow/RateWindow
-// can answer "what did the last minute look like" instead of "what has the
-// process seen since it started". WindowedCounter is the same ring over a
-// plain sum, for rates of the pruning/screened counters.
+// slice covering the observation's timestamp, so SnapshotWindowAt can
+// answer "what did the last minute look like" instead of "what has the
+// process seen since it started". It is the package's one window ring: a
+// windowed sum (the engine's pruning shadows, an SLO's bad-event count) is
+// a Windowed over a bucketless NewHistogram(nil), whose snapshot's Count
+// and Sum are the window's observations and total.
 //
 // Rotation is lazy and observer-driven: there is no background goroutine
 // and no clock read beyond the timestamp the caller already holds (latency
@@ -37,6 +39,14 @@ const (
 	DefaultWindowSlice  = 10 * time.Second
 	DefaultWindowSlices = 30
 )
+
+// StatsWindows are the trailing windows every live-operations surface
+// reports (/statsz, /v1/admin/analytics), keyed the way dashboards spell
+// them.
+var StatsWindows = map[string]time.Duration{
+	"1m": time.Minute,
+	"5m": 5 * time.Minute,
+}
 
 // winSlice is one time slice of a Windowed ring. epoch is the absolute
 // slice number (unix nanos / width) the counts currently describe; it is
@@ -119,14 +129,6 @@ func (w *Windowed) Histogram() *Histogram {
 	return w.hist
 }
 
-// Horizon returns the longest window the ring can answer.
-func (w *Windowed) Horizon() time.Duration {
-	if w == nil {
-		return 0
-	}
-	return time.Duration(w.width * int64(len(w.ring)))
-}
-
 // Observe records v (at its observation time) into the cumulative
 // histogram and the window slice covering at. Like Histogram.Observe, NaN
 // is dropped and negative values are clamped to 0. The caller supplies the
@@ -201,33 +203,6 @@ func (w *Windowed) SnapshotWindowAt(window time.Duration, now time.Time) *HistSn
 	return s
 }
 
-// QuantileWindow estimates the q-quantile over the trailing window ending
-// now. Callers reading several quantiles of one window should take one
-// SnapshotWindowAt and query that.
-func (w *Windowed) QuantileWindow(q float64, window time.Duration) float64 {
-	return w.QuantileWindowAt(q, window, time.Now())
-}
-
-// QuantileWindowAt is QuantileWindow with an explicit reading time.
-func (w *Windowed) QuantileWindowAt(q float64, window time.Duration, now time.Time) float64 {
-	return w.SnapshotWindowAt(window, now).Quantile(q)
-}
-
-// RateWindow returns the per-second observation rate over the trailing
-// window ending now.
-func (w *Windowed) RateWindow(window time.Duration) float64 {
-	return w.RateWindowAt(window, time.Now())
-}
-
-// RateWindowAt is RateWindow with an explicit reading time.
-func (w *Windowed) RateWindowAt(window time.Duration, now time.Time) float64 {
-	if w == nil {
-		return 0
-	}
-	span := time.Duration(w.windowSpan(window) * w.width)
-	return float64(w.SnapshotWindowAt(window, now).Count) / span.Seconds()
-}
-
 // WindowStats is one window's digest: count, rate, and the quantiles every
 // live-operations surface reports, all derived from a single snapshot.
 type WindowStats struct {
@@ -257,112 +232,4 @@ func (w *Windowed) StatsAt(window time.Duration, now time.Time) WindowStats {
 		st.P99 = snap.Quantile(0.99)
 	}
 	return st
-}
-
-// ctrSlice is one time slice of a WindowedCounter ring.
-type ctrSlice struct {
-	epoch atomic.Int64
-	mu    sync.Mutex
-	n     atomic.Int64
-}
-
-func (sl *ctrSlice) rotate(e int64) {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if sl.epoch.Load() >= e {
-		return
-	}
-	sl.n.Store(0)
-	sl.epoch.Store(e)
-}
-
-// WindowedCounter is the counter form of Windowed: a ring of per-slice
-// sums with the same lazy observer-driven rotation, answering "how much in
-// the trailing window" for totals whose cumulative series already exists
-// elsewhere. A nil *WindowedCounter is inert.
-type WindowedCounter struct {
-	width int64
-	ring  []ctrSlice
-}
-
-// NewWindowedCounter builds a ring of `slices` windows of sliceWidth each,
-// with the same clamping as NewWindowed.
-func NewWindowedCounter(sliceWidth time.Duration, slices int) *WindowedCounter {
-	if sliceWidth <= 0 {
-		panic("telemetry: NewWindowedCounter needs a positive slice width")
-	}
-	if slices < 2 {
-		slices = 2
-	}
-	return &WindowedCounter{width: int64(sliceWidth), ring: make([]ctrSlice, slices)}
-}
-
-// NewDefaultWindowedCounter builds the default 30×10s ring.
-func NewDefaultWindowedCounter() *WindowedCounter {
-	return NewWindowedCounter(DefaultWindowSlice, DefaultWindowSlices)
-}
-
-// Add banks delta into the slice covering at. Negative deltas are dropped
-// (counter semantics, matching Counter.Add's contract without the panic:
-// windowed feeds are derived data, not the source of truth).
-func (w *WindowedCounter) Add(delta int64, at time.Time) {
-	if w == nil || delta <= 0 {
-		return
-	}
-	e := at.UnixNano() / w.width
-	sl := &w.ring[int(e%int64(len(w.ring)))]
-	if cur := sl.epoch.Load(); cur != e {
-		if cur > e {
-			return
-		}
-		sl.rotate(e)
-	}
-	sl.n.Add(delta)
-}
-
-// Inc adds one at the given time.
-func (w *WindowedCounter) Inc(at time.Time) { w.Add(1, at) }
-
-func (w *WindowedCounter) windowSpan(window time.Duration) int64 {
-	n := (int64(window) + w.width - 1) / w.width
-	if n < 1 {
-		n = 1
-	}
-	if n > int64(len(w.ring)) {
-		n = int64(len(w.ring))
-	}
-	return n
-}
-
-// SumWindowAt returns the total banked during the window ending at now.
-func (w *WindowedCounter) SumWindowAt(window time.Duration, now time.Time) int64 {
-	if w == nil {
-		return 0
-	}
-	n := w.windowSpan(window)
-	nowE := now.UnixNano() / w.width
-	minE := nowE - n + 1
-	var total int64
-	for i := range w.ring {
-		sl := &w.ring[i]
-		if e := sl.epoch.Load(); e >= minE && e <= nowE {
-			total += sl.n.Load()
-		}
-	}
-	return total
-}
-
-// RateWindow returns the per-second rate over the trailing window ending
-// now.
-func (w *WindowedCounter) RateWindow(window time.Duration) float64 {
-	return w.RateWindowAt(window, time.Now())
-}
-
-// RateWindowAt is RateWindow with an explicit reading time.
-func (w *WindowedCounter) RateWindowAt(window time.Duration, now time.Time) float64 {
-	if w == nil {
-		return 0
-	}
-	span := time.Duration(w.windowSpan(window) * w.width)
-	return float64(w.SumWindowAt(window, now)) / span.Seconds()
 }

@@ -225,42 +225,52 @@ func TestWindowedConcurrentAcrossSlices(t *testing.T) {
 	}
 }
 
-func TestWindowedCounterSumAndRate(t *testing.T) {
-	c := NewWindowedCounter(time.Second, 10)
-	c.Add(5, winBase)
-	c.Add(3, winBase.Add(4*time.Second))
-	c.Inc(winBase.Add(9 * time.Second))
-	c.Add(-7, winBase.Add(9*time.Second)) // negative deltas are dropped
+// sumWindow is a windowed sum: a Windowed over a bucketless histogram,
+// whose window snapshot's Sum is the total banked in the window.
+func sumWindow(width time.Duration, slices int) *Windowed {
+	return NewWindowed(NewHistogram(nil), width, slices)
+}
+
+func TestWindowedSumOverBucketlessHistogram(t *testing.T) {
+	c := sumWindow(time.Second, 10)
+	c.Observe(5, winBase)
+	c.Observe(3, winBase.Add(4*time.Second))
+	c.Observe(1, winBase.Add(9*time.Second))
+	c.Observe(-7, winBase.Add(9*time.Second)) // negative values add nothing
 
 	now := winBase.Add(9*time.Second + 500*time.Millisecond)
-	if got := c.SumWindowAt(10*time.Second, now); got != 9 {
-		t.Fatalf("10s sum = %d, want 9", got)
+	for _, tc := range []struct {
+		window time.Duration
+		want   float64
+	}{{10 * time.Second, 9}, {time.Second, 1}, {6 * time.Second, 4}} {
+		if got := c.SnapshotWindowAt(tc.window, now).Sum; got != tc.want {
+			t.Fatalf("%s sum = %g, want %g", tc.window, got, tc.want)
+		}
 	}
-	if got := c.SumWindowAt(time.Second, now); got != 1 {
-		t.Fatalf("1s sum = %d, want 1", got)
+	if got := c.Histogram().Sum(); got != 9 {
+		t.Fatalf("lifetime sum = %g, want 9", got)
 	}
-	if got := c.SumWindowAt(6*time.Second, now); got != 4 {
-		t.Fatalf("6s sum = %d, want 4", got)
+	// Idle expiry and wrap-drop: a slice idle since before the window adds
+	// nothing, and an observation older than the ring reaches only the
+	// lifetime total.
+	if got := c.SnapshotWindowAt(10*time.Second, winBase.Add(30*time.Second)); got.Sum != 0 || got.Count != 0 {
+		t.Fatalf("idle window = %+v, want empty", got)
 	}
-	if got, want := c.RateWindowAt(10*time.Second, now), 0.9; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("10s rate = %g, want %g", got, want)
+	c.Observe(2, winBase.Add(30*time.Second))
+	c.Observe(2, winBase.Add(20*time.Second)) // same index, older epoch: dropped
+	if got := c.SnapshotWindowAt(time.Second, winBase.Add(30*time.Second)).Sum; got != 2 {
+		t.Fatalf("post-wrap sum = %g, want 2", got)
 	}
-	// Idle expiry and wrap-drop mirror the histogram ring.
-	if got := c.SumWindowAt(10*time.Second, winBase.Add(30*time.Second)); got != 0 {
-		t.Fatalf("idle sum = %d, want 0", got)
+	if got := c.Histogram().Sum(); got != 13 {
+		t.Fatalf("lifetime sum after wrap = %g, want 13", got)
 	}
-	c.Add(2, winBase.Add(30*time.Second))
-	c.Add(2, winBase.Add(20*time.Second)) // same index, older epoch: dropped
-	if got := c.SumWindowAt(time.Second, winBase.Add(30*time.Second)); got != 2 {
-		t.Fatalf("post-wrap sum = %d, want 2", got)
-	}
-	if got := (*WindowedCounter)(nil).SumWindowAt(time.Minute, winBase); got != 0 {
-		t.Fatalf("nil counter sum = %d, want 0", got)
+	if got := (*Windowed)(nil).SnapshotWindowAt(time.Minute, winBase); got.Sum != 0 || got.Count != 0 {
+		t.Fatalf("nil window = %+v, want empty", got)
 	}
 }
 
-func TestWindowedCounterConcurrent(t *testing.T) {
-	c := NewWindowedCounter(time.Second, 4)
+func TestWindowedSumConcurrent(t *testing.T) {
+	c := sumWindow(time.Second, 4)
 	at := winBase.Add(100 * time.Second)
 	const writers = 16
 	const perWriter = 1000
@@ -270,13 +280,13 @@ func TestWindowedCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				c.Inc(at)
+				c.Observe(1, at)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := c.SumWindowAt(time.Second, at); got != writers*perWriter {
-		t.Fatalf("concurrent sum = %d, want %d", got, writers*perWriter)
+	if got := c.SnapshotWindowAt(time.Second, at); got.Sum != writers*perWriter || got.Count != writers*perWriter {
+		t.Fatalf("concurrent window = %+v, want sum and count %d", got, writers*perWriter)
 	}
 }
 
@@ -291,7 +301,6 @@ func TestNewWindowedPanics(t *testing.T) {
 	}
 	mustPanic("nil histogram", func() { NewWindowed(nil, time.Second, 4) })
 	mustPanic("zero width", func() { NewWindowed(newHistogram(nil), 0, 4) })
-	mustPanic("counter zero width", func() { NewWindowedCounter(0, 4) })
 	// slices < 2 clamps rather than panics: one settled plus one current.
 	if w := NewWindowed(newHistogram(nil), time.Second, 0); len(w.ring) != 2 {
 		t.Fatalf("slices clamp: got %d, want 2", len(w.ring))

@@ -198,11 +198,3 @@ func (w *Workload) Len() int {
 	defer w.mu.Unlock()
 	return len(w.entries)
 }
-
-// Capacity returns the sketch capacity.
-func (w *Workload) Capacity() int {
-	if w == nil {
-		return 0
-	}
-	return w.capacity
-}

@@ -120,13 +120,17 @@ func TestWorkloadNilAndEmpty(t *testing.T) {
 	if w.TopKAt(5, time.Minute, winBase) != nil {
 		t.Fatal("nil sketch must report nil")
 	}
-	if w.Len() != 0 || w.Capacity() != 0 {
-		t.Fatal("nil sketch must report zero sizes")
+	if w.Len() != 0 {
+		t.Fatal("nil sketch must report zero size")
 	}
 	w2 := NewWorkload(0)
-	if w2.Capacity() != DefaultWorkloadCapacity {
-		t.Fatalf("default capacity = %d, want %d", w2.Capacity(), DefaultWorkloadCapacity)
+	for i := 0; i <= DefaultWorkloadCapacity; i++ {
+		w2.Observe(fmt.Sprint("sig-", i), 1, 0, 0, 0, winBase)
 	}
+	if got := w2.Len(); got != DefaultWorkloadCapacity {
+		t.Fatalf("default sketch tracks %d signatures, want capacity %d", got, DefaultWorkloadCapacity)
+	}
+	w2 = NewWorkload(0)
 	w2.Observe("", 1, 0, 0, 0, winBase) // empty signature is dropped
 	if w2.Len() != 0 {
 		t.Fatal("empty signature must not be tracked")

@@ -313,7 +313,7 @@ func (e *shardedCore) enableTelemetry(reg *telemetry.Registry, grid *queryGrid) 
 		sts[i] = newShardTelemetry(reg, i, func() int { _, live := sh.pin(); return live })
 	}
 	e.shardTel.Store(&sts)
-	t := newEngineTelemetry(reg, string(e.backend), e.Approximate())
+	t := newEngineTelemetry(reg, string(e.backend))
 	t.grid = grid
 	t.workload = telemetry.NewWorkload(0)
 	e.tel.Store(t)

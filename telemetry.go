@@ -31,7 +31,6 @@ import (
 //	rknn_candidates_lazy_settled_total    LazyAccepts + LazyRejects
 //	rknn_candidates_verified_total        Verified (refinement counts)
 //	rknn_distance_comps_total             DistanceComps
-//	rknn_approx_candidates_total          ScanDepth (approximate back-ends only)
 //
 // The mapping is the same for a sharded engine, and so are the values: a
 // sharded query is one run of the algorithm over the merged shard streams,
@@ -42,21 +41,21 @@ import (
 //	rknn_shard_neighbors_pulled_total     rows pulled from the shard's stream
 //	rknn_shard_count_probes_total         Verified (each probe asks every shard)
 //
-// Approximate back-ends (Searcher.Approximate) additionally register
-// rknn_approx_candidates_total — the hash-collision candidates the
-// approximate ranking actually streamed, which for LSH is the probed
-// fraction of the dataset. On an approximate engine this deliberately
-// equals rknn_scan_depth_total for the same backend label: the family's
-// value is that it EXISTS only in the approximate regime, giving
-// dashboards and alerts a stable name that cannot silently match an exact
-// engine's scan depth. They also register the scrape-time
-// rknn_recall_estimate gauge,
-// a sampled cross-check of the engine's answers against the exact
-// brute-force oracle over the current snapshot (see approx.go; cached per
-// snapshot, so scrapes of an unchanged dataset are free).
+// On an approximate back-end (Searcher.Approximate) rknn_scan_depth_total
+// is the hash-collision candidates the approximate ranking streamed — for
+// LSH the probed fraction of the dataset. The one family only approximate
+// engines register is the scrape-time rknn_recall_estimate gauge, a sampled
+// cross-check of the engine's answers against the exact brute-force oracle
+// over the current snapshot (see approx.go; cached per snapshot, so scrapes
+// of an unchanged dataset are free).
+//
+// The /statsz engine windows are windowed sums over the same Stats fields
+// (scan_depth, candidates_generated, candidates_verified, and the pruning
+// ratio they give) plus, on approximate engines, the window mean of the
+// recall estimates: each a telemetry.Windowed over a bucketless histogram.
 //
 // All instruments are resolved once at registration, so the per-query path
-// is lock-free: counter increments and one histogram observation.
+// is lock-free: counter increments and window observations.
 
 // Operation labels: the query operations plus the write path (inserts and
 // applied deletes), all series of rknn_queries_total and
@@ -73,12 +72,11 @@ const (
 var queryOps = []string{opRkNN, opRkNNPoint, opBatch, opKNN, opInsert, opDelete}
 
 // opInstruments is the per-operation slice of the engine metrics. window
-// wraps the same cumulative latency histogram with the sliding-window
-// ring, so one Observe feeds the lifetime exposition and the last-1m/5m
-// views side by side.
+// wraps the cumulative latency histogram with the sliding-window ring, so
+// one Observe feeds the lifetime exposition and the last-1m/5m views side
+// by side.
 type opInstruments struct {
 	queries *telemetry.Counter
-	latency *telemetry.Histogram
 	window  *telemetry.Windowed
 }
 
@@ -96,17 +94,13 @@ type engineTelemetry struct {
 	lazySettled  *telemetry.Counter
 	verified     *telemetry.Counter
 	distComps    *telemetry.Counter
-	// approxCandidates is registered only for approximate back-ends; nil
-	// keeps the exact engines' exposition free of approximate series.
-	approxCandidates *telemetry.Counter
 
-	// Windowed shadows of the pruning counters, banked per query at its
-	// completion time so /statsz can report "settled fraction over the last
-	// minute" — the live form of the paper's pruning-effectiveness claim.
-	scanWin    *telemetry.WindowedCounter
-	genWin     *telemetry.WindowedCounter
-	settledWin *telemetry.WindowedCounter
-	verWin     *telemetry.WindowedCounter
+	// Windowed sums shadowing the pruning counters, banked per query at its
+	// completion time so /statsz can report the pruning ratio over the last
+	// minute — the live form of the paper's pruning-effectiveness claim.
+	scanWin *telemetry.Windowed
+	genWin  *telemetry.Windowed
+	verWin  *telemetry.Windowed
 
 	// recallWin windows the sampled recall estimates of an approximate
 	// engine (fed at scrape time by the rknn_recall_estimate gauge); nil on
@@ -120,7 +114,7 @@ type engineTelemetry struct {
 	grid     *queryGrid
 }
 
-func newEngineTelemetry(reg *telemetry.Registry, backend string, approx bool) *engineTelemetry {
+func newEngineTelemetry(reg *telemetry.Registry, backend string) *engineTelemetry {
 	queries := reg.CounterVec("rknn_queries_total",
 		"Operations answered successfully, by operation (queries and writes). Batch members count individually.",
 		"backend", "op")
@@ -128,19 +122,16 @@ func newEngineTelemetry(reg *telemetry.Registry, backend string, approx bool) *e
 		"Engine-side operation latency, by operation. Batch calls observe once per batch.",
 		telemetry.DefaultLatencyBuckets, "backend", "op")
 	t := &engineTelemetry{
-		reg:        reg,
-		ops:        make(map[string]opInstruments, len(queryOps)),
-		scanWin:    telemetry.NewDefaultWindowedCounter(),
-		genWin:     telemetry.NewDefaultWindowedCounter(),
-		settledWin: telemetry.NewDefaultWindowedCounter(),
-		verWin:     telemetry.NewDefaultWindowedCounter(),
+		reg:     reg,
+		ops:     make(map[string]opInstruments, len(queryOps)),
+		scanWin: sumWindow(),
+		genWin:  sumWindow(),
+		verWin:  sumWindow(),
 	}
 	for _, op := range queryOps {
-		lh := latency.With(backend, op)
 		t.ops[op] = opInstruments{
 			queries: queries.With(backend, op),
-			latency: lh,
-			window:  telemetry.NewDefaultWindowed(lh),
+			window:  telemetry.NewDefaultWindowed(latency.With(backend, op)),
 		}
 	}
 	t.scanDepth = reg.CounterVec("rknn_scan_depth_total",
@@ -164,11 +155,6 @@ func newEngineTelemetry(reg *telemetry.Registry, backend string, approx bool) *e
 	t.distComps = reg.CounterVec("rknn_distance_comps_total",
 		"Distances computed by the witness machinery (Stats.DistanceComps); at most the candidate pairs, since a pair whose counters are both settled is skipped.",
 		"backend").With(backend)
-	if approx {
-		t.approxCandidates = reg.CounterVec("rknn_approx_candidates_total",
-			"Candidates streamed by the approximate neighbor ranking (Stats.ScanDepth; equals rknn_scan_depth_total, registered only for approximate back-ends).",
-			"backend").With(backend)
-	}
 	generated, verified := t.generated, t.verified
 	reg.GaugeFunc("rknn_pruning_ratio",
 		"Live fraction of candidates settled without verification: 1 - verified/generated.",
@@ -240,13 +226,9 @@ func (t *engineTelemetry) observeStats(st Stats, at time.Time) {
 	t.lazySettled.Add(int64(st.LazyAccepts + st.LazyRejects))
 	t.verified.Add(int64(st.Verified))
 	t.distComps.Add(st.DistanceComps)
-	if t.approxCandidates != nil {
-		t.approxCandidates.Add(int64(st.ScanDepth))
-	}
-	t.scanWin.Add(int64(st.ScanDepth), at)
-	t.genWin.Add(int64(st.FilterSize+st.Excluded), at)
-	t.settledWin.Add(int64(st.LazyAccepts+st.LazyRejects), at)
-	t.verWin.Add(int64(st.Verified), at)
+	t.scanWin.Observe(float64(st.ScanDepth), at)
+	t.genWin.Observe(float64(st.FilterSize+st.Excluded), at)
+	t.verWin.Observe(float64(st.Verified), at)
 }
 
 // observeWorkload records one query under its region signature in the
@@ -399,33 +381,20 @@ func (g *queryGrid) signature(op string, k int, q []float64) string {
 	return op + " k=" + strconv.Itoa(k) + " @" + g.cell(q)
 }
 
-// statsWindows are the trailing windows every live-operations surface
-// reports, keyed the way /statsz and the dashboards spell them.
-var statsWindows = map[string]time.Duration{
-	"1m": time.Minute,
-	"5m": 5 * time.Minute,
+// sumWindow is a windowed sum (or mean): the default ring over a bucketless
+// histogram, read through its window snapshot's Sum and Count.
+func sumWindow() *telemetry.Windowed {
+	return telemetry.NewDefaultWindowed(telemetry.NewHistogram(nil))
 }
-
-// recallBuckets spans [0,1] in 0.05 steps — the layout of the windowed
-// recall histogram (its window mean is what surfaces; the buckets only
-// bound memory).
-var recallBuckets = func() []float64 {
-	out := make([]float64, 20)
-	for i := range out {
-		out[i] = float64(i+1) * 0.05
-	}
-	return out
-}()
 
 // EngineWindow is the pruning machinery's digest over one trailing window
 // — the live form of the candidate aggregates /metrics exposes as
 // lifetime totals.
 type EngineWindow struct {
-	// ScanDepth, Generated, Settled and Verified are window totals of the
-	// same Stats fields the cumulative counters track.
+	// ScanDepth, Generated and Verified are window totals of the same
+	// Stats fields the cumulative counters track.
 	ScanDepth int64 `json:"scan_depth"`
 	Generated int64 `json:"candidates_generated"`
-	Settled   int64 `json:"candidates_lazy_settled"`
 	Verified  int64 `json:"candidates_verified"`
 	// PruningRatio is 1 - Verified/Generated over the window (0 with no
 	// candidates).
@@ -445,9 +414,9 @@ func (t *engineTelemetry) queryWindowStats(now time.Time) map[string]map[string]
 	}
 	out := make(map[string]map[string]telemetry.WindowStats)
 	for op, ins := range t.ops {
-		byWin := make(map[string]telemetry.WindowStats, len(statsWindows))
+		byWin := make(map[string]telemetry.WindowStats, len(telemetry.StatsWindows))
 		seen := false
-		for key, d := range statsWindows {
+		for key, d := range telemetry.StatsWindows {
 			st := ins.window.StatsAt(d, now)
 			byWin[key] = st
 			seen = seen || st.Count > 0
@@ -465,21 +434,20 @@ func (t *engineTelemetry) engineWindowStats(now time.Time) map[string]EngineWind
 	if t == nil {
 		return nil
 	}
-	out := make(map[string]EngineWindow, len(statsWindows))
-	for key, d := range statsWindows {
+	out := make(map[string]EngineWindow, len(telemetry.StatsWindows))
+	for key, d := range telemetry.StatsWindows {
 		w := EngineWindow{
-			ScanDepth: t.scanWin.SumWindowAt(d, now),
-			Generated: t.genWin.SumWindowAt(d, now),
-			Settled:   t.settledWin.SumWindowAt(d, now),
-			Verified:  t.verWin.SumWindowAt(d, now),
+			ScanDepth: int64(t.scanWin.SnapshotWindowAt(d, now).Sum),
+			Generated: int64(t.genWin.SnapshotWindowAt(d, now).Sum),
+			Verified:  int64(t.verWin.SnapshotWindowAt(d, now).Sum),
 			Recall:    -1,
 		}
 		if w.Generated > 0 {
 			w.PruningRatio = 1 - float64(w.Verified)/float64(w.Generated)
 		}
 		if t.recallWin != nil {
-			if st := t.recallWin.StatsAt(d, now); st.Count > 0 {
-				w.Recall = st.Mean
+			if r := t.recallWin.SnapshotWindowAt(d, now); r.Count > 0 {
+				w.Recall = r.Sum / float64(r.Count)
 			}
 		}
 		out[key] = w
@@ -550,11 +518,11 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 	if s.boundTo(reg) {
 		return
 	}
-	t := newEngineTelemetry(reg, string(s.backend), s.Approximate())
+	t := newEngineTelemetry(reg, string(s.backend))
 	t.grid = newQueryGrid(s.snap.Load().ix)
 	t.workload = telemetry.NewWorkload(0)
 	if s.Approximate() {
-		t.recallWin = telemetry.NewDefaultWindowed(telemetry.NewHistogram(recallBuckets))
+		t.recallWin = sumWindow()
 	}
 	s.tel.Store(t)
 	registerWriteGauges(reg, string(s.backend), s.MemtableLen, s.Compactions)
@@ -585,8 +553,7 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 // plus per-shard stream and probe counters and live shard size gauges (the
 // sharded engine's own half, shardedCore.enableTelemetry), and the write-path
 // and filter surfaces of its in-process shard engines. Like the
-// Searcher form, it is safe to call while queries are in flight. An
-// approximate sharded engine records rknn_approx_candidates_total; the
+// Searcher form, it is safe to call while queries are in flight. The
 // recall gauge is a single-engine surface (its oracle reads one snapshot,
 // not a scatter set).
 func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {

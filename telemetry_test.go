@@ -318,11 +318,11 @@ func hasFamily(reg *telemetry.Registry, name string) bool {
 	return false
 }
 
-// TestApproxTelemetry pins the approximate tier's observability: an
-// LSH-backed engine registers rknn_approx_candidates_total (fed with the
-// per-query scan depth — the candidates the approximate ranking streamed)
-// and the scrape-time rknn_recall_estimate gauge, whose value must sit in
-// [0.9, 1] on the clustered workload and be cached per snapshot.
+// TestApproxTelemetry pins the approximate tier's observability: on an
+// LSH-backed engine rknn_scan_depth_total{backend="lsh"} is the summed
+// per-query scan depth — the candidates the approximate ranking streamed —
+// and the scrape-time rknn_recall_estimate gauge must sit in [0.9, 1] on
+// the clustered workload and be cached per snapshot.
 func TestApproxTelemetry(t *testing.T) {
 	pts := indextest.ClusteredPoints(1500, 6, 8, 9)
 	reg := telemetry.NewRegistry()
@@ -341,8 +341,8 @@ func TestApproxTelemetry(t *testing.T) {
 		wantApprox += int64(st.ScanDepth)
 	}
 	backend := telemetry.Label{Name: "backend", Value: "lsh"}
-	if got := counterValue(t, reg, "rknn_approx_candidates_total", backend); got != float64(wantApprox) {
-		t.Errorf("rknn_approx_candidates_total = %v, want %d (summed scan depth)", got, wantApprox)
+	if got := counterValue(t, reg, "rknn_scan_depth_total", backend); got != float64(wantApprox) {
+		t.Errorf("rknn_scan_depth_total{backend=\"lsh\"} = %v, want %d (summed scan depth)", got, wantApprox)
 	}
 	recall := counterValue(t, reg, "rknn_recall_estimate", backend)
 	if recall < 0.9 || recall > 1 {
@@ -373,7 +373,7 @@ func TestApproxTelemetry(t *testing.T) {
 }
 
 // TestExactEnginesCarryNoApproxSeries pins the flip side: exact back-ends
-// must not register the approximate families, so their exposition cannot
+// must not register the approximate-only family, so their exposition cannot
 // suggest an approximate regime.
 func TestExactEnginesCarryNoApproxSeries(t *testing.T) {
 	pts := indextest.RandPoints(200, 3, 5)
@@ -389,17 +389,15 @@ func TestExactEnginesCarryNoApproxSeries(t *testing.T) {
 	if s.Approximate() {
 		t.Error("covertree engine reports Approximate")
 	}
-	if hasFamily(reg, "rknn_approx_candidates_total") {
-		t.Error("exact engine registered rknn_approx_candidates_total")
-	}
 	if hasFamily(reg, "rknn_recall_estimate") {
 		t.Error("exact engine registered rknn_recall_estimate")
 	}
 }
 
 // TestShardedApproxTelemetry pins the sharded engine's approximate
-// accounting: scatter visits feed rknn_approx_candidates_total through the
-// same engine-level aggregate.
+// accounting: the merged queries' scan depth feeds
+// rknn_scan_depth_total{backend="lsh"} through the same engine-level
+// aggregate.
 func TestShardedApproxTelemetry(t *testing.T) {
 	pts := indextest.ClusteredPoints(500, 4, 4, 31)
 	reg := telemetry.NewRegistry()
@@ -420,8 +418,8 @@ func TestShardedApproxTelemetry(t *testing.T) {
 		wantApprox += int64(st.ScanDepth)
 	}
 	backend := telemetry.Label{Name: "backend", Value: "lsh"}
-	if got := counterValue(t, reg, "rknn_approx_candidates_total", backend); got != float64(wantApprox) {
-		t.Errorf("sharded rknn_approx_candidates_total = %v, want %d", got, wantApprox)
+	if got := counterValue(t, reg, "rknn_scan_depth_total", backend); got != float64(wantApprox) {
+		t.Errorf("sharded rknn_scan_depth_total{backend=\"lsh\"} = %v, want %d", got, wantApprox)
 	}
 }
 
