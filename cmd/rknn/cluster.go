@@ -142,7 +142,7 @@ func runCoordinate(ctx context.Context, args []string, stdout io.Writer, ready c
 		timeout = fs.Duration("timeout", 5*time.Second, "per-RPC attempt timeout")
 		retries = fs.Int("retries", 2, "extra read attempts across healthy replicas")
 		backoff = fs.Duration("backoff", 25*time.Millisecond, "backoff before the first retry (doubles per attempt)")
-		health  = fs.Duration("health-interval", time.Second, "replica /healthz probe period (0 disables the loop)")
+		health  = fs.Duration("health-interval", time.Second, "replica health probe period: each replica's /v1/shard/info against its primary's (0 disables the loop)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

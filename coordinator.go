@@ -1,8 +1,8 @@
 package repro
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/index"
 	"repro/internal/telemetry"
 )
 
@@ -31,12 +30,14 @@ import (
 //
 // Each shard may be served by several replicas (ShardSpec.Addrs); the
 // first is the primary and takes the writes, the rest are read-only
-// copies a background health loop checks over /healthz. Reads retry with
-// backoff across healthy replicas, so losing a replica mid-stream costs
-// queries a failover, not a failure. Replicas that fall behind the
-// primary's live count after a write are marked down until they catch up,
-// keeping reads from traveling back in time relative to acknowledged
-// writes.
+// copies a background health loop checks by their descriptions
+// (ShardDescription). Reads retry with backoff across healthy replicas, so
+// losing a replica mid-stream costs queries a failover, not a failure. A
+// replica whose description differs from its primary's — another ID span or
+// live count — is marked down, keeping reads from traveling back in time
+// relative to acknowledged writes. Nothing replicates writes to read
+// replicas, so after any write through the coordinator they stay down until
+// they are reloaded with the primary's data.
 //
 // Writes are the shared write path's: the shard map assigns the IDs, each
 // involved shard's primary takes its group, and a daemon that assigns other
@@ -52,11 +53,9 @@ type Coordinator struct {
 	remotes []*remoteShard // the core's shards, concretely typed
 	cc      *clusterClient
 
-	healthEvery  time.Duration
-	stopHealth   chan struct{}
-	healthDone   chan struct{}
-	healthOnce   sync.Once
-	healthActive bool
+	stopHealth chan struct{}
+	healthDone chan struct{}
+	healthOnce sync.Once
 }
 
 // ShardSpec names the replicas serving one shard. Addrs[0] is the primary
@@ -104,12 +103,11 @@ func WithTransport(rt http.RoundTripper) CoordinatorOption {
 	return func(c *coordConfig) { c.transport = rt }
 }
 
-// NewCoordinator connects to the shard daemons, cross-checks that they
-// form a coherent cluster (matching shard count and roles, dimension,
-// scale, algorithm variant, back-end, and metric identity — the same
-// invariants OpenSharded enforces across on-disk shard stores), rebuilds the
-// global shard map from the daemons' ID spans, binds the sharded engine to
-// them, and starts the replica health loop.
+// NewCoordinator connects to the shard daemons, reads each one's
+// description (GET /v1/shard/info) and binds the sharded engine to them under
+// the assembly rule OpenSharded also runs (shardedCore.assemble: roles,
+// counts, one configuration, the shard map replayed from the ID spans), then
+// starts the replica health loop.
 func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorOption) (*Coordinator, error) {
 	cfg := coordConfig{
 		timeout:     5 * time.Second,
@@ -133,20 +131,15 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 			IdleConnTimeout:     90 * time.Second,
 		}
 	}
-	cc := &clusterClient{
-		hc:      &http.Client{Transport: cfg.transport},
-		timeout: cfg.timeout,
-		retries: cfg.retries,
-		backoff: cfg.backoff,
-	}
+	cc := &clusterClient{coordConfig: cfg, hc: &http.Client{Transport: cfg.transport}}
 	co := &Coordinator{
-		cc:          cc,
-		remotes:     make([]*remoteShard, len(specs)),
-		healthEvery: cfg.healthEvery,
-		stopHealth:  make(chan struct{}),
-		healthDone:  make(chan struct{}),
+		cc:         cc,
+		remotes:    make([]*remoteShard, len(specs)),
+		stopHealth: make(chan struct{}),
+		healthDone: make(chan struct{}),
 	}
 	shards := make([]shard, len(specs))
+	descs := make([]*ShardDescription, len(specs))
 	for i, spec := range specs {
 		if len(spec.Addrs) == 0 {
 			return nil, fmt.Errorf("rknnd: shard %d has no addresses", i)
@@ -157,75 +150,21 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 		}
 		co.remotes[i] = &remoteShard{shard: i, rs: newReplicaSet(addrs), cc: cc}
 		shards[i] = co.remotes[i]
-	}
-
-	infos := make([]shardInfo, len(specs))
-	for i, sh := range co.remotes {
-		info, err := sh.fetchInfo(ctx)
+		d, err := co.remotes[i].describe(ctx, -1)
 		if err != nil {
 			return nil, fmt.Errorf("rknnd: shard %d: %w", i, err)
 		}
-		infos[i] = info
+		descs[i] = &d
 	}
-	ref := infos[0]
-	total := 0
-	for i, info := range infos {
-		if info.Shards != len(specs) {
-			return nil, fmt.Errorf("rknnd: shard %d daemon serves a %d-shard cluster, coordinator configured for %d", i, info.Shards, len(specs))
-		}
-		if info.Shard != i {
-			return nil, fmt.Errorf("rknnd: daemon at position %d serves shard %d (order -shard flags by shard number)", i, info.Shard)
-		}
-		if info.Dim != ref.Dim {
-			return nil, fmt.Errorf("rknnd: shard %d dimension %d, shard 0 dimension %d", i, info.Dim, ref.Dim)
-		}
-		if info.Scale != ref.Scale {
-			return nil, fmt.Errorf("rknnd: shard %d scale %v, shard 0 scale %v", i, info.Scale, ref.Scale)
-		}
-		if info.Plus != ref.Plus || info.Margin != ref.Margin {
-			return nil, fmt.Errorf("rknnd: shard %d runs plus=%v margin=%v, shard 0 plus=%v margin=%v", i, info.Plus, info.Margin, ref.Plus, ref.Margin)
-		}
-		if info.Backend != ref.Backend {
-			return nil, fmt.Errorf("rknnd: shard %d back-end %q, shard 0 back-end %q", i, info.Backend, ref.Backend)
-		}
-		if info.MetricID != ref.MetricID || info.MetricParam != ref.MetricParam {
-			return nil, fmt.Errorf("rknnd: shard %d metric (%d,%v), shard 0 metric (%d,%v)",
-				i, info.MetricID, info.MetricParam, ref.MetricID, ref.MetricParam)
-		}
-		if info.Approximate != (Backend(info.Backend) == BackendLSH) {
-			return nil, fmt.Errorf("rknnd: shard %d reports approximate=%v on back-end %q", i, info.Approximate, info.Backend)
-		}
-		total += info.IDSpan
-	}
-	metric, err := ref.metricOf()
-	if err != nil {
+	if err := co.assemble(descs, shards); err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
 	}
-	// A daemon reports scale 0 exactly when it adapts t per query.
-	co.init(engineConfig{scale: ref.Scale, adaptive: ref.Scale == 0, plus: ref.Plus, margin: ref.Margin, backend: Backend(ref.Backend)},
-		metric, ref.Dim, shards)
-
-	// The shard map is a pure function of (assignment count, shard count),
-	// so replaying total assignments reconstructs it; each daemon's ID
-	// span must land exactly where the replay predicts, or the daemons
-	// were partitioned under different rules (or a different dataset).
-	m, err := index.RebuildShardMap(len(specs), total)
-	if err != nil {
-		return nil, fmt.Errorf("rknnd: %w", err)
+	for i, d := range descs {
+		co.remotes[i].live.Store(int64(d.Points))
 	}
-	for i, info := range infos {
-		if got := m.ShardLen(i); got != info.IDSpan {
-			return nil, fmt.Errorf("rknnd: shard %d reports id span %d, assignment replay predicts %d (partitioning mismatch)", i, info.IDSpan, got)
-		}
-		co.remotes[i].live.Store(int64(info.Points))
-	}
-	co.smap.Store(m)
 
-	if co.healthEvery > 0 {
-		co.healthActive = true
+	if cfg.healthEvery > 0 {
 		go co.healthLoop()
-	} else {
-		close(co.healthDone)
 	}
 	return co, nil
 }
@@ -241,7 +180,7 @@ func normalizeAddr(a string) string {
 // Close stops the health loop. In-flight queries finish normally.
 func (co *Coordinator) Close() error {
 	co.healthOnce.Do(func() {
-		if co.healthActive {
+		if co.cc.healthEvery > 0 {
 			close(co.stopHealth)
 			<-co.healthDone
 		}
@@ -250,12 +189,13 @@ func (co *Coordinator) Close() error {
 }
 
 // healthLoop periodically refreshes every replica's serving state and the
-// per-shard live counts. A replica is healthy when it answers /healthz
-// AND reports the same live count as its shard's primary — a lagging
-// read-only copy after a write is down for reading until it catches up.
+// per-shard live counts. A replica is healthy when it answers with its
+// description AND that description equals its shard's primary's — same ID
+// span and live count, so a read-only copy that missed a write through the
+// coordinator is down for reading until a reload brings it level.
 func (co *Coordinator) healthLoop() {
 	defer close(co.healthDone)
-	tick := time.NewTicker(co.healthEvery)
+	tick := time.NewTicker(co.cc.healthEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -268,46 +208,28 @@ func (co *Coordinator) healthLoop() {
 }
 
 func (co *Coordinator) checkHealth() {
-	ctx, cancel := context.WithTimeout(context.Background(), co.cc.timeout)
+	// A probe with no request bound (WithRequestTimeout(0)) still ends
+	// before the next tick.
+	ctx, cancel := context.WithTimeout(context.Background(), cmp.Or(co.cc.timeout, co.cc.healthEvery))
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, sh := range co.remotes {
 		wg.Add(1)
 		go func(sh *remoteShard) {
 			defer wg.Done()
-			primaryPts, ok := co.probeReplica(ctx, sh, 0)
+			primary, err := sh.describe(ctx, 0)
+			ok := err == nil
 			sh.rs.healthy[0].Store(ok)
 			if ok {
-				sh.live.Store(int64(primaryPts))
+				sh.live.Store(int64(primary.Points))
 			}
 			for r := 1; r < len(sh.rs.addrs); r++ {
-				pts, up := co.probeReplica(ctx, sh, r)
-				sh.rs.healthy[r].Store(up && (!ok || pts == primaryPts))
+				d, err := sh.describe(ctx, r)
+				sh.rs.healthy[r].Store(err == nil && (!ok || d == primary))
 			}
 		}(sh)
 	}
 	wg.Wait()
-}
-
-// probeReplica hits one replica's /healthz directly (no retry, no
-// failover — the point is to judge this copy).
-func (co *Coordinator) probeReplica(ctx context.Context, sh *remoteShard, replica int) (points int, ok bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.rs.addrs[replica]+"/healthz", nil)
-	if err != nil {
-		return 0, false
-	}
-	resp, err := co.cc.hc.Do(req)
-	if err != nil {
-		return 0, false
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Points int `json:"points"`
-	}
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
-		return 0, false
-	}
-	return body.Points, true
 }
 
 // EnableTelemetry binds the Coordinator to reg: the engine-level families and

@@ -417,10 +417,11 @@ func main() {
 		specs[s] = repro.ShardSpec{Addrs: []string{daemon.URL}}
 	}
 
-	// The coordinator handshakes with each daemon (/v1/shard/info: metric
-	// identity, shard role, ID span — the same cross-checks OpenSharded
-	// runs against on-disk stores) and then serves the ordinary engine
-	// surface, so the standard HTTP server fronts the whole cluster.
+	// The coordinator handshakes with each daemon (/v1/shard/info: its
+	// description — shard role, configuration, metric identity, ID span —
+	// read through the same assembly rule OpenSharded runs on on-disk
+	// stores) and then serves the ordinary engine surface, so the standard
+	// HTTP server fronts the whole cluster.
 	co, err := repro.NewCoordinator(context.Background(), specs)
 	if err != nil {
 		log.Fatal(err)

@@ -23,17 +23,14 @@ import (
 // implements it, with or without a store; New resolves it once): the forward
 // neighbor stream a coordinator merges across shards, batched forward-kNN
 // probes and verification counts with explicit self-exclusion, batched
-// member-point resolution that never panics on hostile IDs, the assignment
-// span behind the coordinator's shard-map rebuild, and the metric identity
-// and algorithm variant behind its configuration cross-check.
+// member-point resolution that never panics on hostile IDs, and the shard's
+// self-description behind the coordinator's handshake and health loop.
 type ShardServing interface {
 	NeighborStream(rows []repro.Neighbor, points [][]float64, q []float64, skip int, after repro.Neighbor, count int) ([]repro.Neighbor, [][]float64, bool, error)
-	Algorithm() (plus bool, margin float64)
 	KNNSkipBatch(qs []repro.KNNQuery) ([][]repro.Neighbor, error)
 	CountCloserBatch(qs []repro.CountCloserQuery) ([]int, error)
 	MemberPoints(ids ...int) [][]float64
-	IDSpan() int
-	MetricIdentity() (uint8, float64, error)
+	Describe(shard, shards int) (repro.ShardDescription, error)
 }
 
 // maxBinaryBody bounds /v1/binary request frames. Verification batches
@@ -174,12 +171,9 @@ func appendWireError(dst []byte, err error) []byte {
 	return wire.AppendError(dst, code, err.Error())
 }
 
-// handleShardInfo is the cluster handshake: the daemon's role (shard
-// number and count, from WithShardRole), the engine shape a coordinator
-// must cross-check (dimension, scale, algorithm variant, back-end, metric
-// identity) — it runs the daemons' algorithm itself — and the
-// two counts the shard-map rebuild needs (live points and assignment
-// span).
+// handleShardInfo is the cluster handshake: the engine's description as the
+// daemon's shard role (WithShardRole) — repro.ShardDescription, which a
+// coordinator reads at start-up and its health loop on every tick.
 func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error {
 	sv := srv.shardSv
 	if sv == nil {
@@ -188,28 +182,11 @@ func (srv *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) error
 			err:    errors.New("engine has no shard-serving surface"),
 		}
 	}
-	mid, mparam, err := sv.MetricIdentity()
+	d, err := sv.Describe(srv.shard, srv.shards)
 	if err != nil {
-		return fmt.Errorf("metric identity: %w", err)
+		return err
 	}
-	plus, margin := sv.Algorithm()
-	info := map[string]any{
-		"shard":        srv.shard,
-		"shards":       srv.shards,
-		"points":       srv.s.Len(),
-		"id_span":      sv.IDSpan(),
-		"dim":          srv.s.Dim(),
-		"scale":        srv.s.Scale(),
-		"plus":         plus,
-		"margin":       margin,
-		"metric_id":    mid,
-		"metric_param": mparam,
-		"backend":      string(srv.s.Backend()),
-	}
-	if srv.approx {
-		info["approximate"] = true
-	}
-	return writeJSON(w, http.StatusOK, info)
+	return writeJSON(w, http.StatusOK, d)
 }
 
 // handlePointGet resolves one member ID to its coordinates — the

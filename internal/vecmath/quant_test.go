@@ -31,7 +31,7 @@ func TestCodebookLowerBoundsSound(t *testing.T) {
 		// Encode the trained rows plus out-of-range newcomers.
 		probe := append([][]float64(nil), rows...)
 		for i := 0; i < 5; i++ {
-			probe = append(probe, Scale(randVec(rng, dim), 10))
+			probe = append(probe, scaled(randVec(rng, dim), 10))
 		}
 		codes := make([]uint8, dim)
 		q := randVec(rng, dim)
@@ -121,7 +121,7 @@ func TestCodebookRowBoundsMatchLUT(t *testing.T) {
 		cb.BuildLUT(q, true, sqTab)
 		cb.BuildLUT(q, false, absTab)
 		codes := make([]uint8, dim)
-		probe := append(append([][]float64(nil), rows...), Scale(randVec(rng, dim), 8), Clone(q))
+		probe := append(append([][]float64(nil), rows...), scaled(randVec(rng, dim), 8), Clone(q))
 		for _, r := range probe {
 			cb.Encode(r, codes)
 			for _, stop := range []float64{math.Inf(1), 1, 0.01} {
@@ -200,7 +200,7 @@ func TestLUTScreenSumEnvelope(t *testing.T) {
 		cb.BuildLUT(q, false, absTab)
 		codes := make([]uint8, dim)
 		probe := append([][]float64(nil), rows...)
-		probe = append(probe, Scale(randVec(rng, dim), 10), Clone(q))
+		probe = append(probe, scaled(randVec(rng, dim), 10), Clone(q))
 		for _, r := range probe {
 			cb.Encode(r, codes)
 			for _, dom := range []struct {
@@ -239,7 +239,7 @@ func TestCodebookEncodeContainment(t *testing.T) {
 		dim := 1 + rng.Intn(6)
 		rows := make([][]float64, 2+rng.Intn(30))
 		for i := range rows {
-			rows[i] = Scale(randVec(rng, dim), math.Pow(10, float64(rng.Intn(7)-3)))
+			rows[i] = scaled(randVec(rng, dim), math.Pow(10, float64(rng.Intn(7)-3)))
 		}
 		cb := TrainCodebook(rows)
 		codes := make([]uint8, dim)
@@ -295,4 +295,13 @@ func TestCodebookRoundTrip(t *testing.T) {
 	if _, err := DecodeCodebook(bad); err == nil {
 		t.Fatal("NaN codebook bounds decoded")
 	}
+}
+
+// scaled returns s·v.
+func scaled(v []float64, s float64) []float64 {
+	out := make([]float64, len(v))
+	for i := range v {
+		out[i] = v[i] * s
+	}
+	return out
 }

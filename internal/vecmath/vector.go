@@ -12,39 +12,6 @@ func Clone(v []float64) []float64 {
 	return out
 }
 
-// Add returns a+b element-wise. It panics on a length mismatch.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("vecmath: dimension mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a−b element-wise. It panics on a length mismatch.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("vecmath: dimension mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Scale returns s·v.
-func Scale(v []float64, s float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
-}
-
 // Dot returns the inner product of a and b. It panics on a length mismatch.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -55,37 +22,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm returns the L2 norm of v.
-func Norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Mean returns the element-wise mean of the rows. It returns nil for an
-// empty input and panics if rows disagree on length.
-func Mean(rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]float64, len(rows[0]))
-	for _, r := range rows {
-		if len(r) != len(out) {
-			panic("vecmath: dimension mismatch")
-		}
-		for i, x := range r {
-			out[i] += x
-		}
-	}
-	inv := 1 / float64(len(rows))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
 }
 
 // Validate returns an error if v is empty or contains NaN or ±Inf. Library

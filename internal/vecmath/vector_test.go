@@ -7,20 +7,8 @@ import (
 
 func TestVectorOps(t *testing.T) {
 	a, b := []float64{1, 2, 3}, []float64{4, 5, 6}
-	if got := Add(a, b); !almostEqual(got, []float64{5, 7, 9}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := Sub(b, a); !almostEqual(got, []float64{3, 3, 3}) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := Scale(a, 2); !almostEqual(got, []float64{2, 4, 6}) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := Dot(a, b); got != 32 {
 		t.Errorf("Dot = %g, want 32", got)
-	}
-	if got := Norm([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm = %g, want 5", got)
 	}
 }
 
@@ -30,16 +18,6 @@ func TestCloneIsIndependent(t *testing.T) {
 	c[0] = 99
 	if a[0] != 1 {
 		t.Error("Clone shares backing array")
-	}
-}
-
-func TestMean(t *testing.T) {
-	rows := [][]float64{{0, 2}, {2, 4}, {4, 6}}
-	if got := Mean(rows); !almostEqual(got, []float64{2, 4}) {
-		t.Errorf("Mean = %v", got)
-	}
-	if Mean(nil) != nil {
-		t.Error("Mean(nil) should be nil")
 	}
 }
 
@@ -72,16 +50,4 @@ func TestValidateAll(t *testing.T) {
 	if err := ValidateAll([][]float64{{1, 2}, {3, math.NaN()}}); err == nil {
 		t.Error("NaN dataset accepted")
 	}
-}
-
-func almostEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			return false
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -118,6 +119,77 @@ type shardedCore struct {
 func (e *shardedCore) init(cfg engineConfig, metric Metric, dim int, shards []shard) {
 	e.engineConfig, e.eng, e.bg, e.metric, e.dim = cfg, e, new(background), metric, dim
 	e.shards, e.visits = shards, make([]atomic.Int64, len(shards))
+}
+
+// assemble binds the core to S described shards — the daemons a Coordinator
+// fronts, or the shard stores OpenSharded reopens, where a shard that never
+// held a point has no store and no description (nil) — and publishes the
+// shard map. It is the one rule under which the sharded engine's answer is
+// the paper's: every shard holds its place in an S-shard cluster, reports
+// counts a shard map can name (0 ≤ points ≤ id span, spans summing to at
+// most math.MaxInt32), and runs the first described shard's algorithm over
+// the same data shape; then the map replayed from the summed spans must hand
+// each shard exactly the span it reports. Every check runs before the replay.
+func (e *shardedCore) assemble(descs []*ShardDescription, shards []shard) error {
+	var ref *ShardDescription
+	refShard, total := 0, 0
+	spans := make([]int, len(descs)) // 0 for a shard with no description
+	for i, d := range descs {
+		if d == nil {
+			continue
+		}
+		switch {
+		case d.Shards != len(descs):
+			return fmt.Errorf("shard %d daemon serves a %d-shard cluster, coordinator configured for %d", i, d.Shards, len(descs))
+		case d.Shard != i:
+			return fmt.Errorf("daemon at position %d serves shard %d (order -shard flags by shard number)", i, d.Shard)
+		case d.Points < 0 || d.Points > d.IDSpan:
+			return fmt.Errorf("shard %d reports %d live points over an id span of %d", i, d.Points, d.IDSpan)
+		case d.IDSpan > math.MaxInt32-total:
+			return fmt.Errorf("shard %d: the id spans sum past %d, the most ids a shard map can name", i, math.MaxInt32)
+		case d.Approximate != (d.Backend == BackendLSH):
+			return fmt.Errorf("shard %d reports approximate=%v on back-end %q", i, d.Approximate, d.Backend)
+		}
+		spans[i], total = d.IDSpan, total+d.IDSpan
+		if ref == nil {
+			ref, refShard = d, i
+		}
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"dimension", d.Dim, ref.Dim}, {"scale", d.Scale, ref.Scale},
+			{"plus", d.Plus, ref.Plus}, {"margin", d.Margin, ref.Margin},
+			{"back-end", d.Backend, ref.Backend},
+			{"metric id", d.MetricID, ref.MetricID}, {"metric parameter", d.MetricParam, ref.MetricParam},
+		} {
+			if f.got != f.want {
+				return fmt.Errorf("shard %d %s %v, shard %d %s %v", i, f.name, f.got, refShard, f.name, f.want)
+			}
+		}
+	}
+	if ref == nil {
+		return errors.New("no shard is described")
+	}
+	metric, err := vecmath.MetricFromID(vecmath.MetricID(ref.MetricID), ref.MetricParam)
+	if err != nil {
+		return err
+	}
+	// A shard reports scale 0 exactly when it adapts t per query.
+	e.init(engineConfig{scale: ref.Scale, adaptive: ref.Scale == 0, plus: ref.Plus, margin: ref.Margin, backend: ref.Backend},
+		metric, ref.Dim, shards)
+	m, err := index.RebuildShardMap(len(descs), total)
+	if err != nil {
+		return err
+	}
+	for i, span := range spans {
+		if want := m.ShardLen(i); want != span {
+			return fmt.Errorf("shard %d holds %d ids, the shard map over %d ids expects %d — the shards are inconsistent (a shard or its store was lost or truncated, the shards were partitioned under another rule or dataset, or an OS crash under a relaxed -wal-sync policy lost log tails unevenly across shards; restore the affected shard)",
+				i, span, total, want)
+		}
+	}
+	e.smap.Store(m)
+	return nil
 }
 
 // Shards returns the shard count.
@@ -408,17 +480,17 @@ func (sl *shardSlot) DeleteContext(ctx context.Context, local int) (bool, error)
 	return false, nil
 }
 
-// newShardedSearcher returns a ShardedSearcher of empty slots; the caller
-// fills them and publishes the shard map.
-func newShardedSearcher(cfg engineConfig, metric Metric, dim, shards int) *ShardedSearcher {
+// newShardedSearcher returns a ShardedSearcher of empty slots and the slots
+// as shards; the caller binds the core to them (init or assemble), fills
+// them and publishes the shard map.
+func newShardedSearcher(shards int) (*ShardedSearcher, []shard) {
 	ss := &ShardedSearcher{slots: make([]*shardSlot, shards)}
 	of := make([]shard, shards)
 	for i := range ss.slots {
 		ss.slots[i] = &shardSlot{ss: ss, shard: i}
 		of[i] = ss.slots[i]
 	}
-	ss.init(cfg, metric, dim, of)
-	return ss
+	return ss, of
 }
 
 // NewSharded partitions points across the given number of shards and
@@ -453,7 +525,8 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		parts[s] = append(parts[s], points[g])
 	}
 
-	ss := newShardedSearcher(cfg.engineConfig, cfg.metric, len(points[0]), shards)
+	ss, of := newShardedSearcher(shards)
+	ss.init(cfg.engineConfig, cfg.metric, len(points[0]), of)
 	for s, part := range parts {
 		if len(part) == 0 {
 			continue

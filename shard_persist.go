@@ -8,9 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/index"
 	"repro/internal/persist"
-	"repro/internal/vecmath"
 )
 
 // This file is the durable face of the sharded engine. A sharded store is
@@ -27,8 +25,9 @@ import (
 // global ID count and the shard count (index.RebuildShardMap), and the
 // global count is the sum of the per-shard ID spans. Recovery therefore
 // opens each shard store independently — snapshot, WAL replay, torn-tail
-// discard, exactly as a single store recovers — rebuilds the map, and
-// cross-checks that every shard's ID span matches the count the map
+// discard, exactly as a single store recovers — and runs the assembly rule a
+// Coordinator's handshake runs over the shards' descriptions: it rebuilds the
+// map and cross-checks that every shard's ID span matches the count the map
 // assigns it, so a lost or truncated shard store fails loudly instead of
 // silently renumbering the survivors. The manifest is written last during
 // bootstrap, as the commit record: a crash mid-bootstrap leaves no
@@ -168,9 +167,10 @@ func NewDurableSharded(dir string, ss *ShardedSearcher, opts ...StoreOption) (_ 
 // OpenSharded recovers a ShardedSearcher from the sharded store in dir and
 // leaves the store attached: every shard store is recovered independently
 // (newest intact snapshot, WAL replay with ID verification, torn final
-// record discarded), the global ID mapping is rebuilt from the per-shard ID
-// spans, and the engine configuration is cross-checked across shards.
-// Nothing is re-estimated.
+// record discarded), and the shards' descriptions go through the assembly
+// rule a Coordinator's handshake runs (shardedCore.assemble): one engine
+// configuration across shards, the global ID mapping rebuilt from the
+// per-shard ID spans and cross-checked against them. Nothing is re-estimated.
 func OpenSharded(dir string, opts ...StoreOption) (*ShardedSearcher, error) {
 	shards, err := readShardManifest(dir)
 	if err != nil {
@@ -188,9 +188,8 @@ func OpenSharded(dir string, opts ...StoreOption) (*ShardedSearcher, error) {
 		}
 		return nil, err
 	}
-	spans := make([]int, shards)
-	total := 0
-	var proto *Searcher
+	descs := make([]*ShardDescription, shards)
+	populated := false
 	for i := 0; i < shards; i++ {
 		sd := shardDirName(dir, i)
 		if !persist.Exists(sd) {
@@ -201,30 +200,20 @@ func OpenSharded(dir string, opts ...StoreOption) (*ShardedSearcher, error) {
 			return fail(fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err))
 		}
 		eng.sharded = true
-		engines[i] = eng
-		spans[i] = eng.IDSpan()
-		total += spans[i]
-		if proto == nil {
-			proto = eng
-		} else if err := sameEngineConfig(proto, eng); err != nil {
+		engines[i], populated = eng, true
+		d, err := eng.Describe(i, shards)
+		if err != nil {
 			return fail(fmt.Errorf("rknnd: open sharded %s: shard %d: %w", dir, i, err))
 		}
+		descs[i] = &d
 	}
-	if proto == nil {
+	if !populated {
 		return fail(fmt.Errorf("rknnd: open sharded %s: no shard holds a readable snapshot: %w", dir, ErrNoStore))
 	}
-	m, err := index.RebuildShardMap(shards, total)
-	if err != nil {
+	ss, of := newShardedSearcher(shards)
+	if err := ss.assemble(descs, of); err != nil {
 		return fail(fmt.Errorf("rknnd: open sharded %s: %w", dir, err))
 	}
-	for i := 0; i < shards; i++ {
-		if m.ShardLen(i) != spans[i] {
-			return fail(fmt.Errorf("rknnd: open sharded %s: shard %d holds %d ids, the global mapping over %d ids expects %d — the store is inconsistent (a shard store was lost or truncated, or an OS crash under a relaxed -wal-sync policy lost log tails unevenly across shards; restore the affected shard from backup)",
-				dir, i, spans[i], total, m.ShardLen(i)))
-		}
-	}
-
-	ss := newShardedSearcher(proto.engineConfig, proto.snap.Load().ix.Metric(), proto.Dim(), shards)
 	for i, eng := range engines {
 		if eng != nil {
 			// The shard reports its folds where the sharded engine does; a
@@ -234,37 +223,14 @@ func OpenSharded(dir string, opts ...StoreOption) (*ShardedSearcher, error) {
 			eng.compacting.Unlock()
 			ss.slots[i].eng.Store(eng)
 			// A store written before the filter was carried across restarts
-			// can hold a shard without a codebook (which is why
-			// sameEngineConfig does not compare it): the filter is on if any
-			// shard has it, and shards created from here on train their own.
+			// can hold a shard without a codebook (which is why the shard
+			// description does not carry it): the filter is on if any shard
+			// has it, and shards created from here on train their own.
 			ss.quant = ss.quant || eng.quant
 		}
 	}
-	ss.smap.Store(m)
 	ss.dir, ss.walOpts = dir, opts
 	return ss, nil
-}
-
-// sameEngineConfig verifies that two recovered shard engines carry the
-// same engine configuration; shards of one store must be interchangeable.
-func sameEngineConfig(a, b *Searcher) error {
-	ac, bc := a.engineConfig, b.engineConfig
-	ac.quant, bc.quant = false, false // see OpenSharded
-	if ac != bc {
-		return fmt.Errorf("shard engine configuration mismatch (scale %v/%v, backend %s/%s)", a.scale, b.scale, a.backend, b.backend)
-	}
-	if a.Dim() != b.Dim() {
-		return fmt.Errorf("shard dimension mismatch: %d vs %d", a.Dim(), b.Dim())
-	}
-	// Distances computed under different metrics must never be merged: a
-	// shard restored from the wrong store would silently corrupt every
-	// query, so compare the persisted metric identities too.
-	aID, aParam, errA := vecmath.IdentifyMetric(a.snap.Load().ix.Metric())
-	bID, bParam, errB := vecmath.IdentifyMetric(b.snap.Load().ix.Metric())
-	if errA != nil || errB != nil || aID != bID || aParam != bParam {
-		return fmt.Errorf("shard metric mismatch (%d(%v) vs %d(%v))", aID, aParam, bID, bParam)
-	}
-	return nil
 }
 
 // createShardStore creates the store of a shard engine just built for a

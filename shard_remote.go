@@ -17,7 +17,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/vecmath"
 	"repro/internal/wire"
 )
 
@@ -41,9 +40,9 @@ const maxRemoteResponse = 64 << 20
 // replicaSet tracks the addresses serving one shard. Addrs[0] is the
 // primary and the only replica that takes writes; reads rotate across the
 // replicas the health loop currently believes are serving (and in sync
-// with the primary — a replica that lags after a write through the
-// coordinator is marked down until it catches up, so reads never travel
-// back in time relative to acknowledged writes).
+// with the primary — a replica whose description differs from the
+// primary's, as after a write through the coordinator, is marked down, so
+// reads never travel back in time relative to acknowledged writes).
 type replicaSet struct {
 	addrs   []string
 	healthy []atomic.Bool
@@ -103,11 +102,9 @@ func newRemoteTelemetry(reg *telemetry.Registry) *remoteTelemetry {
 // fresh Transport per shard would re-handshake constantly and leak idle
 // sockets) and the retry policy.
 type clusterClient struct {
-	hc      *http.Client
-	timeout time.Duration
-	retries int
-	backoff time.Duration
-	tel     atomic.Pointer[remoteTelemetry]
+	coordConfig // the timeout and retry policy, and the health loop's period
+	hc          *http.Client
+	tel         atomic.Pointer[remoteTelemetry]
 }
 
 // remoteShard is one shard of a Coordinator: it serves shardClient calls from
@@ -224,9 +221,10 @@ func outcomeUnknown(cause error) error {
 }
 
 // landed records a write the primary applied: the live count moves, and the
-// shard's read-only replicas are stale until the health loop sees them agree
-// with the primary's live count again. Reads fail over to the primary
-// meanwhile, so acknowledged writes are always visible to later reads.
+// shard's read-only replicas are stale — the health loop keeps them down
+// while their descriptions differ from the primary's. Reads go to the
+// primary meanwhile, so acknowledged writes are always visible to later
+// reads.
 func (r *remoteShard) landed(delta int) {
 	r.live.Add(int64(delta))
 	for i := 1; i < len(r.rs.addrs); i++ {
@@ -523,36 +521,33 @@ func (r *remoteShard) CountBatch(ctx context.Context, probes []CountCloserQuery)
 	return counts, r.unknownOpErr(err, wire.OpCountBatch, "count verification")
 }
 
-// shardInfo is the daemon self-description behind GET /v1/shard/info.
-type shardInfo struct {
-	Shard       int     `json:"shard"`
-	Shards      int     `json:"shards"`
-	Points      int     `json:"points"`
-	IDSpan      int     `json:"id_span"`
-	Dim         int     `json:"dim"`
-	Scale       float64 `json:"scale"`
-	Plus        bool    `json:"plus"`
-	Margin      float64 `json:"margin"`
-	Backend     string  `json:"backend,omitempty"`
-	MetricID    uint8   `json:"metric_id"`
-	MetricParam float64 `json:"metric_param"`
-	Approximate bool    `json:"approximate,omitempty"`
-}
-
-// fetchInfo retrieves the daemon's shard self-description.
-func (r *remoteShard) fetchInfo(ctx context.Context) (shardInfo, error) {
-	var info shardInfo
-	err := r.call(ctx, http.MethodGet, "/v1/shard/info", "", nil,
-		func(status int, ctype string, body []byte) error {
-			if status != http.StatusOK {
-				return jsonErr(status, ctype, body)
-			}
-			return json.Unmarshal(body, &info)
-		})
-	return info, err
-}
-
-// metricOf reconstructs the comparable metric value a daemon reported.
-func (info shardInfo) metricOf() (Metric, error) {
-	return vecmath.MetricFromID(vecmath.MetricID(info.MetricID), info.MetricParam)
+// describe reads the shard's description (GET /v1/shard/info): through call
+// — any healthy replica, with retries — when replica < 0, and otherwise from
+// that replica alone in one untraced, uncounted exchange, which is how the
+// health loop judges each copy by its own answer.
+func (r *remoteShard) describe(ctx context.Context, replica int) (d ShardDescription, err error) {
+	decode := func(status int, ctype string, body []byte) error {
+		if status != http.StatusOK {
+			return jsonErr(status, ctype, body)
+		}
+		return json.Unmarshal(body, &d)
+	}
+	if replica < 0 {
+		err = r.call(ctx, http.MethodGet, "/v1/shard/info", "", nil, decode)
+		return d, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.rs.addrs[replica]+"/v1/shard/info", nil)
+	if err != nil {
+		return d, err
+	}
+	resp, err := r.cc.hc.Do(req)
+	if err != nil {
+		return d, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRemoteResponse))
+	if err == nil {
+		err = decode(resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	return d, err
 }

@@ -11,11 +11,10 @@ import (
 // read-side methods a shard daemon exposes so a remote coordinator can run
 // its queries against it — the forward neighbor stream it merges across
 // shards, batched member-point lookups, batched verification counts and
-// forward-kNN probes with explicit self-exclusion, the ID span behind the
-// shard-map rebuild, and the metric identity and algorithm variant behind
-// the coordinator's cross-shard configuration check. They are ordinary public
-// API: all answer from one pinned snapshot, with the same concurrency
-// contract as every other read.
+// forward-kNN probes with explicit self-exclusion, and the shard's
+// self-description (Describe) behind the cluster handshake. They are
+// ordinary public API: all answer from one pinned snapshot, with the same
+// concurrency contract as every other read.
 
 // NeighborStream appends one chunk of the forward neighbor stream from q to
 // rows and points (a daemon passes recycled staging; nil works): up to count
@@ -53,12 +52,6 @@ func (s *Searcher) NeighborStream(rows []Neighbor, points [][]float64, q []float
 		points = append(points, ix.Point(nb.ID))
 	}
 }
-
-// Algorithm reports which of the paper's algorithms the engine runs — RDT+
-// (plus) or plain RDT — and the margin an adaptive engine (Scale() == 0)
-// widens its online estimate by. A coordinator runs the query itself over
-// its shards' neighbor streams, so it must learn both from the daemons.
-func (s *Searcher) Algorithm() (plus bool, margin float64) { return s.plus, s.margin }
 
 // checkQuery validates a query point against an index's metric and
 // dimension.
@@ -149,13 +142,44 @@ func (s *Searcher) MemberPoints(ids ...int) [][]float64 {
 // not of liveness.
 func (s *Searcher) IDSpan() int { return s.snap.Load().ix.IDSpan() }
 
-// MetricIdentity returns the registry identity (ID, parameter) of the
-// engine's distance metric — the comparable form behind the coordinator's
-// cross-shard configuration check, mirroring what OpenSharded verifies
-// across on-disk shard stores.
-func (s *Searcher) MetricIdentity() (uint8, float64, error) {
-	id, param, err := vecmath.IdentifyMetric(s.snap.Load().ix.Metric())
-	return uint8(id), param, err
+// ShardDescription is a shard's self-description: its role (shard Shard of
+// Shards), the engine shape every shard of one sharded engine must share for
+// the merged neighbor stream to be the paper's — dimension, scale (0 when
+// adaptive), RDT+ or plain RDT and the adaptive margin, back-end, metric
+// identity — and the two counts the shard-map replay reads: live points and
+// ID span (every member ID ever assigned, tombstones included, since hash
+// placement follows assignment order, not liveness). A daemon serves it on
+// GET /v1/shard/info; the one assembly rule (shardedCore.assemble) reads it
+// from daemons and reopened shard stores alike. Fields are declared in the
+// order of their JSON keys.
+type ShardDescription struct {
+	Approximate bool    `json:"approximate,omitempty"`
+	Backend     Backend `json:"backend"`
+	Dim         int     `json:"dim"`
+	IDSpan      int     `json:"id_span"`
+	Margin      float64 `json:"margin"`
+	MetricID    uint8   `json:"metric_id"`
+	MetricParam float64 `json:"metric_param"`
+	Plus        bool    `json:"plus"`
+	Points      int     `json:"points"`
+	Scale       float64 `json:"scale"`
+	Shard       int     `json:"shard"`
+	Shards      int     `json:"shards"`
+}
+
+// Describe returns the engine's description as shard `shard` of `shards`,
+// read from one pinned snapshot.
+func (s *Searcher) Describe(shard, shards int) (ShardDescription, error) {
+	ix := s.snap.Load().ix
+	id, param, err := vecmath.IdentifyMetric(ix.Metric())
+	if err != nil {
+		return ShardDescription{}, fmt.Errorf("rknnd: metric identity: %w", err)
+	}
+	return ShardDescription{
+		Approximate: s.Approximate(), Backend: s.backend, Dim: ix.Dim(), IDSpan: ix.IDSpan(),
+		Margin: s.margin, MetricID: uint8(id), MetricParam: param, Plus: s.plus,
+		Points: ix.Len(), Scale: s.scale, Shard: shard, Shards: shards,
+	}, nil
 }
 
 // EstimateScale returns the scale parameter t that NewSharded over the same
