@@ -2,10 +2,13 @@ package covertree
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/vecmath"
 )
 
@@ -20,6 +23,24 @@ func randomPoints(n, dim int, seed int64) [][]float64 {
 		pts[i] = p
 	}
 	return pts
+}
+
+// TestBuildStructurePinned pins the topology a build produces, node for
+// node, as the hash of EncodeStructure's bytes for a fixed FCT build. The
+// insertion descent measures children through the one-vs-many kernel,
+// whose results are the one-vs-one kernel's bit for bit, so the hash is the
+// one a descent measuring a child at a time produces; any change to how a
+// build measures must keep it.
+func TestBuildStructurePinned(t *testing.T) {
+	tree, err := New(dataset.FCT(2000, 1).Points, vecmath.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ade65574a982d927852d1be137801f5c12ce271450bcb42ce095a78ba095b7d6"
+	sum := sha256.Sum256(tree.EncodeStructure())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("EncodeStructure sha256 = %s, want %s", got, want)
+	}
 }
 
 // TestStructureRoundTrip encodes a built tree's topology and restores it:

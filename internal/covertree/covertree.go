@@ -193,7 +193,9 @@ func (t *Tree) Live(id int) bool { return id >= 0 && id < len(t.points.Rows) && 
 // children slice at the moment an entry is replaced or appended — so the
 // raised root level, the widened maxDist bounds and the new leaf exist in
 // this tree alone. The tree that results is node for node the one an
-// in-place insertion builds.
+// in-place insertion builds. Each level measures its children through the
+// one-vs-many kernel, and the distance to the child descended into is
+// the next level's distance to its own point, measured once.
 func (t *Tree) insertID(id int) {
 	p := t.points.Rows[id]
 	if t.root == nil {
@@ -205,26 +207,29 @@ func (t *Tree) insertID(id int) {
 		root := *t.root
 		t.root = &root
 	}
-	d := t.dist(p, t.points.Rows[t.root.id])
-	if d > t.root.covdist() {
+	s := descentPool.Get().(*descent)
+	defer descentPool.Put(s)
+	dCur := t.dist(p, t.points.Rows[t.root.id])
+	if dCur > t.root.covdist() {
 		// Lazy root raise: lift the root's level until its cover
 		// radius reaches the new point. Children remain covered (the
 		// radius only grew) and keep strictly smaller levels.
-		t.root.level = levelFor(d)
+		t.root.level = levelFor(dCur)
 	}
 	cur := t.root // this tree's own node; under cow its children slice is still the shared one
 	for {
-		dCur := t.dist(p, t.points.Rows[cur.id])
 		if dCur > cur.maxDist {
 			cur.maxDist = dCur
 		}
-		// Descend into the nearest child whose cover radius reaches p.
+		// Descend into the nearest child whose cover radius reaches p,
+		// measuring the children a chunk at a time.
 		best := -1
 		bestDist := math.Inf(1)
-		for i, c := range cur.children {
-			dc := t.dist(p, t.points.Rows[c.id])
-			if dc <= c.covdist() && dc < bestDist {
-				best, bestDist = i, dc
+		for lo, rest := 0, cur.children; len(rest) > 0; lo, rest = lo+expandChunk, nextChunk(rest) {
+			for i, dc := range t.measure(p, rest, s.level(0)) {
+				if dc <= rest[i].covdist() && dc < bestDist {
+					best, bestDist = lo+i, dc
+				}
 			}
 		}
 		if best < 0 {
@@ -239,7 +244,7 @@ func (t *Tree) insertID(id int) {
 			cur.children = slices.Clone(cur.children)
 			cur.children[best] = &child
 		}
-		cur = cur.children[best]
+		cur, dCur = cur.children[best], bestDist
 	}
 }
 

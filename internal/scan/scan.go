@@ -288,40 +288,93 @@ func (ix *Index) skip(id, skipID int) bool {
 	return ix.deleted[id]
 }
 
-// cursorChunk is how many rows NewCursor hands the batch kernel at a time.
+// cursorChunk is how many rows one call of the one-vs-many kernel measures.
 const cursorChunk = 128
 
-// NewCursor implements index.Index. Every row's distance is computed up
-// front, cursorChunk rows to a call of the one-vs-many kernel, and rows the
-// query excludes are dropped afterwards, so member queries and indexes
-// holding tombstones run the same kernel as everything else. The order is
-// resolved lazily: one O(n) heapify here, one O(log n) pop per Next, since
-// RDT reads at most 2^t·k neighbors of the n — in the strict (distance, ID)
-// order of pqueue.NewNearest. The n-entry item array is the cursor's, and
-// Close hands the cursor with it to the next query.
-func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
-	c := cursorPool.Get().(*cursor)
+// chunkPool recycles the kernel's output space: the kernel is called
+// through a func value, so a local array handed to it would be moved to the
+// heap on every call.
+var chunkPool = sync.Pool{New: func() any { return new([cursorChunk]float64) }}
+
+// measureRows calls visit with the ID and distance from q of every row the
+// query does not exclude, in ID order, until visit returns false. Rows go
+// to the one-vs-many kernel cursorChunk at a time and excluded rows are
+// dropped after it has run, so member queries and indexes holding
+// tombstones run the same kernel as everything else.
+func (ix *Index) measureRows(q []float64, skipID int, dead map[int]bool, visit func(id int, d float64) bool) {
+	dists := chunkPool.Get().(*[cursorChunk]float64)
+	defer chunkPool.Put(dists)
 	all := ix.points.Rows
-	if cap(c.items) < len(all) {
-		c.items = make([]pqueue.Item[int], len(all))
-	}
-	items := c.items[:len(all)]
 	for lo := 0; lo < len(all); lo += cursorChunk {
 		rows := all[lo:min(lo+cursorChunk, len(all))]
-		ix.batch(q, rows, c.dists[:])
-		for j := range rows {
-			items[lo+j] = pqueue.Item[int]{Priority: c.dists[j], Value: lo + j}
-		}
-	}
-	if skipID >= 0 || len(ix.deleted) > 0 {
-		live := items[:0]
-		for _, it := range items {
-			if !ix.skip(it.Value, skipID) {
-				live = append(live, it)
+		ix.batch(q, rows, dists[:])
+		for j, d := range dists[:len(rows)] {
+			id := lo + j
+			if ix.skip(id, skipID) || (len(dead) != 0 && dead[id]) {
+				continue
+			}
+			if !visit(id, d) {
+				return
 			}
 		}
-		items = live
 	}
+}
+
+// eachRow is measureRows for the bounded searches: with the quantized
+// filter enabled, rows go one at a time and each is first screened against
+// bound() — the search bound in the metric's result domain, or false while
+// there is none yet, as for a KNN heap that is not full — so only rows that
+// could beat it pay the exact kernel. A screened row is one the caller
+// would have discarded, so the rows it sees decide the same result.
+func (ix *Index) eachRow(q []float64, skipID int, dead map[int]bool, bound func() (float64, bool), visit func(id int, d float64) bool) {
+	if ix.filter == nil {
+		ix.measureRows(q, skipID, dead, visit)
+		return
+	}
+	qq, release := ix.newQuantQuery(q)
+	defer release()
+	var admitted, screened int64
+	defer func() {
+		qq.f.stats.admitted.Add(admitted)
+		qq.f.stats.screened.Add(screened)
+	}()
+	for id, p := range ix.points.Rows {
+		if ix.skip(id, skipID) || (len(dead) != 0 && dead[id]) {
+			continue
+		}
+		// Rows measured while there is no bound never consult the screen,
+		// so they count toward neither admitted nor screened — the counters
+		// cover only rows the filter actually ruled on.
+		if b, ok := bound(); ok {
+			if qq.screened(id, b) {
+				screened++
+				continue
+			}
+			admitted++
+		}
+		if !visit(id, ix.dist(q, p)) {
+			return
+		}
+	}
+}
+
+// NewCursor implements index.Index. Every row's distance is computed up
+// front (measureRows). The order is resolved lazily: one O(n) heapify here,
+// one O(log n) pop per Next, since RDT reads at most 2^t·k neighbors of the
+// n — in the strict (distance, ID) order of pqueue.NewNearest. The n-entry
+// item array is the cursor's, and Close hands the cursor with it to the
+// next query.
+func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
+	c := cursorPool.Get().(*cursor)
+	if cap(c.items) < len(ix.points.Rows) {
+		c.items = make([]pqueue.Item[int], 0, len(ix.points.Rows))
+	}
+	items := c.items[:0]
+	ix.measureRows(q, skipID, nil, func(id int, d float64) bool {
+		items = append(items, pqueue.Item[int]{Priority: d, Value: id})
+		return true
+	})
+	c.items = items
 	c.ready.Heapify(items)
 	c.open = true
 	return c
@@ -332,8 +385,7 @@ func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
 // index, query or row.
 type cursor struct {
 	ready *pqueue.Min[int]
-	items []pqueue.Item[int]   // the array ready orders a prefix of, at full length
-	dists [cursorChunk]float64 // kernel output (a local would escape through the kernel's func value)
+	items []pqueue.Item[int] // the array ready orders, kept for the next query
 	open  bool
 }
 
@@ -358,27 +410,20 @@ func (c *cursor) Close() {
 // KNN implements index.Index with a bounded max-heap, avoiding the full sort
 // of NewCursor. With the quantized filter enabled, rows are screened against
 // the heap bound with sound lower bounds before paying the exact kernel;
-// because the unfiltered loop only offers a row when d < bound, skipping a
-// row whose lower bound clears the bound (with quantSlack margin) can never
-// change the heap's contents, so the results are byte-identical either way.
+// because the loop only offers a row when d < bound, skipping a row whose
+// lower bound clears the bound (with quantSlack margin) can never change the
+// heap's contents, so the results are byte-identical either way.
 func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if k <= 0 {
 		return nil
 	}
 	top := pqueue.NewTopK[int](max(1, min(k, ix.alive))) // never k slots for k > n
-	if ix.filter != nil {
-		ix.knnFiltered(q, top, skipID)
-	} else {
-		for id, p := range ix.points.Rows {
-			if ix.skip(id, skipID) {
-				continue
-			}
-			d := ix.dist(q, p)
-			if bound, full := top.Bound(); !full || d < bound {
-				top.Offer(d, id)
-			}
+	ix.eachRow(q, skipID, nil, top.Bound, func(id int, d float64) bool {
+		if bound, full := top.Bound(); !full || d < bound {
+			top.Offer(d, id)
 		}
-	}
+		return true
+	})
 	items := top.Sorted()
 	out := make([]index.Neighbor, len(items))
 	for i, it := range items {
@@ -461,65 +506,18 @@ func (qq *quantQuery) screened(id int, bound float64) bool {
 	}
 }
 
-func (ix *Index) knnFiltered(q []float64, top *pqueue.TopK[int], skipID int) {
-	qq, release := ix.newQuantQuery(q)
-	defer release()
-	var admitted, screened int64
-	for id, p := range ix.points.Rows {
-		if ix.skip(id, skipID) {
-			continue
-		}
-		// Rows evaluated before the heap fills never consult the screen, so
-		// they count toward neither admitted nor screened — the counters
-		// cover only rows the filter actually ruled on.
-		if bound, full := top.Bound(); full {
-			if qq.screened(id, bound) {
-				screened++
-				continue
-			}
-			admitted++
-		}
-		d := ix.dist(q, p)
-		if bound, full := top.Bound(); !full || d < bound {
-			top.Offer(d, id)
-		}
-	}
-	qq.f.stats.admitted.Add(admitted)
-	qq.f.stats.screened.Add(screened)
-}
-
 // Range implements index.Index. The quantized filter screens against the
 // fixed radius; the boundary is inclusive (d <= r) while screening requires
 // the lower bound to clear r by quantSlack, so boundary rows always reach
 // the exact kernel.
 func (ix *Index) Range(q []float64, r float64, skipID int) []index.Neighbor {
 	var out []index.Neighbor
-	var qq *quantQuery
-	if ix.filter != nil {
-		var release func()
-		qq, release = ix.newQuantQuery(q)
-		defer release()
-	}
-	var admitted, screened int64
-	for id, p := range ix.points.Rows {
-		if ix.skip(id, skipID) {
-			continue
-		}
-		if qq != nil {
-			if qq.screened(id, r) {
-				screened++
-				continue
-			}
-			admitted++
-		}
-		if d := ix.dist(q, p); d <= r {
+	ix.eachRow(q, skipID, nil, radius(r), func(id int, d float64) bool {
+		if d <= r {
 			out = append(out, index.Neighbor{ID: id, Dist: d})
 		}
-	}
-	if qq != nil {
-		qq.f.stats.admitted.Add(admitted)
-		qq.f.stats.screened.Add(screened)
-	}
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {
 			return out[i].Dist < out[j].Dist
@@ -529,35 +527,20 @@ func (ix *Index) Range(q []float64, r float64, skipID int) []index.Neighbor {
 	return out
 }
 
+// radius is the screening bound of a search with a fixed radius r.
+func radius(r float64) func() (float64, bool) {
+	return func() (float64, bool) { return r, true }
+}
+
 // CountRange implements index.Index without materializing the result.
 func (ix *Index) CountRange(q []float64, r float64, skipID int) int {
-	var qq *quantQuery
-	if ix.filter != nil {
-		var release func()
-		qq, release = ix.newQuantQuery(q)
-		defer release()
-	}
-	var admitted, screened int64
 	count := 0
-	for id, p := range ix.points.Rows {
-		if ix.skip(id, skipID) {
-			continue
-		}
-		if qq != nil {
-			if qq.screened(id, r) {
-				screened++
-				continue
-			}
-			admitted++
-		}
-		if ix.dist(q, p) <= r {
+	ix.eachRow(q, skipID, nil, radius(r), func(_ int, d float64) bool {
+		if d <= r {
 			count++
 		}
-	}
-	if qq != nil {
-		qq.f.stats.admitted.Add(admitted)
-		qq.f.stats.screened.Add(screened)
-	}
+		return true
+	})
 	return count
 }
 
@@ -570,34 +553,12 @@ func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map
 	if limit <= 0 {
 		return 0
 	}
-	var qq *quantQuery
-	if ix.filter != nil {
-		var release func()
-		qq, release = ix.newQuantQuery(q)
-		defer release()
-	}
-	var admitted, screened int64
 	count := 0
-	for id, p := range ix.points.Rows {
-		if ix.skip(id, skipID) || (len(dead) != 0 && dead[id]) {
-			continue
+	ix.eachRow(q, skipID, dead, radius(r), func(_ int, d float64) bool {
+		if d < r {
+			count++
 		}
-		if qq != nil {
-			if qq.screened(id, r) {
-				screened++
-				continue
-			}
-			admitted++
-		}
-		if ix.dist(q, p) < r {
-			if count++; count == limit {
-				break
-			}
-		}
-	}
-	if qq != nil {
-		qq.f.stats.admitted.Add(admitted)
-		qq.f.stats.screened.Add(screened)
-	}
+		return count < limit
+	})
 	return count
 }

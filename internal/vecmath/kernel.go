@@ -13,11 +13,19 @@ import "math"
 // rounding and could flip distance ties deep inside the conformance suite.
 // One accumulator is one floating-point add dependency chain, which is what
 // bounds a single distance at about two cycles an element. The one-vs-many
-// kernels therefore go wide across rows, not within one: two rows a pass,
-// each with its own accumulator, give the CPU two independent chains and
-// load each query element once, and every result still has the scalar bits.
-// The property tests in kernel_test.go pin each kernel to its scalar
-// reference across lengths 0..67 and row counts 0..9.
+// kernels therefore go wide across rows, not within one. The portable ones
+// take two rows a pass, each with its own accumulator: two independent
+// chains, each query element loaded once. On amd64 CPUs with AVX2 the
+// squared-L2 ones go further (kernel_amd64.s): a 256-bit register holds
+// four accumulators, one lane per row, and a 4×4 transpose lines each row's
+// terms up in its own lane, so every lane adds exactly the scalar loop's
+// terms in the scalar loop's order. They take eight rows a pass in two
+// such registers; a last three to seven rows are padded to a group of four
+// or eight, and a last one or two go through the two-row kernel. Every
+// result still has the scalar bits. The property tests in kernel_test.go
+// pin each kernel to its scalar reference across lengths 0..67 and row
+// counts 0..19, on both paths, and FuzzBatchKernel does the same for
+// arbitrary float64 bits.
 
 // DistanceFunc is a one-vs-one distance kernel with Metric.Distance's
 // contract (panics on length mismatch).
@@ -46,8 +54,8 @@ func KernelFor(m Metric) DistanceFunc {
 
 // BatchFor returns the one-vs-many kernel for m — the one entry point for
 // every loop that measures many rows against one point. It is never nil: the
-// four kernel metrics get their two-row kernel, any other metric a loop over
-// m.Distance. out[i] == m.Distance(q, rows[i]) holds bit-for-bit.
+// four kernel metrics get their multi-row kernels, any other metric a loop
+// over m.Distance. out[i] == m.Distance(q, rows[i]) holds bit-for-bit.
 func BatchFor(m Metric) BatchDistanceFunc {
 	switch m.(type) {
 	case Euclidean:
@@ -83,14 +91,18 @@ func twoRows(q []float64, rows [][]float64, out []float64, one DistanceFunc, two
 }
 
 func euclideanBatch(q []float64, rows [][]float64, out []float64) {
-	twoRows(q, rows, out, SquaredDistance, squaredDistance2)
+	squaredBatch(q, rows, out)
 	for i, s := range out[:len(rows)] {
 		out[i] = math.Sqrt(s)
 	}
 }
 
+// squaredBatch sends rows through the wide kernels where the CPU has them
+// (squaredWide), and whatever they leave through the two-row kernel.
 func squaredBatch(q []float64, rows [][]float64, out []float64) {
-	twoRows(q, rows, out, SquaredDistance, squaredDistance2)
+	out = out[:len(rows)]
+	i := squaredWide(q, rows, out)
+	twoRows(q, rows[i:], out[i:], SquaredDistance, squaredDistance2)
 }
 
 func l1Batch(q []float64, rows [][]float64, out []float64) {

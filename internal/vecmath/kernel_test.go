@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -39,12 +40,36 @@ func refLinf(a, b []float64) float64 {
 	return s
 }
 
+// bothL2Paths runs f once on the squared-L2 path the CPU takes and, where
+// that is the wide one, again with it switched off, so the portable path
+// is checked on every machine.
+func bothL2Paths(t *testing.T, f func(t *testing.T)) {
+	saved := wideL2
+	defer func() { wideL2 = saved }()
+	paths := []bool{false}
+	if saved {
+		paths = []bool{true, false}
+	}
+	for _, wide := range paths {
+		wideL2 = wide
+		t.Run(fmt.Sprintf("wide=%v", wide), f)
+	}
+}
+
 // TestKernelsBitIdenticalToScalar pins every kernel to its scalar reference
 // across vector lengths 0..67: the one-vs-one kernels directly, and the
-// one-vs-many kernels — the two-row ones and BatchFor's fallback over a
-// metric without a kernel — over row counts 0..9, so that both the paired
-// pass and the odd last row are checked against Metric.Distance bit for bit.
+// one-vs-many kernels — the wide and two-row ones and BatchFor's fallback
+// over a metric without a kernel — over row counts 0..19, so that the
+// eight-row groups, the padded last group of three to seven rows (as a
+// four- or an eight-row group), and the portable pair and odd last row are
+// all checked against Metric.Distance bit for bit, on rows of their own and
+// on rows cut at odd offsets of one backing array, whose loads are
+// unaligned.
 func TestKernelsBitIdenticalToScalar(t *testing.T) {
+	bothL2Paths(t, testKernelsBitIdenticalToScalar)
+}
+
+func testKernelsBitIdenticalToScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for dim := 0; dim <= 67; dim++ {
 		for trial := 0; trial < 25; trial++ {
@@ -66,16 +91,24 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 		batch := BatchFor(m)
 		for dim := 0; dim <= 67; dim++ {
 			q := randVec(rng, dim)
-			for nrows := 0; nrows <= 9; nrows++ {
-				rows := make([][]float64, nrows)
-				for i := range rows {
-					rows[i] = randVec(rng, dim)
+			for nrows := 0; nrows <= 19; nrows++ {
+				own := make([][]float64, nrows)
+				for i := range own {
+					own[i] = randVec(rng, dim)
 				}
-				out := make([]float64, nrows)
-				batch(q, rows, out)
-				for i, r := range rows {
-					if want := m.Distance(q, r); math.Float64bits(out[i]) != math.Float64bits(want) {
-						t.Fatalf("%s dim %d, row %d of %d: batch = %v, Distance = %v", m.Name(), dim, i, nrows, out[i], want)
+				backing := randVec(rng, nrows*(dim+1)+1)
+				cut := make([][]float64, nrows)
+				for i := range cut {
+					off := 1 + i*(dim+1)
+					cut[i] = backing[off : off+dim]
+				}
+				for _, rows := range [][][]float64{own, cut} {
+					out := make([]float64, nrows)
+					batch(q, rows, out)
+					for i, r := range rows {
+						if want := m.Distance(q, r); math.Float64bits(out[i]) != math.Float64bits(want) {
+							t.Fatalf("%s dim %d, row %d of %d: batch = %v, Distance = %v", m.Name(), dim, i, nrows, out[i], want)
+						}
 					}
 				}
 			}
@@ -84,24 +117,38 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 }
 
 // TestBatchPanicsOnLengthMismatch checks that a row of the wrong length
-// panics in either slot of a pair and as the odd last row, and that a short
-// out slice panics before anything is written past it.
+// panics in every slot of 9, 10, 12 and 15 rows — an eight-row group
+// followed by the portable odd row, the portable pair, a four-row group and
+// a padded eight-row group — and that a short out slice panics before
+// anything is written past it.
 func TestBatchPanicsOnLengthMismatch(t *testing.T) {
+	bothL2Paths(t, testBatchPanicsOnLengthMismatch)
+}
+
+func testBatchPanicsOnLengthMismatch(t *testing.T) {
 	mk, _ := NewMinkowski(3)
 	for _, m := range []Metric{Euclidean{}, SquaredEuclidean{}, Manhattan{}, Chebyshev{}, mk} {
 		batch := BatchFor(m)
 		q := make([]float64, 5)
-		for bad := 0; bad < 3; bad++ {
-			for _, badLen := range []int{4, 6} {
-				rows := [][]float64{make([]float64, 5), make([]float64, 5), make([]float64, 5)}
-				rows[bad] = make([]float64, badLen)
-				mustPanic(t, fmt.Sprintf("%s: row %d of length %d", m.Name(), bad, badLen), func() {
-					batch(q, rows, make([]float64, len(rows)))
-				})
+		for _, nrows := range []int{9, 10, 12, 15} {
+			for bad := 0; bad < nrows; bad++ {
+				for _, badLen := range []int{4, 6} {
+					rows := make([][]float64, nrows)
+					for i := range rows {
+						rows[i] = make([]float64, 5)
+					}
+					rows[bad] = make([]float64, badLen)
+					mustPanic(t, fmt.Sprintf("%s: row %d of %d, of length %d", m.Name(), bad, nrows, badLen), func() {
+						batch(q, rows, make([]float64, len(rows)))
+					})
+				}
 			}
 		}
 		mustPanic(t, m.Name()+": short out", func() {
 			batch(q, [][]float64{q, q, q}, make([]float64, 2))
+		})
+		mustPanic(t, m.Name()+": short out, wide group", func() {
+			batch(q, [][]float64{q, q, q, q, q, q, q, q}, make([]float64, 7))
 		})
 	}
 }
@@ -114,6 +161,54 @@ func mustPanic(t *testing.T, what string, f func()) {
 		}
 	}()
 	f()
+}
+
+// FuzzBatchKernel decodes a query and up to 19 rows from the input —
+// dimension and row count from the first two bytes, then raw float64 bits,
+// so subnormals, infinities and huge magnitudes all occur — and checks the
+// squared-L2 batch kernel against refSquared bit for bit on both paths. Two
+// NaNs count as equal: inputs holding a NaN are refused before any index
+// sees them (ValidateFor), so a NaN's payload is no part of the contract.
+func FuzzBatchKernel(f *testing.F) {
+	f.Add([]byte{7, 11, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{4, 8, 0xff, 0xf0, 0, 0, 0, 0, 0, 0, 0x7f, 0xf0})
+	f.Add([]byte{53, 19, 0x3f, 0xf0, 0x80, 0x01, 0x12, 0x34, 0x56, 0x78})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		dim, nrows := int(data[0]%70), int(data[1]%20)
+		data = data[2:]
+		next := func() float64 {
+			var b [8]byte
+			copy(b[:], data)
+			data = data[min(8, len(data)):]
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		vec := func() []float64 {
+			v := make([]float64, dim)
+			for i := range v {
+				v[i] = next()
+			}
+			return v
+		}
+		q := vec()
+		rows := make([][]float64, nrows)
+		for i := range rows {
+			rows[i] = vec()
+		}
+		batch := BatchFor(SquaredEuclidean{})
+		bothL2Paths(t, func(t *testing.T) {
+			out := make([]float64, nrows)
+			batch(q, rows, out)
+			for i, r := range rows {
+				got, want := out[i], refSquared(q, r)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("dim %d, row %d of %d: batch = %v, scalar reference = %v", dim, i, nrows, got, want)
+				}
+			}
+		})
+	})
 }
 
 // TestKernelForMatchesMetric pins the dispatched one-vs-one kernels to
@@ -142,31 +237,46 @@ func TestKernelForMatchesMetric(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchL2 times one Euclidean distance through the one-vs-one
-// kernel and through the two-row batch kernel, at the benchmark workloads'
-// two dimensionalities.
+// BenchmarkBatchL2 times one Euclidean distance at the benchmark workloads'
+// two dimensionalities: through the one-vs-one kernel, and through BatchFor
+// over 16 rows (a cover-tree chunk) and 128 rows (a scan chunk) on the wide
+// path and on the portable two-row path. The wide sub-benchmarks are
+// skipped where the CPU has no wide kernels.
 func BenchmarkBatchL2(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
+	one, batch := KernelFor(Euclidean{}), BatchFor(Euclidean{})
+	saved := wideL2
+	defer func() { wideL2 = saved }()
 	for _, dim := range []int{53, 784} {
-		rows := make([][]float64, 64)
-		for i := range rows {
-			rows[i] = randVec(rng, dim)
-		}
 		q := randVec(rng, dim)
-		out := make([]float64, len(rows))
-		one, batch := KernelFor(Euclidean{}), BatchFor(Euclidean{})
-		b.Run(fmt.Sprintf("d%d/one", dim), func(b *testing.B) {
-			for i := 0; i < b.N; i += len(rows) {
-				for j, r := range rows {
-					out[j] = one(q, r)
-				}
+		for _, n := range []int{16, 128} {
+			rows := make([][]float64, n)
+			for i := range rows {
+				rows[i] = randVec(rng, dim)
 			}
-		})
-		b.Run(fmt.Sprintf("d%d/batch", dim), func(b *testing.B) {
-			for i := 0; i < b.N; i += len(rows) {
-				batch(q, rows, out)
+			out := make([]float64, n)
+			if n == 16 {
+				b.Run(fmt.Sprintf("d%d/one", dim), func(b *testing.B) {
+					for i := 0; i < b.N; i += n {
+						for j, r := range rows {
+							out[j] = one(q, r)
+						}
+					}
+				})
 			}
-		})
+			for _, wide := range []bool{true, false} {
+				name := map[bool]string{true: "wide", false: "portable"}[wide]
+				b.Run(fmt.Sprintf("d%d/rows%d/%s", dim, n, name), func(b *testing.B) {
+					if wide && !saved {
+						b.Skip("no wide kernels on this CPU")
+					}
+					wideL2 = wide
+					for i := 0; i < b.N; i += n {
+						batch(q, rows, out)
+					}
+				})
+			}
+		}
 	}
 }
 
