@@ -226,6 +226,9 @@ func (f serving) serve(ctx context.Context, stdout io.Writer, ready chan<- net.A
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Neither Shutdown nor Close touches a connection a handler took over,
+	// so the binary frame streams end through the server's own Close.
+	httpSrv.RegisterOnShutdown(srv.Close)
 	done := make(chan error, 1)
 	go func() {
 		<-ctx.Done()

@@ -148,7 +148,7 @@ func NewCoordinator(ctx context.Context, specs []ShardSpec, opts ...CoordinatorO
 		for j, a := range spec.Addrs {
 			addrs[j] = normalizeAddr(a)
 		}
-		co.remotes[i] = &remoteShard{shard: i, rs: newReplicaSet(addrs), cc: cc}
+		co.remotes[i] = &remoteShard{shard: i, rs: newReplicaSet(addrs, cfg.transport), cc: cc}
 		shards[i] = co.remotes[i]
 		d, err := co.remotes[i].describe(ctx, -1)
 		if err != nil {
@@ -177,12 +177,18 @@ func normalizeAddr(a string) string {
 	return a
 }
 
-// Close stops the health loop. In-flight queries finish normally.
+// Close stops the health loop and closes the idle stream connections, which
+// ends the daemons' loops serving them. In-flight queries finish normally.
 func (co *Coordinator) Close() error {
 	co.healthOnce.Do(func() {
 		if co.cc.healthEvery > 0 {
 			close(co.stopHealth)
 			<-co.healthDone
+		}
+		for _, sh := range co.remotes {
+			for _, c := range sh.rs.streams {
+				c.Close()
+			}
 		}
 	})
 	return nil

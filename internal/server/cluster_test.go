@@ -11,14 +11,17 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -61,7 +64,16 @@ type cluster struct {
 	reg     *telemetry.Registry  // the coordinator's and its server's
 	ts      *httptest.Server     // coordinator HTTP server
 	daemons [][]*httptest.Server // [shard][replica]
+	servers [][]*Server          // [shard][replica], behind daemons
 	engines []*repro.Searcher    // per-shard engine (shared by its replicas)
+}
+
+// kill takes a replica down as a dead process goes: its listener and HTTP
+// connections, and — which neither touches — its streams.
+func (c *cluster) kill(shard, replica int) {
+	c.daemons[shard][replica].CloseClientConnections()
+	c.daemons[shard][replica].Close()
+	c.servers[shard][replica].Close()
 }
 
 // startCluster partitions pts over S daemons (replicas HTTP servers per
@@ -76,16 +88,27 @@ func startCluster(t testing.TB, pts [][]float64, S, replicas int, coOpts ...repr
 // startClusterWith is startCluster with the daemons' engine options given.
 func startClusterWith(t testing.TB, pts [][]float64, S, replicas int, engOpts []repro.Option, coOpts ...repro.CoordinatorOption) *cluster {
 	t.Helper()
-	return startClusterWrapped(t, pts, S, replicas, engOpts, func(_ int, h http.Handler) http.Handler { return h }, coOpts...)
+	return startClusterDaemons(t, pts, S, replicas, engOpts, plainDaemon, coOpts...)
 }
 
-// startClusterWrapped is startClusterWith with every daemon's handler passed
-// through wrap (given the daemon's shard number) before it is served: the
-// seam for a daemon that misbehaves.
-func startClusterWrapped(t testing.TB, pts [][]float64, S, replicas int, engOpts []repro.Option, wrap func(shard int, h http.Handler) http.Handler, coOpts ...repro.CoordinatorOption) *cluster {
+// daemonFunc starts the HTTP server of one replica of a shard, over the
+// replica's Server: the seam for a daemon that misbehaves, or one whose bytes
+// are counted.
+type daemonFunc func(shard int, srv *Server) *httptest.Server
+
+func plainDaemon(_ int, srv *Server) *httptest.Server { return httptest.NewServer(srv.Handler()) }
+
+// wrappedDaemon serves the handler wrap builds over the replica's Server.
+func wrappedDaemon(wrap func(shard int, srv *Server) http.Handler) daemonFunc {
+	return func(shard int, srv *Server) *httptest.Server { return httptest.NewServer(wrap(shard, srv)) }
+}
+
+// startClusterDaemons is startClusterWith with every replica's HTTP server
+// started by daemon.
+func startClusterDaemons(t testing.TB, pts [][]float64, S, replicas int, engOpts []repro.Option, daemon daemonFunc, coOpts ...repro.CoordinatorOption) *cluster {
 	t.Helper()
 	parts := splitShards(t, pts, S)
-	c := &cluster{daemons: make([][]*httptest.Server, S), engines: make([]*repro.Searcher, S)}
+	c := &cluster{daemons: make([][]*httptest.Server, S), servers: make([][]*Server, S), engines: make([]*repro.Searcher, S)}
 	specs := make([]repro.ShardSpec, S)
 	for s := 0; s < S; s++ {
 		eng, err := repro.New(parts[s], engOpts...)
@@ -95,12 +118,12 @@ func startClusterWrapped(t testing.TB, pts [][]float64, S, replicas int, engOpts
 		c.engines[s] = eng
 		for r := 0; r < replicas; r++ {
 			ring := trace.NewRing(64)
-			ds := httptest.NewServer(wrap(s, New(eng,
-				WithShardRole(s, S),
-				WithTracing(ring, 0),
-				WithSlowLog(0, 64)).Handler()))
+			srv := New(eng, WithShardRole(s, S), WithTracing(ring, 0), WithSlowLog(0, 64))
+			ds := daemon(s, srv)
+			t.Cleanup(srv.Close)
 			t.Cleanup(ds.Close)
 			c.daemons[s] = append(c.daemons[s], ds)
+			c.servers[s] = append(c.servers[s], srv)
 			specs[s].Addrs = append(specs[s].Addrs, ds.URL)
 		}
 	}
@@ -118,6 +141,110 @@ func startClusterWrapped(t testing.TB, pts [][]float64, S, replicas int, engOpts
 	c.ts = httptest.NewServer(New(co, WithRegistry(c.reg), WithTracing(coRing, 1)).Handler())
 	t.Cleanup(c.ts.Close)
 	return c
+}
+
+// isUpgrade reports whether r asks to upgrade to the frame stream.
+func isUpgrade(r *http.Request) bool { return r.Header.Get("Upgrade") == wire.UpgradeProtocol }
+
+// refuseUpgrade answers a stream upgrade as a daemon that predates the
+// stream does — its routes know only POST /v1/binary, so 405 — and passes
+// anything else to next. Through it, a coordinator reads the daemon by
+// POST.
+func refuseUpgrade(w http.ResponseWriter, r *http.Request, next http.Handler) {
+	if isUpgrade(r) {
+		http.Error(w, "Method Not Allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	next.ServeHTTP(w, r)
+}
+
+// refusedUpgrade is refuseUpgrade for a coordinator-side RoundTripper: the
+// 405 it would get for an upgrade, or nil for any other request.
+func refusedUpgrade(req *http.Request) *http.Response {
+	if !isUpgrade(req) {
+		return nil
+	}
+	return &http.Response{
+		StatusCode: http.StatusMethodNotAllowed,
+		Header:     http.Header{"Content-Type": []string{"text/plain"}},
+		Body:       io.NopCloser(strings.NewReader("Method Not Allowed\n")),
+		Request:    req,
+	}
+}
+
+// frameHook is what a stream test daemon does with one request frame:
+// answer runs it through the package's own dispatch and returns the response
+// frame. The hook returns the response message to write, and whether to hang
+// up after it.
+type frameHook func(frame []byte, answer func([]byte) []byte) (msg []byte, hangUp bool)
+
+// streamDaemon is a daemon whose stream misbehaves per frame: it serves
+// srv's routes, but answers the upgrade itself and runs testStreamLoop, in
+// which hook sees every request frame.
+func streamDaemon(srv *Server, hook frameHook) http.Handler {
+	h := srv.Handler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !isUpgrade(r) {
+			h.ServeHTTP(w, r)
+			return
+		}
+		conn, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + wire.UpgradeProtocol + "\r\n\r\n")
+		if brw.Flush() == nil {
+			testStreamLoop(srv, conn, brw.Reader, hook)
+		}
+	})
+}
+
+// testStreamLoop reads request messages off conn and writes what hook makes
+// of each, until either side hangs up.
+func testStreamLoop(srv *Server, conn net.Conn, br *bufio.Reader, hook frameHook) {
+	answer := func(frame []byte) []byte {
+		out, err := srv.dispatch(context.Background(), frame, nil)
+		if err != nil {
+			out = wire.AppendError(nil, wire.ErrBadRequest, err.Error())
+		}
+		return out
+	}
+	for {
+		var f wire.Frame
+		if f.ReadMessage(br, maxBinaryBody) != nil {
+			return
+		}
+		_, _, frame, err := wire.SplitRequest(f.B)
+		if err != nil {
+			return
+		}
+		msg, hangUp := hook(frame, answer)
+		if _, err := conn.Write(msg); err != nil || hangUp {
+			return
+		}
+	}
+}
+
+// goroutinesIn waits up to ten seconds for no goroutine to have any of
+// frames on its stack, and returns the first frame still found (with every
+// stack) if one stays.
+func goroutinesIn(frames ...string) (string, string) {
+	deadline := time.Now().Add(10 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		leaked := ""
+		for _, frame := range frames {
+			if strings.Contains(stacks, frame) {
+				leaked = frame
+			}
+		}
+		if leaked == "" || time.Now().After(deadline) {
+			return leaked, stacks
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // rawCall performs one HTTP exchange and returns the status and the exact
@@ -350,7 +477,8 @@ func TestClusterByteIdentity(t *testing.T) {
 // carry a remote.call child per chunk and whose core.verify holds the count
 // round's remote.calls, and the coordinator's trace ID resolves
 // on every shard daemon's trace ring (the daemons joined the same trace via
-// the propagated traceparent, and honored the propagated X-Request-ID).
+// the traceparent their stream messages carried, and honored the request ID
+// carried beside it).
 func TestClusterTracePropagation(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 23)
 	cl := startCluster(t, pts, 3, 1)
@@ -406,6 +534,12 @@ func TestClusterTracePropagation(t *testing.T) {
 			t.Errorf("shard.scatter span (shard %v) has no remote.call child", sp.Attrs["shard"])
 		}
 	}
+	// The context travelled in stream messages, not in POST headers.
+	for _, sp := range findJSONSpans(out.Trace.Root, "remote.call") {
+		if sp.Attrs["exchange"] != "stream" {
+			t.Errorf("remote.call span (shard %v) took the %v exchange, want stream", sp.Attrs["shard"], sp.Attrs["exchange"])
+		}
+	}
 	verifies := findJSONSpans(cores[0], "core.verify")
 	if len(verifies) != 1 {
 		t.Fatalf("core.verify spans = %d, want 1", len(verifies))
@@ -459,9 +593,10 @@ func TestClusterTracePropagation(t *testing.T) {
 }
 
 // TestClusterReplicaFailover kills one replica in the middle of a query
-// stream: with per-request retry across replicas, not one query may fail,
-// and the health gauge must report the dead replica down once the health
-// loop notices.
+// stream — its listener, its connections and its frame streams, which the
+// coordinator was reading it by: with per-request retry across replicas, not
+// one query may fail, and the health gauge must report the dead replica down
+// once the health loop notices.
 func TestClusterReplicaFailover(t *testing.T) {
 	pts := indextest.RandPoints(140, 3, 31)
 	cl := startCluster(t, pts, 2, 2,
@@ -491,10 +626,17 @@ func TestClusterReplicaFailover(t *testing.T) {
 	}
 	// Kill shard 0's read replica mid-stream. Round-robin guarantees later
 	// reads pick the dead address; they must fail over, not fail.
-	cl.daemons[0][1].CloseClientConnections()
-	cl.daemons[0][1].Close()
+	if live := streamsOf(cl.servers[0][1]); live == 0 {
+		t.Fatal("the replica had no stream open before the kill: reads did not stream")
+	}
+	cl.kill(0, 1)
 	for qid := 40; qid < 120; qid++ {
 		ask(qid)
+	}
+	for deadline := time.Now().Add(5 * time.Second); streamsOf(cl.servers[0][1]) != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the killed replica still serves %d streams", streamsOf(cl.servers[0][1]))
+		}
 	}
 
 	// The health loop marks the dead replica down, and the gauge says so.
@@ -652,7 +794,8 @@ func TestBinaryCountBatch(t *testing.T) {
 // oldDaemonTransport answers frames of the ops in reject the way a daemon
 // built before they existed does — its decoder rejects the unknown op, so
 // the handler renders 400 {"error":"malformed frame: ..."} — and passes
-// everything else through, counting the rejections.
+// everything else through, counting the rejections. It refuses the stream
+// upgrade, so every frame reaches it as a POST.
 type oldDaemonTransport struct {
 	base     http.RoundTripper
 	reject   []wire.Op
@@ -661,6 +804,9 @@ type oldDaemonTransport struct {
 }
 
 func (o *oldDaemonTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if resp := refusedUpgrade(req); resp != nil {
+		return resp, nil
+	}
 	if req.Body != nil && strings.HasSuffix(req.URL.Path, "/v1/binary") {
 		frame, err := io.ReadAll(req.Body)
 		if err != nil {
@@ -690,13 +836,33 @@ func (o *oldDaemonTransport) RoundTrip(req *http.Request) (*http.Response, error
 	return o.base.RoundTrip(req)
 }
 
+// oldDaemonHook is oldDaemonTransport on the stream: a daemon whose decoder
+// rejects the ops in reject answers each of their frames with the error frame
+// the stream loop renders for a malformed frame, or — asFrame — with the
+// engine's "unknown op" error frame.
+func oldDaemonHook(o *oldDaemonTransport) frameHook {
+	return func(frame []byte, answer func([]byte) []byte) ([]byte, bool) {
+		if len(frame) < 2 || !slices.Contains(o.reject, wire.Op(frame[1])) {
+			return wire.AppendResponseMessage(nil, answer(frame)), false
+		}
+		o.rejected.Add(1)
+		msg := fmt.Sprintf("malformed frame: wire: unknown op %d", frame[1])
+		if o.asFrame {
+			msg = fmt.Sprintf("unknown op %d", frame[1])
+		}
+		return wire.AppendResponseMessage(nil, wire.AppendError(nil, wire.ErrBadRequest, msg)), false
+	}
+}
+
 // TestCoordinatorAgainstOldDaemon pins the upgrade-order failure mode: a
 // coordinator in front of daemons that predate an op it needs — the neighbor
 // stream it merges, or the count it verifies by — gets one clean,
 // diagnosable error per query that names the shard and the op: no panic, no
 // retries against the other replicas or attempts (a 4xx would fail
 // identically everywhere), no partial answer — while forward kNN, which
-// needs neither op, keeps working.
+// needs neither op, keeps working. It holds on both exchanges: daemons read
+// by POST (they refuse the stream, as one built before it does), and
+// daemons read by stream.
 func TestCoordinatorAgainstOldDaemon(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 53)
 	for name, c := range map[string]struct {
@@ -709,33 +875,44 @@ func TestCoordinatorAgainstOldDaemon(t *testing.T) {
 		"before the count op":          {[]wire.Op{wire.OpCountBatch}, false, "count verification op"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			old := &oldDaemonTransport{base: http.DefaultTransport, reject: c.reject, asFrame: c.asFrame}
-			cl := startCluster(t, pts, 3, 2, repro.WithTransport(old), repro.WithRetries(3, time.Millisecond))
-			var err error
-			for id := 0; id < len(pts) && err == nil; id++ {
-				_, err = cl.co.ReverseKNN(id, 8) // the first query to need the op fails
-			}
-			if err == nil {
-				t.Fatal("every query was answered by daemons without the op")
-			}
-			for _, want := range []string{"rknnd: ", "shard ", c.names, "upgrade daemons before coordinators", "unknown op"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not mention %q", err, want)
-				}
-			}
-			// One rejection per shard at most: the failed query asked each
-			// shard once, and retried none of them.
-			if got := old.rejected.Load(); got < 1 || got > 3 {
-				t.Errorf("%d frames were rejected for one failed query over 3 shards: a retry storm", got)
-			}
-			if _, err := cl.co.KNNContext(context.Background(), pts[5], 4); err != nil {
-				t.Errorf("forward kNN needs neither op, got %v", err)
-			}
-			if c.reject[0] == wire.OpNeighbors {
-				status, body := rawCall(t, "POST", cl.ts.URL+"/v1/rknn", `{"id":5,"k":8}`)
-				if status != http.StatusBadRequest || !strings.Contains(string(body), "upgrade daemons before coordinators") {
-					t.Errorf("front door answered %d %q, want a 400 naming the upgrade order", status, body)
-				}
+			for _, exchange := range []string{"post", "stream"} {
+				t.Run(exchange, func(t *testing.T) {
+					old := &oldDaemonTransport{base: http.DefaultTransport, reject: c.reject, asFrame: c.asFrame}
+					var cl *cluster
+					if exchange == "post" {
+						cl = startCluster(t, pts, 3, 2, repro.WithTransport(old), repro.WithRetries(3, time.Millisecond))
+					} else {
+						cl = startClusterDaemons(t, pts, 3, 2, []repro.Option{repro.WithScale(100)}, wrappedDaemon(func(_ int, srv *Server) http.Handler {
+							return streamDaemon(srv, oldDaemonHook(old))
+						}), repro.WithRetries(3, time.Millisecond))
+					}
+					var err error
+					for id := 0; id < len(pts) && err == nil; id++ {
+						_, err = cl.co.ReverseKNN(id, 8) // the first query to need the op fails
+					}
+					if err == nil {
+						t.Fatal("every query was answered by daemons without the op")
+					}
+					for _, want := range []string{"rknnd: ", "shard ", c.names, "upgrade daemons before coordinators", "unknown op"} {
+						if !strings.Contains(err.Error(), want) {
+							t.Errorf("error %q does not mention %q", err, want)
+						}
+					}
+					// One rejection per shard at most: the failed query asked each
+					// shard once, and retried none of them.
+					if got := old.rejected.Load(); got < 1 || got > 3 {
+						t.Errorf("%d frames were rejected for one failed query over 3 shards: a retry storm", got)
+					}
+					if _, err := cl.co.KNNContext(context.Background(), pts[5], 4); err != nil {
+						t.Errorf("forward kNN needs neither op, got %v", err)
+					}
+					if c.reject[0] == wire.OpNeighbors {
+						status, body := rawCall(t, "POST", cl.ts.URL+"/v1/rknn", `{"id":5,"k":8}`)
+						if status != http.StatusBadRequest || !strings.Contains(string(body), "upgrade daemons before coordinators") {
+							t.Errorf("front door answered %d %q, want a 400 naming the upgrade order", status, body)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -800,19 +977,21 @@ func TestClusterStarvedScaleIdentity(t *testing.T) {
 	}
 }
 
-// chunkShim is a coordinator transport that rewrites every neighbor-stream
-// request to ask for at most limit rows — forcing a query through many
-// chunks — and records, per daemon, every row the daemons sent. between, when
-// set, runs once, after the first chunk any daemon answers.
+// chunkShim rewrites every neighbor-stream request a daemon is sent to ask
+// for at most limit rows — forcing a query through many chunks — and records,
+// per daemon, every row the daemons sent. between, when set, runs once, after
+// the first chunk any daemon answers. It sits on either exchange: as the
+// coordinator's transport (RoundTrip, which refuses the stream upgrade, so
+// frames are POSTed), or inside a stream daemon (daemon).
 type chunkShim struct {
 	base  http.RoundTripper
 	limit int
 
 	mu      sync.Mutex
-	rows    map[string][]wire.Neighbor // daemon host -> rows sent, in order
+	rows    map[string][]wire.Neighbor // daemon -> rows sent, in order
 	chunks  int
 	between func()
-	// sent is every row's coordinates as its daemon sent them, by host and
+	// sent is every row's coordinates as its daemon sent them, by daemon and
 	// local ID, over the shim's lifetime; probed counts the verification
 	// probes checked against it and garbled lists those that differed.
 	sent    map[string]map[int][]float64
@@ -820,52 +999,40 @@ type chunkShim struct {
 	garbled []string
 }
 
-func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body == nil || !strings.HasSuffix(req.URL.Path, "/v1/binary") {
-		return c.base.RoundTrip(req)
-	}
-	frame, err := io.ReadAll(req.Body)
-	if err != nil {
-		return nil, err
-	}
+// rewrite is the shim on one request frame for daemon: a count batch's probes
+// are checked, a neighbor-stream request is cut down to limit rows. It
+// returns the frame to send, and whether it asks for neighbors.
+func (c *chunkShim) rewrite(daemon string, frame []byte) ([]byte, bool) {
 	dec, err := wire.DecodeRequest(frame)
 	if err != nil || dec.Op != wire.OpNeighbors {
 		if err == nil && dec.Op == wire.OpCountBatch {
-			c.checkProbes(req.URL.Host, dec.Counts)
+			c.checkProbes(daemon, dec.Counts)
 		}
-		req.Body = io.NopCloser(bytes.NewReader(frame))
-		return c.base.RoundTrip(req)
+		return frame, false
 	}
-	frame = wire.AppendNeighborsRequest(nil, dec.Point, dec.Skip, dec.After, min(dec.Count, c.limit))
-	req.Body = io.NopCloser(bytes.NewReader(frame))
-	req.ContentLength = int64(len(frame))
-	resp, err := c.base.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return wire.AppendNeighborsRequest(nil, dec.Point, dec.Skip, dec.After, min(dec.Count, c.limit)), true
+}
+
+// answered records the rows of a neighbor-stream chunk daemon answered, and
+// runs between the first time.
+func (c *chunkShim) answered(daemon string, body []byte) {
 	rows, pts, _, err := wire.DecodeNeighborsResponse(body)
 	if err != nil {
-		return resp, nil // an error frame: the coordinator's to judge
+		return // an error frame: the coordinator's to judge
 	}
 	c.mu.Lock()
 	if c.rows == nil {
 		c.rows = map[string][]wire.Neighbor{}
 	}
-	c.rows[req.URL.Host] = append(c.rows[req.URL.Host], rows...)
+	c.rows[daemon] = append(c.rows[daemon], rows...)
 	if c.sent == nil {
 		c.sent = map[string]map[int][]float64{}
 	}
-	if c.sent[req.URL.Host] == nil {
-		c.sent[req.URL.Host] = map[int][]float64{}
+	if c.sent[daemon] == nil {
+		c.sent[daemon] = map[int][]float64{}
 	}
 	for i, nb := range rows {
-		c.sent[req.URL.Host][nb.ID] = pts[i]
+		c.sent[daemon][nb.ID] = pts[i]
 	}
 	c.chunks++
 	between := c.between
@@ -874,7 +1041,58 @@ func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
 	if between != nil {
 		between()
 	}
+}
+
+func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
+	if resp := refusedUpgrade(req); resp != nil {
+		return resp, nil
+	}
+	if req.Body == nil || !strings.HasSuffix(req.URL.Path, "/v1/binary") {
+		return c.base.RoundTrip(req)
+	}
+	frame, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	frame, neighbors := c.rewrite(req.URL.Host, frame)
+	req.Body = io.NopCloser(bytes.NewReader(frame))
+	req.ContentLength = int64(len(frame))
+	resp, err := c.base.RoundTrip(req)
+	if err != nil || !neighbors {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	c.answered(req.URL.Host, body)
 	return resp, nil
+}
+
+// daemon is the shim inside shard's stream daemon.
+func (c *chunkShim) daemon(shard int) frameHook {
+	name := fmt.Sprintf("shard %d", shard)
+	return func(frame []byte, answer func([]byte) []byte) ([]byte, bool) {
+		frame, neighbors := c.rewrite(name, frame)
+		body := answer(frame)
+		if neighbors {
+			c.answered(name, body)
+		}
+		return wire.AppendResponseMessage(nil, body), false
+	}
+}
+
+// shimCluster starts three single-replica daemons whose reads pass through
+// shim on the named exchange.
+func shimCluster(t *testing.T, pts [][]float64, engOpts []repro.Option, shim *chunkShim, exchange string) *cluster {
+	if exchange == "post" {
+		return startClusterWith(t, pts, 3, 1, engOpts, repro.WithTransport(shim))
+	}
+	return startClusterDaemons(t, pts, 3, 1, engOpts, wrappedDaemon(func(shard int, srv *Server) http.Handler {
+		return streamDaemon(srv, shim.daemon(shard))
+	}))
 }
 
 // checkProbes holds the verification probes a coordinator sends a daemon to
@@ -882,7 +1100,7 @@ func (c *chunkShim) RoundTrip(req *http.Request) (*http.Response, error) {
 // is about that member — a candidate whose home is this daemon — and carries
 // the candidate's coordinates as the coordinator holds them once the scan is
 // over, after every later chunk has grown and moved the stream's arena.
-func (c *chunkShim) checkProbes(host string, probes []wire.CountQuery) {
+func (c *chunkShim) checkProbes(daemon string, probes []wire.CountQuery) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range probes {
@@ -890,13 +1108,13 @@ func (c *chunkShim) checkProbes(host string, probes []wire.CountQuery) {
 			continue
 		}
 		c.probed++
-		sent, ok := c.sent[host][p.Skip]
+		sent, ok := c.sent[daemon][p.Skip]
 		same := ok && len(sent) == len(p.Point)
 		for i := 0; same && i < len(sent); i++ {
 			same = math.Float64bits(sent[i]) == math.Float64bits(p.Point[i])
 		}
 		if !same {
-			c.garbled = append(c.garbled, fmt.Sprintf("%s member %d: sent %v, probed with %v", host, p.Skip, sent, p.Point))
+			c.garbled = append(c.garbled, fmt.Sprintf("%s member %d: sent %v, probed with %v", daemon, p.Skip, sent, p.Point))
 		}
 	}
 }
@@ -913,7 +1131,9 @@ func (c *chunkShim) reset() {
 // answers exactly as the in-process sharded engine does (answer and Stats),
 // and never asks a daemon for a row twice — what each daemon sent, over all
 // the chunks of a query, is one strictly ascending (distance, ID) run, no
-// longer than the scan needed plus the look-ahead of the last chunk.
+// longer than the scan needed plus the look-ahead of the last chunk. It
+// holds on both exchanges, the shim cutting POSTed frames in one case and
+// stream messages in the other.
 func TestClusterChunkedStreams(t *testing.T) {
 	pts := indextest.RandPoints(180, 3, 71)
 	opts := []repro.Option{repro.WithScale(3)}
@@ -922,51 +1142,55 @@ func TestClusterChunkedStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for limit := 1; limit <= 3; limit++ {
-		shim := &chunkShim{base: http.DefaultTransport, limit: limit}
-		cl := startClusterWith(t, pts, 3, 1, opts, repro.WithTransport(shim))
-		for qid := 0; qid < len(pts); qid += 7 {
-			shim.reset()
-			want, wantSt, err := ss.ReverseKNNStatsContext(ctx, qid, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotSt, err := cl.co.ReverseKNNStatsContext(ctx, qid, 4)
-			if err != nil {
-				t.Fatalf("chunk %d, query %d: %v", limit, qid, err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) || gotSt != wantSt {
-				t.Errorf("chunk %d, query %d: cluster (%v, %+v), in-process (%v, %+v)", limit, qid, got, gotSt, want, wantSt)
-			}
-			sent := 0
-			for host, rows := range shim.rows {
-				sent += len(rows)
-				for i := 1; i < len(rows); i++ {
-					if a, b := rows[i-1], rows[i]; b.Dist < a.Dist || b.Dist == a.Dist && b.ID <= a.ID {
-						t.Fatalf("chunk %d, query %d: daemon %s sent row %+v after %+v: a row was asked for twice or out of order", limit, qid, host, b, a)
+	for _, exchange := range []string{"post", "stream"} {
+		t.Run(exchange, func(t *testing.T) {
+			for limit := 1; limit <= 3; limit++ {
+				shim := &chunkShim{base: http.DefaultTransport, limit: limit}
+				cl := shimCluster(t, pts, opts, shim, exchange)
+				for qid := 0; qid < len(pts); qid += 7 {
+					shim.reset()
+					want, wantSt, err := ss.ReverseKNNStatsContext(ctx, qid, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotSt, err := cl.co.ReverseKNNStatsContext(ctx, qid, 4)
+					if err != nil {
+						t.Fatalf("chunk %d, query %d: %v", limit, qid, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) || gotSt != wantSt {
+						t.Errorf("chunk %d, query %d: cluster (%v, %+v), in-process (%v, %+v)", limit, qid, got, gotSt, want, wantSt)
+					}
+					sent := 0
+					for host, rows := range shim.rows {
+						sent += len(rows)
+						for i := 1; i < len(rows); i++ {
+							if a, b := rows[i-1], rows[i]; b.Dist < a.Dist || b.Dist == a.Dist && b.ID <= a.ID {
+								t.Fatalf("chunk %d, query %d: daemon %s sent row %+v after %+v: a row was asked for twice or out of order", limit, qid, host, b, a)
+							}
+						}
+					}
+					// Each of the 3 streams is read at most one chunk past the last
+					// row the scan consumed.
+					if sent < wantSt.ScanDepth || sent > wantSt.ScanDepth+3*limit {
+						t.Errorf("chunk %d, query %d: daemons sent %d rows for a scan of depth %d", limit, qid, sent, wantSt.ScanDepth)
+					}
+					if shim.chunks < sent/limit {
+						t.Errorf("chunk %d, query %d: %d rows arrived in %d chunks: the shim did not force the chunk size", limit, qid, sent, shim.chunks)
 					}
 				}
+				// Every chunk after a stream's first outgrew the stream's arena and
+				// moved it, under the filter set's references to the rows already
+				// scanned. The candidates' coordinates the coordinator then verified
+				// with — first-chunk rows among them — are, bit for bit, the ones
+				// their daemons sent.
+				if shim.probed == 0 {
+					t.Errorf("chunk %d: no verification probe carried a candidate's coordinates: nothing was checked", limit)
+				}
+				for _, g := range shim.garbled {
+					t.Errorf("chunk %d: coordinates changed between the stream and the probe: %s", limit, g)
+				}
 			}
-			// Each of the 3 streams is read at most one chunk past the last
-			// row the scan consumed.
-			if sent < wantSt.ScanDepth || sent > wantSt.ScanDepth+3*limit {
-				t.Errorf("chunk %d, query %d: daemons sent %d rows for a scan of depth %d", limit, qid, sent, wantSt.ScanDepth)
-			}
-			if shim.chunks < sent/limit {
-				t.Errorf("chunk %d, query %d: %d rows arrived in %d chunks: the shim did not force the chunk size", limit, qid, sent, shim.chunks)
-			}
-		}
-		// Every chunk after a stream's first outgrew the stream's arena and
-		// moved it, under the filter set's references to the rows already
-		// scanned. The candidates' coordinates the coordinator then verified
-		// with — first-chunk rows among them — are, bit for bit, the ones
-		// their daemons sent.
-		if shim.probed == 0 {
-			t.Errorf("chunk %d: no verification probe carried a candidate's coordinates: nothing was checked", limit)
-		}
-		for _, g := range shim.garbled {
-			t.Errorf("chunk %d: coordinates changed between the stream and the probe: %s", limit, g)
-		}
+		})
 	}
 }
 
@@ -975,73 +1199,78 @@ func TestClusterChunkedStreams(t *testing.T) {
 // the streams have yet to send, and a delete of the query's nearest
 // neighbor, already sent. Chunks resume by their last (distance, ID) key, so
 // the later chunks, answered from newer snapshots, can neither repeat nor
-// reorder a row: the query succeeds with no duplicate ID.
+// reorder a row: the query succeeds with no duplicate ID — on both
+// exchanges.
 func TestClusterWriteBetweenChunks(t *testing.T) {
 	pts := indextest.RandPoints(200, 3, 73)
-	shim := &chunkShim{base: http.DefaultTransport, limit: 2}
-	cl := startClusterWith(t, pts, 3, 1, []repro.Option{repro.WithScale(100), repro.WithPlainRDT()}, repro.WithTransport(shim))
-	ctx := context.Background()
-	q := []float64{0.5, 0.5, 0.5}
-	nn, err := cl.co.KNNContext(ctx, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrote := make(chan error, 1)
-	shim.mu.Lock()
-	shim.between = func() {
-		_, err := cl.co.InsertContext(ctx, []float64{0.5, 0.5, 0.5001})
-		if err == nil {
-			_, err = cl.co.DeleteContext(ctx, nn[0].ID)
-		}
-		wrote <- err
-	}
-	shim.mu.Unlock()
-	shim.reset()
-	ids, err := cl.co.ReverseKNNPointContext(ctx, q, 6)
-	if err != nil {
-		t.Fatalf("query across a concurrent write: %v", err)
-	}
-	select {
-	case err := <-wrote:
-		if err != nil {
-			t.Fatalf("the write between chunks failed: %v", err)
-		}
-	default:
-		t.Fatal("the query never reached a second chunk: no write happened between chunks")
-	}
-	seen := map[int]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("answer %v repeats id %d", ids, id)
-		}
-		seen[id] = true
-	}
-	for host, rows := range shim.rows {
-		for i := 1; i < len(rows); i++ {
-			if a, b := rows[i-1], rows[i]; b.Dist < a.Dist || b.Dist == a.Dist && b.ID <= a.ID {
-				t.Fatalf("daemon %s sent row %+v after %+v across the write", host, b, a)
+	for _, exchange := range []string{"post", "stream"} {
+		t.Run(exchange, func(t *testing.T) {
+			shim := &chunkShim{base: http.DefaultTransport, limit: 2}
+			cl := shimCluster(t, pts, []repro.Option{repro.WithScale(100), repro.WithPlainRDT()}, shim, exchange)
+			ctx := context.Background()
+			q := []float64{0.5, 0.5, 0.5}
+			nn, err := cl.co.KNNContext(ctx, q, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// Quiet again, the cluster answers as an engine built from the result.
-	after, err := cl.co.ReverseKNNPointContext(ctx, q, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := append(append([][]float64(nil), pts...), []float64{0.5, 0.5, 0.5001})
-	ref, err := repro.New(final, repro.WithScale(100), repro.WithPlainRDT())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := ref.Delete(nn[0].ID); !ok || err != nil {
-		t.Fatalf("reference Delete(%d) = (%v, %v)", nn[0].ID, ok, err)
-	}
-	want, err := ref.ReverseKNNPointContext(ctx, q, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(after) != fmt.Sprint(want) {
-		t.Errorf("after the write the cluster answers %v, an engine holding the same points %v", after, want)
+			wrote := make(chan error, 1)
+			shim.mu.Lock()
+			shim.between = func() {
+				_, err := cl.co.InsertContext(ctx, []float64{0.5, 0.5, 0.5001})
+				if err == nil {
+					_, err = cl.co.DeleteContext(ctx, nn[0].ID)
+				}
+				wrote <- err
+			}
+			shim.mu.Unlock()
+			shim.reset()
+			ids, err := cl.co.ReverseKNNPointContext(ctx, q, 6)
+			if err != nil {
+				t.Fatalf("query across a concurrent write: %v", err)
+			}
+			select {
+			case err := <-wrote:
+				if err != nil {
+					t.Fatalf("the write between chunks failed: %v", err)
+				}
+			default:
+				t.Fatal("the query never reached a second chunk: no write happened between chunks")
+			}
+			seen := map[int]bool{}
+			for _, id := range ids {
+				if seen[id] {
+					t.Fatalf("answer %v repeats id %d", ids, id)
+				}
+				seen[id] = true
+			}
+			for host, rows := range shim.rows {
+				for i := 1; i < len(rows); i++ {
+					if a, b := rows[i-1], rows[i]; b.Dist < a.Dist || b.Dist == a.Dist && b.ID <= a.ID {
+						t.Fatalf("daemon %s sent row %+v after %+v across the write", host, b, a)
+					}
+				}
+			}
+			// Quiet again, the cluster answers as an engine built from the result.
+			after, err := cl.co.ReverseKNNPointContext(ctx, q, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := append(append([][]float64(nil), pts...), []float64{0.5, 0.5, 0.5001})
+			ref, err := repro.New(final, repro.WithScale(100), repro.WithPlainRDT())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := ref.Delete(nn[0].ID); !ok || err != nil {
+				t.Fatalf("reference Delete(%d) = (%v, %v)", nn[0].ID, ok, err)
+			}
+			want, err := ref.ReverseKNNPointContext(ctx, q, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(after) != fmt.Sprint(want) {
+				t.Errorf("after the write the cluster answers %v, an engine holding the same points %v", after, want)
+			}
+		})
 	}
 }
 

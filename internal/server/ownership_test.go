@@ -8,6 +8,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -83,8 +84,10 @@ func isNeighborsFrame(r *http.Request) bool {
 // the first chunk of its stream: the caller gets its context's error at
 // once; the stream whose first fetch was never received is not recycled, so
 // the queries that follow — answered while the daemon is still stuck, from
-// the same pools — equal the in-process engine's; and once the daemon's
-// handler is let go, no goroutine of the abandoned query is left running.
+// the same pools — equal the in-process engine's; and once the daemon is let
+// go, no goroutine of the abandoned query is left running. It holds on both
+// exchanges: the daemon stuck in a POSTed frame's handler, and stuck on a
+// stream message.
 func TestClusterCancelWhileDaemonBlocks(t *testing.T) {
 	pts := indextest.ClusteredPoints(300, 5, 4, 83)
 	opts := []repro.Option{repro.WithScale(3)}
@@ -92,111 +95,145 @@ func TestClusterCancelWhileDaemonBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var armed atomic.Bool
-	entered, letGo, left := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	cl := startClusterWrapped(t, pts, 3, 1, opts, func(shard int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if shard == 1 && isNeighborsFrame(r) && armed.CompareAndSwap(true, false) {
+	for _, exchange := range []string{"post", "stream"} {
+		t.Run(exchange, func(t *testing.T) {
+			var armed atomic.Bool
+			entered, letGo, left := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			block := func() {
 				close(entered)
 				<-letGo
-				defer close(left)
 			}
-			h.ServeHTTP(w, r)
+			var daemon daemonFunc
+			if exchange == "post" {
+				daemon = wrappedDaemon(func(shard int, srv *Server) http.Handler {
+					h := srv.Handler()
+					return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						if shard == 1 && isNeighborsFrame(r) && armed.CompareAndSwap(true, false) {
+							block()
+							defer close(left)
+						}
+						refuseUpgrade(w, r, h)
+					})
+				})
+			} else {
+				daemon = wrappedDaemon(func(shard int, srv *Server) http.Handler {
+					return streamDaemon(srv, func(frame []byte, answer func([]byte) []byte) ([]byte, bool) {
+						if shard == 1 && len(frame) > 1 && wire.Op(frame[1]) == wire.OpNeighbors && armed.CompareAndSwap(true, false) {
+							block()
+							defer close(left)
+						}
+						return wire.AppendResponseMessage(nil, answer(frame)), false
+					})
+				})
+			}
+			cl := startClusterDaemons(t, pts, 3, 1, opts, daemon)
+			check := func(from, to int) {
+				t.Helper()
+				for qid := from; qid < to; qid++ {
+					want, wantSt, err := ss.ReverseKNNStatsContext(context.Background(), qid, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotSt, err := cl.co.ReverseKNNStatsContext(context.Background(), qid, 4)
+					if err != nil || fmt.Sprint(got) != fmt.Sprint(want) || gotSt != wantSt {
+						t.Fatalf("member %d: cluster (%v, %+v, %v), in-process (%v, %+v)", qid, got, gotSt, err, want, wantSt)
+					}
+				}
+			}
+			check(0, 20) // pools warm: a recycled stream is there to be handed out
+
+			armed.Store(true)
+			ctx, cancel := context.WithCancel(context.Background())
+			failed := make(chan error, 1)
+			go func() {
+				_, err := cl.co.ReverseKNNContext(ctx, 7, 4)
+				failed <- err
+			}()
+			<-entered
+			cancel()
+			select {
+			case err := <-failed:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled query answered %v, want the context's error", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the cancelled query is still waiting on the stuck daemon")
+			}
+			check(20, 60)
+			// On a stream the cancel closed the exchange's connection: the
+			// coordinator is not waiting on the stuck daemon any more.
+			if leaked, stacks := goroutinesIn("(*streamConn).exchange"); leaked != "" {
+				t.Fatalf("the cancelled exchange still waits on the stuck daemon:\n%s", stacks)
+			}
+
+			close(letGo)
+			<-left
+			// The connections the later queries left idle hold stream loops
+			// open by design; closing the coordinator ends them.
+			cl.co.Close()
+			// Nothing of the query is still running: not a stream's fetch, not
+			// an RPC of one on either exchange, not the daemon's handler or
+			// stream loop. (The cluster is quiet, so any such frame on any
+			// stack is the cancelled query's.)
+			if leaked, stacks := goroutinesIn("remoteShard).Neighbors", "remoteShard).attempt", "(*Server).handleBinary",
+				"(*Server).serveStream", "server.testStreamLoop", "(*streamConn).exchange"); leaked != "" {
+				t.Fatalf("a goroutine is still in %s after the daemon let go of the cancelled query:\n%s", leaked, stacks)
+			}
 		})
-	})
-	check := func(from, to int) {
-		t.Helper()
-		for qid := from; qid < to; qid++ {
-			want, wantSt, err := ss.ReverseKNNStatsContext(context.Background(), qid, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotSt, err := cl.co.ReverseKNNStatsContext(context.Background(), qid, 4)
-			if err != nil || fmt.Sprint(got) != fmt.Sprint(want) || gotSt != wantSt {
-				t.Fatalf("member %d: cluster (%v, %+v, %v), in-process (%v, %+v)", qid, got, gotSt, err, want, wantSt)
-			}
-		}
-	}
-	check(0, 20) // pools warm: a recycled stream is there to be handed out
-
-	armed.Store(true)
-	ctx, cancel := context.WithCancel(context.Background())
-	failed := make(chan error, 1)
-	go func() {
-		_, err := cl.co.ReverseKNNContext(ctx, 7, 4)
-		failed <- err
-	}()
-	<-entered
-	cancel()
-	select {
-	case err := <-failed:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled query answered %v, want the context's error", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the cancelled query is still waiting on the stuck daemon")
-	}
-	check(20, 60)
-
-	close(letGo)
-	<-left
-	// Nothing of the query is still running: not a stream's fetch, not an
-	// RPC of one, not the daemon's handler. (The cluster is quiet, so any
-	// such frame on any stack is the cancelled query's.)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		leaked := ""
-		for _, frame := range []string{"remoteShard).Neighbors", "remoteShard).attempt", "(*Server).handleBinary"} {
-			if strings.Contains(stacks, frame) {
-				leaked = frame
-			}
-		}
-		if leaked == "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("a goroutine is still in %s after the daemon let go of the cancelled query:\n%s", leaked, stacks)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestCoordinatorLyingContentLength is a daemon that declares a 64 MiB
-// neighbor chunk and sends ten bytes of it. The query fails naming the shard,
-// and the coordinator has allocated a buffer of the pool's cap on the
-// daemon's word, not the 64 MiB it used to.
+// neighbor chunk and sends ten bytes of it — as a POST response's
+// Content-Length, and as a stream message's length, after which it hangs
+// up. The query fails naming the shard, and the coordinator has allocated a
+// buffer of the pool's cap on the daemon's word, not the 64 MiB it used to.
 func TestCoordinatorLyingContentLength(t *testing.T) {
 	pts := indextest.RandPoints(120, 3, 85)
-	var lying atomic.Bool
-	cl := startClusterWrapped(t, pts, 1, 1, []repro.Option{repro.WithScale(4)}, func(_ int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !lying.Load() || !isNeighborsFrame(r) {
-				h.ServeHTTP(w, r)
-				return
+	for _, exchange := range []string{"post", "stream"} {
+		t.Run(exchange, func(t *testing.T) {
+			var lying atomic.Bool
+			daemon := wrappedDaemon(func(_ int, srv *Server) http.Handler {
+				h := srv.Handler()
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if !lying.Load() || !isNeighborsFrame(r) {
+						refuseUpgrade(w, r, h)
+						return
+					}
+					w.Header().Set("Content-Type", wire.ContentType)
+					w.Header().Set("Content-Length", "67108864")
+					_, _ = w.Write(make([]byte, 10))
+				})
+			})
+			if exchange == "stream" {
+				daemon = wrappedDaemon(func(_ int, srv *Server) http.Handler {
+					return streamDaemon(srv, func(frame []byte, answer func([]byte) []byte) ([]byte, bool) {
+						if !lying.Load() || len(frame) < 2 || wire.Op(frame[1]) != wire.OpNeighbors {
+							return wire.AppendResponseMessage(nil, answer(frame)), false
+						}
+						return append(binary.LittleEndian.AppendUint32(nil, 64<<20), make([]byte, 10)...), true
+					})
+				})
 			}
-			w.Header().Set("Content-Type", wire.ContentType)
-			w.Header().Set("Content-Length", "67108864")
-			_, _ = w.Write(make([]byte, 10))
+			cl := startClusterDaemons(t, pts, 1, 1, []repro.Option{repro.WithScale(4)}, daemon, repro.WithRetries(0, 0))
+			if _, err := cl.co.ReverseKNN(5, 4); err != nil {
+				t.Fatalf("honest daemon: %v", err)
+			}
+			lying.Store(true)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := cl.co.ReverseKNN(5, 4)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "unexpected EOF") {
+				t.Errorf("query against a daemon that sends 10 of 67108864 declared bytes: %v, want a short read naming shard 0", err)
+			}
+			if spent := after.TotalAlloc - before.TotalAlloc; spent >= 2<<20 {
+				t.Errorf("%d bytes allocated for a response of ten: the coordinator sized a buffer by the daemon's word", spent)
+			}
+			lying.Store(false)
+			if _, err := cl.co.ReverseKNN(5, 4); err != nil {
+				t.Errorf("honest again: %v", err)
+			}
 		})
-	}, repro.WithRetries(0, 0))
-	if _, err := cl.co.ReverseKNN(5, 4); err != nil {
-		t.Fatalf("honest daemon: %v", err)
-	}
-	lying.Store(true)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := cl.co.ReverseKNN(5, 4)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "unexpected EOF") {
-		t.Errorf("query against a daemon that sends 10 of 67108864 declared bytes: %v, want a short read naming shard 0", err)
-	}
-	if spent := after.TotalAlloc - before.TotalAlloc; spent >= 2<<20 {
-		t.Errorf("%d bytes allocated for a response of ten: the coordinator sized a buffer by the daemon's word", spent)
-	}
-	lying.Store(false)
-	if _, err := cl.co.ReverseKNN(5, 4); err != nil {
-		t.Errorf("honest again: %v", err)
 	}
 }

@@ -57,10 +57,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	repro "repro"
@@ -162,6 +164,11 @@ type Server struct {
 	local   Local
 	sharded Sharded
 	shardSv ShardServing
+	// streams is every upgraded /v1/binary connection still open (see
+	// binary.go), which Close ends; once closed, no stream starts.
+	streamMu sync.Mutex
+	streams  map[net.Conn]struct{}
+	closed   bool
 }
 
 // endpointStats holds one route's telemetry instruments, resolved once at
@@ -169,6 +176,7 @@ type Server struct {
 // histogram with the sliding-window ring, so one Observe feeds both the
 // lifetime exposition and the last-1m/5m views in /statsz.
 type endpointStats struct {
+	traced   bool // a tracedRoutes member: the data plane
 	requests *telemetry.Counter
 	errors   *telemetry.Counter
 	latency  *telemetry.Histogram
@@ -268,17 +276,18 @@ func New(s Engine, opts ...Option) *Server {
 		o.sample = 1
 	}
 	srv := &Server{
-		s:      s,
-		start:  time.Now(),
-		reg:    o.reg,
-		slow:   telemetry.NewSlowLog(o.slowThreshold, o.slowSize),
-		stats:  make(map[string]*endpointStats, len(routes)),
-		ring:   o.ring,
-		sample: o.sample,
-		slo:    o.slo,
-		shard:  o.shard,
-		shards: o.shards,
-		approx: s.Approximate(),
+		s:       s,
+		start:   time.Now(),
+		reg:     o.reg,
+		slow:    telemetry.NewSlowLog(o.slowThreshold, o.slowSize),
+		stats:   make(map[string]*endpointStats, len(routes)),
+		ring:    o.ring,
+		sample:  o.sample,
+		slo:     o.slo,
+		shard:   o.shard,
+		shards:  o.shards,
+		approx:  s.Approximate(),
+		streams: map[net.Conn]struct{}{},
 	}
 	srv.local, _ = s.(Local)
 	srv.sharded, _ = s.(Sharded)
@@ -290,6 +299,7 @@ func New(s Engine, opts ...Option) *Server {
 	for _, r := range routes {
 		lh := latency.With(r)
 		srv.stats[r] = &endpointStats{
+			traced:   tracedRoutes[r],
 			requests: requests.With(r),
 			errors:   errs.With(r),
 			latency:  lh,
@@ -341,6 +351,7 @@ func (srv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/points/{id}", srv.instrument("/v1/points", srv.handlePointGet))
 	mux.HandleFunc("DELETE /v1/points/{id}", srv.instrument("/v1/points", srv.handleDelete))
 	mux.HandleFunc("POST /v1/binary", srv.instrument("/v1/binary", srv.handleBinary))
+	mux.HandleFunc("GET /v1/binary", srv.handleStream)
 	mux.HandleFunc("GET /v1/shard/info", srv.instrument("/v1/shard/info", srv.handleShardInfo))
 	mux.HandleFunc("POST /v1/admin/snapshot", srv.instrument("/v1/admin/snapshot", srv.handleSnapshot))
 	mux.HandleFunc("GET /v1/admin/slowlog", srv.instrument("/v1/admin/slowlog", srv.handleSlowlog))
@@ -367,103 +378,142 @@ func badRequest(format string, args ...any) error {
 	return &apiError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// instrument adapts an error-returning handler, recording per-endpoint
-// request and error counters, a latency histogram observation, and a
-// slow-log entry when the request crosses the threshold, and rendering
-// failures as JSON.
+// instrument adapts an error-returning handler: the request is one exchange
+// on route (see open and close), whose trace — when there is one — joins the
+// caller's traceparent header and its X-Request-ID, which the response
+// echoes; failures are rendered as JSON.
 func (srv *Server) instrument(route string, h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
-	st := srv.stats[route]
-	traced := tracedRoutes[route]
+	traced := srv.stats[route].traced && srv.ring != nil
 	return func(w http.ResponseWriter, r *http.Request) {
-		begin := time.Now()
-		var (
-			tr       *trace.Trace
-			upstream bool
-			debug    bool
-		)
-		if traced && srv.ring != nil {
-			// Every data-plane request runs under a trace; whether the ring
-			// retains it is decided at the end, when the latency is known
-			// (tail capture needs the spans of requests it could not predict
-			// would be slow). Span recording costs allocations only.
-			name := "http." + route
-			if id, sampled, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-				tr = trace.NewWithID(id, name, sampled)
-				upstream = sampled
-			} else {
-				tr = trace.New(name, true)
-			}
-			debug = r.URL.Query().Get("debug") == "1"
-			root := tr.Root()
-			root.SetStr("method", r.Method)
-			root.SetStr("path", r.URL.Path)
-			rid := r.Header.Get("X-Request-ID")
-			if rid == "" {
-				rid = tr.ID()
-			}
-			root.SetStr("request_id", rid)
-			w.Header().Set("X-Request-ID", rid)
-			w.Header().Set("Traceparent", tr.Traceparent())
-			// The span and the request ID ride the context so engines that
-			// fan out over the network (the coordinator) can propagate both
-			// to the next hop.
-			r = r.WithContext(trace.WithRequestID(trace.With(r.Context(), root), rid))
+		var x exchange
+		if traced {
+			var ctx context.Context
+			ctx, x = srv.open(r.Context(), route, r.Header.Get("traceparent"), r.Header.Get("X-Request-ID"), r.Method, r.URL.Path)
+			x.keep = x.keep || r.URL.Query().Get("debug") == "1"
+			w.Header().Set("X-Request-ID", x.rid)
+			w.Header().Set("Traceparent", x.tr.Traceparent())
+			r = r.WithContext(ctx)
+		} else {
+			x = srv.begin(route)
 		}
 		err := h(w, r)
-		elapsed := time.Since(begin)
-		// end is the completion timestamp every windowed instrument banks
-		// against — derived from the latency measurement, not a second
-		// clock read.
-		end := begin.Add(elapsed)
-		st.requests.Inc()
-		// One observation feeds the cumulative histogram /metrics exposes
-		// and the slice ring behind the /statsz windows.
-		st.win.Observe(elapsed.Seconds(), end)
-		if traced {
-			// SLO accounting covers the data plane only: a slow /metrics
-			// scrape is not a user-visible latency violation.
-			srv.slo.Observe(elapsed.Seconds(), err != nil, end)
-		}
-		entry := telemetry.SlowEntry{
-			Time:     begin,
-			Route:    route,
-			Detail:   r.Method + " " + r.URL.Path,
-			Duration: elapsed,
-		}
+		srv.close(&x, r.Method+" "+r.URL.Path, err)
 		if err != nil {
-			entry.Err = err.Error()
+			writeError(w, err)
 		}
-		if tr != nil {
-			root := tr.Root()
-			if err != nil {
-				root.SetStr("error", err.Error())
-			}
-			root.EndWithDuration(elapsed)
-			entry.TraceID = tr.ID()
-			entry.RequestID = w.Header().Get("X-Request-ID")
-			slow := elapsed >= srv.slow.Threshold()
-			if slow || debug || upstream || rand.Float64() < srv.sample {
-				srv.ring.Put(tr)
-				// Retain the trace as this latency bucket's exemplar only
-				// after it enters the ring, so the OpenMetrics trace_id
-				// always resolves via /v1/admin/traces/{id}.
-				st.latency.SetExemplar(elapsed.Seconds(), tr.ID(), end)
-			}
-		}
-		srv.slow.Observe(entry)
-		if err == nil {
-			return
-		}
-		st.errors.Inc()
-		status := http.StatusInternalServerError
-		var ae *apiError
-		if errors.As(err, &ae) {
-			status = ae.status
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 	}
+}
+
+// exchange is the record of one request in progress, on either framing of
+// the binary protocol or any JSON route: opened before the work, closed
+// with its outcome.
+type exchange struct {
+	route string
+	st    *endpointStats
+	begin time.Time
+	// tr is the exchange's trace (nil when the route is untraced or tracing
+	// is off); keep retains it whatever head sampling says — the caller's
+	// traceparent was sampled, or it asked for ?debug=1.
+	tr   *trace.Trace
+	keep bool
+	rid  string
+}
+
+// begin starts the record of an untraced exchange on route.
+func (srv *Server) begin(route string) exchange {
+	return exchange{route: route, st: srv.stats[route], begin: time.Now()}
+}
+
+// open starts the record of a traced exchange on route (a tracedRoutes
+// member, tracing on): every data-plane exchange runs under a trace, joined
+// to traceparent when it parses; whether the ring retains it is decided at
+// close, when the latency is known (tail capture needs the spans of
+// requests it could not predict would be slow). The root span carries
+// method, path and the request ID — requestID, or the trace's own ID when
+// empty — and both ride the returned context, so engines that fan out over
+// the network (the coordinator) propagate them to the next hop.
+func (srv *Server) open(ctx context.Context, route, traceparent, requestID, method, path string) (context.Context, exchange) {
+	x := srv.begin(route)
+	name := "http." + route
+	if id, sampled, ok := trace.ParseTraceparent(traceparent); ok {
+		x.tr, x.keep = trace.NewWithID(id, name, sampled), sampled
+	} else {
+		x.tr = trace.New(name, true)
+	}
+	x.rid = requestID
+	if x.rid == "" {
+		x.rid = x.tr.ID()
+	}
+	root := x.tr.Root()
+	root.SetStr("method", method)
+	root.SetStr("path", path)
+	root.SetStr("request_id", x.rid)
+	return trace.WithRequestID(trace.With(ctx, root), x.rid), x
+}
+
+// close records the exchange's outcome: the route's request counter, its
+// latency histogram and window, the SLO (data plane only), the slow log
+// (detail names the request), and the trace's retention; a failure also
+// counts as the route's error.
+func (srv *Server) close(x *exchange, detail string, err error) {
+	elapsed := time.Since(x.begin)
+	// end is the completion timestamp every windowed instrument banks
+	// against — derived from the latency measurement, not a second clock
+	// read.
+	end := x.begin.Add(elapsed)
+	st := x.st
+	st.requests.Inc()
+	// One observation feeds the cumulative histogram /metrics exposes and
+	// the slice ring behind the /statsz windows.
+	st.win.Observe(elapsed.Seconds(), end)
+	if st.traced {
+		// SLO accounting covers the data plane only: a slow /metrics scrape
+		// is not a user-visible latency violation.
+		srv.slo.Observe(elapsed.Seconds(), err != nil, end)
+	}
+	entry := telemetry.SlowEntry{
+		Time:     x.begin,
+		Route:    x.route,
+		Detail:   detail,
+		Duration: elapsed,
+	}
+	if err != nil {
+		entry.Err = err.Error()
+	}
+	if tr := x.tr; tr != nil {
+		root := tr.Root()
+		if err != nil {
+			root.SetStr("error", err.Error())
+		}
+		root.EndWithDuration(elapsed)
+		entry.TraceID = tr.ID()
+		entry.RequestID = x.rid
+		slow := elapsed >= srv.slow.Threshold()
+		if slow || x.keep || rand.Float64() < srv.sample {
+			srv.ring.Put(tr)
+			// Retain the trace as this latency bucket's exemplar only
+			// after it enters the ring, so the OpenMetrics trace_id
+			// always resolves via /v1/admin/traces/{id}.
+			st.latency.SetExemplar(elapsed.Seconds(), tr.ID(), end)
+		}
+	}
+	srv.slow.Observe(entry)
+	if err != nil {
+		st.errors.Inc()
+	}
+}
+
+// writeError renders a handler failure as {"error":...} under the status
+// its apiError names (500 otherwise).
+func writeError(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	var ae *apiError
+	if errors.As(err, &ae) {
+		status = ae.status
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
 // writeJSON commits the response. Encode failures after the header is sent

@@ -1,9 +1,22 @@
 // Package wire is the compact binary framing of the scatter-gather fan-out
 // protocol: the one encoding a coordinator speaks to `rknn shard-serve`
-// daemons. It is a single POST endpoint's request/response format
-// (internal/server's /v1/binary), deliberately tiny: one version byte, one
-// op byte, then fixed-width little-endian fields — the same byte
-// conventions as internal/persist, so a hex dump of either reads alike.
+// daemons. Its frames are deliberately tiny: one version byte, one op byte,
+// then fixed-width little-endian fields — the same byte conventions as
+// internal/persist, so a hex dump of either reads alike. Two exchanges carry
+// them to internal/server's /v1/binary: stream messages on a connection that
+// GET upgraded (Upgrade: rknn-frame), one exchange at a time, which is how a
+// coordinator reads (Client); and one frame per POST body, for a daemon that
+// refuses the upgrade (Do).
+//
+// Stream message layout (all integers little-endian):
+//
+//	request  := len u32, traceparent, request-id, frame
+//	response := len u32, frame
+//
+//	len         the byte length of what follows it
+//	traceparent u16-len + bytes (0 when absent; at most MaxTraceField)
+//	request-id  u16-len + bytes (0 when absent; at most MaxTraceField)
+//	frame       one frame as below, byte-identical to the POST body
 //
 // Frame layout (all integers little-endian):
 //
@@ -40,9 +53,12 @@
 // share one encoding byte and one dimension, so a chunk decodes into a single
 // backing array.
 //
-// Decoders are fuzzed (FuzzDecodeRequest/FuzzDecodeResponse): every count
-// is validated against the remaining frame length before allocation, and
-// malformed input yields an error, never a panic.
+// Decoders are fuzzed (FuzzDecodeRequest/FuzzDecodeResponse, and
+// FuzzReadMessage for the stream's messages): every count and length is
+// validated against the remaining frame length or its bound before
+// allocation, and malformed input yields an error, never a panic. The bytes
+// of every live op, each way, and of the stream messages are frozen in
+// testdata/ (TestGoldenFrames).
 package wire
 
 import (

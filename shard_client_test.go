@@ -217,12 +217,16 @@ func TestShardFailureVoidsTheQuery(t *testing.T) {
 	}
 }
 
-// lateTransport holds every request until its context is done, then sends it
-// on under a context that is not: the daemon's answer arrives after the
-// caller has given up on it.
+// lateTransport holds every POST until its context is done, then sends it on
+// under a context that is not: the daemon's answer arrives after the caller
+// has given up on it. The stream upgrade passes straight through, for the
+// test daemon to refuse.
 type lateTransport struct{ entered chan struct{} }
 
 func (l lateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method != http.MethodPost {
+		return http.DefaultTransport.RoundTrip(req)
+	}
 	close(l.entered)
 	<-req.Context().Done()
 	return http.DefaultTransport.RoundTrip(req.Clone(context.Background()))
@@ -258,7 +262,7 @@ func TestAbandonedStreamIsNeverRecycled(t *testing.T) {
 	}))
 	defer daemon.Close()
 	over := func(rt http.RoundTripper) *remoteShard {
-		return &remoteShard{rs: newReplicaSet([]string{daemon.URL}), cc: &clusterClient{hc: &http.Client{Transport: rt}}}
+		return &remoteShard{rs: newReplicaSet([]string{daemon.URL}, rt), cc: &clusterClient{hc: &http.Client{Transport: rt}}}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -47,12 +46,14 @@ type replicaSet struct {
 	addrs   []string
 	healthy []atomic.Bool
 	rr      atomic.Uint64
+	streams []*wire.Client // each replica's pooled stream connections
 }
 
-func newReplicaSet(addrs []string) *replicaSet {
+func newReplicaSet(addrs []string, rt http.RoundTripper) *replicaSet {
 	rs := &replicaSet{addrs: addrs, healthy: make([]atomic.Bool, len(addrs))}
 	for i := range rs.healthy {
 		rs.healthy[i].Store(true)
+		rs.streams = append(rs.streams, wire.NewClient(addrs[i]+binaryPath, rt))
 	}
 	return rs
 }
@@ -161,7 +162,7 @@ func (r *remoteShard) call(ctx context.Context, method, path, contentType string
 			backoff *= 2
 		}
 		replica := r.rs.pick()
-		status, ctype, resp, err := r.attempt(ctx, method, r.rs.addrs[replica]+path, contentType, body)
+		status, ctype, resp, err := r.attempt(ctx, replica, method, path, contentType, body)
 		if err != nil {
 			r.rs.markDown(replica)
 			lastErr = fmt.Errorf("shard %d (%s): %w", r.shard, r.rs.addrs[replica], err)
@@ -194,7 +195,7 @@ func (r *remoteShard) write(ctx context.Context, method, path string, body []byt
 		return 0, nil, err
 	}
 	primary := r.rs.addrs[0]
-	status, ctype, frame, err := r.attempt(ctx, method, primary+path, "application/json", body)
+	status, ctype, frame, err := r.attempt(ctx, 0, method, path, "application/json", body)
 	defer frame.Release() // what is returned is copied out of it first
 	switch {
 	case err != nil: // names the URL itself
@@ -268,11 +269,11 @@ func (r *remoteShard) DeleteContext(ctx context.Context, local int) (bool, error
 	return true, nil
 }
 
-// attempt is one HTTP exchange under the per-request timeout, traced as a
-// "remote.call" span and stamped with the query's traceparent and
-// X-Request-ID so the daemon joins the same distributed trace. The response
+// attempt is one exchange with a replica under the per-request timeout,
+// traced as a "remote.call" span and stamped with the query's traceparent and
+// request ID so the daemon joins the same distributed trace. The response
 // body comes back in a pooled frame the caller releases (nil on error).
-func (r *remoteShard) attempt(ctx context.Context, method, url, contentType string, body []byte) (status int, ctype string, frame *wire.Frame, err error) {
+func (r *remoteShard) attempt(ctx context.Context, replica int, method, path, contentType string, body []byte) (status int, ctype string, frame *wire.Frame, err error) {
 	if r.cc.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.cc.timeout)
@@ -282,7 +283,7 @@ func (r *remoteShard) attempt(ctx context.Context, method, url, contentType stri
 	begin := time.Now()
 	if sp != nil {
 		sp.SetInt("shard", int64(r.shard))
-		sp.SetStr("url", url)
+		sp.SetStr("url", r.rs.addrs[replica]+path)
 		defer sp.End()
 	}
 	if tel := r.cc.tel.Load(); tel != nil {
@@ -295,40 +296,38 @@ func (r *remoteShard) attempt(ctx context.Context, method, url, contentType stri
 			}
 		}()
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	status, ctype, frame, err = r.exchange(ctx, sp, replica, method, path, contentType, body)
+	if err == nil {
+		sp.SetInt("status", int64(status))
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
+	return status, ctype, frame, err
+}
+
+// binaryPath is the daemons' binary endpoint: frames are POSTed to it, and
+// a GET upgrades a connection to carry them as stream messages.
+const binaryPath = "/v1/binary"
+
+// exchange is one request to a replica and its response, untimed, which
+// names on sp (when not nil) the exchange it took. A read frame travels on
+// one of the replica's pooled stream connections ("stream"); anything else,
+// and a frame for a replica that refused the upgrade, is an HTTP request
+// ("post"). Frames declare their length, so the pooled buffer is sized once
+// (a stream chunk is tens of kilobytes) — but never past wire.MaxPooled on
+// the daemon's word alone.
+func (r *remoteShard) exchange(ctx context.Context, sp *trace.Span, replica int, method, path, contentType string, body []byte) (int, string, *wire.Frame, error) {
+	var tp string
 	if tr := trace.FromContext(ctx).Trace(); tr != nil {
-		req.Header.Set("traceparent", tr.Traceparent())
+		tp = tr.Traceparent()
 	}
-	if rid := trace.RequestID(ctx); rid != "" {
-		req.Header.Set("X-Request-ID", rid)
+	if path == binaryPath {
+		frame, err := r.rs.streams[replica].Exchange(ctx, tp, trace.RequestID(ctx), body, maxRemoteResponse)
+		if !errors.Is(err, wire.ErrRefused) {
+			sp.SetStr("exchange", "stream")
+			return http.StatusOK, wire.ContentType, frame, err
+		}
 	}
-	resp, err := r.cc.hc.Do(req)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	defer resp.Body.Close()
-	// Frames declare their length, so the pooled buffer is sized once (a
-	// stream chunk is tens of kilobytes) — but never past wire.MaxPooled on
-	// the daemon's word alone.
-	frame = wire.GetFrame()
-	if err = frame.ReadBody(io.LimitReader(resp.Body, maxRemoteResponse), resp.ContentLength); err != nil {
-		frame.Release()
-		return 0, "", nil, err
-	}
-	if sp != nil {
-		sp.SetInt("status", int64(resp.StatusCode))
-	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), frame, nil
+	sp.SetStr("exchange", "post")
+	return wire.Do(ctx, r.cc.hc, method, r.rs.addrs[replica]+path, contentType, body, tp, trace.RequestID(ctx), maxRemoteResponse)
 }
 
 // httpErrMsg extracts the daemon's error message from a failure response:
@@ -354,7 +353,7 @@ func jsonErr(status int, ctype string, body []byte) error {
 // frame while the call still owns the body it arrived in; a wire error frame
 // or a malformed one surfaces through decode and is mapped by frameErr.
 func binaryCall[T any](ctx context.Context, r *remoteShard, frame []byte, decode func([]byte) (T, error)) (out T, err error) {
-	err = r.call(ctx, http.MethodPost, "/v1/binary", wire.ContentType, frame,
+	err = r.call(ctx, http.MethodPost, binaryPath, wire.ContentType, frame,
 		func(status int, ctype string, body []byte) (err error) {
 			if !strings.HasPrefix(ctype, wire.ContentType) {
 				return jsonErr(status, ctype, body)
@@ -536,18 +535,10 @@ func (r *remoteShard) describe(ctx context.Context, replica int) (d ShardDescrip
 		err = r.call(ctx, http.MethodGet, "/v1/shard/info", "", nil, decode)
 		return d, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.rs.addrs[replica]+"/v1/shard/info", nil)
-	if err != nil {
-		return d, err
-	}
-	resp, err := r.cc.hc.Do(req)
-	if err != nil {
-		return d, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRemoteResponse))
+	status, ctype, frame, err := r.exchange(ctx, nil, replica, http.MethodGet, "/v1/shard/info", "", nil)
 	if err == nil {
-		err = decode(resp.StatusCode, resp.Header.Get("Content-Type"), body)
+		err = decode(status, ctype, frame.B)
+		frame.Release()
 	}
 	return d, err
 }
