@@ -410,6 +410,9 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	if cursor == nil {
 		cursor = qr.ix.NewCursor(q, skipID)
 	}
+	// sMax is the loop exit's rank cap for the scale parameter capT; a
+	// step recomputes it only when its own t differs (line 24 below).
+	sMax, capT := n, math.NaN()
 	s := 0
 	for {
 		nb, ok := cursor.Next()
@@ -462,9 +465,11 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 			stats.TerminatedByOmega = true
 			break
 		}
-		sMax := n
-		if rankCap := math.Pow(2, t) * float64(k); rankCap < float64(n) {
-			sMax = int(rankCap)
+		if t != capT {
+			capT, sMax = t, n
+			if rankCap := math.Pow(2, t) * float64(k); rankCap < float64(n) {
+				sMax = int(rankCap)
+			}
 		}
 		if s >= sMax {
 			break

@@ -45,7 +45,7 @@ func (t *Tree) EncodeStructure() []byte {
 
 func appendNode(b []byte, n *node) []byte {
 	b = appendU32(b, uint32(n.id))
-	b = appendU32(b, uint32(int32(n.level)))
+	b = appendU32(b, uint32(n.level))
 	b = appendU64(b, math.Float64bits(n.maxDist))
 	return appendU32(b, uint32(len(n.children)))
 }
@@ -68,7 +68,8 @@ func getU64(b []byte) uint64 {
 }
 
 // Restore rebuilds a tree from its point rows, tombstoned IDs, and an
-// encoded structure, without a single distance computation. It validates
+// encoded structure, without a single distance computation, and lays it out
+// as New does (layOut), which the format never records. It validates
 // that the structure is a well-formed tree containing every point exactly
 // once with strictly decreasing levels and sane bounds; it returns an error
 // (never panics) on malformed input, so callers can fall back to a
@@ -81,6 +82,9 @@ func Restore(points [][]float64, metric vecmath.Metric, deleted []int, structure
 		return nil, errors.New("covertree: metric must satisfy the triangle inequality")
 	}
 	if err := vecmath.ValidateAllFor(metric, points); err != nil {
+		return nil, err
+	}
+	if err := checkIDSpan(len(points)); err != nil {
 		return nil, err
 	}
 	root, err := decodeStructure(points, structure)
@@ -103,6 +107,7 @@ func Restore(points [][]float64, metric vecmath.Metric, deleted []int, structure
 		t.deleted[id] = true
 		t.alive--
 	}
+	t.layOut()
 	return t, nil
 }
 
@@ -136,7 +141,9 @@ func decodeStructure(points [][]float64, blob []byte) (*node, error) {
 		if nchildren > want {
 			return nil, 0, fmt.Errorf("covertree: structure node %d claims %d children", id, nchildren)
 		}
-		return &node{id: id, level: int(int32(getU32(rec[4:]))), maxDist: maxDist}, nchildren, nil
+		n := newNode(id, points[id], int32(getU32(rec[4:])))
+		n.maxDist = maxDist
+		return n, nchildren, nil
 	}
 
 	root, rootKids, err := readNode()

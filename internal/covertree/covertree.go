@@ -26,26 +26,50 @@ package covertree
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/index"
 	"repro/internal/pqueue"
 	"repro/internal/vecmath"
 )
 
+// node is one point of the tree. row is the address of the point's first
+// coordinate — where t.points.Rows[id] begins — so a query reads a child's
+// row from the node it already holds, not from the ID→row table. IDs and
+// levels are 32 bits, as the structure codec writes them (checkIDSpan).
 type node struct {
-	id       int
-	level    int
+	row      *float64
 	maxDist  float64
+	id       int32
+	level    int32
 	children []*node
 }
 
 func (n *node) covdist() float64 { return math.Exp2(float64(n.level)) }
+
+// rowOf returns n's point.
+func (t *Tree) rowOf(n *node) []float64 { return unsafe.Slice(n.row, t.dim) }
+
+// newNode returns a node for point id, whose row is p.
+func newNode(id int, p []float64, level int32) *node {
+	return &node{row: &p[0], id: int32(id), level: level}
+}
+
+// checkIDSpan refuses a tree of more than math.MaxInt32 IDs: past it a node
+// ID would wrap, as it would in the structure codec and in a shard map.
+func checkIDSpan(span int) error {
+	if span > math.MaxInt32 {
+		return fmt.Errorf("covertree: %d ids pass %d, the most a tree can name", span, math.MaxInt32)
+	}
+	return nil
+}
 
 // Tree is a cover tree. It implements index.Index and index.Dynamic.
 // Readers may run concurrently; mutation requires external synchronization.
@@ -89,6 +113,9 @@ func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
 	if err := vecmath.ValidateAllFor(metric, points); err != nil {
 		return nil, err
 	}
+	if err := checkIDSpan(len(points)); err != nil {
+		return nil, err
+	}
 	t := &Tree{
 		points:  index.RowsOf(points),
 		metric:  metric,
@@ -100,7 +127,43 @@ func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
 		t.insertID(id)
 	}
 	t.alive = len(points)
+	t.layOut()
 	return t, nil
+}
+
+// layOut moves the tree's nodes into one slab in which every node's
+// children sit side by side, and points each children list at a window of
+// one pointer array. The blocks are laid down breadth first, so the slab
+// itself is the queue of the walk; the window of slab node i's children
+// holds &slab[a..b), and sits at ptrs[a-1 : b-1], as no node but the root
+// is anyone's child. Each window's capacity is clipped to its length, so an
+// in-place insertion's append copies the list out instead of writing over
+// the next node's. The slab is one allocation, live while any of its nodes
+// is: path copies share it and never grow it, and nodes inserted later are
+// allocated one at a time. New and Restore call it once, before the tree
+// is handed out; it needs every point to have its node.
+func (t *Tree) layOut() {
+	if t.root == nil {
+		return
+	}
+	slab := make([]node, len(t.points.Rows))
+	ptrs := make([]*node, len(slab)-1)
+	slab[0] = *t.root
+	next := 1
+	for i := 0; i < next; i++ {
+		n := &slab[i]
+		if len(n.children) == 0 {
+			continue
+		}
+		a, b := next, next+len(n.children)
+		for j, c := range n.children {
+			slab[a+j] = *c
+			ptrs[a+j-1] = &slab[a+j]
+		}
+		n.children = ptrs[a-1 : b-1 : b-1]
+		next = b
+	}
+	t.root = &slab[0]
 }
 
 // resolveKernels binds the metric's direct kernels once, so no query or
@@ -132,6 +195,9 @@ func (t *Tree) Insert(p []float64) (int, error) {
 	}
 	if len(p) != t.dim {
 		return 0, vecmath.CheckDims(p, t.points.Rows[0])
+	}
+	if err := checkIDSpan(len(t.points.Rows) + 1); err != nil {
+		return 0, err
 	}
 	t.points.Append(p)
 	id := len(t.points.Rows) - 1
@@ -199,7 +265,7 @@ func (t *Tree) Live(id int) bool { return id >= 0 && id < len(t.points.Rows) && 
 func (t *Tree) insertID(id int) {
 	p := t.points.Rows[id]
 	if t.root == nil {
-		t.root = &node{id: id, level: 0}
+		t.root = newNode(id, p, 0)
 		return
 	}
 	cow := t.sharedNodes.Load()
@@ -209,7 +275,7 @@ func (t *Tree) insertID(id int) {
 	}
 	s := descentPool.Get().(*descent)
 	defer descentPool.Put(s)
-	dCur := t.dist(p, t.points.Rows[t.root.id])
+	dCur := t.dist(p, t.rowOf(t.root))
 	if dCur > t.root.covdist() {
 		// Lazy root raise: lift the root's level until its cover
 		// radius reaches the new point. Children remain covered (the
@@ -236,7 +302,7 @@ func (t *Tree) insertID(id int) {
 			if cow { // a copy with room for exactly the leaf
 				cur.children = append(make([]*node, 0, len(cur.children)+1), cur.children...)
 			}
-			cur.children = append(cur.children, &node{id: id, level: cur.level - 1})
+			cur.children = append(cur.children, newNode(id, p, cur.level-1))
 			return
 		}
 		if cow {
@@ -249,25 +315,24 @@ func (t *Tree) insertID(id int) {
 }
 
 // levelFor returns the smallest integer ℓ with 2^ℓ >= d.
-func levelFor(d float64) int {
+func levelFor(d float64) int32 {
 	if d <= 0 {
 		return math.MinInt32 / 2 // duplicates: any level covers
 	}
-	l := int(math.Ceil(math.Log2(d)))
-	return l
+	return int32(math.Ceil(math.Log2(d)))
 }
 
 // skip reports whether a point is excluded from the current query. The len
 // guard matters: without tombstones — the common case — no node pays a map
 // lookup (see scan.skip).
-func (t *Tree) skip(id, skipID int) bool {
-	if id == skipID {
+func (t *Tree) skip(id int32, skipID int) bool {
+	if int(id) == skipID {
 		return true
 	}
 	if len(t.deleted) == 0 {
 		return false
 	}
-	return t.deleted[id]
+	return t.deleted[int(id)]
 }
 
 // expandChunk is how many children one kernel call measures.
@@ -287,13 +352,15 @@ type chunkScratch struct {
 // children in one call of the tree's one-vs-many kernel. dists[i] belongs to
 // children[i] and is valid until s is used again; a caller walks a node's
 // children by measuring, then dropping, len(dists) of them at a time
-// (nextChunk). The row references are dropped before it returns, so no
-// scratch ever pins a dataset row.
+// (nextChunk). Each row is read through its node's row address, so the
+// children's own slab block is all it touches before the kernel; the row
+// references are dropped before it returns, so no scratch ever pins a
+// dataset row.
 func (t *Tree) measure(q []float64, children []*node, s *chunkScratch) (dists []float64) {
 	n := min(expandChunk, len(children))
 	rows := s.rows[:n]
 	for i, child := range children[:n] {
-		rows[i] = t.points.Rows[child.id]
+		rows[i] = t.rowOf(child)
 	}
 	dists = s.dists[:n]
 	t.batch(q, rows, dists)
@@ -356,7 +423,7 @@ func (t *Tree) openCursor(q []float64, skipID int) *cursor {
 	c := cursorPool.Get().(*cursor)
 	c.t, c.q, c.skipID = t, q, skipID
 	if t.root != nil {
-		d := t.dist(q, t.points.Rows[t.root.id])
+		d := t.dist(q, t.rowOf(t.root))
 		c.nodes.Push(lowerBound(t.root, d), queueEntry{n: t.root, dist: d})
 	}
 	return c
@@ -393,7 +460,7 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 		it, _ := c.nodes.Pop()
 		e := it.Value
 		if !c.t.skip(e.n.id, c.skipID) {
-			c.ready.Push(e.dist, e.n.id)
+			c.ready.Push(e.dist, int(e.n.id))
 		}
 		for rest := e.n.children; len(rest) > 0; rest = nextChunk(rest) {
 			for i, d := range c.t.measure(c.q, rest, &c.chunk) {
@@ -404,7 +471,7 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 					// A childless node is its own subtree, and its bound is
 					// its distance: it is resolved already, and waits on the
 					// ready heap under the same strict test.
-					c.ready.Push(d, child.id)
+					c.ready.Push(d, int(child.id))
 				}
 			}
 		}
@@ -432,7 +499,7 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 		}
 		e := it.Value
 		if !t.skip(e.n.id, skipID) {
-			top.Offer(e.dist, e.n.id)
+			top.Offer(e.dist, int(e.n.id))
 		}
 		bound, full := top.Bound()
 		for rest := e.n.children; len(rest) > 0; rest = nextChunk(rest) {
@@ -501,7 +568,7 @@ func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[i
 		return 0
 	}
 	c := closerCount{t: t, q: q, r: r, limit: limit, skipID: skipID, dead: dead, scratch: descentPool.Get().(*descent)}
-	c.visit(t.root, t.dist(q, t.points.Rows[t.root.id]), 0)
+	c.visit(t.root, t.dist(q, t.rowOf(t.root)), 0)
 	descentPool.Put(c.scratch)
 	return c.n
 }
@@ -522,7 +589,7 @@ type closerCount struct {
 // the walk) and descends into the children that can still hold a point
 // closer than r, measuring them a chunk at a time.
 func (c *closerCount) visit(n *node, d float64, depth int) {
-	if d < c.r && !c.t.skip(n.id, c.skipID) && !(len(c.dead) != 0 && c.dead[n.id]) {
+	if d < c.r && !c.t.skip(n.id, c.skipID) && !(len(c.dead) != 0 && c.dead[int(n.id)]) {
 		c.n++
 	}
 	for rest := n.children; len(rest) > 0 && c.n < c.limit; rest = nextChunk(rest) {
@@ -548,7 +615,7 @@ func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id i
 	var visit func(n *node, d float64, depth int)
 	visit = func(n *node, d float64, depth int) {
 		if d <= r && !t.skip(n.id, skipID) {
-			emit(n.id, d)
+			emit(int(n.id), d)
 		}
 		for rest := n.children; len(rest) > 0; rest = nextChunk(rest) {
 			for i, dc := range t.measure(q, rest, ds.level(depth)) {
@@ -558,7 +625,7 @@ func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id i
 			}
 		}
 	}
-	if d := t.dist(q, t.points.Rows[t.root.id]); d-t.root.maxDist <= r {
+	if d := t.dist(q, t.rowOf(t.root)); d-t.root.maxDist <= r {
 		visit(t.root, d, 0)
 	}
 	descentPool.Put(ds)
@@ -580,11 +647,15 @@ func (t *Tree) CheckInvariants() error {
 	// bound against every descendant on the way up.
 	var check func(n *node) ([]int, error)
 	check = func(n *node) ([]int, error) {
-		if seen[n.id] {
+		id := int(n.id)
+		if seen[id] {
 			return nil, errors.New("covertree: point appears twice")
 		}
-		seen[n.id] = true
-		ids := []int{n.id}
+		if n.row != &t.points.Rows[id][0] {
+			return nil, errors.New("covertree: node's row is not its point's")
+		}
+		seen[id] = true
+		ids := []int{id}
 		for _, c := range n.children {
 			if c.level >= n.level {
 				return nil, errors.New("covertree: child level not below parent level")

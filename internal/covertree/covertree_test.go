@@ -192,7 +192,7 @@ func TestInsertDeleteInterleaved(t *testing.T) {
 func TestLevelFor(t *testing.T) {
 	cases := []struct {
 		d    float64
-		want int
+		want int32
 	}{
 		{1, 0},
 		{1.5, 1},
@@ -337,7 +337,7 @@ func scalarCountCloser(t *Tree, q []float64, r float64, limit, skipID int, dead 
 	n := 0
 	var visit func(nd *node, d float64)
 	visit = func(nd *node, d float64) {
-		if d < r && nd.id != skipID && !t.deleted[nd.id] && !dead[nd.id] {
+		if id := int(nd.id); d < r && id != skipID && !t.deleted[id] && !dead[id] {
 			n++
 		}
 		for _, child := range nd.children {

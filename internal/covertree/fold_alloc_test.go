@@ -81,3 +81,29 @@ func TestFoldCopiesThePathNotTheTree(t *testing.T) {
 		t.Errorf("the fold allocated %d bytes, the deep copy %d: want under a tenth", bytes, deepBytes)
 	}
 }
+
+// TestBuiltTreeBytesPerPoint pins what a built tree holds beyond the rows it
+// is handed, on the benchmark's d=53 surrogate at lib-lowdim's n: one slab
+// node and one child pointer a point (56 B) and the ID→row table's header,
+// measured at 56.1–56.2 B against 58.0 B when nodes and children lists were
+// allocated one by one. A field added to the node shows here before it
+// shows on heap_mb.
+func TestBuiltTreeBytesPerPoint(t *testing.T) {
+	const n = 50000
+	pts := dataset.FCT(n, 1).Points
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tree, err := New(pts, vecmath.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPoint := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	runtime.KeepAlive(tree)
+	t.Logf("built tree: %.1f B a point at n = %d", perPoint, n)
+	if perPoint > 56.5 {
+		t.Errorf("a built tree holds %.1f B a point, want at most 56.5", perPoint)
+	}
+}

@@ -40,7 +40,7 @@ func deepCloneNode(n *node) *node {
 	if n == nil {
 		return nil
 	}
-	c := &node{id: n.id, level: n.level, maxDist: n.maxDist}
+	c := &node{row: n.row, id: n.id, level: n.level, maxDist: n.maxDist}
 	if len(n.children) > 0 {
 		c.children = make([]*node, len(n.children))
 		for i, child := range n.children {
