@@ -38,9 +38,9 @@ func TestRunGobToStdout(t *testing.T) {
 	if err := run([]string{"-data", "gaussmix", "-n", "30", "-dim", "4", "-format", "gob"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	ds, err := dataset.ReadGob(&stdout)
+	ds, err := dataset.ReadBinary(&stdout)
 	if err != nil {
-		t.Fatalf("ReadGob: %v", err)
+		t.Fatalf("ReadBinary: %v", err)
 	}
 	if ds.Len() != 30 || ds.Dim() != 4 {
 		t.Errorf("round-tripped %d points, dim %d; want 30, 4", ds.Len(), ds.Dim())

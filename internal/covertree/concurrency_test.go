@@ -38,7 +38,10 @@ func TestConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				_ = tree.CountRange(q, 0.1, qid)
+				if tree.CountCloser(q, nn[4].Dist, 5, qid, nil) > 4 {
+					errs <- errCountTooHigh
+					return
+				}
 			}
 		}()
 	}
@@ -50,8 +53,9 @@ func TestConcurrentReaders(t *testing.T) {
 }
 
 var (
-	errKNNShort    = errString("KNN returned fewer than k results")
-	errCursorShort = errString("cursor ended prematurely")
+	errKNNShort     = errString("KNN returned fewer than k results")
+	errCursorShort  = errString("cursor ended prematurely")
+	errCountTooHigh = errString("CountCloser counted the fifth neighbor as closer than itself")
 )
 
 type errString string

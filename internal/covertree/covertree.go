@@ -1,8 +1,8 @@
 // Package covertree implements a simplified cover tree (Beygelzimer, Kakade,
 // Langford 2006; simplified single-node-per-point variant following Izbicki
 // and Shelton 2015) over an arbitrary metric, with incremental
-// nearest-neighbor traversal, batch kNN, range queries, and dynamic insert
-// and delete.
+// nearest-neighbor traversal, batch kNN, bounded strict counts, and dynamic
+// insert and delete.
 //
 // The paper under reproduction uses the cover tree as the incremental
 // forward-kNN back-end for its low- and medium-dimensional datasets
@@ -30,7 +30,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -520,29 +519,6 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	return out
 }
 
-// Range implements index.Index by pruning subtrees whose lower bound exceeds
-// the radius.
-func (t *Tree) Range(q []float64, r float64, skipID int) []index.Neighbor {
-	var out []index.Neighbor
-	t.forEachInRange(q, r, skipID, func(id int, d float64) {
-		out = append(out, index.Neighbor{ID: id, Dist: d})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// CountRange implements index.Index.
-func (t *Tree) CountRange(q []float64, r float64, skipID int) int {
-	count := 0
-	t.forEachInRange(q, r, skipID, func(int, float64) { count++ })
-	return count
-}
-
 // descent is the pooled scratch of one depth-first walk: a chunk of kernel
 // argument space per level of the recursion, because a level's distances must
 // outlive the descent into its children. It holds numbers only between
@@ -560,9 +536,8 @@ func (d *descent) level(depth int) *chunkScratch {
 }
 
 // CountCloser implements index.Index with a depth-first walk over the same
-// d − maxDist lower bounds KNN and Range prune by: a subtree is entered
-// unless its bound exceeds r, and the walk returns the moment limit points
-// are found. It keeps no frontier heap and allocates nothing.
+// d − maxDist lower bounds KNN prunes by: a subtree is entered unless its
+// bound exceeds r, and the walk returns the moment limit points are found. It keeps no frontier heap and allocates nothing.
 func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
 	if limit <= 0 || t.root == nil {
 		return 0
@@ -603,32 +578,6 @@ func (c *closerCount) visit(n *node, d float64, depth int) {
 			c.visit(rest[i], dc, depth+1)
 		}
 	}
-}
-
-// forEachInRange calls emit for every live point within r of q, in the order
-// of a depth-first walk that skips the subtrees whose bound exceeds r.
-func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id int, d float64)) {
-	if t.root == nil {
-		return
-	}
-	ds := descentPool.Get().(*descent)
-	var visit func(n *node, d float64, depth int)
-	visit = func(n *node, d float64, depth int) {
-		if d <= r && !t.skip(n.id, skipID) {
-			emit(int(n.id), d)
-		}
-		for rest := n.children; len(rest) > 0; rest = nextChunk(rest) {
-			for i, dc := range t.measure(q, rest, ds.level(depth)) {
-				if dc-rest[i].maxDist <= r {
-					visit(rest[i], dc, depth+1)
-				}
-			}
-		}
-	}
-	if d := t.dist(q, t.rowOf(t.root)); d-t.root.maxDist <= r {
-		visit(t.root, d, 0)
-	}
-	descentPool.Put(ds)
 }
 
 // CheckInvariants walks the tree verifying the covering and bounding

@@ -119,8 +119,8 @@ func TestDelete(t *testing.T) {
 			t.Error("KNN returned deleted id")
 		}
 	}
-	if got := tree.CountRange(q, 0, -1); got != 0 {
-		t.Errorf("CountRange at deleted point = %d, want 0", got)
+	if got := tree.CountCloser(q, math.SmallestNonzeroFloat64, 40, -1, nil); got != 0 {
+		t.Errorf("CountCloser counted %d points at the deleted point's distance 0, want 0", got)
 	}
 	cur := tree.NewCursor(q, -1)
 	count := 0
@@ -281,13 +281,6 @@ func checkWideTree(t *testing.T, label string, tree *Tree, pts [][]float64, metr
 			t.Fatalf("%s, skip %d: KNN = %v, want %v", label, skipID, got, want[:5])
 		}
 		mid := want[len(want)/2].Dist
-		inRange := want[:sort.Search(len(want), func(i int) bool { return want[i].Dist > mid })]
-		if got := tree.Range(q, mid, skipID); !reflect.DeepEqual(got, inRange) {
-			t.Fatalf("%s, skip %d: Range(%v) = %v, want %v", label, skipID, mid, got, inRange)
-		}
-		if got := tree.CountRange(q, mid, skipID); got != len(inRange) {
-			t.Fatalf("%s, skip %d: CountRange(%v) = %d, want %d", label, skipID, mid, got, len(inRange))
-		}
 
 		// Radii at, between and beyond the distances present (a radius equal
 		// to a distance is where the strict comparison shows); limits below

@@ -150,9 +150,6 @@ func (g *generation) check(t *testing.T, metric vecmath.Metric) {
 			t.Fatalf("%s: cursor(%d) streams %d neighbors differently from a fresh tree's %d", g.name, skipID, len(got), len(want))
 		}
 		r := metric.Distance(q, g.rows[rng.Intn(len(g.rows))])
-		if got, want := g.tree.Range(q, r, skipID), fresh.Range(q, r, skipID); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Range(%d, %v) = %d neighbors, fresh tree %d", g.name, skipID, r, len(got), len(want))
-		}
 		for _, limit := range []int{1, 7, len(g.rows)} {
 			if got, want := g.tree.CountCloser(q, r, limit, skipID, nil), fresh.CountCloser(q, r, limit, skipID, nil); got != want {
 				t.Fatalf("%s: CountCloser(%d, %v, %d) = %d, fresh tree %d", g.name, skipID, r, limit, got, want)
@@ -225,12 +222,12 @@ func TestReadersQueryParentWhileCloneAbsorbsInserts(t *testing.T) {
 	type answer struct {
 		knn    []index.Neighbor
 		stream []index.Neighbor
-		within []index.Neighbor
+		within int
 		closer int
 	}
 	ask := func(qid int) answer {
 		q := pts[qid]
-		a := answer{knn: parent.KNN(q, 10, qid), within: parent.Range(q, 0.05, qid), closer: parent.CountCloser(q, 0.08, 50, qid, nil)}
+		a := answer{knn: parent.KNN(q, 10, qid), within: parent.CountCloser(q, 0.05, len(pts), qid, nil), closer: parent.CountCloser(q, 0.08, 50, qid, nil)}
 		cur := parent.NewCursor(q, qid)
 		defer cur.Close()
 		for i := 0; i < 25; i++ {

@@ -154,21 +154,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	d := Sequoia(20, 9)
-	var buf bytes.Buffer
-	if err := d.WriteGob(&buf); err != nil {
-		t.Fatalf("WriteGob: %v", err)
-	}
-	back, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatalf("ReadGob: %v", err)
-	}
-	if back.Name != "sequoia" || !pointsEqual(d.Points, back.Points) {
-		t.Error("gob round trip altered the data")
-	}
-}
-
 func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV("bad", bytes.NewBufferString("1,2\nx,4\n")); err == nil {
 		t.Error("accepted non-numeric CSV")
@@ -196,7 +181,7 @@ func pointsEqual(a, b [][]float64) bool {
 }
 
 // TestBinaryRoundTrip pins the current binary format (the checksummed
-// persist framing) and the deprecated WriteGob alias writing it too.
+// persist framing).
 func TestBinaryRoundTrip(t *testing.T) {
 	d := FCT(25, 4)
 	var buf bytes.Buffer

@@ -111,17 +111,6 @@ func readLegacyGob(r io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// WriteGob writes the dataset in the binary format.
-//
-// Deprecated: the gob encoding has been replaced by the checksummed
-// persist format; WriteGob now writes that format. Use WriteBinary.
-func (d *Dataset) WriteGob(w io.Writer) error { return d.WriteBinary(w) }
-
-// ReadGob parses a dataset in the binary format (current or legacy gob).
-//
-// Deprecated: use ReadBinary.
-func ReadGob(r io.Reader) (*Dataset, error) { return ReadBinary(r) }
-
 // Load returns the points the command-line tools run over: the CSV file at
 // csvPath when given, otherwise the named surrogate generated with n points
 // (dim applies to imagenet and uniform only) from seed.

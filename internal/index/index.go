@@ -5,9 +5,13 @@
 // auxiliary structure that can process *incremental* forward nearest-neighbor
 // queries: neighbors of a query point are pulled one at a time, in
 // non-decreasing distance order, until the dimensional test terminates the
-// search. Cursor captures exactly that capability; Index adds the batch kNN
-// and range queries needed by the refinement phases of RDT and of the
-// competing methods.
+// search. Cursor captures exactly that capability; Index adds the two
+// queries the refinement asks of the same structure: batch kNN, and
+// CountCloser, the bounded strict count that decides whether fewer than k
+// points lie closer to a candidate than the query does. Nothing else — no
+// range query — is part of the contract. The competing methods that walk
+// their own trees (the M-tree and R-tree baselines) are not Index
+// implementations; they read those trees directly.
 package index
 
 import (
@@ -71,15 +75,6 @@ type Index interface {
 	// order (fewer if the dataset is smaller). skipID as in NewCursor.
 	KNN(q []float64, k int, skipID int) []Neighbor
 
-	// Range returns all points within distance r of q, in ascending
-	// distance order. skipID as in NewCursor.
-	Range(q []float64, r float64, skipID int) []Neighbor
-
-	// CountRange returns |{x : d(q,x) <= r}|, excluding skipID. Back-ends
-	// may answer this without materializing the result set; SFT's
-	// verification step depends on it being cheap.
-	CountRange(q []float64, r float64, skipID int) int
-
 	// CountCloser returns min(limit, |{x : d(q,x) < r}|) over the live
 	// points, excluding skipID and every ID in dead (nil excludes nothing).
 	// It is the refinement test of the RkNN algorithms — "do fewer than k
@@ -87,8 +82,8 @@ type Index interface {
 	// CountCloser(x, d(q,x), k, x, nil) < k — so the comparison is strict
 	// (a point at exactly r is not counted), the search stops at limit, and
 	// nothing is allocated or ranked. Subtrees may be pruned only when
-	// their lower bound is > r, the rule KNN and Range prune by, so the
-	// answer agrees with KNN(q, limit, skipID) on every tie.
+	// their lower bound is > r, the rule KNN prunes by, so the answer
+	// agrees with KNN(q, limit, skipID) on every tie.
 	//
 	// The dead set exists because a count, unlike a neighbor list, cannot
 	// be filtered after the fact: a layered index (Overlay) passes the
@@ -181,15 +176,4 @@ type QuantFiltered interface {
 	// QuantFilterStats returns monotone lifetime totals of rows admitted
 	// to the exact kernel and rows screened out by the lower bounds.
 	QuantFilterStats() (admitted, screened int64)
-}
-
-// KNNDist returns the k-th nearest neighbor distance of q, or the distance of
-// the farthest point if fewer than k points are indexed. It is the d_k(·)
-// primitive of the paper's refinement test.
-func KNNDist(ix Index, q []float64, k int, skipID int) float64 {
-	nn := ix.KNN(q, k, skipID)
-	if len(nn) == 0 {
-		return 0
-	}
-	return nn[len(nn)-1].Dist
 }

@@ -3,42 +3,15 @@ package index_test
 import (
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/scan"
 	"repro/internal/vecmath"
 )
 
-func TestKNNDist(t *testing.T) {
-	pts := [][]float64{{0}, {1}, {3}, {7}}
-	ix, err := scan.New(pts, vecmath.Euclidean{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From point 0 (excluded): neighbors at 1, 3, 7.
-	cases := []struct {
-		k    int
-		want float64
-	}{
-		{1, 1},
-		{2, 3},
-		{3, 7},
-		{9, 7}, // clamped to the farthest point
-	}
-	for _, tc := range cases {
-		if got := index.KNNDist(ix, pts[0], tc.k, 0); got != tc.want {
-			t.Errorf("KNNDist(k=%d) = %g, want %g", tc.k, got, tc.want)
-		}
-	}
-	if got := index.KNNDist(ix, pts[0], 0, -1); got != 0 {
-		t.Errorf("KNNDist(k=0) = %g, want 0", got)
-	}
-}
-
 // TestNeighborOrderingContract documents the tie-breaking contract: results
 // are sorted by distance, and the SET of members at each tied distance is
 // deterministic, but the order among exact ties is unspecified (the bounded
-// kNN heaps keep ties in heap order). Cursors and Range additionally order
-// ties by ascending ID.
+// kNN heaps keep ties in heap order). Cursors additionally order ties by
+// ascending ID.
 func TestNeighborOrderingContract(t *testing.T) {
 	pts := [][]float64{{5}, {3}, {3}, {3}, {8}}
 	ix, err := scan.New(pts, vecmath.Euclidean{})

@@ -338,8 +338,8 @@ func (o *Overlay) memNeighbors(buf []Neighbor, q []float64, skipID int) []Neighb
 var overlayCursorPool = sync.Pool{New: func() any { return new(overlayCursor) }}
 
 // openCursor takes a cursor from the pool, sorts the memtable into its
-// buffer and points it at base. KNN and Range, which merge lists, open one
-// over no base at all to borrow the same scratch.
+// buffer and points it at base. KNN, which merges lists, opens one over no
+// base at all to borrow the same scratch.
 func (o *Overlay) openCursor(base Cursor, q []float64, skipID int) *overlayCursor {
 	c := overlayCursorPool.Get().(*overlayCursor)
 	c.open, c.base, c.tomb, c.baseEnd = true, base, o.tomb, base == nil
@@ -509,11 +509,8 @@ func (c *overlayCursor) Close() {
 
 // mergeTake merges the tombstone-filtered base list with the sorted
 // memtable list under the (distance, ID) order (base first on ties), keeping
-// at most k results; k < 0 keeps everything.
+// at most k results.
 func mergeTake(base, mem []Neighbor, k int) []Neighbor {
-	if k < 0 {
-		k = len(base) + len(mem)
-	}
 	out := make([]Neighbor, 0, min(k, len(base)+len(mem)))
 	bi, mi := 0, 0
 	for len(out) < k && (bi < len(base) || mi < len(mem)) {
@@ -556,49 +553,6 @@ func (o *Overlay) KNN(q []float64, k int, skipID int) []Neighbor {
 	c := o.openCursor(nil, q, skipID)
 	defer c.Close()
 	return mergeTake(base, c.mem, k)
-}
-
-// Range implements Index.
-func (o *Overlay) Range(q []float64, r float64, skipID int) []Neighbor {
-	bn := o.base.Range(q, r, o.baseSkip(skipID))
-	base := bn[:0:0]
-	for _, n := range bn {
-		if !o.tomb[n.ID] {
-			base = append(base, n)
-		}
-	}
-	c := o.openCursor(nil, q, skipID)
-	defer c.Close()
-	within := 0
-	for within < len(c.mem) && c.mem[within].Dist <= r {
-		within++
-	}
-	return mergeTake(base, c.mem[:within], -1)
-}
-
-// CountRange implements Index without materializing the base result: the
-// base count, minus the (few) tombstoned base points inside the radius,
-// plus the live memtable rows inside it.
-func (o *Overlay) CountRange(q []float64, r float64, skipID int) int {
-	n := o.base.CountRange(q, r, o.baseSkip(skipID))
-	for id := range o.tomb {
-		if id >= o.baseSpan || id == skipID {
-			continue
-		}
-		if o.dist(q, o.base.Point(id)) <= r {
-			n--
-		}
-	}
-	for i, p := range o.rows.Rows {
-		id := o.baseSpan + i
-		if id == skipID || o.tomb[id] {
-			continue
-		}
-		if o.dist(q, p) <= r {
-			n++
-		}
-	}
-	return n
 }
 
 // CountCloser implements Index. A count cannot be filtered after the fact,

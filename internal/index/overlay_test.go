@@ -167,21 +167,6 @@ func (ix *testScan) KNN(q []float64, k int, skipID int) []Neighbor {
 	return order
 }
 
-func (ix *testScan) Range(q []float64, r float64, skipID int) []Neighbor {
-	var out []Neighbor
-	for _, n := range ix.sorted(q, skipID) {
-		if n.Dist > r {
-			break
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
-func (ix *testScan) CountRange(q []float64, r float64, skipID int) int {
-	return len(ix.Range(q, r, skipID))
-}
-
 func (ix *testScan) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
 	count := 0
 	for _, n := range ix.sorted(q, skipID) {
@@ -206,8 +191,8 @@ func sameNeighbors(a, b []Neighbor) bool {
 
 // TestOverlayMatchesOracle drives a long interleaved insert/delete stream
 // through an overlay (with periodic Fold/Rebase compactions) and an oracle,
-// verifying after every step that KNN, Range, CountRange, CountCloser, the cursor stream,
-// and Liveness agree exactly.
+// verifying after every step that KNN, CountCloser, the cursor stream and
+// Liveness agree exactly.
 func TestOverlayMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim = 3
@@ -248,18 +233,6 @@ func TestOverlayMatchesOracle(t *testing.T) {
 			r := 0.0
 			if len(want) > 0 {
 				r = want[len(want)/2].Dist
-			}
-			var wr []Neighbor
-			for _, n := range want {
-				if n.Dist <= r {
-					wr = append(wr, n)
-				}
-			}
-			if got := ov.Range(q, r, skip); !sameNeighbors(got, wr) {
-				t.Fatalf("step %d: Range(r=%v, skip=%d) = %v, want %v", step, r, skip, got, wr)
-			}
-			if got := ov.CountRange(q, r, skip); got != len(wr) {
-				t.Fatalf("step %d: CountRange = %d, want %d", step, got, len(wr))
 			}
 			closer := 0 // r is an existing distance, so strictness is exercised
 			for _, n := range want {

@@ -1,8 +1,10 @@
 // Package indextest provides a conformance suite that every similarity-search
-// back-end in this module must pass: equivalence of cursor, kNN, range,
-// count-range and bounded strict-count results with the brute-force
-// reference on randomized workloads, on the bare back-end and under an
-// index.Overlay. Each index package runs the suite from its own tests.
+// back-end in this module must pass: equivalence of cursor, kNN and bounded
+// strict-count results with the brute-force reference on randomized
+// workloads, on the bare back-end and under an index.Overlay. Each index
+// package runs the suite from its own tests; the competitors' trees, which
+// are not index.Index implementations, check what their readers use over
+// the same Workloads against RefKNN.
 package indextest
 
 import (
@@ -49,8 +51,9 @@ func ClusteredPoints(n, dim, c int, seed int64) [][]float64 {
 	return pts
 }
 
-// refKNN computes exact k nearest neighbors by full sort.
-func refKNN(pts [][]float64, metric vecmath.Metric, q []float64, k, skipID int) []index.Neighbor {
+// RefKNN computes exact k nearest neighbors by full sort, ties in ascending
+// ID order.
+func RefKNN(pts [][]float64, metric vecmath.Metric, q []float64, k, skipID int) []index.Neighbor {
 	var all []index.Neighbor
 	for id, p := range pts {
 		if id == skipID {
@@ -74,38 +77,43 @@ func refKNN(pts [][]float64, metric vecmath.Metric, q []float64, k, skipID int) 
 // metrics, comparing every query primitive against brute force.
 func Run(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (index.Index, error)) {
 	t.Helper()
-	workloads := []struct {
-		name string
-		pts  [][]float64
-	}{
-		{"uniform-3d", RandPoints(200, 3, 1)},
-		{"uniform-12d", RandPoints(150, 12, 2)},
-		{"clustered-5d", ClusteredPoints(200, 5, 8, 3)},
-		{"with-duplicates", withDuplicates(RandPoints(100, 4, 4), 20, 5)},
-		{"single-point", RandPoints(1, 3, 6)},
-	}
-	for _, w := range workloads {
-		w := w
-		t.Run(w.name, func(t *testing.T) {
-			ix, err := build(w.pts, vecmath.Euclidean{})
-			if err != nil {
+	for _, w := range Workloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			ix, err := build(w.Points, w.Metric)
+			if err != nil && w.Metric != (vecmath.Euclidean{}) {
+				t.Skipf("back-end rejects %T: %v", w.Metric, err)
+			} else if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			verifyIndex(t, ix, w.pts, vecmath.Euclidean{})
-			verifyOverlays(t, build, w.pts, vecmath.Euclidean{})
-			verifyCloner(t, build, w.pts, vecmath.Euclidean{})
+			verifyIndex(t, ix, w.Points, w.Metric)
+			verifyOverlays(t, build, w.Points, w.Metric)
+			verifyCloner(t, build, w.Points, w.Metric)
 		})
 	}
-	t.Run("manhattan-metric", func(t *testing.T) {
-		pts := RandPoints(150, 4, 7)
-		ix, err := build(pts, vecmath.Manhattan{})
-		if err != nil {
-			t.Skipf("back-end rejects L1: %v", err)
-		}
-		verifyIndex(t, ix, pts, vecmath.Manhattan{})
-	})
 	t.Run("cursor-recycling", func(t *testing.T) { verifyCursorRecycling(t, build) })
 	t.Run("clone-rows", func(t *testing.T) { CloneRows(t, build) })
+}
+
+// Workload is one named point set and metric of the conformance runs.
+type Workload struct {
+	Name   string
+	Points [][]float64
+	Metric vecmath.Metric
+}
+
+// Workloads returns the point sets Run checks every back-end on: uniform in
+// low and higher dimension, tightly clustered, duplicate-heavy and a single
+// point under L2, and a uniform set under L1.
+func Workloads() []Workload {
+	l2 := vecmath.Euclidean{}
+	return []Workload{
+		{"uniform-3d", RandPoints(200, 3, 1), l2},
+		{"uniform-12d", RandPoints(150, 12, 2), l2},
+		{"clustered-5d", ClusteredPoints(200, 5, 8, 3), l2},
+		{"with-duplicates", withDuplicates(RandPoints(100, 4, 4), 20, 5), l2},
+		{"single-point", RandPoints(1, 3, 6), l2},
+		{"manhattan-metric", RandPoints(150, 4, 7), vecmath.Manhattan{}},
+	}
 }
 
 // recycleStream is one (index, query) pair of verifyCursorRecycling with the
@@ -151,7 +159,7 @@ func verifyCursorRecycling(t *testing.T, build func(points [][]float64, metric v
 				st.skipID = rng.Intn(len(shape.pts))
 				st.q = shape.pts[st.skipID]
 			}
-			st.want = refKNN(shape.pts, shape.metric, st.q, len(shape.pts), st.skipID)
+			st.want = RefKNN(shape.pts, shape.metric, st.q, len(shape.pts), st.skipID)
 			streams = append(streams, st)
 		}
 	}
@@ -263,7 +271,7 @@ func TieOrder(t *testing.T, build func(points [][]float64, metric vecmath.Metric
 				q = pts[skipID]
 			}
 			var want []index.Neighbor
-			for _, nb := range refKNN(pts, metric, q, len(pts), skipID) {
+			for _, nb := range RefKNN(pts, metric, q, len(pts), skipID) {
 				if !c.gone[nb.ID] {
 					want = append(want, nb)
 				}
@@ -318,16 +326,13 @@ func verifyIndex(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.M
 		for _, k := range []int{1, 3, len(pts)} {
 			verifyKNN(t, ix, pts, metric, q, k, skipID)
 		}
-		for _, r := range []float64{0, 0.05, 0.3, 10} {
-			verifyRange(t, ix, pts, metric, q, r, skipID)
-		}
 	}
 	verifyCountCloser(t, ix, pts, nil, metric)
 }
 
 func verifyCursor(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.Metric, q []float64, skipID int) {
 	t.Helper()
-	want := refKNN(pts, metric, q, len(pts), skipID)
+	want := RefKNN(pts, metric, q, len(pts), skipID)
 	cur := ix.NewCursor(q, skipID)
 	prev := -1.0
 	var got []index.Neighbor
@@ -366,7 +371,7 @@ func verifyCursor(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.
 func verifyKNN(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.Metric, q []float64, k, skipID int) {
 	t.Helper()
 	got := ix.KNN(q, k, skipID)
-	want := refKNN(pts, metric, q, k, skipID)
+	want := RefKNN(pts, metric, q, k, skipID)
 	if len(got) != len(want) {
 		t.Fatalf("KNN(k=%d) returned %d items, want %d", k, len(got), len(want))
 	}
@@ -377,37 +382,6 @@ func verifyKNN(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.Met
 		if got[i].ID == skipID {
 			t.Fatalf("KNN returned skipped id")
 		}
-	}
-}
-
-func verifyRange(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.Metric, q []float64, r float64, skipID int) {
-	t.Helper()
-	got := ix.Range(q, r, skipID)
-	count := ix.CountRange(q, r, skipID)
-	if len(got) != count {
-		t.Fatalf("Range(r=%g) len %d != CountRange %d", r, len(got), count)
-	}
-	wantCount := 0
-	for id, p := range pts {
-		if id == skipID {
-			continue
-		}
-		if metric.Distance(q, p) <= r {
-			wantCount++
-		}
-	}
-	if count != wantCount {
-		t.Fatalf("CountRange(r=%g) = %d, want %d", r, count, wantCount)
-	}
-	prev := -1.0
-	for _, nb := range got {
-		if nb.Dist > r {
-			t.Fatalf("Range returned dist %g > r %g", nb.Dist, r)
-		}
-		if nb.Dist < prev {
-			t.Fatalf("Range result not sorted")
-		}
-		prev = nb.Dist
 	}
 }
 

@@ -161,7 +161,7 @@ func TestRestoredIndexStaysDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Insert on restored index: %v", err)
 	}
-	if got := re.CountRange(pts[7], 0, 7); got != 1 {
+	if got := duplicates(re, pts[7], 7); got != 1 {
 		t.Errorf("restored index sees %d duplicates after insert, want 1", got)
 	}
 	if !re.Delete(id) {

@@ -402,38 +402,6 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	return out
 }
 
-// Range implements index.Index over the candidate set (approximate).
-func (ix *Index) Range(q []float64, r float64, skipID int) []index.Neighbor {
-	d := dedupPool.Get().(*dedup)
-	defer d.release()
-	var out []index.Neighbor
-	for _, id := range ix.candidates(d, q, skipID) {
-		if dist := ix.metric.Distance(q, ix.points.Rows[id]); dist <= r {
-			out = append(out, index.Neighbor{ID: id, Dist: dist})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// CountRange implements index.Index over the candidate set (approximate).
-func (ix *Index) CountRange(q []float64, r float64, skipID int) int {
-	d := dedupPool.Get().(*dedup)
-	defer d.release()
-	count := 0
-	for _, id := range ix.candidates(d, q, skipID) {
-		if ix.metric.Distance(q, ix.points.Rows[id]) <= r {
-			count++
-		}
-	}
-	return count
-}
-
 // CountCloser implements index.Index over the candidate set KNN ranks
 // (approximate): counting the candidates strictly closer than r is the same
 // test as comparing the k-th candidate distance with r, so verification by

@@ -162,8 +162,7 @@ func TestKeyEncodesAllEightBytes(t *testing.T) {
 		t.Fatalf("key is %d bytes per hash, want 8", len(near))
 	}
 	// End to end: far-apart coordinates must not collide into shared
-	// buckets, so a tight range query around one cluster never surfaces
-	// the other.
+	// buckets, so a query in one cluster never surfaces the other.
 	pts := [][]float64{}
 	for i := 0; i < 8; i++ {
 		pts = append(pts, []float64{float64(i) * 0.25})
@@ -175,9 +174,9 @@ func TestKeyEncodesAllEightBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nb := range ix.Range(pts[0], 10, 0) {
+	for _, nb := range ix.KNN(pts[0], len(pts), 0) {
 		if nb.ID >= 8 {
-			t.Fatalf("range around the origin cluster surfaced far point %d (dist %g)", nb.ID, nb.Dist)
+			t.Fatalf("a query in the origin cluster surfaced far point %d (dist %g)", nb.ID, nb.Dist)
 		}
 	}
 }
@@ -198,8 +197,8 @@ func TestDegenerateAutoWidth(t *testing.T) {
 	if ix.Width() != DegenerateWidth {
 		t.Errorf("Width() = %g on constant data, want the documented floor %g", ix.Width(), DegenerateWidth)
 	}
-	if got := ix.CountRange(pts[0], 0, 0); got != 59 {
-		t.Errorf("CountRange on constant data = %d, want 59", got)
+	if got := duplicates(ix, pts[0], 0); got != 59 {
+		t.Errorf("constant data: %d duplicates counted, want 59", got)
 	}
 	if got := ix.KNN(pts[0], 5, 0); len(got) != 5 || got[0].Dist != 0 {
 		t.Errorf("KNN on constant data = %v", got)
@@ -296,10 +295,10 @@ func TestCloneIsolation(t *testing.T) {
 	if orig.Len() != 200 || orig.IDSpan() != 200 {
 		t.Fatalf("original grew after clone insert: Len=%d IDSpan=%d", orig.Len(), orig.IDSpan())
 	}
-	if got := orig.CountRange(pts[0], 0, 0); got != 0 {
+	if got := duplicates(orig, pts[0], 0); got != 0 {
 		t.Errorf("original sees %d duplicates of point 0 after clone insert, want 0", got)
 	}
-	if got := clone.CountRange(pts[0], 0, 0); got != 1 {
+	if got := duplicates(clone, pts[0], 0); got != 1 {
 		t.Errorf("clone sees %d duplicates of point 0, want 1", got)
 	}
 
@@ -346,11 +345,20 @@ func TestConcurrentQueriesSharePool(t *testing.T) {
 						return
 					}
 				}
-				ix.CountRange(pts[qid], 0.5, qid)
+				if len(nn) > 0 && ix.CountCloser(pts[qid], nn[len(nn)-1].Dist, len(nn), qid, nil) >= len(nn) {
+					t.Error("CountCloser counted the last KNN candidate as closer than itself under concurrency")
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// duplicates counts the candidates of q at distance 0 from it, other than
+// skipID: those strictly closer than the least positive distance.
+func duplicates(ix *Index, q []float64, skipID int) int {
+	return ix.CountCloser(q, math.SmallestNonzeroFloat64, ix.IDSpan(), skipID, nil)
 }
 
 func TestDuplicateHeavyData(t *testing.T) {
@@ -362,10 +370,10 @@ func TestDuplicateHeavyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exact duplicates always share every bucket, so range at radius 0
-	// finds all 49 other copies.
-	if got := ix.CountRange(pts[0], 0, 0); got != 49 {
-		t.Errorf("CountRange on duplicates = %d, want 49", got)
+	// Exact duplicates always share every bucket, so the count at distance
+	// 0 finds all 49 other copies.
+	if got := duplicates(ix, pts[0], 0); got != 49 {
+		t.Errorf("%d duplicates counted, want 49", got)
 	}
 	if got := ix.KNN(pts[0], 3, 0); len(got) != 3 || got[0].Dist != 0 {
 		t.Errorf("KNN on duplicates = %v", got)

@@ -1,21 +1,23 @@
 // Package mtree implements an M-tree (Ciaccia, Patella, Zezula 1997), the
 // metric access method underlying the MRkNNCoP baseline (paper Section 2.1).
 //
-// Every routing entry stores a data object, a covering radius bounding the
-// distance to any object in its subtree, and the distance to its parent
-// routing object. Pruning needs only the triangle inequality, so the M-tree
-// works for any metric. Leaf entries may carry a vector of augmented values
-// whose element-wise subtree maximum is aggregated at every routing entry —
-// MRkNNCoP stores the parameters of its kNN-distance bound lines there.
+// Every routing entry stores a data object and a covering radius bounding
+// the distance to any object in its subtree. Pruning needs only the triangle
+// inequality, so the M-tree works for any metric. Leaf entries may carry a
+// vector of augmented values whose element-wise subtree maximum is
+// aggregated at every routing entry — MRkNNCoP stores the parameters of its
+// kNN-distance bound lines there.
+//
+// The original M-tree also keeps each entry's distance to its parent routing
+// object, read only by its own similarity search to skip distance
+// computations. MRkNNCoP walks the tree with its own pruning, so that
+// distance is not stored.
 package mtree
 
 import (
 	"errors"
 	"math"
-	"sort"
 
-	"repro/internal/index"
-	"repro/internal/pqueue"
 	"repro/internal/vecmath"
 )
 
@@ -26,7 +28,6 @@ const (
 
 type entry struct {
 	id     int     // routing object (interior) or data object (leaf)
-	dist   float64 // distance to the parent routing object
 	radius float64 // covering radius; 0 for leaf entries
 	child  *node   // nil for leaf entries
 	agg    []float64
@@ -37,20 +38,15 @@ type node struct {
 	entries []entry
 }
 
-// Tree is an M-tree over a point set. It implements index.Index and is safe
-// for concurrent readers.
+// Tree is an M-tree over a point set, safe for concurrent readers. It is not
+// a forward index: MRkNNCoP, its one reader, walks it through NodeView with
+// its own pruning and asks its forward kNN queries of a separate index.
 type Tree struct {
 	points [][]float64
 	values [][]float64 // per-point augmented vectors (nil if unused)
 	metric vecmath.Metric
-	dim    int
 	root   *node
-	// rootObj is the reference object distances at the root level are
-	// measured against; the root has no parent, so dist fields there are
-	// relative to rootObj for pruning symmetry (unused: kept at 0).
 }
-
-var _ index.Index = (*Tree)(nil)
 
 // New builds an M-tree over points by repeated insertion. values, if
 // non-nil, supplies per-point augmented vectors (all the same length) that
@@ -75,24 +71,12 @@ func New(points [][]float64, metric vecmath.Metric, values [][]float64) (*Tree, 
 			}
 		}
 	}
-	t := &Tree{points: points, values: values, metric: metric, dim: len(points[0]), root: &node{leaf: true}}
+	t := &Tree{points: points, values: values, metric: metric, root: &node{leaf: true}}
 	for id := range points {
 		t.insert(id)
 	}
 	return t, nil
 }
-
-// Len implements index.Index.
-func (t *Tree) Len() int { return len(t.points) }
-
-// Dim implements index.Index.
-func (t *Tree) Dim() int { return t.dim }
-
-// Point implements index.Index.
-func (t *Tree) Point(id int) []float64 { return t.points[id] }
-
-// Metric implements index.Index.
-func (t *Tree) Metric() vecmath.Metric { return t.metric }
 
 func (t *Tree) valueOf(id int) []float64 {
 	if t.values == nil {
@@ -118,17 +102,16 @@ func maxInto(dst, src []float64) []float64 {
 
 func (t *Tree) insert(id int) {
 	e := entry{id: id, agg: t.valueOf(id)}
-	if split := t.insertAt(t.root, e, -1); split != nil {
+	if split := t.insertAt(t.root, e); split != nil {
 		old := t.root
-		t.root = &node{entries: []entry{t.routingEntry(old, -1), t.routingEntry(split, -1)}}
+		t.root = &node{entries: []entry{t.routingEntry(old), t.routingEntry(split)}}
 	}
 }
 
 // routingEntry builds the interior entry describing n: its routing object is
 // the first entry's object (an arbitrary but stable choice), with an exact
-// covering radius and refreshed aggregates. parentID (-1 for the root level)
-// fixes the stored parent distance.
-func (t *Tree) routingEntry(n *node, parentID int) entry {
+// covering radius and refreshed aggregates.
+func (t *Tree) routingEntry(n *node) entry {
 	routing := n.entries[0].id
 	e := entry{id: routing, child: n}
 	for _, c := range n.entries {
@@ -138,20 +121,13 @@ func (t *Tree) routingEntry(n *node, parentID int) entry {
 		}
 		e.agg = maxInto(e.agg, c.agg)
 	}
-	if parentID >= 0 {
-		e.dist = t.metric.Distance(t.points[parentID], t.points[routing])
-	}
 	return e
 }
 
 // insertAt descends to the best leaf; a non-nil return is a new sibling from
-// a split that the caller registers. parentID is the routing object of n's
-// parent entry (-1 at the root).
-func (t *Tree) insertAt(n *node, e entry, parentID int) *node {
+// a split that the caller registers.
+func (t *Tree) insertAt(n *node, e entry) *node {
 	if n.leaf {
-		if parentID >= 0 {
-			e.dist = t.metric.Distance(t.points[parentID], t.points[e.id])
-		}
 		n.entries = append(n.entries, e)
 		if len(n.entries) > maxEntries {
 			return t.split(n)
@@ -159,16 +135,15 @@ func (t *Tree) insertAt(n *node, e entry, parentID int) *node {
 		return nil
 	}
 	bi := t.chooseSubtree(n, e.id)
-	routing := n.entries[bi].id
-	if split := t.insertAt(n.entries[bi].child, e, routing); split != nil {
-		n.entries[bi] = t.routingEntry(n.entries[bi].child, parentID)
-		n.entries = append(n.entries, t.routingEntry(split, parentID))
+	if split := t.insertAt(n.entries[bi].child, e); split != nil {
+		n.entries[bi] = t.routingEntry(n.entries[bi].child)
+		n.entries = append(n.entries, t.routingEntry(split))
 		if len(n.entries) > maxEntries {
 			return t.split(n)
 		}
 		return nil
 	}
-	n.entries[bi] = t.routingEntry(n.entries[bi].child, parentID)
+	n.entries[bi] = t.routingEntry(n.entries[bi].child)
 	return nil
 }
 
@@ -198,10 +173,8 @@ func (t *Tree) chooseSubtree(n *node, id int) int {
 // split partitions n's entries around the two objects that are farthest
 // apart (the mM_RAD promotion evaluated exhaustively over the node) and
 // returns the new sibling holding the second partition.
-//
 // The promoted objects become the routing objects of the two halves (via
-// routingEntry's first-entry convention), so each half's stored parent
-// distances are refreshed against its own promoted object.
+// routingEntry's first-entry convention).
 func (t *Tree) split(n *node) *node {
 	entries := n.entries
 	// Promote the pair with maximum pairwise distance.
@@ -238,10 +211,7 @@ func (t *Tree) split(n *node) *node {
 	moveToFront(g1, o1)
 	moveToFront(g2, o2)
 	n.entries = g1
-	t.refreshParentDistances(n, o1)
-	sibling := &node{leaf: n.leaf, entries: g2}
-	t.refreshParentDistances(sibling, o2)
-	return sibling
+	return &node{leaf: n.leaf, entries: g2}
 }
 
 func moveToFront(g []entry, id int) {
@@ -251,216 +221,6 @@ func moveToFront(g []entry, id int) {
 			return
 		}
 	}
-}
-
-// refreshParentDistances recomputes the stored parent distances after a
-// split reassigned entries to a new routing object.
-func (t *Tree) refreshParentDistances(n *node, parentID int) {
-	if parentID < 0 {
-		return
-	}
-	for i := range n.entries {
-		n.entries[i].dist = t.metric.Distance(t.points[parentID], t.points[n.entries[i].id])
-	}
-}
-
-// frontierEntry queues a subtree with its lower-bound distance and the
-// already-computed distance from the query to the node's routing object,
-// which enables the parent-distance pre-filter |d(q,p) − d(p,o)| ≤ d(q,o)
-// from the original M-tree paper.
-type frontierEntry struct {
-	n         *node
-	lb        float64
-	dqRouting float64
-	hasParent bool
-}
-
-// preFilter returns a lower bound on d(q, e.object) − e.radius using only
-// stored distances, or 0 when no parent information is available.
-func preFilter(f frontierEntry, e entry) float64 {
-	if !f.hasParent {
-		return 0
-	}
-	lb := math.Abs(f.dqRouting-e.dist) - e.radius
-	if lb < 0 {
-		return 0
-	}
-	return lb
-}
-
-// entryLowerBound is max(0, d(q, routing) − radius), the least distance any
-// object under the entry can have from q.
-func entryLowerBound(d, radius float64) float64 {
-	if lb := d - radius; lb > 0 {
-		return lb
-	}
-	return 0
-}
-
-// NewCursor implements index.Index with the two-heap incremental scheme.
-func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
-	c := &cursor{t: t, q: q, skipID: skipID,
-		nodes: pqueue.NewMin[frontierEntry](64), ready: pqueue.NewMin[int](64)}
-	c.nodes.Push(0, frontierEntry{n: t.root})
-	return c
-}
-
-type cursor struct {
-	t      *Tree
-	q      []float64
-	skipID int
-	nodes  *pqueue.Min[frontierEntry]
-	ready  *pqueue.Min[int]
-}
-
-// Close implements index.Cursor; the cursor owns nothing that outlives it.
-func (c *cursor) Close() {}
-
-func (c *cursor) Next() (index.Neighbor, bool) {
-	for {
-		readyTop, hasReady := c.ready.Peek()
-		nodeTop, hasNode := c.nodes.Peek()
-		if hasReady && (!hasNode || readyTop.Priority <= nodeTop.Priority) {
-			it, _ := c.ready.Pop()
-			return index.Neighbor{ID: it.Value, Dist: it.Priority}, true
-		}
-		if !hasNode {
-			return index.Neighbor{}, false
-		}
-		it, _ := c.nodes.Pop()
-		for _, e := range it.Value.n.entries {
-			d := c.t.metric.Distance(c.q, c.t.points[e.id])
-			if e.child == nil {
-				if e.id != c.skipID {
-					c.ready.Push(d, e.id)
-				}
-				continue
-			}
-			lb := entryLowerBound(d, e.radius)
-			c.nodes.Push(lb, frontierEntry{n: e.child, lb: lb})
-		}
-	}
-}
-
-// KNN implements index.Index with best-first search and bound pruning.
-func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
-	if k <= 0 || len(t.points) == 0 {
-		return nil
-	}
-	top := pqueue.NewTopK[int](k)
-	nodes := pqueue.NewMin[frontierEntry](64)
-	nodes.Push(0, frontierEntry{n: t.root})
-	for {
-		it, ok := nodes.Pop()
-		if !ok {
-			break
-		}
-		if bound, full := top.Bound(); full && it.Priority > bound {
-			break
-		}
-		f := it.Value
-		for _, e := range f.n.entries {
-			if bound, full := top.Bound(); full && preFilter(f, e) > bound {
-				continue // pruned without a distance computation
-			}
-			d := t.metric.Distance(q, t.points[e.id])
-			if e.child == nil {
-				if e.id == skipID {
-					continue
-				}
-				if bound, full := top.Bound(); !full || d < bound {
-					top.Offer(d, e.id)
-				}
-				continue
-			}
-			lb := entryLowerBound(d, e.radius)
-			if bound, full := top.Bound(); full && lb > bound {
-				continue
-			}
-			nodes.Push(lb, frontierEntry{n: e.child, lb: lb, dqRouting: d, hasParent: true})
-		}
-	}
-	items := top.Sorted()
-	out := make([]index.Neighbor, len(items))
-	for i, it := range items {
-		out[i] = index.Neighbor{ID: it.Value, Dist: it.Priority}
-	}
-	return out
-}
-
-// Range implements index.Index.
-func (t *Tree) Range(q []float64, r float64, skipID int) []index.Neighbor {
-	var out []index.Neighbor
-	t.forEachInRange(q, r, skipID, func(id int, d float64) {
-		out = append(out, index.Neighbor{ID: id, Dist: d})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// CountRange implements index.Index.
-func (t *Tree) CountRange(q []float64, r float64, skipID int) int {
-	count := 0
-	t.forEachInRange(q, r, skipID, func(int, float64) { count++ })
-	return count
-}
-
-// CountCloser implements index.Index: the pruned descent of Range with a
-// strict comparison and an exit at limit.
-func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
-	if limit <= 0 {
-		return 0
-	}
-	return t.countCloser(frontierEntry{n: t.root}, q, r, limit, skipID, dead)
-}
-
-// countCloser returns min(limit, matches under f); limit is positive.
-func (t *Tree) countCloser(f frontierEntry, q []float64, r float64, limit, skipID int, dead map[int]bool) int {
-	count := 0
-	for _, e := range f.n.entries {
-		if preFilter(f, e) > r {
-			continue
-		}
-		d := t.metric.Distance(q, t.points[e.id])
-		if e.child == nil {
-			if d < r && e.id != skipID && !dead[e.id] {
-				count++
-			}
-		} else if entryLowerBound(d, e.radius) <= r {
-			count += t.countCloser(frontierEntry{n: e.child, dqRouting: d, hasParent: true}, q, r, limit-count, skipID, dead)
-		}
-		if count >= limit {
-			break
-		}
-	}
-	return count
-}
-
-func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id int, d float64)) {
-	var visit func(f frontierEntry)
-	visit = func(f frontierEntry) {
-		for _, e := range f.n.entries {
-			if preFilter(f, e) > r {
-				continue // pruned without a distance computation
-			}
-			d := t.metric.Distance(q, t.points[e.id])
-			if e.child == nil {
-				if e.id != skipID && d <= r {
-					emit(e.id, d)
-				}
-				continue
-			}
-			if entryLowerBound(d, e.radius) <= r {
-				visit(frontierEntry{n: e.child, dqRouting: d, hasParent: true})
-			}
-		}
-	}
-	visit(frontierEntry{n: t.root})
 }
 
 // NodeView is a read-only handle for baseline algorithms that run their own
@@ -499,26 +259,20 @@ func (v NodeView) EntryChild(i int) NodeView {
 	return NodeView{t: v.t, n: v.n.entries[i].child}
 }
 
-// CheckInvariants verifies covering radii, parent distances, aggregates and
-// point completeness. Tests call it after builds.
+// CheckInvariants verifies covering radii, aggregates and point
+// completeness. Tests call it after builds.
 func (t *Tree) CheckInvariants() error {
 	seen := make(map[int]bool, len(t.points))
-	// check verifies the subtree under routing object parentID and
-	// returns all contained ids and the element-wise max aggregate.
-	var check func(n *node, parentID int) ([]int, []float64, error)
-	check = func(n *node, parentID int) ([]int, []float64, error) {
+	// check verifies the subtree under n and returns all contained ids and
+	// the element-wise max aggregate.
+	var check func(n *node) ([]int, []float64, error)
+	check = func(n *node) ([]int, []float64, error) {
 		if len(n.entries) == 0 {
 			return nil, nil, errors.New("mtree: empty node")
 		}
 		var ids []int
 		var agg []float64
 		for _, e := range n.entries {
-			if parentID >= 0 {
-				want := t.metric.Distance(t.points[parentID], t.points[e.id])
-				if math.Abs(want-e.dist) > 1e-9 {
-					return nil, nil, errors.New("mtree: stale parent distance")
-				}
-			}
 			if e.child == nil {
 				if seen[e.id] {
 					return nil, nil, errors.New("mtree: point appears twice")
@@ -528,7 +282,7 @@ func (t *Tree) CheckInvariants() error {
 				agg = maxInto(agg, e.agg)
 				continue
 			}
-			sub, subAgg, err := check(e.child, e.id)
+			sub, subAgg, err := check(e.child)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -549,7 +303,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return ids, agg, nil
 	}
-	if _, _, err := check(t.root, -1); err != nil {
+	if _, _, err := check(t.root); err != nil {
 		return err
 	}
 	if len(seen) != len(t.points) {

@@ -1,20 +1,71 @@
 package mtree
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/vecmath"
 )
 
+// TestConformance holds the M-tree to what MRkNNCoP uses of it on every
+// conformance workload: a sound structure, and covering radii that make its
+// pruning exact.
 func TestConformance(t *testing.T) {
-	indextest.Run(t, func(pts [][]float64, m vecmath.Metric) (index.Index, error) {
-		return New(pts, m, nil)
-	})
+	for _, w := range indextest.Workloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			tree, err := New(w.Points, w.Metric, nil)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			checkPrunedWalk(t, tree, w.Points, w.Metric)
+		})
+	}
+}
+
+// checkPrunedWalk walks tree through NodeView as MRkNNCoP does — an entry is
+// skipped when its routing object lies farther from q than r plus its
+// covering radius — and requires the walk to reach exactly the points brute
+// force places within r, for member and free queries, at radii zero, at
+// existing distances (where ties sit), between them and beyond all of them.
+func checkPrunedWalk(t *testing.T, tree *Tree, pts [][]float64, m vecmath.Metric) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(42))
+	queries := append(indextest.RandPoints(4, len(pts[0]), 43), pts[0], pts[rng.Intn(len(pts))])
+	for _, q := range queries {
+		ref := indextest.RefKNN(pts, m, q, len(pts), -1)
+		for _, r := range []float64{0, ref[0].Dist, ref[len(ref)/2].Dist, ref[rng.Intn(len(ref))].Dist, 0.05, 0.3, 10} {
+			want := map[int]bool{}
+			for _, nb := range ref {
+				if nb.Dist <= r {
+					want[nb.ID] = true
+				}
+			}
+			got := map[int]bool{}
+			var walk func(v NodeView)
+			walk = func(v NodeView) {
+				for i := 0; i < v.NumEntries(); i++ {
+					d := m.Distance(q, pts[v.EntryID(i)])
+					switch {
+					case v.IsLeaf() && d <= r:
+						got[v.EntryID(i)] = true
+					case !v.IsLeaf() && d-v.EntryRadius(i) <= r:
+						walk(v.EntryChild(i))
+					}
+				}
+			}
+			walk(tree.Root())
+			if !maps.Equal(got, want) {
+				t.Fatalf("pruned walk within %g found %d points, brute force %d", r, len(got), len(want))
+			}
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -114,21 +165,7 @@ func TestAngularMetric(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	m := vecmath.Angular{}
-	q := pts[4]
-	got := tree.KNN(q, 1, 4)
-	best := math.Inf(1)
-	for id, p := range pts {
-		if id == 4 {
-			continue
-		}
-		if d := m.Distance(q, p); d < best {
-			best = d
-		}
-	}
-	if len(got) != 1 || math.Abs(got[0].Dist-best) > 1e-12 {
-		t.Errorf("angular KNN = %v, want dist %g", got, best)
-	}
+	checkPrunedWalk(t, tree, pts, vecmath.Angular{})
 }
 
 func TestNodeViewWalk(t *testing.T) {

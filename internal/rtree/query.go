@@ -1,64 +1,14 @@
 package rtree
 
 import (
-	"sort"
-
 	"repro/internal/index"
 	"repro/internal/pqueue"
 )
 
-// frontierItem is either a pending subtree (child != nil) queued by MINDIST
-// or a resolved point queued by exact distance.
-type frontierItem struct {
-	child *node
-	id    int
-	dist  float64
-}
-
-// NewCursor implements index.Index with the classic best-first incremental
-// nearest-neighbor traversal (Hjaltason & Samet).
-func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
-	c := &cursor{t: t, q: q, skipID: skipID, pq: pqueue.NewMin[frontierItem](64)}
-	c.pq.Push(0, frontierItem{child: t.root})
-	return c
-}
-
-type cursor struct {
-	t      *Tree
-	q      []float64
-	skipID int
-	pq     *pqueue.Min[frontierItem]
-}
-
-// Close implements index.Cursor; the cursor owns nothing that outlives it.
-func (c *cursor) Close() {}
-
-func (c *cursor) Next() (index.Neighbor, bool) {
-	for {
-		it, ok := c.pq.Pop()
-		if !ok {
-			return index.Neighbor{}, false
-		}
-		f := it.Value
-		if f.child == nil {
-			return index.Neighbor{ID: f.id, Dist: f.dist}, true
-		}
-		for _, e := range f.child.entries {
-			if f.child.leaf {
-				if e.id == c.skipID {
-					continue
-				}
-				d := c.t.metric.Distance(c.q, c.t.points[e.id])
-				c.pq.Push(d, frontierItem{id: e.id, dist: d})
-			} else {
-				lb := c.t.boxer.BoxDistance(c.q, e.lo, e.hi)
-				c.pq.Push(lb, frontierItem{child: e.child})
-			}
-		}
-	}
-}
-
-// KNN implements index.Index with best-first search and MINDIST pruning.
+// KNN returns the k nearest neighbors of q in ascending distance order
+// (fewer if the tree is smaller), omitting point skipID when it is >= 0, by
+// best-first search with MINDIST pruning. It is the one forward query the
+// baselines make of the tree: TPL's refinement.
 func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if k <= 0 || len(t.points) == 0 {
 		return nil
@@ -99,76 +49,6 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 		out[i] = index.Neighbor{ID: it.Value, Dist: it.Priority}
 	}
 	return out
-}
-
-// Range implements index.Index.
-func (t *Tree) Range(q []float64, r float64, skipID int) []index.Neighbor {
-	var out []index.Neighbor
-	t.forEachInRange(q, r, skipID, func(id int, d float64) {
-		out = append(out, index.Neighbor{ID: id, Dist: d})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// CountRange implements index.Index.
-func (t *Tree) CountRange(q []float64, r float64, skipID int) int {
-	count := 0
-	t.forEachInRange(q, r, skipID, func(int, float64) { count++ })
-	return count
-}
-
-// CountCloser implements index.Index: the pruned descent of Range with a
-// strict comparison and an exit at limit.
-func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
-	if limit <= 0 {
-		return 0
-	}
-	return t.countCloser(t.root, q, r, limit, skipID, dead)
-}
-
-// countCloser returns min(limit, matches under n); limit is positive.
-func (t *Tree) countCloser(n *node, q []float64, r float64, limit, skipID int, dead map[int]bool) int {
-	count := 0
-	for _, e := range n.entries {
-		if n.leaf {
-			if e.id != skipID && !dead[e.id] && t.metric.Distance(q, t.points[e.id]) < r {
-				count++
-			}
-		} else if t.boxer.BoxDistance(q, e.lo, e.hi) <= r {
-			count += t.countCloser(e.child, q, r, limit-count, skipID, dead)
-		}
-		if count >= limit {
-			break
-		}
-	}
-	return count
-}
-
-func (t *Tree) forEachInRange(q []float64, r float64, skipID int, emit func(id int, d float64)) {
-	var visit func(n *node)
-	visit = func(n *node) {
-		for _, e := range n.entries {
-			if n.leaf {
-				if e.id == skipID {
-					continue
-				}
-				if d := t.metric.Distance(q, t.points[e.id]); d <= r {
-					emit(e.id, d)
-				}
-				continue
-			}
-			if t.boxer.BoxDistance(q, e.lo, e.hi) <= r {
-				visit(e.child)
-			}
-		}
-	}
-	visit(t.root)
 }
 
 // NodeView is a read-only handle on an interior or leaf entry of the tree,

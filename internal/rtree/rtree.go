@@ -19,7 +19,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/index"
 	"repro/internal/vecmath"
 )
 
@@ -40,8 +39,9 @@ type node struct {
 	entries []entry
 }
 
-// Tree is an R-tree over a point set. It implements index.Index and is safe
-// for concurrent readers.
+// Tree is an R-tree over a point set, safe for concurrent readers. It is not
+// a forward index: the RdNN-Tree and TPL walk it through NodeView with their
+// own pruning, and its one forward query is KNN, which TPL's refinement asks.
 type Tree struct {
 	points [][]float64
 	values []float64 // augmented per-point values (nil if unused)
@@ -51,8 +51,6 @@ type Tree struct {
 	root   *node
 	height int
 }
-
-var _ index.Index = (*Tree)(nil)
 
 // New builds an R-tree over points. The metric must implement
 // vecmath.BoxDistancer. values, if non-nil, supplies the augmented per-point
@@ -86,16 +84,16 @@ func New(points [][]float64, metric vecmath.Metric, values []float64) (*Tree, er
 	return t, nil
 }
 
-// Len implements index.Index.
+// Len returns the number of indexed points.
 func (t *Tree) Len() int { return len(t.points) }
 
-// Dim implements index.Index.
+// Dim returns the dimensionality of the indexed points.
 func (t *Tree) Dim() int { return t.dim }
 
-// Point implements index.Index.
+// Point returns the coordinates of point id, owned by the tree.
 func (t *Tree) Point(id int) []float64 { return t.points[id] }
 
-// Metric implements index.Index.
+// Metric returns the distance the tree was built under.
 func (t *Tree) Metric() vecmath.Metric { return t.metric }
 
 // Height returns the number of levels in the tree (1 for a lone leaf root).

@@ -6,15 +6,49 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/vecmath"
 )
 
+// TestConformance holds the R-tree to what its readers use of it on every
+// conformance workload: a sound structure, and KNN — the forward query of
+// TPL's refinement — equal to brute force for members (skipped) and free
+// points at k = 1, 3 and n. Tied distances may come back under any of the
+// tied IDs, as index.Index allows.
 func TestConformance(t *testing.T) {
-	indextest.Run(t, func(pts [][]float64, m vecmath.Metric) (index.Index, error) {
-		return New(pts, m, nil)
-	})
+	for _, w := range indextest.Workloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			tree, err := New(w.Points, w.Metric, nil)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			n := len(w.Points)
+			queries := indextest.RandPoints(3, len(w.Points[0]), 50)
+			skips := []int{-1, -1, -1, 0, n / 2, n - 1}
+			for _, id := range skips[3:] {
+				queries = append(queries, w.Points[id])
+			}
+			for qi, q := range queries {
+				skip := skips[qi]
+				for _, k := range []int{1, 3, n} {
+					got, want := tree.KNN(q, k, skip), indextest.RefKNN(w.Points, w.Metric, q, k, skip)
+					if len(got) != len(want) {
+						t.Fatalf("skip %d: KNN(k=%d) returned %d neighbors, want %d", skip, k, len(got), len(want))
+					}
+					seen := map[int]bool{}
+					for i, nb := range got {
+						if nb.Dist != want[i].Dist || nb.ID == skip || seen[nb.ID] || w.Metric.Distance(q, w.Points[nb.ID]) != nb.Dist {
+							t.Fatalf("skip %d: KNN(k=%d) position %d = %+v, want distance %g", skip, k, i, nb, want[i].Dist)
+						}
+						seen[nb.ID] = true
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -27,8 +27,8 @@ func buildPair(t *testing.T, pts [][]float64, m vecmath.Metric) (plain, filtered
 }
 
 // TestQuantFilterByteIdentical pins the central claim of the filter: for
-// every supported metric, KNN, Range, CountRange and CountCloser return bit-for-bit the
-// same results with the filter on and off, across random queries, member
+// every supported metric, KNN and CountCloser return bit-for-bit the same
+// results with the filter on and off, across random queries, member
 // queries and tombstones — while the filter actually screens rows.
 func TestQuantFilterByteIdentical(t *testing.T) {
 	metrics := []vecmath.Metric{
@@ -63,18 +63,14 @@ func TestQuantFilterByteIdentical(t *testing.T) {
 					t.Fatalf("KNN diverged: filtered %v, plain %v", got, want)
 				}
 				r := rng.Float64() * 0.8
-				if got, want := filtered.Range(q, r, skipID), plain.Range(q, r, skipID); !reflect.DeepEqual(got, want) {
-					t.Fatalf("Range diverged: filtered %v, plain %v", got, want)
-				}
-				if got, want := filtered.CountRange(q, r, skipID), plain.CountRange(q, r, skipID); got != want {
-					t.Fatalf("CountRange diverged: %d vs %d", got, want)
-				}
 				// CountCloser at a random radius and at the k-th neighbor
 				// distance itself, where only rows tied at the radius decide.
+				// Each with a random limit and with none that binds.
 				for _, cr := range []float64{r, plain.KNN(q, k, skipID)[k-1].Dist} {
-					limit := 1 + rng.Intn(40)
-					if got, want := filtered.CountCloser(q, cr, limit, skipID, nil), plain.CountCloser(q, cr, limit, skipID, nil); got != want {
-						t.Fatalf("CountCloser(r=%g, limit=%d) diverged: %d vs %d", cr, limit, got, want)
+					for _, limit := range []int{1 + rng.Intn(40), len(pts)} {
+						if got, want := filtered.CountCloser(q, cr, limit, skipID, nil), plain.CountCloser(q, cr, limit, skipID, nil); got != want {
+							t.Fatalf("CountCloser(r=%g, limit=%d) diverged: %d vs %d", cr, limit, got, want)
+						}
 					}
 				}
 			}

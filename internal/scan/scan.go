@@ -23,7 +23,6 @@ package scan
 import (
 	"errors"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -433,7 +432,7 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 }
 
 // quantQuery holds the per-query screening state shared by the filtered
-// KNN, Range and CountRange loops. Tier 1 screens through a per-query
+// KNN and CountCloser loops. Tier 1 screens through a per-query
 // lookup table rather than codebook arithmetic: one table load per
 // dimension is ~7× cheaper than re-deriving the cell interval, and the
 // dim×256-entry build cost amortizes over the whole row scan (tables are
@@ -471,7 +470,7 @@ func (ix *Index) newQuantQuery(q []float64) (*quantQuery, func()) {
 }
 
 // screened reports whether row id provably cannot beat bound (the current
-// heap bound or range radius, in the metric's result domain). Tier 1 is the
+// heap bound or count radius, in the metric's result domain). Tier 1 is the
 // code-level LUT bound; rows surviving it are re-screened by the tighter
 // float32 block bound (tier 2). Both tiers under-estimate the exact
 // distance, and the quantSlack margin absorbs their own float64 rounding,
@@ -506,49 +505,15 @@ func (qq *quantQuery) screened(id int, bound float64) bool {
 	}
 }
 
-// Range implements index.Index. The quantized filter screens against the
-// fixed radius; the boundary is inclusive (d <= r) while screening requires
-// the lower bound to clear r by quantSlack, so boundary rows always reach
-// the exact kernel.
-func (ix *Index) Range(q []float64, r float64, skipID int) []index.Neighbor {
-	var out []index.Neighbor
-	ix.eachRow(q, skipID, nil, radius(r), func(id int, d float64) bool {
-		if d <= r {
-			out = append(out, index.Neighbor{ID: id, Dist: d})
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
 // radius is the screening bound of a search with a fixed radius r.
 func radius(r float64) func() (float64, bool) {
 	return func() (float64, bool) { return r, true }
 }
 
-// CountRange implements index.Index without materializing the result.
-func (ix *Index) CountRange(q []float64, r float64, skipID int) int {
-	count := 0
-	ix.eachRow(q, skipID, nil, radius(r), func(_ int, d float64) bool {
-		if d <= r {
-			count++
-		}
-		return true
-	})
-	return count
-}
-
-// CountCloser implements index.Index: the row loop of CountRange with a
-// strict comparison and an exit at limit. The quantized filter screens
-// against r exactly as Range does — a row is skipped only when its lower
-// bound clears r by quantSlack, so rows at or below r always reach the
-// exact kernel.
+// CountCloser implements index.Index: a row loop with a strict comparison
+// and an exit at limit. The quantized filter screens against the fixed
+// radius r — a row is skipped only when its lower bound clears r by
+// quantSlack, so rows at or below r always reach the exact kernel.
 func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
 	if limit <= 0 {
 		return 0

@@ -242,44 +242,6 @@ func TestKNNMatchesCursor(t *testing.T) {
 	}
 }
 
-func TestRangeAndCount(t *testing.T) {
-	pts := randPoints(100, 2, 4)
-	ix, err := New(pts, vecmath.Euclidean{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := pts[10]
-	r := 0.3
-	got := ix.Range(q, r, 10)
-	if len(got) != ix.CountRange(q, r, 10) {
-		t.Errorf("Range len %d != CountRange %d", len(got), ix.CountRange(q, r, 10))
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Dist < got[j].Dist }) {
-		t.Error("Range result not sorted")
-	}
-	for _, nb := range got {
-		if nb.Dist > r {
-			t.Errorf("Range returned %g > %g", nb.Dist, r)
-		}
-		if nb.ID == 10 {
-			t.Error("Range returned the skipped ID")
-		}
-	}
-	// Verify completeness against a manual filter.
-	want := 0
-	for id, p := range pts {
-		if id == 10 {
-			continue
-		}
-		if (vecmath.Euclidean{}).Distance(q, p) <= r {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Errorf("Range found %d, manual filter %d", len(got), want)
-	}
-}
-
 func TestDynamicInsertDelete(t *testing.T) {
 	pts := randPoints(10, 3, 5)
 	ix, err := New(pts, vecmath.Euclidean{})
@@ -328,7 +290,7 @@ func TestDynamicInsertDelete(t *testing.T) {
 			t.Error("cursor returned deleted point")
 		}
 	}
-	if ix.CountRange(q, 0, -1) != 0 {
-		t.Error("CountRange found the deleted point at distance 0")
+	if ix.CountCloser(q, math.SmallestNonzeroFloat64, 11, -1, nil) != 0 {
+		t.Error("CountCloser found the deleted point at distance 0")
 	}
 }

@@ -350,6 +350,9 @@ func TestClusterByteIdentity(t *testing.T) {
 			}
 			identical(t, all, "POST", "/v1/rknn", `{"point":[0.4,0.5,0.6],"k":4}`)
 			identical(t, all, "POST", "/v1/knn", `{"point":[0.1,0.9,0.2],"k":6}`)
+			// A k past the frame's 32-bit field still asks for every row.
+			identical(t, all, "POST", "/v1/knn", `{"point":[0.1,0.9,0.2],"k":4294967296}`)
+			identical(t, all, "POST", "/v1/knn", `{"point":[0.1,0.9,0.2],"k":4294967297}`)
 			// Error surfaces must match byte for byte too.
 			identical(t, all, "POST", "/v1/rknn", `{"id":3}`)
 			identical(t, all, "POST", "/v1/rknn", `{"id":-5,"k":3}`)

@@ -8,7 +8,7 @@
 //     the candidate set, for an oversampling factor α ≥ 1.
 //  2. Filter: reject any candidate that already has k witnesses among the
 //     candidates themselves (pairwise distance computations only).
-//  3. Verification: settle the survivors with one count-range query each —
+//  3. Verification: settle the survivors with one bounded count each —
 //     x is a reverse neighbor iff fewer than k database objects lie
 //     strictly closer to x than the query does.
 //
@@ -53,7 +53,7 @@ type Stats struct {
 	Candidates int
 	// FilterRejects counts candidates settled by the pairwise filter.
 	FilterRejects int
-	// Verified counts count-range verification queries issued.
+	// Verified counts the verification counts issued.
 	Verified int
 }
 
@@ -143,15 +143,10 @@ func (qr *Querier) run(q []float64, skipID int) *Result {
 	return &Result{IDs: ids, Stats: stats}
 }
 
-// verify settles candidate c with one count-range query: c is a reverse
-// neighbor iff fewer than k database objects are strictly closer to it than
-// the query. Strictness is obtained by shrinking the radius to the previous
-// representable float, so boundary ties resolve identically to the ground
-// truth (accept on tie).
+// verify settles candidate c with one bounded strict count: c is a reverse
+// neighbor iff fewer than k database objects other than c lie strictly
+// closer to it than the query does. The count is strict, so boundary ties
+// resolve as in the ground truth (accept on tie), and it stops at k.
 func (qr *Querier) verify(c index.Neighbor) bool {
-	if c.Dist == 0 {
-		return true // a duplicate of the query has it at rank one
-	}
-	r := math.Nextafter(c.Dist, math.Inf(-1))
-	return qr.ix.CountRange(qr.ix.Point(c.ID), r, c.ID) < qr.params.K
+	return qr.ix.CountCloser(qr.ix.Point(c.ID), c.Dist, qr.params.K, c.ID, nil) < qr.params.K
 }

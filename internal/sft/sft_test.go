@@ -2,10 +2,13 @@ package sft
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/bruteforce"
+	"repro/internal/covertree"
+	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/scan"
 	"repro/internal/vecmath"
@@ -18,6 +21,36 @@ func newScan(t *testing.T, pts [][]float64) *scan.Index {
 		t.Fatalf("scan.New: %v", err)
 	}
 	return ix
+}
+
+// backend is one exact back-end SFT can verify through.
+type backend struct {
+	name string
+	ix   index.Index
+}
+
+// backends builds scan and the cover tree over pts: SFT settles its
+// boundary ties through the back-end's CountCloser, so each must answer as
+// brute force does.
+func backends(t *testing.T, pts [][]float64) []backend {
+	t.Helper()
+	tree, err := covertree.New(pts, vecmath.Euclidean{})
+	if err != nil {
+		t.Fatalf("covertree.New: %v", err)
+	}
+	return []backend{{"scan", newScan(t, pts)}, {"covertree", tree}}
+}
+
+// gridPoints draws n points on a coarse integer grid, where exact distance
+// ties — the boundary cases of the strict verification count — are
+// everywhere.
+func gridPoints(n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = []float64{float64(rng.Intn(5)), float64(rng.Intn(5)), float64(rng.Intn(3))}
+	}
+	return pts
 }
 
 func TestNewQuerierValidation(t *testing.T) {
@@ -58,61 +91,68 @@ func TestQueryValidation(t *testing.T) {
 
 // TestExactWithFullAlpha checks that α large enough to make the boundary set
 // the whole dataset turns SFT exact (the guarantee noted in the paper's
-// Section 2.2).
+// Section 2.2), on clustered data and on a grid full of distance ties.
 func TestExactWithFullAlpha(t *testing.T) {
-	pts := indextest.ClusteredPoints(180, 4, 5, 2)
-	ix := newScan(t, pts)
-	truth, err := bruteforce.New(pts, vecmath.Euclidean{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 5} {
-		qr, err := NewQuerier(ix, Params{K: k, Alpha: float64(len(pts)) / float64(k)})
+	for _, data := range []struct {
+		name string
+		pts  [][]float64
+	}{{"clustered", indextest.ClusteredPoints(180, 4, 5, 2)}, {"grid", gridPoints(150, 6)}} {
+		pts := data.pts
+		truth, err := bruteforce.New(pts, vecmath.Euclidean{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for qid := 0; qid < 25; qid++ {
-			got, err := qr.ByID(qid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := truth.RkNNByID(qid, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalIDs(got.IDs, want) {
-				t.Errorf("k=%d qid=%d: got %v, want %v", k, qid, got.IDs, want)
+		for _, b := range backends(t, pts) {
+			for _, k := range []int{1, 5} {
+				qr, err := NewQuerier(b.ix, Params{K: k, Alpha: float64(len(pts)) / float64(k)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qid := 0; qid < 25; qid++ {
+					got, err := qr.ByID(qid)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := truth.RkNNByID(qid, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !equalIDs(got.IDs, want) {
+						t.Errorf("%s over %s, k=%d qid=%d: got %v, want %v", data.name, b.name, k, qid, got.IDs, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestNoFalsePositives checks SFT precision at any α: the count-range
-// verification is exact, so every reported ID is a true reverse neighbor.
+// TestNoFalsePositives checks SFT precision at any α: the verification count
+// is exact, so every reported ID is a true reverse neighbor.
 func TestNoFalsePositives(t *testing.T) {
 	pts := indextest.RandPoints(200, 5, 3)
-	ix := newScan(t, pts)
 	truth, err := bruteforce.New(pts, vecmath.Euclidean{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := 4
-	for _, alpha := range []float64{1, 1.5, 2, 4, 8} {
-		qr, err := NewQuerier(ix, Params{K: k, Alpha: alpha})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qid := 0; qid < 20; qid++ {
-			got, err := qr.ByID(qid)
+	for _, b := range backends(t, pts) {
+		for _, alpha := range []float64{1, 1.5, 2, 4, 8} {
+			qr, err := NewQuerier(b.ix, Params{K: k, Alpha: alpha})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := truth.RkNNByID(qid, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p := bruteforce.Precision(got.IDs, want); p != 1 {
-				t.Errorf("alpha=%g qid=%d: precision %.3f", alpha, qid, p)
+			for qid := 0; qid < 20; qid++ {
+				got, err := qr.ByID(qid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := truth.RkNNByID(qid, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p := bruteforce.Precision(got.IDs, want); p != 1 {
+					t.Errorf("%s, alpha=%g qid=%d: precision %.3f", b.name, alpha, qid, p)
+				}
 			}
 		}
 	}
@@ -163,26 +203,27 @@ func TestDuplicateHeavy(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		pts = append(pts, vecmath.Clone(base[0]))
 	}
-	ix := newScan(t, pts)
 	truth, err := bruteforce.New(pts, vecmath.Euclidean{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := 2
-	qr, err := NewQuerier(ix, Params{K: k, Alpha: float64(len(pts)) / float64(k)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := qr.ByID(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := truth.RkNNByID(0, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalIDs(got.IDs, want) {
-		t.Errorf("duplicates: got %v, want %v", got.IDs, want)
+	for _, b := range backends(t, pts) {
+		qr, err := NewQuerier(b.ix, Params{K: k, Alpha: float64(len(pts)) / float64(k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := qr.ByID(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalIDs(got.IDs, want) {
+			t.Errorf("duplicates over %s: got %v, want %v", b.name, got.IDs, want)
+		}
 	}
 }
 

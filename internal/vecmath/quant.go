@@ -131,76 +131,6 @@ func (cb *Codebook) BuildLUT(q []float64, squared bool, tab []float64) {
 	}
 }
 
-// RowLowerBoundSum accumulates per-dimension contribution bounds for q
-// against one encoded row without a lookup table, early-exiting once the
-// running bound passes stop. It evaluates exactly the float expressions
-// BuildLUT tabulates (TestCodebookRowBoundsMatchLUT pins bitwise
-// equality), so the two are interchangeable. The scan back-end screens
-// through the table — one load per dimension is several times cheaper
-// than re-deriving the cell interval, and the build amortizes over the
-// row scan — while the table-free form serves callers screening too few
-// rows per query to amortize a Dim()×256-entry build.
-func (cb *Codebook) RowLowerBoundSum(q []float64, codes []uint8, squared bool, stop float64) float64 {
-	var lb float64
-	for j, c := range codes {
-		qx := q[j]
-		mn, sc := cb.min[j], cb.scale[j]
-		if sc <= 0 {
-			continue // constant-at-training dimension: cell 0 is unbounded
-		}
-		var contrib float64
-		if c > 0 {
-			if lo := mn + float64(c)*sc; qx < lo {
-				contrib = lo - qx
-			}
-		}
-		if c < 255 {
-			if hi := mn + float64(int(c)+1)*sc; qx > hi {
-				contrib = qx - hi
-			}
-		}
-		if squared {
-			contrib *= contrib
-		}
-		lb += contrib
-		if lb > stop {
-			return lb
-		}
-	}
-	return lb
-}
-
-// RowLowerBoundMax is the max-combine (L∞) counterpart of
-// RowLowerBoundSum.
-func (cb *Codebook) RowLowerBoundMax(q []float64, codes []uint8, stop float64) float64 {
-	var lb float64
-	for j, c := range codes {
-		qx := q[j]
-		mn, sc := cb.min[j], cb.scale[j]
-		if sc <= 0 {
-			continue // constant-at-training dimension: cell 0 is unbounded
-		}
-		var contrib float64
-		if c > 0 {
-			if lo := mn + float64(c)*sc; qx < lo {
-				contrib = lo - qx
-			}
-		}
-		if c < 255 {
-			if hi := mn + float64(int(c)+1)*sc; qx > hi {
-				contrib = qx - hi
-			}
-		}
-		if contrib > lb {
-			if contrib > stop {
-				return contrib
-			}
-			lb = contrib
-		}
-	}
-	return lb
-}
-
 // LUTLowerBoundSum accumulates tab lookups over codes (additive metrics:
 // L1, and L2 with squared contributions), early-exiting once the running
 // bound passes stop.

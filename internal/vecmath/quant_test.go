@@ -92,53 +92,6 @@ func TestCodebookScreensFarPoints(t *testing.T) {
 	}
 }
 
-// TestCodebookRowBoundsMatchLUT pins the table-free screening path (the
-// one the scan index uses) to the lookup-table reference bitwise — same
-// float expressions, same early-exit thresholds — so the LUT soundness
-// tests above cover both implementations.
-func TestCodebookRowBoundsMatchLUT(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 40; trial++ {
-		dim := 1 + rng.Intn(14)
-		rows := make([][]float64, 3+rng.Intn(30))
-		for i := range rows {
-			rows[i] = randVec(rng, dim)
-		}
-		if trial%4 == 0 {
-			// Constant dimension: the sc<=0 skip must stay bitwise equal to
-			// the LUT's zeroed cells, including for out-of-range queries.
-			for _, r := range rows {
-				r[0] = -0.75
-			}
-		}
-		cb := TrainCodebook(rows)
-		q := randVec(rng, dim)
-		if trial%4 == 0 {
-			q[0] = 3
-		}
-		sqTab := make([]float64, dim*256)
-		absTab := make([]float64, dim*256)
-		cb.BuildLUT(q, true, sqTab)
-		cb.BuildLUT(q, false, absTab)
-		codes := make([]uint8, dim)
-		probe := append(append([][]float64(nil), rows...), scaled(randVec(rng, dim), 8), Clone(q))
-		for _, r := range probe {
-			cb.Encode(r, codes)
-			for _, stop := range []float64{math.Inf(1), 1, 0.01} {
-				if got, want := cb.RowLowerBoundSum(q, codes, true, stop), LUTLowerBoundSum(sqTab, codes, stop); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("squared row bound %v, LUT %v (stop %v)", got, want, stop)
-				}
-				if got, want := cb.RowLowerBoundSum(q, codes, false, stop), LUTLowerBoundSum(absTab, codes, stop); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("L1 row bound %v, LUT %v (stop %v)", got, want, stop)
-				}
-				if got, want := cb.RowLowerBoundMax(q, codes, stop), LUTLowerBoundMax(absTab, codes, stop); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("L∞ row bound %v, LUT %v (stop %v)", got, want, stop)
-				}
-			}
-		}
-	}
-}
-
 // TestCodebookConstantDimensionUnbounded is the regression for the
 // degenerate scale-0 cell: a dimension constant at training time clamps
 // every code to cell 0, so that cell must cover the whole line. The old
@@ -162,9 +115,6 @@ func TestCodebookConstantDimensionUnbounded(t *testing.T) {
 		"LUT L1":        LUTLowerBoundSum(absTab, codes, inf),
 		"LUT L∞":        LUTLowerBoundMax(absTab, codes, inf),
 		"LUT screen sq": LUTScreenSum(sqTab, codes, inf),
-		"row squared":   cb.RowLowerBoundSum(q, codes, true, inf),
-		"row L1":        cb.RowLowerBoundSum(q, codes, false, inf),
-		"row L∞":        cb.RowLowerBoundMax(q, codes, inf),
 	} {
 		if lb != 0 {
 			t.Errorf("%s bound %v for an exact-zero distance", name, lb)

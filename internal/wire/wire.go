@@ -288,7 +288,9 @@ func AppendKNNBatchRequest(dst []byte, qs []KNNQuery) []byte {
 	dst = append(dst, Version, byte(OpKNNBatch))
 	dst = appendU32(dst, uint32(len(qs)))
 	for _, q := range qs {
-		dst = appendU32(dst, uint32(q.K))
+		// K saturates at the field's width: no shard holds 2^32 IDs (the
+		// summed spans fit an int32), so MaxUint32 still asks for every row.
+		dst = appendU32(dst, uint32(min(uint64(q.K), math.MaxUint32)))
 		dst = appendU64(dst, uint64(int64(q.Skip)))
 		dst = AppendVec(dst, q.Point)
 	}

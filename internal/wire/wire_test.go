@@ -68,6 +68,12 @@ func TestKNNBatchRoundTrip(t *testing.T) {
 	if req.Op != OpKNNBatch || !reflect.DeepEqual(req.KNN, qs) {
 		t.Fatalf("round trip mismatch: %+v", req.KNN)
 	}
+	// A K past the 32-bit field saturates instead of wrapping to a small
+	// (or zero) K: it still asks for every row a shard can hold.
+	req, err = DecodeRequest(AppendKNNBatchRequest(nil, []KNNQuery{{Point: []float64{1}, K: 1<<32 + 1, Skip: -1}}))
+	if err != nil || req.KNN[0].K != math.MaxUint32 {
+		t.Fatalf("K = 2^32+1 decoded as %+v (err %v), want K = %d", req.KNN, err, uint32(math.MaxUint32))
+	}
 
 	lists := [][]Neighbor{
 		{{ID: 3, Dist: 0.5}, {ID: 9, Dist: 1.25}},
