@@ -12,7 +12,7 @@ import (
 // Structure codec: the cover tree's node topology (IDs, levels, maxDist
 // bounds, child lists) serialized separately from the points, so a
 // persisted tree restores by reattaching nodes to the stored point rows
-// instead of paying the O(n log n) distance computations of a re-insertion
+// instead of paying the O(n log n) distance computations of a
 // build. The blob is embedded as the backend-native section of a snapshot
 // (internal/persist); both directions are iterative, so adversarial inputs
 // cannot overflow the stack, and the decoder validates every invariant it
@@ -72,8 +72,7 @@ func getU64(b []byte) uint64 {
 // as New does (layOut), which the format never records. It validates
 // that the structure is a well-formed tree containing every point exactly
 // once with strictly decreasing levels and sane bounds; it returns an error
-// (never panics) on malformed input, so callers can fall back to a
-// re-insertion build.
+// (never panics) on malformed input, so callers can fall back to a build.
 func Restore(points [][]float64, metric vecmath.Metric, deleted []int, structure []byte) (*Tree, error) {
 	if metric == nil {
 		return nil, errors.New("covertree: nil metric")

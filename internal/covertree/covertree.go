@@ -21,7 +21,15 @@
 //
 // Query correctness relies only on these two; the classic separation
 // invariant is a performance property maintained heuristically by the
-// insertion order (each point descends to its nearest covering child).
+// insertion rule (each point descends to its nearest covering child).
+//
+// # Building
+//
+// Insert threads one point in at a time. New builds on every core: it
+// inserts a prefix of the points one after another, routes the rest through
+// that prefix tree in parallel by the same rule, and inserts each group of
+// points that stops at the same prefix node on a worker of its own (build).
+// The tree depends only on the points, never on the number of cores.
 package covertree
 
 import (
@@ -29,6 +37,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -99,10 +108,39 @@ type Tree struct {
 
 var _ index.Cloner = (*Tree)(nil)
 
-// New builds a cover tree over points by repeated insertion. The points
+// prefixLen is how many points a build inserts one after another, in ID
+// order, before it routes the rest through them (build). A tree of at most
+// prefixLen points is the one repeated insertion builds, node for node.
+const prefixLen = 4096
+
+// New builds a cover tree over points on every core (build). The points
 // slice is retained by reference (index.RowsOf) and never written. The
 // metric must satisfy the triangle inequality.
 func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
+	return build(points, metric, prefixLen)
+}
+
+// build is New with the prefix length as a parameter, so small inputs can
+// take the routed path too. It builds in four phases:
+//
+//  1. prefix: points 0 … prefix−1 are inserted one after another, in ID
+//     order (insertID);
+//  2. route: every later point walks the prefix tree read-only by
+//     insertion's own rule (nearestCovering) down to the node it would
+//     attach to, on every core; the largest distance each prefix node saw
+//     becomes its maxDist, and the root's level, which routing never reads,
+//     then rises once, to cover the farthest point;
+//  3. group: the routed points, grouped by attachment node and in ID order
+//     within each group, are inserted from their attachment node (descend),
+//     one group per worker at a time;
+//  4. lay out (layOut).
+//
+// No prefix child of an attachment node covers a point of its group, so a
+// group's insertions write only that node and the nodes they create: groups
+// are disjoint and need no lock. Each group's result depends only on the
+// prefix tree and its own points, so the tree is the same on any number of
+// cores and under any schedule.
+func build(points [][]float64, metric vecmath.Metric, prefix int) (*Tree, error) {
 	if metric == nil {
 		return nil, errors.New("covertree: nil metric")
 	}
@@ -122,12 +160,113 @@ func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
 		deleted: make(map[int]bool),
 	}
 	t.resolveKernels()
-	for id := range points {
+	for id := range min(prefix, len(points)) {
 		t.insertID(id)
+	}
+	if len(points) > prefix {
+		t.insertRouted(prefix)
 	}
 	t.alive = len(points)
 	t.layOut()
 	return t, nil
+}
+
+// routeBlock is how many points a routing worker claims at a time.
+const routeBlock = 64
+
+// insertRouted runs build's route and group phases on a tree that holds
+// points 0 … prefix−1, inserting every later point.
+func (t *Tree) insertRouted(prefix int) {
+	rows := t.points.Rows
+	byID := make([]*node, prefix) // the prefix nodes, by ID
+	for stack := []*node{t.root}; len(stack) > 0; {
+		n := stack[len(stack)-1]
+		stack = append(stack[:len(stack)-1], n.children...)
+		byID[n.id] = n
+	}
+
+	// Route: point prefix+i attaches to node attach[i], at dist[i] from it.
+	// Each worker keeps the largest distance it measured at each prefix
+	// node, indexed by ID.
+	attach := make([]int32, len(rows)-prefix)
+	dist := make([]float64, len(rows)-prefix)
+	var claimed atomic.Int64
+	reach := onEveryCore(func() []float64 {
+		far := make([]float64, prefix)
+		s := new(chunkScratch)
+		for {
+			lo := prefix + int(claimed.Add(routeBlock)) - routeBlock
+			if lo >= len(rows) {
+				return far
+			}
+			for id := lo; id < min(lo+routeBlock, len(rows)); id++ {
+				p := rows[id]
+				cur, d := t.root, t.dist(p, t.rowOf(t.root))
+				for {
+					far[cur.id] = max(far[cur.id], d)
+					best, bestDist := t.nearestCovering(p, cur.children, s)
+					if best < 0 {
+						break
+					}
+					cur, d = cur.children[best], bestDist
+				}
+				attach[id-prefix], dist[id-prefix] = cur.id, d
+			}
+		}
+	})
+	for _, far := range reach {
+		for id, d := range far {
+			byID[id].maxDist = max(byID[id].maxDist, d)
+		}
+	}
+	// Every prefix point lies within the root's cover radius, so a maxDist
+	// past it is a routed point's: raise the root once, as insertID would
+	// have for the farthest of them.
+	if t.root.maxDist > t.root.covdist() {
+		t.root.level = levelFor(t.root.maxDist)
+	}
+
+	// Group: a counting sort by attachment node; the points of node a are
+	// prefix+order[start[a]:start[a+1]], in ID order.
+	start := make([]int32, prefix+1)
+	for _, a := range attach {
+		start[a+1]++
+	}
+	for a := range prefix {
+		start[a+1] += start[a]
+	}
+	order := make([]int32, len(attach))
+	fill := slices.Clone(start[:prefix])
+	for i, a := range attach {
+		order[fill[a]] = int32(i)
+		fill[a]++
+	}
+	claimed.Store(0)
+	onEveryCore(func() any {
+		s := new(chunkScratch)
+		for a := int(claimed.Add(1)) - 1; a < prefix; a = int(claimed.Add(1)) - 1 {
+			for _, i := range order[start[a]:start[a+1]] {
+				t.descend(byID[a], dist[i], prefix+int(i), false, s)
+			}
+		}
+		return nil
+	})
+}
+
+// onEveryCore runs work on GOMAXPROCS goroutines and returns what each
+// returned, once all have.
+func onEveryCore[T any](work func() T) []T {
+	out := make([]T, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = work()
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // layOut moves the tree's nodes into one slab in which every node's
@@ -258,9 +397,7 @@ func (t *Tree) Live(id int) bool { return id >= 0 && id < len(t.points.Rows) && 
 // children slice at the moment an entry is replaced or appended — so the
 // raised root level, the widened maxDist bounds and the new leaf exist in
 // this tree alone. The tree that results is node for node the one an
-// in-place insertion builds. Each level measures its children through the
-// one-vs-many kernel, and the distance to the child descended into is
-// the next level's distance to its own point, measured once.
+// in-place insertion builds.
 func (t *Tree) insertID(id int) {
 	p := t.points.Rows[id]
 	if t.root == nil {
@@ -281,22 +418,22 @@ func (t *Tree) insertID(id int) {
 		// radius only grew) and keep strictly smaller levels.
 		t.root.level = levelFor(dCur)
 	}
-	cur := t.root // this tree's own node; under cow its children slice is still the shared one
+	t.descend(t.root, dCur, id, cow, s.level(0))
+}
+
+// descend is insertion's descent: it threads point id, which lies at dCur
+// from cur and within cur's cover radius, into cur's subtree. cur is this
+// tree's own node; under cow its children slice is still the shared one,
+// and each node the descent changes below it is copied first. The distance
+// to the child descended into is the next level's distance to its own
+// point, measured once.
+func (t *Tree) descend(cur *node, dCur float64, id int, cow bool, s *chunkScratch) {
+	p := t.points.Rows[id]
 	for {
 		if dCur > cur.maxDist {
 			cur.maxDist = dCur
 		}
-		// Descend into the nearest child whose cover radius reaches p,
-		// measuring the children a chunk at a time.
-		best := -1
-		bestDist := math.Inf(1)
-		for lo, rest := 0, cur.children; len(rest) > 0; lo, rest = lo+expandChunk, nextChunk(rest) {
-			for i, dc := range t.measure(p, rest, s.level(0)) {
-				if dc <= rest[i].covdist() && dc < bestDist {
-					best, bestDist = lo+i, dc
-				}
-			}
-		}
+		best, bestDist := t.nearestCovering(p, cur.children, s)
 		if best < 0 {
 			if cow { // a copy with room for exactly the leaf
 				cur.children = append(make([]*node, 0, len(cur.children)+1), cur.children...)
@@ -311,6 +448,22 @@ func (t *Tree) insertID(id int) {
 		}
 		cur, dCur = cur.children[best], bestDist
 	}
+}
+
+// nearestCovering is insertion's rule: it returns the index of the nearest
+// of children whose cover radius reaches p, the first on a tie, and its
+// distance, or −1 if none does. It measures the children a chunk at a time
+// through the one-vs-many kernel.
+func (t *Tree) nearestCovering(p []float64, children []*node, s *chunkScratch) (best int, bestDist float64) {
+	best, bestDist = -1, math.Inf(1)
+	for lo, rest := 0, children; len(rest) > 0; lo, rest = lo+expandChunk, nextChunk(rest) {
+		for i, dc := range t.measure(p, rest, s) {
+			if dc <= rest[i].covdist() && dc < bestDist {
+				best, bestDist = lo+i, dc
+			}
+		}
+	}
+	return best, bestDist
 }
 
 // levelFor returns the smallest integer ℓ with 2^ℓ >= d.

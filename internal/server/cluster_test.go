@@ -353,6 +353,10 @@ func TestClusterByteIdentity(t *testing.T) {
 			// A k past the frame's 32-bit field still asks for every row.
 			identical(t, all, "POST", "/v1/knn", `{"point":[0.1,0.9,0.2],"k":4294967296}`)
 			identical(t, all, "POST", "/v1/knn", `{"point":[0.1,0.9,0.2],"k":4294967297}`)
+			// So does an RkNN's k, which the count round carries as its limit.
+			identical(t, all, "POST", "/v1/rknn", `{"id":7,"k":2147483648}`)
+			identical(t, all, "POST", "/v1/rknn", `{"point":[0.4,0.5,0.6],"k":3000000000}`)
+			identical(t, all, "POST", "/v1/rknn", `{"id":7,"k":4294967296}`)
 			// Error surfaces must match byte for byte too.
 			identical(t, all, "POST", "/v1/rknn", `{"id":3}`)
 			identical(t, all, "POST", "/v1/rknn", `{"id":-5,"k":3}`)

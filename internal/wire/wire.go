@@ -307,7 +307,9 @@ func AppendCountBatchRequest(dst []byte, qs []CountQuery) []byte {
 	dst = append(dst, Version, byte(OpCountBatch))
 	dst = appendU32(dst, uint32(len(qs)))
 	for _, q := range qs {
-		dst = appendU32(dst, uint32(q.Limit))
+		// Limit saturates at the decoder's bound: no shard holds more than
+		// math.MaxInt32 IDs (checkIDSpan), so the bound still counts them all.
+		dst = appendU32(dst, uint32(min(q.Limit, math.MaxInt32)))
 		dst = appendU64(dst, uint64(int64(q.Skip)))
 		dst = appendU64(dst, math.Float64bits(q.Radius))
 		dst = AppendVec(dst, q.Point)

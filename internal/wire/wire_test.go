@@ -101,6 +101,12 @@ func TestCountBatchRoundTrip(t *testing.T) {
 	if req.Op != OpCountBatch || !reflect.DeepEqual(req.Counts, qs) {
 		t.Fatalf("round trip mismatch: %+v", req.Counts)
 	}
+	// A limit past the field's width saturates at the decoder's bound, which
+	// no shard's ID span exceeds: it still counts every row.
+	req, err = DecodeRequest(AppendCountBatchRequest(nil, []CountQuery{{Point: []float64{1}, Radius: 1, Limit: 1<<32 + 1, Skip: -1}}))
+	if err != nil || req.Counts[0].Limit != math.MaxInt32 {
+		t.Fatalf("limit 2^32+1: %+v, %v", req, err)
+	}
 	// The radius is a distance the coordinator computed and the shard
 	// compares strictly against: it must arrive bit for bit.
 	odd := math.Nextafter(0.1, 1)
