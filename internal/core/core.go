@@ -165,7 +165,7 @@ type Source interface {
 	Point(id int) []float64
 	Metric() vecmath.Metric
 	NewCursor(q []float64, skipID int) index.Cursor
-	CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int
+	CountCloser(q []float64, r float64, limit, skipID int, dead *index.Tombstones) int
 }
 
 // Querier answers RkNN queries over a fixed index using RDT or RDT+. It is

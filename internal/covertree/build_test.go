@@ -64,7 +64,7 @@ func TestRoutedBuildProperty(t *testing.T) {
 			if one := buildAt(t, pts, prefix, 1).EncodeStructure(); !bytes.Equal(one, blob) {
 				t.Fatalf("%s, prefix %d: the tree built on one core differs from the one built on four", name, prefix)
 			}
-			restored, err := Restore(pts, vecmath.Euclidean{}, nil, blob)
+			restored, err := Restore(pts, vecmath.Euclidean{}, blob)
 			if err != nil {
 				t.Fatalf("%s, prefix %d: Restore: %v", name, prefix, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/index"
 	"repro/internal/vecmath"
 )
 
@@ -29,7 +28,7 @@ func (t *Tree) EncodeStructure() []byte {
 	if t.root == nil {
 		return nil
 	}
-	buf := make([]byte, 0, nodeRecordSize*len(t.points.Rows))
+	buf := make([]byte, 0, nodeRecordSize*t.IDSpan())
 	stack := []*node{t.root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -67,44 +66,20 @@ func getU64(b []byte) uint64 {
 	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }
 
-// Restore rebuilds a tree from its point rows, tombstoned IDs, and an
-// encoded structure, without a single distance computation, and lays it out
-// as New does (layOut), which the format never records. It validates
-// that the structure is a well-formed tree containing every point exactly
-// once with strictly decreasing levels and sane bounds; it returns an error
-// (never panics) on malformed input, so callers can fall back to a build.
-func Restore(points [][]float64, metric vecmath.Metric, deleted []int, structure []byte) (*Tree, error) {
-	if metric == nil {
-		return nil, errors.New("covertree: nil metric")
-	}
-	if !metric.Metricity() {
-		return nil, errors.New("covertree: metric must satisfy the triangle inequality")
-	}
-	if err := vecmath.ValidateAllFor(metric, points); err != nil {
-		return nil, err
-	}
-	if err := checkIDSpan(len(points)); err != nil {
-		return nil, err
-	}
-	root, err := decodeStructure(points, structure)
+// Restore rebuilds a tree from its point rows and an encoded structure,
+// without a single distance computation, and lays it out as New does
+// (layOut), which the format never records; the caller re-applies the
+// tombstones, as after a build. It validates that the structure is a
+// well-formed tree containing every point exactly once with strictly
+// decreasing levels and sane bounds; it returns an error (never panics) on
+// malformed input, so callers can fall back to a build.
+func Restore(points [][]float64, metric vecmath.Metric, structure []byte) (*Tree, error) {
+	t, err := newTree(points, metric)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{
-		points:  index.RowsOf(points),
-		metric:  metric,
-		dim:     len(points[0]),
-		root:    root,
-		deleted: make(map[int]bool, len(deleted)),
-		alive:   len(points),
-	}
-	t.resolveKernels()
-	for _, id := range deleted {
-		if id < 0 || id >= len(points) || t.deleted[id] {
-			return nil, fmt.Errorf("covertree: invalid tombstone id %d", id)
-		}
-		t.deleted[id] = true
-		t.alive--
+	if t.root, err = decodeStructure(points, structure); err != nil {
+		return nil, err
 	}
 	t.layOut()
 	return t, nil

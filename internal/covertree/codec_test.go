@@ -60,9 +60,14 @@ func TestStructureRoundTrip(t *testing.T) {
 	}
 
 	blob := orig.EncodeStructure()
-	restored, err := Restore(pts, vecmath.Euclidean{}, []int{3, 17, 42}, blob)
+	restored, err := Restore(pts, vecmath.Euclidean{}, blob)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
+	}
+	for _, id := range []int{3, 17, 42} {
+		if !restored.Delete(id) {
+			t.Fatalf("restored tree: delete %d failed", id)
+		}
 	}
 	if err := restored.CheckInvariants(); err != nil {
 		t.Fatalf("restored tree invariants: %v", err)
@@ -102,7 +107,7 @@ func TestStructureRoundTripDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(pts, vecmath.Euclidean{}, nil, orig.EncodeStructure())
+	restored, err := Restore(pts, vecmath.Euclidean{}, orig.EncodeStructure())
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -125,7 +130,7 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		"extended":  append(bytes.Clone(blob), blob[:nodeRecordSize]...),
 	}
 	for name, b := range cases {
-		if _, err := Restore(pts, vecmath.Euclidean{}, nil, b); err == nil {
+		if _, err := Restore(pts, vecmath.Euclidean{}, b); err == nil {
 			t.Errorf("%s: Restore succeeded", name)
 		}
 	}
@@ -142,13 +147,13 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 					t.Fatalf("flip at %d: Restore panicked: %v", i, r)
 				}
 			}()
-			Restore(pts, vecmath.Euclidean{}, nil, mut)
+			Restore(pts, vecmath.Euclidean{}, mut)
 		}()
 	}
-	if _, err := Restore(pts, vecmath.Euclidean{}, []int{50}, blob); err == nil {
-		t.Error("Restore accepted out-of-range tombstone")
+	if restored, err := Restore(pts, vecmath.Euclidean{}, blob); err != nil || restored.Delete(50) {
+		t.Errorf("Restore = %v, or the restored tree deleted an ID out of range", err)
 	}
-	if _, err := Restore(pts, vecmath.SquaredEuclidean{}, nil, blob); err == nil {
+	if _, err := Restore(pts, vecmath.SquaredEuclidean{}, blob); err == nil {
 		t.Error("Restore accepted a non-metric")
 	}
 }
@@ -162,7 +167,7 @@ func FuzzRestoreStructure(f *testing.F) {
 	f.Add(tree.EncodeStructure())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		restored, err := Restore(pts, vecmath.Euclidean{}, nil, blob)
+		restored, err := Restore(pts, vecmath.Euclidean{}, blob)
 		if err != nil {
 			return
 		}

@@ -35,7 +35,6 @@ package covertree
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -49,7 +48,7 @@ import (
 )
 
 // node is one point of the tree. row is the address of the point's first
-// coordinate — where t.points.Rows[id] begins — so a query reads a child's
+// coordinate — where t.Point(id) begins — so a query reads a child's
 // row from the node it already holds, not from the ID→row table. IDs and
 // levels are 32 bits, as the structure codec writes them (checkIDSpan).
 type node struct {
@@ -63,7 +62,7 @@ type node struct {
 func (n *node) covdist() float64 { return math.Exp2(float64(n.level)) }
 
 // rowOf returns n's point.
-func (t *Tree) rowOf(n *node) []float64 { return unsafe.Slice(n.row, t.dim) }
+func (t *Tree) rowOf(n *node) []float64 { return unsafe.Slice(n.row, t.Dim()) }
 
 // newNode returns a node for point id, whose row is p.
 func newNode(id int, p []float64, level int32) *node {
@@ -79,31 +78,25 @@ func checkIDSpan(span int) error {
 	return nil
 }
 
-// Tree is a cover tree. It implements index.Index and index.Dynamic.
-// Readers may run concurrently; mutation requires external synchronization.
+// Tree is a cover tree over the rows its index.RowStore holds. It
+// implements index.Index and index.Dynamic. Readers may run concurrently;
+// mutation requires external synchronization.
 //
-// Ownership: a node, and the tombstone map, is written only by the tree
-// that allocated it since that tree's last Clone. Clone copies nothing; it
-// marks both sides as sharing what they hold, and from then on an insertion
-// into either copies the path it is about to change (insertID) and a
-// deletion copies the map first. A tree nobody has cloned builds in place.
+// Ownership: a node is written only by the tree that allocated it since
+// that tree's last Clone. Clone copies nothing; it marks both sides as
+// sharing their nodes, and from then on an insertion into either copies the
+// path it is about to change (insertID). Rows and tombstones follow the
+// store's one rule (index.RowStore.CloneInto). A tree nobody has cloned
+// builds in place.
 type Tree struct {
-	points  index.Table[[]float64] // ID → row; clones share it by the claimed-length rule
-	metric  vecmath.Metric
-	dist    vecmath.DistanceFunc      // resolved kernel; falls back to metric.Distance
-	batch   vecmath.BatchDistanceFunc // resolved one-vs-many kernel
-	dim     int
-	root    *node
-	deleted map[int]bool
-	alive   int
+	index.RowStore
+	root *node
 
-	// Both are atomic because Clone sets them on a tree that concurrent
-	// readers, and a second Clone, may hold. sharedNodes never clears: no
-	// node says which tree allocated it, so a tree that once shared its
-	// nodes copies the path of every later insertion. sharedDeleted clears
-	// when this tree has copied the map for itself.
-	sharedNodes   atomic.Bool
-	sharedDeleted atomic.Bool
+	// sharedNodes is atomic because Clone sets it on a tree that concurrent
+	// readers, and a second Clone, may hold. It never clears: no node says
+	// which tree allocated it, so a tree that once shared its nodes copies
+	// the path of every later insertion.
+	sharedNodes atomic.Bool
 }
 
 var _ index.Cloner = (*Tree)(nil)
@@ -141,34 +134,31 @@ func New(points [][]float64, metric vecmath.Metric) (*Tree, error) {
 // prefix tree and its own points, so the tree is the same on any number of
 // cores and under any schedule.
 func build(points [][]float64, metric vecmath.Metric, prefix int) (*Tree, error) {
-	if metric == nil {
-		return nil, errors.New("covertree: nil metric")
-	}
-	if !metric.Metricity() {
-		return nil, errors.New("covertree: metric must satisfy the triangle inequality")
-	}
-	if err := vecmath.ValidateAllFor(metric, points); err != nil {
+	t, err := newTree(points, metric)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkIDSpan(len(points)); err != nil {
-		return nil, err
-	}
-	t := &Tree{
-		points:  index.RowsOf(points),
-		metric:  metric,
-		dim:     len(points[0]),
-		deleted: make(map[int]bool),
-	}
-	t.resolveKernels()
 	for id := range min(prefix, len(points)) {
 		t.insertID(id)
 	}
 	if len(points) > prefix {
 		t.insertRouted(prefix)
 	}
-	t.alive = len(points)
 	t.layOut()
 	return t, nil
+}
+
+// newTree validates points and metric for New and Restore and returns a
+// tree that holds the points and no node yet.
+func newTree(points [][]float64, metric vecmath.Metric) (*Tree, error) {
+	t := new(Tree)
+	if err := t.Init(points, metric); err != nil {
+		return nil, err
+	}
+	if !metric.Metricity() {
+		return nil, errors.New("covertree: metric must satisfy the triangle inequality")
+	}
+	return t, checkIDSpan(len(points))
 }
 
 // routeBlock is how many points a routing worker claims at a time.
@@ -177,7 +167,7 @@ const routeBlock = 64
 // insertRouted runs build's route and group phases on a tree that holds
 // points 0 … prefix−1, inserting every later point.
 func (t *Tree) insertRouted(prefix int) {
-	rows := t.points.Rows
+	rows := t.Rows()
 	byID := make([]*node, prefix) // the prefix nodes, by ID
 	for stack := []*node{t.root}; len(stack) > 0; {
 		n := stack[len(stack)-1]
@@ -201,7 +191,7 @@ func (t *Tree) insertRouted(prefix int) {
 			}
 			for id := lo; id < min(lo+routeBlock, len(rows)); id++ {
 				p := rows[id]
-				cur, d := t.root, t.dist(p, t.rowOf(t.root))
+				cur, d := t.root, t.Dist(p, t.rowOf(t.root))
 				for {
 					far[cur.id] = max(far[cur.id], d)
 					best, bestDist := t.nearestCovering(p, cur.children, s)
@@ -284,7 +274,7 @@ func (t *Tree) layOut() {
 	if t.root == nil {
 		return
 	}
-	slab := make([]node, len(t.points.Rows))
+	slab := make([]node, t.IDSpan())
 	ptrs := make([]*node, len(slab)-1)
 	slab[0] = *t.root
 	next := 1
@@ -304,92 +294,34 @@ func (t *Tree) layOut() {
 	t.root = &slab[0]
 }
 
-// resolveKernels binds the metric's direct kernels once, so no query or
-// insertion pays an interface call per node.
-func (t *Tree) resolveKernels() {
-	t.dist = vecmath.KernelFor(t.metric)
-	if t.dist == nil {
-		t.dist = t.metric.Distance
-	}
-	t.batch = vecmath.BatchFor(t.metric)
-}
-
-// Len implements index.Index; deleted points are excluded.
-func (t *Tree) Len() int { return t.alive }
-
-// Dim implements index.Index.
-func (t *Tree) Dim() int { return t.dim }
-
-// Point implements index.Index.
-func (t *Tree) Point(id int) []float64 { return t.points.Rows[id] }
-
-// Metric implements index.Index.
-func (t *Tree) Metric() vecmath.Metric { return t.metric }
-
-// Insert implements index.Dynamic.
+// Insert implements index.Dynamic. (Delete is the store's tombstone: the
+// point keeps serving as a routing object, so the covering invariant is
+// never disturbed, and every query form skips it.)
 func (t *Tree) Insert(p []float64) (int, error) {
-	if err := vecmath.ValidateFor(t.metric, p); err != nil {
+	if err := checkIDSpan(t.IDSpan() + 1); err != nil {
 		return 0, err
 	}
-	if len(p) != t.dim {
-		return 0, vecmath.CheckDims(p, t.points.Rows[0])
-	}
-	if err := checkIDSpan(len(t.points.Rows) + 1); err != nil {
+	id, err := t.Append(p)
+	if err != nil {
 		return 0, err
 	}
-	t.points.Append(p)
-	id := len(t.points.Rows) - 1
 	t.insertID(id)
-	t.alive++
 	return id, nil
 }
 
-// Clone implements index.Cloner in O(1): the clone shares the nodes, the
-// ID→row table and the tombstone map with t, and both are marked as sharing
-// them (see Tree), so either may be extended afterwards and neither is ever
-// observable through the other. Point coordinate slices are immutable and
-// shared as they always were. Clone reads t like any query and may run
-// beside queries and other Clones, not beside a mutation of t.
+// Clone implements index.Cloner in O(1): the clone shares the nodes with t,
+// and both are marked as sharing them (see Tree), and the rows and
+// tombstones by the store's rule, so either may be extended afterwards and
+// neither is ever observable through the other. Clone reads t like any
+// query and may run beside queries and other Clones, not beside a mutation
+// of t.
 func (t *Tree) Clone() index.Dynamic {
 	t.sharedNodes.Store(true)
-	t.sharedDeleted.Store(true)
-	c := &Tree{
-		points:  t.points,
-		metric:  t.metric,
-		dist:    t.dist,
-		batch:   t.batch,
-		dim:     t.dim,
-		root:    t.root,
-		deleted: t.deleted,
-		alive:   t.alive,
-	}
+	c := &Tree{root: t.root}
+	t.CloneInto(&c.RowStore)
 	c.sharedNodes.Store(true)
-	c.sharedDeleted.Store(true)
 	return c
 }
-
-// Delete implements index.Dynamic with a tombstone: the point keeps serving
-// as a routing object (the covering invariant must not be disturbed) but is
-// filtered from all query results. A tree that shares its tombstone map
-// copies it before the first deletion.
-func (t *Tree) Delete(id int) bool {
-	if id < 0 || id >= len(t.points.Rows) || t.deleted[id] {
-		return false
-	}
-	if t.sharedDeleted.Load() {
-		t.deleted = maps.Clone(t.deleted)
-		t.sharedDeleted.Store(false)
-	}
-	t.deleted[id] = true
-	t.alive--
-	return true
-}
-
-// IDSpan implements index.Liveness.
-func (t *Tree) IDSpan() int { return len(t.points.Rows) }
-
-// Live implements index.Liveness.
-func (t *Tree) Live(id int) bool { return id >= 0 && id < len(t.points.Rows) && !t.deleted[id] }
 
 // insertID threads the point with the given id into the tree. On a tree
 // that shares its nodes it writes to copies only: the root, then each child
@@ -399,7 +331,7 @@ func (t *Tree) Live(id int) bool { return id >= 0 && id < len(t.points.Rows) && 
 // this tree alone. The tree that results is node for node the one an
 // in-place insertion builds.
 func (t *Tree) insertID(id int) {
-	p := t.points.Rows[id]
+	p := t.Point(id)
 	if t.root == nil {
 		t.root = newNode(id, p, 0)
 		return
@@ -411,7 +343,7 @@ func (t *Tree) insertID(id int) {
 	}
 	s := descentPool.Get().(*descent)
 	defer descentPool.Put(s)
-	dCur := t.dist(p, t.rowOf(t.root))
+	dCur := t.Dist(p, t.rowOf(t.root))
 	if dCur > t.root.covdist() {
 		// Lazy root raise: lift the root's level until its cover
 		// radius reaches the new point. Children remain covered (the
@@ -428,7 +360,7 @@ func (t *Tree) insertID(id int) {
 // to the child descended into is the next level's distance to its own
 // point, measured once.
 func (t *Tree) descend(cur *node, dCur float64, id int, cow bool, s *chunkScratch) {
-	p := t.points.Rows[id]
+	p := t.Point(id)
 	for {
 		if dCur > cur.maxDist {
 			cur.maxDist = dCur
@@ -474,19 +406,6 @@ func levelFor(d float64) int32 {
 	return int32(math.Ceil(math.Log2(d)))
 }
 
-// skip reports whether a point is excluded from the current query. The len
-// guard matters: without tombstones — the common case — no node pays a map
-// lookup (see scan.skip).
-func (t *Tree) skip(id int32, skipID int) bool {
-	if int(id) == skipID {
-		return true
-	}
-	if len(t.deleted) == 0 {
-		return false
-	}
-	return t.deleted[int(id)]
-}
-
 // expandChunk is how many children one kernel call measures.
 const expandChunk = 16
 
@@ -515,7 +434,7 @@ func (t *Tree) measure(q []float64, children []*node, s *chunkScratch) (dists []
 		rows[i] = t.rowOf(child)
 	}
 	dists = s.dists[:n]
-	t.batch(q, rows, dists)
+	t.Batch(q, rows, dists)
 	clear(rows)
 	return dists
 }
@@ -575,7 +494,7 @@ func (t *Tree) openCursor(q []float64, skipID int) *cursor {
 	c := cursorPool.Get().(*cursor)
 	c.t, c.q, c.skipID = t, q, skipID
 	if t.root != nil {
-		d := t.dist(q, t.rowOf(t.root))
+		d := t.Dist(q, t.rowOf(t.root))
 		c.nodes.Push(lowerBound(t.root, d), queueEntry{n: t.root, dist: d})
 	}
 	return c
@@ -611,7 +530,7 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 		}
 		it, _ := c.nodes.Pop()
 		e := it.Value
-		if !c.t.skip(e.n.id, c.skipID) {
+		if !c.t.Skip(int(e.n.id), c.skipID) {
 			c.ready.Push(e.dist, int(e.n.id))
 		}
 		for rest := e.n.children; len(rest) > 0; rest = nextChunk(rest) {
@@ -619,7 +538,7 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 				switch child := rest[i]; {
 				case len(child.children) > 0:
 					c.nodes.Push(lowerBound(child, d), queueEntry{n: child, dist: d})
-				case !c.t.skip(child.id, c.skipID):
+				case !c.t.Skip(int(child.id), c.skipID):
 					// A childless node is its own subtree, and its bound is
 					// its distance: it is resolved already, and waits on the
 					// ready heap under the same strict test.
@@ -638,7 +557,7 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	}
 	// Sized by the live count, not k: a k far above n must not allocate k
 	// slots it can never fill.
-	top := pqueue.NewTopK[int](max(1, min(k, t.alive)))
+	top := pqueue.NewTopK[int](max(1, min(k, t.Len())))
 	c := t.openCursor(q, skipID)
 	defer c.Close()
 	for {
@@ -650,7 +569,7 @@ func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 			break // nothing left can improve the result
 		}
 		e := it.Value
-		if !t.skip(e.n.id, skipID) {
+		if !t.Skip(int(e.n.id), skipID) {
 			top.Offer(e.dist, int(e.n.id))
 		}
 		bound, full := top.Bound()
@@ -691,12 +610,12 @@ func (d *descent) level(depth int) *chunkScratch {
 // CountCloser implements index.Index with a depth-first walk over the same
 // d − maxDist lower bounds KNN prunes by: a subtree is entered unless its
 // bound exceeds r, and the walk returns the moment limit points are found. It keeps no frontier heap and allocates nothing.
-func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+func (t *Tree) CountCloser(q []float64, r float64, limit, skipID int, dead *index.Tombstones) int {
 	if limit <= 0 || t.root == nil {
 		return 0
 	}
 	c := closerCount{t: t, q: q, r: r, limit: limit, skipID: skipID, dead: dead, scratch: descentPool.Get().(*descent)}
-	c.visit(t.root, t.dist(q, t.rowOf(t.root)), 0)
+	c.visit(t.root, t.Dist(q, t.rowOf(t.root)), 0)
 	descentPool.Put(c.scratch)
 	return c.n
 }
@@ -708,7 +627,7 @@ type closerCount struct {
 	r       float64
 	limit   int
 	skipID  int
-	dead    map[int]bool
+	dead    *index.Tombstones
 	n       int
 	scratch *descent
 }
@@ -717,7 +636,7 @@ type closerCount struct {
 // the walk) and descends into the children that can still hold a point
 // closer than r, measuring them a chunk at a time.
 func (c *closerCount) visit(n *node, d float64, depth int) {
-	if d < c.r && !c.t.skip(n.id, c.skipID) && !(len(c.dead) != 0 && c.dead[int(n.id)]) {
+	if d < c.r && !c.t.Skip(int(n.id), c.skipID) && !c.dead.Has(int(n.id)) {
 		c.n++
 	}
 	for rest := n.children; len(rest) > 0 && c.n < c.limit; rest = nextChunk(rest) {
@@ -738,12 +657,12 @@ func (c *closerCount) visit(n *node, d float64, depth int) {
 // healthy tree.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
-		if len(t.points.Rows) > 0 {
+		if t.IDSpan() > 0 {
 			return errors.New("covertree: non-empty tree with nil root")
 		}
 		return nil
 	}
-	seen := make(map[int]bool, len(t.points.Rows))
+	rows, seen := t.Rows(), make([]bool, t.IDSpan())
 	// check returns the IDs of all points in n's subtree, verifying the
 	// covering and level invariants on the way down and the exact maxDist
 	// bound against every descendant on the way up.
@@ -753,7 +672,7 @@ func (t *Tree) CheckInvariants() error {
 		if seen[id] {
 			return nil, errors.New("covertree: point appears twice")
 		}
-		if n.row != &t.points.Rows[id][0] {
+		if n.row != &rows[id][0] {
 			return nil, errors.New("covertree: node's row is not its point's")
 		}
 		seen[id] = true
@@ -762,7 +681,7 @@ func (t *Tree) CheckInvariants() error {
 			if c.level >= n.level {
 				return nil, errors.New("covertree: child level not below parent level")
 			}
-			d := t.metric.Distance(t.points.Rows[n.id], t.points.Rows[c.id])
+			d := t.Metric().Distance(rows[n.id], rows[c.id])
 			if d > n.covdist()*(1+1e-9) {
 				return nil, errors.New("covertree: covering invariant violated")
 			}
@@ -773,16 +692,17 @@ func (t *Tree) CheckInvariants() error {
 			ids = append(ids, sub...)
 		}
 		for _, id := range ids {
-			if d := t.metric.Distance(t.points.Rows[n.id], t.points.Rows[id]); d > n.maxDist+1e-9 {
+			if d := t.Metric().Distance(rows[n.id], rows[id]); d > n.maxDist+1e-9 {
 				return nil, errors.New("covertree: maxDist bound violated")
 			}
 		}
 		return ids, nil
 	}
-	if _, err := check(t.root); err != nil {
+	ids, err := check(t.root)
+	if err != nil {
 		return err
 	}
-	if len(seen) != len(t.points.Rows) {
+	if len(ids) != len(rows) {
 		return errors.New("covertree: tree does not contain every point")
 	}
 	return nil

@@ -236,7 +236,7 @@ func TestCursorExpandsWideNodes(t *testing.T) {
 		if n := len(built.root.children); n <= expandChunk {
 			t.Fatalf("root has %d children, want more than expandChunk=%d", n, expandChunk)
 		}
-		restored, err := Restore(pts, metric, nil, built.EncodeStructure())
+		restored, err := Restore(pts, metric, built.EncodeStructure())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,11 +286,11 @@ func checkWideTree(t *testing.T, label string, tree *Tree, pts [][]float64, metr
 		// to a distance is where the strict comparison shows); limits below
 		// one chunk, inside the second and third, and beyond the dataset.
 		radii := []float64{0, want[0].Dist, mid, (mid + want[len(want)-1].Dist) / 2, want[len(want)-1].Dist, math.Inf(1)}
-		for _, dead := range []map[int]bool{nil, {7: true, expandChunk + 9: true, want[0].ID: true}} {
+		for _, dead := range []*index.Tombstones{nil, indextest.Tombstones(7, expandChunk+9, want[0].ID)} {
 			for _, r := range radii {
 				count := 0
 				for _, w := range want {
-					if w.Dist < r && !dead[w.ID] {
+					if w.Dist < r && !dead.Has(w.ID) {
 						count++
 					}
 				}
@@ -298,7 +298,7 @@ func checkWideTree(t *testing.T, label string, tree *Tree, pts [][]float64, metr
 					got := tree.CountCloser(q, r, limit, skipID, dead)
 					if ref := scalarCountCloser(tree, q, r, limit, skipID, dead); got != ref || got != min(count, limit) {
 						t.Fatalf("%s: CountCloser(r=%v, limit=%d, skip=%d, dead=%v) = %d, scalar walk %d, brute force %d",
-							label, r, limit, skipID, dead, got, ref, min(count, limit))
+							label, r, limit, skipID, dead.Sorted(), got, ref, min(count, limit))
 					}
 				}
 			}
@@ -326,18 +326,18 @@ func liveSorted(tree *Tree, pts [][]float64, metric vecmath.Metric, q []float64,
 
 // scalarCountCloser is CountCloser as it was before the chunked expansion: a
 // depth-first walk measuring one child at a time through the metric itself.
-func scalarCountCloser(t *Tree, q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+func scalarCountCloser(t *Tree, q []float64, r float64, limit, skipID int, dead *index.Tombstones) int {
 	n := 0
 	var visit func(nd *node, d float64)
 	visit = func(nd *node, d float64) {
-		if id := int(nd.id); d < r && id != skipID && !t.deleted[id] && !dead[id] {
+		if id := int(nd.id); d < r && id != skipID && t.Live(id) && !dead.Has(id) {
 			n++
 		}
 		for _, child := range nd.children {
 			if n >= limit {
 				return
 			}
-			dc := t.metric.Distance(q, t.points.Rows[child.id])
+			dc := t.Metric().Distance(q, t.Point(int(child.id)))
 			if dc-child.maxDist > r {
 				continue
 			}
@@ -345,7 +345,7 @@ func scalarCountCloser(t *Tree, q []float64, r float64, limit, skipID int, dead 
 		}
 	}
 	if limit > 0 {
-		visit(t.root, t.metric.Distance(q, t.points.Rows[t.root.id]))
+		visit(t.root, t.Metric().Distance(q, t.Point(int(t.root.id))))
 	}
 	return n
 }
@@ -375,20 +375,20 @@ func TestCountCloserMatchesScalarWalk(t *testing.T) {
 		q := pts[skipID]
 		r := metric.Distance(q, pts[rng.Intn(len(pts))]) // an exact distance: ties at r must not count
 		limit := 1 + rng.Intn(40)
-		var dead map[int]bool
+		var dead *index.Tombstones
 		if trial%3 == 0 {
-			dead = map[int]bool{rng.Intn(len(pts)): true, rng.Intn(len(pts)): true}
+			dead = indextest.Tombstones(rng.Intn(len(pts)), rng.Intn(len(pts)))
 		}
 		count := 0
 		for id, p := range pts {
-			if id != skipID && tree.Live(id) && !dead[id] && metric.Distance(q, p) < r {
+			if id != skipID && tree.Live(id) && !dead.Has(id) && metric.Distance(q, p) < r {
 				count++
 			}
 		}
 		got := tree.CountCloser(q, r, limit, skipID, dead)
 		if ref := scalarCountCloser(tree, q, r, limit, skipID, dead); got != ref || got != min(count, limit) {
 			t.Fatalf("CountCloser(q=%d, r=%v, limit=%d, dead=%v) = %d, scalar walk %d, brute force %d",
-				skipID, r, limit, dead, got, ref, min(count, limit))
+				skipID, r, limit, dead.Sorted(), got, ref, min(count, limit))
 		}
 	}
 	// The walk's per-level scratch is pooled: whatever comes back out of the

@@ -47,7 +47,7 @@ func layoutTrees(t *testing.T, n int) (pts [][]float64, built, restored *Tree) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err = Restore(pts, vecmath.Euclidean{}, nil, built.EncodeStructure())
+	restored, err = Restore(pts, vecmath.Euclidean{}, built.EncodeStructure())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package covertree
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,23 +17,32 @@ import (
 )
 
 // deepClone is the Clone this package had before clones shared structure: a
-// recursive copy of every node, of the ID→row table and of the tombstone
-// map. It survives as the reference the sharing Clone is compared with — a
-// fold through either must build the same tree — and as the cost the fold
-// pin measures against. The copy shares nothing, so it builds in place.
+// recursive copy of every node, of the ID→row table and of the tombstones.
+// It survives as the reference the sharing Clone is compared with — a fold
+// through either must build the same tree — and as the cost the fold pin
+// measures against. The copy shares nothing, so it builds in place.
 func deepClone(t *Tree) *Tree {
-	points := make([][]float64, len(t.points.Rows), len(t.points.Rows)+1)
-	copy(points, t.points.Rows)
-	return &Tree{
-		points:  index.TableOf(points),
-		metric:  t.metric,
-		dist:    t.dist,
-		batch:   t.batch,
-		dim:     t.dim,
-		root:    deepCloneNode(t.root),
-		deleted: maps.Clone(t.deleted),
-		alive:   t.alive,
+	c := &Tree{root: deepCloneNode(t.root)}
+	if err := c.Init(slices.Clone(t.Rows()), t.Metric()); err != nil {
+		panic(err)
 	}
+	for id := range c.IDSpan() {
+		if !t.Live(id) {
+			c.Delete(id)
+		}
+	}
+	return c
+}
+
+// liveIDs lists the live IDs of t.
+func liveIDs(t *Tree) []int {
+	var ids []int
+	for id := range t.IDSpan() {
+		if t.Live(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 func deepCloneNode(n *node) *node {
@@ -315,7 +324,7 @@ func TestPathCopyFoldMatchesDeepCopyFold(t *testing.T) {
 		if !bytes.Equal(got.EncodeStructure(), ref.EncodeStructure()) {
 			t.Fatalf("round %d: the path-copy fold and the deep-copy fold encode differently", round)
 		}
-		if !reflect.DeepEqual(got.deleted, ref.deleted) || got.Len() != ref.Len() {
+		if !reflect.DeepEqual(liveIDs(got), liveIDs(ref)) || got.Len() != ref.Len() {
 			t.Fatalf("round %d: folds disagree on tombstones or size (%d vs %d live)", round, got.Len(), ref.Len())
 		}
 		if !bytes.Equal(base.EncodeStructure(), before) {

@@ -48,11 +48,13 @@ type Cursor interface {
 // Index is a read-only similarity-search structure over a finite point set.
 // Implementations must be safe for concurrent readers.
 //
-// IDs are dense integers in [0, Len()) assigned in dataset order, so results
-// from different Index implementations over the same dataset are directly
-// comparable.
+// IDs are dense integers in [0, IDSpan()) assigned in dataset order, so
+// results from different Index implementations over the same dataset are
+// directly comparable; a deleted ID stays assigned and is no longer Live.
 type Index interface {
-	// Len returns the number of indexed points.
+	Liveness
+
+	// Len returns the number of live points.
 	Len() int
 
 	// Dim returns the dimensionality of the indexed points.
@@ -88,7 +90,7 @@ type Index interface {
 	// The dead set exists because a count, unlike a neighbor list, cannot
 	// be filtered after the fact: a layered index (Overlay) passes the
 	// tombstones it holds over this index's IDs.
-	CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int
+	CountCloser(q []float64, r float64, limit, skipID int, dead *Tombstones) int
 }
 
 // CountQuery is one CountCloser call as a value: count the live points
@@ -126,11 +128,11 @@ type Dynamic interface {
 	Delete(id int) bool
 }
 
-// Liveness is implemented by indexes whose ID space can outgrow Len()
-// through tombstoned deletes: IDs are never reused, so after a delete the
-// live IDs are no longer the dense prefix [0, Len()). Query layers use it
-// to validate member-query IDs; indexes without it have every ID in
-// [0, Len()) live.
+// Liveness is the part of Index that names its IDs. The ID space outgrows
+// Len() through tombstoned deletes: IDs are never reused, so after a delete
+// the live IDs are no longer the dense prefix [0, Len()). Query layers use
+// it to validate member-query IDs; core asks it of a source that is no
+// Index (a source without it has every ID in [0, Len()) live).
 type Liveness interface {
 	// IDSpan returns the number of IDs ever assigned; valid IDs lie in
 	// [0, IDSpan()).
@@ -144,9 +146,10 @@ type Liveness interface {
 // copy of themselves. Independent both ways: no mutation of the clone is
 // ever observable through the original, and none of the original through the
 // clone, so a frozen original keeps serving concurrent readers while the
-// clone absorbs updates. The two may share immutable structure — the cover
-// tree's Clone is O(1) and its insertions copy the path they change; scan
-// and LSH copy their rows, O(n) — and Clone itself may run beside readers
+// clone absorbs updates. The two may share immutable structure — every
+// back-end shares its rows and tombstones (RowStore.CloneInto); the cover
+// tree's Clone is O(1) and its insertions copy the path they change, LSH
+// copies each table's bucket map — and Clone itself may run beside readers
 // and other Clones of the same index. This is the primitive behind the
 // facade's copy-on-write snapshots (DESIGN.md).
 type Cloner interface {

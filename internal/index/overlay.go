@@ -5,9 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,22 +34,18 @@ import (
 // publish atomically — keeps published overlays immutable and therefore
 // safe for any number of readers.
 type Overlay struct {
-	base       Index // immutable while this overlay is reachable by readers
-	baseSpan   int   // IDs below this resolve in base
-	rows       Table[[]float64]
-	tomb       map[int]bool // deleted IDs, both base- and memtable-region
-	sharedTomb atomic.Bool  // tomb is shared with a clone (or the original): Delete copies it first
-	baseTomb   int          // tombstones below baseSpan (the base.KNN over-fetch)
-	alive      int
-	dim        int
-	metric     vecmath.Metric
-	dist       vecmath.DistanceFunc // resolved kernel; falls back to metric.Distance
+	base     Index // immutable while this overlay is reachable by readers
+	baseSpan int   // IDs below this resolve in base
+	rows     Table[[]float64]
+	tomb     Tombstones // deleted IDs, both base- and memtable-region
+	baseTomb int        // tombstones below baseSpan (the base.KNN over-fetch)
+	alive    int
+	dim      int
+	metric   vecmath.Metric
+	dist     vecmath.DistanceFunc // resolved kernel; falls back to metric.Distance
 }
 
-var (
-	_ Dynamic  = (*Overlay)(nil)
-	_ Liveness = (*Overlay)(nil)
-)
+var _ Dynamic = (*Overlay)(nil)
 
 // resolveKernel picks the direct distance kernel for m so the memtable scan
 // does not pay an interface call per row.
@@ -76,14 +70,9 @@ func BaseClones() int64 { return baseClones.Load() }
 // reference and must not be mutated afterwards; Fold additionally requires
 // it to implement Cloner.
 func NewOverlay(base Index) *Overlay {
-	span := base.Len()
-	if lv, ok := base.(Liveness); ok {
-		span = lv.IDSpan()
-	}
 	return &Overlay{
 		base:     base,
-		baseSpan: span,
-		tomb:     make(map[int]bool),
+		baseSpan: base.IDSpan(),
 		alive:    base.Len(),
 		dim:      base.Dim(),
 		metric:   base.Metric(),
@@ -129,10 +118,10 @@ func (o *Overlay) MemtableLen() int { return len(o.rows.Rows) }
 
 // Pending returns the total delta size — memtable rows plus tombstones —
 // the quantity the facade's compaction threshold watches.
-func (o *Overlay) Pending() int { return len(o.rows.Rows) + len(o.tomb) }
+func (o *Overlay) Pending() int { return len(o.rows.Rows) + o.tomb.Len() }
 
 // Dirty reports whether the overlay carries any delta at all.
-func (o *Overlay) Dirty() bool { return len(o.rows.Rows) > 0 || len(o.tomb) > 0 }
+func (o *Overlay) Dirty() bool { return o.Pending() > 0 }
 
 // Len implements Index; deleted points are excluded.
 func (o *Overlay) Len() int { return o.alive }
@@ -146,24 +135,13 @@ func (o *Overlay) Metric() vecmath.Metric { return o.metric }
 // IDSpan implements Liveness.
 func (o *Overlay) IDSpan() int { return o.baseSpan + len(o.rows.Rows) }
 
-// Live implements Liveness.
+// Live implements Liveness. A base-region ID is also asked of the base,
+// which may carry tombstones of its own from a previous Fold.
 func (o *Overlay) Live(id int) bool {
-	if id < 0 || id >= o.IDSpan() || o.tomb[id] {
+	if id < 0 || id >= o.IDSpan() || o.tomb.Has(id) {
 		return false
 	}
-	if id < o.baseSpan {
-		return o.baseLive(id)
-	}
-	return true
-}
-
-// baseLive reports liveness within the base alone (the base may carry its
-// own tombstones from before it was wrapped or from a previous Fold).
-func (o *Overlay) baseLive(id int) bool {
-	if lv, ok := o.base.(Liveness); ok {
-		return lv.Live(id)
-	}
-	return id >= 0 && id < o.base.Len()
+	return id >= o.baseSpan || o.base.Live(id)
 }
 
 // Point implements Index. Like the back-ends, it keeps returning the
@@ -191,16 +169,12 @@ func (o *Overlay) Insert(p []float64) (int, error) {
 // Delete implements Dynamic: an O(1) tombstone. Memtable rows stay in place
 // (their IDs are never reused); base points are hidden from every query
 // without touching the shared base. An overlay that shares its tombstone set
-// copies it before the first deletion.
+// copies it before the first deletion (Tombstones).
 func (o *Overlay) Delete(id int) bool {
 	if !o.Live(id) {
 		return false
 	}
-	if o.sharedTomb.Load() {
-		o.tomb = maps.Clone(o.tomb)
-		o.sharedTomb.Store(false)
-	}
-	o.tomb[id] = true
+	o.tomb.Add(id)
 	if id < o.baseSpan {
 		o.baseTomb++
 	}
@@ -216,19 +190,17 @@ func (o *Overlay) Delete(id int) bool {
 // overlay, every insert appends in place. Clone may run beside readers and
 // other Clones of o, not beside a mutation of it.
 func (o *Overlay) Clone() *Overlay {
-	o.sharedTomb.Store(true)
 	c := &Overlay{
 		base:     o.base,
 		baseSpan: o.baseSpan,
 		rows:     o.rows,
-		tomb:     o.tomb,
 		baseTomb: o.baseTomb,
 		alive:    o.alive,
 		dim:      o.dim,
 		metric:   o.metric,
 		dist:     o.dist,
 	}
-	c.sharedTomb.Store(true)
+	o.tomb.cloneInto(&c.tomb)
 	return c
 }
 
@@ -256,12 +228,7 @@ func (o *Overlay) Fold() (Dynamic, error) {
 			return nil, fmt.Errorf("index: folded row landed on id %d, overlay assigned %d", id, o.baseSpan+i)
 		}
 	}
-	tombs := make([]int, 0, len(o.tomb))
-	for id := range o.tomb {
-		tombs = append(tombs, id)
-	}
-	sort.Ints(tombs)
-	for _, id := range tombs {
+	for _, id := range o.tomb.Sorted() {
 		if !next.Delete(id) {
 			return nil, fmt.Errorf("index: folded tombstone %d not deletable", id)
 		}
@@ -277,28 +244,25 @@ func (o *Overlay) Fold() (Dynamic, error) {
 func (o *Overlay) Rebase(frozen *Overlay, folded Dynamic) *Overlay {
 	span := frozen.baseSpan + len(frozen.rows.Rows)
 	rows := slices.Clone(o.rows.Rows[len(frozen.rows.Rows):]) // its own array: a Table's claim covers a whole one
-	tomb := make(map[int]bool)
-	baseTomb := 0
-	for id := range o.tomb {
-		if frozen.tomb[id] {
-			continue // already applied to folded
-		}
-		tomb[id] = true
-		if id < span {
-			baseTomb++
-		}
-	}
-	return &Overlay{
+	next := &Overlay{
 		base:     folded,
 		baseSpan: span,
 		rows:     TableOf(rows),
-		tomb:     tomb,
-		baseTomb: baseTomb,
 		alive:    o.alive,
 		dim:      o.dim,
 		metric:   o.metric,
 		dist:     o.dist,
 	}
+	for _, id := range o.tomb.Sorted() {
+		if frozen.tomb.Has(id) {
+			continue // already applied to folded
+		}
+		next.tomb.Add(id)
+		if id < span {
+			next.baseTomb++
+		}
+	}
+	return next
 }
 
 // baseSkip translates the caller's skipID for the base index: base queries
@@ -322,7 +286,7 @@ func (o *Overlay) memNeighbors(buf []Neighbor, q []float64, skipID int) []Neighb
 	buf = buf[:0]
 	for i, p := range o.rows.Rows {
 		id := o.baseSpan + i
-		if id == skipID || o.tomb[id] {
+		if id == skipID || o.tomb.Has(id) {
 			continue
 		}
 		buf = append(buf, Neighbor{ID: id, Dist: o.dist(q, p)})
@@ -342,7 +306,7 @@ var overlayCursorPool = sync.Pool{New: func() any { return new(overlayCursor) }}
 // base at all to borrow the same scratch.
 func (o *Overlay) openCursor(base Cursor, q []float64, skipID int) *overlayCursor {
 	c := overlayCursorPool.Get().(*overlayCursor)
-	c.open, c.base, c.tomb, c.baseEnd = true, base, o.tomb, base == nil
+	c.open, c.base, c.tomb, c.baseEnd = true, base, &o.tomb, base == nil
 	c.mem = o.memNeighbors(c.mem, q, skipID)
 	return c
 }
@@ -377,7 +341,7 @@ func (o *Overlay) NewCursorCtx(ctx context.Context, q []float64, skipID int) Cur
 		start:         memStart,
 		memDur:        memDur,
 		memRows:       len(o.rows.Rows),
-		tombs:         len(o.tomb),
+		tombs:         o.tomb.Len(),
 	}
 }
 
@@ -451,7 +415,7 @@ func (c *tracedOverlayCursor) Close() {
 type overlayCursor struct {
 	open    bool // false once closed: the pool, or the next query, owns it
 	base    Cursor
-	tomb    map[int]bool
+	tomb    *Tombstones
 	mem     []Neighbor
 	memAt   int
 	pending Neighbor // next live base neighbor, when buffered
@@ -467,7 +431,7 @@ func (c *overlayCursor) Next() (Neighbor, bool) {
 				c.baseEnd = true
 				break
 			}
-			if c.tomb[n.ID] {
+			if c.tomb.Has(n.ID) {
 				continue
 			}
 			c.pending, c.havePnd = n, true
@@ -542,7 +506,7 @@ func (o *Overlay) KNN(q []float64, k int, skipID int) []Neighbor {
 	bn := o.base.KNN(q, k+o.baseTomb, o.baseSkip(skipID))
 	base := bn[:0:0]
 	for _, n := range bn {
-		if o.tomb[n.ID] {
+		if o.tomb.Has(n.ID) {
 			continue
 		}
 		base = append(base, n)
@@ -560,27 +524,17 @@ func (o *Overlay) KNN(q []float64, k int, skipID int) []Neighbor {
 // own dead set and excludes them while it counts; the memtable rows are
 // scanned in place — no distances sorted, no lists merged — until limit is
 // reached.
-func (o *Overlay) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+func (o *Overlay) CountCloser(q []float64, r float64, limit, skipID int, dead *Tombstones) int {
 	if limit <= 0 {
 		return 0
 	}
-	baseDead := o.tomb
-	if len(dead) > 0 {
-		baseDead = make(map[int]bool, len(o.tomb)+len(dead))
-		for id := range o.tomb {
-			baseDead[id] = true
-		}
-		for id := range dead {
-			baseDead[id] = true
-		}
-	}
-	n := o.base.CountCloser(q, r, limit, o.baseSkip(skipID), baseDead)
+	n := o.base.CountCloser(q, r, limit, o.baseSkip(skipID), o.tomb.union(dead))
 	for i, p := range o.rows.Rows {
 		if n >= limit {
 			break
 		}
 		id := o.baseSpan + i
-		if id == skipID || o.tomb[id] || dead[id] {
+		if id == skipID || o.tomb.Has(id) || dead.Has(id) {
 			continue
 		}
 		if o.dist(q, p) < r {

@@ -66,66 +66,38 @@ func randRow(rng *rand.Rand, dim int) []float64 {
 	return p
 }
 
-// buildScanBase returns an overlay over a minimal Cloner base holding the
-// given points. The base is the test scan below, which mirrors the real scan
-// back-end's semantics.
+// testScan is a minimal Cloner base over a RowStore, as the real back-ends
+// are: a scan re-implemented inline, counting its cursors' Close calls.
 type testScan struct {
-	points  [][]float64
-	metric  vecmath.Metric
-	deleted map[int]bool
-	alive   int
-	closes  int // Close calls its cursors have received
+	RowStore
+	closes int // Close calls its cursors have received
 }
 
 var _ Cloner = (*testScan)(nil)
 
 func newTestScan(points [][]float64) *testScan {
-	pts := make([][]float64, len(points))
-	copy(pts, points)
-	return &testScan{points: pts, metric: vecmath.Euclidean{}, deleted: map[int]bool{}, alive: len(points)}
-}
-
-func (ix *testScan) Len() int               { return ix.alive }
-func (ix *testScan) Dim() int               { return len(ix.points[0]) }
-func (ix *testScan) Point(id int) []float64 { return ix.points[id] }
-func (ix *testScan) Metric() vecmath.Metric { return ix.metric }
-func (ix *testScan) IDSpan() int            { return len(ix.points) }
-func (ix *testScan) Live(id int) bool {
-	return id >= 0 && id < len(ix.points) && !ix.deleted[id]
-}
-
-func (ix *testScan) Insert(p []float64) (int, error) {
-	ix.points = append(ix.points, p)
-	ix.alive++
-	return len(ix.points) - 1, nil
-}
-
-func (ix *testScan) Delete(id int) bool {
-	if !ix.Live(id) {
-		return false
+	ix := new(testScan)
+	if err := ix.Init(append([][]float64(nil), points...), vecmath.Euclidean{}); err != nil {
+		panic(err)
 	}
-	ix.deleted[id] = true
-	ix.alive--
-	return true
+	return ix
 }
+
+func (ix *testScan) Insert(p []float64) (int, error) { return ix.Append(p) }
 
 func (ix *testScan) Clone() Dynamic {
-	points := make([][]float64, len(ix.points))
-	copy(points, ix.points)
-	deleted := make(map[int]bool, len(ix.deleted))
-	for id := range ix.deleted {
-		deleted[id] = true
-	}
-	return &testScan{points: points, metric: ix.metric, deleted: deleted, alive: ix.alive}
+	c := new(testScan)
+	ix.CloneInto(&c.RowStore)
+	return c
 }
 
 func (ix *testScan) sorted(q []float64, skipID int) []Neighbor {
 	var out []Neighbor
-	for id, p := range ix.points {
-		if id == skipID || ix.deleted[id] {
+	for id, p := range ix.Rows() {
+		if ix.Skip(id, skipID) {
 			continue
 		}
-		out = append(out, Neighbor{ID: id, Dist: ix.metric.Distance(q, p)})
+		out = append(out, Neighbor{ID: id, Dist: ix.Metric().Distance(q, p)})
 	}
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
@@ -167,10 +139,10 @@ func (ix *testScan) KNN(q []float64, k int, skipID int) []Neighbor {
 	return order
 }
 
-func (ix *testScan) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+func (ix *testScan) CountCloser(q []float64, r float64, limit, skipID int, dead *Tombstones) int {
 	count := 0
 	for _, n := range ix.sorted(q, skipID) {
-		if n.Dist < r && !dead[n.ID] {
+		if n.Dist < r && !dead.Has(n.ID) {
 			count++
 		}
 	}

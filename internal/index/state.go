@@ -12,23 +12,16 @@ type State struct {
 	Deleted []int
 }
 
-// Capture extracts the persistable state of an index. Indexes implementing
-// Liveness contribute their full ID span and tombstone set; all others have
-// every ID in [0, Len()) live.
+// Capture extracts the persistable state of an index: its full ID span and
+// tombstone set.
 func Capture(ix Index) State {
-	span := ix.Len()
 	var deleted []int
-	if lv, ok := ix.(Liveness); ok {
-		span = lv.IDSpan()
-		for id := 0; id < span; id++ {
-			if !lv.Live(id) {
-				deleted = append(deleted, id)
-			}
-		}
-	}
-	points := make([][]float64, span)
+	points := make([][]float64, ix.IDSpan())
 	for id := range points {
 		points[id] = ix.Point(id)
+		if !ix.Live(id) {
+			deleted = append(deleted, id)
+		}
 	}
 	return State{Points: points, Deleted: deleted}
 }

@@ -92,6 +92,16 @@ func Run(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (in
 	}
 	t.Run("cursor-recycling", func(t *testing.T) { verifyCursorRecycling(t, build) })
 	t.Run("clone-rows", func(t *testing.T) { CloneRows(t, build) })
+	t.Run("clone-tombstones", func(t *testing.T) { CloneSharesTombstones(t, build) })
+}
+
+// Tombstones returns a set holding ids: a dead set for CountCloser.
+func Tombstones(ids ...int) *index.Tombstones {
+	dead := new(index.Tombstones)
+	for _, id := range ids {
+		dead.Add(id)
+	}
+	return dead
 }
 
 // Workload is one named point set and metric of the conformance runs.
@@ -391,8 +401,9 @@ func verifyKNN(t *testing.T, ix index.Index, pts [][]float64, metric vecmath.Met
 // with r exactly equal to existing distances — where only a strict
 // comparison gives the right count, and where duplicate points tie — and
 // with radii between and beyond them; with limits below, at and above the
-// true count and the dataset size; with the member, a tombstoned ID and no
-// ID skipped; and with and without a caller-supplied dead set.
+// true count and the dataset size, and at math.MaxInt; with the member, a
+// tombstoned ID and no ID skipped; and with and without a caller-supplied
+// dead set.
 func verifyCountCloser(t *testing.T, ix index.Index, pts [][]float64, gone map[int]bool, metric vecmath.Metric) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(43))
@@ -426,21 +437,21 @@ func verifyCountCloser(t *testing.T, ix index.Index, pts [][]float64, gone map[i
 		if len(goneIDs) > 0 {
 			skips = append(skips, goneIDs[rng.Intn(len(goneIDs))])
 		}
-		deads := []map[int]bool{nil, {rng.Intn(n): true, rng.Intn(n): true, rng.Intn(n): true}}
+		deads := []*index.Tombstones{nil, Tombstones(rng.Intn(n), rng.Intn(n), rng.Intn(n))}
 		for _, r := range radii {
 			for _, skip := range skips {
 				for _, dead := range deads {
 					count := 0
 					for id, d := range dists {
-						if id != skip && !gone[id] && !dead[id] && d < r {
+						if id != skip && !gone[id] && !dead.Has(id) && d < r {
 							count++
 						}
 					}
-					for _, limit := range []int{0, 1, 3, count, count + 1, n, n + 5} {
+					for _, limit := range []int{0, 1, 3, count, count + 1, n, n + 5, math.MaxInt} {
 						want := min(count, limit)
 						if got := ix.CountCloser(q, r, limit, skip, dead); got != want {
 							t.Fatalf("CountCloser(r=%g, limit=%d, skip=%d, dead=%v) = %d, want %d (member %d)",
-								r, limit, skip, dead, got, want, member)
+								r, limit, skip, dead.Sorted(), got, want, member)
 						}
 					}
 				}
@@ -557,9 +568,41 @@ func CloneRows(t *testing.T, build func(points [][]float64, metric vecmath.Metri
 	}
 }
 
+// CloneSharesTombstones is the tombstone half of the index.Cloner contract's
+// cost: a clone shares the tombstones of the index it copies until one side
+// deletes, so Clone allocates as many objects on an index carrying 1 000
+// tombstones as on one carrying none. Run calls it; a back-end outside Run
+// calls it directly.
+func CloneSharesTombstones(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (index.Index, error)) {
+	t.Helper()
+	const tombstones = 1000
+	pts := RandPoints(tombstones+200, 3, 92)
+	cloneAllocs := func(deletes int) float64 {
+		ix, err := build(pts, vecmath.Euclidean{})
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		c, ok := ix.(index.Cloner)
+		if !ok {
+			t.Skip("not an index.Cloner")
+		}
+		for id := range deletes {
+			if !c.Delete(id) {
+				t.Fatalf("Delete(%d) failed", id)
+			}
+		}
+		return testing.AllocsPerRun(20, func() { c.Clone() })
+	}
+	if none, some := cloneAllocs(0), cloneAllocs(tombstones); some != none {
+		t.Errorf("Clone allocates %v objects with %d tombstones, %v with none: it copies the tombstone set", some, tombstones, none)
+	}
+}
+
 // verifyOverlays runs verifyCountCloser over index.Overlay wrappings of the
-// back-end: a clean overlay, one whose tail rows live in the memtable, and
-// that one again with tombstones in both the base and the memtable region.
+// back-end: a clean overlay, one whose tail rows live in the memtable, that
+// one again with tombstones in both the base and the memtable region, and —
+// the state every fold leaves — a base that carries tombstones of its own
+// under an overlay that adds more.
 func verifyOverlays(t *testing.T, build func(points [][]float64, metric vecmath.Metric) (index.Index, error), pts [][]float64, metric vecmath.Metric) {
 	t.Helper()
 	full, err := build(pts, metric)
@@ -595,6 +638,44 @@ func verifyOverlays(t *testing.T, build func(points [][]float64, metric vecmath.
 	for id := range gone {
 		if !ov.Delete(id) {
 			t.Fatalf("overlay delete %d failed", id)
+		}
+	}
+	verifyCountCloser(t, ov, pts, gone, metric)
+
+	folded, err := build(pts[:split], metric)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	d, ok := folded.(index.Dynamic)
+	if !ok {
+		return
+	}
+	gone = map[int]bool{}
+	for i := 0; i < 6; i++ {
+		gone[rng.Intn(split)] = true
+	}
+	for id := range gone {
+		if !d.Delete(id) {
+			t.Fatalf("base delete %d failed", id)
+		}
+	}
+	ov = index.NewOverlay(d)
+	for _, p := range pts[split:] {
+		if _, err := ov.Insert(p); err != nil {
+			t.Fatalf("overlay insert: %v", err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		for _, id := range []int{rng.Intn(split), split + rng.Intn(len(pts)-split)} {
+			if got := ov.Delete(id); got == gone[id] {
+				t.Fatalf("overlay Delete(%d) = %v, want %v", id, got, !gone[id])
+			}
+			gone[id] = true
+		}
+	}
+	for id := range pts {
+		if got := ov.Live(id); got == gone[id] {
+			t.Fatalf("overlay Live(%d) = %v, want %v", id, got, !gone[id])
 		}
 	}
 	verifyCountCloser(t, ov, pts, gone, metric)

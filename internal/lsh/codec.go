@@ -2,12 +2,10 @@ package lsh
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
-	"repro/internal/index"
 	"repro/internal/vecmath"
 )
 
@@ -52,17 +50,17 @@ func (ix *Index) EncodeStructure() []byte {
 	keyLen := ix.hashes * 8
 	size := 1 + 8 + 4 + 4 + 4 + 8
 	for ti := range ix.tables {
-		size += ix.hashes*ix.dim*8 + ix.hashes*8 + 4
+		size += ix.hashes*ix.Dim()*8 + ix.hashes*8 + 4
 		size += len(ix.tables[ti].buckets) * (keyLen + 4)
-		size += len(ix.points.Rows) * 4
+		size += ix.IDSpan() * 4
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, codecVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ix.width))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.tables)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.hashes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.dim))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ix.points.Rows)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.Dim()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(ix.IDSpan()))
 	for ti := range ix.tables {
 		t := &ix.tables[ti]
 		for _, a := range t.projs {
@@ -91,34 +89,21 @@ func (ix *Index) EncodeStructure() []byte {
 	return buf
 }
 
-// Restore rebuilds an index from its point rows, tombstoned IDs, and an
-// encoded structure, without a single hash computation — the buckets come
-// straight from the blob, so the restored index produces byte-identical
-// candidate sets to the one that was saved. It validates that the structure
-// is well-formed (every point bucketed exactly once per table, IDs in
-// range, finite parameters) and returns an error (never panics) on
-// malformed input, so callers can fall back to a re-hashing rebuild.
-func Restore(points [][]float64, metric vecmath.Metric, deleted []int, structure []byte) (*Index, error) {
-	if metric == nil {
-		return nil, errors.New("lsh: nil metric")
+// Restore rebuilds an index from its point rows and an encoded structure,
+// without a single hash computation — the buckets come straight from the
+// blob, so the restored index produces byte-identical candidate sets to the
+// one that was saved; the caller re-applies the tombstones, as after a
+// build. It validates that the structure is well-formed (every point
+// bucketed exactly once per table, IDs in range, finite parameters) and
+// returns an error (never panics) on malformed input, so callers can fall
+// back to a re-hashing rebuild.
+func Restore(points [][]float64, metric vecmath.Metric, structure []byte) (*Index, error) {
+	ix, err := newIndex(points, metric)
+	if err == nil {
+		err = ix.decodeStructure(structure)
 	}
-	if _, ok := metric.(vecmath.Euclidean); !ok {
-		return nil, errors.New("lsh: only the Euclidean metric is supported")
-	}
-	if err := vecmath.ValidateAllFor(metric, points); err != nil {
-		return nil, err
-	}
-	ix, err := decodeStructure(points, structure)
 	if err != nil {
 		return nil, err
-	}
-	ix.metric = metric
-	for _, id := range deleted {
-		if id < 0 || id >= len(points) || ix.deleted[id] {
-			return nil, fmt.Errorf("lsh: invalid tombstone id %d", id)
-		}
-		ix.deleted[id] = true
-		ix.alive--
 	}
 	return ix, nil
 }
@@ -154,65 +139,58 @@ func (d *decoder) f64() (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
-// decodeStructure parses and validates the blob against the point rows.
-func decodeStructure(points [][]float64, blob []byte) (*Index, error) {
-	d := &decoder{b: blob}
+// decodeStructure parses the blob into ix's tables, validating it against
+// the rows ix holds.
+func (ix *Index) decodeStructure(blob []byte) error {
+	d, n := &decoder{b: blob}, ix.IDSpan()
 	ver, err := d.take(1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ver[0] != codecVersion {
-		return nil, fmt.Errorf("lsh: unsupported structure version %d", ver[0])
+		return fmt.Errorf("lsh: unsupported structure version %d", ver[0])
 	}
 	width, err := d.f64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !(width > 0) || math.IsInf(width, 1) {
-		return nil, fmt.Errorf("lsh: structure width %v not positive and finite", width)
+		return fmt.Errorf("lsh: structure width %v not positive and finite", width)
 	}
 	tables, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	hashes, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dim, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	count, err := d.u32x2()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if tables == 0 || tables > maxTables {
-		return nil, fmt.Errorf("lsh: structure table count %d out of range", tables)
+		return fmt.Errorf("lsh: structure table count %d out of range", tables)
 	}
 	if hashes == 0 || hashes > maxHashes {
-		return nil, fmt.Errorf("lsh: structure hash count %d out of range", hashes)
+		return fmt.Errorf("lsh: structure hash count %d out of range", hashes)
 	}
-	if int(dim) != len(points[0]) {
-		return nil, fmt.Errorf("lsh: structure dimension %d does not match points dimension %d", dim, len(points[0]))
+	if int(dim) != ix.Dim() {
+		return fmt.Errorf("lsh: structure dimension %d does not match points dimension %d", dim, ix.Dim())
 	}
-	if count != uint64(len(points)) {
-		return nil, fmt.Errorf("lsh: structure of %d points does not match %d point rows", count, len(points))
+	if count != uint64(n) {
+		return fmt.Errorf("lsh: structure of %d points does not match %d point rows", count, n)
 	}
 
-	ix := &Index{
-		points:  index.RowsOf(points),
-		dim:     int(dim),
-		width:   width,
-		hashes:  int(hashes),
-		tables:  make([]table, tables),
-		deleted: make(map[int]bool),
-		alive:   len(points),
-	}
+	ix.width, ix.hashes, ix.tables = width, int(hashes), make([]table, tables)
 	keyLen := int(hashes) * 8
 	// seen[id] == table index + 1 marks id as bucketed in that table; one
 	// allocation serves every table.
-	seen := make([]uint32, len(points))
+	seen := make([]uint32, n)
 	for ti := range ix.tables {
 		t := table{
 			projs:   make([][]float64, hashes),
@@ -222,77 +200,77 @@ func decodeStructure(points [][]float64, blob []byte) (*Index, error) {
 			a := make([]float64, dim)
 			for j := range a {
 				if a[j], err = d.f64(); err != nil {
-					return nil, err
+					return err
 				}
 				if math.IsNaN(a[j]) || math.IsInf(a[j], 0) {
-					return nil, fmt.Errorf("lsh: structure table %d projection %d not finite", ti, h)
+					return fmt.Errorf("lsh: structure table %d projection %d not finite", ti, h)
 				}
 			}
 			t.projs[h] = a
 		}
 		for h := range t.offsets {
 			if t.offsets[h], err = d.f64(); err != nil {
-				return nil, err
+				return err
 			}
 			if math.IsNaN(t.offsets[h]) || math.IsInf(t.offsets[h], 0) {
-				return nil, fmt.Errorf("lsh: structure table %d offset %d not finite", ti, h)
+				return fmt.Errorf("lsh: structure table %d offset %d not finite", ti, h)
 			}
 		}
 		bucketCount, err := d.u32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Each bucket needs at least its key, a count, and one ID.
 		if remaining := len(d.b) - d.off; int64(bucketCount)*(int64(keyLen)+8) > int64(remaining) {
-			return nil, fmt.Errorf("lsh: structure table %d claims %d buckets beyond blob size", ti, bucketCount)
+			return fmt.Errorf("lsh: structure table %d claims %d buckets beyond blob size", ti, bucketCount)
 		}
 		t.buckets = make(map[string][]int, bucketCount)
 		total := 0
 		for bi := uint32(0); bi < bucketCount; bi++ {
 			key, err := d.take(keyLen)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			idCount, err := d.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if idCount == 0 {
-				return nil, fmt.Errorf("lsh: structure table %d has an empty bucket", ti)
+				return fmt.Errorf("lsh: structure table %d has an empty bucket", ti)
 			}
 			if remaining := len(d.b) - d.off; int64(idCount)*4 > int64(remaining) {
-				return nil, fmt.Errorf("lsh: structure table %d bucket claims %d ids beyond blob size", ti, idCount)
+				return fmt.Errorf("lsh: structure table %d bucket claims %d ids beyond blob size", ti, idCount)
 			}
 			ids := make([]int, idCount)
 			for i := range ids {
 				id, err := d.u32()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if uint64(id) >= count {
-					return nil, fmt.Errorf("lsh: structure id %d out of range [0,%d)", id, count)
+					return fmt.Errorf("lsh: structure id %d out of range [0,%d)", id, count)
 				}
 				if seen[id] == uint32(ti)+1 {
-					return nil, fmt.Errorf("lsh: structure table %d repeats id %d", ti, id)
+					return fmt.Errorf("lsh: structure table %d repeats id %d", ti, id)
 				}
 				seen[id] = uint32(ti) + 1
 				ids[i] = int(id)
 			}
 			if _, dup := t.buckets[string(key)]; dup {
-				return nil, fmt.Errorf("lsh: structure table %d repeats a bucket key", ti)
+				return fmt.Errorf("lsh: structure table %d repeats a bucket key", ti)
 			}
 			t.buckets[string(key)] = ids
 			total += int(idCount)
 		}
-		if total != len(points) {
-			return nil, fmt.Errorf("lsh: structure table %d buckets %d points, want %d", ti, total, len(points))
+		if total != n {
+			return fmt.Errorf("lsh: structure table %d buckets %d points, want %d", ti, total, n)
 		}
 		ix.tables[ti] = t
 	}
 	if d.off != len(blob) {
-		return nil, fmt.Errorf("lsh: %d trailing bytes after structure", len(blob)-d.off)
+		return fmt.Errorf("lsh: %d trailing bytes after structure", len(blob)-d.off)
 	}
-	return ix, nil
+	return nil
 }
 
 // u32x2 reads a u64 (two u32 halves, little-endian).

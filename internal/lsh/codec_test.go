@@ -52,7 +52,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 
 	before := HashCalls()
-	re, err := Restore(pts, vecmath.Euclidean{}, nil, blob)
+	re, err := Restore(pts, vecmath.Euclidean{}, blob)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -82,9 +82,14 @@ func TestCodecRoundTripWithTombstones(t *testing.T) {
 			t.Fatalf("Delete(%d) failed", id)
 		}
 	}
-	re, err := Restore(pts, vecmath.Euclidean{}, deleted, ix.EncodeStructure())
+	re, err := Restore(pts, vecmath.Euclidean{}, ix.EncodeStructure())
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
+	}
+	for _, id := range deleted {
+		if !re.Delete(id) {
+			t.Fatalf("restored index: Delete(%d) failed", id)
+		}
 	}
 	if re.Len() != ix.Len() || re.IDSpan() != ix.IDSpan() {
 		t.Errorf("restored Len=%d IDSpan=%d, want %d/%d", re.Len(), re.IDSpan(), ix.Len(), ix.IDSpan())
@@ -100,11 +105,11 @@ func TestCodecRoundTripWithTombstones(t *testing.T) {
 		}
 	}
 
-	if _, err := Restore(pts, vecmath.Euclidean{}, []int{-1}, ix.EncodeStructure()); err == nil {
-		t.Error("Restore accepted a negative tombstone")
+	if re.Delete(-1) {
+		t.Error("the restored index deleted a negative ID")
 	}
-	if _, err := Restore(pts, vecmath.Euclidean{}, []int{3, 3}, ix.EncodeStructure()); err == nil {
-		t.Error("Restore accepted a duplicate tombstone")
+	if re.Delete(3) {
+		t.Error("the restored index deleted an ID twice")
 	}
 }
 
@@ -116,7 +121,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	blob := ix.EncodeStructure()
 
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := Restore(pts, vecmath.Euclidean{}, nil, blob[:cut]); err == nil {
+		if _, err := Restore(pts, vecmath.Euclidean{}, blob[:cut]); err == nil {
 			t.Fatalf("Restore accepted a truncation at %d of %d bytes", cut, len(blob))
 		}
 	}
@@ -125,24 +130,24 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		mut[off] ^= 0x41
 		// Any outcome but a panic is acceptable: some flips only perturb a
 		// projection coordinate, which remains a valid structure.
-		_, _ = Restore(pts, vecmath.Euclidean{}, nil, mut)
+		_, _ = Restore(pts, vecmath.Euclidean{}, mut)
 	}
 
-	if _, err := Restore(pts[:100], vecmath.Euclidean{}, nil, blob); err == nil {
+	if _, err := Restore(pts[:100], vecmath.Euclidean{}, blob); err == nil {
 		t.Error("Restore accepted a structure for a different point count")
 	}
-	if _, err := Restore(indextest.RandPoints(250, 3, 1), vecmath.Euclidean{}, nil, blob); err == nil {
+	if _, err := Restore(indextest.RandPoints(250, 3, 1), vecmath.Euclidean{}, blob); err == nil {
 		t.Error("Restore accepted a structure for a different dimension")
 	}
-	if _, err := Restore(pts, vecmath.Manhattan{}, nil, blob); err == nil {
+	if _, err := Restore(pts, vecmath.Manhattan{}, blob); err == nil {
 		t.Error("Restore accepted a non-Euclidean metric")
 	}
 	// The never-panic contract extends to degenerate point slices: the row
 	// validation rejects them before the decoder can touch points[0].
-	if _, err := Restore([][]float64{}, vecmath.Euclidean{}, nil, blob); err == nil {
+	if _, err := Restore([][]float64{}, vecmath.Euclidean{}, blob); err == nil {
 		t.Error("Restore accepted an empty point slice")
 	}
-	if _, err := Restore(nil, vecmath.Euclidean{}, nil, blob); err == nil {
+	if _, err := Restore(nil, vecmath.Euclidean{}, blob); err == nil {
 		t.Error("Restore accepted a nil point slice")
 	}
 }
@@ -152,7 +157,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 // isolated.
 func TestRestoredIndexStaysDynamic(t *testing.T) {
 	ix, pts := buildForCodec(t)
-	re, err := Restore(pts, vecmath.Euclidean{}, nil, ix.EncodeStructure())
+	re, err := Restore(pts, vecmath.Euclidean{}, ix.EncodeStructure())
 	if err != nil {
 		t.Fatal(err)
 	}

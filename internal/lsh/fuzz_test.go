@@ -24,7 +24,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte{codecVersion})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		re, err := Restore(pts, vecmath.Euclidean{}, nil, data)
+		re, err := Restore(pts, vecmath.Euclidean{}, data)
 		if err != nil {
 			return
 		}

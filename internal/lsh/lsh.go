@@ -17,10 +17,11 @@
 // neighbors tend to collide.
 //
 // The index is dynamic (index.Cloner): Insert hashes the new point into
-// every table, Delete tombstones an ID in place, and Clone produces an
-// O(n)-amortized copy-on-write copy — bucket ID slices are shared between
-// clones and replaced (never appended in place) on insert — so the facade's
-// snapshot machinery serves LSH exactly like the exact dynamic back-ends.
+// every table, Delete tombstones an ID in place (index.RowStore), and Clone
+// copies each table's bucket map but shares the rows, the tombstones and
+// the bucket ID slices, which are replaced (never appended in place) on
+// insert — so the facade's snapshot machinery serves LSH exactly like the
+// exact dynamic back-ends.
 package lsh
 
 import (
@@ -80,22 +81,18 @@ type table struct {
 	buckets map[string][]int
 }
 
-// Index is an approximate similarity index. It implements index.Index with
-// candidate-set semantics (query results cover only hash collisions) and
-// index.Cloner for online updates under copy-on-write snapshots.
+// Index is an approximate similarity index over the rows its
+// index.RowStore holds. It implements index.Index with candidate-set
+// semantics (query results cover only hash collisions) and index.Cloner for
+// online updates under copy-on-write snapshots.
 type Index struct {
-	points  index.Table[[]float64] // ID → row; clones share it by the claimed-length rule
-	metric  vecmath.Metric
-	dim     int
-	width   float64
-	hashes  int // M, projections per table
-	tables  []table
-	deleted map[int]bool // tombstones for Dynamic support
-	alive   int
+	index.RowStore
+	width  float64
+	hashes int // M, projections per table
+	tables []table
 }
 
 var _ index.Cloner = (*Index)(nil)
-var _ index.Liveness = (*Index)(nil)
 
 // hashCalls counts bucket-key computations (one per table per hashed
 // point or query). The persistence tests pin that restoring an index from
@@ -111,27 +108,15 @@ func HashCalls() int64 { return hashCalls.Load() }
 // New builds the hash tables over points. Only the Euclidean metric is
 // supported (the projections quantize L2 geometry).
 func New(points [][]float64, metric vecmath.Metric, opts Options) (*Index, error) {
-	if metric == nil {
-		return nil, errors.New("lsh: nil metric")
-	}
-	if _, ok := metric.(vecmath.Euclidean); !ok {
-		return nil, errors.New("lsh: only the Euclidean metric is supported")
-	}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if err := vecmath.ValidateAllFor(metric, points); err != nil {
+	ix, err := newIndex(points, metric)
+	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	ix := &Index{
-		points:  index.RowsOf(points),
-		metric:  metric,
-		dim:     len(points[0]),
-		hashes:  opts.Hashes,
-		deleted: make(map[int]bool),
-		alive:   len(points),
-	}
+	ix.hashes = opts.Hashes
 
 	ix.width = opts.Width
 	if ix.width == 0 {
@@ -147,7 +132,7 @@ func New(points [][]float64, metric vecmath.Metric, opts Options) (*Index, error
 			buckets: make(map[string][]int),
 		}
 		for h := 0; h < opts.Hashes; h++ {
-			a := make([]float64, ix.dim)
+			a := make([]float64, ix.Dim())
 			for j := range a {
 				a[j] = rng.NormFloat64()
 			}
@@ -162,6 +147,16 @@ func New(points [][]float64, metric vecmath.Metric, opts Options) (*Index, error
 		ix.tables[ti] = t
 	}
 	return ix, nil
+}
+
+// newIndex validates points and metric for New and Restore and returns an
+// index that holds the points and no table yet.
+func newIndex(points [][]float64, metric vecmath.Metric) (*Index, error) {
+	if _, ok := metric.(vecmath.Euclidean); !ok {
+		return nil, errors.New("lsh: only the Euclidean metric is supported")
+	}
+	ix := new(Index)
+	return ix, ix.Init(points, metric)
 }
 
 // DegenerateWidth is the documented bucket-width floor used when automatic
@@ -220,18 +215,6 @@ func (t *table) appendKey(buf []byte, p []float64, width float64) []byte {
 	return buf
 }
 
-// Len implements index.Index. Deleted points are excluded.
-func (ix *Index) Len() int { return ix.alive }
-
-// Dim implements index.Index.
-func (ix *Index) Dim() int { return ix.dim }
-
-// Point implements index.Index.
-func (ix *Index) Point(id int) []float64 { return ix.points.Rows[id] }
-
-// Metric implements index.Index.
-func (ix *Index) Metric() vecmath.Metric { return ix.metric }
-
 // Width returns the quantization width in effect.
 func (ix *Index) Width() float64 { return ix.width }
 
@@ -242,14 +225,10 @@ func (ix *Index) Tables() int { return len(ix.tables) }
 // appended to its buckets. Bucket slices may be shared with clones, so the
 // updated bucket is a fresh slice rather than an in-place append.
 func (ix *Index) Insert(p []float64) (int, error) {
-	if err := vecmath.ValidateFor(ix.metric, p); err != nil {
+	id, err := ix.Append(p)
+	if err != nil {
 		return 0, err
 	}
-	if len(p) != ix.dim {
-		return 0, vecmath.CheckDims(p, ix.points.Rows[0])
-	}
-	ix.points.Append(p)
-	id := len(ix.points.Rows) - 1
 	hashCalls.Add(int64(len(ix.tables)))
 	var keyBuf []byte
 	for ti := range ix.tables {
@@ -261,33 +240,16 @@ func (ix *Index) Insert(p []float64) (int, error) {
 		next[len(old)] = id
 		t.buckets[string(keyBuf)] = next
 	}
-	ix.alive++
 	return id, nil
 }
 
-// Delete implements index.Dynamic using a tombstone: the ID stays in its
-// buckets and the candidate machinery filters it, so deletion never
-// rewrites table state shared with clones.
-func (ix *Index) Delete(id int) bool {
-	if id < 0 || id >= len(ix.points.Rows) || ix.deleted[id] {
-		return false
-	}
-	ix.deleted[id] = true
-	ix.alive--
-	return true
-}
-
-// Clone implements index.Cloner. Point rows, projection vectors, and bucket
-// ID slices are shared (all immutable by convention: inserts replace bucket
-// slices, never extend them in place), the ID→row table by the
-// claimed-length rule (index.Table); the bucket map headers and the
-// tombstone set are copied, so Insert and Delete on the clone are invisible
-// to the original.
+// Clone implements index.Cloner. Projection vectors and bucket ID slices
+// are shared (immutable by convention: inserts replace bucket slices, never
+// extend them in place), the rows and tombstones by the store's rule
+// (index.RowStore.CloneInto; a deleted ID stays in its buckets and the
+// candidate machinery filters it); the bucket map headers are copied, so
+// Insert and Delete on the clone are invisible to the original.
 func (ix *Index) Clone() index.Dynamic {
-	deleted := make(map[int]bool, len(ix.deleted))
-	for id := range ix.deleted {
-		deleted[id] = true
-	}
 	tables := make([]table, len(ix.tables))
 	for i, t := range ix.tables {
 		buckets := make(map[string][]int, len(t.buckets))
@@ -296,23 +258,10 @@ func (ix *Index) Clone() index.Dynamic {
 		}
 		tables[i] = table{projs: t.projs, offsets: t.offsets, buckets: buckets}
 	}
-	return &Index{
-		points:  ix.points,
-		metric:  ix.metric,
-		dim:     ix.dim,
-		width:   ix.width,
-		hashes:  ix.hashes,
-		tables:  tables,
-		deleted: deleted,
-		alive:   ix.alive,
-	}
+	cl := &Index{width: ix.width, hashes: ix.hashes, tables: tables}
+	ix.CloneInto(&cl.RowStore)
+	return cl
 }
-
-// IDSpan implements index.Liveness.
-func (ix *Index) IDSpan() int { return len(ix.points.Rows) }
-
-// Live implements index.Liveness.
-func (ix *Index) Live(id int) bool { return id >= 0 && id < len(ix.points.Rows) && !ix.deleted[id] }
 
 // dedup is the pooled per-query candidate-collection state: the seen set,
 // the collected ID list, and the key scratch buffer. Candidate gathering is
@@ -320,12 +269,12 @@ func (ix *Index) Live(id int) bool { return id >= 0 && id < len(ix.points.Rows) 
 // near zero under a steady serving stream (mirroring the pooled filter sets
 // in internal/core).
 type dedup struct {
-	seen map[int]bool
+	seen map[int]struct{}
 	out  []int
 	key  []byte
 }
 
-var dedupPool = sync.Pool{New: func() any { return &dedup{seen: make(map[int]bool)} }}
+var dedupPool = sync.Pool{New: func() any { return &dedup{seen: make(map[int]struct{})} }}
 
 // release clears and returns the state to the pool. clear keeps the map's
 // buckets allocated, which is exactly the win: a warmed set absorbs the
@@ -345,10 +294,10 @@ func (ix *Index) candidates(d *dedup, q []float64, skipID int) []int {
 		t := &ix.tables[ti]
 		d.key = t.appendKey(d.key[:0], q, ix.width)
 		for _, id := range t.buckets[string(d.key)] {
-			if id == skipID || ix.deleted[id] || d.seen[id] {
+			if _, dup := d.seen[id]; dup || ix.Skip(id, skipID) {
 				continue
 			}
-			d.seen[id] = true
+			d.seen[id] = struct{}{}
 			d.out = append(d.out, id)
 		}
 	}
@@ -364,7 +313,7 @@ func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
 	cands := ix.candidates(d, q, skipID)
 	ready := pqueue.NewNearest(len(cands))
 	for _, id := range cands {
-		ready.Push(ix.metric.Distance(q, ix.points.Rows[id]), id)
+		ready.Push(ix.Dist(q, ix.Point(id)), id)
 	}
 	d.release()
 	return &cursor{ready: ready}
@@ -390,9 +339,9 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	}
 	d := dedupPool.Get().(*dedup)
 	defer d.release()
-	top := pqueue.NewTopK[int](max(1, min(k, ix.alive))) // never k slots for k > n
+	top := pqueue.NewTopK[int](max(1, min(k, ix.Len()))) // never k slots for k > n
 	for _, id := range ix.candidates(d, q, skipID) {
-		top.Offer(ix.metric.Distance(q, ix.points.Rows[id]), id)
+		top.Offer(ix.Dist(q, ix.Point(id)), id)
 	}
 	items := top.Sorted()
 	out := make([]index.Neighbor, len(items))
@@ -406,7 +355,7 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 // (approximate): counting the candidates strictly closer than r is the same
 // test as comparing the k-th candidate distance with r, so verification by
 // count settles every candidate exactly as verification by KNN did.
-func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead *index.Tombstones) int {
 	if limit <= 0 {
 		return 0
 	}
@@ -414,10 +363,10 @@ func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map
 	defer d.release()
 	count := 0
 	for _, id := range ix.candidates(d, q, skipID) {
-		if dead[id] {
+		if dead.Has(id) {
 			continue
 		}
-		if ix.metric.Distance(q, ix.points.Rows[id]) < r {
+		if ix.Dist(q, ix.Point(id)) < r {
 			if count++; count == limit {
 				break
 			}

@@ -322,6 +322,14 @@ func TestCloneRows(t *testing.T) {
 	})
 }
 
+// TestCloneSharesTombstones runs the shared clone-tombstones case: a Clone
+// costs the same with 1 000 tombstones as with none.
+func TestCloneSharesTombstones(t *testing.T) {
+	indextest.CloneSharesTombstones(t, func(pts [][]float64, m vecmath.Metric) (index.Index, error) {
+		return New(pts, m, DefaultOptions())
+	})
+}
+
 // TestConcurrentQueriesSharePool races parallel queries over the pooled
 // candidate sets; the -race build verifies the pool hands each query an
 // exclusive set.

@@ -110,19 +110,12 @@ func (f *quantFilter) appendRow(p []float64) {
 	f.blk.Append(p)
 }
 
-// Index is a brute-force sequential scan over the dataset. It implements
-// index.Index and index.Dynamic. The zero value is not usable; construct
-// with New.
+// Index is a brute-force sequential scan over the rows its index.RowStore
+// holds. It implements index.Index and index.Dynamic. The zero value is not
+// usable; construct with New.
 type Index struct {
-	points index.Table[[]float64] // ID → row; clones share it by the claimed-length rule
-	metric vecmath.Metric
-	dist   vecmath.DistanceFunc      // resolved kernel; falls back to metric.Distance
-	batch  vecmath.BatchDistanceFunc // resolved one-vs-many kernel
-	dim    int
+	index.RowStore
 	filter *quantFilter // nil until EnableQuantFilter
-
-	deleted map[int]bool // tombstones for Dynamic support
-	alive   int
 }
 
 var (
@@ -133,29 +126,11 @@ var (
 // New builds a scan index over points in O(1) beyond validation: the points
 // slice is retained by reference (index.RowsOf) and never written.
 func New(points [][]float64, metric vecmath.Metric) (*Index, error) {
-	if metric == nil {
-		return nil, errors.New("scan: nil metric")
-	}
-	if err := vecmath.ValidateAllFor(metric, points); err != nil {
+	ix := new(Index)
+	if err := ix.Init(points, metric); err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		points:  index.RowsOf(points),
-		metric:  metric,
-		dim:     len(points[0]),
-		deleted: make(map[int]bool),
-		alive:   len(points),
-	}
-	ix.resolveKernels()
 	return ix, nil
-}
-
-func (ix *Index) resolveKernels() {
-	ix.dist = vecmath.KernelFor(ix.metric)
-	if ix.dist == nil {
-		ix.dist = ix.metric.Distance
-	}
-	ix.batch = vecmath.BatchFor(ix.metric)
 }
 
 // EnableQuantFilter implements index.QuantFiltered: it attaches the 8-bit
@@ -164,24 +139,24 @@ func (ix *Index) resolveKernels() {
 // the original build exactly). It fails for metrics without a sound
 // coordinate-interval lower bound.
 func (ix *Index) EnableQuantFilter(cb *vecmath.Codebook) error {
-	kind, ok := quantKindFor(ix.metric)
+	kind, ok := quantKindFor(ix.Metric())
 	if !ok {
-		return errors.New("scan: quantized filter does not support metric " + ix.metric.Name())
+		return errors.New("scan: quantized filter does not support metric " + ix.Metric().Name())
 	}
 	if cb == nil {
-		cb = vecmath.TrainCodebook(ix.points.Rows)
+		cb = vecmath.TrainCodebook(ix.Rows())
 	}
-	if cb.Dim() != ix.dim {
-		return vecmath.CheckDims(make([]float64, cb.Dim()), ix.points.Rows[0])
+	if cb.Dim() != ix.Dim() {
+		return vecmath.CheckDims(make([]float64, cb.Dim()), ix.Point(0))
 	}
 	f := &quantFilter{
 		cb:    cb,
 		kind:  kind,
-		codes: make([]uint8, 0, len(ix.points.Rows)*ix.dim),
-		blk:   vecmath.NewEmptyBlock(ix.dim),
+		codes: make([]uint8, 0, ix.IDSpan()*ix.Dim()),
+		blk:   vecmath.NewEmptyBlock(ix.Dim()),
 		stats: &FilterStats{},
 	}
-	for _, p := range ix.points.Rows {
+	for _, p := range ix.Rows() {
 		f.appendRow(p)
 	}
 	ix.filter = f
@@ -204,87 +179,27 @@ func (ix *Index) QuantFilterStats() (admitted, screened int64) {
 	return ix.filter.stats.Counts()
 }
 
-// Len implements index.Index. Deleted points are excluded.
-func (ix *Index) Len() int { return ix.alive }
-
-// Dim implements index.Index.
-func (ix *Index) Dim() int { return ix.dim }
-
-// Point implements index.Index.
-func (ix *Index) Point(id int) []float64 { return ix.points.Rows[id] }
-
-// Metric implements index.Index.
-func (ix *Index) Metric() vecmath.Metric { return ix.metric }
-
 // Insert implements index.Dynamic: the row it is given is appended to the
 // ID→row table, retained by reference like New's.
 func (ix *Index) Insert(p []float64) (int, error) {
-	if err := vecmath.ValidateFor(ix.metric, p); err != nil {
-		return 0, err
-	}
-	if len(p) != ix.dim {
-		return 0, vecmath.CheckDims(p, ix.points.Rows[0])
-	}
-	ix.points.Append(p)
-	ix.alive++
-	if ix.filter != nil {
+	id, err := ix.Append(p)
+	if err == nil && ix.filter != nil {
 		ix.filter.appendRow(p)
 	}
-	return len(ix.points.Rows) - 1, nil
+	return id, err
 }
 
-// Clone implements index.Cloner. The ID→row table is shared by the
-// claimed-length rule (index.Table), so either side may insert afterwards
-// and neither sees the other's rows; the tombstone set and the quantized
+// Clone implements index.Cloner. The rows and tombstones are shared by the
+// store's rule (index.RowStore.CloneInto), so either side may insert and
+// delete afterwards and neither sees the other's writes; the quantized
 // filter's codes and float32 block are copied.
 func (ix *Index) Clone() index.Dynamic {
-	deleted := make(map[int]bool, len(ix.deleted))
-	for id := range ix.deleted {
-		deleted[id] = true
-	}
-	cl := &Index{
-		points:  ix.points,
-		metric:  ix.metric,
-		dist:    ix.dist,
-		batch:   ix.batch,
-		dim:     ix.dim,
-		deleted: deleted,
-		alive:   ix.alive,
-	}
+	cl := new(Index)
+	ix.CloneInto(&cl.RowStore)
 	if ix.filter != nil {
 		cl.filter = ix.filter.clone()
 	}
 	return cl
-}
-
-// Delete implements index.Dynamic using a tombstone.
-func (ix *Index) Delete(id int) bool {
-	if id < 0 || id >= len(ix.points.Rows) || ix.deleted[id] {
-		return false
-	}
-	ix.deleted[id] = true
-	ix.alive--
-	return true
-}
-
-// IDSpan implements index.Liveness.
-func (ix *Index) IDSpan() int { return len(ix.points.Rows) }
-
-// Live implements index.Liveness.
-func (ix *Index) Live(id int) bool { return id >= 0 && id < len(ix.points.Rows) && !ix.deleted[id] }
-
-// skip reports whether a row is excluded from the current query. The
-// len guard matters: a map lookup per row costs more than a screened
-// row's entire tier-1 bound, so the common no-tombstone case must not
-// touch the map at all.
-func (ix *Index) skip(id, skipID int) bool {
-	if id == skipID {
-		return true
-	}
-	if len(ix.deleted) == 0 {
-		return false
-	}
-	return ix.deleted[id]
 }
 
 // cursorChunk is how many rows one call of the one-vs-many kernel measures.
@@ -300,16 +215,16 @@ var chunkPool = sync.Pool{New: func() any { return new([cursorChunk]float64) }}
 // to the one-vs-many kernel cursorChunk at a time and excluded rows are
 // dropped after it has run, so member queries and indexes holding
 // tombstones run the same kernel as everything else.
-func (ix *Index) measureRows(q []float64, skipID int, dead map[int]bool, visit func(id int, d float64) bool) {
+func (ix *Index) measureRows(q []float64, skipID int, dead *index.Tombstones, visit func(id int, d float64) bool) {
 	dists := chunkPool.Get().(*[cursorChunk]float64)
 	defer chunkPool.Put(dists)
-	all := ix.points.Rows
+	all := ix.Rows()
 	for lo := 0; lo < len(all); lo += cursorChunk {
 		rows := all[lo:min(lo+cursorChunk, len(all))]
-		ix.batch(q, rows, dists[:])
+		ix.Batch(q, rows, dists[:])
 		for j, d := range dists[:len(rows)] {
 			id := lo + j
-			if ix.skip(id, skipID) || (len(dead) != 0 && dead[id]) {
+			if ix.Skip(id, skipID) || dead.Has(id) {
 				continue
 			}
 			if !visit(id, d) {
@@ -325,7 +240,7 @@ func (ix *Index) measureRows(q []float64, skipID int, dead map[int]bool, visit f
 // there is none yet, as for a KNN heap that is not full — so only rows that
 // could beat it pay the exact kernel. A screened row is one the caller
 // would have discarded, so the rows it sees decide the same result.
-func (ix *Index) eachRow(q []float64, skipID int, dead map[int]bool, bound func() (float64, bool), visit func(id int, d float64) bool) {
+func (ix *Index) eachRow(q []float64, skipID int, dead *index.Tombstones, bound func() (float64, bool), visit func(id int, d float64) bool) {
 	if ix.filter == nil {
 		ix.measureRows(q, skipID, dead, visit)
 		return
@@ -337,8 +252,8 @@ func (ix *Index) eachRow(q []float64, skipID int, dead map[int]bool, bound func(
 		qq.f.stats.admitted.Add(admitted)
 		qq.f.stats.screened.Add(screened)
 	}()
-	for id, p := range ix.points.Rows {
-		if ix.skip(id, skipID) || (len(dead) != 0 && dead[id]) {
+	for id, p := range ix.Rows() {
+		if ix.Skip(id, skipID) || dead.Has(id) {
 			continue
 		}
 		// Rows measured while there is no bound never consult the screen,
@@ -351,7 +266,7 @@ func (ix *Index) eachRow(q []float64, skipID int, dead map[int]bool, bound func(
 			}
 			admitted++
 		}
-		if !visit(id, ix.dist(q, p)) {
+		if !visit(id, ix.Dist(q, p)) {
 			return
 		}
 	}
@@ -365,8 +280,8 @@ func (ix *Index) eachRow(q []float64, skipID int, dead map[int]bool, bound func(
 // next query.
 func (ix *Index) NewCursor(q []float64, skipID int) index.Cursor {
 	c := cursorPool.Get().(*cursor)
-	if cap(c.items) < len(ix.points.Rows) {
-		c.items = make([]pqueue.Item[int], 0, len(ix.points.Rows))
+	if cap(c.items) < ix.IDSpan() {
+		c.items = make([]pqueue.Item[int], 0, ix.IDSpan())
 	}
 	items := c.items[:0]
 	ix.measureRows(q, skipID, nil, func(id int, d float64) bool {
@@ -416,7 +331,7 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	top := pqueue.NewTopK[int](max(1, min(k, ix.alive))) // never k slots for k > n
+	top := pqueue.NewTopK[int](max(1, min(k, ix.Len()))) // never k slots for k > n
 	ix.eachRow(q, skipID, nil, top.Bound, func(id int, d float64) bool {
 		if bound, full := top.Bound(); !full || d < bound {
 			top.Offer(d, id)
@@ -453,7 +368,7 @@ var lutPool sync.Pool
 func (ix *Index) newQuantQuery(q []float64) (*quantQuery, func()) {
 	f := ix.filter
 	q32, qslack := vecmath.Quantize32(q)
-	need := ix.dim * 256
+	need := ix.Dim() * 256
 	var tab []float64
 	if v := lutPool.Get(); v != nil {
 		if t := v.([]float64); cap(t) >= need {
@@ -465,7 +380,7 @@ func (ix *Index) newQuantQuery(q []float64) (*quantQuery, func()) {
 	}
 	squared := f.kind == quantL2 || f.kind == quantSqL2
 	f.cb.BuildLUT(q, squared, tab)
-	qq := &quantQuery{f: f, dim: ix.dim, tab: tab, q32: q32, qslack: qslack}
+	qq := &quantQuery{f: f, dim: ix.Dim(), tab: tab, q32: q32, qslack: qslack}
 	return qq, func() { lutPool.Put(tab) } //nolint:staticcheck // slice header boxing is fine here
 }
 
@@ -514,7 +429,7 @@ func radius(r float64) func() (float64, bool) {
 // and an exit at limit. The quantized filter screens against the fixed
 // radius r — a row is skipped only when its lower bound clears r by
 // quantSlack, so rows at or below r always reach the exact kernel.
-func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead map[int]bool) int {
+func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead *index.Tombstones) int {
 	if limit <= 0 {
 		return 0
 	}

@@ -112,8 +112,8 @@ func Load(r io.Reader) (*Searcher, error) {
 
 // restoreIndex rebuilds the forward index described by a snapshot record,
 // under a clean overlay: via the back-end's native structure when present
-// and intact, otherwise by a fresh build over the stored rows followed by
-// re-applying tombstones.
+// and intact, otherwise by a fresh build over the stored rows; either way
+// the tombstones are re-applied after.
 func restoreIndex(rec *persist.Snapshot) (*index.Overlay, error) {
 	metric, err := vecmath.MetricFromID(rec.MetricID, rec.MetricParam)
 	if err != nil {
@@ -126,16 +126,17 @@ func restoreIndex(rec *persist.Snapshot) (*index.Overlay, error) {
 		// (and saves) as a cover tree.
 		rec.Backend = string(BackendCoverTree)
 	}
+	var ix index.Dynamic
 	if rec.Backend == string(BackendCoverTree) && len(rec.Native) > 0 {
-		if t, err := covertree.Restore(rec.Points, metric, rec.Deleted, rec.Native); err == nil {
-			return index.NewOverlay(t), nil
+		if t, err := covertree.Restore(rec.Points, metric, rec.Native); err == nil {
+			ix = t
 		}
 		// A malformed native blob is recoverable: the rows and tombstones
 		// are intact, so fall through to the generic rebuild.
 	}
 	if rec.Backend == string(BackendLSH) && len(rec.Native) > 0 {
-		if ix, err := lsh.Restore(rec.Points, metric, rec.Deleted, rec.Native); err == nil {
-			return index.NewOverlay(ix), nil
+		if l, err := lsh.Restore(rec.Points, metric, rec.Native); err == nil {
+			ix = l
 		}
 		// Same recoverability as the cover tree — but the rebuild below
 		// re-hashes with default options, so a restored-from-rows LSH index
@@ -143,18 +144,18 @@ func restoreIndex(rec *persist.Snapshot) (*index.Overlay, error) {
 		// saved one. Only a corrupted-yet-checksum-valid blob takes this
 		// path.
 	}
-	ix, err := backend.Build(rec.Backend, rec.Points, metric)
-	if err != nil {
-		if errors.Is(err, vecmath.ErrZeroVector) {
-			// Snapshots written before the angular metric rejected zero
-			// vectors can contain one; the rebuild now refuses it. Name the
-			// migration instead of failing opaquely.
-			return nil, fmt.Errorf("rknnd: load: %w (the snapshot predates zero-vector validation for the angular metric: delete the offending rows with the release that wrote it and re-save)", err)
+	if ix == nil {
+		// Every row the snapshot holds has its Dim coordinates (the points
+		// section is read that way), so the rebuild has the record's dimension.
+		if ix, err = backend.Build(rec.Backend, rec.Points, metric); err != nil {
+			if errors.Is(err, vecmath.ErrZeroVector) {
+				// Snapshots written before the angular metric rejected zero
+				// vectors can contain one; the rebuild now refuses it. Name the
+				// migration instead of failing opaquely.
+				return nil, fmt.Errorf("rknnd: load: %w (the snapshot predates zero-vector validation for the angular metric: delete the offending rows with the release that wrote it and re-save)", err)
+			}
+			return nil, fmt.Errorf("rknnd: load: %w", err)
 		}
-		return nil, fmt.Errorf("rknnd: load: %w", err)
-	}
-	if ix.Dim() != rec.Dim {
-		return nil, fmt.Errorf("rknnd: load: snapshot dimension %d, rebuilt index dimension %d", rec.Dim, ix.Dim())
 	}
 	if len(rec.Quant) > 0 {
 		// Re-enable the filter with the stored codebook. A corrupt blob is
@@ -170,7 +171,7 @@ func restoreIndex(rec *persist.Snapshot) (*index.Overlay, error) {
 	}
 	for _, id := range rec.Deleted {
 		if !ix.Delete(id) {
-			return nil, fmt.Errorf("rknnd: load: tombstone %d not deletable after rebuild", id)
+			return nil, fmt.Errorf("rknnd: load: tombstone %d not deletable", id)
 		}
 	}
 	return index.NewOverlay(ix), nil

@@ -401,7 +401,7 @@ func (c *fedCursor) Close() {
 
 // CountCloser is the one-candidate form of CountCloserBatch. The federation
 // holds no tombstones of its own, so dead must be nil.
-func (f *fedIndex) CountCloser(q []float64, r float64, limit, skipID int, _ map[int]bool) int {
+func (f *fedIndex) CountCloser(q []float64, r float64, limit, skipID int, _ *index.Tombstones) int {
 	return f.CountCloserBatch(f.ctx, []index.CountQuery{{Point: q, Radius: r, Limit: limit, Skip: skipID}})[0]
 }
 
