@@ -2,12 +2,12 @@ package repro
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/bruteforce"
 	"repro/internal/index"
+	"repro/internal/vecmath"
 )
 
 // This file is the honesty layer of the approximate serving tier: a sampled
@@ -63,6 +63,16 @@ func (s *Searcher) recallOverSnapshot(sn *snapshot, samples, k int) (float64, er
 	if len(ids) == 0 {
 		return 1, nil
 	}
+	// The oracle reads the rows straight off the snapshot, independent of
+	// the back-end's own (possibly approximate) query machinery.
+	live := sn.ix.Live
+	rows := make([][]float64, sn.ix.IDSpan())
+	for id := range rows {
+		if live(id) {
+			rows[id] = sn.ix.Point(id)
+		}
+	}
+	dist := vecmath.KernelFor(sn.ix.Metric())
 	var recallSum float64
 	scored := 0
 	for _, qid := range ids {
@@ -70,7 +80,7 @@ func (s *Searcher) recallOverSnapshot(sn *snapshot, samples, k int) (float64, er
 		if err != nil {
 			return 0, fmt.Errorf("rknnd: recall probe %d: %w", qid, err)
 		}
-		exact := exactMemberRkNN(sn.ix, qid, k)
+		exact := bruteforce.ReverseKNN(rows, live, dist, rows[qid], qid, k)
 		if len(exact) == 0 {
 			continue
 		}
@@ -112,41 +122,6 @@ func sampleLiveIDs(ix *index.Overlay, samples int) []int {
 		}
 	}
 	return ids
-}
-
-// exactMemberRkNN computes RkNN(qid, k) over the index by brute force:
-// x is a reverse neighbor of q iff fewer than k other points lie strictly
-// closer to x than q does (equivalently d_k(x) >= d(q,x), the refinement
-// test). The witness count exits early at k, so points far from q — the
-// overwhelming majority — cost only ~k distance computations each. This
-// deliberately reads points straight off the snapshot, independent of the
-// back-end's own (possibly approximate) query machinery.
-func exactMemberRkNN(ix *index.Overlay, qid, k int) []int {
-	metric := ix.Metric()
-	q := ix.Point(qid)
-	span, live := ix.IDSpan(), ix.Live
-	var out []int
-	for x := 0; x < span; x++ {
-		if x == qid || !live(x) {
-			continue
-		}
-		px := ix.Point(x)
-		dqx := metric.Distance(q, px)
-		closer := 0
-		for y := 0; y < span && closer < k; y++ {
-			if y == x || !live(y) {
-				continue
-			}
-			if metric.Distance(px, ix.Point(y)) < dqx {
-				closer++
-			}
-		}
-		if closer < k {
-			out = append(out, x)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // recallRecomputeInterval rate-limits the gauge's oracle runs: under a

@@ -63,10 +63,11 @@ func runOneShot(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *auto != "" {
-		t, err := estimateT(*auto, forward, pts, metric)
+		t, err := lid.Estimate(strings.ToLower(*auto), forward, pts, metric)
 		if err != nil {
 			return err
 		}
+		t = max(t, 1) // a sub-1 estimate would cap the scan below k itself
 		fmt.Fprintf(stdout, "auto t (%s) = %.2f\n", *auto, t)
 		*tParam = t
 	}
@@ -85,32 +86,6 @@ func runOneShot(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, stats)
 	}
 	return nil
-}
-
-// estimateT maps an estimator name to a value for the scale parameter t
-// (paper Section 6), clamped below at 1.
-func estimateT(estimator string, forward index.Index, pts [][]float64, metric vecmath.Metric) (float64, error) {
-	var (
-		t   float64
-		err error
-	)
-	switch strings.ToLower(estimator) {
-	case "mle":
-		t, err = lid.MLE(forward, lid.DefaultMLEOptions())
-	case "gp":
-		t, err = lid.GrassbergerProcaccia(pts, metric, lid.DefaultPairwiseOptions())
-	case "takens":
-		t, err = lid.Takens(pts, metric, lid.DefaultPairwiseOptions())
-	default:
-		return 0, fmt.Errorf("unknown estimator %q (want mle, gp or takens)", estimator)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t, nil
 }
 
 // runQuery dispatches to the requested method and returns the result IDs

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,24 +55,26 @@ func TestRunQueryAllMethods(t *testing.T) {
 	}
 }
 
+// TestEstimateT drives the query subcommand's -auto path: each estimator,
+// named in any case, chooses a t inside a sanity band, and an unknown name is
+// refused.
 func TestEstimateT(t *testing.T) {
-	pts := dataset.FCT(600, 1).Points
-	metric := vecmath.Euclidean{}
-	fwd, err := harness.BuildBackend("covertree", pts, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, est := range []string{"mle", "gp", "takens"} {
-		got, err := estimateT(est, fwd, pts, metric)
-		if err != nil {
-			t.Errorf("estimateT(%s): %v", est, err)
+	for _, est := range []string{"mle", "gp", "takens", "MLE"} {
+		var out bytes.Buffer
+		if err := runOneShot([]string{"-data", "fct", "-n", "600", "-k", "5", "-query", "3", "-auto", est}, &out); err != nil {
+			t.Errorf("-auto %s: %v", est, err)
+			continue
+		}
+		var got float64
+		if _, err := fmt.Sscanf(out.String(), "auto t ("+est+") = %g", &got); err != nil {
+			t.Errorf("-auto %s printed %q: %v", est, out.String(), err)
 			continue
 		}
 		if got < 1 || got > 30 {
-			t.Errorf("estimateT(%s) = %g, outside sanity band", est, got)
+			t.Errorf("-auto %s chose t = %g, outside sanity band", est, got)
 		}
 	}
-	if _, err := estimateT("nosuch", fwd, pts, metric); err == nil {
+	if err := runOneShot([]string{"-n", "100", "-auto", "nosuch"}, &bytes.Buffer{}); err == nil {
 		t.Error("accepted unknown estimator")
 	}
 }

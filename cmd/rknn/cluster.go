@@ -82,17 +82,11 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 	// Replay the cluster's hash assignment and keep only this daemon's
 	// partition, in local-ID order — the exact rows and ordering the
 	// in-process sharded engine gives shard `-shard`.
-	m, err := index.NewShardMap(*shards)
+	_, parts, err := index.Partition(pts, *shards)
 	if err != nil {
 		return err
 	}
-	var mine [][]float64
-	for range pts {
-		g, s, _ := m.Assign()
-		if s == *shard {
-			mine = append(mine, pts[g])
-		}
-	}
+	mine := parts[*shard]
 	if len(mine) == 0 {
 		return fmt.Errorf("shard-serve: shard %d of %d holds no points of this %d-point dataset", *shard, *shards, len(pts))
 	}

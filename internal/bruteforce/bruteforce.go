@@ -21,7 +21,7 @@ import (
 type Truth struct {
 	points [][]float64
 	metric vecmath.Metric
-	dist   vecmath.DistanceFunc // resolved kernel; falls back to metric.Distance
+	dist   vecmath.DistanceFunc // vecmath.KernelFor(metric)
 }
 
 // New constructs a Truth over points. The slice is retained by reference.
@@ -32,11 +32,7 @@ func New(points [][]float64, metric vecmath.Metric) (*Truth, error) {
 	if err := vecmath.ValidateAllFor(metric, points); err != nil {
 		return nil, err
 	}
-	dist := vecmath.KernelFor(metric)
-	if dist == nil {
-		dist = metric.Distance
-	}
-	return &Truth{points: points, metric: metric, dist: dist}, nil
+	return &Truth{points: points, metric: metric, dist: vecmath.KernelFor(metric)}, nil
 }
 
 // Len returns the dataset size.
@@ -67,30 +63,33 @@ func (t *Truth) rknn(q []float64, skipID, k int) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("bruteforce: k must be positive, got %d", k)
 	}
-	var result []int
-	for x := range t.points {
-		if x == skipID {
+	return ReverseKNN(t.points, nil, t.dist, q, skipID, k), nil
+}
+
+// ReverseKNN is the refinement test by definition, the one quadratic oracle
+// of the module. It returns, ascending, every ID x in [0, len(rows)) other
+// than skipID for which live(x) holds and fewer than k live IDs y ≠ x satisfy
+// dist(rows[x], rows[y]) < dist(rows[x], q). A nil live accepts every ID; a
+// row it rejects is never read. The count stops at k, so a point far from q
+// costs about k distances.
+func ReverseKNN(rows [][]float64, live func(id int) bool, dist vecmath.DistanceFunc, q []float64, skipID, k int) []int {
+	var out []int
+	for x, px := range rows {
+		if x == skipID || live != nil && !live(x) {
 			continue
 		}
-		dxq := t.dist(t.points[x], q)
+		dxq := dist(px, q)
 		closer := 0
-		for y := range t.points {
-			if y == x {
-				continue
-			}
-			if t.dist(t.points[x], t.points[y]) < dxq {
+		for y := 0; y < len(rows) && closer < k; y++ {
+			if y != x && (live == nil || live(y)) && dist(px, rows[y]) < dxq {
 				closer++
-				if closer >= k {
-					break
-				}
 			}
 		}
 		if closer < k {
-			result = append(result, x)
+			out = append(out, x)
 		}
 	}
-	sort.Ints(result)
-	return result, nil
+	return out
 }
 
 // KNNDists returns, for every dataset member x, its distance to its k-th

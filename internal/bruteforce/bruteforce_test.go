@@ -198,6 +198,64 @@ func TestRecallPrecision(t *testing.T) {
 	}
 }
 
+// TestReverseKNNLiveFilter: over rows with tombstones, the oracle's live
+// filter skips the dead IDs — as candidates and as witnesses, never reading
+// their rows — and answers exactly what Truth answers over the compacted live
+// rows, for member and non-member queries.
+func TestReverseKNNLiveFilter(t *testing.T) {
+	pts := randPoints(150, 3, 11)
+	rows := make([][]float64, len(pts))
+	var compact [][]float64
+	compactID := make([]int, len(pts))
+	dead := func(id int) bool { return id%5 == 2 || id%7 == 0 }
+	for id, p := range pts {
+		if dead(id) {
+			continue // a nil row panics if the oracle measures it
+		}
+		rows[id] = p
+		compactID[id] = len(compact)
+		compact = append(compact, p)
+	}
+	live := func(id int) bool { return !dead(id) }
+	truth, err := New(compact, vecmath.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := vecmath.KernelFor(vecmath.Euclidean{})
+	toCompact := func(ids []int) []int {
+		out := make([]int, len(ids))
+		for i, id := range ids {
+			if dead(id) {
+				t.Fatalf("oracle returned tombstoned ID %d", id)
+			}
+			out[i] = compactID[id]
+		}
+		return out
+	}
+	for _, k := range []int{1, 3, 7} {
+		for qid := 1; qid < len(pts); qid += 9 {
+			if dead(qid) {
+				continue
+			}
+			want, err := truth.RkNNByID(compactID[qid], k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := toCompact(ReverseKNN(rows, live, dist, rows[qid], qid, k)); !equalIDs(got, want) {
+				t.Errorf("k=%d member %d: got %v, want %v", k, qid, got, want)
+			}
+		}
+		q := []float64{0.5, 0.5, 0.5}
+		want, err := truth.RkNN(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := toCompact(ReverseKNN(rows, live, dist, q, -1, k)); !equalIDs(got, want) {
+			t.Errorf("k=%d external query: got %v, want %v", k, got, want)
+		}
+	}
+}
+
 func equalIDs(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -373,6 +373,19 @@ type ctxCursorIndex interface {
 	NewCursorCtx(ctx context.Context, q []float64, skipID int) index.Cursor
 }
 
+// RankCap is Algorithm 1's rank cap min{n, ⌊2^t·k⌋} (line 24): the deepest
+// rank the expanding search reaches at scale t. It is evaluated in floating
+// point, so a large t saturates at n instead of overflowing; t ≤ 0 (no fixed
+// scale) gives n.
+func RankCap(n, k int, t float64) int {
+	if t > 0 {
+		if c := math.Pow(2, t) * float64(k); c < float64(n) {
+			return int(c)
+		}
+	}
+	return n
+}
+
 // run executes Algorithm 1. skipID excludes a member query from its own
 // forward search; -1 disables the exclusion.
 //
@@ -457,19 +470,14 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 			}
 		}
 
-		// Loop exit (line 24). The rank cap min{n, ⌊2^t·k⌋} is
-		// evaluated with the step's scale parameter, in floating
-		// point so that large t saturates at n instead of
-		// overflowing.
+		// Loop exit (line 24), with the rank cap for the step's scale
+		// parameter.
 		if nb.Dist > omega {
 			stats.TerminatedByOmega = true
 			break
 		}
 		if t != capT {
-			capT, sMax = t, n
-			if rankCap := math.Pow(2, t) * float64(k); rankCap < float64(n) {
-				sMax = int(rankCap)
-			}
+			capT, sMax = t, RankCap(n, k, t)
 		}
 		if s >= sMax {
 			break

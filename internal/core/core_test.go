@@ -39,6 +39,31 @@ func randPoints(n, dim int, seed int64) [][]float64 {
 	return pts
 }
 
+// TestRankCap pins Algorithm 1's rank cap min{n, ⌊2^t·k⌋}: the floor of
+// 2^t·k below n, n at or above it, n for t ≤ 0, and saturation at n — no
+// overflow — for a scale far past any float64 power of two.
+func TestRankCap(t *testing.T) {
+	cases := []struct {
+		n, k int
+		t    float64
+		want int
+	}{
+		{n: 1000, k: 10, t: 0, want: 1000},
+		{n: 1000, k: 10, t: -2, want: 1000},
+		{n: 1000, k: 10, t: 4, want: 160},
+		{n: 1000, k: 10, t: 1.5, want: 28}, // ⌊2^1.5·10⌋ = ⌊28.28⌋
+		{n: 160, k: 10, t: 4, want: 160},
+		{n: 100, k: 10, t: 4, want: 100},
+		{n: 1000, k: 10, t: 1e6, want: 1000},
+		{n: math.MaxInt, k: 10, t: 1e6, want: math.MaxInt},
+	}
+	for _, c := range cases {
+		if got := RankCap(c.n, c.k, c.t); got != c.want {
+			t.Errorf("RankCap(%d, %d, %g) = %d, want %d", c.n, c.k, c.t, got, c.want)
+		}
+	}
+}
+
 func TestNewQuerierValidation(t *testing.T) {
 	pts := randPoints(10, 3, 1)
 	ix := newScan(t, pts)

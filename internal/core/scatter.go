@@ -77,19 +77,8 @@ func Gather(ctx context.Context, shards int, fn func(ctx context.Context, shard 
 	return nil
 }
 
-// neighborLess orders neighbors by (distance, ID): ascending distance, ties
-// broken by the smaller ID. This is the one total order every merge in the
-// sharded engine uses, so results are deterministic regardless of how the
-// dataset is partitioned.
-func neighborLess(a, b index.Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.ID < b.ID
-}
-
 // mergeHeap is a min-heap of (list, position) cursors keyed by the current
-// head neighbor of each list under neighborLess.
+// head neighbor of each list under index.Before.
 type mergeHeap struct {
 	lists [][]index.Neighbor
 	pos   []int
@@ -99,7 +88,7 @@ type mergeHeap struct {
 func (h *mergeHeap) Len() int { return len(h.order) }
 func (h *mergeHeap) Less(i, j int) bool {
 	a, b := h.order[i], h.order[j]
-	return neighborLess(h.lists[a][h.pos[a]], h.lists[b][h.pos[b]])
+	return index.Before(h.lists[a][h.pos[a]], h.lists[b][h.pos[b]])
 }
 func (h *mergeHeap) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
 func (h *mergeHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
@@ -129,9 +118,9 @@ func MergeKNN(lists [][]index.Neighbor, k int, live func(id int) bool) []index.N
 		total += len(l)
 		// Normalize tie runs to (dist, id) order so the heap's head
 		// comparison sees each list in the global total order.
-		if !sort.SliceIsSorted(l, func(i, j int) bool { return neighborLess(l[i], l[j]) }) {
+		if !sort.SliceIsSorted(l, func(i, j int) bool { return index.Before(l[i], l[j]) }) {
 			l = append([]index.Neighbor(nil), l...)
-			sort.Slice(l, func(i, j int) bool { return neighborLess(l[i], l[j]) })
+			sort.Slice(l, func(i, j int) bool { return index.Before(l[i], l[j]) })
 		}
 		h.order = append(h.order, len(h.lists))
 		h.lists = append(h.lists, l)

@@ -25,7 +25,7 @@ func refMergeKNN(lists [][]index.Neighbor, k int, live func(int) bool) []index.N
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool { return neighborLess(all[i], all[j]) })
+	sort.Slice(all, func(i, j int) bool { return index.Before(all[i], all[j]) })
 	seen := map[int]bool{}
 	var out []index.Neighbor
 	for _, nb := range all {
@@ -112,7 +112,7 @@ func TestMergeKNNProperty(t *testing.T) {
 				t.Fatalf("trial %d: duplicate id %d", trial, nb.ID)
 			}
 			seen[nb.ID] = true
-			if i > 0 && neighborLess(nb, got[i-1]) {
+			if i > 0 && index.Before(nb, got[i-1]) {
 				t.Fatalf("trial %d: output out of (dist,id) order at %d: %v", trial, i, got)
 			}
 		}

@@ -12,16 +12,17 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/backend"
 	"repro/internal/bruteforce"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/vecmath"
@@ -70,7 +71,8 @@ func NewTruth(points [][]float64, metric vecmath.Metric, forward index.Index, k 
 		return nil, errors.New("harness: nil forward index")
 	}
 	kdist := make([]float64, len(points))
-	parallelFor(len(points), func(id int) {
+	ctx := context.Background()
+	if err := core.ForEach(ctx, len(points), 0, func(_ context.Context, id int) {
 		nn := forward.KNN(points[id], k, id)
 		if len(nn) < k {
 			// Fewer than k other points exist, so every query has
@@ -79,10 +81,12 @@ func NewTruth(points [][]float64, metric vecmath.Metric, forward index.Index, k 
 			return
 		}
 		kdist[id] = nn[len(nn)-1].Dist
-	})
+	}); err != nil {
+		return nil, err
+	}
 	t := &Truth{K: k, Queries: queries, Answers: make(map[int][]int, len(queries))}
 	var mu sync.Mutex
-	parallelFor(len(queries), func(i int) {
+	if err := core.ForEach(ctx, len(queries), 0, func(_ context.Context, i int) {
 		qid := queries[i]
 		q := points[qid]
 		var ids []int
@@ -97,7 +101,9 @@ func NewTruth(points [][]float64, metric vecmath.Metric, forward index.Index, k 
 		mu.Lock()
 		t.Answers[qid] = ids
 		mu.Unlock()
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -153,35 +159,4 @@ func runQueries(queries []int, fn func(qid int) ([]int, error)) (map[int][]int, 
 	}
 	elapsed := time.Since(start)
 	return got, elapsed / time.Duration(len(queries)), nil
-}
-
-// parallelFor runs fn(i) for i in [0,n) on all cores. Used for
-// preprocessing (truth tables), never for timed sections.
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -173,41 +173,22 @@ func runRDT(forward index.Index, truth *Truth, queries []int, k int, t float64, 
 // scale parameter is chosen by each intrinsic-dimensionality estimator
 // (paper Section 6), and the estimation cost is charged as precomputation.
 func runAutoT(w Workload, forward index.Index, truth *Truth, queries []int, k int, backendBuild time.Duration) ([]MethodRun, error) {
-	type estimate struct {
-		name string
-		t    float64
-		cost time.Duration
-	}
-	var estimates []estimate
-
-	start := time.Now()
-	mle, err := lid.MLE(forward, lid.DefaultMLEOptions())
-	if err == nil {
-		estimates = append(estimates, estimate{"RDT+(MLE)", mle, time.Since(start)})
-	}
-	pw := lid.DefaultPairwiseOptions()
-	start = time.Now()
-	gp, err := lid.GrassbergerProcaccia(w.Data.Points, vecmath.Euclidean{}, pw)
-	if err == nil {
-		estimates = append(estimates, estimate{"RDT+(GP)", gp, time.Since(start)})
-	}
-	start = time.Now()
-	tk, err := lid.Takens(w.Data.Points, vecmath.Euclidean{}, pw)
-	if err == nil {
-		estimates = append(estimates, estimate{"RDT+(Takens)", tk, time.Since(start)})
-	}
-
 	var runs []MethodRun
-	for _, est := range estimates {
-		t := est.t
-		if t < 1 {
-			t = 1 // a sub-1 estimate would cap the scan below k itself
+	for _, est := range []struct{ name, method string }{
+		{"mle", "RDT+(MLE)"}, {"gp", "RDT+(GP)"}, {"takens", "RDT+(Takens)"},
+	} {
+		start := time.Now()
+		t, err := lid.Estimate(est.name, forward, w.Data.Points, vecmath.Euclidean{})
+		if err != nil {
+			continue
 		}
-		run, err := runRDT(forward, truth, queries, k, t, true, backendBuild+est.cost)
+		cost := time.Since(start)
+		t = max(t, 1) // a sub-1 estimate would cap the scan below k itself
+		run, err := runRDT(forward, truth, queries, k, t, true, backendBuild+cost)
 		if err != nil {
 			return nil, err
 		}
-		run.Method = est.name
+		run.Method = est.method
 		run.Param = fmt.Sprintf("t=%.2f", t)
 		runs = append(runs, *run)
 	}

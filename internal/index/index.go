@@ -27,6 +27,14 @@ type Neighbor struct {
 	Dist float64
 }
 
+// Before is the (distance, ID) total order: ascending distance, ties broken
+// by the smaller ID. Every merge, stream and resumption key in the module
+// runs under it, so S shard streams merge into exactly the stream over their
+// union, whatever the partition.
+func Before(a, b Neighbor) bool {
+	return a.Dist < b.Dist || a.Dist == b.Dist && a.ID < b.ID
+}
+
 // Cursor streams the members of a dataset in non-decreasing distance from a
 // fixed query point. A Cursor is single-use and not safe for concurrent use:
 // NewCursor, then Next as often as wanted, then Close, all on one goroutine.

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -47,15 +46,6 @@ type Overlay struct {
 
 var _ Dynamic = (*Overlay)(nil)
 
-// resolveKernel picks the direct distance kernel for m so the memtable scan
-// does not pay an interface call per row.
-func resolveKernel(m vecmath.Metric) vecmath.DistanceFunc {
-	if k := vecmath.KernelFor(m); k != nil {
-		return k
-	}
-	return m.Distance
-}
-
 // baseClones counts base-index clones performed by Fold across the process
 // — one per compaction, whatever the base charges for it. The write-path
 // tests pin that N inserts below the compaction threshold perform zero of
@@ -76,7 +66,7 @@ func NewOverlay(base Index) *Overlay {
 		alive:    base.Len(),
 		dim:      base.Dim(),
 		metric:   base.Metric(),
-		dist:     resolveKernel(base.Metric()),
+		dist:     vecmath.KernelFor(base.Metric()),
 	}
 }
 
@@ -274,11 +264,6 @@ func (o *Overlay) baseSkip(skipID int) int {
 	return -1
 }
 
-// byDistThenID is the (distance, ID) total order every merge runs under.
-func byDistThenID(a, b Neighbor) int {
-	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
-}
-
 // memNeighbors fills buf[:0] with the live memtable rows as (distance, ID)
 // pairs in ascending (distance, ID) order — the memtable half of every
 // merge. A clean overlay gets buf back empty.
@@ -291,7 +276,12 @@ func (o *Overlay) memNeighbors(buf []Neighbor, q []float64, skipID int) []Neighb
 		}
 		buf = append(buf, Neighbor{ID: id, Dist: o.dist(q, p)})
 	}
-	slices.SortFunc(buf, byDistThenID)
+	slices.SortFunc(buf, func(a, b Neighbor) int {
+		if Before(a, b) {
+			return -1
+		}
+		return 1 // IDs are unique, so no two rows tie
+	})
 	return buf
 }
 
@@ -302,11 +292,11 @@ func (o *Overlay) memNeighbors(buf []Neighbor, q []float64, skipID int) []Neighb
 var overlayCursorPool = sync.Pool{New: func() any { return new(overlayCursor) }}
 
 // openCursor takes a cursor from the pool, sorts the memtable into its
-// buffer and points it at base. KNN, which merges lists, opens one over no
-// base at all to borrow the same scratch.
+// buffer and points it at base: a base cursor for a scan, the base's own
+// answer for KNN.
 func (o *Overlay) openCursor(base Cursor, q []float64, skipID int) *overlayCursor {
 	c := overlayCursorPool.Get().(*overlayCursor)
-	c.open, c.base, c.tomb, c.baseEnd = true, base, &o.tomb, base == nil
+	c.open, c.base, c.tomb, c.baseEnd = true, base, &o.tomb, false
 	c.mem = o.memNeighbors(c.mem, q, skipID)
 	return c
 }
@@ -441,7 +431,7 @@ func (c *overlayCursor) Next() (Neighbor, bool) {
 	memOK := c.memAt < len(c.mem)
 	switch {
 	case c.havePnd && memOK:
-		if c.pending.Dist <= c.mem[c.memAt].Dist {
+		if Before(c.pending, c.mem[c.memAt]) {
 			c.havePnd = false
 			return c.pending, true
 		}
@@ -464,60 +454,48 @@ func (c *overlayCursor) Close() {
 	if !c.open {
 		return
 	}
-	if c.base != nil {
-		c.base.Close()
-	}
+	c.base.Close()
 	*c = overlayCursor{mem: c.mem[:0], baseEnd: true}
 	overlayCursorPool.Put(c)
 }
 
-// mergeTake merges the tombstone-filtered base list with the sorted
-// memtable list under the (distance, ID) order (base first on ties), keeping
-// at most k results.
-func mergeTake(base, mem []Neighbor, k int) []Neighbor {
-	out := make([]Neighbor, 0, min(k, len(base)+len(mem)))
-	bi, mi := 0, 0
-	for len(out) < k && (bi < len(base) || mi < len(mem)) {
-		switch {
-		case bi == len(base):
-			out = append(out, mem[mi])
-			mi++
-		case mi == len(mem) || base[bi].Dist <= mem[mi].Dist:
-			out = append(out, base[bi])
-			bi++
-		default:
-			out = append(out, mem[mi])
-			mi++
-		}
-	}
-	return out
-}
-
-// KNN implements Index. The base is over-fetched by the base-region
+// KNN implements Index: the base's answer, over-fetched by the base-region
 // tombstone count so that filtering can never starve the merge of live base
-// candidates. k is first clamped to the live count: no answer is longer,
-// and a caller's huge k must neither size a buffer nor overflow the
-// over-fetch sum.
+// candidates, read through the merge cursor every scan reads. k is first
+// clamped to the live count: no answer is longer, and a caller's huge k must
+// neither size a buffer nor overflow the over-fetch sum.
 func (o *Overlay) KNN(q []float64, k int, skipID int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
 	k = min(k, o.alive)
-	bn := o.base.KNN(q, k+o.baseTomb, o.baseSkip(skipID))
-	base := bn[:0:0]
-	for _, n := range bn {
-		if o.tomb.Has(n.ID) {
-			continue
-		}
-		base = append(base, n)
-		if len(base) == k {
+	base := listCursor(o.base.KNN(q, k+o.baseTomb, o.baseSkip(skipID)))
+	c := o.openCursor(&base, q, skipID)
+	defer c.Close()
+	out := make([]Neighbor, 0, k)
+	for len(out) < k {
+		n, ok := c.Next()
+		if !ok {
 			break
 		}
+		out = append(out, n)
 	}
-	c := o.openCursor(nil, q, skipID)
-	defer c.Close()
-	return mergeTake(base, c.mem, k)
+	return out
 }
+
+// listCursor serves a sorted neighbor list as a Cursor.
+type listCursor []Neighbor
+
+func (l *listCursor) Next() (Neighbor, bool) {
+	if len(*l) == 0 {
+		return Neighbor{}, false
+	}
+	n := (*l)[0]
+	*l = (*l)[1:]
+	return n, true
+}
+
+func (*listCursor) Close() {}
 
 // CountCloser implements Index. A count cannot be filtered after the fact,
 // so the base is handed the overlay's tombstones together with the caller's

@@ -63,6 +63,24 @@ func RebuildShardMap(shards, n int) (*ShardMap, error) {
 	return m, nil
 }
 
+// Partition replays the hash assignment over points in ID order: the map of
+// len(points) global IDs, and each shard's rows in local-ID order. Every
+// topology that partitions a dataset — the in-process sharded engine and each
+// shard daemon of a cluster — partitions through it, so shard s holds the
+// same rows in the same order everywhere.
+func Partition(points [][]float64, shards int) (*ShardMap, [][][]float64, error) {
+	m, err := NewShardMap(shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	parts := make([][][]float64, shards)
+	for range points {
+		g, s, _ := m.Assign()
+		parts[s] = append(parts[s], points[g])
+	}
+	return m, parts, nil
+}
+
 // Shards returns the shard count.
 func (m *ShardMap) Shards() int { return m.shards }
 

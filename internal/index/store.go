@@ -107,7 +107,7 @@ func (s *RowStore) Init(points [][]float64, metric vecmath.Metric) error {
 	}
 	s.rows = RowsOf(points)
 	s.metric = metric
-	s.dist = resolveKernel(metric)
+	s.dist = vecmath.KernelFor(metric)
 	s.batch = vecmath.BatchFor(metric)
 	s.dim = len(points[0])
 	s.alive = len(points)

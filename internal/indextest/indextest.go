@@ -61,12 +61,7 @@ func RefKNN(pts [][]float64, metric vecmath.Metric, q []float64, k, skipID int) 
 		}
 		all = append(all, index.Neighbor{ID: id, Dist: metric.Distance(q, p)})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].ID < all[j].ID
-	})
+	sort.Slice(all, func(i, j int) bool { return index.Before(all[i], all[j]) })
 	if k < len(all) {
 		all = all[:k]
 	}

@@ -18,6 +18,22 @@ import (
 // (RDT+(MLE)), and two correlation-dimension estimators over pairwise
 // distances — Grassberger-Procaccia (RDT+(GP)) and Takens (RDT+(Takens)).
 
+// Estimate runs the estimator the name selects — "mle", "gp" or "takens" —
+// at the paper's settings: MLE over ix, the two correlation-dimension
+// estimators over points under metric. It is the one place an estimator name
+// is resolved; callers clamp the estimate to the scale they accept.
+func Estimate(name string, ix index.Index, points [][]float64, metric vecmath.Metric) (float64, error) {
+	switch name {
+	case "mle":
+		return MLE(ix, DefaultMLEOptions())
+	case "gp":
+		return GrassbergerProcaccia(points, metric, DefaultPairwiseOptions())
+	case "takens":
+		return Takens(points, metric, DefaultPairwiseOptions())
+	}
+	return 0, fmt.Errorf("unknown estimator %q (want mle, gp or takens)", name)
+}
+
 // MLEOptions configures the Hill/MLE estimator.
 type MLEOptions struct {
 	// SampleFraction is the share of dataset points whose local estimate

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -210,9 +211,6 @@ func (st *Store) Sync() error { return st.wal.Sync() }
 // Gen returns the current snapshot generation.
 func (st *Store) Gen() uint64 { return st.gen }
 
-// Dir returns the store directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Cut atomically installs snap as the next generation and starts a fresh
 // log, then retires the previous generation's files. The caller must pass
 // a snapshot reflecting every mutation it has appended (the facade holds
@@ -269,41 +267,39 @@ func (st *Store) Close() error {
 	return err
 }
 
-// writeSnapshotFile writes snap to dir under generation gen with the
-// temp-file + fsync + rename + directory-fsync discipline.
+// writeSnapshotFile commits snap as generation gen of the store in dir.
 func writeSnapshotFile(dir string, gen uint64, snap *Snapshot) error {
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+	return WriteFileAtomic(snapPath(dir, gen), func(w io.Writer) error { return WriteSnapshot(w, snap) })
+}
+
+// WriteFileAtomic commits a file under the crash discipline every file of a
+// store follows: write a temporary file beside path, fsync it, rename it over
+// path, then fsync the directory so the new entry is durable. A failed write,
+// sync or rename leaves path as it was and removes the temporary file; a
+// crash leaves at worst a stale *.tmp file, which Open collects in a store
+// directory. The directory fsync's own failure is ignored: several
+// filesystems reject directory syncs, and durability then falls back to the
+// filesystem's own ordering.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := WriteSnapshot(tmp, snap); err != nil {
-		cleanup()
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, snapPath(dir, gen)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable. Sync failures are ignored: several filesystems reject directory
-// syncs, and durability then falls back to the filesystem's own ordering.
-func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package persist
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -177,6 +178,49 @@ func TestStoreOpenCleansTempFiles(t *testing.T) {
 	st2.Close()
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Error("stale .tmp file survived Open")
+	}
+}
+
+// TestWriteFileAtomic: a committed write replaces the file's content, and a
+// write that fails part-way leaves the old content and no temporary file.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "MANIFEST")
+	writeString := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	for _, content := range []string{"first\n", "second\n"} {
+		if err := WriteFileAtomic(path, writeString(content)); err != nil {
+			t.Fatalf("WriteFileAtomic(%q): %v", content, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != content {
+			t.Fatalf("after writing %q the file reads %q, %v", content, got, err)
+		}
+	}
+	boom := errors.New("disk gone")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		io.WriteString(w, "torn")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "second\n" {
+		t.Errorf("a failed write changed the target: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "MANIFEST" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v after a failed write, want only MANIFEST", names)
 	}
 }
 

@@ -96,9 +96,6 @@ func Quantize32(q []float64) (q32 []float32, slack float64) {
 	return q32, e*(1+blockSafety) + 1e-300
 }
 
-// Row returns row i of the block (shared storage; callers must not mutate).
-func (b *Block) Row(i int) []float32 { return b.data[i*b.dim : (i+1)*b.dim] }
-
 // SquaredL2 returns the float32 squared L2 distance between q32 and row i,
 // 4-way unrolled. Unlike the float64 kernels there is no bit-identity
 // contract here — the result only feeds LowerBound — so the unroll uses

@@ -35,9 +35,11 @@ type DistanceFunc func(a, b []float64) float64
 // It panics if len(out) < len(rows) or any row length mismatches q.
 type BatchDistanceFunc func(q []float64, rows [][]float64, out []float64)
 
-// KernelFor returns the direct one-vs-one kernel for m, or nil when m has no
-// registered kernel (callers fall back to m.Distance). The identity
-// kernel(a,b) == m.Distance(a,b) holds bit-for-bit for every returned kernel.
+// KernelFor returns the one-vs-one kernel for m — the one entry point for
+// every loop that measures pairs of rows. Like BatchFor it is never nil: the
+// four kernel metrics get their direct kernels, so no loop pays an interface
+// call per distance, and any other metric gets m.Distance itself.
+// kernel(a,b) == m.Distance(a,b) holds bit-for-bit.
 func KernelFor(m Metric) DistanceFunc {
 	switch m.(type) {
 	case Euclidean:
@@ -49,7 +51,7 @@ func KernelFor(m Metric) DistanceFunc {
 	case Chebyshev:
 		return LinfDistance
 	}
-	return nil
+	return m.Distance
 }
 
 // BatchFor returns the one-vs-many kernel for m — the one entry point for

@@ -212,27 +212,22 @@ func FuzzBatchKernel(f *testing.F) {
 }
 
 // TestKernelForMatchesMetric pins the dispatched one-vs-one kernels to
-// Metric.Distance bit for bit, and checks that metrics without a kernel
-// dispatch to nil.
+// Metric.Distance bit for bit, and checks that a metric without a direct
+// kernel still gets one (never nil) with Distance's bits.
 func TestKernelForMatchesMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	metrics := []Metric{Euclidean{}, SquaredEuclidean{}, Manhattan{}, Chebyshev{}}
+	mk, _ := NewMinkowski(3)
+	metrics := []Metric{Euclidean{}, SquaredEuclidean{}, Manhattan{}, Chebyshev{}, mk, Angular{}}
 	for _, m := range metrics {
 		kern := KernelFor(m)
 		if kern == nil {
-			t.Fatalf("%s: expected a kernel, got nil", m.Name())
+			t.Fatalf("%s: KernelFor returned nil", m.Name())
 		}
 		for dim := 1; dim <= 19; dim++ {
 			q, r := randVec(rng, dim), randVec(rng, dim)
 			if math.Float64bits(kern(q, r)) != math.Float64bits(m.Distance(q, r)) {
 				t.Fatalf("%s dim %d: kernel disagrees with Distance", m.Name(), dim)
 			}
-		}
-	}
-	mk, _ := NewMinkowski(3)
-	for _, m := range []Metric{mk, Angular{}} {
-		if KernelFor(m) != nil {
-			t.Fatalf("%s: unexpected kernel", m.Name())
 		}
 	}
 }

@@ -185,7 +185,8 @@ func (c *config) resolveScale(ix index.Index, points [][]float64) error {
 				return fmt.Errorf("rknnd: %w", err)
 			}
 		}
-		t, err := estimate(c.auto, ix, points, c.metric)
+		estimateCalls.Add(1)
+		t, err := lid.Estimate(string(c.auto), ix, points, c.metric)
 		if err != nil {
 			return fmt.Errorf("rknnd: estimating scale parameter: %w", err)
 		}
@@ -381,20 +382,6 @@ func (s *Searcher) publish(ix *index.Overlay) {
 // recovery path never pays one.
 var estimateCalls atomic.Int64
 
-func estimate(e Estimator, ix index.Index, points [][]float64, metric Metric) (float64, error) {
-	estimateCalls.Add(1)
-	switch e {
-	case EstimatorMLE:
-		return lid.MLE(ix, lid.DefaultMLEOptions())
-	case EstimatorGP:
-		return lid.GrassbergerProcaccia(points, metric, lid.DefaultPairwiseOptions())
-	case EstimatorTakens:
-		return lid.Takens(points, metric, lid.DefaultPairwiseOptions())
-	default:
-		return 0, fmt.Errorf("unknown estimator %q", e)
-	}
-}
-
 // Len returns the number of indexed points.
 func (s *Searcher) Len() int { return s.snap.Load().ix.Len() }
 
@@ -482,13 +469,8 @@ func (s *Searcher) insertPoints(points [][]float64) ([]int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load().ix
-	for i, p := range points {
-		if err := vecmath.ValidateFor(cur.Metric(), p); err != nil {
-			return nil, fmt.Errorf("rknnd: point %d: %w", i, err)
-		}
-		if len(p) != cur.Dim() {
-			return nil, fmt.Errorf("rknnd: point %d: dimension %d, index dimension %d", i, len(p), cur.Dim())
-		}
+	if err := checkPoints(cur.Metric(), cur.Dim(), points); err != nil {
+		return nil, err
 	}
 	next := cur.Clone()
 	ids := make([]int, len(points))

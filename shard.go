@@ -284,13 +284,8 @@ func (e *shardedCore) applyInsertBatch(ctx context.Context, points [][]float64) 
 	if e.broken != nil {
 		return nil, e.broken
 	}
-	for i, p := range points {
-		if err := vecmath.ValidateFor(e.metric, p); err != nil {
-			return nil, fmt.Errorf("rknnd: point %d: %w", i, err)
-		}
-		if len(p) != e.dim {
-			return nil, fmt.Errorf("rknnd: point %d: dimension %d, index dimension %d", i, len(p), e.dim)
-		}
+	if err := checkPoints(e.metric, e.dim, points); err != nil {
+		return nil, err
 	}
 	// The shard of every member is a pure function of the current global
 	// count, so the involved shards are known — and asked whether they can
@@ -515,14 +510,9 @@ func NewSharded(points [][]float64, shards int, opts ...Option) (*ShardedSearche
 		return nil, err
 	}
 
-	m, err := index.NewShardMap(shards)
+	m, parts, err := index.Partition(points, shards)
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	parts := make([][][]float64, shards)
-	for range points {
-		g, s, _ := m.Assign()
-		parts[s] = append(parts[s], points[g])
 	}
 
 	ss, of := newShardedSearcher(shards)

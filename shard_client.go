@@ -290,11 +290,7 @@ func (f *fedIndex) Point(id int) []float64 {
 // one fetch of a remote shard nearly always covers the whole scan (the cap
 // is n when t adapts per query).
 func expectRows(n, S, k int, t float64) int {
-	depth := float64(n)
-	if t > 0 {
-		depth = min(depth, math.Floor(math.Pow(2, t)*float64(k)))
-	}
-	share := depth / float64(S)
+	share := float64(core.RankCap(n, k, t)) / float64(S)
 	return int(math.Ceil(share + 3*math.Sqrt(share*(1-1/float64(S)))))
 }
 
@@ -348,7 +344,7 @@ func (c *fedCursor) Next() (index.Neighbor, bool) {
 		if h.state != headReady {
 			continue
 		}
-		if best < 0 || neighborBefore(h.nb, c.heads[best].nb) {
+		if best < 0 || index.Before(h.nb, c.heads[best].nb) {
 			best = i
 		}
 	}
@@ -357,12 +353,6 @@ func (c *fedCursor) Next() (index.Neighbor, bool) {
 	}
 	c.heads[best].state = headWanted
 	return c.heads[best].nb, true
-}
-
-// neighborBefore is the (distance, ID) order every stream and merge of the
-// module uses.
-func neighborBefore(a, b index.Neighbor) bool {
-	return a.Dist < b.Dist || a.Dist == b.Dist && a.ID < b.ID
 }
 
 // pull reads stream i's next row into its head, translated to its global ID.

@@ -3,6 +3,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -67,38 +68,13 @@ func readShardManifest(dir string) (int, error) {
 	return shards, nil
 }
 
-// writeShardManifest commits the manifest via temp-file + rename + dir
-// fsync, the same crash discipline as the snapshot files.
+// writeShardManifest commits the manifest under the same crash discipline
+// as the snapshot files.
 func writeShardManifest(dir string, shards int) error {
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
+	return persist.WriteFileAtomic(filepath.Join(dir, shardManifestName), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%s\nshards %d\n", shardManifestMagic, shards)
 		return err
-	}
-	content := fmt.Sprintf("%s\nshards %d\n", shardManifestMagic, shards)
-	if _, err := tmp.WriteString(content); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, shardManifestName)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	})
 }
 
 // A ShardedSearcher with a sharded store attached keeps each shard in its

@@ -439,7 +439,7 @@ func (s *remoteStream) fetch() error {
 	// A stream that repeats or reorders rows would corrupt the merge silently;
 	// a daemon that sends one is refused loudly.
 	for _, nb := range s.buf.Rows[held:] {
-		if after.ID >= 0 && !neighborBefore(after, nb) {
+		if after.ID >= 0 && !index.Before(after, nb) {
 			return fmt.Errorf("shard %d sent neighbor (%v, %d) after (%v, %d): stream out of order", s.r.shard, nb.Dist, nb.ID, after.Dist, after.ID)
 		}
 		after = nb

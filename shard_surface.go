@@ -42,7 +42,7 @@ func (s *Searcher) NeighborStream(rows []Neighbor, points [][]float64, q []float
 		if !ok {
 			return rows, points, true, nil
 		}
-		if after.ID >= 0 && !neighborBefore(after, nb) {
+		if after.ID >= 0 && !index.Before(after, nb) {
 			continue
 		}
 		if len(rows)-held == count {
@@ -61,6 +61,20 @@ func checkQuery(m Metric, dim int, q []float64) error {
 	}
 	if len(q) != dim {
 		return fmt.Errorf("query dimension %d, index dimension %d", len(q), dim)
+	}
+	return nil
+}
+
+// checkPoints validates a batch of points to insert against an index's
+// metric and dimension, naming the first member that fails.
+func checkPoints(m Metric, dim int, points [][]float64) error {
+	for i, p := range points {
+		if err := vecmath.ValidateFor(m, p); err != nil {
+			return fmt.Errorf("rknnd: point %d: %w", i, err)
+		}
+		if len(p) != dim {
+			return fmt.Errorf("rknnd: point %d: dimension %d, index dimension %d", i, len(p), dim)
+		}
 	}
 	return nil
 }
