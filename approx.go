@@ -55,7 +55,7 @@ func (s *Searcher) RecallEstimate(samples, k int) (float64, error) {
 // bypassing the telemetry observers (the gauge calling back into observed
 // query paths would count its own probes as traffic).
 func (s *Searcher) recallOverSnapshot(sn *snapshot, samples, k int) (float64, error) {
-	qr, err := sn.querier(k)
+	qr, err := sn.engines.Querier(k)
 	if err != nil {
 		return 0, fmt.Errorf("rknnd: %w", err)
 	}

@@ -53,8 +53,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/index"
@@ -125,6 +126,10 @@ type Stats struct {
 	// expansion passed ω (as opposed to hitting the 2^t·k rank cap or
 	// exhausting the dataset).
 	TerminatedByOmega bool
+	// DecidedByTable records that the snapshot's k-distance table decided
+	// every retrieved row (kdist.go): the scan and its stops are Algorithm
+	// 1's, and every witness and refinement counter above is 0.
+	DecidedByTable bool
 }
 
 // Candidates returns the total number of points that entered the witness
@@ -175,7 +180,8 @@ type Querier struct {
 	metric   vecmath.Metric
 	batch    vecmath.BatchDistanceFunc // the witness cycle's one-vs-many kernel
 	params   Params
-	newScale func() scaleStrategy // fresh per-query state
+	newScale func() scaleStrategy    // fresh per-query state
+	table    atomic.Pointer[kdTable] // the k-distance table once complete (kdist.go); nil until then
 }
 
 // NewQuerier validates the parameters and returns a Querier over ix.
@@ -266,13 +272,15 @@ func (x *candidate) settled(k int) bool { return x.accepted || x.w >= k }
 
 // scratch is the transient state of one query: the filter set F, and F's
 // points split by whether the member is still unsettled, laid out as the
-// row lists the one-vs-many kernel takes.
+// row lists the one-vs-many kernel takes, and the answer as it is found,
+// which the query copies out once, at its length.
 type scratch struct {
 	filter      []candidate
 	open        []int       // filter indexes of the unsettled members, ascending
 	openRows    [][]float64 // their points, in step with open
 	settledRows [][]float64 // points of the settled members
 	dists       []float64   // kernel output
+	ids         []int       // the reverse neighbors found so far
 }
 
 // release drops every point reference so the pool pins no dataset, and keeps
@@ -283,6 +291,7 @@ func (sc *scratch) release() {
 	clear(sc.settledRows)
 	sc.filter, sc.open = sc.filter[:0], sc.open[:0]
 	sc.openRows, sc.settledRows = sc.openRows[:0], sc.settledRows[:0]
+	sc.ids = sc.ids[:0]
 	scratchPool.Put(sc)
 }
 
@@ -426,6 +435,7 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	// sMax is the loop exit's rank cap for the scale parameter capT; a
 	// step recomputes it only when its own t differs (line 24 below).
 	sMax, capT := n, math.NaN()
+	kd := qr.table.Load()
 	s := 0
 	for {
 		nb, ok := cursor.Next()
@@ -434,27 +444,32 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 		}
 		s++
 		t := scale.observe(s, nb.Dist)
-		v := candidate{id: nb.ID, point: qr.ix.Point(nb.ID), dq: nb.Dist}
-
-		var cycleStart time.Time
-		if traced {
-			cycleStart = time.Now()
-		}
-
-		qr.witnessCycle(sc, &v, &stats)
-
-		// Line 20 with the RDT+ exclusion rule (Section 4.3): a point
-		// already holding k witnesses after its first cycle is a
-		// settled true negative; keeping it in F would only inflate
-		// the quadratic witness cost. Never applied to the first k
-		// candidates, which cannot have reached the threshold.
-		if qr.params.Plus && s > k && v.w >= k {
-			stats.Excluded++
+		if kd != nil {
+			// The table settles v with the refinement's own predicate:
+			// no witness cycle, no filter set, nothing left to verify.
+			if (*kd)[nb.ID] >= nb.Dist {
+				sc.ids = append(sc.ids, nb.ID)
+			}
 		} else {
-			sc.admit(v, k)
-		}
-		if traced {
-			filterDur += time.Since(cycleStart)
+			v := candidate{id: nb.ID, point: qr.ix.Point(nb.ID), dq: nb.Dist}
+			var cycleStart time.Time
+			if traced {
+				cycleStart = time.Now()
+			}
+			qr.witnessCycle(sc, &v, &stats)
+			// Line 20 with the RDT+ exclusion rule (Section 4.3): a point
+			// already holding k witnesses after its first cycle is a
+			// settled true negative; keeping it in F would only inflate
+			// the quadratic witness cost. Never applied to the first k
+			// candidates, which cannot have reached the threshold.
+			if qr.params.Plus && s > k && v.w >= k {
+				stats.Excluded++
+			} else {
+				sc.admit(v, k)
+			}
+			if traced {
+				filterDur += time.Since(cycleStart)
+			}
 		}
 
 		// Dimensional test (lines 21–23): tighten the termination
@@ -488,6 +503,7 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	stats.ScanDepth = s
 	stats.FilterSize = len(filter)
 	stats.Omega = omega
+	stats.DecidedByTable = kd != nil
 
 	// The scan and filter stages interleave inside one loop, so their
 	// spans are retro-dated from accumulated durations: filter time is
@@ -513,15 +529,15 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	// Refinement phase (lines 25–32): settle every candidate that is
 	// neither lazily accepted nor lazily rejected with one explicit
 	// verification — one at a time against a single index, in one batch
-	// against an index that asks for it (index.BatchCounter).
-	var ids []int
+	// against an index that asks for it (index.BatchCounter). A
+	// table-decided query has an empty filter set and skips it.
 	batch, batched := qr.ix.(index.BatchCounter)
 	var unsettled []index.CountQuery
 	for i := range filter {
 		x := &filter[i]
 		switch {
 		case x.accepted:
-			ids = append(ids, x.id)
+			sc.ids = append(sc.ids, x.id)
 		case x.w >= k:
 			stats.LazyRejects++
 		case batched:
@@ -530,7 +546,7 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 			stats.Verified++
 			if qr.verify(x) {
 				stats.VerifiedHits++
-				ids = append(ids, x.id)
+				sc.ids = append(sc.ids, x.id)
 			}
 		}
 	}
@@ -543,13 +559,17 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 		for i, closer := range batch.CountCloserBatch(bctx, unsettled) {
 			if closer < k {
 				stats.VerifiedHits++
-				ids = append(ids, unsettled[i].Skip)
+				sc.ids = append(sc.ids, unsettled[i].Skip)
 			}
 		}
 	}
 	stats.LazyRejects += stats.Excluded
 
-	sort.Ints(ids)
+	var ids []int
+	if len(sc.ids) > 0 {
+		slices.Sort(sc.ids)
+		ids = slices.Clone(sc.ids)
+	}
 	if traced {
 		vsp.SetInt("verified", int64(stats.Verified))
 		vsp.SetInt("verified_hits", int64(stats.VerifiedHits))
@@ -579,6 +599,7 @@ func setStatsAttrs(sp *trace.Span, k int, st Stats) {
 		sp.SetFloat("omega", st.Omega)
 	}
 	sp.SetBool("terminated_by_omega", st.TerminatedByOmega)
+	sp.SetBool("decided_by_table", st.DecidedByTable)
 }
 
 // verify runs the explicit refinement test d_k(x) ≥ d(q,x) (lines 26–29) as

@@ -299,8 +299,8 @@ func TestRunAllocationsAndPoolHygiene(t *testing.T) {
 			}
 		}
 		query() // grow the pooled scratch and cursor
-		if got := testing.AllocsPerRun(100, query); got > 7 && !raceEnabled {
-			t.Errorf("%s: %v allocations a query, want at most 7", bname, got)
+		if got := testing.AllocsPerRun(100, query); got > 3 && !raceEnabled {
+			t.Errorf("%s: %v allocations a query, want at most 3", bname, got)
 		}
 
 		cur := ix.NewCursor(pts[7], 7)

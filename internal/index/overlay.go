@@ -145,11 +145,8 @@ func (o *Overlay) Point(id int) []float64 {
 
 // Insert implements Dynamic: an O(1) memtable append.
 func (o *Overlay) Insert(p []float64) (int, error) {
-	if err := vecmath.ValidateFor(o.metric, p); err != nil {
+	if err := vecmath.ValidateRowFor(o.metric, o.dim, p); err != nil {
 		return 0, err
-	}
-	if len(p) != o.dim {
-		return 0, fmt.Errorf("index: point dimension %d, index dimension %d", len(p), o.dim)
 	}
 	o.rows.Append(p)
 	o.alive++

@@ -117,11 +117,8 @@ func (s *RowStore) Init(points [][]float64, metric vecmath.Metric) error {
 // Append validates p and holds it, by reference, under the next ID, which
 // it returns. The back-end threads the row into its structure afterwards.
 func (s *RowStore) Append(p []float64) (int, error) {
-	if err := vecmath.ValidateFor(s.metric, p); err != nil {
+	if err := vecmath.ValidateRowFor(s.metric, s.dim, p); err != nil {
 		return 0, err
-	}
-	if len(p) != s.dim {
-		return 0, vecmath.CheckDims(p, s.rows.Rows[0])
 	}
 	s.rows.Append(p)
 	s.alive++

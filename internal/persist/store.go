@@ -62,6 +62,20 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 	return gen, true
 }
 
+// RemoveTemps removes every *.tmp file in dir: the partial write a crash
+// inside WriteFileAtomic leaves behind, never read since. Open runs it on a
+// store's directory, and a caller that writes its own files there through
+// WriteFileAtomic — the sharded store's manifest — runs it on its own. A dir
+// that cannot be listed is left alone.
+func RemoveTemps(dir string) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
 // Exists reports whether dir contains at least one snapshot file (readable
 // or not); Open decides which one actually loads.
 func Exists(dir string) bool {
@@ -118,6 +132,7 @@ type Recovery struct {
 // further appends. Stale temporary files and superseded generations are
 // cleaned up. Returns ErrNoStore when no snapshot loads.
 func Open(dir string, policy SyncPolicy, apply func(WALRecord) error) (*Store, *Snapshot, Recovery, error) {
+	RemoveTemps(dir)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, Recovery{}, err
@@ -126,10 +141,6 @@ func Open(dir string, policy SyncPolicy, apply func(WALRecord) error) (*Store, *
 	maxSeen := uint64(0)
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name)) // stale partial write
-			continue
-		}
 		if gen, ok := parseGen(name, "snap-", ".rknn"); ok {
 			gens = append(gens, gen)
 			if gen > maxSeen {

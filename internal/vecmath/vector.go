@@ -66,6 +66,19 @@ func ValidateFor(m Metric, v []float64) error {
 	return nil
 }
 
+// ValidateRowFor is the insert check of every index layer: ValidateFor, and
+// a row as wide as the dim-wide index it joins — a wrong width wraps
+// ErrDimensionMismatch.
+func ValidateRowFor(m Metric, dim int, v []float64) error {
+	if err := ValidateFor(m, v); err != nil {
+		return err
+	}
+	if len(v) != dim {
+		return fmt.Errorf("%w: point dimension %d, index dimension %d", ErrDimensionMismatch, len(v), dim)
+	}
+	return nil
+}
+
 // ValidateAllFor is ValidateAll plus the metric-specific domain check on
 // every row.
 func ValidateAllFor(m Metric, rows [][]float64) error {

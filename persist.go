@@ -457,10 +457,13 @@ func (s *Searcher) Snapshot() error {
 	return nil
 }
 
-// Close syncs and closes the attached store's log. Further mutations fail;
-// queries keep working against the in-memory state. A no-op with no store
-// attached, and on a store already closed.
+// Close cancels the k-distance fills and waits for them to stop, then syncs
+// and closes the attached store's log. Further mutations fail; queries keep
+// working against the in-memory state, by Algorithm 1 wherever no table was
+// complete, and no fill starts again. Closing a store already closed, or
+// none, does nothing more.
 func (s *Searcher) Close() error {
+	s.fills.Close()
 	h := s.durable.Load()
 	if h == nil {
 		return nil

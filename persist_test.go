@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bruteforce"
+	"repro/internal/indextest"
 	"repro/internal/lsh"
 	"repro/internal/persist"
 	"repro/internal/vecmath"
@@ -879,5 +880,38 @@ func TestRetiredBackendSnapshotOpensOnTheCoverTree(t *testing.T) {
 	}
 	if _, err := NewSharded(pts, 2, WithBackend("nosuch")); err == nil || !strings.Contains(err.Error(), "covertree, scan or lsh") {
 		t.Errorf("NewSharded(WithBackend(nosuch)): err = %v, want one naming the back-ends that exist", err)
+	}
+}
+
+// TestOpenShardedCollectsStaleManifestTemps pins that the sharded store's
+// root is swept like a store directory: a manifest write a crash cut short
+// leaves MANIFEST.<random>.tmp beside the manifest, and the next OpenSharded
+// removes it while the manifest and the shard directories stay.
+func TestOpenShardedCollectsStaleManifestTemps(t *testing.T) {
+	ss, err := NewSharded(indextest.RandPoints(40, 3, 5), 2, WithScale(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := NewDurableSharded(dir, ss); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, "MANIFEST.123456.tmp")
+	if err := os.WriteFile(stale, []byte("rknn-sharded-store v1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale %s survived OpenSharded (stat: %v)", filepath.Base(stale), err)
+	}
+	if !ShardedStoreExists(dir) || re.Len() != 40 {
+		t.Errorf("after the sweep: manifest present %v, %d points, want true and 40", ShardedStoreExists(dir), re.Len())
 	}
 }

@@ -110,16 +110,22 @@ const (
 )
 
 // Stats describes the work one query performed; see the package core
-// documentation for the meaning of each counter.
+// documentation for the meaning of each counter. TerminatedByOmega says which
+// stop fired; DecidedByTable that a k-distance table decided every retrieved
+// row, which leaves the filter and refinement counters at 0. The fields are
+// core.Stats', in its order, so one converts into the other.
 type Stats struct {
-	ScanDepth     int
-	FilterSize    int
-	Excluded      int
-	LazyAccepts   int
-	LazyRejects   int
-	Verified      int
-	DistanceComps int64
-	Omega         float64
+	ScanDepth         int
+	FilterSize        int
+	Excluded          int
+	LazyAccepts       int
+	LazyRejects       int
+	Verified          int
+	VerifiedHits      int
+	DistanceComps     int64
+	Omega             float64
+	TerminatedByOmega bool
+	DecidedByTable    bool
 }
 
 // Option configures New.
@@ -308,31 +314,21 @@ type Searcher struct {
 	// store may attach.
 	durable atomic.Pointer[engineStore]
 	sharded bool
+
+	// fills runs the k-distance fills of the Searcher's snapshots; Close
+	// stops them.
+	fills core.FillGroup
 }
 
 // snapshot is one immutable generation of the index, together with its
-// memoized query engines. Queriers are stateless per query and safe for
-// concurrent use, so one Querier per reverse-neighbor rank k serves every
-// query against this generation — queries on a warm rank allocate no
-// engine state at all.
+// memoized query engines: one core.Querier per reverse-neighbor rank k serves
+// every query against this generation, so queries on a warm rank allocate no
+// engine state at all, and a rank that has served enough of them gets its
+// k-distance table filled in the background (core.Engines; DESIGN.md, "The
+// k-distance table").
 type snapshot struct {
-	ix       *index.Overlay
-	cfg      *engineConfig // the Searcher's
-	queriers sync.Map      // k int -> *core.Querier
-}
-
-// querier returns the snapshot's memoized query engine for rank k,
-// constructing it on first use.
-func (sn *snapshot) querier(k int) (*core.Querier, error) {
-	if qr, ok := sn.queriers.Load(k); ok {
-		return qr.(*core.Querier), nil
-	}
-	qr, err := sn.cfg.newQuerier(sn.ix, k)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := sn.queriers.LoadOrStore(k, qr)
-	return actual.(*core.Querier), nil
+	ix      *index.Overlay
+	engines *core.Engines
 }
 
 // newQuerier builds the configured query engine for rank k — fixed-scale
@@ -372,10 +368,18 @@ func newSearcher(cfg engineConfig, ix *index.Overlay) *Searcher {
 	return s
 }
 
-// publish makes ix the snapshot every later query pins. Callers hold s.mu,
-// or own s exclusively.
+// publish makes ix the snapshot every later query pins, and cancels the
+// k-distance fills of the one it replaces. An approximate back-end never
+// fills. Callers hold s.mu, or own s exclusively.
 func (s *Searcher) publish(ix *index.Overlay) {
-	s.snap.Store(&snapshot{ix: ix, cfg: &s.engineConfig})
+	fills := &s.fills
+	if s.Approximate() {
+		fills = nil
+	}
+	build := func(k int) (*core.Querier, error) { return s.newQuerier(ix, k) }
+	if old := s.snap.Swap(&snapshot{ix: ix, engines: core.NewEngines(build, fills)}); old != nil {
+		old.engines.Stop()
+	}
 }
 
 // estimateCalls counts scale estimations; the persistence tests assert the
@@ -391,9 +395,10 @@ func (s *Searcher) Dim() int { return s.snap.Load().ix.Dim() }
 // pin: a Searcher's read set is its current snapshot.
 func (s *Searcher) pin(*trace.Span) readSet { return s.snap.Load() }
 
-// reverseKNN runs the snapshot's memoized query engine for rank k.
+// reverseKNN runs the snapshot's memoized query engine for rank k, counting
+// the query toward the rank's k-distance fill.
 func (sn *snapshot) reverseKNN(ctx context.Context, qid int, q []float64, k int) ([]int, Stats, []float64, error) {
-	qr, err := sn.querier(k)
+	qr, err := sn.engines.Serve(k)
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}

@@ -155,6 +155,7 @@ func OpenSharded(dir string, opts ...StoreOption) (*ShardedSearcher, error) {
 		}
 		return nil, err
 	}
+	persist.RemoveTemps(dir) // a manifest write a crash cut short
 	engines := make([]*Searcher, shards)
 	fail := func(err error) (*ShardedSearcher, error) {
 		for _, eng := range engines {

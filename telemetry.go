@@ -618,15 +618,4 @@ func registerQuantCounters(reg *telemetry.Registry, backend string, stats func()
 }
 
 // fromCore converts the internal per-query counters to the public Stats.
-func fromCore(st core.Stats) Stats {
-	return Stats{
-		ScanDepth:     st.ScanDepth,
-		FilterSize:    st.FilterSize,
-		Excluded:      st.Excluded,
-		LazyAccepts:   st.LazyAccepts,
-		LazyRejects:   st.LazyRejects,
-		Verified:      st.Verified,
-		DistanceComps: st.DistanceComps,
-		Omega:         st.Omega,
-	}
-}
+func fromCore(st core.Stats) Stats { return Stats(st) }
