@@ -26,7 +26,10 @@ import (
 // knows where a shard lives, a Coordinator over daemons holding the hash
 // partition of a dataset returns byte-identical answers, work counters and
 // errors to a ShardedSearcher and to a Searcher over the same dataset; the
-// cluster conformance suite in internal/server pins this.
+// cluster conformance suite in internal/server pins this. The one exception
+// is a Searcher snapshot that has served enough queries at a rank to fill its
+// k-distance table: it then reports DecidedByTable counters and, under RDT+,
+// drops RDT+'s false positives (DESIGN.md, "The k-distance table").
 //
 // Each shard may be served by several replicas (ShardSpec.Addrs); the
 // first is the primary and takes the writes, the rest are read-only

@@ -27,11 +27,30 @@ import (
 // fillBlock is the number of consecutive IDs one fill task covers.
 const fillBlock = 64
 
-// fillFloor is the fewest queries at one rank that start a fill, whatever
-// the dataset's size: a query costs about eight forward kNN searches and a
-// fill one per point, so n/8 queries pay for it (ski rental), and the floor
-// keeps small datasets and short query streams on Algorithm 1 itself.
-const fillFloor = 1024
+// plusFloor is the fewest queries at one rank that start an RDT+ engine's
+// fill. It is not a traffic estimate: by cost alone a table pays for itself
+// at n/8 queries (fillTrigger). It exists because the table changes an RDT+
+// engine's answers — the exact test drops the false positives RDT+'s lazy
+// accepts let through — while a sharded engine, a coordinator or a bare
+// Querier over the same rows keeps RDT+'s. The benchmark's topology check
+// holds a Searcher to single-shard and bare-querier answers ID for ID on a
+// toy dataset (n = 300, a few dozen queries), and the floor keeps an RDT+
+// Searcher inside that check until the check holds a filled one to the
+// oracle instead (ROADMAP). A plain-RDT engine, whose answers the table does
+// not change, has no floor.
+const plusFloor = 1024
+
+// fillTrigger is the number of served queries at which qr's rank starts its
+// fill: n/8 (ski rental: a query costs about eight forward kNN searches and
+// a fill one per point, so n/8 queries cost about what the fill does), and
+// at least plusFloor under RDT+.
+func fillTrigger(qr *Querier) int64 {
+	t := max(qr.ix.Len()/8, 1)
+	if qr.params.Plus {
+		t = max(t, plusFloor)
+	}
+	return int64(t)
+}
 
 // kdTable is kd[id] = kdist_k(id) over one snapshot's ID span: +Inf for a
 // row with fewer than k other live members, unset for a deleted ID (no
@@ -92,10 +111,10 @@ func (qr *Querier) fillTable(ctx context.Context) error {
 
 // Engines is one snapshot's query engines: one Querier per rank k, built on
 // first use and shared by every query against the snapshot, each beside the
-// count of queries it has served. Once a rank has served max(n/8, fillFloor)
-// queries, Engines fills that Querier's k-distance table on a goroutine of
-// the engine's FillGroup. Stop cancels the snapshot's fills when it is
-// replaced. Engines is safe for concurrent use.
+// count of queries it has served. Once a rank has served fillTrigger queries,
+// Engines fills that Querier's k-distance table on a goroutine of the
+// engine's FillGroup, which runs one fill at a time. Stop cancels the
+// snapshot's fills when it is replaced. Engines is safe for concurrent use.
 type Engines struct {
 	build func(k int) (*Querier, error)
 	fills *FillGroup // nil: never fill (an approximate source overstates kdist)
@@ -140,8 +159,8 @@ func (e *Engines) Serve(k int) (*Querier, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.fills != nil && !en.started.Load() && en.n.Add(1) >= en.trigger && en.started.CompareAndSwap(false, true) {
-		e.startFill(en.qr)
+	if e.fills != nil && !en.started.Load() && en.n.Add(1) >= en.trigger && !e.fills.busy.Load() {
+		e.startFill(en)
 	}
 	return en.qr, nil
 }
@@ -154,20 +173,24 @@ func (e *Engines) entry(k int) (*served, error) {
 	if err != nil {
 		return nil, err
 	}
-	en, _ := e.byK.LoadOrStore(k, &served{qr: qr, trigger: int64(max(qr.ix.Len()/8, fillFloor))})
+	en, _ := e.byK.LoadOrStore(k, &served{qr: qr, trigger: fillTrigger(qr)})
 	return en.(*served), nil
 }
 
-// startFill runs qr's fill on a goroutine of the engine's FillGroup, under
-// the snapshot's context, unless the snapshot is stopped or the group
-// closed.
-func (e *Engines) startFill(qr *Querier) {
+// startFill runs en's fill on a goroutine of the engine's FillGroup, under
+// the snapshot's context, unless the snapshot is stopped, the group closed
+// or already running a fill — one at a time, on every core. A rank turned
+// away keeps its count and tries again on its next query.
+func (e *Engines) startFill(en *served) {
 	g := e.fills
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if g.closed || e.stopped {
+		en.started.Store(true) // for good: nothing fills here again
+	}
+	if g.busy.Load() || en.started.Load() {
 		return
 	}
 	if g.ctx == nil {
@@ -176,18 +199,13 @@ func (e *Engines) startFill(qr *Querier) {
 	if e.ctx == nil {
 		e.ctx, e.cancel = context.WithCancel(g.ctx)
 	}
-	tally.started.Add(1)
-	tally.running.Add(1)
+	en.started.Store(true)
+	g.busy.Store(true)
 	g.wg.Add(1)
 	go func(ctx context.Context) {
 		defer g.wg.Done()
-		err := qr.fillTable(ctx)
-		tally.running.Add(-1)
-		if err != nil {
-			tally.cancelled.Add(1)
-		} else {
-			tally.completed.Add(1)
-		}
+		_ = en.qr.fillTable(ctx) // cancelled: the snapshot is gone, nothing to publish
+		g.busy.Store(false)
 	}(e.ctx)
 }
 
@@ -208,6 +226,7 @@ func (e *Engines) Stop() {
 type FillGroup struct {
 	mu     sync.Mutex
 	closed bool
+	busy   atomic.Bool     // a fill is running: set under mu, cleared by the fill
 	ctx    context.Context // parent of every snapshot's fill context; nil until the first
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -222,24 +241,4 @@ func (g *FillGroup) Close() {
 	}
 	g.mu.Unlock()
 	g.wg.Wait()
-}
-
-// FillTally counts k-distance fills across the process: started, then
-// either completed (the table published) or cancelled (a replaced snapshot
-// or a closed engine), and those running now.
-type FillTally struct {
-	Started, Completed, Cancelled, Running int64
-}
-
-var tally struct{ started, completed, cancelled, running atomic.Int64 }
-
-// Fills returns the process's fill tally. The lifecycle tests read it to pin
-// which engines fill and that none outlives its engine.
-func Fills() FillTally {
-	return FillTally{
-		Started:   tally.started.Load(),
-		Completed: tally.completed.Load(),
-		Cancelled: tally.cancelled.Load(),
-		Running:   tally.running.Load(),
-	}
 }

@@ -336,54 +336,103 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// waitFills returns once none of g's fills runs, without cancelling any: a
+// fill that started has then published its table or been cancelled.
+func waitFills(g *FillGroup) { g.wg.Wait() }
+
 // TestKDistTableTrigger pins when Engines fills: not before a rank has served
-// max(n/8, fillFloor) queries, once when it has, never for a memo without a
-// FillGroup (an approximate source), and never for a Querier fetched without
-// counting (the recall probe's path).
+// fillTrigger queries — n/8 under plain RDT, at least plusFloor under RDT+ —
+// once when it has, never for a memo without a FillGroup (an approximate
+// source), and never for a Querier fetched without counting (the recall
+// probe's path).
 func TestKDistTableTrigger(t *testing.T) {
 	ix, err := tableBackends["covertree"](randPoints(300, 4, 43))
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(k int) (*Querier, error) { return NewQuerier(ix, Params{K: k, T: 4, Plus: true}) }
+	for _, plus := range []bool{false, true} {
+		build := func(k int) (*Querier, error) { return NewQuerier(ix, Params{K: k, T: 4, Plus: plus}) }
+		trigger := 300 / 8
+		if plus {
+			trigger = plusFloor
+		}
+		var g FillGroup
+		e := NewEngines(build, &g)
+		approx := NewEngines(build, nil)
+		for i := 0; i < 3*trigger; i++ {
+			if _, err := e.Querier(3); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := approx.Serve(3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < trigger-1; i++ {
+			if _, err := e.Serve(3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFills(&g)
+		qr, _ := e.Querier(3)
+		if qr.table.Load() != nil {
+			t.Fatalf("plus=%v: a table after %d served queries and %d uncounted ones, trigger %d", plus, trigger-1, 3*trigger, trigger)
+		}
+		e.Serve(3)
+		waitFills(&g)
+		kd := qr.table.Load()
+		if kd == nil {
+			t.Fatalf("plus=%v: no table after %d served queries", plus, trigger)
+		}
+		for i := 0; i < 2*trigger; i++ {
+			e.Serve(3)
+		}
+		waitFills(&g)
+		if qr.table.Load() != kd {
+			t.Fatalf("plus=%v: a filled rank filled again", plus)
+		}
+		if other, _ := e.Querier(4); other.table.Load() != nil {
+			t.Fatalf("plus=%v: another rank shares the filled rank's table", plus)
+		}
+		if aq, _ := approx.Querier(3); aq.table.Load() != nil {
+			t.Fatalf("plus=%v: a memo without a FillGroup filled", plus)
+		}
+		res, err := qr.ByID(5)
+		if err != nil || !res.Stats.DecidedByTable {
+			t.Fatalf("plus=%v: query after the fill: %+v, %v", plus, res, err)
+		}
+		g.Close()
+	}
+}
+
+// TestKDistTableOneFillAtATime pins that a FillGroup runs one fill at a time:
+// a rank that reaches its trigger while another rank's fill runs starts none,
+// keeps its count, and starts its own on its first query after.
+func TestKDistTableOneFillAtATime(t *testing.T) {
+	src := newGated(t)
+	build := func(k int) (*Querier, error) { return NewQuerier(src, Params{K: k, T: 4}) }
 	var g FillGroup
 	defer g.Close()
-	before := Fills()
 	e := NewEngines(build, &g)
-	approx := NewEngines(build, nil)
-	for i := 0; i < 3*fillFloor; i++ {
-		if _, err := e.Querier(3); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := approx.Serve(3); err != nil {
-			t.Fatal(err)
-		}
+	trigger := src.Len() / 8
+	for i := 0; i < trigger; i++ {
+		e.Serve(2)
 	}
-	for i := 0; i < fillFloor-1; i++ {
-		if _, err := e.Serve(3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := Fills(); got.Started != before.Started {
-		t.Fatalf("a fill started after %d served queries and %d uncounted ones, trigger %d: %+v", fillFloor-1, 3*fillFloor, fillFloor, got)
-	}
-	qr, _ := e.Serve(3)
-	if got := Fills(); got.Started != before.Started+1 {
-		t.Fatalf("no fill started at the trigger: %+v", got)
-	}
-	waitFor(t, "the fill to publish", func() bool { return qr.table.Load() != nil })
-	for i := 0; i < 2*fillFloor; i++ {
+	<-src.entered
+	for i := 0; i < 2*trigger; i++ {
 		e.Serve(3)
 	}
-	if got := Fills(); got.Started != before.Started+1 || got.Completed != before.Completed+1 {
-		t.Fatalf("one rank, one fill: %+v after %+v", got, before)
+	close(src.gate)
+	waitFills(&g)
+	two, _ := e.Querier(2)
+	three, _ := e.Querier(3)
+	if two.table.Load() == nil || three.table.Load() != nil {
+		t.Fatalf("with rank 2's fill running, rank 3 reached its trigger: tables %v, %v; want rank 2's only",
+			two.table.Load() != nil, three.table.Load() != nil)
 	}
-	if other, _ := e.Querier(4); other.table.Load() != nil {
-		t.Fatal("another rank shares the filled rank's table")
-	}
-	res, err := qr.ByID(5)
-	if err != nil || !res.Stats.DecidedByTable {
-		t.Fatalf("query after the fill: %+v, %v", res, err)
+	e.Serve(3)
+	waitFills(&g)
+	if three.table.Load() == nil {
+		t.Fatal("rank 3 did not fill on its first query after rank 2's fill")
 	}
 }
 
@@ -395,27 +444,25 @@ func TestKDistTableStopCancels(t *testing.T) {
 	build := func(k int) (*Querier, error) { return NewQuerier(src, Params{K: k, T: 4}) }
 	var g FillGroup
 	defer g.Close()
-	before := Fills()
 	e := NewEngines(build, &g)
+	trigger := src.Len() / 8
 	var qr *Querier
-	for i := 0; i < fillFloor; i++ {
+	for i := 0; i < trigger; i++ {
 		qr, _ = e.Serve(2)
 	}
 	<-src.entered
 	e.Stop()
 	close(src.gate)
-	waitFor(t, "the fill to return", func() bool { return Fills().Running <= before.Running })
-	if got := Fills(); got.Cancelled != before.Cancelled+1 || got.Completed != before.Completed {
-		t.Fatalf("a stopped fill: %+v after %+v, want one cancelled", got, before)
-	}
+	waitFills(&g)
 	if qr.table.Load() != nil {
 		t.Fatal("a cancelled fill published its table")
 	}
-	for i := 0; i < 2*fillFloor; i++ {
+	for i := 0; i < 2*trigger; i++ {
 		e.Serve(5)
 	}
-	if got := Fills(); got.Started != before.Started+1 {
-		t.Fatalf("a stopped memo started a fill: %+v", got)
+	waitFills(&g)
+	if five, _ := e.Querier(5); five.table.Load() != nil {
+		t.Fatal("a stopped memo filled a table")
 	}
 }
 
@@ -426,9 +473,9 @@ func TestKDistTableCloseWaits(t *testing.T) {
 	src := newGated(t)
 	build := func(k int) (*Querier, error) { return NewQuerier(src, Params{K: k, T: 4}) }
 	var g FillGroup
-	before := Fills()
 	e := NewEngines(build, &g)
-	for i := 0; i < fillFloor; i++ {
+	trigger := src.Len() / 8
+	for i := 0; i < trigger; i++ {
 		e.Serve(2)
 	}
 	<-src.entered
@@ -444,15 +491,18 @@ func TestKDistTableCloseWaits(t *testing.T) {
 	}
 	close(src.gate)
 	<-closed
-	if got := Fills(); got.Running > before.Running || got.Cancelled != before.Cancelled+1 {
-		t.Fatalf("after Close: %+v, before %+v", got, before)
+	if two, _ := e.Querier(2); two.table.Load() != nil {
+		t.Fatal("a fill cancelled by Close published its table")
 	}
 	later := NewEngines(build, &g)
-	for i := 0; i < 2*fillFloor; i++ {
+	for i := 0; i < 2*trigger; i++ {
 		later.Serve(2)
 		e.Serve(3)
 	}
-	if got := Fills(); got.Started != before.Started+1 {
-		t.Fatalf("a closed group started a fill: %+v", got)
+	waitFills(&g)
+	l2, _ := later.Querier(2)
+	e3, _ := e.Querier(3)
+	if l2.table.Load() != nil || e3.table.Load() != nil {
+		t.Fatal("a closed group filled a table")
 	}
 }

@@ -31,7 +31,6 @@ import (
 
 	repro "repro"
 	"repro/internal/bruteforce"
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/telemetry"
@@ -1564,17 +1563,19 @@ func TestCoordinatorTelemetryMatchesUnsharded(t *testing.T) {
 // TestKDistTableNotBehindACoordinator pins that a cluster never fills a
 // k-distance table: the coordinator runs the algorithm over its shards'
 // neighbor streams and counts, so no daemon's snapshot serves a reverse query
-// at all, however many reach the coordinator.
+// at all, however many reach the coordinator — past the default engine's
+// trigger, a daemon's own next query is still Algorithm 1's.
 func TestKDistTableNotBehindACoordinator(t *testing.T) {
 	pts := indextest.RandPoints(150, 3, 61)
 	c := startCluster(t, pts, 3, 1)
-	before := core.Fills()
 	for i := 0; i < 1100; i++ {
 		if _, st, err := c.co.ReverseKNNStats(i%len(pts), 4); err != nil || st.DecidedByTable {
 			t.Fatalf("query %d: %+v, %v", i, st, err)
 		}
 	}
-	if got := core.Fills(); got.Started != before.Started {
-		t.Fatalf("a cluster query started a fill: %+v after %+v", got, before)
+	for s, eng := range c.engines {
+		if _, st, err := eng.ReverseKNNStats(0, 4); err != nil || st.DecidedByTable {
+			t.Fatalf("shard %d daemon after the cluster's queries: %+v, %v", s, st, err)
+		}
 	}
 }

@@ -2,16 +2,14 @@ package repro
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/bruteforce"
 	"repro/internal/indextest"
+	"repro/internal/vecmath"
 )
-
-// fillTrigger is the served-query count at which a snapshot of fewer than
-// 8 192 points starts its k-distance fill: the floor of max(n/8, 1 024).
-const fillTrigger = 1024
 
 // waitUntil polls cond for up to ten seconds.
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -39,13 +37,15 @@ func serve(t *testing.T, e interface {
 }
 
 // TestKDistTableLifecycle pins a Searcher's k-distance table from outside:
-// no fill below the trigger and none for LSH; past it, one fill whose
-// queries answer what Algorithm 1 answered, on the same scan and stop; a
-// write cancels a running fill and its snapshot starts without a table; and
-// Close cancels the fill, returns once none runs, and no fill starts after.
+// under plain RDT, no table below n/8 served queries; past it, a fill whose
+// queries answer what Algorithm 1 answered, on the same scan and stop; none
+// for LSH; a write's new snapshot starts without a table; and a closed engine
+// fills nothing more. The fill's cancellation and Close's wait are pinned in
+// internal/core, where a fill can be held mid-way.
 func TestKDistTableLifecycle(t *testing.T) {
 	const k = 5
 	pts := indextest.ClusteredPoints(300, 4, 6, 51)
+	trigger := len(pts) / 8
 
 	t.Run("fills past the trigger", func(t *testing.T) {
 		s, err := New(pts, WithScale(4), WithPlainRDT())
@@ -53,31 +53,23 @@ func TestKDistTableLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		before := core.Fills()
 		type answer struct {
 			ids []int
 			st  Stats
 		}
 		var want []answer
-		for qid := 0; qid < len(pts); qid += 7 {
+		for qid := 0; len(want) < trigger/2; qid += 7 {
 			ids, st, err := s.ReverseKNNStats(qid, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, answer{ids, st})
 		}
-		if st := serve(t, s, len(pts), fillTrigger-1-len(want), k); st.DecidedByTable {
+		if st := serve(t, s, len(pts), trigger-1-len(want), k); st.DecidedByTable {
 			t.Fatalf("a query below the trigger was decided by a table: %+v", st)
 		}
-		if got := core.Fills(); got.Started != before.Started {
-			t.Fatalf("a fill started below the trigger: %+v", got)
-		}
-		serve(t, s, len(pts), 1, k)
-		if got := core.Fills(); got.Started != before.Started+1 {
-			t.Fatalf("no fill started at the trigger: %+v", got)
-		}
 		waitUntil(t, "a table-decided query", func() bool { return serve(t, s, len(pts), 1, k).DecidedByTable })
-		for i, qid := 0, 0; qid < len(pts); i, qid = i+1, qid+7 {
+		for i, qid := 0, 0; i < len(want); i, qid = i+1, qid+7 {
 			ids, st, err := s.ReverseKNNStats(qid, k)
 			if err != nil {
 				t.Fatal(err)
@@ -94,86 +86,142 @@ func TestKDistTableLifecycle(t *testing.T) {
 		if _, st, _ := s.ReverseKNNPointStats(pts[3], 7); st.DecidedByTable {
 			t.Fatal("a rank that served two queries shares another rank's table")
 		}
+		if _, err := s.Insert(pts[9]); err != nil {
+			t.Fatal(err)
+		}
+		if st := serve(t, s, len(pts), trigger-1, k); st.DecidedByTable {
+			t.Fatalf("the write's new snapshot decided by a table it never filled: %+v", st)
+		}
 	})
 
 	t.Run("lsh never fills", func(t *testing.T) {
-		s, err := New(pts, WithBackend(BackendLSH), WithScale(4))
+		// In lockstep with an exact twin: once the twin's table decides, the
+		// LSH engine has served as many queries and must still have none.
+		lsh, err := New(pts, WithBackend(BackendLSH), WithScale(4), WithPlainRDT())
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := core.Fills()
-		if st := serve(t, s, len(pts), fillTrigger+100, k); st.DecidedByTable || core.Fills().Started != before.Started {
-			t.Fatalf("an approximate engine filled a table: %+v, %+v", st, core.Fills())
+		defer lsh.Close()
+		twin, err := New(pts, WithScale(4), WithPlainRDT())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
+		waitUntil(t, "the exact twin's table", func() bool {
+			if st := serve(t, lsh, len(pts), 1, k); st.DecidedByTable {
+				t.Fatalf("an approximate engine decided by a table: %+v", st)
+			}
+			return serve(t, twin, len(pts), 1, k).DecidedByTable
+		})
+		if st := serve(t, lsh, len(pts), 2*trigger, k); st.DecidedByTable {
+			t.Fatalf("an approximate engine decided by a table: %+v", st)
 		}
 	})
 
-	// Big enough that the fill is still running when the next call lands.
-	big := indextest.RandPoints(4000, 4, 53)
-
-	t.Run("a write cancels the fill", func(t *testing.T) {
-		s, err := New(big, WithScale(4))
+	t.Run("a closed engine fills nothing", func(t *testing.T) {
+		s, err := New(pts, WithScale(4), WithPlainRDT())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		before := core.Fills()
-		serve(t, s, len(big), fillTrigger, k)
-		if _, err := s.Insert(big[9]); err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "the fill to return", func() bool { return core.Fills().Running <= before.Running })
-		if got := core.Fills(); got.Started != before.Started+1 || got.Cancelled != before.Cancelled+1 {
-			t.Fatalf("the write did not cancel the running fill: %+v after %+v", got, before)
-		}
-		if st := serve(t, s, len(big), 50, k); st.DecidedByTable {
-			t.Fatalf("the new snapshot decided by a table it never filled: %+v", st)
-		}
-	})
-
-	t.Run("Close cancels and waits", func(t *testing.T) {
-		s, err := New(big, WithScale(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := core.Fills()
-		serve(t, s, len(big), fillTrigger, k)
+		serve(t, s, len(pts), trigger-1, k)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := core.Fills(); got.Running > before.Running || got.Started != before.Started+1 || got.Cancelled != before.Cancelled+1 {
-			t.Fatalf("a fill outlived Close: %+v after %+v", got, before)
+		if st := serve(t, s, len(pts), 3*trigger, k); st.DecidedByTable {
+			t.Fatalf("a closed engine filled: %+v", st)
 		}
-		if st := serve(t, s, len(big), fillTrigger+10, k); st.DecidedByTable || core.Fills().Started != before.Started+1 {
-			t.Fatalf("a closed engine filled again: %+v, %+v", st, core.Fills())
-		}
-		if _, err := s.Insert(big[0]); err != nil {
+		if _, err := s.Insert(pts[0]); err != nil {
 			t.Fatal(err)
 		}
-		if serve(t, s, len(big), fillTrigger+10, k); core.Fills().Started != before.Started+1 {
-			t.Fatalf("a closed engine's next snapshot filled: %+v", core.Fills())
+		if st := serve(t, s, len(pts), 3*trigger, k); st.DecidedByTable {
+			t.Fatalf("a closed engine's next snapshot filled: %+v", st)
 		}
 	})
 }
 
-// TestKDistTableNotOnShardedOrMixed pins that the engines whose queries never
-// pin one snapshot long enough never fill: a ShardedSearcher, whose shard
-// engines answer cursors and counts, not reverse queries, and an engine under
-// an 80/10/10 read/insert/delete stream, where every write replaces the
-// snapshot a fill would belong to.
-func TestKDistTableNotOnShardedOrMixed(t *testing.T) {
+// TestKDistTableRDTPlusAgainstTheOracle pins what a table does to the
+// default engine's answers. RDT+'s lazy accepts may let false positives
+// through, and the table decides every retrieved row by the exact test, so a
+// filled RDT+ Searcher no longer answers as an RDT+ ShardedSearcher does. It
+// is held to the oracle instead: each answer is the RDT+ S=3 answer with its
+// false positives removed — what plain RDT at S=3 answers, on the same
+// retrieved set — so precision is 1 and recall unchanged. The data is chosen
+// so that some query has a false positive to drop.
+func TestKDistTableRDTPlusAgainstTheOracle(t *testing.T) {
 	const k = 5
-	pts := indextest.RandPoints(600, 4, 55)
-	before := core.Fills()
-
-	ss, err := NewSharded(pts, 3, WithScale(4))
+	pts := indextest.ClusteredPoints(300, 4, 6, 51)
+	truth, err := bruteforce.New(pts, vecmath.Euclidean{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := serve(t, ss, len(pts), fillTrigger+100, k); st.DecidedByTable {
+	s, err := New(pts, WithScale(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	plus, err := NewSharded(pts, 3, WithScale(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewSharded(pts, 3, WithScale(4), WithPlainRDT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the RDT+ Searcher's table", func() bool { return serve(t, s, len(pts), 1, k).DecidedByTable })
+
+	dropped := 0
+	for qid := range pts {
+		got, st, err := s.ReverseKNNStats(qid, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, err := plus.ReverseKNNStats(qid, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := plain.ReverseKNNStats(qid, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := truth.RkNNByID(qid, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []int
+		for _, id := range p {
+			if _, ok := slices.BinarySearch(exact, id); ok {
+				kept = append(kept, id)
+			}
+		}
+		if !st.DecidedByTable || !sameIDs(got, kept) || !sameIDs(got, r) {
+			t.Fatalf("member %d: filled RDT+ %v (%+v); RDT+ S=3 %v, its true positives %v; plain RDT S=3 %v", qid, got, st, p, kept, r)
+		}
+		dropped += len(p) - len(kept)
+	}
+	if dropped == 0 {
+		t.Fatal("RDT+ made no false positive on this data: the test shows nothing")
+	}
+}
+
+// TestKDistTableNotOnShardedOrMixed pins that the engines whose queries never
+// pin one snapshot long enough never decide by a table: a ShardedSearcher,
+// whose shard engines answer cursors and counts, not reverse queries, and an
+// engine under an 80/10/10 read/insert/delete stream, where every write
+// replaces the snapshot a fill would belong to.
+func TestKDistTableNotOnShardedOrMixed(t *testing.T) {
+	const k = 5
+	pts := indextest.RandPoints(600, 4, 55)
+	reads := 10 * len(pts) / 8 // ten times a plain-RDT snapshot's trigger
+
+	ss, err := NewSharded(pts, 3, WithScale(4), WithPlainRDT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := serve(t, ss, len(pts), reads, k); st.DecidedByTable {
 		t.Fatalf("a sharded query was decided by a table: %+v", st)
 	}
 
-	eng, err := New(pts, WithScale(4))
+	eng, err := New(pts, WithScale(4), WithPlainRDT())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +232,7 @@ func TestKDistTableNotOnShardedOrMixed(t *testing.T) {
 	defer s.Close()
 	rng := rand.New(rand.NewSource(57))
 	extra := indextest.RandPoints(400, 4, 59)
-	reads := 0
-	for op := 0; reads < fillTrigger+100; op++ {
+	for op, n := 0, 0; n < reads; op++ {
 		switch r := rng.Float64(); {
 		case r >= 0.9:
 			if _, err := s.Delete(op % len(pts)); err != nil {
@@ -196,13 +243,10 @@ func TestKDistTableNotOnShardedOrMixed(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			reads++
+			n++
 			if _, st, err := s.ReverseKNNPointStats(pts[op%len(pts)], k); err != nil || st.DecidedByTable {
 				t.Fatalf("mixed read: %+v, %v", st, err)
 			}
 		}
-	}
-	if got := core.Fills(); got.Started != before.Started {
-		t.Fatalf("a fill started on a sharded or write-mixed engine: %+v after %+v", got, before)
 	}
 }

@@ -245,6 +245,8 @@ func WithScaleMargin(m float64) Option { return func(c *config) { c.margin = m }
 // WithPlainRDT disables the RDT+ candidate-set reduction, trading speed on
 // large filter sets for the guarantee that results are never false
 // positives (RDT+ can mislabel through lazy acceptance; paper Section 4.3).
+// An unsharded RDT+ engine stops mislabeling once a snapshot has filled its
+// k-distance table for the rank (DESIGN.md, "The k-distance table").
 func WithPlainRDT() Option { return func(c *config) { c.plus = false } }
 
 // defaultCompactionThreshold is the delta size (memtable rows plus
