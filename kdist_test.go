@@ -39,9 +39,10 @@ func serve(t *testing.T, e interface {
 // TestKDistTableLifecycle pins a Searcher's k-distance table from outside:
 // under plain RDT, no table below n/8 served queries; past it, a fill whose
 // queries answer what Algorithm 1 answered, on the same scan and stop; none
-// for LSH; a write's new snapshot starts without a table; and a closed engine
-// fills nothing more. The fill's cancellation and Close's wait are pinned in
-// internal/core, where a fill can be held mid-way.
+// for LSH; a write's new snapshot starts without a table and the replaced
+// one fills nothing more; and a closed engine fills nothing more. The fill's
+// cancellation and Close's wait are pinned in internal/core, where a fill can
+// be held mid-way.
 func TestKDistTableLifecycle(t *testing.T) {
 	const k = 5
 	pts := indextest.ClusteredPoints(300, 4, 6, 51)
@@ -86,11 +87,29 @@ func TestKDistTableLifecycle(t *testing.T) {
 		if _, st, _ := s.ReverseKNNPointStats(pts[3], 7); st.DecidedByTable {
 			t.Fatal("a rank that served two queries shares another rank's table")
 		}
+		old := s.snap.Load()
 		if _, err := s.Insert(pts[9]); err != nil {
 			t.Fatal(err)
 		}
 		if st := serve(t, s, len(pts), trigger-1, k); st.DecidedByTable {
 			t.Fatalf("the write's new snapshot decided by a table it never filled: %+v", st)
+		}
+		// The write stopped the replaced snapshot: its memo starts no fill,
+		// however far a rank goes past the trigger. Fills run one at a time,
+		// so once the new snapshot's rank-3 table decides, a fill the old
+		// memo started before it would have published.
+		for i := 0; i < 2*trigger; i++ {
+			if _, err := old.engines.Serve(3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitUntil(t, "the new snapshot's rank-3 table", func() bool { return serve(t, s, len(pts), 1, 3).DecidedByTable })
+		stale, err := old.engines.Querier(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := stale.ByID(0); err != nil || res.Stats.DecidedByTable {
+			t.Fatalf("the replaced snapshot filled a table after the write: %+v, %v", res, err)
 		}
 	})
 
