@@ -43,7 +43,6 @@ func runShardServe(ctx context.Context, args []string, stdout io.Writer, ready c
 	sf := servingFlags(fs, ":8081")
 	ef := registerEngineFlags(fs)
 	fs.Lookup("t").Usage = "pin the scale parameter (0 estimates it over the full dataset)"
-	fs.BoolVar(&ef.quant, "quant-filter", false, "screen candidates through a quantized pre-filter (scan back-end only)")
 	var (
 		shard  = fs.Int("shard", 0, "which hash partition this daemon serves, in [0, shards)")
 		shards = fs.Int("shards", 1, "total shard count of the cluster")

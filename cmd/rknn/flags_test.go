@@ -41,7 +41,7 @@ func usageFlags(t *testing.T, usage string) map[string]string {
 // TestEngineFlagsUnchanged pins the flag surface of the three subcommands
 // that share the engine flags: every name, type and default, as the
 // subcommands declared them before the ten shared flags were registered in
-// one place (-quant-filter stays on serve and shard-serve only).
+// one place.
 func TestEngineFlagsUnchanged(t *testing.T) {
 	engine := map[string]string{
 		"data": `string "sequoia"`, "csv": "string ", "n": "int 5000", "dim": "int 128",
@@ -50,7 +50,6 @@ func TestEngineFlagsUnchanged(t *testing.T) {
 	}
 	serving := map[string]string{
 		"drain": "duration 10s", "trace-ring-size": "int 256", "trace-sample": "float 1",
-		"quant-filter": "bool ",
 	}
 	with := func(sets ...map[string]string) map[string]string {
 		out := map[string]string{}

@@ -110,7 +110,7 @@ func main() {
 	if *auto != "" {
 		*tParam = 0 // estimate instead
 	}
-	s, err := buildSearcher(pts, *backend, *tParam, strings.ToLower(*auto), plain, false, "")
+	s, err := buildSearcher(pts, *backend, *tParam, strings.ToLower(*auto), plain, "")
 	if err != nil {
 		fail(err)
 	}

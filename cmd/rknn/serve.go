@@ -36,7 +36,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 	fs.SetOutput(stdout)
 	sf := servingFlags(fs, ":8080")
 	ef := registerEngineFlags(fs)
-	fs.BoolVar(&ef.quant, "quant-filter", false, "screen candidates through a quantized pre-filter before exact distances (scan back-end only; results are unchanged)")
 	var (
 		dataDir  = fs.String("data-dir", "", "durable store directory: recover state from it, or create it and log all writes")
 		walSync  = fs.Int("wal-sync", 1, "fsync the write-ahead log every N writes (0 = never)")
@@ -293,7 +292,7 @@ func buildEngine(stdout io.Writer, ef *engineFlags, dataDir string, walSync, sha
 }
 
 // engineFlags are the dataset and engine flags serve, shard-serve and save
-// share. quant is -quant-filter, which only serve and shard-serve register.
+// share.
 type engineFlags struct {
 	data, csv    string
 	n, dim       int
@@ -301,7 +300,7 @@ type engineFlags struct {
 	backend      string
 	t            float64
 	auto, metric string
-	plain, quant bool
+	plain        bool
 }
 
 // registerEngineFlags registers the ten shared engine flags on fs.
@@ -322,7 +321,7 @@ func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
 
 // options maps the flags onto the public facade options.
 func (ef *engineFlags) options() ([]repro.Option, error) {
-	return searcherOptions(ef.backend, ef.t, ef.auto, ef.plain, ef.quant, ef.metric)
+	return searcherOptions(ef.backend, ef.t, ef.auto, ef.plain, ef.metric)
 }
 
 // points loads the dataset the flags name.
@@ -332,7 +331,7 @@ func (ef *engineFlags) points() ([][]float64, string, error) {
 
 // searcherOptions maps the engine flags onto the public facade options,
 // refusing a back-end or metric name the facade would refuse.
-func searcherOptions(backendName string, t float64, auto string, plain, quant bool, metric string) ([]repro.Option, error) {
+func searcherOptions(backendName string, t float64, auto string, plain bool, metric string) ([]repro.Option, error) {
 	if err := backend.Check(backendName); err != nil {
 		return nil, err
 	}
@@ -352,15 +351,12 @@ func searcherOptions(backendName string, t float64, auto string, plain, quant bo
 	if plain {
 		opts = append(opts, repro.WithPlainRDT())
 	}
-	if quant {
-		opts = append(opts, repro.WithQuantizedFilter())
-	}
 	return opts, nil
 }
 
 // buildSearcher builds the single-engine form of the flag set.
-func buildSearcher(pts [][]float64, backend string, t float64, auto string, plain, quant bool, metric string) (*repro.Searcher, error) {
-	opts, err := searcherOptions(backend, t, auto, plain, quant, metric)
+func buildSearcher(pts [][]float64, backend string, t float64, auto string, plain bool, metric string) (*repro.Searcher, error) {
+	opts, err := searcherOptions(backend, t, auto, plain, metric)
 	if err != nil {
 		return nil, err
 	}

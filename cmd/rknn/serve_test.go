@@ -99,21 +99,21 @@ func TestBuildSearcherOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := buildSearcher(pts, "scan", 6, "", false, false, "")
+	s, err := buildSearcher(pts, "scan", 6, "", false, "")
 	if err != nil {
 		t.Fatalf("buildSearcher pinned t: %v", err)
 	}
 	if s.Scale() != 6 {
 		t.Errorf("Scale = %g, want 6", s.Scale())
 	}
-	s, err = buildSearcher(pts, "covertree", 0, "mle", true, false, "")
+	s, err = buildSearcher(pts, "covertree", 0, "mle", true, "")
 	if err != nil {
 		t.Fatalf("buildSearcher auto t: %v", err)
 	}
 	if s.Scale() < 1 {
 		t.Errorf("auto Scale = %g, want >= 1", s.Scale())
 	}
-	if _, err := buildSearcher(pts, "covertree", 0, "nosuch", false, false, ""); err == nil {
+	if _, err := buildSearcher(pts, "covertree", 0, "nosuch", false, ""); err == nil {
 		t.Error("accepted unknown estimator")
 	}
 }

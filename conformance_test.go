@@ -18,6 +18,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/index"
 	"repro/internal/indextest"
+	"repro/internal/lid"
 	"repro/internal/vecmath"
 )
 
@@ -233,6 +234,35 @@ func TestLSHBackendRecallFloor(t *testing.T) {
 				t.Errorf("RecallEstimate = %.3f, want >= 0.9", est)
 			}
 		})
+	}
+}
+
+// TestRecallEstimateBelowMaxGED pins what RecallEstimate's doc says of an
+// exact back-end: below Theorem 1's MaxGED the scale parameter can stop the
+// search before it reaches a reverse neighbor, so on the MNIST surrogate
+// under scan the estimate reads below 1 at t = 1, and 1 at t = MaxGED.
+func TestRecallEstimateBelowMaxGED(t *testing.T) {
+	pts := dataset.MNIST(300, 1).Points
+	maxGED, err := lid.MaxGED(pts, vecmath.Euclidean{}, DefaultRecallRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		scale float64
+		exact bool
+	}{{1, false}, {maxGED, true}} {
+		s, err := New(pts, WithBackend(BackendScan), WithScale(c.scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := s.RecallEstimate(DefaultRecallSamples, DefaultRecallRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("t = %g: RecallEstimate = %.3f", c.scale, est)
+		if c.exact && est != 1 || !c.exact && est >= 1 {
+			t.Errorf("t = %g (MaxGED %g): RecallEstimate = %v", c.scale, maxGED, est)
+		}
 	}
 }
 

@@ -32,16 +32,6 @@ var tableBackends = map[string]func(pts [][]float64) (*index.Overlay, error){
 		}
 		return index.NewOverlay(ix), nil
 	},
-	"scan+quant": func(pts [][]float64) (*index.Overlay, error) {
-		ix, err := scan.New(pts, vecmath.Euclidean{})
-		if err != nil {
-			return nil, err
-		}
-		if err := ix.EnableQuantFilter(nil); err != nil {
-			return nil, err
-		}
-		return index.NewOverlay(ix), nil
-	},
 }
 
 // tiedPoints is a dataset full of exact ties: integer grid points, so that

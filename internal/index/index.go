@@ -166,25 +166,3 @@ type Cloner interface {
 	// Clone returns an independent copy of the index.
 	Clone() Dynamic
 }
-
-// QuantFiltered is an optional capability of row-scan back-ends: an 8-bit
-// scalar-quantization pre-filter that screens rows with sound
-// lower bounds before the exact kernel runs, never changing results (see
-// package scan). The facade uses it to enable the filter
-// (WithQuantizedFilter), persist the trained codebook with snapshots, and
-// export the admission counters as telemetry. The Overlay forwards the
-// read-side methods from its base, so the capability survives wrapping.
-type QuantFiltered interface {
-	// EnableQuantFilter attaches the filter, training a codebook over the
-	// current rows when cb is nil. It fails for metrics the filter has no
-	// sound lower bound for.
-	EnableQuantFilter(cb *vecmath.Codebook) error
-
-	// QuantCodebook returns the active codebook, or nil when the filter is
-	// disabled.
-	QuantCodebook() *vecmath.Codebook
-
-	// QuantFilterStats returns monotone lifetime totals of rows admitted
-	// to the exact kernel and rows screened out by the lower bounds.
-	QuantFilterStats() (admitted, screened int64)
-}

@@ -70,35 +70,6 @@ func NewOverlay(base Index) *Overlay {
 	}
 }
 
-// EnableQuantFilter forwards to the base, which owns the row storage the
-// filter screens; memtable rows are screened only after a Fold re-inserts
-// them into a filtered base clone. Intended for wiring an overlay before it
-// is published to readers — the base is immutable afterwards.
-func (o *Overlay) EnableQuantFilter(cb *vecmath.Codebook) error {
-	qf, ok := o.base.(QuantFiltered)
-	if !ok {
-		return errors.New("index: overlay base does not support a quantized filter")
-	}
-	return qf.EnableQuantFilter(cb)
-}
-
-// QuantCodebook forwards the base's quantized-filter codebook (nil when the
-// base has none or no filter is enabled).
-func (o *Overlay) QuantCodebook() *vecmath.Codebook {
-	if qf, ok := o.base.(QuantFiltered); ok {
-		return qf.QuantCodebook()
-	}
-	return nil
-}
-
-// QuantFilterStats forwards the base's quantized-filter admission counters.
-func (o *Overlay) QuantFilterStats() (admitted, screened int64) {
-	if qf, ok := o.base.(QuantFiltered); ok {
-		return qf.QuantFilterStats()
-	}
-	return 0, 0
-}
-
 // Base returns the immutable base index under the delta.
 func (o *Overlay) Base() Index { return o.base }
 

@@ -27,11 +27,10 @@ import (
 // migration path for existing files.
 const formatVersion = 1
 
-// snapVersionQuant is the snapshot format revision that appends a
-// quantized-filter codebook section. Snapshots without a codebook are
-// still written as formatVersion, so files produced by engines that never
-// enable the filter are byte-identical to version-1 files; ReadSnapshot
-// accepts both revisions.
+// snapVersionQuant is the snapshot format revision that appended the
+// codebook of the quantized pre-filter, an engine feature since removed.
+// Nothing writes it any more; ReadSnapshot still accepts it, checks the
+// codebook section's length cap and checksum, and discards its bytes.
 const snapVersionQuant = 2
 
 // Sanity caps on length prefixes: a decoder must reject anything beyond
@@ -44,7 +43,7 @@ const (
 	maxNameLen    = 1 << 10 // bytes in a dataset name
 	maxWALPayload = 1 << 26 // bytes in one WAL record payload (one point)
 	maxNativeLen  = 1 << 30 // bytes in a backend-native structure blob
-	maxQuantLen   = 1 << 20 // bytes in a quantized-filter codebook blob
+	maxQuantLen   = 1 << 20 // bytes in a version-2 codebook section
 )
 
 // trailerMagic terminates every snapshot and dataset file, distinguishing a

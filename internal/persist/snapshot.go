@@ -29,7 +29,6 @@ type Snapshot struct {
 	Points  [][]float64 // all IDs ever assigned, in ID order
 	Deleted []int       // tombstoned IDs, ascending
 	Native  []byte      // optional backend-native structure (may be nil)
-	Quant   []byte      // optional quantized-filter codebook (may be nil)
 }
 
 // flag bits in the header.
@@ -41,20 +40,20 @@ const (
 // File layout (all integers little-endian):
 //
 //	magic   [8]byte  "RKNNSNAP"
-//	version u32      = 1 or 2
+//	version u32      = 1 (2 is read, never written)
 //	header  u32 len | fields | u32 CRC-32C(fields)
 //	points  len(Points)×Dim f64 rows | u32 CRC-32C(raw row bytes)
 //	deleted len(Deleted)×u64 | u32 CRC-32C
 //	native  len(Native) bytes | u32 CRC-32C
-//	quant   len(Quant) bytes | u32 CRC-32C      (version 2 only)
+//	quant   quant length bytes | u32 CRC-32C   (version 2 only)
 //	trailer u32      "RKNE"
 //
 // Header fields, in order: u8 metric ID, f64 metric param, u8 backend name
 // length + bytes, u8 flags, f64 scale, f64 margin, u32 dim, u64 point
 // count, u64 deleted count, u64 native length, u64 quant length (version 2
-// only). A snapshot without a codebook is written as version 1, so engines
-// that never enable the quantized filter produce files bit-identical to
-// the original format.
+// only). Version 2 is version 1 plus the codebook of the since-removed
+// quantized pre-filter (snapVersionQuant); a reader checks that section and
+// drops it, so a version-2 file re-saves as version 1.
 
 // WriteSnapshot encodes s. The writer is buffered internally; callers that
 // need durability must sync the underlying file themselves (the Store
@@ -65,13 +64,9 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 
-	version := uint32(formatVersion)
-	if len(s.Quant) > 0 {
-		version = snapVersionQuant
-	}
 	var head []byte
 	head = append(head, snapMagic[:]...)
-	head = appendU32(head, version)
+	head = appendU32(head, formatVersion)
 
 	var h []byte
 	h = appendU8(h, uint8(s.MetricID))
@@ -92,9 +87,6 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	h = appendU64(h, uint64(len(s.Points)))
 	h = appendU64(h, uint64(len(s.Deleted)))
 	h = appendU64(h, uint64(len(s.Native)))
-	if version >= snapVersionQuant {
-		h = appendU64(h, uint64(len(s.Quant)))
-	}
 
 	head = appendU32(head, uint32(len(h)))
 	head = append(head, h...)
@@ -117,12 +109,6 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 
 	if err := writeChecksummedBlob(bw, s.Native); err != nil {
 		return err
-	}
-
-	if version >= snapVersionQuant {
-		if err := writeChecksummedBlob(bw, s.Quant); err != nil {
-			return err
-		}
 	}
 
 	var tail []byte
@@ -153,9 +139,6 @@ func validateSnapshot(s *Snapshot) error {
 	}
 	if uint64(len(s.Native)) > maxNativeLen {
 		return fmt.Errorf("persist: native blob of %d bytes exceeds cap", len(s.Native))
-	}
-	if uint64(len(s.Quant)) > maxQuantLen {
-		return fmt.Errorf("persist: quant codebook blob of %d bytes exceeds cap", len(s.Quant))
 	}
 	return nil
 }
@@ -266,7 +249,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, corruptf("native blob length %d exceeds cap", nativeLen)
 	}
 	var quantLen uint64
-	if version >= snapVersionQuant {
+	if version == snapVersionQuant {
 		if quantLen, err = cur.u64(); err != nil {
 			return nil, err
 		}
@@ -310,12 +293,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		s.Native = nil
 	}
 
-	if version >= snapVersionQuant {
-		if s.Quant, err = readChecksummedBlob(br, quantLen); err != nil {
+	if version == snapVersionQuant {
+		if _, err := readChecksummedBlob(br, quantLen); err != nil {
 			return nil, err
-		}
-		if quantLen == 0 {
-			s.Quant = nil
 		}
 	}
 

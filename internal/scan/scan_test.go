@@ -294,3 +294,80 @@ func TestDynamicInsertDelete(t *testing.T) {
 		t.Error("CountCloser found the deleted point at distance 0")
 	}
 }
+
+// TestCloneAndTombstonedCountCloser checks a clone both ways — its inserts
+// and deletes are invisible to the original and the original's to it —
+// and holds KNN and CountCloser on both, with index tombstones and a dead
+// set, member and outside queries, to a brute-force count under every
+// metric with a batch kernel.
+func TestCloneAndTombstonedCountCloser(t *testing.T) {
+	for _, m := range []vecmath.Metric{vecmath.Euclidean{}, vecmath.SquaredEuclidean{}, vecmath.Manhattan{}, vecmath.Chebyshev{}} {
+		t.Run(m.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(71))
+			pts := randPoints(300, 6, 9)
+			orig, err := New(pts, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < 300; id += 17 {
+				orig.Delete(id)
+			}
+			cl := orig.Clone().(*Index)
+			for range 40 {
+				p := randPoints(1, 6, rng.Int63())[0]
+				if _, err := cl.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id := 5; id < 300; id += 23 {
+				cl.Delete(id)
+			}
+			orig.Delete(1)
+			if orig.IDSpan() != 300 || cl.IDSpan() != 340 {
+				t.Fatalf("IDSpan %d/%d, want 300/340", orig.IDSpan(), cl.IDSpan())
+			}
+			if !orig.Live(5) || !cl.Live(1) {
+				t.Fatal("a delete on one side of the clone reached the other")
+			}
+			dead := new(index.Tombstones)
+			for id := 3; id < 340; id += 29 {
+				dead.Add(id)
+			}
+			for _, ix := range []*Index{orig, cl} {
+				for trial := range 40 {
+					q := randPoints(1, 6, rng.Int63())[0]
+					skipID := -1
+					if trial%3 == 0 {
+						skipID = rng.Intn(ix.IDSpan())
+						q = ix.Point(skipID)
+					}
+					var all []float64
+					for id := range ix.IDSpan() {
+						if ix.Live(id) && id != skipID {
+							all = append(all, m.Distance(q, ix.Point(id)))
+						}
+					}
+					sort.Float64s(all)
+					k := 1 + rng.Intn(12)
+					knn := ix.KNN(q, k, skipID)
+					if len(knn) != k || knn[k-1].Dist != all[k-1] {
+						t.Fatalf("KNN(k=%d) = %v, want k-th distance %g", k, knn, all[k-1])
+					}
+					for _, r := range []float64{rng.Float64() * 0.8, all[k-1]} {
+						want := 0
+						for id := range ix.IDSpan() {
+							if ix.Live(id) && id != skipID && !dead.Has(id) && m.Distance(q, ix.Point(id)) < r {
+								want++
+							}
+						}
+						for _, limit := range []int{1 + rng.Intn(40), ix.IDSpan()} {
+							if got := ix.CountCloser(q, r, limit, skipID, dead); got != min(want, limit) {
+								t.Fatalf("CountCloser(r=%g, limit=%d) = %d, want %d", r, limit, got, min(want, limit))
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}

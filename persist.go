@@ -84,12 +84,6 @@ func (s *Searcher) snapshotRecord() (*persist.Snapshot, error) {
 			rec.Native = nx.EncodeStructure()
 		}
 	}
-	// The quantized-filter codebook ships with the snapshot so a restore
-	// screens with the original training bounds instead of retraining on
-	// the (possibly mutated) row set.
-	if cb := s.quantCodebook(); cb != nil {
-		rec.Quant = cb.MarshalBinary()
-	}
 	return rec, nil
 }
 
@@ -157,18 +151,6 @@ func restoreIndex(rec *persist.Snapshot) (*index.Overlay, error) {
 			return nil, fmt.Errorf("rknnd: load: %w", err)
 		}
 	}
-	if len(rec.Quant) > 0 {
-		// Re-enable the filter with the stored codebook. A corrupt blob is
-		// recoverable — the codebook only affects screening speed, never
-		// results — so degrade to retraining on the restored rows.
-		cb, err := vecmath.DecodeCodebook(rec.Quant)
-		if err != nil {
-			cb = nil
-		}
-		if err := enableQuantFilter(ix, cb); err != nil {
-			return nil, err
-		}
-	}
 	for _, id := range rec.Deleted {
 		if !ix.Delete(id) {
 			return nil, fmt.Errorf("rknnd: load: tombstone %d not deletable", id)
@@ -186,7 +168,6 @@ func searcherForSnapshot(rec *persist.Snapshot, ix *index.Overlay) (*Searcher, e
 		adaptive: rec.Adaptive,
 		margin:   rec.Margin,
 		backend:  Backend(rec.Backend),
-		quant:    len(rec.Quant) > 0,
 	}
 	if rec.Adaptive {
 		if rec.Margin < 0 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bruteforce"
+	"repro/internal/index"
 	"repro/internal/indextest"
 	"repro/internal/lsh"
 	"repro/internal/persist"
@@ -789,6 +790,184 @@ func TestNewDurableShardedFailureDetaches(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 41 {
 		t.Errorf("reopened store holds %d points, want 41", re.Len())
+	}
+}
+
+// TestShardedRestartPopulatesAnEmptyShard pins that a sharded store with
+// more shards than points reopens with its empty shards still empty, that
+// an insert landing on one of them after the restart creates its store, and
+// that a second restart answers as a fresh sharded engine over the same rows.
+func TestShardedRestartPopulatesAnEmptyShard(t *testing.T) {
+	const S = 8
+	dir := t.TempDir()
+	pts := indextest.RandPoints(3, 4, 91)
+	opts := []Option{WithBackend(BackendScan), WithScale(8)}
+	ss, err := NewSharded(pts, S, opts...)
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	if _, err := NewDurableSharded(dir, ss); err != nil {
+		t.Fatalf("NewDurableSharded: %v", err)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	fresh := -1 // a shard first populated after the restart
+	for _, p := range indextest.RandPoints(2*S, 4, 92) {
+		s := index.ShardOf(re.IDSpan(), S)
+		wasEmpty := re.slots[s].eng.Load() == nil
+		if _, err := re.Insert(p); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		if wasEmpty {
+			fresh = s
+		}
+		pts = append(pts, p)
+	}
+	if fresh < 0 {
+		t.Fatal("no insert landed on an empty shard; the test checked nothing")
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("second OpenSharded: %v", err)
+	}
+	defer again.Close()
+	if again.slots[fresh].eng.Load() == nil {
+		t.Fatalf("shard %d, populated after the first restart, is empty after the second", fresh)
+	}
+	want, err := NewSharded(pts, S, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range pts {
+		got, err := again.ReverseKNN(id, 2)
+		if err != nil {
+			t.Fatalf("ReverseKNN(%d): %v", id, err)
+		}
+		exp, err := want.ReverseKNN(id, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Errorf("ReverseKNN(%d) = %v after the restarts, %v from a fresh engine", id, got, exp)
+		}
+	}
+}
+
+// v2Snapshot is a snapshot in format version 2, the revision that carried
+// the codebook of the quantized pre-filter the engine no longer has. It was
+// written once, by the last release that had the filter, with a throwaway
+// test that ran
+//
+//	s, _ := New(indextest.RandPoints(60, 5, 45), WithBackend(BackendScan), WithScale(3), WithQuantizedFilter())
+//	for _, id := range []int{7, 19, 33, 48} { s.Delete(id) }
+//	s.Save(f)
+//
+// No writer can make another one, so the file is never regenerated.
+const v2Snapshot = "testdata/snapshot-v2-scan.snap"
+
+// TestVersion2SnapshotOpensWithoutTheFilter pins that a store written with
+// the quantized pre-filter still opens: it answers every live member and a
+// few point queries, forward and reverse, with the same IDs and Stats as a
+// fresh engine over the same rows and deletes, re-saves as version 1 and
+// reopens to the same answers, and a flipped codebook byte is still caught
+// by the section's checksum.
+func TestVersion2SnapshotOpensWithoutTheFilter(t *testing.T) {
+	raw, err := os.ReadFile(v2Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := raw[8]; v != 2 {
+		t.Fatalf("%s is format version %d, want 2", v2Snapshot, v)
+	}
+	fresh, err := New(indextest.RandPoints(60, 5, 45), WithBackend(BackendScan), WithScale(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{7, 19, 33, 48} {
+		if ok, err := fresh.Delete(id); !ok || err != nil {
+			t.Fatalf("Delete(%d) = %v, %v", id, ok, err)
+		}
+	}
+	type answer struct {
+		IDs   []int
+		Stats Stats
+		KNN   []Neighbor
+	}
+	answers := func(s *Searcher) []answer {
+		var out []answer
+		rng := rand.New(rand.NewSource(7))
+		for _, k := range []int{1, 5, 10} {
+			for id := range 60 {
+				ids, st, err := s.ReverseKNNStats(id, k)
+				if errors.Is(err, ErrDeleted) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("ReverseKNNStats(%d, %d): %v", id, k, err)
+				}
+				out = append(out, answer{IDs: ids, Stats: st})
+			}
+			for range 4 {
+				q := make([]float64, 5)
+				for j := range q {
+					q[j] = rng.Float64()
+				}
+				ids, st, err := s.ReverseKNNPointStats(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nn, err := s.KNN(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, answer{IDs: ids, Stats: st, KNN: nn})
+			}
+		}
+		return out
+	}
+	want := answers(fresh)
+
+	loaded, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("Load(%s): %v", v2Snapshot, err)
+	}
+	if loaded.Len() != 56 {
+		t.Fatalf("loaded %d live points, want 56", loaded.Len())
+	}
+	if got := answers(loaded); !reflect.DeepEqual(got, want) {
+		t.Fatal("the version-2 snapshot answers differently from a fresh engine over its rows")
+	}
+
+	var buf bytes.Buffer
+	if err := loaded.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if v := buf.Bytes()[8]; v != 1 {
+		t.Fatalf("re-saved snapshot is format version %d, want 1", v)
+	}
+	again, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := answers(again); !reflect.DeepEqual(got, want) {
+		t.Fatal("the re-saved snapshot answers differently from a fresh engine over its rows")
+	}
+
+	// The codebook section is the last before its checksum and the trailer.
+	bad := bytes.Clone(raw)
+	bad[len(bad)-9] ^= 0x40
+	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("Load with a flipped codebook byte = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -148,7 +148,6 @@ type engineConfig struct {
 	margin    float64
 	backend   Backend // recorded so Save can round-trip the index
 	compactAt int     // delta-overlay compaction threshold; 0: default
-	quant     bool    // the 8-bit scalar-quantization pre-filter
 }
 
 // newConfig applies opts over the defaults.
@@ -205,18 +204,13 @@ func (c *config) resolveScale(ix index.Index, points [][]float64) error {
 }
 
 // buildIndex builds the configured back-end over points the way every
-// engine of this package holds one: the quantized pre-filter attached when
-// asked for, and under a delta overlay, so that queries merge a small
-// memtable with the immutable base and Insert/Delete never touch the base.
+// engine of this package holds one: under a delta overlay, so that queries
+// merge a small memtable with the immutable base and Insert/Delete never
+// touch the base.
 func (c engineConfig) buildIndex(points [][]float64, metric Metric) (*index.Overlay, error) {
 	ix, err := backend.Build(string(c.backend), points, metric)
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: %w", err)
-	}
-	if c.quant {
-		if err := enableQuantFilter(ix, nil); err != nil {
-			return nil, err
-		}
 	}
 	return index.NewOverlay(ix), nil
 }
@@ -270,15 +264,6 @@ func WithCompactionThreshold(n int) Option {
 		c.compactAt = n
 	}
 }
-
-// WithQuantizedFilter enables the 8-bit scalar-quantization candidate
-// pre-filter on row-scan back-ends (BackendScan): rows are screened against
-// the search bound with sound quantized lower bounds before the exact
-// kernel runs, so results are byte-identical with the filter on or off.
-// The trained per-dimension min/max codebook is persisted with snapshots
-// (Save) and reattached on Load. New fails when the back-end or metric does
-// not support the filter.
-func WithQuantizedFilter() Option { return func(c *config) { c.quant = true } }
 
 // WithAdaptiveScale re-estimates the scale parameter online at every step
 // of each query's expanding search instead of fixing it up front — the
@@ -529,38 +514,6 @@ func (s *Searcher) deletePoint(id int) bool {
 	}
 	s.publish(next)
 	return true
-}
-
-// enableQuantFilter attaches the quantized pre-filter to a bare (unwrapped)
-// back-end, translating the capability failure into a configuration error.
-// cb is nil on a fresh build (train on the rows) and the persisted codebook
-// on a restore (screen with the original bounds).
-func enableQuantFilter(ix index.Index, cb *vecmath.Codebook) error {
-	qf, ok := ix.(index.QuantFiltered)
-	if !ok {
-		return fmt.Errorf("rknnd: quantized filter requires a row-scan back-end (BackendScan)")
-	}
-	if err := qf.EnableQuantFilter(cb); err != nil {
-		return fmt.Errorf("rknnd: %w", err)
-	}
-	return nil
-}
-
-// QuantFiltered reports whether the quantized candidate pre-filter is
-// active.
-func (s *Searcher) QuantFiltered() bool { return s.quant }
-
-// QuantFilterStats returns the quantized pre-filter's monotone lifetime
-// totals: candidate rows admitted to exact verification and rows screened
-// out by the quantized lower bounds. Both are 0 when the filter is off.
-func (s *Searcher) QuantFilterStats() (admitted, screened int64) {
-	return s.snap.Load().ix.QuantFilterStats()
-}
-
-// quantCodebook returns the active codebook (nil when the filter is off),
-// for Save.
-func (s *Searcher) quantCodebook() *vecmath.Codebook {
-	return s.snap.Load().ix.QuantCodebook()
 }
 
 // compactThreshold returns the effective delta-overlay compaction

@@ -617,19 +617,3 @@ func (ss *ShardedSearcher) Compactions() int64 {
 	}
 	return n
 }
-
-// QuantFiltered reports whether the quantized candidate pre-filter is
-// active on the shards.
-func (ss *ShardedSearcher) QuantFiltered() bool { return ss.quant }
-
-// QuantFilterStats returns the quantized pre-filter's monotone lifetime
-// totals summed across shards: candidate rows admitted to exact
-// verification and rows screened out by the quantized lower bounds.
-func (ss *ShardedSearcher) QuantFilterStats() (admitted, screened int64) {
-	for _, eng := range ss.engines() {
-		a, s := eng.QuantFilterStats()
-		admitted += a
-		screened += s
-	}
-	return admitted, screened
-}

@@ -199,11 +199,6 @@ func OpenSharded(dir string, opts ...StoreOption) (*ShardedSearcher, error) {
 			eng.bg = ss.bg
 			eng.compacting.Unlock()
 			ss.slots[i].eng.Store(eng)
-			// A store written before the filter was carried across restarts
-			// can hold a shard without a codebook (which is why the shard
-			// description does not carry it): the filter is on if any shard
-			// has it, and shards created from here on train their own.
-			ss.quant = ss.quant || eng.quant
 		}
 	}
 	ss.dir, ss.walOpts = dir, opts

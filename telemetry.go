@@ -526,9 +526,6 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 	}
 	s.tel.Store(t)
 	registerWriteGauges(reg, string(s.backend), s.MemtableLen, s.Compactions)
-	if s.quant {
-		registerQuantCounters(reg, string(s.backend), s.QuantFilterStats)
-	}
 	s.bg.compactHist.Store(compactionHistogram(reg, string(s.backend)))
 	if s.Approximate() {
 		cache := &recallCache{}
@@ -552,7 +549,7 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 // EnableTelemetry binds the ShardedSearcher to reg: engine-level metrics
 // plus per-shard stream and probe counters and live shard size gauges (the
 // sharded engine's own half, shardedCore.enableTelemetry), and the write-path
-// and filter surfaces of its in-process shard engines. Like the
+// surfaces of its in-process shard engines. Like the
 // Searcher form, it is safe to call while queries are in flight. The
 // recall gauge is a single-engine surface (its oracle reads one snapshot,
 // not a scatter set).
@@ -570,9 +567,6 @@ func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
 	}
 	ss.enableTelemetry(reg, grid)
 	registerWriteGauges(reg, string(ss.backend), ss.MemtableLen, ss.Compactions)
-	if ss.quant {
-		registerQuantCounters(reg, string(ss.backend), ss.QuantFilterStats)
-	}
 	// Every shard engine, current and future, reports its folds through the
 	// sharded engine's background binding, so the compaction-duration series
 	// sums across shards.
@@ -598,22 +592,6 @@ func registerWriteGauges(reg *telemetry.Registry, backend string, memtable func(
 	reg.CounterFunc("rknn_compactions_total",
 		"Delta-overlay compactions folded into a fresh base index (summed across shards for a sharded engine).",
 		func() float64 { return float64(compactions()) },
-		telemetry.Label{Name: "backend", Value: backend})
-}
-
-// registerQuantCounters registers the quantized-pre-filter candidate
-// counters: rows admitted to exact float verification and rows screened
-// out by the quantized lower bounds. Both are monotone lifetime totals
-// computed at scrape time (summed across shards for a sharded engine), so
-// rate(admitted)/rate(admitted+screened) is the live admission fraction.
-func registerQuantCounters(reg *telemetry.Registry, backend string, stats func() (admitted, screened int64)) {
-	reg.CounterFunc("rknn_candidates_quant_admitted_total",
-		"Candidate rows the quantized pre-filter admitted to exact float verification (summed across shards for a sharded engine).",
-		func() float64 { a, _ := stats(); return float64(a) },
-		telemetry.Label{Name: "backend", Value: backend})
-	reg.CounterFunc("rknn_candidates_quant_screened_total",
-		"Candidate rows the quantized pre-filter screened out before exact float verification (summed across shards for a sharded engine).",
-		func() float64 { _, s := stats(); return float64(s) },
 		telemetry.Label{Name: "backend", Value: backend})
 }
 
