@@ -28,8 +28,10 @@ import (
 // errors to a ShardedSearcher and to a Searcher over the same dataset; the
 // cluster conformance suite in internal/server pins this. The one exception
 // is a Searcher snapshot that has served enough queries at a rank to fill its
-// k-distance table: it then reports DecidedByTable counters and, under RDT+,
-// drops RDT+'s false positives (DESIGN.md, "The k-distance table").
+// k-distance table: it then answers the oracle — the exact reverse neighbors,
+// at any t — not Algorithm 1's retrieved set, and reports DecidedByTable
+// with every scan, witness and refinement counter 0 (DESIGN.md, "The
+// k-distance table").
 //
 // Each shard may be served by several replicas (ShardSpec.Addrs); the
 // first is the primary and takes the writes, the rest are read-only

@@ -16,7 +16,7 @@ func batchByID(ctx context.Context, qr *Querier, qids []int, workers int) ([]*Re
 	res := make([]*Result, len(qids))
 	errs := make([]error, len(qids))
 	err := ForEach(ctx, len(qids), workers, func(ctx context.Context, i int) {
-		res[i], errs[i] = qr.ByIDCtx(ctx, qids[i])
+		res[i], errs[i] = boxed(qr.ByIDCtx(ctx, qids[i]))
 	})
 	return res, errs, err
 }

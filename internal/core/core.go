@@ -126,9 +126,10 @@ type Stats struct {
 	// expansion passed ω (as opposed to hitting the 2^t·k rank cap or
 	// exhausting the dataset).
 	TerminatedByOmega bool
-	// DecidedByTable records that the snapshot's k-distance table decided
-	// every retrieved row (kdist.go): the scan and its stops are Algorithm
-	// 1's, and every witness and refinement counter above is 0.
+	// DecidedByTable records that the snapshot's complete k-distance table
+	// answered the query in one call to the index (kdist.go): the answer is
+	// the exact one at any t, ScanDepth and every witness and refinement
+	// counter above are 0, and Omega is +Inf.
 	DecidedByTable bool
 }
 
@@ -154,10 +155,12 @@ type scaleStrategy interface {
 	observe(s int, dist float64) float64
 }
 
-// fixedScale is Algorithm 1's constant t.
+// fixedScale is Algorithm 1's constant t. It holds no per-query state, so
+// one instance, allocated with the Querier, serves every query: a pointer
+// converts to the interface without a heap copy.
 type fixedScale struct{ t float64 }
 
-func (f fixedScale) observe(int, float64) float64 { return f.t }
+func (f *fixedScale) observe(int, float64) float64 { return f.t }
 
 // Source is everything Algorithm 1 asks of its auxiliary structure:
 // incremental forward nearest-neighbor search (paper Section 4) plus the
@@ -195,12 +198,13 @@ func NewQuerier(ix Source, params Params) (*Querier, error) {
 	if ix.Len() == 0 {
 		return nil, errors.New("core: empty index")
 	}
+	fixed := &fixedScale{t: params.T}
 	return &Querier{
 		ix:       ix,
 		metric:   ix.Metric(),
 		batch:    vecmath.BatchFor(ix.Metric()),
 		params:   params,
-		newScale: func() scaleStrategy { return fixedScale{t: params.T} },
+		newScale: func() scaleStrategy { return fixed },
 	}, nil
 }
 
@@ -218,42 +222,51 @@ var ErrDeletedID = errors.New("query id is deleted")
 // the dense prefix [0, Len()), so validation goes through the ID span and
 // rejects deleted members with ErrDeletedID.
 func (qr *Querier) ByID(qid int) (*Result, error) {
-	return qr.ByIDCtx(context.Background(), qid)
+	return boxed(qr.ByIDCtx(context.Background(), qid))
 }
 
-// ByIDCtx is ByID with a context. When ctx carries a trace span the query
-// hangs a "core.rknn" span with scan/filter/verify stage children off it;
-// an untraced context costs one nil check and nothing else.
-func (qr *Querier) ByIDCtx(ctx context.Context, qid int) (*Result, error) {
+// ByIDCtx is ByID with a context, returning the Result by value so that a
+// serving path allocates nothing but the answer's IDs. When ctx carries a
+// trace span the query hangs a "core.rknn" span off it (run); an untraced
+// context costs one nil check and nothing else.
+func (qr *Querier) ByIDCtx(ctx context.Context, qid int) (Result, error) {
 	if lv, ok := qr.ix.(index.Liveness); ok {
 		if qid < 0 || qid >= lv.IDSpan() {
-			return nil, fmt.Errorf("core: query id %d out of range [0,%d)", qid, lv.IDSpan())
+			return Result{}, fmt.Errorf("core: query id %d out of range [0,%d)", qid, lv.IDSpan())
 		}
 		if !lv.Live(qid) {
-			return nil, fmt.Errorf("core: query id %d: %w", qid, ErrDeletedID)
+			return Result{}, fmt.Errorf("core: query id %d: %w", qid, ErrDeletedID)
 		}
 	} else if qid < 0 || qid >= qr.ix.Len() {
-		return nil, fmt.Errorf("core: query id %d out of range [0,%d)", qid, qr.ix.Len())
+		return Result{}, fmt.Errorf("core: query id %d out of range [0,%d)", qid, qr.ix.Len())
 	}
-	return qr.run(ctx, qr.ix.Point(qid), qid)
+	return qr.run(ctx, qr.ix.Point(qid), qid), nil
 }
 
 // ByPoint answers the query for an arbitrary point q, which need not be a
 // dataset member.
 func (qr *Querier) ByPoint(q []float64) (*Result, error) {
-	return qr.ByPointCtx(context.Background(), q)
+	return boxed(qr.ByPointCtx(context.Background(), q))
 }
 
-// ByPointCtx is ByPoint with a context, traced like ByIDCtx.
-func (qr *Querier) ByPointCtx(ctx context.Context, q []float64) (*Result, error) {
+// ByPointCtx is ByPoint with a context, by value and traced like ByIDCtx.
+func (qr *Querier) ByPointCtx(ctx context.Context, q []float64) (Result, error) {
 	if err := vecmath.ValidateFor(qr.metric, q); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if len(q) != qr.ix.Dim() {
-		return nil, fmt.Errorf("core: query dimension %d, index dimension %d: %w",
+		return Result{}, fmt.Errorf("core: query dimension %d, index dimension %d: %w",
 			len(q), qr.ix.Dim(), vecmath.ErrDimensionMismatch)
 	}
-	return qr.run(ctx, q, -1)
+	return qr.run(ctx, q, -1), nil
+}
+
+// boxed is the *Result form of a by-value answer.
+func boxed(res Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 // candidate is one member of the filter set F.
@@ -395,30 +408,56 @@ func RankCap(n, k int, t float64) int {
 	return n
 }
 
-// run executes Algorithm 1. skipID excludes a member query from its own
-// forward search; -1 disables the exclusion.
+// run answers one query. skipID excludes a member query from its own answer;
+// -1 disables the exclusion. Once the rank's k-distance table is complete
+// the answer is one call to the index (kdist.go): every x ≠ q with d(q,x) ≤
+// kd[x], no scan, no witness and no refinement. Before, it is Algorithm 1
+// (algorithm1). Either way the answer is gathered in the pooled scratch and
+// copied out once, at its length.
 //
-// When ctx carries a trace span, run opens "core.rknn" with the full
-// Stats attached as attributes, plus three stage children: "core.scan"
+// When ctx carries a trace span, run opens "core.rknn" with the full Stats
+// attached as attributes; Algorithm 1 hangs its stage spans beneath it.
+// Untraced queries pay one nil check.
+func (qr *Querier) run(ctx context.Context, q []float64, skipID int) Result {
+	qsp := trace.FromContext(ctx).Child("core.rknn")
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	var stats Stats
+	if tab := qr.table.Load(); tab != nil {
+		sc.ids = tab.walk.ReverseByTable(q, skipID, tab.kd, tab.bound, sc.ids)
+		stats = Stats{Omega: math.Inf(1), DecidedByTable: true}
+	} else {
+		stats = qr.algorithm1(ctx, qsp, sc, q, skipID)
+	}
+	var ids []int
+	if len(sc.ids) > 0 {
+		slices.Sort(sc.ids)
+		ids = slices.Clone(sc.ids)
+	}
+	if qsp != nil {
+		setStatsAttrs(qsp, qr.params.K, stats)
+		qsp.End()
+	}
+	return Result{IDs: ids, Stats: stats}
+}
+
+// algorithm1 executes Algorithm 1, appending the answer to sc.ids.
+//
+// When qsp is a trace span it gets three stage children: "core.scan"
 // (cursor-driving time of the expanding forward search), "core.filter"
 // (witness-cycle time, measured by accumulation since it interleaves with
-// the scan) and "core.verify" (refinement). Untraced queries pay one nil
-// check; all time.Now() reads are guarded behind it.
-func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, error) {
+// the scan) and "core.verify" (refinement). All time.Now() reads are guarded
+// behind the nil check.
+func (qr *Querier) algorithm1(ctx context.Context, qsp *trace.Span, sc *scratch, q []float64, skipID int) Stats {
 	k := qr.params.K
 	scale := qr.newScale()
 	n := qr.ix.Len()
 	if skipID >= 0 {
 		n-- // the query itself is not a candidate
 	}
-
-	qsp := trace.FromContext(ctx).Child("core.rknn")
 	traced := qsp != nil
-
 	stats := Stats{Omega: math.Inf(1)}
 	omega := math.Inf(1)
-	sc := scratchPool.Get().(*scratch)
-	defer sc.release()
 
 	var cursor index.Cursor
 	var scanStart time.Time
@@ -435,7 +474,6 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	// sMax is the loop exit's rank cap for the scale parameter capT; a
 	// step recomputes it only when its own t differs (line 24 below).
 	sMax, capT := n, math.NaN()
-	kd := qr.table.Load()
 	s := 0
 	for {
 		nb, ok := cursor.Next()
@@ -444,32 +482,24 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 		}
 		s++
 		t := scale.observe(s, nb.Dist)
-		if kd != nil {
-			// The table settles v with the refinement's own predicate:
-			// no witness cycle, no filter set, nothing left to verify.
-			if (*kd)[nb.ID] >= nb.Dist {
-				sc.ids = append(sc.ids, nb.ID)
-			}
+		v := candidate{id: nb.ID, point: qr.ix.Point(nb.ID), dq: nb.Dist}
+		var cycleStart time.Time
+		if traced {
+			cycleStart = time.Now()
+		}
+		qr.witnessCycle(sc, &v, &stats)
+		// Line 20 with the RDT+ exclusion rule (Section 4.3): a point
+		// already holding k witnesses after its first cycle is a settled
+		// true negative; keeping it in F would only inflate the quadratic
+		// witness cost. Never applied to the first k candidates, which
+		// cannot have reached the threshold.
+		if qr.params.Plus && s > k && v.w >= k {
+			stats.Excluded++
 		} else {
-			v := candidate{id: nb.ID, point: qr.ix.Point(nb.ID), dq: nb.Dist}
-			var cycleStart time.Time
-			if traced {
-				cycleStart = time.Now()
-			}
-			qr.witnessCycle(sc, &v, &stats)
-			// Line 20 with the RDT+ exclusion rule (Section 4.3): a point
-			// already holding k witnesses after its first cycle is a
-			// settled true negative; keeping it in F would only inflate
-			// the quadratic witness cost. Never applied to the first k
-			// candidates, which cannot have reached the threshold.
-			if qr.params.Plus && s > k && v.w >= k {
-				stats.Excluded++
-			} else {
-				sc.admit(v, k)
-			}
-			if traced {
-				filterDur += time.Since(cycleStart)
-			}
+			sc.admit(v, k)
+		}
+		if traced {
+			filterDur += time.Since(cycleStart)
 		}
 
 		// Dimensional test (lines 21–23): tighten the termination
@@ -503,7 +533,6 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	stats.ScanDepth = s
 	stats.FilterSize = len(filter)
 	stats.Omega = omega
-	stats.DecidedByTable = kd != nil
 
 	// The scan and filter stages interleave inside one loop, so their
 	// spans are retro-dated from accumulated durations: filter time is
@@ -529,8 +558,7 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 	// Refinement phase (lines 25–32): settle every candidate that is
 	// neither lazily accepted nor lazily rejected with one explicit
 	// verification — one at a time against a single index, in one batch
-	// against an index that asks for it (index.BatchCounter). A
-	// table-decided query has an empty filter set and skips it.
+	// against an index that asks for it (index.BatchCounter).
 	batch, batched := qr.ix.(index.BatchCounter)
 	var unsettled []index.CountQuery
 	for i := range filter {
@@ -564,22 +592,14 @@ func (qr *Querier) run(ctx context.Context, q []float64, skipID int) (*Result, e
 		}
 	}
 	stats.LazyRejects += stats.Excluded
-
-	var ids []int
-	if len(sc.ids) > 0 {
-		slices.Sort(sc.ids)
-		ids = slices.Clone(sc.ids)
-	}
 	if traced {
 		vsp.SetInt("verified", int64(stats.Verified))
 		vsp.SetInt("verified_hits", int64(stats.VerifiedHits))
 		vsp.SetInt("lazy_accepts", int64(stats.LazyAccepts))
 		vsp.SetInt("lazy_rejects", int64(stats.LazyRejects))
 		vsp.End()
-		setStatsAttrs(qsp, k, stats)
-		qsp.End()
 	}
-	return &Result{IDs: ids, Stats: stats}, nil
+	return stats
 }
 
 // setStatsAttrs attaches the full per-query Stats to a span, so a trace

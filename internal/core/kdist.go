@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -10,8 +11,8 @@ import (
 )
 
 // This file is the k-distance table: the refinement question of Algorithm 1
-// answered ahead of time, once per snapshot and rank. Whether a retrieved v is
-// a reverse k-nearest neighbor of q depends on q only through d(q,v): v is one
+// answered ahead of time, once per snapshot and rank. Whether a point v is a
+// reverse k-nearest neighbor of q depends on q only through d(q,v): v is one
 // iff kdist_k(v) ≥ d(q,v), kdist_k(v) being v's distance to its k-th nearest
 // other member. That is the predicate verify answers with a bounded count, on
 // the same ties: a point exactly at d(q,v) is not strictly closer, so a
@@ -20,9 +21,9 @@ import (
 // a serving engine must refuse one its query stream pays for. So the first
 // queries at a rank run Algorithm 1 as it stands, and only a snapshot that has
 // served enough of them fills the table, off the query path (Engines). Once
-// it is complete the query keeps Algorithm 1's cursor and stops, and decides
-// each retrieved row by one comparison (run). See DESIGN.md, "The k-distance
-// table".
+// it is complete a query is one call to the index (index.TableReverser),
+// which needs no kNN order: every x ≠ q with d(q,x) ≤ kd[x] is the exact
+// answer at any t. See DESIGN.md, "The k-distance table".
 
 // fillBlock is the number of consecutive IDs one fill task covers.
 const fillBlock = 64
@@ -30,14 +31,15 @@ const fillBlock = 64
 // plusFloor is the fewest queries at one rank that start an RDT+ engine's
 // fill. It is not a traffic estimate: by cost alone a table pays for itself
 // at n/8 queries (fillTrigger). It exists because the table changes an RDT+
-// engine's answers — the exact test drops the false positives RDT+'s lazy
+// engine's answers — the exact answer drops the false positives RDT+'s lazy
 // accepts let through — while a sharded engine, a coordinator or a bare
 // Querier over the same rows keeps RDT+'s. The benchmark's topology check
-// holds a Searcher to single-shard and bare-querier answers ID for ID on a
-// toy dataset (n = 300, a few dozen queries), and the floor keeps an RDT+
-// Searcher inside that check until the check holds a filled one to the
-// oracle instead (ROADMAP). A plain-RDT engine, whose answers the table does
-// not change, has no floor.
+// holds the default (RDT+) Searcher to single-shard and bare-querier answers
+// ID for ID on a toy dataset (n = 300, a few dozen queries), and the floor
+// keeps it inside that check until the check holds a filled one to the
+// oracle instead (ROADMAP). A plain-RDT engine has no floor: it has no false
+// positive to drop, and its answers gain only the reverse neighbors
+// Algorithm 1 misses at a t below the data's MaxGED.
 const plusFloor = 1024
 
 // fillTrigger is the number of served queries at which qr's rank starts its
@@ -52,26 +54,32 @@ func fillTrigger(qr *Querier) int64 {
 	return int64(t)
 }
 
-// kdTable is kd[id] = kdist_k(id) over one snapshot's ID span: +Inf for a
-// row with fewer than k other live members, unset for a deleted ID (no
-// cursor yields one).
-type kdTable []float64
+// kdTable is one complete table and what answers by it: kd[id] =
+// kdist_k(id) over one snapshot's ID span (+Inf for a row with fewer than k
+// other live members, −Inf for an ID that is not live, so no comparison
+// accepts it), the index's pruning bounds over kd, and the index itself.
+type kdTable struct {
+	kd, bound []float64
+	walk      index.TableReverser
+}
 
-// fillKDist computes the table for rank k over src on every core, fillBlock
-// IDs a task. Each row drives one cursor from its own point for k steps —
-// the cursor a query opens, recycled by the back-end — so the fill allocates
-// the table and little more. It returns ctx's error once ctx is cancelled.
-func fillKDist(ctx context.Context, src Source, k int) (kdTable, error) {
+// fillKDist computes kd for rank k over src on every core, fillBlock IDs a
+// task. Each row drives one cursor from its own point for k steps — the
+// cursor a query opens, recycled by the back-end — so the fill allocates the
+// table and little more. It returns ctx's error once ctx is cancelled.
+func fillKDist(ctx context.Context, src Source, k int) ([]float64, error) {
 	span := src.Len()
 	lv, _ := src.(index.Liveness)
 	if lv != nil {
 		span = lv.IDSpan()
 	}
-	kd := make(kdTable, span)
+	kd := make([]float64, span)
 	err := ForEach(ctx, (span+fillBlock-1)/fillBlock, 0, func(ctx context.Context, b int) {
 		for id := b * fillBlock; id < min(span, (b+1)*fillBlock) && ctx.Err() == nil; id++ {
 			if lv == nil || lv.Live(id) {
 				kd[id] = kthDistance(src, id, k)
+			} else {
+				kd[id] = math.Inf(-1)
 			}
 		}
 	})
@@ -97,15 +105,27 @@ func kthDistance(src Source, id, k int) float64 {
 	return d
 }
 
-// fillTable fills the Querier's k-distance table over its source and
-// publishes it; from then on every query decides by it. A cancelled fill
-// publishes nothing.
+// errNoWalk refuses a fill over a source that cannot answer by a table.
+var errNoWalk = errors.New("core: the source has no k-distance table walk")
+
+// fillTable fills the Querier's k-distance table over its source, computes
+// the source's pruning bounds over it, and publishes both in one store; from
+// then on every query is answered by the table. A cancelled fill publishes
+// nothing, and a source that is no index.TableReverser is never filled.
 func (qr *Querier) fillTable(ctx context.Context) error {
+	walk, ok := qr.ix.(index.TableReverser)
+	if !ok {
+		return errNoWalk
+	}
 	kd, err := fillKDist(ctx, qr.ix, qr.params.K)
 	if err != nil {
 		return err
 	}
-	qr.table.Store(&kd)
+	bound, ok := walk.TableBounds(kd)
+	if !ok {
+		return errNoWalk
+	}
+	qr.table.Store(&kdTable{kd: kd, bound: bound, walk: walk})
 	return nil
 }
 

@@ -453,13 +453,7 @@ type queueEntry struct {
 
 // lowerBound returns the least possible distance from the query to any point
 // in the subtree of n, which lies at dist from the query.
-func lowerBound(n *node, dist float64) float64 {
-	lb := dist - n.maxDist
-	if lb < 0 {
-		return 0
-	}
-	return lb
-}
+func lowerBound(n *node, dist float64) float64 { return max(dist-n.maxDist, 0) }
 
 // cursor implements index.Cursor by interleaving two heaps: pending subtrees
 // keyed by their lower bound, and already-resolved points keyed by exact
@@ -484,13 +478,9 @@ var cursorPool = sync.Pool{New: func() any {
 	return &cursor{nodes: pqueue.NewMin[queueEntry](64), ready: pqueue.NewNearest(64)}
 }}
 
-// NewCursor implements index.Index.
+// NewCursor implements index.Index: it takes a cursor from the pool and
+// queues the root.
 func (t *Tree) NewCursor(q []float64, skipID int) index.Cursor {
-	return t.openCursor(q, skipID)
-}
-
-// openCursor takes a cursor from the pool and queues the root.
-func (t *Tree) openCursor(q []float64, skipID int) *cursor {
 	c := cursorPool.Get().(*cursor)
 	c.t, c.q, c.skipID = t, q, skipID
 	if t.root != nil {
@@ -549,46 +539,13 @@ func (c *cursor) Next() (index.Neighbor, bool) {
 	}
 }
 
-// KNN implements index.Index with best-first search and bound pruning, on a
-// pooled cursor's frontier heap and kernel scratch.
+// KNN implements index.Index: the first k neighbors of the cursor, drained
+// off the pooled frontier.
 func (t *Tree) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if k <= 0 || t.root == nil {
 		return nil
 	}
-	// Sized by the live count, not k: a k far above n must not allocate k
-	// slots it can never fill.
-	top := pqueue.NewTopK[int](max(1, min(k, t.Len())))
-	c := t.openCursor(q, skipID)
-	defer c.Close()
-	for {
-		it, ok := c.nodes.Pop()
-		if !ok {
-			break
-		}
-		if bound, full := top.Bound(); full && it.Priority > bound {
-			break // nothing left can improve the result
-		}
-		e := it.Value
-		if !t.Skip(int(e.n.id), skipID) {
-			top.Offer(e.dist, int(e.n.id))
-		}
-		bound, full := top.Bound()
-		for rest := e.n.children; len(rest) > 0; rest = nextChunk(rest) {
-			for i, d := range t.measure(q, rest, &c.chunk) {
-				lb := lowerBound(rest[i], d)
-				if full && lb > bound {
-					continue
-				}
-				c.nodes.Push(lb, queueEntry{n: rest[i], dist: d})
-			}
-		}
-	}
-	items := top.Sorted()
-	out := make([]index.Neighbor, len(items))
-	for i, it := range items {
-		out[i] = index.Neighbor{ID: it.Value, Dist: it.Priority}
-	}
-	return out
+	return index.Collect(t.NewCursor(q, skipID), min(k, t.Len()))
 }
 
 // descent is the pooled scratch of one depth-first walk: a chunk of kernel
@@ -648,6 +605,66 @@ func (c *closerCount) visit(n *node, d float64, depth int) {
 				continue
 			}
 			c.visit(rest[i], dc, depth+1)
+		}
+	}
+}
+
+// TableBounds implements index.TableReverser: bound[id] is the largest kd
+// over the subtree of node id, filled in one post-order pass. A table is a
+// snapshot's, and the nodes are never written: the bounds live beside it.
+func (t *Tree) TableBounds(kd []float64) ([]float64, bool) {
+	bound := make([]float64, t.IDSpan())
+	var up func(n *node) float64
+	up = func(n *node) float64 {
+		b := kd[n.id]
+		for _, c := range n.children {
+			b = max(b, up(c))
+		}
+		bound[n.id] = b
+		return b
+	}
+	if t.root != nil {
+		up(t.root)
+	}
+	return bound, true
+}
+
+// ReverseByTable implements index.TableReverser with a depth-first walk on
+// the descent scratch CountCloser uses. Every point x below a node n lies at
+// least d(q,n) − maxDist(n) from q and is accepted only if d(q,x) ≤ kd[x] ≤
+// bound[n], so the walk enters a subtree only while that lower bound is
+// within its bound.
+func (t *Tree) ReverseByTable(q []float64, skipID int, kd, bound []float64, out []int) []int {
+	if t.root == nil {
+		return out
+	}
+	w := tableWalk{t: t, q: q, skipID: skipID, kd: kd, bound: bound, out: out, scratch: descentPool.Get().(*descent)}
+	w.visit(t.root, t.Dist(q, t.rowOf(t.root)), 0)
+	descentPool.Put(w.scratch)
+	return w.out
+}
+
+// tableWalk is the state of one ReverseByTable walk.
+type tableWalk struct {
+	t         *Tree
+	q         []float64
+	skipID    int
+	kd, bound []float64
+	out       []int
+	scratch   *descent
+}
+
+// visit takes n's own point, at d from q, if the table accepts it, and
+// descends into the children whose subtree the bound cannot rule out.
+func (w *tableWalk) visit(n *node, d float64, depth int) {
+	if id := int(n.id); d <= w.kd[id] && id != w.skipID {
+		w.out = append(w.out, id)
+	}
+	for rest := n.children; len(rest) > 0; rest = nextChunk(rest) {
+		for i, dc := range w.t.measure(w.q, rest, w.scratch.level(depth)) {
+			if c := rest[i]; dc-c.maxDist <= w.bound[c.id] {
+				w.visit(c, dc, depth+1)
+			}
 		}
 	}
 }

@@ -516,3 +516,80 @@ func TestCursorCloseRecycles(t *testing.T) {
 		t.Fatalf("unclosed cursor disturbed: %+v (ok=%v)", nb, ok)
 	}
 }
+
+// subtreeIDs returns the IDs of every node in n's subtree, n's own included.
+func subtreeIDs(n *node) []int32 {
+	ids := []int32{n.id}
+	for _, c := range n.children {
+		ids = append(ids, subtreeIDs(c)...)
+	}
+	return ids
+}
+
+// TestTableBoundsAndWalk pins the table walk's two halves on a routed build
+// whose clone took insertions (path-copied nodes) and deletions, under a
+// k-distance-shaped table holding −Inf at the deleted IDs and +Inf at a few
+// live ones: every bound is the largest kd of its node's subtree — at least
+// that of every descendant — and the walk finds exactly the x ≠ skipID with
+// d(q,x) ≤ kd[x], for member and external queries, on a tie-heavy grid.
+func TestTableBoundsAndWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	grid := func(n int) [][]float64 {
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = []float64{float64(rng.Intn(9)), float64(rng.Intn(9)), float64(rng.Intn(3))}
+		}
+		return pts
+	}
+	base := buildAt(t, grid(600), 64, 2)
+	tree := base.Clone().(*Tree)
+	for _, p := range grid(80) {
+		if _, err := tree.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kd := make([]float64, tree.IDSpan())
+	for id := range kd {
+		switch r := rng.Intn(40); {
+		case r == 0:
+			tree.Delete(id)
+			kd[id] = math.Inf(-1)
+		case r == 1:
+			kd[id] = math.Inf(1)
+		default:
+			kd[id] = float64(rng.Intn(6)) / 2 // often exactly a grid distance
+		}
+	}
+	bound, ok := tree.TableBounds(kd)
+	if !ok || len(bound) != tree.IDSpan() {
+		t.Fatalf("TableBounds: %d bounds, ok %v; want %d", len(bound), ok, tree.IDSpan())
+	}
+	walk(tree, func(n *node) {
+		most := math.Inf(-1)
+		for _, id := range subtreeIDs(n) {
+			most = max(most, kd[id])
+		}
+		if bound[n.id] != most {
+			t.Fatalf("bound[%d] = %v, the largest kd of its subtree %v", n.id, bound[n.id], most)
+		}
+	})
+
+	rows := tree.Rows()
+	for i, q := range append(grid(20), rows[:40]...) {
+		skip := -1
+		if i >= 20 {
+			skip = i - 20
+		}
+		var want []int
+		for id, p := range rows {
+			if id != skip && tree.Dist(q, p) <= kd[id] {
+				want = append(want, id)
+			}
+		}
+		got := tree.ReverseByTable(q, skip, kd, bound, nil)
+		sort.Ints(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d (skip %d): walk %v, every row %v", i, skip, got, want)
+		}
+	}
+}

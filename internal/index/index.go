@@ -53,6 +53,23 @@ type Cursor interface {
 	Close()
 }
 
+// Collect reads the first k neighbors off c (fewer if it ends sooner),
+// closes it and returns them: the KNN answer of an index whose cursor
+// streams its kNN order. The caller clamps k to the live count, so a huge k
+// sizes no buffer.
+func Collect(c Cursor, k int) []Neighbor {
+	defer c.Close()
+	out := make([]Neighbor, 0, max(k, 0))
+	for len(out) < k {
+		n, ok := c.Next()
+		if !ok {
+			break
+		}
+		out = append(out, n)
+	}
+	return out
+}
+
 // Index is a read-only similarity-search structure over a finite point set.
 // Implementations must be safe for concurrent readers.
 //
@@ -119,6 +136,23 @@ type CountQuery struct {
 // candidate. ctx carries the query's trace span and cancellation.
 type BatchCounter interface {
 	CountCloserBatch(ctx context.Context, qs []CountQuery) []int
+}
+
+// TableReverser is an optional capability of an exact index: given kd, a
+// k-distance table over its IDs (kd[x] the distance from x to its k-th
+// nearest other live member, −Inf for an ID that is not live), it answers a
+// reverse k-nearest-neighbor query in one pass, for the reverse neighbors of
+// q are exactly the x ≠ skipID with d(q,x) ≤ kd[x]. No kNN order is needed.
+type TableReverser interface {
+	// TableBounds returns the pruning state ReverseByTable takes beside kd,
+	// computed once per table (the cover tree's subtree maxima of kd; nil
+	// for an index that prunes nothing). ok is false for an index that
+	// cannot answer by a table at all.
+	TableBounds(kd []float64) (bounds []float64, ok bool)
+
+	// ReverseByTable appends to out, in no particular order, every x ≠
+	// skipID with d(q,x) ≤ kd[x], and returns it. bounds is TableBounds(kd).
+	ReverseByTable(q []float64, skipID int, kd, bounds []float64, out []int) []int
 }
 
 // Dynamic is implemented by indexes that support online updates, the

@@ -37,7 +37,6 @@ type Overlay struct {
 	baseSpan int   // IDs below this resolve in base
 	rows     Table[[]float64]
 	tomb     Tombstones // deleted IDs, both base- and memtable-region
-	baseTomb int        // tombstones below baseSpan (the base.KNN over-fetch)
 	alive    int
 	dim      int
 	metric   vecmath.Metric
@@ -133,9 +132,6 @@ func (o *Overlay) Delete(id int) bool {
 		return false
 	}
 	o.tomb.Add(id)
-	if id < o.baseSpan {
-		o.baseTomb++
-	}
 	o.alive--
 	return true
 }
@@ -152,7 +148,6 @@ func (o *Overlay) Clone() *Overlay {
 		base:     o.base,
 		baseSpan: o.baseSpan,
 		rows:     o.rows,
-		baseTomb: o.baseTomb,
 		alive:    o.alive,
 		dim:      o.dim,
 		metric:   o.metric,
@@ -216,9 +211,6 @@ func (o *Overlay) Rebase(frozen *Overlay, folded Dynamic) *Overlay {
 			continue // already applied to folded
 		}
 		next.tomb.Add(id)
-		if id < span {
-			next.baseTomb++
-		}
 	}
 	return next
 }
@@ -260,8 +252,7 @@ func (o *Overlay) memNeighbors(buf []Neighbor, q []float64, skipID int) []Neighb
 var overlayCursorPool = sync.Pool{New: func() any { return new(overlayCursor) }}
 
 // openCursor takes a cursor from the pool, sorts the memtable into its
-// buffer and points it at base: a base cursor for a scan, the base's own
-// answer for KNN.
+// buffer and points it at base, a cursor of the base (timed, when traced).
 func (o *Overlay) openCursor(base Cursor, q []float64, skipID int) *overlayCursor {
 	c := overlayCursorPool.Get().(*overlayCursor)
 	c.open, c.base, c.tomb, c.baseEnd = true, base, &o.tomb, false
@@ -427,43 +418,37 @@ func (c *overlayCursor) Close() {
 	overlayCursorPool.Put(c)
 }
 
-// KNN implements Index: the base's answer, over-fetched by the base-region
-// tombstone count so that filtering can never starve the merge of live base
-// candidates, read through the merge cursor every scan reads. k is first
-// clamped to the live count: no answer is longer, and a caller's huge k must
-// neither size a buffer nor overflow the over-fetch sum.
+// KNN implements Index: the first k neighbors of the merge cursor every
+// scan reads. k is first clamped to the live count: no answer is longer, and
+// a caller's huge k must not size a buffer.
 func (o *Overlay) KNN(q []float64, k int, skipID int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	k = min(k, o.alive)
-	base := listCursor(o.base.KNN(q, k+o.baseTomb, o.baseSkip(skipID)))
-	c := o.openCursor(&base, q, skipID)
-	defer c.Close()
-	out := make([]Neighbor, 0, k)
-	for len(out) < k {
-		n, ok := c.Next()
-		if !ok {
-			break
+	return Collect(o.NewCursor(q, skipID), min(k, o.alive))
+}
+
+// TableBounds implements TableReverser through the base; the memtable is
+// scanned and needs none. ok is false over a base with no table walk.
+func (o *Overlay) TableBounds(kd []float64) ([]float64, bool) {
+	if r, ok := o.base.(TableReverser); ok {
+		return r.TableBounds(kd)
+	}
+	return nil, false
+}
+
+// ReverseByTable implements TableReverser: the base's walk, then one pass
+// over the memtable rows. The table holds −Inf at every tombstone, so no
+// comparison accepts one.
+func (o *Overlay) ReverseByTable(q []float64, skipID int, kd, bounds []float64, out []int) []int {
+	out = o.base.(TableReverser).ReverseByTable(q, o.baseSkip(skipID), kd, bounds, out)
+	for i, p := range o.rows.Rows {
+		if id := o.baseSpan + i; id != skipID && o.dist(q, p) <= kd[id] {
+			out = append(out, id)
 		}
-		out = append(out, n)
 	}
 	return out
 }
-
-// listCursor serves a sorted neighbor list as a Cursor.
-type listCursor []Neighbor
-
-func (l *listCursor) Next() (Neighbor, bool) {
-	if len(*l) == 0 {
-		return Neighbor{}, false
-	}
-	n := (*l)[0]
-	*l = (*l)[1:]
-	return n, true
-}
-
-func (*listCursor) Close() {}
 
 // CountCloser implements Index. A count cannot be filtered after the fact,
 // so the base is handed the overlay's tombstones together with the caller's

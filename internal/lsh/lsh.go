@@ -27,6 +27,7 @@ package lsh
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -252,11 +253,7 @@ func (ix *Index) Insert(p []float64) (int, error) {
 func (ix *Index) Clone() index.Dynamic {
 	tables := make([]table, len(ix.tables))
 	for i, t := range ix.tables {
-		buckets := make(map[string][]int, len(t.buckets))
-		for key, ids := range t.buckets {
-			buckets[key] = ids
-		}
-		tables[i] = table{projs: t.projs, offsets: t.offsets, buckets: buckets}
+		tables[i] = table{projs: t.projs, offsets: t.offsets, buckets: maps.Clone(t.buckets)}
 	}
 	cl := &Index{width: ix.width, hashes: ix.hashes, tables: tables}
 	ix.CloneInto(&cl.RowStore)
@@ -326,29 +323,16 @@ func (c *cursor) Close() {}
 
 func (c *cursor) Next() (index.Neighbor, bool) {
 	it, ok := c.ready.Pop()
-	if !ok {
-		return index.Neighbor{}, false
-	}
-	return index.Neighbor{ID: it.Value, Dist: it.Priority}, true
+	return index.Neighbor{ID: it.Value, Dist: it.Priority}, ok
 }
 
-// KNN implements index.Index over the candidate set (approximate).
+// KNN implements index.Index over the candidate set (approximate): the
+// first k of the cursor's stream.
 func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	d := dedupPool.Get().(*dedup)
-	defer d.release()
-	top := pqueue.NewTopK[int](max(1, min(k, ix.Len()))) // never k slots for k > n
-	for _, id := range ix.candidates(d, q, skipID) {
-		top.Offer(ix.Dist(q, ix.Point(id)), id)
-	}
-	items := top.Sorted()
-	out := make([]index.Neighbor, len(items))
-	for i, it := range items {
-		out[i] = index.Neighbor{ID: it.Value, Dist: it.Priority}
-	}
-	return out
+	return index.Collect(ix.NewCursor(q, skipID), min(k, ix.Len()))
 }
 
 // CountCloser implements index.Index over the candidate set KNN ranks

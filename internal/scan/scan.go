@@ -159,6 +159,21 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 	return out
 }
 
+// TableBounds implements index.TableReverser: a scan prunes nothing.
+func (ix *Index) TableBounds([]float64) ([]float64, bool) { return nil, true }
+
+// ReverseByTable implements index.TableReverser: one row loop, each row
+// decided by one comparison with its table entry.
+func (ix *Index) ReverseByTable(q []float64, skipID int, kd, _ []float64, out []int) []int {
+	ix.measureRows(q, skipID, nil, func(id int, d float64) bool {
+		if d <= kd[id] {
+			out = append(out, id)
+		}
+		return true
+	})
+	return out
+}
+
 // CountCloser implements index.Index: a row loop with a strict comparison
 // and an exit at limit.
 func (ix *Index) CountCloser(q []float64, r float64, limit, skipID int, dead *index.Tombstones) int {

@@ -111,9 +111,12 @@ const (
 
 // Stats describes the work one query performed; see the package core
 // documentation for the meaning of each counter. TerminatedByOmega says which
-// stop fired; DecidedByTable that a k-distance table decided every retrieved
-// row, which leaves the filter and refinement counters at 0. The fields are
-// core.Stats', in its order, so one converts into the other.
+// stop fired. DecidedByTable says that the snapshot's filled k-distance table
+// answered: a filled Searcher answers the oracle — every x with d(q,x) ≤
+// kdist_k(x), exact at any t — not plain RDT's retrieved set, by one walk of
+// the index, so ScanDepth and every filter and refinement counter read 0 and
+// Omega +Inf. The fields are core.Stats', in its order, so one converts into
+// the other.
 type Stats struct {
 	ScanDepth         int
 	FilterSize        int
@@ -239,8 +242,9 @@ func WithScaleMargin(m float64) Option { return func(c *config) { c.margin = m }
 // WithPlainRDT disables the RDT+ candidate-set reduction, trading speed on
 // large filter sets for the guarantee that results are never false
 // positives (RDT+ can mislabel through lazy acceptance; paper Section 4.3).
-// An unsharded RDT+ engine stops mislabeling once a snapshot has filled its
-// k-distance table for the rank (DESIGN.md, "The k-distance table").
+// An unsharded engine answers exactly, RDT+ or not, once a snapshot has
+// filled its k-distance table for the rank (DESIGN.md, "The k-distance
+// table").
 func WithPlainRDT() Option { return func(c *config) { c.plus = false } }
 
 // defaultCompactionThreshold is the delta size (memtable rows plus
@@ -389,7 +393,7 @@ func (sn *snapshot) reverseKNN(ctx context.Context, qid int, q []float64, k int)
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
-	var res *core.Result
+	var res core.Result
 	if q == nil {
 		if res, err = qr.ByIDCtx(ctx, qid); err == nil {
 			q = sn.ix.Point(qid) // live in this snapshot: core just ran from it

@@ -4,6 +4,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -68,10 +69,10 @@ func TestShardedInsertDoesNotCopyTheShardMap(t *testing.T) {
 }
 
 // TestWarmRankQueryAllocations pins what one query on a warm rank allocates,
-// telemetry off: 3 objects for a Searcher member or point query — the
-// result, its ID list (copied out of the pooled scratch once, at its length)
-// and the scale strategy — and 16 for a member query over three in-process
-// shards. The shared surface in front of
+// telemetry off: 1 object for a Searcher member or point query — its ID
+// list, copied out of the pooled scratch once, at its length; the result
+// travels by value and the fixed scale strategy is the Querier's own — and
+// 15 for a member query over three in-process shards. The shared surface in front of
 // both adds no closure, interface boxing or read-set allocation to either.
 func TestWarmRankQueryAllocations(t *testing.T) {
 	pts := indextest.RandPoints(2000, 4, 81)
@@ -91,9 +92,9 @@ func TestWarmRankQueryAllocations(t *testing.T) {
 		max  float64
 		run  func() error
 	}{
-		{"Searcher.ReverseKNNContext", 3, func() error { qid++; _, err := s.ReverseKNNContext(ctx, qid%len(pts), 8); return err }},
-		{"Searcher.ReverseKNNPointContext", 3, func() error { _, err := s.ReverseKNNPointContext(ctx, q, 8); return err }},
-		{"ShardedSearcher.ReverseKNNContext", 16, func() error { qid++; _, err := ss.ReverseKNNContext(ctx, qid%len(pts), 8); return err }},
+		{"Searcher.ReverseKNNContext", 1, func() error { qid++; _, err := s.ReverseKNNContext(ctx, qid%len(pts), 8); return err }},
+		{"Searcher.ReverseKNNPointContext", 1, func() error { _, err := s.ReverseKNNPointContext(ctx, q, 8); return err }},
+		{"ShardedSearcher.ReverseKNNContext", 15, func() error { qid++; _, err := ss.ReverseKNNContext(ctx, qid%len(pts), 8); return err }},
 	} {
 		if err := c.run(); err != nil { // warms the rank
 			t.Fatal(err)
@@ -107,5 +108,51 @@ func TestWarmRankQueryAllocations(t *testing.T) {
 		if got > c.max {
 			t.Errorf("%s allocates %.2f objects a query on a warm rank, want at most %v", c.name, got, c.max)
 		}
+	}
+}
+
+// TestFilledQueryAllocations pins what a table-decided query allocates,
+// telemetry off: its ID list and nothing else, for a member and a point
+// query on a filled Searcher whose snapshot holds a deletion. A member query
+// at the deleted ID still fails with ErrDeleted.
+func TestFilledQueryAllocations(t *testing.T) {
+	const k = 8
+	pts := indextest.RandPoints(2000, 4, 81)
+	s, err := New(pts, WithScale(6), WithPlainRDT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dead := len(pts) - 1
+	if _, err := s.Delete(dead); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "a table-decided query", func() bool { return serve(t, s, dead, 1, k).DecidedByTable })
+	qid := 0
+	for ids, _ := s.ReverseKNN(qid, k); len(ids) == 0; ids, _ = s.ReverseKNN(qid, k) {
+		qid++
+	}
+	q := []float64{0.4, 0.5, 0.6, 0.3}
+	if ids, st, err := s.ReverseKNNPointStats(q, k); err != nil || len(ids) == 0 || !st.DecidedByTable {
+		t.Fatalf("point query: %v (%+v), %v; want a non-empty table-decided answer", ids, st, err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ReverseKNN", func() error { _, err := s.ReverseKNN(qid, k); return err }},
+		{"ReverseKNNPoint", func() error { _, err := s.ReverseKNNPoint(q, k); return err }},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("a table-decided %s allocates %.2f objects, want 1: its ID list", c.name, got)
+		}
+	}
+	if _, err := s.ReverseKNN(dead, k); !errors.Is(err, ErrDeleted) {
+		t.Fatalf("member query at deleted %d on a filled snapshot: %v, want ErrDeleted", dead, err)
 	}
 }

@@ -171,7 +171,7 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
-	var res *core.Result
+	var res core.Result
 	if q == nil {
 		res, err = qr.ByIDCtx(ctx, qid)
 		q = f.q

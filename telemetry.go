@@ -24,7 +24,7 @@ import (
 //
 // Metric mapping (counter += per-query Stats field, per back-end):
 //
-//	rknn_scan_depth_total                 ScanDepth
+//	rknn_scan_depth_total                 ScanDepth (Algorithm 1's scans only: 0 on a table-decided query)
 //	rknn_candidates_generated_total       FilterSize + Excluded (= Stats.Candidates)
 //	rknn_candidates_excluded_total        Excluded (RDT+ exclusions)
 //	rknn_candidates_lazy_accepted_total   LazyAccepts (Assertion 2)
@@ -135,7 +135,7 @@ func newEngineTelemetry(reg *telemetry.Registry, backend string) *engineTelemetr
 		}
 	}
 	t.scanDepth = reg.CounterVec("rknn_scan_depth_total",
-		"Forward neighbors retrieved by the expanding search (Stats.ScanDepth).",
+		"Forward neighbors retrieved by Algorithm 1's expanding search (Stats.ScanDepth); a query answered by a filled k-distance table retrieves none and adds 0.",
 		"backend").With(backend)
 	t.generated = reg.CounterVec("rknn_candidates_generated_total",
 		"Candidates that entered the witness machinery (Stats.FilterSize + Stats.Excluded).",
