@@ -85,7 +85,7 @@ func main() {
 		n        = flag.Int("n", 5000, "generated dataset size")
 		dim      = flag.Int("dim", 128, "dimension for imagenet/uniform surrogates")
 		seed     = flag.Int64("seed", 1, "generation seed")
-		backend  = flag.String("backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
+		backend  = flag.String("backend", "covertree", "forward index: covertree or scan")
 		method   = flag.String("method", "rdt+", "rdt or rdt+")
 		k        = flag.Int("k", 10, "reverse neighbor rank")
 		tParam   = flag.Float64("t", 8, "scale parameter")

@@ -94,15 +94,9 @@ func runServe(ctx context.Context, args []string, stdout io.Writer, ready chan<-
 			len(slo.StatusAt(time.Now())), slo.FastBurn(), short, long)
 	}
 	// Report the engine's actual back-end: on the recovery path it comes
-	// from the store, not from the -backend flag. An approximate engine (lsh)
-	// serves candidate-set answers; say so in the banner, matching the
-	// "approximate" marker on every response.
-	backendName := string(eng.Backend())
-	if eng.Approximate() {
-		backendName += " (approximate)"
-	}
+	// from the store, not from the -backend flag.
 	return sf.serve(ctx, stdout, ready, "rknn serve", eng,
-		fmt.Sprintf("n=%d, dim=%d, %s back-end, t=%.2f", eng.Len(), eng.Dim(), backendName, eng.Scale()), opts...)
+		fmt.Sprintf("n=%d, dim=%d, %s back-end, t=%.2f", eng.Len(), eng.Dim(), eng.Backend(), eng.Scale()), opts...)
 }
 
 // buildSLO maps the -slo-latency / -slo-availability flag specs onto a
@@ -311,7 +305,7 @@ func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
 	fs.IntVar(&ef.n, "n", 5000, "generated dataset size")
 	fs.IntVar(&ef.dim, "dim", 128, "dimension for imagenet/uniform surrogates")
 	fs.Int64Var(&ef.seed, "seed", 1, "generation seed")
-	fs.StringVar(&ef.backend, "backend", "covertree", "forward index: scan, covertree, or lsh (approximate)")
+	fs.StringVar(&ef.backend, "backend", "covertree", "forward index: covertree or scan")
 	fs.Float64Var(&ef.t, "t", 0, "pin the scale parameter (0 estimates it)")
 	fs.StringVar(&ef.auto, "auto", "mle", "scale estimator when -t is 0: mle, gp or takens")
 	fs.BoolVar(&ef.plain, "plain", false, "use plain RDT instead of RDT+")

@@ -13,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/lsh"
 )
 
 // TestServeEndToEnd boots the daemon on an ephemeral port, queries it over
@@ -88,9 +86,17 @@ func TestServeFlagErrors(t *testing.T) {
 	}
 	// A retired back-end is refused by name before the dataset is read: the
 	// error is about the back-end, not about the CSV file that is not there.
-	err := runServe(context.Background(), []string{"-backend", "vptree", "-csv", "/nonexistent.csv"}, &out, nil)
-	if err == nil || !strings.Contains(err.Error(), `"vptree" was retired`) || !strings.Contains(err.Error(), "covertree, scan or lsh") {
-		t.Errorf("runServe(-backend vptree) = %v, want the retirement and the back-ends that remain", err)
+	for _, name := range []string{"vptree", "lsh"} {
+		args := []string{"-backend", name, "-csv", "/nonexistent.csv"}
+		for role, run := range map[string]func() error{
+			"serve":       func() error { return runServe(context.Background(), args, &out, nil) },
+			"shard-serve": func() error { return runShardServe(context.Background(), args, &out, nil) },
+		} {
+			err := run()
+			if err == nil || !strings.Contains(err.Error(), `"`+name+`" was retired`) || !strings.Contains(err.Error(), "covertree or scan") {
+				t.Errorf("%s -backend %s = %v, want the retirement and the back-ends that remain", role, name, err)
+			}
+		}
 	}
 }
 
@@ -499,128 +505,6 @@ func TestServeMetricsAndSlowlog(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("shutdown output missing %q:\n%s", want, out.String())
 		}
-	}
-}
-
-// TestServeLSHDurableEndToEnd is the approximate tier's acceptance run:
-// `rknn serve -backend lsh -data-dir` serves approximate-marked responses,
-// survives mutate → snapshot → kill → restart purely from disk, restores
-// its hash tables from the native structure blob without a single re-hash
-// (pinned by the lsh.HashCalls counter), and answers byte-identically.
-func TestServeLSHDurableEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-addr", "127.0.0.1:0", "-data", "uniform", "-n", "400", "-dim", "6",
-		"-backend", "lsh", "-t", "8", "-data-dir", dir}
-	base, out, cancel, done := startServe(t, args)
-	if !strings.Contains(out.String(), "lsh (approximate) back-end") {
-		t.Errorf("banner does not mark the back-end approximate:\n%s", out.String())
-	}
-
-	// Mutations: logged inserts and a delete, then a snapshot cut so the
-	// restart restores purely from the native blob (empty log).
-	for i := 0; i < 6; i++ {
-		postJSON(t, base+"/v1/points", fmt.Sprintf(`{"point":[0.%d1,0.2,0.3,0.4,0.5,0.6]}`, i))
-	}
-	req, err := http.NewRequest(http.MethodDelete, base+"/v1/points/7", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE 7: status %d", resp.StatusCode)
-	}
-	postJSON(t, base+"/v1/admin/snapshot", "")
-
-	queries := []string{
-		`{"id":0,"k":5}`, `{"id":42,"k":10}`, `{"id":399,"k":5}`,
-		`{"id":403,"k":5}`, // inserted member
-		`{"point":[0.5,0.5,0.5,0.5,0.5,0.5],"k":7}`,
-	}
-	want := make([][]byte, len(queries))
-	for i, q := range queries {
-		want[i] = postJSON(t, base+"/v1/rknn", q)
-		var marked struct {
-			Approximate bool `json:"approximate"`
-		}
-		if err := json.Unmarshal(want[i], &marked); err != nil || !marked.Approximate {
-			t.Errorf("response to %s not marked approximate: %s (%v)", q, want[i], err)
-		}
-	}
-	var statsBefore struct {
-		Engine struct {
-			Scale       float64 `json:"scale"`
-			Points      int     `json:"points"`
-			Approximate bool    `json:"approximate"`
-		} `json:"engine"`
-	}
-	if err := json.Unmarshal(getJSON(t, base+"/statsz"), &statsBefore); err != nil {
-		t.Fatal(err)
-	}
-	if !statsBefore.Engine.Approximate {
-		t.Error("statsz does not mark the engine approximate")
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("first server exited with %v\n%s", err, out.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("first server did not shut down")
-	}
-
-	// Restart purely from disk. The snapshot was the last mutation, so the
-	// log is empty and recovery must not hash anything: the tables come
-	// from the native blob byte-for-byte.
-	hashBefore := lsh.HashCalls()
-	base2, out2, cancel2, done2 := startServe(t, []string{"-addr", "127.0.0.1:0", "-data-dir", dir})
-	defer func() {
-		cancel2()
-		<-done2
-	}()
-	if calls := lsh.HashCalls() - hashBefore; calls != 0 {
-		t.Errorf("recovery performed %d hash computations, want 0 (native structure restore)", calls)
-	}
-	if !strings.Contains(out2.String(), "recovered") {
-		t.Errorf("recovery banner missing:\n%s", out2.String())
-	}
-	if !strings.Contains(out2.String(), "lsh (approximate) back-end") {
-		t.Errorf("recovered banner does not mark the back-end approximate:\n%s", out2.String())
-	}
-	for i, q := range queries {
-		got := postJSON(t, base2+"/v1/rknn", q)
-		if !bytes.Equal(got, want[i]) {
-			t.Errorf("query %s after restart:\ngot  %s\nwant %s", q, got, want[i])
-		}
-	}
-	var statsAfter struct {
-		Engine struct {
-			Scale       float64 `json:"scale"`
-			Points      int     `json:"points"`
-			Approximate bool    `json:"approximate"`
-		} `json:"engine"`
-	}
-	if err := json.Unmarshal(getJSON(t, base2+"/statsz"), &statsAfter); err != nil {
-		t.Fatal(err)
-	}
-	if statsAfter.Engine.Scale != statsBefore.Engine.Scale || statsAfter.Engine.Points != statsBefore.Engine.Points {
-		t.Errorf("recovered engine shape (t=%g, n=%d), want (t=%g, n=%d)",
-			statsAfter.Engine.Scale, statsAfter.Engine.Points, statsBefore.Engine.Scale, statsBefore.Engine.Points)
-	}
-	if !statsAfter.Engine.Approximate {
-		t.Error("recovered statsz does not mark the engine approximate")
-	}
-
-	// The recall gauge, the one family only approximate engines register,
-	// is live on the recovered engine's /metrics.
-	metrics := string(getJSON(t, base2+"/metrics"))
-	if !strings.Contains(metrics, "rknn_recall_estimate{backend=\"lsh\"}") {
-		t.Error("/metrics missing rknn_recall_estimate for the recovered lsh engine")
 	}
 }
 

@@ -107,7 +107,6 @@ type topStatsz struct {
 			Generated    float64 `json:"candidates_generated"`
 			Verified     float64 `json:"candidates_verified"`
 			PruningRatio float64 `json:"pruning_ratio"`
-			Recall       float64 `json:"recall_estimate"`
 		} `json:"windows"`
 	} `json:"engine"`
 	Runtime struct {
@@ -226,12 +225,8 @@ func buildFrame(client *http.Client, base string, topN int) (string, error) {
 		}
 	}
 	if w, ok := stats.Engine.Windows["1m"]; ok && w.Generated > 0 {
-		line := fmt.Sprintf("pruning (1m): %.0f generated, %.0f verified, ratio %.1f%%",
+		fmt.Fprintf(&b, "pruning (1m): %.0f generated, %.0f verified, ratio %.1f%%\n",
 			w.Generated, w.Verified, 100*w.PruningRatio)
-		if w.Recall >= 0 {
-			line += fmt.Sprintf(", recall≈%.3f", w.Recall)
-		}
-		fmt.Fprintf(&b, "%s\n", line)
 	}
 
 	// SLO: budget remaining and multi-window burn, the page-or-not readout.

@@ -7,18 +7,15 @@
 package repro
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/bruteforce"
-	"repro/internal/dataset"
 	"repro/internal/harness"
 	"repro/internal/index"
 	"repro/internal/indextest"
-	"repro/internal/lid"
 	"repro/internal/vecmath"
 )
 
@@ -172,168 +169,6 @@ func TestBackendRkNNOracleAfterUpdates(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLSHBackendRecallFloor is the approximate-tier conformance bar (and
-// the CI recall gate): the LSH back-end at default options, driven through
-// the public facade exactly as `rknn serve -backend lsh` builds it, must
-// reach mean reverse-neighbor recall >= 0.9 against the brute-force oracle
-// on the surrogate workloads. Measured headroom on these datasets is
-// 0.95+; a drop below the floor means the hashing or the candidate
-// machinery regressed, not noise.
-func TestLSHBackendRecallFloor(t *testing.T) {
-	workloads := []struct {
-		name string
-		pts  [][]float64
-	}{
-		{"fct-1500", dataset.FCT(1500, 1).Points},
-		{"clustered-6d", indextest.ClusteredPoints(1500, 6, 8, 9)},
-	}
-	for _, w := range workloads {
-		w := w
-		t.Run(w.name, func(t *testing.T) {
-			s, err := New(w.pts, WithBackend(BackendLSH), WithScale(8))
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			if !s.Approximate() {
-				t.Fatal("LSH-backed Searcher does not report Approximate")
-			}
-			truth, err := bruteforce.New(w.pts, vecmath.Euclidean{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var recallSum float64
-			queries := 0
-			for qid := 0; qid < len(w.pts); qid += 29 {
-				got, err := s.ReverseKNN(qid, 10)
-				if err != nil {
-					t.Fatalf("ReverseKNN(%d): %v", qid, err)
-				}
-				want, err := truth.RkNNByID(qid, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) == 0 {
-					continue
-				}
-				recallSum += bruteforce.Recall(got, want)
-				queries++
-			}
-			if mean := recallSum / float64(queries); mean < 0.9 {
-				t.Errorf("LSH mean recall %.3f over %d queries, want >= 0.9 at default options", mean, queries)
-			}
-			// The facade's own sampled estimator must agree the engine is
-			// above the floor — it is what the recall gauge exposes.
-			est, err := s.RecallEstimate(8, 10)
-			if err != nil {
-				t.Fatalf("RecallEstimate: %v", err)
-			}
-			if est < 0.9 {
-				t.Errorf("RecallEstimate = %.3f, want >= 0.9", est)
-			}
-		})
-	}
-}
-
-// TestRecallEstimateBelowMaxGED pins what RecallEstimate's doc says of an
-// exact back-end: below Theorem 1's MaxGED the scale parameter can stop the
-// search before it reaches a reverse neighbor, so on the MNIST surrogate
-// under scan the estimate reads below 1 at t = 1, and 1 at t = MaxGED.
-func TestRecallEstimateBelowMaxGED(t *testing.T) {
-	pts := dataset.MNIST(300, 1).Points
-	maxGED, err := lid.MaxGED(pts, vecmath.Euclidean{}, DefaultRecallRank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		scale float64
-		exact bool
-	}{{1, false}, {maxGED, true}} {
-		s, err := New(pts, WithBackend(BackendScan), WithScale(c.scale))
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, err := s.RecallEstimate(DefaultRecallSamples, DefaultRecallRank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("t = %g: RecallEstimate = %.3f", c.scale, est)
-		if c.exact && est != 1 || !c.exact && est >= 1 {
-			t.Errorf("t = %g (MaxGED %g): RecallEstimate = %v", c.scale, maxGED, est)
-		}
-	}
-}
-
-// TestLSHBackendDynamicRecall holds the approximate tier to the recall bar
-// after online updates: the copy-on-write clone path must preserve the
-// table structure (inserted points hashed into every table, deletes
-// tombstoned) or recall collapses.
-func TestLSHBackendDynamicRecall(t *testing.T) {
-	// Build over the first 1380 points of the FCT surrogate and stream the
-	// remaining 120 in as inserts, so the updates follow the indexed
-	// distribution (the width was tuned for it) like a live workload would.
-	all := dataset.FCT(1500, 1).Points
-	pts, extra := all[:1380], all[1380:]
-	s, err := New(pts, WithBackend(BackendLSH), WithScale(8))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for _, p := range extra {
-		if _, err := s.Insert(p); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	deleted := map[int]bool{2: true, 111: true, 1379: true, 1385: true}
-	for id := range deleted {
-		if ok, err := s.Delete(id); !ok || err != nil {
-			t.Fatalf("Delete(%d) = (%v, %v)", id, ok, err)
-		}
-	}
-	if _, err := s.ReverseKNN(2, 5); !errors.Is(err, ErrDeleted) {
-		t.Errorf("deleted member answered: %v", err)
-	}
-
-	var survivors [][]float64
-	var toEngine []int
-	for id := 0; id < len(all); id++ {
-		if deleted[id] {
-			continue
-		}
-		survivors = append(survivors, s.Point(id))
-		toEngine = append(toEngine, id)
-	}
-	truth, err := bruteforce.New(survivors, vecmath.Euclidean{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recallSum float64
-	queries := 0
-	for oid, eid := range toEngine {
-		if oid%23 != 0 {
-			continue
-		}
-		got, err := s.ReverseKNN(eid, 10)
-		if err != nil {
-			t.Fatalf("ReverseKNN(%d): %v", eid, err)
-		}
-		wantOracle, err := truth.RkNNByID(oid, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wantOracle) == 0 {
-			continue
-		}
-		want := make([]int, len(wantOracle))
-		for i, o := range wantOracle {
-			want[i] = toEngine[o]
-		}
-		recallSum += bruteforce.Recall(got, want)
-		queries++
-	}
-	if mean := recallSum / float64(queries); mean < 0.9 {
-		t.Errorf("LSH recall after updates %.3f over %d queries, want >= 0.9", mean, queries)
 	}
 }
 

@@ -16,23 +16,18 @@
 // the HTTP latency histograms and the paper's pruning mechanics
 // (candidates generated / excluded / lazily settled) as live Prometheus
 // series — `rknn serve` wires this identically.
-// The fifth act is the approximate serving tier: the same dataset behind
-// the LSH back-end (`rknn serve -backend lsh`), with responses marked
-// "approximate": true and a live recall readout — the engine samples its
-// own answers against an exact oracle and exposes the result as the
-// rknn_recall_estimate gauge.
-// The sixth act is per-query tracing: the sharded engine and the server
+// The fifth act is per-query tracing: the sharded engine and the server
 // share a trace ring, a ?debug=1 query returns its own span tree inline —
 // scatter spans per shard, the paper's work counters as attributes on the
 // core spans — and the ring is browsable after the fact through
 // /v1/admin/traces. `rknn serve -trace-sample` wires this identically.
-// The seventh act is live operations: SLO error budgets with multi-window
+// The sixth act is live operations: SLO error budgets with multi-window
 // burn-rate alerting (`rknn serve -slo-latency "p99<25ms"
 // -slo-availability 99.9`), hot-region workload analytics, and the
 // sliding-window /statsz views that `rknn top` renders as a terminal
 // dashboard. An absurdly tight availability objective is tripped on
 // purpose to show the fast-burn page and the /healthz?slo=1 503.
-// The eighth act is distributed serving: the same three-way partition,
+// The seventh act is distributed serving: the same three-way partition,
 // but each shard is its own HTTP daemon speaking the compact binary
 // shard protocol — what `rknn shard-serve -shard s -shards 3` (three
 // times) plus `rknn coordinate` run as separate processes. The
@@ -248,49 +243,6 @@ func main() {
 	}
 	fmt.Printf("trace ring retains %d trace(s); latest root %q took %dus\n",
 		listing.Total, listing.Traces[0].Root, listing.Traces[0].DurationUS)
-
-	// The approximate serving tier: the same dataset behind the LSH
-	// back-end (`rknn serve -backend lsh` does exactly this). Responses are
-	// marked approximate, and the engine cross-checks itself: the
-	// rknn_recall_estimate gauge samples member queries against an exact
-	// brute-force oracle at scrape time, so one /metrics scrape reads the
-	// recall the approximation is actually delivering, beside the LSH scan
-	// depth (rknn_scan_depth_total{backend="lsh"}: the candidates its
-	// ranking streamed).
-	approx, err := repro.New(ds.Points, repro.WithBackend(repro.BackendLSH), repro.WithScale(8))
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg3 := telemetry.NewRegistry()
-	approx.EnableTelemetry(reg3)
-	ts3 := httptest.NewServer(server.New(approx, server.WithRegistry(reg3)).Handler())
-	defer ts3.Close()
-	var approxAns struct {
-		IDs         []int `json:"ids"`
-		Approximate bool  `json:"approximate"`
-	}
-	post(ts3.URL+"/v1/rknn", `{"id": 42, "k": 10}`, &approxAns)
-	fmt.Printf("approximate R10NN(42) = %v (marked approximate: %v)\n", approxAns.IDs, approxAns.Approximate)
-	recall, err := approx.RecallEstimate(8, 10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sampled recall vs exact oracle: %.3f\n", recall)
-	resp, err = http.Get(ts3.URL + "/metrics")
-	if err != nil {
-		log.Fatal(err)
-	}
-	sc = bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "rknn_recall_estimate") || strings.HasPrefix(line, `rknn_scan_depth_total{backend="lsh"}`) {
-			fmt.Println("  " + line)
-		}
-	}
-	resp.Body.Close()
-	if err := sc.Err(); err != nil {
-		log.Fatal(err)
-	}
 
 	// Live operations: SLO error budgets, workload analytics, and the
 	// windowed views `rknn top` renders. `rknn serve -slo-latency

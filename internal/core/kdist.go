@@ -121,11 +121,7 @@ func (qr *Querier) fillTable(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	bound, ok := walk.TableBounds(kd)
-	if !ok {
-		return errNoWalk
-	}
-	qr.table.Store(&kdTable{kd: kd, bound: bound, walk: walk})
+	qr.table.Store(&kdTable{kd: kd, bound: walk.TableBounds(kd), walk: walk})
 	return nil
 }
 
@@ -137,8 +133,8 @@ func (qr *Querier) fillTable(ctx context.Context) error {
 // snapshot's fills when it is replaced. Engines is safe for concurrent use.
 type Engines struct {
 	build func(k int) (*Querier, error)
-	fills *FillGroup // nil: never fill (an approximate source overstates kdist)
-	byK   sync.Map   // k int -> *served
+	fills *FillGroup
+	byK   sync.Map // k int -> *served
 
 	mu      sync.Mutex // guards what follows; taken after fills.mu
 	stopped bool
@@ -154,10 +150,8 @@ type served struct {
 	started atomic.Bool
 }
 
-// NewEngines returns an empty memo whose Queriers build calls construct.
-// fills is the engine's FillGroup, or nil for a source whose cursor is not
-// exact: its k-th neighbor may lie beyond the true one, so a table would
-// accept rows Algorithm 1 would not.
+// NewEngines returns an empty memo whose Queriers build calls construct and
+// fills runs the fills of.
 func NewEngines(build func(k int) (*Querier, error), fills *FillGroup) *Engines {
 	return &Engines{build: build, fills: fills}
 }
@@ -179,7 +173,7 @@ func (e *Engines) Serve(k int) (*Querier, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.fills != nil && !en.started.Load() && en.n.Add(1) >= en.trigger && !e.fills.busy.Load() {
+	if !en.started.Load() && en.n.Add(1) >= en.trigger && !e.fills.busy.Load() {
 		e.startFill(en)
 	}
 	return en.qr, nil

@@ -332,9 +332,7 @@ func waitFills(g *FillGroup) { g.wg.Wait() }
 
 // TestKDistTableTrigger pins when Engines fills: not before a rank has served
 // fillTrigger queries — n/8 under plain RDT, at least plusFloor under RDT+ —
-// once when it has, never for a memo without a FillGroup (an approximate
-// source), and never for a Querier fetched without counting (the recall
-// probe's path).
+// once when it has, and never for a Querier fetched without counting.
 func TestKDistTableTrigger(t *testing.T) {
 	ix, err := tableBackends["covertree"](randPoints(300, 4, 43))
 	if err != nil {
@@ -348,12 +346,8 @@ func TestKDistTableTrigger(t *testing.T) {
 		}
 		var g FillGroup
 		e := NewEngines(build, &g)
-		approx := NewEngines(build, nil)
 		for i := 0; i < 3*trigger; i++ {
 			if _, err := e.Querier(3); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := approx.Serve(3); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -382,9 +376,6 @@ func TestKDistTableTrigger(t *testing.T) {
 		}
 		if other, _ := e.Querier(4); other.table.Load() != nil {
 			t.Fatalf("plus=%v: another rank shares the filled rank's table", plus)
-		}
-		if aq, _ := approx.Querier(3); aq.table.Load() != nil {
-			t.Fatalf("plus=%v: a memo without a FillGroup filled", plus)
 		}
 		res, err := qr.ByID(5)
 		if err != nil || !res.Stats.DecidedByTable {

@@ -315,7 +315,7 @@ func (t *Tree) Insert(p []float64) (int, error) {
 // neither is ever observable through the other. Clone reads t like any
 // query and may run beside queries and other Clones, not beside a mutation
 // of t.
-func (t *Tree) Clone() index.Dynamic {
+func (t *Tree) Clone() index.Cloner {
 	t.sharedNodes.Store(true)
 	c := &Tree{root: t.root}
 	t.CloneInto(&c.RowStore)
@@ -612,7 +612,7 @@ func (c *closerCount) visit(n *node, d float64, depth int) {
 // TableBounds implements index.TableReverser: bound[id] is the largest kd
 // over the subtree of node id, filled in one post-order pass. A table is a
 // snapshot's, and the nodes are never written: the bounds live beside it.
-func (t *Tree) TableBounds(kd []float64) ([]float64, bool) {
+func (t *Tree) TableBounds(kd []float64) []float64 {
 	bound := make([]float64, t.IDSpan())
 	var up func(n *node) float64
 	up = func(n *node) float64 {
@@ -626,7 +626,7 @@ func (t *Tree) TableBounds(kd []float64) ([]float64, bool) {
 	if t.root != nil {
 		up(t.root)
 	}
-	return bound, true
+	return bound
 }
 
 // ReverseByTable implements index.TableReverser with a depth-first walk on

@@ -560,9 +560,9 @@ func TestTableBoundsAndWalk(t *testing.T) {
 			kd[id] = float64(rng.Intn(6)) / 2 // often exactly a grid distance
 		}
 	}
-	bound, ok := tree.TableBounds(kd)
-	if !ok || len(bound) != tree.IDSpan() {
-		t.Fatalf("TableBounds: %d bounds, ok %v; want %d", len(bound), ok, tree.IDSpan())
+	bound := tree.TableBounds(kd)
+	if len(bound) != tree.IDSpan() {
+		t.Fatalf("TableBounds: %d bounds; want %d", len(bound), tree.IDSpan())
 	}
 	walk(tree, func(n *node) {
 		most := math.Inf(-1)

@@ -25,12 +25,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/index"
+	"repro/internal/lsh"
 	"repro/internal/vecmath"
 )
 
-// BuildBackend constructs the forward-kNN back-end by name; see
-// backend.Build, which this forwards to for the harness's own callers.
+// BuildBackend constructs the forward-kNN index by name: a serving back-end
+// through backend.Build, or "lsh", the approximate ranking of the paper's
+// claim (iii), which only the reproduction runs (lsh.DefaultOptions()).
 func BuildBackend(name string, points [][]float64, metric vecmath.Metric) (index.Index, error) {
+	if name == "lsh" {
+		return lsh.New(points, metric, lsh.DefaultOptions())
+	}
 	return backend.Build(name, points, metric)
 }
 

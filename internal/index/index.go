@@ -138,17 +138,17 @@ type BatchCounter interface {
 	CountCloserBatch(ctx context.Context, qs []CountQuery) []int
 }
 
-// TableReverser is an optional capability of an exact index: given kd, a
-// k-distance table over its IDs (kd[x] the distance from x to its k-th
-// nearest other live member, −Inf for an ID that is not live), it answers a
-// reverse k-nearest-neighbor query in one pass, for the reverse neighbors of
-// q are exactly the x ≠ skipID with d(q,x) ≤ kd[x]. No kNN order is needed.
+// TableReverser is what an exact index answers by a k-distance table: given
+// kd, a table over its IDs (kd[x] the distance from x to its k-th nearest
+// other live member, −Inf for an ID that is not live), it answers a reverse
+// k-nearest-neighbor query in one pass, for the reverse neighbors of q are
+// exactly the x ≠ skipID with d(q,x) ≤ kd[x]. No kNN order is needed. Every
+// Cloner is one; a federation of shards is not.
 type TableReverser interface {
 	// TableBounds returns the pruning state ReverseByTable takes beside kd,
 	// computed once per table (the cover tree's subtree maxima of kd; nil
-	// for an index that prunes nothing). ok is false for an index that
-	// cannot answer by a table at all.
-	TableBounds(kd []float64) (bounds []float64, ok bool)
+	// for an index that prunes nothing).
+	TableBounds(kd []float64) (bounds []float64)
 
 	// ReverseByTable appends to out, in no particular order, every x ≠
 	// skipID with d(q,x) ≤ kd[x], and returns it. bounds is TableBounds(kd).
@@ -184,19 +184,21 @@ type Liveness interface {
 	Live(id int) bool
 }
 
-// Cloner is implemented by dynamic indexes that can hand out an independent
-// copy of themselves. Independent both ways: no mutation of the clone is
-// ever observable through the original, and none of the original through the
-// clone, so a frozen original keeps serving concurrent readers while the
-// clone absorbs updates. The two may share immutable structure — every
-// back-end shares its rows and tombstones (RowStore.CloneInto); the cover
-// tree's Clone is O(1) and its insertions copy the path they change, LSH
-// copies each table's bucket map — and Clone itself may run beside readers
-// and other Clones of the same index. This is the primitive behind the
-// facade's copy-on-write snapshots (DESIGN.md).
+// Cloner is the contract of a serving back-end, the base an Overlay holds:
+// an exact dynamic index that answers by a k-distance table and can hand out
+// an independent copy of itself. Independent both ways: no mutation of the
+// clone is ever observable through the original, and none of the original
+// through the clone, so a frozen original keeps serving concurrent readers
+// while the clone absorbs updates. The two may share immutable structure —
+// every back-end shares its rows and tombstones (RowStore.CloneInto); the
+// cover tree's Clone is O(1) and its insertions copy the path they change —
+// and Clone itself may run beside readers and other Clones of the same index.
+// This is the primitive behind the facade's copy-on-write snapshots
+// (DESIGN.md).
 type Cloner interface {
 	Dynamic
+	TableReverser
 
 	// Clone returns an independent copy of the index.
-	Clone() Dynamic
+	Clone() Cloner
 }

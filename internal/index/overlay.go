@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -33,8 +32,8 @@ import (
 // publish atomically — keeps published overlays immutable and therefore
 // safe for any number of readers.
 type Overlay struct {
-	base     Index // immutable while this overlay is reachable by readers
-	baseSpan int   // IDs below this resolve in base
+	base     Cloner // immutable while this overlay is reachable by readers
+	baseSpan int    // IDs below this resolve in base
 	rows     Table[[]float64]
 	tomb     Tombstones // deleted IDs, both base- and memtable-region
 	alive    int
@@ -55,12 +54,12 @@ var baseClones atomic.Int64
 // per Fold).
 func BaseClones() int64 { return baseClones.Load() }
 
-// NewOverlay wraps base in an empty delta overlay. The base is retained by
-// reference and must not be mutated afterwards; Fold additionally requires
-// it to implement Cloner.
+// NewOverlay wraps base, which must be a Cloner — every serving back-end
+// is — in an empty delta overlay; it panics on any other Index. The base is
+// retained by reference and must not be mutated afterwards.
 func NewOverlay(base Index) *Overlay {
 	return &Overlay{
-		base:     base,
+		base:     base.(Cloner),
 		baseSpan: base.IDSpan(),
 		alive:    base.Len(),
 		dim:      base.Dim(),
@@ -165,13 +164,9 @@ func (o *Overlay) Clone() *Overlay {
 // — a fresh base for a rebased overlay. Neither the receiver nor its base is
 // modified, so a frozen overlay can be folded off-lock while readers query
 // it and writers keep appending to its clones.
-func (o *Overlay) Fold() (Dynamic, error) {
-	cl, ok := o.base.(Cloner)
-	if !ok {
-		return nil, errors.New("index: overlay base does not support cloning")
-	}
+func (o *Overlay) Fold() (Cloner, error) {
 	baseClones.Add(1)
-	next := cl.Clone()
+	next := o.base.Clone()
 	for i, p := range o.rows.Rows {
 		id, err := next.Insert(p)
 		if err != nil {
@@ -194,7 +189,7 @@ func (o *Overlay) Fold() (Dynamic, error) {
 // captured. It relies on the clone discipline's invariants: frozen was
 // cloned from the same lineage as the receiver, so frozen.rows is a prefix
 // of o.rows and frozen.tomb a subset of o.tomb.
-func (o *Overlay) Rebase(frozen *Overlay, folded Dynamic) *Overlay {
+func (o *Overlay) Rebase(frozen *Overlay, folded Cloner) *Overlay {
 	span := frozen.baseSpan + len(frozen.rows.Rows)
 	rows := slices.Clone(o.rows.Rows[len(frozen.rows.Rows):]) // its own array: a Table's claim covers a whole one
 	next := &Overlay{
@@ -429,19 +424,14 @@ func (o *Overlay) KNN(q []float64, k int, skipID int) []Neighbor {
 }
 
 // TableBounds implements TableReverser through the base; the memtable is
-// scanned and needs none. ok is false over a base with no table walk.
-func (o *Overlay) TableBounds(kd []float64) ([]float64, bool) {
-	if r, ok := o.base.(TableReverser); ok {
-		return r.TableBounds(kd)
-	}
-	return nil, false
-}
+// scanned and needs none.
+func (o *Overlay) TableBounds(kd []float64) []float64 { return o.base.TableBounds(kd) }
 
 // ReverseByTable implements TableReverser: the base's walk, then one pass
 // over the memtable rows. The table holds −Inf at every tombstone, so no
 // comparison accepts one.
 func (o *Overlay) ReverseByTable(q []float64, skipID int, kd, bounds []float64, out []int) []int {
-	out = o.base.(TableReverser).ReverseByTable(q, o.baseSkip(skipID), kd, bounds, out)
+	out = o.base.ReverseByTable(q, o.baseSkip(skipID), kd, bounds, out)
 	for i, p := range o.rows.Rows {
 		if id := o.baseSpan + i; id != skipID && o.dist(q, p) <= kd[id] {
 			out = append(out, id)

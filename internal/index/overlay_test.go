@@ -85,10 +85,21 @@ func newTestScan(points [][]float64) *testScan {
 
 func (ix *testScan) Insert(p []float64) (int, error) { return ix.Append(p) }
 
-func (ix *testScan) Clone() Dynamic {
+func (ix *testScan) Clone() Cloner {
 	c := new(testScan)
 	ix.CloneInto(&c.RowStore)
 	return c
+}
+
+func (ix *testScan) TableBounds([]float64) []float64 { return nil }
+
+func (ix *testScan) ReverseByTable(q []float64, skipID int, kd, _ []float64, out []int) []int {
+	for id, p := range ix.Rows() {
+		if !ix.Skip(id, skipID) && ix.Metric().Distance(q, p) <= kd[id] {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func (ix *testScan) sorted(q []float64, skipID int) []Neighbor {
@@ -398,20 +409,19 @@ func TestOverlayRebaseCarriesPostFreezeDelta(t *testing.T) {
 	}
 }
 
-// TestOverlayStaticBaseFoldFails pins the error contract for bases without
-// Cloner support.
-func TestOverlayStaticBaseFoldFails(t *testing.T) {
+// TestOverlayStaticBaseRefused pins the contract for bases without Cloner
+// support: an overlay holds only a base it can fold and walk by a table, so
+// NewOverlay refuses any other Index.
+func TestOverlayStaticBaseRefused(t *testing.T) {
 	// A testScan stripped to a plain Index via an embedding that hides the
 	// Dynamic methods.
 	type staticOnly struct{ Index }
-	base := newTestScan([][]float64{{0, 0}, {1, 1}})
-	ov := NewOverlay(staticOnly{base})
-	if _, err := ov.Insert([]float64{2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ov.Fold(); err == nil {
-		t.Fatal("Fold over a non-Cloner base succeeded, want error")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewOverlay over a non-Cloner base succeeded, want a panic")
+		}
+	}()
+	NewOverlay(staticOnly{newTestScan([][]float64{{0, 0}, {1, 1}})})
 }
 
 // TestOverlayCursorCloseReachesBase checks the cursor lifecycle through the

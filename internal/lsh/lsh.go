@@ -1,6 +1,6 @@
 // Package lsh implements Euclidean locality-sensitive hashing (the E2LSH
 // scheme of Datar et al., in the lineage of Gionis/Indyk/Motwani cited as
-// [15] by the paper) as an *approximate* forward-kNN back-end.
+// [15] by the paper) as an *approximate* forward-kNN ranking.
 //
 // The paper's claim (iii) for RDT is that the algorithm "is able to make
 // effective use of approximate neighbor rankings, and thus can be supported
@@ -8,31 +8,25 @@
 // makes that claim testable: it satisfies the index.Index contract but only
 // streams the candidates colliding with the query in at least one of its
 // hash tables, ranked by true distance. Queries through it are approximate;
-// the integration tests and the ablation bench quantify the recall RDT+
-// retains on top of it.
+// the reproduction's tests, the approxrankings example, the experiments
+// harness and the ablation bench quantify the recall RDT+ retains on top of
+// it. It is no serving back-end: every engine the facade builds is exact
+// (DESIGN.md, "Approximate rankings (reproduction only)"), so the index is
+// built once over a fixed point set and takes no inserts.
 //
 // Each of L tables hashes a point to the concatenation of M quantized
 // random projections h(x) = ⌊(a·x + b)/w⌋. The bucket width w is tuned at
 // build time from a sample of nearest-neighbor distances so that near
 // neighbors tend to collide.
-//
-// The index is dynamic (index.Cloner): Insert hashes the new point into
-// every table, Delete tombstones an ID in place (index.RowStore), and Clone
-// copies each table's bucket map but shares the rows, the tombstones and
-// the bucket ID slices, which are replaced (never appended in place) on
-// insert — so the facade's snapshot machinery serves LSH exactly like the
-// exact dynamic back-ends.
 package lsh
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/index"
 	"repro/internal/pqueue"
@@ -74,8 +68,7 @@ func (o Options) validate() error {
 }
 
 // table is one hash table: M projection vectors with offsets, and the
-// bucket map. Bucket ID slices may be shared across clones of an Index and
-// must never be mutated in place; inserts replace them (see Insert).
+// bucket map.
 type table struct {
 	projs   [][]float64
 	offsets []float64
@@ -84,27 +77,14 @@ type table struct {
 
 // Index is an approximate similarity index over the rows its
 // index.RowStore holds. It implements index.Index with candidate-set
-// semantics (query results cover only hash collisions) and index.Cloner for
-// online updates under copy-on-write snapshots.
+// semantics: query results cover only hash collisions.
 type Index struct {
 	index.RowStore
 	width  float64
-	hashes int // M, projections per table
 	tables []table
 }
 
-var _ index.Cloner = (*Index)(nil)
-
-// hashCalls counts bucket-key computations (one per table per hashed
-// point or query). The persistence tests pin that restoring an index from
-// its native structure blob performs zero of them. Callers batch their
-// increments (one Add per query or insert, not one per table) so the
-// shared cache line is touched once per operation on the hot path.
-var hashCalls atomic.Int64
-
-// HashCalls returns the process-lifetime count of bucket-key computations —
-// test instrumentation for the "restore never re-hashes" guarantee.
-func HashCalls() int64 { return hashCalls.Load() }
+var _ index.Index = (*Index)(nil)
 
 // New builds the hash tables over points. Only the Euclidean metric is
 // supported (the projections quantize L2 geometry).
@@ -112,12 +92,14 @@ func New(points [][]float64, metric vecmath.Metric, opts Options) (*Index, error
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	ix, err := newIndex(points, metric)
-	if err != nil {
+	if _, ok := metric.(vecmath.Euclidean); !ok {
+		return nil, errors.New("lsh: only the Euclidean metric is supported")
+	}
+	ix := new(Index)
+	if err := ix.Init(points, metric); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	ix.hashes = opts.Hashes
 
 	ix.width = opts.Width
 	if ix.width == 0 {
@@ -144,20 +126,9 @@ func New(points [][]float64, metric vecmath.Metric, opts Options) (*Index, error
 			keyBuf = t.appendKey(keyBuf[:0], p, ix.width)
 			t.buckets[string(keyBuf)] = append(t.buckets[string(keyBuf)], id)
 		}
-		hashCalls.Add(int64(len(points)))
 		ix.tables[ti] = t
 	}
 	return ix, nil
-}
-
-// newIndex validates points and metric for New and Restore and returns an
-// index that holds the points and no table yet.
-func newIndex(points [][]float64, metric vecmath.Metric) (*Index, error) {
-	if _, ok := metric.(vecmath.Euclidean); !ok {
-		return nil, errors.New("lsh: only the Euclidean metric is supported")
-	}
-	ix := new(Index)
-	return ix, ix.Init(points, metric)
 }
 
 // DegenerateWidth is the documented bucket-width floor used when automatic
@@ -219,47 +190,6 @@ func (t *table) appendKey(buf []byte, p []float64, width float64) []byte {
 // Width returns the quantization width in effect.
 func (ix *Index) Width() float64 { return ix.width }
 
-// Tables returns L, the number of hash tables.
-func (ix *Index) Tables() int { return len(ix.tables) }
-
-// Insert implements index.Dynamic: the point is hashed once per table and
-// appended to its buckets. Bucket slices may be shared with clones, so the
-// updated bucket is a fresh slice rather than an in-place append.
-func (ix *Index) Insert(p []float64) (int, error) {
-	id, err := ix.Append(p)
-	if err != nil {
-		return 0, err
-	}
-	hashCalls.Add(int64(len(ix.tables)))
-	var keyBuf []byte
-	for ti := range ix.tables {
-		t := &ix.tables[ti]
-		keyBuf = t.appendKey(keyBuf[:0], p, ix.width)
-		old := t.buckets[string(keyBuf)]
-		next := make([]int, len(old)+1)
-		copy(next, old)
-		next[len(old)] = id
-		t.buckets[string(keyBuf)] = next
-	}
-	return id, nil
-}
-
-// Clone implements index.Cloner. Projection vectors and bucket ID slices
-// are shared (immutable by convention: inserts replace bucket slices, never
-// extend them in place), the rows and tombstones by the store's rule
-// (index.RowStore.CloneInto; a deleted ID stays in its buckets and the
-// candidate machinery filters it); the bucket map headers are copied, so
-// Insert and Delete on the clone are invisible to the original.
-func (ix *Index) Clone() index.Dynamic {
-	tables := make([]table, len(ix.tables))
-	for i, t := range ix.tables {
-		tables[i] = table{projs: t.projs, offsets: t.offsets, buckets: maps.Clone(t.buckets)}
-	}
-	cl := &Index{width: ix.width, hashes: ix.hashes, tables: tables}
-	ix.CloneInto(&cl.RowStore)
-	return cl
-}
-
 // dedup is the pooled per-query candidate-collection state: the seen set,
 // the collected ID list, and the key scratch buffer. Candidate gathering is
 // the hot path of every query; recycling the set keeps per-query garbage
@@ -286,7 +216,6 @@ func (d *dedup) release() {
 // deduplicated, excluding skipID and tombstoned points. The returned slice
 // is owned by d and valid until d.release.
 func (ix *Index) candidates(d *dedup, q []float64, skipID int) []int {
-	hashCalls.Add(int64(len(ix.tables)))
 	for ti := range ix.tables {
 		t := &ix.tables[ti]
 		d.key = t.appendKey(d.key[:0], q, ix.width)

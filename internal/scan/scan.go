@@ -51,7 +51,7 @@ func (ix *Index) Insert(p []float64) (int, error) {
 // Clone implements index.Cloner. The rows and tombstones are shared by the
 // store's rule (index.RowStore.CloneInto), so either side may insert and
 // delete afterwards and neither sees the other's writes.
-func (ix *Index) Clone() index.Dynamic {
+func (ix *Index) Clone() index.Cloner {
 	cl := new(Index)
 	ix.CloneInto(&cl.RowStore)
 	return cl
@@ -160,7 +160,7 @@ func (ix *Index) KNN(q []float64, k int, skipID int) []index.Neighbor {
 }
 
 // TableBounds implements index.TableReverser: a scan prunes nothing.
-func (ix *Index) TableBounds([]float64) ([]float64, bool) { return nil, true }
+func (ix *Index) TableBounds([]float64) []float64 { return nil }
 
 // ReverseByTable implements index.TableReverser: one row loop, each row
 // decided by one comparison with its table entry.

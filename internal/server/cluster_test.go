@@ -424,8 +424,8 @@ func TestClusterByteIdentity(t *testing.T) {
 		}
 
 		// Every back-end takes both kinds of write, everywhere alike, and
-		// the exact ones answer the oracle over what the writes left. (Plain
-		// RDT at a scale past the rank cap is exhaustive, hence exact.)
+		// answers the oracle over what the writes left. (Plain RDT at a
+		// scale past the rank cap is exhaustive, hence exact.)
 		added := indextest.RandPoints(3, 3, 303)
 		rawOne, _ := json.Marshal(map[string]any{"point": added[0]})
 		rawTwo, _ := json.Marshal(map[string]any{"points": added[1:]})
@@ -440,7 +440,7 @@ func TestClusterByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range []repro.Backend{repro.BackendCoverTree, repro.BackendScan, repro.BackendLSH} {
+		for _, b := range []repro.Backend{repro.BackendCoverTree, repro.BackendScan} {
 			servers, _, engs := topologies(t, pts, repro.WithBackend(b), repro.WithScale(200), repro.WithPlainRDT())
 			identical(t, servers, "POST", "/v1/points", string(rawOne))
 			identical(t, servers, "POST", "/v1/points/batch", string(rawTwo))
@@ -449,9 +449,6 @@ func TestClusterByteIdentity(t *testing.T) {
 			for name, eng := range engs {
 				if got := eng.Len(); got != len(survivors) {
 					t.Errorf("%s on %s: Len = %d after the writes, want %d", name, b, got, len(survivors))
-				}
-				if b == repro.BackendLSH {
-					continue
 				}
 				for oid, qid := range toEngine {
 					if oid%13 != 0 && qid < 120 {
@@ -1282,8 +1279,9 @@ func TestClusterWriteBetweenChunks(t *testing.T) {
 }
 
 // TestCoordinatorHandshake pins the startup cross-checks: daemons wired up
-// in the wrong order, or a coordinator configured for a different cluster
-// size than the daemons serve, are refused with a diagnosable error.
+// in the wrong order, a coordinator configured for a different cluster size
+// than the daemons serve, or a daemon on a retired back-end, are refused with
+// a diagnosable error.
 func TestCoordinatorHandshake(t *testing.T) {
 	pts := indextest.RandPoints(100, 3, 41)
 	parts := splitShards(t, pts, 2)
@@ -1305,6 +1303,24 @@ func TestCoordinatorHandshake(t *testing.T) {
 	if _, err := repro.NewCoordinator(context.Background(), specs[:1],
 		repro.WithHealthInterval(0)); err == nil || !strings.Contains(err.Error(), "2-shard cluster") {
 		t.Errorf("truncated cluster: err = %v, want a cluster-size error", err)
+	}
+
+	// A daemon from a release that still served the approximate LSH
+	// back-end describes itself so; the coordinator answers exactly or not
+	// at all, and names the retired back-end.
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/shard/info" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"approximate":true,"backend":"lsh","dim":3,"id_span":50,"margin":0,"metric_id":1,"metric_param":0,"plus":true,"points":50,"scale":100,"shard":1,"shards":2}`)
+	}))
+	t.Cleanup(old.Close)
+	_, err := repro.NewCoordinator(context.Background(), []repro.ShardSpec{specs[0], {Addrs: []string{old.URL}}},
+		repro.WithHealthInterval(0))
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), `"lsh" was retired`) {
+		t.Errorf("an LSH daemon: err = %v, want the retired-back-end error naming shard 1", err)
 	}
 
 	// A healthy handshake, for contrast — and the daemons' self-reported

@@ -83,11 +83,6 @@ type Engine interface {
 	// Backend names the forward index the engine runs on — on a recovery
 	// path it comes from the store, not from a flag.
 	Backend() repro.Backend
-	// Approximate reports whether answers come from an approximate back-end
-	// (LSH). When true, query responses carry "approximate": true and
-	// /statsz marks the engine approximate, so clients can never mistake an
-	// approximate answer for an exact one.
-	Approximate() bool
 	// The handlers call the Stats forms only — every engine computes the
 	// counters either way. The plain forms stay for code that holds an
 	// Engine and wants just the IDs.
@@ -145,9 +140,6 @@ type Server struct {
 	reg   *telemetry.Registry
 	slow  *telemetry.SlowLog
 	stats map[string]*endpointStats // fixed key set, populated at New
-	// approx is resolved once at New: whether the engine's answers are
-	// approximate (Engine.Approximate).
-	approx bool
 	// ring/sample: per-request tracing (WithTracing). ring retains completed
 	// traces; sample is the head-sampling probability for ring admission.
 	// A nil ring disables tracing entirely.
@@ -286,7 +278,6 @@ func New(s Engine, opts ...Option) *Server {
 		slo:     o.slo,
 		shard:   o.shard,
 		shards:  o.shards,
-		approx:  s.Approximate(),
 		streams: map[net.Conn]struct{}{},
 	}
 	srv.local, _ = s.(Local)
@@ -559,12 +550,8 @@ type rknnRequest struct {
 }
 
 type rknnResponse struct {
-	IDs []int `json:"ids"`
-	// Approximate marks answers from an approximate engine (LSH back-end):
-	// the ID list may miss true reverse neighbors. Omitted (false) on exact
-	// engines.
-	Approximate bool         `json:"approximate,omitempty"`
-	Stats       *repro.Stats `json:"stats,omitempty"`
+	IDs   []int        `json:"ids"`
+	Stats *repro.Stats `json:"stats,omitempty"`
 	// Trace is the EXPLAIN-style span tree of this very request, present
 	// only under ?debug=1 on a tracing-enabled server.
 	Trace *trace.TraceJSON `json:"trace,omitempty"`
@@ -594,7 +581,7 @@ func (srv *Server) handleRkNN(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	resp := rknnResponse{IDs: emptyNotNull(ids), Approximate: srv.approx}
+	resp := rknnResponse{IDs: emptyNotNull(ids)}
 	if req.WithStats {
 		resp.Stats = &st
 	}
@@ -617,8 +604,6 @@ type batchRequest struct {
 
 type batchResponse struct {
 	Results [][]int `json:"results"`
-	// Approximate as in rknnResponse, once for the whole batch.
-	Approximate bool `json:"approximate,omitempty"`
 }
 
 func (srv *Server) handleRkNNBatch(w http.ResponseWriter, r *http.Request) error {
@@ -639,7 +624,7 @@ func (srv *Server) handleRkNNBatch(w http.ResponseWriter, r *http.Request) error
 	for i := range results {
 		results[i] = emptyNotNull(results[i])
 	}
-	return writeJSON(w, http.StatusOK, batchResponse{Results: results, Approximate: srv.approx})
+	return writeJSON(w, http.StatusOK, batchResponse{Results: results})
 }
 
 type knnRequest struct {
@@ -649,8 +634,6 @@ type knnRequest struct {
 
 type knnResponse struct {
 	Neighbors []neighbor `json:"neighbors"`
-	// Approximate as in rknnResponse.
-	Approximate bool `json:"approximate,omitempty"`
 }
 
 type neighbor struct {
@@ -671,7 +654,7 @@ func (srv *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
 	for i, nb := range nn {
 		out[i] = neighbor{ID: nb.ID, Dist: nb.Dist}
 	}
-	return writeJSON(w, http.StatusOK, knnResponse{Neighbors: out, Approximate: srv.approx})
+	return writeJSON(w, http.StatusOK, knnResponse{Neighbors: out})
 }
 
 type insertRequest struct {
@@ -809,10 +792,9 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		"gc_cycles":        ms.NumGC,
 	}
 	engine := map[string]any{
-		"points":      srv.s.Len(),
-		"dim":         srv.s.Dim(),
-		"scale":       srv.s.Scale(),
-		"approximate": srv.approx,
+		"points": srv.s.Len(),
+		"dim":    srv.s.Dim(),
+		"scale":  srv.s.Scale(),
 	}
 	if d := srv.store(); d != nil {
 		engine["generation"] = d.Generation()

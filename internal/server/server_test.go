@@ -788,65 +788,35 @@ func TestSlowlogEndpoint(t *testing.T) {
 	}
 }
 
-// TestApproximateMarker pins the honesty contract of the approximate tier:
-// an LSH-backed engine marks every query response and /statsz with
-// "approximate": true, while exact engines omit the marker entirely.
+// TestApproximateMarker pins that the approximate marker is gone: every
+// engine is exact, so no query response and no /statsz engine section
+// carries an "approximate" key a client could read either way.
 func TestApproximateMarker(t *testing.T) {
-	pts := indextest.ClusteredPoints(300, 4, 4, 19)
-	approx, err := repro.New(pts, repro.WithBackend(repro.BackendLSH), repro.WithScale(8))
-	if err != nil {
-		t.Fatalf("New(lsh): %v", err)
-	}
-	ats := httptest.NewServer(New(approx).Handler())
-	t.Cleanup(ats.Close)
-
-	var rknn map[string]json.RawMessage
-	if status := call(t, "POST", ats.URL+"/v1/rknn", map[string]any{"id": 1, "k": 5}, &rknn); status != http.StatusOK {
-		t.Fatalf("rknn status %d", status)
-	}
-	if string(rknn["approximate"]) != "true" {
-		t.Errorf(`rknn response approximate = %s, want true`, rknn["approximate"])
-	}
-	var batch map[string]json.RawMessage
-	if status := call(t, "POST", ats.URL+"/v1/rknn/batch", map[string]any{"ids": []int{1, 2}, "k": 5}, &batch); status != http.StatusOK {
-		t.Fatalf("batch status %d", status)
-	}
-	if string(batch["approximate"]) != "true" {
-		t.Errorf(`batch response approximate = %s, want true`, batch["approximate"])
-	}
-	var knn map[string]json.RawMessage
-	if status := call(t, "POST", ats.URL+"/v1/knn", map[string]any{"point": pts[0], "k": 3}, &knn); status != http.StatusOK {
-		t.Fatalf("knn status %d", status)
-	}
-	if string(knn["approximate"]) != "true" {
-		t.Errorf(`knn response approximate = %s, want true`, knn["approximate"])
+	_, _, ts := newTestServer(t)
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{"POST", "/v1/rknn", map[string]any{"id": 1, "k": 5}},
+		{"POST", "/v1/rknn/batch", map[string]any{"ids": []int{1, 2}, "k": 5}},
+		{"POST", "/v1/knn", map[string]any{"point": []float64{0.5, 0.5, 0.5}, "k": 3}},
+	} {
+		var resp map[string]json.RawMessage
+		if status := call(t, c.method, ts.URL+c.path, c.body, &resp); status != http.StatusOK {
+			t.Fatalf("%s status %d", c.path, status)
+		}
+		if _, present := resp["approximate"]; present {
+			t.Errorf("%s response carries an approximate marker", c.path)
+		}
 	}
 	var stats struct {
 		Engine map[string]json.RawMessage `json:"engine"`
 	}
-	if status := call(t, "GET", ats.URL+"/statsz", nil, &stats); status != http.StatusOK {
+	if status := call(t, "GET", ts.URL+"/statsz", nil, &stats); status != http.StatusOK {
 		t.Fatalf("statsz status %d", status)
 	}
-	if string(stats.Engine["approximate"]) != "true" {
-		t.Errorf(`statsz engine.approximate = %s, want true`, stats.Engine["approximate"])
-	}
-
-	// Exact engine: the marker is omitted from responses (omitempty) and
-	// /statsz reports false.
-	_, _, ets := newTestServer(t)
-	var exact map[string]json.RawMessage
-	if status := call(t, "POST", ets.URL+"/v1/rknn", map[string]any{"id": 1, "k": 5}, &exact); status != http.StatusOK {
-		t.Fatalf("exact rknn status %d", status)
-	}
-	if _, present := exact["approximate"]; present {
-		t.Error("exact engine response carries an approximate marker")
-	}
-	var estats struct {
-		Engine map[string]json.RawMessage `json:"engine"`
-	}
-	call(t, "GET", ets.URL+"/statsz", nil, &estats)
-	if string(estats.Engine["approximate"]) != "false" {
-		t.Errorf(`exact statsz engine.approximate = %s, want false`, estats.Engine["approximate"])
+	if _, present := stats.Engine["approximate"]; present {
+		t.Error("/statsz engine section carries an approximate marker")
 	}
 }
 

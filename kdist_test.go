@@ -54,8 +54,8 @@ func subsetOf(a, b []int) bool {
 // TestKDistTableLifecycle pins a Searcher's k-distance table from outside:
 // under plain RDT, no table below n/8 served queries; past it, a fill whose
 // queries answer the brute-force answer, of which Algorithm 1's before the
-// fill is a subset, with no scan and no witness or refinement work; none for
-// LSH; a write's new snapshot starts without a table and the replaced one
+// fill is a subset, with no scan and no witness or refinement work; a
+// write's new snapshot starts without a table and the replaced one
 // fills nothing more; and a closed engine fills nothing more. The fill's
 // cancellation and Close's wait are pinned in internal/core, where a fill
 // can be held mid-way.
@@ -128,30 +128,6 @@ func TestKDistTableLifecycle(t *testing.T) {
 		}
 		if res, err := stale.ByID(0); err != nil || res.Stats.DecidedByTable {
 			t.Fatalf("the replaced snapshot filled a table after the write: %+v, %v", res, err)
-		}
-	})
-
-	t.Run("lsh never fills", func(t *testing.T) {
-		// In lockstep with an exact twin: once the twin's table decides, the
-		// LSH engine has served as many queries and must still have none.
-		lsh, err := New(pts, WithBackend(BackendLSH), WithScale(4), WithPlainRDT())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer lsh.Close()
-		twin, err := New(pts, WithScale(4), WithPlainRDT())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer twin.Close()
-		waitUntil(t, "the exact twin's table", func() bool {
-			if st := serve(t, lsh, len(pts), 1, k); st.DecidedByTable {
-				t.Fatalf("an approximate engine decided by a table: %+v", st)
-			}
-			return serve(t, twin, len(pts), 1, k).DecidedByTable
-		})
-		if st := serve(t, lsh, len(pts), 2*trigger, k); st.DecidedByTable {
-			t.Fatalf("an approximate engine decided by a table: %+v", st)
 		}
 	})
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/covertree"
 	"repro/internal/index"
-	"repro/internal/lsh"
 	"repro/internal/persist"
 	"repro/internal/vecmath"
 )
@@ -71,18 +70,10 @@ func (s *Searcher) snapshotRecord() (*persist.Snapshot, error) {
 	}
 	// Backend-native fast path: the cover tree ships its node topology so
 	// a restore reattaches it to the point rows with zero distance
-	// computations instead of re-inserting every point; the LSH index ships
-	// its projections, offsets, width, and buckets so a restore performs
-	// zero hash computations and reproduces byte-identical candidate sets.
-	// A clean overlay exposes its base for the blob; a dirty one stays
-	// generic.
-	if !ix.Dirty() {
-		switch nx := ix.Base().(type) {
-		case *covertree.Tree:
-			rec.Native = nx.EncodeStructure()
-		case *lsh.Index:
-			rec.Native = nx.EncodeStructure()
-		}
+	// computations instead of re-inserting every point. A clean overlay
+	// exposes its base for the blob; a dirty one stays generic.
+	if tree, ok := ix.Base().(*covertree.Tree); ok && !ix.Dirty() {
+		rec.Native = tree.EncodeStructure()
 	}
 	return rec, nil
 }
@@ -113,30 +104,28 @@ func restoreIndex(rec *persist.Snapshot) (*index.Overlay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rknnd: load: %w", err)
 	}
-	if rec.Backend == "kdtree" || rec.Backend == "vptree" {
+	switch rec.Backend {
+	case "kdtree", "vptree":
 		// Written by a back-end since retired. Those engines never took a
 		// write, so the record is rows and engine configuration; every exact
 		// back-end gives the same answers over them, and the engine goes on
 		// (and saves) as a cover tree.
 		rec.Backend = string(BackendCoverTree)
+	case "lsh":
+		// Written by the retired approximate back-end. Its rows and
+		// tombstones are the record's; its hash tables, the native blob, are
+		// discarded unread. The engine goes on (and saves) as a scan, the
+		// paper's back-end for the high-dimensional sets LSH served
+		// (Section 7.1), and answers exactly from then on.
+		rec.Backend, rec.Native = string(BackendScan), nil
 	}
-	var ix index.Dynamic
+	var ix index.Cloner
 	if rec.Backend == string(BackendCoverTree) && len(rec.Native) > 0 {
 		if t, err := covertree.Restore(rec.Points, metric, rec.Native); err == nil {
 			ix = t
 		}
 		// A malformed native blob is recoverable: the rows and tombstones
 		// are intact, so fall through to the generic rebuild.
-	}
-	if rec.Backend == string(BackendLSH) && len(rec.Native) > 0 {
-		if l, err := lsh.Restore(rec.Points, metric, rec.Native); err == nil {
-			ix = l
-		}
-		// Same recoverability as the cover tree — but the rebuild below
-		// re-hashes with default options, so a restored-from-rows LSH index
-		// may produce different (still approximate) candidate sets than the
-		// saved one. Only a corrupted-yet-checksum-valid blob takes this
-		// path.
 	}
 	if ix == nil {
 		// Every row the snapshot holds has its Dim coordinates (the points

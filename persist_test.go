@@ -14,7 +14,7 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/index"
 	"repro/internal/indextest"
-	"repro/internal/lsh"
+	"repro/internal/lid"
 	"repro/internal/persist"
 	"repro/internal/vecmath"
 )
@@ -350,155 +350,6 @@ func TestOpenDetectsForkedWAL(t *testing.T) {
 	w.Close()
 	if _, err := Open(dir); err == nil {
 		t.Error("Open accepted a forked WAL")
-	}
-}
-
-// TestLSHSaveLoadNoRehash is the approximate tier's round-trip bar: a saved
-// LSH engine restores from its native structure blob with zero hash
-// computations (pinned by the lsh.HashCalls counter) and answers every
-// query byte-identically — projections, offsets, width, and buckets all
-// come from the blob, never from re-hashing the rows.
-func TestLSHSaveLoadNoRehash(t *testing.T) {
-	pts := testPoints(150, 4, 17)
-	s, err := New(pts, WithBackend(BackendLSH), WithScale(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := queryAllLive(t, s, 5)
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	estBefore := estimateCalls.Load()
-	hashBefore := lsh.HashCalls()
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if calls := estimateCalls.Load() - estBefore; calls != 0 {
-		t.Errorf("Load re-estimated the scale %d times", calls)
-	}
-	if calls := lsh.HashCalls() - hashBefore; calls != 0 {
-		t.Errorf("Load performed %d hash computations, want 0 (native structure restore)", calls)
-	}
-	if loaded.Backend() != BackendLSH || !loaded.Approximate() {
-		t.Errorf("loaded backend %q, approximate %v", loaded.Backend(), loaded.Approximate())
-	}
-	if got := queryAllLive(t, loaded, 5); !reflect.DeepEqual(got, want) {
-		t.Error("loaded LSH answers differ from the original (candidate sets not preserved)")
-	}
-}
-
-// TestLSHDurableCrashRecovery drives the LSH back-end through the full
-// durable lifecycle: logged inserts and deletes, a snapshot cut, a crash
-// with a torn log tail, and recovery — candidate sets must survive
-// byte-identically, with zero hash computations (the snapshot base restores
-// from its native blob and the replayed WAL inserts land in the delta
-// overlay's memtable).
-func TestLSHDurableCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	pts := testPoints(120, 3, 19)
-	s, err := New(pts, WithBackend(BackendLSH), WithScale(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDurable(dir, s)
-	if err != nil {
-		t.Fatalf("NewDurable: %v", err)
-	}
-	extra := testPoints(20, 3, 20)
-	for _, p := range extra[:8] {
-		if _, err := d.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ok, err := d.Delete(7); !ok || err != nil {
-		t.Fatalf("Delete(7) = (%v, %v)", ok, err)
-	}
-	if err := d.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	for _, p := range extra[8:] {
-		if _, err := d.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ok, err := d.Delete(125); !ok || err != nil {
-		t.Fatalf("Delete(125) = (%v, %v)", ok, err)
-	}
-	want := queryAllLive(t, d, 5)
-
-	// Crash: no Close, torn garbage on the log tail.
-	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(logs) != 1 {
-		t.Fatalf("wal files %v, %v", logs, err)
-	}
-	f, err := os.OpenFile(logs[0], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{40, 0, 0, 0, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	hashBefore := lsh.HashCalls()
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer re.Close()
-	rec := re.Recovery()
-	if rec.Generation != 2 || !rec.WALTorn || rec.WALRecords != 13 {
-		t.Errorf("recovery info %+v, want generation 2, torn, 13 records", rec)
-	}
-	// Replay lands in the delta overlay's memtable, so recovery performs
-	// zero hash computations: the snapshot base restores from its native
-	// blob and the replayed inserts are plain row appends.
-	if calls := lsh.HashCalls() - hashBefore; calls != 0 {
-		t.Errorf("recovery performed %d hash computations, want 0 (replay lands in the memtable)", calls)
-	}
-	if got := queryAllLive(t, re, 5); !reflect.DeepEqual(got, want) {
-		t.Error("recovered LSH answers differ from pre-crash state")
-	}
-	// The recovered engine keeps the dynamic contract.
-	if _, err := re.Insert(extra[0]); err != nil {
-		t.Fatalf("Insert after recovery: %v", err)
-	}
-}
-
-// TestLSHLoadSurvivesCorruptNativeBlob pins the fallback: a snapshot whose
-// LSH native blob is unreadable still loads by re-hashing the rows with
-// default options — approximate answers may differ, but the engine comes
-// up with the same live point set and configuration.
-func TestLSHLoadSurvivesCorruptNativeBlob(t *testing.T) {
-	pts := testPoints(90, 3, 23)
-	s, err := New(pts, WithBackend(BackendLSH), WithScale(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.snapshotRecord()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Native) == 0 {
-		t.Fatal("LSH snapshot carries no native blob")
-	}
-	rec.Native = []byte{0xFF, 1, 2, 3} // unreadable structure
-	var buf bytes.Buffer
-	if err := persist.WriteSnapshot(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Load with corrupt native blob: %v", err)
-	}
-	if loaded.Len() != s.Len() || loaded.Scale() != s.Scale() || loaded.Backend() != BackendLSH {
-		t.Errorf("fallback load: n=%d t=%g backend=%q", loaded.Len(), loaded.Scale(), loaded.Backend())
-	}
-	if _, err := loaded.ReverseKNN(3, 5); err != nil {
-		t.Errorf("fallback-loaded engine cannot answer: %v", err)
 	}
 }
 
@@ -971,6 +822,123 @@ func TestVersion2SnapshotOpensWithoutTheFilter(t *testing.T) {
 	}
 }
 
+// lshSnapshot is a snapshot the retired LSH back-end wrote: the 60 points
+// of indextest.RandPoints(60, 5, 46), plain RDT at scale 400, members 3, 17,
+// 29, 44 and 58 deleted, its hash tables as the native blob. It was written
+// once, by the last release that served LSH, with a throwaway test that ran
+//
+//	s, _ := New(indextest.RandPoints(60, 5, 46), WithBackend(BackendLSH), WithScale(400), WithPlainRDT())
+//	for _, id := range []int{3, 17, 29, 44, 58} { s.Delete(id) }
+//	s.Save(f)
+//
+// No writer can make another one, so the file is never regenerated.
+const lshSnapshot = "testdata/snapshot-lsh.snap"
+
+// TestLSHSnapshotOpensAsScan pins what becomes of a store the retired LSH
+// back-end wrote: Load and Open bring it up on scan, its hash tables
+// discarded unread, and since it runs plain RDT at a scale above the live
+// rows' MaxGED (Theorem 1) every live member's answer at k ∈ {1, 5, 10} is
+// the brute-force one; re-saved, it is a scan snapshot that reopens to the same answers. The
+// name itself is refused at construction, as every retired back-end is.
+func TestLSHSnapshotOpensAsScan(t *testing.T) {
+	raw, err := os.ReadFile(lshSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := persist.ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Backend != "lsh" || len(rec.Native) == 0 || rec.Plus {
+		t.Fatalf("%s holds back-end %q with a %d-byte native blob (RDT+ %v), want plain RDT on lsh with its tables", lshSnapshot, rec.Backend, len(rec.Native), rec.Plus)
+	}
+	pts := indextest.RandPoints(60, 5, 46)
+	dead := map[int]bool{3: true, 17: true, 29: true, 44: true, 58: true}
+	var live [][]float64
+	for id, p := range pts {
+		if !dead[id] {
+			live = append(live, p)
+		}
+	}
+	ks := []int{1, 5, 10}
+	for _, k := range ks {
+		g, err := lid.MaxGED(live, vecmath.Euclidean{}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(rec.Scale > g) {
+			t.Fatalf("scale %g does not exceed MaxGED %g at k = %d", rec.Scale, g, k)
+		}
+	}
+	dist := vecmath.KernelFor(vecmath.Euclidean{})
+	alive := func(id int) bool { return !dead[id] }
+	exact := func(t *testing.T, how string, s *Searcher) {
+		t.Helper()
+		if s.Backend() != BackendScan || s.Len() != len(live) {
+			t.Fatalf("%s: back-end %q over %d live points, want scan over %d", how, s.Backend(), s.Len(), len(live))
+		}
+		for _, k := range ks {
+			for id := range pts {
+				got, err := s.ReverseKNN(id, k)
+				if dead[id] {
+					if !errors.Is(err, ErrDeleted) {
+						t.Fatalf("%s: ReverseKNN(%d, %d) of a deleted member: %v", how, id, k, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := bruteforce.ReverseKNN(pts, alive, dist, pts[id], id, k); !sameIDs(got, want) {
+					t.Fatalf("%s: ReverseKNN(%d, %d) = %v, brute force %v", how, id, k, got, want)
+				}
+			}
+		}
+	}
+
+	loaded, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("Load(%s): %v", lshSnapshot, err)
+	}
+	exact(t, "Load", loaded)
+	dir := t.TempDir()
+	st, err := persist.Create(dir, rec, persist.DefaultSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open of an lsh store: %v", err)
+	}
+	defer opened.Close()
+	exact(t, "Open", opened)
+
+	var buf bytes.Buffer
+	if err := loaded.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := persist.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.Backend != string(BackendScan) || len(saved.Native) != 0 {
+		t.Fatalf("re-saved snapshot: back-end %q with a %d-byte native blob, want scan with none", saved.Backend, len(saved.Native))
+	}
+	again, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact(t, "re-saved", again)
+
+	_, err = New(pts, WithBackend("lsh"))
+	if err == nil || !strings.Contains(err.Error(), `"lsh" was retired`) || !strings.Contains(err.Error(), "covertree or scan") {
+		t.Fatalf("New(WithBackend(lsh)): err = %v, want the retired-back-end error", err)
+	}
+}
+
 // TestRetiredBackendSnapshotOpensOnTheCoverTree pins the compatibility
 // promise for the back-ends that left the facade: a snapshot, or a store,
 // written by a k-d tree or VP-tree engine is rows plus engine configuration
@@ -1051,13 +1019,13 @@ func TestRetiredBackendSnapshotOpensOnTheCoverTree(t *testing.T) {
 		if err == nil {
 			t.Fatalf("New accepted the retired back-end %q", name)
 		}
-		for _, word := range []string{name, "retired", "covertree", "scan", "lsh"} {
+		for _, word := range []string{name, "retired", "covertree or scan"} {
 			if !strings.Contains(err.Error(), word) {
 				t.Errorf("New(WithBackend(%q)): error %q does not mention %q", name, err, word)
 			}
 		}
 	}
-	if _, err := NewSharded(pts, 2, WithBackend("nosuch")); err == nil || !strings.Contains(err.Error(), "covertree, scan or lsh") {
+	if _, err := NewSharded(pts, 2, WithBackend("nosuch")); err == nil || !strings.Contains(err.Error(), "covertree or scan") {
 		t.Errorf("NewSharded(WithBackend(nosuch)): err = %v, want one naming the back-ends that exist", err)
 	}
 }

@@ -19,10 +19,13 @@
 // pinned with WithScale or re-estimated with a different estimator via
 // WithAutoScale.
 //
-// The subpackages under internal/ contain the full research apparatus — the
-// competing methods (SFT, MRkNNCoP, RdNN-Tree, TPL), the forward-kNN
-// back-ends, intrinsic-dimensionality estimators, and the
-// harness reproducing the paper's experiments; see DESIGN.md.
+// Every engine this package builds runs over an exact forward index, the
+// cover tree or a sequential scan. The subpackages under internal/ contain
+// the full research apparatus — the competing methods (SFT, MRkNNCoP,
+// RdNN-Tree, TPL), the forward-kNN back-ends, the LSH ranking over which
+// the paper's claim (iii), RDT on approximate rankings, is reproduced,
+// intrinsic-dimensionality estimators, and the harness reproducing the
+// paper's experiments; see DESIGN.md.
 package repro
 
 import (
@@ -81,17 +84,15 @@ type Backend string
 
 // Available back-ends. The paper uses CoverTree for low- and
 // medium-dimensional data and Scan for its highest-dimensional sets
-// (Section 7.1). Every back-end takes Insert and Delete.
+// (Section 7.1). Both are exact, and both take Insert and Delete. The names
+// "kdtree", "vptree" and "lsh" are retired: WithBackend refuses them, and a
+// store one of them wrote opens on the cover tree (kdtree, vptree) or on
+// scan (lsh). The paper's claim (iii), RDT over approximate rankings, is
+// reproduced outside the serving engines (DESIGN.md, "Approximate rankings
+// (reproduction only)").
 const (
 	BackendCoverTree Backend = "covertree"
 	BackendScan      Backend = "scan"
-	// BackendLSH is the approximate back-end (Euclidean locality-sensitive
-	// hashing): the expanding search streams only hash-collision candidates,
-	// so results trade recall for throughput — the paper's claim (iii)
-	// regime. Approximate() reports true, query responses carry an
-	// "approximate" marker, and the recall telemetry (rknn_recall_estimate)
-	// quantifies the trade live; see DESIGN.md, "Approximate serving tier".
-	BackendLSH Backend = "lsh"
 )
 
 // Estimator selects how the scale parameter t is derived from the data
@@ -249,15 +250,14 @@ func WithPlainRDT() Option { return func(c *config) { c.plus = false } }
 
 // defaultCompactionThreshold is the delta size (memtable rows plus
 // tombstones) past which a write triggers a background compaction. Large
-// enough that the amortized per-write share of a fold is small — on scan and
-// LSH, whose fold copies the rows, O(n) — small enough that the per-query
-// merge overhead stays bounded.
+// enough that the amortized per-write share of a fold is small, small enough
+// that the per-query merge overhead stays bounded.
 const defaultCompactionThreshold = 256
 
 // WithCompactionThreshold sets how large the delta overlay (recent inserts
 // plus tombstones) may grow before a write triggers a background compaction
 // folding it into a fresh base index. Smaller values bound per-query merge
-// overhead tighter; larger values amortize the fold (O(n) on scan and LSH,
+// overhead tighter; larger values amortize the fold (O(delta) on scan,
 // O(delta · depth) on the cover tree) over more writes.
 // Values below 1 select the default (256).
 func WithCompactionThreshold(n int) Option {
@@ -360,15 +360,11 @@ func newSearcher(cfg engineConfig, ix *index.Overlay) *Searcher {
 }
 
 // publish makes ix the snapshot every later query pins, and cancels the
-// k-distance fills of the one it replaces. An approximate back-end never
-// fills. Callers hold s.mu, or own s exclusively.
+// k-distance fills of the one it replaces. Callers hold s.mu, or own s
+// exclusively.
 func (s *Searcher) publish(ix *index.Overlay) {
-	fills := &s.fills
-	if s.Approximate() {
-		fills = nil
-	}
 	build := func(k int) (*core.Querier, error) { return s.newQuerier(ix, k) }
-	if old := s.snap.Swap(&snapshot{ix: ix, engines: core.NewEngines(build, fills)}); old != nil {
+	if old := s.snap.Swap(&snapshot{ix: ix, engines: core.NewEngines(build, &s.fills)}); old != nil {
 		old.engines.Stop()
 	}
 }
@@ -549,13 +545,13 @@ func (s *Searcher) maybeCompact() {
 }
 
 // compact freezes the published overlay and folds its delta into a clone of
-// its base — the one step of the write path that grows with the delta (on
-// scan and LSH, whose clone copies the rows, with n), performed off the write
-// lock. The fold never writes to the published base, which readers keep
-// querying meanwhile: a cover-tree clone shares its nodes, and the ownership
-// rule (DESIGN.md, "Incremental write path") is what makes that safe. It then
-// rebases the current overlay (which may have accumulated further
-// writes meanwhile) onto the folded index and publishes it. Callers must hold
+// its base — the one step of the write path that grows with the delta —
+// performed off the write lock. The fold never writes to the published
+// base, which readers keep querying meanwhile: a cover-tree clone shares its
+// nodes, and the ownership rule (DESIGN.md, "Incremental write path") is
+// what makes that safe. It then rebases the current overlay (which may have
+// accumulated further writes meanwhile) onto the folded index and publishes
+// it. Callers must hold
 // s.compacting, which compact releases, and must not hold s.mu. The overlay
 // is loaded here, under the lock: one a caller loaded before winning it may
 // have been folded and rebased away by the compaction that held the lock

@@ -101,35 +101,3 @@ func TestConcurrentSearcherUse(t *testing.T) {
 		}
 	}
 }
-
-// TestSampleLiveIDsDistinct pins the recall sampler against tombstone
-// runs: probing past deleted IDs must never revisit an already-sampled ID,
-// so no query is double-weighted in the estimate.
-func TestSampleLiveIDsDistinct(t *testing.T) {
-	pts := testPoints(30, 2, 41)
-	s, err := New(pts, WithBackend(BackendScan), WithScale(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tombstone a run spanning several sample strides (span 30, 8 samples
-	// → stride 3): without dedup, IDs 0 and 3 would both probe to 6.
-	for id := 0; id < 6; id++ {
-		if ok, err := s.Delete(id); !ok || err != nil {
-			t.Fatalf("Delete(%d) = (%v, %v)", id, ok, err)
-		}
-	}
-	ids := sampleLiveIDs(s.snap.Load().ix, 8)
-	seen := map[int]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("sample %v repeats id %d", ids, id)
-		}
-		if id < 6 {
-			t.Fatalf("sample %v includes tombstoned id %d", ids, id)
-		}
-		seen[id] = true
-	}
-	if len(ids) != 8 {
-		t.Errorf("sampled %d ids, want 8 (24 live ids available)", len(ids))
-	}
-}

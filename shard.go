@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/backend"
 	"repro/internal/index"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -127,9 +128,11 @@ func (e *shardedCore) init(cfg engineConfig, metric Metric, dim int, shards []sh
 // shard map. It is the one rule under which the sharded engine's answer is
 // the paper's: every shard holds its place in an S-shard cluster, reports
 // counts a shard map can name (0 ≤ points ≤ id span, spans summing to at
-// most math.MaxInt32), and runs the first described shard's algorithm over
-// the same data shape; then the map replayed from the summed spans must hand
-// each shard exactly the span it reports. Every check runs before the replay.
+// most math.MaxInt32), names a back-end this engine builds (never the
+// retired ones — an old daemon on "lsh" answers approximately), and runs the
+// first described shard's algorithm over the same data shape; then the map
+// replayed from the summed spans must hand each shard exactly the span it
+// reports. Every check runs before the replay.
 func (e *shardedCore) assemble(descs []*ShardDescription, shards []shard) error {
 	var ref *ShardDescription
 	refShard, total := 0, 0
@@ -137,6 +140,9 @@ func (e *shardedCore) assemble(descs []*ShardDescription, shards []shard) error 
 	for i, d := range descs {
 		if d == nil {
 			continue
+		}
+		if err := backend.Check(string(d.Backend)); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		switch {
 		case d.Shards != len(descs):
@@ -147,8 +153,6 @@ func (e *shardedCore) assemble(descs []*ShardDescription, shards []shard) error 
 			return fmt.Errorf("shard %d reports %d live points over an id span of %d", i, d.Points, d.IDSpan)
 		case d.IDSpan > math.MaxInt32-total:
 			return fmt.Errorf("shard %d: the id spans sum past %d, the most ids a shard map can name", i, math.MaxInt32)
-		case d.Approximate != (d.Backend == BackendLSH):
-			return fmt.Errorf("shard %d reports approximate=%v on back-end %q", i, d.Approximate, d.Backend)
 		}
 		spans[i], total = d.IDSpan, total+d.IDSpan
 		if ref == nil {

@@ -167,7 +167,6 @@ func (s *Searcher) IDSpan() int { return s.snap.Load().ix.IDSpan() }
 // from daemons and reopened shard stores alike. Fields are declared in the
 // order of their JSON keys.
 type ShardDescription struct {
-	Approximate bool    `json:"approximate,omitempty"`
 	Backend     Backend `json:"backend"`
 	Dim         int     `json:"dim"`
 	IDSpan      int     `json:"id_span"`
@@ -190,7 +189,7 @@ func (s *Searcher) Describe(shard, shards int) (ShardDescription, error) {
 		return ShardDescription{}, fmt.Errorf("rknnd: metric identity: %w", err)
 	}
 	return ShardDescription{
-		Approximate: s.Approximate(), Backend: s.backend, Dim: ix.Dim(), IDSpan: ix.IDSpan(),
+		Backend: s.backend, Dim: ix.Dim(), IDSpan: ix.IDSpan(),
 		Margin: s.margin, MetricID: uint8(id), MetricParam: param, Plus: s.plus,
 		Points: ix.Len(), Scale: s.scale, Shard: shard, Shards: shards,
 	}, nil

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -191,126 +190,5 @@ func TestInterleavedStreamConformance(t *testing.T) {
 			}
 			verifyAgainstOracle(t, d, len(all), deleted)
 		})
-	}
-}
-
-// TestLSHStreamCompactionRecall covers the approximate back-end's slice of
-// the stream bar, where oracle-exactness and fold byte-identity do not
-// apply: memtable rows are merged into query results exactly (the overlay
-// scans them), while folded rows live in the base's hash buckets and become
-// subject to the approximate regime. Folding may therefore change
-// individual answers, but it must not degrade quality — mean recall against
-// the brute-force oracle stays above the backend's floor on both sides of
-// the fold — and a save/load round-trip of the compacted engine (a clean
-// overlay ships the native hash-state blob) must preserve every answer
-// byte-identically.
-func TestLSHStreamCompactionRecall(t *testing.T) {
-	pts := indextest.ClusteredPoints(600, 5, 6, 63)
-	s, err := New(pts, WithBackend(BackendLSH), WithScale(8))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	// Stream phase: inserts drawn near existing members (the workload LSH is
-	// tuned for), plus a batch and some deletes, all below the default
-	// compaction threshold so the memtable is populated.
-	rng := rand.New(rand.NewSource(64))
-	perturbed := func() []float64 {
-		base := pts[rng.Intn(len(pts))]
-		p := make([]float64, len(base))
-		for j := range p {
-			p[j] = base[j] + 0.01*rng.NormFloat64()
-		}
-		return p
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := s.Insert(perturbed()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.InsertBatch([][]float64{perturbed(), perturbed(), perturbed()}); err != nil {
-		t.Fatal(err)
-	}
-	deleted := map[int]bool{}
-	for id := 0; id < 10; id++ {
-		if ok, err := s.Delete(id); !ok || err != nil {
-			t.Fatalf("Delete(%d) = (%v, %v)", id, ok, err)
-		}
-		deleted[id] = true
-	}
-
-	span := 633
-	var oraclePts [][]float64
-	var toEngine []int
-	for id := 0; id < span; id++ {
-		if !deleted[id] {
-			oraclePts = append(oraclePts, s.Point(id))
-			toEngine = append(toEngine, id)
-		}
-	}
-	truth, err := bruteforce.New(oraclePts, vecmath.Euclidean{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meanRecall := func(eng interface {
-		ReverseKNN(qid, k int) ([]int, error)
-	}, label string) float64 {
-		var sum float64
-		n := 0
-		for oid := 0; oid < len(toEngine); oid += 17 {
-			got, err := eng.ReverseKNN(toEngine[oid], 10)
-			if err != nil {
-				t.Fatalf("%s: ReverseKNN(%d): %v", label, toEngine[oid], err)
-			}
-			wantOracle, err := truth.RkNNByID(oid, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(wantOracle) == 0 {
-				continue
-			}
-			want := make([]int, len(wantOracle))
-			for i, o := range wantOracle {
-				want[i] = toEngine[o]
-			}
-			sum += bruteforce.Recall(got, want)
-			n++
-		}
-		return sum / float64(n)
-	}
-
-	if s.MemtableLen() == 0 {
-		t.Fatal("memtable empty before forced compaction; the test is vacuous")
-	}
-	if r := meanRecall(s, "pre-fold"); r < 0.9 {
-		t.Errorf("pre-fold mean recall %.3f, want >= 0.9", r)
-	}
-	s.compactNow()
-	if s.MemtableLen() != 0 || s.Compactions() == 0 {
-		t.Fatalf("compactNow left memtable %d, compactions %d", s.MemtableLen(), s.Compactions())
-	}
-	if r := meanRecall(s, "post-fold"); r < 0.9 {
-		t.Errorf("post-fold mean recall %.3f, want >= 0.9 (fold degraded the hash structure)", r)
-	}
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	for qid := 10; qid < span; qid += 23 {
-		a, err := s.ReverseKNN(qid, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.ReverseKNN(qid, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(a, b) {
-			t.Errorf("ReverseKNN(%d) changed across save/load: %v -> %v", qid, a, b)
-		}
 	}
 }

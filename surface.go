@@ -84,13 +84,6 @@ func (e *surface) Scale() float64 { return e.scale }
 // restored) with.
 func (e *surface) Backend() Backend { return e.backend }
 
-// Approximate reports whether queries run in the approximate regime: the
-// back-end streams candidate rankings that may miss true neighbors
-// (BackendLSH), so results are not guaranteed exact at any scale parameter.
-// A sharded merge loses nothing its shards stream, so the approximation is
-// exactly theirs. Exact back-ends return false.
-func (e *surface) Approximate() bool { return e.backend == BackendLSH }
-
 // ReverseKNN returns the IDs of the dataset members that have member qid
 // among their k nearest neighbors, sorted ascending. The member itself is
 // excluded.

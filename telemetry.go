@@ -41,18 +41,9 @@ import (
 //	rknn_shard_neighbors_pulled_total     rows pulled from the shard's stream
 //	rknn_shard_count_probes_total         Verified (each probe asks every shard)
 //
-// On an approximate back-end (Searcher.Approximate) rknn_scan_depth_total
-// is the hash-collision candidates the approximate ranking streamed — for
-// LSH the probed fraction of the dataset. The one family only approximate
-// engines register is the scrape-time rknn_recall_estimate gauge, a sampled
-// cross-check of the engine's answers against the exact brute-force oracle
-// over the current snapshot (see approx.go; cached per snapshot, so scrapes
-// of an unchanged dataset are free).
-//
 // The /statsz engine windows are windowed sums over the same Stats fields
 // (scan_depth, candidates_generated, candidates_verified, and the pruning
-// ratio they give) plus, on approximate engines, the window mean of the
-// recall estimates: each a telemetry.Windowed over a bucketless histogram.
+// ratio they give): each a telemetry.Windowed over a bucketless histogram.
 //
 // All instruments are resolved once at registration, so the per-query path
 // is lock-free: counter increments and window observations.
@@ -101,11 +92,6 @@ type engineTelemetry struct {
 	scanWin *telemetry.Windowed
 	genWin  *telemetry.Windowed
 	verWin  *telemetry.Windowed
-
-	// recallWin windows the sampled recall estimates of an approximate
-	// engine (fed at scrape time by the rknn_recall_estimate gauge); nil on
-	// exact engines.
-	recallWin *telemetry.Windowed
 
 	// workload is the Space-Saving hot-region sketch behind
 	// /v1/admin/analytics; grid quantizes query points into its signature
@@ -399,10 +385,6 @@ type EngineWindow struct {
 	// PruningRatio is 1 - Verified/Generated over the window (0 with no
 	// candidates).
 	PruningRatio float64 `json:"pruning_ratio"`
-	// Recall is the windowed mean of the sampled recall estimates on an
-	// approximate engine; -1 when absent (exact engine, or no estimate
-	// landed in the window).
-	Recall float64 `json:"recall_estimate"`
 }
 
 // queryWindowStats digests the per-operation latency windows: op ->
@@ -428,8 +410,7 @@ func (t *engineTelemetry) queryWindowStats(now time.Time) map[string]map[string]
 	return out
 }
 
-// engineWindowStats digests the windowed pruning shadows (and recall, on
-// approximate engines) per window key.
+// engineWindowStats digests the windowed pruning shadows per window key.
 func (t *engineTelemetry) engineWindowStats(now time.Time) map[string]EngineWindow {
 	if t == nil {
 		return nil
@@ -440,15 +421,9 @@ func (t *engineTelemetry) engineWindowStats(now time.Time) map[string]EngineWind
 			ScanDepth: int64(t.scanWin.SnapshotWindowAt(d, now).Sum),
 			Generated: int64(t.genWin.SnapshotWindowAt(d, now).Sum),
 			Verified:  int64(t.verWin.SnapshotWindowAt(d, now).Sum),
-			Recall:    -1,
 		}
 		if w.Generated > 0 {
 			w.PruningRatio = 1 - float64(w.Verified)/float64(w.Generated)
-		}
-		if t.recallWin != nil {
-			if r := t.recallWin.SnapshotWindowAt(d, now); r.Count > 0 {
-				w.Recall = r.Sum / float64(r.Count)
-			}
 		}
 		out[key] = w
 	}
@@ -486,7 +461,7 @@ func (b *telemetryBinding) QueryWindowStats() map[string]map[string]telemetry.Wi
 	return b.tel.Load().queryWindowStats(time.Now())
 }
 
-// EngineWindowStats reports the windowed pruning/recall digests
+// EngineWindowStats reports the windowed pruning digests
 // ("1m"/"5m" -> window) when telemetry is enabled; nil otherwise.
 func (b *telemetryBinding) EngineWindowStats() map[string]EngineWindow {
 	return b.tel.Load().engineWindowStats(time.Now())
@@ -509,11 +484,7 @@ func (b *telemetryBinding) WorkloadTopK(k int, window time.Duration) []telemetry
 // server (pass it to server.WithRegistry). Safe to call while queries are
 // in flight; queries started before the call are not recorded. Binding to
 // the registry the engine already reports to is a no-op; binding to another
-// one moves the engine there with fresh windows and sketch. Approximate
-// back-ends additionally register the scrape-time rknn_recall_estimate
-// gauge (sampled oracle cross-check, cached per snapshot and recomputed at
-// most once per recallRecomputeInterval under continuous writes; -1 when an
-// estimate fails).
+// one moves the engine there with fresh windows and sketch.
 func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 	if s.boundTo(reg) {
 		return
@@ -521,38 +492,16 @@ func (s *Searcher) EnableTelemetry(reg *telemetry.Registry) {
 	t := newEngineTelemetry(reg, string(s.backend))
 	t.grid = newQueryGrid(s.snap.Load().ix)
 	t.workload = telemetry.NewWorkload(0)
-	if s.Approximate() {
-		t.recallWin = sumWindow()
-	}
 	s.tel.Store(t)
 	registerWriteGauges(reg, string(s.backend), s.MemtableLen, s.Compactions)
 	s.bg.compactHist.Store(compactionHistogram(reg, string(s.backend)))
-	if s.Approximate() {
-		cache := &recallCache{}
-		reg.GaugeFunc("rknn_recall_estimate",
-			"Sampled reverse-neighbor recall of the approximate engine against the exact oracle (per-snapshot cached, rate-limited, background-refreshed on large datasets; -1 on failure or before the first estimate).",
-			func() float64 {
-				v := cache.estimate(s)
-				if v >= 0 {
-					// Scrape-time path: one clock read per estimate is fine
-					// here, and it keeps the windowed recall in
-					// EngineWindowStats fed from the same cache the gauge
-					// reports.
-					t.recallWin.Observe(v, time.Now())
-				}
-				return v
-			},
-			telemetry.Label{Name: "backend", Value: string(s.backend)})
-	}
 }
 
 // EnableTelemetry binds the ShardedSearcher to reg: engine-level metrics
 // plus per-shard stream and probe counters and live shard size gauges (the
 // sharded engine's own half, shardedCore.enableTelemetry), and the write-path
 // surfaces of its in-process shard engines. Like the
-// Searcher form, it is safe to call while queries are in flight. The
-// recall gauge is a single-engine surface (its oracle reads one snapshot,
-// not a scatter set).
+// Searcher form, it is safe to call while queries are in flight.
 func (ss *ShardedSearcher) EnableTelemetry(reg *telemetry.Registry) {
 	if ss.boundTo(reg) {
 		return

@@ -318,63 +318,9 @@ func hasFamily(reg *telemetry.Registry, name string) bool {
 	return false
 }
 
-// TestApproxTelemetry pins the approximate tier's observability: on an
-// LSH-backed engine rknn_scan_depth_total{backend="lsh"} is the summed
-// per-query scan depth — the candidates the approximate ranking streamed —
-// and the scrape-time rknn_recall_estimate gauge must sit in [0.9, 1] on
-// the clustered workload and be cached per snapshot.
-func TestApproxTelemetry(t *testing.T) {
-	pts := indextest.ClusteredPoints(1500, 6, 8, 9)
-	reg := telemetry.NewRegistry()
-	s, err := New(pts, WithBackend(BackendLSH), WithScale(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.EnableTelemetry(reg)
-
-	var wantApprox int64
-	for qid := 0; qid < 40; qid++ {
-		_, st, err := s.ReverseKNNStats(qid, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantApprox += int64(st.ScanDepth)
-	}
-	backend := telemetry.Label{Name: "backend", Value: "lsh"}
-	if got := counterValue(t, reg, "rknn_scan_depth_total", backend); got != float64(wantApprox) {
-		t.Errorf("rknn_scan_depth_total{backend=\"lsh\"} = %v, want %d (summed scan depth)", got, wantApprox)
-	}
-	recall := counterValue(t, reg, "rknn_recall_estimate", backend)
-	if recall < 0.9 || recall > 1 {
-		t.Errorf("rknn_recall_estimate = %v, want in [0.9, 1]", recall)
-	}
-	// Unchanged snapshot: the cached estimate answers the next scrape
-	// identically (the gauge recomputes only after an update).
-	if again := counterValue(t, reg, "rknn_recall_estimate", backend); again != recall {
-		t.Errorf("recall estimate changed between scrapes of an unchanged snapshot: %v then %v", recall, again)
-	}
-	// An update within the recompute rate limit serves the cached value —
-	// the oracle must not run on every scrape of a write-heavy engine.
-	if _, err := s.Insert(append([]float64(nil), pts[0]...)); err != nil {
-		t.Fatal(err)
-	}
-	if limited := counterValue(t, reg, "rknn_recall_estimate", backend); limited != recall {
-		t.Errorf("rate-limited scrape recomputed: %v, want cached %v", limited, recall)
-	}
-	// With the limit lifted the update invalidates the cache; the fresh
-	// estimate must be a real recall (an 8-query sample is noisy, so only
-	// sanity is asserted — the tight floor above covers the static regime).
-	old := recallRecomputeInterval
-	recallRecomputeInterval = 0
-	defer func() { recallRecomputeInterval = old }()
-	if after := counterValue(t, reg, "rknn_recall_estimate", backend); after <= 0 || after > 1 {
-		t.Errorf("post-update rknn_recall_estimate = %v, want in (0, 1]", after)
-	}
-}
-
-// TestExactEnginesCarryNoApproxSeries pins the flip side: exact back-ends
-// must not register the approximate-only family, so their exposition cannot
-// suggest an approximate regime.
+// TestExactEnginesCarryNoApproxSeries pins that every engine is exact: none
+// registers the recall-estimate family the retired approximate back-end had,
+// so no exposition can suggest an approximate regime.
 func TestExactEnginesCarryNoApproxSeries(t *testing.T) {
 	pts := indextest.RandPoints(200, 3, 5)
 	reg := telemetry.NewRegistry()
@@ -386,40 +332,8 @@ func TestExactEnginesCarryNoApproxSeries(t *testing.T) {
 	if _, err := s.ReverseKNN(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if s.Approximate() {
-		t.Error("covertree engine reports Approximate")
-	}
 	if hasFamily(reg, "rknn_recall_estimate") {
 		t.Error("exact engine registered rknn_recall_estimate")
-	}
-}
-
-// TestShardedApproxTelemetry pins the sharded engine's approximate
-// accounting: the merged queries' scan depth feeds
-// rknn_scan_depth_total{backend="lsh"} through the same engine-level
-// aggregate.
-func TestShardedApproxTelemetry(t *testing.T) {
-	pts := indextest.ClusteredPoints(500, 4, 4, 31)
-	reg := telemetry.NewRegistry()
-	ss, err := NewSharded(pts, 3, WithBackend(BackendLSH), WithScale(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.EnableTelemetry(reg)
-	if !ss.Approximate() {
-		t.Fatal("sharded LSH engine does not report Approximate")
-	}
-	var wantApprox int64
-	for qid := 0; qid < 25; qid++ {
-		_, st, err := ss.ReverseKNNStats(qid, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantApprox += int64(st.ScanDepth)
-	}
-	backend := telemetry.Label{Name: "backend", Value: "lsh"}
-	if got := counterValue(t, reg, "rknn_scan_depth_total", backend); got != float64(wantApprox) {
-		t.Errorf("sharded rknn_scan_depth_total{backend=\"lsh\"} = %v, want %d", got, wantApprox)
 	}
 }
 

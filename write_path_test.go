@@ -564,13 +564,13 @@ func TestShardedInsertRollsBackOrPoisons(t *testing.T) {
 
 // TestBackendDynamicMatchesTheIndex pins that every Backend constant names
 // a dynamic index: an engine on it takes Insert, InsertBatch and Delete,
-// unsharded and sharded, and on the exact back-ends still answers the oracle
-// over what the writes left. (internal/server's TestClusterByteIdentity
+// unsharded and sharded, and still answers the oracle over what the writes
+// left. (internal/server's TestClusterByteIdentity
 // holds the networked topologies to the same.)
 func TestBackendDynamicMatchesTheIndex(t *testing.T) {
 	pts := indextest.RandPoints(60, 3, 5)
 	extra := indextest.RandPoints(4, 3, 6)
-	for _, b := range []Backend{BackendCoverTree, BackendScan, BackendLSH} {
+	for _, b := range []Backend{BackendCoverTree, BackendScan} {
 		// Plain RDT at a scale past the rank cap is exhaustive, hence exact.
 		opts := []Option{WithBackend(b), WithScale(200), WithPlainRDT()}
 		single, err := New(pts, opts...)
@@ -599,9 +599,7 @@ func TestBackendDynamicMatchesTheIndex(t *testing.T) {
 			if eng.Len() != 62 {
 				t.Errorf("%s on %s: Len = %d after the writes, want 62", name, b, eng.Len())
 			}
-			if b != BackendLSH {
-				verifyAgainstOracle(t, eng, 64, map[int]bool{7: true, 62: true})
-			}
+			verifyAgainstOracle(t, eng, 64, map[int]bool{7: true, 62: true})
 		}
 	}
 }
@@ -614,7 +612,7 @@ func TestBackendDynamicMatchesTheIndex(t *testing.T) {
 // not be the caller's array.
 func TestEngineNeverWritesTheCallersSlice(t *testing.T) {
 	const n, extra = 30, 5
-	for _, b := range []Backend{BackendCoverTree, BackendScan, BackendLSH} {
+	for _, b := range []Backend{BackendCoverTree, BackendScan} {
 		all := indextest.RandPoints(n+10, 3, 61)
 		tail := slices.Clone(all[n:])
 		s, err := New(all[:n], WithBackend(b), WithScale(8))
