@@ -681,3 +681,121 @@ func BenchmarkBatchReverseKNN(b *testing.B) {
 		})
 	}
 }
+
+// TestShardedRecycledReadSets races member queries against inserts and
+// deletes on a ShardedSearcher whose queries share one pinned read set
+// between publications and recycle their federated index and streams. Every
+// answer must be the exact answer over the read set its query pinned — one
+// consistent set of shard snapshots under one map, whatever the writer did
+// meanwhile — and nothing recycled may keep a row, snapshot, shard or
+// context once its query has returned.
+func TestShardedRecycledReadSets(t *testing.T) {
+	const n, k = 240, 5
+	pts := indextest.RandPoints(n, 3, 91)
+	ss, err := NewSharded(pts, 3, WithScale(100), WithPlainRDT()) // exact at this t
+	if err != nil {
+		t.Fatal(err)
+	}
+	// exact is the brute-force answer over the points rs holds, and whether
+	// it holds qid.
+	exact := func(rs *scatterSet, qid int) ([]int, bool) {
+		rows := make([][]float64, rs.m.Len())
+		for _, c := range rs.clients {
+			ix := c.shardClient.(*snapshot).ix
+			for l := range ix.IDSpan() {
+				if g, ok := rs.m.Global(c.shard, l); ok {
+					rows[g] = livePoint(ix, l)
+				}
+			}
+		}
+		if rows[qid] == nil {
+			return nil, false
+		}
+		live := func(id int) bool { return rows[id] != nil }
+		return bruteforce.ReverseKNN(rows, live, Euclidean.Distance, rows[qid], qid, k), true
+	}
+	cleared := func(who string) {
+		f := ss.feds.Get().(*fedIndex)
+		defer ss.feds.Put(f)
+		if f.sc != nil || f.ctx != nil || f.q != nil || f.err != nil || f.qid != 0 || f.home != 0 || f.homeLocal != 0 || len(f.heads) != 0 {
+			t.Errorf("%s: a pooled federation still holds its query: %+v", who, *f)
+		}
+		for _, h := range f.heads[:cap(f.heads)] {
+			if h != (fedHead{}) {
+				t.Errorf("%s: a pooled federation's head still holds %+v", who, h)
+			}
+		}
+		s := localStreams.Get().(*localStream)
+		defer localStreams.Put(s)
+		if *s != (localStream{}) {
+			t.Errorf("%s: a pooled stream still holds its cursor or snapshot", who)
+		}
+	}
+	var readers, writer sync.WaitGroup
+	// The writer writes once per query some reader starts, so writes keep
+	// landing while the queries run.
+	stop, tick := make(chan struct{}), make(chan struct{}, 1)
+	for g := range 4 {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := range 40 {
+				select {
+				case tick <- struct{}{}:
+				default:
+				}
+				rs := ss.pin(nil).(*scatterSet)
+				qid := (g*53 + i*7) % rs.m.Len()
+				ids, _, _, err := rs.reverseKNN(context.Background(), qid, nil, k)
+				want, live := exact(rs, qid)
+				switch {
+				case !live && errors.Is(err, ErrDeleted):
+				case !live:
+					t.Errorf("reader %d: query %d answered %v, %v; its read set holds no such point", g, qid, ids, err)
+					return
+				case err != nil:
+					t.Errorf("reader %d: query %d: %v", g, qid, err)
+					return
+				case !sameIDs(ids, want):
+					t.Errorf("reader %d: query %d answers %v over its read set, brute force %v", g, qid, ids, want)
+					return
+				}
+				if _, err := ss.ReverseKNN(qid, k); err != nil && !errors.Is(err, ErrDeleted) {
+					t.Errorf("reader %d: ReverseKNN(%d): %v", g, qid, err)
+					return
+				}
+				cleared(fmt.Sprintf("reader %d", g))
+			}
+		}(g)
+	}
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i, p := range indextest.RandPoints(200, 3, 92) {
+			select {
+			case <-stop:
+				return
+			case <-tick:
+			}
+			if _, err := ss.Insert(p); err != nil {
+				t.Errorf("writer: Insert: %v", err)
+				return
+			}
+			if i%3 == 0 {
+				if _, err := ss.Delete(i * 11 % n); err != nil {
+					t.Errorf("writer: Delete: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	cleared("after the race")
+	// Once the writes stop, every pin shares the read set of the final state.
+	rs := ss.pin(nil).(*scatterSet)
+	if again := ss.pin(nil).(*scatterSet); again != rs || !rs.current(&ss.shardedCore) || rs.n != ss.Len() {
+		t.Errorf("pins after the writes: %p and %p (current %v), %d live points; want one read set of all %d", rs, again, rs.current(&ss.shardedCore), rs.n, ss.Len())
+	}
+}

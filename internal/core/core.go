@@ -285,15 +285,17 @@ func (x *candidate) settled(k int) bool { return x.accepted || x.w >= k }
 
 // scratch is the transient state of one query: the filter set F, and F's
 // points split by whether the member is still unsettled, laid out as the
-// row lists the one-vs-many kernel takes, and the answer as it is found,
-// which the query copies out once, at its length.
+// row lists the one-vs-many kernel takes, the refinement's batch of probes,
+// and the answer as it is found, which the query copies out once, at its
+// length.
 type scratch struct {
 	filter      []candidate
-	open        []int       // filter indexes of the unsettled members, ascending
-	openRows    [][]float64 // their points, in step with open
-	settledRows [][]float64 // points of the settled members
-	dists       []float64   // kernel output
-	ids         []int       // the reverse neighbors found so far
+	open        []int              // filter indexes of the unsettled members, ascending
+	openRows    [][]float64        // their points, in step with open
+	settledRows [][]float64        // points of the settled members
+	dists       []float64          // kernel output
+	probes      []index.CountQuery // the refinement's batch (index.BatchCounter)
+	ids         []int              // the reverse neighbors found so far
 }
 
 // release drops every point reference so the pool pins no dataset, and keeps
@@ -302,7 +304,8 @@ func (sc *scratch) release() {
 	clear(sc.filter)
 	clear(sc.openRows)
 	clear(sc.settledRows)
-	sc.filter, sc.open = sc.filter[:0], sc.open[:0]
+	clear(sc.probes)
+	sc.filter, sc.open, sc.probes = sc.filter[:0], sc.open[:0], sc.probes[:0]
 	sc.openRows, sc.settledRows = sc.openRows[:0], sc.settledRows[:0]
 	sc.ids = sc.ids[:0]
 	scratchPool.Put(sc)
@@ -560,7 +563,7 @@ func (qr *Querier) algorithm1(ctx context.Context, qsp *trace.Span, sc *scratch,
 	// verification — one at a time against a single index, in one batch
 	// against an index that asks for it (index.BatchCounter).
 	batch, batched := qr.ix.(index.BatchCounter)
-	var unsettled []index.CountQuery
+	unsettled := sc.probes
 	for i := range filter {
 		x := &filter[i]
 		switch {
@@ -578,6 +581,7 @@ func (qr *Querier) algorithm1(ctx context.Context, qsp *trace.Span, sc *scratch,
 			}
 		}
 	}
+	sc.probes = unsettled
 	if len(unsettled) > 0 {
 		stats.Verified = len(unsettled)
 		bctx := ctx

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,12 +14,14 @@ import (
 
 // This file is the scatter-gather substrate of the sharded engine's batched
 // calls (forward kNN, refinement counts): fanning one call out to every shard
-// with cancellation, and merging per-shard kNN lists back into exactly the
-// list a single index over the union of the shards would have produced. The
-// merge is deliberately pure — no engine state — so it can be pinned by
-// property-based tests against a reference implementation (scatter_test.go).
-// Reverse queries do not pass through here: they run Algorithm 1 once over
-// the merged shard cursors (the facade's federated index).
+// with cancellation, merging per-shard kNN lists back into exactly the list a
+// single index over the union of the shards would have produced, and summing
+// a round of refinement counts over the shards — in turn under a shrinking
+// limit, or gathered at once. The merge and the count rounds are deliberately
+// pure — no engine state — so they can be pinned by property-based tests
+// against a reference implementation (scatter_test.go). Reverse queries do
+// not pass through here: they run Algorithm 1 once over the merged shard
+// cursors (the facade's federated index).
 
 // Gather runs fn once per shard, concurrently, and waits for all of them:
 // every shard but the first on its own goroutine, the first on the caller's —
@@ -154,4 +158,83 @@ func MergeKNN(lists [][]index.Neighbor, k int, live func(id int) bool) []index.N
 		out = append(out, nb)
 	}
 	return out
+}
+
+// A count round answers refinement probes (index.CountQuery) over a dataset
+// partitioned across shards: out[j] = min(Σ_s count_s(j), Limit_j), where
+// count_s(j) is shard s's count for probe j. A shard counts no further than
+// the limit it is given and exactly below it, so the sum is below the limit
+// exactly when the true total is. A probe's Skip is a global member ID, which
+// home places — the member's shard and its local ID there, shard -1 for none
+// — and it is excluded on that shard alone (local Skip there, -1 elsewhere).
+
+// CountInTurn is the count round on the caller's goroutine: every probe
+// against shard 0, then every probe against shard 1, and so on, each asked
+// only for what the earlier shards left of its limit, and not asked at all
+// once they reached it. It is the round for in-process shards, where a call
+// is a walk of an index and a goroutine would cost more than it saves; count
+// is never called with a limit below 1.
+func CountInTurn(out []int, qs []index.CountQuery, shards int, home func(id int) (shard, local int), count func(shard int, q index.CountQuery) int) {
+	for j, q := range qs {
+		out[j] = min(0, q.Limit)
+	}
+	for s := range shards {
+		for j, q := range qs {
+			if out[j] >= q.Limit {
+				continue // settled by the shards before s
+			}
+			q.Limit -= out[j]
+			q.Skip = skipOn(home, q.Skip, s)
+			out[j] += min(count(s, q), q.Limit)
+		}
+	}
+}
+
+// CountGathered is the count round as one concurrent call per shard (Gather),
+// each carrying every probe at its full limit: the round for remote shards,
+// where a call is a round trip, so one round costs one round trip rather than
+// one per shard. count returns one count per probe, in probe order. The first
+// error voids the round: it is returned, and out holds every probe's limit,
+// which settles nothing.
+func CountGathered(ctx context.Context, out []int, qs []index.CountQuery, shards int, home func(id int) (shard, local int), count func(ctx context.Context, shard int, qs []index.CountQuery) ([]int, error)) error {
+	counts := make([][]int, shards)
+	err := Gather(ctx, shards, func(ctx context.Context, s int) error {
+		mine := slices.Clone(qs)
+		for j := range mine {
+			mine[j].Skip = skipOn(home, mine[j].Skip, s)
+		}
+		var err error
+		counts[s], err = count(ctx, s, mine)
+		return err
+	})
+	for j, q := range qs {
+		if err != nil {
+			out[j] = q.Limit // settles nothing
+			continue
+		}
+		out[j] = min(0, q.Limit)
+		for _, c := range counts {
+			out[j] = min(out[j]+c[j], q.Limit)
+		}
+	}
+	return err
+}
+
+// ShardRows is how many rows one of S shards is expected to contribute to a
+// scan of the merged neighbor stream of n points: its share of the rank cap
+// min(n, ⌊2^t·k⌋) plus three standard deviations of that share under hash
+// partitioning, so that one fetch of a remote shard nearly always covers the
+// whole scan (the cap is n when t adapts per query).
+func ShardRows(n, S, k int, t float64) int {
+	share := float64(RankCap(n, k, t)) / float64(S)
+	return int(math.Ceil(share + 3*math.Sqrt(share*(1-1/float64(S)))))
+}
+
+// skipOn is a probe's Skip on shard s: the member's local ID on its home
+// shard, -1 on every other.
+func skipOn(home func(id int) (shard, local int), skip, s int) int {
+	if hs, l := home(skip); hs == s {
+		return l
+	}
+	return -1
 }

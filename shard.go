@@ -114,12 +114,18 @@ type shardedCore struct {
 	// enabled; nil when disabled. Published atomically, like every read-path
 	// structure here.
 	shardTel atomic.Pointer[[]*shardTelemetry]
+
+	// pinned is the read set pin built last, which every pin shares until a
+	// shard publishes; feds recycles the federated index of its queries.
+	pinned atomic.Pointer[scatterSet]
+	feds   sync.Pool
 }
 
 // init binds the core to its shards; the caller publishes the shard map.
 func (e *shardedCore) init(cfg engineConfig, metric Metric, dim int, shards []shard) {
 	e.engineConfig, e.eng, e.bg, e.metric, e.dim = cfg, e, new(background), metric, dim
 	e.shards, e.visits = shards, make([]atomic.Int64, len(shards))
+	e.feds.New = func() any { return new(fedIndex) }
 }
 
 // assemble binds the core to S described shards — the daemons a Coordinator
@@ -230,21 +236,40 @@ func (e *shardedCore) ShardStats() []ShardInfo {
 // pin captures a consistent read set as a scatter set: the read set of every
 // non-empty shard first, then the map. Writers publish in the opposite order
 // (map, then shard), so the map here covers every ID the read sets can
-// surface.
+// surface. A pin that finds every shard, the map and the instruments as the
+// last set built them would build that set again, so it returns that set:
+// between two publications every query shares one. (A replaced set stays
+// reachable until the next pin replaces it in turn.)
 func (e *shardedCore) pin(sp *trace.Span) readSet {
-	sc := &scatterSet{engineConfig: e.engineConfig, clients: make([]pinnedShard, 0, len(e.shards)), metric: e.metric, dim: e.dim}
-	for i, sh := range e.shards {
-		if c, live := sh.pin(); live > 0 {
-			sc.clients = append(sc.clients, pinnedShard{shardClient: c, shard: i, visits: &e.visits[i]})
-			sc.n += live
+	sc := e.pinned.Load()
+	if sc == nil || !sc.current(e) {
+		sc = &scatterSet{engineConfig: e.engineConfig, clients: make([]pinnedShard, 0, len(e.shards)), metric: e.metric, dim: e.dim,
+			pins: make([]pinnedShard, len(e.shards)), feds: &e.feds}
+		for i, sh := range e.shards {
+			c, live := sh.pin()
+			sc.pins[i] = pinnedShard{shardClient: c, shard: i, visits: &e.visits[i], live: live, pos: -1}
+			if live > 0 {
+				sc.pins[i].pos = len(sc.clients)
+				sc.clients = append(sc.clients, sc.pins[i])
+				sc.n += live
+			}
 		}
-	}
-	sc.m = e.smap.Load()
-	if p := e.shardTel.Load(); p != nil {
-		sc.tel = *p
+		sc.m, sc.tel = e.smap.Load(), e.shardTel.Load()
+		e.pinned.Store(sc)
 	}
 	sp.SetInt("shards_pinned", int64(len(sc.clients)))
 	return sc
+}
+
+// current re-pins every shard, then the map, in pin's order, and reports
+// whether they are what sc holds.
+func (sc *scatterSet) current(e *shardedCore) bool {
+	for i, sh := range e.shards {
+		if c, live := sh.pin(); c != sc.pins[i].shardClient || live != sc.pins[i].live {
+			return false
+		}
+	}
+	return e.smap.Load() == sc.m && e.shardTel.Load() == sc.tel
 }
 
 // applyDelete deletes a member on its shard. The shard map keeps the ID
@@ -573,30 +598,25 @@ func (ss *ShardedSearcher) Point(global int) []float64 {
 	if !ok {
 		panic(fmt.Sprintf("rknnd: point id %d out of range [0,%d)", global, m.Len()))
 	}
-	eng := ss.slots[s].eng.Load()
-	if eng == nil {
-		return nil // map-published, engine not yet: the in-flight window
+	// A shard engine not built yet, or a snapshot that trails the map: the
+	// in-flight window.
+	if eng := ss.slots[s].eng.Load(); eng != nil {
+		if ix := eng.snap.Load().ix; l < ix.IDSpan() {
+			return ix.Point(l)
+		}
 	}
-	ix := eng.snap.Load().ix
-	if l >= ix.IDSpan() {
-		return nil // same window: the engine snapshot trails the map
-	}
-	return ix.Point(l)
+	return nil
 }
 
 // MemberPoints is the sharded form of Searcher.MemberPoints: IDs are
 // global, rows come from one pinned cross-shard read set (snapshots first,
 // then the map, like every query).
 func (ss *ShardedSearcher) MemberPoints(ids ...int) [][]float64 {
-	pinned := make([]*index.Overlay, len(ss.slots))
-	for i, eng := range ss.engines() {
-		pinned[i] = eng.snap.Load().ix
-	}
-	m := ss.smap.Load()
+	f := &fedIndex{sc: ss.pin(nil).(*scatterSet)}
 	rows := make([][]float64, len(ids))
 	for i, g := range ids {
-		if s, l, ok := m.Locate(g); ok && pinned[s] != nil {
-			rows[i] = livePoint(pinned[s], l)
+		if f.Live(g) {
+			rows[i] = f.q
 		}
 	}
 	return rows

@@ -1,10 +1,11 @@
 package repro
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -43,9 +44,9 @@ type shardClient interface {
 	// expects to pull — a remote shard sizes its first fetch by it; ctx
 	// bounds every fetch the stream makes.
 	Neighbors(ctx context.Context, q []float64, skip, expect int) shardStream
-	// Points resolves local member IDs to coordinates; a nil row marks an
-	// ID with no live point (deleted, or an insert still in flight).
-	Points(ctx context.Context, locals []int) ([][]float64, error)
+	// Member resolves a local member ID to its coordinates, nil when the ID
+	// has no live point (deleted, or an insert still in flight).
+	Member(ctx context.Context, local int) ([]float64, error)
 	// KNN returns the shard's k nearest members to q (local IDs) in
 	// ascending (distance, ID) order.
 	KNN(ctx context.Context, q []float64, k int) ([]index.Neighbor, error)
@@ -79,37 +80,37 @@ func livePoint(ix *index.Overlay, l int) []float64 {
 	return ix.Point(l)
 }
 
-// livePoints is livePoint over a list of IDs, all against the one view.
-func livePoints(ix *index.Overlay, ids []int) [][]float64 {
-	rows := make([][]float64, len(ids))
-	for i, id := range ids {
-		rows[i] = livePoint(ix, id)
-	}
-	return rows
-}
-
 // A Searcher's snapshot is the in-process shardClient: every method body is a
 // direct call on the pinned index. (Boxing the pointer in the interface
-// allocates nothing.)
+// allocates nothing.) The federation counts on its index in turn
+// (fedIndex.CountCloserBatch), so CountBatch serves only a snapshot read
+// through a wrapper.
 
 func (sn *snapshot) Neighbors(_ context.Context, q []float64, skip, _ int) shardStream {
-	return localStream{sn.ix.NewCursor(q, skip), sn.ix}
+	s := localStreams.Get().(*localStream)
+	s.Cursor, s.ix = sn.ix.NewCursor(q, skip), sn.ix
+	return s
 }
 
 // localStream is the pinned snapshot's own cursor, beside the index whose
-// Point resolves the rows it returns. It cannot fail.
+// Point resolves the rows it returns. It cannot fail. Streams are recycled
+// (localStreams), so opening one allocates nothing.
 type localStream struct {
 	index.Cursor
-	index.Index
+	ix *index.Overlay
 }
 
-func (localStream) Err() error { return nil }
+var localStreams = sync.Pool{New: func() any { return new(localStream) }}
 
-// release: the rows are the pinned snapshot's own.
-func (localStream) release() {}
+func (s *localStream) Point(local int) []float64 { return s.ix.Point(local) }
+func (*localStream) Err() error                  { return nil }
 
-func (sn *snapshot) Points(_ context.Context, locals []int) ([][]float64, error) {
-	return livePoints(sn.ix, locals), nil
+// release: the rows are the pinned snapshot's own; the stream holds none of
+// them, nor the snapshot, once recycled.
+func (s *localStream) release() { *s = localStream{}; localStreams.Put(s) }
+
+func (sn *snapshot) Member(_ context.Context, local int) ([]float64, error) {
+	return livePoint(sn.ix, local), nil
 }
 
 func (sn *snapshot) KNN(_ context.Context, q []float64, k int) ([]index.Neighbor, error) {
@@ -125,18 +126,21 @@ func (sn *snapshot) CountBatch(_ context.Context, probes []CountCloserQuery) ([]
 }
 
 // pinnedShard is one member of a scatter set: a shard's pinned read set, the
-// shard's number in the coordinate system of the set's ShardMap, and the
-// shard's scatter-visit counter.
+// shard's number in the coordinate system of the set's ShardMap, the shard's
+// scatter-visit counter, and the shard's live points and position in the
+// set's clients (-1 when it pinned empty).
 type pinnedShard struct {
 	shardClient
-	shard  int
-	visits *atomic.Int64
+	shard     int
+	visits    *atomic.Int64
+	live, pos int
 }
 
 // scatterSet is a pinned set of shard clients plus the shard map that
 // translates their local IDs and the engine configuration their queries run
 // under — everything a transport-independent query needs. shardedCore.pin
-// builds one per query, or per batch.
+// builds one whenever a shard has published since the last, and every query
+// and batch pinned in between shares it: nothing in it changes once built.
 type scatterSet struct {
 	engineConfig
 	clients []pinnedShard // the non-empty shards, ascending shard number
@@ -145,13 +149,18 @@ type scatterSet struct {
 	dim     int
 	n       int // live points across the clients
 	// tel, when set, holds the per-shard instruments indexed by shard number.
-	tel []*shardTelemetry
+	tel *[]*shardTelemetry
+	// pins is what every shard pinned, by shard number: the set's identity,
+	// which shardedCore.pin compares.
+	pins []pinnedShard
+	feds *sync.Pool // the engine's recycled *fedIndex
 }
 
-// client returns the position in sc.clients of the given shard, or -1 when
-// the shard is not part of the set (it pinned empty).
-func (sc *scatterSet) client(shard int) int {
-	return slices.IndexFunc(sc.clients, func(c pinnedShard) bool { return c.shard == shard })
+// inProcess reports whether every client of the set is an in-process
+// snapshot: its streams fetch nothing ahead, and its count round runs in turn
+// on the query's goroutine.
+func (sc *scatterSet) inProcess() bool {
+	return !slices.ContainsFunc(sc.clients, func(c pinnedShard) bool { _, ok := c.shardClient.(*snapshot); return !ok })
 }
 
 // reverseKNN implements readSet: the engine's core.Querier over the
@@ -159,36 +168,35 @@ func (sc *scatterSet) client(shard int) int {
 // values fail like the unsharded engine's). The work counters are those of
 // the one algorithm run, identical to an unsharded engine's on the same data.
 func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k int) ([]int, Stats, []float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if !sc.inProcess() {
+		// Remote streams fetch ahead on their own goroutines; cancelling on
+		// return stops whatever the query no longer needs. (In-process ones
+		// read no context, so a nil one stays nil.)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(cmp.Or(ctx, context.Background()))
+		defer cancel()
 	}
-	// Remote streams fetch ahead on their own goroutines; cancelling on
-	// return stops whatever the query no longer needs.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	f := &fedIndex{sc: sc, ctx: ctx, k: k, qid: -1, home: -1}
-	qr, err := sc.newQuerier(f, k)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
+	f := sc.feds.Get().(*fedIndex)
+	defer f.recycle(sc.feds)
+	f.sc, f.ctx, f.k, f.qid, f.home = sc, ctx, k, -1, -1
+	// The Querier holds nothing of a query or a read set but f itself, so a
+	// recycled one serves its rank; an empty set builds one, to fail as core
+	// does.
 	var res core.Result
-	if q == nil {
-		res, err = qr.ByIDCtx(ctx, qid)
+	var err error
+	if f.qr == nil || f.qr.Params().K != k || sc.n == 0 {
+		f.qr, err = sc.newQuerier(f, k)
+	}
+	switch {
+	case err != nil:
+	case q == nil:
+		res, err = f.qr.ByIDCtx(ctx, qid)
 		q = f.q
-	} else {
-		res, err = qr.ByPointCtx(ctx, q)
+	default:
+		res, err = f.qr.ByPointCtx(ctx, q)
 	}
-	f.observe()
-	// core has returned: nothing reads a streamed coordinate any more. Not
-	// sooner — refinement reads candidates' coordinates after the cursor is
-	// closed, and a caller's cancel can fire while it does.
-	for i := range f.heads {
-		f.heads[i].stream.release()
-	}
-	if f.err != nil { // a shard failed mid-query: whatever core computed is void
-		err = f.err
-	}
-	if err != nil {
+	// A shard that failed mid-query voids whatever core computed.
+	if err = cmp.Or(f.err, err); err != nil {
 		return nil, Stats{}, nil, err
 	}
 	return res.IDs, fromCore(res.Stats), q, nil
@@ -198,9 +206,11 @@ func (sc *scatterSet) reverseKNN(ctx context.Context, qid int, q []float64, k in
 // core.Source whose cursor is the k-way merge of the shards' neighbor
 // streams, whose points resolve through the shard map, and whose refinement
 // count is the sum of the shards' bounded counts. IDs on this side are
-// global. It lives for one query, on one goroutine, because the streams it
-// opens do; a shard failure is latched in err (the index contract has no
-// error returns) and voids the query.
+// global. It serves one query at a time, on one goroutine, because the
+// streams it opens do; a shard failure is latched in err (the index contract
+// has no error returns) and voids the query. Between queries it waits in its
+// engine's pool with its Querier and the arrays of its heads and counts, and
+// nothing else (recycle).
 type fedIndex struct {
 	sc  *scatterSet
 	ctx context.Context
@@ -211,8 +221,31 @@ type fedIndex struct {
 	qid, home, homeLocal int
 	q                    []float64
 
-	heads []fedHead // one per client, same order; set by NewCursor
-	err   error
+	heads  []fedHead // one per client, same order; set by NewCursor
+	err    error
+	qr     *core.Querier // the rank-qr.Params().K algorithm over this federation
+	counts []int         // the last count round's answer
+}
+
+// recycle ends the query: it feeds the query's per-shard work into the
+// shard instruments (one scatter visit and the rows pulled from each shard's
+// stream), releases the streams — core has returned, so nothing reads a
+// streamed coordinate any more; not sooner, for refinement reads candidates'
+// coordinates after the cursor is closed, and a caller's cancel can fire
+// while it does — and puts f back in pool holding no row, snapshot, shard or
+// context.
+func (f *fedIndex) recycle(pool *sync.Pool) {
+	for i, h := range f.heads {
+		if f.sc.tel != nil {
+			t := (*f.sc.tel)[f.sc.clients[i].shard]
+			t.scatter.Inc()
+			t.pulled.Add(int64(h.pulled))
+		}
+		h.stream.release()
+	}
+	clear(f.heads)
+	*f = fedIndex{heads: f.heads[:0], qr: f.qr, counts: f.counts[:0]}
+	pool.Put(f)
 }
 
 // fedHead is one shard's stream and what the merge knows of its next row.
@@ -245,29 +278,31 @@ func (f *fedIndex) Metric() Metric { return f.sc.metric }
 func (f *fedIndex) IDSpan() int { return f.sc.m.Len() }
 
 func (f *fedIndex) Live(id int) bool {
-	sc := f.sc
-	s, l, ok := sc.m.Locate(id)
-	if !ok {
-		return false
-	}
-	home := sc.client(s)
+	home, l := f.locate(id)
 	if home < 0 {
-		// The member's shard pinned empty (or unpublished): every copy of
-		// the point this read set can see is gone.
+		// Never assigned, or the member's shard pinned empty (or
+		// unpublished): every copy of the point this read set can see is gone.
 		return false
 	}
-	rows, err := sc.clients[home].Points(f.ctx, []int{l})
-	if err != nil {
-		f.fail(err)
+	p, err := f.sc.clients[home].Member(f.ctx, l)
+	if f.fail(err); p == nil {
 		return false
 	}
-	if len(rows) != 1 || rows[0] == nil {
-		return false
-	}
-	f.qid, f.home, f.homeLocal, f.q = id, home, l, rows[0]
+	f.qid, f.home, f.homeLocal, f.q = id, home, l, p
 	return true
 }
 
+// locate places a global ID in the set: the position in clients of its
+// shard and its local ID there; position -1 when the map does not know the
+// ID or its shard pinned empty.
+func (f *fedIndex) locate(id int) (int, int) {
+	if s, l, ok := f.sc.m.Locate(id); ok {
+		return f.sc.pins[s].pos, l
+	}
+	return -1, -1
+}
+
+// fail latches the first shard error (nil is none).
 func (f *fedIndex) fail(err error) {
 	if f.err == nil {
 		f.err = err
@@ -280,18 +315,8 @@ func (f *fedIndex) Point(id int) []float64 {
 	if id == f.qid {
 		return f.q
 	}
-	s, l, _ := f.sc.m.Locate(id)
-	return f.heads[f.sc.client(s)].stream.Point(l)
-}
-
-// expectRows is how many rows one of S shards is expected to contribute to a
-// scan of the merged stream: its share of the rank cap min(n, ⌊2^t·k⌋) plus
-// three standard deviations of that share under hash partitioning, so that
-// one fetch of a remote shard nearly always covers the whole scan (the cap
-// is n when t adapts per query).
-func expectRows(n, S, k int, t float64) int {
-	share := float64(core.RankCap(n, k, t)) / float64(S)
-	return int(math.Ceil(share + 3*math.Sqrt(share*(1-1/float64(S)))))
+	pos, l := f.locate(id)
+	return f.heads[pos].stream.Point(l)
 }
 
 // NewCursor opens every shard's stream and merges them. skipID is the query
@@ -306,8 +331,8 @@ func (f *fedIndex) NewCursor(q []float64, skipID int) index.Cursor {
 func (f *fedIndex) NewCursorCtx(ctx context.Context, q []float64, skipID int) index.Cursor {
 	sc := f.sc
 	sp := trace.FromContext(ctx)
-	expect := expectRows(sc.n, len(sc.clients), f.k, sc.scale)
-	f.heads = make([]fedHead, len(sc.clients))
+	expect := core.ShardRows(sc.n, len(sc.clients), f.k, sc.scale)
+	f.heads = slices.Grow(f.heads[:0], len(sc.clients))[:len(sc.clients)]
 	for i, cl := range sc.clients {
 		cl.visits.Add(1)
 		sctx := ctx
@@ -365,9 +390,7 @@ func (c *fedCursor) pull(i int) {
 		nb, ok := h.stream.Next()
 		if !ok {
 			h.state = headDry
-			if err := h.stream.Err(); err != nil {
-				(*fedIndex)(c).fail(err)
-			}
+			(*fedIndex)(c).fail(h.stream.Err())
 			return
 		}
 		h.pulled++
@@ -397,64 +420,38 @@ func (f *fedIndex) CountCloser(q []float64, r float64, limit, skipID int, _ *ind
 
 // CountCloserBatch implements index.BatchCounter: the number of points of
 // the whole dataset strictly closer to each probe point than its radius is
-// the sum of the shards' counts, because the shards partition the dataset.
-// Every shard counts no further than the probe's limit — a shard that
-// reaches it settles the probe alone, and below it the count is exact — so
-// the sum is below the limit exactly when the true total is. Skip (a global
-// member ID) is excluded on the member's home shard. One CountBatch per
-// shard carries all probes, so a remote shard costs one round trip.
+// the sum of the shards' counts, because the shards partition the dataset,
+// and Skip (a global member ID) is excluded on the member's home shard. On
+// in-process shards the round runs in turn on the query's goroutine, each
+// shard asked only what the earlier ones left unsettled (core.CountInTurn);
+// on remote ones one CountBatch per shard carries all probes at once, so a
+// round costs one round trip (core.CountGathered). The answer is the same.
 func (f *fedIndex) CountCloserBatch(ctx context.Context, qs []index.CountQuery) []int {
 	sc := f.sc
-	out := make([]int, len(qs))
-	counts := make([][]int, len(sc.clients))
-	err := core.Gather(ctx, len(sc.clients), func(ctx context.Context, i int) error {
-		mine := slices.Clone(qs)
-		for j := range mine {
-			s, l, ok := sc.m.Locate(mine[j].Skip)
-			mine[j].Skip = -1
-			if ok && s == sc.clients[i].shard {
-				mine[j].Skip = l
+	f.counts = slices.Grow(f.counts[:0], len(qs))[:len(qs)]
+	out := f.counts
+	if sc.inProcess() {
+		core.CountInTurn(out, qs, len(sc.clients), f.locate, func(i int, q index.CountQuery) int {
+			if sc.tel != nil {
+				(*sc.tel)[sc.clients[i].shard].probes.Inc()
 			}
-		}
-		res, err := sc.clients[i].CountBatch(ctx, mine)
-		if err != nil {
-			return err
-		}
-		if len(res) != len(mine) {
-			return fmt.Errorf("shard %d returned %d counts for %d probes", sc.clients[i].shard, len(res), len(mine))
-		}
-		counts[i] = res
-		return nil
-	})
-	if err != nil {
-		f.fail(err)
-		for j, q := range qs {
-			out[j] = q.Limit // settles nothing; the latched error voids the query
-		}
+			return sc.clients[i].shardClient.(*snapshot).ix.CountCloser(q.Point, q.Radius, q.Limit, q.Skip, nil)
+		})
 		return out
 	}
-	for i, c := range sc.clients {
-		if sc.tel != nil {
-			sc.tel[c.shard].probes.Add(int64(len(qs)))
+	// A failed round settles nothing, and the latched error voids the query.
+	f.fail(core.CountGathered(ctx, out, qs, len(sc.clients), f.locate, func(ctx context.Context, i int, mine []index.CountQuery) ([]int, error) {
+		c := sc.clients[i]
+		res, err := c.CountBatch(ctx, mine)
+		if err == nil && len(res) != len(mine) {
+			err = fmt.Errorf("shard %d returned %d counts for %d probes", c.shard, len(res), len(mine))
 		}
-		for j, n := range counts[i] {
-			out[j] = min(out[j]+n, qs[j].Limit)
+		if err == nil && sc.tel != nil {
+			(*sc.tel)[c.shard].probes.Add(int64(len(mine)))
 		}
-	}
+		return res, err
+	}))
 	return out
-}
-
-// observe feeds the query's per-shard work into the shard instruments: one
-// scatter visit and the rows pulled from each shard's stream.
-func (f *fedIndex) observe() {
-	if f.sc.tel == nil {
-		return
-	}
-	for i, h := range f.heads {
-		t := f.sc.tel[f.sc.clients[i].shard]
-		t.scatter.Inc()
-		t.pulled.Add(int64(h.pulled))
-	}
 }
 
 // knn implements readSet: the scatter-gather forward-kNN query, per-shard

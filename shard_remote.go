@@ -390,7 +390,7 @@ func (r *remoteShard) unknownOpErr(err error, op wire.Op, what string) error {
 }
 
 // maxFirstChunk bounds the first fetch of a neighbor stream. The expected
-// share of the rank cap sizes it (expectRows), but at a generous scale
+// share of the rank cap sizes it (core.ShardRows), but at a generous scale
 // parameter the cap is the dataset while ω usually stops the scan early —
 // rows carry coordinates, so fetching a shard's worth up front would be
 // megabytes nobody reads. Past the first chunk, fetches double.
@@ -500,8 +500,12 @@ func (s *remoteStream) release() {
 	}
 }
 
-func (r *remoteShard) Points(ctx context.Context, locals []int) ([][]float64, error) {
-	return binaryCall(ctx, r, wire.AppendPointsRequest(nil, locals), wire.DecodePointsResponse)
+func (r *remoteShard) Member(ctx context.Context, local int) ([]float64, error) {
+	rows, err := binaryCall(ctx, r, wire.AppendPointsRequest(nil, []int{local}), wire.DecodePointsResponse)
+	if err != nil || len(rows) != 1 {
+		return nil, err
+	}
+	return rows[0], nil
 }
 
 func (r *remoteShard) KNN(ctx context.Context, q []float64, k int) ([]index.Neighbor, error) {

@@ -147,7 +147,12 @@ func (s *Searcher) CountCloserBatch(qs []CountCloserQuery) ([]int, error) {
 // it is the remote-safe form a daemon can expose to untrusted IDs. The
 // returned rows are owned by the engine and must not be modified.
 func (s *Searcher) MemberPoints(ids ...int) [][]float64 {
-	return livePoints(s.snap.Load().ix, ids)
+	ix := s.snap.Load().ix
+	rows := make([][]float64, len(ids))
+	for i, id := range ids {
+		rows[i] = livePoint(ix, id)
+	}
+	return rows
 }
 
 // IDSpan returns the number of member IDs ever assigned, including

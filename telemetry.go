@@ -39,7 +39,10 @@ import (
 //
 //	rknn_shard_scatter_queries_total      1 per shard whose stream the query opened
 //	rknn_shard_neighbors_pulled_total     rows pulled from the shard's stream
-//	rknn_shard_count_probes_total         Verified (each probe asks every shard)
+//	rknn_shard_count_probes_total         refinement probes the shard answered: on a
+//	                                      remote shard every one of Verified; on an
+//	                                      in-process shard, counted in turn, those
+//	                                      the shards before it left unsettled
 //
 // The /statsz engine windows are windowed sums over the same Stats fields
 // (scan_depth, candidates_generated, candidates_verified, and the pruning
@@ -255,7 +258,7 @@ func newShardTelemetry(reg *telemetry.Registry, shard int, points func() int) *s
 		pulled: reg.CounterVec("rknn_shard_neighbors_pulled_total",
 			"Rows drawn from this shard's forward neighbor stream by the merged expanding search.", "shard").With(label),
 		probes: reg.CounterVec("rknn_shard_count_probes_total",
-			"Refinement count probes (one per unsettled candidate per query) this shard answered.", "shard").With(label),
+			"Refinement count probes this shard answered: every unsettled candidate of a query on a remote shard; on an in-process shard, where shards count in turn, those the shards before it left unsettled.", "shard").With(label),
 	}
 }
 
